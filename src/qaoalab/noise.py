@@ -1,10 +1,13 @@
 """Parametric noise channels and mitigation passes.
 
 Noise is simulated as per-shot pure-state trajectories: each shot draws
-its own stochastic Pauli insertions, quasi-static dephasing rates, and
-readout flips, all from substreams keyed by (seed, stream, shot), then
-runs once through the dense simulator. Inserted error ops carry zero
-duration so they never perturb timing.
+its own twirl, stochastic Pauli insertions, quasi-static dephasing
+rates, and readout flips, all from substreams keyed by (seed, stream,
+shot). Inserted error ops carry zero duration so they never perturb
+timing. twirl_circuit, apply_trajectory_noise and apply_readout_error
+build one shot's realization; sample_noisy runs all the shots of a call
+together through qaoalab.trajectories and gets the same amplitudes, bit
+for bit, as simulating every shot's circuit on its own.
 
 Mitigation passes rewrite circuits:
   * twirl_circuit wraps every CNOT in a random Pauli pair and its
@@ -18,15 +21,17 @@ Mitigation passes rewrite circuits:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
-from .statevec import Counts, GateOp, simulate_ops
+from .statevec import Counts, GateOp, _validate_gate, check_shots
 
 PAULI_KINDS = ("X", "Y", "Z")
 
@@ -57,13 +62,21 @@ class NoiseConfig:
     dd_sequence: str = "XpXm"
 
     def __post_init__(self):
+        for name in ("p1q", "p2q", "p_readout", "epsilon_coherent", "sigma_dephase"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         for name in ("p1q", "p2q", "p_readout"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v!r}")
         if self.sigma_dephase < 0:
             raise ValueError(f"sigma_dephase must be >= 0, got {self.sigma_dephase!r}")
-        if self.dd_sequence not in DD_SEQUENCES:
+        for name in ("twirling", "dd"):
+            v = getattr(self, name)
+            if not isinstance(v, bool):
+                raise ValueError(f"{name} must be true or false, got {v!r}")
+        if not isinstance(self.dd_sequence, str) or self.dd_sequence not in DD_SEQUENCES:
             raise ValueError(
                 f"dd_sequence must be one of {sorted(DD_SEQUENCES)}, got {self.dd_sequence!r}"
             )
@@ -388,7 +401,7 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
 
 
 # ---------------------------------------------------------------------------
-# per-shot pipeline
+# noisy sampling
 # ---------------------------------------------------------------------------
 
 
@@ -397,30 +410,18 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
 
     Per shot: (optional DD insertion, done once), optional fresh twirl,
     trajectory noise realization, statevector run, one measurement draw,
-    optional readout flips. Shot i uses only draw i of each substream.
+    optional readout flips. Shot i uses only draw i of each substream, so
+    the counts equal those of running each shot's circuit from
+    ``twirl_circuit`` and ``apply_trajectory_noise`` through
+    ``simulate_ops``, then ``apply_readout_error``. The shots run
+    together as one (shots, 2^n) array (see ``qaoalab.trajectories``).
     """
-    if not isinstance(shots, int) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    from . import trajectories  # loaded on first use
+
+    check_shots(shots)
     base = circuit
     if config.dd:
         base = insert_dd(base, schedule_circuit(base, "asap"), config.dd_sequence)
-    u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
-    width = circuit.n
-    tally: dict[str, int] = {}
-    for i in range(shots):
-        shot_circuit = base
-        if config.twirling:
-            shot_circuit = twirl_circuit(
-                shot_circuit, rng.child_seed(seed, rng.STREAM_TWIRL, i)
-            )
-        shot_circuit = apply_trajectory_noise(shot_circuit, config, i, seed)
-        state = simulate_ops(shot_circuit.n, shot_circuit.ops)
-        probs = np.abs(state.amplitudes) ** 2
-        cum = np.cumsum(probs)
-        outcome = int(np.searchsorted(cum, u[i] * cum[-1], side="right"))
-        outcome = min(outcome, probs.size - 1)
-        bits = format(outcome, f"0{width}b")
-        if config.p_readout > 0:
-            bits = apply_readout_error(bits, config.p_readout, i, seed)
-        tally[bits] = tally.get(bits, 0) + 1
-    return Counts(dict(sorted(tally.items())), shots)
+    for op in base.ops:
+        _validate_gate(base.n, op)
+    return trajectories.sample(base, config, shots, seed)

@@ -48,6 +48,32 @@ def derive_key(seed: int, *path: int) -> int:
     return h
 
 
+def _mix64_words(x: np.ndarray) -> np.ndarray:
+    """``_mix64`` on uint64 arrays (numpy's uint64 arithmetic wraps mod 2^64)."""
+    with np.errstate(over="ignore"):
+        x = x + np.uint64(_GOLDEN)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+
+def derive_keys(seed, *path) -> np.ndarray:
+    """``derive_key`` elementwise: the seed and any path part may be arrays.
+
+    Array arguments hold non-negative integers (uint64 after conversion);
+    they broadcast, so ``derive_keys(seed, stream, np.arange(shots))``
+    gives every shot's key at once.
+    """
+
+    def words(x):
+        return np.asarray(x & _MASK64 if isinstance(x, int) else x, dtype=np.uint64)
+
+    h = _mix64_words(words(seed))
+    for part in path:
+        h = _mix64_words(h ^ _mix64_words(words(part)))
+    return h
+
+
 def generator(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for the substream named by ``path``."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *path)))

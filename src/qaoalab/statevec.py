@@ -203,14 +203,19 @@ def expectation_cut(state: StateVector, instance: MaxCutInstance) -> float:
     return float(probs @ cut_value_table(instance))
 
 
+def check_shots(shots) -> None:
+    """Reject anything but a positive int (bool is an int subclass)."""
+    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+
+
 def sample_counts(state: StateVector, shots: int, seed: int) -> Counts:
     """Multinomial measurement of the state in the computational basis.
 
     Shot i consumes draw i of the (seed, sample) substream, so any
     prefix of the shots is reproducible independently.
     """
-    if not isinstance(shots, int) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    check_shots(shots)
     probs = np.abs(state.amplitudes) ** 2
     total = probs.sum()
     if not np.isfinite(total) or total <= 0:

@@ -1,0 +1,511 @@
+"""Batched noise trajectories: all the shots of a call as one array.
+
+``sample`` is the engine behind ``noise.sample_noisy``. It simulates a
+(rows, 2^n) complex array, one row per shot of a chunk: each gate of the
+base circuit is applied once to every row, with the coherent ZZ error
+folded into each CNOT, and between those gates each row gets its own
+twirl and error Paulis and dephasing phases. Each shot still draws from
+its substreams exactly as ``twirl_circuit``, ``apply_trajectory_noise``
+and ``apply_readout_error`` do, and every row's amplitudes equal, bit for
+bit, those of ``simulate_ops`` on that shot's own circuit, so the counts
+are the same. When no shot differs from another before measurement, the
+array has a single row.
+
+``noise`` imports this module when it first samples, so work that never
+samples with noise does not load it.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+
+from . import rng
+from .ansatz import ONE_QUBIT_DURATION, Circuit
+from .noise import _TWIRL_TABLE, NoiseConfig
+from .statevec import (
+    _H,
+    Counts,
+    GateOp,
+    _bit_values,
+    _cnot_perm,
+    _x_perm,
+    _y_phase,
+    zero_state,
+)
+
+# Bytes of amplitudes simulated at once: a chunk holds this many bytes'
+# worth of shots (1024 at n = 5), and at least one.
+_CHUNK_BYTES = 1 << 19
+
+# Pauli ids 0..3 are I, X, Y, Z. A Pauli frame (m, z, e) of integer
+# arrays, one entry per row, maps row r of a state to
+#   psi'[i] = 1j**e[r] * (-1)**popcount(i & z[r]) * psi[i ^ m[r]].
+# Every product of single-qubit Paulis is one frame, and applying a frame
+# only moves amplitudes and multiplies them by +-1 or +-1j: it is exact,
+# so a merged frame gives the same bits as its Paulis one by one.
+_FRAME_M = np.array([0, 1, 1, 0])
+_FRAME_Z = np.array([0, 0, 1, 1])
+_FRAME_E = np.array([0, 0, 3, 0])
+_UNITS = np.array([1, 1j, -1, -1j])
+# twirl draw v = 4a + b (Paulis before the CNOT) -> 4c + d (after it)
+_TWIRL_IMAGE = np.array(
+    [4 * c + d for c, d in (_TWIRL_TABLE[(v >> 2, v & 3)] for v in range(16))]
+)
+
+
+class _Entry(NamedTuple):
+    """One op of the twirled layout of a circuit.
+
+    A base op carries ``op``; a twirl slot carries ``slot``, its column
+    in ``_twirl_ids``, which each shot fills with its own Pauli or
+    leaves empty.
+    """
+
+    qubits: tuple[int, ...]
+    duration: float
+    op: GateOp | None
+    slot: int | None
+
+
+def _layout(circuit: Circuit, twirling: bool) -> list[_Entry]:
+    entries: list[_Entry] = []
+    cnots = 0
+    for op in circuit.ops:
+        if not (twirling and op.kind == "CNOT"):
+            entries.append(_Entry(op.qubits, op.duration, op, None))
+            continue
+        control, target = op.qubits
+        slots = [_Entry((q,), ONE_QUBIT_DURATION, None, 4 * cnots + s)
+                 for s, q in enumerate((control, target, control, target))]
+        entries += slots[:2] + [_Entry(op.qubits, op.duration, op, None)] + slots[2:]
+        cnots += 1
+    return entries
+
+
+@lru_cache(maxsize=64)
+def _parities(n: int) -> np.ndarray:
+    """popcount(i) & 1 for every basis index i."""
+    par = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        par = np.concatenate([par, par ^ 1])
+    par.flags.writeable = False
+    return par
+
+
+@lru_cache(maxsize=512)
+def _zz_diag(n: int, control: int, target: int, epsilon: float) -> np.ndarray:
+    """CNOT RZ(2 epsilon) CNOT as one diagonal.
+
+    With a CNOT applied as ``a[perm]`` and perm an involution, the
+    sandwich maps a to ``a * d[perm]``: the same products, bit for bit.
+    """
+    w = np.exp(0.5j * (2.0 * epsilon))
+    d = np.where(_bit_values(n, target) == 1, w, w.conjugate())
+    diag = d[_cnot_perm(n, control, target)]
+    diag.flags.writeable = False
+    return diag
+
+
+class _Substreams:
+    """One Philox, re-keyed for each shot's substream.
+
+    Re-keying resets the counter and buffers to those of a fresh
+    ``Philox(key=k)``, so the draws equal ``rng.generator``'s at a
+    fraction of the cost of building a generator per shot.
+    """
+
+    def __init__(self):
+        self.bitgen = np.random.Philox(key=0)
+        self.gen = np.random.Generator(self.bitgen)
+        self._state = self.bitgen.state
+
+    def seek(self, key) -> None:
+        self._state["state"]["key"][:] = (key, 0)
+        self.bitgen.state = self._state
+
+    def raw(self, keys, count: int) -> np.ndarray:
+        """The first ``count`` 64-bit words of each key's stream."""
+        words = np.empty((len(keys), count), dtype=np.uint64)
+        for r, key in enumerate(keys):
+            self.seek(key)
+            words[r] = self.bitgen.random_raw(count)
+        return words
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """What ``Generator.random()`` makes of each word: its top 53 bits."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _replay_errors(bitgen, p: np.ndarray, bound: np.ndarray):
+    """Replay one shot's gate-error draws from the raw words of its stream.
+
+    Site s draws ``random() < p[s]``, which takes one word. A hit then
+    draws ``integers(0, bound[s])`` by Lemire's method from a 32-bit
+    half word: the low half of a fresh word, or the high half left over
+    from the previous such draw. Yields (site, value) per hit.
+    """
+    if len(p) == 0:
+        return
+    words = bitgen.random_raw(len(p) + 2)
+    u = _uniforms(words)
+    pos = site = 0
+    half = None
+    while site < len(p):
+        ahead = len(p) - site
+        if pos + ahead >= len(words):
+            words = np.concatenate([words, bitgen.random_raw(pos + ahead + 2 - len(words))])
+            u = _uniforms(words)
+        hit = np.flatnonzero(u[pos:pos + ahead] < p[site:])
+        if hit.size == 0:
+            return
+        site += int(hit[0])
+        pos += int(hit[0]) + 1
+        b = int(bound[site])
+        while True:
+            if half is None:
+                word = int(words[pos])
+                pos += 1
+                x, half = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, half = half, None
+            m = x * b
+            if m & 0xFFFFFFFF >= (1 << 32) % b:
+                break
+        yield site, m >> 32
+        site += 1
+
+
+def _idle_kicks(entries, present: np.ndarray, n: int) -> list:
+    """Idle time that trajectory noise turns into dephasing kicks, per row.
+
+    Replays the ASAP schedule and interval walk of
+    ``apply_trajectory_noise`` on each row's own twirled circuit (row r
+    holds the entries with ``present[r]``; an entry needs ``qubits`` and
+    ``duration``). Returns (entry index, qubit, duration per row) in
+    application order, with entry index ``len(entries)`` for trailing
+    idle time. An idle interval goes to the busy interval right after it
+    on its qubit; one followed by another idle interval (as behind a
+    zero-duration op) is dropped, and one that ends its qubit's timeline
+    is trailing.
+    """
+    rows = present.shape[0]
+    ready = np.zeros((rows, n))
+    pending = np.zeros((rows, n))
+    makespan = np.zeros(rows)
+    kicks = []
+    for k, entry in enumerate(entries):
+        here = present[:, k]
+        start = ready[:, list(entry.qubits)].max(axis=1)
+        end = start + entry.duration
+        busy = here & (end > start)
+        for q in sorted(entry.qubits):
+            gap = start - ready[:, q]
+            pending[:, q] = np.where(here & (gap > 0), gap, pending[:, q])
+            dur = np.where(busy, pending[:, q], 0.0)
+            if dur.any():
+                kicks.append((k, q, dur))
+            pending[:, q] = np.where(busy, 0.0, pending[:, q])
+            ready[:, q] = np.where(here, end, ready[:, q])
+        makespan = np.where(here, np.maximum(makespan, end), makespan)
+    for q in range(n):
+        tail = makespan - ready[:, q]
+        dur = np.where(tail > 0, tail, pending[:, q])
+        if dur.any():
+            kicks.append((len(entries), q, dur))
+    return kicks
+
+
+@lru_cache(maxsize=16)
+def _shared_idle_kicks(n: int, timing: tuple) -> list:
+    """``_idle_kicks`` of an untwirled circuit, the same for every shot."""
+    entries = [_Entry(qubits, duration, None, None) for qubits, duration in timing]
+    return _idle_kicks(entries, np.ones((1, len(entries)), dtype=bool), n)
+
+
+def _twirl_ids(streams: _Substreams, keys: np.ndarray, n_cnots: int) -> np.ndarray:
+    """Each shot's twirl Paulis as ids of shape (shots, 4 * CNOTs).
+
+    CNOT j's four columns hold the Paulis before its control, before its
+    target, after its control and after its target.
+    """
+    # integers(0, 16, size) takes 32-bit half words, the low half first,
+    # keeps their top four bits, and never rejects.
+    words = streams.raw(keys, (n_cnots + 1) // 2)
+    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=-1)
+    draws = (halves.reshape(len(keys), -1)[:, :n_cnots] >> np.uint64(28)).astype(np.int64)
+    image = _TWIRL_IMAGE[draws]
+    ids = np.stack([draws >> 2, draws & 3, image >> 2, image & 3], axis=-1)
+    return ids.reshape(len(keys), -1)
+
+
+def _merge_frames(ids: np.ndarray, bits: np.ndarray, starts: list, n: int) -> tuple:
+    """Compose runs of single-qubit Paulis into one frame per run.
+
+    ``ids`` (items, rows) holds each row's Pauli id per item, acting on
+    the qubit whose basis-index bit is ``bits[item]``; run j is items
+    ``starts[j]`` up to the next start. Applying frame (m1, z1, e1), then
+    (m2, z2, e2), is the frame (m1 ^ m2, z1 ^ z2, e1 + e2 + 2 *
+    parity(m2 & z1)), so a run's e picks up the parity of each item's m
+    against the z of the items before it in the run. Returns (m, z, e),
+    each of shape (runs, rows).
+    """
+    m = _FRAME_M[ids] * bits[:, None]
+    z = _FRAME_Z[ids] * bits[:, None]
+    e = _FRAME_E[ids]
+    z_before = np.bitwise_xor.accumulate(z, axis=0) ^ z
+    run_length = np.diff(starts + [ids.shape[0]])
+    z_before ^= np.repeat(z_before[starts], run_length, axis=0)
+    e = e + 2 * _parities(n)[m & z_before]
+    return (
+        np.bitwise_xor.reduceat(m, starts),
+        np.bitwise_xor.reduceat(z, starts),
+        np.add.reduceat(e, starts) & 3,
+    )
+
+
+def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Entry],
+                      present: np.ndarray, config: NoiseConfig, n: int):
+    """Each shot's dephasing rates and gate errors, as apply_trajectory_noise draws them.
+
+    Returns deltas (shots, n) and {entry index: [(row, value), ...]} for
+    the errors, where value is the result of the error's integers() draw.
+    """
+    rows = len(keys)
+    # one random() per gate, in op order: p2q after a CNOT, p1q after any
+    # other gate but DELAY; a hit is followed by the Pauli's integers()
+    site_p = np.zeros(len(entries))
+    bound = np.zeros(len(entries), dtype=np.int64)
+    for k, entry in enumerate(entries):
+        if entry.op is not None and entry.op.kind == "CNOT":
+            site_p[k], bound[k] = config.p2q, 15
+        elif entry.op is None or entry.op.kind != "DELAY":
+            site_p[k], bound[k] = config.p1q, 3
+    is_site = site_p > 0
+    dephasing = config.sigma_dephase > 0
+    deltas = np.zeros((rows, n))
+    hits: dict[int, list] = {}
+    if not (dephasing or is_site.any()):
+        return deltas, hits
+    for r, key in enumerate(keys):
+        streams.seek(key)
+        if dephasing:
+            deltas[r] = streams.gen.normal(0.0, config.sigma_dephase, size=n)
+        sites = np.flatnonzero(is_site & present[r])
+        for s, value in _replay_errors(streams.bitgen, site_p[sites], bound[sites]):
+            hits.setdefault(int(sites[s]), []).append((r, value))
+    return deltas, hits
+
+
+def _chunk_steps(entries: list[_Entry], config: NoiseConfig, seed: int,
+                 shots: range, streams: _Substreams, n: int) -> list:
+    """Draw the chunk's shots and lay out what they run, in order.
+
+    Steps are ("op", op) for a gate every row shares, ("frame", (m, z,
+    e)) for per-row Paulis, and ("kick", qubit, angle per row) for
+    dephasing. Consecutive Paulis merge into one frame.
+    """
+    rows = len(shots)
+    index = np.arange(shots.start, shots.stop)
+    present = np.ones((rows, len(entries)), dtype=bool)
+    n_cnots = sum(1 for e in entries if e.slot is not None) // 4
+    twirl = None
+    if n_cnots:
+        keys = rng.derive_keys(rng.derive_keys(seed, rng.STREAM_TWIRL, index), rng.STREAM_TWIRL)
+        twirl = _twirl_ids(streams, keys, n_cnots)
+        for k, entry in enumerate(entries):
+            if entry.slot is not None:
+                present[:, k] = twirl[:, entry.slot] != 0
+
+    dephasing = config.sigma_dephase > 0
+    keys = rng.derive_keys(seed, rng.STREAM_TRAJECTORY, index)
+    deltas, hits = _trajectory_draws(streams, keys, entries, present, config, n)
+
+    kicks_at: dict[int, list] = {}
+    if dephasing:
+        if n_cnots:
+            kicks = _idle_kicks(entries, present, n)
+        else:
+            kicks = _shared_idle_kicks(n, tuple((e.qubits, e.duration) for e in entries))
+        for k, q, dur in kicks:
+            kicks_at.setdefault(k, []).append(("kick", q, 2.0 * deltas[:, q] * dur))
+
+    # Lay out the steps with every Pauli as an item: a column of ``ids``
+    # on one qubit. Runs of items become frames below.
+    steps: list = []
+    columns: list = []
+    item_qubits: list[int] = []
+    starts: list[int] = []
+
+    def add_item(column, q):
+        if not (steps and steps[-1][0] == "run"):
+            starts.append(len(columns))
+            steps.append(("run", len(starts) - 1))
+        columns.append(column)
+        item_qubits.append(q)
+
+    for k, entry in enumerate(entries):
+        steps += kicks_at.get(k, ())
+        if entry.op is None:
+            add_item(twirl[:, entry.slot], entry.qubits[0])
+        else:
+            steps.append(("op", entry.op))
+            if entry.op.kind == "DELAY" and dephasing and entry.duration > 0:
+                q = entry.qubits[0]
+                steps.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
+        if k in hits:
+            # both draws pick a non-identity Pauli: 1 + integers(0, 3) on a
+            # one-qubit op, divmod(1 + integers(0, 15), 4) on a CNOT
+            ids = np.zeros((rows, len(entry.qubits)), dtype=np.int64)
+            for r, value in hits[k]:
+                ids[r] = divmod(value + 1, 4) if len(entry.qubits) == 2 else value + 1
+            for j, q in enumerate(entry.qubits):
+                add_item(ids[:, j], q)
+    steps += kicks_at.get(len(entries), ())
+    if not columns:
+        return steps
+
+    bits = np.array([1 << (n - 1 - q) for q in item_qubits])
+    frames = _merge_frames(np.stack(columns), bits, starts, n)
+    out = []
+    for step in steps:
+        if step[0] == "run":
+            frame = tuple(f[step[1]] for f in frames)
+            if frame[0].any() or frame[1].any() or frame[2].any():
+                out.append(("frame", frame))
+        else:
+            out.append(step)
+    return out
+
+
+def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
+    """``statevec._apply`` on every row of a C-ordered (rows, 2^n) array, bit for bit.
+
+    Each row gets exactly the floating-point operations ``_apply`` would
+    perform on it alone, so a batch of trajectories reproduces the
+    single-state engine's amplitudes exactly. Results stay C-ordered
+    (``np.take`` rather than ``amps[:, perm]``, which returns Fortran
+    order), so a multiply by a broadcast (2^n,) vector runs row by row,
+    like ``_apply``'s: numpy's complex multiply can round the last bit
+    differently when it instead runs along a column against one
+    broadcast scalar.
+    """
+    kind = op.kind
+    if kind == "RZ":
+        q = op.qubits[0]
+        w = np.exp(0.5j * op.angle)
+        return amps * np.where(_bit_values(n, q) == 1, w, w.conjugate())
+    if kind == "CNOT":
+        c, t = op.qubits
+        return np.take(amps, _cnot_perm(n, c, t), axis=1)
+    if kind in ("H", "RX"):
+        if kind == "H":
+            mat = _H
+        else:
+            half = 0.5 * op.angle
+            mat = np.array(
+                [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
+            )
+        q = op.qubits[0]
+        bit = _bit_values(n, q)
+        # out[i] = mat[b, b] * a[i] + mat[b, 1 - b] * a[i ^ mask] for b the
+        # qubit's bit of i: the two products einsum sums in statevec._apply_dense_1q.
+        # Every entry of mat is real or imaginary, so each product is one
+        # rounding per component however numpy multiplies complex numbers.
+        return amps * mat[bit, bit] + np.take(amps, _x_perm(n, q), axis=1) * mat[bit, 1 - bit]
+    if kind == "X":
+        return np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
+    if kind == "Y":
+        return np.take(amps, _x_perm(n, op.qubits[0]), axis=1) * _y_phase(n, op.qubits[0])
+    if kind == "Z":
+        sign = np.where(_bit_values(n, op.qubits[0]) == 1, -1.0, 1.0)
+        return amps * sign
+    if kind == "DELAY":
+        return amps
+    raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def _run_rows(n: int, steps: list, rows: int, epsilon: float) -> np.ndarray:
+    """Run ``steps`` on ``rows`` copies of |0...0>; returns the (rows, 2^n) amplitudes."""
+    amps = np.tile(zero_state(n).amplitudes, (rows, 1))
+    idx = np.arange(1 << n)
+    sign = 2 * _parities(n)
+    for step in steps:
+        kind = step[0]
+        if kind == "op":
+            op = step[1]
+            amps = apply_rows(amps, n, op)
+            if epsilon != 0.0 and op.kind == "CNOT":
+                amps = amps * _zz_diag(n, *op.qubits, epsilon)
+            continue
+        # A step leaves its identity rows (no Pauli, no idle time) alone;
+        # it skips them only when they are most rows.
+        if kind == "frame":
+            m, z, e = step[1]
+            sel = np.flatnonzero(m | z | e)
+            if 2 * sel.size > rows:
+                sel = np.arange(rows)
+            m, z, e = m[sel, None], z[sel, None], e[sel, None]
+            part = np.take(amps, (sel << n)[:, None] + (idx ^ m))
+            if z.any() or e.any():
+                part *= _UNITS[(e + sign[idx & z]) & 3]
+        else:
+            q, angle = step[1], step[2]
+            sel = np.flatnonzero(angle)
+            if 2 * sel.size > rows:
+                sel = np.arange(rows)
+            w = np.exp(0.5j * angle[sel])[:, None]
+            part = amps[sel] * np.where(_bit_values(n, q) == 1, w, w.conjugate())
+        if sel.size == rows:
+            amps = part
+        else:
+            amps[sel] = part
+    return amps
+
+
+def _measure(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One outcome per draw in ``u``: row r's, or the only row's for all.
+
+    Inverse-CDF sampling, ``searchsorted(cum, u * cum[-1], "right")`` on
+    each row, clipped to the last index.
+    """
+    cum = np.cumsum(np.abs(amps) ** 2, axis=1)
+    total = cum[:, -1]
+    if not np.all(np.isfinite(total)) or np.any(total <= 0):
+        raise ValueError("state has no probability mass")
+    if amps.shape[0] == 1:
+        outcome = np.searchsorted(cum[0], u * total[0], side="right")
+    else:
+        outcome = (cum <= (u * total)[:, None]).sum(axis=1)
+    return np.minimum(outcome, amps.shape[1] - 1)
+
+
+def sample(base: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
+    """Counts of ``shots`` trajectories of ``base``, a circuit with any DD pulses in it."""
+    n = base.n
+    entries = _layout(base, config.twirling)
+    per_shot = (
+        any(e.slot is not None for e in entries)
+        or config.p1q > 0 or config.p2q > 0 or config.sigma_dephase > 0
+    )
+    chunk = max(1, _CHUNK_BYTES // (16 << n)) if per_shot else shots
+    u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
+    outcomes = np.empty(shots, dtype=np.int64)
+    streams = _Substreams()
+    for lo in range(0, shots, chunk):
+        part = range(lo, min(lo + chunk, shots))
+        steps = _chunk_steps(entries, config, seed, part, streams, n)
+        rows = len(part) if any(step[0] != "op" for step in steps) else 1
+        amps = _run_rows(n, steps, rows, config.epsilon_coherent)
+        outcomes[part.start:part.stop] = _measure(amps, u[part.start:part.stop])
+    if config.p_readout > 0:
+        keys = rng.derive_keys(seed, rng.STREAM_READOUT, np.arange(shots))
+        flips = _uniforms(streams.raw(keys, n)) < config.p_readout
+        outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))
+    tally = np.bincount(outcomes, minlength=1 << n)
+    return Counts(
+        {format(int(i), f"0{n}b"): int(tally[i]) for i in np.flatnonzero(tally)}, shots
+    )

@@ -78,6 +78,11 @@ def test_invalid_values_name_the_field(raw, needle):
         parse_config(raw)
 
 
+def test_inline_noise_config_rejects_non_finite_rates():
+    with pytest.raises(ConfigError, match="^noise: sigma_dephase"):
+        parse_config({"mode": "noisy", "noise": {"sigma_dephase": math.nan}})
+
+
 def test_paper_preset_requires_depth_five():
     config = parse_config({"p": 5, "init": "paper-p5"})
     assert config.init == "paper-p5"

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qaoalab import rng, trajectories
 from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit
 from qaoalab.noise import (
     DD_SEQUENCES,
@@ -18,7 +21,8 @@ from qaoalab.noise import (
     schedule_circuit,
     twirl_circuit,
 )
-from qaoalab.statevec import GateOp, sample_counts, simulate_ops
+from qaoalab.objective import evaluate_qaoa
+from qaoalab.statevec import Counts, GateOp, sample_counts, simulate_ops
 
 from conftest import ground_mass
 
@@ -31,6 +35,60 @@ def probs_of(circuit: Circuit) -> np.ndarray:
 def p1_circuit(canonical, grid_p1) -> Circuit:
     _, gamma, beta = grid_p1
     return build_qaoa_circuit(canonical, QaoaParams((beta,), (gamma,)))
+
+
+def with_dd(circuit: Circuit, config: NoiseConfig) -> Circuit:
+    if not config.dd:
+        return circuit
+    return insert_dd(circuit, schedule_circuit(circuit, "asap"), config.dd_sequence)
+
+
+def shot_circuit(base: Circuit, config: NoiseConfig, shot: int, seed: int) -> Circuit:
+    """One shot's circuit: a fresh twirl, then its trajectory realization."""
+    if config.twirling:
+        base = twirl_circuit(base, rng.child_seed(seed, rng.STREAM_TWIRL, shot))
+    return apply_trajectory_noise(base, config, shot, seed)
+
+
+def reference_sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
+    """The per-shot pipeline that sample_noisy batches, one shot at a time.
+
+    Each shot builds its own circuit (DD once, then a fresh twirl and a
+    trajectory realization), runs it through the dense simulator, draws
+    one outcome and flips readout bits.
+    """
+    base = with_dd(circuit, config)
+    u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
+    width = circuit.n
+    tally: dict[str, int] = {}
+    for i in range(shots):
+        state = simulate_ops(base.n, shot_circuit(base, config, i, seed).ops)
+        probs = np.abs(state.amplitudes) ** 2
+        cum = np.cumsum(probs)
+        outcome = int(np.searchsorted(cum, u[i] * cum[-1], side="right"))
+        outcome = min(outcome, probs.size - 1)
+        bits = format(outcome, f"0{width}b")
+        if config.p_readout > 0:
+            bits = apply_readout_error(bits, config.p_readout, i, seed)
+        tally[bits] = tally.get(bits, 0) + 1
+    return Counts(dict(sorted(tally.items())), shots)
+
+
+def mixed_circuit(n: int, length: int, seed: int) -> Circuit:
+    """Seeded circuit over every gate kind, DELAY, Y and Z included."""
+    gen = np.random.default_rng(seed)
+    kinds = ("H", "X", "Y", "Z", "RX", "RZ", "DELAY") + (("CNOT",) * 3 if n > 1 else ())
+    ops = [GateOp("H", (q,), None, 1.0) for q in range(n)]
+    for _ in range(length):
+        kind = kinds[gen.integers(len(kinds))]
+        duration = float(gen.choice([0.5, 1.0, 2.0, 4.0]))
+        if kind == "CNOT":
+            u, v = (int(q) for q in gen.choice(n, 2, replace=False))
+            ops.append(GateOp("CNOT", (u, v), None, duration))
+        else:
+            angle = float(gen.uniform(-3.0, 3.0)) if kind in ("RX", "RZ") else None
+            ops.append(GateOp(kind, (int(gen.integers(n)),), angle, duration))
+    return Circuit(n, tuple(ops))
 
 
 # -- config validation -------------------------------------------------------
@@ -48,6 +106,22 @@ def p1_circuit(canonical, grid_p1) -> Circuit:
 )
 def test_noise_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
+        NoiseConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"sigma_dephase": float("nan")},
+        {"epsilon_coherent": float("inf")},
+        {"twirling": "no"},
+        {"dd": 1},
+        {"p1q": True},
+    ],
+)
+def test_noise_config_names_the_bad_field(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} "):
         NoiseConfig(**kwargs)
 
 
@@ -330,6 +404,128 @@ def test_sample_noisy_noise_free_matches_ideal_sampler(canonical, grid_p1):
 def test_sample_noisy_validates_shots(canonical, grid_p1):
     with pytest.raises(ValueError):
         sample_noisy(p1_circuit(canonical, grid_p1), NoiseConfig(), 0, seed=1)
+    with pytest.raises(ValueError, match="shots"):
+        sample_noisy(p1_circuit(canonical, grid_p1), NoiseConfig(), True, seed=1)
+
+
+def test_noisy_evaluation_refuses_a_state_without_mass(canonical):
+    params = QaoaParams((float("nan"),), (0.4,))
+    with pytest.raises(ValueError, match="no probability mass"):
+        evaluate_qaoa(canonical, params, "noisy", shots=16, seed=1, noise=NoiseConfig(p2q=0.1))
+
+
+# -- batched trajectories against the per-shot reference ----------------------------------
+
+ORACLE_CONFIGS = {
+    "p1q": NoiseConfig(p1q=0.2),
+    "p2q": NoiseConfig(p2q=0.3),
+    "readout": NoiseConfig(p_readout=0.2),
+    "coherent-only": NoiseConfig(epsilon_coherent=0.3),
+    "dephasing": NoiseConfig(sigma_dephase=0.4),
+    "twirling": NoiseConfig(twirling=True),
+    "twirl-dephasing": NoiseConfig(twirling=True, sigma_dephase=0.5),
+    "dd-xpxm": NoiseConfig(dd=True, sigma_dephase=0.3),
+    "dd-xy4": NoiseConfig(dd=True, dd_sequence="XY4", sigma_dephase=0.3, p1q=0.1),
+    "all": NoiseConfig(p1q=0.1, p2q=0.2, p_readout=0.1, epsilon_coherent=0.2,
+                       sigma_dephase=0.3, twirling=True, dd=True, dd_sequence="XY4"),
+    "readout-certain": NoiseConfig(p_readout=1.0),
+    "noise-free": NoiseConfig(),
+}
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_sample_noisy_matches_per_shot_reference(name, n):
+    config = ORACLE_CONFIGS[name]
+    circuit = mixed_circuit(n, 30, seed=n)
+    shots = 24 if n == 8 else 48
+    for seed in (0, 1, 2):
+        expected = reference_sample_noisy(circuit, config, shots, seed)
+        assert sample_noisy(circuit, config, shots, seed).counts == expected.counts
+
+
+def test_sample_noisy_matches_reference_on_qaoa_circuits(canonical, grid_p1):
+    circuit = p1_circuit(canonical, grid_p1)
+    for config in (
+        NoiseConfig(p1q=0.005, p2q=0.025, p_readout=0.05, twirling=True, dd=True),
+        NoiseConfig(epsilon_coherent=0.05, twirling=True),
+        NoiseConfig(sigma_dephase=0.1, dd=True, dd_sequence="XY4"),
+    ):
+        expected = reference_sample_noisy(circuit, config, 64, seed=3)
+        assert sample_noisy(circuit, config, 64, seed=3).counts == expected.counts
+
+
+@pytest.mark.parametrize("name", ["all", "twirl-dephasing", "dd-xy4", "coherent-only"])
+def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name):
+    # Equal counts could hide last-bit differences that rarely move an
+    # outcome; the amplitudes themselves must agree exactly.
+    config = ORACLE_CONFIGS[name]
+    base = with_dd(mixed_circuit(4, 30, seed=9), config)
+    entries = trajectories._layout(base, config.twirling)
+    streams = trajectories._Substreams()
+    steps = trajectories._chunk_steps(entries, config, 5, range(12), streams, base.n)
+    rows = trajectories._run_rows(base.n, steps, 12, config.epsilon_coherent)
+    for i in range(12):
+        single = simulate_ops(base.n, shot_circuit(base, config, i, 5).ops).amplitudes
+        # equal as floats: equal bits, up to the sign of a zero
+        assert np.array_equal(single.view(np.float64), rows[i].view(np.float64))
+
+
+@st.composite
+def small_circuits(draw):
+    n = draw(st.integers(1, 4))
+    kinds = ["H", "X", "Y", "Z", "RX", "RZ", "DELAY"] + (["CNOT"] if n > 1 else [])
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        duration = draw(st.sampled_from([0.0, 0.5, 1.0, 4.0]))
+        if kind == "CNOT":
+            u, v = draw(st.permutations(range(n)))[:2]
+            ops.append(GateOp(kind, (u, v), None, duration))
+        else:
+            angle = draw(st.floats(-4.0, 4.0)) if kind in ("RX", "RZ") else None
+            ops.append(GateOp(kind, (draw(st.integers(0, n - 1)),), angle, duration))
+    return Circuit(n, tuple(ops))
+
+
+noise_configs = st.builds(
+    NoiseConfig,
+    p1q=st.sampled_from([0.0, 0.1, 0.6]),
+    p2q=st.sampled_from([0.0, 0.3, 1.0]),
+    p_readout=st.sampled_from([0.0, 0.25]),
+    epsilon_coherent=st.sampled_from([0.0, -0.4]),
+    sigma_dephase=st.sampled_from([0.0, 0.7]),
+    twirling=st.booleans(),
+    dd=st.booleans(),
+    dd_sequence=st.sampled_from(sorted(DD_SEQUENCES)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=small_circuits(), config=noise_configs, seed=st.integers(0, 2**32))
+def test_sample_noisy_matches_reference_on_random_circuits(circuit, config, seed):
+    expected = reference_sample_noisy(circuit, config, 12, seed)
+    assert sample_noisy(circuit, config, 12, seed).counts == expected.counts
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_counts_do_not_depend_on_chunk_size(monkeypatch, rows):
+    circuit = mixed_circuit(5, 30, seed=4)
+    configs = (ORACLE_CONFIGS["all"], ORACLE_CONFIGS["twirl-dephasing"], ORACLE_CONFIGS["readout"])
+    whole = [sample_noisy(circuit, config, 10, seed=6).counts for config in configs]
+    monkeypatch.setattr(trajectories, "_CHUNK_BYTES", rows * (16 << circuit.n))
+    assert [sample_noisy(circuit, config, 10, seed=6).counts for config in configs] == whole
+
+
+def test_replay_takes_the_next_half_word_when_lemire_rejects():
+    # integers(0, 3) rejects a zero 32-bit half (leftover 0 < 2**32 % 3),
+    # so the hit's pick comes from the high half: 3 * 0xFFFFFFFF >> 32 == 2.
+    class Words:
+        def random_raw(self, size):
+            return np.array([0, 0xFFFFFFFF << 32] + [0] * (size - 2), dtype=np.uint64)
+
+    hits = list(trajectories._replay_errors(Words(), np.array([1.0]), np.array([3])))
+    assert hits == [(0, 2)]
 
 
 def test_ground_mass_degrades_monotonically_in_p2q(canonical, grid_p1):

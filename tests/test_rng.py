@@ -53,3 +53,16 @@ def test_streams_are_statistically_disjoint():
     b = rng.generator(5, rng.STREAM_READOUT).random(4096)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.1
+
+
+def test_derive_keys_matches_derive_key_elementwise():
+    shots = np.arange(300)
+    keys = rng.derive_keys(-7, rng.STREAM_TRAJECTORY, shots)
+    assert [int(k) for k in keys] == [
+        rng.derive_key(-7, rng.STREAM_TRAJECTORY, i) for i in range(300)
+    ]
+    nested = rng.derive_keys(keys, rng.STREAM_TWIRL)
+    assert [int(k) for k in nested] == [
+        rng.derive_key(rng.derive_key(-7, rng.STREAM_TRAJECTORY, i), rng.STREAM_TWIRL)
+        for i in range(300)
+    ]

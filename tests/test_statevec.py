@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from qaoalab.graph import MaxCutInstance
+from qaoalab.trajectories import apply_rows
 from qaoalab.statevec import (
     GATE_KINDS,
     MAX_QUBITS,
     GateOp,
     StateVector,
+    _apply,
     apply_gate,
     expectation_cut,
     sample_counts,
@@ -242,3 +244,24 @@ def test_probabilities_helper():
 def test_expectation_weighted_instance():
     instance = MaxCutInstance(n=2, edges=((0, 1),), weights=(2.5,))
     assert expectation_cut(basis_state(2, "01"), instance) == pytest.approx(2.5)
+
+
+def test_sampling_rejects_bool_shots():
+    with pytest.raises(ValueError, match="shots"):
+        sample_counts(uniform_state(2), True, seed=1)
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_apply_rows_matches_apply_bit_for_bit(kind):
+    gen = np.random.default_rng(GATE_KINDS.index(kind))
+    for n in (1, 3, 6):
+        rows = gen.normal(size=(5, 1 << n)) + 1j * gen.normal(size=(5, 1 << n))
+        qubits = (0, n - 1) if kind == "CNOT" else (int(gen.integers(n)),)
+        if kind == "CNOT" and n == 1:
+            continue
+        for angle in ((0.0, 1.3, -7.9) if kind in ("RX", "RZ") else (None,)):
+            op = GateOp(kind, qubits, angle)
+            batched = apply_rows(rows, n, op)
+            for r in range(rows.shape[0]):
+                single = np.ascontiguousarray(_apply(rows[r].copy(), n, op))
+                assert np.array_equal(single.view(np.uint64), batched[r].view(np.uint64))
