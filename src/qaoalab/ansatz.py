@@ -1,4 +1,4 @@
-"""Alternating-layer MaxCut circuit construction and execution.
+"""Alternating-layer MaxCut ansatz: the gate-free state and the gate list.
 
 The depth-p circuit is H on every qubit, then p repetitions of a cost
 layer and a mixer layer. Each edge (u, v) with weight w contributes
@@ -7,6 +7,12 @@ exp(-i*w*gamma) on basis states where the edge is uncut and
 exp(+i*w*gamma) where it is cut; global phase aside, gamma thus
 parameterizes the cost-layer evolution. The mixer is RX(2*beta) on
 every qubit. Gate count is n + p * (3*|E| + n).
+
+Exact and sampled evaluation never build that gate list: ``qaoa_state``
+applies each cost layer as one diagonal phase exp(2i*gamma*C) over the
+cut-value table and each mixer layer as a 2x2 update per qubit. The gate
+list from ``build_qaoa_circuit`` is what noisy sampling runs, and it is
+the reference the gate-free state is tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MaxCutInstance
+from .graph import MaxCutInstance, cut_value_table
 from .statevec import Counts, GateOp, StateVector, sample_counts, simulate_ops
 
 ONE_QUBIT_DURATION = 1.0
@@ -60,7 +66,7 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable gate list on n qubits; hashable so schedules can be cached."""
+    """Immutable, hashable gate list on n qubits."""
 
     n: int
     ops: tuple[GateOp, ...]
@@ -93,6 +99,27 @@ def build_qaoa_circuit(
         for q in range(instance.n):
             ops.append(GateOp("RX", (q,), 2.0 * beta, one_qubit_duration))
     return Circuit(instance.n, tuple(ops))
+
+
+def qaoa_state(instance: MaxCutInstance, params: QaoaParams) -> StateVector:
+    """Final state of the depth-p circuit, computed without a gate list.
+
+    Equals ``simulate_ops`` on ``build_qaoa_circuit(instance, params)``
+    up to the global phase exp(-i*gamma*W) per layer, W the total weight.
+    """
+    n = instance.n
+    table = cut_value_table(instance)
+    psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=complex)
+    for beta, gamma in zip(params.betas, params.gammas):
+        psi *= np.exp(2j * gamma * table)
+        c, s = np.cos(beta), -1j * np.sin(beta)
+        mixer = np.array([[c, s], [s, c]])
+        # the mixer is symmetric, so right-multiplying applies it to the
+        # last qubit; the transpose then rotates that qubit to the front,
+        # and n steps restore the original order
+        for _ in range(n):
+            psi = (psi.reshape(-1, 2) @ mixer).T.reshape(-1)
+    return StateVector(n, psi)
 
 
 def run_circuit(

@@ -66,8 +66,12 @@ class MaxCutInstance:
             raise ValueError(
                 f"{len(weights)} weights for {len(norm)} edges"
             )
+        weights = tuple(float(w) for w in weights)
+        for key, w in zip(norm, weights):
+            if not np.isfinite(w):
+                raise ValueError(f"weight {w} of edge {key} is not finite")
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "weights", tuple(float(w) for w in weights))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def total_weight(self) -> float:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .ansatz import QaoaParams, build_qaoa_circuit, run_circuit
+from .ansatz import RUN_MODES, QaoaParams, build_qaoa_circuit, qaoa_state, run_circuit
 from .graph import (
     MaxCutInstance,
     ParseError,
@@ -37,7 +37,7 @@ from .noise import NoiseConfig
 from .objective import OptimizationTrace, energy_from_counts, evaluate_qaoa, make_objective
 from .optim import METHODS, MinimizeProblem, MinimizeResult, minimize, random_qaoa_starts
 from .plots import plot_histogram, plot_trace
-from .statevec import Counts
+from .statevec import Counts, sample_counts
 
 SCHEMA_VERSION = 1
 
@@ -53,8 +53,6 @@ PAPER_P5_THETA = (
     2.083, 2.048, 1.792, 1.564, 1.387,
     2.281, 5.962, 1.789, 3.563, 5.646,
 )
-
-RUN_MODES = ("exact", "sampled", "noisy")
 
 _CONFIG_FIELDS = {
     "version", "instance", "p", "method", "init", "restarts",
@@ -105,6 +103,11 @@ def _reject_unknown(section: str, given, allowed: set[str]) -> None:
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise ConfigError(f"unknown field {unknown[0]!r} in {section}")
+
+
+def _is_int(value) -> bool:
+    """True for JSON integers; bool is an int subclass but never a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _resolve_instance(spec) -> MaxCutInstance:
@@ -158,7 +161,7 @@ def parse_config(raw: dict, *, seed_override: int | None = None,
         raise ConfigError(f"version: unsupported schema version {version!r}")
     instance = _resolve_instance(raw.get("instance", "canonical"))
     p = raw.get("p", 1)
-    if not isinstance(p, int) or p < 0:
+    if not _is_int(p) or p < 0:
         raise ConfigError(f"p: must be a non-negative integer, got {p!r}")
     method = raw.get("method", "cobyla")
     if method not in METHODS:
@@ -177,20 +180,20 @@ def parse_config(raw: dict, *, seed_override: int | None = None,
     elif init != "random":
         raise ConfigError(f"init: must be 'random', 'paper-p5', or a vector, got {init!r}")
     restarts = raw.get("restarts", 1)
-    if not isinstance(restarts, int) or restarts < 1:
+    if not _is_int(restarts) or restarts < 1:
         raise ConfigError(f"restarts: must be a positive integer, got {restarts!r}")
     shots = raw.get("shots", 1000)
-    if not isinstance(shots, int) or shots < 1:
+    if not _is_int(shots) or shots < 1:
         raise ConfigError(f"shots: must be a positive integer, got {shots!r}")
     mode = raw.get("mode", "exact")
     if mode not in RUN_MODES:
         raise ConfigError(f"mode: must be one of {RUN_MODES}, got {mode!r}")
     noise = _resolve_noise(raw.get("noise", "none"))
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError(f"seed: must be an integer, got {seed!r}")
     max_evals = raw.get("max_evals")
-    if max_evals is not None and (not isinstance(max_evals, int) or max_evals < 1):
+    if max_evals is not None and (not _is_int(max_evals) or max_evals < 1):
         raise ConfigError(f"max_evals: must be a positive integer, got {max_evals!r}")
     out_dir = out_override if out_override is not None else raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -288,12 +291,12 @@ def read_trace_csv(path) -> list[dict]:
 
 def _final_counts(config: ExperimentConfig, theta: np.ndarray) -> Counts:
     params = QaoaParams.from_vector(theta)
-    circuit = build_qaoa_circuit(config.instance, params)
     final_seed = rng.child_seed(config.seed, rng.STREAM_FINAL)
     if config.mode == "noisy":
+        circuit = build_qaoa_circuit(config.instance, params)
         return run_circuit(circuit, "noisy", shots=config.shots,
                            seed=final_seed, noise=config.noise)
-    return run_circuit(circuit, "sampled", shots=config.shots, seed=final_seed)
+    return sample_counts(qaoa_state(config.instance, params), config.shots, final_seed)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:

@@ -191,51 +191,44 @@ class Timeline:
 SCHEDULE_POLICIES = ("asap", "alap")
 
 
-def _asap_starts(circuit: Circuit) -> list[float]:
-    ready = [0.0] * circuit.n
+def _asap_starts(n: int, slots) -> list[float]:
+    ready = [0.0] * n
     starts = []
-    for op in circuit.ops:
-        s = max(ready[q] for q in op.qubits)
+    for qubits, duration in slots:
+        s = max(ready[q] for q in qubits)
         starts.append(s)
-        for q in op.qubits:
-            ready[q] = s + op.duration
+        for q in qubits:
+            ready[q] = s + duration
     return starts
 
 
 @lru_cache(maxsize=256)
-def _schedule_cached(circuit: Circuit, policy: str) -> Timeline:
-    for op in circuit.ops:
-        if op.duration is None or op.duration < 0:
-            raise ValueError(f"op {op!r} lacks a usable duration")
+def _schedule_cached(n: int, slots: tuple, policy: str) -> Timeline:
+    """Timeline of ops given as (qubits, duration) slots, in circuit order."""
     if policy == "asap":
-        starts = _asap_starts(circuit)
-        makespan = max(
-            (s + op.duration for s, op in zip(starts, circuit.ops)), default=0.0
-        )
+        starts = _asap_starts(n, slots)
+        makespan = max((s + d for s, (_, d) in zip(starts, slots)), default=0.0)
     else:
         # ALAP: schedule the reversed circuit ASAP, then mirror in time.
-        rev = Circuit(circuit.n, tuple(reversed(circuit.ops)))
-        rev_starts = _asap_starts(rev)
-        makespan = max(
-            (s + op.duration for s, op in zip(rev_starts, rev.ops)), default=0.0
-        )
+        rev = slots[::-1]
+        rev_starts = _asap_starts(n, rev)
+        makespan = max((s + d for s, (_, d) in zip(rev_starts, rev)), default=0.0)
         starts = [
-            makespan - (rs + op.duration)
-            for rs, op in zip(reversed(rev_starts), circuit.ops)
+            makespan - (rs + d) for rs, (_, d) in zip(reversed(rev_starts), slots)
         ]
     per_qubit: list[tuple[Interval, ...]] = []
-    for q in range(circuit.n):
+    for q in range(n):
         busy = sorted(
             (s, i)
-            for i, (s, op) in enumerate(zip(starts, circuit.ops))
-            if q in op.qubits
+            for i, (s, (qubits, _)) in enumerate(zip(starts, slots))
+            if q in qubits
         )
         intervals: list[Interval] = []
         t = 0.0
         for s, i in busy:
             if s > t:
                 intervals.append(Interval(t, s, None))
-            end = s + circuit.ops[i].duration
+            end = s + slots[i][1]
             if end > s:
                 intervals.append(Interval(s, end, i))
             t = max(t, end)
@@ -250,11 +243,18 @@ def schedule_circuit(circuit: Circuit, policy: str = "asap") -> Timeline:
 
     ASAP starts every op at the max ready-time of its qubits; ALAP is
     the time-mirror of ASAP on the reversed circuit, so both share one
-    makespan. Per-qubit intervals tile [0, makespan] exactly.
+    makespan. Per-qubit intervals tile [0, makespan] exactly. Timelines
+    are cached by what they depend on: qubit count, each op's qubits and
+    duration, and the policy, so circuits that differ only in gate kinds
+    or angles share one entry.
     """
     if policy not in SCHEDULE_POLICIES:
         raise ValueError(f"policy must be one of {SCHEDULE_POLICIES}, got {policy!r}")
-    return _schedule_cached(circuit, policy)
+    for op in circuit.ops:
+        if op.duration is None or op.duration < 0:
+            raise ValueError(f"op {op!r} lacks a usable duration")
+    slots = tuple((op.qubits, op.duration) for op in circuit.ops)
+    return _schedule_cached(circuit.n, slots, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .ansatz import QaoaParams, build_qaoa_circuit, run_circuit
+from .ansatz import QaoaParams, build_qaoa_circuit, qaoa_state, run_circuit
 from .graph import MaxCutInstance, cut_value_table
-from .statevec import Counts, expectation_cut
+from .statevec import Counts, expectation_cut, sample_counts
 
 
 class TraceRecord(NamedTuple):
@@ -77,17 +77,23 @@ def evaluate_qaoa(
     noise=None,
     trace: OptimizationTrace | None = None,
 ) -> EnergySample:
-    """Build, run, and score the circuit for ``params``.
+    """Prepare, run, and score the state for ``params``.
 
     Exact mode returns the exact expectation (shots reported as 0);
-    sampled and noisy modes estimate it from counts.
+    sampled and noisy modes estimate it from counts. Only noisy mode
+    builds the gate list; the others use the gate-free ``qaoa_state``.
     """
-    circuit = build_qaoa_circuit(instance, params)
     if mode == "exact":
-        state = run_circuit(circuit, "exact")
+        state = qaoa_state(instance, params)
         sample = EnergySample(-expectation_cut(state, instance), 0, None)
     else:
-        counts = run_circuit(circuit, mode, shots=shots, seed=seed, noise=noise)
+        if mode == "sampled":
+            if shots is None or seed is None:
+                raise ValueError("mode 'sampled' requires shots and seed")
+            counts = sample_counts(qaoa_state(instance, params), shots, seed)
+        else:
+            circuit = build_qaoa_circuit(instance, params)
+            counts = run_circuit(circuit, mode, shots=shots, seed=seed, noise=noise)
         sample = EnergySample(energy_from_counts(counts, instance), counts.shots, counts)
     if trace is not None:
         trace.append(params.to_vector(), sample.energy)

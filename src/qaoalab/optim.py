@@ -9,7 +9,8 @@ Three methods share one interface:
 
 Every objective call goes through a recorder, so ``evals_used`` always
 equals the trace length and the budget is enforced exactly; ``f_best``
-is the min over all recorded evaluations, not the last iterate.
+is the min over all recorded finite evaluations, not the last iterate.
+An objective that never returns a finite value ends in a ValueError.
 """
 
 from __future__ import annotations
@@ -97,13 +98,17 @@ class _Recorder:
         x = np.asarray(x, dtype=float)
         f = float(self.objective(x))
         self.trace.append(x, f)
-        if f < self.f_best:
+        if f < self.f_best and math.isfinite(f):
             self.f_best = f
             self.x_best = x.copy()
         return f
 
 
 def _result(rec: _Recorder, status: str) -> MinimizeResult:
+    if rec.x_best is None:
+        raise ValueError(
+            f"objective returned no finite value in {rec.used} evaluations"
+        )
     rec.trace.status = status
     return MinimizeResult(rec.x_best.copy(), rec.f_best, rec.used, status, rec.trace)
 

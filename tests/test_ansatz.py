@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qaoalab import harness, objective
 from qaoalab.ansatz import (
     ONE_QUBIT_DURATION,
     TWO_QUBIT_DURATION,
@@ -12,11 +15,12 @@ from qaoalab.ansatz import (
     QaoaParams,
     build_qaoa_circuit,
     gate_count,
+    qaoa_state,
     run_circuit,
 )
 from qaoalab.graph import MaxCutInstance
 from qaoalab.objective import evaluate_qaoa
-from qaoalab.statevec import Counts, StateVector
+from qaoalab.statevec import Counts, StateVector, expectation_cut, simulate_ops
 
 
 def exact_probs(instance, params) -> np.ndarray:
@@ -160,3 +164,78 @@ def test_sampled_matches_exact_distribution(canonical):
         observed = counts.counts.get(format(i, "05b"), 0)
         sigma = math.sqrt(shots * p * (1 - p))
         assert abs(observed - shots * p) <= 4 * sigma + 1e-9
+
+
+# -- gate-free state against the gate path ---------------------------------------
+
+
+def assert_matches_gate_path(instance, params):
+    """qaoa_state equals the simulated gate list up to a global phase."""
+    fast = qaoa_state(instance, params)
+    ref = simulate_ops(instance.n, build_qaoa_circuit(instance, params).ops)
+    assert fast.n == ref.n == instance.n
+    assert abs(expectation_cut(fast, instance) - expectation_cut(ref, instance)) <= 1e-12
+    np.testing.assert_allclose(
+        np.abs(fast.amplitudes) ** 2, np.abs(ref.amplitudes) ** 2, rtol=0, atol=1e-12
+    )
+    assert abs(abs(np.vdot(fast.amplitudes, ref.amplitudes)) - 1.0) <= 1e-12
+
+
+@st.composite
+def weighted_instances(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(edges), max_size=len(edges)))
+    return MaxCutInstance(n, tuple(edges), tuple(weights))
+
+
+angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=weighted_instances(), layers=st.lists(st.tuples(angles, angles), max_size=5))
+def test_gate_free_state_matches_gate_path(instance, layers):
+    params = QaoaParams(tuple(b for b, _ in layers), tuple(g for _, g in layers))
+    assert_matches_gate_path(instance, params)
+
+
+def test_gate_free_state_matches_gate_path_at_14_qubits():
+    gen = np.random.default_rng(14)
+    pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:21])
+    instance = MaxCutInstance(14, edges, tuple(gen.uniform(0.5, 1.5, len(edges))))
+    params = QaoaParams.from_vector(gen.uniform(-2.0 * math.pi, 2.0 * math.pi, 4))
+    assert_matches_gate_path(instance, params)
+
+
+def forbid_gate_list(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the noiseless path built a gate list")
+
+    monkeypatch.setattr(objective, "build_qaoa_circuit", refuse)
+    monkeypatch.setattr(harness, "build_qaoa_circuit", refuse)
+
+
+def test_noiseless_evaluation_builds_no_gate_list(monkeypatch, canonical):
+    params = QaoaParams((0.3, 0.5), (0.7, 1.1))
+    exact = evaluate_qaoa(canonical, params, "exact").energy
+    sampled = evaluate_qaoa(canonical, params, "sampled", shots=64, seed=3)
+    forbid_gate_list(monkeypatch)
+    assert evaluate_qaoa(canonical, params, "exact").energy == exact
+    again = evaluate_qaoa(canonical, params, "sampled", shots=64, seed=3)
+    assert again.counts == sampled.counts
+
+
+def test_noiseless_runs_build_no_gate_list(monkeypatch, tmp_path):
+    forbid_gate_list(monkeypatch)
+    for mode in ("exact", "sampled"):
+        config = harness.parse_config({"p": 1, "mode": mode, "shots": 32, "max_evals": 8})
+        artifacts = harness.run_experiment(config, tmp_path / mode)
+        assert artifacts.summary["shots"] == 32
+
+
+def test_sampled_evaluation_requires_shots_and_seed(canonical):
+    params = QaoaParams((0.3,), (0.7,))
+    with pytest.raises(ValueError, match="requires shots and seed"):
+        evaluate_qaoa(canonical, params, "sampled", shots=10)

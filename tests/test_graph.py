@@ -215,3 +215,9 @@ def test_brute_force_matches_direct_enumeration():
         direct_best = max(values.values())
         assert best == pytest.approx(direct_best, abs=1e-12)
         assert optima == {b for b, v in values.items() if v == direct_best}
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weight_rejected(weight):
+    with pytest.raises(ValueError, match=r"weight .* of edge \(0, 2\) is not finite"):
+        MaxCutInstance(n=3, edges=((0, 1), (2, 0)), weights=(1.0, weight))

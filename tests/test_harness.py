@@ -78,6 +78,20 @@ def test_invalid_values_name_the_field(raw, needle):
         parse_config(raw)
 
 
+@pytest.mark.parametrize("field", ["p", "shots", "restarts", "max_evals", "seed"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_counts_are_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        parse_config({field: value})
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_inline_instance_rejects_non_finite_weights(weight):
+    inline = {"n": 2, "edges": [[0, 1]], "weights": [weight]}
+    with pytest.raises(ConfigError, match="^instance.inline: weight"):
+        parse_config({"instance": {"inline": inline}})
+
+
 def test_inline_noise_config_rejects_non_finite_rates():
     with pytest.raises(ConfigError, match="^noise: sigma_dephase"):
         parse_config({"mode": "noisy", "noise": {"sigma_dephase": math.nan}})

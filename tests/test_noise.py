@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoalab import rng, trajectories
+from qaoalab import noise, rng, trajectories
 from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit
 from qaoalab.noise import (
     DD_SEQUENCES,
     PAULI_KINDS,
     Interval,
     NoiseConfig,
+    Timeline,
     apply_readout_error,
     apply_trajectory_noise,
     insert_dd,
@@ -209,6 +210,65 @@ def test_two_qubit_ops_occupy_both_timelines(canonical, grid_p1):
 def test_schedule_policy_validation(canonical, grid_p1):
     with pytest.raises(ValueError):
         schedule_circuit(p1_circuit(canonical, grid_p1), "greedy")
+
+
+def reference_schedule(circuit: Circuit, policy: str) -> Timeline:
+    """The list schedule computed straight from a circuit, with no cache."""
+    def asap(ops):
+        ready, starts = [0.0] * circuit.n, []
+        for op in ops:
+            s = max(ready[q] for q in op.qubits)
+            starts.append(s)
+            for q in op.qubits:
+                ready[q] = s + op.duration
+        return starts
+
+    ops = circuit.ops
+    if policy == "asap":
+        starts = asap(ops)
+        makespan = max((s + op.duration for s, op in zip(starts, ops)), default=0.0)
+    else:
+        rev_starts = asap(ops[::-1])
+        makespan = max((s + op.duration for s, op in zip(rev_starts, ops[::-1])), default=0.0)
+        starts = [makespan - (rs + op.duration) for rs, op in zip(rev_starts[::-1], ops)]
+    per_qubit = []
+    for q in range(circuit.n):
+        intervals, t = [], 0.0
+        for s, i in sorted((s, i) for i, s in enumerate(starts) if q in ops[i].qubits):
+            if s > t:
+                intervals.append(Interval(t, s, None))
+            end = s + ops[i].duration
+            if end > s:
+                intervals.append(Interval(s, end, i))
+            t = max(t, end)
+        if makespan > t:
+            intervals.append(Interval(t, makespan, None))
+        per_qubit.append(tuple(intervals))
+    return Timeline(makespan, tuple(starts), tuple(per_qubit))
+
+
+@pytest.mark.parametrize("policy", ["asap", "alap"])
+def test_schedule_cache_ignores_angles(canonical, policy):
+    noise._schedule_cached.cache_clear()
+    for k, theta in enumerate(np.linspace(0.1, 2.9, 5)):
+        circuit = build_qaoa_circuit(canonical, QaoaParams((theta,) * 2, (2 * theta,) * 2))
+        assert schedule_circuit(circuit, policy) == reference_schedule(circuit, policy)
+        assert noise._schedule_cached.cache_info().hits == k
+    assert noise._schedule_cached.cache_info().misses == 1
+
+
+def test_schedule_cache_tells_durations_and_qubits_apart():
+    one = Circuit(2, (GateOp("H", (0,), None, 1.0), GateOp("CNOT", (0, 1), None, 4.0)))
+    slower = Circuit(2, (GateOp("H", (0,), None, 2.0), GateOp("CNOT", (0, 1), None, 4.0)))
+    moved = Circuit(2, (GateOp("H", (1,), None, 1.0), GateOp("CNOT", (0, 1), None, 4.0)))
+    for circuit in (one, slower, moved, mixed_circuit(4, 25, seed=2)):
+        for policy in ("asap", "alap"):
+            assert schedule_circuit(circuit, policy) == reference_schedule(circuit, policy)
+
+
+def test_schedule_rejects_negative_durations():
+    with pytest.raises(ValueError, match="usable duration"):
+        schedule_circuit(Circuit(1, (GateOp("H", (0,), None, -1.0),)))
 
 
 # -- twirling --------------------------------------------------------------------

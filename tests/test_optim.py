@@ -215,3 +215,21 @@ def test_random_starts_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     with pytest.raises(ValueError):
         random_qaoa_starts(0, 1, seed=0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_objective_without_a_finite_value_fails_clearly(method, value):
+    problem = MinimizeProblem(lambda x: value, np.zeros(2), max_evals=10)
+    with pytest.raises(ValueError, match="objective returned no finite value"):
+        minimize(method, problem)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_values_never_become_the_best(method):
+    def spiky(x):
+        return math.nan if x[0] > 0.2 else shifted_bowl(x)
+
+    res = minimize(method, MinimizeProblem(spiky, np.zeros(2), max_evals=60))
+    assert math.isfinite(res.f_best)
+    assert res.f_best == min(e for e in res.trace.energies() if math.isfinite(e))
