@@ -28,6 +28,11 @@ class CapacityError(ValueError):
     """Instance too large for exhaustive enumeration."""
 
 
+def _is_index(value) -> bool:
+    """True for integers; bool is an int subclass but never a node."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MaxCutInstance:
     """Undirected weighted graph on nodes 0..n-1.
@@ -41,7 +46,7 @@ class MaxCutInstance:
     weights: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_index(self.n) or self.n < 1:
             raise ValueError(f"node count must be a positive integer, got {self.n!r}")
         norm = []
         seen = set()
@@ -50,6 +55,9 @@ class MaxCutInstance:
                 u, v = edge
             except (TypeError, ValueError):
                 raise ValueError(f"edge {edge!r} is not a pair") from None
+            for node in (u, v):
+                if not _is_index(node):
+                    raise ValueError(f"edge {edge!r} has endpoint {node!r}, not an integer node")
             if not (0 <= u < self.n) or not (0 <= v < self.n):
                 raise ValueError(f"edge {edge!r} references a node outside 0..{self.n - 1}")
             if u == v:

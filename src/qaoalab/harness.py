@@ -29,7 +29,7 @@ from .graph import (
     ParseError,
     brute_force_maxcut,
     canonical_instance,
-    cut_value,
+    cut_value_table,
     parse_edge_list,
     serialize_edge_list,
 )
@@ -195,6 +195,10 @@ def parse_config(raw: dict, *, seed_override: int | None = None,
     max_evals = raw.get("max_evals")
     if max_evals is not None and (not _is_int(max_evals) or max_evals < 1):
         raise ConfigError(f"max_evals: must be a positive integer, got {max_evals!r}")
+    if max_evals is not None and max_evals < 2 * p:
+        raise ConfigError(
+            f"max_evals: {max_evals} cannot cover one pass over the 2*p = {2 * p} angles"
+        )
     out_dir = out_override if out_override is not None else raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"out_dir: must be a string path, got {out_dir!r}")
@@ -204,6 +208,10 @@ def parse_config(raw: dict, *, seed_override: int | None = None,
         for key, values in sweep.items():
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"sweep.{key}: must be a non-empty list")
+        if "noise" in sweep and mode != "noisy":
+            raise ConfigError(
+                f"sweep.noise: mode {mode!r} never samples noise; sweep noise in mode 'noisy'"
+            )
     # hash the normalized config (overrides applied) for artifact provenance
     normalized = {
         "version": SCHEMA_VERSION,
@@ -342,11 +350,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     counts = _final_counts(config, theta)
     final_energy = energy_from_counts(counts, config.instance)
     max_cut, optima = brute_force_maxcut(config.instance)
-    best_cut = max(cut_value(config.instance, bits) for bits in counts.counts)
-    best_bitstrings = sorted(
-        bits for bits in counts.counts
-        if cut_value(config.instance, bits) == best_cut
-    )
+    table = cut_value_table(config.instance)
+    cuts = {bits: float(table[int(bits, 2)]) for bits in counts.counts}
+    best_cut = max(cuts.values())
+    best_bitstrings = sorted(bits for bits, cut in cuts.items() if cut == best_cut)
     probs = counts.probabilities()
     summary = {
         "config_hash": config.config_hash,
@@ -385,8 +392,6 @@ SWEEP_LIMIT = 1000
 
 def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """Cross-product sweep; every cell gets its own derived seed and subdir."""
-    out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
     axes = config.sweep or {}
     levels = [(key, axes[key]) for key in ("p", "method", "noise", "shots") if key in axes]
     cells: list[dict] = [{}]
@@ -394,7 +399,9 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
         cells = [dict(cell, **{key: v}) for cell in cells for v in values]
     if len(cells) > SWEEP_LIMIT:
         raise ConfigError(f"sweep: {len(cells)} cells exceeds the limit of {SWEEP_LIMIT}")
-    rows = []
+    # parse every cell before the first one runs, so a bad axis value
+    # fails the sweep before any cell writes artifacts
+    cell_configs = []
     for idx, cell in enumerate(cells):
         # an empty sweep is the base experiment itself, same seed included
         if levels:
@@ -426,7 +433,11 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
                 "twirling": config.noise.twirling, "dd": config.noise.dd,
                 "dd_sequence": config.noise.dd_sequence,
             }
-        cell_config = parse_config(raw)
+        cell_configs.append(parse_config(raw))
+    out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for idx, (cell, cell_config) in enumerate(zip(cells, cell_configs)):
         name_bits = [f"{k}{cell[k]}" for k, _ in levels] or ["single"]
         cell_dir = out / ("cell_%03d_%s" % (idx, "_".join(name_bits)))
         artifacts = run_experiment(cell_config, cell_dir)
@@ -436,7 +447,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
             "method": cell_config.method,
             "noise": cell.get("noise", "custom"),
             "shots": cell_config.shots,
-            "seed": cell_seed,
+            "seed": cell_config.seed,
             "f_best": artifacts.summary["best_energy"],
             "approx_ratio": artifacts.summary["approx_ratio"],
             "ground_pair_prob": artifacts.summary["ground_pair_prob"],

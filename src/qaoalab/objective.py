@@ -15,7 +15,7 @@ import numpy as np
 from . import rng
 from .ansatz import QaoaParams, build_qaoa_circuit, qaoa_state, run_circuit
 from .graph import MaxCutInstance, cut_value_table
-from .statevec import Counts, expectation_cut, sample_counts
+from .statevec import Counts, counts_from_tally, expectation_cut, sample_tally
 
 
 class TraceRecord(NamedTuple):
@@ -43,13 +43,25 @@ class OptimizationTrace:
         return len(self.records)
 
 
-@dataclass
 class EnergySample:
-    """One objective evaluation; counts is None for exact evaluations."""
+    """One objective evaluation; counts is None for exact evaluations.
 
-    energy: float
-    shots: int
-    counts: Counts | None = None
+    A sampled evaluation keeps the basis-index tally it was scored from
+    and formats it as ``Counts`` only when ``counts`` is first read.
+    """
+
+    def __init__(self, energy: float, shots: int, counts: Counts | None = None,
+                 *, tally: np.ndarray | None = None):
+        self.energy = energy
+        self.shots = shots
+        self.tally = tally
+        self._counts = counts
+
+    @property
+    def counts(self) -> Counts | None:
+        if self._counts is None and self.tally is not None:
+            self._counts = counts_from_tally(self.tally, self.tally.size.bit_length() - 1)
+        return self._counts
 
 
 def energy_from_counts(counts: Counts, instance: MaxCutInstance) -> float:
@@ -67,6 +79,23 @@ def energy_from_counts(counts: Counts, instance: MaxCutInstance) -> float:
     return -total / counts.shots
 
 
+def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
+    """-(sum of tally-weighted cut values) / shots for a basis-index tally.
+
+    The products are added one by one in ascending index order, as
+    ``energy_from_counts`` adds them over the ``Counts`` of the same
+    tally, so the two agree bit for bit.
+    """
+    table = cut_value_table(instance)
+    if tally.shape != table.shape:
+        raise ValueError(f"tally of length {tally.size} does not fit a {instance.n}-node instance")
+    hit = np.flatnonzero(tally)
+    if hit.size == 0:
+        raise ValueError("tally has no shots")
+    total = np.cumsum(tally[hit] * table[hit])[-1]
+    return float(-total / tally.sum())
+
+
 def evaluate_qaoa(
     instance: MaxCutInstance,
     params: QaoaParams,
@@ -80,8 +109,10 @@ def evaluate_qaoa(
     """Prepare, run, and score the state for ``params``.
 
     Exact mode returns the exact expectation (shots reported as 0);
-    sampled and noisy modes estimate it from counts. Only noisy mode
-    builds the gate list; the others use the gate-free ``qaoa_state``.
+    sampled and noisy modes estimate it from measured shots. Sampled mode
+    scores the basis-index tally directly and formats no bitstring unless
+    ``counts`` is read. Only noisy mode builds the gate list; the others
+    use the gate-free ``qaoa_state``.
     """
     if mode == "exact":
         state = qaoa_state(instance, params)
@@ -90,11 +121,12 @@ def evaluate_qaoa(
         if mode == "sampled":
             if shots is None or seed is None:
                 raise ValueError("mode 'sampled' requires shots and seed")
-            counts = sample_counts(qaoa_state(instance, params), shots, seed)
+            tally = sample_tally(qaoa_state(instance, params), shots, seed)
+            sample = EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
         else:
             circuit = build_qaoa_circuit(instance, params)
             counts = run_circuit(circuit, mode, shots=shots, seed=seed, noise=noise)
-        sample = EnergySample(energy_from_counts(counts, instance), counts.shots, counts)
+            sample = EnergySample(energy_from_counts(counts, instance), counts.shots, counts)
     if trace is not None:
         trace.append(params.to_vector(), sample.energy)
     return sample

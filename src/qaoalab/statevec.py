@@ -209,9 +209,10 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
 
 
-def sample_counts(state: StateVector, shots: int, seed: int) -> Counts:
-    """Multinomial measurement of the state in the computational basis.
+def sample_tally(state: StateVector, shots: int, seed: int) -> np.ndarray:
+    """Multinomial measurement as a histogram over basis indices.
 
+    Returns ``np.bincount`` of the ``shots`` outcomes, of length 2^n.
     Shot i consumes draw i of the (seed, sample) substream, so any
     prefix of the shots is reproducible independently.
     """
@@ -224,7 +225,19 @@ def sample_counts(state: StateVector, shots: int, seed: int) -> Counts:
     u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
     outcomes = np.searchsorted(cum, u, side="right")
     np.clip(outcomes, 0, probs.size - 1, out=outcomes)
-    width = state.n
-    raw = np.bincount(outcomes, minlength=probs.size)
-    counts = {format(i, f"0{width}b"): int(c) for i, c in enumerate(raw) if c > 0}
-    return Counts(counts, shots)
+    return np.bincount(outcomes, minlength=probs.size)
+
+
+def counts_from_tally(tally: np.ndarray, n: int) -> Counts:
+    """Counts of a basis-index tally; keys only for the nonzero entries, in index order."""
+    counts = {format(int(i), f"0{n}b"): int(tally[i]) for i in np.flatnonzero(tally)}
+    return Counts(counts, int(tally.sum()))
+
+
+def sample_counts(state: StateVector, shots: int, seed: int) -> Counts:
+    """Multinomial measurement of the state in the computational basis.
+
+    The ``sample_tally`` of the same arguments, formatted as bitstrings
+    by ``counts_from_tally``; use the tally where no bitstring is needed.
+    """
+    return counts_from_tally(sample_tally(state, shots, seed), state.n)

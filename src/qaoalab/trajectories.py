@@ -33,6 +33,7 @@ from .statevec import (
     _cnot_perm,
     _x_perm,
     _y_phase,
+    counts_from_tally,
     zero_state,
 )
 
@@ -505,7 +506,4 @@ def sample(base: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
         keys = rng.derive_keys(seed, rng.STREAM_READOUT, np.arange(shots))
         flips = _uniforms(streams.raw(keys, n)) < config.p_readout
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))
-    tally = np.bincount(outcomes, minlength=1 << n)
-    return Counts(
-        {format(int(i), f"0{n}b"): int(tally[i]) for i in np.flatnonzero(tally)}, shots
-    )
+    return counts_from_tally(np.bincount(outcomes, minlength=1 << n), n)

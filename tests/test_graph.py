@@ -217,6 +217,20 @@ def test_brute_force_matches_direct_enumeration():
         assert optima == {b for b, v in values.items() if v == direct_best}
 
 
+@pytest.mark.parametrize(
+    "n,edges,needle",
+    [
+        (True, (), "node count"),
+        (3, ((True, 2),), "endpoint True"),
+        (3, ((0, False),), "endpoint False"),
+        (3, ((0.0, 2),), "endpoint 0.0"),
+    ],
+)
+def test_non_integer_nodes_rejected(n, edges, needle):
+    with pytest.raises(ValueError, match=needle):
+        MaxCutInstance(n=n, edges=edges)
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_weight_rejected(weight):
     with pytest.raises(ValueError, match=r"weight .* of edge \(0, 2\) is not finite"):

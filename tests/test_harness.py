@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from qaoalab.graph import cut_value
 from qaoalab.harness import (
     NOISE_PRESETS,
     PAPER_P5_THETA,
@@ -71,6 +72,9 @@ def test_unknown_nested_fields_are_named():
         ({"init": [0.1, 0.2, 0.3]}, "init"),
         ({"sweep": {"p": []}}, "sweep.p"),
         ({"noise": "loud"}, "noise"),
+        ({"p": 3, "max_evals": 5}, "max_evals"),
+        ({"sweep": {"noise": ["none", "ibm-bounds"]}}, "sweep.noise"),
+        ({"mode": "sampled", "sweep": {"noise": ["none"]}}, "sweep.noise"),
     ],
 )
 def test_invalid_values_name_the_field(raw, needle):
@@ -89,6 +93,15 @@ def test_boolean_counts_are_rejected(field, value):
 def test_inline_instance_rejects_non_finite_weights(weight):
     inline = {"n": 2, "edges": [[0, 1]], "weights": [weight]}
     with pytest.raises(ConfigError, match="^instance.inline: weight"):
+        parse_config({"instance": {"inline": inline}})
+
+
+@pytest.mark.parametrize("inline", [
+    {"n": True, "edges": []},
+    {"n": 3, "edges": [[True, 2]]},
+])
+def test_inline_instance_rejects_boolean_nodes(inline):
+    with pytest.raises(ConfigError, match="^instance.inline: "):
         parse_config({"instance": {"inline": inline}})
 
 
@@ -277,6 +290,34 @@ def test_sweep_cell_limit():
     config = parse_config({"sweep": {"shots": [1] * 1001}})
     with pytest.raises(ConfigError, match="exceeds"):
         run_sweep(config)
+
+
+@pytest.mark.parametrize(
+    "raw,needle",
+    [
+        ({"sweep": {"p": [1, -1]}}, "^p: "),
+        ({"mode": "noisy", "shots": 16, "sweep": {"noise": ["none", "bogus"]}}, "^noise: "),
+        ({"max_evals": 5, "sweep": {"p": [1, 3]}}, "^max_evals: "),
+    ],
+)
+def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, raw, needle):
+    config = parse_config(raw)
+    with pytest.raises(ConfigError, match=needle):
+        run_sweep(config, out_dir=tmp_path / "out")
+    assert not list(tmp_path.rglob("cell_*"))
+
+
+def test_best_bitstrings_use_weighted_cut_values(tmp_path):
+    inline = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]],
+              "weights": [0.3, 1.7, 0.45, 2.2, 0.9]}
+    config = parse_config(small_raw(mode="sampled", shots=64, max_evals=10,
+                                    instance={"inline": inline}))
+    summary = run_experiment(config, out_dir=tmp_path).summary
+    counts = json.loads((tmp_path / "counts.json").read_text())["counts"]
+    cuts = {bits: cut_value(config.instance, bits) for bits in counts}
+    best = max(cuts.values())
+    assert summary["best_bitstrings"] == sorted(b for b, c in cuts.items() if c == best)
+    assert summary["approx_ratio"] == best / summary["max_cut"]
 
 
 def test_method_sweep_from_published_start(paper_sweep_rows):

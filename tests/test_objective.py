@@ -5,16 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qaoalab.ansatz import QaoaParams
+from qaoalab import objective, statevec
+from qaoalab.ansatz import QaoaParams, qaoa_state
 from qaoalab.graph import MaxCutInstance
 from qaoalab.objective import (
     OptimizationTrace,
     energy_from_counts,
+    energy_from_tally,
     evaluate_qaoa,
     make_objective,
 )
-from qaoalab.statevec import Counts
+from qaoalab.statevec import Counts, StateVector, sample_counts, sample_tally
 
 PINNED_DEPTH5_THETA = (
     2.083, 2.048, 1.792, 1.564, 1.387,
@@ -132,6 +136,69 @@ def test_sampled_evaluation_carries_counts(canonical):
     )
     assert sample.shots == 256
     assert sum(sample.counts.counts.values()) == 256
+
+
+def test_sampled_counts_are_built_on_first_read(canonical):
+    params = QaoaParams((0.3,), (0.9,))
+    sample = evaluate_qaoa(canonical, params, "sampled", shots=300, seed=8)
+    expected = sample_counts(qaoa_state(canonical, params), 300, 8)
+    assert sample.counts == expected
+    assert sample.counts is sample.counts
+    assert sample.energy == energy_from_counts(expected, canonical)
+
+
+def test_sampled_objective_formats_no_bitstring(monkeypatch, canonical):
+    thetas = [np.array([0.3, 0.5, 0.7, 1.1]), np.array([1.2, 0.1, 2.5, 0.4])]
+    reference = make_objective(canonical, 2, "sampled", shots=512, seed=5)
+    want = [reference(t) for t in thetas]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled evaluation formatted bitstrings")
+
+    monkeypatch.setattr(objective, "counts_from_tally", refuse)
+    monkeypatch.setattr(statevec, "counts_from_tally", refuse)
+    f = make_objective(canonical, 2, "sampled", shots=512, seed=5)
+    assert [f(t) for t in thetas] == want
+
+
+def test_tally_energy_rejects_a_tally_of_another_size(canonical):
+    with pytest.raises(ValueError, match="does not fit"):
+        energy_from_tally(np.ones(16, dtype=np.int64), canonical)
+    with pytest.raises(ValueError, match="no shots"):
+        energy_from_tally(np.zeros(32, dtype=np.int64), canonical)
+
+
+@st.composite
+def weighted_instances(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.floats(-3.0, 3.0).filter(lambda w: w != int(w))
+    weights = draw(st.lists(weight, min_size=len(edges), max_size=len(edges)))
+    return MaxCutInstance(n, tuple(edges), tuple(weights))
+
+
+@st.composite
+def states(draw, n):
+    """A random state on n qubits; ``sparse`` zeroes about half the amplitudes."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    if draw(st.booleans()):
+        amps[gen.random(1 << n) < 0.5] = 0.0
+        amps[gen.integers(1 << n)] = 1.0
+    return StateVector(n, amps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_tally_energy_equals_counts_energy(data):
+    instance = data.draw(weighted_instances())
+    state = data.draw(states(instance.n))
+    shots = data.draw(st.integers(1, 5000))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    tally = sample_tally(state, shots, seed)
+    counts = sample_counts(state, shots, seed)
+    assert energy_from_tally(tally, instance) == energy_from_counts(counts, instance)
 
 
 def test_sampled_energy_approaches_exact(canonical):

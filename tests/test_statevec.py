@@ -14,8 +14,10 @@ from qaoalab.statevec import (
     StateVector,
     _apply,
     apply_gate,
+    counts_from_tally,
     expectation_cut,
     sample_counts,
+    sample_tally,
     simulate_ops,
     zero_state,
 )
@@ -211,6 +213,30 @@ def test_sampling_reproducible():
 def test_sampling_conserves_shots():
     counts = sample_counts(uniform_state(4), 1234, seed=3)
     assert sum(counts.counts.values()) == 1234
+
+
+def full_range_counts(tally, n):
+    """The comprehension sample_counts used before counts_from_tally: every index, in order."""
+    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(tally) if c > 0}
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 12])
+@pytest.mark.parametrize("density", [0.001, 0.1, 1.0])
+def test_counts_from_tally_matches_full_range_comprehension(n, density):
+    gen = np.random.default_rng(n)
+    tally = gen.integers(1, 5, size=1 << n) * (gen.random(1 << n) < density)
+    tally[gen.integers(1 << n)] += 1
+    counts = counts_from_tally(tally, n)
+    reference = full_range_counts(tally, n)
+    assert list(counts.counts.items()) == list(reference.items())
+    assert counts.shots == int(tally.sum())
+
+
+def test_sample_counts_formats_sample_tally():
+    state = simulate_ops(4, (GateOp("H", (0,)), GateOp("H", (2,)), GateOp("RX", (3,), 0.4)))
+    tally = sample_tally(state, 777, seed=21)
+    assert tally.shape == (16,) and tally.sum() == 777
+    assert sample_counts(state, 777, seed=21).counts == full_range_counts(tally, 4)
 
 
 def test_sampled_frequencies_match_exact_probabilities():
