@@ -1,11 +1,16 @@
 """Experiment harness: JSON configs, deterministic artifacts, and the CLI.
 
-A run optimizes the layer angles under the configured evaluation mode,
-executes the final circuit once at the winning angles, and writes three
-artifacts to the output directory: counts.json, trace.csv (the winning
-restart's evaluation log), and summary.json. Every random draw in the
-pipeline is keyed off the master seed, so (config, seed) reproduces the
-files byte for byte.
+``parse_config`` turns raw JSON into an ``ExperimentConfig``, which
+checks its own fields, naming the field it rejects, and derives its
+``config_hash`` from them. A run optimizes the layer angles under the
+configured evaluation mode, then takes the final counts and energy from
+``evaluate_qaoa`` at the winning angles (sampled mode for exact and
+sampled runs, noisy mode for noisy ones), and writes three artifacts to
+the output directory: counts.json, trace.csv (the winning restart's
+evaluation log), and summary.json. A sweep runs one ``replace`` copy of
+the config per cell of its axes. Every random draw in the pipeline is
+keyed off the master seed, so (config, seed) reproduces the files byte
+for byte.
 """
 
 from __future__ import annotations
@@ -15,15 +20,17 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import rng
-from .ansatz import RUN_MODES, QaoaParams, build_qaoa_circuit, qaoa_state, run_circuit
+from .ansatz import RUN_MODES, QaoaParams
 from .graph import (
     MaxCutInstance,
     ParseError,
@@ -34,10 +41,10 @@ from .graph import (
     serialize_edge_list,
 )
 from .noise import NoiseConfig
-from .objective import OptimizationTrace, energy_from_counts, evaluate_qaoa, make_objective
+from .objective import OptimizationTrace, evaluate_qaoa, make_objective
 from .optim import METHODS, MinimizeProblem, MinimizeResult, minimize, random_qaoa_starts
 from .plots import plot_histogram, plot_trace
-from .statevec import Counts, sample_counts
+from .statevec import Counts
 
 SCHEMA_VERSION = 1
 
@@ -60,11 +67,8 @@ _CONFIG_FIELDS = {
 }
 _INSTANCE_FIELDS = {"file", "inline"}
 _INLINE_FIELDS = {"n", "edges", "weights"}
-_NOISE_FIELDS = {
-    "p1q", "p2q", "p_readout", "epsilon_coherent", "sigma_dephase",
-    "twirling", "dd", "dd_sequence",
-}
-_SWEEP_FIELDS = {"p", "method", "noise", "shots"}
+_NOISE_FIELDS = {f.name for f in fields(NoiseConfig)}
+_SWEEP_AXES = ("p", "method", "noise", "shots")  # also the order of a sweep's cells
 
 
 class ConfigError(ValueError):
@@ -73,6 +77,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when it is built.
+
+    Each check raises ``ConfigError`` with a message that starts with
+    the field's name, so ``dataclasses.replace`` yields a checked config
+    too. An explicit ``init`` is normalized to a tuple of floats.
+    ``config_hash`` is the SHA-256 of every field but ``out_dir``, in
+    canonical JSON (the instance as its edge-list text, the noise as
+    its rates), so equal experiments share a hash however they were
+    written.
+    """
+
     instance: MaxCutInstance
     p: int
     method: str
@@ -85,7 +100,62 @@ class ExperimentConfig:
     max_evals: int | None
     out_dir: str | None
     sweep: dict | None
-    config_hash: str
+    config_hash: str = field(init=False)
+
+    def __post_init__(self):
+        p = self.p
+        if not _is_int(p) or p < 0:
+            raise ConfigError(f"p: must be a non-negative integer, got {p!r}")
+        if self.method not in METHODS:
+            raise ConfigError(f"method: must be one of {METHODS}, got {self.method!r}")
+        init = self.init
+        if isinstance(init, tuple):
+            for v in init:
+                if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+                    raise ConfigError(f"init: explicit vector must hold finite numbers, got {v!r}")
+            if len(init) != 2 * p:
+                raise ConfigError(f"init: explicit vector has length {len(init)}, need 2*p = {2 * p}")
+            object.__setattr__(self, "init", tuple(float(v) for v in init))
+        elif init == "paper-p5":
+            if p != 5:
+                raise ConfigError(f"init: preset 'paper-p5' requires p = 5, got p = {p}")
+        elif init != "random":
+            raise ConfigError(f"init: must be 'random', 'paper-p5', or a vector, got {init!r}")
+        if not _is_int(self.restarts) or self.restarts < 1:
+            raise ConfigError(f"restarts: must be a positive integer, got {self.restarts!r}")
+        if not _is_int(self.shots) or self.shots < 1:
+            raise ConfigError(f"shots: must be a positive integer, got {self.shots!r}")
+        if self.mode not in RUN_MODES:
+            raise ConfigError(f"mode: must be one of {RUN_MODES}, got {self.mode!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed: must be an integer, got {self.seed!r}")
+        max_evals = self.max_evals
+        if max_evals is not None and (not _is_int(max_evals) or max_evals < 1):
+            raise ConfigError(f"max_evals: must be a positive integer, got {max_evals!r}")
+        if max_evals is not None and max_evals < 2 * p:
+            raise ConfigError(
+                f"max_evals: {max_evals} cannot cover one pass over the 2*p = {2 * p} angles"
+            )
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir: must be a string path, got {self.out_dir!r}")
+        if self.sweep is not None:
+            _reject_unknown("sweep", self.sweep, set(_SWEEP_AXES))
+            for key, values in self.sweep.items():
+                if not isinstance(values, list) or not values:
+                    raise ConfigError(f"sweep.{key}: must be a non-empty list")
+            if "noise" in self.sweep and self.mode != "noisy":
+                raise ConfigError(
+                    f"sweep.noise: mode {self.mode!r} never samples noise; "
+                    "sweep noise in mode 'noisy'"
+                )
+        normalized = {f.name: getattr(self, f.name) for f in fields(self)
+                      if f.name not in ("out_dir", "config_hash")}
+        normalized.update(version=SCHEMA_VERSION, instance=serialize_edge_list(self.instance),
+                          noise=asdict(self.noise))
+        digest = hashlib.sha256(
+            json.dumps(normalized, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        object.__setattr__(self, "config_hash", digest)
 
 
 @dataclass
@@ -154,92 +224,25 @@ def _resolve_noise(spec) -> NoiseConfig:
 
 def parse_config(raw: dict, *, seed_override: int | None = None,
                  out_override: str | None = None) -> ExperimentConfig:
-    """Validate a raw config dict; unknown fields anywhere are errors."""
+    """Turn a raw config dict into an ``ExperimentConfig``; unknown fields anywhere are errors."""
     _reject_unknown("config", raw, _CONFIG_FIELDS)
     version = raw.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"version: unsupported schema version {version!r}")
-    instance = _resolve_instance(raw.get("instance", "canonical"))
-    p = raw.get("p", 1)
-    if not _is_int(p) or p < 0:
-        raise ConfigError(f"p: must be a non-negative integer, got {p!r}")
-    method = raw.get("method", "cobyla")
-    if method not in METHODS:
-        raise ConfigError(f"method: must be one of {METHODS}, got {method!r}")
     init = raw.get("init", "random")
-    if isinstance(init, list):
-        try:
-            init = tuple(float(v) for v in init)
-        except (TypeError, ValueError):
-            raise ConfigError(f"init: explicit vector must be numeric, got {init!r}") from None
-        if len(init) != 2 * p:
-            raise ConfigError(f"init: explicit vector has length {len(init)}, need 2*p = {2 * p}")
-    elif init == "paper-p5":
-        if p != 5:
-            raise ConfigError(f"init: preset 'paper-p5' requires p = 5, got p = {p}")
-    elif init != "random":
-        raise ConfigError(f"init: must be 'random', 'paper-p5', or a vector, got {init!r}")
-    restarts = raw.get("restarts", 1)
-    if not _is_int(restarts) or restarts < 1:
-        raise ConfigError(f"restarts: must be a positive integer, got {restarts!r}")
-    shots = raw.get("shots", 1000)
-    if not _is_int(shots) or shots < 1:
-        raise ConfigError(f"shots: must be a positive integer, got {shots!r}")
-    mode = raw.get("mode", "exact")
-    if mode not in RUN_MODES:
-        raise ConfigError(f"mode: must be one of {RUN_MODES}, got {mode!r}")
-    noise = _resolve_noise(raw.get("noise", "none"))
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError(f"seed: must be an integer, got {seed!r}")
-    max_evals = raw.get("max_evals")
-    if max_evals is not None and (not _is_int(max_evals) or max_evals < 1):
-        raise ConfigError(f"max_evals: must be a positive integer, got {max_evals!r}")
-    if max_evals is not None and max_evals < 2 * p:
-        raise ConfigError(
-            f"max_evals: {max_evals} cannot cover one pass over the 2*p = {2 * p} angles"
-        )
-    out_dir = out_override if out_override is not None else raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir: must be a string path, got {out_dir!r}")
-    sweep = raw.get("sweep")
-    if sweep is not None:
-        _reject_unknown("sweep", sweep, _SWEEP_FIELDS)
-        for key, values in sweep.items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"sweep.{key}: must be a non-empty list")
-        if "noise" in sweep and mode != "noisy":
-            raise ConfigError(
-                f"sweep.noise: mode {mode!r} never samples noise; sweep noise in mode 'noisy'"
-            )
-    # hash the normalized config (overrides applied) for artifact provenance
-    normalized = {
-        "version": SCHEMA_VERSION,
-        "instance": serialize_edge_list(instance),
-        "p": p,
-        "method": method,
-        "init": list(init) if isinstance(init, tuple) else init,
-        "restarts": restarts,
-        "shots": shots,
-        "mode": mode,
-        "noise": {
-            "p1q": noise.p1q, "p2q": noise.p2q, "p_readout": noise.p_readout,
-            "epsilon_coherent": noise.epsilon_coherent,
-            "sigma_dephase": noise.sigma_dephase,
-            "twirling": noise.twirling, "dd": noise.dd,
-            "dd_sequence": noise.dd_sequence,
-        },
-        "seed": seed,
-        "max_evals": max_evals,
-        "sweep": sweep,
-    }
-    digest = hashlib.sha256(
-        json.dumps(normalized, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
     return ExperimentConfig(
-        instance=instance, p=p, method=method, init=init, restarts=restarts,
-        shots=shots, mode=mode, noise=noise, seed=seed, max_evals=max_evals,
-        out_dir=out_dir, sweep=sweep, config_hash=digest,
+        instance=_resolve_instance(raw.get("instance", "canonical")),
+        p=raw.get("p", 1),
+        method=raw.get("method", "cobyla"),
+        init=tuple(init) if isinstance(init, list) else init,
+        restarts=raw.get("restarts", 1),
+        shots=raw.get("shots", 1000),
+        mode=raw.get("mode", "exact"),
+        noise=_resolve_noise(raw.get("noise", "none")),
+        seed=seed_override if seed_override is not None else raw.get("seed", 0),
+        max_evals=raw.get("max_evals"),
+        out_dir=out_override if out_override is not None else raw.get("out_dir"),
+        sweep=raw.get("sweep"),
     )
 
 
@@ -297,16 +300,6 @@ def read_trace_csv(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _final_counts(config: ExperimentConfig, theta: np.ndarray) -> Counts:
-    params = QaoaParams.from_vector(theta)
-    final_seed = rng.child_seed(config.seed, rng.STREAM_FINAL)
-    if config.mode == "noisy":
-        circuit = build_qaoa_circuit(config.instance, params)
-        return run_circuit(circuit, "noisy", shots=config.shots,
-                           seed=final_seed, noise=config.noise)
-    return sample_counts(qaoa_state(config.instance, params), config.shots, final_seed)
-
-
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Optimize, run the final circuit, and write the three artifacts."""
     t0 = time.perf_counter()
@@ -347,8 +340,13 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         evals_used = result.evals_used
         total_evals = sum(res.evals_used for res in results)
 
-    counts = _final_counts(config, theta)
-    final_energy = energy_from_counts(counts, config.instance)
+    final = evaluate_qaoa(
+        config.instance, QaoaParams.from_vector(theta),
+        "noisy" if config.mode == "noisy" else "sampled",
+        shots=config.shots, seed=rng.child_seed(config.seed, rng.STREAM_FINAL),
+        noise=config.noise,
+    )
+    counts = final.counts
     max_cut, optima = brute_force_maxcut(config.instance)
     table = cut_value_table(config.instance)
     cuts = {bits: float(table[int(bits, 2)]) for bits in counts.counts}
@@ -363,7 +361,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         "mode": config.mode,
         "status": trace.status,
         "best_energy": best_f,
-        "final_energy": final_energy,
+        "final_energy": final.energy,
         "best_bitstrings": best_bitstrings,
         "max_cut": max_cut,
         "approx_ratio": best_cut / max_cut if max_cut > 0 else 1.0,
@@ -390,62 +388,49 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
 SWEEP_LIMIT = 1000
 
 
+def _axis_label(key: str, j: int, value) -> str:
+    """A cell's name for entry j of a sweep axis; inline noise objects are ``custom<j>``."""
+    if key == "noise" and not isinstance(value, str):
+        return f"custom{j}"
+    return str(value)
+
+
 def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
-    """Cross-product sweep; every cell gets its own derived seed and subdir."""
+    """Cross-product sweep; every cell gets its own derived seed and subdir.
+
+    Each cell is a ``replace`` copy of ``config``, so every cell is
+    checked before the first one runs. A cell names its noise by preset,
+    ``custom<j>`` for the inline object at entry j of the noise axis, or
+    ``custom`` when there is no noise axis.
+    """
     axes = config.sweep or {}
-    levels = [(key, axes[key]) for key in ("p", "method", "noise", "shots") if key in axes]
-    cells: list[dict] = [{}]
+    levels = [(key, axes[key]) for key in _SWEEP_AXES if key in axes]
+    cells: list[dict] = [{}]  # axis -> entry index
     for key, values in levels:
-        cells = [dict(cell, **{key: v}) for cell in cells for v in values]
+        cells = [dict(cell, **{key: j}) for cell in cells for j in range(len(values))]
     if len(cells) > SWEEP_LIMIT:
         raise ConfigError(f"sweep: {len(cells)} cells exceeds the limit of {SWEEP_LIMIT}")
-    # parse every cell before the first one runs, so a bad axis value
-    # fails the sweep before any cell writes artifacts
     cell_configs = []
     for idx, cell in enumerate(cells):
+        changes = {key: axes[key][j] for key, j in cell.items()}
+        if "noise" in changes:
+            changes["noise"] = _resolve_noise(changes["noise"])
         # an empty sweep is the base experiment itself, same seed included
-        if levels:
-            cell_seed = rng.child_seed(config.seed, rng.STREAM_CELL, idx)
-        else:
-            cell_seed = config.seed
-        raw = {
-            "instance": {"inline": {
-                "n": config.instance.n,
-                "edges": [list(e) for e in config.instance.edges],
-                "weights": list(config.instance.weights),
-            }},
-            "p": cell.get("p", config.p),
-            "method": cell.get("method", config.method),
-            "init": list(config.init) if isinstance(config.init, tuple) else config.init,
-            "restarts": config.restarts,
-            "shots": cell.get("shots", config.shots),
-            "mode": config.mode,
-            "noise": cell.get("noise", "none"),
-            "seed": cell_seed,
-            "max_evals": config.max_evals,
-        }
-        if "noise" not in cell:
-            raw["noise"] = {
-                "p1q": config.noise.p1q, "p2q": config.noise.p2q,
-                "p_readout": config.noise.p_readout,
-                "epsilon_coherent": config.noise.epsilon_coherent,
-                "sigma_dephase": config.noise.sigma_dephase,
-                "twirling": config.noise.twirling, "dd": config.noise.dd,
-                "dd_sequence": config.noise.dd_sequence,
-            }
-        cell_configs.append(parse_config(raw))
+        seed = rng.child_seed(config.seed, rng.STREAM_CELL, idx) if levels else config.seed
+        cell_configs.append(replace(config, **changes, seed=seed, sweep=None, out_dir=None))
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for idx, (cell, cell_config) in enumerate(zip(cells, cell_configs)):
-        name_bits = [f"{k}{cell[k]}" for k, _ in levels] or ["single"]
+        labels = {key: _axis_label(key, j, axes[key][j]) for key, j in cell.items()}
+        name_bits = [f"{key}{label}" for key, label in labels.items()] or ["single"]
         cell_dir = out / ("cell_%03d_%s" % (idx, "_".join(name_bits)))
         artifacts = run_experiment(cell_config, cell_dir)
         row = {
             "cell": idx,
             "p": cell_config.p,
             "method": cell_config.method,
-            "noise": cell.get("noise", "custom"),
+            "noise": labels.get("noise", "custom"),
             "shots": cell_config.shots,
             "seed": cell_config.seed,
             "f_best": artifacts.summary["best_energy"],

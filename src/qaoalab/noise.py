@@ -49,7 +49,11 @@ class NoiseConfig:
     one-/two-qubit gate. p_readout: independent per-bit flip probability.
     epsilon_coherent: ZZ over-rotation angle appended after every CNOT.
     sigma_dephase: std-dev of the per-shot, per-qubit quasi-static
-    dephasing rate applied over idle time.
+    dephasing rate applied over idle time. In the ASAP schedule, a
+    qubit's idle time is kicked as one RZ just before the next op on
+    that qubit, whatever that op's duration; idle time after a qubit's
+    last op is trailing and kicked at the end of the circuit. A DELAY op
+    is idle time too, kicked right after it.
     """
 
     p1q: float = 0.0
@@ -336,22 +340,21 @@ def apply_trajectory_noise(
     gen = rng.generator(seed, rng.STREAM_TRAJECTORY, shot_index)
     deltas = gen.normal(0.0, config.sigma_dephase, size=circuit.n) if dephasing else None
 
-    # Map each op to the idle time immediately preceding it on its qubits,
-    # plus any trailing idle, from the ASAP schedule.
+    # Map each op to the idle time just before it on each of its qubits,
+    # whatever the op's duration, plus each qubit's trailing idle time,
+    # from the ASAP schedule.
     idle_before: dict[int, list[tuple[int, float]]] = {}
     trailing: list[tuple[int, float]] = []
     if dephasing:
         timeline = schedule_circuit(circuit, "asap")
-        for q in range(circuit.n):
-            intervals = timeline.qubits[q]
-            for j, iv in enumerate(intervals):
-                if iv.op_index is not None:
-                    continue
-                if j + 1 < len(intervals):
-                    nxt = intervals[j + 1].op_index
-                    idle_before.setdefault(nxt, []).append((q, iv.end - iv.start))
-                else:
-                    trailing.append((q, iv.end - iv.start))
+        ready = [0.0] * circuit.n
+        for idx, (op, start) in enumerate(zip(circuit.ops, timeline.starts)):
+            for q in sorted(op.qubits):
+                if start > ready[q]:
+                    idle_before.setdefault(idx, []).append((q, start - ready[q]))
+                ready[q] = start + op.duration
+        trailing = [(q, timeline.makespan - t) for q, t in enumerate(ready)
+                    if timeline.makespan > t]
 
     eps = config.epsilon_coherent
     ops: list[GateOp] = []

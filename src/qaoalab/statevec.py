@@ -5,9 +5,11 @@ index, so the leftmost character of a measured bitstring is qubit 0 and
 therefore node 0 of the graph module. Qubit q's bit of index ``i`` is
 ``(i >> (n - 1 - q)) & 1``.
 
-Gates are value objects (GateOp); the engine is a plain loop over ops
-with cached index tables per (n, qubit) so repeated trajectory runs pay
-no setup cost.
+Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
+gate to every row of a (rows, 2^n) array; ``simulate_ops`` and
+``apply_gate`` run it on one row and the noisy trajectory engine on a
+row per shot. Index tables are cached per (n, qubit), so repeated runs
+pay no setup cost.
 """
 
 from __future__ import annotations
@@ -117,14 +119,18 @@ def _y_phase(n: int, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _apply_dense_1q(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
-    left = 1 << q
-    right = 1 << (n - 1 - q)
-    return np.einsum("ab,ibj->iaj", mat, amps.reshape(left, 2, right)).reshape(-1)
+def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
+    """Apply one op to every row of a C-ordered (rows, 2^n) array.
 
-
-def _apply(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
-    """Apply one op to an exclusively owned buffer; may mutate or replace it."""
+    Returns a new array, or ``amps`` itself for DELAY. Each row gets the
+    same floating-point operations whatever the number of rows, so a
+    batch of trajectories gives, bit for bit, the amplitudes of running
+    each row alone. Results stay C-ordered (``np.take`` rather than
+    ``amps[:, perm]``, which returns Fortran order), so a multiply by a
+    broadcast (2^n,) vector runs row by row: numpy's complex multiply can
+    round the last bit differently when it instead runs along a column
+    against one broadcast scalar.
+    """
     kind = op.kind
     if kind == "RZ":
         q = op.qubits[0]
@@ -132,19 +138,26 @@ def _apply(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
         return amps * np.where(_bit_values(n, q) == 1, w, w.conjugate())
     if kind == "CNOT":
         c, t = op.qubits
-        return amps[_cnot_perm(n, c, t)]
-    if kind == "H":
-        return _apply_dense_1q(amps, n, op.qubits[0], _H)
-    if kind == "RX":
-        half = 0.5 * op.angle
-        mat = np.array(
-            [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
-        )
-        return _apply_dense_1q(amps, n, op.qubits[0], mat)
+        return np.take(amps, _cnot_perm(n, c, t), axis=1)
+    if kind in ("H", "RX"):
+        if kind == "H":
+            mat = _H
+        else:
+            half = 0.5 * op.angle
+            mat = np.array(
+                [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
+            )
+        q = op.qubits[0]
+        bit = _bit_values(n, q)
+        # out[i] = mat[b, b] * a[i] + mat[b, 1 - b] * a[i ^ mask] for b the
+        # qubit's bit of i. Every entry of mat is real or imaginary, so each
+        # product is one rounding per component however numpy multiplies
+        # complex numbers.
+        return amps * mat[bit, bit] + np.take(amps, _x_perm(n, q), axis=1) * mat[bit, 1 - bit]
     if kind == "X":
-        return amps[_x_perm(n, op.qubits[0])]
+        return np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
     if kind == "Y":
-        return amps[_x_perm(n, op.qubits[0])] * _y_phase(n, op.qubits[0])
+        return np.take(amps, _x_perm(n, op.qubits[0]), axis=1) * _y_phase(n, op.qubits[0])
     if kind == "Z":
         sign = np.where(_bit_values(n, op.qubits[0]) == 1, -1.0, 1.0)
         return amps * sign
@@ -176,17 +189,17 @@ def _validate_gate(n: int, op: GateOp) -> None:
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Validated single-gate application; returns a new StateVector."""
     _validate_gate(state.n, op)
-    return StateVector(state.n, _apply(state.amplitudes.copy(), state.n, op))
+    return StateVector(state.n, apply_rows(state.amplitudes.copy()[None], state.n, op)[0])
 
 
 def simulate_ops(n: int, ops) -> StateVector:
     """Run a gate sequence on |0...0>; validates every op."""
     state = zero_state(n)
-    amps = state.amplitudes
+    amps = state.amplitudes[None]
     for op in ops:
         _validate_gate(n, op)
-        amps = _apply(amps, n, op)
-    state.amplitudes = amps
+        amps = apply_rows(amps, n, op)
+    state.amplitudes = amps[0]
     return state
 
 

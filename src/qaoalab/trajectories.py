@@ -2,8 +2,9 @@
 
 ``sample`` is the engine behind ``noise.sample_noisy``. It simulates a
 (rows, 2^n) complex array, one row per shot of a chunk: each gate of the
-base circuit is applied once to every row, with the coherent ZZ error
-folded into each CNOT, and between those gates each row gets its own
+base circuit is applied once to every row by ``statevec.apply_rows``, the
+kernel ``simulate_ops`` runs too, with the coherent ZZ error folded into
+each CNOT, and between those gates each row gets its own
 twirl and error Paulis and dephasing phases. Each shot still draws from
 its substreams exactly as ``twirl_circuit``, ``apply_trajectory_noise``
 and ``apply_readout_error`` do, and every row's amplitudes equal, bit for
@@ -26,13 +27,11 @@ from . import rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .noise import _TWIRL_TABLE, NoiseConfig
 from .statevec import (
-    _H,
     Counts,
     GateOp,
     _bit_values,
     _cnot_perm,
-    _x_perm,
-    _y_phase,
+    apply_rows,
     counts_from_tally,
     zero_state,
 )
@@ -183,38 +182,30 @@ def _replay_errors(bitgen, p: np.ndarray, bound: np.ndarray):
 def _idle_kicks(entries, present: np.ndarray, n: int) -> list:
     """Idle time that trajectory noise turns into dephasing kicks, per row.
 
-    Replays the ASAP schedule and interval walk of
-    ``apply_trajectory_noise`` on each row's own twirled circuit (row r
-    holds the entries with ``present[r]``; an entry needs ``qubits`` and
-    ``duration``). Returns (entry index, qubit, duration per row) in
-    application order, with entry index ``len(entries)`` for trailing
-    idle time. An idle interval goes to the busy interval right after it
-    on its qubit; one followed by another idle interval (as behind a
-    zero-duration op) is dropped, and one that ends its qubit's timeline
-    is trailing.
+    Replays the ASAP schedule of ``apply_trajectory_noise`` on each row's
+    own twirled circuit (row r holds the entries with ``present[r]``; an
+    entry needs ``qubits`` and ``duration``). Returns (entry index, qubit,
+    duration per row) in application order, with entry index
+    ``len(entries)`` for trailing idle time. As ``NoiseConfig`` states,
+    idle time goes to the next op on its qubit, whatever that op's
+    duration, and idle time after a qubit's last op is trailing.
     """
     rows = present.shape[0]
     ready = np.zeros((rows, n))
-    pending = np.zeros((rows, n))
     makespan = np.zeros(rows)
     kicks = []
     for k, entry in enumerate(entries):
         here = present[:, k]
         start = ready[:, list(entry.qubits)].max(axis=1)
         end = start + entry.duration
-        busy = here & (end > start)
         for q in sorted(entry.qubits):
-            gap = start - ready[:, q]
-            pending[:, q] = np.where(here & (gap > 0), gap, pending[:, q])
-            dur = np.where(busy, pending[:, q], 0.0)
+            dur = np.where(here, start - ready[:, q], 0.0)
             if dur.any():
                 kicks.append((k, q, dur))
-            pending[:, q] = np.where(busy, 0.0, pending[:, q])
             ready[:, q] = np.where(here, end, ready[:, q])
         makespan = np.where(here, np.maximum(makespan, end), makespan)
     for q in range(n):
-        tail = makespan - ready[:, q]
-        dur = np.where(tail > 0, tail, pending[:, q])
+        dur = makespan - ready[:, q]
         if dur.any():
             kicks.append((len(entries), q, dur))
     return kicks
@@ -380,53 +371,6 @@ def _chunk_steps(entries: list[_Entry], config: NoiseConfig, seed: int,
         else:
             out.append(step)
     return out
-
-
-def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
-    """``statevec._apply`` on every row of a C-ordered (rows, 2^n) array, bit for bit.
-
-    Each row gets exactly the floating-point operations ``_apply`` would
-    perform on it alone, so a batch of trajectories reproduces the
-    single-state engine's amplitudes exactly. Results stay C-ordered
-    (``np.take`` rather than ``amps[:, perm]``, which returns Fortran
-    order), so a multiply by a broadcast (2^n,) vector runs row by row,
-    like ``_apply``'s: numpy's complex multiply can round the last bit
-    differently when it instead runs along a column against one
-    broadcast scalar.
-    """
-    kind = op.kind
-    if kind == "RZ":
-        q = op.qubits[0]
-        w = np.exp(0.5j * op.angle)
-        return amps * np.where(_bit_values(n, q) == 1, w, w.conjugate())
-    if kind == "CNOT":
-        c, t = op.qubits
-        return np.take(amps, _cnot_perm(n, c, t), axis=1)
-    if kind in ("H", "RX"):
-        if kind == "H":
-            mat = _H
-        else:
-            half = 0.5 * op.angle
-            mat = np.array(
-                [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
-            )
-        q = op.qubits[0]
-        bit = _bit_values(n, q)
-        # out[i] = mat[b, b] * a[i] + mat[b, 1 - b] * a[i ^ mask] for b the
-        # qubit's bit of i: the two products einsum sums in statevec._apply_dense_1q.
-        # Every entry of mat is real or imaginary, so each product is one
-        # rounding per component however numpy multiplies complex numbers.
-        return amps * mat[bit, bit] + np.take(amps, _x_perm(n, q), axis=1) * mat[bit, 1 - bit]
-    if kind == "X":
-        return np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
-    if kind == "Y":
-        return np.take(amps, _x_perm(n, op.qubits[0]), axis=1) * _y_phase(n, op.qubits[0])
-    if kind == "Z":
-        sign = np.where(_bit_values(n, op.qubits[0]) == 1, -1.0, 1.0)
-        return amps * sign
-    if kind == "DELAY":
-        return amps
-    raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def _run_rows(n: int, steps: list, rows: int, epsilon: float) -> np.ndarray:

@@ -46,18 +46,21 @@ def canonical():
 def grid_p1(canonical):
     """Exhaustive 100x100 exact-energy grid over (gamma, beta) at p=1.
 
-    Returns (min energy, argmin gamma, argmin beta) with gamma sweeping
-    [0, 2*pi) and beta sweeping [0, pi), endpoints excluded.
+    Returns (energy, gamma, beta) at the grid's minimum, with gamma
+    sweeping [0, 2*pi) and beta sweeping [0, pi), endpoints excluded.
+    The grid has exact symmetric ties, so energies within 1e-12 of the
+    minimum count as equal and the lowest grid index (gamma outer, beta
+    inner) wins: the choice does not hang on the last bit of an energy.
     """
-    best = (math.inf, None, None)
-    for i in range(100):
-        gamma = 2.0 * math.pi * i / 100
-        for j in range(100):
-            beta = math.pi * j / 100
-            e = evaluate_qaoa(canonical, QaoaParams((beta,), (gamma,))).energy
-            if e < best[0]:
-                best = (e, gamma, beta)
-    return best
+    points = [
+        (2.0 * math.pi * i / 100, math.pi * j / 100) for i in range(100) for j in range(100)
+    ]
+    energies = [
+        evaluate_qaoa(canonical, QaoaParams((beta,), (gamma,))).energy for gamma, beta in points
+    ]
+    lowest = min(energies)
+    k = next(k for k, e in enumerate(energies) if e <= lowest + 1e-12)
+    return (energies[k], *points[k])
 
 
 @pytest.fixture(scope="session")

@@ -75,6 +75,11 @@ def test_unknown_nested_fields_are_named():
         ({"p": 3, "max_evals": 5}, "max_evals"),
         ({"sweep": {"noise": ["none", "ibm-bounds"]}}, "sweep.noise"),
         ({"mode": "sampled", "sweep": {"noise": ["none"]}}, "sweep.noise"),
+        ({"p": 1, "init": [math.nan, True]}, "^init: "),
+        ({"p": 1, "init": [0.5, True]}, "^init: "),
+        ({"p": 1, "init": ["0.5", 1]}, "^init: "),
+        ({"p": 1, "init": [math.inf, 0]}, "^init: "),
+        ({"p": 1, "init": [0.3, -math.inf]}, "^init: "),
     ],
 )
 def test_invalid_values_name_the_field(raw, needle):
@@ -305,6 +310,28 @@ def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, raw, needle):
     with pytest.raises(ConfigError, match=needle):
         run_sweep(config, out_dir=tmp_path / "out")
     assert not list(tmp_path.rglob("cell_*"))
+
+
+def test_cli_sweep_labels_inline_noise_objects(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "p": 1, "mode": "noisy", "shots": 16, "max_evals": 4, "seed": 3,
+        "sweep": {"noise": ["none", "ibm-bounds", {"sigma_dephase": 0.2, "dd": True}]},
+    }))
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    names = sorted(d.name for d in out.glob("cell_*"))
+    assert names == ["cell_000_noisenone", "cell_001_noiseibm-bounds", "cell_002_noisecustom2"]
+    assert not any(c in name for name in names for c in "{}'\" ")
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [row["noise"] for row in csv.DictReader(fh)] == ["none", "ibm-bounds", "custom2"]
+    assert "noise=custom2" in printed
+
+
+def test_sweep_without_noise_axis_labels_noise_custom(tmp_path):
+    config = parse_config({"p": 0, "shots": 16, "sweep": {"shots": [8]}})
+    assert [row["noise"] for row in run_sweep(config, out_dir=tmp_path)] == ["custom"]
 
 
 def test_best_bitstrings_use_weighted_cut_values(tmp_path):

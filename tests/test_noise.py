@@ -396,6 +396,41 @@ def test_trajectory_dephasing_targets_idle_time():
     assert added[0].kind == "RZ" and added[0].qubits == (1,) and added[0].duration == 0.0
 
 
+@pytest.mark.parametrize("cnot_duration", [0.0, 1.0])
+def test_dephasing_kick_precedes_the_next_op_whatever_its_duration(cnot_duration):
+    # q1 idles until the CNOT starts at t=2; its kick goes just before the
+    # CNOT, also when the CNOT takes no time. q0 idles after the CNOT.
+    circuit = Circuit(2, (
+        GateOp("H", (0,), None, 2.0),
+        GateOp("CNOT", (0, 1), None, cnot_duration),
+        GateOp("H", (1,), None, 1.0),
+    ))
+    noisy = apply_trajectory_noise(circuit, NoiseConfig(sigma_dephase=0.5), 0, 9)
+    assert [(op.kind, op.qubits) for op in noisy.ops] == [
+        ("H", (0,)), ("RZ", (1,)), ("CNOT", (0, 1)), ("H", (1,)), ("RZ", (0,)),
+    ]
+    delta = rng.generator(9, rng.STREAM_TRAJECTORY, 0).normal(0.0, 0.5, size=2)
+    assert noisy.ops[1].angle == 2.0 * delta[1] * 2.0
+    assert noisy.ops[4].angle == 2.0 * delta[0] * 1.0
+
+
+def test_sampled_dephasing_kick_precedes_a_zero_duration_cnot():
+    # Kicked before the CNOT, q1's random phase entangles the qubits and
+    # the final H on q0 reads 1 in about 43% of shots; kicked after the
+    # CNOT, it would leave q0 in |+> and the H would always read 0.
+    circuit = Circuit(2, (
+        GateOp("H", (0,), None, 2.0),
+        GateOp("H", (1,), None, 1.0),
+        GateOp("CNOT", (0, 1), None, 0.0),
+        GateOp("H", (0,), None, 1.0),
+        GateOp("H", (1,), None, 1.0),
+    ))
+    config = NoiseConfig(sigma_dephase=1.0)
+    counts = sample_noisy(circuit, config, 256, seed=4)
+    assert counts.counts == reference_sample_noisy(circuit, config, 256, 4).counts
+    assert sum(c for bits, c in counts.counts.items() if bits[0] == "1") > 64
+
+
 def test_trajectory_deterministic_per_shot(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
     config = NoiseConfig(p1q=0.2, p2q=0.2, sigma_dephase=0.1)
