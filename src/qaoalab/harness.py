@@ -127,14 +127,19 @@ class ExperimentConfig:
             raise ConfigError(f"shots: must be a positive integer, got {self.shots!r}")
         if self.mode not in RUN_MODES:
             raise ConfigError(f"mode: must be one of {RUN_MODES}, got {self.mode!r}")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed: must be an integer, got {self.seed!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            # the RNG keeps a seed's low 64 bits, so no other seed is told apart
+            raise ConfigError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
         max_evals = self.max_evals
         if max_evals is not None and (not _is_int(max_evals) or max_evals < 1):
             raise ConfigError(f"max_evals: must be a positive integer, got {max_evals!r}")
         if max_evals is not None and max_evals < 2 * p:
             raise ConfigError(
                 f"max_evals: {max_evals} cannot cover one pass over the 2*p = {2 * p} angles"
+            )
+        if self.mode != "noisy" and self.noise != NoiseConfig():
+            raise ConfigError(
+                f"noise: mode {self.mode!r} never samples noise; set noise in mode 'noisy'"
             )
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir: must be a string path, got {self.out_dir!r}")
@@ -329,7 +334,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
                 config.instance, config.p, config.mode,
                 shots=config.shots,
                 seed=rng.child_seed(config.seed, rng.STREAM_EVAL, r),
-                noise=config.noise if config.mode == "noisy" else None,
+                noise=config.noise,
             )
             problem = MinimizeProblem(objective, x0, max_evals=config.max_evals)
             results.append(minimize(config.method, problem))

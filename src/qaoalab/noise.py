@@ -4,10 +4,11 @@ Noise is simulated as per-shot pure-state trajectories: each shot draws
 its own twirl, stochastic Pauli insertions, quasi-static dephasing
 rates, and readout flips, all from substreams keyed by (seed, stream,
 shot). Inserted error ops carry zero duration so they never perturb
-timing. twirl_circuit, apply_trajectory_noise and apply_readout_error
-build one shot's realization; sample_noisy runs all the shots of a call
-together through qaoalab.trajectories and gets the same amplitudes, bit
-for bit, as simulating every shot's circuit on its own.
+timing. This module makes no random draw: qaoalab.trajectories makes
+them all. sample_noisy runs all the shots of a call together there, and
+twirl_circuit, apply_trajectory_noise and apply_readout_error render one
+shot of the same draws, as a circuit or as flipped bits; simulating
+each shot's circuit on its own gives the same amplitudes, bit for bit.
 
 Mitigation passes rewrite circuits:
   * twirl_circuit wraps every CNOT in a random Pauli pair and its
@@ -29,9 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
-from .statevec import Counts, GateOp, _validate_gate, check_shots
+from .statevec import Counts, GateOp, _validate_gate, check_shots, counts_from_tally
 
 PAULI_KINDS = ("X", "Y", "Z")
 
@@ -91,76 +91,18 @@ class NoiseConfig:
 # ---------------------------------------------------------------------------
 
 
-def _build_twirl_table() -> dict[tuple[int, int], tuple[int, int]]:
-    """For each Pauli pair P, the pair Q with CNOT (P kron P') CNOT = +/- Q.
-
-    Computed numerically once; Pauli ids are 0..3 for I, X, Y, Z with the
-    control qubit first in the kron product. Signs are dropped: the
-    conjugated pair equals the original conjugation up to global phase.
-    """
-    paulis = (
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    )
-    cnot = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in range(4):
-        for b in range(4):
-            m = cnot @ np.kron(paulis[a], paulis[b]) @ cnot
-            for c in range(4):
-                for d in range(4):
-                    cand = np.kron(paulis[c], paulis[d])
-                    if np.allclose(m, cand) or np.allclose(m, -cand):
-                        table[(a, b)] = (c, d)
-                        break
-                else:
-                    continue
-                break
-            else:
-                raise AssertionError(f"no Pauli image for pair ({a}, {b})")
-    return table
-
-
-_TWIRL_TABLE = _build_twirl_table()
-_PAULI_BY_ID = {1: "X", 2: "Y", 3: "Z"}
-
-
 def twirl_circuit(circuit: Circuit, seed: int) -> Circuit:
     """Wrap every CNOT in a random Pauli pair and its conjugation image.
 
     The sandwich leaves each CNOT's ideal action unchanged (up to global
     phase) while randomizing the sign of coherent errors attached to it.
     A circuit with no CNOTs is returned unchanged. Deterministic in
-    (circuit, seed).
+    (circuit, seed): ``sample_noisy`` twirls each shot this way, from a
+    twirl seed of the shot's own (see ``trajectories.realize``).
     """
-    n_cnots = sum(1 for op in circuit.ops if op.kind == "CNOT")
-    if n_cnots == 0:
-        return circuit
-    draws = rng.generator(seed, rng.STREAM_TWIRL).integers(0, 16, size=n_cnots)
-    ops: list[GateOp] = []
-    i = 0
-    for op in circuit.ops:
-        if op.kind != "CNOT":
-            ops.append(op)
-            continue
-        a, b = int(draws[i]) >> 2, int(draws[i]) & 3
-        c, d = _TWIRL_TABLE[(a, b)]
-        i += 1
-        control, target = op.qubits
-        if a:
-            ops.append(GateOp(_PAULI_BY_ID[a], (control,), None, ONE_QUBIT_DURATION))
-        if b:
-            ops.append(GateOp(_PAULI_BY_ID[b], (target,), None, ONE_QUBIT_DURATION))
-        ops.append(op)
-        if c:
-            ops.append(GateOp(_PAULI_BY_ID[c], (control,), None, ONE_QUBIT_DURATION))
-        if d:
-            ops.append(GateOp(_PAULI_BY_ID[d], (target,), None, ONE_QUBIT_DURATION))
-    return Circuit(circuit.n, tuple(ops))
+    from . import trajectories  # loaded on first use
+
+    return trajectories.realize(circuit, NoiseConfig(), 0, 0, twirl_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +261,6 @@ def insert_dd(circuit: Circuit, timeline: Timeline, sequence: str = "XpXm") -> C
 # trajectory noise
 # ---------------------------------------------------------------------------
 
-# the 15 non-identity Pauli pairs are indexed 1..15 as (idx >> 2, idx & 3)
-
 
 def apply_trajectory_noise(
     circuit: Circuit, config: NoiseConfig, shot_index: int, seed: int
@@ -331,63 +271,11 @@ def apply_trajectory_noise(
     per gate in op order, so the result is a pure function of
     (circuit, config, shot_index, seed). Inserted ops carry duration 0.
     DELAY ops receive dephasing (they are idle time) but no gate noise.
+    The config's twirling, dd and p_readout play no part here.
     """
-    stochastic = config.p1q > 0 or config.p2q > 0
-    dephasing = config.sigma_dephase > 0
-    coherent = config.epsilon_coherent != 0.0
-    if not (stochastic or dephasing or coherent):
-        return circuit
-    gen = rng.generator(seed, rng.STREAM_TRAJECTORY, shot_index)
-    deltas = gen.normal(0.0, config.sigma_dephase, size=circuit.n) if dephasing else None
+    from . import trajectories  # loaded on first use
 
-    # Map each op to the idle time just before it on each of its qubits,
-    # whatever the op's duration, plus each qubit's trailing idle time,
-    # from the ASAP schedule.
-    idle_before: dict[int, list[tuple[int, float]]] = {}
-    trailing: list[tuple[int, float]] = []
-    if dephasing:
-        timeline = schedule_circuit(circuit, "asap")
-        ready = [0.0] * circuit.n
-        for idx, (op, start) in enumerate(zip(circuit.ops, timeline.starts)):
-            for q in sorted(op.qubits):
-                if start > ready[q]:
-                    idle_before.setdefault(idx, []).append((q, start - ready[q]))
-                ready[q] = start + op.duration
-        trailing = [(q, timeline.makespan - t) for q, t in enumerate(ready)
-                    if timeline.makespan > t]
-
-    eps = config.epsilon_coherent
-    ops: list[GateOp] = []
-    for idx, op in enumerate(circuit.ops):
-        for q, dur in idle_before.get(idx, ()):
-            ops.append(GateOp("RZ", (q,), 2.0 * deltas[q] * dur, 0.0))
-        ops.append(op)
-        if op.kind == "DELAY":
-            if dephasing and op.duration > 0:
-                q = op.qubits[0]
-                ops.append(GateOp("RZ", (q,), 2.0 * deltas[q] * op.duration, 0.0))
-            continue
-        if op.kind == "CNOT":
-            if coherent:
-                u, v = op.qubits
-                ops.append(GateOp("CNOT", (u, v), None, 0.0))
-                ops.append(GateOp("RZ", (v,), 2.0 * eps, 0.0))
-                ops.append(GateOp("CNOT", (u, v), None, 0.0))
-            if config.p2q > 0 and gen.random() < config.p2q:
-                pick = int(gen.integers(1, 16))
-                a, b = pick >> 2, pick & 3
-                u, v = op.qubits
-                if a:
-                    ops.append(GateOp(_PAULI_BY_ID[a], (u,), None, 0.0))
-                if b:
-                    ops.append(GateOp(_PAULI_BY_ID[b], (v,), None, 0.0))
-        else:
-            if config.p1q > 0 and gen.random() < config.p1q:
-                pick = int(gen.integers(0, 3))
-                ops.append(GateOp(PAULI_KINDS[pick], op.qubits, None, 0.0))
-    for q, dur in trailing:
-        ops.append(GateOp("RZ", (q,), 2.0 * deltas[q] * dur, 0.0))
-    return Circuit(circuit.n, tuple(ops))
+    return trajectories.realize(circuit, config, shot_index, seed)
 
 
 def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int) -> str:
@@ -396,11 +284,11 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
         raise ValueError(f"p_readout must be in [0, 1], got {p_readout!r}")
     if p_readout == 0.0:
         return bits
-    flips = rng.generator(seed, rng.STREAM_READOUT, shot_index).random(len(bits))
-    return "".join(
-        ("1" if b == "0" else "0") if f < p_readout else b
-        for b, f in zip(bits, flips)
-    )
+    from . import trajectories  # loaded on first use
+
+    flips = trajectories._readout_flips(
+        trajectories._Substreams(), seed, shot_index, len(bits), p_readout)[0]
+    return "".join(("1" if b == "0" else "0") if f else b for b, f in zip(bits, flips))
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +296,9 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
 # ---------------------------------------------------------------------------
 
 
-def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
-    """Monte Carlo counts under the full noise-and-mitigation pipeline.
-
-    Per shot: (optional DD insertion, done once), optional fresh twirl,
-    trajectory noise realization, statevector run, one measurement draw,
-    optional readout flips. Shot i uses only draw i of each substream, so
-    the counts equal those of running each shot's circuit from
-    ``twirl_circuit`` and ``apply_trajectory_noise`` through
-    ``simulate_ops``, then ``apply_readout_error``. The shots run
-    together as one (shots, 2^n) array (see ``qaoalab.trajectories``).
-    """
+def sample_noisy_tally(circuit: Circuit, config: NoiseConfig, shots: int,
+                       seed: int) -> np.ndarray:
+    """``sample_noisy`` as a basis-index tally of length 2^n, before formatting."""
     from . import trajectories  # loaded on first use
 
     check_shots(shots)
@@ -428,3 +308,18 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     for op in base.ops:
         _validate_gate(base.n, op)
     return trajectories.sample(base, config, shots, seed)
+
+
+def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
+    """Monte Carlo counts under the full noise-and-mitigation pipeline.
+
+    Per shot: (optional DD insertion, done once), optional fresh twirl,
+    trajectory noise realization, statevector run, one measurement draw,
+    optional readout flips. Shot i uses only draw i of each substream.
+    ``qaoalab.trajectories`` makes every draw and runs the shots together
+    as one (shots, 2^n) array; the counts equal those of running each
+    shot's circuit from ``twirl_circuit`` (at the shot's twirl seed) and
+    ``apply_trajectory_noise`` through ``simulate_ops``, then
+    ``apply_readout_error``.
+    """
+    return counts_from_tally(sample_noisy_tally(circuit, config, shots, seed), circuit.n)

@@ -13,8 +13,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .ansatz import QaoaParams, build_qaoa_circuit, qaoa_state, run_circuit
+from .ansatz import RUN_MODES, QaoaParams, build_qaoa_circuit, qaoa_state
 from .graph import MaxCutInstance, cut_value_table
+from .noise import sample_noisy_tally
 from .statevec import Counts, counts_from_tally, expectation_cut, sample_tally
 
 
@@ -46,16 +47,16 @@ class OptimizationTrace:
 class EnergySample:
     """One objective evaluation; counts is None for exact evaluations.
 
-    A sampled evaluation keeps the basis-index tally it was scored from
-    and formats it as ``Counts`` only when ``counts`` is first read.
+    A sampled or noisy evaluation keeps the basis-index tally it was
+    scored from and formats it as ``Counts`` only when ``counts`` is
+    first read.
     """
 
-    def __init__(self, energy: float, shots: int, counts: Counts | None = None,
-                 *, tally: np.ndarray | None = None):
+    def __init__(self, energy: float, shots: int, *, tally: np.ndarray | None = None):
         self.energy = energy
         self.shots = shots
         self.tally = tally
-        self._counts = counts
+        self._counts: Counts | None = None
 
     @property
     def counts(self) -> Counts | None:
@@ -109,24 +110,26 @@ def evaluate_qaoa(
     """Prepare, run, and score the state for ``params``.
 
     Exact mode returns the exact expectation (shots reported as 0);
-    sampled and noisy modes estimate it from measured shots. Sampled mode
-    scores the basis-index tally directly and formats no bitstring unless
+    sampled and noisy modes estimate it from measured shots. Both score
+    the basis-index tally directly and format no bitstring unless
     ``counts`` is read. Only noisy mode builds the gate list; the others
     use the gate-free ``qaoa_state``.
     """
+    if mode not in RUN_MODES:
+        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
     if mode == "exact":
         state = qaoa_state(instance, params)
-        sample = EnergySample(-expectation_cut(state, instance), 0, None)
+        sample = EnergySample(-expectation_cut(state, instance), 0)
     else:
+        if shots is None or seed is None:
+            raise ValueError(f"mode {mode!r} requires shots and seed")
         if mode == "sampled":
-            if shots is None or seed is None:
-                raise ValueError("mode 'sampled' requires shots and seed")
             tally = sample_tally(qaoa_state(instance, params), shots, seed)
-            sample = EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
         else:
-            circuit = build_qaoa_circuit(instance, params)
-            counts = run_circuit(circuit, mode, shots=shots, seed=seed, noise=noise)
-            sample = EnergySample(energy_from_counts(counts, instance), counts.shots, counts)
+            if noise is None:
+                raise ValueError("mode 'noisy' requires a noise config")
+            tally = sample_noisy_tally(build_qaoa_circuit(instance, params), noise, shots, seed)
+        sample = EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
     if trace is not None:
         trace.append(params.to_vector(), sample.energy)
     return sample

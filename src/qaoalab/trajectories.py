@@ -1,19 +1,26 @@
-"""Batched noise trajectories: all the shots of a call as one array.
+"""Per-shot noise: the draws of every shot, and the batched engine that runs them.
 
-``sample`` is the engine behind ``noise.sample_noisy``. It simulates a
-(rows, 2^n) complex array, one row per shot of a chunk: each gate of the
-base circuit is applied once to every row by ``statevec.apply_rows``, the
-kernel ``simulate_ops`` runs too, with the coherent ZZ error folded into
-each CNOT, and between those gates each row gets its own
-twirl and error Paulis and dephasing phases. Each shot still draws from
-its substreams exactly as ``twirl_circuit``, ``apply_trajectory_noise``
-and ``apply_readout_error`` do, and every row's amplitudes equal, bit for
-bit, those of ``simulate_ops`` on that shot's own circuit, so the counts
-are the same. When no shot differs from another before measurement, the
-array has a single row.
+This module is the one place that turns (seed, stream, shot) into twirl
+Paulis, gate errors, dephasing kicks and readout flips. ``_events`` walks
+the layout of a circuit once and draws, for each row (one per shot), its
+twirl from the twirl substream and its dephasing rates and gate errors
+from the trajectory substream. The result is one ordered event list:
+gates every row shares, a Pauli per row, and a dephasing kick per row.
 
-``noise`` imports this module when it first samples, so work that never
-samples with noise does not load it.
+``sample`` is the engine behind ``noise.sample_noisy``. It merges each
+run of Paulis in the event list into one frame per row and simulates a
+(rows, 2^n) complex array, one row per shot of a chunk: each shared gate
+is applied once to every row by ``statevec.apply_rows``, the kernel
+``simulate_ops`` runs too, with the coherent ZZ error folded into each
+CNOT. When no shot differs from another before measurement, the array
+has a single row. ``realize`` renders one row of the same event list as
+a ``Circuit``, which is what ``noise.twirl_circuit`` and
+``noise.apply_trajectory_noise`` return, and ``_readout_flips`` gives
+``noise.apply_readout_error`` its flips. Every row's amplitudes equal,
+bit for bit, those of ``simulate_ops`` on that shot's rendered circuit.
+
+``noise`` imports this module when it first needs it, so work that
+never samples with noise does not load it.
 """
 
 from __future__ import annotations
@@ -25,16 +32,8 @@ import numpy as np
 
 from . import rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
-from .noise import _TWIRL_TABLE, NoiseConfig
-from .statevec import (
-    Counts,
-    GateOp,
-    _bit_values,
-    _cnot_perm,
-    apply_rows,
-    counts_from_tally,
-    zero_state,
-)
+from .noise import PAULI_KINDS, NoiseConfig
+from .statevec import GateOp, _bit_values, _cnot_perm, apply_rows, zero_state
 
 # Bytes of amplitudes simulated at once: a chunk holds this many bytes'
 # worth of shots (1024 at n = 5), and at least one.
@@ -50,10 +49,24 @@ _FRAME_M = np.array([0, 1, 1, 0])
 _FRAME_Z = np.array([0, 0, 1, 1])
 _FRAME_E = np.array([0, 0, 3, 0])
 _UNITS = np.array([1, 1j, -1, -1j])
-# twirl draw v = 4a + b (Paulis before the CNOT) -> 4c + d (after it)
-_TWIRL_IMAGE = np.array(
-    [4 * c + d for c, d in (_TWIRL_TABLE[(v >> 2, v & 3)] for v in range(16))]
-)
+# the Pauli id of bits (m, z): the inverse of _FRAME_M and _FRAME_Z
+_PAULI_ID = np.array([[0, 3], [1, 2]])
+
+
+def _twirl_image() -> np.ndarray:
+    """Twirl draw v = 4a + b (Paulis before the CNOT) -> 4c + d (after it).
+
+    CNOT (P_a kron P_b) CNOT = +-(P_c kron P_d), control first. In Pauli
+    bits, conjugation by a CNOT sets x_target ^= x_control and
+    z_control ^= z_target; the sign is a global phase and is dropped.
+    """
+    control, target = np.arange(16) >> 2, np.arange(16) & 3
+    xc, zc = _FRAME_M[control], _FRAME_Z[control]
+    xt, zt = _FRAME_M[target], _FRAME_Z[target]
+    return 4 * _PAULI_ID[xc, zc ^ zt] + _PAULI_ID[xt ^ xc, zt]
+
+
+_TWIRL_IMAGE = _twirl_image()
 
 
 class _Entry(NamedTuple):
@@ -182,9 +195,9 @@ def _replay_errors(bitgen, p: np.ndarray, bound: np.ndarray):
 def _idle_kicks(entries, present: np.ndarray, n: int) -> list:
     """Idle time that trajectory noise turns into dephasing kicks, per row.
 
-    Replays the ASAP schedule of ``apply_trajectory_noise`` on each row's
-    own twirled circuit (row r holds the entries with ``present[r]``; an
-    entry needs ``qubits`` and ``duration``). Returns (entry index, qubit,
+    Walks the ASAP schedule of each row's own twirled circuit (row r
+    holds the entries with ``present[r]``; an entry needs ``qubits`` and
+    ``duration``). Returns (entry index, qubit,
     duration per row) in application order, with entry index
     ``len(entries)`` for trailing idle time. As ``NoiseConfig`` states,
     idle time goes to the next op on its qubit, whatever that op's
@@ -261,10 +274,13 @@ def _merge_frames(ids: np.ndarray, bits: np.ndarray, starts: list, n: int) -> tu
 
 def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Entry],
                       present: np.ndarray, config: NoiseConfig, n: int):
-    """Each shot's dephasing rates and gate errors, as apply_trajectory_noise draws them.
+    """Each row's dephasing rates and gate errors, from its trajectory key.
 
-    Returns deltas (shots, n) and {entry index: [(row, value), ...]} for
-    the errors, where value is the result of the error's integers() draw.
+    A row draws ``normal(0, sigma_dephase, size=n)`` when dephasing, then
+    one ``random()`` per gate error site of its own circuit, in op order;
+    a hit is followed by the ``integers()`` draw of its Pauli. Returns
+    deltas (rows, n) and {entry index: [(row, value), ...]} for the
+    errors, where value is the result of the error's integers() draw.
     """
     rows = len(keys)
     # one random() per gate, in op order: p2q after a CNOT, p1q after any
@@ -292,29 +308,31 @@ def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Ent
     return deltas, hits
 
 
-def _chunk_steps(entries: list[_Entry], config: NoiseConfig, seed: int,
-                 shots: range, streams: _Substreams, n: int) -> list:
-    """Draw the chunk's shots and lay out what they run, in order.
+def _events(entries: list[_Entry], config: NoiseConfig, twirl_keys, trajectory_keys,
+            streams: _Substreams, n: int) -> list:
+    """Draw each row's twirl and noise and lay out what the rows run, in order.
 
-    Steps are ("op", op) for a gate every row shares, ("frame", (m, z,
-    e)) for per-row Paulis, and ("kick", qubit, angle per row) for
-    dephasing. Consecutive Paulis merge into one frame.
+    Row r draws its twirl from ``twirl_keys[r]`` (needed only when
+    ``entries`` has twirl slots) and its dephasing and gate errors from
+    ``trajectory_keys[r]``. Events are ("op", op) for a gate every row
+    shares; ("pauli", ids, qubit, duration) for one Pauli id per row,
+    0 for none: a twirl Pauli lasts ``ONE_QUBIT_DURATION``, an error
+    Pauli 0; and ("kick", qubit, angle per row) for dephasing, which a
+    single row gets only where it has idle time. A coherent ZZ error is
+    left to whoever runs a CNOT.
     """
-    rows = len(shots)
-    index = np.arange(shots.start, shots.stop)
+    rows = len(trajectory_keys)
     present = np.ones((rows, len(entries)), dtype=bool)
     n_cnots = sum(1 for e in entries if e.slot is not None) // 4
     twirl = None
     if n_cnots:
-        keys = rng.derive_keys(rng.derive_keys(seed, rng.STREAM_TWIRL, index), rng.STREAM_TWIRL)
-        twirl = _twirl_ids(streams, keys, n_cnots)
+        twirl = _twirl_ids(streams, twirl_keys, n_cnots)
         for k, entry in enumerate(entries):
             if entry.slot is not None:
                 present[:, k] = twirl[:, entry.slot] != 0
 
     dephasing = config.sigma_dephase > 0
-    keys = rng.derive_keys(seed, rng.STREAM_TRAJECTORY, index)
-    deltas, hits = _trajectory_draws(streams, keys, entries, present, config, n)
+    deltas, hits = _trajectory_draws(streams, trajectory_keys, entries, present, config, n)
 
     kicks_at: dict[int, list] = {}
     if dephasing:
@@ -325,29 +343,16 @@ def _chunk_steps(entries: list[_Entry], config: NoiseConfig, seed: int,
         for k, q, dur in kicks:
             kicks_at.setdefault(k, []).append(("kick", q, 2.0 * deltas[:, q] * dur))
 
-    # Lay out the steps with every Pauli as an item: a column of ``ids``
-    # on one qubit. Runs of items become frames below.
-    steps: list = []
-    columns: list = []
-    item_qubits: list[int] = []
-    starts: list[int] = []
-
-    def add_item(column, q):
-        if not (steps and steps[-1][0] == "run"):
-            starts.append(len(columns))
-            steps.append(("run", len(starts) - 1))
-        columns.append(column)
-        item_qubits.append(q)
-
+    events: list = []
     for k, entry in enumerate(entries):
-        steps += kicks_at.get(k, ())
+        events += kicks_at.get(k, ())
         if entry.op is None:
-            add_item(twirl[:, entry.slot], entry.qubits[0])
+            events.append(("pauli", twirl[:, entry.slot], entry.qubits[0], entry.duration))
         else:
-            steps.append(("op", entry.op))
+            events.append(("op", entry.op))
             if entry.op.kind == "DELAY" and dephasing and entry.duration > 0:
                 q = entry.qubits[0]
-                steps.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
+                events.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
         if k in hits:
             # both draws pick a non-identity Pauli: 1 + integers(0, 3) on a
             # one-qubit op, divmod(1 + integers(0, 15), 4) on a CNOT
@@ -355,8 +360,38 @@ def _chunk_steps(entries: list[_Entry], config: NoiseConfig, seed: int,
             for r, value in hits[k]:
                 ids[r] = divmod(value + 1, 4) if len(entry.qubits) == 2 else value + 1
             for j, q in enumerate(entry.qubits):
-                add_item(ids[:, j], q)
-    steps += kicks_at.get(len(entries), ())
+                events.append(("pauli", ids[:, j], q, 0.0))
+    events += kicks_at.get(len(entries), ())
+    return events
+
+
+def _chunk_steps(entries: list[_Entry], config: NoiseConfig, seed: int,
+                 shots: range, streams: _Substreams, n: int) -> list:
+    """The events of the chunk's shots, with each run of Paulis as one frame.
+
+    Shot i twirls from ``child_seed(seed, STREAM_TWIRL, i)``, the seed
+    ``realize`` takes as its ``twirl_seed``. Steps are ("op", op),
+    ("frame", (m, z, e)) for per-row Paulis, and the dephasing kicks.
+    """
+    index = np.arange(shots.start, shots.stop)
+    twirl_keys = None
+    if config.twirling:
+        twirl_keys = rng.derive_keys(rng.derive_keys(seed, rng.STREAM_TWIRL, index),
+                                     rng.STREAM_TWIRL)
+    trajectory_keys = rng.derive_keys(seed, rng.STREAM_TRAJECTORY, index)
+    steps: list = []
+    columns: list = []
+    item_qubits: list[int] = []
+    starts: list[int] = []
+    for event in _events(entries, config, twirl_keys, trajectory_keys, streams, n):
+        if event[0] != "pauli":
+            steps.append(event)
+            continue
+        if not (steps and steps[-1][0] == "run"):
+            starts.append(len(columns))
+            steps.append(("run", len(starts) - 1))
+        columns.append(event[1])
+        item_qubits.append(event[2])
     if not columns:
         return steps
 
@@ -371,6 +406,41 @@ def _chunk_steps(entries: list[_Entry], config: NoiseConfig, seed: int,
         else:
             out.append(step)
     return out
+
+
+def realize(circuit: Circuit, config: NoiseConfig, shot: int, seed: int,
+            twirl_seed: int | None = None) -> Circuit:
+    """One row of the event list as a circuit: one shot's realization.
+
+    The row's dephasing and gate errors follow ``config``'s rates, drawn
+    for ``shot`` under ``seed``; it is twirled, from ``twirl_seed``, only
+    when that is given. Inserted ops have duration 0, but for twirl
+    Paulis, and the coherent ZZ error is written after each CNOT as
+    CNOT, RZ(2 epsilon) on the target, CNOT. ``circuit`` itself is
+    returned when nothing is inserted.
+    """
+    entries = _layout(circuit, twirl_seed is not None)
+    twirl_keys = None if twirl_seed is None else [rng.derive_key(twirl_seed, rng.STREAM_TWIRL)]
+    trajectory_keys = [rng.derive_key(seed, rng.STREAM_TRAJECTORY, shot)]
+    eps = config.epsilon_coherent
+    ops: list[GateOp] = []
+    for event in _events(entries, config, twirl_keys, trajectory_keys, _Substreams(), circuit.n):
+        if event[0] == "op":
+            op = event[1]
+            ops.append(op)
+            if op.kind == "CNOT" and eps != 0.0:
+                u, v = op.qubits
+                ops += [GateOp("CNOT", (u, v), None, 0.0), GateOp("RZ", (v,), 2.0 * eps, 0.0),
+                        GateOp("CNOT", (u, v), None, 0.0)]
+        elif event[0] == "pauli":
+            _, ids, q, duration = event
+            if ids[0]:
+                ops.append(GateOp(PAULI_KINDS[ids[0] - 1], (q,), None, duration))
+        else:
+            ops.append(GateOp("RZ", (event[1],), float(event[2][0]), 0.0))
+    if len(ops) == len(circuit.ops):
+        return circuit
+    return Circuit(circuit.n, tuple(ops))
 
 
 def _run_rows(n: int, steps: list, rows: int, epsilon: float) -> np.ndarray:
@@ -428,8 +498,15 @@ def _measure(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(outcome, amps.shape[1] - 1)
 
 
-def sample(base: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
-    """Counts of ``shots`` trajectories of ``base``, a circuit with any DD pulses in it."""
+def _readout_flips(streams: _Substreams, seed: int, index, width: int, p: float) -> np.ndarray:
+    """(shots, width) readout flips: bit j of shot i flips when the j-th
+    ``random()`` of shot i's readout substream is below ``p``."""
+    keys = np.atleast_1d(rng.derive_keys(seed, rng.STREAM_READOUT, index))
+    return _uniforms(streams.raw(keys, width)) < p
+
+
+def sample(base: Circuit, config: NoiseConfig, shots: int, seed: int) -> np.ndarray:
+    """Basis-index tally of ``shots`` trajectories of ``base``, a circuit with any DD pulses in it."""
     n = base.n
     entries = _layout(base, config.twirling)
     per_shot = (
@@ -447,7 +524,6 @@ def sample(base: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
         amps = _run_rows(n, steps, rows, config.epsilon_coherent)
         outcomes[part.start:part.stop] = _measure(amps, u[part.start:part.stop])
     if config.p_readout > 0:
-        keys = rng.derive_keys(seed, rng.STREAM_READOUT, np.arange(shots))
-        flips = _uniforms(streams.raw(keys, n)) < config.p_readout
+        flips = _readout_flips(streams, seed, np.arange(shots), n, config.p_readout)
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))
-    return counts_from_tally(np.bincount(outcomes, minlength=1 << n), n)
+    return np.bincount(outcomes, minlength=1 << n)

@@ -80,6 +80,11 @@ def test_unknown_nested_fields_are_named():
         ({"p": 1, "init": ["0.5", 1]}, "^init: "),
         ({"p": 1, "init": [math.inf, 0]}, "^init: "),
         ({"p": 1, "init": [0.3, -math.inf]}, "^init: "),
+        ({"seed": -1}, "^seed: "),
+        ({"seed": 2**64}, "^seed: "),
+        ({"seed": -2**64}, "^seed: "),
+        ({"noise": "ibm-bounds"}, "^noise: "),
+        ({"mode": "sampled", "noise": {"p_readout": 0.1}}, "^noise: "),
     ],
 )
 def test_invalid_values_name_the_field(raw, needle):
@@ -148,9 +153,9 @@ def test_noise_presets():
     assert (ibm.p1q, ibm.p2q, ibm.p_readout) == (0.005, 0.025, 0.05)
     assert NOISE_PRESETS["coherent-only"].epsilon_coherent == 0.05
     assert NOISE_PRESETS["dephase-only"].sigma_dephase == 0.1
-    config = parse_config({"noise": "ibm-bounds"})
+    config = parse_config({"mode": "noisy", "noise": "ibm-bounds"})
     assert config.noise == ibm
-    custom = parse_config({"noise": {"p2q": 0.1, "twirling": True}})
+    custom = parse_config({"mode": "noisy", "noise": {"p2q": 0.1, "twirling": True}})
     assert custom.noise.p2q == 0.1 and custom.noise.twirling
 
 

@@ -1,6 +1,7 @@
 """Noise channels, twirling, scheduling, decoupling, readout."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qaoalab.noise import (
 from qaoalab.objective import evaluate_qaoa
 from qaoalab.statevec import Counts, GateOp, sample_counts, simulate_ops
 
+import noise_reference
 from conftest import ground_mass
 
 
@@ -45,18 +47,18 @@ def with_dd(circuit: Circuit, config: NoiseConfig) -> Circuit:
 
 
 def shot_circuit(base: Circuit, config: NoiseConfig, shot: int, seed: int) -> Circuit:
-    """One shot's circuit: a fresh twirl, then its trajectory realization."""
+    """One shot's circuit from the reference: a fresh twirl, then its trajectory realization."""
     if config.twirling:
-        base = twirl_circuit(base, rng.child_seed(seed, rng.STREAM_TWIRL, shot))
-    return apply_trajectory_noise(base, config, shot, seed)
+        base = noise_reference.twirl_circuit(base, rng.child_seed(seed, rng.STREAM_TWIRL, shot))
+    return noise_reference.apply_trajectory_noise(base, config, shot, seed)
 
 
 def reference_sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
     """The per-shot pipeline that sample_noisy batches, one shot at a time.
 
-    Each shot builds its own circuit (DD once, then a fresh twirl and a
-    trajectory realization), runs it through the dense simulator, draws
-    one outcome and flips readout bits.
+    Each shot builds its own circuit with ``noise_reference`` (DD once,
+    then a fresh twirl and a trajectory realization), runs it through the
+    dense simulator, draws one outcome and flips readout bits.
     """
     base = with_dd(circuit, config)
     u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
@@ -70,7 +72,7 @@ def reference_sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, se
         outcome = min(outcome, probs.size - 1)
         bits = format(outcome, f"0{width}b")
         if config.p_readout > 0:
-            bits = apply_readout_error(bits, config.p_readout, i, seed)
+            bits = noise_reference.apply_readout_error(bits, config.p_readout, i, seed)
         tally[bits] = tally.get(bits, 0) + 1
     return Counts(dict(sorted(tally.items())), shots)
 
@@ -295,6 +297,23 @@ def test_twirl_inserts_only_pauli_wrappers(canonical, grid_p1):
     assert added
     assert all(op.duration == 1.0 and len(op.qubits) == 1 for op in added)
     assert len(base_kinds) + len(added) == len(twirled.ops)
+
+
+def test_twirl_image_is_the_cnot_conjugation_of_every_pauli_pair():
+    paulis = (
+        np.eye(2),
+        np.array([[0, 1], [1, 0]]),
+        np.array([[0, -1j], [1j, 0]]),
+        np.array([[1, 0], [0, -1]]),
+    )
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    for v in range(16):
+        a, b = v >> 2, v & 3
+        c, d = divmod(int(trajectories._TWIRL_IMAGE[v]), 4)
+        conjugated = cnot @ np.kron(paulis[a], paulis[b]) @ cnot
+        image = np.kron(paulis[c], paulis[d])
+        assert np.allclose(conjugated, image) or np.allclose(conjugated, -image), v
+        assert noise_reference._TWIRL_TABLE[(a, b)] == (c, d)
 
 
 def test_twirl_deterministic_in_seed(canonical, grid_p1):
@@ -601,6 +620,40 @@ noise_configs = st.builds(
 def test_sample_noisy_matches_reference_on_random_circuits(circuit, config, seed):
     expected = reference_sample_noisy(circuit, config, 12, seed)
     assert sample_noisy(circuit, config, 12, seed).counts == expected.counts
+
+
+def assert_views_equal_reference(circuit: Circuit, config: NoiseConfig, shot: int, seed: int):
+    """twirl_circuit, apply_trajectory_noise and apply_readout_error against the reference."""
+    base = with_dd(circuit, config)
+    twirled = noise_reference.twirl_circuit(base, seed)
+    assert twirl_circuit(base, seed).ops == twirled.ops
+    for c in (base, twirled):
+        expected = noise_reference.apply_trajectory_noise(c, config, shot, seed)
+        assert apply_trajectory_noise(c, config, shot, seed).ops == expected.ops
+    # one row with both draws: the circuit sample_noisy runs for this shot
+    twirl_seed = rng.child_seed(seed, rng.STREAM_TWIRL, shot)
+    row = trajectories.realize(base, config, shot, seed, twirl_seed=twirl_seed)
+    assert row.ops == shot_circuit(base, replace(config, twirling=True), shot, seed).ops
+    bits = format((seed + shot) % (1 << circuit.n), f"0{circuit.n}b")
+    for p in (config.p_readout, 0.5):
+        expected = noise_reference.apply_readout_error(bits, p, shot, seed)
+        assert apply_readout_error(bits, p, shot, seed) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_realizations_equal_the_reference_op_for_op(name, n):
+    circuit = mixed_circuit(n, 30, seed=n)
+    for seed in (0, 1, 2):
+        for shot in (0, 1, 7):
+            assert_views_equal_reference(circuit, ORACLE_CONFIGS[name], shot, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=small_circuits(), config=noise_configs, seed=st.integers(0, 2**32),
+       shot=st.integers(0, 1000))
+def test_realizations_equal_the_reference_on_random_circuits(circuit, config, seed, shot):
+    assert_views_equal_reference(circuit, config, shot, seed)
 
 
 @pytest.mark.parametrize("rows", [1, 3])

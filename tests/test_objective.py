@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoalab import objective, statevec
-from qaoalab.ansatz import QaoaParams, qaoa_state
+from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, qaoa_state
 from qaoalab.graph import MaxCutInstance
+from qaoalab.noise import NoiseConfig, sample_noisy
 from qaoalab.objective import (
     OptimizationTrace,
     energy_from_counts,
@@ -145,6 +147,33 @@ def test_sampled_counts_are_built_on_first_read(canonical):
     assert sample.counts == expected
     assert sample.counts is sample.counts
     assert sample.energy == energy_from_counts(expected, canonical)
+
+
+@pytest.mark.parametrize("mode,kwargs,message", [
+    ("approximate", {"shots": 16, "seed": 1},
+     "mode must be one of ('exact', 'sampled', 'noisy'), got 'approximate'"),
+    ("sampled", {"shots": 16}, "mode 'sampled' requires shots and seed"),
+    ("noisy", {"seed": 1, "noise": NoiseConfig()}, "mode 'noisy' requires shots and seed"),
+    ("noisy", {"shots": 16, "seed": 1}, "mode 'noisy' requires a noise config"),
+])
+def test_evaluation_rejects_an_incomplete_mode(canonical, mode, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_qaoa(canonical, QaoaParams((0.3,), (0.9,)), mode, **kwargs)
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseConfig(p1q=0.005, p2q=0.025, p_readout=0.05, twirling=True, dd=True),
+    NoiseConfig(epsilon_coherent=0.05, sigma_dephase=0.1, dd=True, dd_sequence="XY4"),
+])
+def test_noisy_evaluation_scores_the_noisy_counts(canonical, noise):
+    params = QaoaParams((0.3, 1.1), (0.9, 2.0))
+    circuit = build_qaoa_circuit(canonical, params)
+    for seed in range(3):
+        sample = evaluate_qaoa(canonical, params, "noisy", shots=200, seed=seed, noise=noise)
+        counts = sample_noisy(circuit, noise, 200, seed)
+        assert sample.shots == 200
+        assert sample.counts == counts
+        assert sample.energy == energy_from_counts(counts, canonical)
 
 
 def test_sampled_objective_formats_no_bitstring(monkeypatch, canonical):
