@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MaxCutInstance, cut_value_table
-from .statevec import Counts, GateOp, StateVector, sample_counts, simulate_ops
+from .statevec import (Counts, GateOp, StateVector, check_gate, check_qubit_count,
+                       sample_counts, simulate_ops)
 
 ONE_QUBIT_DURATION = 1.0
 TWO_QUBIT_DURATION = 4.0
@@ -66,13 +67,17 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable, hashable gate list on n qubits."""
+    """Immutable, hashable gate list on n qubits; checks n and every op when built."""
 
     n: int
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
+        check_qubit_count(self.n)
+        ops = tuple(self.ops)
+        for op in ops:
+            check_gate(self.n, op)
+        object.__setattr__(self, "ops", ops)
 
 
 def gate_count(n: int, m: int, p: int) -> int:
@@ -80,24 +85,18 @@ def gate_count(n: int, m: int, p: int) -> int:
     return n + p * (3 * m + n)
 
 
-def build_qaoa_circuit(
-    instance: MaxCutInstance,
-    params: QaoaParams,
-    *,
-    one_qubit_duration: float = ONE_QUBIT_DURATION,
-    two_qubit_duration: float = TWO_QUBIT_DURATION,
-) -> Circuit:
+def build_qaoa_circuit(instance: MaxCutInstance, params: QaoaParams) -> Circuit:
     """Construct the depth-p circuit for ``instance`` at ``params``."""
     ops: list[GateOp] = []
     for q in range(instance.n):
-        ops.append(GateOp("H", (q,), None, one_qubit_duration))
+        ops.append(GateOp("H", (q,), None, ONE_QUBIT_DURATION))
     for beta, gamma in zip(params.betas, params.gammas):
         for (u, v), w in zip(instance.edges, instance.weights):
-            ops.append(GateOp("CNOT", (u, v), None, two_qubit_duration))
-            ops.append(GateOp("RZ", (v,), 2.0 * w * gamma, one_qubit_duration))
-            ops.append(GateOp("CNOT", (u, v), None, two_qubit_duration))
+            ops.append(GateOp("CNOT", (u, v), None, TWO_QUBIT_DURATION))
+            ops.append(GateOp("RZ", (v,), 2.0 * w * gamma, ONE_QUBIT_DURATION))
+            ops.append(GateOp("CNOT", (u, v), None, TWO_QUBIT_DURATION))
         for q in range(instance.n):
-            ops.append(GateOp("RX", (q,), 2.0 * beta, one_qubit_duration))
+            ops.append(GateOp("RX", (q,), 2.0 * beta, ONE_QUBIT_DURATION))
     return Circuit(instance.n, tuple(ops))
 
 
@@ -122,6 +121,16 @@ def qaoa_state(instance: MaxCutInstance, params: QaoaParams) -> StateVector:
     return StateVector(n, psi)
 
 
+def check_run_mode(mode: str, shots, seed, noise) -> None:
+    """Reject an unknown mode, or a mode without the inputs it needs."""
+    if mode not in RUN_MODES:
+        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
+    if mode != "exact" and (shots is None or seed is None):
+        raise ValueError(f"mode {mode!r} requires shots and seed")
+    if mode == "noisy" and noise is None:
+        raise ValueError("mode 'noisy' requires a noise config")
+
+
 def run_circuit(
     circuit: Circuit,
     mode: str,
@@ -136,17 +145,11 @@ def run_circuit(
     sampled -> Counts from the noiseless final state (shots, seed required)
     noisy   -> Counts from per-shot noise trajectories (noise config required)
     """
-    if mode not in RUN_MODES:
-        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
+    check_run_mode(mode, shots, seed, noise)
     if mode == "exact":
         return simulate_ops(circuit.n, circuit.ops)
-    if shots is None or seed is None:
-        raise ValueError(f"mode {mode!r} requires shots and seed")
     if mode == "sampled":
-        state = simulate_ops(circuit.n, circuit.ops)
-        return sample_counts(state, shots, seed)
-    if noise is None:
-        raise ValueError("mode 'noisy' requires a noise config")
+        return sample_counts(simulate_ops(circuit.n, circuit.ops), shots, seed)
     from . import noise as noise_mod  # circular at import time only
 
     return noise_mod.sample_noisy(circuit, noise, shots, seed)

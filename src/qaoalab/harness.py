@@ -61,10 +61,6 @@ PAPER_P5_THETA = (
     2.281, 5.962, 1.789, 3.563, 5.646,
 )
 
-_CONFIG_FIELDS = {
-    "version", "instance", "p", "method", "init", "restarts",
-    "shots", "mode", "noise", "seed", "max_evals", "out_dir", "sweep",
-}
 _INSTANCE_FIELDS = {"file", "inline"}
 _INLINE_FIELDS = {"n", "edges", "weights"}
 _NOISE_FIELDS = {f.name for f in fields(NoiseConfig)}
@@ -161,6 +157,9 @@ class ExperimentConfig:
             json.dumps(normalized, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
         object.__setattr__(self, "config_hash", digest)
+
+
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig) if f.init} | {"version"}
 
 
 @dataclass
@@ -447,9 +446,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
         rows.append(row)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(rows[0].keys()) if rows else
-                    ["cell", "p", "method", "noise", "shots", "seed",
-                     "f_best", "approx_ratio", "ground_pair_prob", "evals_used", "status"])
+    writer.writerow(list(rows[0].keys()))
     for row in rows:
         writer.writerow([
             f"{v:.9g}" if isinstance(v, float) else str(v) for v in row.values()

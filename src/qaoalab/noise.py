@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ansatz import ONE_QUBIT_DURATION, Circuit
-from .statevec import Counts, GateOp, _validate_gate, check_shots, counts_from_tally
+from .statevec import Counts, GateOp, check_shots, counts_from_tally
 
 PAULI_KINDS = ("X", "Y", "Z")
 
@@ -196,9 +196,6 @@ def schedule_circuit(circuit: Circuit, policy: str = "asap") -> Timeline:
     """
     if policy not in SCHEDULE_POLICIES:
         raise ValueError(f"policy must be one of {SCHEDULE_POLICIES}, got {policy!r}")
-    for op in circuit.ops:
-        if op.duration is None or op.duration < 0:
-            raise ValueError(f"op {op!r} lacks a usable duration")
     slots = tuple((op.qubits, op.duration) for op in circuit.ops)
     return _schedule_cached(circuit.n, slots, policy)
 
@@ -280,6 +277,8 @@ def apply_trajectory_noise(
 
 def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int) -> str:
     """Flip each measured bit independently with probability p_readout."""
+    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+        raise ValueError(f"bits must be a string of '0' and '1', got {bits!r}")
     if not (0.0 <= p_readout <= 1.0):
         raise ValueError(f"p_readout must be in [0, 1], got {p_readout!r}")
     if p_readout == 0.0:
@@ -302,12 +301,9 @@ def sample_noisy_tally(circuit: Circuit, config: NoiseConfig, shots: int,
     from . import trajectories  # loaded on first use
 
     check_shots(shots)
-    base = circuit
     if config.dd:
-        base = insert_dd(base, schedule_circuit(base, "asap"), config.dd_sequence)
-    for op in base.ops:
-        _validate_gate(base.n, op)
-    return trajectories.sample(base, config, shots, seed)
+        circuit = insert_dd(circuit, schedule_circuit(circuit, "asap"), config.dd_sequence)
+    return trajectories.sample(circuit, config, shots, seed)
 
 
 def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:

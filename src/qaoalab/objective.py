@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import rng
-from .ansatz import RUN_MODES, QaoaParams, build_qaoa_circuit, qaoa_state
+from .ansatz import QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_state
 from .graph import MaxCutInstance, cut_value_table
 from .noise import sample_noisy_tally
 from .statevec import Counts, counts_from_tally, expectation_cut, sample_tally
@@ -115,19 +115,14 @@ def evaluate_qaoa(
     ``counts`` is read. Only noisy mode builds the gate list; the others
     use the gate-free ``qaoa_state``.
     """
-    if mode not in RUN_MODES:
-        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
+    check_run_mode(mode, shots, seed, noise)
     if mode == "exact":
         state = qaoa_state(instance, params)
         sample = EnergySample(-expectation_cut(state, instance), 0)
     else:
-        if shots is None or seed is None:
-            raise ValueError(f"mode {mode!r} requires shots and seed")
         if mode == "sampled":
             tally = sample_tally(qaoa_state(instance, params), shots, seed)
         else:
-            if noise is None:
-                raise ValueError("mode 'noisy' requires a noise config")
             tally = sample_noisy_tally(build_qaoa_circuit(instance, params), noise, shots, seed)
         sample = EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
     if trace is not None:

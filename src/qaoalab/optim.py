@@ -31,6 +31,7 @@ STATUS_BUDGET = "budget_exhausted"
 STATUS_STALLED = "stalled"
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
+_RHO_START, _RHO_END = 0.5, 1e-4  # cobyla's initial and final trust radius
 
 
 @dataclass
@@ -395,11 +396,7 @@ def minimize_cg_fd(problem: MinimizeProblem) -> MinimizeResult:
 # ---------------------------------------------------------------------------
 
 
-def minimize_cobyla_like(
-    problem: MinimizeProblem,
-    rho_start: float = 0.5,
-    rho_end: float = 1e-4,
-) -> MinimizeResult:
+def minimize_cobyla_like(problem: MinimizeProblem) -> MinimizeResult:
     """Linear interpolation model over a d+1 simplex in a trust region.
 
     Fits the exact linear interpolant of the simplex (vertices spaced at
@@ -407,14 +404,12 @@ def minimize_cobyla_like(
     the best vertex: first the full trust radius, then backtracked half
     and quarter steps if the full step fails to achieve a fraction of
     the predicted decrease. Shrinks rho (and rebuilds the simplex) once
-    no step length works; converges at rho_end.
+    no step length works; converges once rho falls to _RHO_END.
     """
-    if not (0 < rho_end < rho_start):
-        raise ValueError("need 0 < rho_end < rho_start")
     trace = OptimizationTrace(method="cobyla")
     rec = _Recorder(problem.objective, problem.max_evals, trace)
     d = problem.x0.size
-    rho = rho_start
+    rho = _RHO_START
 
     def build_simplex(center: np.ndarray, f_center: float):
         # vertex spacing of rho/4 keeps the secant gradient honest: the
@@ -435,7 +430,7 @@ def minimize_cobyla_like(
         f0 = rec(problem.x0)
         xs, fs = build_simplex(problem.x0, f0)
         fresh = True  # was the simplex rebuilt since the last model failure?
-        while rho > rho_end:
+        while rho > _RHO_END:
             best = int(np.argmin(fs))
             x_best, f_best = xs[best], fs[best]
             rows = [i for i in range(d + 1) if i != best]

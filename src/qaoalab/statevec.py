@@ -9,13 +9,16 @@ Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` and
 ``apply_gate`` run it on one row and the noisy trajectory engine on a
 row per shot. Index tables are cached per (n, qubit), so repeated runs
-pay no setup cost.
+pay no setup cost. ``check_gate`` is the one op check, and
+``measure_rows`` the one shot sampler, on the same (rows, 2^n) layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -62,10 +65,15 @@ class Counts:
         return {b: c / self.shots for b, c in self.counts.items()}
 
 
+def check_qubit_count(n) -> None:
+    """Reject anything but an int in 1..MAX_QUBITS (bool is an int subclass)."""
+    if not isinstance(n, int) or isinstance(n, bool) or not (1 <= n <= MAX_QUBITS):
+        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n!r}")
+
+
 def zero_state(n: int) -> StateVector:
     """|0...0> on n qubits."""
-    if not isinstance(n, int) or not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n!r}")
+    check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return StateVector(n, amps)
@@ -78,8 +86,6 @@ def zero_state(n: int) -> StateVector:
 
 @lru_cache(maxsize=512)
 def _bit_values(n: int, q: int) -> np.ndarray:
-    if not (0 <= q < n):
-        raise ValueError(f"qubit {q} out of range for n={n}")
     idx = np.arange(1 << n, dtype=np.int64)
     bits = (idx >> (n - 1 - q)) & 1
     bits.flags.writeable = False
@@ -96,8 +102,6 @@ def _x_perm(n: int, q: int) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
-    if control == target:
-        raise ValueError("CNOT control and target must differ")
     cbit = _bit_values(n, control)
     idx = np.arange(1 << n, dtype=np.int64)
     perm = np.where(cbit == 1, idx ^ (1 << (n - 1 - target)), idx)
@@ -166,13 +170,17 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _validate_gate(n: int, op: GateOp) -> None:
+def check_gate(n: int, op: GateOp) -> None:
+    """The op rules; ``Circuit``, ``simulate_ops`` and ``apply_gate`` run them."""
     if op.kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {op.kind!r}")
     arity = 2 if op.kind in TWO_QUBIT_KINDS else 1
     if len(op.qubits) != arity:
         raise ValueError(f"{op.kind} takes {arity} qubit(s), got {op.qubits!r}")
     for q in op.qubits:
+        # the type test first spares the slow ABC check for plain ints
+        if type(q) is not int and (not isinstance(q, Integral) or isinstance(q, bool)):
+            raise ValueError(f"{op.kind} qubits must be integers, got {op.qubits!r}")
         if not (0 <= q < n):
             raise ValueError(f"qubit {q} out of range for n={n}")
     if len(set(op.qubits)) != len(op.qubits):
@@ -182,13 +190,15 @@ def _validate_gate(n: int, op: GateOp) -> None:
             raise ValueError(f"{op.kind} requires an angle")
     elif op.kind != "DELAY" and op.angle is not None:
         raise ValueError(f"{op.kind} takes no angle")
-    if op.duration is None or op.duration < 0:
-        raise ValueError(f"duration must be a non-negative number, got {op.duration!r}")
+    d = op.duration
+    if (type(d) is not float and (not isinstance(d, Real) or isinstance(d, bool))
+            or not 0 <= d < math.inf):
+        raise ValueError(f"op {op!r} lacks a usable duration: need a finite number >= 0")
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Validated single-gate application; returns a new StateVector."""
-    _validate_gate(state.n, op)
+    check_gate(state.n, op)
     return StateVector(state.n, apply_rows(state.amplitudes.copy()[None], state.n, op)[0])
 
 
@@ -197,7 +207,7 @@ def simulate_ops(n: int, ops) -> StateVector:
     state = zero_state(n)
     amps = state.amplitudes[None]
     for op in ops:
-        _validate_gate(n, op)
+        check_gate(n, op)
         amps = apply_rows(amps, n, op)
     state.amplitudes = amps[0]
     return state
@@ -222,6 +232,23 @@ def check_shots(shots) -> None:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
 
 
+def measure_rows(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One basis-index outcome per draw in ``u``: row r's, or the only row's for all.
+
+    Inverse-CDF sampling, ``searchsorted(cum, u * cum[-1], "right")`` on
+    each row, clipped to the last index.
+    """
+    cum = np.cumsum(np.abs(amps) ** 2, axis=1)
+    total = cum[:, -1]
+    if not np.all(np.isfinite(total)) or np.any(total <= 0):
+        raise ValueError("state has no probability mass")
+    if amps.shape[0] == 1:
+        outcome = np.searchsorted(cum[0], u * total[0], side="right")
+    else:
+        outcome = (cum <= (u * total)[:, None]).sum(axis=1)
+    return np.minimum(outcome, amps.shape[1] - 1)
+
+
 def sample_tally(state: StateVector, shots: int, seed: int) -> np.ndarray:
     """Multinomial measurement as a histogram over basis indices.
 
@@ -230,15 +257,8 @@ def sample_tally(state: StateVector, shots: int, seed: int) -> np.ndarray:
     prefix of the shots is reproducible independently.
     """
     check_shots(shots)
-    probs = np.abs(state.amplitudes) ** 2
-    total = probs.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("state has no probability mass")
-    cum = np.cumsum(probs / total)
     u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
-    outcomes = np.searchsorted(cum, u, side="right")
-    np.clip(outcomes, 0, probs.size - 1, out=outcomes)
-    return np.bincount(outcomes, minlength=probs.size)
+    return np.bincount(measure_rows(state.amplitudes[None], u), minlength=state.amplitudes.size)
 
 
 def counts_from_tally(tally: np.ndarray, n: int) -> Counts:

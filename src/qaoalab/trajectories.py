@@ -33,7 +33,7 @@ import numpy as np
 from . import rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .noise import PAULI_KINDS, NoiseConfig
-from .statevec import GateOp, _bit_values, _cnot_perm, apply_rows, zero_state
+from .statevec import GateOp, _bit_values, _cnot_perm, apply_rows, measure_rows, zero_state
 
 # Bytes of amplitudes simulated at once: a chunk holds this many bytes'
 # worth of shots (1024 at n = 5), and at least one.
@@ -481,23 +481,6 @@ def _run_rows(n: int, steps: list, rows: int, epsilon: float) -> np.ndarray:
     return amps
 
 
-def _measure(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One outcome per draw in ``u``: row r's, or the only row's for all.
-
-    Inverse-CDF sampling, ``searchsorted(cum, u * cum[-1], "right")`` on
-    each row, clipped to the last index.
-    """
-    cum = np.cumsum(np.abs(amps) ** 2, axis=1)
-    total = cum[:, -1]
-    if not np.all(np.isfinite(total)) or np.any(total <= 0):
-        raise ValueError("state has no probability mass")
-    if amps.shape[0] == 1:
-        outcome = np.searchsorted(cum[0], u * total[0], side="right")
-    else:
-        outcome = (cum <= (u * total)[:, None]).sum(axis=1)
-    return np.minimum(outcome, amps.shape[1] - 1)
-
-
 def _readout_flips(streams: _Substreams, seed: int, index, width: int, p: float) -> np.ndarray:
     """(shots, width) readout flips: bit j of shot i flips when the j-th
     ``random()`` of shot i's readout substream is below ``p``."""
@@ -522,7 +505,7 @@ def sample(base: Circuit, config: NoiseConfig, shots: int, seed: int) -> np.ndar
         steps = _chunk_steps(entries, config, seed, part, streams, n)
         rows = len(part) if any(step[0] != "op" for step in steps) else 1
         amps = _run_rows(n, steps, rows, config.epsilon_coherent)
-        outcomes[part.start:part.stop] = _measure(amps, u[part.start:part.stop])
+        outcomes[part.start:part.stop] = measure_rows(amps, u[part.start:part.stop])
     if config.p_readout > 0:
         flips = _readout_flips(streams, seed, np.arange(shots), n, config.p_readout)
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))

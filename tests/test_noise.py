@@ -468,6 +468,13 @@ def test_readout_edge_rates():
     assert apply_readout_error("01101", 1.0, 0, 1) == "10010"
 
 
+@pytest.mark.parametrize("bits", ["2a", "01x", b"01", ["0", "1"]])
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_readout_rejects_bits_that_are_not_a_bitstring(bits, rate):
+    with pytest.raises(ValueError, match="bits"):
+        apply_readout_error(bits, rate, 0, 1)
+
+
 def test_readout_rejects_bad_rate():
     with pytest.raises(ValueError):
         apply_readout_error("0", -0.5, 0, 1)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qaoalab.ansatz import Circuit
 from qaoalab.graph import MaxCutInstance
 from qaoalab.statevec import (
     GATE_KINDS,
@@ -15,6 +16,7 @@ from qaoalab.statevec import (
     apply_rows,
     counts_from_tally,
     expectation_cut,
+    measure_rows,
     sample_counts,
     sample_tally,
     simulate_ops,
@@ -152,12 +154,25 @@ def test_zero_state_bounds():
         GateOp("X", (0,), 1.0),
         GateOp("RZ", (0,)),
         GateOp("H", (0,), None, -1.0),
+        GateOp("H", (0,), None, math.nan),
+        GateOp("H", (0,), None, math.inf),
+        GateOp("X", (True,)),
     ],
 )
 def test_malformed_gates_rejected(op):
     state = zero_state(2)
     with pytest.raises(ValueError):
         apply_gate(state, op)
+    with pytest.raises(ValueError):
+        simulate_ops(2, [op])
+    with pytest.raises(ValueError):
+        Circuit(2, (op,))
+
+
+@pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, True, 2.0])
+def test_circuit_rejects_bad_qubit_count(n):
+    with pytest.raises(ValueError, match="qubit count"):
+        Circuit(n, ())
 
 
 def test_gate_kind_registry_contains_delay():
@@ -229,6 +244,15 @@ def test_counts_from_tally_matches_full_range_comprehension(n, density):
     reference = full_range_counts(tally, n)
     assert list(counts.counts.items()) == list(reference.items())
     assert counts.shots == int(tally.sum())
+
+
+def test_measure_rows_samples_each_row_as_if_alone():
+    gen = np.random.default_rng(5)
+    amps = np.stack([random_state(4, seed).amplitudes for seed in range(64)])
+    amps[::3] *= 1.0 + gen.random((22, 1))  # unnormalized rows sample the same
+    u = gen.random(64)
+    alone = [measure_rows(row[None], u[i:i + 1])[0] for i, row in enumerate(amps)]
+    assert measure_rows(amps, u).tolist() == alone
 
 
 def test_sample_counts_formats_sample_tally():
