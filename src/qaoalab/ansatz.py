@@ -9,19 +9,22 @@ parameterizes the cost-layer evolution. The mixer is RX(2*beta) on
 every qubit. Gate count is n + p * (3*|E| + n).
 
 Exact and sampled evaluation never build that gate list: ``qaoa_state``
-applies each cost layer as one diagonal phase exp(2i*gamma*C) over the
-cut-value table and each mixer layer as a 2x2 update per qubit. The gate
-list from ``build_qaoa_circuit`` is what noisy sampling runs, and it is
-the reference the gate-free state is tested against.
+applies each cost layer as one diagonal phase exp(2i*gamma*C), evaluated
+at the distinct cut values and gathered over the basis, and each mixer
+layer as RX(2*beta) on MIXER_BLOCK qubits at a time, one dense block per
+pass. The gate list from ``build_qaoa_circuit`` is what noisy sampling
+runs, and it is the reference the gate-free state is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .graph import MaxCutInstance, cut_value_table
+from .graph import MaxCutInstance, cut_levels
 from .statevec import (Counts, GateOp, StateVector, check_gate, check_qubit_count,
                        sample_counts, simulate_ops)
 
@@ -29,6 +32,9 @@ ONE_QUBIT_DURATION = 1.0
 TWO_QUBIT_DURATION = 4.0
 
 RUN_MODES = ("exact", "sampled", "noisy")
+
+# qubits per mixer block in ``qaoa_state``: a (2^5 x 2^5) block per pass
+MIXER_BLOCK = 5
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,9 @@ class QaoaParams:
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
         gammas = tuple(float(g) for g in self.gammas)
+        for name, angles in (("betas", betas), ("gammas", gammas)):
+            if not all(map(math.isfinite, angles)):
+                raise ValueError(f"{name}: angles must be finite, got {angles!r}")
         if len(betas) != len(gammas):
             raise ValueError(
                 f"{len(betas)} betas vs {len(gammas)} gammas; layer counts must match"
@@ -67,17 +76,21 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable, hashable gate list on n qubits; checks n and every op when built."""
+    """Immutable, hashable gate list on n qubits; checks n and every op when built.
+
+    Each op's qubits are stored as a tuple, whatever sequence they came in.
+    """
 
     n: int
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
         check_qubit_count(self.n)
-        ops = tuple(self.ops)
-        for op in ops:
+        ops = []
+        for op in self.ops:
             check_gate(self.n, op)
-        object.__setattr__(self, "ops", ops)
+            ops.append(op if type(op.qubits) is tuple else op._replace(qubits=tuple(op.qubits)))
+        object.__setattr__(self, "ops", tuple(ops))
 
 
 def gate_count(n: int, m: int, p: int) -> int:
@@ -100,6 +113,16 @@ def build_qaoa_circuit(instance: MaxCutInstance, params: QaoaParams) -> Circuit:
     return Circuit(instance.n, tuple(ops))
 
 
+@lru_cache(maxsize=None)
+def _hamming_distances(k: int) -> np.ndarray:
+    """(2^k, 2^k) table of popcount(x ^ y), read-only."""
+    idx = np.arange(1 << k)
+    diff = idx[:, None] ^ idx[None, :]
+    dist = sum((diff >> b) & 1 for b in range(k))
+    dist.flags.writeable = False
+    return dist
+
+
 def qaoa_state(instance: MaxCutInstance, params: QaoaParams) -> StateVector:
     """Final state of the depth-p circuit, computed without a gate list.
 
@@ -107,17 +130,23 @@ def qaoa_state(instance: MaxCutInstance, params: QaoaParams) -> StateVector:
     up to the global phase exp(-i*gamma*W) per layer, W the total weight.
     """
     n = instance.n
-    table = cut_value_table(instance)
+    levels, index = cut_levels(instance)
+    blocks = [MIXER_BLOCK] * (n // MIXER_BLOCK)
+    if n % MIXER_BLOCK:
+        blocks.append(n % MIXER_BLOCK)
     psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=complex)
     for beta, gamma in zip(params.betas, params.gammas):
-        psi *= np.exp(2j * gamma * table)
+        # the same exp of the same values as exp(2j*gamma*table), gathered
+        psi *= np.exp(2j * gamma * levels)[index]
         c, s = np.cos(beta), -1j * np.sin(beta)
-        mixer = np.array([[c, s], [s, c]])
-        # the mixer is symmetric, so right-multiplying applies it to the
-        # last qubit; the transpose then rotates that qubit to the front,
-        # and n steps restore the original order
-        for _ in range(n):
-            psi = (psi.reshape(-1, 2) @ mixer).T.reshape(-1)
+        # RX(2*beta) on k qubits: entry (x, y) is c^(k-d) * s^d, d = popcount(x ^ y).
+        # The block is symmetric, so right-multiplying applies it to the last
+        # k qubits; the transpose then rotates those to the front, and blocks
+        # summing to n restore the original order
+        for k in blocks:
+            d = np.arange(k + 1)
+            block = (c ** (k - d) * s ** d)[_hamming_distances(k)]
+            psi = (psi.reshape(-1, 1 << k) @ block).T.reshape(-1)
     return StateVector(n, psi)
 
 

@@ -20,7 +20,7 @@ from qaoalab.ansatz import (
 )
 from qaoalab.graph import MaxCutInstance
 from qaoalab.objective import evaluate_qaoa
-from qaoalab.statevec import Counts, StateVector, expectation_cut, simulate_ops
+from qaoalab.statevec import Counts, GateOp, StateVector, expectation_cut, simulate_ops
 
 
 def exact_probs(instance, params) -> np.ndarray:
@@ -49,6 +49,17 @@ def test_params_length_mismatch():
         QaoaParams((0.1,), (0.2, 0.3))
     with pytest.raises(ValueError):
         QaoaParams.from_vector([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_angles(canonical, bad):
+    with pytest.raises(ValueError, match="^betas: "):
+        QaoaParams((0.1, bad), (0.2, 0.3))
+    with pytest.raises(ValueError, match="^gammas: "):
+        QaoaParams.from_vector([0.1, 0.2, bad, 0.3])
+    # so exact evaluation ends with that message, not a NaN energy
+    with pytest.raises(ValueError, match="^betas: "):
+        evaluate_qaoa(canonical, QaoaParams((bad,), (0.4,)), "exact")
 
 
 # -- structure ---------------------------------------------------------------
@@ -108,6 +119,11 @@ def test_weighted_edge_scales_phase():
 def test_circuit_is_hashable(canonical):
     circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.7,)))
     assert hash(circuit) == hash(Circuit(circuit.n, circuit.ops))
+    # qubits given as lists are stored as tuples
+    listed = Circuit(2, [GateOp("H", [0]), GateOp("CNOT", [0, 1]), GateOp("RX", (1,), 0.5)])
+    tupled = Circuit(2, (GateOp("H", (0,)), GateOp("CNOT", (0, 1)), GateOp("RX", (1,), 0.5)))
+    assert all(type(op.qubits) is tuple for op in listed.ops)
+    assert listed == tupled and hash(listed) == hash(tupled)
 
 
 # -- semantics -----------------------------------------------------------------
@@ -200,11 +216,19 @@ def test_gate_free_state_matches_gate_path(instance, layers):
     assert_matches_gate_path(instance, params)
 
 
-def test_gate_free_state_matches_gate_path_at_14_qubits():
-    gen = np.random.default_rng(14)
-    pairs = [(u, v) for u in range(14) for v in range(u + 1, 14)]
-    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:21])
-    instance = MaxCutInstance(14, edges, tuple(gen.uniform(0.5, 1.5, len(edges))))
+# the mixer runs in blocks of MIXER_BLOCK = 5 qubits: these sizes take
+# remainder blocks of 1 to 4 qubits and one or two full blocks
+@pytest.mark.parametrize("n", [5, 6, 9, 10, 11, 14])
+@pytest.mark.parametrize("integer_weights", [True, False])
+def test_gate_free_state_matches_gate_path_by_block_size(n, integer_weights):
+    gen = np.random.default_rng(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:3 * n // 2])
+    if integer_weights:
+        weights = tuple(float(w) for w in gen.integers(1, 4, len(edges)))
+    else:  # every weight distinct, so nearly every cut value is too
+        weights = tuple(gen.uniform(0.5, 1.5, len(edges)))
+    instance = MaxCutInstance(n, edges, weights)
     params = QaoaParams.from_vector(gen.uniform(-2.0 * math.pi, 2.0 * math.pi, 4))
     assert_matches_gate_path(instance, params)
 

@@ -13,6 +13,7 @@ from qaoalab.graph import (
     ParseError,
     brute_force_maxcut,
     canonical_instance,
+    cut_levels,
     cut_value,
     cut_value_table,
     parse_edge_list,
@@ -114,6 +115,27 @@ def test_cut_value_table_cached_and_readonly(canonical):
     assert table is cut_value_table(canonical)
     assert not table.flags.writeable
     assert table[0b00011] == 6.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("integer_weights", [True, False])
+def test_gathered_phase_is_bit_identical(seed, integer_weights):
+    # qaoa_state's cost phase: exp at the distinct levels, gathered over the basis
+    gen = np.random.default_rng(seed)
+    instance = random_instance(gen)
+    if integer_weights:
+        weights = tuple(float(w) for w in gen.integers(1, 4, size=len(instance.edges)))
+        instance = MaxCutInstance(instance.n, instance.edges, weights)
+    table = cut_value_table(instance)
+    levels, index = cut_levels(instance)
+    assert cut_levels(instance)[0] is levels  # cached
+    assert not levels.flags.writeable and not index.flags.writeable
+    assert np.array_equal(levels[index], table)
+    assert np.array_equal(levels, np.unique(table))
+    for gamma in (*gen.uniform(-7.0, 7.0, size=8), 0.0, -0.0, 1e-300, 1e6):
+        gathered = np.exp(2j * gamma * levels)[index]
+        direct = np.exp(2j * gamma * table)
+        assert gathered.tobytes() == direct.tobytes()
 
 
 def test_cut_of_helper(canonical):

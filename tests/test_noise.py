@@ -24,7 +24,8 @@ from qaoalab.noise import (
     twirl_circuit,
 )
 from qaoalab.objective import evaluate_qaoa
-from qaoalab.statevec import Counts, GateOp, sample_counts, simulate_ops
+from qaoalab.statevec import (Counts, GateOp, StateVector, measure_rows, sample_counts,
+                              sample_tally, simulate_ops)
 
 import noise_reference
 from conftest import ground_mass
@@ -530,9 +531,17 @@ def test_sample_noisy_validates_shots(canonical, grid_p1):
 
 
 def test_noisy_evaluation_refuses_a_state_without_mass(canonical):
-    params = QaoaParams((float("nan"),), (0.4,))
+    # a non-finite angle is refused before any state is built ...
+    with pytest.raises(ValueError, match="^betas: "):
+        evaluate_qaoa(canonical, QaoaParams((float("nan"),), (0.4,)), "noisy",
+                      shots=16, seed=1, noise=NoiseConfig(p2q=0.1))
+    # ... so the sampler's own guard is reached by a massless state, in one row or many
     with pytest.raises(ValueError, match="no probability mass"):
-        evaluate_qaoa(canonical, params, "noisy", shots=16, seed=1, noise=NoiseConfig(p2q=0.1))
+        sample_tally(StateVector(5, np.zeros(32, dtype=complex)), 16, 1)
+    rows = np.ones((3, 32), dtype=complex)
+    rows[1] = np.nan
+    with pytest.raises(ValueError, match="no probability mass"):
+        measure_rows(rows, np.full(3, 0.5))
 
 
 # -- batched trajectories against the per-shot reference ----------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qaoalab import rng
 from qaoalab.ansatz import Circuit
 from qaoalab.graph import MaxCutInstance
 from qaoalab.statevec import (
@@ -253,6 +254,43 @@ def test_measure_rows_samples_each_row_as_if_alone():
     u = gen.random(64)
     alone = [measure_rows(row[None], u[i:i + 1])[0] for i, row in enumerate(amps)]
     assert measure_rows(amps, u).tolist() == alone
+
+
+def sparse_state(n: int, seed: int, density: float) -> StateVector:
+    """A random state with most amplitudes zero; the last index always keeps mass."""
+    gen = np.random.default_rng(seed)
+    amps = random_state(n, seed).amplitudes * (gen.random(1 << n) < density)
+    amps[-1] += 0.1
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def shot_order_outcomes(state: StateVector, shots: int, seed: int) -> list[int]:
+    """Shot i's outcome, one searchsorted per draw in the order drawn."""
+    u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
+    cum = np.cumsum(np.abs(state.amplitudes) ** 2)
+    return [min(int(np.searchsorted(cum, x * cum[-1], side="right")), cum.size - 1) for x in u]
+
+
+SAMPLER_STATES = [
+    pytest.param(lambda: random_state(6, 1), id="dense"),
+    pytest.param(lambda: sparse_state(8, 2, 0.05), id="sparse"),
+    pytest.param(lambda: sparse_state(10, 3, 0.002), id="very-sparse"),
+    pytest.param(lambda: basis_state(4, "1111"), id="last-index"),
+    pytest.param(lambda: basis_state(4, "0000"), id="first-index"),
+]
+
+
+@pytest.mark.parametrize("make_state", SAMPLER_STATES)
+def test_sample_tally_is_the_tally_of_shot_order_draws(make_state):
+    state = make_state()
+    for seed in (0, 7, 2**63):
+        reference = shot_order_outcomes(state, 600, seed)
+        tally = sample_tally(state, 600, seed)
+        assert tally.tolist() == np.bincount(reference, minlength=1 << state.n).tolist()
+        # the first k shots of a longer call are the shots of a k-shot call
+        for k in (1, 17, 599):
+            prefix = np.bincount(reference[:k], minlength=1 << state.n)
+            assert sample_tally(state, k, seed).tolist() == prefix.tolist()
 
 
 def test_sample_counts_formats_sample_tally():
