@@ -43,7 +43,6 @@ from .noise import (
 )
 from .objective import (
     EnergySample,
-    OptimizationTrace,
     energy_from_counts,
     evaluate_qaoa,
     make_objective,
@@ -52,10 +51,8 @@ from .optim import (
     METHODS,
     MinimizeProblem,
     MinimizeResult,
+    OptimizationTrace,
     minimize,
-    minimize_cg_fd,
-    minimize_cobyla_like,
-    minimize_powell,
     random_qaoa_starts,
 )
 from .plots import plot_histogram, plot_trace, render_histogram, render_trace
@@ -82,11 +79,9 @@ __all__ = [
     "DD_SEQUENCES", "Interval", "NoiseConfig", "Timeline",
     "apply_readout_error", "apply_trajectory_noise", "insert_dd",
     "sample_noisy", "schedule_circuit", "twirl_circuit",
-    "EnergySample", "OptimizationTrace", "energy_from_counts",
-    "evaluate_qaoa", "make_objective",
-    "METHODS", "MinimizeProblem", "MinimizeResult", "minimize",
-    "minimize_cg_fd", "minimize_cobyla_like", "minimize_powell",
-    "random_qaoa_starts",
+    "EnergySample", "energy_from_counts", "evaluate_qaoa", "make_objective",
+    "METHODS", "MinimizeProblem", "MinimizeResult", "OptimizationTrace",
+    "minimize", "random_qaoa_starts",
     "plot_histogram", "plot_trace", "render_histogram", "render_trace",
     "Counts", "GateOp", "StateVector", "apply_gate", "expectation_cut",
     "sample_counts", "simulate_ops", "zero_state",

@@ -33,6 +33,32 @@ def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_edge(n: int, edge, weight: float, seen: set[tuple[int, int]]) -> tuple[int, int]:
+    """The rules for one edge of an n-node graph; returns its (min, max) key, added to ``seen``.
+
+    Both endpoints are integer nodes in 0..n-1, the edge is no self-loop
+    and no repeat of an edge in ``seen``, and its weight is finite.
+    """
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {edge!r} is not a pair") from None
+    for node in (u, v):
+        if not _is_index(node):
+            raise ValueError(f"edge {edge!r} has endpoint {node!r}, not an integer node")
+    if not (0 <= u < n) or not (0 <= v < n):
+        raise ValueError(f"edge {edge!r} references a node outside 0..{n - 1}")
+    if u == v:
+        raise ValueError(f"self-loop on node {u}")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ValueError(f"duplicate edge {key}")
+    if not np.isfinite(weight):
+        raise ValueError(f"weight {weight} of edge {key} is not finite")
+    seen.add(key)
+    return key
+
+
 @dataclass(frozen=True)
 class MaxCutInstance:
     """Undirected weighted graph on nodes 0..n-1.
@@ -48,37 +74,13 @@ class MaxCutInstance:
     def __post_init__(self):
         if not _is_index(self.n) or self.n < 1:
             raise ValueError(f"node count must be a positive integer, got {self.n!r}")
-        norm = []
-        seen = set()
-        for edge in self.edges:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {edge!r} is not a pair") from None
-            for node in (u, v):
-                if not _is_index(node):
-                    raise ValueError(f"edge {edge!r} has endpoint {node!r}, not an integer node")
-            if not (0 <= u < self.n) or not (0 <= v < self.n):
-                raise ValueError(f"edge {edge!r} references a node outside 0..{self.n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
-        weights = self.weights
-        if not weights:
-            weights = (1.0,) * len(norm)
-        if len(weights) != len(norm):
-            raise ValueError(
-                f"{len(weights)} weights for {len(norm)} edges"
-            )
+        weights = self.weights or (1.0,) * len(self.edges)
+        if len(weights) != len(self.edges):
+            raise ValueError(f"{len(weights)} weights for {len(self.edges)} edges")
         weights = tuple(float(w) for w in weights)
-        for key, w in zip(norm, weights):
-            if not np.isfinite(w):
-                raise ValueError(f"weight {w} of edge {key} is not finite")
-        object.__setattr__(self, "edges", tuple(norm))
+        seen: set[tuple[int, int]] = set()
+        edges = tuple(_check_edge(self.n, e, w, seen) for e, w in zip(self.edges, weights))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", weights)
 
     @property
@@ -210,23 +212,16 @@ def parse_edge_list(text: str) -> MaxCutInstance:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(line_no, f"endpoints {tokens[0]!r} {tokens[1]!r} must be integers") from None
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ParseError(line_no, f"edge ({u}, {v}) references a node outside 0..{n - 1}")
-        if u == v:
-            raise ParseError(line_no, f"self-loop on node {u}")
         weight = 1.0
         if len(tokens) == 3:
             try:
                 weight = float(tokens[2])
             except ValueError:
                 raise ParseError(line_no, f"weight {tokens[2]!r} is not a number") from None
-            if not np.isfinite(weight):
-                raise ParseError(line_no, f"weight {weight} is not finite")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(line_no, f"duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
+        try:
+            edges.append(_check_edge(n, (u, v), weight, seen))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
         weights.append(weight)
     if n is None:
         raise ParseError(1, "empty input: missing node count")

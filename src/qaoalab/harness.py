@@ -41,8 +41,15 @@ from .graph import (
     serialize_edge_list,
 )
 from .noise import NoiseConfig
-from .objective import OptimizationTrace, evaluate_qaoa, make_objective
-from .optim import METHODS, MinimizeProblem, MinimizeResult, minimize, random_qaoa_starts
+from .objective import evaluate_qaoa, make_objective
+from .optim import (
+    METHODS,
+    MinimizeProblem,
+    MinimizeResult,
+    OptimizationTrace,
+    minimize,
+    random_qaoa_starts,
+)
 from .plots import plot_histogram, plot_trace
 from .statevec import Counts
 
@@ -279,24 +286,22 @@ def write_counts_json(path: Path, counts: Counts, config: ExperimentConfig) -> N
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def write_trace_csv(path: Path, trace: OptimizationTrace, p: int) -> None:
-    """Header: eval,energy,beta_1..beta_p,gamma_1..gamma_p; 9 significant digits."""
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """The one CSV form of the artifacts: LF line ends, floats as .9g, the rest str."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["eval", "energy"]
-    header += [f"beta_{i + 1}" for i in range(p)]
-    header += [f"gamma_{i + 1}" for i in range(p)]
     writer.writerow(header)
-    for record in trace.records:
-        row = [str(record.index), f"{record.energy:.9g}"]
-        row += [f"{v:.9g}" for v in record.theta]
-        writer.writerow(row)
+    for row in rows:
+        writer.writerow([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row])
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
-def read_trace_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
+def write_trace_csv(path: Path, trace: OptimizationTrace, p: int) -> None:
+    """Header: eval,energy,beta_1..beta_p,gamma_1..gamma_p; 9 significant digits."""
+    header = ["eval", "energy"]
+    header += [f"beta_{i + 1}" for i in range(p)]
+    header += [f"gamma_{i + 1}" for i in range(p)]
+    _write_csv(path, header, ((r.index, r.energy, *r.theta) for r in trace.records))
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +449,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
             "status": artifacts.summary["status"],
         }
         rows.append(row)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(rows[0].keys()))
-    for row in rows:
-        writer.writerow([
-            f"{v:.9g}" if isinstance(v, float) else str(v) for v in row.values()
-        ])
-    (out / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
+    _write_csv(out / "sweep.csv", list(rows[0]), (row.values() for row in rows))
     return rows
 
 

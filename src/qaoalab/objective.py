@@ -1,4 +1,4 @@
-"""Energy objective over measured counts, plus evaluation traces.
+"""Energy objective: QAOA evaluation and scoring of measured counts.
 
 Energy is the negative mean cut value, so minimizing energy maximizes
 the cut: the canonical 5-node instance has optimum -6 and a uniform
@@ -7,8 +7,7 @@ superposition sits at -3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -17,31 +16,6 @@ from .ansatz import QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_state
 from .graph import MaxCutInstance, cut_value_table
 from .noise import sample_noisy_tally
 from .statevec import Counts, counts_from_tally, expectation_cut, sample_tally
-
-
-class TraceRecord(NamedTuple):
-    index: int
-    theta: tuple[float, ...]
-    energy: float
-
-
-@dataclass
-class OptimizationTrace:
-    """Append-only log of objective evaluations, in order."""
-
-    method: str = ""
-    records: list[TraceRecord] = field(default_factory=list)
-    status: str | None = None
-
-    def append(self, theta, energy: float) -> None:
-        theta = tuple(float(t) for t in np.asarray(theta, dtype=float))
-        self.records.append(TraceRecord(len(self.records), theta, float(energy)))
-
-    def energies(self) -> list[float]:
-        return [r.energy for r in self.records]
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 class EnergySample:
@@ -105,7 +79,6 @@ def evaluate_qaoa(
     shots: int | None = None,
     seed: int | None = None,
     noise=None,
-    trace: OptimizationTrace | None = None,
 ) -> EnergySample:
     """Prepare, run, and score the state for ``params``.
 
@@ -117,17 +90,12 @@ def evaluate_qaoa(
     """
     check_run_mode(mode, shots, seed, noise)
     if mode == "exact":
-        state = qaoa_state(instance, params)
-        sample = EnergySample(-expectation_cut(state, instance), 0)
+        return EnergySample(-expectation_cut(qaoa_state(instance, params), instance), 0)
+    if mode == "sampled":
+        tally = sample_tally(qaoa_state(instance, params), shots, seed)
     else:
-        if mode == "sampled":
-            tally = sample_tally(qaoa_state(instance, params), shots, seed)
-        else:
-            tally = sample_noisy_tally(build_qaoa_circuit(instance, params), noise, shots, seed)
-        sample = EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
-    if trace is not None:
-        trace.append(params.to_vector(), sample.energy)
-    return sample
+        tally = sample_noisy_tally(build_qaoa_circuit(instance, params), noise, shots, seed)
+    return EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
 
 
 def make_objective(

@@ -1,30 +1,33 @@
 """Derivative-free minimizers with hard evaluation budgets and traces.
 
-Three methods share one interface:
+``minimize(method, problem)`` is the one driver. It creates the
+evaluation log (``OptimizationTrace``) and the budget-enforcing
+recorder, runs the named search, and builds the ``MinimizeResult``.
+Each search is a plain function of (recorder, problem) that returns
+its stopping status:
   * powell - direction-set search with golden-section line minima
   * cg     - Polak-Ribiere conjugate gradient on central finite
              differences, with a parabolic-backtracking line search
   * cobyla - linear interpolation model over a d+1 simplex inside a
              shrinking trust region
 
-Every objective call goes through a recorder, so ``evals_used`` always
-equals the trace length and the budget is enforced exactly; ``f_best``
-is the min over all recorded finite evaluations, not the last iterate.
-An objective that never returns a finite value ends in a ValueError.
+Every objective call goes through the recorder, so ``evals_used``
+always equals the trace length and the budget is enforced exactly: the
+call past the budget raises, and the driver ends the run with status
+``budget_exhausted``. ``f_best`` is the min over all recorded finite
+evaluations, not the last iterate. An objective that never returns a
+finite value ends in a ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import rng
-from .objective import OptimizationTrace
-
-METHODS = ("powell", "cg", "cobyla")
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget_exhausted"
@@ -32,6 +35,31 @@ STATUS_STALLED = "stalled"
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _RHO_START, _RHO_END = 0.5, 1e-4  # cobyla's initial and final trust radius
+
+
+class TraceRecord(NamedTuple):
+    index: int
+    theta: tuple[float, ...]
+    energy: float
+
+
+@dataclass
+class OptimizationTrace:
+    """Append-only log of objective evaluations, in order."""
+
+    method: str = ""
+    records: list[TraceRecord] = field(default_factory=list)
+    status: str | None = None
+
+    def append(self, theta, energy: float) -> None:
+        theta = tuple(float(t) for t in np.asarray(theta, dtype=float))
+        self.records.append(TraceRecord(len(self.records), theta, float(energy)))
+
+    def energies(self) -> list[float]:
+        return [r.energy for r in self.records]
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
 @dataclass
@@ -105,25 +133,17 @@ class _Recorder:
         return f
 
 
-def _result(rec: _Recorder, status: str) -> MinimizeResult:
-    if rec.x_best is None:
-        raise ValueError(
-            f"objective returned no finite value in {rec.used} evaluations"
-        )
-    rec.trace.status = status
-    return MinimizeResult(rec.x_best.copy(), rec.f_best, rec.used, status, rec.trace)
-
-
 # ---------------------------------------------------------------------------
-# bracketing + golden section (shared by powell)
+# bracketing + Brent line minimization (shared by powell and cg)
 # ---------------------------------------------------------------------------
 
 
-def _bracket(f, xa: float, xb: float, grow_limit: float = 110.0, maxiter: int = 50):
+def _bracket(f, xa: float, xb: float):
     """Expand downhill until f(xb) < min(f(xa), f(xc)); may raise _BudgetExceeded.
 
     Returns (xa, xb, xc, fa, fb, fc) with xb strictly between xa and xc.
-    Returns None if no downhill bracket emerges (flat or pathological).
+    Returns None if no downhill bracket emerges within 50 expansions
+    (flat or pathological).
     """
     fa, fb = f(xa), f(xb)
     if fb > fa:
@@ -133,7 +153,7 @@ def _bracket(f, xa: float, xb: float, grow_limit: float = 110.0, maxiter: int = 
     fc = f(xc)
     it = 0
     while fc < fb:
-        if it >= maxiter:
+        if it >= 50:
             return None
         it += 1
         # parabolic extrapolation through (xa, xb, xc)
@@ -144,7 +164,7 @@ def _bracket(f, xa: float, xb: float, grow_limit: float = 110.0, maxiter: int = 
             w = xc + (1.0 + _GOLD) * (xc - xb)
         else:
             w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
-        wlim = xb + grow_limit * (xc - xb)
+        wlim = xb + 110.0 * (xc - xb)  # farthest parabolic extrapolation
         if (w - xc) * (xb - w) > 0:
             fw = f(w)
             if fw < fc:
@@ -166,18 +186,18 @@ def _bracket(f, xa: float, xb: float, grow_limit: float = 110.0, maxiter: int = 
     return None
 
 
-def _brent_1d(f, xa: float, xb: float, xc: float, fb: float, tol: float, maxiter: int = 100):
+def _brent_1d(f, xa: float, xb: float, xc: float, fb: float, tol: float):
     """Refine a bracket by golden-section steps with parabolic acceleration.
 
-    Classic Brent minimization: a parabola through the three best points
-    proposes the next probe, and golden sections guarantee progress when
-    the parabola misbehaves. Returns (x, f(x)).
+    Classic Brent minimization, at most 100 probes: a parabola through
+    the three best points proposes the next probe, and golden sections
+    guarantee progress when the parabola misbehaves. Returns (x, f(x)).
     """
     a, b = (xa, xc) if xa < xc else (xc, xa)
     x = w = v = xb
     fx = fw = fv = fb
     d = e = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         m = 0.5 * (a + b)
         tol1 = tol * abs(x) + 1e-11
         tol2 = 2.0 * tol1
@@ -225,8 +245,13 @@ def _brent_1d(f, xa: float, xb: float, xc: float, fb: float, tol: float, maxiter
     return x, fx
 
 
-def _line_minimize(f1d, f0: float, tol: float, step: float = 1.0):
-    """Minimize f1d(alpha) from alpha=0; returns (alpha, f) with f <= f0."""
+def _line_minimize(rec: _Recorder, x: np.ndarray, direction: np.ndarray, f0: float,
+                   tol: float, step: float = 1.0):
+    """Minimize f(x + alpha * direction) from alpha=0; returns (alpha, f) with f <= f0."""
+
+    def f1d(alpha):
+        return rec(x + alpha * direction)
+
     bracket = _bracket(f1d, 0.0, step)
     if bracket is None:
         return 0.0, f0
@@ -242,7 +267,7 @@ def _line_minimize(f1d, f0: float, tol: float, step: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def minimize_powell(problem: MinimizeProblem) -> MinimizeResult:
+def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
     """Direction-set minimization without derivatives.
 
     Each outer iteration line-minimizes along every direction in turn,
@@ -250,55 +275,43 @@ def minimize_powell(problem: MinimizeProblem) -> MinimizeResult:
     displacement when the standard acceptance test favors it. Converges
     when an outer iteration's total improvement falls below ftol.
     """
-    trace = OptimizationTrace(method="powell")
-    rec = _Recorder(problem.objective, problem.max_evals, trace)
     d = problem.x0.size
     directions = np.eye(d)
     x = problem.x0.copy()
     line_tol = 100.0 * problem.xtol  # per-line precision beyond this is wasted budget
-    try:
-        fx = rec(x)
-        while True:
-            f_start = fx
-            x_start = x.copy()
-            biggest_drop = 0.0
-            drop_index = 0
-            for i in range(d):
-                direction = directions[i]
-
-                def f1d(alpha, _dir=direction, _x=x):
-                    return rec(_x + alpha * _dir)
-
-                alpha, f_new = _line_minimize(f1d, fx, line_tol)
-                if fx - f_new > biggest_drop:
-                    biggest_drop = fx - f_new
-                    drop_index = i
-                x = x + alpha * direction
+    fx = rec(x)
+    while True:
+        f_start = fx
+        x_start = x.copy()
+        biggest_drop = 0.0
+        drop_index = 0
+        for i in range(d):
+            direction = directions[i]
+            alpha, f_new = _line_minimize(rec, x, direction, fx, line_tol)
+            if fx - f_new > biggest_drop:
+                biggest_drop = fx - f_new
+                drop_index = i
+            x = x + alpha * direction
+            fx = f_new
+        if 2.0 * (f_start - fx) <= problem.ftol * (abs(f_start) + abs(fx)) + 1e-20:
+            return STATUS_CONVERGED
+        displacement = x - x_start
+        if np.linalg.norm(displacement) <= problem.xtol:
+            return STATUS_CONVERGED
+        # extrapolated point test for direction replacement
+        f_ext = rec(x_start + 2.0 * displacement)
+        if f_ext < f_start:
+            t = 2.0 * (f_start + f_ext - 2.0 * fx)
+            t *= (f_start - fx - biggest_drop) ** 2
+            t -= biggest_drop * (f_start - f_ext) ** 2
+            if t < 0.0:
+                # adopt the displacement: minimize along it, then keep it
+                alpha, f_new = _line_minimize(rec, x, displacement, fx, line_tol)
+                x = x + alpha * displacement
                 fx = f_new
-            if 2.0 * (f_start - fx) <= problem.ftol * (abs(f_start) + abs(fx)) + 1e-20:
-                return _result(rec, STATUS_CONVERGED)
-            displacement = x - x_start
-            if np.linalg.norm(displacement) <= problem.xtol:
-                return _result(rec, STATUS_CONVERGED)
-            # extrapolated point test for direction replacement
-            f_ext = rec(x_start + 2.0 * displacement)
-            if f_ext < f_start:
-                t = 2.0 * (f_start + f_ext - 2.0 * fx)
-                t *= (f_start - fx - biggest_drop) ** 2
-                t -= biggest_drop * (f_start - f_ext) ** 2
-                if t < 0.0:
-                    # adopt the displacement: minimize along it, then keep it
-                    def f1d(alpha, _dir=displacement, _x=x):
-                        return rec(_x + alpha * _dir)
-
-                    alpha, f_new = _line_minimize(f1d, fx, line_tol)
-                    x = x + alpha * displacement
-                    fx = f_new
-                    norm = np.linalg.norm(displacement)
-                    directions[drop_index] = directions[d - 1]
-                    directions[d - 1] = displacement / norm
-    except _BudgetExceeded:
-        return _result(rec, STATUS_BUDGET)
+                norm = np.linalg.norm(displacement)
+                directions[drop_index] = directions[d - 1]
+                directions[d - 1] = displacement / norm
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +329,7 @@ def _fd_gradient(rec: _Recorder, x: np.ndarray, fd_step: float | None) -> np.nda
     return g
 
 
-def minimize_cg_fd(problem: MinimizeProblem) -> MinimizeResult:
+def _cg(rec: _Recorder, problem: MinimizeProblem) -> str:
     """Polak-Ribiere conjugate gradient on central-difference gradients.
 
     Each iteration line-minimizes along the conjugate direction (same
@@ -325,70 +338,59 @@ def minimize_cg_fd(problem: MinimizeProblem) -> MinimizeResult:
     conjugacy produces a non-descent direction. Stops on gradient norm,
     two consecutive negligible decreases, stalling, or budget.
     """
-    trace = OptimizationTrace(method="cg")
-    rec = _Recorder(problem.objective, problem.max_evals, trace)
     d = problem.x0.size
     x = problem.x0.copy()
     line_tol = 100.0 * problem.xtol
     stall = 0
     tiny_drops = 0
-    try:
-        fx = rec(x)
-        g = _fd_gradient(rec, x, problem.fd_step)
-        direction = -g
-        gg_prev = float(g @ g)
-        alpha_prev = None
-        since_reset = 0
-        while True:
-            if math.sqrt(gg_prev) <= 1e-7:
-                return _result(rec, STATUS_CONVERGED)
-            slope = float(g @ direction)
-            if slope >= 0.0:
-                direction = -g
-                slope = -gg_prev
-                since_reset = 0
-            # initial bracket scale: previous step, or the gradient's scale
-            if alpha_prev is None:
-                step0 = min(1.0, 1.0 / max(math.sqrt(gg_prev), 1e-12))
-            else:
-                step0 = max(alpha_prev, 1e-8)
-
-            def f1d(alpha, _dir=direction, _x=x):
-                return rec(_x + alpha * _dir)
-
-            alpha, f_new = _line_minimize(f1d, fx, line_tol, step=step0)
-            if alpha == 0.0:
-                # no downhill movement along a descent direction: noise floor
-                stall += 1
-                if stall >= 2:
-                    return _result(rec, STATUS_STALLED)
-                direction = -g
-                alpha_prev = None
-                since_reset = 0
-                continue
-            stall = 0
-            f_drop = fx - f_new
-            x = x + alpha * direction
-            fx = f_new
-            alpha_prev = alpha
-            if 2.0 * f_drop <= problem.ftol * (abs(fx) + abs(fx + f_drop)) + 1e-20:
-                tiny_drops += 1
-                if tiny_drops >= 2:
-                    return _result(rec, STATUS_CONVERGED)
-            else:
-                tiny_drops = 0
-            g_new = _fd_gradient(rec, x, problem.fd_step)
-            gg_new = float(g_new @ g_new)
-            since_reset += 1
-            if since_reset >= d:
-                beta = 0.0
-                since_reset = 0
-            else:
-                beta = max(0.0, float(g_new @ (g_new - g)) / max(gg_prev, 1e-300))
-            direction = -g_new + beta * direction
-            g, gg_prev = g_new, gg_new
-    except _BudgetExceeded:
-        return _result(rec, STATUS_BUDGET)
+    fx = rec(x)
+    g = _fd_gradient(rec, x, problem.fd_step)
+    direction = -g
+    gg_prev = float(g @ g)
+    alpha_prev = None
+    since_reset = 0
+    while True:
+        if math.sqrt(gg_prev) <= 1e-7:
+            return STATUS_CONVERGED
+        if float(g @ direction) >= 0.0:
+            direction = -g
+            since_reset = 0
+        # initial bracket scale: previous step, or the gradient's scale
+        if alpha_prev is None:
+            step0 = min(1.0, 1.0 / max(math.sqrt(gg_prev), 1e-12))
+        else:
+            step0 = max(alpha_prev, 1e-8)
+        alpha, f_new = _line_minimize(rec, x, direction, fx, line_tol, step=step0)
+        if alpha == 0.0:
+            # no downhill movement along a descent direction: noise floor
+            stall += 1
+            if stall >= 2:
+                return STATUS_STALLED
+            direction = -g
+            alpha_prev = None
+            since_reset = 0
+            continue
+        stall = 0
+        f_drop = fx - f_new
+        x = x + alpha * direction
+        fx = f_new
+        alpha_prev = alpha
+        if 2.0 * f_drop <= problem.ftol * (abs(fx) + abs(fx + f_drop)) + 1e-20:
+            tiny_drops += 1
+            if tiny_drops >= 2:
+                return STATUS_CONVERGED
+        else:
+            tiny_drops = 0
+        g_new = _fd_gradient(rec, x, problem.fd_step)
+        gg_new = float(g_new @ g_new)
+        since_reset += 1
+        if since_reset >= d:
+            beta = 0.0
+            since_reset = 0
+        else:
+            beta = max(0.0, float(g_new @ (g_new - g)) / max(gg_prev, 1e-300))
+        direction = -g_new + beta * direction
+        g, gg_prev = g_new, gg_new
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,7 @@ def minimize_cg_fd(problem: MinimizeProblem) -> MinimizeResult:
 # ---------------------------------------------------------------------------
 
 
-def minimize_cobyla_like(problem: MinimizeProblem) -> MinimizeResult:
+def _cobyla(rec: _Recorder, problem: MinimizeProblem) -> str:
     """Linear interpolation model over a d+1 simplex in a trust region.
 
     Fits the exact linear interpolant of the simplex (vertices spaced at
@@ -406,8 +408,6 @@ def minimize_cobyla_like(problem: MinimizeProblem) -> MinimizeResult:
     the predicted decrease. Shrinks rho (and rebuilds the simplex) once
     no step length works; converges once rho falls to _RHO_END.
     """
-    trace = OptimizationTrace(method="cobyla")
-    rec = _Recorder(problem.objective, problem.max_evals, trace)
     d = problem.x0.size
     rho = _RHO_START
 
@@ -426,81 +426,84 @@ def minimize_cobyla_like(problem: MinimizeProblem) -> MinimizeResult:
             fs.append(rec(center + e))
         return xs, fs
 
-    try:
-        f0 = rec(problem.x0)
-        xs, fs = build_simplex(problem.x0, f0)
-        fresh = True  # was the simplex rebuilt since the last model failure?
-        while rho > _RHO_END:
-            best = int(np.argmin(fs))
-            x_best, f_best = xs[best], fs[best]
-            rows = [i for i in range(d + 1) if i != best]
-            a_mat = np.array([xs[i] - x_best for i in rows])
-            b_vec = np.array([fs[i] - f_best for i in rows])
-            # stale or degenerate geometry poisons the linear model; fix
-            # the simplex before blaming the trust radius
-            if np.linalg.cond(a_mat) > 1e10:
+    f0 = rec(problem.x0)
+    xs, fs = build_simplex(problem.x0, f0)
+    fresh = True  # was the simplex rebuilt since the last model failure?
+    while rho > _RHO_END:
+        best = int(np.argmin(fs))
+        x_best, f_best = xs[best], fs[best]
+        rows = [i for i in range(d + 1) if i != best]
+        a_mat = np.array([xs[i] - x_best for i in rows])
+        b_vec = np.array([fs[i] - f_best for i in rows])
+        # stale or degenerate geometry poisons the linear model; fix
+        # the simplex before blaming the trust radius
+        if np.linalg.cond(a_mat) > 1e10:
+            xs, fs = build_simplex(x_best, f_best)
+            fresh = True
+            continue
+        g = np.linalg.solve(a_mat, b_vec)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= 1e-300 or rho * gnorm < problem.ftol * max(1.0, abs(f_best)):
+            if not fresh:
                 xs, fs = build_simplex(x_best, f_best)
                 fresh = True
                 continue
-            g = np.linalg.solve(a_mat, b_vec)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= 1e-300 or rho * gnorm < problem.ftol * max(1.0, abs(f_best)):
-                if not fresh:
-                    xs, fs = build_simplex(x_best, f_best)
-                    fresh = True
-                    continue
+            rho *= 0.5
+            xs, fs = build_simplex(x_best, f_best)
+            continue
+        accepted = False
+        x_new, f_new = x_best, f_best
+        for frac in (1.0, 0.5, 0.25):
+            step = frac * rho
+            x_try = x_best - (step / gnorm) * g
+            f_try = rec(x_try)
+            if f_try < f_new:
+                x_new, f_new = x_try, f_try
+            if f_best - f_try > 0.1 * step * gnorm:
+                accepted = True
+                break
+        if accepted:
+            # keep the simplex compact: drop the vertex farthest from
+            # the accepted point
+            far = int(np.argmax([np.linalg.norm(xv - x_new) for xv in xs]))
+            xs[far] = x_new
+            fs[far] = f_new
+            fresh = False
+        else:
+            worst = int(np.argmax(fs))
+            if f_new < fs[worst]:
+                xs[worst] = x_new
+                fs[worst] = f_new
+            if fresh:
                 rho *= 0.5
-                xs, fs = build_simplex(x_best, f_best)
-                continue
-            accepted = False
-            x_new, f_new = x_best, f_best
-            for frac in (1.0, 0.5, 0.25):
-                step = frac * rho
-                x_try = x_best - (step / gnorm) * g
-                f_try = rec(x_try)
-                if f_try < f_new:
-                    x_new, f_new = x_try, f_try
-                if f_best - f_try > 0.1 * step * gnorm:
-                    accepted = True
-                    break
-            if accepted:
-                # keep the simplex compact: drop the vertex farthest from
-                # the accepted point
-                far = int(np.argmax([np.linalg.norm(xv - x_new) for xv in xs]))
-                xs[far] = x_new
-                fs[far] = f_new
-                fresh = False
-            else:
-                worst = int(np.argmax(fs))
-                if f_new < fs[worst]:
-                    xs[worst] = x_new
-                    fs[worst] = f_new
-                if fresh:
-                    rho *= 0.5
-                best = int(np.argmin(fs))
-                xs, fs = build_simplex(xs[best], fs[best])
-                fresh = True
-        return _result(rec, STATUS_CONVERGED)
-    except _BudgetExceeded:
-        return _result(rec, STATUS_BUDGET)
+            best = int(np.argmin(fs))
+            xs, fs = build_simplex(xs[best], fs[best])
+            fresh = True
+    return STATUS_CONVERGED
 
 
 # ---------------------------------------------------------------------------
-# dispatch + restarts
+# the driver + restarts
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "powell": minimize_powell,
-    "cg": minimize_cg_fd,
-    "cobyla": minimize_cobyla_like,
-}
+_SEARCHES = {"powell": _powell, "cg": _cg, "cobyla": _cobyla}
+METHODS = tuple(_SEARCHES)
 
 
 def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
-    """Run one minimizer by name; raises ValueError for unknown methods."""
-    if method not in _DISPATCH:
+    """Run one search by name under the problem's budget; raises ValueError for unknown methods."""
+    if method not in _SEARCHES:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return _DISPATCH[method](problem)
+    trace = OptimizationTrace(method=method)
+    rec = _Recorder(problem.objective, problem.max_evals, trace)
+    try:
+        status = _SEARCHES[method](rec, problem)
+    except _BudgetExceeded:
+        status = STATUS_BUDGET
+    if rec.x_best is None:
+        raise ValueError(f"objective returned no finite value in {rec.used} evaluations")
+    trace.status = status
+    return MinimizeResult(rec.x_best.copy(), rec.f_best, rec.used, status, trace)
 
 
 def random_qaoa_starts(p: int, k: int, seed: int) -> list[np.ndarray]:

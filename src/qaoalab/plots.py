@@ -4,6 +4,8 @@ Output is plain hand-assembled SVG so results can be checked
 structurally: probability bars are <rect class="bar"> (solution
 bitstrings get class="bar solution"), trace curves are
 <polyline class="series"> with one <text class="label"> per series.
+Text that comes from outside (titles, bitstrings, series names) is
+XML-escaped, so every rendering parses as XML.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def _svg(body: list[str]) -> str:
 
 def render_histogram(counts: Counts, highlight: frozenset[str] | set[str] = frozenset(), title: str = "") -> str:
     """Probability bars per bitstring, lexicographic order, highlights flagged."""
+    from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
+
     if counts.shots < 1:
         raise ValueError("counts carry no shots")
     probs = counts.probabilities()
@@ -54,7 +58,7 @@ def render_histogram(counts: Counts, highlight: frozenset[str] | set[str] = froz
     bar_w = slot * 0.8
     body = []
     if title:
-        body.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle">{title}</text>')
+        body.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle">{escape(title)}</text>')
     base_y = _MARGIN_T + plot_h
     body.append(
         f'<line class="axis" x1="{_MARGIN_L}" y1="{base_y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{base_y:.2f}"/>'
@@ -78,7 +82,7 @@ def render_histogram(counts: Counts, highlight: frozenset[str] | set[str] = froz
         lx = x + bar_w / 2
         body.append(
             f'<text x="{_fmt(lx)}" y="{_fmt(base_y + 12)}" text-anchor="end" '
-            f'transform="rotate(-60 {_fmt(lx)} {_fmt(base_y + 12)})">{key}</text>'
+            f'transform="rotate(-60 {_fmt(lx)} {_fmt(base_y + 12)})">{escape(key)}</text>'
         )
     body.append(
         f'<text x="{_MARGIN_L - 48}" y="{_MARGIN_T - 12}">probability</text>'
@@ -113,6 +117,8 @@ _SERIES_KINDS = ("energy", "params")
 
 def render_trace(rows: list[dict], series: str = "energy") -> str:
     """Line chart of a parsed trace: energy or all parameter curves."""
+    from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
+
     if series not in _SERIES_KINDS:
         raise ValueError(f"series must be one of {_SERIES_KINDS}, got {series!r}")
     if not rows:
@@ -156,7 +162,7 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
         lx = _WIDTH - _MARGIN_R - 80
         ly = _MARGIN_T + 14 * ci
         body.append(f'<line x1="{lx - 18}" y1="{ly - 4}" x2="{lx - 4}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        body.append(f'<text class="label" x="{lx}" y="{ly}">{name}</text>')
+        body.append(f'<text class="label" x="{lx}" y="{ly}">{escape(name)}</text>')
     return _svg(body)
 
 

@@ -24,9 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .graph import MaxCutInstance, cut_value_table
+from .graph import ENUMERATION_LIMIT, MaxCutInstance, cut_value_table
 
-MAX_QUBITS = 24
+MAX_QUBITS = ENUMERATION_LIMIT
 
 GATE_KINDS = ("H", "X", "Y", "Z", "RX", "RZ", "CNOT", "DELAY")
 ROTATION_KINDS = ("RX", "RZ")

@@ -14,7 +14,6 @@ from qaoalab.harness import (
     load_config,
     main,
     parse_config,
-    read_trace_csv,
     run_experiment,
     run_sweep,
 )
@@ -222,7 +221,9 @@ def test_experiment_artifacts_and_summary(tmp_path):
 
     summary = json.loads(artifacts.summary_path.read_text())
     assert 0.0 <= summary["approx_ratio"] <= 1.0
-    assert summary["best_energy"] == pytest.approx(min(float(r["energy"]) for r in read_trace_csv(artifacts.trace_path)))
+    with open(artifacts.trace_path, encoding="utf-8", newline="") as fh:
+        energies = [float(row["energy"]) for row in csv.DictReader(fh)]
+    assert summary["best_energy"] == pytest.approx(min(energies))
     assert summary["max_cut"] == 6.0
     assert len(summary["theta"]) == 4
     assert "wall_time_s" not in summary

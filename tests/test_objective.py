@@ -14,12 +14,12 @@ from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, qaoa_state
 from qaoalab.graph import MaxCutInstance
 from qaoalab.noise import NoiseConfig, sample_noisy
 from qaoalab.objective import (
-    OptimizationTrace,
     energy_from_counts,
     energy_from_tally,
     evaluate_qaoa,
     make_objective,
 )
+from qaoalab.optim import MinimizeProblem, minimize
 from qaoalab.statevec import Counts, StateVector, sample_counts, sample_tally
 
 PINNED_DEPTH5_THETA = (
@@ -299,10 +299,11 @@ def test_objective_sampled_reproducible_across_closures(canonical):
 
 
 def test_trace_records_are_ordered(canonical):
-    trace = OptimizationTrace(method="probe")
-    for beta in (0.1, 0.5, 0.9):
-        evaluate_qaoa(canonical, QaoaParams((beta,), (1.0,)), trace=trace)
-    assert len(trace) == 3
-    assert [r.index for r in trace.records] == [0, 1, 2]
+    objective = make_objective(canonical, 1)
+    trace = minimize("cobyla", MinimizeProblem(objective, np.array([0.1, 1.0]), max_evals=7)).trace
+    assert len(trace) == 7
+    assert [r.index for r in trace.records] == list(range(7))
     assert all(len(r.theta) == 2 for r in trace.records)
     assert trace.energies() == [r.energy for r in trace.records]
+    for r in trace.records:
+        assert r.energy == evaluate_qaoa(canonical, QaoaParams.from_vector(np.array(r.theta))).energy

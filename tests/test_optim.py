@@ -1,10 +1,13 @@
 """Derivative-free minimizers: correctness, budgets, trace contracts."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qaoalab
 from qaoalab.objective import make_objective
 from qaoalab.optim import (
     METHODS,
@@ -14,9 +17,6 @@ from qaoalab.optim import (
     MinimizeProblem,
     MinimizeResult,
     minimize,
-    minimize_cg_fd,
-    minimize_cobyla_like,
-    minimize_powell,
     random_qaoa_starts,
 )
 
@@ -52,11 +52,13 @@ def test_shifted_bowl_all_methods(method):
     np.testing.assert_allclose(result.x_best, [1.0, -2.0], atol=atol)
     assert result.f_best < 1e-8
     check_contract(result, problem, shifted_bowl(np.zeros(2)))
+    assert result.trace.method == method
+    assert result.trace.status == result.status
 
 
 def test_powell_constant_objective_converges_quickly():
     problem = MinimizeProblem(lambda x: 4.25, np.ones(3))
-    result = minimize_powell(problem)
+    result = minimize("powell", problem)
     assert result.status == STATUS_CONVERGED
     assert result.f_best == 4.25
     # one outer iteration: a handful of line searches, nowhere near the budget
@@ -65,7 +67,7 @@ def test_powell_constant_objective_converges_quickly():
 
 def test_cg_rosenbrock():
     problem = MinimizeProblem(rosenbrock, np.array([-1.2, 1.0]))
-    result = minimize_cg_fd(problem)
+    result = minimize("cg", problem)
     np.testing.assert_allclose(result.x_best, [1.0, 1.0], atol=1e-4)
 
 
@@ -80,7 +82,7 @@ def test_cg_gradient_norm_on_anisotropic_quadratic():
             np.zeros(d),
             max_evals=50 * d,
         )
-        result = minimize_cg_fd(problem)
+        result = minimize("cg", problem)
         grad = 2.0 * curv * (result.x_best - center)
         assert np.linalg.norm(grad) < 1e-6
         assert result.evals_used <= 50 * d
@@ -88,31 +90,18 @@ def test_cg_gradient_norm_on_anisotropic_quadratic():
 
 def test_cobyla_bowl_d4():
     problem = MinimizeProblem(lambda x: float(x @ x), np.ones(4))
-    result = minimize_cobyla_like(problem)
+    result = minimize("cobyla", problem)
     assert result.f_best < 1e-6
 
 
 def test_cobyla_d1_degenerate_simplex_recovers():
     problem = MinimizeProblem(lambda x: (x[0] - 3.0) ** 2, np.array([0.0]))
-    result = minimize_cobyla_like(problem)
+    result = minimize("cobyla", problem)
     assert result.x_best[0] == pytest.approx(3.0, abs=1e-3)
     assert result.status in ALL_STATUSES
 
 
-# -- dispatch -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "method,direct",
-    [("powell", minimize_powell), ("cg", minimize_cg_fd), ("cobyla", minimize_cobyla_like)],
-)
-def test_dispatch_identity(method, direct):
-    via_name = minimize(method, MinimizeProblem(shifted_bowl, np.zeros(2)))
-    via_func = direct(MinimizeProblem(shifted_bowl, np.zeros(2)))
-    assert via_name.f_best == via_func.f_best
-    assert via_name.evals_used == via_func.evals_used
-    np.testing.assert_array_equal(via_name.x_best, via_func.x_best)
-    assert via_name.trace.method == via_func.trace.method == method
+# -- method names -------------------------------------------------------------------
 
 
 def test_dispatch_rejects_unknown_method():
@@ -130,7 +119,7 @@ def test_budget_below_dimension_rejected():
 
 def test_budget_exactly_dimension_runs():
     problem = MinimizeProblem(shifted_bowl, np.zeros(2), max_evals=2)
-    result = minimize_powell(problem)
+    result = minimize("powell", problem)
     assert result.status == STATUS_BUDGET
     assert result.evals_used == 2
 
@@ -172,8 +161,8 @@ def test_random_quadratic_contract(method):
 
 
 def test_deterministic_given_fixed_objective():
-    a = minimize_powell(MinimizeProblem(rosenbrock, np.array([-1.2, 1.0])))
-    b = minimize_powell(MinimizeProblem(rosenbrock, np.array([-1.2, 1.0])))
+    a = minimize("powell", MinimizeProblem(rosenbrock, np.array([-1.2, 1.0])))
+    b = minimize("powell", MinimizeProblem(rosenbrock, np.array([-1.2, 1.0])))
     assert a.f_best == b.f_best
     assert a.trace.energies() == b.trace.energies()
 
@@ -191,7 +180,7 @@ def test_stochastic_objective_terminates(method, canonical):
 
 
 def test_trace_carries_method_and_points():
-    result = minimize_cg_fd(MinimizeProblem(shifted_bowl, np.zeros(2)))
+    result = minimize("cg", MinimizeProblem(shifted_bowl, np.zeros(2)))
     assert result.trace.method == "cg"
     assert result.trace.status == result.status
     assert all(len(r.theta) == 2 for r in result.trace.records)
@@ -233,3 +222,30 @@ def test_non_finite_values_never_become_the_best(method):
     res = minimize(method, MinimizeProblem(spiky, np.zeros(2), max_evals=60))
     assert math.isfinite(res.f_best)
     assert res.f_best == min(e for e in res.trace.energies() if math.isfinite(e))
+
+
+# -- module boundaries --------------------------------------------------------------
+
+
+def test_package_exports_resolve_once():
+    assert len(qaoalab.__all__) == len(set(qaoalab.__all__))
+    missing = [name for name in qaoalab.__all__ if not hasattr(qaoalab, name)]
+    assert missing == []
+
+
+def test_optim_imports_only_rng_from_the_package():
+    # a bare package module stands in for qaoalab/__init__.py, which
+    # imports every submodule, so only optim's own imports are loaded
+    probe = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('qaoalab')\n"
+        "pkg.__path__ = [sys.argv[1]]\n"
+        "sys.modules['qaoalab'] = pkg\n"
+        "import qaoalab.optim\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qaoalab.'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, qaoalab.__path__[0]],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["qaoalab.optim", "qaoalab.rng"]

@@ -153,4 +153,5 @@ def test_plot_trace_rejects_wrong_header(tmp_path):
 def test_svg_is_well_formed_xml():
     counts = Counts({"0": 3, "1": 5}, 8)
     parse_svg(render_histogram(counts, title="demo"))
+    parse_svg(render_histogram(counts, title="runs/a&b<1>/counts.json"))
     parse_svg(render_trace(trace_rows(3, 2), "params"))
