@@ -8,12 +8,20 @@ exp(+i*w*gamma) where it is cut; global phase aside, gamma thus
 parameterizes the cost-layer evolution. The mixer is RX(2*beta) on
 every qubit. Gate count is n + p * (3*|E| + n).
 
-Exact and sampled evaluation never build that gate list: ``qaoa_state``
-applies each cost layer as one diagonal phase exp(2i*gamma*C), evaluated
-at the distinct cut values and gathered over the basis, and each mixer
-layer as RX(2*beta) on MIXER_BLOCK qubits at a time, one dense block per
-pass. The gate list from ``build_qaoa_circuit`` is what noisy sampling
-runs, and it is the reference the gate-free state is tested against.
+Exact and sampled evaluation never build that gate list. A cut value
+does not change when every bit is complemented, and both |+>^n and the
+mixer commute with X on every qubit, so the state satisfies
+psi(x) = psi(not x). ``qaoa_state`` therefore evolves only the half h
+with node 0 = 0, 2^(n-1) amplitudes over nodes 1..n-1. It applies each
+cost layer as one diagonal phase exp(2i*gamma*C), evaluated at the
+distinct cut values and gathered over that half, and each mixer layer
+as RX(2*beta) on nodes 1..n-1, MIXER_BLOCK qubits at a time, one dense
+block per pass. On a symmetric state X on node 0 acts as X on nodes
+1..n-1, which reverses h, so node 0's RX is cos(beta)*h - i*sin(beta)*h
+reversed; for n <= 6, where nodes 1..n-1 fit in one block, that step is
+folded into the block. The gate list from ``build_qaoa_circuit`` is what
+noisy sampling runs, and it is the reference the gate-free state is
+tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ TWO_QUBIT_DURATION = 4.0
 
 RUN_MODES = ("exact", "sampled", "noisy")
 
-# qubits per mixer block in ``qaoa_state``: a (2^5 x 2^5) block per pass
+# qubits per mixer block in ``qaoa_state``: a (2^5 x 2^5) block per pass over
+# nodes 1..n-1; for n <= 6 the one block also carries node 0's RX
 MIXER_BLOCK = 5
 
 
@@ -128,26 +137,39 @@ def qaoa_state(instance: MaxCutInstance, params: QaoaParams) -> StateVector:
 
     Equals ``simulate_ops`` on ``build_qaoa_circuit(instance, params)``
     up to the global phase exp(-i*gamma*W) per layer, W the total weight.
+    The state is symmetric under complementing every bit, so only the
+    half h with node 0 = 0 is evolved; the other half is h reversed.
     """
     n = instance.n
+    half = 1 << (n - 1)
     levels, index = cut_levels(instance)
-    blocks = [MIXER_BLOCK] * (n // MIXER_BLOCK)
-    if n % MIXER_BLOCK:
-        blocks.append(n % MIXER_BLOCK)
-    psi = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=complex)
+    index = index[:half]
+    blocks = [MIXER_BLOCK] * ((n - 1) // MIXER_BLOCK)
+    if (n - 1) % MIXER_BLOCK:
+        blocks.append((n - 1) % MIXER_BLOCK)
+    # nodes 1..n-1 in one block: node 0's RX folds into that block's weights
+    fold = len(blocks) == 1
+    h = np.full(half, 2.0 ** (-0.5 * n), dtype=complex)
     for beta, gamma in zip(params.betas, params.gammas):
         # the same exp of the same values as exp(2j*gamma*table), gathered
-        psi *= np.exp(2j * gamma * levels)[index]
-        c, s = np.cos(beta), -1j * np.sin(beta)
-        # RX(2*beta) on k qubits: entry (x, y) is c^(k-d) * s^d, d = popcount(x ^ y).
-        # The block is symmetric, so right-multiplying applies it to the last
-        # k qubits; the transpose then rotates those to the front, and blocks
-        # summing to n restore the original order
+        h *= np.exp(2j * gamma * levels)[index]
+        c, s = math.cos(beta), -1j * math.sin(beta)
+        # RX(2*beta) on k of nodes 1..n-1: entry (x, y) is f(d) = c^(k-d) * s^d,
+        # d = popcount(x ^ y). The block is symmetric, so right-multiplying
+        # applies it to the last k qubits; the transpose then rotates those to
+        # the front, and blocks summing to n-1 restore the original order
         for k in blocks:
-            d = np.arange(k + 1)
-            block = (c ** (k - d) * s ** d)[_hamming_distances(k)]
-            psi = (psi.reshape(-1, 1 << k) @ block).T.reshape(-1)
-    return StateVector(n, psi)
+            f = [c ** (k - d) * s ** d for d in range(k + 1)]
+            if fold:
+                # c*B + s*(B, then h reversed): reversing flips all k bits of x,
+                # so d becomes k - d; exact, as the reversal commutes with B
+                f = [c * f[d] + s * f[k - d] for d in range(k + 1)]
+            h = (h.reshape(-1, 1 << k) @ np.array(f)[_hamming_distances(k)]).T.reshape(-1)
+        if not fold:
+            # RX on node 0: on a symmetric state X_0 acts as X on nodes 1..n-1,
+            # which complements the index into h, i.e. reverses h
+            h = c * h + s * h[::-1]
+    return StateVector(n, np.concatenate([h, h[::-1]]))
 
 
 def check_run_mode(mode: str, shots, seed, noise) -> None:

@@ -7,8 +7,10 @@ can be consumed directly as a diagonal observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -33,11 +35,12 @@ def _is_index(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_edge(n: int, edge, weight: float, seen: set[tuple[int, int]]) -> tuple[int, int]:
+def _check_edge(n: int, edge, weight, seen: set[tuple[int, int]]) -> tuple[int, int]:
     """The rules for one edge of an n-node graph; returns its (min, max) key, added to ``seen``.
 
     Both endpoints are integer nodes in 0..n-1, the edge is no self-loop
-    and no repeat of an edge in ``seen``, and its weight is finite.
+    and no repeat of an edge in ``seen``, and its weight is a finite real
+    number (not a bool, not a numeric string).
     """
     try:
         u, v = edge
@@ -53,7 +56,13 @@ def _check_edge(n: int, edge, weight: float, seen: set[tuple[int, int]]) -> tupl
     key = (min(u, v), max(u, v))
     if key in seen:
         raise ValueError(f"duplicate edge {key}")
-    if not np.isfinite(weight):
+    if isinstance(weight, bool) or not isinstance(weight, Real):
+        raise ValueError(f"weight {weight!r} of edge {key} is not a real number")
+    try:
+        finite = math.isfinite(weight)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"weight {weight} of edge {key} is not finite")
     seen.add(key)
     return key
@@ -77,9 +86,9 @@ class MaxCutInstance:
         weights = self.weights or (1.0,) * len(self.edges)
         if len(weights) != len(self.edges):
             raise ValueError(f"{len(weights)} weights for {len(self.edges)} edges")
-        weights = tuple(float(w) for w in weights)
         seen: set[tuple[int, int]] = set()
         edges = tuple(_check_edge(self.n, e, w, seen) for e, w in zip(self.edges, weights))
+        weights = tuple(float(w) for w in weights)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", weights)
 

@@ -71,18 +71,20 @@ def render_histogram(counts: Counts, highlight: frozenset[str] | set[str] = froz
         y = base_y - tick * plot_h
         body.append(f'<line class="axis" x1="{_MARGIN_L - 4}" y1="{_fmt(y)}" x2="{_MARGIN_L}" y2="{_fmt(y)}"/>')
         body.append(f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end">{v:.3f}</text>')
+    # one histogram can carry thousands of bars: format what they share once
+    width = _fmt(bar_w)
+    label_y = _fmt(base_y + 12)
     for i, key in enumerate(keys):
         h = probs[key] / y_max * plot_h
         x = _MARGIN_L + i * slot + (slot - bar_w) / 2
         cls = "bar solution" if key in highlight else "bar"
+        lx = f"{x + bar_w / 2:.2f}"
         body.append(
-            f'<rect class="{cls}" x="{_fmt(x)}" y="{_fmt(base_y - h)}" '
-            f'width="{_fmt(bar_w)}" height="{_fmt(h)}"/>'
+            f'<rect class="{cls}" x="{x:.2f}" y="{base_y - h:.2f}" width="{width}" height="{h:.2f}"/>'
         )
-        lx = x + bar_w / 2
         body.append(
-            f'<text x="{_fmt(lx)}" y="{_fmt(base_y + 12)}" text-anchor="end" '
-            f'transform="rotate(-60 {_fmt(lx)} {_fmt(base_y + 12)})">{escape(key)}</text>'
+            f'<text x="{lx}" y="{label_y}" text-anchor="end" '
+            f'transform="rotate(-60 {lx} {label_y})">{escape(key)}</text>'
         )
     body.append(
         f'<text x="{_MARGIN_L - 48}" y="{_MARGIN_T - 12}">probability</text>'

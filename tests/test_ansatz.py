@@ -216,9 +216,10 @@ def test_gate_free_state_matches_gate_path(instance, layers):
     assert_matches_gate_path(instance, params)
 
 
-# the mixer runs in blocks of MIXER_BLOCK = 5 qubits: these sizes take
-# remainder blocks of 1 to 4 qubits and one or two full blocks
-@pytest.mark.parametrize("n", [5, 6, 9, 10, 11, 14])
+# the mixer runs over nodes 1..n-1 in blocks of MIXER_BLOCK = 5 qubits: these
+# sizes give n-1 every remainder mod 5 with zero, one or two full blocks. Up to
+# n = 6 node 0's RX is folded into the one block; n = 1 has no block at all
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 8, 9, 10, 11, 14])
 @pytest.mark.parametrize("integer_weights", [True, False])
 def test_gate_free_state_matches_gate_path_by_block_size(n, integer_weights):
     gen = np.random.default_rng(n)
@@ -231,6 +232,31 @@ def test_gate_free_state_matches_gate_path_by_block_size(n, integer_weights):
     instance = MaxCutInstance(n, edges, weights)
     params = QaoaParams.from_vector(gen.uniform(-2.0 * math.pi, 2.0 * math.pi, 4))
     assert_matches_gate_path(instance, params)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gate_path_state_is_complement_symmetric(seed):
+    # the premise of qaoa_state's half state: psi(x) = psi(not x), negative weights too
+    gen = np.random.default_rng([seed, 0xC0])
+    n = int(gen.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:int(gen.integers(0, len(pairs) + 1))])
+    instance = MaxCutInstance(n, edges, tuple(gen.uniform(-2.0, 2.0, len(edges))))
+    p = int(gen.integers(1, 5))
+    params = QaoaParams.from_vector(gen.uniform(-2.0 * math.pi, 2.0 * math.pi, 2 * p))
+    amps = simulate_ops(n, build_qaoa_circuit(instance, params).ops).amplitudes
+    # complementing all n bits of a basis index reverses the amplitude array
+    np.testing.assert_allclose(amps, amps[::-1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_gate_free_state_is_exactly_symmetric(n):
+    instance = MaxCutInstance(n, tuple((u, u + 1) for u in range(n - 1)),
+                              tuple(0.5 - u for u in range(n - 1)))
+    amps = qaoa_state(instance, QaoaParams((0.4, 1.3), (0.9, -2.2))).amplitudes
+    assert np.array_equal(amps, amps[::-1])
+    uniform = qaoa_state(instance, QaoaParams((), ())).amplitudes
+    assert np.array_equal(uniform, np.full(1 << n, 2.0 ** (-0.5 * n), dtype=complex))
 
 
 def forbid_gate_list(monkeypatch):

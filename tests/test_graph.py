@@ -253,7 +253,19 @@ def test_non_integer_nodes_rejected(n, edges, needle):
         MaxCutInstance(n=n, edges=edges)
 
 
-@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf"), 10**400])
 def test_non_finite_weight_rejected(weight):
     with pytest.raises(ValueError, match=r"weight .* of edge \(0, 2\) is not finite"):
         MaxCutInstance(n=3, edges=((0, 1), (2, 0)), weights=(1.0, weight))
+
+
+@pytest.mark.parametrize("weight", [True, np.bool_(False), "2.5", None])
+def test_non_number_weight_rejected(weight):
+    with pytest.raises(ValueError, match=r"weight .* of edge \(0, 2\) is not a real number"):
+        MaxCutInstance(n=3, edges=((0, 1), (2, 0)), weights=(1.0, weight))
+
+
+def test_integer_and_numpy_weights_become_floats():
+    instance = MaxCutInstance(n=3, edges=((0, 1), (1, 2)), weights=(2, np.float32(0.5)))
+    assert instance.weights == (2.0, 0.5)
+    assert all(type(w) is float for w in instance.weights)

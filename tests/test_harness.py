@@ -105,6 +105,14 @@ def test_inline_instance_rejects_non_finite_weights(weight):
         parse_config({"instance": {"inline": inline}})
 
 
+@pytest.mark.parametrize("weight", [True, "2.5"])
+def test_inline_instance_rejects_bool_and_string_weights(weight):
+    inline = {"n": 2, "edges": [[0, 1]], "weights": [weight]}
+    with pytest.raises(ConfigError, match=rf"^instance.inline: weight {weight!r} of edge \(0, 1\) "
+                                          "is not a real number"):
+        parse_config({"instance": {"inline": inline}})
+
+
 @pytest.mark.parametrize("inline", [
     {"n": True, "edges": []},
     {"n": 3, "edges": [[True, 2]]},

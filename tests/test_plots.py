@@ -1,5 +1,6 @@
 """SVG rendering: structural checks on bars, polylines, labels."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -45,6 +46,18 @@ def test_histogram_orders_keys_lexicographically():
     counts = Counts({"10": 1, "00": 1, "01": 1}, 3)
     svg = render_histogram(counts)
     assert svg.index(">00<") < svg.index(">01<") < svg.index(">10<")
+
+
+def test_histogram_bytes_are_pinned():
+    # 1013 bars, highlights and an escaped title: a faster rendering must
+    # still write these bytes
+    counts = {format(i, "010b"): (i * i * 7919) % 97 for i in range(1024)}
+    counts = {k: v for k, v in counts.items() if v}
+    svg = render_histogram(Counts(counts, sum(counts.values())),
+                           highlight={"0000000001", "1111111110"}, title="runs/a&b<1>/counts.json")
+    assert len(counts) == 1013 and len(svg) == 175478
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "598a3433d4387452d7a537dd8233b8ff237de55692c64df48d0b4c5672ae4036")
 
 
 def test_histogram_rejects_empty():
