@@ -8,7 +8,6 @@ derivative-free optimizers, and a reproducible experiment harness.
 
 from .ansatz import Circuit, QaoaParams, build_qaoa_circuit, qaoa_state, run_circuit
 from .graph import (
-    Cut,
     MaxCutInstance,
     ParseError,
     brute_force_maxcut,
@@ -71,7 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Circuit", "QaoaParams", "build_qaoa_circuit", "qaoa_state", "run_circuit",
-    "Cut", "MaxCutInstance", "ParseError", "brute_force_maxcut",
+    "MaxCutInstance", "ParseError", "brute_force_maxcut",
     "canonical_instance", "cut_value", "parse_edge_list", "serialize_edge_list",
     "ExperimentConfig", "NOISE_PRESETS", "PAPER_P5_THETA", "ConfigError",
     "RunArtifacts", "load_config", "main", "parse_config",

@@ -97,18 +97,6 @@ class MaxCutInstance:
         return float(sum(self.weights))
 
 
-@dataclass(frozen=True)
-class Cut:
-    """A concrete assignment together with its cut value."""
-
-    assignment: str
-    value: float
-
-    @classmethod
-    def of(cls, instance: MaxCutInstance, assignment: str) -> "Cut":
-        return cls(assignment, cut_value(instance, assignment))
-
-
 def _validate_assignment(n: int, assignment: str) -> None:
     if not isinstance(assignment, str) or len(assignment) != n:
         raise ValueError(f"assignment must be a {n}-character bitstring, got {assignment!r}")

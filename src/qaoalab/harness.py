@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Real
 from pathlib import Path
@@ -45,7 +44,6 @@ from .objective import evaluate_qaoa, make_objective
 from .optim import (
     METHODS,
     MinimizeProblem,
-    MinimizeResult,
     OptimizationTrace,
     minimize,
     random_qaoa_starts,
@@ -175,7 +173,6 @@ class RunArtifacts:
     trace_path: Path
     summary_path: Path
     summary: dict
-    result: MinimizeResult | None
 
 
 def _reject_unknown(section: str, given, allowed: set[str]) -> None:
@@ -233,8 +230,7 @@ def _resolve_noise(spec) -> NoiseConfig:
         raise ConfigError(f"noise: {exc}") from None
 
 
-def parse_config(raw: dict, *, seed_override: int | None = None,
-                 out_override: str | None = None) -> ExperimentConfig:
+def parse_config(raw: dict) -> ExperimentConfig:
     """Turn a raw config dict into an ``ExperimentConfig``; unknown fields anywhere are errors."""
     _reject_unknown("config", raw, _CONFIG_FIELDS)
     version = raw.get("version", SCHEMA_VERSION)
@@ -250,14 +246,14 @@ def parse_config(raw: dict, *, seed_override: int | None = None,
         shots=raw.get("shots", 1000),
         mode=raw.get("mode", "exact"),
         noise=_resolve_noise(raw.get("noise", "none")),
-        seed=seed_override if seed_override is not None else raw.get("seed", 0),
+        seed=raw.get("seed", 0),
         max_evals=raw.get("max_evals"),
-        out_dir=out_override if out_override is not None else raw.get("out_dir"),
+        out_dir=raw.get("out_dir"),
         sweep=raw.get("sweep"),
     )
 
 
-def load_config(path, **overrides) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -267,7 +263,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return parse_config(raw, **overrides)
+    return parse_config(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +307,15 @@ def write_trace_csv(path: Path, trace: OptimizationTrace, p: int) -> None:
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Optimize, run the final circuit, and write the three artifacts."""
-    t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    result: MinimizeResult | None = None
     if config.p == 0:
         theta = np.zeros(0)
-        trace = OptimizationTrace(method=config.method)
+        trace = OptimizationTrace()
         energy = evaluate_qaoa(config.instance, QaoaParams((), ())).energy
         trace.append(theta, energy)
-        trace.status = "converged"
+        status = "converged"
         best_f = energy
         evals_used = 1
         total_evals = 1
@@ -345,6 +339,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         result = min(results, key=lambda res: res.f_best)
         theta = result.x_best
         trace = result.trace
+        status = result.status
         best_f = result.f_best
         evals_used = result.evals_used
         total_evals = sum(res.evals_used for res in results)
@@ -368,7 +363,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         "p": config.p,
         "method": config.method,
         "mode": config.mode,
-        "status": trace.status,
+        "status": status,
         "best_energy": best_f,
         "final_energy": final.energy,
         "best_bitstrings": best_bitstrings,
@@ -379,19 +374,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         "evals_used": evals_used,
         "total_evals": total_evals,
         "shots": config.shots,
-        "wall_time_s": round(time.perf_counter() - t0, 6),
     }
     counts_path = out / "counts.json"
     trace_path = out / "trace.csv"
     summary_path = out / "summary.json"
     write_counts_json(counts_path, counts, config)
     write_trace_csv(trace_path, trace, config.p)
-    summary_json = dict(summary)
-    summary_json.pop("wall_time_s")  # keep summary.json byte-stable
     summary_path.write_text(
-        json.dumps(summary_json, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    return RunArtifacts(counts_path, trace_path, summary_path, summary, result)
+    return RunArtifacts(counts_path, trace_path, summary_path, summary)
 
 
 SWEEP_LIMIT = 1000
@@ -491,6 +483,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _cli_config(args) -> ExperimentConfig:
+    """The config file, with ``--seed`` applied as a checked ``replace``."""
+    config = load_config(args.config)
+    return config if args.seed is None else replace(config, seed=args.seed)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -499,9 +497,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         if args.command == "solve":
-            config = load_config(args.config, seed_override=args.seed,
-                                 out_override=args.out)
-            artifacts = run_experiment(config)
+            artifacts = run_experiment(_cli_config(args), args.out)
             s = artifacts.summary
             print(f"best_energy {s['best_energy']:.6g}  "
                   f"approx_ratio {s['approx_ratio']:.4g}  "
@@ -510,9 +506,7 @@ def main(argv=None) -> int:
                   f"{artifacts.summary_path}")
             return 0
         if args.command == "sweep":
-            config = load_config(args.config, seed_override=args.seed,
-                                 out_override=args.out)
-            rows = run_sweep(config)
+            rows = run_sweep(_cli_config(args), args.out)
             for row in rows:
                 print(f"cell {row['cell']:3d}  p={row['p']}  {row['method']:7s} "
                       f"noise={row['noise']:13s} f_best={row['f_best']:.6g} "

@@ -14,10 +14,11 @@ Mitigation passes rewrite circuits:
   * twirl_circuit wraps every CNOT in a random Pauli pair and its
     conjugated partner, turning the coherent ZZ over-rotation into an
     incoherent average over shots.
-  * schedule_circuit assigns start times (ASAP or ALAP greedy list
-    scheduling) and reports per-qubit busy/idle intervals.
-  * insert_dd fills idle windows with symmetric decoupling sequences
-    whose net effect is the identity, echoing away quasi-static phases.
+  * schedule_circuit assigns start times (ASAP greedy list scheduling)
+    and reports per-qubit busy/idle intervals.
+  * insert_dd schedules a circuit and fills its idle windows with
+    symmetric decoupling sequences whose net effect is the identity,
+    echoing away quasi-static phases.
 """
 
 from __future__ import annotations
@@ -134,10 +135,9 @@ class Timeline:
         return tuple(iv for iv in self.qubits[q] if iv.op_index is None)
 
 
-SCHEDULE_POLICIES = ("asap", "alap")
-
-
-def _asap_starts(n: int, slots) -> list[float]:
+@lru_cache(maxsize=256)
+def _schedule_cached(n: int, slots: tuple) -> Timeline:
+    """ASAP timeline of ops given as (qubits, duration) slots, in circuit order."""
     ready = [0.0] * n
     starts = []
     for qubits, duration in slots:
@@ -145,23 +145,7 @@ def _asap_starts(n: int, slots) -> list[float]:
         starts.append(s)
         for q in qubits:
             ready[q] = s + duration
-    return starts
-
-
-@lru_cache(maxsize=256)
-def _schedule_cached(n: int, slots: tuple, policy: str) -> Timeline:
-    """Timeline of ops given as (qubits, duration) slots, in circuit order."""
-    if policy == "asap":
-        starts = _asap_starts(n, slots)
-        makespan = max((s + d for s, (_, d) in zip(starts, slots)), default=0.0)
-    else:
-        # ALAP: schedule the reversed circuit ASAP, then mirror in time.
-        rev = slots[::-1]
-        rev_starts = _asap_starts(n, rev)
-        makespan = max((s + d for s, (_, d) in zip(rev_starts, rev)), default=0.0)
-        starts = [
-            makespan - (rs + d) for rs, (_, d) in zip(reversed(rev_starts), slots)
-        ]
+    makespan = max(ready)
     per_qubit: list[tuple[Interval, ...]] = []
     for q in range(n):
         busy = sorted(
@@ -184,20 +168,16 @@ def _schedule_cached(n: int, slots: tuple, policy: str) -> Timeline:
     return Timeline(makespan, tuple(starts), tuple(per_qubit))
 
 
-def schedule_circuit(circuit: Circuit, policy: str = "asap") -> Timeline:
-    """Greedy list schedule of a circuit under the given policy.
+def schedule_circuit(circuit: Circuit) -> Timeline:
+    """ASAP greedy list schedule of a circuit.
 
-    ASAP starts every op at the max ready-time of its qubits; ALAP is
-    the time-mirror of ASAP on the reversed circuit, so both share one
-    makespan. Per-qubit intervals tile [0, makespan] exactly. Timelines
-    are cached by what they depend on: qubit count, each op's qubits and
-    duration, and the policy, so circuits that differ only in gate kinds
-    or angles share one entry.
+    Every op starts at the max ready-time of its qubits. Per-qubit
+    intervals tile [0, makespan] exactly. Timelines are cached by what
+    they depend on: qubit count and each op's qubits and duration, so
+    circuits that differ only in gate kinds or angles share one entry.
     """
-    if policy not in SCHEDULE_POLICIES:
-        raise ValueError(f"policy must be one of {SCHEDULE_POLICIES}, got {policy!r}")
     slots = tuple((op.qubits, op.duration) for op in circuit.ops)
-    return _schedule_cached(circuit.n, slots, policy)
+    return _schedule_cached(circuit.n, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +185,8 @@ def schedule_circuit(circuit: Circuit, policy: str = "asap") -> Timeline:
 # ---------------------------------------------------------------------------
 
 
-def insert_dd(circuit: Circuit, timeline: Timeline, sequence: str = "XpXm") -> Circuit:
-    """Fill idle windows with a symmetric decoupling sequence.
+def insert_dd(circuit: Circuit, sequence: str = "XpXm") -> Circuit:
+    """Fill the idle windows of the circuit's ASAP schedule with a decoupling sequence.
 
     Pulses are centered with spacing fractions 1/(2k), 1/k, ..., 1/(2k)
     of the window's free time, realized as explicit DELAY ops so the
@@ -218,8 +198,7 @@ def insert_dd(circuit: Circuit, timeline: Timeline, sequence: str = "XpXm") -> C
     """
     if sequence not in DD_SEQUENCES:
         raise ValueError(f"sequence must be one of {sorted(DD_SEQUENCES)}, got {sequence!r}")
-    if len(timeline.starts) != len(circuit.ops):
-        raise ValueError("timeline does not match circuit")
+    timeline = schedule_circuit(circuit)
     pulses = DD_SEQUENCES[sequence]
     k = len(pulses)
     pulse_dur = ONE_QUBIT_DURATION
@@ -302,7 +281,7 @@ def sample_noisy_tally(circuit: Circuit, config: NoiseConfig, shots: int,
 
     check_shots(shots)
     if config.dd:
-        circuit = insert_dd(circuit, schedule_circuit(circuit, "asap"), config.dd_sequence)
+        circuit = insert_dd(circuit, config.dd_sequence)
     return trajectories.sample(circuit, config, shots, seed)
 
 

@@ -111,10 +111,12 @@ def make_objective(
 
     Stochastic modes give evaluation k its own derived seed, so the
     noise realization is a pure function of (seed, k) regardless of
-    which optimizer asks, in what order.
+    which optimizer asks, in what order. The depth and run mode are
+    checked here, once, not at each evaluation.
     """
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
+    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+        raise ValueError(f"p must be a non-negative integer, got {p!r}")
+    check_run_mode(mode, shots, seed, noise)
     counter = [0]
 
     def objective(theta) -> float:

@@ -35,6 +35,8 @@ STATUS_STALLED = "stalled"
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _RHO_START, _RHO_END = 0.5, 1e-4  # cobyla's initial and final trust radius
+_XTOL = 1e-6  # step length below which powell stops; line searches resolve 100 * _XTOL
+_FTOL = 1e-8  # relative decrease below which an iteration counts as no progress
 
 
 class TraceRecord(NamedTuple):
@@ -47,9 +49,7 @@ class TraceRecord(NamedTuple):
 class OptimizationTrace:
     """Append-only log of objective evaluations, in order."""
 
-    method: str = ""
     records: list[TraceRecord] = field(default_factory=list)
-    status: str | None = None
 
     def append(self, theta, energy: float) -> None:
         theta = tuple(float(t) for t in np.asarray(theta, dtype=float))
@@ -64,18 +64,18 @@ class OptimizationTrace:
 
 @dataclass
 class MinimizeProblem:
-    """Objective plus starting point, budget, and tolerances.
+    """Objective plus starting point, budget, and finite-difference step.
 
-    max_evals defaults to 500 * d. fd_step=None means the relative rule
-    h_i = 1e-6 * max(1, |x_i|); stochastic objectives should set an
-    absolute step (0.05 works well against shot noise).
+    max_evals is an int (not a bool) and defaults to 500 * d. fd_step=None
+    means the relative rule h_i = 1e-6 * max(1, |x_i|); stochastic
+    objectives should set an absolute step (0.05 works well against shot
+    noise). The stopping tolerances are fixed for every problem (_XTOL,
+    _FTOL).
     """
 
     objective: Callable[[np.ndarray], float]
     x0: np.ndarray
     max_evals: int | None = None
-    xtol: float = 1e-6
-    ftol: float = 1e-8
     fd_step: float | None = None
 
     def __post_init__(self):
@@ -84,12 +84,12 @@ class MinimizeProblem:
             raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {self.x0.shape}")
         if self.max_evals is None:
             self.max_evals = 500 * self.x0.size
+        if isinstance(self.max_evals, bool) or not isinstance(self.max_evals, int):
+            raise ValueError(f"max_evals must be an integer, got {self.max_evals!r}")
         if self.max_evals < self.x0.size:
             raise ValueError(
                 f"max_evals={self.max_evals} cannot cover even one pass over {self.x0.size} dimensions"
             )
-        if self.xtol <= 0 or self.ftol <= 0:
-            raise ValueError("xtol and ftol must be positive")
         if self.fd_step is not None and self.fd_step <= 0:
             raise ValueError(f"fd_step must be positive, got {self.fd_step!r}")
 
@@ -273,12 +273,12 @@ def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
     Each outer iteration line-minimizes along every direction in turn,
     then replaces the direction of largest single decrease with the net
     displacement when the standard acceptance test favors it. Converges
-    when an outer iteration's total improvement falls below ftol.
+    when an outer iteration's total improvement falls below _FTOL.
     """
     d = problem.x0.size
     directions = np.eye(d)
     x = problem.x0.copy()
-    line_tol = 100.0 * problem.xtol  # per-line precision beyond this is wasted budget
+    line_tol = 100.0 * _XTOL  # per-line precision beyond this is wasted budget
     fx = rec(x)
     while True:
         f_start = fx
@@ -293,10 +293,10 @@ def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
                 drop_index = i
             x = x + alpha * direction
             fx = f_new
-        if 2.0 * (f_start - fx) <= problem.ftol * (abs(f_start) + abs(fx)) + 1e-20:
+        if 2.0 * (f_start - fx) <= _FTOL * (abs(f_start) + abs(fx)) + 1e-20:
             return STATUS_CONVERGED
         displacement = x - x_start
-        if np.linalg.norm(displacement) <= problem.xtol:
+        if np.linalg.norm(displacement) <= _XTOL:
             return STATUS_CONVERGED
         # extrapolated point test for direction replacement
         f_ext = rec(x_start + 2.0 * displacement)
@@ -340,7 +340,7 @@ def _cg(rec: _Recorder, problem: MinimizeProblem) -> str:
     """
     d = problem.x0.size
     x = problem.x0.copy()
-    line_tol = 100.0 * problem.xtol
+    line_tol = 100.0 * _XTOL
     stall = 0
     tiny_drops = 0
     fx = rec(x)
@@ -375,7 +375,7 @@ def _cg(rec: _Recorder, problem: MinimizeProblem) -> str:
         x = x + alpha * direction
         fx = f_new
         alpha_prev = alpha
-        if 2.0 * f_drop <= problem.ftol * (abs(fx) + abs(fx + f_drop)) + 1e-20:
+        if 2.0 * f_drop <= _FTOL * (abs(fx) + abs(fx + f_drop)) + 1e-20:
             tiny_drops += 1
             if tiny_drops >= 2:
                 return STATUS_CONVERGED
@@ -443,7 +443,7 @@ def _cobyla(rec: _Recorder, problem: MinimizeProblem) -> str:
             continue
         g = np.linalg.solve(a_mat, b_vec)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-300 or rho * gnorm < problem.ftol * max(1.0, abs(f_best)):
+        if gnorm <= 1e-300 or rho * gnorm < _FTOL * max(1.0, abs(f_best)):
             if not fresh:
                 xs, fs = build_simplex(x_best, f_best)
                 fresh = True
@@ -494,7 +494,7 @@ def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
     """Run one search by name under the problem's budget; raises ValueError for unknown methods."""
     if method not in _SEARCHES:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    trace = OptimizationTrace(method=method)
+    trace = OptimizationTrace()
     rec = _Recorder(problem.objective, problem.max_evals, trace)
     try:
         status = _SEARCHES[method](rec, problem)
@@ -502,7 +502,6 @@ def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
         status = STATUS_BUDGET
     if rec.x_best is None:
         raise ValueError(f"objective returned no finite value in {rec.used} evaluations")
-    trace.status = status
     return MinimizeResult(rec.x_best.copy(), rec.f_best, rec.used, status, trace)
 
 

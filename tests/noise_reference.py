@@ -118,7 +118,7 @@ def apply_trajectory_noise(
     idle_before: dict[int, list[tuple[int, float]]] = {}
     trailing: list[tuple[int, float]] = []
     if dephasing:
-        timeline = schedule_circuit(circuit, "asap")
+        timeline = schedule_circuit(circuit)
         ready = [0.0] * circuit.n
         for idx, (op, start) in enumerate(zip(circuit.ops, timeline.starts)):
             for q in sorted(op.qubits):

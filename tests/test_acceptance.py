@@ -22,7 +22,6 @@ from qaoalab.noise import (
     NoiseConfig,
     apply_trajectory_noise,
     insert_dd,
-    schedule_circuit,
     twirl_circuit,
 )
 from qaoalab.objective import evaluate_qaoa, make_objective
@@ -161,7 +160,7 @@ def test_criterion_08_mitigation_is_neutral_without_noise(canonical, grid_p1):
     _, gamma, beta = grid_p1
     circuit = build_qaoa_circuit(canonical, QaoaParams((beta,), (gamma,)))
     ideal = exact_probs(circuit)
-    dressed = insert_dd(circuit, schedule_circuit(circuit, "asap"), "XpXm")
+    dressed = insert_dd(circuit, "XpXm")
     worst = 0.0
     for seed in range(5):
         probs = exact_probs(twirl_circuit(dressed, seed))

@@ -222,7 +222,7 @@ def test_sweep_cells_equal_the_reparsed_inline_cells(raw):
         ran.append(cell_config)
         summary = {"best_energy": -1.0, "approx_ratio": 1.0, "ground_pair_prob": 0.0,
                    "evals_used": 1, "status": "converged"}
-        return RunArtifacts(Path(), Path(), Path(), summary, None)
+        return RunArtifacts(Path(), Path(), Path(), summary)
 
     real = harness.run_experiment
     harness.run_experiment = record

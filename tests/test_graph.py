@@ -8,7 +8,6 @@ import pytest
 from qaoalab.graph import (
     ENUMERATION_LIMIT,
     CapacityError,
-    Cut,
     MaxCutInstance,
     ParseError,
     brute_force_maxcut,
@@ -136,12 +135,6 @@ def test_gathered_phase_is_bit_identical(seed, integer_weights):
         gathered = np.exp(2j * gamma * levels)[index]
         direct = np.exp(2j * gamma * table)
         assert gathered.tobytes() == direct.tobytes()
-
-
-def test_cut_of_helper(canonical):
-    cut = Cut.of(canonical, "00011")
-    assert cut.value == 6.0
-    assert cut.assignment == "00011"
 
 
 # -- edge-list text format ----------------------------------------------------

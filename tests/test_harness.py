@@ -166,12 +166,6 @@ def test_noise_presets():
     assert custom.noise.p2q == 0.1 and custom.noise.twirling
 
 
-def test_overrides_beat_file_values():
-    config = parse_config(small_raw(), seed_override=7, out_override="elsewhere")
-    assert config.seed == 7
-    assert config.out_dir == "elsewhere"
-
-
 def test_config_hash_tracks_content():
     a = parse_config(small_raw())
     b = parse_config(small_raw())
@@ -409,6 +403,24 @@ def test_cli_solve_and_plot(tmp_path, capsys):
         "plot", "--in", str(out / "trace.csv"), "--out", str(svg2), "--series", "params",
     ]) == 0
     assert "polyline" in svg2.read_text()
+
+
+def test_cli_seed_and_out_override_the_config_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    raw = small_raw(seed=42, out_dir="from_file", max_evals=10)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "X"
+    assert main(["solve", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "counts.json", "summary.json", "trace.csv"]
+    assert not (tmp_path / "from_file").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seed"] == 7
+    assert summary["config_hash"] == parse_config(dict(raw, seed=7)).config_hash
+    assert main(["solve", "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed: ")
 
 
 def test_cli_solve_missing_config(tmp_path, capsys):

@@ -44,7 +44,7 @@ def p1_circuit(canonical, grid_p1) -> Circuit:
 def with_dd(circuit: Circuit, config: NoiseConfig) -> Circuit:
     if not config.dd:
         return circuit
-    return insert_dd(circuit, schedule_circuit(circuit, "asap"), config.dd_sequence)
+    return insert_dd(circuit, config.dd_sequence)
 
 
 def shot_circuit(base: Circuit, config: NoiseConfig, shot: int, seed: int) -> Circuit:
@@ -143,7 +143,7 @@ def test_schedule_hh_cnot_has_no_idle():
         GateOp("H", (1,), None, 1.0),
         GateOp("CNOT", (0, 1), None, 4.0),
     ))
-    tl = schedule_circuit(circuit, "asap")
+    tl = schedule_circuit(circuit)
     assert tl.makespan == 5.0
     assert tl.starts == (0.0, 0.0, 1.0)
     for q in (0, 1):
@@ -155,52 +155,27 @@ def test_schedule_asap_exposes_idle_window():
         GateOp("H", (0,), None, 1.0),
         GateOp("CNOT", (0, 1), None, 4.0),
     ))
-    tl = schedule_circuit(circuit, "asap")
+    tl = schedule_circuit(circuit)
     assert tl.idle_intervals(1) == (Interval(0.0, 1.0, None),)
-
-
-def test_schedule_policies_share_makespan(canonical, grid_p1):
-    circuit = p1_circuit(canonical, grid_p1)
-    asap = schedule_circuit(circuit, "asap")
-    alap = schedule_circuit(circuit, "alap")
-    assert asap.makespan == alap.makespan
-
-
-def test_schedule_alap_pushes_slack_to_the_front():
-    circuit = Circuit(2, (
-        GateOp("H", (0,), None, 1.0),
-        GateOp("H", (1,), None, 1.0),
-        GateOp("H", (1,), None, 1.0),
-        GateOp("CNOT", (0, 1), None, 4.0),
-    ))
-    # q0 has one unit of slack before the CNOT; alap consumes it up front
-    asap = schedule_circuit(circuit, "asap")
-    alap = schedule_circuit(circuit, "alap")
-    assert asap.makespan == alap.makespan == 6.0
-    assert asap.starts[0] == 0.0
-    assert alap.starts[0] == 1.0
-    assert asap.idle_intervals(0) == (Interval(1.0, 2.0, None),)
-    assert alap.idle_intervals(0) == (Interval(0.0, 1.0, None),)
 
 
 def test_intervals_tile_the_makespan(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
-    for policy in ("asap", "alap"):
-        tl = schedule_circuit(circuit, policy)
-        for q in range(circuit.n):
-            intervals = tl.qubits[q]
-            assert intervals[0].start == 0.0
-            assert intervals[-1].end == tl.makespan
-            for a, b in zip(intervals, intervals[1:]):
-                assert a.end == b.start
-            busy = sum(iv.end - iv.start for iv in intervals if iv.op_index is not None)
-            idle = sum(iv.end - iv.start for iv in intervals if iv.op_index is None)
-            assert busy + idle == pytest.approx(tl.makespan)
+    tl = schedule_circuit(circuit)
+    for q in range(circuit.n):
+        intervals = tl.qubits[q]
+        assert intervals[0].start == 0.0
+        assert intervals[-1].end == tl.makespan
+        for a, b in zip(intervals, intervals[1:]):
+            assert a.end == b.start
+        busy = sum(iv.end - iv.start for iv in intervals if iv.op_index is not None)
+        idle = sum(iv.end - iv.start for iv in intervals if iv.op_index is None)
+        assert busy + idle == pytest.approx(tl.makespan)
 
 
 def test_two_qubit_ops_occupy_both_timelines(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
-    tl = schedule_circuit(circuit, "asap")
+    tl = schedule_circuit(circuit)
     for i, op in enumerate(circuit.ops):
         if op.kind != "CNOT":
             continue
@@ -210,30 +185,16 @@ def test_two_qubit_ops_occupy_both_timelines(canonical, grid_p1):
         assert iv_u == iv_v != []
 
 
-def test_schedule_policy_validation(canonical, grid_p1):
-    with pytest.raises(ValueError):
-        schedule_circuit(p1_circuit(canonical, grid_p1), "greedy")
-
-
-def reference_schedule(circuit: Circuit, policy: str) -> Timeline:
-    """The list schedule computed straight from a circuit, with no cache."""
-    def asap(ops):
-        ready, starts = [0.0] * circuit.n, []
-        for op in ops:
-            s = max(ready[q] for q in op.qubits)
-            starts.append(s)
-            for q in op.qubits:
-                ready[q] = s + op.duration
-        return starts
-
+def reference_schedule(circuit: Circuit) -> Timeline:
+    """The ASAP list schedule computed straight from a circuit, with no cache."""
     ops = circuit.ops
-    if policy == "asap":
-        starts = asap(ops)
-        makespan = max((s + op.duration for s, op in zip(starts, ops)), default=0.0)
-    else:
-        rev_starts = asap(ops[::-1])
-        makespan = max((s + op.duration for s, op in zip(rev_starts, ops[::-1])), default=0.0)
-        starts = [makespan - (rs + op.duration) for rs, op in zip(rev_starts[::-1], ops)]
+    ready, starts = [0.0] * circuit.n, []
+    for op in ops:
+        s = max(ready[q] for q in op.qubits)
+        starts.append(s)
+        for q in op.qubits:
+            ready[q] = s + op.duration
+    makespan = max((s + op.duration for s, op in zip(starts, ops)), default=0.0)
     per_qubit = []
     for q in range(circuit.n):
         intervals, t = [], 0.0
@@ -250,12 +211,11 @@ def reference_schedule(circuit: Circuit, policy: str) -> Timeline:
     return Timeline(makespan, tuple(starts), tuple(per_qubit))
 
 
-@pytest.mark.parametrize("policy", ["asap", "alap"])
-def test_schedule_cache_ignores_angles(canonical, policy):
+def test_schedule_cache_ignores_angles(canonical):
     noise._schedule_cached.cache_clear()
     for k, theta in enumerate(np.linspace(0.1, 2.9, 5)):
         circuit = build_qaoa_circuit(canonical, QaoaParams((theta,) * 2, (2 * theta,) * 2))
-        assert schedule_circuit(circuit, policy) == reference_schedule(circuit, policy)
+        assert schedule_circuit(circuit) == reference_schedule(circuit)
         assert noise._schedule_cached.cache_info().hits == k
     assert noise._schedule_cached.cache_info().misses == 1
 
@@ -265,8 +225,7 @@ def test_schedule_cache_tells_durations_and_qubits_apart():
     slower = Circuit(2, (GateOp("H", (0,), None, 2.0), GateOp("CNOT", (0, 1), None, 4.0)))
     moved = Circuit(2, (GateOp("H", (1,), None, 1.0), GateOp("CNOT", (0, 1), None, 4.0)))
     for circuit in (one, slower, moved, mixed_circuit(4, 25, seed=2)):
-        for policy in ("asap", "alap"):
-            assert schedule_circuit(circuit, policy) == reference_schedule(circuit, policy)
+        assert schedule_circuit(circuit) == reference_schedule(circuit)
 
 
 def test_schedule_rejects_negative_durations():
@@ -332,7 +291,7 @@ def test_dd_preserves_output_distribution(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
     ideal = probs_of(circuit)
     for sequence in ("XpXm", "XY4"):
-        dressed = insert_dd(circuit, schedule_circuit(circuit, "asap"), sequence)
+        dressed = insert_dd(circuit, sequence)
         np.testing.assert_allclose(probs_of(dressed), ideal, atol=1e-9)
 
 
@@ -342,14 +301,14 @@ def test_dd_skips_windows_shorter_than_the_pulses():
         GateOp("CNOT", (0, 1), None, 4.0),
     ))
     # the 1.0-long idle on q1 cannot host two 1.0-long pulses
-    dressed = insert_dd(circuit, schedule_circuit(circuit, "asap"), "XpXm")
+    dressed = insert_dd(circuit, "XpXm")
     assert dressed.ops == circuit.ops
 
 
 def test_dd_fills_idle_windows_exactly(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
-    tl = schedule_circuit(circuit, "asap")
-    dressed = insert_dd(circuit, tl, "XpXm")
+    tl = schedule_circuit(circuit)
+    dressed = insert_dd(circuit, "XpXm")
     added = [op for op in dressed.ops if op not in circuit.ops]
     assert added and all(op.kind in ("X", "DELAY") for op in added)
     # pulses plus spacers exactly cover each dressed window
@@ -361,20 +320,13 @@ def test_dd_fills_idle_windows_exactly(canonical, grid_p1):
         if (iv.end - iv.start) >= 2.0
     )
     assert filled == pytest.approx(eligible)
-    assert schedule_circuit(dressed, "asap").makespan == tl.makespan
+    assert schedule_circuit(dressed).makespan == tl.makespan
 
 
 def test_dd_rejects_unknown_sequence(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
     with pytest.raises(ValueError):
-        insert_dd(circuit, schedule_circuit(circuit, "asap"), "UDD")
-
-
-def test_dd_rejects_mismatched_timeline(canonical, grid_p1):
-    circuit = p1_circuit(canonical, grid_p1)
-    other = Circuit(2, (GateOp("H", (0,)),))
-    with pytest.raises(ValueError):
-        insert_dd(circuit, schedule_circuit(other, "asap"), "XpXm")
+        insert_dd(circuit, "UDD")
 
 
 # -- trajectory noise ------------------------------------------------------------------
@@ -709,8 +661,7 @@ def test_ground_mass_degrades_monotonically_in_p2q(canonical, grid_p1):
 def test_twirling_and_dd_are_neutral_without_noise(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
     ideal = probs_of(circuit)
-    tl = schedule_circuit(circuit, "asap")
-    dressed = insert_dd(circuit, tl, "XpXm")
+    dressed = insert_dd(circuit, "XpXm")
     for seed in range(3):
         combined = twirl_circuit(dressed, seed)
         np.testing.assert_allclose(probs_of(combined), ideal, atol=1e-9)

@@ -298,6 +298,20 @@ def test_objective_sampled_reproducible_across_closures(canonical):
     assert [a(theta) for _ in range(3)] == [b(theta) for _ in range(3)]
 
 
+@pytest.mark.parametrize("p, mode, kwargs", [
+    (1, "bogus", {}),
+    (1, "sampled", {}),
+    (1, "sampled", {"shots": 16}),
+    (1, "noisy", {"shots": 16, "seed": 1}),
+    (True, "exact", {}),
+    (1.0, "exact", {}),
+    (-1, "exact", {}),
+])
+def test_objective_checks_inputs_when_built(canonical, p, mode, kwargs):
+    with pytest.raises(ValueError, match=r"^(mode|p) "):
+        make_objective(canonical, p, mode, **kwargs)
+
+
 def test_trace_records_are_ordered(canonical):
     objective = make_objective(canonical, 1)
     trace = minimize("cobyla", MinimizeProblem(objective, np.array([0.1, 1.0]), max_evals=7)).trace
