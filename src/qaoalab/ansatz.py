@@ -8,10 +8,12 @@ exp(+i*w*gamma) where it is cut; global phase aside, gamma thus
 parameterizes the cost-layer evolution. The mixer is RX(2*beta) on
 every qubit. Gate count is n + p * (3*|E| + n).
 
-Exact and sampled evaluation never build that gate list. A cut value
+Exact and sampled evaluation never build that gate list. They run one
+gate-free engine, ``qaoa_states``, which evolves a (k, 2p) batch of
+angle rows at once; ``qaoa_state`` is its one-row case. A cut value
 does not change when every bit is complemented, and both |+>^n and the
 mixer commute with X on every qubit, so the state satisfies
-psi(x) = psi(not x). ``qaoa_state`` therefore evolves only the half h
+psi(x) = psi(not x). The engine therefore evolves only the half h
 with node 0 = 0, 2^(n-1) amplitudes over nodes 1..n-1. It applies each
 cost layer as one diagonal phase exp(2i*gamma*C), evaluated at the
 distinct cut values and gathered over that half, and each mixer layer
@@ -41,9 +43,12 @@ TWO_QUBIT_DURATION = 4.0
 
 RUN_MODES = ("exact", "sampled", "noisy")
 
-# qubits per mixer block in ``qaoa_state``: a (2^5 x 2^5) block per pass over
+# qubits per mixer block in ``qaoa_states``: a (2^5 x 2^5) block per pass over
 # nodes 1..n-1; for n <= 6 the one block also carries node 0's RX
 MIXER_BLOCK = 5
+# half-state amplitudes ``qaoa_states`` evolves per pass: 512 rows at n=5, one at
+# n=14. A pass also holds p mixer blocks per row, at most 4 MB a layer (n=6)
+BATCH_AMPLITUDES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -132,44 +137,104 @@ def _hamming_distances(k: int) -> np.ndarray:
     return dist
 
 
-def qaoa_state(instance: MaxCutInstance, params: QaoaParams) -> StateVector:
-    """Final state of the depth-p circuit, computed without a gate list.
+def _mixer_weights(beta: float, b: int, fold: bool) -> list[complex]:
+    """f(d) for d = 0..b: entry (x, y) of RX(2*beta) on b qubits is f(popcount(x ^ y))."""
+    c, s = math.cos(beta), -1j * math.sin(beta)
+    f = [c ** (b - d) * s ** d for d in range(b + 1)]
+    if fold:
+        # c*B + s*(B, then h reversed): reversing flips all b bits of x,
+        # so d becomes b - d; exact, as the reversal commutes with B
+        f = [c * f[d] + s * f[b - d] for d in range(b + 1)]
+    return f
 
-    Equals ``simulate_ops`` on ``build_qaoa_circuit(instance, params)``
-    up to the global phase exp(-i*gamma*W) per layer, W the total weight.
-    The state is symmetric under complementing every bit, so only the
-    half h with node 0 = 0 is evolved; the other half is h reversed.
+
+def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
+    """Final states of the depth-p circuit for a (k, 2p) batch of angle rows.
+
+    Row r of ``thetas`` is [betas..., gammas...]; row r of the (k, 2^n)
+    result is its state, computed without a gate list. It equals
+    ``simulate_ops`` on ``build_qaoa_circuit`` up to the global phase
+    exp(-i*gamma*W) per layer, W the total weight. Every row gets the
+    same floating-point operations whatever the batch around it, so its
+    bits depend neither on k nor on its position. The angles are not
+    checked here.
+
+    Rows are evolved BATCH_AMPLITUDES half-state amplitudes at a time:
+    many rows per pass at small n, where per-call overhead dominates,
+    and one row per pass at large n, where a wider pass only spills the
+    working set out of cache.
     """
+    thetas = np.asarray(thetas, dtype=float)
+    half = 1 << (instance.n - 1)
+    rows = max(1, BATCH_AMPLITUDES // half)
+    # one output array, written pass by pass (joining the passes' results
+    # made a 10-row batch at n=14 about 2x slower per row)
+    states = np.empty((len(thetas), 2 * half), dtype=complex)
+    for i in range(0, len(thetas), rows):
+        h = _evolve_half(instance, thetas[i:i + rows])
+        np.concatenate([h, h[:, ::-1]], axis=1, out=states[i:i + rows])
+    return states
+
+
+def _evolve_half(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
+    """The (k, 2^(n-1)) halves with node 0 = 0 of the states of one pass's rows."""
     n = instance.n
     half = 1 << (n - 1)
+    k, p = thetas.shape[0], thetas.shape[1] // 2
     levels, index = cut_levels(instance)
-    index = index[:half]
     blocks = [MIXER_BLOCK] * ((n - 1) // MIXER_BLOCK)
     if (n - 1) % MIXER_BLOCK:
         blocks.append((n - 1) % MIXER_BLOCK)
     # nodes 1..n-1 in one block: node 0's RX folds into that block's weights
     fold = len(blocks) == 1
-    h = np.full(half, 2.0 ** (-0.5 * n), dtype=complex)
-    for beta, gamma in zip(params.betas, params.gammas):
-        # the same exp of the same values as exp(2j*gamma*table), gathered
-        h *= np.exp(2j * gamma * levels)[index]
-        c, s = math.cos(beta), -1j * math.sin(beta)
-        # RX(2*beta) on k of nodes 1..n-1: entry (x, y) is f(d) = c^(k-d) * s^d,
-        # d = popcount(x ^ y). The block is symmetric, so right-multiplying
-        # applies it to the last k qubits; the transpose then rotates those to
-        # the front, and blocks summing to n-1 restore the original order
-        for k in blocks:
-            f = [c ** (k - d) * s ** d for d in range(k + 1)]
-            if fold:
-                # c*B + s*(B, then h reversed): reversing flips all k bits of x,
-                # so d becomes k - d; exact, as the reversal commutes with B
-                f = [c * f[d] + s * f[k - d] for d in range(k + 1)]
-            h = (h.reshape(-1, 1 << k) @ np.array(f)[_hamming_distances(k)]).T.reshape(-1)
+    angles = thetas.T
+    betas = angles[:p].tolist()
+    # per layer and row: the cost phase exp(2i*gamma*C), evaluated at the
+    # distinct cut values and gathered over the half, (p, k, half); and
+    # RX(2*beta) on b qubits as a (2^b, 2^b) block of entries
+    # f(popcount(x ^ y)), (p, k, 2^b, 2^b). take keeps every block C-ordered,
+    # so numpy's matmul calls BLAS on each, as on a lone block
+    phases = np.exp(2j * angles[p:, :, None] * levels).take(index[:half], axis=2)
+    mixers = {}
+    for b in set(blocks):
+        # the rows of a finite-difference or simplex batch share all angles
+        # but one, so each distinct beta's weights are computed once. A zero
+        # is never looked up: 0.0 == -0.0, but their sines differ in sign
+        memo = {}
+        weights = []
+        for layer in betas:
+            for beta in layer:
+                f = memo.get(beta) if beta else None
+                if f is None:
+                    f = memo[beta] = _mixer_weights(beta, b, fold)
+                weights.extend(f)
+        mixers[b] = np.array(weights, dtype=complex).reshape(p, k, b + 1).take(
+            _hamming_distances(b), axis=2)
+    h = np.full((k, half), 2.0 ** (-0.5 * n), dtype=complex)
+    for layer in range(p):
+        h *= phases[layer]
+        # the block is symmetric, so right-multiplying applies it to the last
+        # b qubits; the transpose then rotates those to the front, and blocks
+        # summing to n-1 restore the original order (one block: no transpose)
+        for b in blocks:
+            h = h.reshape(k, -1, 1 << b) @ mixers[b][layer]
+            h = h.reshape(k, half) if fold else h.transpose(0, 2, 1).reshape(k, half)
         if not fold:
             # RX on node 0: on a symmetric state X_0 acts as X on nodes 1..n-1,
-            # which complements the index into h, i.e. reverses h
-            h = c * h + s * h[::-1]
-    return StateVector(n, np.concatenate([h, h[::-1]]))
+            # which complements the index into h, i.e. reverses h. c is made
+            # complex: a real column against complex rows takes numpy's slow
+            # buffered cast, for the same products
+            c = np.array([[math.cos(beta)] for beta in betas[layer]], dtype=complex)
+            s = np.array([[-1j * math.sin(beta)] for beta in betas[layer]])
+            flipped = s * h[:, ::-1]
+            h *= c
+            h += flipped
+    return h
+
+
+def qaoa_state(instance: MaxCutInstance, params: QaoaParams) -> StateVector:
+    """The state of one angle set: ``qaoa_states`` on a batch of one row."""
+    return StateVector(instance.n, qaoa_states(instance, np.array([params.betas + params.gammas]))[0])
 
 
 def check_run_mode(mode: str, shots, seed, noise) -> None:

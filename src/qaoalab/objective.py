@@ -2,7 +2,10 @@
 
 Energy is the negative mean cut value, so minimizing energy maximizes
 the cut: the canonical 5-node instance has optimum -6 and a uniform
-superposition sits at -3.
+superposition sits at -3. ``evaluate_qaoa`` scores one angle set;
+``make_objective`` builds the optimizer's batch objective, a (k, 2p)
+array of angle rows in and k energies out, whose rows score exactly as
+``evaluate_qaoa`` would score them one by one.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .ansatz import QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_state
+from .ansatz import QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_state, qaoa_states
 from .graph import MaxCutInstance, cut_value_table
 from .noise import sample_noisy_tally
-from .statevec import Counts, counts_from_tally, expectation_cut, sample_tally
+from .statevec import Counts, StateVector, counts_from_tally, expectation_cut, sample_tally
 
 
 class EnergySample:
@@ -106,31 +109,44 @@ def make_objective(
     shots: int | None = None,
     seed: int | None = None,
     noise=None,
-) -> Callable[[np.ndarray], float]:
-    """Objective over flat theta = [betas..., gammas...] of length 2p.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch objective: a (k, 2p) array of theta rows [betas..., gammas...] in, k energies out.
 
-    Stochastic modes give evaluation k its own derived seed, so the
-    noise realization is a pure function of (seed, k) regardless of
-    which optimizer asks, in what order. The depth and run mode are
-    checked here, once, not at each evaluation.
+    Exact and sampled modes evolve the whole batch in one ``qaoa_states``
+    call and score each row alone, so a row's energy equals
+    ``evaluate_qaoa`` at its angles bit for bit, whatever the batch.
+    Noisy mode runs ``evaluate_qaoa`` row by row. Stochastic modes give
+    evaluation j, counted point by point across calls in row order, its
+    own derived seed, so the noise realization is a pure function of
+    (seed, j) however the points are batched. The depth and run mode
+    are checked here, once, not at each evaluation.
     """
     if isinstance(p, bool) or not isinstance(p, int) or p < 0:
         raise ValueError(f"p must be a non-negative integer, got {p!r}")
     check_run_mode(mode, shots, seed, noise)
     counter = [0]
 
-    def objective(theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (2 * p,):
-            raise ValueError(f"expected theta of shape ({2 * p},), got {theta.shape}")
-        params = QaoaParams.from_vector(theta)
-        k = counter[0]
-        counter[0] += 1
+    def objective(thetas) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != 2 * p:
+            raise ValueError(f"expected thetas of shape (k, {2 * p}), got {thetas.shape}")
+        if not np.isfinite(thetas).all():
+            raise ValueError("thetas: angles must be finite")
+        first = counter[0]
+        counter[0] += len(thetas)
         if mode == "exact":
-            return evaluate_qaoa(instance, params, "exact").energy
-        eval_seed = rng.child_seed(seed, rng.STREAM_EVAL, k)
-        return evaluate_qaoa(
-            instance, params, mode, shots=shots, seed=eval_seed, noise=noise
-        ).energy
+            return np.array([-expectation_cut(StateVector(instance.n, amps), instance)
+                             for amps in qaoa_states(instance, thetas)])
+        seeds = [rng.child_seed(seed, rng.STREAM_EVAL, first + j) for j in range(len(thetas))]
+        if mode == "sampled":
+            return np.array([
+                energy_from_tally(sample_tally(StateVector(instance.n, amps), shots, s), instance)
+                for amps, s in zip(qaoa_states(instance, thetas), seeds)
+            ])
+        return np.array([
+            evaluate_qaoa(instance, QaoaParams.from_vector(theta), mode,
+                          shots=shots, seed=s, noise=noise).energy
+            for theta, s in zip(thetas, seeds)
+        ])
 
     return objective

@@ -11,18 +11,27 @@ its stopping status:
   * cobyla - linear interpolation model over a d+1 simplex inside a
              shrinking trust region
 
-Every objective call goes through the recorder, so ``evals_used``
-always equals the trace length and the budget is enforced exactly: the
-call past the budget raises, and the driver ends the run with status
-``budget_exhausted``. ``f_best`` is the min over all recorded finite
-evaluations, not the last iterate. An objective that never returns a
-finite value ends in a ValueError.
+The objective is batch-first: a (k, d) array of points in, k values
+out. A search asks the recorder for one point at a time, or for a batch
+of points that do not depend on each other: the 2d central-difference
+points of a cg gradient (x + h0*e0, x - h0*e0, x + h1*e1, ...) and the
+d new vertices of a cobyla simplex. A batch is one objective call.
+
+Every point goes through the recorder, in order, so ``evals_used``
+always equals the trace length and the budget is enforced exactly: a
+batch that would pass the budget is cut at it, the points that fit are
+recorded, and the driver ends the run with status ``budget_exhausted``.
+``f_best`` is the min over all recorded finite evaluations, not the
+last iterate; the trace and ``f_best`` are those of evaluating the same
+points one by one. An objective that never returns a finite value ends
+in a ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,7 +61,7 @@ class OptimizationTrace:
     records: list[TraceRecord] = field(default_factory=list)
 
     def append(self, theta, energy: float) -> None:
-        theta = tuple(float(t) for t in np.asarray(theta, dtype=float))
+        theta = tuple(np.asarray(theta, dtype=float).tolist())
         self.records.append(TraceRecord(len(self.records), theta, float(energy)))
 
     def energies(self) -> list[float]:
@@ -64,16 +73,17 @@ class OptimizationTrace:
 
 @dataclass
 class MinimizeProblem:
-    """Objective plus starting point, budget, and finite-difference step.
+    """Batch objective plus starting point, budget, and finite-difference step.
 
-    max_evals is an int (not a bool) and defaults to 500 * d. fd_step=None
-    means the relative rule h_i = 1e-6 * max(1, |x_i|); stochastic
-    objectives should set an absolute step (0.05 works well against shot
-    noise). The stopping tolerances are fixed for every problem (_XTOL,
-    _FTOL).
+    ``objective`` maps a (k, d) array of points to k values. x0 must be
+    finite. max_evals is an int (not a bool) and defaults to 500 * d.
+    fd_step=None means the relative rule h_i = 1e-6 * max(1, |x_i|);
+    otherwise it is a positive finite number (not a bool), and stochastic
+    objectives should set one (0.05 works well against shot noise). The
+    stopping tolerances are fixed for every problem (_XTOL, _FTOL).
     """
 
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     max_evals: int | None = None
     fd_step: float | None = None
@@ -82,6 +92,8 @@ class MinimizeProblem:
         self.x0 = np.asarray(self.x0, dtype=float).copy()
         if self.x0.ndim != 1 or self.x0.size == 0:
             raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {self.x0.shape}")
+        if not np.isfinite(self.x0).all():
+            raise ValueError(f"x0 entries must be finite, got {self.x0.tolist()!r}")
         if self.max_evals is None:
             self.max_evals = 500 * self.x0.size
         if isinstance(self.max_evals, bool) or not isinstance(self.max_evals, int):
@@ -90,8 +102,10 @@ class MinimizeProblem:
             raise ValueError(
                 f"max_evals={self.max_evals} cannot cover even one pass over {self.x0.size} dimensions"
             )
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step!r}")
+        step = self.fd_step
+        if step is not None and (isinstance(step, bool) or not isinstance(step, Real)
+                                 or not 0 < step < math.inf):
+            raise ValueError(f"fd_step must be a positive finite number, got {step!r}")
 
 
 @dataclass
@@ -108,7 +122,7 @@ class _BudgetExceeded(Exception):
 
 
 class _Recorder:
-    """Budget-enforcing, trace-keeping wrapper around the raw objective."""
+    """Budget-enforcing, trace-keeping wrapper around the raw batch objective."""
 
     def __init__(self, objective, max_evals: int, trace: OptimizationTrace):
         self.objective = objective
@@ -122,15 +136,33 @@ class _Recorder:
         return len(self.trace)
 
     def __call__(self, x: np.ndarray) -> float:
-        if self.used >= self.max_evals:
+        return self.batch(np.asarray(x, dtype=float)[None])[0]
+
+    def batch(self, xs: np.ndarray) -> list[float]:
+        """Evaluate the rows of ``xs`` in one objective call and record them in row order.
+
+        A batch that would pass the budget is cut at ``max_evals``: the
+        rows that fit are evaluated and recorded, then _BudgetExceeded
+        is raised.
+        """
+        room = self.max_evals - self.used
+        if room <= 0:
             raise _BudgetExceeded
-        x = np.asarray(x, dtype=float)
-        f = float(self.objective(x))
-        self.trace.append(x, f)
-        if f < self.f_best and math.isfinite(f):
-            self.f_best = f
-            self.x_best = x.copy()
-        return f
+        xs = np.asarray(xs, dtype=float)
+        cut = len(xs) > room
+        xs = xs[:room]
+        fs = np.asarray(self.objective(xs), dtype=float)
+        if fs.shape != (len(xs),):
+            raise ValueError(f"objective returned shape {fs.shape} for {len(xs)} points")
+        fs = fs.tolist()
+        for x, f in zip(xs, fs):
+            self.trace.append(x, f)
+            if f < self.f_best and math.isfinite(f):
+                self.f_best = f
+                self.x_best = x.copy()
+        if cut:
+            raise _BudgetExceeded
+        return fs
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +352,15 @@ def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
 
 
 def _fd_gradient(rec: _Recorder, x: np.ndarray, fd_step: float | None) -> np.ndarray:
-    g = np.empty(x.size)
-    for i in range(x.size):
-        h = fd_step if fd_step is not None else 1e-6 * max(1.0, abs(x[i]))
-        e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (rec(x + e) - rec(x - e)) / (2.0 * h)
-    return g
+    """Central differences from one batch, in the order x + h0*e0, x - h0*e0, x + h1*e1, ..."""
+    h = np.full(x.size, fd_step, dtype=float) if fd_step is not None else 1e-6 * np.maximum(1.0, np.abs(x))
+    steps = np.diag(h)
+    points = np.empty((2 * x.size, x.size))
+    points[0::2] = x + steps
+    points[1::2] = x - steps
+    fs = rec.batch(points)
+    # Python floats: inf - inf is nan here without numpy's invalid-value warning
+    return np.array([a - b for a, b in zip(fs[0::2], fs[1::2])]) / (2.0 * h)
 
 
 def _cg(rec: _Recorder, problem: MinimizeProblem) -> str:
@@ -416,15 +450,8 @@ def _cobyla(rec: _Recorder, problem: MinimizeProblem) -> str:
         # interpolant's bias scales with curvature times spacing, and a
         # full-rho simplex leaves too much bias to hit fine minima once
         # rho reaches its floor
-        h = 0.25 * rho
-        xs = [center.copy()]
-        fs = [f_center]
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            xs.append(center + e)
-            fs.append(rec(center + e))
-        return xs, fs
+        vertices = center + np.diag(np.full(d, 0.25 * rho))
+        return [center.copy(), *vertices], [f_center, *rec.batch(vertices)]
 
     f0 = rec(problem.x0)
     xs, fs = build_simplex(problem.x0, f0)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import VERDICT_LINES
+from conftest import VERDICT_LINES, batched
 from qaoalab.ansatz import QaoaParams, build_qaoa_circuit
 from qaoalab.graph import brute_force_maxcut
 from qaoalab.harness import parse_config, run_experiment
@@ -260,7 +260,7 @@ def test_criterion_12_optimizer_battery():
         x0 = gen.normal(size=d)
         f0 = f(x0)
         for method in METHODS:
-            result = minimize(method, MinimizeProblem(f, x0))
+            result = minimize(method, MinimizeProblem(batched(f), x0))
             worst_f = max(worst_f, result.f_best)
             contract_ok = contract_ok and (
                 result.f_best <= f0 + 1e-15

@@ -16,6 +16,7 @@ from qaoalab.ansatz import (
     build_qaoa_circuit,
     gate_count,
     qaoa_state,
+    qaoa_states,
     run_circuit,
 )
 from qaoalab.graph import MaxCutInstance
@@ -257,6 +258,46 @@ def test_gate_free_state_is_exactly_symmetric(n):
     assert np.array_equal(amps, amps[::-1])
     uniform = qaoa_state(instance, QaoaParams((), ())).amplitudes
     assert np.array_equal(uniform, np.full(1 << n, 2.0 ** (-0.5 * n), dtype=complex))
+
+
+# -- the batched engine ------------------------------------------------------------
+
+
+def engine_instance(n):
+    gen = np.random.default_rng([n, 0xBA])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:3 * n // 2])
+    return MaxCutInstance(n, edges, tuple(float(w) for w in gen.integers(1, 4, len(edges))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 11, 14])
+@pytest.mark.parametrize("p", [0, 1, 2, 5])
+def test_batched_rows_equal_single_rows_bit_for_bit(n, p):
+    instance = engine_instance(n)
+    gen = np.random.default_rng([n, p, 0xBB])
+    thetas = gen.uniform(-2.0 * math.pi, 2.0 * math.pi, (9, 2 * p))
+    if p:
+        # equal betas in one batch, and both signs of zero
+        thetas[1:4, 0] = (0.0, -0.0, 0.0)
+        thetas[5, :p] = thetas[4, :p]
+    alone = [qaoa_states(instance, row[None])[0].tobytes() for row in thetas]
+    for row, amps in zip(thetas, alone):
+        assert qaoa_state(instance, QaoaParams.from_vector(row)).amplitudes.tobytes() == amps
+    # every batch size, each row at several positions (n = 11 packs 8 rows per pass)
+    for k in (2, 4, 9):
+        for shift in range(0, 9, 3):
+            order = np.roll(np.arange(9), shift)[:k]
+            states = qaoa_states(instance, thetas[order])
+            assert states.shape == (k, 1 << n)
+            assert [row.tobytes() for row in states] == [alone[i] for i in order]
+
+
+def test_batched_rows_equal_single_rows_across_passes(canonical):
+    # 1100 rows of a 5-node instance take three passes of BATCH_AMPLITUDES
+    thetas = np.random.default_rng(3).uniform(-math.pi, math.pi, (1100, 4))
+    states = qaoa_states(canonical, thetas)
+    for row, amps in zip(thetas, states):
+        assert qaoa_states(canonical, row[None])[0].tobytes() == amps.tobytes()
 
 
 def forbid_gate_list(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoalab import objective, statevec
+from qaoalab import objective, rng, statevec
 from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, qaoa_state
 from qaoalab.graph import MaxCutInstance
 from qaoalab.noise import NoiseConfig, sample_noisy
@@ -179,7 +179,7 @@ def test_noisy_evaluation_scores_the_noisy_counts(canonical, noise):
 def test_sampled_objective_formats_no_bitstring(monkeypatch, canonical):
     thetas = [np.array([0.3, 0.5, 0.7, 1.1]), np.array([1.2, 0.1, 2.5, 0.4])]
     reference = make_objective(canonical, 2, "sampled", shots=512, seed=5)
-    want = [reference(t) for t in thetas]
+    want = [reference(t[None])[0] for t in thetas]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sampled evaluation formatted bitstrings")
@@ -187,7 +187,7 @@ def test_sampled_objective_formats_no_bitstring(monkeypatch, canonical):
     monkeypatch.setattr(objective, "counts_from_tally", refuse)
     monkeypatch.setattr(statevec, "counts_from_tally", refuse)
     f = make_objective(canonical, 2, "sampled", shots=512, seed=5)
-    assert [f(t) for t in thetas] == want
+    assert [f(t[None])[0] for t in thetas] == want
 
 
 def test_tally_energy_rejects_a_tally_of_another_size(canonical):
@@ -280,22 +280,22 @@ def test_objective_validates_shape(canonical):
 
 def test_objective_exact_is_deterministic(canonical):
     objective = make_objective(canonical, 1)
-    theta = np.array([0.4, 1.3])
-    assert objective(theta) == objective(theta)
+    theta = np.array([[0.4, 1.3]])
+    assert objective(theta)[0] == objective(theta)[0]
 
 
 def test_objective_sampled_reseeds_each_evaluation(canonical):
     objective = make_objective(canonical, 1, "sampled", shots=128, seed=3)
-    theta = np.array([0.4, 1.3])
-    values = {objective(theta) for _ in range(4)}
+    theta = np.array([[0.4, 1.3]])
+    values = {objective(theta)[0] for _ in range(4)}
     assert len(values) > 1
 
 
 def test_objective_sampled_reproducible_across_closures(canonical):
-    theta = np.array([0.4, 1.3])
+    theta = np.array([[0.4, 1.3]])
     a = make_objective(canonical, 1, "sampled", shots=128, seed=3)
     b = make_objective(canonical, 1, "sampled", shots=128, seed=3)
-    assert [a(theta) for _ in range(3)] == [b(theta) for _ in range(3)]
+    assert [a(theta)[0] for _ in range(3)] == [b(theta)[0] for _ in range(3)]
 
 
 @pytest.mark.parametrize("p, mode, kwargs", [
@@ -310,6 +310,36 @@ def test_objective_sampled_reproducible_across_closures(canonical):
 def test_objective_checks_inputs_when_built(canonical, p, mode, kwargs):
     with pytest.raises(ValueError, match=r"^(mode|p) "):
         make_objective(canonical, p, mode, **kwargs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 11, 14])
+@pytest.mark.parametrize("p", [0, 1, 2, 5])
+def test_batched_exact_energies_equal_evaluate_qaoa(n, p):
+    gen = np.random.default_rng([n, p, 0xE0])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:3 * n // 2])
+    instance = MaxCutInstance(n, edges, tuple(gen.uniform(0.5, 2.0, len(edges))))
+    thetas = gen.uniform(-2.0 * math.pi, 2.0 * math.pi, (6, 2 * p))
+    energies = make_objective(instance, p)(thetas)
+    assert energies.shape == (6,)
+    for theta, energy in zip(thetas, energies.tolist()):
+        assert energy == evaluate_qaoa(instance, QaoaParams.from_vector(theta)).energy
+
+
+def test_noisy_batch_runs_each_point_at_its_own_seed(canonical):
+    noise = NoiseConfig(p1q=0.01, p2q=0.02, p_readout=0.03)
+    thetas = np.array([[0.3, 0.9], [1.1, 0.2], [0.3, 0.9]])
+    energies = make_objective(canonical, 1, "noisy", shots=64, seed=21, noise=noise)(thetas)
+    for j, (theta, energy) in enumerate(zip(thetas, energies.tolist())):
+        seed = rng.child_seed(21, rng.STREAM_EVAL, j)
+        assert energy == evaluate_qaoa(canonical, QaoaParams.from_vector(theta), "noisy",
+                                       shots=64, seed=seed, noise=noise).energy
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_objective_rejects_non_finite_angles(canonical, bad):
+    with pytest.raises(ValueError, match="^thetas: angles must be finite"):
+        make_objective(canonical, 1)(np.array([[0.1, 0.2], [bad, 0.3]]))
 
 
 def test_trace_records_are_ordered(canonical):

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import qaoalab
-from qaoalab.objective import make_objective
+from conftest import batched
+from qaoalab import rng
+from qaoalab.ansatz import QaoaParams
+from qaoalab.objective import evaluate_qaoa, make_objective
 from qaoalab.optim import (
     METHODS,
     STATUS_BUDGET,
@@ -44,7 +47,7 @@ def check_contract(result: MinimizeResult, problem: MinimizeProblem, f0: float):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_shifted_bowl_all_methods(method):
-    problem = MinimizeProblem(shifted_bowl, np.zeros(2))
+    problem = MinimizeProblem(batched(shifted_bowl), np.zeros(2))
     result = minimize(method, problem)
     # the trust-region method stops at its radius floor, so its iterate
     # tolerance is looser than the line-search methods'
@@ -55,7 +58,7 @@ def test_shifted_bowl_all_methods(method):
 
 
 def test_powell_constant_objective_converges_quickly():
-    problem = MinimizeProblem(lambda x: 4.25, np.ones(3))
+    problem = MinimizeProblem(batched(lambda x: 4.25), np.ones(3))
     result = minimize("powell", problem)
     assert result.status == STATUS_CONVERGED
     assert result.f_best == 4.25
@@ -64,7 +67,7 @@ def test_powell_constant_objective_converges_quickly():
 
 
 def test_cg_rosenbrock():
-    problem = MinimizeProblem(rosenbrock, np.array([-1.2, 1.0]))
+    problem = MinimizeProblem(batched(rosenbrock), np.array([-1.2, 1.0]))
     result = minimize("cg", problem)
     np.testing.assert_allclose(result.x_best, [1.0, 1.0], atol=1e-4)
 
@@ -76,7 +79,7 @@ def test_cg_gradient_norm_on_anisotropic_quadratic():
         curv = gen.uniform(0.5, 10.0, size=d)
         center = gen.uniform(-2.0, 2.0, size=d)
         problem = MinimizeProblem(
-            lambda x, c=curv, m=center: float(c @ (x - m) ** 2),
+            batched(lambda x, c=curv, m=center: float(c @ (x - m) ** 2)),
             np.zeros(d),
             max_evals=50 * d,
         )
@@ -87,13 +90,13 @@ def test_cg_gradient_norm_on_anisotropic_quadratic():
 
 
 def test_cobyla_bowl_d4():
-    problem = MinimizeProblem(lambda x: float(x @ x), np.ones(4))
+    problem = MinimizeProblem(batched(lambda x: float(x @ x)), np.ones(4))
     result = minimize("cobyla", problem)
     assert result.f_best < 1e-6
 
 
 def test_cobyla_d1_degenerate_simplex_recovers():
-    problem = MinimizeProblem(lambda x: (x[0] - 3.0) ** 2, np.array([0.0]))
+    problem = MinimizeProblem(batched(lambda x: (x[0] - 3.0) ** 2), np.array([0.0]))
     result = minimize("cobyla", problem)
     assert result.x_best[0] == pytest.approx(3.0, abs=1e-3)
     assert result.status in ALL_STATUSES
@@ -104,7 +107,7 @@ def test_cobyla_d1_degenerate_simplex_recovers():
 
 def test_dispatch_rejects_unknown_method():
     with pytest.raises(ValueError, match="newton"):
-        minimize("newton", MinimizeProblem(shifted_bowl, np.zeros(2)))
+        minimize("newton", MinimizeProblem(batched(shifted_bowl), np.zeros(2)))
 
 
 # -- configuration validation -----------------------------------------------------
@@ -112,11 +115,11 @@ def test_dispatch_rejects_unknown_method():
 
 def test_budget_below_dimension_rejected():
     with pytest.raises(ValueError):
-        MinimizeProblem(shifted_bowl, np.zeros(3), max_evals=2)
+        MinimizeProblem(batched(shifted_bowl), np.zeros(3), max_evals=2)
 
 
 def test_budget_exactly_dimension_runs():
-    problem = MinimizeProblem(shifted_bowl, np.zeros(2), max_evals=2)
+    problem = MinimizeProblem(batched(shifted_bowl), np.zeros(2), max_evals=2)
     result = minimize("powell", problem)
     assert result.status == STATUS_BUDGET
     assert result.evals_used == 2
@@ -124,19 +127,31 @@ def test_budget_exactly_dimension_runs():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        MinimizeProblem(shifted_bowl, np.zeros((2, 2)))
+        MinimizeProblem(batched(shifted_bowl), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        MinimizeProblem(shifted_bowl, np.zeros(2), fd_step=-0.1)
+        MinimizeProblem(batched(shifted_bowl), np.zeros(2), fd_step=-0.1)
+
+
+@pytest.mark.parametrize("x0", [[0.0, math.nan], [math.inf, 1.0], [-math.inf, 0.0]])
+def test_x0_must_be_finite(x0):
+    with pytest.raises(ValueError, match=r"^x0 entries must be finite"):
+        MinimizeProblem(batched(shifted_bowl), np.array(x0))
+
+
+@pytest.mark.parametrize("fd_step", [math.nan, math.inf, True, 0.0, -0.1, "0.05"])
+def test_fd_step_must_be_a_positive_finite_number(fd_step):
+    with pytest.raises(ValueError, match=r"^fd_step must be a positive finite number"):
+        MinimizeProblem(batched(shifted_bowl), np.zeros(2), fd_step=fd_step)
 
 
 @pytest.mark.parametrize("max_evals", [2.5, np.float64(3.0), True, "40"])
 def test_max_evals_must_be_an_integer(max_evals):
     with pytest.raises(ValueError, match=r"^max_evals must be an integer, got "):
-        MinimizeProblem(shifted_bowl, np.zeros(1), max_evals=max_evals)
+        MinimizeProblem(batched(shifted_bowl), np.zeros(1), max_evals=max_evals)
 
 
 def test_default_budget_is_500d():
-    problem = MinimizeProblem(shifted_bowl, np.zeros(4))
+    problem = MinimizeProblem(batched(shifted_bowl), np.zeros(4))
     assert problem.max_evals == 2000
 
 
@@ -156,15 +171,15 @@ def test_random_quadratic_contract(method):
             return float((x - m) @ h @ (x - m))
 
         x0 = gen.normal(size=d)
-        problem = MinimizeProblem(f, x0)
+        problem = MinimizeProblem(batched(f), x0)
         result = minimize(method, problem)
         check_contract(result, problem, f(x0))
         assert result.f_best < 1e-6
 
 
 def test_deterministic_given_fixed_objective():
-    a = minimize("powell", MinimizeProblem(rosenbrock, np.array([-1.2, 1.0])))
-    b = minimize("powell", MinimizeProblem(rosenbrock, np.array([-1.2, 1.0])))
+    a = minimize("powell", MinimizeProblem(batched(rosenbrock), np.array([-1.2, 1.0])))
+    b = minimize("powell", MinimizeProblem(batched(rosenbrock), np.array([-1.2, 1.0])))
     assert a.f_best == b.f_best
     assert a.trace.energies() == b.trace.energies()
 
@@ -179,6 +194,79 @@ def test_stochastic_objective_terminates(method, canonical):
     assert result.status in ALL_STATUSES
     assert result.evals_used <= 400
     assert len(result.trace) == result.evals_used
+
+
+# -- batches of points ----------------------------------------------------------
+
+
+class CallLog:
+    """A batch quadratic objective that records the size of every call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, xs):
+        self.sizes.append(len(xs))
+        return np.array([shifted_bowl(x) + float(x[2:] @ x[2:]) for x in xs])
+
+
+def test_budget_cut_inside_the_first_cobyla_simplex():
+    x0 = np.array([0.3, -0.2, 0.1, 0.7])
+    objective = CallLog()
+    result = minimize("cobyla", MinimizeProblem(objective, x0, max_evals=4))
+    assert result.status == STATUS_BUDGET
+    assert len(result.trace) == result.evals_used == 4
+    # x0, then the simplex vertices x0 + (rho/4) e_i, the batch cut after e_2
+    vertices = x0 + np.diag(np.full(4, 0.125))
+    expected = [x0, vertices[0], vertices[1], vertices[2]]
+    assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
+    assert objective.sizes == [1, 3]
+
+
+def test_budget_cut_inside_a_cg_gradient():
+    x0 = np.array([0.3, -0.2, 0.1])
+    objective = CallLog()
+    result = minimize("cg", MinimizeProblem(objective, x0, max_evals=4, fd_step=0.01))
+    assert result.status == STATUS_BUDGET
+    assert len(result.trace) == result.evals_used == 4
+    # x0, then x0 + h e_0, x0 - h e_0, x0 + h e_1, ...; the batch cut after three
+    steps = np.diag(np.full(3, 0.01))
+    expected = [x0, x0 + steps[0], x0 - steps[0], x0 + steps[1]]
+    assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
+    assert objective.sizes == [1, 3]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trace_and_best_are_those_of_point_by_point_evaluation(method):
+    def f(x):
+        return float((x - 0.5) @ (x - 0.5)) + math.sin(7.0 * x[0])
+
+    x0 = np.array([0.1, -0.4, 0.8])
+    result = minimize(method, MinimizeProblem(batched(f), x0, max_evals=300))
+    energies = result.trace.energies()
+    assert energies == [f(np.array(r.theta)) for r in result.trace.records]
+    first_best = energies.index(min(energies))
+    assert result.f_best == energies[first_best]
+    assert tuple(result.x_best.tolist()) == result.trace.records[first_best].theta
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sampled_batches_use_one_seed_per_evaluation(method, canonical):
+    seed = 17
+    objective = make_objective(canonical, 2, "sampled", shots=128, seed=seed)
+    problem = MinimizeProblem(objective, np.array([0.4, 0.9, 1.2, 0.3]), max_evals=40,
+                              fd_step=0.05)
+    for r in minimize(method, problem).trace.records:
+        eval_seed = rng.child_seed(seed, rng.STREAM_EVAL, r.index)
+        params = QaoaParams.from_vector(np.array(r.theta))
+        assert r.energy == evaluate_qaoa(canonical, params, "sampled", shots=128,
+                                         seed=eval_seed).energy
+
+
+def test_objective_must_return_one_value_per_point():
+    problem = MinimizeProblem(lambda xs: np.zeros(len(xs) + 1), np.zeros(2))
+    with pytest.raises(ValueError, match=r"^objective returned shape \(2,\) for 1 points"):
+        minimize("powell", problem)
 
 
 # -- restart helper ---------------------------------------------------------------
@@ -204,7 +292,7 @@ def test_random_starts_deterministic():
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_objective_without_a_finite_value_fails_clearly(method, value):
-    problem = MinimizeProblem(lambda x: value, np.zeros(2), max_evals=10)
+    problem = MinimizeProblem(batched(lambda x: value), np.zeros(2), max_evals=10)
     with pytest.raises(ValueError, match="objective returned no finite value"):
         minimize(method, problem)
 
@@ -214,7 +302,7 @@ def test_non_finite_values_never_become_the_best(method):
     def spiky(x):
         return math.nan if x[0] > 0.2 else shifted_bowl(x)
 
-    res = minimize(method, MinimizeProblem(spiky, np.zeros(2), max_evals=60))
+    res = minimize(method, MinimizeProblem(batched(spiky), np.zeros(2), max_evals=60))
     assert math.isfinite(res.f_best)
     assert res.f_best == min(e for e in res.trace.energies() if math.isfinite(e))
 
