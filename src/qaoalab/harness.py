@@ -49,7 +49,7 @@ from .optim import (
     random_qaoa_starts,
 )
 from .plots import plot_histogram, plot_trace
-from .statevec import Counts
+from .statevec import MAX_QUBITS, Counts
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +70,7 @@ _INSTANCE_FIELDS = {"file", "inline"}
 _INLINE_FIELDS = {"n", "edges", "weights"}
 _NOISE_FIELDS = {f.name for f in fields(NoiseConfig)}
 _SWEEP_AXES = ("p", "method", "noise", "shots")  # also the order of a sweep's cells
+SWEEP_LIMIT = 1000  # cells in one sweep
 
 
 class ConfigError(ValueError):
@@ -104,6 +105,10 @@ class ExperimentConfig:
     config_hash: str = field(init=False)
 
     def __post_init__(self):
+        if self.instance.n > MAX_QUBITS:
+            raise ConfigError(
+                f"instance: {self.instance.n} nodes exceed the simulator's limit of {MAX_QUBITS}"
+            )
         p = self.p
         if not _is_int(p) or p < 0:
             raise ConfigError(f"p: must be a non-negative integer, got {p!r}")
@@ -149,6 +154,9 @@ class ExperimentConfig:
             for key, values in self.sweep.items():
                 if not isinstance(values, list) or not values:
                     raise ConfigError(f"sweep.{key}: must be a non-empty list")
+            cells = math.prod(len(values) for values in self.sweep.values())
+            if cells > SWEEP_LIMIT:
+                raise ConfigError(f"sweep: {cells} cells exceeds the limit of {SWEEP_LIMIT}")
             if "noise" in self.sweep and self.mode != "noisy":
                 raise ConfigError(
                     f"sweep.noise: mode {self.mode!r} never samples noise; "
@@ -386,9 +394,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     return RunArtifacts(counts_path, trace_path, summary_path, summary)
 
 
-SWEEP_LIMIT = 1000
-
-
 def _axis_label(key: str, j: int, value) -> str:
     """A cell's name for entry j of a sweep axis; inline noise objects are ``custom<j>``."""
     if key == "noise" and not isinstance(value, str):
@@ -409,8 +414,6 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     cells: list[dict] = [{}]  # axis -> entry index
     for key, values in levels:
         cells = [dict(cell, **{key: j}) for cell in cells for j in range(len(values))]
-    if len(cells) > SWEEP_LIMIT:
-        raise ConfigError(f"sweep: {len(cells)} cells exceeds the limit of {SWEEP_LIMIT}")
     cell_configs = []
     for idx, cell in enumerate(cells):
         changes = {key: axes[key][j] for key, j in cell.items()}

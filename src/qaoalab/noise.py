@@ -140,32 +140,24 @@ def _schedule_cached(n: int, slots: tuple) -> Timeline:
     """ASAP timeline of ops given as (qubits, duration) slots, in circuit order."""
     ready = [0.0] * n
     starts = []
-    for qubits, duration in slots:
+    per_qubit: list[list[Interval]] = [[] for _ in range(n)]
+    # an op starts once all its qubits are free, so each qubit's ops
+    # arrive in start order and their intervals are appended in place
+    for i, (qubits, duration) in enumerate(slots):
         s = max(ready[q] for q in qubits)
         starts.append(s)
+        end = s + duration
         for q in qubits:
-            ready[q] = s + duration
-    makespan = max(ready)
-    per_qubit: list[tuple[Interval, ...]] = []
-    for q in range(n):
-        busy = sorted(
-            (s, i)
-            for i, (s, (qubits, _)) in enumerate(zip(starts, slots))
-            if q in qubits
-        )
-        intervals: list[Interval] = []
-        t = 0.0
-        for s, i in busy:
-            if s > t:
-                intervals.append(Interval(t, s, None))
-            end = s + slots[i][1]
+            if s > ready[q]:
+                per_qubit[q].append(Interval(ready[q], s, None))
             if end > s:
-                intervals.append(Interval(s, end, i))
-            t = max(t, end)
-        if makespan > t:
-            intervals.append(Interval(t, makespan, None))
-        per_qubit.append(tuple(intervals))
-    return Timeline(makespan, tuple(starts), tuple(per_qubit))
+                per_qubit[q].append(Interval(s, end, i))
+            ready[q] = end
+    makespan = max(ready)
+    for q in range(n):
+        if makespan > ready[q]:
+            per_qubit[q].append(Interval(ready[q], makespan, None))
+    return Timeline(makespan, tuple(starts), tuple(map(tuple, per_qubit)))
 
 
 def schedule_circuit(circuit: Circuit) -> Timeline:

@@ -1,10 +1,9 @@
 """Derivative-free minimizers with hard evaluation budgets and traces.
 
-``minimize(method, problem)`` is the one driver. It creates the
-evaluation log (``OptimizationTrace``) and the budget-enforcing
-recorder, runs the named search, and builds the ``MinimizeResult``.
-Each search is a plain function of (recorder, problem) that returns
-its stopping status:
+``minimize(method, problem)`` is the one driver. Each search is an
+ask/tell generator of (x0, fd_step), the step only cg reads: it yields
+the points it wants evaluated, is sent their values, and returns its
+stopping status. It never sees the objective, the trace or the budget.
   * powell - direction-set search with golden-section line minima
   * cg     - Polak-Ribiere conjugate gradient on central finite
              differences, with a parabolic-backtracking line search
@@ -12,25 +11,30 @@ its stopping status:
              shrinking trust region
 
 The objective is batch-first: a (k, d) array of points in, k values
-out. A search asks the recorder for one point at a time, or for a batch
-of points that do not depend on each other: the 2d central-difference
-points of a cg gradient (x + h0*e0, x - h0*e0, x + h1*e1, ...) and the
-d new vertices of a cobyla simplex. A batch is one objective call.
+out. A search yields one point (a 1-D array, answered with a float) or
+a batch of points that do not depend on each other (a 2-D array,
+answered with a list): the 2d central-difference points of a cg
+gradient (x + h0*e0, x - h0*e0, x + h1*e1, ...) and the d new vertices
+of a cobyla simplex. A batch is one objective call. The line searches,
+the gradient and the simplex are generators too, joined with
+``yield from``.
 
-Every point goes through the recorder, in order, so ``evals_used``
-always equals the trace length and the budget is enforced exactly: a
-batch that would pass the budget is cut at it, the points that fit are
-recorded, and the driver ends the run with status ``budget_exhausted``.
-``f_best`` is the min over all recorded finite evaluations, not the
-last iterate; the trace and ``f_best`` are those of evaluating the same
-points one by one. An objective that never returns a finite value ends
-in a ValueError.
+The driver alone evaluates, records and budgets. Every point is
+recorded in order, so ``evals_used`` always equals the trace length and
+the budget is enforced exactly: a batch that would pass the budget is
+cut at it, the points that fit are recorded, and the run ends with
+status ``budget_exhausted``. A non-finite point (after a NaN value, say)
+is not evaluated: the run ends ``stalled``. ``f_best`` is the min over
+all recorded finite evaluations, not the last iterate; the trace and
+``f_best`` are those of evaluating the same points one by one. An
+objective that never returns a finite value ends in a ValueError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Real
 from typing import Callable, NamedTuple
 
@@ -61,7 +65,7 @@ class OptimizationTrace:
     records: list[TraceRecord] = field(default_factory=list)
 
     def append(self, theta, energy: float) -> None:
-        theta = tuple(np.asarray(theta, dtype=float).tolist())
+        theta = tuple(map(float, theta))
         self.records.append(TraceRecord(len(self.records), theta, float(energy)))
 
     def energies(self) -> list[float]:
@@ -117,72 +121,25 @@ class MinimizeResult:
     trace: OptimizationTrace
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-class _Recorder:
-    """Budget-enforcing, trace-keeping wrapper around the raw batch objective."""
-
-    def __init__(self, objective, max_evals: int, trace: OptimizationTrace):
-        self.objective = objective
-        self.max_evals = max_evals
-        self.trace = trace
-        self.x_best: np.ndarray | None = None
-        self.f_best = math.inf
-
-    @property
-    def used(self) -> int:
-        return len(self.trace)
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self.batch(np.asarray(x, dtype=float)[None])[0]
-
-    def batch(self, xs: np.ndarray) -> list[float]:
-        """Evaluate the rows of ``xs`` in one objective call and record them in row order.
-
-        A batch that would pass the budget is cut at ``max_evals``: the
-        rows that fit are evaluated and recorded, then _BudgetExceeded
-        is raised.
-        """
-        room = self.max_evals - self.used
-        if room <= 0:
-            raise _BudgetExceeded
-        xs = np.asarray(xs, dtype=float)
-        cut = len(xs) > room
-        xs = xs[:room]
-        fs = np.asarray(self.objective(xs), dtype=float)
-        if fs.shape != (len(xs),):
-            raise ValueError(f"objective returned shape {fs.shape} for {len(xs)} points")
-        fs = fs.tolist()
-        for x, f in zip(xs, fs):
-            self.trace.append(x, f)
-            if f < self.f_best and math.isfinite(f):
-                self.f_best = f
-                self.x_best = x.copy()
-        if cut:
-            raise _BudgetExceeded
-        return fs
-
-
 # ---------------------------------------------------------------------------
 # bracketing + Brent line minimization (shared by powell and cg)
 # ---------------------------------------------------------------------------
 
 
-def _bracket(f, xa: float, xb: float):
-    """Expand downhill until f(xb) < min(f(xa), f(xc)); may raise _BudgetExceeded.
+def _bracket(line, xa: float, xb: float):
+    """Expand downhill along ``line(alpha) -> point`` until f(xb) < min(f(xa), f(xc)).
 
     Returns (xa, xb, xc, fa, fb, fc) with xb strictly between xa and xc.
     Returns None if no downhill bracket emerges within 50 expansions
     (flat or pathological).
     """
-    fa, fb = f(xa), f(xb)
+    fa = yield line(xa)
+    fb = yield line(xb)
     if fb > fa:
         xa, xb = xb, xa
         fa, fb = fb, fa
     xc = xb + (1.0 + _GOLD) * (xb - xa)
-    fc = f(xc)
+    fc = yield line(xc)
     it = 0
     while fc < fb:
         if it >= 50:
@@ -198,19 +155,19 @@ def _bracket(f, xa: float, xb: float):
             w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
         wlim = xb + 110.0 * (xc - xb)  # farthest parabolic extrapolation
         if (w - xc) * (xb - w) > 0:
-            fw = f(w)
+            fw = yield line(w)
             if fw < fc:
                 return (xb, w, xc, fb, fw, fc)
             if fw > fb:
                 return (xa, xb, w, fa, fb, fw)
             w = xc + (1.0 + _GOLD) * (xc - xb)
-            fw = f(w)
+            fw = yield line(w)
         elif (w - wlim) * (wlim - xc) >= 0:
             w = wlim
-            fw = f(w)
+            fw = yield line(w)
         else:
             w = xc + (1.0 + _GOLD) * (xc - xb)
-            fw = f(w)
+            fw = yield line(w)
         xa, xb, xc = xb, xc, w
         fa, fb, fc = fb, fc, fw
     if fb <= fa and fb <= fc:
@@ -218,12 +175,13 @@ def _bracket(f, xa: float, xb: float):
     return None
 
 
-def _brent_1d(f, xa: float, xb: float, xc: float, fb: float, tol: float):
+def _brent_1d(line, xa: float, xb: float, xc: float, fb: float, tol: float):
     """Refine a bracket by golden-section steps with parabolic acceleration.
 
     Classic Brent minimization, at most 100 probes: a parabola through
     the three best points proposes the next probe, and golden sections
-    guarantee progress when the parabola misbehaves. Returns (x, f(x)).
+    guarantee progress when the parabola misbehaves. ``line(alpha)`` maps
+    a step to the point it asks for. Returns (alpha, f) of the best probe.
     """
     a, b = (xa, xc) if xa < xc else (xc, xa)
     x = w = v = xb
@@ -256,7 +214,7 @@ def _brent_1d(f, xa: float, xb: float, xc: float, fb: float, tol: float):
             e = (b - x) if x < m else (a - x)
             d = (1.0 - _GOLD) * e
         u = x + (d if abs(d) >= tol1 else (tol1 if d > 0 else -tol1))
-        fu = f(u)
+        fu = yield line(u)
         if fu <= fx:
             if u < x:
                 b = x
@@ -277,18 +235,18 @@ def _brent_1d(f, xa: float, xb: float, xc: float, fb: float, tol: float):
     return x, fx
 
 
-def _line_minimize(rec: _Recorder, x: np.ndarray, direction: np.ndarray, f0: float,
-                   tol: float, step: float = 1.0):
+def _line_minimize(x: np.ndarray, direction: np.ndarray, f0: float, tol: float,
+                   step: float = 1.0):
     """Minimize f(x + alpha * direction) from alpha=0; returns (alpha, f) with f <= f0."""
 
-    def f1d(alpha):
-        return rec(x + alpha * direction)
+    def line(alpha):
+        return x + alpha * direction
 
-    bracket = _bracket(f1d, 0.0, step)
+    bracket = yield from _bracket(line, 0.0, step)
     if bracket is None:
         return 0.0, f0
     xa, xb, xc, fa, fb, fc = bracket
-    alpha, fmin = _brent_1d(f1d, xa, xb, xc, fb, tol)
+    alpha, fmin = yield from _brent_1d(line, xa, xb, xc, fb, tol)
     if fmin > f0:
         return 0.0, f0
     return alpha, fmin
@@ -299,7 +257,7 @@ def _line_minimize(rec: _Recorder, x: np.ndarray, direction: np.ndarray, f0: flo
 # ---------------------------------------------------------------------------
 
 
-def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
+def _powell(x0: np.ndarray, fd_step: float | None):
     """Direction-set minimization without derivatives.
 
     Each outer iteration line-minimizes along every direction in turn,
@@ -307,11 +265,11 @@ def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
     displacement when the standard acceptance test favors it. Converges
     when an outer iteration's total improvement falls below _FTOL.
     """
-    d = problem.x0.size
+    d = x0.size
     directions = np.eye(d)
-    x = problem.x0.copy()
+    x = x0.copy()
     line_tol = 100.0 * _XTOL  # per-line precision beyond this is wasted budget
-    fx = rec(x)
+    fx = yield x
     while True:
         f_start = fx
         x_start = x.copy()
@@ -319,7 +277,7 @@ def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
         drop_index = 0
         for i in range(d):
             direction = directions[i]
-            alpha, f_new = _line_minimize(rec, x, direction, fx, line_tol)
+            alpha, f_new = yield from _line_minimize(x, direction, fx, line_tol)
             if fx - f_new > biggest_drop:
                 biggest_drop = fx - f_new
                 drop_index = i
@@ -331,14 +289,14 @@ def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
         if np.linalg.norm(displacement) <= _XTOL:
             return STATUS_CONVERGED
         # extrapolated point test for direction replacement
-        f_ext = rec(x_start + 2.0 * displacement)
+        f_ext = yield x_start + 2.0 * displacement
         if f_ext < f_start:
             t = 2.0 * (f_start + f_ext - 2.0 * fx)
             t *= (f_start - fx - biggest_drop) ** 2
             t -= biggest_drop * (f_start - f_ext) ** 2
             if t < 0.0:
                 # adopt the displacement: minimize along it, then keep it
-                alpha, f_new = _line_minimize(rec, x, displacement, fx, line_tol)
+                alpha, f_new = yield from _line_minimize(x, displacement, fx, line_tol)
                 x = x + alpha * displacement
                 fx = f_new
                 norm = np.linalg.norm(displacement)
@@ -351,34 +309,35 @@ def _powell(rec: _Recorder, problem: MinimizeProblem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _fd_gradient(rec: _Recorder, x: np.ndarray, fd_step: float | None) -> np.ndarray:
+def _fd_gradient(x: np.ndarray, fd_step: float | None):
     """Central differences from one batch, in the order x + h0*e0, x - h0*e0, x + h1*e1, ..."""
     h = np.full(x.size, fd_step, dtype=float) if fd_step is not None else 1e-6 * np.maximum(1.0, np.abs(x))
     steps = np.diag(h)
     points = np.empty((2 * x.size, x.size))
     points[0::2] = x + steps
     points[1::2] = x - steps
-    fs = rec.batch(points)
+    fs = yield points
     # Python floats: inf - inf is nan here without numpy's invalid-value warning
     return np.array([a - b for a, b in zip(fs[0::2], fs[1::2])]) / (2.0 * h)
 
 
-def _cg(rec: _Recorder, problem: MinimizeProblem) -> str:
+def _cg(x0: np.ndarray, fd_step: float | None):
     """Polak-Ribiere conjugate gradient on central-difference gradients.
 
     Each iteration line-minimizes along the conjugate direction (same
     bracketing engine as Powell, which guarantees sufficient decrease);
     directions reset to steepest descent every d iterations or whenever
-    conjugacy produces a non-descent direction. Stops on gradient norm,
-    two consecutive negligible decreases, stalling, or budget.
+    conjugacy produces a non-descent direction. Converges on gradient
+    norm or two consecutive negligible decreases; stalls when two line
+    searches in a row find no descent.
     """
-    d = problem.x0.size
-    x = problem.x0.copy()
+    d = x0.size
+    x = x0.copy()
     line_tol = 100.0 * _XTOL
     stall = 0
     tiny_drops = 0
-    fx = rec(x)
-    g = _fd_gradient(rec, x, problem.fd_step)
+    fx = yield x
+    g = yield from _fd_gradient(x, fd_step)
     direction = -g
     gg_prev = float(g @ g)
     alpha_prev = None
@@ -394,7 +353,7 @@ def _cg(rec: _Recorder, problem: MinimizeProblem) -> str:
             step0 = min(1.0, 1.0 / max(math.sqrt(gg_prev), 1e-12))
         else:
             step0 = max(alpha_prev, 1e-8)
-        alpha, f_new = _line_minimize(rec, x, direction, fx, line_tol, step=step0)
+        alpha, f_new = yield from _line_minimize(x, direction, fx, line_tol, step=step0)
         if alpha == 0.0:
             # no downhill movement along a descent direction: noise floor
             stall += 1
@@ -415,7 +374,7 @@ def _cg(rec: _Recorder, problem: MinimizeProblem) -> str:
                 return STATUS_CONVERGED
         else:
             tiny_drops = 0
-        g_new = _fd_gradient(rec, x, problem.fd_step)
+        g_new = yield from _fd_gradient(x, fd_step)
         gg_new = float(g_new @ g_new)
         since_reset += 1
         if since_reset >= d:
@@ -432,7 +391,7 @@ def _cg(rec: _Recorder, problem: MinimizeProblem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cobyla(rec: _Recorder, problem: MinimizeProblem) -> str:
+def _cobyla(x0: np.ndarray, fd_step: float | None):
     """Linear interpolation model over a d+1 simplex in a trust region.
 
     Fits the exact linear interpolant of the simplex (vertices spaced at
@@ -442,7 +401,7 @@ def _cobyla(rec: _Recorder, problem: MinimizeProblem) -> str:
     the predicted decrease. Shrinks rho (and rebuilds the simplex) once
     no step length works; converges once rho falls to _RHO_END.
     """
-    d = problem.x0.size
+    d = x0.size
     rho = _RHO_START
 
     def build_simplex(center: np.ndarray, f_center: float):
@@ -451,10 +410,11 @@ def _cobyla(rec: _Recorder, problem: MinimizeProblem) -> str:
         # full-rho simplex leaves too much bias to hit fine minima once
         # rho reaches its floor
         vertices = center + np.diag(np.full(d, 0.25 * rho))
-        return [center.copy(), *vertices], [f_center, *rec.batch(vertices)]
+        values = yield vertices
+        return [center.copy(), *vertices], [f_center, *values]
 
-    f0 = rec(problem.x0)
-    xs, fs = build_simplex(problem.x0, f0)
+    f0 = yield x0
+    xs, fs = yield from build_simplex(x0, f0)
     fresh = True  # was the simplex rebuilt since the last model failure?
     while rho > _RHO_END:
         best = int(np.argmin(fs))
@@ -465,25 +425,25 @@ def _cobyla(rec: _Recorder, problem: MinimizeProblem) -> str:
         # stale or degenerate geometry poisons the linear model; fix
         # the simplex before blaming the trust radius
         if np.linalg.cond(a_mat) > 1e10:
-            xs, fs = build_simplex(x_best, f_best)
+            xs, fs = yield from build_simplex(x_best, f_best)
             fresh = True
             continue
         g = np.linalg.solve(a_mat, b_vec)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= 1e-300 or rho * gnorm < _FTOL * max(1.0, abs(f_best)):
             if not fresh:
-                xs, fs = build_simplex(x_best, f_best)
+                xs, fs = yield from build_simplex(x_best, f_best)
                 fresh = True
                 continue
             rho *= 0.5
-            xs, fs = build_simplex(x_best, f_best)
+            xs, fs = yield from build_simplex(x_best, f_best)
             continue
         accepted = False
         x_new, f_new = x_best, f_best
         for frac in (1.0, 0.5, 0.25):
             step = frac * rho
             x_try = x_best - (step / gnorm) * g
-            f_try = rec(x_try)
+            f_try = yield x_try
             if f_try < f_new:
                 x_new, f_new = x_try, f_try
             if f_best - f_try > 0.1 * step * gnorm:
@@ -504,7 +464,7 @@ def _cobyla(rec: _Recorder, problem: MinimizeProblem) -> str:
             if fresh:
                 rho *= 0.5
             best = int(np.argmin(fs))
-            xs, fs = build_simplex(xs[best], fs[best])
+            xs, fs = yield from build_simplex(xs[best], fs[best])
             fresh = True
     return STATUS_CONVERGED
 
@@ -521,15 +481,45 @@ def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
     """Run one search by name under the problem's budget; raises ValueError for unknown methods."""
     if method not in _SEARCHES:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    search = _SEARCHES[method](problem.x0, problem.fd_step)
     trace = OptimizationTrace()
-    rec = _Recorder(problem.objective, problem.max_evals, trace)
-    try:
-        status = _SEARCHES[method](rec, problem)
-    except _BudgetExceeded:
-        status = STATUS_BUDGET
-    if rec.x_best is None:
-        raise ValueError(f"objective returned no finite value in {rec.used} evaluations")
-    return MinimizeResult(rec.x_best.copy(), rec.f_best, rec.used, status, trace)
+    x_best, f_best = None, math.inf
+    values = None
+    while True:
+        try:
+            asked = search.send(values)
+        except StopIteration as stop:
+            status = stop.value
+            break
+        one = asked.ndim == 1
+        xs = asked[None] if one else asked
+        room = problem.max_evals - len(trace)
+        if room <= 0:
+            status = STATUS_BUDGET
+            break
+        rows = xs.tolist()
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            status = STATUS_STALLED
+            break
+        cut = len(rows) > room
+        if cut:
+            xs, rows = xs[:room], rows[:room]
+        fs = np.asarray(problem.objective(xs), dtype=float)
+        if fs.shape != (len(rows),):
+            raise ValueError(f"objective returned shape {fs.shape} for {len(rows)} points")
+        fs = fs.tolist()
+        for row, f in zip(rows, fs):
+            trace.append(row, f)
+            if f < f_best and math.isfinite(f):
+                f_best, x_best = f, np.array(row)
+        if cut:
+            status = STATUS_BUDGET
+            break
+        values = fs[0] if one else fs
+    search.close()
+    if x_best is None:
+        raise ValueError(f"objective returned no finite value in {len(trace)} evaluations")
+    return MinimizeResult(x_best, f_best, len(trace), status, trace)
 
 
 def random_qaoa_starts(p: int, k: int, seed: int) -> list[np.ndarray]:

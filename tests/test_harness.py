@@ -17,6 +17,7 @@ from qaoalab.harness import (
     run_experiment,
     run_sweep,
 )
+from qaoalab.statevec import MAX_QUBITS
 
 from conftest import GROUND_PAIR
 
@@ -300,9 +301,13 @@ def test_sweep_without_axes_equals_single_run(tmp_path):
 
 
 def test_sweep_cell_limit():
-    config = parse_config({"sweep": {"shots": [1] * 1001}})
-    with pytest.raises(ConfigError, match="exceeds"):
-        run_sweep(config)
+    with pytest.raises(ConfigError, match="^sweep: 1001 cells exceeds"):
+        parse_config({"sweep": {"shots": [1] * 1001}})
+    # the count comes from the axis lengths, before any cell is built
+    axes = {"p": [1] * 1000, "shots": [1] * 1000, "method": ["cg"] * 1000}
+    with pytest.raises(ConfigError, match=r"^sweep: 1000000000 cells exceeds"):
+        parse_config({"sweep": axes})
+    parse_config({"sweep": {"p": [1] * 10, "shots": [1] * 100}})
 
 
 @pytest.mark.parametrize(
@@ -427,6 +432,24 @@ def test_cli_solve_missing_config(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["solve", "--config", str(missing)]) == 1
     assert str(missing) in capsys.readouterr().err
+
+
+def test_oversized_instance_rejected_at_parse():
+    inline = {"n": MAX_QUBITS + 1, "edges": [[0, MAX_QUBITS]]}
+    with pytest.raises(ConfigError, match=rf"^instance: {MAX_QUBITS + 1} nodes exceed"):
+        parse_config({"instance": {"inline": inline}})
+    parse_config({"instance": {"inline": {"n": MAX_QUBITS, "edges": [[0, 1]]}}})
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled", "noisy"])
+def test_cli_solve_oversized_instance_writes_nothing(tmp_path, capsys, mode):
+    cfg = tmp_path / "big.json"
+    inline = {"n": MAX_QUBITS + 1, "edges": [[0, 1]]}
+    cfg.write_text(json.dumps({"mode": mode, "instance": {"inline": inline}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: instance: ")
+    assert not out.exists()
 
 
 def test_cli_solve_bad_config_field(tmp_path, capsys):

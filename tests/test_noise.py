@@ -228,6 +228,15 @@ def test_schedule_cache_tells_durations_and_qubits_apart():
         assert schedule_circuit(circuit) == reference_schedule(circuit)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_schedule_matches_reference_with_zero_durations(seed):
+    gen = np.random.default_rng(seed)
+    base = mixed_circuit(5, 40, seed=seed)
+    ops = tuple(op._replace(duration=0.0) if gen.random() < 0.3 else op for op in base.ops)
+    circuit = Circuit(5, ops)
+    assert schedule_circuit(circuit) == reference_schedule(circuit)
+
+
 def test_schedule_rejects_negative_durations():
     with pytest.raises(ValueError, match="usable duration"):
         schedule_circuit(Circuit(1, (GateOp("H", (0,), None, -1.0),)))

@@ -199,20 +199,26 @@ def test_stochastic_objective_terminates(method, canonical):
 # -- batches of points ----------------------------------------------------------
 
 
-class CallLog:
-    """A batch quadratic objective that records the size of every call."""
+def padded_bowl(x):
+    return shifted_bowl(x) + float(x[2:] @ x[2:])
 
-    def __init__(self):
+
+class CallLog:
+    """A batch objective that logs each call's size and fails on an empty or non-finite batch."""
+
+    def __init__(self, f):
+        self.f = f
         self.sizes = []
 
     def __call__(self, xs):
+        assert len(xs) > 0 and np.isfinite(xs).all(), xs
         self.sizes.append(len(xs))
-        return np.array([shifted_bowl(x) + float(x[2:] @ x[2:]) for x in xs])
+        return np.array([self.f(x) for x in xs], dtype=float)
 
 
 def test_budget_cut_inside_the_first_cobyla_simplex():
     x0 = np.array([0.3, -0.2, 0.1, 0.7])
-    objective = CallLog()
+    objective = CallLog(padded_bowl)
     result = minimize("cobyla", MinimizeProblem(objective, x0, max_evals=4))
     assert result.status == STATUS_BUDGET
     assert len(result.trace) == result.evals_used == 4
@@ -225,7 +231,7 @@ def test_budget_cut_inside_the_first_cobyla_simplex():
 
 def test_budget_cut_inside_a_cg_gradient():
     x0 = np.array([0.3, -0.2, 0.1])
-    objective = CallLog()
+    objective = CallLog(padded_bowl)
     result = minimize("cg", MinimizeProblem(objective, x0, max_evals=4, fd_step=0.01))
     assert result.status == STATUS_BUDGET
     assert len(result.trace) == result.evals_used == 4
@@ -305,6 +311,44 @@ def test_non_finite_values_never_become_the_best(method):
     res = minimize(method, MinimizeProblem(batched(spiky), np.zeros(2), max_evals=60))
     assert math.isfinite(res.f_best)
     assert res.f_best == min(e for e in res.trace.energies() if math.isfinite(e))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("nan_where", [
+    lambda x: x[0] > 0.2,
+    lambda x: abs(x[1]) > 1e-12,
+], ids=["x0-above-0.2", "x1-off-zero"])
+def test_non_finite_point_ends_the_search_with_a_status(method, nan_where):
+    def f(x):
+        return math.nan if nan_where(x) else shifted_bowl(x)
+
+    result = minimize(method, MinimizeProblem(CallLog(f), np.zeros(2), max_evals=200))
+    assert math.isfinite(result.f_best)
+    assert result.status in ALL_STATUSES
+
+
+# -- the budget loop --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_budget_cuts_the_unbudgeted_trace(method, d):
+    def f(x):
+        return float((x - 0.5) @ (x - 0.5)) + 0.3 * math.sin(5.0 * x[0])
+
+    x0 = np.linspace(-0.7, 0.9, d)
+    full = minimize(method, MinimizeProblem(CallLog(f), x0, max_evals=5000))
+    # a budget below d is rejected when the problem is built
+    for budget in sorted({1, d, d + 1, 17, 60} - set(range(d))):
+        objective = CallLog(f)
+        result = minimize(method, MinimizeProblem(objective, x0, max_evals=budget))
+        assert result.trace.records == full.trace.records[:budget]
+        assert sum(objective.sizes) == result.evals_used == len(result.trace)
+        if len(full.trace) > budget:
+            assert result.status == STATUS_BUDGET
+            assert result.evals_used == budget
+        else:
+            assert result.status == full.status
 
 
 # -- module boundaries --------------------------------------------------------------
