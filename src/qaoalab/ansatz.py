@@ -23,7 +23,8 @@ block per pass. On a symmetric state X on node 0 acts as X on nodes
 reversed; for n <= 6, where nodes 1..n-1 fit in one block, that step is
 folded into the block. The gate list from ``build_qaoa_circuit`` is what
 noisy sampling runs, and it is the reference the gate-free state is
-tested against.
+tested against; ``qaoa_angles`` gives its RZ and RX angles for a whole
+batch of angle rows, so a noisy batch builds one circuit.
 """
 
 from __future__ import annotations
@@ -112,18 +113,33 @@ def gate_count(n: int, m: int, p: int) -> int:
     return n + p * (3 * m + n)
 
 
+def qaoa_angles(instance: MaxCutInstance, thetas) -> np.ndarray:
+    """The RZ and RX angles of ``build_qaoa_circuit``, in op order, for a (k, 2p) batch.
+
+    Row r of the (k, p * (|E| + n)) result holds, layer by layer, each
+    edge's 2*w*gamma and then each qubit's 2*beta for the angles of row
+    r of ``thetas``: the products the circuit itself carries.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    k, p = thetas.shape[0], thetas.shape[1] // 2
+    rz = 2.0 * np.asarray(instance.weights, dtype=float) * thetas[:, p:, None]
+    rx = np.repeat(2.0 * thetas[:, :p, None], instance.n, axis=2)
+    return np.concatenate([rz, rx], axis=2).reshape(k, -1)
+
+
 def build_qaoa_circuit(instance: MaxCutInstance, params: QaoaParams) -> Circuit:
     """Construct the depth-p circuit for ``instance`` at ``params``."""
+    angles = iter(qaoa_angles(instance, params.to_vector()[None]).ravel().tolist())
     ops: list[GateOp] = []
     for q in range(instance.n):
         ops.append(GateOp("H", (q,), None, ONE_QUBIT_DURATION))
-    for beta, gamma in zip(params.betas, params.gammas):
-        for (u, v), w in zip(instance.edges, instance.weights):
+    for _ in range(params.p):
+        for u, v in instance.edges:
             ops.append(GateOp("CNOT", (u, v), None, TWO_QUBIT_DURATION))
-            ops.append(GateOp("RZ", (v,), 2.0 * w * gamma, ONE_QUBIT_DURATION))
+            ops.append(GateOp("RZ", (v,), next(angles), ONE_QUBIT_DURATION))
             ops.append(GateOp("CNOT", (u, v), None, TWO_QUBIT_DURATION))
         for q in range(instance.n):
-            ops.append(GateOp("RX", (q,), 2.0 * beta, ONE_QUBIT_DURATION))
+            ops.append(GateOp("RX", (q,), next(angles), ONE_QUBIT_DURATION))
     return Circuit(instance.n, tuple(ops))
 
 

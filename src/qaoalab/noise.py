@@ -5,10 +5,13 @@ its own twirl, stochastic Pauli insertions, quasi-static dephasing
 rates, and readout flips, all from substreams keyed by (seed, stream,
 shot). Inserted error ops carry zero duration so they never perturb
 timing. This module makes no random draw: qaoalab.trajectories makes
-them all. sample_noisy runs all the shots of a call together there, and
-twirl_circuit, apply_trajectory_noise and apply_readout_error render one
-shot of the same draws, as a circuit or as flipped bits; simulating
-each shot's circuit on its own gives the same amplitudes, bit for bit.
+them all. sample_noisy_tallies runs the shots of k points together
+there, each point its own seed and RX/RZ angles on one circuit, after
+one DD insertion; sample_noisy_tally and sample_noisy are its one-point
+case. twirl_circuit, apply_trajectory_noise and apply_readout_error
+render one shot of the same draws, as a circuit or as flipped bits;
+simulating each shot's circuit on its own gives the same amplitudes,
+bit for bit.
 
 Mitigation passes rewrite circuits:
   * twirl_circuit wraps every CNOT in a random Pauli pair and its
@@ -31,8 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
-from .statevec import Counts, GateOp, check_shots, counts_from_tally
+from .statevec import ROTATION_KINDS, Counts, GateOp, check_shots, counts_from_tally
 
 PAULI_KINDS = ("X", "Y", "Z")
 
@@ -190,16 +194,34 @@ def insert_dd(circuit: Circuit, sequence: str = "XpXm") -> Circuit:
     """
     if sequence not in DD_SEQUENCES:
         raise ValueError(f"sequence must be one of {sorted(DD_SEQUENCES)}, got {sequence!r}")
-    timeline = schedule_circuit(circuit)
+    return _dressed(circuit, sequence)[0]
+
+
+def _dressed(circuit: Circuit, sequence: str) -> tuple[Circuit, list[int]]:
+    """``insert_dd``'s circuit, and the index in ``circuit.ops`` of each of its original ops, in order."""
+    plan = _dd_plan(circuit.n, tuple((op.qubits, op.duration) for op in circuit.ops), sequence)
+    ops = tuple(circuit.ops[item] if type(item) is int else item for item in plan)
+    return Circuit(circuit.n, ops), [item for item in plan if type(item) is int]
+
+
+@lru_cache(maxsize=64)
+def _dd_plan(n: int, slots: tuple, sequence: str) -> tuple:
+    """``insert_dd``'s ops for ops given as (qubits, duration) slots, in circuit order.
+
+    Each item is the index of an original op or an inserted GateOp. Like
+    the schedule, the plan depends only on the slots, so circuits that
+    differ only in gate kinds or angles share one entry.
+    """
+    timeline = _schedule_cached(n, slots)
     pulses = DD_SEQUENCES[sequence]
     k = len(pulses)
     pulse_dur = ONE_QUBIT_DURATION
-    # (start, tiebreak, op); original ops keep their indices as tiebreak
-    entries: list[tuple[float, int, GateOp]] = [
-        (s, i, op) for i, (s, op) in enumerate(zip(timeline.starts, circuit.ops))
+    # (start, tiebreak, item); original ops keep their indices as tiebreak
+    entries: list[tuple[float, int, int | GateOp]] = [
+        (s, i, i) for i, s in enumerate(timeline.starts)
     ]
     counter = len(entries)
-    for q in range(circuit.n):
+    for q in range(n):
         for iv in timeline.qubits[q]:
             if iv.op_index is not None:
                 continue
@@ -222,7 +244,7 @@ def insert_dd(circuit: Circuit, sequence: str = "XpXm") -> Circuit:
                 entries.append((t, counter, GateOp("DELAY", (q,), None, head)))
                 counter += 1
     entries.sort(key=lambda e: (e[0], e[1]))
-    return Circuit(circuit.n, tuple(op for _, _, op in entries))
+    return tuple(item for _, _, item in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +278,8 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
         return bits
     from . import trajectories  # loaded on first use
 
-    flips = trajectories._readout_flips(
-        trajectories._Substreams(), seed, shot_index, len(bits), p_readout)[0]
+    key = rng.derive_keys(seed, rng.STREAM_READOUT, [shot_index])
+    flips = trajectories._readout_flips(trajectories._Substreams(), key, len(bits), p_readout)[0]
     return "".join(("1" if b == "0" else "0") if f else b for b, f in zip(bits, flips))
 
 
@@ -266,15 +288,34 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
 # ---------------------------------------------------------------------------
 
 
-def sample_noisy_tally(circuit: Circuit, config: NoiseConfig, shots: int,
-                       seed: int) -> np.ndarray:
-    """``sample_noisy`` as a basis-index tally of length 2^n, before formatting."""
+def sample_noisy_tallies(circuit: Circuit, config: NoiseConfig, shots: int, seeds,
+                         angles=None) -> np.ndarray:
+    """``sample_noisy_tally`` of k points at once: a (k, 2^n) array of tallies.
+
+    Point j samples ``circuit`` under ``seeds[j]``, with the circuit's RX
+    and RZ angles, in op order, replaced by ``angles[j]`` when that (k, R)
+    array is given. The DD pulses are inserted once, and the k points'
+    shots run together; row j equals ``sample_noisy_tally`` of point j's
+    own circuit under ``seeds[j]``, bit for bit.
+    """
     from . import trajectories  # loaded on first use
 
     check_shots(shots)
     if config.dd:
-        circuit = insert_dd(circuit, config.dd_sequence)
-    return trajectories.sample(circuit, config, shots, seed)
+        original = circuit
+        circuit, order = _dressed(circuit, config.dd_sequence)
+        if angles is not None:
+            # the pulses put the ops in start order; each angle moves with its op
+            rotation = [op.kind in ROTATION_KINDS for op in original.ops]
+            column = np.cumsum(rotation) - 1
+            angles = np.asarray(angles)[:, [column[i] for i in order if rotation[i]]]
+    return trajectories.sample(circuit, config, shots, seeds, angles)
+
+
+def sample_noisy_tally(circuit: Circuit, config: NoiseConfig, shots: int,
+                       seed: int) -> np.ndarray:
+    """``sample_noisy`` as a basis-index tally of length 2^n, before formatting."""
+    return sample_noisy_tallies(circuit, config, shots, [seed])[0]
 
 
 def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:

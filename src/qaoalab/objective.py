@@ -5,7 +5,8 @@ the cut: the canonical 5-node instance has optimum -6 and a uniform
 superposition sits at -3. ``evaluate_qaoa`` scores one angle set;
 ``make_objective`` builds the optimizer's batch objective, a (k, 2p)
 array of angle rows in and k energies out, whose rows score exactly as
-``evaluate_qaoa`` would score them one by one.
+``evaluate_qaoa`` would score them one by one; every mode makes one
+engine call per batch.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .ansatz import QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_state, qaoa_states
+from .ansatz import (QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_angles, qaoa_state,
+                     qaoa_states)
 from .graph import MaxCutInstance, cut_value_table
-from .noise import sample_noisy_tally
+from .noise import sample_noisy_tallies, sample_noisy_tally
 from .statevec import Counts, StateVector, counts_from_tally, expectation_cut, sample_tally
 
 
@@ -113,9 +115,11 @@ def make_objective(
     """Batch objective: a (k, 2p) array of theta rows [betas..., gammas...] in, k energies out.
 
     Exact and sampled modes evolve the whole batch in one ``qaoa_states``
-    call and score each row alone, so a row's energy equals
+    call; noisy mode samples it in one ``sample_noisy_tallies`` call, the
+    circuit built once and each row's RX and RZ angles from
+    ``qaoa_angles``. Each row is scored alone, so its energy equals
     ``evaluate_qaoa`` at its angles bit for bit, whatever the batch.
-    Noisy mode runs ``evaluate_qaoa`` row by row. Stochastic modes give
+    Stochastic modes give
     evaluation j, counted point by point across calls in row order, its
     own derived seed, so the noise realization is a pure function of
     (seed, j) however the points are batched. The depth and run mode
@@ -143,10 +147,8 @@ def make_objective(
                 energy_from_tally(sample_tally(StateVector(instance.n, amps), shots, s), instance)
                 for amps, s in zip(qaoa_states(instance, thetas), seeds)
             ])
-        return np.array([
-            evaluate_qaoa(instance, QaoaParams.from_vector(theta), mode,
-                          shots=shots, seed=s, noise=noise).energy
-            for theta, s in zip(thetas, seeds)
-        ])
+        template = build_qaoa_circuit(instance, QaoaParams.from_vector(thetas[0]))
+        tallies = sample_noisy_tallies(template, noise, shots, seeds, qaoa_angles(instance, thetas))
+        return np.array([energy_from_tally(tally, instance) for tally in tallies])
 
     return objective

@@ -399,7 +399,10 @@ def _cobyla(x0: np.ndarray, fd_step: float | None):
     the best vertex: first the full trust radius, then backtracked half
     and quarter steps if the full step fails to achieve a fraction of
     the predicted decrease. Shrinks rho (and rebuilds the simplex) once
-    no step length works; converges once rho falls to _RHO_END.
+    no step length works; converges once rho falls to _RHO_END. A vertex
+    without a finite value counts as a failed step: no model is fit
+    through it, rho shrinks and the simplex is rebuilt around the best
+    finite vertex.
     """
     d = x0.size
     rho = _RHO_START
@@ -417,6 +420,17 @@ def _cobyla(x0: np.ndarray, fd_step: float | None):
     xs, fs = yield from build_simplex(x0, f0)
     fresh = True  # was the simplex rebuilt since the last model failure?
     while rho > _RHO_END:
+        finite = [i for i in range(d + 1) if math.isfinite(fs[i])]
+        if len(finite) <= d:
+            # no linear model passes through a non-finite value: count it as
+            # a failed step around the best finite vertex
+            if not finite:
+                return STATUS_STALLED
+            best = min(finite, key=fs.__getitem__)
+            rho *= 0.5
+            xs, fs = yield from build_simplex(xs[best], fs[best])
+            fresh = True
+            continue
         best = int(np.argmin(fs))
         x_best, f_best = xs[best], fs[best]
         rows = [i for i in range(d + 1) if i != best]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 from .graph import brute_force_maxcut, parse_edge_list
 from .statevec import Counts
@@ -96,7 +97,8 @@ def plot_histogram(counts_path) -> str:
     """Render the histogram for a counts JSON file.
 
     When the file carries its instance, the brute-force optima are
-    highlighted.
+    highlighted. The title is the file's directory name and its own
+    name, so a run's SVG does not depend on where its output went.
     """
     with open(counts_path, encoding="utf-8") as fh:
         try:
@@ -111,7 +113,8 @@ def plot_histogram(counts_path) -> str:
     if "instance" in payload:
         _, optima = brute_force_maxcut(parse_edge_list(payload["instance"]))
         highlight = frozenset(optima)
-    return render_histogram(counts, highlight, title=str(counts_path))
+    path = Path(counts_path)
+    return render_histogram(counts, highlight, title=Path(path.parent.name, path.name).as_posix())
 
 
 _SERIES_KINDS = ("energy", "params")

@@ -8,9 +8,12 @@ therefore node 0 of the graph module. Qubit q's bit of index ``i`` is
 Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` and
 ``apply_gate`` run it on one row and the noisy trajectory engine on a
-row per shot. Index tables are cached per (n, qubit), so repeated runs
-pay no setup cost. ``check_gate`` is the one op check, and
-``measure_rows`` the one shot sampler, on the same (rows, 2^n) layout.
+row per shot. It applies an RZ, H or RX as the products of its
+``gate_vectors`` through ``apply_vectors``, which the engine also calls
+to give each point of a batch its own rotation angle. Index tables are
+cached per (n, qubit), so repeated runs pay no setup cost.
+``check_gate`` is the one op check, and ``measure_rows`` the one shot
+sampler, on the same (rows, 2^n) layout.
 """
 
 from __future__ import annotations
@@ -136,28 +139,11 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     against one broadcast scalar.
     """
     kind = op.kind
-    if kind == "RZ":
-        q = op.qubits[0]
-        w = np.exp(0.5j * op.angle)
-        return amps * np.where(_bit_values(n, q) == 1, w, w.conjugate())
+    if kind in ("RZ", "H", "RX"):
+        return apply_vectors(amps, n, op.qubits[0], [(0, len(amps), gate_vectors(n, op))])
     if kind == "CNOT":
         c, t = op.qubits
         return np.take(amps, _cnot_perm(n, c, t), axis=1)
-    if kind in ("H", "RX"):
-        if kind == "H":
-            mat = _H
-        else:
-            half = 0.5 * op.angle
-            mat = np.array(
-                [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
-            )
-        q = op.qubits[0]
-        bit = _bit_values(n, q)
-        # out[i] = mat[b, b] * a[i] + mat[b, 1 - b] * a[i ^ mask] for b the
-        # qubit's bit of i. Every entry of mat is real or imaginary, so each
-        # product is one rounding per component however numpy multiplies
-        # complex numbers.
-        return amps * mat[bit, bit] + np.take(amps, _x_perm(n, q), axis=1) * mat[bit, 1 - bit]
     if kind == "X":
         return np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
     if kind == "Y":
@@ -168,6 +154,57 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     if kind == "DELAY":
         return amps
     raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def gate_vectors(n: int, op: GateOp) -> tuple[np.ndarray, ...]:
+    """The (2^n,) vectors that ``apply_rows`` multiplies by for an RZ, H or RX.
+
+    RZ is diagonal: (diagonal,). H and RX mix each amplitude with its
+    partner across the qubit: (diagonal, off-diagonal), where entry i
+    holds mat[b, b] and mat[b, 1 - b] for b the qubit's bit of i.
+    """
+    q = op.qubits[0]
+    bit = _bit_values(n, q)
+    if op.kind == "RZ":
+        w = np.exp(0.5j * op.angle)
+        return (np.where(bit == 1, w, w.conjugate()),)
+    if op.kind == "H":
+        mat = _H
+    else:
+        half = 0.5 * op.angle
+        mat = np.array(
+            [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
+        )
+    return mat[bit, bit], mat[bit, 1 - bit]
+
+
+def apply_vectors(amps: np.ndarray, n: int, q: int, segments) -> np.ndarray:
+    """``amps`` times a diagonal, plus ``amps`` with qubit q flipped times an off-diagonal.
+
+    Each segment (lo, hi, vectors) gives rows lo..hi-1 the
+    ``gate_vectors`` of one kind: an RZ's (diagonal,) or an H's or RX's
+    (diagonal, off-diagonal), each of shape (2^n,), or (p, 2^n) to split
+    the rows evenly among p vectors. Every row is multiplied as a lone
+    row would be, by one (2^n,) vector. Every entry of an H or RX matrix
+    is real or imaginary, so each product is one rounding per component
+    however numpy multiplies complex numbers.
+    """
+    size = amps.shape[1]
+    out = np.empty_like(amps)
+    flipped = np.take(amps, _x_perm(n, q), axis=1) if len(segments[0][2]) == 2 else None
+    for lo, hi, vectors in segments:
+        shape = (hi - lo, size)
+        if vectors[0].ndim == 2:
+            # rows lo..hi-1 as p blocks, block j times vector j
+            shape = (len(vectors[0]), -1, size)
+            vectors = [v[:, None] for v in vectors]
+        np.multiply(amps[lo:hi].reshape(shape), vectors[0], out=out[lo:hi].reshape(shape))
+        if flipped is not None:
+            part = flipped[lo:hi].reshape(shape)
+            part *= vectors[1]
+    if flipped is not None:
+        out += flipped
+    return out
 
 
 def check_gate(n: int, op: GateOp) -> None:

@@ -6,7 +6,10 @@ draws; ``noise.twirl_circuit``, ``noise.apply_trajectory_noise`` and
 module keeps an independent, slow reference of the same three
 realizations: each builds ``rng.generator`` for its substream and draws
 op by op, and the twirl table comes from a numeric search over 4x4
-matrices. Tests compare the engine and its views against it.
+matrices. ``replay_errors`` is the one-row, site-by-site replay of the
+gate-error draws from raw words that ``trajectories._decode_errors``
+does for all rows at once. Tests compare the engine and its views
+against them.
 """
 
 from __future__ import annotations
@@ -174,3 +177,42 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
         for b, f in zip(bits, flips)
     )
 
+
+
+def replay_errors(bitgen, p: np.ndarray, bound: np.ndarray):
+    """Replay one shot's gate-error draws from the raw words of its stream.
+
+    Site s draws ``random() < p[s]``, which takes one word. A hit then
+    draws ``integers(0, bound[s])`` by Lemire's method from a 32-bit
+    half word: the low half of a fresh word, or the high half left over
+    from the previous such draw. Yields (site, value) per hit.
+    """
+    if len(p) == 0:
+        return
+    words = bitgen.random_raw(len(p) + 2)
+    u = (words >> np.uint64(11)) * 2.0**-53
+    pos = site = 0
+    half = None
+    while site < len(p):
+        ahead = len(p) - site
+        if pos + ahead >= len(words):
+            words = np.concatenate([words, bitgen.random_raw(pos + ahead + 2 - len(words))])
+            u = (words >> np.uint64(11)) * 2.0**-53
+        hit = np.flatnonzero(u[pos:pos + ahead] < p[site:])
+        if hit.size == 0:
+            return
+        site += int(hit[0])
+        pos += int(hit[0]) + 1
+        b = int(bound[site])
+        while True:
+            if half is None:
+                word = int(words[pos])
+                pos += 1
+                x, half = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, half = half, None
+            m = x * b
+            if m & 0xFFFFFFFF >= (1 << 32) % b:
+                break
+        yield site, m >> 32
+        site += 1

@@ -15,6 +15,7 @@ from qaoalab.ansatz import (
     QaoaParams,
     build_qaoa_circuit,
     gate_count,
+    qaoa_angles,
     qaoa_state,
     qaoa_states,
     run_circuit,
@@ -115,6 +116,22 @@ def test_weighted_edge_scales_phase():
     ops = build_qaoa_circuit(instance, QaoaParams((0.0,), (0.5,))).ops
     rz = [op for op in ops if op.kind == "RZ"]
     assert rz[0].angle == pytest.approx(2.0 * 2.0 * 0.5)
+
+
+def test_batch_angles_are_the_products_the_circuit_carries():
+    # a weighted graph: the RZ angle is 2 * w * gamma, evaluated as Python
+    # evaluates it, left to right
+    instance = MaxCutInstance(4, ((0, 1), (1, 2), (0, 3)), (0.3, 1.7, 2.25))
+    thetas = np.random.default_rng(5).uniform(-4.0, 4.0, size=(6, 6))
+    angles = qaoa_angles(instance, thetas)
+    for theta, row in zip(thetas, angles.tolist()):
+        betas, gammas = theta[:3].tolist(), theta[3:].tolist()
+        expected = []
+        for beta, gamma in zip(betas, gammas):
+            expected += [2.0 * w * gamma for w in instance.weights] + [2.0 * beta] * 4
+        assert row == expected
+        circuit = build_qaoa_circuit(instance, QaoaParams.from_vector(theta))
+        assert [op.angle for op in circuit.ops if op.kind in ("RX", "RZ")] == expected
 
 
 def test_circuit_is_hashable(canonical):

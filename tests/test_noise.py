@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoalab import noise, rng, trajectories
+from qaoalab import noise, objective, rng, trajectories
 from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit
 from qaoalab.noise import (
     DD_SEQUENCES,
@@ -23,7 +23,7 @@ from qaoalab.noise import (
     schedule_circuit,
     twirl_circuit,
 )
-from qaoalab.objective import evaluate_qaoa
+from qaoalab.objective import evaluate_qaoa, make_objective
 from qaoalab.statevec import (Counts, GateOp, StateVector, measure_rows, sample_counts,
                               sample_tally, simulate_ops)
 
@@ -546,6 +546,21 @@ def test_sample_noisy_matches_reference_on_qaoa_circuits(canonical, grid_p1):
         assert sample_noisy(circuit, config, 64, seed=3).counts == expected.counts
 
 
+def row_keys(seeds, shots: int, twirling: bool):
+    """The twirl and trajectory keys of every row of a batch, point by point."""
+    index = np.arange(shots)
+    trajectory = np.concatenate([rng.derive_keys(s, rng.STREAM_TRAJECTORY, index) for s in seeds])
+    twirl = np.concatenate([rng.derive_keys(s, rng.STREAM_TWIRL, index) for s in seeds])
+    return (rng.derive_keys(twirl, rng.STREAM_TWIRL) if twirling else None), trajectory
+
+
+def with_angles(circuit: Circuit, angles) -> Circuit:
+    """``circuit`` with its RX and RZ angles, in op order, set to ``angles``."""
+    angles = iter(angles)
+    return Circuit(circuit.n, tuple(op._replace(angle=next(angles)) if op.kind in ("RX", "RZ")
+                                    else op for op in circuit.ops))
+
+
 @pytest.mark.parametrize("name", ["all", "twirl-dephasing", "dd-xy4", "coherent-only"])
 def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name):
     # Equal counts could hide last-bit differences that rarely move an
@@ -553,13 +568,36 @@ def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name):
     config = ORACLE_CONFIGS[name]
     base = with_dd(mixed_circuit(4, 30, seed=9), config)
     entries = trajectories._layout(base, config.twirling)
+    twirl_keys, trajectory_keys = row_keys([5], 12, config.twirling)
     streams = trajectories._Substreams()
-    steps = trajectories._chunk_steps(entries, config, 5, range(12), streams, base.n)
-    rows = trajectories._run_rows(base.n, steps, 12, config.epsilon_coherent)
+    steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys, streams, base.n)
+    rows = trajectories._run_rows(base.n, steps, np.zeros(12, dtype=int), config.epsilon_coherent)
     for i in range(12):
         single = simulate_ops(base.n, shot_circuit(base, config, i, 5).ops).amplitudes
         # equal as floats: equal bits, up to the sign of a zero
         assert np.array_equal(single.view(np.float64), rows[i].view(np.float64))
+
+
+@pytest.mark.parametrize("name", ["all", "twirl-dephasing", "dd-xy4", "coherent-only", "p1q"])
+def test_two_point_rows_equal_per_shot_amplitudes_bit_for_bit(name):
+    # Two points with different angles share one array: each row must hold
+    # the amplitudes of its own point's shot circuit, bit for bit.
+    config = ORACLE_CONFIGS[name]
+    base = with_dd(mixed_circuit(4, 30, seed=9), config)
+    count = sum(op.kind in ("RX", "RZ") for op in base.ops)
+    angles = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2, count))
+    seeds, shots = [5, 8], 6
+    entries = trajectories._point_angles(
+        trajectories._layout(base, config.twirling), angles, base.n)
+    twirl_keys, trajectory_keys = row_keys(seeds, shots, config.twirling)
+    streams = trajectories._Substreams()
+    steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys, streams, base.n)
+    row_point = np.repeat([0, 1], shots)
+    rows = trajectories._run_rows(base.n, steps, row_point, config.epsilon_coherent)
+    for r, j in enumerate(row_point):
+        circuit = shot_circuit(with_angles(base, angles[j]), config, r % shots, seeds[j])
+        single = simulate_ops(base.n, circuit.ops).amplitudes
+        assert np.array_equal(single.view(np.float64), rows[r].view(np.float64))
 
 
 @st.composite
@@ -642,15 +680,153 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, rows):
     assert [sample_noisy(circuit, config, 10, seed=6).counts for config in configs] == whole
 
 
+# -- batches of points through one engine call -------------------------------------
+
+# the four settings of the noisy-p5 benchmark workload
+NOISY_P5_SETTINGS = {
+    "p5-ibm-bounds": NoiseConfig(p1q=0.005, p2q=0.025, p_readout=0.05),
+    "p5-coherent-twirl": NoiseConfig(epsilon_coherent=0.05, twirling=True),
+    "p5-dephase-xy4": NoiseConfig(sigma_dephase=0.1, dd=True, dd_sequence="XY4"),
+    "p5-ibm-twirl-dd": NoiseConfig(p1q=0.005, p2q=0.025, p_readout=0.05, twirling=True,
+                                   dd=True),
+}
+BATCH_CONFIGS = {**ORACLE_CONFIGS, **NOISY_P5_SETTINGS}
+
+
+def spy_tallies(monkeypatch):
+    """Record the tallies ``make_objective`` scores, one array per engine call."""
+    calls = []
+
+    def spy(*args):
+        calls.append(noise.sample_noisy_tallies(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(objective, "sample_noisy_tallies", spy)
+    return calls
+
+
+def assert_batch_equals_points(canonical, config, thetas, shots, seed, monkeypatch):
+    """The objective's energies and tallies against ``evaluate_qaoa`` point by point."""
+    calls = spy_tallies(monkeypatch)
+    energies = make_objective(canonical, thetas.shape[1] // 2, "noisy", shots=shots, seed=seed,
+                              noise=config)(thetas)
+    assert len(calls) == 1 and calls[0].shape == (len(thetas), 32)
+    for j, theta in enumerate(thetas):
+        point = evaluate_qaoa(canonical, QaoaParams.from_vector(theta), "noisy", shots=shots,
+                              seed=rng.child_seed(seed, rng.STREAM_EVAL, j), noise=config)
+        assert energies[j] == point.energy
+        assert np.array_equal(calls[0][j], point.tally)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_noisy_objective_batch_equals_per_point_evaluations(canonical, monkeypatch, name, k):
+    thetas = np.random.default_rng(k).uniform(0.0, 3.0, size=(k, 4))
+    assert_batch_equals_points(canonical, BATCH_CONFIGS[name], thetas, 24, 13, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["all", "dd-xy4", "readout", "noise-free", *NOISY_P5_SETTINGS])
+def test_noisy_batch_chunks_end_inside_and_between_points(canonical, monkeypatch, name):
+    # 6 shots a point and 4 rows a chunk: chunks end inside points 0, 1, 3
+    # and 4, and between points 1 and 2 and points 3 and 4
+    monkeypatch.setattr(trajectories, "_CHUNK_BYTES", 4 * (16 << 5))
+    thetas = np.random.default_rng(7).uniform(0.0, 3.0, size=(5, 4))
+    assert_batch_equals_points(canonical, BATCH_CONFIGS[name], thetas, 6, 2, monkeypatch)
+
+
+def test_noisy_objective_makes_one_engine_call_per_batch(canonical, monkeypatch):
+    calls = []
+    engine = trajectories.sample
+    monkeypatch.setattr(trajectories, "sample", lambda *a: calls.append(a) or engine(*a))
+    fn = make_objective(canonical, 5, "noisy", shots=16, seed=3, noise=ORACLE_CONFIGS["all"])
+    gen = np.random.default_rng(0)
+    for k in (1, 9, 10, 1):
+        fn(gen.uniform(0.0, 3.0, size=(k, 10)))
+    assert [len(seeds) for _, _, _, seeds, _ in calls] == [1, 9, 10, 1]
+
+
+def test_batch_angles_must_fit_the_rotations():
+    circuit = mixed_circuit(3, 10, seed=1)
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    with pytest.raises(ValueError, match="do not fit"):
+        noise.sample_noisy_tallies(circuit, NoiseConfig(), 4, [1, 2], np.zeros((2, count + 1)))
+    with pytest.raises(ValueError, match="rows of angles"):
+        noise.sample_noisy_tallies(circuit, NoiseConfig(), 4, [1, 2], np.zeros((3, count)))
+
+
+class Words:
+    """A stand-in stream: ``random_raw`` returns the first words of a fixed list."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        out = np.zeros(size, dtype=np.uint64)
+        out[:min(size, self.words.size)] = self.words[:size]
+        return out
+
+
+def read_fixed(streams):
+    """A ``read(width)`` for ``_decode_errors`` over fixed word lists, one per row."""
+    return lambda width: np.stack([w.random_raw(width) for w in streams])
+
+
+def decode_rows(read, p_rows, bound_rows):
+    """``_decode_errors`` over ragged per-row site lists, as (site, value) lists per row."""
+    count = np.array([len(p) for p in p_rows])
+    row, site, value = trajectories._decode_errors(
+        read, np.concatenate(p_rows), np.concatenate(bound_rows).astype(np.int64), count)
+    start = np.cumsum(count) - count
+    hits = [[] for _ in p_rows]
+    for r, s, v in zip(row.tolist(), site.tolist(), value.tolist()):
+        hits[r].append((s - start[r], v))
+    return hits
+
+
 def test_replay_takes_the_next_half_word_when_lemire_rejects():
     # integers(0, 3) rejects a zero 32-bit half (leftover 0 < 2**32 % 3),
     # so the hit's pick comes from the high half: 3 * 0xFFFFFFFF >> 32 == 2.
-    class Words:
-        def random_raw(self, size):
-            return np.array([0, 0xFFFFFFFF << 32] + [0] * (size - 2), dtype=np.uint64)
+    words = [Words([0, 0xFFFFFFFF << 32])]
+    assert decode_rows(read_fixed(words), [np.array([1.0])], [np.array([3])]) == [[(0, 2)]]
+    assert list(noise_reference.replay_errors(words[0], np.array([1.0]), np.array([3]))) == [(0, 2)]
 
-    hits = list(trajectories._replay_errors(Words(), np.array([1.0]), np.array([3])))
-    assert hits == [(0, 2)]
+
+def test_decode_carries_the_high_half_word_across_a_miss():
+    # site 0 hits on word 0 and picks from word 1's low half; site 1 misses
+    # on word 2; site 2 hits on word 3 and picks from word 1's high half;
+    # site 3 reads word 4, so no word went to site 2's pick.
+    low, high = 0x40000000, 0xC0000000  # integers(0, 4): 1 and 3
+    words = [0, low | high << 32, 0xFFFFFFFFFFFFFFFF, 0, 0, 0x80000000]
+    p, bound = np.full(4, 0.5), np.full(4, 4)
+    expected = list(noise_reference.replay_errors(Words(words), p, bound))
+    assert expected == [(0, 1), (2, 3), (3, 2)]
+    assert decode_rows(read_fixed([Words(words)]), [p], [bound]) == [expected]
+
+
+def philox_rows(keys):
+    """``read(width)`` from real streams, and the reference's bit generator per row."""
+    def read(width):
+        return np.stack([np.random.Philox(key=k).random_raw(width) for k in keys])
+    return read, [np.random.Philox(key=k) for k in keys]
+
+
+@pytest.mark.parametrize("rate", [0.005, 0.1, 0.6, 1.0])
+@pytest.mark.parametrize("bound", [3, 15])
+def test_decode_matches_the_scalar_replay(rate, bound):
+    gen = np.random.default_rng([int(rate * 1000), bound])
+    keys = gen.integers(0, 2**63, size=40)
+    # rows of 0 to 60 sites, with rates that vary around the given one
+    p_rows = [np.minimum(1.0, rate * gen.choice([0.5, 1.0, 1.0], size=gen.integers(0, 61)))
+              for _ in keys]
+    bound_rows = [np.where(gen.random(len(p)) < 0.5, bound, 3) for p in p_rows]
+    read, bitgens = philox_rows(keys)
+    calls = []
+    hits = decode_rows(lambda width: calls.append(width) or read(width), p_rows, bound_rows)
+    for bitgen, p, b, got in zip(bitgens, p_rows, bound_rows, hits):
+        assert got == list(noise_reference.replay_errors(bitgen, p, b))
+    if rate == 1.0:
+        # every site hits, so the picks use up the first read and it is read again
+        assert len(calls) > 1
 
 
 def test_ground_mass_degrades_monotonically_in_p2q(canonical, grid_p1):

@@ -327,6 +327,22 @@ def test_non_finite_point_ends_the_search_with_a_status(method, nan_where):
     assert result.status in ALL_STATUSES
 
 
+def test_cobyla_fits_no_model_through_a_non_finite_vertex():
+    # From (0, 0) the first simplex puts a vertex in x[0] > 0.2, where the
+    # bowl is NaN. A model through it is NaN and asks a NaN point, which
+    # ends the run stalled at the start; instead the vertex counts as a
+    # failed step, and the search goes on from the best finite vertex.
+    def f(x):
+        return math.nan if x[0] > 0.2 else shifted_bowl(x)
+
+    result = minimize("cobyla", MinimizeProblem(batched(f), np.zeros(2), max_evals=200))
+    energies = result.trace.energies()
+    first_nan = next(i for i, e in enumerate(energies) if math.isnan(e))
+    assert result.status == STATUS_CONVERGED
+    assert result.f_best < min(energies[:first_nan]) - 0.05
+    assert result.x_best[0] <= 0.2
+
+
 # -- the budget loop --------------------------------------------------------------
 
 

@@ -80,6 +80,18 @@ def test_plot_histogram_file_round_trip(tmp_path):
     assert len(rects_by_class(root, "bar solution")) == 2
 
 
+def test_plot_histogram_bytes_do_not_depend_on_the_output_directory(tmp_path):
+    payload = {"shots": 10, "counts": {"01": 7, "10": 3}, "config_hash": "x", "seed": 1}
+    svgs = []
+    for out in ("a", "b/c"):
+        path = tmp_path / out / "cell_000_single" / "counts.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(payload))
+        svgs.append(plot_histogram(path))
+    assert svgs[0] == svgs[1]
+    assert "cell_000_single/counts.json" in svgs[0]
+
+
 def test_plot_histogram_without_instance_highlights_nothing(tmp_path):
     payload = {"shots": 10, "counts": {"01": 10}, "config_hash": "x", "seed": 1}
     path = tmp_path / "counts.json"
