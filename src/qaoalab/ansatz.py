@@ -108,11 +108,6 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(ops))
 
 
-def gate_count(n: int, m: int, p: int) -> int:
-    """Ops in a depth-p circuit on n qubits with m edges."""
-    return n + p * (3 * m + n)
-
-
 def qaoa_angles(instance: MaxCutInstance, thetas) -> np.ndarray:
     """The RZ and RX angles of ``build_qaoa_circuit``, in op order, for a (k, 2p) batch.
 
@@ -153,7 +148,13 @@ def _hamming_distances(k: int) -> np.ndarray:
     return dist
 
 
-def _mixer_weights(beta: float, b: int, fold: bool) -> list[complex]:
+# the rows of a finite-difference or simplex batch share all angles but one, and
+# a line search moves the betas or the gammas, not both: most betas repeat ones
+# seen shortly before (in a paper-p5 sweep, a larger memo finds no more repeats).
+# A zero is never looked up: 0.0 == -0.0, but their sines differ in sign, so
+# ``_evolve_half`` computes it through ``__wrapped__``
+@lru_cache(maxsize=256)
+def _mixer_weights(beta: float, b: int, fold: bool) -> tuple[complex, ...]:
     """f(d) for d = 0..b: entry (x, y) of RX(2*beta) on b qubits is f(popcount(x ^ y))."""
     c, s = math.cos(beta), -1j * math.sin(beta)
     f = [c ** (b - d) * s ** d for d in range(b + 1)]
@@ -161,7 +162,7 @@ def _mixer_weights(beta: float, b: int, fold: bool) -> list[complex]:
         # c*B + s*(B, then h reversed): reversing flips all b bits of x,
         # so d becomes b - d; exact, as the reversal commutes with B
         f = [c * f[d] + s * f[b - d] for d in range(b + 1)]
-    return f
+    return tuple(f)
 
 
 def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
@@ -213,17 +214,11 @@ def _evolve_half(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
     phases = np.exp(2j * angles[p:, :, None] * levels).take(index[:half], axis=2)
     mixers = {}
     for b in set(blocks):
-        # the rows of a finite-difference or simplex batch share all angles
-        # but one, so each distinct beta's weights are computed once. A zero
-        # is never looked up: 0.0 == -0.0, but their sines differ in sign
-        memo = {}
         weights = []
         for layer in betas:
             for beta in layer:
-                f = memo.get(beta) if beta else None
-                if f is None:
-                    f = memo[beta] = _mixer_weights(beta, b, fold)
-                weights.extend(f)
+                weights.extend(_mixer_weights(beta, b, fold) if beta
+                               else _mixer_weights.__wrapped__(beta, b, fold))
         mixers[b] = np.array(weights, dtype=complex).reshape(p, k, b + 1).take(
             _hamming_distances(b), axis=2)
     h = np.full((k, half), 2.0 ** (-0.5 * n), dtype=complex)

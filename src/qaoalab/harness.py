@@ -8,21 +8,25 @@ configured evaluation mode, then takes the final counts and energy from
 sampled runs, noisy mode for noisy ones), and writes three artifacts to
 the output directory: counts.json, trace.csv (the winning restart's
 evaluation log), and summary.json. A sweep runs one ``replace`` copy of
-the config per cell of its axes. Every random draw in the pipeline is
-keyed off the master seed, so (config, seed) reproduces the files byte
-for byte.
+the config per cell of its axes. The restarts of a run, and of every
+sweep cell that differs from another only in method (so shares
+instance, p, mode, shots and noise), run in lockstep through one
+``objective.Engine``: each optimizer round evaluates all their rows in
+one engine call. Every random draw in the pipeline is keyed off the
+master seed and each search keeps its own evaluation seeds, so
+(config, seed) reproduces the files byte for byte, however the cells
+are grouped.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from numbers import Real
 from pathlib import Path
 
@@ -40,12 +44,14 @@ from .graph import (
     serialize_edge_list,
 )
 from .noise import NoiseConfig
-from .objective import evaluate_qaoa, make_objective
+from .objective import Engine, evaluate_qaoa
 from .optim import (
     METHODS,
+    STATUS_CONVERGED,
     MinimizeProblem,
+    MinimizeResult,
     OptimizationTrace,
-    minimize,
+    minimize_lockstep,
     random_qaoa_starts,
 )
 from .plots import plot_histogram, plot_trace
@@ -291,13 +297,21 @@ def write_counts_json(path: Path, counts: Counts, config: ExperimentConfig) -> N
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """The one CSV form of the artifacts: LF line ends, floats as .9g, the rest str."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    """The one CSV form of the artifacts: LF line ends, floats as .9g, ints and strings as str.
+
+    Every row has the field types of the first, and no string holds a
+    comma, quote or line break (they name methods, statuses and noise
+    settings), so one %-format per file gives the text ``csv.writer``
+    gives for the same fields.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    lines = [",".join(header)]
+    if first is not None:
+        fmt = ",".join("%.9g" if isinstance(v, float) else "%d" if _is_int(v) else "%s"
+                       for v in first)
+        lines += [fmt % tuple(row) for row in chain((first,), rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_trace_csv(path: Path, trace: OptimizationTrace, p: int) -> None:
@@ -313,45 +327,56 @@ def write_trace_csv(path: Path, trace: OptimizationTrace, p: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _starts(config: ExperimentConfig) -> list[np.ndarray]:
+    """The x0 of each restart."""
+    if isinstance(config.init, tuple):
+        return [np.array(config.init)] * config.restarts
+    if config.init == "paper-p5":
+        return [np.array(PAPER_P5_THETA)] * config.restarts
+    return random_qaoa_starts(config.p, config.restarts, config.seed)
+
+
+def _optimize(configs: list[ExperimentConfig]) -> list[tuple[MinimizeResult, int]]:
+    """(best restart, evaluations of all restarts) of each config.
+
+    The configs share instance, p, mode, shots and noise, so one engine
+    serves them: ``minimize_lockstep`` runs every restart of every config
+    at once, and each round's rows go to that engine in one call. Each
+    restart keeps the seeds, trace and status it gets when run alone.
+    """
+    base = configs[0]
+    if base.p == 0:
+        energy = evaluate_qaoa(base.instance, QaoaParams((), ())).energy
+        trace = OptimizationTrace()
+        trace.append((), energy)
+        return [(MinimizeResult(np.zeros(0), energy, 1, STATUS_CONVERGED, trace), 1)] * len(configs)
+    engine = Engine(base.instance, base.p, base.mode, shots=base.shots, noise=base.noise)
+    searches = [
+        (config.method, MinimizeProblem(
+            engine.objective(rng.child_seed(config.seed, rng.STREAM_EVAL, r)), x0,
+            max_evals=config.max_evals))
+        for config in configs for r, x0 in enumerate(_starts(config))
+    ]
+    results = iter(minimize_lockstep(searches))
+    outcomes = []
+    for config in configs:
+        restarts = [next(results) for _ in range(config.restarts)]
+        best = min(restarts, key=lambda res: res.f_best)
+        outcomes.append((best, sum(res.evals_used for res in restarts)))
+    return outcomes
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Optimize, run the final circuit, and write the three artifacts."""
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
+    return _write_run(config, *_optimize([config])[0], out)
 
-    if config.p == 0:
-        theta = np.zeros(0)
-        trace = OptimizationTrace()
-        energy = evaluate_qaoa(config.instance, QaoaParams((), ())).energy
-        trace.append(theta, energy)
-        status = "converged"
-        best_f = energy
-        evals_used = 1
-        total_evals = 1
-    else:
-        if isinstance(config.init, tuple):
-            starts = [np.array(config.init)] * config.restarts
-        elif config.init == "paper-p5":
-            starts = [np.array(PAPER_P5_THETA)] * config.restarts
-        else:
-            starts = random_qaoa_starts(config.p, config.restarts, config.seed)
-        results = []
-        for r, x0 in enumerate(starts):
-            objective = make_objective(
-                config.instance, config.p, config.mode,
-                shots=config.shots,
-                seed=rng.child_seed(config.seed, rng.STREAM_EVAL, r),
-                noise=config.noise,
-            )
-            problem = MinimizeProblem(objective, x0, max_evals=config.max_evals)
-            results.append(minimize(config.method, problem))
-        result = min(results, key=lambda res: res.f_best)
-        theta = result.x_best
-        trace = result.trace
-        status = result.status
-        best_f = result.f_best
-        evals_used = result.evals_used
-        total_evals = sum(res.evals_used for res in results)
 
+def _write_run(config: ExperimentConfig, result: MinimizeResult, total_evals: int,
+               out: Path) -> RunArtifacts:
+    """Take the final counts at the best restart's angles and write the three artifacts."""
+    theta = result.x_best
     final = evaluate_qaoa(
         config.instance, QaoaParams.from_vector(theta),
         "noisy" if config.mode == "noisy" else "sampled",
@@ -371,15 +396,15 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         "p": config.p,
         "method": config.method,
         "mode": config.mode,
-        "status": status,
-        "best_energy": best_f,
+        "status": result.status,
+        "best_energy": result.f_best,
         "final_energy": final.energy,
         "best_bitstrings": best_bitstrings,
         "max_cut": max_cut,
         "approx_ratio": best_cut / max_cut if max_cut > 0 else 1.0,
         "ground_pair_prob": float(sum(probs.get(b, 0.0) for b in sorted(optima))),
         "theta": [float(v) for v in theta],
-        "evals_used": evals_used,
+        "evals_used": result.evals_used,
         "total_evals": total_evals,
         "shots": config.shots,
     }
@@ -387,7 +412,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     trace_path = out / "trace.csv"
     summary_path = out / "summary.json"
     write_counts_json(counts_path, counts, config)
-    write_trace_csv(trace_path, trace, config.p)
+    write_trace_csv(trace_path, result.trace, config.p)
     summary_path.write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -401,49 +426,75 @@ def _axis_label(key: str, j: int, value) -> str:
     return str(value)
 
 
-def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
-    """Cross-product sweep; every cell gets its own derived seed and subdir.
+def sweep_cells(config: ExperimentConfig) -> list[tuple[str, dict, ExperimentConfig]]:
+    """(directory name, axis labels, config) of each sweep cell, in cell order.
 
     Each cell is a ``replace`` copy of ``config``, so every cell is
-    checked before the first one runs. A cell names its noise by preset,
-    ``custom<j>`` for the inline object at entry j of the noise axis, or
-    ``custom`` when there is no noise axis.
+    checked here, before the first one runs. A cell names its noise by
+    preset, ``custom<j>`` for the inline object at entry j of the noise
+    axis, or ``custom`` when there is no noise axis.
     """
     axes = config.sweep or {}
     levels = [(key, axes[key]) for key in _SWEEP_AXES if key in axes]
     cells: list[dict] = [{}]  # axis -> entry index
     for key, values in levels:
         cells = [dict(cell, **{key: j}) for cell in cells for j in range(len(values))]
-    cell_configs = []
+    out = []
     for idx, cell in enumerate(cells):
         changes = {key: axes[key][j] for key, j in cell.items()}
         if "noise" in changes:
             changes["noise"] = _resolve_noise(changes["noise"])
         # an empty sweep is the base experiment itself, same seed included
         seed = rng.child_seed(config.seed, rng.STREAM_CELL, idx) if levels else config.seed
-        cell_configs.append(replace(config, **changes, seed=seed, sweep=None, out_dir=None))
-    out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for idx, (cell, cell_config) in enumerate(zip(cells, cell_configs)):
         labels = {key: _axis_label(key, j, axes[key][j]) for key, j in cell.items()}
         name_bits = [f"{key}{label}" for key, label in labels.items()] or ["single"]
-        cell_dir = out / ("cell_%03d_%s" % (idx, "_".join(name_bits)))
-        artifacts = run_experiment(cell_config, cell_dir)
-        row = {
-            "cell": idx,
-            "p": cell_config.p,
-            "method": cell_config.method,
-            "noise": labels.get("noise", "custom"),
-            "shots": cell_config.shots,
-            "seed": cell_config.seed,
-            "f_best": artifacts.summary["best_energy"],
-            "approx_ratio": artifacts.summary["approx_ratio"],
-            "ground_pair_prob": artifacts.summary["ground_pair_prob"],
-            "evals_used": artifacts.summary["evals_used"],
-            "status": artifacts.summary["status"],
-        }
-        rows.append(row)
+        name = "cell_%03d_%s" % (idx, "_".join(name_bits))
+        out.append((name, labels, replace(config, **changes, seed=seed, sweep=None, out_dir=None)))
+    return out
+
+
+def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
+    """Cross-product sweep; every cell gets its own derived seed and subdir.
+
+    Cells that differ only in method share instance, p, mode, shots and
+    noise, so they are optimized together: every restart of every such
+    cell runs in lockstep through one engine (``_optimize``). Each cell
+    still takes its own final counts, and the cells' artifacts and
+    sweep.csv are written in cell order, with the bytes each cell writes
+    when run alone through ``run_experiment``.
+    """
+    cells = sweep_cells(config)
+    groups: dict[tuple, list[int]] = {}
+    for idx, (_, _, cell_config) in enumerate(cells):
+        # every field the engine reads that an axis other than method can change
+        key = (cell_config.p, cell_config.shots, cell_config.noise)
+        groups.setdefault(key, []).append(idx)
+    out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    optimized: dict[int, tuple] = {}
+    rows = []
+    for members in groups.values():
+        optimized.update(zip(members, _optimize([cells[idx][2] for idx in members])))
+        # write every cell whose turn has come, so the cells are written in order
+        while len(rows) in optimized:
+            idx = len(rows)
+            name, labels, cell_config = cells[idx]
+            cell_dir = out / name
+            cell_dir.mkdir(parents=True, exist_ok=True)
+            summary = _write_run(cell_config, *optimized.pop(idx), cell_dir).summary
+            rows.append({
+                "cell": idx,
+                "p": cell_config.p,
+                "method": cell_config.method,
+                "noise": labels.get("noise", "custom"),
+                "shots": cell_config.shots,
+                "seed": cell_config.seed,
+                "f_best": summary["best_energy"],
+                "approx_ratio": summary["approx_ratio"],
+                "ground_pair_prob": summary["ground_pair_prob"],
+                "evals_used": summary["evals_used"],
+                "status": summary["status"],
+            })
     _write_csv(out / "sweep.csv", list(rows[0]), (row.values() for row in rows))
     return rows
 

@@ -2,16 +2,18 @@
 
 Energy is the negative mean cut value, so minimizing energy maximizes
 the cut: the canonical 5-node instance has optimum -6 and a uniform
-superposition sits at -3. ``evaluate_qaoa`` scores one angle set;
-``make_objective`` builds the optimizer's batch objective, a (k, 2p)
-array of angle rows in and k energies out, whose rows score exactly as
-``evaluate_qaoa`` would score them one by one; every mode makes one
-engine call per batch.
+superposition sits at -3. ``evaluate_qaoa`` scores one angle set.
+The optimizer's objective comes in two parts. An ``Engine`` maps a
+(k, 2p) array of angle rows and k per-row seeds to k energies in one
+call, each row scored exactly as ``evaluate_qaoa`` scores it alone. A
+``SearchObjective`` is one search's view of an engine: it counts that
+search's evaluations and derives each one's seed, so the rows of
+several searches (restarts, or sweep cells that share instance, depth,
+mode, shots and noise) can go to one engine call while each search
+keeps its own seeds. ``make_objective`` builds the one-search view.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -103,6 +105,88 @@ def evaluate_qaoa(
     return EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
 
 
+class Engine:
+    """Energies of (k, 2p) angle rows, each evaluated under its own seed.
+
+    An engine fixes the instance, the depth, the run mode and, for the
+    stochastic modes, the shots and the noise; the seed of each row comes
+    with the row. ``engine(thetas, seeds)`` evaluates a whole batch in
+    one call: exact and sampled modes evolve it in one ``qaoa_states``
+    call, and noisy mode samples it in one ``sample_noisy_tallies`` call,
+    the circuit built once and each row's RX and RZ angles from
+    ``qaoa_angles``. Each row is scored alone, so its energy equals
+    ``evaluate_qaoa`` at its angles and seed bit for bit, whatever the
+    batch: rows of different searches can share a call. Exact mode
+    ignores the seeds. The depth and run mode are checked here, once,
+    not at each evaluation.
+    """
+
+    def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
+                 shots: int | None = None, noise=None):
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise ValueError(f"p must be a non-negative integer, got {p!r}")
+        # the seeds come with the rows, so only the mode's other inputs are checked
+        check_run_mode(mode, shots, 0, noise)
+        self.instance, self.p, self.mode = instance, p, mode
+        self.shots, self.noise = shots, noise
+
+    def __call__(self, thetas, seeds) -> np.ndarray:
+        instance, p = self.instance, self.p
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != 2 * p:
+            raise ValueError(f"expected thetas of shape (k, {2 * p}), got {thetas.shape}")
+        if not np.isfinite(thetas).all():
+            raise ValueError("thetas: angles must be finite")
+        if self.mode == "exact":
+            return np.array([-expectation_cut(StateVector(instance.n, amps), instance)
+                             for amps in qaoa_states(instance, thetas)])
+        if self.mode == "sampled":
+            return np.array([
+                energy_from_tally(sample_tally(StateVector(instance.n, amps), self.shots, s),
+                                  instance)
+                for amps, s in zip(qaoa_states(instance, thetas), seeds)
+            ])
+        template = build_qaoa_circuit(instance, QaoaParams.from_vector(thetas[0]))
+        tallies = sample_noisy_tallies(template, self.noise, self.shots, seeds,
+                                       qaoa_angles(instance, thetas))
+        return np.array([energy_from_tally(tally, instance) for tally in tallies])
+
+    def objective(self, seed: int | None = None) -> "SearchObjective":
+        """A new search's batch objective over this engine, its evaluations seeded from ``seed``."""
+        if self.mode != "exact" and seed is None:
+            raise ValueError(f"mode {self.mode!r} requires shots and seed")
+        return SearchObjective(self, None if self.mode == "exact" else seed)
+
+
+class SearchObjective:
+    """One search's batch objective: a shared engine plus the search's own evaluation counter.
+
+    Evaluation j of the search, counted row by row across calls, gets the
+    seed ``child_seed(seed, STREAM_EVAL, j)`` (None when ``seed`` is None,
+    as in exact mode), so its noise realization is a pure function of
+    (seed, j) however the rows are batched and whichever other searches'
+    rows share the engine call. ``optim.minimize_lockstep`` takes the
+    ``engine`` and ``seeds`` of several such objectives to evaluate all
+    their rows in one call; calling the objective evaluates its rows alone.
+    """
+
+    def __init__(self, engine: Engine, seed: int | None):
+        self.engine = engine
+        self.seed = seed
+        self.evals = 0
+
+    def seeds(self, k: int) -> list:
+        """The seeds of the search's next k evaluations; the counter moves past them."""
+        first = self.evals
+        self.evals += k
+        if self.seed is None:
+            return [None] * k
+        return [rng.child_seed(self.seed, rng.STREAM_EVAL, first + j) for j in range(k)]
+
+    def __call__(self, thetas) -> np.ndarray:
+        return self.engine(thetas, self.seeds(len(thetas)))
+
+
 def make_objective(
     instance: MaxCutInstance,
     p: int,
@@ -111,44 +195,11 @@ def make_objective(
     shots: int | None = None,
     seed: int | None = None,
     noise=None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch objective: a (k, 2p) array of theta rows [betas..., gammas...] in, k energies out.
+) -> SearchObjective:
+    """One search's batch objective: (k, 2p) theta rows [betas..., gammas...] in, k energies out.
 
-    Exact and sampled modes evolve the whole batch in one ``qaoa_states``
-    call; noisy mode samples it in one ``sample_noisy_tallies`` call, the
-    circuit built once and each row's RX and RZ angles from
-    ``qaoa_angles``. Each row is scored alone, so its energy equals
-    ``evaluate_qaoa`` at its angles bit for bit, whatever the batch.
-    Stochastic modes give
-    evaluation j, counted point by point across calls in row order, its
-    own derived seed, so the noise realization is a pure function of
-    (seed, j) however the points are batched. The depth and run mode
-    are checked here, once, not at each evaluation.
+    The one-search view of an ``Engine``: row j, counted across calls,
+    scores as ``evaluate_qaoa`` at its angles and, in the stochastic
+    modes, at the seed ``child_seed(seed, STREAM_EVAL, j)``, bit for bit.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise ValueError(f"p must be a non-negative integer, got {p!r}")
-    check_run_mode(mode, shots, seed, noise)
-    counter = [0]
-
-    def objective(thetas) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != 2 * p:
-            raise ValueError(f"expected thetas of shape (k, {2 * p}), got {thetas.shape}")
-        if not np.isfinite(thetas).all():
-            raise ValueError("thetas: angles must be finite")
-        first = counter[0]
-        counter[0] += len(thetas)
-        if mode == "exact":
-            return np.array([-expectation_cut(StateVector(instance.n, amps), instance)
-                             for amps in qaoa_states(instance, thetas)])
-        seeds = [rng.child_seed(seed, rng.STREAM_EVAL, first + j) for j in range(len(thetas))]
-        if mode == "sampled":
-            return np.array([
-                energy_from_tally(sample_tally(StateVector(instance.n, amps), shots, s), instance)
-                for amps, s in zip(qaoa_states(instance, thetas), seeds)
-            ])
-        template = build_qaoa_circuit(instance, QaoaParams.from_vector(thetas[0]))
-        tallies = sample_noisy_tallies(template, noise, shots, seeds, qaoa_angles(instance, thetas))
-        return np.array([energy_from_tally(tally, instance) for tally in tallies])
-
-    return objective
+    return Engine(instance, p, mode, shots=shots, noise=noise).objective(seed)

@@ -1,9 +1,10 @@
 """Derivative-free minimizers with hard evaluation budgets and traces.
 
-``minimize(method, problem)`` is the one driver. Each search is an
-ask/tell generator of (x0, fd_step), the step only cg reads: it yields
-the points it wants evaluated, is sent their values, and returns its
-stopping status. It never sees the objective, the trace or the budget.
+``minimize_lockstep(searches)`` is the one driver; ``minimize(method,
+problem)`` is its one-search case. Each search is an ask/tell generator
+of (x0, fd_step), the step only cg reads: it yields the points it wants
+evaluated, is sent their values, and returns its stopping status. It
+never sees the objective, the trace or the budget.
   * powell - direction-set search with golden-section line minima
   * cg     - Polak-Ribiere conjugate gradient on central finite
              differences, with a parabolic-backtracking line search
@@ -15,19 +16,29 @@ out. A search yields one point (a 1-D array, answered with a float) or
 a batch of points that do not depend on each other (a 2-D array,
 answered with a list): the 2d central-difference points of a cg
 gradient (x + h0*e0, x - h0*e0, x + h1*e1, ...) and the d new vertices
-of a cobyla simplex. A batch is one objective call. The line searches,
-the gradient and the simplex are generators too, joined with
-``yield from``.
+of a cobyla simplex. The line searches, the gradient and the simplex
+are generators too, joined with ``yield from``.
 
-The driver alone evaluates, records and budgets. Every point is
-recorded in order, so ``evals_used`` always equals the trace length and
-the budget is enforced exactly: a batch that would pass the budget is
-cut at it, the points that fit are recorded, and the run ends with
-status ``budget_exhausted``. A non-finite point (after a NaN value, say)
-is not evaluated: the run ends ``stalled``. ``f_best`` is the min over
-all recorded finite evaluations, not the last iterate; the trace and
-``f_best`` are those of evaluating the same points one by one. An
-objective that never returns a finite value ends in a ValueError.
+The driver alone evaluates, records and budgets, for several searches
+in lockstep (the ask/tell pattern of Hansen, arXiv 1604.00772). Each
+round it collects the ask of every search still running, evaluates the
+rows of all searches that share an engine in one engine call, and sends
+each search its own values. A search shares an engine when its
+objective carries one, as ``objective.SearchObjective`` does: its rows
+go to ``engine(rows, seeds)`` with per-row seeds from the search's own
+counter. Any other objective is called on its own search's rows. Each
+search keeps its own trace, budget, status and ``f_best``, so its
+result is the one it gets run alone.
+
+Every point is recorded in order, so ``evals_used`` always equals the
+trace length and the budget is enforced exactly: a batch that would
+pass the budget is cut at it, the points that fit are recorded, and
+the search ends with status ``budget_exhausted``. A non-finite point
+(after a NaN value, say) is not evaluated: the search ends ``stalled``.
+``f_best`` is the min over all recorded finite evaluations, not the
+last iterate; the trace and ``f_best`` are those of evaluating the
+same points one by one. An objective that never returns a finite value
+ends in a ValueError.
 """
 
 from __future__ import annotations
@@ -484,56 +495,120 @@ def _cobyla(x0: np.ndarray, fd_step: float | None):
 
 
 # ---------------------------------------------------------------------------
-# the driver + restarts
+# the lockstep driver + restarts
 # ---------------------------------------------------------------------------
 
 _SEARCHES = {"powell": _powell, "cg": _cg, "cobyla": _cobyla}
 METHODS = tuple(_SEARCHES)
 
 
-def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
-    """Run one search by name under the problem's budget; raises ValueError for unknown methods."""
-    if method not in _SEARCHES:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    search = _SEARCHES[method](problem.x0, problem.fd_step)
-    trace = OptimizationTrace()
-    x_best, f_best = None, math.inf
-    values = None
-    while True:
+class _Search:
+    """One search in the driver: its generator, its trace and best, its budget and status."""
+
+    def __init__(self, method: str, problem: MinimizeProblem):
+        self.problem = problem
+        self.engine = getattr(problem.objective, "engine", None)  # None: not shared
+        self.search = _SEARCHES[method](problem.x0, problem.fd_step)
+        self.trace = OptimizationTrace()
+        self.x_best, self.f_best = None, math.inf
+        self.status = None
+        self.values = None
+
+    def ask(self):
+        """The rows to evaluate next, cut at the budget; None once the search has a status."""
         try:
-            asked = search.send(values)
+            asked = self.search.send(self.values)
         except StopIteration as stop:
-            status = stop.value
-            break
-        one = asked.ndim == 1
-        xs = asked[None] if one else asked
-        room = problem.max_evals - len(trace)
+            self.status = stop.value
+            return None
+        self.one = asked.ndim == 1
+        xs = asked[None] if self.one else asked
+        room = self.problem.max_evals - len(self.trace)
         if room <= 0:
-            status = STATUS_BUDGET
-            break
+            self.status = STATUS_BUDGET
+            return None
         rows = xs.tolist()
         if not all(map(math.isfinite, chain.from_iterable(rows))):
-            status = STATUS_STALLED
-            break
-        cut = len(rows) > room
-        if cut:
+            self.status = STATUS_STALLED
+            return None
+        self.cut = len(rows) > room
+        if self.cut:
             xs, rows = xs[:room], rows[:room]
-        fs = np.asarray(problem.objective(xs), dtype=float)
-        if fs.shape != (len(rows),):
-            raise ValueError(f"objective returned shape {fs.shape} for {len(rows)} points")
-        fs = fs.tolist()
-        for row, f in zip(rows, fs):
-            trace.append(row, f)
-            if f < f_best and math.isfinite(f):
-                f_best, x_best = f, np.array(row)
-        if cut:
-            status = STATUS_BUDGET
-            break
-        values = fs[0] if one else fs
-    search.close()
-    if x_best is None:
-        raise ValueError(f"objective returned no finite value in {len(trace)} evaluations")
-    return MinimizeResult(x_best, f_best, len(trace), status, trace)
+        self.rows = rows
+        return xs
+
+    def tell(self, fs: list[float]) -> None:
+        """Record the values of the rows last asked; a cut batch ends the search."""
+        for row, f in zip(self.rows, fs):
+            self.trace.append(row, f)
+            if f < self.f_best and math.isfinite(f):
+                self.f_best, self.x_best = f, np.array(row)
+        if self.cut:
+            self.status = STATUS_BUDGET
+        else:
+            self.values = fs[0] if self.one else fs
+
+    def result(self) -> MinimizeResult:
+        self.search.close()
+        if self.x_best is None:
+            raise ValueError(
+                f"objective returned no finite value in {len(self.trace)} evaluations")
+        return MinimizeResult(self.x_best, self.f_best, len(self.trace), self.status, self.trace)
+
+
+def minimize_lockstep(searches) -> list[MinimizeResult]:
+    """Run (method, problem) searches in lockstep; one result per search, in order.
+
+    Each round collects the ask of every search that has no status yet,
+    evaluates the rows of the searches whose objectives share an engine
+    in one engine call, and sends each search its own values. An
+    objective with an ``engine`` attribute (``objective.SearchObjective``)
+    shares it: its rows go to ``engine(rows, seeds)`` together with the
+    rows of every other search on the same engine, each search drawing
+    its rows' seeds from its own ``seeds(k)``. Any other objective is
+    called on its own rows. Every search gets the result that
+    ``minimize`` gives it alone: the same trace, ``f_best``, ``x_best``,
+    status and evaluation seeds.
+    """
+    searches = list(searches)
+    for method, _ in searches:
+        if method not in _SEARCHES:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    runs = [_Search(method, problem) for method, problem in searches]
+    live = runs
+    while live:
+        calls = {}  # id of a shared engine, or of a lone search -> (engine, runs, their rows)
+        for run in live:
+            xs = run.ask()
+            if xs is not None:
+                engine = run.engine
+                group = calls.setdefault(id(run if engine is None else engine), (engine, [], []))
+                group[1].append(run)
+                group[2].append(xs)
+        for engine, group, blocks in calls.values():
+            if engine is None:
+                fs = group[0].problem.objective(blocks[0])
+            else:
+                rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+                seeds = [s for run, xs in zip(group, blocks)
+                         for s in run.problem.objective.seeds(len(xs))]
+                fs = engine(rows, seeds)
+            fs = np.asarray(fs, dtype=float)
+            k = sum(map(len, blocks))
+            if fs.shape != (k,):
+                raise ValueError(f"objective returned shape {fs.shape} for {k} points")
+            fs = fs.tolist()
+            start = 0
+            for run, xs in zip(group, blocks):
+                run.tell(fs[start:start + len(xs)])
+                start += len(xs)
+        live = [run for run in live if run.status is None]
+    return [run.result() for run in runs]
+
+
+def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
+    """Run one search by name under the problem's budget; raises ValueError for unknown methods."""
+    return minimize_lockstep([(method, problem)])[0]
 
 
 def random_qaoa_starts(p: int, k: int, seed: int) -> list[np.ndarray]:

@@ -14,7 +14,6 @@ from qaoalab.ansatz import (
     Circuit,
     QaoaParams,
     build_qaoa_circuit,
-    gate_count,
     qaoa_angles,
     qaoa_state,
     qaoa_states,
@@ -23,6 +22,11 @@ from qaoalab.ansatz import (
 from qaoalab.graph import MaxCutInstance
 from qaoalab.objective import evaluate_qaoa
 from qaoalab.statevec import Counts, GateOp, StateVector, expectation_cut, simulate_ops
+
+
+def gate_count(n: int, m: int, p: int) -> int:
+    """Ops in a depth-p circuit on n qubits with m edges."""
+    return n + p * (3 * m + n)
 
 
 def exact_probs(instance, params) -> np.ndarray:

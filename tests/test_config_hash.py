@@ -1,15 +1,13 @@
 """Config normalization and hashing: pinned values, properties, sweep cells."""
 
 import json
-import tempfile
 from dataclasses import asdict
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoalab import harness, rng
-from qaoalab.harness import NOISE_PRESETS, RunArtifacts, parse_config, run_sweep
+from qaoalab import rng
+from qaoalab.harness import NOISE_PRESETS, parse_config, run_sweep, sweep_cells
 
 ALL_RATES = {"p1q": 0.01, "p2q": 0.03, "p_readout": 0.02, "epsilon_coherent": 0.04,
              "sigma_dephase": 0.1, "twirling": True, "dd": True, "dd_sequence": "XY4"}
@@ -216,21 +214,9 @@ def test_preset_and_inline_noise_hash_alike(data, preset):
 @given(raw=raw_configs())
 def test_sweep_cells_equal_the_reparsed_inline_cells(raw):
     config = parse_config(raw)
-    ran = []
-
-    def record(cell_config, out_dir=None):
-        ran.append(cell_config)
-        summary = {"best_energy": -1.0, "approx_ratio": 1.0, "ground_pair_prob": 0.0,
-                   "evals_used": 1, "status": "converged"}
-        return RunArtifacts(Path(), Path(), Path(), summary)
-
-    real = harness.run_experiment
-    harness.run_experiment = record
-    try:
-        with tempfile.TemporaryDirectory() as out:
-            run_sweep(config, out_dir=out)
-    finally:
-        harness.run_experiment = real
+    # the configs run_sweep runs; test_harness pins that its artifacts are
+    # those of these configs run one by one through run_experiment
+    ran = [cell_config for _, _, cell_config in sweep_cells(config)]
 
     axes = raw.get("sweep") or {}
     cells = [{}]

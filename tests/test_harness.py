@@ -1,11 +1,18 @@
 """Config schema, experiment pipeline, sweeps, and the CLI."""
 
 import csv
+import io
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qaoalab import harness
 from qaoalab.graph import cut_value
 from qaoalab.harness import (
     NOISE_PRESETS,
@@ -16,7 +23,10 @@ from qaoalab.harness import (
     parse_config,
     run_experiment,
     run_sweep,
+    sweep_cells,
 )
+from qaoalab.objective import Engine
+from qaoalab.optim import STATUS_BUDGET, STATUS_CONVERGED, STATUS_STALLED
 from qaoalab.statevec import MAX_QUBITS
 
 from conftest import GROUND_PAIR
@@ -270,6 +280,47 @@ def test_noisy_mode_runs_end_to_end(tmp_path):
     assert sum(json.loads(artifacts.counts_path.read_text())["counts"].values()) == 64
 
 
+def csv_writer_text(header, rows) -> str:
+    """The artifacts' CSV text as ``csv.writer`` writes it: floats as .9g, the rest str."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row])
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310,
+                  sys.float_info.min, sys.float_info.max, 1e-300, -123456789.123456789]
+STRINGS = [STATUS_CONVERGED, STATUS_BUDGET, STATUS_STALLED, "powell", "cobyla", "cg",
+           "custom", "custom3", *NOISE_PRESETS]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+ints = st.one_of(st.sampled_from([0, 2**63, 2**64 - 1, -2**70]), st.integers())
+# a trace row at p=5, and a sweep.csv row
+trace_rows = st.tuples(ints, *[floats] * 11)
+sweep_rows = st.tuples(ints, ints, st.sampled_from(STRINGS), st.sampled_from(STRINGS), ints,
+                       ints, floats, floats, floats, ints, st.sampled_from(STRINGS))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.one_of(st.lists(trace_rows, max_size=20), st.lists(sweep_rows, max_size=20)))
+def test_csv_text_equals_the_csv_writer_form(rows):
+    header = [f"h{i}" for i in range(12 if not rows else len(rows[0]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        harness._write_csv(path, header, iter(rows))
+        assert path.read_bytes() == csv_writer_text(header, rows).encode()
+
+
+def test_csv_text_covers_every_special_value_and_status(tmp_path):
+    rows = [(i, f, *SPECIAL_FLOATS[:10], status)
+            for i, (f, status) in enumerate(zip(SPECIAL_FLOATS, STRINGS))]
+    rows.append((2**64 - 1, -0.0, *SPECIAL_FLOATS[1:11], STRINGS[-1]))
+    header = [f"h{i}" for i in range(13)]
+    harness._write_csv(tmp_path / "out.csv", header, rows)
+    assert (tmp_path / "out.csv").read_bytes() == csv_writer_text(header, rows).encode()
+
+
 # -- run_sweep --------------------------------------------------------------------
 
 
@@ -288,6 +339,51 @@ def test_sweep_writes_per_cell_artifacts(tmp_path):
     assert len(parsed) == 2
     assert parsed[0]["status"] == "converged"
     assert float(parsed[0]["f_best"]) == pytest.approx(rows[0]["f_best"])
+
+
+class EngineCalls:
+    """Counts the engine calls of every ``objective.Engine``."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        call = Engine.__call__
+
+        def counted(engine, thetas, seeds):
+            self.calls += 1
+            return call(engine, thetas, seeds)
+
+        monkeypatch.setattr(Engine, "__call__", counted)
+
+
+def artifact_bytes(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("raw", [
+    {"p": 5, "init": "paper-p5", "mode": "exact", "seed": 5, "max_evals": 60,
+     "sweep": {"method": ["powell", "cobyla", "cg"]}},
+    {"mode": "sampled", "shots": 64, "restarts": 2, "seed": 6, "max_evals": 25,
+     "sweep": {"p": [1, 2], "method": ["powell", "cobyla", "cg"]}},
+    # method outermost: the cells of one noise setting are not adjacent
+    {"mode": "noisy", "shots": 16, "restarts": 2, "seed": 7, "max_evals": 6,
+     "sweep": {"method": ["cg", "powell"], "noise": ["ibm-bounds", {"sigma_dephase": 0.1}]}},
+], ids=["exact-p5-methods", "sampled-p-by-method", "noisy-method-by-noise"])
+def test_grouped_sweep_writes_each_cells_own_artifacts_in_fewer_engine_calls(
+        tmp_path, monkeypatch, raw):
+    config = parse_config(raw)
+    engine = EngineCalls(monkeypatch)
+    for name, _, cell_config in sweep_cells(config):
+        run_experiment(cell_config, tmp_path / "alone" / name)
+    alone_calls, engine.calls = engine.calls, 0
+    rows = run_sweep(config, tmp_path / "sweep")
+    swept = artifact_bytes(tmp_path / "sweep")
+    assert swept.pop("sweep.csv")
+    assert swept == artifact_bytes(tmp_path / "alone")
+    assert [row["cell"] for row in rows] == list(range(len(rows)))
+    # the cells that differ only in method share every engine call: a sweep
+    # that ran its cells one at a time would make as many calls as alone
+    assert engine.calls < alone_calls
 
 
 def test_sweep_without_axes_equals_single_run(tmp_path):

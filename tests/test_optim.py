@@ -1,17 +1,20 @@
 """Derivative-free minimizers: correctness, budgets, trace contracts."""
 
 import math
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qaoalab
 from conftest import batched
 from qaoalab import rng
 from qaoalab.ansatz import QaoaParams
-from qaoalab.objective import evaluate_qaoa, make_objective
+from qaoalab.objective import SearchObjective, evaluate_qaoa, make_objective
 from qaoalab.optim import (
     METHODS,
     STATUS_BUDGET,
@@ -20,6 +23,7 @@ from qaoalab.optim import (
     MinimizeProblem,
     MinimizeResult,
     minimize,
+    minimize_lockstep,
     random_qaoa_starts,
 )
 
@@ -365,6 +369,164 @@ def test_a_budget_cuts_the_unbudgeted_trace(method, d):
             assert result.evals_used == budget
         else:
             assert result.status == full.status
+
+
+# -- the lockstep driver ----------------------------------------------------------
+
+
+def _landscape(kind: str, x, seed) -> float:
+    """The toy objectives of the lockstep tests; ``seed`` is an evaluation's seed."""
+    bowl = float((x - 0.5) @ (x - 0.5)) + 0.3 * math.sin(5.0 * x[0])
+    if kind == "spiky":
+        # NaN past x[0] = 0.3 and, for d > 1, off the plane x[-1] = 0. Every
+        # start lies inside, so a search sees NaN only after it moves; a NaN
+        # in a cg gradient turns its direction, and so its next point, NaN
+        return math.nan if x[0] > 0.3 or (x.size > 1 and x[-1] != 0.0) else bowl
+    if kind == "flat":
+        return 2.5
+    if kind == "noisy":
+        return bowl + 1e-3 * (0 if seed is None else seed % 1000)
+    return bowl
+
+
+class ToyEngine:
+    """A shared engine of (rows, seeds) over one landscape; logs the size of every call."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.sizes = []
+
+    def __call__(self, xs, seeds):
+        assert len(xs) == len(seeds) > 0 and np.isfinite(xs).all()
+        self.sizes.append(len(xs))
+        return np.array([_landscape(self.kind, x, s) for x, s in zip(xs, seeds)])
+
+
+class LoggedObjective(SearchObjective):
+    """A search's view that logs the seed of every evaluation it is charged for."""
+
+    def __init__(self, engine, seed):
+        super().__init__(engine, seed)
+        self.seed_log = []
+
+    def seeds(self, k):
+        seeds = super().seeds(k)
+        self.seed_log += seeds
+        return seeds
+
+
+def lockstep_problems(specs, engines: dict):
+    """(method, problem) of each (method, d, kind, budget, start, seed, fd_step) spec.
+
+    Specs of one (d, kind) share the ``ToyEngine`` that ``engines`` holds for it.
+    """
+    out = []
+    for method, d, kind, budget, start, seed, fd_step in specs:
+        engine = engines.setdefault((d, kind), ToyEngine(kind))
+        x0 = np.linspace(-0.9, 0.0, d) * start
+        out.append((method, MinimizeProblem(LoggedObjective(engine, seed), x0,
+                                            max_evals=budget, fd_step=fd_step)))
+    return out
+
+
+def run_alone_and_in_lockstep(specs):
+    """Each spec run alone, on an engine of its own, and all in lockstep.
+
+    Returns the (result, seed log) of every search both ways, and the
+    lockstep run's engines.
+    """
+    alone = []
+    for spec in specs:
+        [(method, problem)] = lockstep_problems([spec], {})
+        alone.append((minimize(method, problem), problem.objective.seed_log))
+    engines = {}
+    searches = lockstep_problems(specs, engines)
+    together = [(res, problem.objective.seed_log)
+                for res, (_, problem) in zip(minimize_lockstep(searches), searches)]
+    return alone, together, engines
+
+
+def records(result):
+    """The trace as comparable tuples: a NaN energy equals a NaN of the same bits."""
+    return [(r.index, r.theta, struct.pack("<d", r.energy)) for r in result.trace.records]
+
+
+def assert_same_search(a, b):
+    (ra, seeds_a), (rb, seeds_b) = a, b
+    assert records(rb) == records(ra)
+    assert (rb.status, rb.evals_used) == (ra.status, ra.evals_used)
+    assert rb.f_best == ra.f_best
+    assert rb.x_best.tobytes() == ra.x_best.tobytes()
+    assert seeds_b == seeds_a
+
+
+search_specs = st.tuples(
+    st.sampled_from(METHODS),
+    st.sampled_from([1, 3, 10]),
+    st.sampled_from(["smooth", "spiky", "flat", "noisy"]),
+    st.integers(10, 160),
+    st.floats(0.1, 1.0),
+    st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+    st.sampled_from([None, 0.05]),
+).filter(lambda spec: spec[3] >= spec[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(specs=st.lists(search_specs, min_size=1, max_size=6))
+def test_lockstep_equals_each_search_run_alone(specs):
+    alone, together, engines = run_alone_and_in_lockstep(specs)
+    for a, b in zip(alone, together):
+        assert_same_search(a, b)
+    # a search that stops leaves the others running: every row of the run
+    # went through the engines, no more and no fewer
+    assert sum(sum(e.sizes) for e in engines.values()) == sum(r.evals_used for r, _ in together)
+
+
+def test_lockstep_cuts_budgets_inside_batches_and_stalls_one_search():
+    specs = [
+        ("cg", 3, "smooth", 4, 1.0, 7, 0.01),        # cut inside the first gradient
+        ("cobyla", 10, "noisy", 10, 0.5, 8, None),    # cut inside the first simplex
+        ("cg", 3, "smooth", 60, 0.3, 9, None),
+        ("cg", 3, "spiky", 200, 0.2, None, None),     # asks a NaN point: stalled
+        ("powell", 1, "flat", 100, 1.0, 10, None),    # converges early
+        ("cobyla", 10, "noisy", 120, 1.0, 11, None),
+    ]
+    alone, together, engines = run_alone_and_in_lockstep(specs)
+    for a, b in zip(alone, together):
+        assert_same_search(a, b)
+    results = [r for r, _ in together]
+    assert [r.status for r in results[:2]] == [STATUS_BUDGET, STATUS_BUDGET]
+    assert [r.evals_used for r in results[:2]] == [4, 10]
+    assert results[3].status == STATUS_STALLED
+    assert math.isnan(results[3].trace.energies()[-1]) and results[3].evals_used < 200
+    assert results[4].status == STATUS_CONVERGED
+    # the stalled and the converged searches stop while the others run on
+    assert max(results[3].evals_used, results[4].evals_used) < min(
+        results[2].evals_used, results[5].evals_used)
+    # the two d=3 smooth searches shared their engine's calls
+    smooth = engines[(3, "smooth")]
+    assert len(smooth.sizes) < sum(r.evals_used for r in results[:3:2])
+    assert max(smooth.sizes) == 3 + 6  # the first cg's cut gradient and the other's full one
+
+
+def test_lockstep_rejects_an_unknown_method_before_any_evaluation():
+    objective = CallLog(shifted_bowl)
+    with pytest.raises(ValueError, match="newton"):
+        minimize_lockstep([("powell", MinimizeProblem(objective, np.zeros(2))),
+                           ("newton", MinimizeProblem(objective, np.zeros(2)))])
+    assert objective.sizes == []
+
+
+def test_lockstep_calls_a_plain_objective_on_its_own_rows():
+    # two searches on one plain objective: each call carries one search's rows
+    objective = CallLog(shifted_bowl)
+    results = minimize_lockstep([(m, MinimizeProblem(objective, np.zeros(2), max_evals=30))
+                                 for m in ("powell", "cg")])
+    alone = [minimize(m, MinimizeProblem(batched(shifted_bowl), np.zeros(2), max_evals=30))
+             for m in ("powell", "cg")]
+    assert [r.trace.records for r in results] == [r.trace.records for r in alone]
+    assert sum(objective.sizes) == sum(r.evals_used for r in results)
+    assert max(objective.sizes) == 4  # one cg gradient, never joined with powell's point
 
 
 # -- module boundaries --------------------------------------------------------------
