@@ -44,7 +44,7 @@ from .graph import (
     serialize_edge_list,
 )
 from .noise import NoiseConfig
-from .objective import Engine, evaluate_qaoa
+from .objective import Engine, SearchObjective, evaluate_qaoa
 from .optim import (
     METHODS,
     STATUS_CONVERGED,
@@ -350,11 +350,14 @@ def _optimize(configs: list[ExperimentConfig]) -> list[tuple[MinimizeResult, int
         trace = OptimizationTrace()
         trace.append((), energy)
         return [(MinimizeResult(np.zeros(0), energy, 1, STATUS_CONVERGED, trace), 1)] * len(configs)
+    # the configs were checked when built, so the engine needs no run-mode check
     engine = Engine(base.instance, base.p, base.mode, shots=base.shots, noise=base.noise)
+    exact = base.mode == "exact"
     searches = [
         (config.method, MinimizeProblem(
-            engine.objective(rng.child_seed(config.seed, rng.STREAM_EVAL, r)), x0,
-            max_evals=config.max_evals))
+            SearchObjective(engine, None if exact
+                            else rng.child_seed(config.seed, rng.STREAM_EVAL, r)),
+            x0, max_evals=config.max_evals))
         for config in configs for r, x0 in enumerate(_starts(config))
     ]
     results = iter(minimize_lockstep(searches))
@@ -472,29 +475,26 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     optimized: dict[int, tuple] = {}
-    rows = []
     for members in groups.values():
         optimized.update(zip(members, _optimize([cells[idx][2] for idx in members])))
-        # write every cell whose turn has come, so the cells are written in order
-        while len(rows) in optimized:
-            idx = len(rows)
-            name, labels, cell_config = cells[idx]
-            cell_dir = out / name
-            cell_dir.mkdir(parents=True, exist_ok=True)
-            summary = _write_run(cell_config, *optimized.pop(idx), cell_dir).summary
-            rows.append({
-                "cell": idx,
-                "p": cell_config.p,
-                "method": cell_config.method,
-                "noise": labels.get("noise", "custom"),
-                "shots": cell_config.shots,
-                "seed": cell_config.seed,
-                "f_best": summary["best_energy"],
-                "approx_ratio": summary["approx_ratio"],
-                "ground_pair_prob": summary["ground_pair_prob"],
-                "evals_used": summary["evals_used"],
-                "status": summary["status"],
-            })
+    rows = []
+    for idx, (name, labels, cell_config) in enumerate(cells):
+        cell_dir = out / name
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        summary = _write_run(cell_config, *optimized[idx], cell_dir).summary
+        rows.append({
+            "cell": idx,
+            "p": cell_config.p,
+            "method": cell_config.method,
+            "noise": labels.get("noise", "custom"),
+            "shots": cell_config.shots,
+            "seed": cell_config.seed,
+            "f_best": summary["best_energy"],
+            "approx_ratio": summary["approx_ratio"],
+            "ground_pair_prob": summary["ground_pair_prob"],
+            "evals_used": summary["evals_used"],
+            "status": summary["status"],
+        })
     _write_csv(out / "sweep.csv", list(rows[0]), (row.values() for row in rows))
     return rows
 

@@ -117,16 +117,16 @@ class Engine:
     ``qaoa_angles``. Each row is scored alone, so its energy equals
     ``evaluate_qaoa`` at its angles and seed bit for bit, whatever the
     batch: rows of different searches can share a call. Exact mode
-    ignores the seeds. The depth and run mode are checked here, once,
-    not at each evaluation.
+    ignores the seeds. The depth is checked here; the run mode is checked
+    by the caller with its search seeds (``make_objective`` calls
+    ``check_run_mode``, and the harness builds engines only from checked
+    ``ExperimentConfig`` values).
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
                  shots: int | None = None, noise=None):
         if isinstance(p, bool) or not isinstance(p, int) or p < 0:
             raise ValueError(f"p must be a non-negative integer, got {p!r}")
-        # the seeds come with the rows, so only the mode's other inputs are checked
-        check_run_mode(mode, shots, 0, noise)
         self.instance, self.p, self.mode = instance, p, mode
         self.shots, self.noise = shots, noise
 
@@ -151,12 +151,6 @@ class Engine:
                                        qaoa_angles(instance, thetas))
         return np.array([energy_from_tally(tally, instance) for tally in tallies])
 
-    def objective(self, seed: int | None = None) -> "SearchObjective":
-        """A new search's batch objective over this engine, its evaluations seeded from ``seed``."""
-        if self.mode != "exact" and seed is None:
-            raise ValueError(f"mode {self.mode!r} requires shots and seed")
-        return SearchObjective(self, None if self.mode == "exact" else seed)
-
 
 class SearchObjective:
     """One search's batch objective: a shared engine plus the search's own evaluation counter.
@@ -165,9 +159,11 @@ class SearchObjective:
     seed ``child_seed(seed, STREAM_EVAL, j)`` (None when ``seed`` is None,
     as in exact mode), so its noise realization is a pure function of
     (seed, j) however the rows are batched and whichever other searches'
-    rows share the engine call. ``optim.minimize_lockstep`` takes the
-    ``engine`` and ``seeds`` of several such objectives to evaluate all
-    their rows in one call; calling the objective evaluates its rows alone.
+    rows share the engine call. The optimizer never calls it:
+    ``optim.minimize_lockstep`` (and so ``minimize``) reads its ``engine``
+    and ``seeds`` to evaluate its rows together with those of every other
+    search on the same engine. Calling it evaluates its rows alone, with
+    the same engine and seeds.
     """
 
     def __init__(self, engine: Engine, seed: int | None):
@@ -202,4 +198,6 @@ def make_objective(
     scores as ``evaluate_qaoa`` at its angles and, in the stochastic
     modes, at the seed ``child_seed(seed, STREAM_EVAL, j)``, bit for bit.
     """
-    return Engine(instance, p, mode, shots=shots, noise=noise).objective(seed)
+    engine = Engine(instance, p, mode, shots=shots, noise=noise)
+    check_run_mode(mode, shots, seed, noise)
+    return SearchObjective(engine, None if mode == "exact" else seed)

@@ -24,9 +24,11 @@ in lockstep (the ask/tell pattern of Hansen, arXiv 1604.00772). Each
 round it collects the ask of every search still running, evaluates the
 rows of all searches that share an engine in one engine call, and sends
 each search its own values. A search shares an engine when its
-objective carries one, as ``objective.SearchObjective`` does: its rows
-go to ``engine(rows, seeds)`` with per-row seeds from the search's own
-counter. Any other objective is called on its own search's rows. Each
+objective has an ``engine`` attribute, as ``objective.SearchObjective``
+has: the driver then never calls the objective, but sends its rows to
+``objective.engine(rows, seeds)`` with per-row seeds from the search's
+own ``objective.seeds(k)``. Any other objective is called on its own
+search's rows. Each
 search keeps its own trace, budget, status and ``f_best``, so its
 result is the one it gets run alone.
 
@@ -90,7 +92,12 @@ class OptimizationTrace:
 class MinimizeProblem:
     """Batch objective plus starting point, budget, and finite-difference step.
 
-    ``objective`` maps a (k, d) array of points to k values. x0 must be
+    ``objective`` maps a (k, d) array of points to k values. An
+    objective with an ``engine`` attribute (``objective.SearchObjective``)
+    is never called: the driver evaluates its rows as
+    ``objective.engine(rows, objective.seeds(k))``, so a wrapper or
+    subclass that overrides ``__call__`` but keeps ``engine`` is bypassed.
+    x0 must be
     finite. max_evals is an int (not a bool) and defaults to 500 * d.
     fd_step=None means the relative rule h_i = 1e-6 * max(1, |x_i|);
     otherwise it is a positive finite number (not a bool), and stochastic
@@ -507,7 +514,7 @@ class _Search:
 
     def __init__(self, method: str, problem: MinimizeProblem):
         self.problem = problem
-        self.engine = getattr(problem.objective, "engine", None)  # None: not shared
+        self.engine = getattr(problem.objective, "engine", None)  # None: called, not shared
         self.search = _SEARCHES[method](problem.x0, problem.fd_step)
         self.trace = OptimizationTrace()
         self.x_best, self.f_best = None, math.inf
@@ -563,10 +570,11 @@ def minimize_lockstep(searches) -> list[MinimizeResult]:
     evaluates the rows of the searches whose objectives share an engine
     in one engine call, and sends each search its own values. An
     objective with an ``engine`` attribute (``objective.SearchObjective``)
-    shares it: its rows go to ``engine(rows, seeds)`` together with the
-    rows of every other search on the same engine, each search drawing
-    its rows' seeds from its own ``seeds(k)``. Any other objective is
-    called on its own rows. Every search gets the result that
+    is never called: its rows go to ``objective.engine(rows, seeds)``
+    together with the rows of every other search on the same engine, each
+    search drawing its rows' seeds from its own ``objective.seeds(k)``.
+    Any other objective is called on its own rows. Every search gets the
+    result that
     ``minimize`` gives it alone: the same trace, ``f_best``, ``x_best``,
     status and evaluation seeds.
     """
@@ -607,7 +615,12 @@ def minimize_lockstep(searches) -> list[MinimizeResult]:
 
 
 def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
-    """Run one search by name under the problem's budget; raises ValueError for unknown methods."""
+    """Run one search by name under the problem's budget; raises ValueError for unknown methods.
+
+    The one-search case of ``minimize_lockstep``: an objective with an
+    ``engine`` attribute is evaluated as ``objective.engine(rows,
+    objective.seeds(k))``, never through its ``__call__``.
+    """
     return minimize_lockstep([(method, problem)])[0]
 
 

@@ -1,13 +1,15 @@
 """Config normalization and hashing: pinned values, properties, sweep cells."""
 
 import json
-from dataclasses import asdict
+import tempfile
+from dataclasses import asdict, replace
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoalab import rng
-from qaoalab.harness import NOISE_PRESETS, parse_config, run_sweep, sweep_cells
+from qaoalab import harness, rng
+from qaoalab.harness import NOISE_PRESETS, RunArtifacts, parse_config, run_sweep
 
 ALL_RATES = {"p1q": 0.01, "p2q": 0.03, "p_readout": 0.02, "epsilon_coherent": 0.04,
              "sigma_dephase": 0.1, "twirling": True, "dd": True, "dd_sequence": "XY4"}
@@ -214,9 +216,36 @@ def test_preset_and_inline_noise_hash_alike(data, preset):
 @given(raw=raw_configs())
 def test_sweep_cells_equal_the_reparsed_inline_cells(raw):
     config = parse_config(raw)
-    # the configs run_sweep runs; test_harness pins that its artifacts are
-    # those of these configs run one by one through run_experiment
-    ran = [cell_config for _, _, cell_config in sweep_cells(config)]
+    groups, ran = [], []
+
+    def optimize(configs):
+        groups.append(configs)
+        return [(cell_config, 1) for cell_config in configs]
+
+    def write(cell_config, result, total_evals, out):
+        assert result is cell_config  # each cell is written with its own search's result
+        ran.append(cell_config)
+        summary = {"best_energy": -1.0, "approx_ratio": 1.0, "ground_pair_prob": 0.0,
+                   "evals_used": 1, "status": "converged"}
+        return RunArtifacts(Path(), Path(), Path(), summary)
+
+    real = harness._optimize, harness._write_run
+    harness._optimize, harness._write_run = optimize, write
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            run_sweep(config, out_dir=out)
+    finally:
+        harness._optimize, harness._write_run = real
+
+    # a group holds the cells that differ only in method (and seed), and no
+    # two groups could have been one
+    def engine_part(cell_config):
+        return replace(cell_config, method="powell", seed=0)
+
+    assert sorted(map(id, ran)) == sorted(id(c) for group in groups for c in group)
+    for i, group in enumerate(groups):
+        assert all(engine_part(c) == engine_part(group[0]) for c in group)
+        assert all(engine_part(other[0]) != engine_part(group[0]) for other in groups[:i])
 
     axes = raw.get("sweep") or {}
     cells = [{}]
