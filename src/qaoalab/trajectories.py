@@ -1,32 +1,40 @@
 """Per-shot noise: the draws of every shot, and the batched engine that runs them.
 
 This module is the one place that turns (seed, stream, shot) into twirl
-Paulis, gate errors, dephasing kicks and readout flips. ``_events`` walks
-the layout of a circuit once and draws, for each row (one per shot), its
-twirl from the twirl substream and its dephasing rates and gate errors
-from the trajectory substream. Each row's stream is read in one numpy
-Philox call, and ``_decode_errors`` replays the gate-error draws of all
-rows at once from those words. The result is one ordered event list:
-gates every row shares, a twirl Pauli per row, the error Paulis of the
-rows that drew one, and a dephasing kick per row.
+Paulis, gate errors, dephasing kicks and readout flips. ``_chunk_steps``
+walks the layout of a circuit once and draws, for each row (one per
+shot), its twirl from the twirl substream and its dephasing rates and
+gate errors from the trajectory substream. Each row's stream is read in
+one numpy Philox call, and ``_decode_errors`` replays the gate-error
+draws of all rows at once from those words, over one list of error
+sites that every row shares but for the twirl slots it leaves empty.
+The result is one ordered step list: gates every row shares, Paulis
+per row (a twirl Pauli on every row, an error Pauli on the rows that
+drew one) and a dephasing kick per row.
 
 ``sample`` is the engine behind ``noise.sample_noisy_tallies``. It takes
 k points at once, each a seed and the circuit's RX and RZ angles, and
 runs their k * shots trajectories as the rows of one (rows, 2^n) complex
-array, in chunks: each shared gate is applied once to every row by
-``statevec.apply_rows``, the kernel ``simulate_ops`` runs too, each
-rotation to every row at its own point's angle by
-``statevec.apply_vectors``, and the coherent ZZ error is folded into
-each CNOT. Each run of Paulis in the event list is merged into one frame
-per row; the error Paulis enter the merge as sparse (row, entry, id)
-triples. When no shot differs from another but by its point's angles,
-the array has a single row per point. A point's draws depend only on its
-seed, so a point's tally does not depend on the batch around it.
-``realize`` renders one row of the same event list as a ``Circuit``,
+array, in chunks. ``_run_rows`` keeps a Pauli frame per row (Knill,
+Nature 434, 2005; Gidney, arXiv 2103.02202): every Pauli, be it a twirl
+Pauli, a DD pulse or a gate error, only updates the frames and never
+touches the array. A CNOT or H is applied to every row by
+``statevec.apply_rows``, the kernel ``simulate_ops`` runs too, and
+passes the frames exactly. A rotation, a dephasing kick or the coherent
+ZZ error folded into a CNOT runs on each row with its gate vectors, or
+with their conjugates on the rows whose frame anticommutes with it;
+rotations take each point's own angle through ``statevec.apply_vectors``.
+Each row's final frame is applied once, before measurement. When no
+shot differs from another but by its point's angles, the array has a
+single row per point. A point's draws depend only on its seed, so a
+point's tally does not depend on the batch around it.
+
+``realize`` renders one row of the same step list as a ``Circuit``,
 which is what ``noise.twirl_circuit`` and ``noise.apply_trajectory_noise``
 return, and ``_readout_flips`` gives ``noise.apply_readout_error`` its
 flips. Every row's amplitudes equal, bit for bit, those of
-``simulate_ops`` on that shot's rendered circuit.
+``simulate_ops`` on that shot's rendered circuit: moving a Pauli past a
+gate only permutes, negates or conjugates the factors of each product.
 
 ``noise`` imports this module when it first needs it, so work that
 never samples with noise does not load it.
@@ -50,15 +58,16 @@ from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _cnot_perm, apply_ro
 # at least one.
 _CHUNK_BYTES = 1 << 20
 
-# Pauli ids 0..3 are I, X, Y, Z. A Pauli frame (m, z, e) of integer
-# arrays, one entry per row, maps row r of a state to
-#   psi'[i] = 1j**e[r] * (-1)**popcount(i & z[r]) * psi[i ^ m[r]].
-# Every product of single-qubit Paulis is one frame, and applying a frame
-# only moves amplitudes and multiplies them by +-1 or +-1j: it is exact,
-# so a merged frame gives the same bits as its Paulis one by one.
-_FRAME_M = np.array([0, 1, 1, 0], dtype=np.int32)
-_FRAME_Z = np.array([0, 0, 1, 1], dtype=np.int32)
-_FRAME_E = np.array([0, 0, 3, 0], dtype=np.int32)
+# Pauli ids 0..3 are I, X, Y, Z. A row's Pauli frame (m, z, e) says that
+# the row's state is
+#   psi[i] = 1j**e * (-1)**popcount(i & z) * a[i ^ m],
+# the operator 1j**e Z^z X^m applied to the row ``a`` of the array, with
+# qubit q at bit n-1-q of m and z, as in a basis index. A frame is one
+# integer: m in bits 0..n-1, z in bits n..2n-1 and e, counted mod 4,
+# from bit 2n up.
+_FRAME_M = np.array([0, 1, 1, 0], dtype=np.int64)
+_FRAME_Z = np.array([0, 0, 1, 1], dtype=np.int64)
+_FRAME_E = np.array([0, 0, 3, 0], dtype=np.int64)
 _UNITS = np.array([1, 1j, -1, -1j])
 # the Pauli id of bits (m, z): the inverse of _FRAME_M and _FRAME_Z
 _PAULI_ID = np.array([[0, 3], [1, 2]])
@@ -78,6 +87,26 @@ def _twirl_image() -> np.ndarray:
 
 
 _TWIRL_IMAGE = _twirl_image()
+
+
+@lru_cache(maxsize=512)
+def _pauli_tables(n: int, q: int) -> tuple:
+    """What a Pauli on qubit q, applied after a frame, does to it: (flip, phase).
+
+    P Z^z X^m = (-1)**(m_P & z_q) * Z^(z ^ z_P) X^(m ^ m_P) times P's own
+    phase, so id's bits are XORed in (``flip[id]``) and its phase is
+    added (``phase[id + 4 * z_q]``, with z_q the frame's z bit of q).
+    """
+    s = n - 1 - q
+    flip = _FRAME_M << s | _FRAME_Z << (n + s)
+    phase = np.concatenate([_FRAME_E, _FRAME_E + 2 * _FRAME_M]) << 2 * n
+    return flip, phase
+
+
+def _compose(frame, ids, n: int, q: int):
+    """The frames after Pauli ``ids`` on qubit q: one id per frame, or one for all."""
+    flip, phase = _pauli_tables(n, q)
+    return (frame ^ flip[ids]) + phase[ids + 4 * ((frame >> (2 * n - 1 - q)) & 1)]
 
 
 class _Entry(NamedTuple):
@@ -123,17 +152,17 @@ def _parities(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _zz_diag(n: int, control: int, target: int, epsilon: float) -> np.ndarray:
-    """CNOT RZ(2 epsilon) CNOT as one diagonal.
+def _zz_diags(n: int, control: int, target: int, epsilon: float) -> np.ndarray:
+    """CNOT RZ(2 epsilon) CNOT as one diagonal, and its conjugate: shape (2, 2^n).
 
     With a CNOT applied as ``a[perm]`` and perm an involution, the
     sandwich maps a to ``a * d[perm]``: the same products, bit for bit.
     """
     w = np.exp(0.5j * (2.0 * epsilon))
-    d = np.where(_bit_values(n, target) == 1, w, w.conjugate())
-    diag = d[_cnot_perm(n, control, target)]
-    diag.flags.writeable = False
-    return diag
+    d = np.where(_bit_values(n, target) == 1, w, w.conjugate())[_cnot_perm(n, control, target)]
+    diags = np.stack([d, d.conjugate()])
+    diags.flags.writeable = False
+    return diags
 
 
 class _Substreams:
@@ -163,45 +192,75 @@ class _Substreams:
         return words
 
 
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """What ``Generator.random()`` makes of each word: its top 53 bits."""
-    return (words >> np.uint64(11)) * 2.0**-53
+def _limit(p):
+    """The largest raw word whose ``Generator.random()`` is below p, for rates 0 < p <= 1.
+
+    ``random()`` is the word's top 53 bits times 2**-53, so it is below p
+    exactly when those bits are below c = ceil(p * 2**53), that is, when
+    the word is at most (c - 1) << 11 with its low 11 bits set. The
+    bound c << 11 itself is 2**64 at p = 1, which no uint64 holds.
+    """
+    c = np.ceil(np.asarray(p) * 2.0**53).astype(np.uint64)
+    return (c - np.uint64(1)) << np.uint64(11) | np.uint64(0x7FF)
 
 
-def _decode_errors(read, p: np.ndarray, bound: np.ndarray, count: np.ndarray) -> tuple:
+def _decode_errors(read, rows: int, limit: np.ndarray, bound: np.ndarray, skips=None) -> tuple:
     """Replay the gate-error draws of every row at once, from the raw words of its stream.
 
-    Row r has ``count[r]`` sites; ``p`` and ``bound`` list the sites of
-    row 0, then of row 1, and so on, each row's in op order. Site s draws
-    ``random() < p[s]``, which takes one word. A hit then draws
-    ``integers(0, bound[s])`` by Lemire's method from a 32-bit half word:
+    Every row has the sites of ``limit`` and ``bound``, in order, but
+    those that ``skips`` leaves out: None, or (columns, absent), with
+    ``absent[r, j]`` True when row r has no site ``columns[j]``. A site
+    draws ``random() < p``, which takes one word and hits when the word
+    is at most ``limit`` (``_limit(p)``). A hit then draws
+    ``integers(0, bound)`` by Lemire's method from a 32-bit half word:
     the low half of a fresh word, or the high half left over from the
     row's previous such draw. ``read(width)`` gives the first ``width``
     words of every row's stream as a (rows, width) array; it is read
     again, wider, if some row's draws run past the words read. Returns
-    (row, site, value) arrays of the hits, in site order.
+    (row, site, value) arrays of the hits, sorted by site and then row.
     """
-    start = np.cumsum(count) - count
+    sites = len(limit)
+    if skips is None:
+        count = np.full(rows, sites)
+
+        def site_of(r, ordinal):
+            return ordinal
+    else:
+        columns, absent = skips
+        before = np.zeros((rows, len(columns) + 1), dtype=np.int64)
+        np.cumsum(absent, axis=1, out=before[:, 1:])
+        count = sites - before[:, -1]
+        # the ordinal column j would have in row r never falls along the
+        # row, so rows offset by r * span make one sorted array
+        span = sites + 1
+        ordinals = (columns - before[:, :-1] + np.arange(rows)[:, None] * span).ravel()
+
+        def site_of(r, ordinal):
+            # the row's absent columns before its ordinal-th site are the
+            # columns whose own ordinal is at most that one
+            j = np.searchsorted(ordinals, r * span + ordinal, side="right") - r * len(columns)
+            return ordinal + before[r, j]
+
     width = int(count.max(initial=0)) + 8
     while True:
-        hits = _decode_words(read(width), p, bound, count, start)
+        hits = _decode_words(read(width), limit, bound, count, site_of)
         if hits is not None:
             return hits
         width *= 2
 
 
-def _decode_words(words: np.ndarray, p, bound, count, start):
+def _decode_words(words: np.ndarray, limit, bound, count, site_of):
     """``_decode_errors`` on one read; None when a row needs more words.
 
     Hits are rare, so the walk visits only the candidate words, those
-    below the largest rate, one per row per step: site i of row r reads
-    word i + shift[r], where shift counts the words the row's integers()
-    draws took so far.
+    below the largest limit, one per row per step: the ordinal-th site
+    of row r, ``site_of(r, ordinal)``, reads word ordinal + shift[r],
+    where shift counts the words the row's integers() draws took so far.
     """
     rows, width = words.shape
-    u = _uniforms(words).ravel()
+    flat_words = words.ravel()
     # flat word positions r * width + w, and one past the last word
-    candidates = np.append(np.flatnonzero(u < p.max(initial=0.0)), u.size)
+    candidates = np.append(np.flatnonzero(flat_words <= limit.max()), flat_words.size)
     shift = np.zeros(rows, dtype=np.int64)
     half = np.full(rows, -1, dtype=np.int64)  # the carried high half word, or -1
     live = np.flatnonzero(count)
@@ -210,27 +269,28 @@ def _decode_words(words: np.ndarray, p, bound, count, start):
     while live.size:
         flat = candidates[at]
         w = flat - live * width
-        site = w - shift[live]
-        ok = (w < width) & (site < count[live])
+        ordinal = w - shift[live]
+        ok = (w < width) & (ordinal < count[live])
         ended = live[~ok]
         # a row ends with no hit left among its words; they must reach its last site
         if np.any(count[ended] + shift[ended] > width):
             return None
-        live, at, flat, w, site = live[ok], at[ok], flat[ok], w[ok], site[ok]
-        hit = u[flat] < p[start[live] + site]
+        live, at, flat, w, ordinal = live[ok], at[ok], flat[ok], w[ok], ordinal[ok]
+        site = site_of(live, ordinal)
+        hit = flat_words[flat] <= limit[site]
         at[~hit] += 1
-        r, pos, s = live[hit], w[hit] + 1, start[live[hit]] + site[hit]
+        r, pos, s = live[hit], w[hit] + 1, site[hit]
         if r.size:
             values = _lemire(words, r, pos, half, bound[s])
             if values is None:
                 return None
-            shift[r] = pos - site[hit] - 1
+            shift[r] = pos - ordinal[hit] - 1
             at[hit] = np.searchsorted(candidates, r * width + pos)
             found.append((r, s, values))
     if not found:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     r, s, values = (np.concatenate(column) for column in zip(*found))
-    order = np.argsort(s)
+    order = np.lexsort((r, s))
     return r[order], s[order], values[order]
 
 
@@ -315,82 +375,19 @@ def _twirl_ids(streams: _Substreams, keys: np.ndarray, n_cnots: int) -> np.ndarr
     return ids.reshape(len(keys), -1)
 
 
-def _merge_frames(ids: np.ndarray, qubits: list, starts: list, errors: list, n: int) -> tuple:
-    """Compose runs of single-qubit Paulis into one frame per run.
-
-    A run holds dense items, column t of ``ids`` (rows, items) giving
-    each row's Pauli id on qubit ``qubits[t]`` (run j's are items
-    ``starts[j]`` up to the next start), and sparse error Paulis, each
-    (run, after, rows, ids, qubit): one id for each listed row, applied
-    after the run's dense items before index ``after`` and after every
-    earlier error of the list. Applying frame (m1, z1, e1), then (m2, z2,
-    e2), is the frame (m1 ^ m2, z1 ^ z2, e1 + e2 + 2 * parity(m2 & z1)),
-    so an item's e picks up the parity of its m against the z of the
-    items before it in its run and row. Single-qubit Paulis meet only on
-    a shared qubit, so an error needs only the dense z before it and the
-    dense m after it in its run, read off running XORs, and the z of the
-    earlier errors in its run and row. Returns (m, z, e), each of shape
-    (runs, rows).
-    """
-    rows = len(ids)
-    bits = 1 << (n - 1 - np.array(qubits, dtype=np.int32))
-    m = _FRAME_M[ids] * bits
-    z = _FRAME_Z[ids] * bits
-    first = np.array(starts)
-    last = np.append(first[1:], len(qubits))
-    # running XORs and phase sums along each row, with a leading zero
-    # column: item t's prefix is column t, a run's total the difference
-    # of its ends
-    cm = np.zeros((rows, len(qubits) + 1), dtype=np.int32)
-    cz = np.zeros_like(cm)
-    ce = np.zeros_like(cm)
-    np.bitwise_xor.accumulate(m, axis=1, out=cm[:, 1:])
-    np.bitwise_xor.accumulate(z, axis=1, out=cz[:, 1:])
-    z_before = cz[:, :-1] ^ cz[:, np.repeat(first, last - first)]
-    np.cumsum(_FRAME_E[ids] + 2 * _parities(n)[m & z_before], axis=1, out=ce[:, 1:])
-    frame_m = (cm[:, last] ^ cm[:, first]).T.copy()
-    frame_z = (cz[:, last] ^ cz[:, first]).T.copy()
-    frame_e = (ce[:, last] - ce[:, first]).T.copy()
-    if errors:
-        run, after, rows_of, ids_of, qubit = zip(*errors)
-        sizes = [r.size for r in rows_of]
-        run, after, qubit = (np.repeat(column, sizes) for column in (run, after, qubit))
-        row, pid = np.concatenate(rows_of), np.concatenate(ids_of)
-        bit = 1 << (n - 1 - qubit)
-        em, ez = _FRAME_M[pid] * bit, _FRAME_Z[pid] * bit
-        dense_z_before = cz[row, after] ^ cz[row, first[run]]
-        dense_m_after = cm[row, last[run]] ^ cm[row, after]
-        # the z of the earlier errors of the same run and row: a running
-        # XOR in (run, row, list order), less its value at the group start
-        group = run * rows + row
-        order = np.argsort(group, kind="stable")
-        group = group[order]
-        acc = np.bitwise_xor.accumulate(ez[order])
-        exclusive = acc ^ ez[order]
-        head = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-        exclusive ^= np.repeat(exclusive[head], np.diff(np.append(head, group.size)))
-        earlier = np.empty_like(exclusive)
-        earlier[order] = exclusive
-        parity = _parities(n)
-        phase = _FRAME_E[pid] + 2 * (parity[em & dense_z_before] + parity[ez & dense_m_after]
-                                     + parity[em & earlier])
-        np.bitwise_xor.at(frame_m, (run, row), em)
-        np.bitwise_xor.at(frame_z, (run, row), ez)
-        np.add.at(frame_e, (run, row), phase)
-    return frame_m, frame_z, frame_e & 3
-
-
 def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Entry],
-                      present: np.ndarray, config: NoiseConfig, n: int):
+                      twirl, config: NoiseConfig, n: int):
     """Each row's dephasing rates and gate errors, from its trajectory key.
 
     A row draws ``normal(0, sigma_dephase, size=n)`` when dephasing, then
     one ``random()`` per gate error site of its own circuit, in op order;
-    a hit is followed by the ``integers()`` draw of its Pauli. Each key's
-    words are read in one call, and ``_decode_errors`` replays the draws
-    of all rows together. Returns deltas (rows, n) and the hits as
-    (row, entry index, value) arrays, sorted by row and then entry,
-    where value is the result of the error's integers() draw.
+    a hit is followed by the ``integers()`` draw of its Pauli. The sites
+    are the layout's but for the twirl slots that the row's ``twirl``
+    ids (rows, slots) leave empty. Each key's words are read in one
+    call, and ``_decode_errors`` replays the draws of all rows together.
+    Returns deltas (rows, n) and the hits as (row, entry index, value)
+    arrays, sorted by entry and then row, where value is the result of
+    the error's integers() draw.
     """
     rows = len(keys)
     # one random() per gate, in op order: p2q after a CNOT, p1q after any
@@ -404,7 +401,7 @@ def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Ent
             site_p[k], bound[k] = config.p1q, 3
     dephasing = config.sigma_dephase > 0
     deltas = np.zeros((rows, n))
-    site_row, site_entry = np.nonzero(present & (site_p > 0))
+    sites = np.flatnonzero(site_p > 0)
 
     def read(width: int) -> np.ndarray:
         words = np.empty((rows, width), dtype=np.uint64)
@@ -416,67 +413,64 @@ def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Ent
                 words[r] = streams.bitgen.random_raw(width)
         return words
 
-    if site_entry.size == 0:
+    if sites.size == 0:
         if dephasing:
             read(0)
         empty = np.zeros(0, dtype=np.int64)
         return deltas, (empty, empty, empty)
-    count = np.bincount(site_row, minlength=rows)
-    row, site, value = _decode_errors(read, site_p[site_entry], bound[site_entry], count)
-    return deltas, (row, site_entry[site], value)
+    slot_sites = np.flatnonzero([entries[k].slot is not None for k in sites])
+    # the twirl slots are sites all together or not at all, in slot order
+    skips = (slot_sites, twirl == 0) if slot_sites.size else None
+    row, site, value = _decode_errors(read, rows, _limit(site_p[sites]), bound[sites], skips)
+    return deltas, (row, sites[site], value)
 
 
-def _events(entries: list[_Entry], config: NoiseConfig, twirl_keys, trajectory_keys,
-            streams: _Substreams, n: int) -> tuple:
+def _chunk_steps(entries: list[_Entry], config: NoiseConfig, twirl_keys, trajectory_keys,
+                 streams: _Substreams, n: int) -> list:
     """Draw each row's twirl and noise and lay out what the rows run, in order.
 
     Row r draws its twirl from ``twirl_keys[r]`` (needed only when
     ``entries`` has twirl slots) and its dephasing and gate errors from
-    ``trajectory_keys[r]``. Returns the events and the (rows, slots) twirl
-    ids, or None without twirl slots. Events are ("op", op, vectors) for a gate
+    ``trajectory_keys[r]``. Steps are ("op", op, vectors) for a gate
     every row shares, with ``vectors`` its point-by-point gate vectors
-    or None; ("pauli", ids, qubit, duration) for a twirl Pauli, one id
-    per row, 0 for none, lasting ``ONE_QUBIT_DURATION``; ("errors",
-    rows, ids, qubit) for the error Paulis of the listed rows on one
-    qubit, which last 0; and ("kick", qubit, angle per row) for
-    dephasing, which a single row gets only where it has idle time. A
-    coherent ZZ error is left to whoever runs a CNOT.
+    or None; ("pauli", rows, ids, qubit, duration) for one-qubit Paulis,
+    an id for each listed row, or for every row when rows is None, 0 for
+    none: a twirl Pauli on every row, lasting ``ONE_QUBIT_DURATION``, or
+    the error Paulis of the rows that drew one, which last 0; and
+    ("kick", qubit, angle per row) for dephasing, which a single row gets
+    only where it has idle time. A coherent ZZ error is left to whoever
+    runs a CNOT.
     """
     rows = len(trajectory_keys)
-    present = np.ones((rows, len(entries)), dtype=bool)
-    n_cnots = sum(1 for e in entries if e.slot is not None) // 4
-    twirl = None
-    if n_cnots:
-        # slots are numbered in layout order
-        twirl = _twirl_ids(streams, twirl_keys, n_cnots)
-        present[:, [k for k, e in enumerate(entries) if e.slot is not None]] = twirl != 0
-
+    slots = [k for k, e in enumerate(entries) if e.slot is not None]
+    # slots are numbered in layout order
+    twirl = _twirl_ids(streams, twirl_keys, len(slots) // 4) if slots else None
     dephasing = config.sigma_dephase > 0
     deltas, (hit_row, hit_entry, hit_value) = _trajectory_draws(
-        streams, trajectory_keys, entries, present, config, n)
-    order = np.argsort(hit_entry, kind="stable")
-    hit_row, hit_entry, hit_value = hit_row[order], hit_entry[order], hit_value[order]
+        streams, trajectory_keys, entries, twirl, config, n)
     hit_bounds = np.searchsorted(hit_entry, np.arange(len(entries) + 1)).tolist()
 
     kicks_at: dict[int, list] = {}
     if dephasing:
-        if n_cnots:
+        if slots:
+            present = np.ones((rows, len(entries)), dtype=bool)
+            present[:, slots] = twirl != 0
             kicks = _idle_kicks(entries, present, n)
         else:
             kicks = _shared_idle_kicks(n, tuple((e.qubits, e.duration) for e in entries))
         for k, q, dur in kicks:
             kicks_at.setdefault(k, []).append(("kick", q, 2.0 * deltas[:, q] * dur))
 
-    events: list = []
+    steps: list = []
     for k, entry in enumerate(entries):
-        events += kicks_at.get(k, ())
+        steps += kicks_at.get(k, ())
         if entry.op is None:
-            events.append(("pauli", twirl[:, entry.slot], entry.qubits[0], entry.duration))
+            steps.append(("pauli", None, twirl[:, entry.slot], entry.qubits[0], entry.duration))
         else:
-            events.append(("op", entry.op, entry.vectors))
+            steps.append(("op", entry.op, entry.vectors))
             if entry.op.kind == "DELAY" and dephasing and entry.duration > 0:
                 q = entry.qubits[0]
-                events.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
+                steps.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
         lo, hi = hit_bounds[k], hit_bounds[k + 1]
         if hi > lo:
             # both draws pick a non-identity Pauli: 1 + integers(0, 3) on a
@@ -484,65 +478,14 @@ def _events(entries: list[_Entry], config: NoiseConfig, twirl_keys, trajectory_k
             pick = hit_value[lo:hi] + 1
             ids = (pick >> 2, pick & 3) if len(entry.qubits) == 2 else (pick,)
             for q, pid in zip(entry.qubits, ids):
-                events.append(("errors", hit_row[lo:hi], pid, q))
-    events += kicks_at.get(len(entries), ())
-    return events, twirl
-
-
-def _chunk_steps(entries: list[_Entry], config: NoiseConfig, twirl_keys, trajectory_keys,
-                 streams: _Substreams, n: int) -> list:
-    """The events of the chunk's rows, with each run of Paulis as one frame.
-
-    Row r twirls from ``twirl_keys[r]`` and draws its noise from
-    ``trajectory_keys[r]``. Steps are ("op", op, vectors), ("frame",
-    rows, m, z, e) for per-row Paulis, rows None for all rows, and the
-    dephasing kicks.
-    """
-    steps: list = []
-    qubits: list[int] = []
-    starts: list[int] = []
-    errors: list = []
-    events, twirl = _events(entries, config, twirl_keys, trajectory_keys, streams, n)
-    for event in events:
-        if event[0] not in ("pauli", "errors"):
-            steps.append(event)
-            continue
-        if not (steps and steps[-1][0] == "run"):
-            starts.append(len(qubits))
-            steps.append(("run", len(starts) - 1))
-        if event[0] == "pauli":
-            qubits.append(event[2])
-        else:
-            errors.append((len(starts) - 1, len(qubits), *event[1:]))
-    if not starts:
-        return steps
-
-    # the twirl Paulis are the dense items, one per slot in slot order
-    if twirl is None:
-        twirl = np.zeros((len(trajectory_keys), 0), dtype=np.int8)
-    frames = _merge_frames(twirl, qubits, starts, errors, n)
-    rows = len(trajectory_keys)
-    # each run's rows with a Pauli, all at once: a run that moves most
-    # rows keeps its whole frame, the others keep their rows' entries
-    run_of, row_of = np.nonzero(frames[0] | frames[1] | frames[2])
-    bounds = np.searchsorted(run_of, np.arange(len(starts) + 1)).tolist()
-    picked = [f[run_of, row_of] for f in frames]
-    out = []
-    for step in steps:
-        if step[0] != "run":
-            out.append(step)
-            continue
-        lo, hi = bounds[step[1]], bounds[step[1] + 1]
-        if 2 * (hi - lo) > rows:
-            out.append(("frame", None, *(f[step[1]] for f in frames)))
-        elif hi > lo:
-            out.append(("frame", row_of[lo:hi], *(f[lo:hi] for f in picked)))
-    return out
+                steps.append(("pauli", hit_row[lo:hi], pid, q, 0.0))
+    steps += kicks_at.get(len(entries), ())
+    return steps
 
 
 def realize(circuit: Circuit, config: NoiseConfig, shot: int, seed: int,
             twirl_seed: int | None = None) -> Circuit:
-    """One row of the event list as a circuit: one shot's realization.
+    """One row of the step list as a circuit: one shot's realization.
 
     The row's dephasing and gate errors follow ``config``'s rates, drawn
     for ``shot`` under ``seed``; it is twirled, from ``twirl_seed``, only
@@ -556,29 +499,54 @@ def realize(circuit: Circuit, config: NoiseConfig, shot: int, seed: int,
     trajectory_keys = [rng.derive_key(seed, rng.STREAM_TRAJECTORY, shot)]
     eps = config.epsilon_coherent
     ops: list[GateOp] = []
-    events, _ = _events(entries, config, twirl_keys, trajectory_keys, _Substreams(), circuit.n)
-    for event in events:
-        kind = event[0]
+    for step in _chunk_steps(entries, config, twirl_keys, trajectory_keys, _Substreams(),
+                             circuit.n):
+        kind = step[0]
         if kind == "op":
-            op = event[1]
+            op = step[1]
             ops.append(op)
             if op.kind == "CNOT" and eps != 0.0:
                 u, v = op.qubits
                 ops += [GateOp("CNOT", (u, v), None, 0.0), GateOp("RZ", (v,), 2.0 * eps, 0.0),
                         GateOp("CNOT", (u, v), None, 0.0)]
         elif kind == "pauli":
-            _, ids, q, duration = event
+            _, _, ids, q, duration = step
             if ids[0]:
                 ops.append(GateOp(PAULI_KINDS[ids[0] - 1], (q,), None, duration))
-        elif kind == "errors":
-            _, _, ids, q = event
-            if ids[0]:
-                ops.append(GateOp(PAULI_KINDS[ids[0] - 1], (q,), None, 0.0))
         else:
-            ops.append(GateOp("RZ", (event[1],), float(event[2][0]), 0.0))
+            ops.append(GateOp("RZ", (step[1],), float(step[2][0]), 0.0))
     if len(ops) == len(circuit.ops):
         return circuit
     return Circuit(circuit.n, tuple(ops))
+
+
+def _settle(amps: np.ndarray, frame: np.ndarray, n: int, sel=None) -> None:
+    """Move an odd power of 1j out of the frames of rows ``sel`` (all rows by default) into them.
+
+    ``simulate_ops`` applies a Y's 1j to the amplitudes, which trades
+    their real and imaginary parts. Every step here gives the same bits
+    either way, but for a product by a complex number with both parts
+    nonzero, a diagonal: numpy may fuse one of its two products into the
+    rounding of the sum, so the product must see the parts where
+    ``simulate_ops`` has them. Updates ``amps`` and ``frame`` in place.
+    """
+    odd = (frame >> 2 * n) & 1
+    rows = np.flatnonzero(odd) if sel is None else sel[odd[sel] == 1]
+    if rows.size == len(amps):
+        amps *= 1j
+    elif rows.size:
+        amps[rows] *= 1j
+    frame[rows] -= 1 << 2 * n
+
+
+def _row_vectors(vectors, flip: np.ndarray, row_point: np.ndarray) -> tuple:
+    """Each row's gate vectors: its point's, or the one vector, conjugated where ``flip``."""
+    out = []
+    for v in vectors:
+        index = flip if v.ndim == 1 else flip * len(v) + row_point
+        table = np.stack([v, v.conjugate()]).reshape(-1, v.shape[-1])
+        out.append(np.take(table, index, axis=0))
+    return tuple(out)
 
 
 def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.ndarray:
@@ -587,7 +555,8 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
     Row r belongs to point ``row_point[r]``, and a point's rows are
     adjacent. A step's gate vectors, when it has them, are taken for
     each row from its point's row of the stack, so every row gets the
-    arithmetic of ``apply_rows`` at its own point's angle.
+    arithmetic of ``apply_rows`` at its own point's angle. The Paulis of
+    the steps go into each row's frame, which is applied at the end.
     """
     rows = len(row_point)
     amps = np.tile(zero_state(n).amplitudes, (rows, 1))
@@ -600,58 +569,84 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
             last[1], last[3] = hi, point + 1
         else:
             segments.append([lo, hi, point, point + 1])
-    idx = np.arange(1 << n)
-    sign = 2 * _parities(n)
+    frame = np.zeros(rows, dtype=np.int64)
     for step in steps:
         kind = step[0]
-        if kind == "op":
-            op, vectors = step[1], step[2]
-            if vectors is None:
+        if kind == "pauli":
+            sel, ids, q = step[1:4]
+            if sel is None:
+                frame = _compose(frame, ids, n, q)
+            else:
+                frame[sel] = _compose(frame[sel], ids, n, q)
+            continue
+        if kind == "kick":
+            q, angle = step[1], step[2]
+            # a kick leaves the rows without idle time alone, unless they are few
+            sel = np.flatnonzero(angle)
+            if 2 * sel.size > rows:
+                sel = np.arange(rows)
+            _settle(amps, frame, n, sel)
+            w = np.exp(0.5j * angle[sel])
+            # RZ(angle) on q: w where q's bit is 1, its conjugate where 0; an
+            # X or Y of the frame on q turns it into RZ(-angle)
+            w = np.where((frame[sel] >> (n - 1 - q)) & 1, w.conjugate(), w)
+            diagonal = np.stack([w.conjugate(), w], axis=1)[:, _bit_values(n, q)]
+            if sel.size == rows:
+                amps *= diagonal  # amps is this function's own array
+            else:
+                amps[sel] *= diagonal
+            continue
+        op, vectors = step[1], step[2]
+        s = n - 1 - op.qubits[0]
+        if op.kind in PAULI_KINDS:
+            frame = _compose(frame, PAULI_KINDS.index(op.kind) + 1, n, op.qubits[0])
+        elif op.kind == "CNOT":
+            amps = apply_rows(amps, n, op)
+            # X on the control spreads to the target, Z on the target to the control
+            t = n - 1 - op.qubits[1]
+            frame ^= (((frame >> s) & 1) << t) | (((frame >> (n + t)) & 1) << (n + s))
+            if epsilon != 0.0:
+                # the ZZ rotation turns into its inverse, the conjugate
+                # diagonal, past an X on just one of its qubits
+                _settle(amps, frame, n)
+                flip = ((frame >> s) ^ (frame >> t)) & 1
+                diags = _zz_diags(n, *op.qubits, epsilon)
+                amps *= np.take(diags, flip, axis=0) if flip.any() else diags[0]
+        elif op.kind == "H":
+            amps = apply_rows(amps, n, op)
+            # H swaps the X and Z of its qubit, and H Y H = -Y
+            mq, zq = (frame >> s) & 1, (frame >> (n + s)) & 1
+            frame = (frame ^ (mq ^ zq) * (1 << s | 1 << (n + s))) + ((mq & zq) << (2 * n + 1))
+        elif op.kind in ROTATION_KINDS:
+            # RZ(angle) past an X or Y of its qubit is RZ(-angle), RX past a
+            # Z or Y is RX(-angle): the conjugate vectors
+            if op.kind == "RZ":
+                _settle(amps, frame, n)
+            flip = (frame >> (s if op.kind == "RZ" else n + s)) & 1
+            if flip.any():
+                row_vectors = _row_vectors(vectors or gate_vectors(n, op), flip, row_point)
+                amps = apply_vectors(amps, n, op.qubits[0], [(0, rows, row_vectors)])
+            elif vectors is None:
                 amps = apply_rows(amps, n, op)
             else:
                 amps = apply_vectors(amps, n, op.qubits[0], [
                     (lo, hi, tuple(v[a:b] for v in vectors)) for lo, hi, a, b in segments])
-            if epsilon != 0.0 and op.kind == "CNOT":
-                amps = amps * _zz_diag(n, *op.qubits, epsilon)
-            continue
-        # A frame or kick leaves its identity rows (no Pauli, no idle time)
-        # alone; it skips them only when they are most rows (a frame's
-        # rows come with it from _chunk_steps).
-        if kind == "frame":
-            sel, m, z, e = step[1:]
-            if sel is None:
-                sel = np.arange(rows)
-            part = np.take(amps, (sel << n)[:, None] + (idx ^ m[:, None]))
-            if sel.size < rows:
-                part *= _UNITS[(e[:, None] + sign[idx & z[:, None]]) & 3]
-            elif z.any() or e.any():
-                # across all rows, a run's Paulis take few distinct phases:
-                # each distinct (z, e) row of units is built once
-                key, which = np.unique((z << 2) | e, return_inverse=True)
-                part *= _UNITS[((key & 3)[:, None] + sign[idx & (key >> 2)[:, None]]) & 3][which]
-        else:
-            q, angle = step[1], step[2]
-            sel = np.flatnonzero(angle)
-            if 2 * sel.size > rows:
-                sel = np.arange(rows)
-            w = np.exp(0.5j * angle[sel])
-            # RZ(angle) on q: w where q's bit is 1, its conjugate where 0
-            diagonal = np.stack([w.conjugate(), w], axis=1)[:, _bit_values(n, q)]
-            if sel.size == rows:
-                amps *= diagonal  # amps is this function's own array
-                continue
-            part = amps[sel] * diagonal
-        if sel.size == rows:
-            amps = part
-        else:
-            amps[sel] = part
+    # each row's frame, once: the row is 1j**e (-1)**popcount(i & z) a[i ^ m]
+    low = (1 << n) - 1
+    m, z, e = frame & low, (frame >> n) & low, (frame >> 2 * n) & 3
+    sel = np.flatnonzero(m | z | e)
+    if sel.size:
+        idx = np.arange(1 << n)
+        part = np.take(amps, (sel << n)[:, None] + (idx ^ m[sel, None]))
+        part *= _UNITS[(e[sel, None] + 2 * _parities(n)[idx & z[sel, None]]) & 3]
+        amps[sel] = part
     return amps
 
 
 def _readout_flips(streams: _Substreams, keys, width: int, p: float) -> np.ndarray:
     """(shots, width) readout flips: bit j of shot i flips when the j-th
-    ``random()`` of ``keys[i]``, shot i's readout substream, is below ``p``."""
-    return _uniforms(streams.raw(keys, width)) < p
+    ``random()`` of ``keys[i]``, shot i's readout substream, is below ``p`` > 0."""
+    return streams.raw(keys, width) <= _limit(p)
 
 
 def _point_angles(entries: list[_Entry], angles: np.ndarray, n: int) -> list[_Entry]:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qaoalab
 from qaoalab import harness
 from qaoalab.graph import cut_value
 from qaoalab.harness import (
@@ -575,3 +577,24 @@ def test_cli_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "9"]) == 0
     assert (out / "sweep.csv").exists()
     assert "cell" in capsys.readouterr().out
+
+
+def test_exact_and_sampled_runs_never_load_the_noisy_engine(tmp_path):
+    # qaoalab.trajectories is loaded on first noisy use only, so its code
+    # adds nothing to the import and set-up of exact and sampled work
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from qaoalab.harness import parse_config, run_experiment\n"
+        "for mode in ('exact', 'sampled'):\n"
+        "    config = parse_config({'p': 2, 'mode': mode, 'shots': 64, 'max_evals': 12, 'seed': 3})\n"
+        "    run_experiment(config, sys.argv[2] + '/' + mode)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qaoalab.')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(Path(qaoalab.__path__[0]).parent), str(tmp_path)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert "qaoalab.harness" in out and "qaoalab.trajectories" not in out
+    assert (tmp_path / "exact" / "summary.json").is_file()
+    assert (tmp_path / "sampled" / "counts.json").is_file()

@@ -637,6 +637,74 @@ def test_sample_noisy_matches_reference_on_random_circuits(circuit, config, seed
     assert sample_noisy(circuit, config, 12, seed).counts == expected.counts
 
 
+@settings(max_examples=60, deadline=None)
+@given(circuit=small_circuits(), config=noise_configs, seed=st.integers(0, 2**32),
+       points=st.integers(1, 2), data=st.data())
+def test_rows_equal_per_shot_amplitudes_bit_for_bit_on_random_circuits(circuit, config, seed,
+                                                                        points, data):
+    # One point runs the circuit's own angles; two points run their own
+    # angles side by side. The Pauli frames meet every gate kind here: H
+    # after an error Pauli, Y pulses and twirl Paulis, zero-duration ops.
+    base = with_dd(circuit, config)
+    count = sum(op.kind in ("RX", "RZ") for op in base.ops)
+    entries = trajectories._layout(base, config.twirling)
+    circuits = [base]
+    if points == 2:
+        angle = st.floats(-4.0, 4.0)
+        angles = np.array([[data.draw(angle) for _ in range(count)] for _ in range(2)])
+        entries = trajectories._point_angles(entries, angles.reshape(2, count), base.n)
+        circuits = [with_angles(base, row) for row in angles]
+    seeds, shots = [seed, seed ^ 1], 3
+    twirl_keys, trajectory_keys = row_keys(seeds[:points], shots, config.twirling)
+    steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys,
+                                      trajectories._Substreams(), base.n)
+    row_point = np.repeat(np.arange(points), shots)
+    rows = trajectories._run_rows(base.n, steps, row_point, config.epsilon_coherent)
+    for r, j in enumerate(row_point):
+        single = simulate_ops(base.n, shot_circuit(circuits[j], config, r % shots, seeds[j]).ops)
+        assert np.array_equal(single.amplitudes.view(np.float64), rows[r].view(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=small_circuits(), seed=st.integers(0, 2**32),
+       sequence=st.sampled_from(sorted(DD_SEQUENCES)))
+def test_twirl_and_dd_keep_the_output_distribution_of_random_circuits(circuit, seed, sequence):
+    # Each twirl sandwich and each DD sequence composes to the identity up
+    # to a global phase, DELAY ops included, in the rendered circuits and
+    # in the engine's frames alike.
+    ideal = probs_of(circuit)
+    padded = insert_dd(circuit, sequence)
+    for dressed in (twirl_circuit(circuit, seed), padded, twirl_circuit(padded, seed)):
+        np.testing.assert_allclose(probs_of(dressed), ideal, rtol=0, atol=1e-12)
+    config = NoiseConfig(twirling=True, dd=True, dd_sequence=sequence)
+    twirl_keys, trajectory_keys = row_keys([seed], 8, True)
+    steps = trajectories._chunk_steps(trajectories._layout(padded, True), config, twirl_keys,
+                                      trajectory_keys, trajectories._Substreams(), circuit.n)
+    rows = trajectories._run_rows(circuit.n, steps, np.zeros(8, dtype=int), 0.0)
+    np.testing.assert_allclose(np.abs(rows) ** 2, np.broadcast_to(ideal, rows.shape),
+                               rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=small_circuits(), config=noise_configs, seed=st.integers(0, 2**32),
+       k=st.integers(1, 4), shots=st.integers(2, 6), data=st.data())
+def test_every_tally_row_sums_to_its_shots(circuit, config, seed, k, shots, data):
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    angles = np.array([[data.draw(st.floats(-4.0, 4.0)) for _ in range(count)]
+                       for _ in range(k)]).reshape(k, count)
+    seeds = [seed + j for j in range(k)]
+    whole = noise.sample_noisy_tallies(circuit, config, shots, seeds, angles)
+    # chunks of one row end between every two points and inside each; of
+    # shots + 1 rows, inside a point
+    for rows in (1, shots + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trajectories, "_CHUNK_BYTES", rows * (16 << circuit.n))
+            chunked = noise.sample_noisy_tallies(circuit, config, shots, seeds, angles)
+        assert np.array_equal(chunked, whole)
+    assert whole.shape == (k, 1 << circuit.n)
+    assert whole.min() >= 0 and whole.sum(axis=1).tolist() == [shots] * k
+
+
 def assert_views_equal_reference(circuit: Circuit, config: NoiseConfig, shot: int, seed: int):
     """twirl_circuit, apply_trajectory_noise and apply_readout_error against the reference."""
     base = with_dd(circuit, config)
@@ -772,11 +840,18 @@ def read_fixed(streams):
 
 
 def decode_rows(read, p_rows, bound_rows):
-    """``_decode_errors`` over ragged per-row site lists, as (site, value) lists per row."""
+    """``_decode_errors`` over ragged per-row site lists, as (site, value) lists per row.
+
+    The rows share one list of sites, all rows' lists end to end, and
+    each row skips every site but its own.
+    """
     count = np.array([len(p) for p in p_rows])
-    row, site, value = trajectories._decode_errors(
-        read, np.concatenate(p_rows), np.concatenate(bound_rows).astype(np.int64), count)
     start = np.cumsum(count) - count
+    sites = np.arange(count.sum())
+    absent = (sites < start[:, None]) | (sites >= (start + count)[:, None])
+    row, site, value = trajectories._decode_errors(
+        read, len(p_rows), trajectories._limit(np.concatenate(p_rows)),
+        np.concatenate(bound_rows).astype(np.int64), (sites, absent))
     hits = [[] for _ in p_rows]
     for r, s, v in zip(row.tolist(), site.tolist(), value.tolist()):
         hits[r].append((s - start[r], v))
