@@ -204,14 +204,13 @@ def _limit(p):
     return (c - np.uint64(1)) << np.uint64(11) | np.uint64(0x7FF)
 
 
-def _decode_errors(read, rows: int, limit: np.ndarray, bound: np.ndarray, skips=None) -> tuple:
+def _decode_errors(read, limit: np.ndarray, bound: np.ndarray, columns, absent) -> tuple:
     """Replay the gate-error draws of every row at once, from the raw words of its stream.
 
-    Every row has the sites of ``limit`` and ``bound``, in order, but
-    those that ``skips`` leaves out: None, or (columns, absent), with
-    ``absent[r, j]`` True when row r has no site ``columns[j]``. A site
-    draws ``random() < p``, which takes one word and hits when the word
-    is at most ``limit`` (``_limit(p)``). A hit then draws
+    Row r has the sites of ``limit`` and ``bound``, in order, but site
+    ``columns[j]`` where ``absent[r, j]`` (a (rows, len(columns)) mask).
+    A site draws ``random() < p``, which takes one word and hits when
+    the word is at most ``limit`` (``_limit(p)``). A hit then draws
     ``integers(0, bound)`` by Lemire's method from a 32-bit half word:
     the low half of a fresh word, or the high half left over from the
     row's previous such draw. ``read(width)`` gives the first ``width``
@@ -219,28 +218,22 @@ def _decode_errors(read, rows: int, limit: np.ndarray, bound: np.ndarray, skips=
     again, wider, if some row's draws run past the words read. Returns
     (row, site, value) arrays of the hits, sorted by site and then row.
     """
-    sites = len(limit)
-    if skips is None:
-        count = np.full(rows, sites)
+    rows, sites = len(absent), len(limit)
+    # before[r, j]: the sites that row r skips among columns[:j]
+    before = np.zeros((rows, len(columns) + 1), dtype=np.int64)
+    np.cumsum(absent, axis=1, out=before[:, 1:])
+    # the ordinal that column j would have in row r never falls along the
+    # row, so rows offset by r * span make one sorted array
+    span = sites + 1
+    ordinals = (columns - before[:, :-1] + np.arange(rows)[:, None] * span).ravel()
 
-        def site_of(r, ordinal):
-            return ordinal
-    else:
-        columns, absent = skips
-        before = np.zeros((rows, len(columns) + 1), dtype=np.int64)
-        np.cumsum(absent, axis=1, out=before[:, 1:])
-        count = sites - before[:, -1]
-        # the ordinal column j would have in row r never falls along the
-        # row, so rows offset by r * span make one sorted array
-        span = sites + 1
-        ordinals = (columns - before[:, :-1] + np.arange(rows)[:, None] * span).ravel()
+    def site_of(r, ordinal):
+        # row r skips, before its ordinal-th site, the columns whose own
+        # ordinal is at most that one
+        j = np.searchsorted(ordinals, r * span + ordinal, side="right") - r * len(columns)
+        return ordinal + before[r, j]
 
-        def site_of(r, ordinal):
-            # the row's absent columns before its ordinal-th site are the
-            # columns whose own ordinal is at most that one
-            j = np.searchsorted(ordinals, r * span + ordinal, side="right") - r * len(columns)
-            return ordinal + before[r, j]
-
+    count = sites - before[:, -1]
     width = int(count.max(initial=0)) + 8
     while True:
         hits = _decode_words(read(width), limit, bound, count, site_of)
@@ -420,8 +413,8 @@ def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Ent
         return deltas, (empty, empty, empty)
     slot_sites = np.flatnonzero([entries[k].slot is not None for k in sites])
     # the twirl slots are sites all together or not at all, in slot order
-    skips = (slot_sites, twirl == 0) if slot_sites.size else None
-    row, site, value = _decode_errors(read, rows, _limit(site_p[sites]), bound[sites], skips)
+    absent = twirl == 0 if slot_sites.size else np.zeros((rows, 0), dtype=bool)
+    row, site, value = _decode_errors(read, _limit(site_p[sites]), bound[sites], slot_sites, absent)
     return deltas, (row, sites[site], value)
 
 
@@ -520,8 +513,8 @@ def realize(circuit: Circuit, config: NoiseConfig, shot: int, seed: int,
     return Circuit(circuit.n, tuple(ops))
 
 
-def _settle(amps: np.ndarray, frame: np.ndarray, n: int, sel=None) -> None:
-    """Move an odd power of 1j out of the frames of rows ``sel`` (all rows by default) into them.
+def _settle(amps: np.ndarray, frame: np.ndarray, n: int) -> None:
+    """Move an odd power of 1j out of each frame that holds one and into its row.
 
     ``simulate_ops`` applies a Y's 1j to the amplitudes, which trades
     their real and imaginary parts. Every step here gives the same bits
@@ -530,8 +523,7 @@ def _settle(amps: np.ndarray, frame: np.ndarray, n: int, sel=None) -> None:
     rounding of the sum, so the product must see the parts where
     ``simulate_ops`` has them. Updates ``amps`` and ``frame`` in place.
     """
-    odd = (frame >> 2 * n) & 1
-    rows = np.flatnonzero(odd) if sel is None else sel[odd[sel] == 1]
+    rows = np.flatnonzero((frame >> 2 * n) & 1)
     if rows.size == len(amps):
         amps *= 1j
     elif rows.size:
@@ -560,16 +552,8 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
     """
     rows = len(row_point)
     amps = np.tile(zero_state(n).amplitudes, (rows, 1))
-    cuts = np.flatnonzero(np.diff(row_point)) + 1
-    # [lo, hi, a, b]: rows lo..hi-1 are points a..b-1, in equal shares
-    segments: list[list[int]] = []
-    for lo, hi, point in zip([0, *cuts], [*cuts, rows], row_point[np.r_[0, cuts]].tolist()):
-        last = segments[-1] if segments else None
-        if last and last[3] == point and (hi - lo) * (point - last[2]) == last[1] - last[0]:
-            last[1], last[3] = hi, point + 1
-        else:
-            segments.append([lo, hi, point, point + 1])
     frame = np.zeros(rows, dtype=np.int64)
+    odd = False  # whether a frame may hold an odd power of 1j
     for step in steps:
         kind = step[0]
         if kind == "pauli":
@@ -578,21 +562,26 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
                 frame = _compose(frame, ids, n, q)
             else:
                 frame[sel] = _compose(frame[sel], ids, n, q)
+            odd = True
             continue
+        if odd and (kind == "kick" or step[1].kind == "RZ"
+                    or (step[1].kind == "CNOT" and epsilon != 0.0)):
+            _settle(amps, frame, n)  # amps is this function's own array
+            odd = False
         if kind == "kick":
             q, angle = step[1], step[2]
             # a kick leaves the rows without idle time alone, unless they are few
             sel = np.flatnonzero(angle)
-            if 2 * sel.size > rows:
-                sel = np.arange(rows)
-            _settle(amps, frame, n, sel)
+            every = 2 * sel.size > rows
+            if every:
+                sel = slice(None)
             w = np.exp(0.5j * angle[sel])
             # RZ(angle) on q: w where q's bit is 1, its conjugate where 0; an
             # X or Y of the frame on q turns it into RZ(-angle)
             w = np.where((frame[sel] >> (n - 1 - q)) & 1, w.conjugate(), w)
-            diagonal = np.stack([w.conjugate(), w], axis=1)[:, _bit_values(n, q)]
-            if sel.size == rows:
-                amps *= diagonal  # amps is this function's own array
+            diagonal = np.take(np.stack([w.conjugate(), w], axis=1), _bit_values(n, q), axis=1)
+            if every:
+                amps *= diagonal
             else:
                 amps[sel] *= diagonal
             continue
@@ -600,6 +589,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
         s = n - 1 - op.qubits[0]
         if op.kind in PAULI_KINDS:
             frame = _compose(frame, PAULI_KINDS.index(op.kind) + 1, n, op.qubits[0])
+            odd = odd or op.kind == "Y"
         elif op.kind == "CNOT":
             amps = apply_rows(amps, n, op)
             # X on the control spreads to the target, Z on the target to the control
@@ -608,10 +598,9 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
             if epsilon != 0.0:
                 # the ZZ rotation turns into its inverse, the conjugate
                 # diagonal, past an X on just one of its qubits
-                _settle(amps, frame, n)
                 flip = ((frame >> s) ^ (frame >> t)) & 1
                 diags = _zz_diags(n, *op.qubits, epsilon)
-                amps *= np.take(diags, flip, axis=0) if flip.any() else diags[0]
+                amps *= np.take(diags, flip, axis=0)
         elif op.kind == "H":
             amps = apply_rows(amps, n, op)
             # H swaps the X and Z of its qubit, and H Y H = -Y
@@ -620,17 +609,9 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
         elif op.kind in ROTATION_KINDS:
             # RZ(angle) past an X or Y of its qubit is RZ(-angle), RX past a
             # Z or Y is RX(-angle): the conjugate vectors
-            if op.kind == "RZ":
-                _settle(amps, frame, n)
             flip = (frame >> (s if op.kind == "RZ" else n + s)) & 1
-            if flip.any():
-                row_vectors = _row_vectors(vectors or gate_vectors(n, op), flip, row_point)
-                amps = apply_vectors(amps, n, op.qubits[0], [(0, rows, row_vectors)])
-            elif vectors is None:
-                amps = apply_rows(amps, n, op)
-            else:
-                amps = apply_vectors(amps, n, op.qubits[0], [
-                    (lo, hi, tuple(v[a:b] for v in vectors)) for lo, hi, a, b in segments])
+            row_vectors = _row_vectors(vectors or gate_vectors(n, op), flip, row_point)
+            amps = apply_vectors(amps, n, op.qubits[0], [(0, rows, row_vectors)])
     # each row's frame, once: the row is 1j**e (-1)**popcount(i & z) a[i ^ m]
     low = (1 << n) - 1
     m, z, e = frame & low, (frame >> n) & low, (frame >> 2 * n) & 3

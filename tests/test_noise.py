@@ -850,8 +850,8 @@ def decode_rows(read, p_rows, bound_rows):
     sites = np.arange(count.sum())
     absent = (sites < start[:, None]) | (sites >= (start + count)[:, None])
     row, site, value = trajectories._decode_errors(
-        read, len(p_rows), trajectories._limit(np.concatenate(p_rows)),
-        np.concatenate(bound_rows).astype(np.int64), (sites, absent))
+        read, trajectories._limit(np.concatenate(p_rows)),
+        np.concatenate(bound_rows).astype(np.int64), sites, absent)
     hits = [[] for _ in p_rows]
     for r, s, v in zip(row.tolist(), site.tolist(), value.tolist()):
         hits[r].append((s - start[r], v))
