@@ -34,7 +34,9 @@ which is what ``noise.twirl_circuit`` and ``noise.apply_trajectory_noise``
 return, and ``_readout_flips`` gives ``noise.apply_readout_error`` its
 flips. Every row's amplitudes equal, bit for bit, those of
 ``simulate_ops`` on that shot's rendered circuit: moving a Pauli past a
-gate only permutes, negates or conjugates the factors of each product.
+gate only permutes, negates or conjugates the factors of each product,
+and a Y's factor 1j reaches the amplitudes before the next diagonal
+product, as it does there (``_settle``).
 
 ``noise`` imports this module when it first needs it, so work that
 never samples with noise does not load it.
@@ -63,8 +65,8 @@ _CHUNK_BYTES = 1 << 20
 #   psi[i] = 1j**e * (-1)**popcount(i & z) * a[i ^ m],
 # the operator 1j**e Z^z X^m applied to the row ``a`` of the array, with
 # qubit q at bit n-1-q of m and z, as in a basis index. A frame is one
-# integer: m in bits 0..n-1, z in bits n..2n-1 and e, counted mod 4,
-# from bit 2n up.
+# integer: m in bits 0..n-1, z in bits n..2n-1 and e from bit 2n up, of
+# which only the two low bits count (a sum that wraps keeps them).
 _FRAME_M = np.array([0, 1, 1, 0], dtype=np.int64)
 _FRAME_Z = np.array([0, 0, 1, 1], dtype=np.int64)
 _FRAME_E = np.array([0, 0, 3, 0], dtype=np.int64)
@@ -552,6 +554,15 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
     """
     rows = len(row_point)
     amps = np.tile(zero_state(n).amplitudes, (rows, 1))
+    cuts = np.flatnonzero(np.diff(row_point)) + 1
+    # [lo, hi, a, b]: rows lo..hi-1 are points a..b-1, in equal shares
+    segments: list[list[int]] = []
+    for lo, hi, point in zip([0, *cuts], [*cuts, rows], row_point[np.r_[0, cuts]].tolist()):
+        last = segments[-1] if segments else None
+        if last and last[3] == point and (hi - lo) * (point - last[2]) == last[1] - last[0]:
+            last[1], last[3] = hi, point + 1
+        else:
+            segments.append([lo, hi, point, point + 1])
     frame = np.zeros(rows, dtype=np.int64)
     odd = False  # whether a frame may hold an odd power of 1j
     for step in steps:
@@ -600,7 +611,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
                 # diagonal, past an X on just one of its qubits
                 flip = ((frame >> s) ^ (frame >> t)) & 1
                 diags = _zz_diags(n, *op.qubits, epsilon)
-                amps *= np.take(diags, flip, axis=0)
+                amps *= np.take(diags, flip, axis=0) if flip.any() else diags[0]
         elif op.kind == "H":
             amps = apply_rows(amps, n, op)
             # H swaps the X and Z of its qubit, and H Y H = -Y
@@ -610,8 +621,14 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
             # RZ(angle) past an X or Y of its qubit is RZ(-angle), RX past a
             # Z or Y is RX(-angle): the conjugate vectors
             flip = (frame >> (s if op.kind == "RZ" else n + s)) & 1
-            row_vectors = _row_vectors(vectors or gate_vectors(n, op), flip, row_point)
-            amps = apply_vectors(amps, n, op.qubits[0], [(0, rows, row_vectors)])
+            if flip.any():
+                row_vectors = _row_vectors(vectors or gate_vectors(n, op), flip, row_point)
+                amps = apply_vectors(amps, n, op.qubits[0], [(0, rows, row_vectors)])
+            elif vectors is None:
+                amps = apply_rows(amps, n, op)
+            else:
+                amps = apply_vectors(amps, n, op.qubits[0], [
+                    (lo, hi, tuple(v[a:b] for v in vectors)) for lo, hi, a, b in segments])
     # each row's frame, once: the row is 1j**e (-1)**popcount(i & z) a[i ^ m]
     low = (1 << n) - 1
     m, z, e = frame & low, (frame >> n) & low, (frame >> 2 * n) & 3
