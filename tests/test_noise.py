@@ -652,7 +652,7 @@ def test_rows_equal_per_shot_amplitudes_bit_for_bit_on_random_circuits(circuit, 
     if points == 2:
         angle = st.floats(-4.0, 4.0)
         angles = np.array([[data.draw(angle) for _ in range(count)] for _ in range(2)])
-        entries = trajectories._point_angles(entries, angles.reshape(2, count), base.n)
+        entries = trajectories._point_angles(entries, angles, base.n)
         circuits = [with_angles(base, row) for row in angles]
     seeds, shots = [seed, seed ^ 1], 3
     twirl_keys, trajectory_keys = row_keys(seeds[:points], shots, config.twirling)
@@ -691,7 +691,7 @@ def test_twirl_and_dd_keep_the_output_distribution_of_random_circuits(circuit, s
 def test_every_tally_row_sums_to_its_shots(circuit, config, seed, k, shots, data):
     count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
     angles = np.array([[data.draw(st.floats(-4.0, 4.0)) for _ in range(count)]
-                       for _ in range(k)]).reshape(k, count)
+                       for _ in range(k)])
     seeds = [seed + j for j in range(k)]
     whole = noise.sample_noisy_tallies(circuit, config, shots, seeds, angles)
     # chunks of one row end between every two points and inside each; of
