@@ -525,12 +525,9 @@ def _settle(amps: np.ndarray, frame: np.ndarray, n: int) -> None:
     rounding of the sum, so the product must see the parts where
     ``simulate_ops`` has them. Updates ``amps`` and ``frame`` in place.
     """
-    rows = np.flatnonzero((frame >> 2 * n) & 1)
-    if rows.size == len(amps):
-        amps *= 1j
-    elif rows.size:
-        amps[rows] *= 1j
-    frame[rows] -= 1 << 2 * n
+    odd = (frame >> 2 * n) & 1
+    np.multiply(amps, 1j, out=amps, where=odd[:, None].astype(bool))
+    frame -= odd << 2 * n
 
 
 def _row_vectors(vectors, flip: np.ndarray, row_point: np.ndarray) -> tuple:
@@ -546,23 +543,14 @@ def _row_vectors(vectors, flip: np.ndarray, row_point: np.ndarray) -> tuple:
 def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.ndarray:
     """Run ``steps`` on a copy of |0...0> per entry of ``row_point``; returns the amplitudes.
 
-    Row r belongs to point ``row_point[r]``, and a point's rows are
-    adjacent. A step's gate vectors, when it has them, are taken for
-    each row from its point's row of the stack, so every row gets the
-    arithmetic of ``apply_rows`` at its own point's angle. The Paulis of
+    Row r belongs to point ``row_point[r]``. A step's gate vectors,
+    when it has them, are taken for each row from its point's row of the
+    stack, so every row gets the arithmetic of ``apply_rows`` at its own
+    point's angle. The Paulis of
     the steps go into each row's frame, which is applied at the end.
     """
     rows = len(row_point)
     amps = np.tile(zero_state(n).amplitudes, (rows, 1))
-    cuts = np.flatnonzero(np.diff(row_point)) + 1
-    # [lo, hi, a, b]: rows lo..hi-1 are points a..b-1, in equal shares
-    segments: list[list[int]] = []
-    for lo, hi, point in zip([0, *cuts], [*cuts, rows], row_point[np.r_[0, cuts]].tolist()):
-        last = segments[-1] if segments else None
-        if last and last[3] == point and (hi - lo) * (point - last[2]) == last[1] - last[0]:
-            last[1], last[3] = hi, point + 1
-        else:
-            segments.append([lo, hi, point, point + 1])
     frame = np.zeros(rows, dtype=np.int64)
     odd = False  # whether a frame may hold an odd power of 1j
     for step in steps:
@@ -611,7 +599,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
                 # diagonal, past an X on just one of its qubits
                 flip = ((frame >> s) ^ (frame >> t)) & 1
                 diags = _zz_diags(n, *op.qubits, epsilon)
-                amps *= np.take(diags, flip, axis=0) if flip.any() else diags[0]
+                amps *= np.take(diags, flip, axis=0)
         elif op.kind == "H":
             amps = apply_rows(amps, n, op)
             # H swaps the X and Z of its qubit, and H Y H = -Y
@@ -621,14 +609,8 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
             # RZ(angle) past an X or Y of its qubit is RZ(-angle), RX past a
             # Z or Y is RX(-angle): the conjugate vectors
             flip = (frame >> (s if op.kind == "RZ" else n + s)) & 1
-            if flip.any():
-                row_vectors = _row_vectors(vectors or gate_vectors(n, op), flip, row_point)
-                amps = apply_vectors(amps, n, op.qubits[0], [(0, rows, row_vectors)])
-            elif vectors is None:
-                amps = apply_rows(amps, n, op)
-            else:
-                amps = apply_vectors(amps, n, op.qubits[0], [
-                    (lo, hi, tuple(v[a:b] for v in vectors)) for lo, hi, a, b in segments])
+            row_vectors = _row_vectors(vectors or gate_vectors(n, op), flip, row_point)
+            amps = apply_vectors(amps, n, op.qubits[0], [(0, rows, row_vectors)])
     # each row's frame, once: the row is 1j**e (-1)**popcount(i & z) a[i ^ m]
     low = (1 << n) - 1
     m, z, e = frame & low, (frame >> n) & low, (frame >> 2 * n) & 3
