@@ -119,7 +119,7 @@ def qaoa_angles(instance: MaxCutInstance, thetas) -> np.ndarray:
     k, p = thetas.shape[0], thetas.shape[1] // 2
     rz = 2.0 * np.asarray(instance.weights, dtype=float) * thetas[:, p:, None]
     rx = np.repeat(2.0 * thetas[:, :p, None], instance.n, axis=2)
-    return np.concatenate([rz, rx], axis=2).reshape(k, -1)
+    return np.concatenate([rz, rx], axis=2).reshape(k, p * (len(instance.edges) + instance.n))
 
 
 def build_qaoa_circuit(instance: MaxCutInstance, params: QaoaParams) -> Circuit:

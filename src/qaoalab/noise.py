@@ -6,10 +6,11 @@ rates, and readout flips, all from substreams keyed by (seed, stream,
 shot). Inserted error ops carry zero duration so they never perturb
 timing. This module makes no random draw: qaoalab.trajectories makes
 them all. sample_noisy_tallies runs the shots of k points together
-there, each point its own seed and RX/RZ angles on one circuit, after
-one DD insertion; sample_noisy_tally and sample_noisy are its one-point
-case. twirl_circuit, apply_trajectory_noise and apply_readout_error
-render one shot of the same draws, as a circuit or as flipped bits;
+there, each point its own seed and RX/RZ angles on one circuit (the
+circuit's own angles when none are given), after one DD insertion;
+sample_noisy is its one-point case, formatted as Counts.
+twirl_circuit, apply_trajectory_noise and apply_readout_error render
+one shot of the same draws, as a circuit or as flipped bits;
 simulating each shot's circuit on its own gives the same amplitudes,
 bit for bit.
 
@@ -269,11 +270,13 @@ def apply_trajectory_noise(
 
 
 def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int) -> str:
-    """Flip each measured bit independently with probability p_readout."""
+    """Flip each measured bit independently with probability p_readout.
+
+    The rate is checked by ``NoiseConfig``'s rule for ``p_readout``.
+    """
     if not isinstance(bits, str) or set(bits) - {"0", "1"}:
         raise ValueError(f"bits must be a string of '0' and '1', got {bits!r}")
-    if not (0.0 <= p_readout <= 1.0):
-        raise ValueError(f"p_readout must be in [0, 1], got {p_readout!r}")
+    NoiseConfig(p_readout=p_readout)
     if p_readout == 0.0:
         return bits
     from . import trajectories  # loaded on first use
@@ -290,32 +293,29 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
 
 def sample_noisy_tallies(circuit: Circuit, config: NoiseConfig, shots: int, seeds,
                          angles=None) -> np.ndarray:
-    """``sample_noisy_tally`` of k points at once: a (k, 2^n) array of tallies.
+    """``sample_noisy`` of k points at once, as a (k, 2^n) array of basis-index tallies.
 
     Point j samples ``circuit`` under ``seeds[j]``, with the circuit's RX
     and RZ angles, in op order, replaced by ``angles[j]`` when that (k, R)
-    array is given. The DD pulses are inserted once, and the k points'
-    shots run together; row j equals ``sample_noisy_tally`` of point j's
-    own circuit under ``seeds[j]``, bit for bit.
+    array is given; without it, every point runs the circuit's own
+    angles. The DD pulses are inserted once, and the k points' shots run
+    together; row j equals the tally of ``sample_noisy`` on point j's own
+    circuit under ``seeds[j]``, bit for bit. No seeds give a (0, 2^n)
+    array.
     """
     from . import trajectories  # loaded on first use
 
     check_shots(shots)
+    rotation = [op.kind in ROTATION_KINDS for op in circuit.ops]
+    if angles is None:
+        own = [op.angle for op, rotates in zip(circuit.ops, rotation) if rotates]
+        angles = np.broadcast_to(np.array(own, dtype=float), (len(seeds), len(own)))
     if config.dd:
-        original = circuit
         circuit, order = _dressed(circuit, config.dd_sequence)
-        if angles is not None:
-            # the pulses put the ops in start order; each angle moves with its op
-            rotation = [op.kind in ROTATION_KINDS for op in original.ops]
-            column = np.cumsum(rotation) - 1
-            angles = np.asarray(angles)[:, [column[i] for i in order if rotation[i]]]
+        # the pulses put the ops in start order; each angle moves with its op
+        column = np.cumsum(rotation) - 1
+        angles = np.asarray(angles)[:, [column[i] for i in order if rotation[i]]]
     return trajectories.sample(circuit, config, shots, seeds, angles)
-
-
-def sample_noisy_tally(circuit: Circuit, config: NoiseConfig, shots: int,
-                       seed: int) -> np.ndarray:
-    """``sample_noisy`` as a basis-index tally of length 2^n, before formatting."""
-    return sample_noisy_tallies(circuit, config, shots, [seed])[0]
 
 
 def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
@@ -330,4 +330,4 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     ``apply_trajectory_noise`` through ``simulate_ops``, then
     ``apply_readout_error``.
     """
-    return counts_from_tally(sample_noisy_tally(circuit, config, shots, seed), circuit.n)
+    return counts_from_tally(sample_noisy_tallies(circuit, config, shots, [seed])[0], circuit.n)

@@ -2,10 +2,11 @@
 
 Energy is the negative mean cut value, so minimizing energy maximizes
 the cut: the canonical 5-node instance has optimum -6 and a uniform
-superposition sits at -3. ``evaluate_qaoa`` scores one angle set.
-The optimizer's objective comes in two parts. An ``Engine`` maps a
-(k, 2p) array of angle rows and k per-row seeds to k energies in one
-call, each row scored exactly as ``evaluate_qaoa`` scores it alone. A
+superposition sits at -3. An ``Engine`` maps a (k, 2p) array of angle
+rows and k per-row seeds to k energies in one call, each row scored
+alone; it is the one place that picks how a run mode evaluates, and
+``evaluate_qaoa`` is its one-row call. The optimizer's objective comes
+in two parts, an engine and a view of it. A
 ``SearchObjective`` is one search's view of an engine: it counts that
 search's evaluations and derives each one's seed, so the rows of
 several searches (restarts, or sweep cells that share instance, depth,
@@ -18,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import rng
-from .ansatz import (QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_angles, qaoa_state,
-                     qaoa_states)
+from .ansatz import QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_angles, qaoa_states
 from .graph import MaxCutInstance, cut_value_table
-from .noise import sample_noisy_tallies, sample_noisy_tally
+from .noise import sample_noisy_tallies
 from .statevec import Counts, StateVector, counts_from_tally, expectation_cut, sample_tally
 
 
@@ -87,21 +87,19 @@ def evaluate_qaoa(
     seed: int | None = None,
     noise=None,
 ) -> EnergySample:
-    """Prepare, run, and score the state for ``params``.
+    """Prepare, run, and score the state for ``params``: a one-row ``Engine`` call.
 
     Exact mode returns the exact expectation (shots reported as 0);
     sampled and noisy modes estimate it from measured shots. Both score
-    the basis-index tally directly and format no bitstring unless
-    ``counts`` is read. Only noisy mode builds the gate list; the others
-    use the gate-free ``qaoa_state``.
+    the basis-index tally of ``Engine.tallies`` directly and format no
+    bitstring unless ``counts`` is read.
     """
     check_run_mode(mode, shots, seed, noise)
+    engine = Engine(instance, params.p, mode, shots=shots, noise=noise)
+    row = params.to_vector()[None]
     if mode == "exact":
-        return EnergySample(-expectation_cut(qaoa_state(instance, params), instance), 0)
-    if mode == "sampled":
-        tally = sample_tally(qaoa_state(instance, params), shots, seed)
-    else:
-        tally = sample_noisy_tally(build_qaoa_circuit(instance, params), noise, shots, seed)
+        return EnergySample(float(engine(row, [None])[0]), 0)
+    tally = engine.tallies(row, [seed])[0]
     return EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
 
 
@@ -110,17 +108,16 @@ class Engine:
 
     An engine fixes the instance, the depth, the run mode and, for the
     stochastic modes, the shots and the noise; the seed of each row comes
-    with the row. ``engine(thetas, seeds)`` evaluates a whole batch in
-    one call: exact and sampled modes evolve it in one ``qaoa_states``
-    call, and noisy mode samples it in one ``sample_noisy_tallies`` call,
-    the circuit built once and each row's RX and RZ angles from
-    ``qaoa_angles``. Each row is scored alone, so its energy equals
-    ``evaluate_qaoa`` at its angles and seed bit for bit, whatever the
-    batch: rows of different searches can share a call. Exact mode
-    ignores the seeds. The depth is checked here; the run mode is checked
-    by the caller with its search seeds (``make_objective`` calls
-    ``check_run_mode``, and the harness builds engines only from checked
-    ``ExperimentConfig`` values).
+    with the row. It is the one place that maps a run mode to a sampler.
+    ``engine(thetas, seeds)`` evaluates a whole batch in one call: exact
+    mode evolves it in one ``qaoa_states`` call and ignores the seeds;
+    the stochastic modes score the rows of ``tallies``. Each row is
+    scored alone, so its energy does not depend on the batch: rows of
+    different searches can share a call, and ``evaluate_qaoa`` is the
+    one-row call. The depth is checked here; the run mode is checked by
+    the caller with its search seeds (``evaluate_qaoa`` and
+    ``make_objective`` call ``check_run_mode``, and the harness builds
+    engines only from checked ``ExperimentConfig`` values).
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
@@ -130,26 +127,41 @@ class Engine:
         self.instance, self.p, self.mode = instance, p, mode
         self.shots, self.noise = shots, noise
 
-    def __call__(self, thetas, seeds) -> np.ndarray:
-        instance, p = self.instance, self.p
+    def _rows(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != 2 * p:
-            raise ValueError(f"expected thetas of shape (k, {2 * p}), got {thetas.shape}")
+        if thetas.ndim != 2 or thetas.shape[1] != 2 * self.p:
+            raise ValueError(f"expected thetas of shape (k, {2 * self.p}), got {thetas.shape}")
         if not np.isfinite(thetas).all():
             raise ValueError("thetas: angles must be finite")
-        if self.mode == "exact":
-            return np.array([-expectation_cut(StateVector(instance.n, amps), instance)
-                             for amps in qaoa_states(instance, thetas)])
+        return thetas
+
+    def __call__(self, thetas, seeds) -> np.ndarray:
+        instance = self.instance
+        if self.mode != "exact":
+            return np.array([energy_from_tally(tally, instance)
+                             for tally in self.tallies(thetas, seeds)])
+        return np.array([-expectation_cut(StateVector(instance.n, amps), instance)
+                         for amps in qaoa_states(instance, self._rows(thetas))])
+
+    def tallies(self, thetas, seeds) -> np.ndarray:
+        """The (k, 2^n) basis-index tallies of a sampled or noisy batch, row j under ``seeds[j]``.
+
+        Sampled mode measures the ``qaoa_states`` of the batch. Noisy mode
+        samples the whole batch in one ``sample_noisy_tallies`` call: one
+        circuit, built from zero angles, with each row's RX and RZ angles
+        from ``qaoa_angles``.
+        """
+        instance, n = self.instance, self.instance.n
+        thetas = self._rows(thetas)
         if self.mode == "sampled":
-            return np.array([
-                energy_from_tally(sample_tally(StateVector(instance.n, amps), self.shots, s),
-                                  instance)
-                for amps, s in zip(qaoa_states(instance, thetas), seeds)
-            ])
-        template = build_qaoa_circuit(instance, QaoaParams.from_vector(thetas[0]))
-        tallies = sample_noisy_tallies(template, self.noise, self.shots, seeds,
-                                       qaoa_angles(instance, thetas))
-        return np.array([energy_from_tally(tally, instance) for tally in tallies])
+            return np.array([sample_tally(StateVector(n, amps), self.shots, s)
+                             for amps, s in zip(qaoa_states(instance, thetas), seeds)],
+                            dtype=np.int64).reshape(len(thetas), 1 << n)
+        if self.mode == "noisy":
+            template = build_qaoa_circuit(instance, QaoaParams((0.0,) * self.p, (0.0,) * self.p))
+            return sample_noisy_tallies(template, self.noise, self.shots, seeds,
+                                        qaoa_angles(instance, thetas))
+        raise ValueError("exact mode draws no shots")
 
 
 class SearchObjective:

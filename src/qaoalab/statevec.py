@@ -9,8 +9,10 @@ Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` and
 ``apply_gate`` run it on one row and the noisy trajectory engine on a
 row per shot. It applies an RZ, H or RX as the products of its
-``gate_vectors`` through ``apply_vectors``, which the engine also calls
-to give each point of a batch its own rotation angle. Index tables are
+``gate_vectors`` through ``apply_vectors``: one (2^n,) vector for every
+row, or, as the noisy engine calls it, a (rows, 2^n) stack with one
+vector per row, so that each row runs at its own rotation angle (or at
+its negation). Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
 ``check_gate`` is the one op check, and ``measure_rows`` the one shot
 sampler, on the same (rows, 2^n) layout.
@@ -140,7 +142,7 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     """
     kind = op.kind
     if kind in ("RZ", "H", "RX"):
-        return apply_vectors(amps, n, op.qubits[0], [(0, len(amps), gate_vectors(n, op))])
+        return apply_vectors(amps, n, op.qubits[0], gate_vectors(n, op))
     if kind == "CNOT":
         c, t = op.qubits
         return np.take(amps, _cnot_perm(n, c, t), axis=1)
@@ -178,31 +180,20 @@ def gate_vectors(n: int, op: GateOp) -> tuple[np.ndarray, ...]:
     return mat[bit, bit], mat[bit, 1 - bit]
 
 
-def apply_vectors(amps: np.ndarray, n: int, q: int, segments) -> np.ndarray:
+def apply_vectors(amps: np.ndarray, n: int, q: int, vectors) -> np.ndarray:
     """``amps`` times a diagonal, plus ``amps`` with qubit q flipped times an off-diagonal.
 
-    Each segment (lo, hi, vectors) gives rows lo..hi-1 the
-    ``gate_vectors`` of one kind: an RZ's (diagonal,) or an H's or RX's
-    (diagonal, off-diagonal), each of shape (2^n,), or (p, 2^n) to split
-    the rows evenly among p vectors. Every row is multiplied as a lone
-    row would be, by one (2^n,) vector. Every entry of an H or RX matrix
-    is real or imaginary, so each product is one rounding per component
-    however numpy multiplies complex numbers.
+    ``vectors`` are the ``gate_vectors`` of one kind: an RZ's
+    (diagonal,) or an H's or RX's (diagonal, off-diagonal), each of
+    shape (2^n,) for every row or (rows, 2^n) for one per row. Every row
+    is multiplied as a lone row would be, by one (2^n,) vector. Every
+    entry of an H or RX matrix is real or imaginary, so each product is
+    one rounding per component however numpy multiplies complex numbers.
     """
-    size = amps.shape[1]
-    out = np.empty_like(amps)
-    flipped = np.take(amps, _x_perm(n, q), axis=1) if len(segments[0][2]) == 2 else None
-    for lo, hi, vectors in segments:
-        shape = (hi - lo, size)
-        if vectors[0].ndim == 2:
-            # rows lo..hi-1 as p blocks, block j times vector j
-            shape = (len(vectors[0]), -1, size)
-            vectors = [v[:, None] for v in vectors]
-        np.multiply(amps[lo:hi].reshape(shape), vectors[0], out=out[lo:hi].reshape(shape))
-        if flipped is not None:
-            part = flipped[lo:hi].reshape(shape)
-            part *= vectors[1]
-    if flipped is not None:
+    out = amps * vectors[0]
+    if len(vectors) == 2:
+        flipped = np.take(amps, _x_perm(n, q), axis=1)
+        flipped *= vectors[1]
         out += flipped
     return out
 

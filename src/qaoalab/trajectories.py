@@ -13,17 +13,18 @@ per row (a twirl Pauli on every row, an error Pauli on the rows that
 drew one) and a dephasing kick per row.
 
 ``sample`` is the engine behind ``noise.sample_noisy_tallies``. It takes
-k points at once, each a seed and the circuit's RX and RZ angles, and
-runs their k * shots trajectories as the rows of one (rows, 2^n) complex
-array, in chunks. ``_run_rows`` keeps a Pauli frame per row (Knill,
-Nature 434, 2005; Gidney, arXiv 2103.02202): every Pauli, be it a twirl
-Pauli, a DD pulse or a gate error, only updates the frames and never
-touches the array. A CNOT or H is applied to every row by
+k points at once, each a seed and a row of RX and RZ angles for the
+circuit, and runs their k * shots trajectories as the rows of one
+(rows, 2^n) complex array, in chunks. ``_run_rows`` keeps a Pauli frame
+per row (Knill, Nature 434, 2005; Gidney, arXiv 2103.02202): every
+Pauli, be it a twirl Pauli, a DD pulse or a gate error, only updates
+the frames and never touches the array. A CNOT or H is applied to every row by
 ``statevec.apply_rows``, the kernel ``simulate_ops`` runs too, and
 passes the frames exactly. A rotation, a dephasing kick or the coherent
 ZZ error folded into a CNOT runs on each row with its gate vectors, or
 with their conjugates on the rows whose frame anticommutes with it;
-rotations take each point's own angle through ``statevec.apply_vectors``.
+each rotation runs through one ``statevec.apply_vectors`` call, with a
+vector per row: its point's angle, or that vector's conjugate.
 Each row's final frame is applied once, before measurement. When no
 shot differs from another but by its point's angles, the array has a
 single row per point. A point's draws depend only on its seed, so a
@@ -116,9 +117,9 @@ class _Entry(NamedTuple):
 
     A base op carries ``op``; a twirl slot carries ``slot``, its column
     in ``_twirl_ids``, which each shot fills with its own Pauli or
-    leaves empty. An RX or RZ of a batch of points carries ``vectors``,
-    the ``gate_vectors`` of each point's own angle, stacked: row j is
-    point j's.
+    leaves empty. After ``_point_angles``, an RX or RZ carries
+    ``vectors``, the ``gate_vectors`` of each point's own angle,
+    stacked: row j is point j's.
     """
 
     qubits: tuple[int, ...]
@@ -427,14 +428,14 @@ def _chunk_steps(entries: list[_Entry], config: NoiseConfig, twirl_keys, traject
     Row r draws its twirl from ``twirl_keys[r]`` (needed only when
     ``entries`` has twirl slots) and its dephasing and gate errors from
     ``trajectory_keys[r]``. Steps are ("op", op, vectors) for a gate
-    every row shares, with ``vectors`` its point-by-point gate vectors
-    or None; ("pauli", rows, ids, qubit, duration) for one-qubit Paulis,
-    an id for each listed row, or for every row when rows is None, 0 for
-    none: a twirl Pauli on every row, lasting ``ONE_QUBIT_DURATION``, or
-    the error Paulis of the rows that drew one, which last 0; and
-    ("kick", qubit, angle per row) for dephasing, which a single row gets
-    only where it has idle time. A coherent ZZ error is left to whoever
-    runs a CNOT.
+    every row shares, with ``vectors`` the entry's (None but for an RX
+    or RZ after ``_point_angles``); ("pauli", rows, ids, qubit,
+    duration) for one-qubit Paulis, an id for each listed row, or for
+    every row when rows is None, 0 for none: a twirl Pauli on every row,
+    lasting ``ONE_QUBIT_DURATION``, or the error Paulis of the rows that
+    drew one, which last 0; and ("kick", qubit, angle per row) for
+    dephasing, which a single row gets only where it has idle time. A
+    coherent ZZ error is left to whoever runs a CNOT.
     """
     rows = len(trajectory_keys)
     slots = [k for k, e in enumerate(entries) if e.slot is not None]
@@ -531,23 +532,19 @@ def _settle(amps: np.ndarray, frame: np.ndarray, n: int) -> None:
 
 
 def _row_vectors(vectors, flip: np.ndarray, row_point: np.ndarray) -> tuple:
-    """Each row's gate vectors: its point's, or the one vector, conjugated where ``flip``."""
-    out = []
-    for v in vectors:
-        index = flip if v.ndim == 1 else flip * len(v) + row_point
-        table = np.stack([v, v.conjugate()]).reshape(-1, v.shape[-1])
-        out.append(np.take(table, index, axis=0))
-    return tuple(out)
+    """Each row's gate vectors: its point's row of each stack, conjugated where ``flip``."""
+    return tuple(np.take(np.concatenate([v, v.conjugate()]), flip * len(v) + row_point, axis=0)
+                 for v in vectors)
 
 
 def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.ndarray:
     """Run ``steps`` on a copy of |0...0> per entry of ``row_point``; returns the amplitudes.
 
-    Row r belongs to point ``row_point[r]``. A step's gate vectors,
-    when it has them, are taken for each row from its point's row of the
-    stack, so every row gets the arithmetic of ``apply_rows`` at its own
-    point's angle. The Paulis of
-    the steps go into each row's frame, which is applied at the end.
+    Row r belongs to point ``row_point[r]``. Every RX and RZ step carries
+    the stacked gate vectors of ``_point_angles``; each row takes its
+    point's row of the stack, so every row gets the arithmetic of
+    ``apply_rows`` at its own point's angle. The Paulis of the steps go
+    into each row's frame, which is applied at the end.
     """
     rows = len(row_point)
     amps = np.tile(zero_state(n).amplitudes, (rows, 1))
@@ -609,8 +606,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
             # RZ(angle) past an X or Y of its qubit is RZ(-angle), RX past a
             # Z or Y is RX(-angle): the conjugate vectors
             flip = (frame >> (s if op.kind == "RZ" else n + s)) & 1
-            row_vectors = _row_vectors(vectors or gate_vectors(n, op), flip, row_point)
-            amps = apply_vectors(amps, n, op.qubits[0], [(0, rows, row_vectors)])
+            amps = apply_vectors(amps, n, op.qubits[0], _row_vectors(vectors, flip, row_point))
     # each row's frame, once: the row is 1j**e (-1)**popcount(i & z) a[i ^ m]
     low = (1 << n) - 1
     m, z, e = frame & low, (frame >> n) & low, (frame >> 2 * n) & 3
@@ -652,25 +648,25 @@ def _point_angles(entries: list[_Entry], angles: np.ndarray, n: int) -> list[_En
     return entries
 
 
-def sample(base: Circuit, config: NoiseConfig, shots: int, seeds, angles=None) -> np.ndarray:
-    """Basis-index tallies, one row of length 2^n per point, of ``shots`` trajectories each.
+def sample(base: Circuit, config: NoiseConfig, shots: int, seeds, angles) -> np.ndarray:
+    """Basis-index tallies, a (k, 2^n) array, of ``shots`` trajectories for each of k points.
 
     ``base`` is a circuit with any DD pulses in it. Point j runs it under
     ``seeds[j]``, with its RX and RZ angles, in op order, replaced by
-    ``angles[j]`` when that is given. The k points' shots are the rows of
-    one chunked array, point j's at j * shots onwards, and shot i of
-    point j draws its twirl, noise, measurement and readout flips from
-    ``seeds[j]`` exactly as shot i of a one-point call does: each tally
-    equals that call's.
+    ``angles[j]`` of the (k, R) array ``angles``. The k points' shots are
+    the rows of one chunked array, point j's at j * shots onwards, and
+    shot i of point j draws its twirl, noise, measurement and readout
+    flips from ``seeds[j]`` exactly as shot i of a one-point call does:
+    each tally equals that call's.
     """
     n = base.n
     k = len(seeds)
-    entries = _layout(base, config.twirling)
-    if angles is not None:
-        angles = np.asarray(angles, dtype=float)
-        if len(angles) != k:
-            raise ValueError(f"{len(angles)} rows of angles for {k} seeds")
-        entries = _point_angles(entries, angles, n)
+    angles = np.asarray(angles, dtype=float)
+    if len(angles) != k:
+        raise ValueError(f"{len(angles)} rows of angles for {k} seeds")
+    entries = _point_angles(_layout(base, config.twirling), angles, n)
+    if k == 0:
+        return np.zeros((0, 1 << n), dtype=np.int64)
     per_shot = (
         any(e.slot is not None for e in entries)
         or config.p1q > 0 or config.p2q > 0 or config.sigma_dephase > 0

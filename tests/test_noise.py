@@ -442,6 +442,12 @@ def test_readout_rejects_bad_rate():
         apply_readout_error("0", -0.5, 0, 1)
 
 
+@pytest.mark.parametrize("rate", [True, "0.5", math.nan])
+def test_readout_rate_follows_the_noise_config_rule(rate):
+    with pytest.raises(ValueError, match="^p_readout must be a finite number"):
+        apply_readout_error("0101", rate, 0, 1)
+
+
 def test_readout_flip_fraction_binomial():
     # 1e5 independent bit flips at p=0.05, checked against a 4 sigma bound
     p, shots, width = 0.05, 4000, 25
@@ -554,6 +560,11 @@ def row_keys(seeds, shots: int, twirling: bool):
     return (rng.derive_keys(twirl, rng.STREAM_TWIRL) if twirling else None), trajectory
 
 
+def own_angles(circuit: Circuit) -> np.ndarray:
+    """The circuit's RX and RZ angles, in op order, as the (1, R) angles of one point."""
+    return np.array([[op.angle for op in circuit.ops if op.kind in ("RX", "RZ")]])
+
+
 def with_angles(circuit: Circuit, angles) -> Circuit:
     """``circuit`` with its RX and RZ angles, in op order, set to ``angles``."""
     angles = iter(angles)
@@ -567,7 +578,8 @@ def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name):
     # outcome; the amplitudes themselves must agree exactly.
     config = ORACLE_CONFIGS[name]
     base = with_dd(mixed_circuit(4, 30, seed=9), config)
-    entries = trajectories._layout(base, config.twirling)
+    entries = trajectories._point_angles(
+        trajectories._layout(base, config.twirling), own_angles(base), base.n)
     twirl_keys, trajectory_keys = row_keys([5], 12, config.twirling)
     streams = trajectories._Substreams()
     steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys, streams, base.n)
@@ -647,13 +659,12 @@ def test_rows_equal_per_shot_amplitudes_bit_for_bit_on_random_circuits(circuit, 
     # after an error Pauli, Y pulses and twirl Paulis, zero-duration ops.
     base = with_dd(circuit, config)
     count = sum(op.kind in ("RX", "RZ") for op in base.ops)
-    entries = trajectories._layout(base, config.twirling)
-    circuits = [base]
+    angles, circuits = own_angles(base), [base]
     if points == 2:
         angle = st.floats(-4.0, 4.0)
         angles = np.array([[data.draw(angle) for _ in range(count)] for _ in range(2)])
-        entries = trajectories._point_angles(entries, angles, base.n)
         circuits = [with_angles(base, row) for row in angles]
+    entries = trajectories._point_angles(trajectories._layout(base, config.twirling), angles, base.n)
     seeds, shots = [seed, seed ^ 1], 3
     twirl_keys, trajectory_keys = row_keys(seeds[:points], shots, config.twirling)
     steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys,
@@ -678,8 +689,10 @@ def test_twirl_and_dd_keep_the_output_distribution_of_random_circuits(circuit, s
         np.testing.assert_allclose(probs_of(dressed), ideal, rtol=0, atol=1e-12)
     config = NoiseConfig(twirling=True, dd=True, dd_sequence=sequence)
     twirl_keys, trajectory_keys = row_keys([seed], 8, True)
-    steps = trajectories._chunk_steps(trajectories._layout(padded, True), config, twirl_keys,
-                                      trajectory_keys, trajectories._Substreams(), circuit.n)
+    entries = trajectories._point_angles(trajectories._layout(padded, True), own_angles(padded),
+                                         circuit.n)
+    steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys,
+                                      trajectories._Substreams(), circuit.n)
     rows = trajectories._run_rows(circuit.n, steps, np.zeros(8, dtype=int), 0.0)
     np.testing.assert_allclose(np.abs(rows) ** 2, np.broadcast_to(ideal, rows.shape),
                                rtol=0, atol=1e-12)

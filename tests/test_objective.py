@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qaoalab import objective, rng, statevec
 from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, qaoa_state
 from qaoalab.graph import MaxCutInstance
-from qaoalab.noise import NoiseConfig, sample_noisy
+from qaoalab.noise import NoiseConfig, sample_noisy, sample_noisy_tallies
 from qaoalab.objective import (
     energy_from_counts,
     energy_from_tally,
@@ -21,6 +21,8 @@ from qaoalab.objective import (
 )
 from qaoalab.optim import MinimizeProblem, minimize
 from qaoalab.statevec import Counts, StateVector, sample_counts, sample_tally
+
+from test_noise import BATCH_CONFIGS
 
 PINNED_DEPTH5_THETA = (
     2.083, 2.048, 1.792, 1.564, 1.387,
@@ -161,9 +163,11 @@ def test_evaluation_rejects_an_incomplete_mode(canonical, mode, kwargs, message)
         evaluate_qaoa(canonical, QaoaParams((0.3,), (0.9,)), mode, **kwargs)
 
 
+# against sample_noisy on the gate list, which test_noise.py pins to its per-shot reference
 @pytest.mark.parametrize("noise", [
     NoiseConfig(p1q=0.005, p2q=0.025, p_readout=0.05, twirling=True, dd=True),
     NoiseConfig(epsilon_coherent=0.05, sigma_dephase=0.1, dd=True, dd_sequence="XY4"),
+    *(pytest.param(config, id=name) for name, config in sorted(BATCH_CONFIGS.items())),
 ])
 def test_noisy_evaluation_scores_the_noisy_counts(canonical, noise):
     params = QaoaParams((0.3, 1.1), (0.9, 2.0))
@@ -334,6 +338,25 @@ def test_noisy_batch_runs_each_point_at_its_own_seed(canonical):
         seed = rng.child_seed(21, rng.STREAM_EVAL, j)
         assert energy == evaluate_qaoa(canonical, QaoaParams.from_vector(theta), "noisy",
                                        shots=64, seed=seed, noise=noise).energy
+
+
+@pytest.mark.parametrize("mode, kwargs", [
+    ("exact", {}),
+    ("sampled", {"shots": 16, "seed": 1}),
+    ("noisy", {"shots": 16, "seed": 1,
+               "noise": NoiseConfig(p1q=0.1, p_readout=0.1, twirling=True, dd=True)}),
+])
+def test_an_empty_batch_gives_an_empty_result(canonical, mode, kwargs):
+    f = make_objective(canonical, 2, mode, **kwargs)
+    assert f(np.zeros((0, 4))).shape == (0,)
+    if mode == "exact":
+        with pytest.raises(ValueError, match="exact mode draws no shots"):
+            f.engine.tallies(np.zeros((0, 4)), [])
+    else:
+        assert f.engine.tallies(np.zeros((0, 4)), []).shape == (0, 32)
+    if mode == "noisy":
+        circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.9,)))
+        assert sample_noisy_tallies(circuit, kwargs["noise"], 16, []).shape == (0, 32)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
