@@ -6,13 +6,11 @@ rates, and readout flips, all from substreams keyed by (seed, stream,
 shot). Inserted error ops carry zero duration so they never perturb
 timing. This module makes no random draw: qaoalab.trajectories makes
 them all. sample_noisy_tallies runs the shots of k points together
-there, each point its own seed and RX/RZ angles on one circuit (the
-circuit's own angles when none are given), after one DD insertion;
-sample_noisy is its one-point case, formatted as Counts.
-twirl_circuit, apply_trajectory_noise and apply_readout_error render
-one shot of the same draws, as a circuit or as flipped bits;
-simulating each shot's circuit on its own gives the same amplitudes,
-bit for bit.
+there, each point its own seed and RX/RZ angles on one circuit, after
+one DD insertion; sample_noisy is its one-point case. twirl_circuit,
+apply_trajectory_noise and apply_readout_error render one shot of the
+same draws, as a circuit or as flipped bits; simulating each shot's
+circuit on its own gives the same amplitudes, bit for bit.
 
 Mitigation passes rewrite circuits:
   * twirl_circuit wraps every CNOT in a random Pauli pair and its
@@ -270,13 +268,10 @@ def apply_trajectory_noise(
 
 
 def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int) -> str:
-    """Flip each measured bit independently with probability p_readout.
-
-    The rate is checked by ``NoiseConfig``'s rule for ``p_readout``.
-    """
+    """Flip each measured bit independently with probability p_readout."""
     if not isinstance(bits, str) or set(bits) - {"0", "1"}:
         raise ValueError(f"bits must be a string of '0' and '1', got {bits!r}")
-    NoiseConfig(p_readout=p_readout)
+    NoiseConfig(p_readout=p_readout)  # the one rule for a rate
     if p_readout == 0.0:
         return bits
     from . import trajectories  # loaded on first use

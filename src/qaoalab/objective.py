@@ -2,11 +2,10 @@
 
 Energy is the negative mean cut value, so minimizing energy maximizes
 the cut: the canonical 5-node instance has optimum -6 and a uniform
-superposition sits at -3. An ``Engine`` maps a (k, 2p) array of angle
-rows and k per-row seeds to k energies in one call, each row scored
-alone; it is the one place that picks how a run mode evaluates, and
-``evaluate_qaoa`` is its one-row call. The optimizer's objective comes
-in two parts, an engine and a view of it. A
+superposition sits at -3. ``evaluate_qaoa`` scores one angle set as a
+one-row call of an ``Engine``. The optimizer's objective comes in two
+parts. An ``Engine`` maps a (k, 2p) array of angle rows and k per-row
+seeds to k energies in one call, each row scored alone. A
 ``SearchObjective`` is one search's view of an engine: it counts that
 search's evaluations and derives each one's seed, so the rows of
 several searches (restarts, or sweep cells that share instance, depth,
@@ -112,12 +111,11 @@ class Engine:
     ``engine(thetas, seeds)`` evaluates a whole batch in one call: exact
     mode evolves it in one ``qaoa_states`` call and ignores the seeds;
     the stochastic modes score the rows of ``tallies``. Each row is
-    scored alone, so its energy does not depend on the batch: rows of
-    different searches can share a call, and ``evaluate_qaoa`` is the
-    one-row call. The depth is checked here; the run mode is checked by
-    the caller with its search seeds (``evaluate_qaoa`` and
-    ``make_objective`` call ``check_run_mode``, and the harness builds
-    engines only from checked ``ExperimentConfig`` values).
+    scored alone, so rows of different searches can share a call. The
+    depth is checked here; the run mode is checked by the caller with
+    its search seeds (``evaluate_qaoa`` and ``make_objective`` call
+    ``check_run_mode``, and the harness builds engines only from checked
+    ``ExperimentConfig`` values).
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
@@ -128,6 +126,7 @@ class Engine:
         self.shots, self.noise = shots, noise
 
     def _rows(self, thetas) -> np.ndarray:
+        """The batch as a float array, checked: (k, 2p) finite angles."""
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != 2 * self.p:
             raise ValueError(f"expected thetas of shape (k, {2 * self.p}), got {thetas.shape}")
@@ -146,9 +145,8 @@ class Engine:
     def tallies(self, thetas, seeds) -> np.ndarray:
         """The (k, 2^n) basis-index tallies of a sampled or noisy batch, row j under ``seeds[j]``.
 
-        Sampled mode measures the ``qaoa_states`` of the batch. Noisy mode
-        samples the whole batch in one ``sample_noisy_tallies`` call: one
-        circuit, built from zero angles, with each row's RX and RZ angles
+        Noisy mode samples the batch in one ``sample_noisy_tallies`` call on
+        one circuit built from zero angles, with each row's RX and RZ angles
         from ``qaoa_angles``.
         """
         instance, n = self.instance, self.instance.n
@@ -161,7 +159,7 @@ class Engine:
             template = build_qaoa_circuit(instance, QaoaParams((0.0,) * self.p, (0.0,) * self.p))
             return sample_noisy_tallies(template, self.noise, self.shots, seeds,
                                         qaoa_angles(instance, thetas))
-        raise ValueError("exact mode draws no shots")
+        raise ValueError(f"mode {self.mode!r} draws no shots")
 
 
 class SearchObjective:

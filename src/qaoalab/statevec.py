@@ -9,10 +9,8 @@ Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` and
 ``apply_gate`` run it on one row and the noisy trajectory engine on a
 row per shot. It applies an RZ, H or RX as the products of its
-``gate_vectors`` through ``apply_vectors``: one (2^n,) vector for every
-row, or, as the noisy engine calls it, a (rows, 2^n) stack with one
-vector per row, so that each row runs at its own rotation angle (or at
-its negation). Index tables are
+``gate_vectors`` through ``apply_vectors``, which the noisy engine calls
+with a vector per row to give each row its own angle. Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
 ``check_gate`` is the one op check, and ``measure_rows`` the one shot
 sampler, on the same (rows, 2^n) layout.
