@@ -6,8 +6,7 @@ scheduling / dynamical-decoupling mitigation passes, in-house
 derivative-free optimizers, and a reproducible experiment harness.
 """
 
-from .ansatz import (Circuit, QaoaParams, build_qaoa_circuit, qaoa_state, qaoa_states,
-                     run_circuit)
+from .ansatz import Circuit, QaoaParams, build_qaoa_circuit, qaoa_states, run_circuit
 from .graph import (
     MaxCutInstance,
     ParseError,
@@ -70,7 +69,7 @@ from .statevec import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "QaoaParams", "build_qaoa_circuit", "qaoa_state", "qaoa_states", "run_circuit",
+    "Circuit", "QaoaParams", "build_qaoa_circuit", "qaoa_states", "run_circuit",
     "MaxCutInstance", "ParseError", "brute_force_maxcut",
     "canonical_instance", "cut_value", "parse_edge_list", "serialize_edge_list",
     "ExperimentConfig", "NOISE_PRESETS", "PAPER_P5_THETA", "ConfigError",

@@ -10,11 +10,11 @@ every qubit. Gate count is n + p * (3*|E| + n).
 
 Exact and sampled evaluation never build that gate list. They run one
 gate-free engine, ``qaoa_states``, which evolves a (k, 2p) batch of
-angle rows at once; ``qaoa_state`` is its one-row case. A cut value
-does not change when every bit is complemented, and both |+>^n and the
-mixer commute with X on every qubit, so the state satisfies
-psi(x) = psi(not x). The engine therefore evolves only the half h
-with node 0 = 0, 2^(n-1) amplitudes over nodes 1..n-1. It applies each
+angle rows at once. A cut value does not change when every bit is
+complemented, and both |+>^n and the mixer commute with X on every
+qubit, so the state satisfies psi(x) = psi(not x). The engine
+therefore evolves only the half h with node 0 = 0, 2^(n-1) amplitudes
+over nodes 1..n-1. It applies each
 cost layer as one diagonal phase exp(2i*gamma*C), evaluated at the
 distinct cut values and gathered over that half, and each mixer layer
 as RX(2*beta) on nodes 1..n-1, MIXER_BLOCK qubits at a time, one dense
@@ -243,15 +243,15 @@ def _evolve_half(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
     return h
 
 
-def qaoa_state(instance: MaxCutInstance, params: QaoaParams) -> StateVector:
-    """The state of one angle set: ``qaoa_states`` on a batch of one row."""
-    return StateVector(instance.n, qaoa_states(instance, np.array([params.betas + params.gammas]))[0])
+def check_mode(mode: str) -> None:
+    """Reject a mode that is not one of ``RUN_MODES``."""
+    if mode not in RUN_MODES:
+        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
 
 
 def check_run_mode(mode: str, shots, seed, noise) -> None:
     """Reject an unknown mode, or a mode without the inputs it needs."""
-    if mode not in RUN_MODES:
-        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
+    check_mode(mode)
     if mode != "exact" and (shots is None or seed is None):
         raise ValueError(f"mode {mode!r} requires shots and seed")
     if mode == "noisy" and noise is None:

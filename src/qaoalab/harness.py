@@ -10,12 +10,12 @@ the output directory: counts.json, trace.csv (the winning restart's
 evaluation log), and summary.json. A sweep runs one ``replace`` copy of
 the config per cell of its axes. The restarts of a run, and of every
 sweep cell that differs from another only in method (so shares
-instance, p, mode, shots and noise), run in lockstep through one
-``objective.Engine``: each optimizer round evaluates all their rows in
-one engine call. Every random draw in the pipeline is keyed off the
-master seed and each search keeps its own evaluation seeds, so
-(config, seed) reproduces the files byte for byte, however the cells
-are grouped.
+instance, p, mode, shots and noise), run in lockstep with one
+``objective.Engine`` as their objective: each optimizer round evaluates
+all their rows in one engine call. Every random draw in the pipeline is
+keyed off the master seed, and each restart's search takes its
+evaluation seeds from its own seed, so (config, seed) reproduces the
+files byte for byte, however the cells are grouped.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .graph import (
     serialize_edge_list,
 )
 from .noise import NoiseConfig
-from .objective import Engine, SearchObjective, evaluate_qaoa
+from .objective import Engine, evaluate_qaoa
 from .optim import (
     METHODS,
     STATUS_CONVERGED,
@@ -340,9 +340,11 @@ def _optimize(configs: list[ExperimentConfig]) -> list[tuple[MinimizeResult, int
     """(best restart, evaluations of all restarts) of each config.
 
     The configs share instance, p, mode, shots and noise, so one engine
-    serves them: ``minimize_lockstep`` runs every restart of every config
-    at once, and each round's rows go to that engine in one call. Each
-    restart keeps the seeds, trace and status it gets when run alone.
+    is the objective of every restart of every config, and
+    ``minimize_lockstep`` sends each round's rows to it in one call.
+    Restart r searches under the seed ``child_seed(config.seed,
+    STREAM_EVAL, r)`` (none in exact mode), so it keeps the seeds, trace
+    and status it gets when run alone.
     """
     base = configs[0]
     if base.p == 0:
@@ -350,14 +352,13 @@ def _optimize(configs: list[ExperimentConfig]) -> list[tuple[MinimizeResult, int
         trace = OptimizationTrace()
         trace.append((), energy)
         return [(MinimizeResult(np.zeros(0), energy, 1, STATUS_CONVERGED, trace), 1)] * len(configs)
-    # the configs were checked when built, so the engine needs no run-mode check
+    # the configs were checked when built, so shots and noise fit the mode
     engine = Engine(base.instance, base.p, base.mode, shots=base.shots, noise=base.noise)
     exact = base.mode == "exact"
     searches = [
         (config.method, MinimizeProblem(
-            SearchObjective(engine, None if exact
-                            else rng.child_seed(config.seed, rng.STREAM_EVAL, r)),
-            x0, max_evals=config.max_evals))
+            engine, x0, max_evals=config.max_evals,
+            seed=None if exact else rng.child_seed(config.seed, rng.STREAM_EVAL, r)))
         for config in configs for r, x0 in enumerate(_starts(config))
     ]
     results = iter(minimize_lockstep(searches))

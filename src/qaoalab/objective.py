@@ -2,23 +2,25 @@
 
 Energy is the negative mean cut value, so minimizing energy maximizes
 the cut: the canonical 5-node instance has optimum -6 and a uniform
-superposition sits at -3. ``evaluate_qaoa`` scores one angle set as a
-one-row call of an ``Engine``. The optimizer's objective comes in two
-parts. An ``Engine`` maps a (k, 2p) array of angle rows and k per-row
-seeds to k energies in one call, each row scored alone. A
-``SearchObjective`` is one search's view of an engine: it counts that
-search's evaluations and derives each one's seed, so the rows of
-several searches (restarts, or sweep cells that share instance, depth,
-mode, shots and noise) can go to one engine call while each search
-keeps its own seeds. ``make_objective`` builds the one-search view.
+superposition sits at -3. An ``Engine`` is the optimizer's objective:
+it maps a (k, 2p) array of angle rows and k per-row seeds to k energies
+in one call, each row scored alone, so the rows of several searches
+(restarts, or sweep cells that share instance, depth, mode, shots and
+noise) can share a call while each search keeps its own seeds.
+``evaluate_qaoa`` scores one angle set as a one-row call of an engine,
+and ``make_objective`` is one search on an engine, a function of the
+angle rows alone.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import rng
-from .ansatz import QaoaParams, build_qaoa_circuit, check_run_mode, qaoa_angles, qaoa_states
+from .ansatz import (QaoaParams, build_qaoa_circuit, check_mode, check_run_mode, qaoa_angles,
+                     qaoa_states)
 from .graph import MaxCutInstance, cut_value_table
 from .noise import sample_noisy_tallies
 from .statevec import Counts, StateVector, counts_from_tally, expectation_cut, sample_tally
@@ -112,26 +114,33 @@ class Engine:
     mode evolves it in one ``qaoa_states`` call and ignores the seeds;
     the stochastic modes score the rows of ``tallies``. Each row is
     scored alone, so rows of different searches can share a call. The
-    depth is checked here; the run mode is checked by the caller with
-    its search seeds (``evaluate_qaoa`` and ``make_objective`` call
-    ``check_run_mode``, and the harness builds engines only from checked
-    ``ExperimentConfig`` values).
+    depth and the mode are checked here; that a stochastic mode has its
+    shots, seeds and noise is checked by the caller (``evaluate_qaoa``
+    and ``make_objective`` call ``check_run_mode``, and the harness
+    builds engines only from checked ``ExperimentConfig`` values). A
+    noisy engine builds its circuit once, from zero angles: each row's
+    RX and RZ angles come from ``qaoa_angles``.
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
                  shots: int | None = None, noise=None):
         if isinstance(p, bool) or not isinstance(p, int) or p < 0:
             raise ValueError(f"p must be a non-negative integer, got {p!r}")
+        check_mode(mode)
         self.instance, self.p, self.mode = instance, p, mode
         self.shots, self.noise = shots, noise
+        if mode == "noisy":
+            self._circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
 
-    def _rows(self, thetas) -> np.ndarray:
-        """The batch as a float array, checked: (k, 2p) finite angles."""
+    def _rows(self, thetas, seeds) -> np.ndarray:
+        """The batch as a float array, checked: (k, 2p) finite angles, one seed per row."""
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != 2 * self.p:
             raise ValueError(f"expected thetas of shape (k, {2 * self.p}), got {thetas.shape}")
         if not np.isfinite(thetas).all():
             raise ValueError("thetas: angles must be finite")
+        if len(seeds) != len(thetas):
+            raise ValueError(f"seeds: expected one per row, got {len(seeds)} for {len(thetas)} rows")
         return thetas
 
     def __call__(self, thetas, seeds) -> np.ndarray:
@@ -140,57 +149,24 @@ class Engine:
             return np.array([energy_from_tally(tally, instance)
                              for tally in self.tallies(thetas, seeds)])
         return np.array([-expectation_cut(StateVector(instance.n, amps), instance)
-                         for amps in qaoa_states(instance, self._rows(thetas))])
+                         for amps in qaoa_states(instance, self._rows(thetas, seeds))])
 
     def tallies(self, thetas, seeds) -> np.ndarray:
         """The (k, 2^n) basis-index tallies of a sampled or noisy batch, row j under ``seeds[j]``.
 
         Noisy mode samples the batch in one ``sample_noisy_tallies`` call on
-        one circuit built from zero angles, with each row's RX and RZ angles
-        from ``qaoa_angles``.
+        the engine's circuit, with each row's RX and RZ angles.
         """
         instance, n = self.instance, self.instance.n
-        thetas = self._rows(thetas)
+        thetas = self._rows(thetas, seeds)
         if self.mode == "sampled":
             return np.array([sample_tally(StateVector(n, amps), self.shots, s)
                              for amps, s in zip(qaoa_states(instance, thetas), seeds)],
                             dtype=np.int64).reshape(len(thetas), 1 << n)
         if self.mode == "noisy":
-            template = build_qaoa_circuit(instance, QaoaParams((0.0,) * self.p, (0.0,) * self.p))
-            return sample_noisy_tallies(template, self.noise, self.shots, seeds,
+            return sample_noisy_tallies(self._circuit, self.noise, self.shots, seeds,
                                         qaoa_angles(instance, thetas))
         raise ValueError(f"mode {self.mode!r} draws no shots")
-
-
-class SearchObjective:
-    """One search's batch objective: a shared engine plus the search's own evaluation counter.
-
-    Evaluation j of the search, counted row by row across calls, gets the
-    seed ``child_seed(seed, STREAM_EVAL, j)`` (None when ``seed`` is None,
-    as in exact mode), so its noise realization is a pure function of
-    (seed, j) however the rows are batched and whichever other searches'
-    rows share the engine call. The optimizer never calls it:
-    ``optim.minimize_lockstep`` (and so ``minimize``) reads its ``engine``
-    and ``seeds`` to evaluate its rows together with those of every other
-    search on the same engine. Calling it evaluates its rows alone, with
-    the same engine and seeds.
-    """
-
-    def __init__(self, engine: Engine, seed: int | None):
-        self.engine = engine
-        self.seed = seed
-        self.evals = 0
-
-    def seeds(self, k: int) -> list:
-        """The seeds of the search's next k evaluations; the counter moves past them."""
-        first = self.evals
-        self.evals += k
-        if self.seed is None:
-            return [None] * k
-        return [rng.child_seed(self.seed, rng.STREAM_EVAL, first + j) for j in range(k)]
-
-    def __call__(self, thetas) -> np.ndarray:
-        return self.engine(thetas, self.seeds(len(thetas)))
 
 
 def make_objective(
@@ -201,13 +177,25 @@ def make_objective(
     shots: int | None = None,
     seed: int | None = None,
     noise=None,
-) -> SearchObjective:
+) -> Callable[[np.ndarray], np.ndarray]:
     """One search's batch objective: (k, 2p) theta rows [betas..., gammas...] in, k energies out.
 
-    The one-search view of an ``Engine``: row j, counted across calls,
-    scores as ``evaluate_qaoa`` at its angles and, in the stochastic
-    modes, at the seed ``child_seed(seed, STREAM_EVAL, j)``, bit for bit.
+    One search on an ``Engine``: row j, counted across calls, scores as
+    ``evaluate_qaoa`` at its angles and, in the stochastic modes, at the
+    seed ``rng.eval_seeds`` gives evaluation j, bit for bit. The
+    optimizer takes the engine and the seed instead:
+    ``MinimizeProblem(engine, x0, seed=seed)``.
     """
     engine = Engine(instance, p, mode, shots=shots, noise=noise)
     check_run_mode(mode, shots, seed, noise)
-    return SearchObjective(engine, None if mode == "exact" else seed)
+    if mode == "exact":
+        seed = None
+    evals = 0
+
+    def objective(thetas) -> np.ndarray:
+        nonlocal evals
+        energies = engine(thetas, rng.eval_seeds(seed, evals, len(thetas)))
+        evals += len(energies)
+        return energies
+
+    return objective

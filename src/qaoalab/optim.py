@@ -11,26 +11,23 @@ never sees the objective, the trace or the budget.
   * cobyla - linear interpolation model over a d+1 simplex inside a
              shrinking trust region
 
-The objective is batch-first: a (k, d) array of points in, k values
-out. A search yields one point (a 1-D array, answered with a float) or
-a batch of points that do not depend on each other (a 2-D array,
-answered with a list): the 2d central-difference points of a cg
-gradient (x + h0*e0, x - h0*e0, x + h1*e1, ...) and the d new vertices
-of a cobyla simplex. The line searches, the gradient and the simplex
-are generators too, joined with ``yield from``.
+The objective is batch-first: ``objective(points, seeds)`` maps a
+(k, d) array of points and one seed per point to k values, as an
+``objective.Engine`` does. A search yields one point (a 1-D array,
+answered with a float) or a batch of points that do not depend on each
+other (a 2-D array, answered with a list): the 2d central-difference
+points of a cg gradient (x + h0*e0, x - h0*e0, x + h1*e1, ...) and the
+d new vertices of a cobyla simplex. The line searches, the gradient and
+the simplex are generators too, joined with ``yield from``.
 
 The driver alone evaluates, records and budgets, for several searches
 in lockstep (the ask/tell pattern of Hansen, arXiv 1604.00772). Each
 round it collects the ask of every search still running, evaluates the
-rows of all searches that share an engine in one engine call, and sends
-each search its own values. A search shares an engine when its
-objective has an ``engine`` attribute, as ``objective.SearchObjective``
-has: the driver then never calls the objective, but sends its rows to
-``objective.engine(rows, seeds)`` with per-row seeds from the search's
-own ``objective.seeds(k)``. Any other objective is called on its own
-search's rows. Each
-search keeps its own trace, budget, status and ``f_best``, so its
-result is the one it gets run alone.
+rows of all searches on one objective in one call, and sends each
+search its own values. Evaluation j of a search, counted by its trace,
+runs under the seed ``rng.eval_seeds`` gives it from the search's
+``seed``. Each search keeps its own trace, budget, status, seeds and
+``f_best``, so its result is the one it gets run alone.
 
 Every point is recorded in order, so ``evals_used`` always equals the
 trace length and the budget is enforced exactly: a batch that would
@@ -90,25 +87,26 @@ class OptimizationTrace:
 
 @dataclass
 class MinimizeProblem:
-    """Batch objective plus starting point, budget, and finite-difference step.
+    """Batch objective plus starting point, budget, finite-difference step and seed.
 
-    ``objective`` maps a (k, d) array of points to k values. An
-    objective with an ``engine`` attribute (``objective.SearchObjective``)
-    is never called: the driver evaluates its rows as
-    ``objective.engine(rows, objective.seeds(k))``, so a wrapper or
-    subclass that overrides ``__call__`` but keeps ``engine`` is bypassed.
-    x0 must be
-    finite. max_evals is an int (not a bool) and defaults to 500 * d.
-    fd_step=None means the relative rule h_i = 1e-6 * max(1, |x_i|);
-    otherwise it is a positive finite number (not a bool), and stochastic
-    objectives should set one (0.05 works well against shot noise). The
-    stopping tolerances are fixed for every problem (_XTOL, _FTOL).
+    ``objective(points, seeds)`` maps a (k, d) array of points and k
+    seeds to k values. Evaluation j of the search (its trace index) is
+    sent the seed that ``rng.eval_seeds`` derives from ``seed`` and j, or
+    None when ``seed`` is None, as an exact objective needs no seed.
+    Searches may share one objective. x0 must be finite. max_evals is an
+    int (not a bool) and defaults to 500 * d. fd_step=None means the
+    relative rule h_i = 1e-6 * max(1, |x_i|); otherwise it is a positive
+    finite number (not a bool), and stochastic objectives should set one
+    (0.05 works well against shot noise). seed is None or an int (not a
+    bool). The stopping tolerances are fixed for every problem (_XTOL,
+    _FTOL).
     """
 
-    objective: Callable[[np.ndarray], np.ndarray]
+    objective: Callable[[np.ndarray, list], np.ndarray]
     x0: np.ndarray
     max_evals: int | None = None
     fd_step: float | None = None
+    seed: int | None = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).copy()
@@ -128,6 +126,9 @@ class MinimizeProblem:
         if step is not None and (isinstance(step, bool) or not isinstance(step, Real)
                                  or not 0 < step < math.inf):
             raise ValueError(f"fd_step must be a positive finite number, got {step!r}")
+        seed = self.seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ValueError(f"seed must be an integer or None, got {seed!r}")
 
 
 @dataclass
@@ -514,7 +515,6 @@ class _Search:
 
     def __init__(self, method: str, problem: MinimizeProblem):
         self.problem = problem
-        self.engine = getattr(problem.objective, "engine", None)  # None: called, not shared
         self.search = _SEARCHES[method](problem.x0, problem.fd_step)
         self.trace = OptimizationTrace()
         self.x_best, self.f_best = None, math.inf
@@ -542,6 +542,7 @@ class _Search:
         if self.cut:
             xs, rows = xs[:room], rows[:room]
         self.rows = rows
+        self.seeds = rng.eval_seeds(self.problem.seed, len(self.trace), len(rows))
         return xs
 
     def tell(self, fs: list[float]) -> None:
@@ -567,16 +568,11 @@ def minimize_lockstep(searches) -> list[MinimizeResult]:
     """Run (method, problem) searches in lockstep; one result per search, in order.
 
     Each round collects the ask of every search that has no status yet,
-    evaluates the rows of the searches whose objectives share an engine
-    in one engine call, and sends each search its own values. An
-    objective with an ``engine`` attribute (``objective.SearchObjective``)
-    is never called: its rows go to ``objective.engine(rows, seeds)``
-    together with the rows of every other search on the same engine, each
-    search drawing its rows' seeds from its own ``objective.seeds(k)``.
-    Any other objective is called on its own rows. Every search gets the
-    result that
-    ``minimize`` gives it alone: the same trace, ``f_best``, ``x_best``,
-    status and evaluation seeds.
+    makes one ``objective(rows, seeds)`` call per objective (and
+    dimension) on the rows of all its searches, and sends each search its
+    own values. Every search gets the result that ``minimize`` gives it
+    alone: the same trace, ``f_best``, ``x_best``, status and evaluation
+    seeds.
     """
     searches = list(searches)
     for method, _ in searches:
@@ -585,23 +581,17 @@ def minimize_lockstep(searches) -> list[MinimizeResult]:
     runs = [_Search(method, problem) for method, problem in searches]
     live = runs
     while live:
-        calls = {}  # id of a shared engine, or of a lone search -> (engine, runs, their rows)
+        calls = {}  # (id of an objective, d) -> (objective, its runs, their rows)
         for run in live:
             xs = run.ask()
             if xs is not None:
-                engine = run.engine
-                group = calls.setdefault(id(run if engine is None else engine), (engine, [], []))
+                objective = run.problem.objective
+                group = calls.setdefault((id(objective), xs.shape[1]), (objective, [], []))
                 group[1].append(run)
                 group[2].append(xs)
-        for engine, group, blocks in calls.values():
-            if engine is None:
-                fs = group[0].problem.objective(blocks[0])
-            else:
-                rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-                seeds = [s for run, xs in zip(group, blocks)
-                         for s in run.problem.objective.seeds(len(xs))]
-                fs = engine(rows, seeds)
-            fs = np.asarray(fs, dtype=float)
+        for objective, group, blocks in calls.values():
+            rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            fs = np.asarray(objective(rows, [s for run in group for s in run.seeds]), dtype=float)
             k = sum(map(len, blocks))
             if fs.shape != (k,):
                 raise ValueError(f"objective returned shape {fs.shape} for {k} points")
@@ -617,9 +607,7 @@ def minimize_lockstep(searches) -> list[MinimizeResult]:
 def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
     """Run one search by name under the problem's budget; raises ValueError for unknown methods.
 
-    The one-search case of ``minimize_lockstep``: an objective with an
-    ``engine`` attribute is evaluated as ``objective.engine(rows,
-    objective.seeds(k))``, never through its ``__call__``.
+    The one-search case of ``minimize_lockstep``.
     """
     return minimize_lockstep([(method, problem)])[0]
 

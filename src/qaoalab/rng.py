@@ -82,3 +82,15 @@ def generator(seed: int, *path: int) -> np.random.Generator:
 def child_seed(seed: int, *path: int) -> int:
     """A 64-bit seed for handing to APIs that take their own seed."""
     return derive_key(seed, *path)
+
+
+def eval_seeds(seed: int | None, first: int, k: int) -> list:
+    """The seeds of a search's evaluations first .. first + k - 1.
+
+    Evaluation j runs under ``child_seed(seed, STREAM_EVAL, j)``, so its
+    draws depend on (seed, j) alone, however the evaluations are batched.
+    A search without a seed (exact mode) gets None for each.
+    """
+    if seed is None:
+        return [None] * k
+    return [child_seed(seed, STREAM_EVAL, j) for j in range(first, first + k)]

@@ -14,7 +14,7 @@ from qaoalab.ansatz import QaoaParams, build_qaoa_circuit
 from qaoalab.graph import canonical_instance
 from qaoalab.harness import parse_config, run_sweep
 from qaoalab.noise import NoiseConfig, sample_noisy
-from qaoalab.objective import make_objective
+from qaoalab.objective import Engine, make_objective
 from qaoalab.optim import MinimizeProblem, minimize, random_qaoa_starts
 from qaoalab.statevec import sample_counts, simulate_ops
 
@@ -33,8 +33,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def batched(f):
-    """Lift a one-point objective to the batch contract: (k, d) points in, k values out."""
-    return lambda xs: np.array([f(x) for x in xs], dtype=float)
+    """Lift a one-point objective to the batch contract: (k, d) points and k seeds in, k values out."""
+    return lambda xs, seeds: np.array([f(x) for x in xs], dtype=float)
 
 
 def ground_mass(counts) -> float:
@@ -103,7 +103,7 @@ def p2_theta(canonical):
     """p=2 angles from a fresh exact-mode optimization (3 restarts)."""
     best = None
     for x0 in random_qaoa_starts(2, 3, seed=5):
-        res = minimize("cobyla", MinimizeProblem(make_objective(canonical, 2), x0))
+        res = minimize("cobyla", MinimizeProblem(Engine(canonical, 2), x0))
         if best is None or res.f_best < best.f_best:
             best = res
     return best.x_best

@@ -24,7 +24,7 @@ from qaoalab.noise import (
     insert_dd,
     twirl_circuit,
 )
-from qaoalab.objective import evaluate_qaoa, make_objective
+from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import METHODS, MinimizeProblem, minimize, random_qaoa_starts
 from qaoalab.statevec import (
     GateOp,
@@ -101,8 +101,7 @@ def test_criterion_04_depth1_optimizers_match_grid(canonical, grid_p1):
     for method in METHODS:
         best = math.inf
         for x0 in starts:
-            objective = make_objective(canonical, 1)
-            result = minimize(method, MinimizeProblem(objective, x0))
+            result = minimize(method, MinimizeProblem(Engine(canonical, 1), x0))
             best = min(best, result.f_best)
         gaps[method] = abs(best - e_grid)
     ok = all(gap <= 0.05 for gap in gaps.values())

@@ -15,7 +15,6 @@ from qaoalab.ansatz import (
     QaoaParams,
     build_qaoa_circuit,
     qaoa_angles,
-    qaoa_state,
     qaoa_states,
     run_circuit,
 )
@@ -208,8 +207,8 @@ def test_sampled_matches_exact_distribution(canonical):
 
 
 def assert_matches_gate_path(instance, params):
-    """qaoa_state equals the simulated gate list up to a global phase."""
-    fast = qaoa_state(instance, params)
+    """qaoa_states equals the simulated gate list up to a global phase."""
+    fast = StateVector(instance.n, qaoa_states(instance, params.to_vector()[None])[0])
     ref = simulate_ops(instance.n, build_qaoa_circuit(instance, params).ops)
     assert fast.n == ref.n == instance.n
     assert abs(expectation_cut(fast, instance) - expectation_cut(ref, instance)) <= 1e-12
@@ -258,7 +257,7 @@ def test_gate_free_state_matches_gate_path_by_block_size(n, integer_weights):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_gate_path_state_is_complement_symmetric(seed):
-    # the premise of qaoa_state's half state: psi(x) = psi(not x), negative weights too
+    # the premise of qaoa_states' half state: psi(x) = psi(not x), negative weights too
     gen = np.random.default_rng([seed, 0xC0])
     n = int(gen.integers(1, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -275,9 +274,9 @@ def test_gate_path_state_is_complement_symmetric(seed):
 def test_gate_free_state_is_exactly_symmetric(n):
     instance = MaxCutInstance(n, tuple((u, u + 1) for u in range(n - 1)),
                               tuple(0.5 - u for u in range(n - 1)))
-    amps = qaoa_state(instance, QaoaParams((0.4, 1.3), (0.9, -2.2))).amplitudes
+    amps = qaoa_states(instance, np.array([[0.4, 1.3, 0.9, -2.2]]))[0]
     assert np.array_equal(amps, amps[::-1])
-    uniform = qaoa_state(instance, QaoaParams((), ())).amplitudes
+    uniform = qaoa_states(instance, np.zeros((1, 0)))[0]
     assert np.array_equal(uniform, np.full(1 << n, 2.0 ** (-0.5 * n), dtype=complex))
 
 
@@ -302,8 +301,6 @@ def test_batched_rows_equal_single_rows_bit_for_bit(n, p):
         thetas[1:4, 0] = (0.0, -0.0, 0.0)
         thetas[5, :p] = thetas[4, :p]
     alone = [qaoa_states(instance, row[None])[0].tobytes() for row in thetas]
-    for row, amps in zip(thetas, alone):
-        assert qaoa_state(instance, QaoaParams.from_vector(row)).amplitudes.tobytes() == amps
     # every batch size, each row at several positions (n = 11 packs 8 rows per pass)
     for k in (2, 4, 9):
         for shift in range(0, 9, 3):

@@ -119,7 +119,7 @@ def test_cut_value_table_cached_and_readonly(canonical):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("integer_weights", [True, False])
 def test_gathered_phase_is_bit_identical(seed, integer_weights):
-    # qaoa_state's cost phase: exp at the distinct levels, gathered over the basis
+    # qaoa_states' cost phase: exp at the distinct levels, gathered over the basis
     gen = np.random.default_rng(seed)
     instance = random_instance(gen)
     if integer_weights:

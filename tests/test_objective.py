@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoalab import objective, rng, statevec
-from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, qaoa_state
+from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, qaoa_states
 from qaoalab.graph import MaxCutInstance
 from qaoalab.noise import NoiseConfig, sample_noisy, sample_noisy_tallies
 from qaoalab.objective import (
+    Engine,
     energy_from_counts,
     energy_from_tally,
     evaluate_qaoa,
@@ -145,7 +146,8 @@ def test_sampled_evaluation_carries_counts(canonical):
 def test_sampled_counts_are_built_on_first_read(canonical):
     params = QaoaParams((0.3,), (0.9,))
     sample = evaluate_qaoa(canonical, params, "sampled", shots=300, seed=8)
-    expected = sample_counts(qaoa_state(canonical, params), 300, 8)
+    amps = qaoa_states(canonical, params.to_vector()[None])[0]
+    expected = sample_counts(StateVector(canonical.n, amps), 300, 8)
     assert sample.counts == expected
     assert sample.counts is sample.counts
     assert sample.energy == energy_from_counts(expected, canonical)
@@ -349,14 +351,33 @@ def test_noisy_batch_runs_each_point_at_its_own_seed(canonical):
 def test_an_empty_batch_gives_an_empty_result(canonical, mode, kwargs):
     f = make_objective(canonical, 2, mode, **kwargs)
     assert f(np.zeros((0, 4))).shape == (0,)
+    engine = Engine(canonical, 2, mode, shots=kwargs.get("shots"), noise=kwargs.get("noise"))
     if mode == "exact":
         with pytest.raises(ValueError, match="^mode 'exact' draws no shots$"):
-            f.engine.tallies(np.zeros((0, 4)), [])
+            engine.tallies(np.zeros((0, 4)), [])
     else:
-        assert f.engine.tallies(np.zeros((0, 4)), []).shape == (0, 32)
+        assert engine.tallies(np.zeros((0, 4)), []).shape == (0, 32)
     if mode == "noisy":
         circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.9,)))
         assert sample_noisy_tallies(circuit, kwargs["noise"], 16, []).shape == (0, 32)
+
+
+@pytest.mark.parametrize("mode, kwargs", [
+    ("exact", {}),
+    ("sampled", {"shots": 8}),
+    ("noisy", {"shots": 8, "noise": NoiseConfig(p1q=0.1, p_readout=0.1)}),
+])
+@pytest.mark.parametrize("rows, seeds", [(1, [1, 2]), (2, [1]), (2, [])])
+def test_engine_wants_one_seed_per_row(canonical, mode, kwargs, rows, seeds):
+    engine = Engine(canonical, 1, mode, **kwargs)
+    message = f"seeds: expected one per row, got {len(seeds)} for {rows} rows"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        engine(np.zeros((rows, 2)), seeds)
+
+
+def test_engine_rejects_an_unknown_mode_when_built(canonical):
+    with pytest.raises(ValueError, match=r"^mode must be one of .*, got 'bogus'$"):
+        Engine(canonical, 1, "bogus")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -366,8 +387,8 @@ def test_objective_rejects_non_finite_angles(canonical, bad):
 
 
 def test_trace_records_are_ordered(canonical):
-    objective = make_objective(canonical, 1)
-    trace = minimize("cobyla", MinimizeProblem(objective, np.array([0.1, 1.0]), max_evals=7)).trace
+    problem = MinimizeProblem(Engine(canonical, 1), np.array([0.1, 1.0]), max_evals=7)
+    trace = minimize("cobyla", problem).trace
     assert len(trace) == 7
     assert [r.index for r in trace.records] == list(range(7))
     assert all(len(r.theta) == 2 for r in trace.records)

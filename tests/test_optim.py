@@ -4,6 +4,7 @@ import math
 import struct
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import qaoalab
 from conftest import batched
 from qaoalab import rng
 from qaoalab.ansatz import QaoaParams
-from qaoalab.objective import SearchObjective, evaluate_qaoa, make_objective
+from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import (
     METHODS,
     STATUS_BUDGET,
@@ -154,6 +155,12 @@ def test_max_evals_must_be_an_integer(max_evals):
         MinimizeProblem(batched(shifted_bowl), np.zeros(1), max_evals=max_evals)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, np.float64(2.0), "3"])
+def test_seed_must_be_an_integer_or_none(seed):
+    with pytest.raises(ValueError, match=r"^seed must be an integer or None, got "):
+        MinimizeProblem(batched(shifted_bowl), np.zeros(2), seed=seed)
+
+
 def test_default_budget_is_500d():
     problem = MinimizeProblem(batched(shifted_bowl), np.zeros(4))
     assert problem.max_evals == 2000
@@ -190,9 +197,9 @@ def test_deterministic_given_fixed_objective():
 
 @pytest.mark.parametrize("method", METHODS)
 def test_stochastic_objective_terminates(method, canonical):
-    objective = make_objective(canonical, 1, "sampled", shots=64, seed=13)
     problem = MinimizeProblem(
-        objective, np.array([0.7, 1.1]), max_evals=400, fd_step=0.05
+        Engine(canonical, 1, "sampled", shots=64), np.array([0.7, 1.1]), max_evals=400,
+        fd_step=0.05, seed=13,
     )
     result = minimize(method, problem)
     assert result.status in ALL_STATUSES
@@ -214,8 +221,8 @@ class CallLog:
         self.f = f
         self.sizes = []
 
-    def __call__(self, xs):
-        assert len(xs) > 0 and np.isfinite(xs).all(), xs
+    def __call__(self, xs, seeds):
+        assert len(xs) == len(seeds) > 0 and np.isfinite(xs).all(), xs
         self.sizes.append(len(xs))
         return np.array([self.f(x) for x in xs], dtype=float)
 
@@ -263,9 +270,9 @@ def test_trace_and_best_are_those_of_point_by_point_evaluation(method):
 @pytest.mark.parametrize("method", METHODS)
 def test_sampled_batches_use_one_seed_per_evaluation(method, canonical):
     seed = 17
-    objective = make_objective(canonical, 2, "sampled", shots=128, seed=seed)
-    problem = MinimizeProblem(objective, np.array([0.4, 0.9, 1.2, 0.3]), max_evals=40,
-                              fd_step=0.05)
+    problem = MinimizeProblem(Engine(canonical, 2, "sampled", shots=128),
+                              np.array([0.4, 0.9, 1.2, 0.3]), max_evals=40, fd_step=0.05,
+                              seed=seed)
     for r in minimize(method, problem).trace.records:
         eval_seed = rng.child_seed(seed, rng.STREAM_EVAL, r.index)
         params = QaoaParams.from_vector(np.array(r.theta))
@@ -274,7 +281,7 @@ def test_sampled_batches_use_one_seed_per_evaluation(method, canonical):
 
 
 def test_objective_must_return_one_value_per_point():
-    problem = MinimizeProblem(lambda xs: np.zeros(len(xs) + 1), np.zeros(2))
+    problem = MinimizeProblem(lambda xs, seeds: np.zeros(len(xs) + 1), np.zeros(2))
     with pytest.raises(ValueError, match=r"^objective returned shape \(2,\) for 1 points"):
         minimize("powell", problem)
 
@@ -390,29 +397,18 @@ def _landscape(kind: str, x, seed) -> float:
 
 
 class ToyEngine:
-    """A shared engine of (rows, seeds) over one landscape; logs the size of every call."""
+    """A shared engine of (rows, seeds) over one landscape; logs call sizes and (row, seed) pairs."""
 
     def __init__(self, kind: str):
         self.kind = kind
         self.sizes = []
+        self.scored = []
 
     def __call__(self, xs, seeds):
         assert len(xs) == len(seeds) > 0 and np.isfinite(xs).all()
         self.sizes.append(len(xs))
+        self.scored += [(tuple(x.tolist()), s) for x, s in zip(xs, seeds)]
         return np.array([_landscape(self.kind, x, s) for x, s in zip(xs, seeds)])
-
-
-class LoggedObjective(SearchObjective):
-    """A search's view that logs the seed of every evaluation it is charged for."""
-
-    def __init__(self, engine, seed):
-        super().__init__(engine, seed)
-        self.seed_log = []
-
-    def seeds(self, k):
-        seeds = super().seeds(k)
-        self.seed_log += seeds
-        return seeds
 
 
 def lockstep_problems(specs, engines: dict):
@@ -424,25 +420,38 @@ def lockstep_problems(specs, engines: dict):
     for method, d, kind, budget, start, seed, fd_step in specs:
         engine = engines.setdefault((d, kind), ToyEngine(kind))
         x0 = np.linspace(-0.9, 0.0, d) * start
-        out.append((method, MinimizeProblem(LoggedObjective(engine, seed), x0,
-                                            max_evals=budget, fd_step=fd_step)))
+        out.append((method, MinimizeProblem(engine, x0, max_evals=budget, fd_step=fd_step,
+                                            seed=seed)))
     return out
+
+
+def seeded_rows(result, seed):
+    """The (row, seed) pairs of a search's trace: its j-th row at child_seed(seed, STREAM_EVAL, j)."""
+    return [(r.theta, None if seed is None else rng.child_seed(seed, rng.STREAM_EVAL, r.index))
+            for r in result.trace.records]
 
 
 def run_alone_and_in_lockstep(specs):
     """Each spec run alone, on an engine of its own, and all in lockstep.
 
-    Returns the (result, seed log) of every search both ways, and the
+    Checks that every row an engine scored ran at its search's evaluation
+    seed, and returns the result of every search both ways and the
     lockstep run's engines.
     """
     alone = []
     for spec in specs:
-        [(method, problem)] = lockstep_problems([spec], {})
-        alone.append((minimize(method, problem), problem.objective.seed_log))
+        engines = {}
+        [(method, problem)] = lockstep_problems([spec], engines)
+        alone.append(minimize(method, problem))
+        [engine] = engines.values()
+        assert engine.scored == seeded_rows(alone[-1], problem.seed)
     engines = {}
     searches = lockstep_problems(specs, engines)
-    together = [(res, problem.objective.seed_log)
-                for res, (_, problem) in zip(minimize_lockstep(searches), searches)]
+    together = minimize_lockstep(searches)
+    for engine in engines.values():
+        want = Counter(pair for res, (_, problem) in zip(together, searches)
+                       if problem.objective is engine for pair in seeded_rows(res, problem.seed))
+        assert Counter(engine.scored) == want
     return alone, together, engines
 
 
@@ -451,13 +460,11 @@ def records(result):
     return [(r.index, r.theta, struct.pack("<d", r.energy)) for r in result.trace.records]
 
 
-def assert_same_search(a, b):
-    (ra, seeds_a), (rb, seeds_b) = a, b
+def assert_same_search(ra, rb):
     assert records(rb) == records(ra)
     assert (rb.status, rb.evals_used) == (ra.status, ra.evals_used)
     assert rb.f_best == ra.f_best
     assert rb.x_best.tobytes() == ra.x_best.tobytes()
-    assert seeds_b == seeds_a
 
 
 search_specs = st.tuples(
@@ -479,7 +486,7 @@ def test_lockstep_equals_each_search_run_alone(specs):
         assert_same_search(a, b)
     # a search that stops leaves the others running: every row of the run
     # went through the engines, no more and no fewer
-    assert sum(sum(e.sizes) for e in engines.values()) == sum(r.evals_used for r, _ in together)
+    assert sum(sum(e.sizes) for e in engines.values()) == sum(r.evals_used for r in together)
 
 
 def test_lockstep_cuts_budgets_inside_batches_and_stalls_one_search():
@@ -491,10 +498,9 @@ def test_lockstep_cuts_budgets_inside_batches_and_stalls_one_search():
         ("powell", 1, "flat", 100, 1.0, 10, None),    # converges early
         ("cobyla", 10, "noisy", 120, 1.0, 11, None),
     ]
-    alone, together, engines = run_alone_and_in_lockstep(specs)
-    for a, b in zip(alone, together):
+    alone, results, engines = run_alone_and_in_lockstep(specs)
+    for a, b in zip(alone, results):
         assert_same_search(a, b)
-    results = [r for r, _ in together]
     assert [r.status for r in results[:2]] == [STATUS_BUDGET, STATUS_BUDGET]
     assert [r.evals_used for r in results[:2]] == [4, 10]
     assert results[3].status == STATUS_STALLED
@@ -517,8 +523,8 @@ def test_lockstep_rejects_an_unknown_method_before_any_evaluation():
     assert objective.sizes == []
 
 
-def test_lockstep_calls_a_plain_objective_on_its_own_rows():
-    # two searches on one plain objective: each call carries one search's rows
+def test_searches_on_one_objective_share_its_calls():
+    # two searches on one objective: each round's rows go to it in one call
     objective = CallLog(shifted_bowl)
     results = minimize_lockstep([(m, MinimizeProblem(objective, np.zeros(2), max_evals=30))
                                  for m in ("powell", "cg")])
@@ -526,7 +532,18 @@ def test_lockstep_calls_a_plain_objective_on_its_own_rows():
              for m in ("powell", "cg")]
     assert [r.trace.records for r in results] == [r.trace.records for r in alone]
     assert sum(objective.sizes) == sum(r.evals_used for r in results)
-    assert max(objective.sizes) == 4  # one cg gradient, never joined with powell's point
+    assert len(objective.sizes) < sum(r.evals_used for r in results)
+    assert max(objective.sizes) == 5  # a cg gradient joined with powell's point
+
+
+def test_searches_of_two_dimensions_on_one_objective_run_as_alone():
+    objective = CallLog(padded_bowl)
+    starts = [np.zeros(2), np.zeros(3)]
+    results = minimize_lockstep([("cg", MinimizeProblem(objective, x0, max_evals=40))
+                                 for x0 in starts])
+    alone = [minimize("cg", MinimizeProblem(batched(padded_bowl), x0, max_evals=40))
+             for x0 in starts]
+    assert [r.trace.records for r in results] == [r.trace.records for r in alone]
 
 
 # -- module boundaries --------------------------------------------------------------
