@@ -59,7 +59,6 @@ from .statevec import (
     Counts,
     GateOp,
     StateVector,
-    apply_gate,
     expectation_cut,
     sample_counts,
     simulate_ops,
@@ -82,7 +81,7 @@ __all__ = [
     "METHODS", "MinimizeProblem", "MinimizeResult", "OptimizationTrace",
     "minimize", "random_qaoa_starts",
     "plot_histogram", "plot_trace", "render_histogram", "render_trace",
-    "Counts", "GateOp", "StateVector", "apply_gate", "expectation_cut",
+    "Counts", "GateOp", "StateVector", "expectation_cut",
     "sample_counts", "simulate_ops", "zero_state",
     "__version__",
 ]

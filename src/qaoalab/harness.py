@@ -2,13 +2,12 @@
 
 ``parse_config`` turns raw JSON into an ``ExperimentConfig``, which
 checks its own fields, naming the field it rejects, and derives its
-``config_hash`` from them. A run optimizes the layer angles under the
-configured evaluation mode, then takes the final counts and energy from
-``evaluate_qaoa`` at the winning angles (sampled mode for exact and
-sampled runs, noisy mode for noisy ones), and writes three artifacts to
-the output directory: counts.json, trace.csv (the winning restart's
-evaluation log), and summary.json. A sweep runs one ``replace`` copy of
-the config per cell of its axes. The restarts of a run, and of every
+``config_hash`` from them. A run optimizes the layer angles on one
+``objective.Engine`` in the configured mode, takes the final counts and
+energy from that engine's ``tallies`` at the winning angles, and writes
+three artifacts to the output directory: counts.json, trace.csv (the
+winning restart's evaluation log), and summary.json. A sweep runs one
+``replace`` copy of the config per cell of its axes. The restarts of a run, and of every
 sweep cell that differs from another only in method (so shares
 instance, p, mode, shots and noise), run in lockstep with one
 ``objective.Engine`` as their objective: each optimizer round evaluates
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .ansatz import RUN_MODES, QaoaParams
+from .ansatz import RUN_MODES
 from .graph import (
     MaxCutInstance,
     ParseError,
@@ -44,7 +43,7 @@ from .graph import (
     serialize_edge_list,
 )
 from .noise import NoiseConfig
-from .objective import Engine, evaluate_qaoa
+from .objective import Engine, energy_from_tally
 from .optim import (
     METHODS,
     STATUS_CONVERGED,
@@ -55,7 +54,7 @@ from .optim import (
     random_qaoa_starts,
 )
 from .plots import plot_histogram, plot_trace
-from .statevec import MAX_QUBITS, Counts
+from .statevec import MAX_QUBITS, Counts, counts_from_tally
 
 SCHEMA_VERSION = 1
 
@@ -336,24 +335,25 @@ def _starts(config: ExperimentConfig) -> list[np.ndarray]:
     return random_qaoa_starts(config.p, config.restarts, config.seed)
 
 
-def _optimize(configs: list[ExperimentConfig]) -> list[tuple[MinimizeResult, int]]:
-    """(best restart, evaluations of all restarts) of each config.
+def _optimize(configs: list[ExperimentConfig]) -> tuple[Engine, list[tuple[MinimizeResult, int]]]:
+    """The configs' engine, and (best restart, evaluations of all restarts) of each config.
 
     The configs share instance, p, mode, shots and noise, so one engine
     is the objective of every restart of every config, and
     ``minimize_lockstep`` sends each round's rows to it in one call.
     Restart r searches under the seed ``child_seed(config.seed,
     STREAM_EVAL, r)`` (none in exact mode), so it keeps the seeds, trace
-    and status it gets when run alone.
+    and status it gets when run alone. At p = 0 there is nothing to
+    search: the one trace entry is the exact energy of the uniform state.
     """
     base = configs[0]
+    engine = Engine(base.instance, base.p, base.mode, shots=base.shots, noise=base.noise)
     if base.p == 0:
-        energy = evaluate_qaoa(base.instance, QaoaParams((), ())).energy
+        energy = float(Engine(base.instance, 0)(np.zeros((1, 0)), [None])[0])
         trace = OptimizationTrace()
         trace.append((), energy)
-        return [(MinimizeResult(np.zeros(0), energy, 1, STATUS_CONVERGED, trace), 1)] * len(configs)
-    # the configs were checked when built, so shots and noise fit the mode
-    engine = Engine(base.instance, base.p, base.mode, shots=base.shots, noise=base.noise)
+        result = MinimizeResult(np.zeros(0), energy, 1, STATUS_CONVERGED, trace)
+        return engine, [(result, 1)] * len(configs)
     exact = base.mode == "exact"
     searches = [
         (config.method, MinimizeProblem(
@@ -367,32 +367,29 @@ def _optimize(configs: list[ExperimentConfig]) -> list[tuple[MinimizeResult, int
         restarts = [next(results) for _ in range(config.restarts)]
         best = min(restarts, key=lambda res: res.f_best)
         outcomes.append((best, sum(res.evals_used for res in restarts)))
-    return outcomes
+    return engine, outcomes
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Optimize, run the final circuit, and write the three artifacts."""
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    return _write_run(config, *_optimize([config])[0], out)
+    engine, [outcome] = _optimize([config])
+    return _write_run(config, engine, *outcome, out)
 
 
-def _write_run(config: ExperimentConfig, result: MinimizeResult, total_evals: int,
-               out: Path) -> RunArtifacts:
-    """Take the final counts at the best restart's angles and write the three artifacts."""
+def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
+               total_evals: int, out: Path) -> RunArtifacts:
+    """Take the final counts at the best restart's angles from ``engine``; write the artifacts."""
     theta = result.x_best
-    final = evaluate_qaoa(
-        config.instance, QaoaParams.from_vector(theta),
-        "noisy" if config.mode == "noisy" else "sampled",
-        shots=config.shots, seed=rng.child_seed(config.seed, rng.STREAM_FINAL),
-        noise=config.noise,
-    )
-    counts = final.counts
-    max_cut, optima = brute_force_maxcut(config.instance)
-    table = cut_value_table(config.instance)
-    cuts = {bits: float(table[int(bits, 2)]) for bits in counts.counts}
-    best_cut = max(cuts.values())
-    best_bitstrings = sorted(bits for bits, cut in cuts.items() if cut == best_cut)
+    instance = config.instance
+    tally = engine.tallies(theta[None], [rng.child_seed(config.seed, rng.STREAM_FINAL)])[0]
+    counts = counts_from_tally(tally, instance.n)
+    max_cut, optima = brute_force_maxcut(instance)
+    hit = np.flatnonzero(tally)
+    cuts = cut_value_table(instance)[hit]
+    best_cut = float(cuts.max())
+    best_bitstrings = [format(int(i), f"0{instance.n}b") for i in hit[cuts == best_cut]]
     probs = counts.probabilities()
     summary = {
         "config_hash": config.config_hash,
@@ -402,7 +399,7 @@ def _write_run(config: ExperimentConfig, result: MinimizeResult, total_evals: in
         "mode": config.mode,
         "status": result.status,
         "best_energy": result.f_best,
-        "final_energy": final.energy,
+        "final_energy": energy_from_tally(tally, instance),
         "best_bitstrings": best_bitstrings,
         "max_cut": max_cut,
         "approx_ratio": best_cut / max_cut if max_cut > 0 else 1.0,
@@ -477,7 +474,8 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     out.mkdir(parents=True, exist_ok=True)
     optimized: dict[int, tuple] = {}
     for members in groups.values():
-        optimized.update(zip(members, _optimize([cells[idx][2] for idx in members])))
+        engine, outcomes = _optimize([cells[idx][2] for idx in members])
+        optimized.update((idx, (engine, *outcome)) for idx, outcome in zip(members, outcomes))
     rows = []
     for idx, (name, labels, cell_config) in enumerate(cells):
         cell_dir = out / name

@@ -196,22 +196,15 @@ def insert_dd(circuit: Circuit, sequence: str = "XpXm") -> Circuit:
     return _dressed(circuit, sequence)[0]
 
 
-def _dressed(circuit: Circuit, sequence: str) -> tuple[Circuit, list[int]]:
-    """``insert_dd``'s circuit, and the index in ``circuit.ops`` of each of its original ops, in order."""
-    plan = _dd_plan(circuit.n, tuple((op.qubits, op.duration) for op in circuit.ops), sequence)
-    ops = tuple(circuit.ops[item] if type(item) is int else item for item in plan)
-    return Circuit(circuit.n, ops), [item for item in plan if type(item) is int]
-
-
 @lru_cache(maxsize=64)
-def _dd_plan(n: int, slots: tuple, sequence: str) -> tuple:
-    """``insert_dd``'s ops for ops given as (qubits, duration) slots, in circuit order.
+def _dressed(circuit: Circuit, sequence: str) -> tuple[Circuit, tuple[int, ...]]:
+    """``insert_dd``'s circuit, and the index in ``circuit.ops`` of each of its original ops, in order.
 
-    Each item is the index of an original op or an inserted GateOp. Like
-    the schedule, the plan depends only on the slots, so circuits that
-    differ only in gate kinds or angles share one entry.
+    Memoized on the (frozen, hashable) circuit and the sequence: a noisy
+    engine passes one template circuit on every call, so it is dressed,
+    and its ops checked, once.
     """
-    timeline = _schedule_cached(n, slots)
+    n, timeline = circuit.n, schedule_circuit(circuit)
     pulses = DD_SEQUENCES[sequence]
     k = len(pulses)
     pulse_dur = ONE_QUBIT_DURATION
@@ -243,7 +236,8 @@ def _dd_plan(n: int, slots: tuple, sequence: str) -> tuple:
                 entries.append((t, counter, GateOp("DELAY", (q,), None, head)))
                 counter += 1
     entries.sort(key=lambda e: (e[0], e[1]))
-    return tuple(item for _, _, item in entries)
+    ops = tuple(circuit.ops[item] if type(item) is int else item for _, _, item in entries)
+    return Circuit(n, ops), tuple(item for _, _, item in entries if type(item) is int)
 
 
 # ---------------------------------------------------------------------------

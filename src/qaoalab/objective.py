@@ -14,13 +14,13 @@ angle rows alone.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
 from . import rng
-from .ansatz import (QaoaParams, build_qaoa_circuit, check_mode, check_run_mode, qaoa_angles,
-                     qaoa_states)
+from .ansatz import QaoaParams, build_qaoa_circuit, check_mode, qaoa_angles, qaoa_states
 from .graph import MaxCutInstance, cut_value_table
 from .noise import sample_noisy_tallies
 from .statevec import Counts, StateVector, counts_from_tally, expectation_cut, sample_tally
@@ -95,7 +95,6 @@ def evaluate_qaoa(
     the basis-index tally of ``Engine.tallies`` directly and format no
     bitstring unless ``counts`` is read.
     """
-    check_run_mode(mode, shots, seed, noise)
     engine = Engine(instance, params.p, mode, shots=shots, noise=noise)
     row = params.to_vector()[None]
     if mode == "exact":
@@ -109,17 +108,16 @@ class Engine:
 
     An engine fixes the instance, the depth, the run mode and, for the
     stochastic modes, the shots and the noise; the seed of each row comes
-    with the row. It is the one place that maps a run mode to a sampler.
-    ``engine(thetas, seeds)`` evaluates a whole batch in one call: exact
-    mode evolves it in one ``qaoa_states`` call and ignores the seeds;
-    the stochastic modes score the rows of ``tallies``. Each row is
-    scored alone, so rows of different searches can share a call. The
-    depth and the mode are checked here; that a stochastic mode has its
-    shots, seeds and noise is checked by the caller (``evaluate_qaoa``
-    and ``make_objective`` call ``check_run_mode``, and the harness
-    builds engines only from checked ``ExperimentConfig`` values). A
-    noisy engine builds its circuit once, from zero angles: each row's
-    RX and RZ angles come from ``qaoa_angles``.
+    with the row. It is the one place that maps a run mode to a sampler
+    and checks the mode's shots and noise (when built) and seeds (each
+    row that draws shots needs an integer, not a bool). ``engine(thetas,
+    seeds)`` evaluates a whole batch in one call: exact mode evolves it
+    in one ``qaoa_states`` call and ignores the seeds; the stochastic
+    modes score the rows of ``tallies``. Each row is scored alone, so
+    rows of different searches can share a call. An exact engine's
+    ``tallies`` sample the exact state as a sampled engine's do. A noisy
+    engine builds its circuit once, from zero angles: each row's RX and
+    RZ angles come from ``qaoa_angles``.
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
@@ -127,6 +125,10 @@ class Engine:
         if isinstance(p, bool) or not isinstance(p, int) or p < 0:
             raise ValueError(f"p must be a non-negative integer, got {p!r}")
         check_mode(mode)
+        if mode != "exact" and shots is None:
+            raise ValueError(f"mode {mode!r} requires shots and seed")
+        if mode == "noisy" and noise is None:
+            raise ValueError("mode 'noisy' requires a noise config")
         self.instance, self.p, self.mode = instance, p, mode
         self.shots, self.noise = shots, noise
         if mode == "noisy":
@@ -152,21 +154,30 @@ class Engine:
                          for amps in qaoa_states(instance, self._rows(thetas, seeds))])
 
     def tallies(self, thetas, seeds) -> np.ndarray:
-        """The (k, 2^n) basis-index tallies of a sampled or noisy batch, row j under ``seeds[j]``.
+        """The (k, 2^n) basis-index tallies of the batch, row j under ``seeds[j]``.
 
-        Noisy mode samples the batch in one ``sample_noisy_tallies`` call on
+        Exact and sampled engines sample each row's exact state. Noisy
+        mode samples the batch in one ``sample_noisy_tallies`` call on
         the engine's circuit, with each row's RX and RZ angles.
         """
         instance, n = self.instance, self.instance.n
         thetas = self._rows(thetas, seeds)
-        if self.mode == "sampled":
-            return np.array([sample_tally(StateVector(n, amps), self.shots, s)
-                             for amps, s in zip(qaoa_states(instance, thetas), seeds)],
-                            dtype=np.int64).reshape(len(thetas), 1 << n)
+        for seed in seeds:
+            _check_seed(self.mode, seed)
         if self.mode == "noisy":
             return sample_noisy_tallies(self._circuit, self.noise, self.shots, seeds,
                                         qaoa_angles(instance, thetas))
-        raise ValueError(f"mode {self.mode!r} draws no shots")
+        return np.array([sample_tally(StateVector(n, amps), self.shots, s)
+                         for amps, s in zip(qaoa_states(instance, thetas), seeds)],
+                        dtype=np.int64).reshape(len(thetas), 1 << n)
+
+
+def _check_seed(mode: str, seed) -> None:
+    """Reject a seed that cannot key a row's draws: None, a bool or a non-integer."""
+    if seed is None:
+        raise ValueError(f"mode {mode!r} requires shots and seed")
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def make_objective(
@@ -187,9 +198,10 @@ def make_objective(
     ``MinimizeProblem(engine, x0, seed=seed)``.
     """
     engine = Engine(instance, p, mode, shots=shots, noise=noise)
-    check_run_mode(mode, shots, seed, noise)
     if mode == "exact":
         seed = None
+    else:
+        _check_seed(mode, seed)
     evals = 0
 
     def objective(thetas) -> np.ndarray:

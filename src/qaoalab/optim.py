@@ -2,9 +2,9 @@
 
 ``minimize_lockstep(searches)`` is the one driver; ``minimize(method,
 problem)`` is its one-search case. Each search is an ask/tell generator
-of (x0, fd_step), the step only cg reads: it yields the points it wants
-evaluated, is sent their values, and returns its stopping status. It
-never sees the objective, the trace or the budget.
+of x0: it yields the points it wants evaluated, is sent their values,
+and returns its stopping status. It never sees the objective, the trace
+or the budget.
   * powell - direction-set search with golden-section line minima
   * cg     - Polak-Ribiere conjugate gradient on central finite
              differences, with a parabolic-backtracking line search
@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from numbers import Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -87,25 +86,22 @@ class OptimizationTrace:
 
 @dataclass
 class MinimizeProblem:
-    """Batch objective plus starting point, budget, finite-difference step and seed.
+    """Batch objective plus starting point, budget and seed.
 
     ``objective(points, seeds)`` maps a (k, d) array of points and k
     seeds to k values. Evaluation j of the search (its trace index) is
     sent the seed that ``rng.eval_seeds`` derives from ``seed`` and j, or
     None when ``seed`` is None, as an exact objective needs no seed.
     Searches may share one objective. x0 must be finite. max_evals is an
-    int (not a bool) and defaults to 500 * d. fd_step=None means the
-    relative rule h_i = 1e-6 * max(1, |x_i|); otherwise it is a positive
-    finite number (not a bool), and stochastic objectives should set one
-    (0.05 works well against shot noise). seed is None or an int (not a
-    bool). The stopping tolerances are fixed for every problem (_XTOL,
-    _FTOL).
+    int (not a bool) and defaults to 500 * d. seed is None or an int
+    (not a bool). The stopping tolerances and cg's finite-difference
+    step, h_i = 1e-6 * max(1, |x_i|), are fixed for every problem
+    (_XTOL, _FTOL, ``_fd_gradient``).
     """
 
     objective: Callable[[np.ndarray, list], np.ndarray]
     x0: np.ndarray
     max_evals: int | None = None
-    fd_step: float | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -122,10 +118,6 @@ class MinimizeProblem:
             raise ValueError(
                 f"max_evals={self.max_evals} cannot cover even one pass over {self.x0.size} dimensions"
             )
-        step = self.fd_step
-        if step is not None and (isinstance(step, bool) or not isinstance(step, Real)
-                                 or not 0 < step < math.inf):
-            raise ValueError(f"fd_step must be a positive finite number, got {step!r}")
         seed = self.seed
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise ValueError(f"seed must be an integer or None, got {seed!r}")
@@ -276,7 +268,7 @@ def _line_minimize(x: np.ndarray, direction: np.ndarray, f0: float, tol: float,
 # ---------------------------------------------------------------------------
 
 
-def _powell(x0: np.ndarray, fd_step: float | None):
+def _powell(x0: np.ndarray):
     """Direction-set minimization without derivatives.
 
     Each outer iteration line-minimizes along every direction in turn,
@@ -328,9 +320,12 @@ def _powell(x0: np.ndarray, fd_step: float | None):
 # ---------------------------------------------------------------------------
 
 
-def _fd_gradient(x: np.ndarray, fd_step: float | None):
-    """Central differences from one batch, in the order x + h0*e0, x - h0*e0, x + h1*e1, ..."""
-    h = np.full(x.size, fd_step, dtype=float) if fd_step is not None else 1e-6 * np.maximum(1.0, np.abs(x))
+def _fd_gradient(x: np.ndarray):
+    """Central differences at h_i = 1e-6 * max(1, |x_i|), from one batch.
+
+    The batch is in the order x + h0*e0, x - h0*e0, x + h1*e1, ...
+    """
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
     steps = np.diag(h)
     points = np.empty((2 * x.size, x.size))
     points[0::2] = x + steps
@@ -340,7 +335,7 @@ def _fd_gradient(x: np.ndarray, fd_step: float | None):
     return np.array([a - b for a, b in zip(fs[0::2], fs[1::2])]) / (2.0 * h)
 
 
-def _cg(x0: np.ndarray, fd_step: float | None):
+def _cg(x0: np.ndarray):
     """Polak-Ribiere conjugate gradient on central-difference gradients.
 
     Each iteration line-minimizes along the conjugate direction (same
@@ -356,7 +351,7 @@ def _cg(x0: np.ndarray, fd_step: float | None):
     stall = 0
     tiny_drops = 0
     fx = yield x
-    g = yield from _fd_gradient(x, fd_step)
+    g = yield from _fd_gradient(x)
     direction = -g
     gg_prev = float(g @ g)
     alpha_prev = None
@@ -393,7 +388,7 @@ def _cg(x0: np.ndarray, fd_step: float | None):
                 return STATUS_CONVERGED
         else:
             tiny_drops = 0
-        g_new = yield from _fd_gradient(x, fd_step)
+        g_new = yield from _fd_gradient(x)
         gg_new = float(g_new @ g_new)
         since_reset += 1
         if since_reset >= d:
@@ -410,7 +405,7 @@ def _cg(x0: np.ndarray, fd_step: float | None):
 # ---------------------------------------------------------------------------
 
 
-def _cobyla(x0: np.ndarray, fd_step: float | None):
+def _cobyla(x0: np.ndarray):
     """Linear interpolation model over a d+1 simplex in a trust region.
 
     Fits the exact linear interpolant of the simplex (vertices spaced at
@@ -515,7 +510,7 @@ class _Search:
 
     def __init__(self, method: str, problem: MinimizeProblem):
         self.problem = problem
-        self.search = _SEARCHES[method](problem.x0, problem.fd_step)
+        self.search = _SEARCHES[method](problem.x0)
         self.trace = OptimizationTrace()
         self.x_best, self.f_best = None, math.inf
         self.status = None

@@ -6,11 +6,11 @@ therefore node 0 of the graph module. Qubit q's bit of index ``i`` is
 ``(i >> (n - 1 - q)) & 1``.
 
 Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
-gate to every row of a (rows, 2^n) array; ``simulate_ops`` and
-``apply_gate`` run it on one row and the noisy trajectory engine on a
-row per shot. It applies an RZ, H or RX as the products of its
-``gate_vectors`` through ``apply_vectors``, which the noisy engine calls
-with a vector per row to give each row its own angle. Index tables are
+gate to every row of a (rows, 2^n) array; ``simulate_ops`` runs it on
+one row and the noisy trajectory engine on a row per shot. It applies
+an RZ, H or RX as the products of its ``gate_vectors`` through
+``apply_vectors``, which the noisy engine calls with a vector per row
+to give each row its own angle. Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
 ``check_gate`` is the one op check, and ``measure_rows`` the one shot
 sampler, on the same (rows, 2^n) layout.
@@ -197,7 +197,7 @@ def apply_vectors(amps: np.ndarray, n: int, q: int, vectors) -> np.ndarray:
 
 
 def check_gate(n: int, op: GateOp) -> None:
-    """The op rules; ``Circuit``, ``simulate_ops`` and ``apply_gate`` run them."""
+    """The op rules; ``Circuit`` and ``simulate_ops`` run them."""
     if op.kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {op.kind!r}")
     arity = 2 if op.kind in TWO_QUBIT_KINDS else 1
@@ -220,12 +220,6 @@ def check_gate(n: int, op: GateOp) -> None:
     if (type(d) is not float and (not isinstance(d, Real) or isinstance(d, bool))
             or not 0 <= d < math.inf):
         raise ValueError(f"op {op!r} lacks a usable duration: need a finite number >= 0")
-
-
-def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    """Validated single-gate application; returns a new StateVector."""
-    check_gate(state.n, op)
-    return StateVector(state.n, apply_rows(state.amplitudes.copy()[None], state.n, op)[0])
 
 
 def simulate_ops(n: int, ops) -> StateVector:

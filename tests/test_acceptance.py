@@ -28,11 +28,9 @@ from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import METHODS, MinimizeProblem, minimize, random_qaoa_starts
 from qaoalab.statevec import (
     GateOp,
-    apply_gate,
     expectation_cut,
     sample_counts,
     simulate_ops,
-    zero_state,
 )
 
 GRID_MIN_ENERGY = -4.291613932799139
@@ -170,23 +168,25 @@ def test_criterion_08_mitigation_is_neutral_without_noise(canonical, grid_p1):
 
 def test_criterion_09_simulator_unit_properties(canonical):
     gen = np.random.default_rng(77)
-    state = zero_state(4)
+    ops = []
     for _ in range(40):
         q = int(gen.integers(4))
         kind = gen.choice(["H", "X", "Y", "Z", "RX", "RZ", "CNOT"])
         if kind == "CNOT":
             r = int(gen.integers(3))
-            state = apply_gate(state, GateOp("CNOT", (q, (q + 1 + r) % 4)))
+            ops.append(GateOp("CNOT", (q, (q + 1 + r) % 4)))
         elif kind in ("RX", "RZ"):
-            state = apply_gate(state, GateOp(kind, (q,), float(gen.uniform(0, 7))))
+            ops.append(GateOp(kind, (q,), float(gen.uniform(0, 7))))
         else:
-            state = apply_gate(state, GateOp(kind, (q,)))
+            ops.append(GateOp(kind, (q,)))
+    state = simulate_ops(4, ops)
     norm_err = abs(np.linalg.norm(state.amplitudes) - 1.0)
 
     invol_err = 0.0
-    probe = apply_gate(apply_gate(zero_state(3), GateOp("H", (0,))), GateOp("RX", (1,), 1.1))
+    prepare = [GateOp("H", (0,)), GateOp("RX", (1,), 1.1)]
+    probe = simulate_ops(3, prepare)
     for op in (GateOp("H", (2,)), GateOp("X", (0,)), GateOp("Z", (1,)), GateOp("CNOT", (0, 2))):
-        twice = apply_gate(apply_gate(probe, op), op)
+        twice = simulate_ops(3, prepare + [op, op])
         invol_err = max(invol_err, float(np.abs(twice.amplitudes - probe.amplitudes).max()))
 
     e_gamma0 = evaluate_qaoa(canonical, QaoaParams((0.7,), (0.0,))).energy

@@ -220,10 +220,12 @@ def test_sweep_cells_equal_the_reparsed_inline_cells(raw):
 
     def optimize(configs):
         groups.append(configs)
-        return [(cell_config, 1) for cell_config in configs]
+        # the group's list of configs stands in for its engine
+        return configs, [(cell_config, 1) for cell_config in configs]
 
-    def write(cell_config, result, total_evals, out):
+    def write(cell_config, engine, result, total_evals, out):
         assert result is cell_config  # each cell is written with its own search's result
+        assert any(c is cell_config for c in engine)  # and with its own group's engine
         ran.append(cell_config)
         summary = {"best_energy": -1.0, "approx_ratio": 1.0, "ground_pair_prob": 0.0,
                    "evals_used": 1, "status": "converged"}

@@ -9,12 +9,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qaoalab
-from qaoalab import harness
+from qaoalab import harness, rng
+from qaoalab.ansatz import QaoaParams
 from qaoalab.graph import cut_value
 from qaoalab.harness import (
     NOISE_PRESETS,
@@ -27,7 +29,7 @@ from qaoalab.harness import (
     run_sweep,
     sweep_cells,
 )
-from qaoalab.objective import Engine
+from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import STATUS_BUDGET, STATUS_CONVERGED, STATUS_STALLED
 from qaoalab.statevec import MAX_QUBITS
 
@@ -280,6 +282,63 @@ def test_noisy_mode_runs_end_to_end(tmp_path):
     )
     artifacts = run_experiment(config, out_dir=tmp_path)
     assert sum(json.loads(artifacts.counts_path.read_text())["counts"].values()) == 64
+
+
+@pytest.mark.parametrize("raw", [
+    small_raw(p=2, max_evals=30),
+    small_raw(mode="sampled", shots=128, max_evals=30),
+    small_raw(p=0, mode="sampled", shots=128),
+    small_raw(mode="noisy", shots=64, max_evals=20,
+              noise={"p2q": 0.02, "sigma_dephase": 0.1, "twirling": True, "dd": True}),
+], ids=["exact", "sampled", "sampled-p0", "noisy"])
+def test_final_counts_and_energy_are_evaluate_qaoa_at_the_final_seed(tmp_path, raw):
+    config = parse_config(raw)
+    summary = run_experiment(config, out_dir=tmp_path).summary
+    # an exact run samples its final counts from the exact state, as a sampled run does
+    final = evaluate_qaoa(config.instance, QaoaParams.from_vector(np.array(summary["theta"])),
+                          "sampled" if config.mode == "exact" else config.mode,
+                          shots=config.shots, noise=config.noise,
+                          seed=rng.child_seed(config.seed, rng.STREAM_FINAL))
+    assert json.loads((tmp_path / "counts.json").read_text())["counts"] == final.counts.counts
+    assert summary["final_energy"] == final.energy
+
+
+class EngineBuilds:
+    """Counts the ``objective.Engine`` objects built."""
+
+    def __init__(self, monkeypatch):
+        self.built = 0
+        init = Engine.__init__
+
+        def counted(engine, *args, **kwargs):
+            self.built += 1
+            init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "__init__", counted)
+
+
+@pytest.mark.parametrize("raw", [
+    small_raw(p=2, restarts=2, max_evals=20),
+    small_raw(mode="sampled", restarts=2, max_evals=20),
+    small_raw(mode="noisy", shots=32, max_evals=12, noise={"p1q": 0.01, "dd": True}),
+], ids=["exact", "sampled", "noisy"])
+def test_a_run_builds_one_engine(tmp_path, monkeypatch, raw):
+    engines = EngineBuilds(monkeypatch)
+    run_experiment(parse_config(raw), out_dir=tmp_path)
+    assert engines.built == 1
+
+
+@pytest.mark.parametrize("raw, groups", [
+    (small_raw(max_evals=12, sweep={"method": ["powell", "cobyla", "cg"]}), 1),
+    (small_raw(mode="sampled", max_evals=12,
+               sweep={"p": [1, 2], "method": ["powell", "cg"], "shots": [32, 64]}), 4),
+    (small_raw(mode="noisy", shots=16, max_evals=8,
+               sweep={"method": ["cg", "cobyla"], "noise": ["ibm-bounds", "dephase-only"]}), 2),
+], ids=["exact", "sampled", "noisy"])
+def test_each_group_of_a_sweep_builds_one_engine(tmp_path, monkeypatch, raw, groups):
+    engines = EngineBuilds(monkeypatch)
+    run_sweep(parse_config(raw), out_dir=tmp_path)
+    assert engines.built == groups
 
 
 def csv_writer_text(header, rows) -> str:

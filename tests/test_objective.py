@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoalab import objective, rng, statevec
-from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, qaoa_states
+from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit, qaoa_states
 from qaoalab.graph import MaxCutInstance
 from qaoalab.noise import NoiseConfig, sample_noisy, sample_noisy_tallies
 from qaoalab.objective import (
@@ -352,11 +352,7 @@ def test_an_empty_batch_gives_an_empty_result(canonical, mode, kwargs):
     f = make_objective(canonical, 2, mode, **kwargs)
     assert f(np.zeros((0, 4))).shape == (0,)
     engine = Engine(canonical, 2, mode, shots=kwargs.get("shots"), noise=kwargs.get("noise"))
-    if mode == "exact":
-        with pytest.raises(ValueError, match="^mode 'exact' draws no shots$"):
-            engine.tallies(np.zeros((0, 4)), [])
-    else:
-        assert engine.tallies(np.zeros((0, 4)), []).shape == (0, 32)
+    assert engine.tallies(np.zeros((0, 4)), []).shape == (0, 32)
     if mode == "noisy":
         circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.9,)))
         assert sample_noisy_tallies(circuit, kwargs["noise"], 16, []).shape == (0, 32)
@@ -378,6 +374,72 @@ def test_engine_wants_one_seed_per_row(canonical, mode, kwargs, rows, seeds):
 def test_engine_rejects_an_unknown_mode_when_built(canonical):
     with pytest.raises(ValueError, match=r"^mode must be one of .*, got 'bogus'$"):
         Engine(canonical, 1, "bogus")
+
+
+@pytest.mark.parametrize("mode, kwargs, message", [
+    ("sampled", {}, "mode 'sampled' requires shots and seed"),
+    ("noisy", {"noise": NoiseConfig()}, "mode 'noisy' requires shots and seed"),
+    ("noisy", {"shots": 8}, "mode 'noisy' requires a noise config"),
+], ids=["sampled-no-shots", "noisy-no-shots", "noisy-no-noise"])
+def test_engine_refuses_a_mode_without_its_inputs_when_built(canonical, mode, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Engine(canonical, 1, mode, **kwargs)
+
+
+@pytest.mark.parametrize("mode, kwargs", [
+    ("exact", {"shots": 8}),
+    ("sampled", {"shots": 8}),
+    ("noisy", {"shots": 8, "noise": NoiseConfig(p1q=0.1, p_readout=0.1)}),
+])
+@pytest.mark.parametrize("seed", [None, True, 1.5])
+def test_engine_refuses_a_row_that_draws_shots_without_an_integer_seed(canonical, mode, kwargs,
+                                                                        seed):
+    engine = Engine(canonical, 1, mode, **kwargs)
+    message = (f"mode {mode!r} requires shots and seed" if seed is None
+               else f"seed must be an integer, got {seed!r}")
+    calls = [engine.tallies] if mode == "exact" else [engine.tallies, engine]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(np.zeros((2, 2)), [3, seed])
+    if mode == "exact":  # exact energies draw no shots, so their seeds are ignored
+        assert engine(np.zeros((2, 2)), [3, seed]).shape == (2,)
+
+
+def test_a_sampled_search_without_a_seed_is_refused(canonical):
+    problem = MinimizeProblem(Engine(canonical, 1, "sampled", shots=8), np.zeros(2))
+    with pytest.raises(ValueError, match="^mode 'sampled' requires shots and seed$"):
+        minimize("cobyla", problem)
+
+
+@pytest.mark.parametrize("n", [5, 7, 14])
+@pytest.mark.parametrize("k", [1, 3])
+def test_exact_tallies_equal_sampled_tallies(n, k):
+    gen = np.random.default_rng([n, k, 0x7A])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:3 * n // 2])
+    instance = MaxCutInstance(n, edges, tuple(gen.uniform(0.5, 2.0, len(edges))))
+    thetas = gen.uniform(-math.pi, math.pi, (k, 4))
+    seeds = [int(s) for s in gen.integers(0, 2**63, k)]
+    exact = Engine(instance, 2, "exact", shots=300).tallies(thetas, seeds)
+    sampled = Engine(instance, 2, "sampled", shots=300).tallies(thetas, seeds)
+    assert exact.shape == (k, 1 << n) and exact.dtype == sampled.dtype
+    assert np.array_equal(exact, sampled)
+
+
+def test_a_dd_noisy_engine_dresses_its_circuit_once(canonical, monkeypatch):
+    noise = NoiseConfig(p1q=0.01, sigma_dephase=0.1, twirling=True, dd=True, dd_sequence="XY4")
+    engine = Engine(canonical, 2, "noisy", shots=16, noise=noise)
+    engine(np.full((1, 4), 0.3), [1])
+    built = []
+    post_init = Circuit.__post_init__
+
+    def counted(circuit):
+        built.append(circuit)
+        post_init(circuit)
+
+    monkeypatch.setattr(Circuit, "__post_init__", counted)
+    engine(np.full((2, 4), 0.7), [2, 3])
+    assert built == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

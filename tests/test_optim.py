@@ -133,20 +133,12 @@ def test_budget_exactly_dimension_runs():
 def test_problem_validation():
     with pytest.raises(ValueError):
         MinimizeProblem(batched(shifted_bowl), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        MinimizeProblem(batched(shifted_bowl), np.zeros(2), fd_step=-0.1)
 
 
 @pytest.mark.parametrize("x0", [[0.0, math.nan], [math.inf, 1.0], [-math.inf, 0.0]])
 def test_x0_must_be_finite(x0):
     with pytest.raises(ValueError, match=r"^x0 entries must be finite"):
         MinimizeProblem(batched(shifted_bowl), np.array(x0))
-
-
-@pytest.mark.parametrize("fd_step", [math.nan, math.inf, True, 0.0, -0.1, "0.05"])
-def test_fd_step_must_be_a_positive_finite_number(fd_step):
-    with pytest.raises(ValueError, match=r"^fd_step must be a positive finite number"):
-        MinimizeProblem(batched(shifted_bowl), np.zeros(2), fd_step=fd_step)
 
 
 @pytest.mark.parametrize("max_evals", [2.5, np.float64(3.0), True, "40"])
@@ -198,8 +190,7 @@ def test_deterministic_given_fixed_objective():
 @pytest.mark.parametrize("method", METHODS)
 def test_stochastic_objective_terminates(method, canonical):
     problem = MinimizeProblem(
-        Engine(canonical, 1, "sampled", shots=64), np.array([0.7, 1.1]), max_evals=400,
-        fd_step=0.05, seed=13,
+        Engine(canonical, 1, "sampled", shots=64), np.array([0.7, 1.1]), max_evals=400, seed=13,
     )
     result = minimize(method, problem)
     assert result.status in ALL_STATUSES
@@ -243,11 +234,12 @@ def test_budget_cut_inside_the_first_cobyla_simplex():
 def test_budget_cut_inside_a_cg_gradient():
     x0 = np.array([0.3, -0.2, 0.1])
     objective = CallLog(padded_bowl)
-    result = minimize("cg", MinimizeProblem(objective, x0, max_evals=4, fd_step=0.01))
+    result = minimize("cg", MinimizeProblem(objective, x0, max_evals=4))
     assert result.status == STATUS_BUDGET
     assert len(result.trace) == result.evals_used == 4
-    # x0, then x0 + h e_0, x0 - h e_0, x0 + h e_1, ...; the batch cut after three
-    steps = np.diag(np.full(3, 0.01))
+    # x0, then x0 + h0 e_0, x0 - h0 e_0, x0 + h1 e_1, ... at h_i = 1e-6 * max(1, |x_i|);
+    # the batch cut after three
+    steps = np.diag(1e-6 * np.maximum(1.0, np.abs(x0)))
     expected = [x0, x0 + steps[0], x0 - steps[0], x0 + steps[1]]
     assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
     assert objective.sizes == [1, 3]
@@ -271,8 +263,7 @@ def test_trace_and_best_are_those_of_point_by_point_evaluation(method):
 def test_sampled_batches_use_one_seed_per_evaluation(method, canonical):
     seed = 17
     problem = MinimizeProblem(Engine(canonical, 2, "sampled", shots=128),
-                              np.array([0.4, 0.9, 1.2, 0.3]), max_evals=40, fd_step=0.05,
-                              seed=seed)
+                              np.array([0.4, 0.9, 1.2, 0.3]), max_evals=40, seed=seed)
     for r in minimize(method, problem).trace.records:
         eval_seed = rng.child_seed(seed, rng.STREAM_EVAL, r.index)
         params = QaoaParams.from_vector(np.array(r.theta))
@@ -412,16 +403,15 @@ class ToyEngine:
 
 
 def lockstep_problems(specs, engines: dict):
-    """(method, problem) of each (method, d, kind, budget, start, seed, fd_step) spec.
+    """(method, problem) of each (method, d, kind, budget, start, seed) spec.
 
     Specs of one (d, kind) share the ``ToyEngine`` that ``engines`` holds for it.
     """
     out = []
-    for method, d, kind, budget, start, seed, fd_step in specs:
+    for method, d, kind, budget, start, seed in specs:
         engine = engines.setdefault((d, kind), ToyEngine(kind))
         x0 = np.linspace(-0.9, 0.0, d) * start
-        out.append((method, MinimizeProblem(engine, x0, max_evals=budget, fd_step=fd_step,
-                                            seed=seed)))
+        out.append((method, MinimizeProblem(engine, x0, max_evals=budget, seed=seed)))
     return out
 
 
@@ -474,7 +464,6 @@ search_specs = st.tuples(
     st.integers(10, 160),
     st.floats(0.1, 1.0),
     st.one_of(st.none(), st.integers(0, 2**64 - 1)),
-    st.sampled_from([None, 0.05]),
 ).filter(lambda spec: spec[3] >= spec[1])
 
 
@@ -491,12 +480,12 @@ def test_lockstep_equals_each_search_run_alone(specs):
 
 def test_lockstep_cuts_budgets_inside_batches_and_stalls_one_search():
     specs = [
-        ("cg", 3, "smooth", 4, 1.0, 7, 0.01),        # cut inside the first gradient
-        ("cobyla", 10, "noisy", 10, 0.5, 8, None),    # cut inside the first simplex
-        ("cg", 3, "smooth", 60, 0.3, 9, None),
-        ("cg", 3, "spiky", 200, 0.2, None, None),     # asks a NaN point: stalled
-        ("powell", 1, "flat", 100, 1.0, 10, None),    # converges early
-        ("cobyla", 10, "noisy", 120, 1.0, 11, None),
+        ("cg", 3, "smooth", 4, 1.0, 7),        # cut inside the first gradient
+        ("cobyla", 10, "noisy", 10, 0.5, 8),    # cut inside the first simplex
+        ("cg", 3, "smooth", 60, 0.3, 9),
+        ("cg", 3, "spiky", 200, 0.2, None),     # asks a NaN point: stalled
+        ("powell", 1, "flat", 100, 1.0, 10),    # converges early
+        ("cobyla", 10, "noisy", 120, 1.0, 11),
     ]
     alone, results, engines = run_alone_and_in_lockstep(specs)
     for a, b in zip(alone, results):

@@ -13,7 +13,6 @@ from qaoalab.statevec import (
     MAX_QUBITS,
     GateOp,
     StateVector,
-    apply_gate,
     apply_rows,
     counts_from_tally,
     expectation_cut,
@@ -40,53 +39,67 @@ def random_state(n: int, seed: int) -> StateVector:
 
 
 def uniform_state(n: int) -> StateVector:
-    state = zero_state(n)
-    for q in range(n):
-        state = apply_gate(state, GateOp("H", (q,)))
-    return state
+    return simulate_ops(n, [GateOp("H", (q,)) for q in range(n)])
+
+
+def random_ops(n: int, seed: int, count: int) -> list[GateOp]:
+    """``count`` random gates on n qubits; from |0...0> they prepare a generic state."""
+    gen = np.random.default_rng(seed)
+    ops = []
+    for _ in range(count):
+        kind = gen.choice(["H", "X", "Y", "Z", "RX", "RZ", "CNOT"])
+        if kind == "CNOT":
+            ops.append(GateOp("CNOT", tuple(gen.choice(n, size=2, replace=False).tolist())))
+        elif kind in ("RX", "RZ"):
+            ops.append(GateOp(kind, (int(gen.integers(n)),), float(gen.uniform(0, 2 * math.pi))))
+        else:
+            ops.append(GateOp(kind, (int(gen.integers(n)),)))
+    return ops
 
 
 # -- single-gate semantics ----------------------------------------------------
 
 
 def test_hadamard_on_zero():
-    state = apply_gate(zero_state(1), GateOp("H", (0,)))
+    state = simulate_ops(1, [GateOp("H", (0,))])
     np.testing.assert_allclose(state.amplitudes, [SQ2, SQ2], atol=1e-8)
 
 
 def test_cnot_flips_target_when_control_set():
-    state = apply_gate(basis_state(2, "10"), GateOp("CNOT", (0, 1)))
+    state = simulate_ops(2, [GateOp("X", (0,)), GateOp("CNOT", (0, 1))])
     np.testing.assert_allclose(state.amplitudes, basis_state(2, "11").amplitudes, atol=1e-12)
-    state = apply_gate(basis_state(2, "01"), GateOp("CNOT", (0, 1)))
+    state = simulate_ops(2, [GateOp("X", (1,)), GateOp("CNOT", (0, 1))])
     np.testing.assert_allclose(state.amplitudes, basis_state(2, "01").amplitudes, atol=1e-12)
 
 
 def test_rz_full_turn_gives_minus_one_phase():
-    state = apply_gate(basis_state(1, "1"), GateOp("RZ", (0,), 2.0 * math.pi))
+    state = simulate_ops(1, [GateOp("X", (0,)), GateOp("RZ", (0,), 2.0 * math.pi)])
     np.testing.assert_allclose(state.amplitudes, [0.0, -1.0], atol=1e-12)
 
 
 def test_rz_is_diagonal():
-    before = random_state(3, 0)
-    after = apply_gate(before, GateOp("RZ", (1,), 0.7))
+    prepare = random_ops(3, 0, 24)
+    before = simulate_ops(3, prepare)
+    after = simulate_ops(3, prepare + [GateOp("RZ", (1,), 0.7)])
     np.testing.assert_allclose(
         np.abs(after.amplitudes), np.abs(before.amplitudes), atol=1e-12
     )
 
 
 def test_pauli_y_action():
-    state = apply_gate(zero_state(1), GateOp("Y", (0,)))
+    state = simulate_ops(1, [GateOp("Y", (0,))])
     np.testing.assert_allclose(state.amplitudes, [0.0, 1j], atol=1e-12)
 
 
 def test_rx_half_turn_is_bit_flip_up_to_phase():
-    state = apply_gate(zero_state(1), GateOp("RX", (0,), math.pi))
+    state = simulate_ops(1, [GateOp("RX", (0,), math.pi)])
     np.testing.assert_allclose(state.amplitudes, [0.0, -1j], atol=1e-12)
 
 
 def test_delay_is_identity():
-    before = random_state(3, 1)
-    after = apply_gate(before, GateOp("DELAY", (2,), None, 3.5))
+    prepare = random_ops(3, 1, 24)
+    before = simulate_ops(3, prepare)
+    after = simulate_ops(3, prepare + [GateOp("DELAY", (2,), None, 3.5)])
     np.testing.assert_allclose(after.amplitudes, before.amplitudes, atol=1e-15)
 
 
@@ -97,40 +110,21 @@ def test_involutions_square_to_identity():
         GateOp("Z", (2,)),
         GateOp("CNOT", (0, 2)),
     ]
-    before = random_state(3, 2)
-    state = before
-    for op in ops:
-        state = apply_gate(apply_gate(state, op), op)
+    prepare = random_ops(3, 2, 24)
+    before = simulate_ops(3, prepare)
+    state = simulate_ops(3, prepare + [g for op in ops for g in (op, op)])
     np.testing.assert_allclose(state.amplitudes, before.amplitudes, atol=1e-12)
 
 
 def test_bit_order_leftmost_is_qubit_zero():
     # flipping qubit 0 must toggle the leftmost bitstring character
-    state = apply_gate(zero_state(3), GateOp("X", (0,)))
+    state = simulate_ops(3, [GateOp("X", (0,))])
     counts = sample_counts(state, 10, seed=0)
     assert set(counts.counts) == {"100"}
 
 
-def test_apply_gate_does_not_mutate_input():
-    before = random_state(2, 3)
-    kept = before.amplitudes.copy()
-    apply_gate(before, GateOp("X", (0,)))
-    np.testing.assert_array_equal(before.amplitudes, kept)
-
-
 def test_norm_preserved_by_random_circuits():
-    gen = np.random.default_rng(5)
-    state = random_state(4, 4)
-    for _ in range(60):
-        kind = gen.choice(["H", "X", "Y", "Z", "RX", "RZ", "CNOT"])
-        if kind == "CNOT":
-            q = tuple(gen.choice(4, size=2, replace=False).tolist())
-            op = GateOp("CNOT", q)
-        elif kind in ("RX", "RZ"):
-            op = GateOp(kind, (int(gen.integers(4)),), float(gen.uniform(0, 2 * math.pi)))
-        else:
-            op = GateOp(kind, (int(gen.integers(4)),))
-        state = apply_gate(state, op)
+    state = simulate_ops(4, random_ops(4, 5, 60))
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
@@ -161,9 +155,6 @@ def test_zero_state_bounds():
     ],
 )
 def test_malformed_gates_rejected(op):
-    state = zero_state(2)
-    with pytest.raises(ValueError):
-        apply_gate(state, op)
     with pytest.raises(ValueError):
         simulate_ops(2, [op])
     with pytest.raises(ValueError):
