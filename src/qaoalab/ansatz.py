@@ -35,14 +35,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _checks
 from .graph import MaxCutInstance, cut_levels
-from .statevec import (Counts, GateOp, StateVector, check_gate, check_qubit_count,
-                       sample_counts, simulate_ops)
+from .statevec import (MAX_QUBITS, Counts, GateOp, StateVector, check_gate, sample_counts,
+                       simulate_ops)
 
 ONE_QUBIT_DURATION = 1.0
 TWO_QUBIT_DURATION = 4.0
-
-RUN_MODES = ("exact", "sampled", "noisy")
 
 # qubits per mixer block in ``qaoa_states``: a (2^5 x 2^5) block per pass over
 # nodes 1..n-1; for n <= 6 the one block also carries node 0's RX
@@ -54,17 +53,14 @@ BATCH_AMPLITUDES = 1 << 13
 
 @dataclass(frozen=True)
 class QaoaParams:
-    """Layer angles; betas drive the mixer, gammas the cost phase."""
+    """Layer angles; betas drive the mixer, gammas the cost phase; each a finite number."""
 
     betas: tuple[float, ...]
     gammas: tuple[float, ...]
 
     def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
-        gammas = tuple(float(g) for g in self.gammas)
-        for name, angles in (("betas", betas), ("gammas", gammas)):
-            if not all(map(math.isfinite, angles)):
-                raise ValueError(f"{name}: angles must be finite, got {angles!r}")
+        betas = tuple(_checks.real(b, "betas: angle") for b in self.betas)
+        gammas = tuple(_checks.real(g, "gammas: angle") for g in self.gammas)
         if len(betas) != len(gammas):
             raise ValueError(
                 f"{len(betas)} betas vs {len(gammas)} gammas; layer counts must match"
@@ -100,7 +96,7 @@ class Circuit:
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        check_qubit_count(self.n)
+        object.__setattr__(self, "n", _checks.integer(self.n, "qubit count", 1, MAX_QUBITS))
         ops = []
         for op in self.ops:
             check_gate(self.n, op)
@@ -243,21 +239,6 @@ def _evolve_half(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
     return h
 
 
-def check_mode(mode: str) -> None:
-    """Reject a mode that is not one of ``RUN_MODES``."""
-    if mode not in RUN_MODES:
-        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
-
-
-def check_run_mode(mode: str, shots, seed, noise) -> None:
-    """Reject an unknown mode, or a mode without the inputs it needs."""
-    check_mode(mode)
-    if mode != "exact" and (shots is None or seed is None):
-        raise ValueError(f"mode {mode!r} requires shots and seed")
-    if mode == "noisy" and noise is None:
-        raise ValueError("mode 'noisy' requires a noise config")
-
-
 def run_circuit(
     circuit: Circuit,
     mode: str,
@@ -272,11 +253,12 @@ def run_circuit(
     sampled -> Counts from the noiseless final state (shots, seed required)
     noisy   -> Counts from per-shot noise trajectories (noise config required)
     """
-    check_run_mode(mode, shots, seed, noise)
+    from . import noise as noise_mod, objective  # circular at import time only
+
+    shots = objective.check_run_mode(mode, shots, noise)
+    seed = objective.check_seed(mode, seed, mode != "exact")
     if mode == "exact":
         return simulate_ops(circuit.n, circuit.ops)
     if mode == "sampled":
         return sample_counts(simulate_ops(circuit.n, circuit.ops), shots, seed)
-    from . import noise as noise_mod  # circular at import time only
-
     return noise_mod.sample_noisy(circuit, noise, shots, seed)

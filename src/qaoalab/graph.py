@@ -7,12 +7,12 @@ can be consumed directly as a diagonal observable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
+
+from . import _checks
 
 # Exhaustive enumeration and dense simulation share this ceiling.
 ENUMERATION_LIMIT = 24
@@ -30,25 +30,18 @@ class CapacityError(ValueError):
     """Instance too large for exhaustive enumeration."""
 
 
-def _is_index(value) -> bool:
-    """True for integers; bool is an int subclass but never a node."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_edge(n: int, edge, weight, seen: set[tuple[int, int]]) -> tuple[int, int]:
     """The rules for one edge of an n-node graph; returns its (min, max) key, added to ``seen``.
 
-    Both endpoints are integer nodes in 0..n-1, the edge is no self-loop
-    and no repeat of an edge in ``seen``, and its weight is a finite real
-    number (not a bool, not a numeric string).
+    Both endpoints are integers (``_checks.integer``) in 0..n-1, the
+    edge is no self-loop and no repeat of an edge in ``seen``, and its
+    weight is a finite number (``_checks.real``).
     """
     try:
         u, v = edge
     except (TypeError, ValueError):
         raise ValueError(f"edge {edge!r} is not a pair") from None
-    for node in (u, v):
-        if not _is_index(node):
-            raise ValueError(f"edge {edge!r} has endpoint {node!r}, not an integer node")
+    u, v = (_checks.integer(node, f"endpoint {node!r} of edge {edge!r}") for node in (u, v))
     if not (0 <= u < n) or not (0 <= v < n):
         raise ValueError(f"edge {edge!r} references a node outside 0..{n - 1}")
     if u == v:
@@ -56,14 +49,7 @@ def _check_edge(n: int, edge, weight, seen: set[tuple[int, int]]) -> tuple[int, 
     key = (min(u, v), max(u, v))
     if key in seen:
         raise ValueError(f"duplicate edge {key}")
-    if isinstance(weight, bool) or not isinstance(weight, Real):
-        raise ValueError(f"weight {weight!r} of edge {key} is not a real number")
-    try:
-        finite = math.isfinite(weight)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"weight {weight} of edge {key} is not finite")
+    _checks.real(weight, f"weight of edge {key}")
     seen.add(key)
     return key
 
@@ -81,8 +67,7 @@ class MaxCutInstance:
     weights: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not _is_index(self.n) or self.n < 1:
-            raise ValueError(f"node count must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _checks.integer(self.n, "node count", 1))
         weights = self.weights or (1.0,) * len(self.edges)
         if len(weights) != len(self.edges):
             raise ValueError(f"{len(weights)} weights for {len(self.edges)} edges")

@@ -26,13 +26,11 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from . import rng
-from .ansatz import RUN_MODES
+from . import _checks, rng
 from .graph import (
     MaxCutInstance,
     ParseError,
@@ -43,13 +41,14 @@ from .graph import (
     serialize_edge_list,
 )
 from .noise import NoiseConfig
-from .objective import Engine, energy_from_tally
+from .objective import Engine, check_run_mode, energy_from_tally
 from .optim import (
     METHODS,
     STATUS_CONVERGED,
     MinimizeProblem,
     MinimizeResult,
     OptimizationTrace,
+    TraceRecord,
     minimize_lockstep,
     random_qaoa_starts,
 )
@@ -86,9 +85,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One experiment, checked when it is built.
 
-    Each check raises ``ConfigError`` with a message that starts with
-    the field's name, so ``dataclasses.replace`` yields a checked config
-    too. An explicit ``init`` is normalized to a tuple of floats.
+    Each field is checked by its rule in ``_checks`` (mode, shots and
+    noise by ``objective.check_run_mode``) and refused by a ``ConfigError``
+    that starts with the field's name, so ``dataclasses.replace`` yields a
+    checked config too. Integers are kept as ints, ``init`` as floats.
     ``config_hash`` is the SHA-256 of every field but ``out_dir``, in
     canonical JSON (the instance as its edge-list text, the noise as
     its rates), so equal experiments share a hash however they were
@@ -110,48 +110,48 @@ class ExperimentConfig:
     config_hash: str = field(init=False)
 
     def __post_init__(self):
+        try:
+            self._check()
+        except ValueError as exc:  # a rule's message starts with "field: " too
+            raise ConfigError(str(exc)) from None
+        normalized = {f.name: getattr(self, f.name) for f in fields(self)
+                      if f.name not in ("out_dir", "config_hash")}
+        normalized.update(version=SCHEMA_VERSION, instance=serialize_edge_list(self.instance),
+                          noise=asdict(self.noise))
+        digest = hashlib.sha256(
+            json.dumps(normalized, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        object.__setattr__(self, "config_hash", digest)
+
+    def _check(self):
         if self.instance.n > MAX_QUBITS:
             raise ConfigError(
                 f"instance: {self.instance.n} nodes exceed the simulator's limit of {MAX_QUBITS}"
             )
-        p = self.p
-        if not _is_int(p) or p < 0:
-            raise ConfigError(f"p: must be a non-negative integer, got {p!r}")
+        p = _checks.integer(self.p, "p:", 0)
+        object.__setattr__(self, "p", p)
         if self.method not in METHODS:
             raise ConfigError(f"method: must be one of {METHODS}, got {self.method!r}")
         init = self.init
         if isinstance(init, tuple):
-            for v in init:
-                if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-                    raise ConfigError(f"init: explicit vector must hold finite numbers, got {v!r}")
+            object.__setattr__(self, "init", tuple(_checks.real(v, "init:") for v in init))
             if len(init) != 2 * p:
                 raise ConfigError(f"init: explicit vector has length {len(init)}, need 2*p = {2 * p}")
-            object.__setattr__(self, "init", tuple(float(v) for v in init))
         elif init == "paper-p5":
             if p != 5:
                 raise ConfigError(f"init: preset 'paper-p5' requires p = 5, got p = {p}")
         elif init != "random":
             raise ConfigError(f"init: must be 'random', 'paper-p5', or a vector, got {init!r}")
-        if not _is_int(self.restarts) or self.restarts < 1:
-            raise ConfigError(f"restarts: must be a positive integer, got {self.restarts!r}")
-        if not _is_int(self.shots) or self.shots < 1:
-            raise ConfigError(f"shots: must be a positive integer, got {self.shots!r}")
-        if self.mode not in RUN_MODES:
-            raise ConfigError(f"mode: must be one of {RUN_MODES}, got {self.mode!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            # the RNG keeps a seed's low 64 bits, so no other seed is told apart
-            raise ConfigError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
-        max_evals = self.max_evals
-        if max_evals is not None and (not _is_int(max_evals) or max_evals < 1):
-            raise ConfigError(f"max_evals: must be a positive integer, got {max_evals!r}")
-        if max_evals is not None and max_evals < 2 * p:
-            raise ConfigError(
-                f"max_evals: {max_evals} cannot cover one pass over the 2*p = {2 * p} angles"
-            )
-        if self.mode != "noisy" and self.noise != NoiseConfig():
-            raise ConfigError(
-                f"noise: mode {self.mode!r} never samples noise; set noise in mode 'noisy'"
-            )
+        object.__setattr__(self, "restarts", _checks.integer(self.restarts, "restarts:", 1))
+        # a run samples its final counts in every mode, so shots are never optional
+        object.__setattr__(self, "shots", _checks.integer(self.shots, "shots:", 1))
+        if not isinstance(self.noise, NoiseConfig):  # hashed by its rates, so never None
+            raise ConfigError(f"noise: must be a NoiseConfig, got {self.noise!r}")
+        check_run_mode(self.mode, self.shots, self.noise, sep=":")
+        object.__setattr__(self, "seed", _checks.seed(self.seed, "seed:"))
+        if self.max_evals is not None:  # a budget covers one pass over the 2*p angles
+            object.__setattr__(self, "max_evals",
+                               _checks.integer(self.max_evals, "max_evals:", max(1, 2 * p)))
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir: must be a string path, got {self.out_dir!r}")
         if self.sweep is not None:
@@ -167,14 +167,6 @@ class ExperimentConfig:
                     f"sweep.noise: mode {self.mode!r} never samples noise; "
                     "sweep noise in mode 'noisy'"
                 )
-        normalized = {f.name: getattr(self, f.name) for f in fields(self)
-                      if f.name not in ("out_dir", "config_hash")}
-        normalized.update(version=SCHEMA_VERSION, instance=serialize_edge_list(self.instance),
-                          noise=asdict(self.noise))
-        digest = hashlib.sha256(
-            json.dumps(normalized, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest()
-        object.__setattr__(self, "config_hash", digest)
 
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig) if f.init} | {"version"}
@@ -194,11 +186,6 @@ def _reject_unknown(section: str, given, allowed: set[str]) -> None:
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise ConfigError(f"unknown field {unknown[0]!r} in {section}")
-
-
-def _is_int(value) -> bool:
-    """True for JSON integers; bool is an int subclass but never a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _resolve_instance(spec) -> MaxCutInstance:
@@ -307,7 +294,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     first = next(rows, None)
     lines = [",".join(header)]
     if first is not None:
-        fmt = ",".join("%.9g" if isinstance(v, float) else "%d" if _is_int(v) else "%s"
+        fmt = ",".join("%.9g" if isinstance(v, float) else "%d" if _checks.is_integer(v) else "%s"
                        for v in first)
         lines += [fmt % tuple(row) for row in chain((first,), rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -344,17 +331,18 @@ def _optimize(configs: list[ExperimentConfig]) -> tuple[Engine, list[tuple[Minim
     Restart r searches under the seed ``child_seed(config.seed,
     STREAM_EVAL, r)`` (none in exact mode), so it keeps the seeds, trace
     and status it gets when run alone. At p = 0 there is nothing to
-    search: the one trace entry is the exact energy of the uniform state.
+    search: the one trace entry scores the uniform state on the same
+    engine, as restart 0's first evaluation.
     """
     base = configs[0]
     engine = Engine(base.instance, base.p, base.mode, shots=base.shots, noise=base.noise)
-    if base.p == 0:
-        energy = float(Engine(base.instance, 0)(np.zeros((1, 0)), [None])[0])
-        trace = OptimizationTrace()
-        trace.append((), energy)
-        result = MinimizeResult(np.zeros(0), energy, 1, STATUS_CONVERGED, trace)
-        return engine, [(result, 1)] * len(configs)
     exact = base.mode == "exact"
+    if base.p == 0:
+        restart0 = [None if exact else rng.child_seed(c.seed, rng.STREAM_EVAL, 0) for c in configs]
+        seeds = [rng.eval_seeds(seed, 0, 1)[0] for seed in restart0]
+        return engine, [(MinimizeResult(np.zeros(0), energy, 1, STATUS_CONVERGED,
+                                        OptimizationTrace([TraceRecord(0, (), energy)])), 1)
+                        for energy in engine(np.zeros((len(configs), 0)), seeds).tolist()]
     searches = [
         (config.method, MinimizeProblem(
             engine, x0, max_evals=config.max_evals,

@@ -25,17 +25,15 @@ Mitigation passes rewrite circuits:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
+from . import _checks, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
-from .statevec import ROTATION_KINDS, Counts, GateOp, check_shots, counts_from_tally
+from .statevec import ROTATION_KINDS, Counts, GateOp, counts_from_tally
 
 PAULI_KINDS = ("X", "Y", "Z")
 
@@ -57,7 +55,8 @@ class NoiseConfig:
     qubit's idle time is kicked as one RZ just before the next op on
     that qubit, whatever that op's duration; idle time after a qubit's
     last op is trailing and kicked at the end of the circuit. A DELAY op
-    is idle time too, kicked right after it.
+    is idle time too, kicked right after it. Each field is checked, and
+    kept as given, by its rule in ``_checks``.
     """
 
     p1q: float = 0.0
@@ -70,20 +69,12 @@ class NoiseConfig:
     dd_sequence: str = "XpXm"
 
     def __post_init__(self):
-        for name in ("p1q", "p2q", "p_readout", "epsilon_coherent", "sigma_dephase"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
         for name in ("p1q", "p2q", "p_readout"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v!r}")
-        if self.sigma_dephase < 0:
-            raise ValueError(f"sigma_dephase must be >= 0, got {self.sigma_dephase!r}")
-        for name in ("twirling", "dd"):
-            v = getattr(self, name)
-            if not isinstance(v, bool):
-                raise ValueError(f"{name} must be true or false, got {v!r}")
+            _checks.real(getattr(self, name), name, 0, 1)
+        _checks.real(self.epsilon_coherent, "epsilon_coherent")
+        _checks.real(self.sigma_dephase, "sigma_dephase", 0)
+        _checks.flag(self.twirling, "twirling")
+        _checks.flag(self.dd, "dd")
         if not isinstance(self.dd_sequence, str) or self.dd_sequence not in DD_SEQUENCES:
             raise ValueError(
                 f"dd_sequence must be one of {sorted(DD_SEQUENCES)}, got {self.dd_sequence!r}"
@@ -106,7 +97,7 @@ def twirl_circuit(circuit: Circuit, seed: int) -> Circuit:
     """
     from . import trajectories  # loaded on first use
 
-    return trajectories.realize(circuit, NoiseConfig(), 0, 0, twirl_seed=seed)
+    return trajectories.realize(circuit, NoiseConfig(), 0, 0, twirl_seed=_checks.seed(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +249,16 @@ def apply_trajectory_noise(
     """
     from . import trajectories  # loaded on first use
 
-    return trajectories.realize(circuit, config, shot_index, seed)
+    shot_index = _checks.integer(shot_index, "shot_index", 0)
+    return trajectories.realize(circuit, config, shot_index, _checks.seed(seed))
 
 
 def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int) -> str:
     """Flip each measured bit independently with probability p_readout."""
     if not isinstance(bits, str) or set(bits) - {"0", "1"}:
         raise ValueError(f"bits must be a string of '0' and '1', got {bits!r}")
-    NoiseConfig(p_readout=p_readout)  # the one rule for a rate
+    _checks.real(p_readout, "p_readout", 0, 1)
+    shot_index, seed = _checks.integer(shot_index, "shot_index", 0), _checks.seed(seed)
     if p_readout == 0.0:
         return bits
     from . import trajectories  # loaded on first use
@@ -290,11 +283,10 @@ def sample_noisy_tallies(circuit: Circuit, config: NoiseConfig, shots: int, seed
     angles. The DD pulses are inserted once, and the k points' shots run
     together; row j equals the tally of ``sample_noisy`` on point j's own
     circuit under ``seeds[j]``, bit for bit. No seeds give a (0, 2^n)
-    array.
+    array. Its callers check ``shots`` and ``seeds``.
     """
     from . import trajectories  # loaded on first use
 
-    check_shots(shots)
     rotation = [op.kind in ROTATION_KINDS for op in circuit.ops]
     if angles is None:
         own = [op.angle for op, rotates in zip(circuit.ops, rotation) if rotates]
@@ -319,4 +311,6 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     ``apply_trajectory_noise`` through ``simulate_ops``, then
     ``apply_readout_error``.
     """
-    return counts_from_tally(sample_noisy_tallies(circuit, config, shots, [seed])[0], circuit.n)
+    shots = _checks.integer(shots, "shots", 1)
+    seeds = [_checks.seed(seed)]
+    return counts_from_tally(sample_noisy_tallies(circuit, config, shots, seeds)[0], circuit.n)

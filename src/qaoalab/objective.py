@@ -14,16 +14,17 @@ angle rows alone.
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from . import rng
-from .ansatz import QaoaParams, build_qaoa_circuit, check_mode, qaoa_angles, qaoa_states
+from . import _checks, rng
+from .ansatz import QaoaParams, build_qaoa_circuit, qaoa_angles, qaoa_states
 from .graph import MaxCutInstance, cut_value_table
-from .noise import sample_noisy_tallies
+from .noise import NoiseConfig, sample_noisy_tallies
 from .statevec import Counts, StateVector, counts_from_tally, expectation_cut, sample_tally
+
+RUN_MODES = ("exact", "sampled", "noisy")
 
 
 class EnergySample:
@@ -93,14 +94,48 @@ def evaluate_qaoa(
     Exact mode returns the exact expectation (shots reported as 0);
     sampled and noisy modes estimate it from measured shots. Both score
     the basis-index tally of ``Engine.tallies`` directly and format no
-    bitstring unless ``counts`` is read.
+    bitstring unless ``counts`` is read. ``check_run_mode`` and
+    ``check_seed`` check the inputs in every mode.
     """
     engine = Engine(instance, params.p, mode, shots=shots, noise=noise)
+    seed = check_seed(mode, seed, mode != "exact")
     row = params.to_vector()[None]
     if mode == "exact":
         return EnergySample(float(engine(row, [None])[0]), 0)
     tally = engine.tallies(row, [seed])[0]
-    return EnergySample(energy_from_tally(tally, instance), shots, tally=tally)
+    return EnergySample(energy_from_tally(tally, instance), engine.shots, tally=tally)
+
+
+def check_run_mode(mode: str, shots, noise, *, sep: str = "") -> int | None:
+    """The run-mode rule; returns ``shots`` as an int (None if not given).
+
+    Sampled and noisy mode need shots; given shots are a positive integer
+    in every mode, as an exact engine samples final counts too. Noisy
+    mode needs a ``NoiseConfig``; the others take only None or
+    ``NoiseConfig()``. A message starts with the field's name and ``sep``.
+    """
+    if mode not in RUN_MODES:
+        raise ValueError(f"mode{sep} must be one of {RUN_MODES}, got {mode!r}")
+    if shots is not None:
+        shots = _checks.integer(shots, f"shots{sep}", 1)
+    elif mode != "exact":
+        raise ValueError(f"mode {mode!r} requires shots and seed")
+    if mode == "noisy":
+        if noise is None:
+            raise ValueError("mode 'noisy' requires a noise config")
+        if not isinstance(noise, NoiseConfig):
+            raise ValueError(f"noise{sep} must be a NoiseConfig, got {noise!r}")
+    elif noise is not None and noise != NoiseConfig():
+        raise ValueError(f"noise{sep} must be none in mode {mode!r}, which samples no noise; "
+                         f"set noise in mode 'noisy', got {noise!r}")
+    return shots
+
+
+def check_seed(mode: str, seed, draws: bool = True) -> int | None:
+    """``seed`` by the seed rule; None passes only when nothing is drawn (``draws`` false)."""
+    if seed is None and draws:
+        raise ValueError(f"mode {mode!r} requires shots and seed")
+    return seed if seed is None else _checks.seed(seed)
 
 
 class Engine:
@@ -108,9 +143,9 @@ class Engine:
 
     An engine fixes the instance, the depth, the run mode and, for the
     stochastic modes, the shots and the noise; the seed of each row comes
-    with the row. It is the one place that maps a run mode to a sampler
-    and checks the mode's shots and noise (when built) and seeds (each
-    row that draws shots needs an integer, not a bool). ``engine(thetas,
+    with the row. It is the one place that maps a run mode to a sampler;
+    it checks p and ``check_run_mode`` when built, and per call only the
+    rows and their seeds (``check_seed``). ``engine(thetas,
     seeds)`` evaluates a whole batch in one call: exact mode evolves it
     in one ``qaoa_states`` call and ignores the seeds; the stochastic
     modes score the rows of ``tallies``. Each row is scored alone, so
@@ -122,13 +157,8 @@ class Engine:
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
                  shots: int | None = None, noise=None):
-        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-            raise ValueError(f"p must be a non-negative integer, got {p!r}")
-        check_mode(mode)
-        if mode != "exact" and shots is None:
-            raise ValueError(f"mode {mode!r} requires shots and seed")
-        if mode == "noisy" and noise is None:
-            raise ValueError("mode 'noisy' requires a noise config")
+        p = _checks.integer(p, "p", 0)
+        shots = check_run_mode(mode, shots, noise)
         self.instance, self.p, self.mode = instance, p, mode
         self.shots, self.noise = shots, noise
         if mode == "noisy":
@@ -162,22 +192,13 @@ class Engine:
         """
         instance, n = self.instance, self.instance.n
         thetas = self._rows(thetas, seeds)
-        for seed in seeds:
-            _check_seed(self.mode, seed)
+        seeds = [check_seed(self.mode, seed) for seed in seeds]
         if self.mode == "noisy":
             return sample_noisy_tallies(self._circuit, self.noise, self.shots, seeds,
                                         qaoa_angles(instance, thetas))
         return np.array([sample_tally(StateVector(n, amps), self.shots, s)
                          for amps, s in zip(qaoa_states(instance, thetas), seeds)],
                         dtype=np.int64).reshape(len(thetas), 1 << n)
-
-
-def _check_seed(mode: str, seed) -> None:
-    """Reject a seed that cannot key a row's draws: None, a bool or a non-integer."""
-    if seed is None:
-        raise ValueError(f"mode {mode!r} requires shots and seed")
-    if isinstance(seed, bool) or not isinstance(seed, Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def make_objective(
@@ -198,10 +219,7 @@ def make_objective(
     ``MinimizeProblem(engine, x0, seed=seed)``.
     """
     engine = Engine(instance, p, mode, shots=shots, noise=noise)
-    if mode == "exact":
-        seed = None
-    else:
-        _check_seed(mode, seed)
+    seed = check_seed(mode, seed, mode != "exact")
     evals = 0
 
     def objective(thetas) -> np.ndarray:

@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import rng
+from . import _checks, rng
 
 STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget_exhausted"
@@ -92,11 +92,11 @@ class MinimizeProblem:
     seeds to k values. Evaluation j of the search (its trace index) is
     sent the seed that ``rng.eval_seeds`` derives from ``seed`` and j, or
     None when ``seed`` is None, as an exact objective needs no seed.
-    Searches may share one objective. x0 must be finite. max_evals is an
-    int (not a bool) and defaults to 500 * d. seed is None or an int
-    (not a bool). The stopping tolerances and cg's finite-difference
-    step, h_i = 1e-6 * max(1, |x_i|), are fixed for every problem
-    (_XTOL, _FTOL, ``_fd_gradient``).
+    Searches may share one objective. x0 must be finite, max_evals an
+    integer (``_checks.integer``; 500 * d by default) and seed None or a
+    seed (``_checks.seed``). The stopping tolerances and cg's
+    finite-difference step, h_i = 1e-6 * max(1, |x_i|), are fixed for
+    every problem (_XTOL, _FTOL, ``_fd_gradient``).
     """
 
     objective: Callable[[np.ndarray, list], np.ndarray]
@@ -112,15 +112,13 @@ class MinimizeProblem:
             raise ValueError(f"x0 entries must be finite, got {self.x0.tolist()!r}")
         if self.max_evals is None:
             self.max_evals = 500 * self.x0.size
-        if isinstance(self.max_evals, bool) or not isinstance(self.max_evals, int):
-            raise ValueError(f"max_evals must be an integer, got {self.max_evals!r}")
+        self.max_evals = _checks.integer(self.max_evals, "max_evals")
         if self.max_evals < self.x0.size:
             raise ValueError(
                 f"max_evals={self.max_evals} cannot cover even one pass over {self.x0.size} dimensions"
             )
-        seed = self.seed
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ValueError(f"seed must be an integer or None, got {seed!r}")
+        if self.seed is not None:
+            self.seed = _checks.seed(self.seed)
 
 
 @dataclass
@@ -609,9 +607,8 @@ def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
 
 def random_qaoa_starts(p: int, k: int, seed: int) -> list[np.ndarray]:
     """k random layer-angle vectors: betas in [0, pi), gammas in [0, 2*pi)."""
-    if p < 1 or k < 1:
-        raise ValueError("p and k must be positive")
-    gen = rng.generator(seed, rng.STREAM_INIT)
+    p, k = _checks.integer(p, "p", 1), _checks.integer(k, "k", 1)
+    gen = rng.generator(_checks.seed(seed), rng.STREAM_INIT)
     starts = []
     for _ in range(k):
         betas = gen.uniform(0.0, math.pi, size=p)

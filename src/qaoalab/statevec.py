@@ -18,15 +18,13 @@ sampler, on the same (rows, 2^n) layout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
+from . import _checks, rng
 from .graph import ENUMERATION_LIMIT, MaxCutInstance, cut_value_table
 
 MAX_QUBITS = ENUMERATION_LIMIT
@@ -68,15 +66,9 @@ class Counts:
         return {b: c / self.shots for b, c in self.counts.items()}
 
 
-def check_qubit_count(n) -> None:
-    """Reject anything but an int in 1..MAX_QUBITS (bool is an int subclass)."""
-    if not isinstance(n, int) or isinstance(n, bool) or not (1 <= n <= MAX_QUBITS):
-        raise ValueError(f"qubit count must be in 1..{MAX_QUBITS}, got {n!r}")
-
-
 def zero_state(n: int) -> StateVector:
     """|0...0> on n qubits."""
-    check_qubit_count(n)
+    n = _checks.integer(n, "qubit count", 1, MAX_QUBITS)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return StateVector(n, amps)
@@ -204,11 +196,7 @@ def check_gate(n: int, op: GateOp) -> None:
     if len(op.qubits) != arity:
         raise ValueError(f"{op.kind} takes {arity} qubit(s), got {op.qubits!r}")
     for q in op.qubits:
-        # the type test first spares the slow ABC check for plain ints
-        if type(q) is not int and (not isinstance(q, Integral) or isinstance(q, bool)):
-            raise ValueError(f"{op.kind} qubits must be integers, got {op.qubits!r}")
-        if not (0 <= q < n):
-            raise ValueError(f"qubit {q} out of range for n={n}")
+        _checks.integer(q, "qubit", 0, n - 1)
     if len(set(op.qubits)) != len(op.qubits):
         raise ValueError(f"{op.kind} qubits must be distinct, got {op.qubits!r}")
     if op.kind in ROTATION_KINDS:
@@ -216,10 +204,7 @@ def check_gate(n: int, op: GateOp) -> None:
             raise ValueError(f"{op.kind} requires an angle")
     elif op.kind != "DELAY" and op.angle is not None:
         raise ValueError(f"{op.kind} takes no angle")
-    d = op.duration
-    if (type(d) is not float and (not isinstance(d, Real) or isinstance(d, bool))
-            or not 0 <= d < math.inf):
-        raise ValueError(f"op {op!r} lacks a usable duration: need a finite number >= 0")
+    _checks.real(op.duration, "duration", 0)
 
 
 def simulate_ops(n: int, ops) -> StateVector:
@@ -244,12 +229,6 @@ def expectation_cut(state: StateVector, instance: MaxCutInstance) -> float:
         raise ValueError(f"instance has {instance.n} nodes but state has {state.n} qubits")
     probs = np.abs(state.amplitudes) ** 2
     return float(probs @ cut_value_table(instance))
-
-
-def check_shots(shots) -> None:
-    """Reject anything but a positive int (bool is an int subclass)."""
-    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
 
 
 def measure_rows(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -278,8 +257,8 @@ def sample_tally(state: StateVector, shots: int, seed: int) -> np.ndarray:
     Shot i consumes draw i of the (seed, sample) substream, so any
     prefix of the shots is reproducible independently. The draws are
     located in sorted order; a tally does not depend on that order.
+    Its callers check ``shots`` and ``seed``.
     """
-    check_shots(shots)
     u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
     outcomes = measure_rows(state.amplitudes[None], np.sort(u))
     return np.bincount(outcomes, minlength=state.amplitudes.size)
@@ -297,4 +276,6 @@ def sample_counts(state: StateVector, shots: int, seed: int) -> Counts:
     The ``sample_tally`` of the same arguments, formatted as bitstrings
     by ``counts_from_tally``; use the tally where no bitstring is needed.
     """
+    shots = _checks.integer(shots, "shots", 1)
+    seed = _checks.seed(seed)
     return counts_from_tally(sample_tally(state, shots, seed), state.n)

@@ -1,0 +1,224 @@
+"""The input rules: one definition each, called at every entry point."""
+
+import ast
+import math
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qaoalab
+from qaoalab import _checks, ansatz, objective, trajectories
+from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, run_circuit
+from qaoalab.graph import MaxCutInstance, canonical_instance
+from qaoalab.harness import parse_config, run_experiment
+from qaoalab.noise import NoiseConfig, apply_trajectory_noise, sample_noisy, twirl_circuit
+from qaoalab.objective import Engine, evaluate_qaoa, make_objective
+from qaoalab.optim import MinimizeProblem, minimize, random_qaoa_starts
+from qaoalab.statevec import sample_counts, zero_state
+
+CANONICAL = canonical_instance()
+PARAMS = QaoaParams((0.3,), (0.9,))
+CIRCUIT = build_qaoa_circuit(CANONICAL, PARAMS)
+NOISE = NoiseConfig(p1q=0.1, p_readout=0.1, twirling=True)
+THETAS = np.array([[0.3, 0.9], [1.1, 0.2]])
+
+
+# -- the rules ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.int32(3)])
+def test_an_integer_comes_back_as_an_int(value):
+    assert type(_checks.integer(value, "k", 0, 3)) is int
+    assert _checks.integer(value, "k") == 3
+    assert type(_checks.seed(value)) is int
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), 3.0, np.float64(3.0), "3", None])
+def test_an_integer_is_no_bool_float_or_string(value):
+    with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+        _checks.integer(value, "k")
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+        _checks.seed(value)
+
+
+@pytest.mark.parametrize("value, lo, hi, message", [
+    (-1, 0, None, "k must be an integer >= 0, got -1"),
+    (0, 1, None, "k must be an integer >= 1, got 0"),
+    (np.int64(25), 1, 24, "k must be an integer in [1, 24], got np.int64(25)"),
+])
+def test_an_integer_out_of_bounds_is_refused(value, lo, hi, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _checks.integer(value, "k", lo, hi)
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, np.int64(-5), -2**70])
+def test_a_seed_is_in_the_range_the_rng_tells_apart(value):
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
+        _checks.seed(value)
+    assert _checks.seed(2**64 - 1) == 2**64 - 1
+    assert _checks.seed(np.uint64(2**64 - 1)) == 2**64 - 1
+
+
+@pytest.mark.parametrize("value", [0.5, 2, np.float32(0.5), np.int64(-3)])
+def test_a_number_comes_back_as_a_float(value):
+    number = _checks.real(value, "x")
+    assert type(number) is float and number == float(value)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, math.nan, math.inf,
+                                   -math.inf, 10**400, 1.5])
+def test_a_number_is_finite_and_no_bool_or_string(value):
+    with pytest.raises(ValueError, match=r"^x must be a finite number in \[0, 1\], got "):
+        _checks.real(value, "x", 0, 1)
+
+
+@pytest.mark.parametrize("value", [1, 0, np.bool_(True), "true", None])
+def test_a_flag_is_true_or_false(value):
+    with pytest.raises(ValueError, match="^dd must be true or false, got "):
+        _checks.flag(value, "dd")
+    assert _checks.flag(True, "dd") is True and _checks.flag(False, "dd") is False
+
+
+# -- bad values at the entry points ------------------------------------------------
+
+# each call gets a bad value and must refuse it, naming the field, before any state
+# is evolved or any shot is drawn
+BAD_INPUTS = {
+    "engine-shots-0": (lambda: Engine(CANONICAL, 1, "sampled", shots=0), "shots"),
+    "engine-shots-float": (lambda: Engine(CANONICAL, 1, "sampled", shots=2.5), "shots"),
+    "engine-shots-bool": (lambda: Engine(CANONICAL, 1, "sampled", shots=True), "shots"),
+    "exact-engine-shots-0": (lambda: Engine(CANONICAL, 1, shots=0), "shots"),
+    "noisy-dict-noise": (lambda: evaluate_qaoa(CANONICAL, PARAMS, "noisy", shots=8, seed=1,
+                                               noise={"p1q": 0.1}), "noise"),
+    "sampled-drops-noise": (lambda: evaluate_qaoa(CANONICAL, PARAMS, "sampled", shots=8, seed=1,
+                                                  noise=NoiseConfig(p1q=0.5)), "noise"),
+    "exact-string-shots": (lambda: evaluate_qaoa(CANONICAL, PARAMS, shots="x"), "shots"),
+    "exact-string-seed": (lambda: evaluate_qaoa(CANONICAL, PARAMS, seed="y"), "seed"),
+    "exact-int-noise": (lambda: evaluate_qaoa(CANONICAL, PARAMS, noise=3), "noise"),
+    "run-circuit-bool-seed": (lambda: run_circuit(CIRCUIT, "sampled", shots=4, seed=True), "seed"),
+    "starts-bool-seed": (lambda: random_qaoa_starts(1, 2, True), "seed"),
+    "string-angle": (lambda: QaoaParams(("1.5",), (0.1,)), "betas"),
+    "bool-angle": (lambda: QaoaParams((0.1,), (True,)), "gammas"),
+    "starts-bool-depth": (lambda: random_qaoa_starts(True, 2, 0), "p"),
+    "evaluate-negative-seed": (lambda: evaluate_qaoa(CANONICAL, PARAMS, "sampled", shots=8,
+                                                     seed=-1), "seed"),
+    "objective-seed-2**64": (lambda: make_objective(CANONICAL, 1, "sampled", shots=8,
+                                                    seed=2**64), "seed"),
+    "problem-negative-seed": (lambda: MinimizeProblem(Engine(CANONICAL, 1), np.zeros(2),
+                                                      seed=-1), "seed"),
+    "engine-row-seed-2**64": (lambda: Engine(CANONICAL, 1, "sampled", shots=8).tallies(
+        THETAS[:1], [2**64]), "seed"),
+    "sample-noisy-negative-seed": (lambda: sample_noisy(CIRCUIT, NOISE, 8, -1), "seed"),
+    "twirl-negative-seed": (lambda: twirl_circuit(CIRCUIT, -1), "seed"),
+    "trajectory-negative-shot": (lambda: apply_trajectory_noise(CIRCUIT, NOISE, -1, 3),
+                                 "shot_index"),
+    "sample-counts-seed-2**64": (lambda: sample_counts(zero_state(2), 4, 2**64), "seed"),
+    "noisy-run-circuit-negative-seed": (lambda: run_circuit(CIRCUIT, "noisy", shots=4, seed=-1,
+                                                            noise=NOISE), "seed"),
+    "config-exact-no-noise": (lambda: replace(parse_config({}), noise=None), "noise"),
+    "config-noisy-no-noise": (lambda: replace(parse_config({"mode": "noisy"}), noise=None),
+                              "noise"),
+}
+
+
+@pytest.fixture
+def no_engine_work(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("engine work began before the inputs were checked")
+
+    for module, name in [(objective, "qaoa_states"), (ansatz, "qaoa_states"),
+                         (ansatz, "simulate_ops"), (trajectories, "sample")]:
+        monkeypatch.setattr(module, name, reached)
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_a_bad_input_is_refused_by_name_before_any_work(no_engine_work, case):
+    call, field = BAD_INPUTS[case]
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        call()
+
+
+# -- numpy integers at the entry points ------------------------------------------------
+
+
+def _artifacts(i):
+    config = parse_config({"p": 1, "mode": "sampled", "restarts": 2, "max_evals": 8})
+    config = replace(config, p=i(1), shots=i(16), restarts=i(2), max_evals=i(8), seed=i(5))
+    with tempfile.TemporaryDirectory() as tmp:
+        run_experiment(config, tmp)
+        return config.config_hash, {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+
+
+def _minimized(i):
+    problem = MinimizeProblem(Engine(CANONICAL, 1, "sampled", shots=8), np.array([0.3, 0.9]),
+                              max_evals=i(10), seed=i(3))
+    result = minimize("cobyla", problem)
+    return result.f_best, result.trace.energies()
+
+
+# each call, given integer inputs as ``i(value)``, must give the same result for
+# Python and numpy integers
+NUMPY_INPUTS = {
+    "evaluate-sampled": lambda i: evaluate_qaoa(CANONICAL, PARAMS, "sampled", shots=i(8),
+                                                seed=i(1)).counts,
+    "evaluate-noisy": lambda i: evaluate_qaoa(CANONICAL, PARAMS, "noisy", shots=i(8),
+                                              seed=i(1), noise=NOISE).counts,
+    "make-objective": lambda i: make_objective(CANONICAL, i(1), "sampled", shots=i(8),
+                                               seed=i(3))(THETAS).tolist(),
+    "engine-tallies": lambda i: Engine(CANONICAL, i(1), "noisy", shots=i(8), noise=NOISE).tallies(
+        THETAS, [i(5), i(6)]).tolist(),
+    "sample-noisy": lambda i: sample_noisy(CIRCUIT, NOISE, i(16), i(3)),
+    "sample-counts": lambda i: sample_counts(zero_state(i(3)), i(16), i(3)),
+    "run-circuit": lambda i: run_circuit(CIRCUIT, "sampled", shots=i(8), seed=i(2)),
+    "twirl": lambda i: twirl_circuit(CIRCUIT, i(3)),
+    "trajectory-noise": lambda i: apply_trajectory_noise(CIRCUIT, NOISE, i(2), i(3)),
+    "starts": lambda i: [x.tolist() for x in random_qaoa_starts(i(2), i(3), i(7))],
+    "instance": lambda i: build_qaoa_circuit(
+        MaxCutInstance(i(3), ((i(0), i(1)), (i(1), i(2)))), PARAMS),
+    "minimize": _minimized,
+    "config-artifacts": _artifacts,
+}
+
+
+@pytest.mark.parametrize("case", list(NUMPY_INPUTS))
+def test_a_numpy_integer_acts_as_the_python_int(case):
+    call = NUMPY_INPUTS[case]
+    assert call(np.int64) == call(int)
+
+
+def test_a_numpy_node_count_is_kept_as_an_int():
+    instance = MaxCutInstance(np.int64(3), ((np.int64(0), np.int64(2)),))
+    assert type(instance.n) is int and all(type(u) is int for edge in instance.edges
+                                           for u in edge)
+    assert instance == MaxCutInstance(3, ((0, 2),))
+
+
+# -- one definition per rule ---------------------------------------------------------
+
+
+def test_the_bool_rule_is_written_only_in_the_rules_module():
+    # ``isinstance(v, bool)`` is how each copy of the integer and number rules
+    # began; a new copy outside _checks fails here
+    package = Path(qaoalab.__path__[0])
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_checks.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for n in ast.walk(node.args[1]))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_rules_module_imports_nothing_from_the_package():
+    tree = ast.parse((Path(qaoalab.__path__[0]) / "_checks.py").read_text(encoding="utf-8"))
+    relative = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.level or node.module == "qaoalab")]
+    assert relative == []

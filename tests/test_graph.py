@@ -248,13 +248,13 @@ def test_non_integer_nodes_rejected(n, edges, needle):
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf"), 10**400])
 def test_non_finite_weight_rejected(weight):
-    with pytest.raises(ValueError, match=r"weight .* of edge \(0, 2\) is not finite"):
+    with pytest.raises(ValueError, match=r"^weight of edge \(0, 2\) must be a finite number, got "):
         MaxCutInstance(n=3, edges=((0, 1), (2, 0)), weights=(1.0, weight))
 
 
 @pytest.mark.parametrize("weight", [True, np.bool_(False), "2.5", None])
 def test_non_number_weight_rejected(weight):
-    with pytest.raises(ValueError, match=r"weight .* of edge \(0, 2\) is not a real number"):
+    with pytest.raises(ValueError, match=r"^weight of edge \(0, 2\) must be a finite number, got "):
         MaxCutInstance(n=3, edges=((0, 1), (2, 0)), weights=(1.0, weight))
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -123,8 +124,8 @@ def test_inline_instance_rejects_non_finite_weights(weight):
 @pytest.mark.parametrize("weight", [True, "2.5"])
 def test_inline_instance_rejects_bool_and_string_weights(weight):
     inline = {"n": 2, "edges": [[0, 1]], "weights": [weight]}
-    with pytest.raises(ConfigError, match=rf"^instance.inline: weight {weight!r} of edge \(0, 1\) "
-                                          "is not a real number"):
+    with pytest.raises(ConfigError, match=r"^instance.inline: weight of edge \(0, 1\) must be a "
+                                          rf"finite number, got {re.escape(repr(weight))}$"):
         parse_config({"instance": {"inline": inline}})
 
 
@@ -326,6 +327,29 @@ def test_a_run_builds_one_engine(tmp_path, monkeypatch, raw):
     engines = EngineBuilds(monkeypatch)
     run_experiment(parse_config(raw), out_dir=tmp_path)
     assert engines.built == 1
+
+
+@pytest.mark.parametrize("raw", [
+    small_raw(p=0),
+    small_raw(p=0, mode="sampled", shots=128),
+    small_raw(p=0, mode="noisy", shots=128, noise="ibm-bounds"),
+], ids=["exact", "sampled", "noisy"])
+def test_a_depth_zero_run_scores_its_one_entry_on_its_own_engine(tmp_path, monkeypatch, raw):
+    # the uniform state is scored as restart 0's first evaluation, in the run's own mode
+    engines = EngineBuilds(monkeypatch)
+    config = parse_config(dict(raw, sweep={"method": ["powell", "cobyla"]}))
+    rows = run_sweep(config, out_dir=tmp_path)
+    assert engines.built == 1
+    for (name, _, cell), row in zip(sweep_cells(config), rows):
+        seed = (None if cell.mode == "exact" else
+                rng.eval_seeds(rng.child_seed(cell.seed, rng.STREAM_EVAL, 0), 0, 1)[0])
+        energy = evaluate_qaoa(cell.instance, QaoaParams((), ()), cell.mode, shots=cell.shots,
+                               seed=seed, noise=cell.noise).energy
+        assert row["f_best"] == energy
+        trace = (tmp_path / name / "trace.csv").read_text(encoding="utf-8").splitlines()
+        assert trace[1:] == [f"0,{energy:.9g}"]
+    if config.mode == "exact":
+        assert rows[0]["f_best"] == -3.000000000000001
 
 
 @pytest.mark.parametrize("raw, groups", [

@@ -238,7 +238,7 @@ def test_schedule_matches_reference_with_zero_durations(seed):
 
 
 def test_schedule_rejects_negative_durations():
-    with pytest.raises(ValueError, match="usable duration"):
+    with pytest.raises(ValueError, match=r"^duration must be a finite number >= 0, got -1.0$"):
         schedule_circuit(Circuit(1, (GateOp("H", (0,), None, -1.0),)))
 
 

@@ -396,7 +396,7 @@ def test_engine_refuses_a_row_that_draws_shots_without_an_integer_seed(canonical
                                                                         seed):
     engine = Engine(canonical, 1, mode, **kwargs)
     message = (f"mode {mode!r} requires shots and seed" if seed is None
-               else f"seed must be an integer, got {seed!r}")
+               else f"seed must be an integer in [0, 2**64), got {seed!r}")
     calls = [engine.tallies] if mode == "exact" else [engine.tallies, engine]
     for call in calls:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -149,7 +149,7 @@ def test_max_evals_must_be_an_integer(max_evals):
 
 @pytest.mark.parametrize("seed", [True, 1.5, np.float64(2.0), "3"])
 def test_seed_must_be_an_integer_or_none(seed):
-    with pytest.raises(ValueError, match=r"^seed must be an integer or None, got "):
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\), got "):
         MinimizeProblem(batched(shifted_bowl), np.zeros(2), seed=seed)
 
 
@@ -544,9 +544,10 @@ def test_package_exports_resolve_once():
     assert missing == []
 
 
-def test_optim_imports_only_rng_from_the_package():
+def test_optim_imports_only_rng_and_the_rules_from_the_package():
     # a bare package module stands in for qaoalab/__init__.py, which
-    # imports every submodule, so only optim's own imports are loaded
+    # imports every submodule, so only optim's own imports are loaded;
+    # the rules module, _checks, imports nothing from the package
     probe = (
         "import sys, types\n"
         "pkg = types.ModuleType('qaoalab')\n"
@@ -559,4 +560,4 @@ def test_optim_imports_only_rng_from_the_package():
         [sys.executable, "-c", probe, qaoalab.__path__[0]],
         capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert out == ["qaoalab.optim", "qaoalab.rng"]
+    assert out == ["qaoalab._checks", "qaoalab.optim", "qaoalab.rng"]
