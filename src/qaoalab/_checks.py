@@ -1,8 +1,9 @@
-"""The input rules: an integer, a finite number, a seed and a flag, each written once.
+"""The input rules: an integer, a finite number, a seed, a flag and a choice, each written once.
 
-A rule returns the value as a plain int, float or bool, or raises a
-ValueError whose message starts with ``name``. A bool is never an
-integer or a number. This module imports nothing from the package.
+A rule returns the value (an integer, number or flag as a plain int,
+float or bool), or raises a ValueError whose message starts with
+``name``. A bool is never an integer or a number. This module imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -51,4 +52,16 @@ def seed(value, name: str = "seed") -> int:
 def flag(value, name: str) -> bool:
     if value is not True and value is not False:
         raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def one_of(value, choices, name: str):
+    """``value`` if it equals one of ``choices``; an unhashable value (a list, an array) is none."""
+    try:
+        hash(value)
+        found = value in choices
+    except TypeError:
+        found = False
+    if not found:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     return value

@@ -130,8 +130,7 @@ class ExperimentConfig:
             )
         p = _checks.integer(self.p, "p:", 0)
         object.__setattr__(self, "p", p)
-        if self.method not in METHODS:
-            raise ConfigError(f"method: must be one of {METHODS}, got {self.method!r}")
+        _checks.one_of(self.method, METHODS, "method:")
         init = self.init
         if isinstance(init, tuple):
             object.__setattr__(self, "init", tuple(_checks.real(v, "init:") for v in init))

@@ -75,10 +75,7 @@ class NoiseConfig:
         _checks.real(self.sigma_dephase, "sigma_dephase", 0)
         _checks.flag(self.twirling, "twirling")
         _checks.flag(self.dd, "dd")
-        if not isinstance(self.dd_sequence, str) or self.dd_sequence not in DD_SEQUENCES:
-            raise ValueError(
-                f"dd_sequence must be one of {sorted(DD_SEQUENCES)}, got {self.dd_sequence!r}"
-            )
+        _checks.one_of(self.dd_sequence, sorted(DD_SEQUENCES), "dd_sequence")
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +179,7 @@ def insert_dd(circuit: Circuit, sequence: str = "XpXm") -> Circuit:
     while a constant dephasing rate accumulated across the window is
     echoed to zero.
     """
-    if sequence not in DD_SEQUENCES:
-        raise ValueError(f"sequence must be one of {sorted(DD_SEQUENCES)}, got {sequence!r}")
+    _checks.one_of(sequence, sorted(DD_SEQUENCES), "sequence")
     return _dressed(circuit, sequence)[0]
 
 

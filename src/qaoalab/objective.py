@@ -114,8 +114,7 @@ def check_run_mode(mode: str, shots, noise, *, sep: str = "") -> int | None:
     mode needs a ``NoiseConfig``; the others take only None or
     ``NoiseConfig()``. A message starts with the field's name and ``sep``.
     """
-    if mode not in RUN_MODES:
-        raise ValueError(f"mode{sep} must be one of {RUN_MODES}, got {mode!r}")
+    _checks.one_of(mode, RUN_MODES, f"mode{sep}")
     if shots is not None:
         shots = _checks.integer(shots, f"shots{sep}", 1)
     elif mode != "exact":

@@ -14,11 +14,18 @@ or the budget.
 The objective is batch-first: ``objective(points, seeds)`` maps a
 (k, d) array of points and one seed per point to k values, as an
 ``objective.Engine`` does. A search yields one point (a 1-D array,
-answered with a float) or a batch of points that do not depend on each
-other (a 2-D array, answered with a list): the 2d central-difference
-points of a cg gradient (x + h0*e0, x - h0*e0, x + h1*e1, ...) and the
-d new vertices of a cobyla simplex. The line searches, the gradient and
-the simplex are generators too, joined with ``yield from``.
+answered with a float) or a batch (a 2-D array, answered with a list):
+every point it can name before it needs a value, so that one round trip
+to the objective serves them all. The batches are
+  * cobyla's start: x0 with its first d simplex vertices, and the d new
+    vertices of every rebuilt simplex;
+  * cg's start: x0 with its first 2d central-difference points (x +
+    h0*e0, x - h0*e0, x + h1*e1, ...), and the 2d points of every later
+    gradient;
+  * a line bracket's first two points, line(xa) and line(xb), in every
+    powell and cg line search.
+The line searches, the gradient and the simplex are generators too,
+joined with ``yield from``.
 
 The driver alone evaluates, records and budgets, for several searches
 in lockstep (the ask/tell pattern of Hansen, arXiv 1604.00772). Each
@@ -30,14 +37,15 @@ runs under the seed ``rng.eval_seeds`` gives it from the search's
 ``f_best``, so its result is the one it gets run alone.
 
 Every point is recorded in order, so ``evals_used`` always equals the
-trace length and the budget is enforced exactly: a batch that would
-pass the budget is cut at it, the points that fit are recorded, and
-the search ends with status ``budget_exhausted``. A non-finite point
-(after a NaN value, say) is not evaluated: the search ends ``stalled``.
+trace length and the budget is enforced exactly. A batch is cut where
+evaluating its points one by one would stop: at the budget, or before
+its first non-finite row (asked after a NaN value or an overflow, say),
+whichever comes first. The rows before the cut are evaluated and
+recorded, and the search ends ``budget_exhausted`` or ``stalled``.
 ``f_best`` is the min over all recorded finite evaluations, not the
-last iterate; the trace and ``f_best`` are those of evaluating the
-same points one by one. An objective that never returns a finite value
-ends in a ValueError.
+last iterate; the trace, status and ``f_best`` are those of evaluating
+the same points one by one. An objective that never returns a finite
+value ends in a ValueError.
 """
 
 from __future__ import annotations
@@ -138,12 +146,12 @@ class MinimizeResult:
 def _bracket(line, xa: float, xb: float):
     """Expand downhill along ``line(alpha) -> point`` until f(xb) < min(f(xa), f(xc)).
 
-    Returns (xa, xb, xc, fa, fb, fc) with xb strictly between xa and xc.
+    line(xa) and line(xb) are asked as one batch. Returns (xa, xb, xc,
+    fa, fb, fc) with xb strictly between xa and xc.
     Returns None if no downhill bracket emerges within 50 expansions
     (flat or pathological).
     """
-    fa = yield line(xa)
-    fb = yield line(xb)
+    fa, fb = yield np.array([line(xa), line(xb)])
     if fb > fa:
         xa, xb = xb, xa
         fa, fb = fb, fa
@@ -318,19 +326,23 @@ def _powell(x0: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _fd_gradient(x: np.ndarray):
+def _fd_gradient(x: np.ndarray, with_x: bool = False):
     """Central differences at h_i = 1e-6 * max(1, |x_i|), from one batch.
 
-    The batch is in the order x + h0*e0, x - h0*e0, x + h1*e1, ...
+    The batch is in the order x + h0*e0, x - h0*e0, x + h1*e1, ...; with
+    ``with_x`` it starts with x itself, and the return is (f(x), gradient).
     """
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     steps = np.diag(h)
-    points = np.empty((2 * x.size, x.size))
-    points[0::2] = x + steps
-    points[1::2] = x - steps
+    first = 1 if with_x else 0
+    points = np.empty((first + 2 * x.size, x.size))
+    points[:first] = x
+    points[first::2] = x + steps
+    points[first + 1::2] = x - steps
     fs = yield points
     # Python floats: inf - inf is nan here without numpy's invalid-value warning
-    return np.array([a - b for a, b in zip(fs[0::2], fs[1::2])]) / (2.0 * h)
+    g = np.array([a - b for a, b in zip(fs[first::2], fs[first + 1::2])]) / (2.0 * h)
+    return (fs[0], g) if with_x else g
 
 
 def _cg(x0: np.ndarray):
@@ -348,8 +360,7 @@ def _cg(x0: np.ndarray):
     line_tol = 100.0 * _XTOL
     stall = 0
     tiny_drops = 0
-    fx = yield x
-    g = yield from _fd_gradient(x)
+    fx, g = yield from _fd_gradient(x, with_x=True)
     direction = -g
     gg_prev = float(g @ g)
     alpha_prev = None
@@ -419,17 +430,19 @@ def _cobyla(x0: np.ndarray):
     d = x0.size
     rho = _RHO_START
 
-    def build_simplex(center: np.ndarray, f_center: float):
+    def build_simplex(center: np.ndarray, f_center: float | None):
         # vertex spacing of rho/4 keeps the secant gradient honest: the
         # interpolant's bias scales with curvature times spacing, and a
         # full-rho simplex leaves too much bias to hit fine minima once
         # rho reaches its floor
         vertices = center + np.diag(np.full(d, 0.25 * rho))
-        values = yield vertices
+        if f_center is None:  # the start: the center is asked with its vertices
+            f_center, *values = yield np.vstack([center, vertices])
+        else:
+            values = yield vertices
         return [center.copy(), *vertices], [f_center, *values]
 
-    f0 = yield x0
-    xs, fs = yield from build_simplex(x0, f0)
+    xs, fs = yield from build_simplex(x0, None)
     fresh = True  # was the simplex rebuilt since the last model failure?
     while rho > _RHO_END:
         finite = [i for i in range(d + 1) if math.isfinite(fs[i])]
@@ -515,7 +528,13 @@ class _Search:
         self.values = None
 
     def ask(self):
-        """The rows to evaluate next, cut at the budget; None once the search has a status."""
+        """The rows to evaluate next, cut as point-by-point evaluation stops; None once stopped.
+
+        A batch is cut at the budget or before its first non-finite row,
+        whichever comes first; the rows before the cut are evaluated, and
+        the cut sets the status (``budget_exhausted`` or ``stalled``) that
+        ``tell`` gives the search.
+        """
         try:
             asked = self.search.send(self.values)
         except StopIteration as stop:
@@ -523,19 +542,21 @@ class _Search:
             return None
         self.one = asked.ndim == 1
         xs = asked[None] if self.one else asked
-        room = self.problem.max_evals - len(self.trace)
-        if room <= 0:
-            self.status = STATUS_BUDGET
-            return None
         rows = xs.tolist()
+        end, self.stop = len(rows), None
         if not all(map(math.isfinite, chain.from_iterable(rows))):
-            self.status = STATUS_STALLED
+            end = next(i for i, row in enumerate(rows) if not all(map(math.isfinite, row)))
+            self.stop = STATUS_STALLED
+        room = self.problem.max_evals - len(self.trace)
+        if room < len(rows) and room <= end:
+            end, self.stop = room, STATUS_BUDGET
+        if end == 0:
+            self.status = self.stop
             return None
-        self.cut = len(rows) > room
-        if self.cut:
-            xs, rows = xs[:room], rows[:room]
+        if end < len(rows):
+            xs, rows = xs[:end], rows[:end]
         self.rows = rows
-        self.seeds = rng.eval_seeds(self.problem.seed, len(self.trace), len(rows))
+        self.seeds = rng.eval_seeds(self.problem.seed, len(self.trace), end)
         return xs
 
     def tell(self, fs: list[float]) -> None:
@@ -544,10 +565,10 @@ class _Search:
             self.trace.append(row, f)
             if f < self.f_best and math.isfinite(f):
                 self.f_best, self.x_best = f, np.array(row)
-        if self.cut:
-            self.status = STATUS_BUDGET
-        else:
+        if self.stop is None:
             self.values = fs[0] if self.one else fs
+        else:
+            self.status = self.stop
 
     def result(self) -> MinimizeResult:
         self.search.close()
@@ -560,17 +581,18 @@ class _Search:
 def minimize_lockstep(searches) -> list[MinimizeResult]:
     """Run (method, problem) searches in lockstep; one result per search, in order.
 
-    Each round collects the ask of every search that has no status yet,
-    makes one ``objective(rows, seeds)`` call per objective (and
-    dimension) on the rows of all its searches, and sends each search its
-    own values. Every search gets the result that ``minimize`` gives it
-    alone: the same trace, ``f_best``, ``x_best``, status and evaluation
-    seeds.
+    Each round collects the ask of every search that has no status yet
+    (a point or a batch, cut at the search's budget or before its first
+    non-finite row), makes one ``objective(rows, seeds)`` call per
+    objective (and dimension) on the rows of all its searches, and sends
+    each search its own values. Every search gets the result that
+    ``minimize`` gives it alone, and that evaluating its points one by
+    one gives: the same trace, ``f_best``, ``x_best``, status and
+    evaluation seeds.
     """
     searches = list(searches)
     for method, _ in searches:
-        if method not in _SEARCHES:
-            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        _checks.one_of(method, METHODS, "method")
     runs = [_Search(method, problem) for method, problem in searches]
     live = runs
     while live:

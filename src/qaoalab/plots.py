@@ -14,6 +14,7 @@ import csv
 import json
 from pathlib import Path
 
+from . import _checks
 from .graph import brute_force_maxcut, parse_edge_list
 from .statevec import Counts
 
@@ -124,8 +125,7 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
     """Line chart of a parsed trace: energy or all parameter curves."""
     from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
 
-    if series not in _SERIES_KINDS:
-        raise ValueError(f"series must be one of {_SERIES_KINDS}, got {series!r}")
+    _checks.one_of(series, _SERIES_KINDS, "series")
     if not rows:
         raise ValueError("trace is empty")
     param_names = [k for k in rows[0] if k not in ("eval", "energy")]

@@ -15,9 +15,16 @@ from qaoalab import _checks, ansatz, objective, trajectories
 from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, run_circuit
 from qaoalab.graph import MaxCutInstance, canonical_instance
 from qaoalab.harness import parse_config, run_experiment
-from qaoalab.noise import NoiseConfig, apply_trajectory_noise, sample_noisy, twirl_circuit
+from qaoalab.noise import (
+    NoiseConfig,
+    apply_trajectory_noise,
+    insert_dd,
+    sample_noisy,
+    twirl_circuit,
+)
 from qaoalab.objective import Engine, evaluate_qaoa, make_objective
 from qaoalab.optim import MinimizeProblem, minimize, random_qaoa_starts
+from qaoalab.plots import render_trace
 from qaoalab.statevec import sample_counts, zero_state
 
 CANONICAL = canonical_instance()
@@ -81,6 +88,40 @@ def test_a_flag_is_true_or_false(value):
     with pytest.raises(ValueError, match="^dd must be true or false, got "):
         _checks.flag(value, "dd")
     assert _checks.flag(True, "dd") is True and _checks.flag(False, "dd") is False
+
+
+def test_a_choice_comes_back_as_given():
+    assert _checks.one_of("cg", ("powell", "cg"), "method") == "cg"
+    assert _checks.one_of(np.str_("cg"), ["cg"], "method") == "cg"
+
+
+@pytest.mark.parametrize("value", ["newton", ["cg"], np.array(["cg"]), {"cg": 1}, None, 1])
+def test_a_choice_is_one_of_the_given_values(value):
+    with pytest.raises(ValueError, match=r"^method must be one of \('powell', 'cg'\), got "):
+        _checks.one_of(value, ("powell", "cg"), "method")
+
+
+# each site that takes one of a few names, with a name it takes and the field its
+# message starts with
+CHOICE_SITES = {
+    "run-mode": (lambda v: Engine(CANONICAL, 1, v), "exact", "mode"),
+    "config-method": (lambda v: parse_config({"method": v}), "cg", "method:"),
+    "lockstep-method": (lambda v: minimize(v, MinimizeProblem(Engine(CANONICAL, 1),
+                                                              np.zeros(2))), "cg", "method"),
+    "dd-sequence": (lambda v: NoiseConfig(dd_sequence=v), "XY4", "dd_sequence"),
+    "insert-dd": (lambda v: insert_dd(CIRCUIT, v), "XY4", "sequence"),
+    "trace-series": (lambda v: render_trace([{"eval": 0, "energy": -1.0}], v), "energy",
+                     "series"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHOICE_SITES))
+@pytest.mark.parametrize("wrap", [lambda v: v + "?", lambda v: [v], lambda v: np.array([v])],
+                         ids=["unknown", "list", "array"])
+def test_a_choice_outside_the_names_is_refused_by_name(no_engine_work, case, wrap):
+    call, name, field = CHOICE_SITES[case]
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be one of "):
+        call(wrap(name))
 
 
 # -- bad values at the entry points ------------------------------------------------
@@ -214,6 +255,13 @@ def test_the_bool_rule_is_written_only_in_the_rules_module():
                     and any(isinstance(n, ast.Name) and n.id == "bool"
                             for n in ast.walk(node.args[1]))):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_choice_rule_is_written_only_in_the_rules_module():
+    package = Path(qaoalab.__path__[0])
+    found = [path.name for path in sorted(package.glob("*.py"))
+             if path.name != "_checks.py" and "must be one of" in path.read_text(encoding="utf-8")]
     assert found == []
 
 

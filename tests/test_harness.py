@@ -440,6 +440,41 @@ class EngineCalls:
         monkeypatch.setattr(Engine, "__call__", counted)
 
 
+class EngineAsks:
+    """Logs (entry, rows) of each outermost ``__call__`` or ``tallies`` of an ``objective.Engine``."""
+
+    def __init__(self, monkeypatch):
+        self.log = []
+        depth = 0
+        for entry in ("__call__", "tallies"):
+            def logged(engine, thetas, seeds, entry=entry, inner=getattr(Engine, entry)):
+                nonlocal depth
+                if depth == 0:
+                    self.log.append((entry, len(thetas)))
+                depth += 1
+                try:
+                    return inner(engine, thetas, seeds)
+                finally:
+                    depth -= 1
+
+            monkeypatch.setattr(Engine, entry, logged)
+
+
+@pytest.mark.parametrize("raw, asks", [
+    # cobyla asks x0 with its nine simplex vertices: the whole budget in one call
+    ({"p": 5, "init": "paper-p5", "method": "cobyla", "mode": "noisy", "noise": "ibm-bounds",
+      "shots": 16, "seed": 3, "max_evals": 10}, [("__call__", 10), ("tallies", 1)]),
+    # cg asks x0 with its four central-difference points
+    (small_raw(method="cg", mode="sampled", shots=64, max_evals=5),
+     [("__call__", 5), ("tallies", 1)]),
+], ids=["noisy-cobyla-p5", "sampled-cg-p1"])
+def test_a_search_start_is_one_engine_call(tmp_path, monkeypatch, raw, asks):
+    engine = EngineAsks(monkeypatch)
+    run_experiment(parse_config(raw), out_dir=tmp_path)
+    # the optimizer's calls, then the final counts at the best angles
+    assert engine.log == asks
+
+
 def artifact_bytes(root: Path) -> dict[str, bytes]:
     return {path.relative_to(root).as_posix(): path.read_bytes()
             for path in sorted(root.rglob("*")) if path.is_file()}

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qaoalab
 from conftest import batched
-from qaoalab import rng
+from qaoalab import optim, rng
 from qaoalab.ansatz import QaoaParams
 from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import (
@@ -224,11 +224,11 @@ def test_budget_cut_inside_the_first_cobyla_simplex():
     result = minimize("cobyla", MinimizeProblem(objective, x0, max_evals=4))
     assert result.status == STATUS_BUDGET
     assert len(result.trace) == result.evals_used == 4
-    # x0, then the simplex vertices x0 + (rho/4) e_i, the batch cut after e_2
+    # x0 with the simplex vertices x0 + (rho/4) e_i in one batch, cut after e_2
     vertices = x0 + np.diag(np.full(4, 0.125))
     expected = [x0, vertices[0], vertices[1], vertices[2]]
     assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
-    assert objective.sizes == [1, 3]
+    assert objective.sizes == [4]
 
 
 def test_budget_cut_inside_a_cg_gradient():
@@ -237,12 +237,65 @@ def test_budget_cut_inside_a_cg_gradient():
     result = minimize("cg", MinimizeProblem(objective, x0, max_evals=4))
     assert result.status == STATUS_BUDGET
     assert len(result.trace) == result.evals_used == 4
-    # x0, then x0 + h0 e_0, x0 - h0 e_0, x0 + h1 e_1, ... at h_i = 1e-6 * max(1, |x_i|);
-    # the batch cut after three
+    # x0 with x0 + h0 e_0, x0 - h0 e_0, x0 + h1 e_1, ... at h_i = 1e-6 * max(1, |x_i|)
+    # in one batch, cut after four
     steps = np.diag(1e-6 * np.maximum(1.0, np.abs(x0)))
     expected = [x0, x0 + steps[0], x0 - steps[0], x0 + steps[1]]
     assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
-    assert objective.sizes == [1, 3]
+    assert objective.sizes == [4]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_each_search_asks_every_point_it_can_name_in_one_batch(d):
+    # cobyla asks x0 with its d simplex vertices and cg x0 with its 2d gradient
+    # points; every line search (powell's first ask after x0, cg's after its
+    # start) asks its bracket's first two points, line(0) and line(step), together
+    def f(x):
+        return float((x - 0.5) @ (x - 0.5)) + 0.3 * math.sin(5.0 * x[0])
+
+    x0 = np.linspace(-0.7, 0.9, d)
+    asked = {}
+    for method in METHODS:
+        objective = CallLog(f)
+        result = minimize(method, MinimizeProblem(objective, x0, max_evals=60))
+        asked[method] = objective.sizes[:2]
+        assert result.trace.records[0].theta == tuple(x0.tolist())
+        if method == "powell":
+            assert [r.theta for r in result.trace.records[1:3]] == [
+                tuple(x0.tolist()), tuple((x0 + np.eye(d)[0]).tolist())]
+    assert asked == {"powell": [1, 2], "cg": [2 * d + 1, 2], "cobyla": [d + 1, 1]}
+
+
+def test_a_bracket_whose_second_point_overflows_records_the_first_and_stalls(monkeypatch):
+    # line(10) = 0.5 + 10 * 1e308 is inf: the batch [line(0), line(10)] is cut
+    # before it, as asking line(0) and then line(10) one by one would stop
+    def one_line(x0):
+        yield from optim._bracket(lambda alpha: x0 + alpha * 1e308, 0.0, 10.0)
+        return STATUS_CONVERGED
+
+    monkeypatch.setitem(optim._SEARCHES, "powell", one_line)
+    objective = CallLog(lambda x: math.atan(x[0]))
+    result = minimize("powell", MinimizeProblem(objective, np.array([0.5]), max_evals=10))
+    assert result.status == STATUS_STALLED
+    assert [r.theta for r in result.trace.records] == [(0.5,)]
+    assert objective.sizes == [1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("budget, status", [(3, STATUS_BUDGET), (4, STATUS_STALLED),
+                                            (60, STATUS_STALLED)])
+def test_a_gradient_with_a_non_finite_point_is_cut_before_it(budget, status):
+    # x0 + h1 e_1 overflows at x0[1] = the largest float: cg's first batch (x0,
+    # x0 + h0 e_0, x0 - h0 e_0, x0 + h1 e_1, ...) records its first three rows and
+    # ends stalled; a budget of three ends it first, at the same rows
+    x0 = np.array([0.3, np.finfo(float).max, 0.1])
+    objective = CallLog(lambda x: float(np.arctan(x).sum()))
+    result = minimize("cg", MinimizeProblem(objective, x0, max_evals=budget))
+    h0 = 1e-6 * np.array([1.0, 0.0, 0.0])
+    expected = [x0, x0 + h0, x0 - h0]
+    assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
+    assert result.status == status
+    assert objective.sizes == [3]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -501,7 +554,8 @@ def test_lockstep_cuts_budgets_inside_batches_and_stalls_one_search():
     # the two d=3 smooth searches shared their engine's calls
     smooth = engines[(3, "smooth")]
     assert len(smooth.sizes) < sum(r.evals_used for r in results[:3:2])
-    assert max(smooth.sizes) == 3 + 6  # the first cg's cut gradient and the other's full one
+    # the first cg's cut start (x0 and three gradient points) and the other's full one
+    assert max(smooth.sizes) == 4 + 7
 
 
 def test_lockstep_rejects_an_unknown_method_before_any_evaluation():
@@ -522,7 +576,7 @@ def test_searches_on_one_objective_share_its_calls():
     assert [r.trace.records for r in results] == [r.trace.records for r in alone]
     assert sum(objective.sizes) == sum(r.evals_used for r in results)
     assert len(objective.sizes) < sum(r.evals_used for r in results)
-    assert max(objective.sizes) == 5  # a cg gradient joined with powell's point
+    assert max(objective.sizes) == 6  # cg's x0 and gradient joined with powell's x0
 
 
 def test_searches_of_two_dimensions_on_one_objective_run_as_alone():
