@@ -9,22 +9,27 @@ parameterizes the cost-layer evolution. The mixer is RX(2*beta) on
 every qubit. Gate count is n + p * (3*|E| + n).
 
 Exact and sampled evaluation never build that gate list. They run one
-gate-free engine, ``qaoa_states``, which evolves a (k, 2p) batch of
-angle rows at once. A cut value does not change when every bit is
-complemented, and both |+>^n and the mixer commute with X on every
-qubit, so the state satisfies psi(x) = psi(not x). The engine
-therefore evolves only the half h with node 0 = 0, 2^(n-1) amplitudes
-over nodes 1..n-1. It applies each
-cost layer as one diagonal phase exp(2i*gamma*C), evaluated at the
-distinct cut values and gathered over that half, and each mixer layer
-as RX(2*beta) on nodes 1..n-1, MIXER_BLOCK qubits at a time, one dense
-block per pass. On a symmetric state X on node 0 acts as X on nodes
-1..n-1, which reverses h, so node 0's RX is cos(beta)*h - i*sin(beta)*h
-reversed; for n <= 6, where nodes 1..n-1 fit in one block, that step is
-folded into the block. The gate list from ``build_qaoa_circuit`` is what
-noisy sampling runs, and it is the reference the gate-free state is
-tested against; ``qaoa_angles`` gives its RZ and RX angles for a whole
-batch of angle rows, so a noisy batch builds one circuit.
+gate-free engine, which evolves a (k, 2p) batch of angle rows at once.
+A cut value does not change when every bit is complemented, and both
+|+>^n and the mixer commute with X on every qubit, so the state
+satisfies psi(x) = psi(not x). The engine therefore evolves only the
+half h with node 0 = 0, 2^(n-1) amplitudes over nodes 1..n-1, from one
+``HalfPlan`` per instance (``half_plan``, cached like ``cut_levels``).
+It applies each cost layer as one diagonal phase exp(2i*gamma*C),
+evaluated at the distinct cut values and gathered over that half, and
+each mixer layer as RX(2*beta) on nodes 1..n-1, MIXER_BLOCK qubits at a
+time, one dense block per pass. On a symmetric state X on node 0 acts
+as X on nodes 1..n-1, which reverses h, so node 0's RX is
+cos(beta)*h - i*sin(beta)*h reversed; for n <= 6, where nodes 1..n-1
+fit in one block, that step is folded into the block, and each row
+stays (1, 2^(n-1)) so that a layer is one multiply and one matmul.
+``qaoa_states`` returns h followed by its reverse; ``qaoa_probabilities``
+returns |h|^2 followed by its reverse, the same bits as the states'
+probabilities, and is what the exact and sampled engines score. The
+gate list from ``build_qaoa_circuit`` is what noisy sampling runs, and
+it is the reference the gate-free state is tested against;
+``qaoa_angles`` gives its RZ and RX angles for a whole batch of angle
+rows, so a noisy batch builds one circuit.
 """
 
 from __future__ import annotations
@@ -144,6 +149,40 @@ def _hamming_distances(k: int) -> np.ndarray:
     return dist
 
 
+class HalfPlan:
+    """What ``_evolve_half`` needs of an instance; ``half_plan`` builds one per instance.
+
+    ``cut_levels`` with the index cut to the half; the mixer block sizes
+    over nodes 1..n-1, and ``fold`` when one block also carries node 0's
+    RX; a Hamming table per distinct block size; the amplitude of |+>^n;
+    and one row's shape during evolution, (1, half) when folded.
+    """
+
+    __slots__ = ("half", "levels", "index", "blocks", "fold", "mixers", "start", "shape")
+
+    def __init__(self, instance: MaxCutInstance):
+        n = instance.n
+        self.half = half = 1 << (n - 1)
+        self.levels, index = cut_levels(instance)
+        self.index = index[:half]
+        blocks = (MIXER_BLOCK,) * ((n - 1) // MIXER_BLOCK)
+        if (n - 1) % MIXER_BLOCK:
+            blocks += ((n - 1) % MIXER_BLOCK,)
+        self.blocks, self.fold = blocks, len(blocks) == 1
+        self.mixers = tuple((b, _hamming_distances(b)) for b in sorted(set(blocks)))
+        self.start = 2.0 ** (-0.5 * n)
+        self.shape = (1, half) if self.fold else (half,)
+
+
+@lru_cache(maxsize=128)
+def half_plan(instance: MaxCutInstance) -> HalfPlan:
+    """The instance's ``HalfPlan``, cached per instance like ``cut_levels``."""
+    return HalfPlan(instance)
+
+
+_ONE = 1 + 0j
+
+
 # the rows of a finite-difference or simplex batch share all angles but one, and
 # a line search moves the betas or the gammas, not both: most betas repeat ones
 # seen shortly before (in a paper-p5 sweep, a larger memo finds no more repeats).
@@ -151,14 +190,43 @@ def _hamming_distances(k: int) -> np.ndarray:
 # ``_evolve_half`` computes it through ``__wrapped__``
 @lru_cache(maxsize=256)
 def _mixer_weights(beta: float, b: int, fold: bool) -> tuple[complex, ...]:
-    """f(d) for d = 0..b: entry (x, y) of RX(2*beta) on b qubits is f(popcount(x ^ y))."""
+    """f(d) for d = 0..b: entry (x, y) of RX(2*beta) on b qubits is f(popcount(x ^ y)).
+
+    f(d) = c ** (b - d) * s ** d, with c = cos(beta) and s = -i*sin(beta),
+    written out per b in 1..MIXER_BLOCK with no list: each s ** d is the
+    product chain CPython's complex power takes (squaring, from 1+0j,
+    whose products fix the signs of zeros), and each c ** k a float pow,
+    so every weight has the bits of that expression.
+    """
     c, s = math.cos(beta), -1j * math.sin(beta)
-    f = [c ** (b - d) * s ** d for d in range(b + 1)]
+    s1, s2 = _ONE * s, s * s
+    s4 = s2 * s2
+    p0, p1, p2, p3, p4, p5 = _ONE, s1, _ONE * s2, s1 * s2, _ONE * s4, s1 * s4
+    # fold: c*B + s*(B, then h reversed): reversing flips all b bits of x,
+    # so d becomes b - d; exact, as the reversal commutes with B
+    if b == 1:
+        f0, f1 = c ** 1 * p0, c ** 0 * p1
+        return (c * f0 + s * f1, c * f1 + s * f0) if fold else (f0, f1)
+    if b == 2:
+        f0, f1, f2 = c ** 2 * p0, c ** 1 * p1, c ** 0 * p2
+        return (c * f0 + s * f2, c * f1 + s * f1, c * f2 + s * f0) if fold else (f0, f1, f2)
+    if b == 3:
+        f0, f1, f2, f3 = c ** 3 * p0, c ** 2 * p1, c ** 1 * p2, c ** 0 * p3
+        if fold:
+            return (c * f0 + s * f3, c * f1 + s * f2, c * f2 + s * f1, c * f3 + s * f0)
+        return f0, f1, f2, f3
+    if b == 4:
+        f0, f1, f2, f3, f4 = c ** 4 * p0, c ** 3 * p1, c ** 2 * p2, c ** 1 * p3, c ** 0 * p4
+        if fold:
+            return (c * f0 + s * f4, c * f1 + s * f3, c * f2 + s * f2, c * f3 + s * f1,
+                    c * f4 + s * f0)
+        return f0, f1, f2, f3, f4
+    f0, f1, f2, f3, f4, f5 = (c ** 5 * p0, c ** 4 * p1, c ** 3 * p2, c ** 2 * p3, c ** 1 * p4,
+                              c ** 0 * p5)
     if fold:
-        # c*B + s*(B, then h reversed): reversing flips all b bits of x,
-        # so d becomes b - d; exact, as the reversal commutes with B
-        f = [c * f[d] + s * f[b - d] for d in range(b + 1)]
-    return tuple(f)
+        return (c * f0 + s * f5, c * f1 + s * f4, c * f2 + s * f3, c * f3 + s * f2,
+                c * f4 + s * f1, c * f5 + s * f0)
+    return f0, f1, f2, f3, f4, f5
 
 
 def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
@@ -171,72 +239,91 @@ def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
     same floating-point operations whatever the batch around it, so its
     bits depend neither on k nor on its position. The angles are not
     checked here.
-
-    Rows are evolved BATCH_AMPLITUDES half-state amplitudes at a time:
-    many rows per pass at small n, where per-call overhead dominates,
-    and one row per pass at large n, where a wider pass only spills the
-    working set out of cache.
     """
     thetas = np.asarray(thetas, dtype=float)
-    half = 1 << (instance.n - 1)
-    rows = max(1, BATCH_AMPLITUDES // half)
+    plan = half_plan(instance)
     # one output array, written pass by pass (joining the passes' results
     # made a 10-row batch at n=14 about 2x slower per row)
-    states = np.empty((len(thetas), 2 * half), dtype=complex)
-    for i in range(0, len(thetas), rows):
-        h = _evolve_half(instance, thetas[i:i + rows])
-        np.concatenate([h, h[:, ::-1]], axis=1, out=states[i:i + rows])
+    states = np.empty((len(thetas), 2 * plan.half), dtype=complex)
+    for i, h in _passes(plan, thetas):
+        np.concatenate([h, h[:, ::-1]], axis=1, out=states[i:i + len(h)])
     return states
 
 
-def _evolve_half(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
+def qaoa_probabilities(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
+    """The (k, 2^n) basis probabilities of ``qaoa_states``' rows, bit for bit.
+
+    ``plan`` is ``half_plan(instance)``. Each pass's |h|^2 is taken on
+    the contiguous half and mirrored, so no complex full state is built:
+    numpy's complex abs rounds as on the state's own row only on a
+    forward-strided input, and a mirrored float is the same float.
+    """
+    half = plan.half
+    probs = np.empty((len(thetas), 2 * half))
+    for i, h in _passes(plan, thetas):
+        q = probs[i:i + len(h)]
+        np.abs(h, out=q[:, :half])
+        np.square(q[:, :half], out=q[:, :half])
+        q[:, half:] = q[:, half - 1::-1]
+    return probs
+
+
+def _passes(plan: HalfPlan, thetas: np.ndarray):
+    """(first row, halves) per pass of BATCH_AMPLITUDES half-state amplitudes.
+
+    Many rows per pass at small n, where per-call overhead dominates,
+    and one row per pass at large n, where a wider pass only spills the
+    working set out of cache.
+    """
+    rows = max(1, BATCH_AMPLITUDES // plan.half)
+    for i in range(0, len(thetas), rows):
+        yield i, _evolve_half(plan, thetas[i:i + rows])
+
+
+def _evolve_half(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
     """The (k, 2^(n-1)) halves with node 0 = 0 of the states of one pass's rows."""
-    n = instance.n
-    half = 1 << (n - 1)
+    half, fold = plan.half, plan.fold
     k, p = thetas.shape[0], thetas.shape[1] // 2
-    levels, index = cut_levels(instance)
-    blocks = [MIXER_BLOCK] * ((n - 1) // MIXER_BLOCK)
-    if (n - 1) % MIXER_BLOCK:
-        blocks.append((n - 1) % MIXER_BLOCK)
-    # nodes 1..n-1 in one block: node 0's RX folds into that block's weights
-    fold = len(blocks) == 1
     angles = thetas.T
     betas = angles[:p].tolist()
     # per layer and row: the cost phase exp(2i*gamma*C), evaluated at the
-    # distinct cut values and gathered over the half, (p, k, half); and
+    # distinct cut values and gathered over the half, (p, k, *shape); and
     # RX(2*beta) on b qubits as a (2^b, 2^b) block of entries
     # f(popcount(x ^ y)), (p, k, 2^b, 2^b). take keeps every block C-ordered,
     # so numpy's matmul calls BLAS on each, as on a lone block
-    phases = np.exp(2j * angles[p:, :, None] * levels).take(index[:half], axis=2)
+    phases = np.exp(2j * angles[p:, :, None] * plan.levels).take(plan.index, axis=2).reshape(
+        p, k, *plan.shape)
     mixers = {}
-    for b in set(blocks):
+    for b, distances in plan.mixers:
         weights = []
         for layer in betas:
             for beta in layer:
                 weights.extend(_mixer_weights(beta, b, fold) if beta
                                else _mixer_weights.__wrapped__(beta, b, fold))
-        mixers[b] = np.array(weights, dtype=complex).reshape(p, k, b + 1).take(
-            _hamming_distances(b), axis=2)
-    h = np.full((k, half), 2.0 ** (-0.5 * n), dtype=complex)
+        mixers[b] = np.array(weights, dtype=complex).reshape(p, k, b + 1).take(distances, axis=2)
+    h = np.full((k, *plan.shape), plan.start, dtype=complex)
     for layer in range(p):
         h *= phases[layer]
+        if fold:
+            # one symmetric block on each (1, half) row: right-multiplying
+            # applies it to nodes 1..n-1, node 0's RX folded in
+            h = h @ mixers[plan.blocks[0]][layer]
+            continue
         # the block is symmetric, so right-multiplying applies it to the last
         # b qubits; the transpose then rotates those to the front, and blocks
-        # summing to n-1 restore the original order (one block: no transpose)
-        for b in blocks:
-            h = h.reshape(k, -1, 1 << b) @ mixers[b][layer]
-            h = h.reshape(k, half) if fold else h.transpose(0, 2, 1).reshape(k, half)
-        if not fold:
-            # RX on node 0: on a symmetric state X_0 acts as X on nodes 1..n-1,
-            # which complements the index into h, i.e. reverses h. c is made
-            # complex: a real column against complex rows takes numpy's slow
-            # buffered cast, for the same products
-            c = np.array([[math.cos(beta)] for beta in betas[layer]], dtype=complex)
-            s = np.array([[-1j * math.sin(beta)] for beta in betas[layer]])
-            flipped = s * h[:, ::-1]
-            h *= c
-            h += flipped
-    return h
+        # summing to n-1 restore the original order
+        for b in plan.blocks:
+            h = (h.reshape(k, -1, 1 << b) @ mixers[b][layer]).transpose(0, 2, 1).reshape(k, half)
+        # RX on node 0: on a symmetric state X_0 acts as X on nodes 1..n-1,
+        # which complements the index into h, i.e. reverses h. c is made
+        # complex: a real column against complex rows takes numpy's slow
+        # buffered cast, for the same products
+        c = np.array([[math.cos(beta)] for beta in betas[layer]], dtype=complex)
+        s = np.array([[-1j * math.sin(beta)] for beta in betas[layer]])
+        flipped = s * h[:, ::-1]
+        h *= c
+        h += flipped
+    return h.reshape(k, half)
 
 
 def run_circuit(

@@ -19,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from . import _checks, rng
-from .ansatz import QaoaParams, build_qaoa_circuit, qaoa_angles, qaoa_states
+from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
 from .graph import MaxCutInstance, cut_value_table
 from .noise import NoiseConfig, sample_noisy_tallies
-from .statevec import Counts, StateVector, counts_from_tally, expectation_cut, sample_tally
+from .statevec import Counts, counts_from_tally, sample_outcomes
 
 RUN_MODES = ("exact", "sampled", "noisy")
 
@@ -76,8 +76,21 @@ def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
     hit = np.flatnonzero(tally)
     if hit.size == 0:
         raise ValueError("tally has no shots")
-    total = np.cumsum(tally[hit] * table[hit])[-1]
-    return float(-total / tally.sum())
+    return _energy(hit, tally[hit], table)
+
+
+def _energy(hit: np.ndarray, count: np.ndarray, table: np.ndarray) -> float:
+    """-(sum of count * table[hit], added one by one in ascending hit order) / shots."""
+    return float(-np.cumsum(count * table[hit])[-1] / count.sum())
+
+
+def _sorted_energy(outcomes: np.ndarray, table: np.ndarray) -> float:
+    """``energy_from_tally`` of the tally of ascending outcomes, read from their runs."""
+    edge = np.empty(outcomes.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(outcomes[1:], outcomes[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)  # each run's first outcome, then the end
+    return _energy(outcomes[bounds[:-1]], bounds[1:] - bounds[:-1], table)
 
 
 def evaluate_qaoa(
@@ -144,14 +157,17 @@ class Engine:
     stochastic modes, the shots and the noise; the seed of each row comes
     with the row. It is the one place that maps a run mode to a sampler;
     it checks p and ``check_run_mode`` when built, and per call only the
-    rows and their seeds (``check_seed``). ``engine(thetas,
-    seeds)`` evaluates a whole batch in one call: exact mode evolves it
-    in one ``qaoa_states`` call and ignores the seeds; the stochastic
-    modes score the rows of ``tallies``. Each row is scored alone, so
-    rows of different searches can share a call. An exact engine's
+    rows and their seeds (``check_seed``). ``engine(thetas, seeds)``
+    evaluates a whole batch in one call, and each row is scored alone,
+    so rows of different searches can share a call. Exact and sampled
+    engines hold the instance's ``half_plan`` and work on probabilities
+    (``qaoa_probabilities``), never on a state: exact mode scores each
+    row as ``-(probs @ table)``, as ``expectation_cut`` does, and ignores
+    the seeds; sampled mode scores each row's sorted outcomes by the
+    summation rule of ``energy_from_tally``. An exact engine's
     ``tallies`` sample the exact state as a sampled engine's do. A noisy
     engine builds its circuit once, from zero angles: each row's RX and
-    RZ angles come from ``qaoa_angles``.
+    RZ angles come from ``qaoa_angles``, and it scores its ``tallies``.
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
@@ -162,6 +178,8 @@ class Engine:
         self.shots, self.noise = shots, noise
         if mode == "noisy":
             self._circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
+        else:
+            self._plan, self._table = half_plan(instance), cut_value_table(instance)
 
     def _rows(self, thetas, seeds) -> np.ndarray:
         """The batch as a float array, checked: (k, 2p) finite angles, one seed per row."""
@@ -175,28 +193,37 @@ class Engine:
         return thetas
 
     def __call__(self, thetas, seeds) -> np.ndarray:
-        instance = self.instance
-        if self.mode != "exact":
-            return np.array([energy_from_tally(tally, instance)
+        if self.mode == "noisy":
+            return np.array([energy_from_tally(tally, self.instance)
                              for tally in self.tallies(thetas, seeds)])
-        return np.array([-expectation_cut(StateVector(instance.n, amps), instance)
-                         for amps in qaoa_states(instance, self._rows(thetas, seeds))])
+        thetas, table = self._rows(thetas, seeds), self._table
+        if self.mode == "exact":
+            return np.array([-float(q @ table) for q in qaoa_probabilities(self._plan, thetas)])
+        return np.array([_sorted_energy(o, table) for o in self._outcomes(thetas, seeds)])
+
+    def _outcomes(self, thetas: np.ndarray, seeds) -> list[np.ndarray]:
+        """Each checked row's ascending shot outcomes, drawn from its exact probabilities."""
+        seeds = [check_seed(self.mode, seed) for seed in seeds]
+        return [sample_outcomes(q, self.shots, seed)
+                for q, seed in zip(qaoa_probabilities(self._plan, thetas), seeds)]
 
     def tallies(self, thetas, seeds) -> np.ndarray:
         """The (k, 2^n) basis-index tallies of the batch, row j under ``seeds[j]``.
 
-        Exact and sampled engines sample each row's exact state. Noisy
+        Exact and sampled engines sample each row's exact probabilities;
+        an exact engine built without shots refuses a row. Noisy
         mode samples the batch in one ``sample_noisy_tallies`` call on
         the engine's circuit, with each row's RX and RZ angles.
         """
         instance, n = self.instance, self.instance.n
         thetas = self._rows(thetas, seeds)
-        seeds = [check_seed(self.mode, seed) for seed in seeds]
+        if self.shots is None and len(thetas):
+            raise ValueError("shots: an exact engine built without shots draws no tallies")
         if self.mode == "noisy":
-            return sample_noisy_tallies(self._circuit, self.noise, self.shots, seeds,
+            return sample_noisy_tallies(self._circuit, self.noise, self.shots,
+                                        [check_seed(self.mode, seed) for seed in seeds],
                                         qaoa_angles(instance, thetas))
-        return np.array([sample_tally(StateVector(n, amps), self.shots, s)
-                         for amps, s in zip(qaoa_states(instance, thetas), seeds)],
+        return np.array([np.bincount(o, minlength=1 << n) for o in self._outcomes(thetas, seeds)],
                         dtype=np.int64).reshape(len(thetas), 1 << n)
 
 

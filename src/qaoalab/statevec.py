@@ -13,7 +13,7 @@ an RZ, H or RX as the products of its ``gate_vectors`` through
 to give each row its own angle. Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
 ``check_gate`` is the one op check, and ``measure_rows`` the one shot
-sampler, on the same (rows, 2^n) layout.
+sampler, on (rows, 2^n) probability rows of the same layout.
 """
 
 from __future__ import annotations
@@ -231,36 +231,48 @@ def expectation_cut(state: StateVector, instance: MaxCutInstance) -> float:
     return float(probs @ cut_value_table(instance))
 
 
-def measure_rows(amps: np.ndarray, u: np.ndarray) -> np.ndarray:
+def measure_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One basis-index outcome per draw in ``u``: row r's, or the only row's for all.
 
-    Inverse-CDF sampling, ``searchsorted(cum, u * cum[-1], "right")`` on
-    each row, clipped to the last index. Outcome i belongs to draw i, in
-    the order given. For one row, sorted draws are located fastest: each
-    search then starts near where the previous one ended in the CDF.
+    ``probs`` holds (rows, 2^n) basis probabilities, such as
+    ``np.abs(amps) ** 2``. Inverse-CDF sampling,
+    ``searchsorted(cum, u * cum[-1], "right")`` on each row, clipped to
+    the last index. Outcome i belongs to draw i, in the order given, so
+    sorted draws give sorted outcomes. For one row, sorted draws are
+    located fastest: each search then starts near where the previous one
+    ended in the CDF.
     """
-    cum = np.cumsum(np.abs(amps) ** 2, axis=1)
+    cum = np.cumsum(probs, axis=1)
     total = cum[:, -1]
     if not np.all(np.isfinite(total)) or np.any(total <= 0):
         raise ValueError("state has no probability mass")
-    if amps.shape[0] == 1:
+    if probs.shape[0] == 1:
         outcome = np.searchsorted(cum[0], u * total[0], side="right")
     else:
         outcome = (cum <= (u * total)[:, None]).sum(axis=1)
-    return np.minimum(outcome, amps.shape[1] - 1)
+    return np.minimum(outcome, probs.shape[1] - 1)
+
+
+def sample_outcomes(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The ``shots`` outcomes of one probability row, in ascending order.
+
+    Shot i consumes draw i of the (seed, sample) substream, so any
+    prefix of the shots is reproducible independently; the draws are
+    located in sorted order, which their tally does not depend on. Its
+    callers check ``shots`` and ``seed``.
+    """
+    u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
+    return measure_rows(probs[None], np.sort(u))
 
 
 def sample_tally(state: StateVector, shots: int, seed: int) -> np.ndarray:
     """Multinomial measurement as a histogram over basis indices.
 
-    Returns ``np.bincount`` of the ``shots`` outcomes, of length 2^n.
-    Shot i consumes draw i of the (seed, sample) substream, so any
-    prefix of the shots is reproducible independently. The draws are
-    located in sorted order; a tally does not depend on that order.
-    Its callers check ``shots`` and ``seed``.
+    Returns ``np.bincount`` of the ``sample_outcomes`` of the state's
+    probabilities, of length 2^n. Its callers check ``shots`` and
+    ``seed``.
     """
-    u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
-    outcomes = measure_rows(state.amplitudes[None], np.sort(u))
+    outcomes = sample_outcomes(np.abs(state.amplitudes) ** 2, shots, seed)
     return np.bincount(outcomes, minlength=state.amplitudes.size)
 
 

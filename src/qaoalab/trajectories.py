@@ -690,14 +690,14 @@ def sample(base: Circuit, config: NoiseConfig, shots: int, seeds, angles) -> np.
                              trajectory_keys[lo:hi], streams, n)
         if any(step[0] != "op" for step in steps):
             amps = _run_rows(n, steps, point[lo:hi], config.epsilon_coherent)
-            outcomes[lo:hi] = measure_rows(amps, u[lo:hi])
+            outcomes[lo:hi] = measure_rows(np.abs(amps) ** 2, u[lo:hi])
             continue
         # no shot differs from another but by its point's angles: one row per point
         row_point = np.unique(point[lo:hi])
-        amps = _run_rows(n, steps, row_point, config.epsilon_coherent)
+        probs = np.abs(_run_rows(n, steps, row_point, config.epsilon_coherent)) ** 2
         for row, j in enumerate(row_point.tolist()):
             a, b = max(lo, j * shots), min(hi, (j + 1) * shots)
-            outcomes[a:b] = measure_rows(amps[row:row + 1], u[a:b])
+            outcomes[a:b] = measure_rows(probs[row:row + 1], u[a:b])
     if config.p_readout > 0:
         flips = _readout_flips(streams, keys(rng.STREAM_READOUT), n, config.p_readout)
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))

@@ -1,6 +1,7 @@
 """Circuit construction and execution for the layered ansatz."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from qaoalab import harness, objective
 from qaoalab.ansatz import (
+    MIXER_BLOCK,
     ONE_QUBIT_DURATION,
     TWO_QUBIT_DURATION,
     Circuit,
     QaoaParams,
+    _mixer_weights,
     build_qaoa_circuit,
     qaoa_angles,
     qaoa_states,
@@ -316,6 +319,31 @@ def test_batched_rows_equal_single_rows_across_passes(canonical):
     states = qaoa_states(canonical, thetas)
     for row, amps in zip(thetas, states):
         assert qaoa_states(canonical, row[None])[0].tobytes() == amps.tobytes()
+
+
+def list_form_weights(beta, b, fold):
+    """The mixer weights as Python's complex power and a list build them."""
+    c, s = math.cos(beta), -1j * math.sin(beta)
+    f = [c ** (b - d) * s ** d for d in range(b + 1)]
+    if fold:
+        f = [c * f[d] + s * f[b - d] for d in range(b + 1)]
+    return f
+
+
+MIXER_BETAS = np.random.default_rng(0x3E1).uniform(-8.0, 8.0, 100_000).tolist() + [
+    0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 5e-324, 1e-160, 1e300]
+
+
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize("b", range(1, MIXER_BLOCK + 1))
+def test_written_out_mixer_weights_equal_the_list_form_bit_for_bit(b, fold):
+    def packed(rows):
+        parts = [x for row in rows for z in row for x in (z.real, z.imag)]
+        return struct.pack(f"<{len(parts)}d", *parts)  # signed zeros count
+
+    got = [_mixer_weights.__wrapped__(beta, b, fold) for beta in MIXER_BETAS]
+    assert all(len(w) == b + 1 for w in got)
+    assert packed(got) == packed(list_form_weights(beta, b, fold) for beta in MIXER_BETAS)
 
 
 def forbid_gate_list(monkeypatch):

@@ -171,7 +171,7 @@ def no_engine_work(monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for module, name in [(objective, "qaoa_states"), (ansatz, "qaoa_states"),
+    for module, name in [(objective, "qaoa_probabilities"), (ansatz, "qaoa_states"),
                          (ansatz, "simulate_ops"), (trajectories, "sample")]:
         monkeypatch.setattr(module, name, reached)
 

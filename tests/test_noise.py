@@ -505,7 +505,7 @@ def test_noisy_evaluation_refuses_a_state_without_mass(canonical):
     # ... so the sampler's own guard is reached by a massless state, in one row or many
     with pytest.raises(ValueError, match="no probability mass"):
         sample_tally(StateVector(5, np.zeros(32, dtype=complex)), 16, 1)
-    rows = np.ones((3, 32), dtype=complex)
+    rows = np.ones((3, 32))
     rows[1] = np.nan
     with pytest.raises(ValueError, match="no probability mass"):
         measure_rows(rows, np.full(3, 0.5))

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoalab import objective, rng, statevec
-from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit, qaoa_states
+from qaoalab import ansatz, objective, rng, statevec
+from qaoalab.ansatz import BATCH_AMPLITUDES, Circuit, QaoaParams, build_qaoa_circuit, qaoa_states
 from qaoalab.graph import MaxCutInstance
 from qaoalab.noise import NoiseConfig, sample_noisy, sample_noisy_tallies
 from qaoalab.objective import (
@@ -21,7 +21,7 @@ from qaoalab.objective import (
     make_objective,
 )
 from qaoalab.optim import MinimizeProblem, minimize
-from qaoalab.statevec import Counts, StateVector, sample_counts, sample_tally
+from qaoalab.statevec import Counts, StateVector, expectation_cut, sample_counts, sample_tally
 
 from test_noise import BATCH_CONFIGS
 
@@ -424,6 +424,46 @@ def test_exact_tallies_equal_sampled_tallies(n, k):
     sampled = Engine(instance, 2, "sampled", shots=300).tallies(thetas, seeds)
     assert exact.shape == (k, 1 << n) and exact.dtype == sampled.dtype
     assert np.array_equal(exact, sampled)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 11, 14])
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_engine_rows_equal_the_state_path_bit_for_bit(n, p):
+    gen = np.random.default_rng([n, p, 0x5A])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:3 * n // 2])
+    instance = MaxCutInstance(n, edges, tuple(gen.uniform(0.5, 2.0, len(edges))))
+    # one row, and one row more than a pass of BATCH_AMPLITUDES half-state amplitudes holds
+    for k in (1, max(1, BATCH_AMPLITUDES >> (n - 1)) + 1):
+        thetas = gen.uniform(-2.0 * math.pi, 2.0 * math.pi, (k, 2 * p))
+        seeds = [int(x) for x in gen.integers(0, 2**64, k, dtype=np.uint64)]
+        states = [StateVector(n, amps) for amps in qaoa_states(instance, thetas)]
+        exact = Engine(instance, p)(thetas, seeds).tolist()
+        assert exact == [-expectation_cut(state, instance) for state in states]
+        sampled = Engine(instance, p, "sampled", shots=64)
+        tallies = [sample_tally(state, 64, seed) for state, seed in zip(states, seeds)]
+        assert sampled(thetas, seeds).tolist() == [energy_from_tally(t, instance) for t in tallies]
+        assert np.array_equal(sampled.tallies(thetas, seeds), np.array(tallies))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_engine_calls_build_no_state(monkeypatch, canonical, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine call built a state")
+
+    monkeypatch.setattr(ansatz, "qaoa_states", refuse)
+    monkeypatch.setattr(objective, "qaoa_states", refuse, raising=False)
+    engine = Engine(canonical, 2, mode, shots=32)
+    thetas = np.array([[0.3, 0.5, 0.7, 1.1], [1.2, 0.1, 2.5, 0.4]])
+    assert engine(thetas, [1, 2]).shape == (2,)
+    assert engine.tallies(thetas, [1, 2]).sum() == 64
+
+
+def test_an_exact_engine_without_shots_scores_energies_but_draws_no_tallies(canonical):
+    engine = Engine(canonical, 1, "exact")
+    assert engine(np.zeros((1, 2)), [3]).shape == (1,)
+    with pytest.raises(ValueError, match="^shots"):
+        engine.tallies(np.zeros((1, 2)), [3])
 
 
 def test_a_dd_noisy_engine_dresses_its_circuit_once(canonical, monkeypatch):

@@ -242,9 +242,10 @@ def test_measure_rows_samples_each_row_as_if_alone():
     gen = np.random.default_rng(5)
     amps = np.stack([random_state(4, seed).amplitudes for seed in range(64)])
     amps[::3] *= 1.0 + gen.random((22, 1))  # unnormalized rows sample the same
+    probs = np.abs(amps) ** 2
     u = gen.random(64)
-    alone = [measure_rows(row[None], u[i:i + 1])[0] for i, row in enumerate(amps)]
-    assert measure_rows(amps, u).tolist() == alone
+    alone = [measure_rows(row[None], u[i:i + 1])[0] for i, row in enumerate(probs)]
+    assert measure_rows(probs, u).tolist() == alone
 
 
 def sparse_state(n: int, seed: int, density: float) -> StateVector:
