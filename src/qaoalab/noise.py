@@ -5,12 +5,12 @@ its own twirl, stochastic Pauli insertions, quasi-static dephasing
 rates, and readout flips, all from substreams keyed by (seed, stream,
 shot). Inserted error ops carry zero duration so they never perturb
 timing. This module makes no random draw: qaoalab.trajectories makes
-them all. sample_noisy_tallies runs the shots of k points together
-there, each point its own seed and RX/RZ angles on one circuit, after
-one DD insertion; sample_noisy is its one-point case. twirl_circuit,
-apply_trajectory_noise and apply_readout_error render one shot of the
-same draws, as a circuit or as flipped bits; simulating each shot's
-circuit on its own gives the same amplitudes, bit for bit.
+them all, from one trajectories.Plan of a circuit and a config (DD
+inserted once), and runs the shots of k points together, each point
+its own seed and RX/RZ angles; sample_noisy samples one point that way.
+twirl_circuit, apply_trajectory_noise and apply_readout_error render
+one shot of the same draws, as a circuit or as flipped bits; simulating
+each shot's circuit on its own gives the same amplitudes, bit for bit.
 
 Mitigation passes rewrite circuits:
   * twirl_circuit wraps every CNOT in a random Pauli pair and its
@@ -26,10 +26,7 @@ Mitigation passes rewrite circuits:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
-
-import numpy as np
 
 from . import _checks, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
@@ -55,8 +52,9 @@ class NoiseConfig:
     qubit's idle time is kicked as one RZ just before the next op on
     that qubit, whatever that op's duration; idle time after a qubit's
     last op is trailing and kicked at the end of the circuit. A DELAY op
-    is idle time too, kicked right after it. Each field is checked, and
-    kept as given, by its rule in ``_checks``.
+    is idle time too, kicked right after it. Each field is checked by
+    its rule in ``_checks``, and each rate kept as the float that rule
+    returns, so equal configs hash alike.
     """
 
     p1q: float = 0.0
@@ -69,10 +67,9 @@ class NoiseConfig:
     dd_sequence: str = "XpXm"
 
     def __post_init__(self):
-        for name in ("p1q", "p2q", "p_readout"):
-            _checks.real(getattr(self, name), name, 0, 1)
-        _checks.real(self.epsilon_coherent, "epsilon_coherent")
-        _checks.real(self.sigma_dephase, "sigma_dephase", 0)
+        for name, lo, hi in (("p1q", 0, 1), ("p2q", 0, 1), ("p_readout", 0, 1),
+                             ("epsilon_coherent", None, None), ("sigma_dephase", 0, None)):
+            object.__setattr__(self, name, _checks.real(getattr(self, name), name, lo, hi))
         _checks.flag(self.twirling, "twirling")
         _checks.flag(self.dd, "dd")
         _checks.one_of(self.dd_sequence, sorted(DD_SEQUENCES), "dd_sequence")
@@ -126,19 +123,25 @@ class Timeline:
         return tuple(iv for iv in self.qubits[q] if iv.op_index is None)
 
 
-@lru_cache(maxsize=256)
-def _schedule_cached(n: int, slots: tuple) -> Timeline:
-    """ASAP timeline of ops given as (qubits, duration) slots, in circuit order."""
+def schedule_circuit(circuit: Circuit) -> Timeline:
+    """ASAP greedy list schedule of a circuit.
+
+    Every op starts at the max ready-time of its qubits. Per-qubit
+    intervals tile [0, makespan] exactly. A timeline depends only on the
+    qubit count and each op's qubits and duration, so circuits that
+    differ only in gate kinds or angles share one.
+    """
+    n = circuit.n
     ready = [0.0] * n
     starts = []
     per_qubit: list[list[Interval]] = [[] for _ in range(n)]
     # an op starts once all its qubits are free, so each qubit's ops
     # arrive in start order and their intervals are appended in place
-    for i, (qubits, duration) in enumerate(slots):
-        s = max(ready[q] for q in qubits)
+    for i, op in enumerate(circuit.ops):
+        s = max(ready[q] for q in op.qubits)
         starts.append(s)
-        end = s + duration
-        for q in qubits:
+        end = s + op.duration
+        for q in op.qubits:
             if s > ready[q]:
                 per_qubit[q].append(Interval(ready[q], s, None))
             if end > s:
@@ -149,18 +152,6 @@ def _schedule_cached(n: int, slots: tuple) -> Timeline:
         if makespan > ready[q]:
             per_qubit[q].append(Interval(ready[q], makespan, None))
     return Timeline(makespan, tuple(starts), tuple(map(tuple, per_qubit)))
-
-
-def schedule_circuit(circuit: Circuit) -> Timeline:
-    """ASAP greedy list schedule of a circuit.
-
-    Every op starts at the max ready-time of its qubits. Per-qubit
-    intervals tile [0, makespan] exactly. Timelines are cached by what
-    they depend on: qubit count and each op's qubits and duration, so
-    circuits that differ only in gate kinds or angles share one entry.
-    """
-    slots = tuple((op.qubits, op.duration) for op in circuit.ops)
-    return _schedule_cached(circuit.n, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +174,11 @@ def insert_dd(circuit: Circuit, sequence: str = "XpXm") -> Circuit:
     return _dressed(circuit, sequence)[0]
 
 
-@lru_cache(maxsize=64)
 def _dressed(circuit: Circuit, sequence: str) -> tuple[Circuit, tuple[int, ...]]:
     """``insert_dd``'s circuit, and the index in ``circuit.ops`` of each of its original ops, in order.
 
-    Memoized on the (frozen, hashable) circuit and the sequence: a noisy
-    engine passes one template circuit on every call, so it is dressed,
-    and its ops checked, once.
+    A ``trajectories.Plan`` dresses its circuit this way once, when it
+    is built.
     """
     n, timeline = circuit.n, schedule_circuit(circuit)
     pulses = DD_SEQUENCES[sequence]
@@ -269,44 +258,21 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
 # ---------------------------------------------------------------------------
 
 
-def sample_noisy_tallies(circuit: Circuit, config: NoiseConfig, shots: int, seeds,
-                         angles=None) -> np.ndarray:
-    """``sample_noisy`` of k points at once, as a (k, 2^n) array of basis-index tallies.
-
-    Point j samples ``circuit`` under ``seeds[j]``, with the circuit's RX
-    and RZ angles, in op order, replaced by ``angles[j]`` when that (k, R)
-    array is given; without it, every point runs the circuit's own
-    angles. The DD pulses are inserted once, and the k points' shots run
-    together; row j equals the tally of ``sample_noisy`` on point j's own
-    circuit under ``seeds[j]``, bit for bit. No seeds give a (0, 2^n)
-    array. Its callers check ``shots`` and ``seeds``.
-    """
-    from . import trajectories  # loaded on first use
-
-    rotation = [op.kind in ROTATION_KINDS for op in circuit.ops]
-    if angles is None:
-        own = [op.angle for op, rotates in zip(circuit.ops, rotation) if rotates]
-        angles = np.broadcast_to(np.array(own, dtype=float), (len(seeds), len(own)))
-    if config.dd:
-        circuit, order = _dressed(circuit, config.dd_sequence)
-        # the pulses put the ops in start order; each angle moves with its op
-        column = np.cumsum(rotation) - 1
-        angles = np.asarray(angles)[:, [column[i] for i in order if rotation[i]]]
-    return trajectories.sample(circuit, config, shots, seeds, angles)
-
-
 def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
     """Monte Carlo counts under the full noise-and-mitigation pipeline.
 
     Per shot: (optional DD insertion, done once), optional fresh twirl,
     trajectory noise realization, statevector run, one measurement draw,
     optional readout flips. Shot i uses only draw i of each substream.
-    ``qaoalab.trajectories`` makes every draw and runs the shots together
-    as one (shots, 2^n) array; the counts equal those of running each
+    ``trajectories.sample`` makes every draw, from one ``Plan``, and runs
+    the shots together as one (shots, 2^n) array; the counts equal those of running each
     shot's circuit from ``twirl_circuit`` (at the shot's twirl seed) and
     ``apply_trajectory_noise`` through ``simulate_ops``, then
     ``apply_readout_error``.
     """
-    shots = _checks.integer(shots, "shots", 1)
-    seeds = [_checks.seed(seed)]
-    return counts_from_tally(sample_noisy_tallies(circuit, config, shots, seeds)[0], circuit.n)
+    from . import trajectories  # loaded on first use
+
+    shots, seed = _checks.integer(shots, "shots", 1), _checks.seed(seed)
+    angles = [[op.angle for op in circuit.ops if op.kind in ROTATION_KINDS]]
+    tally = trajectories.sample(trajectories.Plan(circuit, config), shots, [seed], angles)[0]
+    return counts_from_tally(tally, circuit.n)

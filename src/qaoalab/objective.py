@@ -21,7 +21,7 @@ import numpy as np
 from . import _checks, rng
 from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
 from .graph import MaxCutInstance, cut_value_table
-from .noise import NoiseConfig, sample_noisy_tallies
+from .noise import NoiseConfig
 from .statevec import Counts, counts_from_tally, sample_outcomes
 
 RUN_MODES = ("exact", "sampled", "noisy")
@@ -166,8 +166,10 @@ class Engine:
     the seeds; sampled mode scores each row's sorted outcomes by the
     summation rule of ``energy_from_tally``. An exact engine's
     ``tallies`` sample the exact state as a sampled engine's do. A noisy
-    engine builds its circuit once, from zero angles: each row's RX and
-    RZ angles come from ``qaoa_angles``, and it scores its ``tallies``.
+    engine holds one ``trajectories.Plan`` of its circuit, built from
+    zero angles with its noise config's DD pulses in it: each row's RX
+    and RZ angles come from ``qaoa_angles``, and it scores its
+    ``tallies``.
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
@@ -177,7 +179,10 @@ class Engine:
         self.instance, self.p, self.mode = instance, p, mode
         self.shots, self.noise = shots, noise
         if mode == "noisy":
-            self._circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
+            from . import trajectories  # loaded on first use
+
+            circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
+            self._plan = trajectories.Plan(circuit, noise)
         else:
             self._plan, self._table = half_plan(instance), cut_value_table(instance)
 
@@ -212,17 +217,19 @@ class Engine:
 
         Exact and sampled engines sample each row's exact probabilities;
         an exact engine built without shots refuses a row. Noisy
-        mode samples the batch in one ``sample_noisy_tallies`` call on
-        the engine's circuit, with each row's RX and RZ angles.
+        mode samples the batch in one ``trajectories.sample`` call on
+        the engine's plan, with each row's RX and RZ angles.
         """
         instance, n = self.instance, self.instance.n
         thetas = self._rows(thetas, seeds)
         if self.shots is None and len(thetas):
             raise ValueError("shots: an exact engine built without shots draws no tallies")
         if self.mode == "noisy":
-            return sample_noisy_tallies(self._circuit, self.noise, self.shots,
-                                        [check_seed(self.mode, seed) for seed in seeds],
-                                        qaoa_angles(instance, thetas))
+            from . import trajectories
+
+            return trajectories.sample(self._plan, self.shots,
+                                       [check_seed(self.mode, seed) for seed in seeds],
+                                       qaoa_angles(instance, thetas))
         return np.array([np.bincount(o, minlength=1 << n) for o in self._outcomes(thetas, seeds)],
                         dtype=np.int64).reshape(len(thetas), 1 << n)
 

@@ -1,21 +1,22 @@
 """Per-shot noise: the draws of every shot, and the batched engine that runs them.
 
 This module is the one place that turns (seed, stream, shot) into twirl
-Paulis, gate errors, dephasing kicks and readout flips. ``_chunk_steps``
-walks the layout of a circuit once and draws, for each row (one per
-shot), its twirl from the twirl substream and its dephasing rates and
-gate errors from the trajectory substream. Each row's stream is read in
-one numpy Philox call, and ``_decode_errors`` replays the gate-error
-draws of all rows at once from those words, over one list of error
-sites that every row shares but for the twirl slots it leaves empty.
+Paulis, gate errors, dephasing kicks and readout flips. A ``Plan`` lays
+out a circuit, with its DD pulses, once. ``_chunk_steps`` walks that
+layout and draws, for each row (one per shot), its twirl from the twirl
+substream and its dephasing rates and gate errors from the trajectory
+substream. Each row's stream is read in one numpy Philox call, and
+``_decode_errors`` replays the gate-error draws of all rows at once
+from those words, over one list of error sites that every row shares
+but for the twirl slots it leaves empty.
 The result is one ordered step list: gates every row shares, Paulis
 per row (a twirl Pauli on every row, an error Pauli on the rows that
 drew one) and a dephasing kick per row.
 
-``sample`` is the engine behind ``noise.sample_noisy_tallies``. It takes
-k points at once, each a seed and a row of RX and RZ angles for the
-circuit, and runs their k * shots trajectories as the rows of one
-(rows, 2^n) complex array, in chunks. ``_run_rows`` keeps a Pauli frame
+``sample`` is the noisy engine, on one plan per ``objective.Engine``.
+It takes k points at once, each a seed and a row of RX and RZ angles
+for the circuit, and runs their k * shots trajectories as the rows of
+one (rows, 2^n) complex array, in chunks. ``_run_rows`` keeps a Pauli frame
 per row (Knill, Nature 434, 2005; Gidney, arXiv 2103.02202): every
 Pauli, be it a twirl Pauli, a DD pulse or a gate error, only updates
 the frames and never touches the array. A CNOT or H is applied to every row by
@@ -39,18 +40,19 @@ gate only permutes, negates or conjugates the factors of each product,
 and a Y's factor 1j reaches the amplitudes before the next diagonal
 product, as it does there (``_settle``).
 
-``noise`` imports this module when it first needs it, so work that
-never samples with noise does not load it.
+``noise`` and ``objective`` import this module when they first need it,
+so work that never samples with noise does not load it.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
+from . import noise, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .noise import PAULI_KINDS, NoiseConfig
 from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _cnot_perm, apply_rows, apply_vectors,
@@ -117,16 +119,13 @@ class _Entry(NamedTuple):
 
     A base op carries ``op``; a twirl slot carries ``slot``, its column
     in ``_twirl_ids``, which each shot fills with its own Pauli or
-    leaves empty. After ``_point_angles``, an RX or RZ carries
-    ``vectors``, the ``gate_vectors`` of each point's own angle,
-    stacked: row j is point j's.
+    leaves empty.
     """
 
     qubits: tuple[int, ...]
     duration: float
     op: GateOp | None
     slot: int | None
-    vectors: list | None = None
 
 
 def _layout(circuit: Circuit, twirling: bool) -> list[_Entry]:
@@ -348,11 +347,52 @@ def _idle_kicks(entries, present: np.ndarray, n: int) -> list:
     return kicks
 
 
-@lru_cache(maxsize=16)
-def _shared_idle_kicks(n: int, timing: tuple) -> list:
-    """``_idle_kicks`` of an untwirled circuit, the same for every shot."""
-    entries = [_Entry(qubits, duration, None, None) for qubits, duration in timing]
-    return _idle_kicks(entries, np.ones((1, len(entries)), dtype=bool), n)
+class Plan:
+    """What ``sample`` needs of a circuit and a noise config, worked out once.
+
+    The noisy twin of ``ansatz.HalfPlan``. ``entries`` lay out the
+    circuit with the config's DD pulses in it, twirled when the config
+    twirls; ``rotations`` are its RX and RZ entries, ``columns`` the
+    angle column of each in the given circuit's op order (the pulses put
+    the ops in start order), and ``slots`` its twirl slots. ``sites``
+    are the entries that draw a gate error, with the ``limit`` of each
+    rate and the ``bound`` of each Pauli draw, and ``slot_sites`` those
+    that are twirl slots. ``kicks`` is every shot's idle time when the
+    config dephases and no twirl moves it, else None; ``per_shot`` says
+    whether the shots of a point differ at all.
+    """
+
+    __slots__ = ("n", "config", "entries", "rotations", "columns", "slots",
+                 "sites", "limit", "bound", "slot_sites", "kicks", "per_shot")
+
+    def __init__(self, circuit: Circuit, config: NoiseConfig):
+        rotation = [op.kind in ROTATION_KINDS for op in circuit.ops]
+        order = range(len(rotation))
+        if config.dd:
+            circuit, order = noise._dressed(circuit, config.dd_sequence)
+        rank = np.cumsum(rotation) - 1
+        self.columns = np.array([rank[i] for i in order if rotation[i]], dtype=np.intp)
+        self.n, self.config = circuit.n, config
+        self.entries = entries = _layout(circuit, config.twirling)
+        self.rotations = [k for k, e in enumerate(entries)
+                          if e.op is not None and e.op.kind in ROTATION_KINDS]
+        self.slots = [k for k, e in enumerate(entries) if e.slot is not None]
+        # one random() per gate, in op order: p2q after a CNOT, p1q after any
+        # other gate but DELAY; a hit is followed by the Pauli's integers()
+        site_p = np.zeros(len(entries))
+        bound = np.zeros(len(entries), dtype=np.int64)
+        for k, entry in enumerate(entries):
+            if entry.op is not None and entry.op.kind == "CNOT":
+                site_p[k], bound[k] = config.p2q, 15
+            elif entry.op is None or entry.op.kind != "DELAY":
+                site_p[k], bound[k] = config.p1q, 3
+        self.sites = sites = np.flatnonzero(site_p > 0)
+        self.limit, self.bound = _limit(site_p[sites]), bound[sites]
+        self.slot_sites = np.flatnonzero([entries[k].slot is not None for k in sites])
+        dephasing = config.sigma_dephase > 0
+        self.kicks = (_idle_kicks(entries, np.ones((1, len(entries)), dtype=bool), self.n)
+                      if dephasing and not self.slots else None)
+        self.per_shot = bool(self.slots) or config.p1q > 0 or config.p2q > 0 or dephasing
 
 
 def _twirl_ids(streams: _Substreams, keys: np.ndarray, n_cnots: int) -> np.ndarray:
@@ -371,33 +411,22 @@ def _twirl_ids(streams: _Substreams, keys: np.ndarray, n_cnots: int) -> np.ndarr
     return ids.reshape(len(keys), -1)
 
 
-def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Entry],
-                      twirl, config: NoiseConfig, n: int):
+def _trajectory_draws(plan: Plan, streams: _Substreams, keys: np.ndarray, twirl):
     """Each row's dephasing rates and gate errors, from its trajectory key.
 
     A row draws ``normal(0, sigma_dephase, size=n)`` when dephasing, then
     one ``random()`` per gate error site of its own circuit, in op order;
     a hit is followed by the ``integers()`` draw of its Pauli. The sites
-    are the layout's but for the twirl slots that the row's ``twirl``
+    are the plan's but for the twirl slots that the row's ``twirl``
     ids (rows, slots) leave empty. Each key's words are read in one
     call, and ``_decode_errors`` replays the draws of all rows together.
     Returns deltas (rows, n) and the hits as (row, entry index, value)
     arrays, sorted by entry and then row, where value is the result of
     the error's integers() draw.
     """
-    rows = len(keys)
-    # one random() per gate, in op order: p2q after a CNOT, p1q after any
-    # other gate but DELAY; a hit is followed by the Pauli's integers()
-    site_p = np.zeros(len(entries))
-    bound = np.zeros(len(entries), dtype=np.int64)
-    for k, entry in enumerate(entries):
-        if entry.op is not None and entry.op.kind == "CNOT":
-            site_p[k], bound[k] = config.p2q, 15
-        elif entry.op is None or entry.op.kind != "DELAY":
-            site_p[k], bound[k] = config.p1q, 3
+    rows, n, config, sites = len(keys), plan.n, plan.config, plan.sites
     dephasing = config.sigma_dephase > 0
     deltas = np.zeros((rows, n))
-    sites = np.flatnonzero(site_p > 0)
 
     def read(width: int) -> np.ndarray:
         words = np.empty((rows, width), dtype=np.uint64)
@@ -414,22 +443,21 @@ def _trajectory_draws(streams: _Substreams, keys: np.ndarray, entries: list[_Ent
             read(0)
         empty = np.zeros(0, dtype=np.int64)
         return deltas, (empty, empty, empty)
-    slot_sites = np.flatnonzero([entries[k].slot is not None for k in sites])
     # the twirl slots are sites all together or not at all, in slot order
-    absent = twirl == 0 if slot_sites.size else np.zeros((rows, 0), dtype=bool)
-    row, site, value = _decode_errors(read, _limit(site_p[sites]), bound[sites], slot_sites, absent)
+    absent = twirl == 0 if plan.slot_sites.size else np.zeros((rows, 0), dtype=bool)
+    row, site, value = _decode_errors(read, plan.limit, plan.bound, plan.slot_sites, absent)
     return deltas, (row, sites[site], value)
 
 
-def _chunk_steps(entries: list[_Entry], config: NoiseConfig, twirl_keys, trajectory_keys,
-                 streams: _Substreams, n: int) -> list:
+def _chunk_steps(plan: Plan, vectors: dict, twirl_keys, trajectory_keys,
+                 streams: _Substreams) -> list:
     """Draw each row's twirl and noise and lay out what the rows run, in order.
 
-    Row r draws its twirl from ``twirl_keys[r]`` (needed only when
-    ``entries`` has twirl slots) and its dephasing and gate errors from
-    ``trajectory_keys[r]``. Steps are ("op", op, vectors) for a gate
-    every row shares, with ``vectors`` the entry's (None but for an RX
-    or RZ after ``_point_angles``); ("pauli", rows, ids, qubit,
+    Row r draws its twirl from ``twirl_keys[r]`` (needed only when the
+    plan has twirl slots) and its dephasing and gate errors from
+    ``trajectory_keys[r]``. Steps are ("op", op, stack) for a gate
+    every row shares, with the entry's stack in ``vectors`` (from
+    ``_point_angles``), else None; ("pauli", rows, ids, qubit,
     duration) for one-qubit Paulis, an id for each listed row, or for
     every row when rows is None, 0 for none: a twirl Pauli on every row,
     lasting ``ONE_QUBIT_DURATION``, or the error Paulis of the rows that
@@ -437,23 +465,21 @@ def _chunk_steps(entries: list[_Entry], config: NoiseConfig, twirl_keys, traject
     dephasing, which a single row gets only where it has idle time. A
     coherent ZZ error is left to whoever runs a CNOT.
     """
-    rows = len(trajectory_keys)
-    slots = [k for k, e in enumerate(entries) if e.slot is not None]
+    rows, n, entries, slots = len(trajectory_keys), plan.n, plan.entries, plan.slots
     # slots are numbered in layout order
     twirl = _twirl_ids(streams, twirl_keys, len(slots) // 4) if slots else None
-    dephasing = config.sigma_dephase > 0
+    dephasing = plan.config.sigma_dephase > 0
     deltas, (hit_row, hit_entry, hit_value) = _trajectory_draws(
-        streams, trajectory_keys, entries, twirl, config, n)
+        plan, streams, trajectory_keys, twirl)
     hit_bounds = np.searchsorted(hit_entry, np.arange(len(entries) + 1)).tolist()
 
     kicks_at: dict[int, list] = {}
     if dephasing:
-        if slots:
+        kicks = plan.kicks
+        if kicks is None:  # each row idles where its own twirl leaves it
             present = np.ones((rows, len(entries)), dtype=bool)
             present[:, slots] = twirl != 0
             kicks = _idle_kicks(entries, present, n)
-        else:
-            kicks = _shared_idle_kicks(n, tuple((e.qubits, e.duration) for e in entries))
         for k, q, dur in kicks:
             kicks_at.setdefault(k, []).append(("kick", q, 2.0 * deltas[:, q] * dur))
 
@@ -463,7 +489,7 @@ def _chunk_steps(entries: list[_Entry], config: NoiseConfig, twirl_keys, traject
         if entry.op is None:
             steps.append(("pauli", None, twirl[:, entry.slot], entry.qubits[0], entry.duration))
         else:
-            steps.append(("op", entry.op, entry.vectors))
+            steps.append(("op", entry.op, vectors.get(k)))
             if entry.op.kind == "DELAY" and dephasing and entry.duration > 0:
                 q = entry.qubits[0]
                 steps.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
@@ -490,13 +516,12 @@ def realize(circuit: Circuit, config: NoiseConfig, shot: int, seed: int,
     CNOT, RZ(2 epsilon) on the target, CNOT. ``circuit`` itself is
     returned when nothing is inserted.
     """
-    entries = _layout(circuit, twirl_seed is not None)
+    plan = Plan(circuit, replace(config, dd=False, twirling=twirl_seed is not None))
     twirl_keys = None if twirl_seed is None else [rng.derive_key(twirl_seed, rng.STREAM_TWIRL)]
     trajectory_keys = [rng.derive_key(seed, rng.STREAM_TRAJECTORY, shot)]
     eps = config.epsilon_coherent
     ops: list[GateOp] = []
-    for step in _chunk_steps(entries, config, twirl_keys, trajectory_keys, _Substreams(),
-                             circuit.n):
+    for step in _chunk_steps(plan, {}, twirl_keys, trajectory_keys, _Substreams()):
         kind = step[0]
         if kind == "op":
             op = step[1]
@@ -625,52 +650,50 @@ def _readout_flips(streams: _Substreams, keys, width: int, p: float) -> np.ndarr
     return streams.raw(keys, width) <= _limit(p)
 
 
-def _point_angles(entries: list[_Entry], angles: np.ndarray, n: int) -> list[_Entry]:
-    """Give the c-th RX or RZ entry the gate vectors of each point's angle ``angles[:, c]``."""
-    rotations = [k for k, e in enumerate(entries) if e.op is not None and e.op.kind in ROTATION_KINDS]
-    if angles.shape != (len(angles), len(rotations)):
-        raise ValueError(f"angles of shape {angles.shape} do not fit {len(rotations)} rotations")
-    entries = list(entries)
+def _point_angles(plan: Plan, angles: np.ndarray) -> dict:
+    """Each RX or RZ entry's ``gate_vectors`` at every point's angle, stacked: row j is point j's.
+
+    Entry ``plan.rotations[c]`` takes column ``plan.columns[c]`` of the (k, R) ``angles``.
+    """
+    if angles.shape != (len(angles), len(plan.columns)):
+        raise ValueError(f"angles of shape {angles.shape} do not fit {len(plan.columns)} rotations")
     # points of a simplex or gradient batch share most angles, so each
     # distinct (kind, qubit, angle) is computed once. A zero is never
     # looked up: 0.0 == -0.0, but their sines differ in sign
     memo: dict = {}
-    for k, column in zip(rotations, angles.T.tolist()):
-        op = entries[k].op
+    stacks = {}
+    for k, column in zip(plan.rotations, angles[:, plan.columns].T.tolist()):
+        op = plan.entries[k].op
         vectors = []
         for angle in column:
             key = (op.kind, op.qubits[0], angle)
             found = memo.get(key) if angle else None
             if found is None:
-                found = memo[key] = gate_vectors(n, op._replace(angle=angle))
+                found = memo[key] = gate_vectors(plan.n, op._replace(angle=angle))
             vectors.append(found)
-        entries[k] = entries[k]._replace(vectors=tuple(np.stack(v) for v in zip(*vectors)))
-    return entries
+        stacks[k] = tuple(np.stack(v) for v in zip(*vectors))
+    return stacks
 
 
-def sample(base: Circuit, config: NoiseConfig, shots: int, seeds, angles) -> np.ndarray:
+def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     """Basis-index tallies, a (k, 2^n) array, of ``shots`` trajectories for each of k points.
 
-    ``base`` is a circuit with any DD pulses in it. Point j runs it under
-    ``seeds[j]``, with its RX and RZ angles, in op order, replaced by
+    Point j runs the plan's circuit under ``seeds[j]``, with the RX and
+    RZ angles of the circuit it was built from, in op order, replaced by
     ``angles[j]`` of the (k, R) array ``angles``. The k points' shots are
     the rows of one chunked array, point j's at j * shots onwards, and
     shot i of point j draws its twirl, noise, measurement and readout
     flips from ``seeds[j]`` exactly as shot i of a one-point call does:
-    each tally equals that call's.
+    each tally equals that call's. No seeds give a (0, 2^n) array.
     """
-    n = base.n
+    n, config = plan.n, plan.config
     k = len(seeds)
     angles = np.asarray(angles, dtype=float)
     if len(angles) != k:
         raise ValueError(f"{len(angles)} rows of angles for {k} seeds")
-    entries = _point_angles(_layout(base, config.twirling), angles, n)
+    vectors = _point_angles(plan, angles)
     if k == 0:
         return np.zeros((0, 1 << n), dtype=np.int64)
-    per_shot = (
-        any(e.slot is not None for e in entries)
-        or config.p1q > 0 or config.p2q > 0 or config.sigma_dephase > 0
-    )
     total = k * shots
     index = np.arange(shots)
 
@@ -681,13 +704,13 @@ def sample(base: Circuit, config: NoiseConfig, shots: int, seeds, angles) -> np.
     trajectory_keys = keys(rng.STREAM_TRAJECTORY)
     u = np.concatenate([rng.generator(seed, rng.STREAM_SAMPLE).random(shots) for seed in seeds])
     point = np.repeat(np.arange(k), shots)
-    chunk = max(1, _CHUNK_BYTES // (16 << n)) if per_shot else total
+    chunk = max(1, _CHUNK_BYTES // (16 << n)) if plan.per_shot else total
     outcomes = np.empty(total, dtype=np.int64)
     streams = _Substreams()
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        steps = _chunk_steps(entries, config, None if twirl_keys is None else twirl_keys[lo:hi],
-                             trajectory_keys[lo:hi], streams, n)
+        steps = _chunk_steps(plan, vectors, None if twirl_keys is None else twirl_keys[lo:hi],
+                             trajectory_keys[lo:hi], streams)
         if any(step[0] != "op" for step in steps):
             amps = _run_rows(n, steps, point[lo:hi], config.epsilon_coherent)
             outcomes[lo:hi] = measure_rows(np.abs(amps) ** 2, u[lo:hi])

@@ -5,6 +5,8 @@ import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +212,18 @@ def test_preset_and_inline_noise_hash_alike(data, preset):
     by_rates = parse_config(dict(raw, noise=inline))
     assert by_name == by_rates
     assert by_name.config_hash == by_rates.config_hash
+
+
+@pytest.mark.parametrize("name, value", [
+    ("p_readout", 1), ("p_readout", 0), ("p1q", 0), ("epsilon_coherent", -2),
+    ("sigma_dephase", 3), pytest.param("p2q", np.float32(0.25), id="p2q-float32"),
+])
+def test_a_rate_hashes_as_the_float_it_equals(name, value):
+    written = parse_config({"mode": "noisy", "noise": {name: value}, "seed": 1})
+    as_float = parse_config({"mode": "noisy", "noise": {name: float(value)}, "seed": 1})
+    assert written == as_float
+    assert written.config_hash == as_float.config_hash
+    assert type(getattr(written.noise, name)) is float
 
 
 @settings(max_examples=60, deadline=None)

@@ -24,8 +24,8 @@ from qaoalab.noise import (
     twirl_circuit,
 )
 from qaoalab.objective import evaluate_qaoa, make_objective
-from qaoalab.statevec import (Counts, GateOp, StateVector, measure_rows, sample_counts,
-                              sample_tally, simulate_ops)
+from qaoalab.statevec import (Counts, GateOp, StateVector, counts_from_tally, measure_rows,
+                              sample_counts, sample_tally, simulate_ops)
 
 import noise_reference
 from conftest import ground_mass
@@ -211,16 +211,13 @@ def reference_schedule(circuit: Circuit) -> Timeline:
     return Timeline(makespan, tuple(starts), tuple(per_qubit))
 
 
-def test_schedule_cache_ignores_angles(canonical):
-    noise._schedule_cached.cache_clear()
-    for k, theta in enumerate(np.linspace(0.1, 2.9, 5)):
+def test_schedule_ignores_angles(canonical):
+    for theta in np.linspace(0.1, 2.9, 5):
         circuit = build_qaoa_circuit(canonical, QaoaParams((theta,) * 2, (2 * theta,) * 2))
         assert schedule_circuit(circuit) == reference_schedule(circuit)
-        assert noise._schedule_cached.cache_info().hits == k
-    assert noise._schedule_cached.cache_info().misses == 1
 
 
-def test_schedule_cache_tells_durations_and_qubits_apart():
+def test_schedule_tells_durations_and_qubits_apart():
     one = Circuit(2, (GateOp("H", (0,), None, 1.0), GateOp("CNOT", (0, 1), None, 4.0)))
     slower = Circuit(2, (GateOp("H", (0,), None, 2.0), GateOp("CNOT", (0, 1), None, 4.0)))
     moved = Circuit(2, (GateOp("H", (1,), None, 1.0), GateOp("CNOT", (0, 1), None, 4.0)))
@@ -560,6 +557,20 @@ def row_keys(seeds, shots: int, twirling: bool):
     return (rng.derive_keys(twirl, rng.STREAM_TWIRL) if twirling else None), trajectory
 
 
+def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds, shots: int) -> np.ndarray:
+    """The amplitudes of ``shots`` rows per point from one ``Plan``, point j's under ``seeds[j]``.
+
+    ``angles`` is (points, R), in the op order of ``circuit``, which the
+    plan dresses with the config's DD pulses.
+    """
+    plan = trajectories.Plan(circuit, config)
+    twirl_keys, trajectory_keys = row_keys(seeds, shots, config.twirling)
+    steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, angles), twirl_keys,
+                                      trajectory_keys, trajectories._Substreams())
+    row_point = np.repeat(np.arange(len(seeds)), shots)
+    return trajectories._run_rows(plan.n, steps, row_point, config.epsilon_coherent)
+
+
 def own_angles(circuit: Circuit) -> np.ndarray:
     """The circuit's RX and RZ angles, in op order, as the (1, R) angles of one point."""
     return np.array([[op.angle for op in circuit.ops if op.kind in ("RX", "RZ")]])
@@ -577,13 +588,9 @@ def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name):
     # Equal counts could hide last-bit differences that rarely move an
     # outcome; the amplitudes themselves must agree exactly.
     config = ORACLE_CONFIGS[name]
-    base = with_dd(mixed_circuit(4, 30, seed=9), config)
-    entries = trajectories._point_angles(
-        trajectories._layout(base, config.twirling), own_angles(base), base.n)
-    twirl_keys, trajectory_keys = row_keys([5], 12, config.twirling)
-    streams = trajectories._Substreams()
-    steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys, streams, base.n)
-    rows = trajectories._run_rows(base.n, steps, np.zeros(12, dtype=int), config.epsilon_coherent)
+    circuit = mixed_circuit(4, 30, seed=9)
+    base = with_dd(circuit, config)
+    rows = plan_rows(circuit, config, own_angles(circuit), [5], 12)
     for i in range(12):
         single = simulate_ops(base.n, shot_circuit(base, config, i, 5).ops).amplitudes
         # equal as floats: equal bits, up to the sign of a zero
@@ -595,20 +602,14 @@ def test_two_point_rows_equal_per_shot_amplitudes_bit_for_bit(name):
     # Two points with different angles share one array: each row must hold
     # the amplitudes of its own point's shot circuit, bit for bit.
     config = ORACLE_CONFIGS[name]
-    base = with_dd(mixed_circuit(4, 30, seed=9), config)
-    count = sum(op.kind in ("RX", "RZ") for op in base.ops)
+    circuit = mixed_circuit(4, 30, seed=9)
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
     angles = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2, count))
     seeds, shots = [5, 8], 6
-    entries = trajectories._point_angles(
-        trajectories._layout(base, config.twirling), angles, base.n)
-    twirl_keys, trajectory_keys = row_keys(seeds, shots, config.twirling)
-    streams = trajectories._Substreams()
-    steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys, streams, base.n)
-    row_point = np.repeat([0, 1], shots)
-    rows = trajectories._run_rows(base.n, steps, row_point, config.epsilon_coherent)
-    for r, j in enumerate(row_point):
-        circuit = shot_circuit(with_angles(base, angles[j]), config, r % shots, seeds[j])
-        single = simulate_ops(base.n, circuit.ops).amplitudes
+    rows = plan_rows(circuit, config, angles, seeds, shots)
+    for r, j in enumerate(np.repeat([0, 1], shots)):
+        base = with_dd(with_angles(circuit, angles[j]), config)
+        single = simulate_ops(base.n, shot_circuit(base, config, r % shots, seeds[j]).ops).amplitudes
         assert np.array_equal(single.view(np.float64), rows[r].view(np.float64))
 
 
@@ -657,22 +658,17 @@ def test_rows_equal_per_shot_amplitudes_bit_for_bit_on_random_circuits(circuit, 
     # One point runs the circuit's own angles; two points run their own
     # angles side by side. The Pauli frames meet every gate kind here: H
     # after an error Pauli, Y pulses and twirl Paulis, zero-duration ops.
-    base = with_dd(circuit, config)
-    count = sum(op.kind in ("RX", "RZ") for op in base.ops)
-    angles, circuits = own_angles(base), [base]
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    angles, circuits = own_angles(circuit), [circuit]
     if points == 2:
         angle = st.floats(-4.0, 4.0)
         angles = np.array([[data.draw(angle) for _ in range(count)] for _ in range(2)])
-        circuits = [with_angles(base, row) for row in angles]
-    entries = trajectories._point_angles(trajectories._layout(base, config.twirling), angles, base.n)
+        circuits = [with_angles(circuit, row) for row in angles]
     seeds, shots = [seed, seed ^ 1], 3
-    twirl_keys, trajectory_keys = row_keys(seeds[:points], shots, config.twirling)
-    steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys,
-                                      trajectories._Substreams(), base.n)
-    row_point = np.repeat(np.arange(points), shots)
-    rows = trajectories._run_rows(base.n, steps, row_point, config.epsilon_coherent)
-    for r, j in enumerate(row_point):
-        single = simulate_ops(base.n, shot_circuit(circuits[j], config, r % shots, seeds[j]).ops)
+    rows = plan_rows(circuit, config, angles, seeds[:points], shots)
+    for r, j in enumerate(np.repeat(np.arange(points), shots)):
+        base = with_dd(circuits[j], config)
+        single = simulate_ops(base.n, shot_circuit(base, config, r % shots, seeds[j]).ops)
         assert np.array_equal(single.amplitudes.view(np.float64), rows[r].view(np.float64))
 
 
@@ -688,12 +684,7 @@ def test_twirl_and_dd_keep_the_output_distribution_of_random_circuits(circuit, s
     for dressed in (twirl_circuit(circuit, seed), padded, twirl_circuit(padded, seed)):
         np.testing.assert_allclose(probs_of(dressed), ideal, rtol=0, atol=1e-12)
     config = NoiseConfig(twirling=True, dd=True, dd_sequence=sequence)
-    twirl_keys, trajectory_keys = row_keys([seed], 8, True)
-    entries = trajectories._point_angles(trajectories._layout(padded, True), own_angles(padded),
-                                         circuit.n)
-    steps = trajectories._chunk_steps(entries, config, twirl_keys, trajectory_keys,
-                                      trajectories._Substreams(), circuit.n)
-    rows = trajectories._run_rows(circuit.n, steps, np.zeros(8, dtype=int), 0.0)
+    rows = plan_rows(circuit, config, own_angles(circuit), [seed], 8)
     np.testing.assert_allclose(np.abs(rows) ** 2, np.broadcast_to(ideal, rows.shape),
                                rtol=0, atol=1e-12)
 
@@ -706,13 +697,14 @@ def test_every_tally_row_sums_to_its_shots(circuit, config, seed, k, shots, data
     angles = np.array([[data.draw(st.floats(-4.0, 4.0)) for _ in range(count)]
                        for _ in range(k)])
     seeds = [seed + j for j in range(k)]
-    whole = noise.sample_noisy_tallies(circuit, config, shots, seeds, angles)
+    plan = trajectories.Plan(circuit, config)
+    whole = trajectories.sample(plan, shots, seeds, angles)
     # chunks of one row end between every two points and inside each; of
     # shots + 1 rows, inside a point
     for rows in (1, shots + 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trajectories, "_CHUNK_BYTES", rows * (16 << circuit.n))
-            chunked = noise.sample_noisy_tallies(circuit, config, shots, seeds, angles)
+            chunked = trajectories.sample(plan, shots, seeds, angles)
         assert np.array_equal(chunked, whole)
     assert whole.shape == (k, 1 << circuit.n)
     assert whole.min() >= 0 and whole.sum(axis=1).tolist() == [shots] * k
@@ -777,12 +769,13 @@ BATCH_CONFIGS = {**ORACLE_CONFIGS, **NOISY_P5_SETTINGS}
 def spy_tallies(monkeypatch):
     """Record the tallies ``make_objective`` scores, one array per engine call."""
     calls = []
+    sample = trajectories.sample
 
     def spy(*args):
-        calls.append(noise.sample_noisy_tallies(*args))
+        calls.append(sample(*args))
         return calls[-1]
 
-    monkeypatch.setattr(objective, "sample_noisy_tallies", spy)
+    monkeypatch.setattr(trajectories, "sample", spy)
     return calls
 
 
@@ -823,16 +816,52 @@ def test_noisy_objective_makes_one_engine_call_per_batch(canonical, monkeypatch)
     gen = np.random.default_rng(0)
     for k in (1, 9, 10, 1):
         fn(gen.uniform(0.0, 3.0, size=(k, 10)))
-    assert [len(seeds) for _, _, _, seeds, _ in calls] == [1, 9, 10, 1]
+    assert [len(seeds) for _, _, seeds, _ in calls] == [1, 9, 10, 1]
+
+
+def test_a_noisy_engine_plans_its_circuit_once(canonical, monkeypatch):
+    # the layout and the DD pulses depend only on the engine's circuit and
+    # noise config: they are worked out when the engine is built, never per call
+    calls = {"_layout": 0, "_dressed": 0}
+    for module, name in ((trajectories, "_layout"), (noise, "_dressed")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    engine = objective.Engine(canonical, 2, "noisy", shots=8, noise=ORACLE_CONFIGS["all"])
+    assert calls == {"_layout": 1, "_dressed": 1}
+    thetas = np.random.default_rng(1).uniform(0.0, 3.0, size=(3, 4))
+    for k in (1, 2, 3):
+        assert engine(thetas[:k], list(range(k))).shape == (k,)
+    assert engine.tallies(thetas, [4, 5, 6]).shape == (3, 32)
+    assert calls == {"_layout": 1, "_dressed": 1}
+
+
+@pytest.mark.parametrize("name", ["dd-xpxm", "dd-xy4", "all"])
+def test_dd_plan_gives_each_point_its_own_angles(name):
+    # DD pulses put the ops in start order; each point's angles, given in
+    # the op order of the undressed circuit, must move with their ops
+    config = ORACLE_CONFIGS[name]
+    circuit = mixed_circuit(4, 30, seed=9)
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    angles = np.random.default_rng(11).uniform(-3.0, 3.0, size=(3, count))
+    seeds, shots = [2, 9, 4], 16
+    tallies = trajectories.sample(trajectories.Plan(circuit, config), shots, seeds, angles)
+    for j, seed in enumerate(seeds):
+        expected = reference_sample_noisy(with_angles(circuit, angles[j]), config, shots, seed)
+        assert counts_from_tally(tallies[j], circuit.n).counts == expected.counts
 
 
 def test_batch_angles_must_fit_the_rotations():
     circuit = mixed_circuit(3, 10, seed=1)
     count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
-    with pytest.raises(ValueError, match="do not fit"):
-        noise.sample_noisy_tallies(circuit, NoiseConfig(), 4, [1, 2], np.zeros((2, count + 1)))
-    with pytest.raises(ValueError, match="rows of angles"):
-        noise.sample_noisy_tallies(circuit, NoiseConfig(), 4, [1, 2], np.zeros((3, count)))
+    for config in (NoiseConfig(), NoiseConfig(dd=True)):
+        plan = trajectories.Plan(circuit, config)
+        with pytest.raises(ValueError, match="do not fit"):
+            trajectories.sample(plan, 4, [1, 2], np.zeros((2, count + 1)))
+        with pytest.raises(ValueError, match="rows of angles"):
+            trajectories.sample(plan, 4, [1, 2], np.zeros((3, count)))
 
 
 class Words:

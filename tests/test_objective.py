@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoalab import ansatz, objective, rng, statevec
+from qaoalab import ansatz, objective, rng, statevec, trajectories
 from qaoalab.ansatz import BATCH_AMPLITUDES, Circuit, QaoaParams, build_qaoa_circuit, qaoa_states
 from qaoalab.graph import MaxCutInstance
-from qaoalab.noise import NoiseConfig, sample_noisy, sample_noisy_tallies
+from qaoalab.noise import NoiseConfig, sample_noisy
 from qaoalab.objective import (
     Engine,
     energy_from_counts,
@@ -355,7 +355,8 @@ def test_an_empty_batch_gives_an_empty_result(canonical, mode, kwargs):
     assert engine.tallies(np.zeros((0, 4)), []).shape == (0, 32)
     if mode == "noisy":
         circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.9,)))
-        assert sample_noisy_tallies(circuit, kwargs["noise"], 16, []).shape == (0, 32)
+        plan = trajectories.Plan(circuit, kwargs["noise"])
+        assert trajectories.sample(plan, 16, [], np.zeros((0, len(plan.columns)))).shape == (0, 32)
 
 
 @pytest.mark.parametrize("mode, kwargs", [
