@@ -7,10 +7,11 @@ therefore node 0 of the graph module. Qubit q's bit of index ``i`` is
 
 Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` runs it on
-one row and the noisy trajectory engine on a row per shot. It applies
-an RZ, H or RX as the products of its ``gate_vectors`` through
-``apply_vectors``, which the noisy engine calls with a vector per row
-to give each row its own angle. Index tables are
+one row. It applies an RZ, H or RX as the products of its
+``gate_vectors`` through ``apply_vectors``. The noisy trajectory engine
+runs H through ``apply_rows`` too, and the other gates with the same
+products on a row per shot, from these index tables and its own
+per-row scalars (``qaoalab.trajectories``). Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
 ``check_gate`` is the one op check, and ``measure_rows`` the one shot
 sampler, on (rows, 2^n) probability rows of the same layout.
@@ -123,8 +124,8 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
 
     Returns a new array, or ``amps`` itself for DELAY. Each row gets the
     same floating-point operations whatever the number of rows, so a
-    batch of trajectories gives, bit for bit, the amplitudes of running
-    each row alone. Results stay C-ordered (``np.take`` rather than
+    batch of rows gives, bit for bit, the amplitudes of running each
+    row alone. Results stay C-ordered (``np.take`` rather than
     ``amps[:, perm]``, which returns Fortran order), so a multiply by a
     broadcast (2^n,) vector runs row by row: numpy's complex multiply can
     round the last bit differently when it instead runs along a column

@@ -19,13 +19,16 @@ for the circuit, and runs their k * shots trajectories as the rows of
 one (rows, 2^n) complex array, in chunks. ``_run_rows`` keeps a Pauli frame
 per row (Knill, Nature 434, 2005; Gidney, arXiv 2103.02202): every
 Pauli, be it a twirl Pauli, a DD pulse or a gate error, only updates
-the frames and never touches the array. A CNOT or H is applied to every row by
-``statevec.apply_rows``, the kernel ``simulate_ops`` runs too, and
-passes the frames exactly. A rotation, a dephasing kick or the coherent
-ZZ error folded into a CNOT runs on each row with its gate vectors, or
-with their conjugates on the rows whose frame anticommutes with it;
-each rotation runs through one ``statevec.apply_vectors`` call, with a
-vector per row: its point's angle, or that vector's conjugate.
+the frames and never touches the array. The rows share one array row
+until the first step that treats them apart, so the H layer and the
+CNOTs before it run once. An H runs through ``statevec.apply_rows``,
+the kernel ``simulate_ops`` runs too. A CNOT moves no amplitude: it
+goes into a pending index permutation, which every diagonal reads
+through its inverse, and the columns return to basis order before the
+next H or RX and at the end. H and CNOT pass the frames exactly. A
+rotation, a dephasing kick or the coherent ZZ error folded into a CNOT
+runs on each row with its point's scalars from ``_point_angles``, or
+with their conjugates on the rows whose frame anticommutes with it.
 Each row's final frame is applied once, before measurement. When no
 shot differs from another but by its point's angles, the array has a
 single row per point. A point's draws depend only on its seed, so a
@@ -37,8 +40,9 @@ return, and ``_readout_flips`` gives ``noise.apply_readout_error`` its
 flips. Every row's amplitudes equal, bit for bit, those of
 ``simulate_ops`` on that shot's rendered circuit: moving a Pauli past a
 gate only permutes, negates or conjugates the factors of each product,
-and a Y's factor 1j reaches the amplitudes before the next diagonal
-product, as it does there (``_settle``).
+a pending permutation only moves where each product happens, and a
+Y's factor 1j reaches the amplitudes before the next diagonal product,
+as it does there (``_settle``).
 
 ``noise`` and ``objective`` import this module when they first need it,
 so work that never samples with noise does not load it.
@@ -55,8 +59,8 @@ import numpy as np
 from . import noise, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .noise import PAULI_KINDS, NoiseConfig
-from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _cnot_perm, apply_rows, apply_vectors,
-                       gate_vectors, measure_rows, zero_state)
+from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _cnot_perm, _x_perm, apply_rows,
+                       measure_rows, zero_state)
 
 # Bytes of amplitudes simulated at once: a chunk holds this many bytes'
 # worth of shots (2048 at n = 5, so a 16-point batch of 128 shots), and
@@ -172,21 +176,31 @@ class _Substreams:
 
     Re-keying resets the counter and buffers to those of a fresh
     ``Philox(key=k)``, so the draws equal ``rng.generator``'s at a
-    fraction of the cost of building a generator per shot.
+    fraction of the cost of building a generator per shot. The state
+    holds plain ints, which the state setter takes without converting
+    numpy scalars.
     """
 
     def __init__(self):
         self.bitgen = np.random.Philox(key=0)
         self.gen = np.random.Generator(self.bitgen)
-        self._state = self.bitgen.state
+        state = self.bitgen.state
+        self._state = {**state, "buffer": state["buffer"].tolist(),
+                       "state": {name: words.tolist() for name, words in state["state"].items()}}
         self._key = self._state["state"]["key"]
 
-    def seek(self, key) -> None:
+    def seek(self, key: int) -> None:
         self._key[0] = key
         self.bitgen.state = self._state
 
+    @staticmethod
+    def keys(keys) -> list:
+        """uint64 keys, an array or a list, as the plain ints that ``seek`` takes."""
+        return np.asarray(keys, dtype=np.uint64).tolist()
+
     def raw(self, keys, count: int) -> np.ndarray:
         """The first ``count`` 64-bit words of each key's stream."""
+        keys = self.keys(keys)
         words = np.empty((len(keys), count), dtype=np.uint64)
         for r, key in enumerate(keys):
             self.seek(key)
@@ -315,33 +329,43 @@ def _lemire(words: np.ndarray, r, pos, half, b):
     return values
 
 
-def _idle_kicks(entries, present: np.ndarray, n: int) -> list:
+def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None) -> list:
     """Idle time that trajectory noise turns into dephasing kicks, per row.
 
-    Walks the ASAP schedule of each row's own twirled circuit (row r
-    holds the entries with ``present[r]``; an entry needs ``qubits`` and
-    ``duration``). Returns (entry index, qubit,
-    duration per row) in application order, with entry index
-    ``len(entries)`` for trailing idle time. As ``NoiseConfig`` states,
-    idle time goes to the next op on its qubit, whatever that op's
-    duration, and idle time after a qubit's last op is trailing.
+    Walks the ASAP schedule of each row's own twirled circuit: every row
+    holds every entry but the twirl slots, and row r holds slot j when
+    ``twirl[r, j]`` is not 0; with no ``twirl``, there is one row. An
+    entry needs ``qubits``, ``duration`` and ``slot``. Returns (entry
+    index, qubit, duration per row) in application order, with entry
+    index ``len(entries)`` for trailing idle time. As ``NoiseConfig``
+    states, idle time goes to the next op on its qubit, whatever that
+    op's duration, and idle time after a qubit's last op is trailing. A
+    one-qubit op starts when its qubit is ready, so only a two-qubit op
+    (never a twirl slot) leaves one of its qubits idle.
     """
-    rows = present.shape[0]
-    ready = np.zeros((rows, n))
-    makespan = np.zeros(rows)
+    rows = 1 if twirl is None else len(twirl)
+    ready = [np.zeros(rows) for _ in range(n)]
+    makespan = np.zeros(rows)  # never below any qubit's ready time
     kicks = []
     for k, entry in enumerate(entries):
-        here = present[:, k]
-        start = ready[:, list(entry.qubits)].max(axis=1)
+        if len(entry.qubits) == 1:
+            q = entry.qubits[0]
+            if entry.slot is None:
+                ready[q] = ready[q] + entry.duration
+            else:
+                ready[q] = ready[q] + entry.duration * (twirl[:, entry.slot] != 0)
+            np.maximum(makespan, ready[q], out=makespan)
+            continue
+        start = np.maximum(*(ready[q] for q in entry.qubits))
         end = start + entry.duration
         for q in sorted(entry.qubits):
-            dur = np.where(here, start - ready[:, q], 0.0)
+            dur = start - ready[q]
             if dur.any():
                 kicks.append((k, q, dur))
-            ready[:, q] = np.where(here, end, ready[:, q])
-        makespan = np.where(here, np.maximum(makespan, end), makespan)
+            ready[q] = end
+        np.maximum(makespan, end, out=makespan)
     for q in range(n):
-        dur = makespan - ready[:, q]
+        dur = makespan - ready[q]
         if dur.any():
             kicks.append((len(entries), q, dur))
     return kicks
@@ -352,7 +376,8 @@ class Plan:
 
     The noisy twin of ``ansatz.HalfPlan``. ``entries`` lay out the
     circuit with the config's DD pulses in it, twirled when the config
-    twirls; ``rotations`` are its RX and RZ entries, ``columns`` the
+    twirls; ``rotations`` are its RX and RZ entries (``rx`` marks the
+    RX ones), ``columns`` the
     angle column of each in the given circuit's op order (the pulses put
     the ops in start order), and ``slots`` its twirl slots. ``sites``
     are the entries that draw a gate error, with the ``limit`` of each
@@ -362,7 +387,7 @@ class Plan:
     whether the shots of a point differ at all.
     """
 
-    __slots__ = ("n", "config", "entries", "rotations", "columns", "slots",
+    __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots",
                  "sites", "limit", "bound", "slot_sites", "kicks", "per_shot")
 
     def __init__(self, circuit: Circuit, config: NoiseConfig):
@@ -376,6 +401,7 @@ class Plan:
         self.entries = entries = _layout(circuit, config.twirling)
         self.rotations = [k for k, e in enumerate(entries)
                           if e.op is not None and e.op.kind in ROTATION_KINDS]
+        self.rx = np.array([entries[k].op.kind == "RX" for k in self.rotations], dtype=bool)
         self.slots = [k for k, e in enumerate(entries) if e.slot is not None]
         # one random() per gate, in op order: p2q after a CNOT, p1q after any
         # other gate but DELAY; a hit is followed by the Pauli's integers()
@@ -390,8 +416,7 @@ class Plan:
         self.limit, self.bound = _limit(site_p[sites]), bound[sites]
         self.slot_sites = np.flatnonzero([entries[k].slot is not None for k in sites])
         dephasing = config.sigma_dephase > 0
-        self.kicks = (_idle_kicks(entries, np.ones((1, len(entries)), dtype=bool), self.n)
-                      if dephasing and not self.slots else None)
+        self.kicks = _idle_kicks(entries, self.n) if dephasing and not self.slots else None
         self.per_shot = bool(self.slots) or config.p1q > 0 or config.p2q > 0 or dephasing
 
 
@@ -427,6 +452,7 @@ def _trajectory_draws(plan: Plan, streams: _Substreams, keys: np.ndarray, twirl)
     rows, n, config, sites = len(keys), plan.n, plan.config, plan.sites
     dephasing = config.sigma_dephase > 0
     deltas = np.zeros((rows, n))
+    keys = streams.keys(keys)
 
     def read(width: int) -> np.ndarray:
         words = np.empty((rows, width), dtype=np.uint64)
@@ -449,14 +475,14 @@ def _trajectory_draws(plan: Plan, streams: _Substreams, keys: np.ndarray, twirl)
     return deltas, (row, sites[site], value)
 
 
-def _chunk_steps(plan: Plan, vectors: dict, twirl_keys, trajectory_keys,
+def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys,
                  streams: _Substreams) -> list:
     """Draw each row's twirl and noise and lay out what the rows run, in order.
 
     Row r draws its twirl from ``twirl_keys[r]`` (needed only when the
     plan has twirl slots) and its dephasing and gate errors from
-    ``trajectory_keys[r]``. Steps are ("op", op, stack) for a gate
-    every row shares, with the entry's stack in ``vectors`` (from
+    ``trajectory_keys[r]``. Steps are ("op", op, table) for a gate
+    every row shares, with the entry's table in ``tables`` (from
     ``_point_angles``), else None; ("pauli", rows, ids, qubit,
     duration) for one-qubit Paulis, an id for each listed row, or for
     every row when rows is None, 0 for none: a twirl Pauli on every row,
@@ -465,7 +491,7 @@ def _chunk_steps(plan: Plan, vectors: dict, twirl_keys, trajectory_keys,
     dephasing, which a single row gets only where it has idle time. A
     coherent ZZ error is left to whoever runs a CNOT.
     """
-    rows, n, entries, slots = len(trajectory_keys), plan.n, plan.entries, plan.slots
+    n, entries, slots = plan.n, plan.entries, plan.slots
     # slots are numbered in layout order
     twirl = _twirl_ids(streams, twirl_keys, len(slots) // 4) if slots else None
     dephasing = plan.config.sigma_dephase > 0
@@ -477,9 +503,7 @@ def _chunk_steps(plan: Plan, vectors: dict, twirl_keys, trajectory_keys,
     if dephasing:
         kicks = plan.kicks
         if kicks is None:  # each row idles where its own twirl leaves it
-            present = np.ones((rows, len(entries)), dtype=bool)
-            present[:, slots] = twirl != 0
-            kicks = _idle_kicks(entries, present, n)
+            kicks = _idle_kicks(entries, n, twirl)
         for k, q, dur in kicks:
             kicks_at.setdefault(k, []).append(("kick", q, 2.0 * deltas[:, q] * dur))
 
@@ -489,7 +513,7 @@ def _chunk_steps(plan: Plan, vectors: dict, twirl_keys, trajectory_keys,
         if entry.op is None:
             steps.append(("pauli", None, twirl[:, entry.slot], entry.qubits[0], entry.duration))
         else:
-            steps.append(("op", entry.op, vectors.get(k)))
+            steps.append(("op", entry.op, tables.get(k)))
             if entry.op.kind == "DELAY" and dephasing and entry.duration > 0:
                 q = entry.qubits[0]
                 steps.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
@@ -556,24 +580,34 @@ def _settle(amps: np.ndarray, frame: np.ndarray, n: int) -> None:
     frame -= odd << 2 * n
 
 
-def _row_vectors(vectors, flip: np.ndarray, row_point: np.ndarray) -> tuple:
-    """Each row's gate vectors: its point's row of each stack, conjugated where ``flip``."""
-    return tuple(np.take(np.concatenate([v, v.conjugate()]), flip * len(v) + row_point, axis=0)
-                 for v in vectors)
-
-
 def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.ndarray:
     """Run ``steps`` on a copy of |0...0> per entry of ``row_point``; returns the amplitudes.
 
-    Row r belongs to point ``row_point[r]``. Every RX and RZ step carries
-    the stacked gate vectors of ``_point_angles``; each row takes its
-    point's row of the stack, so every row gets the arithmetic of
-    ``apply_rows`` at its own point's angle. The Paulis of the steps go
-    into each row's frame, which is applied at the end.
+    Row r belongs to point ``row_point[r]``. The rows share one array row
+    until the first step that treats them apart, a rotation, a kick or a
+    coherent ZZ, so an H or CNOT before it runs once. A CNOT only
+    permutes amplitudes, so it leaves the array alone and goes into a
+    pending permutation: basis index i of every row sits in column
+    ``perm[i]``. A diagonal multiplies column j by its entry ``inv[j]``,
+    with ``inv`` the inverse of ``perm``, so every amplitude meets the
+    factor it meets in basis order, in the same operand order. The
+    columns are put back in basis order before an H or RX, which mix
+    them, and at the end. Every RX and RZ step carries its table of
+    ``_point_angles``; each row takes its point's pair of scalars, or
+    their conjugates, so every row gets the arithmetic of ``apply_rows``
+    at its own point's angle. The Paulis of the steps go into each row's
+    frame, which is applied at the end.
     """
     rows = len(row_point)
-    amps = np.tile(zero_state(n).amplitudes, (rows, 1))
+    amps = zero_state(n).amplitudes[None]  # the one row all rows share, until they split
     frame = np.zeros(rows, dtype=np.int64)
+    identity = np.arange(1 << n)
+    perm = inv = identity
+
+    def in_basis(amps):
+        moved = perm is not identity and (perm != identity).any()
+        return np.take(amps, perm, axis=1) if moved else amps
+
     odd = False  # whether a frame may hold an odd power of 1j
     for step in steps:
         kind = step[0]
@@ -585,10 +619,16 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
                 frame[sel] = _compose(frame[sel], ids, n, q)
             odd = True
             continue
-        if odd and (kind == "kick" or step[1].kind == "RZ"
-                    or (step[1].kind == "CNOT" and epsilon != 0.0)):
+        what = "kick" if kind == "kick" else step[1].kind
+        diagonal = what in ("kick", "RZ") or (what == "CNOT" and epsilon != 0.0)
+        if len(amps) < rows and (diagonal or what == "RX"):
+            amps = np.repeat(amps, rows, axis=0)
+        if odd and diagonal:
             _settle(amps, frame, n)  # amps is this function's own array
             odd = False
+        if what in ("H", "RX"):
+            amps = in_basis(amps)
+            perm = inv = identity
         if kind == "kick":
             q, angle = step[1], step[2]
             # a kick leaves the rows without idle time alone, unless they are few
@@ -600,19 +640,20 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
             # RZ(angle) on q: w where q's bit is 1, its conjugate where 0; an
             # X or Y of the frame on q turns it into RZ(-angle)
             w = np.where((frame[sel] >> (n - 1 - q)) & 1, w.conjugate(), w)
-            diagonal = np.take(np.stack([w.conjugate(), w], axis=1), _bit_values(n, q), axis=1)
+            diag = np.take(np.stack([w.conjugate(), w], axis=1), _bit_values(n, q)[inv], axis=1)
             if every:
-                amps *= diagonal
+                amps *= diag
             else:
-                amps[sel] *= diagonal
+                amps[sel] *= diag
             continue
-        op, vectors = step[1], step[2]
+        op, table = step[1], step[2]
         s = n - 1 - op.qubits[0]
-        if op.kind in PAULI_KINDS:
-            frame = _compose(frame, PAULI_KINDS.index(op.kind) + 1, n, op.qubits[0])
-            odd = odd or op.kind == "Y"
-        elif op.kind == "CNOT":
-            amps = apply_rows(amps, n, op)
+        if what in PAULI_KINDS:
+            frame = _compose(frame, PAULI_KINDS.index(what) + 1, n, op.qubits[0])
+            odd = odd or what == "Y"
+        elif what == "CNOT":
+            cnot = _cnot_perm(n, *op.qubits)
+            perm, inv = perm[cnot], cnot[inv]
             # X on the control spreads to the target, Z on the target to the control
             t = n - 1 - op.qubits[1]
             frame ^= (((frame >> s) & 1) << t) | (((frame >> (n + t)) & 1) << (n + s))
@@ -620,18 +661,32 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
                 # the ZZ rotation turns into its inverse, the conjugate
                 # diagonal, past an X on just one of its qubits
                 flip = ((frame >> s) ^ (frame >> t)) & 1
-                diags = _zz_diags(n, *op.qubits, epsilon)
-                amps *= np.take(diags, flip, axis=0)
-        elif op.kind == "H":
+                amps *= np.take(_zz_diags(n, *op.qubits, epsilon)[:, inv], flip, axis=0)
+        elif what == "H":
             amps = apply_rows(amps, n, op)
             # H swaps the X and Z of its qubit, and H Y H = -Y
             mq, zq = (frame >> s) & 1, (frame >> (n + s)) & 1
             frame = (frame ^ (mq ^ zq) * (1 << s | 1 << (n + s))) + ((mq & zq) << (2 * n + 1))
-        elif op.kind in ROTATION_KINDS:
+        elif what in ROTATION_KINDS:
             # RZ(angle) past an X or Y of its qubit is RZ(-angle), RX past a
-            # Z or Y is RX(-angle): the conjugate vectors
-            flip = (frame >> (s if op.kind == "RZ" else n + s)) & 1
-            amps = apply_vectors(amps, n, op.qubits[0], _row_vectors(vectors, flip, row_point))
+            # Z or Y is RX(-angle): the conjugate pair
+            flip = (frame >> (s if what == "RZ" else n + s)) & 1
+            pick = flip * (len(table) // 2) + row_point
+            if what == "RZ":
+                # each point's diagonal, then each row's
+                diags = np.take(table, _bit_values(n, op.qubits[0])[inv], axis=1)
+                amps *= np.take(diags, pick, axis=0)
+            else:
+                # apply_vectors' products, in place, with each of an RX's
+                # two vectors held as its one value per row
+                pair = np.take(table, pick, axis=0)
+                flipped = np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
+                flipped *= pair[:, 1:]
+                amps *= pair[:, :1]
+                amps += flipped
+    amps = in_basis(amps)
+    if len(amps) < rows:
+        amps = np.repeat(amps, rows, axis=0)
     # each row's frame, once: the row is 1j**e (-1)**popcount(i & z) a[i ^ m]
     low = (1 << n) - 1
     m, z, e = frame & low, (frame >> n) & low, (frame >> 2 * n) & 3
@@ -651,28 +706,28 @@ def _readout_flips(streams: _Substreams, keys, width: int, p: float) -> np.ndarr
 
 
 def _point_angles(plan: Plan, angles: np.ndarray) -> dict:
-    """Each RX or RZ entry's ``gate_vectors`` at every point's angle, stacked: row j is point j's.
+    """Each RX or RZ entry's scalars at every point, as a (2k, 2) table.
 
-    Entry ``plan.rotations[c]`` takes column ``plan.columns[c]`` of the (k, R) ``angles``.
+    Row j of the table is point j's pair, and row k + j its conjugate.
+    An RX's pair is the one value of each of its ``gate_vectors``,
+    (cos, -1j sin) of half its angle; an RZ's holds the values of its
+    diagonal where the qubit's bit is 0 and 1. Each is computed as
+    ``gate_vectors`` computes it, bit for bit, for all entries and
+    points at once. Entry ``plan.rotations[c]`` takes column
+    ``plan.columns[c]`` of the (k, R) ``angles``.
     """
     if angles.shape != (len(angles), len(plan.columns)):
         raise ValueError(f"angles of shape {angles.shape} do not fit {len(plan.columns)} rotations")
-    # points of a simplex or gradient batch share most angles, so each
-    # distinct (kind, qubit, angle) is computed once. A zero is never
-    # looked up: 0.0 == -0.0, but their sines differ in sign
-    memo: dict = {}
-    stacks = {}
-    for k, column in zip(plan.rotations, angles[:, plan.columns].T.tolist()):
-        op = plan.entries[k].op
-        vectors = []
-        for angle in column:
-            key = (op.kind, op.qubits[0], angle)
-            found = memo.get(key) if angle else None
-            if found is None:
-                found = memo[key] = gate_vectors(plan.n, op._replace(angle=angle))
-            vectors.append(found)
-        stacks[k] = tuple(np.stack(v) for v in zip(*vectors))
-    return stacks
+    angles, rx = angles[:, plan.columns], plan.rx
+    pairs = np.empty(angles.shape + (2,), dtype=complex)
+    half = 0.5 * angles[:, rx]
+    pairs[:, rx, 0] = np.cos(half)
+    pairs[:, rx, 1] = -1j * np.sin(half)
+    w = np.exp(0.5j * angles[:, ~rx])
+    pairs[:, ~rx, 0] = w.conjugate()
+    pairs[:, ~rx, 1] = w
+    tables = np.concatenate([pairs, pairs.conjugate()])
+    return {k: tables[:, c] for c, k in enumerate(plan.rotations)}
 
 
 def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
@@ -691,7 +746,7 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     angles = np.asarray(angles, dtype=float)
     if len(angles) != k:
         raise ValueError(f"{len(angles)} rows of angles for {k} seeds")
-    vectors = _point_angles(plan, angles)
+    tables = _point_angles(plan, angles)
     if k == 0:
         return np.zeros((0, 1 << n), dtype=np.int64)
     total = k * shots
@@ -709,7 +764,7 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     streams = _Substreams()
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        steps = _chunk_steps(plan, vectors, None if twirl_keys is None else twirl_keys[lo:hi],
+        steps = _chunk_steps(plan, tables, None if twirl_keys is None else twirl_keys[lo:hi],
                              trajectory_keys[lo:hi], streams)
         if any(step[0] != "op" for step in steps):
             amps = _run_rows(n, steps, point[lo:hi], config.epsilon_coherent)

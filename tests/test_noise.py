@@ -95,6 +95,28 @@ def mixed_circuit(n: int, length: int, seed: int) -> Circuit:
     return Circuit(n, tuple(ops))
 
 
+def cnot_runs_circuit(n: int, seed: int) -> Circuit:
+    """Seeded circuit of long CNOT runs on overlapping pairs, then an H and an RX layer.
+
+    RZ ops and DELAY ops (idle time, so dephasing kicks) fall between the
+    CNOTs, where they read a permuted state.
+    """
+    gen = np.random.default_rng(seed)
+    ops = [GateOp("H", (q,), None, 1.0) for q in range(n)]
+    for _ in range(3):
+        for _ in range(10):
+            u, v = (int(q) for q in gen.choice(n, 2, replace=False))
+            ops.append(GateOp("CNOT", (u, v), None, 2.0))
+            q = int(gen.integers(n))
+            if gen.random() < 0.4:
+                ops.append(GateOp("RZ", (q,), float(gen.uniform(-3.0, 3.0)), 1.0))
+            elif gen.random() < 0.3:
+                ops.append(GateOp("DELAY", (q,), None, 4.0))
+        ops.append(GateOp("H", (int(gen.integers(n)),), None, 1.0))
+        ops += [GateOp("RX", (q,), float(gen.uniform(-3.0, 3.0)), 1.0) for q in range(n)]
+    return Circuit(n, tuple(ops))
+
+
 # -- config validation -------------------------------------------------------
 
 
@@ -583,12 +605,20 @@ def with_angles(circuit: Circuit, angles) -> Circuit:
                                     else op for op in circuit.ops))
 
 
-@pytest.mark.parametrize("name", ["all", "twirl-dephasing", "dd-xy4", "coherent-only"])
-def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name):
+def also(names: list, case: str) -> list:
+    """Each name as it is, then with ``case``: (name, None) and (name, case) parameters."""
+    return ([pytest.param(name, None, id=name) for name in names]
+            + [pytest.param(name, case, id=f"{name}-{case}") for name in names])
+
+
+@pytest.mark.parametrize("name, shape", also(["all", "twirl-dephasing", "dd-xy4", "coherent-only"],
+                                             "cnot-runs"))
+def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name, shape):
     # Equal counts could hide last-bit differences that rarely move an
-    # outcome; the amplitudes themselves must agree exactly.
+    # outcome; the amplitudes themselves must agree exactly. The CNOT runs
+    # leave the engine's columns permuted under the RZs, kicks and ZZs.
     config = ORACLE_CONFIGS[name]
-    circuit = mixed_circuit(4, 30, seed=9)
+    circuit = mixed_circuit(4, 30, seed=9) if shape is None else cnot_runs_circuit(4, seed=9)
     base = with_dd(circuit, config)
     rows = plan_rows(circuit, config, own_angles(circuit), [5], 12)
     for i in range(12):
@@ -597,14 +627,20 @@ def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name):
         assert np.array_equal(single.view(np.float64), rows[i].view(np.float64))
 
 
-@pytest.mark.parametrize("name", ["all", "twirl-dephasing", "dd-xy4", "coherent-only", "p1q"])
-def test_two_point_rows_equal_per_shot_amplitudes_bit_for_bit(name):
+@pytest.mark.parametrize("name, zeros", also(["all", "twirl-dephasing", "dd-xy4", "coherent-only",
+                                              "p1q"], "signed-zeros"))
+def test_two_point_rows_equal_per_shot_amplitudes_bit_for_bit(name, zeros):
     # Two points with different angles share one array: each row must hold
-    # the amplitudes of its own point's shot circuit, bit for bit.
+    # the amplitudes of its own point's shot circuit, bit for bit. With
+    # ``zeros``, the points differ only in the sign of their zero angles,
+    # whose sines differ in sign.
     config = ORACLE_CONFIGS[name]
     circuit = mixed_circuit(4, 30, seed=9)
     count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
     angles = np.random.default_rng(3).uniform(-3.0, 3.0, size=(2, count))
+    if zeros:
+        angles[:, ::2] = 0.0
+        angles[1] = np.where(angles[0] == 0.0, -0.0, angles[0])
     seeds, shots = [5, 8], 6
     rows = plan_rows(circuit, config, angles, seeds, shots)
     for r, j in enumerate(np.repeat([0, 1], shots)):
@@ -944,6 +980,31 @@ def test_decode_matches_the_scalar_replay(rate, bound):
     if rate == 1.0:
         # every site hits, so the picks use up the first read and it is read again
         assert len(calls) > 1
+
+
+KEYS = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+@pytest.mark.parametrize("count", [0, 1, 5, 130])
+def test_substreams_read_each_key_as_a_fresh_philox(count, as_list):
+    keys = KEYS if as_list else np.array(KEYS, dtype=np.uint64)
+    words = trajectories._Substreams().raw(keys, count)
+    assert words.shape == (len(KEYS), count) and words.dtype == np.uint64
+    for key, row in zip(KEYS, words):
+        assert np.array_equal(row, np.random.Philox(key=key).random_raw(count))
+
+
+def test_substreams_draw_normals_as_a_fresh_generator():
+    streams = trajectories._Substreams()
+    for shot in range(4):
+        # an odd count of 32-bit draws leaves a half word and a partial
+        # buffer behind, which re-keying must clear
+        streams.gen.integers(0, 16, size=3)
+        streams.gen.random(3)
+        streams.seek(rng.derive_key(11, rng.STREAM_TRAJECTORY, shot))
+        expected = rng.generator(11, rng.STREAM_TRAJECTORY, shot).normal(0.0, 0.3, size=5)
+        assert np.array_equal(streams.gen.normal(0.0, 0.3, size=5), expected)
 
 
 def test_ground_mass_degrades_monotonically_in_p2q(canonical, grid_p1):
