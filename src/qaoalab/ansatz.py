@@ -14,7 +14,7 @@ A cut value does not change when every bit is complemented, and both
 |+>^n and the mixer commute with X on every qubit, so the state
 satisfies psi(x) = psi(not x). The engine therefore evolves only the
 half h with node 0 = 0, 2^(n-1) amplitudes over nodes 1..n-1, from one
-``HalfPlan`` per instance (``half_plan``, cached like ``cut_levels``).
+``HalfPlan`` per instance (``half_plan``, cached per instance).
 It applies each cost layer as one diagonal phase exp(2i*gamma*C),
 evaluated at the distinct cut values and gathered over that half, and
 each mixer layer as RX(2*beta) on nodes 1..n-1, MIXER_BLOCK qubits at a
@@ -176,7 +176,7 @@ class HalfPlan:
 
 @lru_cache(maxsize=128)
 def half_plan(instance: MaxCutInstance) -> HalfPlan:
-    """The instance's ``HalfPlan``, cached per instance like ``cut_levels``."""
+    """The instance's ``HalfPlan``, cached per instance."""
     return HalfPlan(instance)
 
 

@@ -119,14 +119,13 @@ def cut_value_table(instance: MaxCutInstance) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=128)
 def cut_levels(instance: MaxCutInstance) -> tuple[np.ndarray, np.ndarray]:
     """``cut_value_table`` as (levels, index): its distinct values, and each entry's position.
 
     ``levels[index]`` equals the table. A function of the cut value
     needs evaluating only at the levels, which are few for small integer
-    weights (17 on a 3-regular 14-node graph). Cached per instance; the
-    arrays are read-only.
+    weights (17 on a 3-regular 14-node graph). The arrays are read-only,
+    so a caller may cache and share them.
     """
     levels, index = np.unique(cut_value_table(instance), return_inverse=True)
     levels.flags.writeable = False

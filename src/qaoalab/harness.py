@@ -7,14 +7,16 @@ checks its own fields, naming the field it rejects, and derives its
 energy from that engine's ``tallies`` at the winning angles, and writes
 three artifacts to the output directory: counts.json, trace.csv (the
 winning restart's evaluation log), and summary.json. A sweep runs one
-``replace`` copy of the config per cell of its axes. The restarts of a run, and of every
-sweep cell that differs from another only in method (so shares
-instance, p, mode, shots and noise), run in lockstep with one
-``objective.Engine`` as their objective: each optimizer round evaluates
-all their rows in one engine call. Every random draw in the pipeline is
-keyed off the master seed, and each restart's search takes its
-evaluation seeds from its own seed, so (config, seed) reproduces the
-files byte for byte, however the cells are grouped.
+``replace`` copy of the config per cell of its axes. Every restart of
+every cell of a run or sweep is one search of a single
+``optim.minimize_lockstep`` call (``_optimize``); cells whose engine
+arguments are equal share one engine, and each optimizer round
+evaluates the rows of all searches on an engine in one call. A p = 0
+run is a search over zero angles: its one evaluation scores the
+uniform state. Every random draw in the pipeline is keyed off the
+master seed, and each restart's search takes its evaluation seeds from
+its own seed, so (config, seed) reproduces the files byte for byte,
+however the searches share engine calls.
 """
 
 from __future__ import annotations
@@ -44,16 +46,14 @@ from .noise import NoiseConfig
 from .objective import Engine, check_run_mode, energy_from_tally
 from .optim import (
     METHODS,
-    STATUS_CONVERGED,
     MinimizeProblem,
     MinimizeResult,
     OptimizationTrace,
-    TraceRecord,
     minimize_lockstep,
     random_qaoa_starts,
 )
 from .plots import plot_histogram, plot_trace
-from .statevec import MAX_QUBITS, Counts, counts_from_tally
+from .statevec import MAX_QUBITS, counts_from_tally
 
 SCHEMA_VERSION = 1
 
@@ -270,10 +270,12 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def write_counts_json(path: Path, counts: Counts, config: ExperimentConfig) -> None:
+def write_counts_json(path: Path, tally: np.ndarray, config: ExperimentConfig) -> None:
+    """The tally's nonzero entries as bitstring counts, with the run's hash, seed and instance."""
+    counts = counts_from_tally(tally, config.instance.n)
     payload = {
         "shots": counts.shots,
-        "counts": dict(sorted(counts.counts.items())),
+        "counts": counts.counts,
         "config_hash": config.config_hash,
         "seed": config.seed,
         "instance": serialize_edge_list(config.instance),
@@ -313,7 +315,9 @@ def write_trace_csv(path: Path, trace: OptimizationTrace, p: int) -> None:
 
 
 def _starts(config: ExperimentConfig) -> list[np.ndarray]:
-    """The x0 of each restart."""
+    """The x0 of each restart; at p = 0 one empty start, as there are no angles to restart."""
+    if config.p == 0:
+        return [np.zeros(0)]
     if isinstance(config.init, tuple):
         return [np.array(config.init)] * config.restarts
     if config.init == "paper-p5":
@@ -321,48 +325,46 @@ def _starts(config: ExperimentConfig) -> list[np.ndarray]:
     return random_qaoa_starts(config.p, config.restarts, config.seed)
 
 
-def _optimize(configs: list[ExperimentConfig]) -> tuple[Engine, list[tuple[MinimizeResult, int]]]:
-    """The configs' engine, and (best restart, evaluations of all restarts) of each config.
+def _optimize(configs: list[ExperimentConfig]) -> list[tuple[Engine, MinimizeResult, int]]:
+    """(engine, best restart, evaluations of all restarts) of each config, from one lockstep run.
 
-    The configs share instance, p, mode, shots and noise, so one engine
-    is the objective of every restart of every config, and
-    ``minimize_lockstep`` sends each round's rows to it in one call.
-    Restart r searches under the seed ``child_seed(config.seed,
-    STREAM_EVAL, r)`` (none in exact mode), so it keeps the seeds, trace
-    and status it gets when run alone. At p = 0 there is nothing to
-    search: the one trace entry scores the uniform state on the same
-    engine, as restart 0's first evaluation.
+    Configs with equal engine arguments (instance, p, mode, shots and
+    noise) share one engine. Every restart of every config is one search
+    of a single ``minimize_lockstep`` call, which sends each round's rows
+    of the searches on one engine to it in one call. Restart r searches
+    under the seed ``child_seed(config.seed, STREAM_EVAL, r)`` (none in
+    exact mode), so it keeps the seeds, trace and status it gets when run
+    alone. At p = 0 the one search is over zero angles: it scores the
+    uniform state once and converges.
     """
-    base = configs[0]
-    engine = Engine(base.instance, base.p, base.mode, shots=base.shots, noise=base.noise)
-    exact = base.mode == "exact"
-    if base.p == 0:
-        restart0 = [None if exact else rng.child_seed(c.seed, rng.STREAM_EVAL, 0) for c in configs]
-        seeds = [rng.eval_seeds(seed, 0, 1)[0] for seed in restart0]
-        return engine, [(MinimizeResult(np.zeros(0), energy, 1, STATUS_CONVERGED,
-                                        OptimizationTrace([TraceRecord(0, (), energy)])), 1)
-                        for energy in engine(np.zeros((len(configs), 0)), seeds).tolist()]
-    searches = [
+    engines: dict[tuple, Engine] = {}
+    plans = []
+    for config in configs:
+        args = (config.instance, config.p, config.mode, config.shots, config.noise)
+        if args not in engines:
+            engines[args] = Engine(config.instance, config.p, config.mode,
+                                   shots=config.shots, noise=config.noise)
+        plans.append((config, engines[args], _starts(config)))
+    results = iter(minimize_lockstep(
         (config.method, MinimizeProblem(
             engine, x0, max_evals=config.max_evals,
-            seed=None if exact else rng.child_seed(config.seed, rng.STREAM_EVAL, r)))
-        for config in configs for r, x0 in enumerate(_starts(config))
-    ]
-    results = iter(minimize_lockstep(searches))
+            seed=None if config.mode == "exact" else rng.child_seed(config.seed, rng.STREAM_EVAL, r)))
+        for config, engine, starts in plans for r, x0 in enumerate(starts)
+    ))
     outcomes = []
-    for config in configs:
-        restarts = [next(results) for _ in range(config.restarts)]
+    for _, engine, starts in plans:
+        restarts = [next(results) for _ in starts]
         best = min(restarts, key=lambda res: res.f_best)
-        outcomes.append((best, sum(res.evals_used for res in restarts)))
-    return engine, outcomes
+        outcomes.append((engine, best, sum(res.evals_used for res in restarts)))
+    return outcomes
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Optimize, run the final circuit, and write the three artifacts."""
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    engine, [outcome] = _optimize([config])
-    return _write_run(config, engine, *outcome, out)
+    [outcome] = _optimize([config])
+    return _write_run(config, *outcome, out)
 
 
 def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
@@ -371,13 +373,11 @@ def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
     theta = result.x_best
     instance = config.instance
     tally = engine.tallies(theta[None], [rng.child_seed(config.seed, rng.STREAM_FINAL)])[0]
-    counts = counts_from_tally(tally, instance.n)
     max_cut, optima = brute_force_maxcut(instance)
     hit = np.flatnonzero(tally)
     cuts = cut_value_table(instance)[hit]
     best_cut = float(cuts.max())
     best_bitstrings = [format(int(i), f"0{instance.n}b") for i in hit[cuts == best_cut]]
-    probs = counts.probabilities()
     summary = {
         "config_hash": config.config_hash,
         "seed": config.seed,
@@ -390,7 +390,7 @@ def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
         "best_bitstrings": best_bitstrings,
         "max_cut": max_cut,
         "approx_ratio": best_cut / max_cut if max_cut > 0 else 1.0,
-        "ground_pair_prob": float(sum(probs.get(b, 0.0) for b in sorted(optima))),
+        "ground_pair_prob": sum(int(tally[int(b, 2)]) / config.shots for b in sorted(optima)),
         "theta": [float(v) for v in theta],
         "evals_used": result.evals_used,
         "total_evals": total_evals,
@@ -399,7 +399,7 @@ def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
     counts_path = out / "counts.json"
     trace_path = out / "trace.csv"
     summary_path = out / "summary.json"
-    write_counts_json(counts_path, counts, config)
+    write_counts_json(counts_path, tally, config)
     write_trace_csv(trace_path, result.trace, config.p)
     summary_path.write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -444,30 +444,21 @@ def sweep_cells(config: ExperimentConfig) -> list[tuple[str, dict, ExperimentCon
 def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     """Cross-product sweep; every cell gets its own derived seed and subdir.
 
-    Cells that differ only in method share instance, p, mode, shots and
-    noise, so they are optimized together: every restart of every such
-    cell runs in lockstep through one engine (``_optimize``). Each cell
-    still takes its own final counts, and the cells' artifacts and
-    sweep.csv are written in cell order, with the bytes each cell writes
-    when run alone through ``run_experiment``.
+    Every cell is optimized in one ``_optimize`` call, so the restarts
+    of all cells run in lockstep, and cells with equal engine arguments
+    share an engine. Each cell still takes its own final counts, and the
+    cells' artifacts and sweep.csv are written in cell order, with the
+    bytes each cell writes when run alone through ``run_experiment``.
     """
     cells = sweep_cells(config)
-    groups: dict[tuple, list[int]] = {}
-    for idx, (_, _, cell_config) in enumerate(cells):
-        # every field the engine reads that an axis other than method can change
-        key = (cell_config.p, cell_config.shots, cell_config.noise)
-        groups.setdefault(key, []).append(idx)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    optimized: dict[int, tuple] = {}
-    for members in groups.values():
-        engine, outcomes = _optimize([cells[idx][2] for idx in members])
-        optimized.update((idx, (engine, *outcome)) for idx, outcome in zip(members, outcomes))
+    outcomes = _optimize([cell_config for _, _, cell_config in cells])
     rows = []
-    for idx, (name, labels, cell_config) in enumerate(cells):
+    for idx, ((name, labels, cell_config), outcome) in enumerate(zip(cells, outcomes)):
         cell_dir = out / name
         cell_dir.mkdir(parents=True, exist_ok=True)
-        summary = _write_run(cell_config, *optimized[idx], cell_dir).summary
+        summary = _write_run(cell_config, *outcome, cell_dir).summary
         rows.append({
             "cell": idx,
             "p": cell_config.p,

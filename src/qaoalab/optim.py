@@ -100,9 +100,11 @@ class MinimizeProblem:
     seeds to k values. Evaluation j of the search (its trace index) is
     sent the seed that ``rng.eval_seeds`` derives from ``seed`` and j, or
     None when ``seed`` is None, as an exact objective needs no seed.
-    Searches may share one objective. x0 must be finite, max_evals an
-    integer (``_checks.integer``; 500 * d by default) and seed None or a
-    seed (``_checks.seed``). The stopping tolerances and cg's
+    Searches may share one objective. x0 must be a finite 1-D vector,
+    possibly empty: a search over d = 0 scores x0 once and converges.
+    max_evals must be an integer (``_checks.integer``) of at least
+    max(1, d), 500 * max(1, d) by default, and seed None or a seed
+    (``_checks.seed``). The stopping tolerances and cg's
     finite-difference step, h_i = 1e-6 * max(1, |x_i|), are fixed for
     every problem (_XTOL, _FTOL, ``_fd_gradient``).
     """
@@ -114,14 +116,15 @@ class MinimizeProblem:
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).copy()
-        if self.x0.ndim != 1 or self.x0.size == 0:
-            raise ValueError(f"x0 must be a non-empty 1-D vector, got shape {self.x0.shape}")
+        if self.x0.ndim != 1:
+            raise ValueError(f"x0 must be a 1-D vector, got shape {self.x0.shape}")
         if not np.isfinite(self.x0).all():
             raise ValueError(f"x0 entries must be finite, got {self.x0.tolist()!r}")
+        least = max(1, self.x0.size)
         if self.max_evals is None:
-            self.max_evals = 500 * self.x0.size
+            self.max_evals = 500 * least
         self.max_evals = _checks.integer(self.max_evals, "max_evals")
-        if self.max_evals < self.x0.size:
+        if self.max_evals < least:
             raise ValueError(
                 f"max_evals={self.max_evals} cannot cover even one pass over {self.x0.size} dimensions"
             )
@@ -443,6 +446,8 @@ def _cobyla(x0: np.ndarray):
         return [center.copy(), *vertices], [f_center, *values]
 
     xs, fs = yield from build_simplex(x0, None)
+    if d == 0:  # no simplex to fit a model through: the start is all there is
+        return STATUS_CONVERGED
     fresh = True  # was the simplex rebuilt since the last model failure?
     while rho > _RHO_END:
         finite = [i for i in range(d + 1) if math.isfinite(fs[i])]

@@ -94,25 +94,56 @@ def render_histogram(counts: Counts, highlight: frozenset[str] | set[str] = froz
     return _svg(body)
 
 
-def plot_histogram(counts_path) -> str:
-    """Render the histogram for a counts JSON file.
+def _read_counts(counts_path) -> tuple[Counts, str | None]:
+    """The counts of a counts JSON file, and its instance's edge-list text if it carries one.
 
-    When the file carries its instance, the brute-force optima are
-    highlighted. The title is the file's directory name and its own
-    name, so a run's SVG does not depend on where its output went.
+    ``shots`` is an integer >= 1 and each count an integer >= 0 (the
+    ``_checks`` rules, so no bool or float), the counts sum to ``shots``,
+    and the keys are bitstrings of one width. A ValueError names the
+    file and the field it refuses.
     """
     with open(counts_path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{counts_path}: not valid JSON ({exc})") from None
-    try:
-        counts = Counts({str(k): int(v) for k, v in payload["counts"].items()}, int(payload["shots"]))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{counts_path}: missing or malformed counts fields ({exc!r})") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("counts"), dict):
+        raise ValueError(f"{counts_path}: counts must be an object of bitstring counts")
+    tally = payload["counts"]
+    shots = _checks.integer(payload.get("shots"), f"{counts_path}: shots", 1)
+    # a JSON integer is a plain int, so one scan finds the first count the rule
+    # refuses, and only its message is built: a file holds thousands of counts
+    bad = next((k for k, c in tally.items() if type(c) is not int or c < 0), None)
+    if bad is not None:
+        _checks.integer(tally[bad], f"{counts_path}: counts[{bad!r}]", 0)
+    total = sum(tally.values())
+    if total != shots:
+        raise ValueError(f"{counts_path}: shots is {shots}, but the counts sum to {total}")
+    width = len(next(iter(tally)))  # there is a key: the counts sum to shots >= 1
+    if not width or set(map(len, tally)) != {width} or "".join(tally).encode().translate(None, b"01"):
+        key = next(k for k in tally if len(k) != width or not k or set(k) - {"0", "1"})
+        raise ValueError(f"{counts_path}: counts[{key!r}]: keys must be bitstrings of 0 and 1, "
+                         f"all as wide as the first ({width})")
+    instance = payload.get("instance")
+    if instance is not None and not isinstance(instance, str):
+        raise ValueError(f"{counts_path}: instance must be edge-list text, got {instance!r}")
+    return Counts(tally, shots), instance
+
+
+def plot_histogram(counts_path) -> str:
+    """Render the histogram for a counts JSON file (checked by ``_read_counts``).
+
+    When the file carries its instance, the brute-force optima are
+    highlighted. The title is the file's directory name and its own
+    name, so a run's SVG does not depend on where its output went.
+    """
+    counts, instance = _read_counts(counts_path)
     highlight: frozenset[str] = frozenset()
-    if "instance" in payload:
-        _, optima = brute_force_maxcut(parse_edge_list(payload["instance"]))
+    if instance is not None:
+        try:
+            _, optima = brute_force_maxcut(parse_edge_list(instance))
+        except ValueError as exc:
+            raise ValueError(f"{counts_path}: instance: {exc}") from None
         highlight = frozenset(optima)
     path = Path(counts_path)
     return render_histogram(counts, highlight, title=Path(path.parent.name, path.name).as_posix())
@@ -171,16 +202,32 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
     return _svg(body)
 
 
+def _field(text, parse, rule, name: str, *bounds):
+    """``text`` parsed by ``parse`` and checked by ``rule``, which refuses text that does not parse."""
+    try:
+        value = parse(text)
+    except (TypeError, ValueError):
+        value = text
+    return rule(value, name, *bounds)
+
+
 def plot_trace(trace_path, series: str = "energy") -> str:
-    """Render a trace CSV file written by the experiment harness."""
+    """Render a trace CSV file written by the experiment harness.
+
+    Each ``eval`` is an integer >= 0 and every other field a finite
+    number (the ``_checks`` rules); a ValueError names the file, the
+    line and the field it refuses.
+    """
     with open(trace_path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or reader.fieldnames[:2] != ["eval", "energy"]:
             raise ValueError(f"{trace_path}: expected header starting 'eval,energy'")
         rows = []
-        for raw in reader:
-            try:
-                rows.append({k: float(v) if k != "eval" else int(v) for k, v in raw.items()})
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{trace_path}: bad row {raw!r} ({exc})") from None
+        for line, raw in enumerate(reader, start=2):
+            where = f"{trace_path}: line {line},"
+            rows.append({k: _field(v, int, _checks.integer, f"{where} eval", 0) if k == "eval"
+                         else _field(v, float, _checks.real, f"{where} {k}")
+                         for k, v in raw.items()})
+    if not rows:
+        raise ValueError(f"{trace_path}: no evaluation rows after the header")
     return render_trace(rows, series)

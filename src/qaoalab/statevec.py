@@ -8,10 +8,10 @@ therefore node 0 of the graph module. Qubit q's bit of index ``i`` is
 Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` runs it on
 one row. It applies an RZ, H or RX as the products of its
-``gate_vectors`` through ``apply_vectors``. The noisy trajectory engine
-runs H through ``apply_rows`` too, and the other gates with the same
-products on a row per shot, from these index tables and its own
-per-row scalars (``qaoalab.trajectories``). Index tables are
+``gate_vectors``. The noisy trajectory engine runs H through
+``apply_rows`` too, and the other gates with the same products on a row
+per shot, from these index tables and its own per-row scalars
+(``qaoalab.trajectories``). Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
 ``check_gate`` is the one op check, and ``measure_rows`` the one shot
 sampler, on (rows, 2^n) probability rows of the same layout.
@@ -129,11 +129,20 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     ``amps[:, perm]``, which returns Fortran order), so a multiply by a
     broadcast (2^n,) vector runs row by row: numpy's complex multiply can
     round the last bit differently when it instead runs along a column
-    against one broadcast scalar.
+    against one broadcast scalar. An RZ, H or RX multiplies by its
+    ``gate_vectors``; every entry of an H or RX matrix is real or
+    imaginary, so each product is one rounding per component however
+    numpy multiplies complex numbers.
     """
     kind = op.kind
     if kind in ("RZ", "H", "RX"):
-        return apply_vectors(amps, n, op.qubits[0], gate_vectors(n, op))
+        vectors = gate_vectors(n, op)
+        out = amps * vectors[0]
+        if len(vectors) == 2:
+            flipped = np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
+            flipped *= vectors[1]
+            out += flipped
+        return out
     if kind == "CNOT":
         c, t = op.qubits
         return np.take(amps, _cnot_perm(n, c, t), axis=1)
@@ -169,24 +178,6 @@ def gate_vectors(n: int, op: GateOp) -> tuple[np.ndarray, ...]:
             [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
         )
     return mat[bit, bit], mat[bit, 1 - bit]
-
-
-def apply_vectors(amps: np.ndarray, n: int, q: int, vectors) -> np.ndarray:
-    """``amps`` times a diagonal, plus ``amps`` with qubit q flipped times an off-diagonal.
-
-    ``vectors`` are the ``gate_vectors`` of one kind: an RZ's
-    (diagonal,) or an H's or RX's (diagonal, off-diagonal), each of
-    shape (2^n,) for every row or (rows, 2^n) for one per row. Every row
-    is multiplied as a lone row would be, by one (2^n,) vector. Every
-    entry of an H or RX matrix is real or imaginary, so each product is
-    one rounding per component however numpy multiplies complex numbers.
-    """
-    out = amps * vectors[0]
-    if len(vectors) == 2:
-        flipped = np.take(amps, _x_perm(n, q), axis=1)
-        flipped *= vectors[1]
-        out += flipped
-    return out
 
 
 def check_gate(n: int, op: GateOp) -> None:

@@ -677,7 +677,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
                 diags = np.take(table, _bit_values(n, op.qubits[0])[inv], axis=1)
                 amps *= np.take(diags, pick, axis=0)
             else:
-                # apply_vectors' products, in place, with each of an RX's
+                # apply_rows' RX products, in place, with each of an RX's
                 # two vectors held as its one value per row
                 pair = np.take(table, pick, axis=0)
                 flipped = np.take(amps, _x_perm(n, op.qubits[0]), axis=1)

@@ -2,7 +2,7 @@
 
 import json
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -230,16 +230,16 @@ def test_a_rate_hashes_as_the_float_it_equals(name, value):
 @given(raw=raw_configs())
 def test_sweep_cells_equal_the_reparsed_inline_cells(raw):
     config = parse_config(raw)
-    groups, ran = [], []
+    calls, ran = [], []
 
     def optimize(configs):
-        groups.append(configs)
-        # the group's list of configs stands in for its engine
-        return configs, [(cell_config, 1) for cell_config in configs]
+        calls.append(configs)
+        # each config stands in for its own engine and its own best restart
+        return [(cell_config, cell_config, 1) for cell_config in configs]
 
     def write(cell_config, engine, result, total_evals, out):
-        assert result is cell_config  # each cell is written with its own search's result
-        assert any(c is cell_config for c in engine)  # and with its own group's engine
+        # each cell is written with its own outcome of the sweep's one _optimize call
+        assert engine is cell_config and result is cell_config
         ran.append(cell_config)
         summary = {"best_energy": -1.0, "approx_ratio": 1.0, "ground_pair_prob": 0.0,
                    "evals_used": 1, "status": "converged"}
@@ -253,15 +253,9 @@ def test_sweep_cells_equal_the_reparsed_inline_cells(raw):
     finally:
         harness._optimize, harness._write_run = real
 
-    # a group holds the cells that differ only in method (and seed), and no
-    # two groups could have been one
-    def engine_part(cell_config):
-        return replace(cell_config, method="powell", seed=0)
-
-    assert sorted(map(id, ran)) == sorted(id(c) for group in groups for c in group)
-    for i, group in enumerate(groups):
-        assert all(engine_part(c) == engine_part(group[0]) for c in group)
-        assert all(engine_part(other[0]) != engine_part(group[0]) for other in groups[:i])
+    # one _optimize call takes every cell, in cell order
+    [optimized] = calls
+    assert list(map(id, optimized)) == list(map(id, ran))
 
     axes = raw.get("sweep") or {}
     cells = [{}]

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -365,6 +366,40 @@ def test_each_group_of_a_sweep_builds_one_engine(tmp_path, monkeypatch, raw, gro
     assert engines.built == groups
 
 
+def test_a_sweep_is_one_lockstep_run_with_one_engine_per_argument_tuple(tmp_path, monkeypatch):
+    engines = EngineBuilds(monkeypatch)
+    lockstep = []
+    real = harness.minimize_lockstep
+
+    def spy(searches):
+        searches = list(searches)
+        lockstep.append(searches)
+        return real(searches)
+
+    monkeypatch.setattr(harness, "minimize_lockstep", spy)
+    config = parse_config(small_raw(mode="sampled", max_evals=8, sweep={
+        "p": [0, 1, 2], "method": ["powell", "cg"], "shots": [32, 64]}))
+    assert len(run_sweep(config, out_dir=tmp_path)) == 12
+    [searches] = lockstep
+    # cells that differ only in method share the engine of their (p, shots)
+    assert engines.built == 6
+    objectives = {id(problem.objective): problem.objective for _, problem in searches}
+    assert sorted((e.p, e.shots) for e in objectives.values()) == [
+        (p, shots) for p in (0, 1, 2) for shots in (32, 64)]
+
+
+def test_a_depth_zero_run_is_one_search_whatever_its_restarts(tmp_path):
+    # no angles to restart: the one evaluation keeps restart 0's first seed
+    config = parse_config(small_raw(p=0, mode="sampled", shots=128, restarts=3))
+    summary = run_experiment(config, out_dir=tmp_path).summary
+    assert (summary["total_evals"], summary["evals_used"]) == (1, 1)
+    assert summary["status"] == STATUS_CONVERGED
+    seed = rng.eval_seeds(rng.child_seed(config.seed, rng.STREAM_EVAL, 0), 0, 1)[0]
+    energy = evaluate_qaoa(config.instance, QaoaParams((), ()), "sampled", shots=128,
+                           seed=seed).energy
+    assert summary["best_energy"] == energy
+
+
 def csv_writer_text(header, rows) -> str:
     """The artifacts' CSV text as ``csv.writer`` writes it: floats as .9g, the rest str."""
     buf = io.StringIO()
@@ -596,6 +631,15 @@ def test_depth_sweep_concentrates_mass(p_sweep_rows):
 def test_cli_brute_force_canonical(capsys):
     assert main(["brute-force", "--graph", "canonical"]) == 0
     assert capsys.readouterr().out.strip() == "6 00011 11100"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(qaoalab.__path__[0]).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "qaoalab", "brute-force", "--graph", "canonical"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "6 00011 11100\n"
 
 
 def test_cli_brute_force_graph_file(tmp_path, capsys):

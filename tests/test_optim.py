@@ -589,6 +589,39 @@ def test_searches_of_two_dimensions_on_one_objective_run_as_alone():
     assert [r.trace.records for r in results] == [r.trace.records for r in alone]
 
 
+# -- zero-dimensional searches ------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_zero_dimensional_search_scores_x0_once_and_converges(method):
+    objective = CallLog(lambda x: 2.5)
+    problem = MinimizeProblem(objective, np.zeros(0), seed=4)
+    assert problem.max_evals == 500
+    result = minimize(method, problem)
+    assert objective.sizes == [1]
+    assert (result.status, result.evals_used, result.f_best) == (STATUS_CONVERGED, 1, 2.5)
+    assert result.x_best.shape == (0,)
+    assert result.trace.records == [(0, (), 2.5)]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_zero_dimensional_search_in_lockstep_runs_as_alone(method):
+    flat, bowl = CallLog(lambda x: 2.5), CallLog(shifted_bowl)
+    results = minimize_lockstep([(method, MinimizeProblem(flat, np.zeros(0))),
+                                 (method, MinimizeProblem(bowl, np.zeros(2), max_evals=30))])
+    alone = minimize(method, MinimizeProblem(batched(shifted_bowl), np.zeros(2), max_evals=30))
+    assert flat.sizes == [1]
+    assert (results[0].status, results[0].evals_used, results[0].f_best) == (STATUS_CONVERGED, 1, 2.5)
+    assert results[1].trace.records == alone.trace.records
+    assert results[1].status == alone.status
+
+
+def test_a_zero_dimensional_budget_covers_one_evaluation():
+    with pytest.raises(ValueError, match=r"^max_evals=0 cannot cover"):
+        MinimizeProblem(batched(shifted_bowl), np.zeros(0), max_evals=0)
+    assert MinimizeProblem(batched(shifted_bowl), np.zeros(0), max_evals=1).max_evals == 1
+
+
 # -- module boundaries --------------------------------------------------------------
 
 

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from qaoalab.harness import main
 from qaoalab.plots import plot_histogram, plot_trace, render_histogram, render_trace
 from qaoalab.statevec import Counts
 
@@ -111,6 +113,39 @@ def test_plot_histogram_rejects_malformed(tmp_path):
         plot_histogram(path)
 
 
+GOOD_COUNTS = {"shots": 10, "counts": {"01": 7, "10": 3}, "config_hash": "x", "seed": 1}
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"counts": {"01": 17, "10": -7}}, "counts['10']"),
+    ({"counts": {"01": True, "10": 9}}, "counts['01']"),
+    ({"counts": {"01": 7.0, "10": 3}}, "counts['01']"),
+    ({"counts": {"01": "x", "10": 3}}, "counts['01']"),
+    ({"shots": True}, "shots"),
+    ({"shots": 11}, "shots"),
+    ({"counts": {"01": 7, "100": 3}}, "counts['100']"),
+    ({"counts": {"01": 7, "1x": 3}}, "counts['1x']"),
+    ({"counts": {"": 10}}, "counts['']"),
+    ({"instance": 5}, "instance"),
+], ids=["negative", "bool", "float", "string", "bool-shots", "shots-not-the-sum",
+        "mixed-width", "not-binary", "empty-key", "instance-not-text"])
+def test_plot_histogram_names_the_file_and_field_it_refuses(tmp_path, change, field):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(dict(GOOD_COUNTS, **change)))
+    with pytest.raises(ValueError) as err:
+        plot_histogram(path)
+    assert str(err.value).startswith(f"{path}: {field}")
+
+
+def test_cli_plot_names_the_file_and_field_of_a_bad_count(tmp_path, capsys):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(dict(GOOD_COUNTS, counts={"01": "x", "10": 3})))
+    assert main(["plot", "--in", str(path), "--out", str(tmp_path / "h.svg")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: counts['01'] must be an integer >= 0, got 'x'\n")
+    assert not (tmp_path / "h.svg").exists()
+
+
 # -- traces ------------------------------------------------------------------
 
 
@@ -172,6 +207,32 @@ def test_plot_trace_rejects_wrong_header(tmp_path):
         plot_trace(path)
     path.write_text("eval,energy\n0,nope\n")
     with pytest.raises(ValueError):
+        plot_trace(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x", ""])
+@pytest.mark.parametrize("column", ["energy", "beta_1"])
+def test_plot_trace_names_the_file_line_and_field_it_refuses(tmp_path, column, value):
+    path = tmp_path / "trace.csv"
+    row = {"eval": "1", "energy": "-1.5", "beta_1": "0.5", "gamma_1": "0.25", column: value}
+    path.write_text("eval,energy,beta_1,gamma_1\n0,-1,0.1,0.2\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(ValueError) as err:
+        plot_trace(path)
+    assert str(err.value).startswith(f"{path}: line 3, {column} must be a finite number")
+
+
+def test_plot_trace_names_the_file_of_a_trace_without_rows(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("eval,energy,beta_1,gamma_1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no evaluation rows"):
+        plot_trace(path)
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+def test_plot_trace_refuses_an_eval_that_is_no_count(tmp_path, value):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"eval,energy\n{value},-1\n")
+    with pytest.raises(ValueError, match=r": line 2, eval must be an integer >= 0"):
         plot_trace(path)
 
 
