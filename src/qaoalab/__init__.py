@@ -55,15 +55,7 @@ from .optim import (
     random_qaoa_starts,
 )
 from .plots import plot_histogram, plot_trace, render_histogram, render_trace
-from .statevec import (
-    Counts,
-    GateOp,
-    StateVector,
-    expectation_cut,
-    sample_counts,
-    simulate_ops,
-    zero_state,
-)
+from .statevec import GateOp, expectation_cut, sample_counts, simulate_ops, zero_state
 
 __version__ = "0.1.0"
 
@@ -81,7 +73,6 @@ __all__ = [
     "METHODS", "MinimizeProblem", "MinimizeResult", "OptimizationTrace",
     "minimize", "random_qaoa_starts",
     "plot_histogram", "plot_trace", "render_histogram", "render_trace",
-    "Counts", "GateOp", "StateVector", "expectation_cut",
-    "sample_counts", "simulate_ops", "zero_state",
+    "GateOp", "expectation_cut", "sample_counts", "simulate_ops", "zero_state",
     "__version__",
 ]

@@ -42,8 +42,7 @@ import numpy as np
 
 from . import _checks
 from .graph import MaxCutInstance, cut_levels
-from .statevec import (MAX_QUBITS, Counts, GateOp, StateVector, check_gate, sample_counts,
-                       simulate_ops)
+from .statevec import MAX_QUBITS, GateOp, check_gate, sample_counts, simulate_ops
 
 ONE_QUBIT_DURATION = 1.0
 TWO_QUBIT_DURATION = 4.0
@@ -333,12 +332,12 @@ def run_circuit(
     shots: int | None = None,
     seed: int | None = None,
     noise=None,
-) -> StateVector | Counts:
+) -> np.ndarray | dict[str, int]:
     """Execute a circuit.
 
-    exact   -> final StateVector, no randomness
-    sampled -> Counts from the noiseless final state (shots, seed required)
-    noisy   -> Counts from per-shot noise trajectories (noise config required)
+    exact   -> the final (2^n,) amplitude array, no randomness
+    sampled -> bitstring counts dict of the noiseless final state (shots, seed required)
+    noisy   -> bitstring counts dict of per-shot noise trajectories (noise config required)
     """
     from . import noise as noise_mod, objective  # circular at import time only
 

@@ -196,13 +196,7 @@ def _resolve_instance(spec) -> MaxCutInstance:
     if ("file" in spec) == ("inline" in spec):
         raise ConfigError("instance: give exactly one of 'file' or 'inline'")
     if "file" in spec:
-        path = Path(spec["file"])
-        if not path.exists():
-            raise ConfigError(f"instance.file: no such file: {path}")
-        try:
-            return parse_edge_list(path.read_text(encoding="utf-8"))
-        except ParseError as exc:
-            raise ConfigError(f"instance.file: {path}: {exc}") from None
+        return _read_graph(spec["file"], "instance.file")
     inline = spec["inline"]
     _reject_unknown("instance.inline", inline, _INLINE_FIELDS)
     try:
@@ -213,6 +207,17 @@ def _resolve_instance(spec) -> MaxCutInstance:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"instance.inline: {exc}") from None
+
+
+def _read_graph(path, name: str) -> MaxCutInstance:
+    """The edge-list file at ``path``; a ConfigError starts with ``name`` and names the file."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{name}: no such file: {path}")
+    try:
+        return parse_edge_list(path.read_text(encoding="utf-8"))
+    except ParseError as exc:
+        raise ConfigError(f"{name}: {path}: {exc}") from None
 
 
 def _resolve_noise(spec) -> NoiseConfig:
@@ -272,10 +277,9 @@ def load_config(path) -> ExperimentConfig:
 
 def write_counts_json(path: Path, tally: np.ndarray, config: ExperimentConfig) -> None:
     """The tally's nonzero entries as bitstring counts, with the run's hash, seed and instance."""
-    counts = counts_from_tally(tally, config.instance.n)
     payload = {
-        "shots": counts.shots,
-        "counts": counts.counts,
+        "shots": int(tally.sum()),
+        "counts": counts_from_tally(tally),
         "config_hash": config.config_hash,
         "seed": config.seed,
         "instance": serialize_edge_list(config.instance),
@@ -360,7 +364,13 @@ def _optimize(configs: list[ExperimentConfig]) -> list[tuple[Engine, MinimizeRes
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
-    """Optimize, run the final circuit, and write the three artifacts."""
+    """Optimize, run the final circuit, and write the three artifacts.
+
+    A config with sweep axes is refused, before any directory is made.
+    """
+    if config.sweep:
+        raise ConfigError(f"sweep: the config sweeps {sorted(config.sweep)}, which one run does "
+                          "not cover; run it with `qaoalab sweep` (run_sweep)")
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     [outcome] = _optimize([config])
@@ -485,6 +495,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the published contract is 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -544,14 +555,8 @@ def main(argv=None) -> int:
                       f"ground_pair={row['ground_pair_prob']:.4g}")
             return 0
         if args.command == "brute-force":
-            if args.graph == "canonical":
-                instance = canonical_instance()
-            else:
-                path = Path(args.graph)
-                if not path.exists():
-                    print(f"error: no such graph file: {path}", file=sys.stderr)
-                    return 1
-                instance = parse_edge_list(path.read_text(encoding="utf-8"))
+            instance = (canonical_instance() if args.graph == "canonical"
+                        else _read_graph(args.graph, "--graph"))
             best, optima = brute_force_maxcut(instance)
             print(f"{best:g} " + " ".join(sorted(optima)))
             return 0

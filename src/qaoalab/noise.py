@@ -7,7 +7,8 @@ shot). Inserted error ops carry zero duration so they never perturb
 timing. This module makes no random draw: qaoalab.trajectories makes
 them all, from one trajectories.Plan of a circuit and a config (DD
 inserted once), and runs the shots of k points together, each point
-its own seed and RX/RZ angles; sample_noisy samples one point that way.
+its own seed and RX/RZ angles; sample_noisy samples one point that way,
+into a bitstring histogram (a ``dict[str, int]``).
 twirl_circuit, apply_trajectory_noise and apply_readout_error render
 one shot of the same draws, as a circuit or as flipped bits; simulating
 each shot's circuit on its own gives the same amplitudes, bit for bit.
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 from . import _checks, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
-from .statevec import ROTATION_KINDS, Counts, GateOp, counts_from_tally
+from .statevec import ROTATION_KINDS, GateOp, counts_from_tally
 
 PAULI_KINDS = ("X", "Y", "Z")
 
@@ -258,14 +259,15 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
 # ---------------------------------------------------------------------------
 
 
-def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
-    """Monte Carlo counts under the full noise-and-mitigation pipeline.
+def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> dict[str, int]:
+    """Monte Carlo bitstring counts under the full noise-and-mitigation pipeline.
 
     Per shot: (optional DD insertion, done once), optional fresh twirl,
     trajectory noise realization, statevector run, one measurement draw,
     optional readout flips. Shot i uses only draw i of each substream.
     ``trajectories.sample`` makes every draw, from one ``Plan``, and runs
-    the shots together as one (shots, 2^n) array; the counts equal those of running each
+    the shots together as one (shots, 2^n) array. The histogram, a
+    ``dict[str, int]`` summing to ``shots``, equals that of running each
     shot's circuit from ``twirl_circuit`` (at the shot's twirl seed) and
     ``apply_trajectory_noise`` through ``simulate_ops``, then
     ``apply_readout_error``.
@@ -275,4 +277,4 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     shots, seed = _checks.integer(shots, "shots", 1), _checks.seed(seed)
     angles = [[op.angle for op in circuit.ops if op.kind in ROTATION_KINDS]]
     tally = trajectories.sample(trajectories.Plan(circuit, config), shots, [seed], angles)[0]
-    return counts_from_tally(tally, circuit.n)
+    return counts_from_tally(tally)

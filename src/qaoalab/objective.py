@@ -9,11 +9,13 @@ in one call, each row scored alone, so the rows of several searches
 noise) can share a call while each search keeps its own seeds.
 ``evaluate_qaoa`` scores one angle set as a one-row call of an engine,
 and ``make_objective`` is one search on an engine, a function of the
-angle rows alone.
+angle rows alone. Shots score as a basis-index tally (``energy_from_tally``)
+or as a bitstring counts dict, whose sum is its shots (``energy_from_counts``).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,7 +24,7 @@ from . import _checks, rng
 from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
 from .graph import MaxCutInstance, cut_value_table
 from .noise import NoiseConfig
-from .statevec import Counts, counts_from_tally, sample_outcomes
+from .statevec import counts_from_tally, sample_outcomes, sample_tally
 
 RUN_MODES = ("exact", "sampled", "noisy")
 
@@ -31,43 +33,41 @@ class EnergySample:
     """One objective evaluation; counts is None for exact evaluations.
 
     A sampled or noisy evaluation keeps the basis-index tally it was
-    scored from and formats it as ``Counts`` only when ``counts`` is
-    first read.
+    scored from and formats it as a bitstring counts dict only when
+    ``counts`` is first read.
     """
 
     def __init__(self, energy: float, shots: int, *, tally: np.ndarray | None = None):
         self.energy = energy
         self.shots = shots
         self.tally = tally
-        self._counts: Counts | None = None
 
-    @property
-    def counts(self) -> Counts | None:
-        if self._counts is None and self.tally is not None:
-            self._counts = counts_from_tally(self.tally, self.tally.size.bit_length() - 1)
-        return self._counts
+    @cached_property
+    def counts(self) -> dict[str, int] | None:
+        return None if self.tally is None else counts_from_tally(self.tally)
 
 
-def energy_from_counts(counts: Counts, instance: MaxCutInstance) -> float:
-    """-(sum of counts-weighted cut values) / shots."""
-    if counts.shots < 1 or sum(counts.counts.values()) != counts.shots:
-        raise ValueError("counts total does not match shots")
+def energy_from_counts(counts: dict[str, int], instance: MaxCutInstance) -> float:
+    """-(sum of counts-weighted cut values) / shots, the shots being the counts' sum."""
     table = cut_value_table(instance)
-    total = 0.0
-    for bits, c in counts.counts.items():
+    total, shots = 0.0, 0
+    for bits, c in counts.items():
         if len(bits) != instance.n or set(bits) - {"0", "1"}:
             raise ValueError(f"bitstring {bits!r} does not fit a {instance.n}-node instance")
         if c < 0:
             raise ValueError(f"negative count for {bits!r}")
         total += c * table[int(bits, 2)]
-    return -total / counts.shots
+        shots += c
+    if shots < 1:
+        raise ValueError("counts carry no shots")
+    return -total / shots
 
 
 def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
     """-(sum of tally-weighted cut values) / shots for a basis-index tally.
 
     The products are added one by one in ascending index order, as
-    ``energy_from_counts`` adds them over the ``Counts`` of the same
+    ``energy_from_counts`` adds them over the histogram of the same
     tally, so the two agree bit for bit.
     """
     table = cut_value_table(instance)
@@ -204,21 +204,22 @@ class Engine:
         thetas, table = self._rows(thetas, seeds), self._table
         if self.mode == "exact":
             return np.array([-float(q @ table) for q in qaoa_probabilities(self._plan, thetas)])
-        return np.array([_sorted_energy(o, table) for o in self._outcomes(thetas, seeds)])
+        return np.array([_sorted_energy(sample_outcomes(q, self.shots, seed), table)
+                         for q, seed in self._draws(thetas, seeds)])
 
-    def _outcomes(self, thetas: np.ndarray, seeds) -> list[np.ndarray]:
-        """Each checked row's ascending shot outcomes, drawn from its exact probabilities."""
+    def _draws(self, thetas: np.ndarray, seeds) -> zip:
+        """(exact probabilities, checked seed) of each checked row."""
         seeds = [check_seed(self.mode, seed) for seed in seeds]
-        return [sample_outcomes(q, self.shots, seed)
-                for q, seed in zip(qaoa_probabilities(self._plan, thetas), seeds)]
+        return zip(qaoa_probabilities(self._plan, thetas), seeds)
 
     def tallies(self, thetas, seeds) -> np.ndarray:
         """The (k, 2^n) basis-index tallies of the batch, row j under ``seeds[j]``.
 
-        Exact and sampled engines sample each row's exact probabilities;
-        an exact engine built without shots refuses a row. Noisy
-        mode samples the batch in one ``trajectories.sample`` call on
-        the engine's plan, with each row's RX and RZ angles.
+        Exact and sampled engines take each row's ``sample_tally`` of
+        its exact probabilities; an exact engine built without shots
+        refuses a row. Noisy mode samples the batch in one
+        ``trajectories.sample`` call on the engine's plan, with each
+        row's RX and RZ angles.
         """
         instance, n = self.instance, self.instance.n
         thetas = self._rows(thetas, seeds)
@@ -230,7 +231,7 @@ class Engine:
             return trajectories.sample(self._plan, self.shots,
                                        [check_seed(self.mode, seed) for seed in seeds],
                                        qaoa_angles(instance, thetas))
-        return np.array([np.bincount(o, minlength=1 << n) for o in self._outcomes(thetas, seeds)],
+        return np.array([sample_tally(q, self.shots, seed) for q, seed in self._draws(thetas, seeds)],
                         dtype=np.int64).reshape(len(thetas), 1 << n)
 
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import _checks
 from .graph import brute_force_maxcut, parse_edge_list
-from .statevec import Counts
 
 _WIDTH = 720
 _HEIGHT = 440
@@ -43,16 +42,15 @@ def _svg(body: list[str]) -> str:
     return head + "\n".join(body) + "\n</svg>\n"
 
 
-def render_histogram(counts: Counts, highlight: frozenset[str] | set[str] = frozenset(), title: str = "") -> str:
-    """Probability bars per bitstring, lexicographic order, highlights flagged."""
+def render_histogram(counts: dict[str, int], highlight: frozenset[str] | set[str] = frozenset(), title: str = "") -> str:
+    """Probability bars (count over the counts' sum) per bitstring, lexicographic order, highlights flagged."""
     from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
 
-    if counts.shots < 1:
+    shots = sum(counts.values())
+    if shots < 1:
         raise ValueError("counts carry no shots")
-    probs = counts.probabilities()
+    probs = {b: c / shots for b, c in counts.items()}
     keys = sorted(probs)
-    if not keys:
-        raise ValueError("counts are empty")
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     y_max = max(probs.values()) * 1.1
@@ -94,8 +92,8 @@ def render_histogram(counts: Counts, highlight: frozenset[str] | set[str] = froz
     return _svg(body)
 
 
-def _read_counts(counts_path) -> tuple[Counts, str | None]:
-    """The counts of a counts JSON file, and its instance's edge-list text if it carries one.
+def _read_counts(counts_path) -> tuple[dict[str, int], str | None]:
+    """The bitstring counts of a counts JSON file, and its instance's edge-list text if it carries one.
 
     ``shots`` is an integer >= 1 and each count an integer >= 0 (the
     ``_checks`` rules, so no bool or float), the counts sum to ``shots``,
@@ -127,7 +125,7 @@ def _read_counts(counts_path) -> tuple[Counts, str | None]:
     instance = payload.get("instance")
     if instance is not None and not isinstance(instance, str):
         raise ValueError(f"{counts_path}: instance must be edge-list text, got {instance!r}")
-    return Counts(tally, shots), instance
+    return tally, instance
 
 
 def plot_histogram(counts_path) -> str:

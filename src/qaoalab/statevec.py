@@ -5,6 +5,11 @@ index, so the leftmost character of a measured bitstring is qubit 0 and
 therefore node 0 of the graph module. Qubit q's bit of index ``i`` is
 ``(i >> (n - 1 - q)) & 1``.
 
+A state is its (2^n,) complex amplitude array: a function that takes
+one checks once that it is 1-D with 2^n entries, n in 1..MAX_QUBITS. A
+histogram is a ``dict[str, int]`` of n-character bitstring counts, and
+its shots are their sum.
+
 Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` runs it on
 one row. It applies an RZ, H or RX as the products of its
@@ -14,12 +19,12 @@ per shot, from these index tables and its own per-row scalars
 (``qaoalab.trajectories``). Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
 ``check_gate`` is the one op check, and ``measure_rows`` the one shot
-sampler, on (rows, 2^n) probability rows of the same layout.
+sampler, on (rows, 2^n) probability rows of the same layout;
+``sample_tally`` samples one row into a basis-index histogram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -50,29 +55,22 @@ class GateOp(NamedTuple):
     duration: float = 1.0
 
 
-@dataclass
-class StateVector:
-    n: int
-    amplitudes: np.ndarray
-
-
-@dataclass
-class Counts:
-    """Measured bitstring histogram; keys are n-character bitstrings."""
-
-    counts: dict[str, int]
-    shots: int
-
-    def probabilities(self) -> dict[str, float]:
-        return {b: c / self.shots for b, c in self.counts.items()}
-
-
-def zero_state(n: int) -> StateVector:
-    """|0...0> on n qubits."""
+def zero_state(n: int) -> np.ndarray:
+    """|0...0> on n qubits: 2^n amplitudes, the first 1."""
     n = _checks.integer(n, "qubit count", 1, MAX_QUBITS)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
-    return StateVector(n, amps)
+    return amps
+
+
+def _qubits(state) -> int:
+    """n of a state: a 1-D array of 2^n amplitudes, n in 1..MAX_QUBITS."""
+    size = state.shape[0] if isinstance(state, np.ndarray) and state.ndim == 1 else 0
+    if size < 2 or size & (size - 1) or size > 1 << MAX_QUBITS:
+        shape = getattr(state, "shape", type(state).__name__)
+        raise ValueError(f"state must be a 1-D array of 2^n amplitudes, n in 1..{MAX_QUBITS}, "
+                         f"got {shape}")
+    return size.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +197,13 @@ def check_gate(n: int, op: GateOp) -> None:
     _checks.real(op.duration, "duration", 0)
 
 
-def simulate_ops(n: int, ops) -> StateVector:
-    """Run a gate sequence on |0...0>; validates every op."""
-    state = zero_state(n)
-    amps = state.amplitudes[None]
+def simulate_ops(n: int, ops) -> np.ndarray:
+    """The (2^n,) amplitudes of a gate sequence run on |0...0>; validates every op."""
+    amps = zero_state(n)[None]
     for op in ops:
         check_gate(n, op)
         amps = apply_rows(amps, n, op)
-    state.amplitudes = amps[0]
-    return state
+    return amps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +211,12 @@ def simulate_ops(n: int, ops) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-def expectation_cut(state: StateVector, instance: MaxCutInstance) -> float:
+def expectation_cut(state: np.ndarray, instance: MaxCutInstance) -> float:
     """<state| C |state> for the diagonal cut observable of ``instance``."""
-    if instance.n != state.n:
-        raise ValueError(f"instance has {instance.n} nodes but state has {state.n} qubits")
-    probs = np.abs(state.amplitudes) ** 2
+    n = _qubits(state)
+    if instance.n != n:
+        raise ValueError(f"instance has {instance.n} nodes but state has {n} qubits")
+    probs = np.abs(state) ** 2
     return float(probs @ cut_value_table(instance))
 
 
@@ -257,29 +254,31 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return measure_rows(probs[None], np.sort(u))
 
 
-def sample_tally(state: StateVector, shots: int, seed: int) -> np.ndarray:
-    """Multinomial measurement as a histogram over basis indices.
+def sample_tally(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Multinomial measurement of one (2^n,) probability row as a basis-index histogram.
 
-    Returns ``np.bincount`` of the ``sample_outcomes`` of the state's
-    probabilities, of length 2^n. Its callers check ``shots`` and
+    Returns ``np.bincount`` of its ``sample_outcomes``, of length 2^n.
+    Exact and sampled ``objective.Engine.tallies`` and ``sample_counts``
+    all draw their tallies here. Its callers check ``shots`` and
     ``seed``.
     """
-    outcomes = sample_outcomes(np.abs(state.amplitudes) ** 2, shots, seed)
-    return np.bincount(outcomes, minlength=state.amplitudes.size)
+    return np.bincount(sample_outcomes(probs, shots, seed), minlength=probs.size)
 
 
-def counts_from_tally(tally: np.ndarray, n: int) -> Counts:
-    """Counts of a basis-index tally; keys only for the nonzero entries, in index order."""
-    counts = {format(int(i), f"0{n}b"): int(tally[i]) for i in np.flatnonzero(tally)}
-    return Counts(counts, int(tally.sum()))
+def counts_from_tally(tally: np.ndarray) -> dict[str, int]:
+    """The histogram of a (2^n,) basis-index tally: keys only for the nonzero entries, in index order."""
+    spec = f"0{tally.size.bit_length() - 1}b"
+    return {format(int(i), spec): int(tally[i]) for i in np.flatnonzero(tally)}
 
 
-def sample_counts(state: StateVector, shots: int, seed: int) -> Counts:
+def sample_counts(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Multinomial measurement of the state in the computational basis.
 
-    The ``sample_tally`` of the same arguments, formatted as bitstrings
-    by ``counts_from_tally``; use the tally where no bitstring is needed.
+    The ``sample_tally`` of the state's probabilities, formatted as
+    bitstrings by ``counts_from_tally``; use the tally where no
+    bitstring is needed.
     """
+    _qubits(state)
     shots = _checks.integer(shots, "shots", 1)
     seed = _checks.seed(seed)
-    return counts_from_tally(sample_tally(state, shots, seed), state.n)
+    return counts_from_tally(sample_tally(np.abs(state) ** 2, shots, seed))

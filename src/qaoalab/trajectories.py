@@ -599,7 +599,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
     frame, which is applied at the end.
     """
     rows = len(row_point)
-    amps = zero_state(n).amplitudes[None]  # the one row all rows share, until they split
+    amps = zero_state(n)[None]  # the one row all rows share, until they split
     frame = np.zeros(rows, dtype=np.int64)
     identity = np.arange(1 << n)
     perm = inv = identity

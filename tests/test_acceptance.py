@@ -47,7 +47,7 @@ def check(num: int, ok: bool, detail: str):
 
 def exact_probs(circuit) -> np.ndarray:
     state = simulate_ops(circuit.n, circuit.ops)
-    return np.abs(state.amplitudes) ** 2
+    return np.abs(state) ** 2
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -180,14 +180,14 @@ def test_criterion_09_simulator_unit_properties(canonical):
         else:
             ops.append(GateOp(kind, (q,)))
     state = simulate_ops(4, ops)
-    norm_err = abs(np.linalg.norm(state.amplitudes) - 1.0)
+    norm_err = abs(np.linalg.norm(state) - 1.0)
 
     invol_err = 0.0
     prepare = [GateOp("H", (0,)), GateOp("RX", (1,), 1.1)]
     probe = simulate_ops(3, prepare)
     for op in (GateOp("H", (2,)), GateOp("X", (0,)), GateOp("Z", (1,)), GateOp("CNOT", (0, 2))):
         twice = simulate_ops(3, prepare + [op, op])
-        invol_err = max(invol_err, float(np.abs(twice.amplitudes - probe.amplitudes).max()))
+        invol_err = max(invol_err, float(np.abs(twice - probe).max()))
 
     e_gamma0 = evaluate_qaoa(canonical, QaoaParams((0.7,), (0.0,))).energy
     uniform = simulate_ops(5, tuple(GateOp("H", (q,)) for q in range(5)))
@@ -211,13 +211,13 @@ def test_criterion_10_sampling_matches_exact_probabilities(canonical, grid_p1):
     _, gamma, beta = grid_p1
     circuit = build_qaoa_circuit(canonical, QaoaParams((beta,), (gamma,)))
     state = simulate_ops(circuit.n, circuit.ops)
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state) ** 2
     shots = 100000
     counts = sample_counts(state, shots, seed=3210)
     worst = 0.0
     ok = True
     for i, prob in enumerate(probs):
-        observed = counts.counts.get(format(i, "05b"), 0)
+        observed = counts.get(format(i, "05b"), 0)
         sigma = math.sqrt(shots * prob * (1 - prob))
         pull = abs(observed - shots * prob) / sigma if sigma > 0 else float(observed > 0)
         worst = max(worst, pull)

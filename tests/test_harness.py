@@ -301,7 +301,7 @@ def test_final_counts_and_energy_are_evaluate_qaoa_at_the_final_seed(tmp_path, r
                           "sampled" if config.mode == "exact" else config.mode,
                           shots=config.shots, noise=config.noise,
                           seed=rng.child_seed(config.seed, rng.STREAM_FINAL))
-    assert json.loads((tmp_path / "counts.json").read_text())["counts"] == final.counts.counts
+    assert json.loads((tmp_path / "counts.json").read_text())["counts"] == final.counts
     assert summary["final_energy"] == final.energy
 
 
@@ -551,6 +551,22 @@ def test_sweep_without_axes_equals_single_run(tmp_path):
     assert (cell_dir / "summary.json").read_bytes() == direct.summary_path.read_bytes()
 
 
+def test_one_run_refuses_sweep_axes_before_making_a_directory(tmp_path, capsys):
+    raw = small_raw(max_evals=40, sweep={"method": ["powell", "cg"]})
+    with pytest.raises(ConfigError, match=r"^sweep: .*\['method'\].*`qaoalab sweep`"):
+        run_experiment(parse_config(raw), out_dir=tmp_path / "out")
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "cli")]) == 1
+    assert capsys.readouterr().err.startswith("error: sweep: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sweep.json"]
+    # an empty sweep is the base experiment, which one run covers
+    empty = run_experiment(parse_config(small_raw(max_evals=40, sweep={})), out_dir=tmp_path / "empty")
+    assert empty.summary == run_experiment(parse_config(small_raw(max_evals=40)),
+                                           out_dir=tmp_path / "base").summary | {
+        "config_hash": empty.summary["config_hash"]}
+
+
 def test_sweep_cell_limit():
     with pytest.raises(ConfigError, match="^sweep: 1001 cells exceeds"):
         parse_config({"sweep": {"shots": [1] * 1001}})
@@ -654,6 +670,17 @@ def test_cli_brute_force_missing_file(tmp_path, capsys):
     assert "none.txt" in capsys.readouterr().err
 
 
+def test_cli_brute_force_names_a_bad_graph_file(tmp_path, capsys):
+    # the same rule as a config's instance.file, under the option's name
+    path = tmp_path / "g.txt"
+    path.write_text("3\n0 1\n1 x\n")
+    with pytest.raises(ConfigError) as refused:
+        parse_config({"instance": {"file": str(path)}})
+    assert str(refused.value) == f"instance.file: {path}: line 3: endpoints '1' 'x' must be integers"
+    assert main(["brute-force", "--graph", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: --graph: {path}: line 3: endpoints '1' 'x' must be integers\n"
+
+
 def test_cli_solve_and_plot(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(small_raw(max_evals=40)))
@@ -720,11 +747,18 @@ def test_cli_solve_bad_config_field(tmp_path, capsys):
 
 
 def test_cli_usage_errors(capsys):
-    assert main([]) == 1
-    assert main(["conquer"]) == 1
-    assert main(["solve"]) == 1
-    assert main(["plot", "--in", "x.json"]) == 1
-    capsys.readouterr()
+    for argv, message in [
+        ([], "qaoalab: error: the following arguments are required: command"),
+        (["conquer"], "qaoalab: error: argument command: invalid choice: 'conquer'"),
+        (["solve"], "qaoalab solve: error: the following arguments are required: --config"),
+        (["plot", "--in", "x.json"], "qaoalab plot: error: the following arguments are required: --out"),
+        (["plot", "--in", "x.json", "--out", "x.svg", "--series", "bogus"],
+         "qaoalab plot: error: argument --series: invalid choice: 'bogus'"),
+    ]:
+        assert main(argv) == 1
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: qaoalab"), argv
+        assert error.startswith(message), argv
 
 
 def test_cli_plot_missing_input(tmp_path, capsys):

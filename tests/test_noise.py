@@ -24,8 +24,8 @@ from qaoalab.noise import (
     twirl_circuit,
 )
 from qaoalab.objective import evaluate_qaoa, make_objective
-from qaoalab.statevec import (Counts, GateOp, StateVector, counts_from_tally, measure_rows,
-                              sample_counts, sample_tally, simulate_ops)
+from qaoalab.statevec import (GateOp, counts_from_tally, measure_rows, sample_counts, sample_tally,
+                              simulate_ops)
 
 import noise_reference
 from conftest import ground_mass
@@ -33,7 +33,7 @@ from conftest import ground_mass
 
 def probs_of(circuit: Circuit) -> np.ndarray:
     state = simulate_ops(circuit.n, circuit.ops)
-    return np.abs(state.amplitudes) ** 2
+    return np.abs(state) ** 2
 
 
 def p1_circuit(canonical, grid_p1) -> Circuit:
@@ -54,7 +54,7 @@ def shot_circuit(base: Circuit, config: NoiseConfig, shot: int, seed: int) -> Ci
     return noise_reference.apply_trajectory_noise(base, config, shot, seed)
 
 
-def reference_sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> Counts:
+def reference_sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> dict[str, int]:
     """The per-shot pipeline that sample_noisy batches, one shot at a time.
 
     Each shot builds its own circuit with ``noise_reference`` (DD once,
@@ -67,7 +67,7 @@ def reference_sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, se
     tally: dict[str, int] = {}
     for i in range(shots):
         state = simulate_ops(base.n, shot_circuit(base, config, i, seed).ops)
-        probs = np.abs(state.amplitudes) ** 2
+        probs = np.abs(state) ** 2
         cum = np.cumsum(probs)
         outcome = int(np.searchsorted(cum, u[i] * cum[-1], side="right"))
         outcome = min(outcome, probs.size - 1)
@@ -75,7 +75,7 @@ def reference_sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, se
         if config.p_readout > 0:
             bits = noise_reference.apply_readout_error(bits, config.p_readout, i, seed)
         tally[bits] = tally.get(bits, 0) + 1
-    return Counts(dict(sorted(tally.items())), shots)
+    return dict(sorted(tally.items()))
 
 
 def mixed_circuit(n: int, length: int, seed: int) -> Circuit:
@@ -427,8 +427,8 @@ def test_sampled_dephasing_kick_precedes_a_zero_duration_cnot():
     ))
     config = NoiseConfig(sigma_dephase=1.0)
     counts = sample_noisy(circuit, config, 256, seed=4)
-    assert counts.counts == reference_sample_noisy(circuit, config, 256, 4).counts
-    assert sum(c for bits, c in counts.counts.items() if bits[0] == "1") > 64
+    assert counts == reference_sample_noisy(circuit, config, 256, 4)
+    assert sum(c for bits, c in counts.items() if bits[0] == "1") > 64
 
 
 def test_trajectory_deterministic_per_shot(canonical, grid_p1):
@@ -490,8 +490,8 @@ def test_sample_noisy_conserves_shots(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
     config = NoiseConfig(p1q=0.01, p2q=0.02, p_readout=0.03, twirling=True, dd=True)
     counts = sample_noisy(circuit, config, 200, seed=6)
-    assert sum(counts.counts.values()) == 200
-    assert all(len(bits) == 5 for bits in counts.counts)
+    assert sum(counts.values()) == 200
+    assert all(len(bits) == 5 for bits in counts)
 
 
 def test_sample_noisy_reproducible(canonical, grid_p1):
@@ -499,14 +499,14 @@ def test_sample_noisy_reproducible(canonical, grid_p1):
     config = NoiseConfig(p1q=0.01, p2q=0.02, sigma_dephase=0.05, twirling=True)
     a = sample_noisy(circuit, config, 150, seed=8)
     b = sample_noisy(circuit, config, 150, seed=8)
-    assert a.counts == b.counts
+    assert a == b
 
 
 def test_sample_noisy_noise_free_matches_ideal_sampler(canonical, grid_p1):
     circuit = p1_circuit(canonical, grid_p1)
     ideal = sample_counts(simulate_ops(circuit.n, circuit.ops), 2000, seed=5)
     passthrough = sample_noisy(circuit, NoiseConfig(), 2000, seed=5)
-    assert passthrough.counts == ideal.counts
+    assert passthrough == ideal
 
 
 def test_sample_noisy_validates_shots(canonical, grid_p1):
@@ -523,7 +523,7 @@ def test_noisy_evaluation_refuses_a_state_without_mass(canonical):
                       shots=16, seed=1, noise=NoiseConfig(p2q=0.1))
     # ... so the sampler's own guard is reached by a massless state, in one row or many
     with pytest.raises(ValueError, match="no probability mass"):
-        sample_tally(StateVector(5, np.zeros(32, dtype=complex)), 16, 1)
+        sample_tally(np.zeros(32), 16, 1)
     rows = np.ones((3, 32))
     rows[1] = np.nan
     with pytest.raises(ValueError, match="no probability mass"):
@@ -557,7 +557,7 @@ def test_sample_noisy_matches_per_shot_reference(name, n):
     shots = 24 if n == 8 else 48
     for seed in (0, 1, 2):
         expected = reference_sample_noisy(circuit, config, shots, seed)
-        assert sample_noisy(circuit, config, shots, seed).counts == expected.counts
+        assert sample_noisy(circuit, config, shots, seed) == expected
 
 
 def test_sample_noisy_matches_reference_on_qaoa_circuits(canonical, grid_p1):
@@ -568,7 +568,7 @@ def test_sample_noisy_matches_reference_on_qaoa_circuits(canonical, grid_p1):
         NoiseConfig(sigma_dephase=0.1, dd=True, dd_sequence="XY4"),
     ):
         expected = reference_sample_noisy(circuit, config, 64, seed=3)
-        assert sample_noisy(circuit, config, 64, seed=3).counts == expected.counts
+        assert sample_noisy(circuit, config, 64, seed=3) == expected
 
 
 def row_keys(seeds, shots: int, twirling: bool):
@@ -622,7 +622,7 @@ def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name, shape):
     base = with_dd(circuit, config)
     rows = plan_rows(circuit, config, own_angles(circuit), [5], 12)
     for i in range(12):
-        single = simulate_ops(base.n, shot_circuit(base, config, i, 5).ops).amplitudes
+        single = simulate_ops(base.n, shot_circuit(base, config, i, 5).ops)
         # equal as floats: equal bits, up to the sign of a zero
         assert np.array_equal(single.view(np.float64), rows[i].view(np.float64))
 
@@ -645,7 +645,7 @@ def test_two_point_rows_equal_per_shot_amplitudes_bit_for_bit(name, zeros):
     rows = plan_rows(circuit, config, angles, seeds, shots)
     for r, j in enumerate(np.repeat([0, 1], shots)):
         base = with_dd(with_angles(circuit, angles[j]), config)
-        single = simulate_ops(base.n, shot_circuit(base, config, r % shots, seeds[j]).ops).amplitudes
+        single = simulate_ops(base.n, shot_circuit(base, config, r % shots, seeds[j]).ops)
         assert np.array_equal(single.view(np.float64), rows[r].view(np.float64))
 
 
@@ -683,7 +683,7 @@ noise_configs = st.builds(
 @given(circuit=small_circuits(), config=noise_configs, seed=st.integers(0, 2**32))
 def test_sample_noisy_matches_reference_on_random_circuits(circuit, config, seed):
     expected = reference_sample_noisy(circuit, config, 12, seed)
-    assert sample_noisy(circuit, config, 12, seed).counts == expected.counts
+    assert sample_noisy(circuit, config, 12, seed) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -705,7 +705,7 @@ def test_rows_equal_per_shot_amplitudes_bit_for_bit_on_random_circuits(circuit, 
     for r, j in enumerate(np.repeat(np.arange(points), shots)):
         base = with_dd(circuits[j], config)
         single = simulate_ops(base.n, shot_circuit(base, config, r % shots, seeds[j]).ops)
-        assert np.array_equal(single.amplitudes.view(np.float64), rows[r].view(np.float64))
+        assert np.array_equal(single.view(np.float64), rows[r].view(np.float64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -784,9 +784,9 @@ def test_realizations_equal_the_reference_on_random_circuits(circuit, config, se
 def test_counts_do_not_depend_on_chunk_size(monkeypatch, rows):
     circuit = mixed_circuit(5, 30, seed=4)
     configs = (ORACLE_CONFIGS["all"], ORACLE_CONFIGS["twirl-dephasing"], ORACLE_CONFIGS["readout"])
-    whole = [sample_noisy(circuit, config, 10, seed=6).counts for config in configs]
+    whole = [sample_noisy(circuit, config, 10, seed=6) for config in configs]
     monkeypatch.setattr(trajectories, "_CHUNK_BYTES", rows * (16 << circuit.n))
-    assert [sample_noisy(circuit, config, 10, seed=6).counts for config in configs] == whole
+    assert [sample_noisy(circuit, config, 10, seed=6) for config in configs] == whole
 
 
 # -- batches of points through one engine call -------------------------------------
@@ -886,7 +886,7 @@ def test_dd_plan_gives_each_point_its_own_angles(name):
     tallies = trajectories.sample(trajectories.Plan(circuit, config), shots, seeds, angles)
     for j, seed in enumerate(seeds):
         expected = reference_sample_noisy(with_angles(circuit, angles[j]), config, shots, seed)
-        assert counts_from_tally(tallies[j], circuit.n).counts == expected.counts
+        assert counts_from_tally(tallies[j]) == expected
 
 
 def test_batch_angles_must_fit_the_rotations():

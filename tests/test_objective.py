@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaoalab import ansatz, objective, rng, statevec, trajectories
-from qaoalab.ansatz import BATCH_AMPLITUDES, Circuit, QaoaParams, build_qaoa_circuit, qaoa_states
+from qaoalab.ansatz import (BATCH_AMPLITUDES, Circuit, QaoaParams, build_qaoa_circuit, qaoa_states,
+                            run_circuit)
 from qaoalab.graph import MaxCutInstance
 from qaoalab.noise import NoiseConfig, sample_noisy
 from qaoalab.objective import (
@@ -21,7 +22,7 @@ from qaoalab.objective import (
     make_objective,
 )
 from qaoalab.optim import MinimizeProblem, minimize
-from qaoalab.statevec import Counts, StateVector, expectation_cut, sample_counts, sample_tally
+from qaoalab.statevec import expectation_cut, sample_counts, sample_tally, simulate_ops
 
 from test_noise import BATCH_CONFIGS
 
@@ -80,28 +81,26 @@ def kron_reference_energy(instance, params) -> float:
 
 
 def test_energy_single_optimal_bitstring(canonical):
-    assert energy_from_counts(Counts({"00011": 100}, 100), canonical) == -6.0
+    assert energy_from_counts({"00011": 100}, canonical) == -6.0
 
 
 def test_energy_uniform_counts(canonical):
-    counts = Counts({format(i, "05b"): 4 for i in range(32)}, 128)
+    counts = {format(i, "05b"): 4 for i in range(32)}
     assert energy_from_counts(counts, canonical) == pytest.approx(-3.0)
 
 
 def test_energy_mixed_counts(canonical):
-    counts = Counts({"00000": 50, "00011": 50}, 100)
+    counts = {"00000": 50, "00011": 50}
     assert energy_from_counts(counts, canonical) == pytest.approx(-3.0)
 
 
 def test_energy_validation(canonical):
     with pytest.raises(ValueError):
-        energy_from_counts(Counts({"00011": 99}, 100), canonical)
+        energy_from_counts({"0001": 100}, canonical)
     with pytest.raises(ValueError):
-        energy_from_counts(Counts({"0001": 100}, 100), canonical)
+        energy_from_counts({"0001x": 100}, canonical)
     with pytest.raises(ValueError):
-        energy_from_counts(Counts({"0001x": 100}, 100), canonical)
-    with pytest.raises(ValueError):
-        energy_from_counts(Counts({"00011": 101, "00000": -1}, 100), canonical)
+        energy_from_counts({"00011": 101, "00000": -1}, canonical)
 
 
 def test_energy_bounds_random_counts(canonical):
@@ -109,18 +108,15 @@ def test_energy_bounds_random_counts(canonical):
     for _ in range(20):
         raw = gen.integers(0, 50, size=32)
         raw[0] += 1
-        counts = Counts(
-            {format(i, "05b"): int(c) for i, c in enumerate(raw) if c > 0},
-            int(raw.sum()),
-        )
+        counts = {format(i, "05b"): int(c) for i, c in enumerate(raw) if c > 0}
         e = energy_from_counts(counts, canonical)
         assert -canonical.total_weight <= e <= 0.0
 
 
 def test_energy_complement_invariance(canonical):
     flip = str.maketrans("01", "10")
-    counts = Counts({"00111": 30, "10001": 70}, 100)
-    flipped = Counts({b.translate(flip): c for b, c in counts.counts.items()}, 100)
+    counts = {"00111": 30, "10001": 70}
+    flipped = {b.translate(flip): c for b, c in counts.items()}
     assert energy_from_counts(counts, canonical) == pytest.approx(
         energy_from_counts(flipped, canonical)
     )
@@ -140,14 +136,14 @@ def test_sampled_evaluation_carries_counts(canonical):
         canonical, QaoaParams((0.3,), (0.9,)), "sampled", shots=256, seed=4
     )
     assert sample.shots == 256
-    assert sum(sample.counts.counts.values()) == 256
+    assert sum(sample.counts.values()) == 256
 
 
 def test_sampled_counts_are_built_on_first_read(canonical):
     params = QaoaParams((0.3,), (0.9,))
     sample = evaluate_qaoa(canonical, params, "sampled", shots=300, seed=8)
     amps = qaoa_states(canonical, params.to_vector()[None])[0]
-    expected = sample_counts(StateVector(canonical.n, amps), 300, 8)
+    expected = sample_counts(amps, 300, 8)
     assert sample.counts == expected
     assert sample.counts is sample.counts
     assert sample.energy == energy_from_counts(expected, canonical)
@@ -221,7 +217,7 @@ def states(draw, n):
     if draw(st.booleans()):
         amps[gen.random(1 << n) < 0.5] = 0.0
         amps[gen.integers(1 << n)] = 1.0
-    return StateVector(n, amps)
+    return amps
 
 
 @settings(max_examples=120, deadline=None)
@@ -231,7 +227,7 @@ def test_tally_energy_equals_counts_energy(data):
     state = data.draw(states(instance.n))
     shots = data.draw(st.integers(1, 5000))
     seed = data.draw(st.integers(0, 2**64 - 1))
-    tally = sample_tally(state, shots, seed)
+    tally = sample_tally(np.abs(state) ** 2, shots, seed)
     counts = sample_counts(state, shots, seed)
     assert energy_from_tally(tally, instance) == energy_from_counts(counts, instance)
 
@@ -272,7 +268,7 @@ def test_kron_reference_agrees_at_random_angles(canonical):
 
 def test_weighted_instance_energy():
     instance = MaxCutInstance(n=2, edges=((0, 1),), weights=(3.0,))
-    assert energy_from_counts(Counts({"01": 10}, 10), instance) == -3.0
+    assert energy_from_counts({"01": 10}, instance) == -3.0
 
 
 # -- objective closure ------------------------------------------------------------
@@ -438,13 +434,50 @@ def test_engine_rows_equal_the_state_path_bit_for_bit(n, p):
     for k in (1, max(1, BATCH_AMPLITUDES >> (n - 1)) + 1):
         thetas = gen.uniform(-2.0 * math.pi, 2.0 * math.pi, (k, 2 * p))
         seeds = [int(x) for x in gen.integers(0, 2**64, k, dtype=np.uint64)]
-        states = [StateVector(n, amps) for amps in qaoa_states(instance, thetas)]
+        states = list(qaoa_states(instance, thetas))
         exact = Engine(instance, p)(thetas, seeds).tolist()
         assert exact == [-expectation_cut(state, instance) for state in states]
         sampled = Engine(instance, p, "sampled", shots=64)
-        tallies = [sample_tally(state, 64, seed) for state, seed in zip(states, seeds)]
+        tallies = [sample_tally(np.abs(state) ** 2, 64, seed) for state, seed in zip(states, seeds)]
         assert sampled(thetas, seeds).tolist() == [energy_from_tally(t, instance) for t in tallies]
         assert np.array_equal(sampled.tallies(thetas, seeds), np.array(tallies))
+
+
+# -- plain results ----------------------------------------------------------------
+
+
+def assert_histogram(counts, n: int, shots: int):
+    assert type(counts) is dict and sum(counts.values()) == shots
+    assert all(type(c) is int and c > 0 for c in counts.values())
+    assert all(type(b) is str and len(b) == n and not set(b) - {"0", "1"} for b in counts)
+
+
+def test_states_are_amplitude_arrays_and_histograms_bitstring_dicts(canonical):
+    circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.9,)))
+    noise = NoiseConfig(p2q=0.05, p_readout=0.02)
+    for state in (simulate_ops(circuit.n, circuit.ops), run_circuit(circuit, "exact")):
+        assert type(state) is np.ndarray and state.shape == (32,) and state.dtype == complex
+    assert_histogram(sample_counts(run_circuit(circuit, "exact"), 48, 1), 5, 48)
+    assert_histogram(sample_noisy(circuit, noise, 40, 2), 5, 40)
+    assert_histogram(run_circuit(circuit, "sampled", shots=24, seed=3), 5, 24)
+    assert_histogram(run_circuit(circuit, "noisy", shots=24, seed=3, noise=noise), 5, 24)
+    for mode in ("sampled", "noisy"):
+        sample = evaluate_qaoa(canonical, QaoaParams((0.3,), (0.9,)), mode, shots=36, seed=4,
+                               noise=noise if mode == "noisy" else None)
+        assert_histogram(sample.counts, 5, 36)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("n", [1, 5, 11])
+def test_sample_tally_is_the_engine_tally_row_bit_for_bit(mode, n):
+    gen = np.random.default_rng([n, 0x7A])
+    instance = MaxCutInstance(n, tuple((u, u + 1) for u in range(n - 1)))
+    thetas = gen.uniform(-math.pi, math.pi, (3, 4))
+    seeds = [int(x) for x in gen.integers(0, 2**64, 3, dtype=np.uint64)]
+    probs = ansatz.qaoa_probabilities(ansatz.half_plan(instance), thetas)
+    tallies = Engine(instance, 2, mode, shots=96).tallies(thetas, seeds)
+    for q, seed, tally in zip(probs, seeds, tallies):
+        assert tally.tolist() == sample_tally(q, 96, seed).tolist()
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])

@@ -9,7 +9,6 @@ import pytest
 
 from qaoalab.harness import main
 from qaoalab.plots import plot_histogram, plot_trace, render_histogram, render_trace
-from qaoalab.statevec import Counts
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -30,14 +29,14 @@ def polylines(root):
 
 
 def test_histogram_bar_per_bitstring():
-    counts = Counts({"00": 10, "01": 20, "11": 5}, 35)
+    counts = {"00": 10, "01": 20, "11": 5}
     root = parse_svg(render_histogram(counts))
     bars = rects_by_class(root, "bar") + rects_by_class(root, "bar solution")
     assert len(bars) == 3
 
 
 def test_histogram_highlights_solutions():
-    counts = Counts({"00011": 512, "11100": 488}, 1000)
+    counts = {"00011": 512, "11100": 488}
     svg = render_histogram(counts, highlight={"00011", "11100"})
     root = parse_svg(svg)
     assert len(rects_by_class(root, "bar solution")) == 2
@@ -45,7 +44,7 @@ def test_histogram_highlights_solutions():
 
 
 def test_histogram_orders_keys_lexicographically():
-    counts = Counts({"10": 1, "00": 1, "01": 1}, 3)
+    counts = {"10": 1, "00": 1, "01": 1}
     svg = render_histogram(counts)
     assert svg.index(">00<") < svg.index(">01<") < svg.index(">10<")
 
@@ -55,7 +54,7 @@ def test_histogram_bytes_are_pinned():
     # still write these bytes
     counts = {format(i, "010b"): (i * i * 7919) % 97 for i in range(1024)}
     counts = {k: v for k, v in counts.items() if v}
-    svg = render_histogram(Counts(counts, sum(counts.values())),
+    svg = render_histogram(counts,
                            highlight={"0000000001", "1111111110"}, title="runs/a&b<1>/counts.json")
     assert len(counts) == 1013 and len(svg) == 175478
     assert hashlib.sha256(svg.encode()).hexdigest() == (
@@ -64,7 +63,7 @@ def test_histogram_bytes_are_pinned():
 
 def test_histogram_rejects_empty():
     with pytest.raises(ValueError):
-        render_histogram(Counts({}, 1))
+        render_histogram({})
 
 
 def test_plot_histogram_file_round_trip(tmp_path):
@@ -237,7 +236,7 @@ def test_plot_trace_refuses_an_eval_that_is_no_count(tmp_path, value):
 
 
 def test_svg_is_well_formed_xml():
-    counts = Counts({"0": 3, "1": 5}, 8)
+    counts = {"0": 3, "1": 5}
     parse_svg(render_histogram(counts, title="demo"))
     parse_svg(render_histogram(counts, title="runs/a&b<1>/counts.json"))
     parse_svg(render_trace(trace_rows(3, 2), "params"))

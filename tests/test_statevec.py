@@ -12,7 +12,6 @@ from qaoalab.statevec import (
     GATE_KINDS,
     MAX_QUBITS,
     GateOp,
-    StateVector,
     apply_rows,
     counts_from_tally,
     expectation_cut,
@@ -26,19 +25,19 @@ from qaoalab.statevec import (
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
-def basis_state(n: int, bits: str) -> StateVector:
+def basis_state(n: int, bits: str) -> np.ndarray:
     amps = np.zeros(1 << n, dtype=complex)
     amps[int(bits, 2)] = 1.0
-    return StateVector(n, amps)
+    return amps
 
 
-def random_state(n: int, seed: int) -> StateVector:
+def random_state(n: int, seed: int) -> np.ndarray:
     gen = np.random.default_rng(seed)
     amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
-def uniform_state(n: int) -> StateVector:
+def uniform_state(n: int) -> np.ndarray:
     return simulate_ops(n, [GateOp("H", (q,)) for q in range(n)])
 
 
@@ -62,19 +61,19 @@ def random_ops(n: int, seed: int, count: int) -> list[GateOp]:
 
 def test_hadamard_on_zero():
     state = simulate_ops(1, [GateOp("H", (0,))])
-    np.testing.assert_allclose(state.amplitudes, [SQ2, SQ2], atol=1e-8)
+    np.testing.assert_allclose(state, [SQ2, SQ2], atol=1e-8)
 
 
 def test_cnot_flips_target_when_control_set():
     state = simulate_ops(2, [GateOp("X", (0,)), GateOp("CNOT", (0, 1))])
-    np.testing.assert_allclose(state.amplitudes, basis_state(2, "11").amplitudes, atol=1e-12)
+    np.testing.assert_allclose(state, basis_state(2, "11"), atol=1e-12)
     state = simulate_ops(2, [GateOp("X", (1,)), GateOp("CNOT", (0, 1))])
-    np.testing.assert_allclose(state.amplitudes, basis_state(2, "01").amplitudes, atol=1e-12)
+    np.testing.assert_allclose(state, basis_state(2, "01"), atol=1e-12)
 
 
 def test_rz_full_turn_gives_minus_one_phase():
     state = simulate_ops(1, [GateOp("X", (0,)), GateOp("RZ", (0,), 2.0 * math.pi)])
-    np.testing.assert_allclose(state.amplitudes, [0.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(state, [0.0, -1.0], atol=1e-12)
 
 
 def test_rz_is_diagonal():
@@ -82,25 +81,25 @@ def test_rz_is_diagonal():
     before = simulate_ops(3, prepare)
     after = simulate_ops(3, prepare + [GateOp("RZ", (1,), 0.7)])
     np.testing.assert_allclose(
-        np.abs(after.amplitudes), np.abs(before.amplitudes), atol=1e-12
+        np.abs(after), np.abs(before), atol=1e-12
     )
 
 
 def test_pauli_y_action():
     state = simulate_ops(1, [GateOp("Y", (0,))])
-    np.testing.assert_allclose(state.amplitudes, [0.0, 1j], atol=1e-12)
+    np.testing.assert_allclose(state, [0.0, 1j], atol=1e-12)
 
 
 def test_rx_half_turn_is_bit_flip_up_to_phase():
     state = simulate_ops(1, [GateOp("RX", (0,), math.pi)])
-    np.testing.assert_allclose(state.amplitudes, [0.0, -1j], atol=1e-12)
+    np.testing.assert_allclose(state, [0.0, -1j], atol=1e-12)
 
 
 def test_delay_is_identity():
     prepare = random_ops(3, 1, 24)
     before = simulate_ops(3, prepare)
     after = simulate_ops(3, prepare + [GateOp("DELAY", (2,), None, 3.5)])
-    np.testing.assert_allclose(after.amplitudes, before.amplitudes, atol=1e-15)
+    np.testing.assert_allclose(after, before, atol=1e-15)
 
 
 def test_involutions_square_to_identity():
@@ -113,19 +112,19 @@ def test_involutions_square_to_identity():
     prepare = random_ops(3, 2, 24)
     before = simulate_ops(3, prepare)
     state = simulate_ops(3, prepare + [g for op in ops for g in (op, op)])
-    np.testing.assert_allclose(state.amplitudes, before.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(state, before, atol=1e-12)
 
 
 def test_bit_order_leftmost_is_qubit_zero():
     # flipping qubit 0 must toggle the leftmost bitstring character
     state = simulate_ops(3, [GateOp("X", (0,))])
     counts = sample_counts(state, 10, seed=0)
-    assert set(counts.counts) == {"100"}
+    assert set(counts) == {"100"}
 
 
 def test_norm_preserved_by_random_circuits():
     state = simulate_ops(4, random_ops(4, 5, 60))
-    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
 # -- validation ----------------------------------------------------------------
@@ -188,18 +187,33 @@ def test_expectation_size_mismatch(canonical):
         expectation_cut(zero_state(3), canonical)
 
 
+@pytest.mark.parametrize("state", [
+    np.zeros(3, dtype=complex),
+    np.zeros(1, dtype=complex),
+    np.zeros(0, dtype=complex),
+    np.zeros((1, 4), dtype=complex),
+    [1.0, 0.0],
+    np.broadcast_to(np.complex128(1.0), (1 << (MAX_QUBITS + 1),)),  # a view: no memory
+], ids=["size-3", "size-1", "empty", "2-d", "list", "too-many-qubits"])
+def test_a_state_is_a_flat_array_of_2_to_the_n_amplitudes(state):
+    for call in (lambda: expectation_cut(state, MaxCutInstance(2, ((0, 1),))),
+                 lambda: sample_counts(state, 4, seed=0)):
+        with pytest.raises(ValueError, match=r"^state must be a 1-D array of 2\^n amplitudes"):
+            call()
+
+
 # -- sampling --------------------------------------------------------------------
 
 
 def test_sampling_deterministic_basis_state():
     counts = sample_counts(basis_state(5, "11100"), 100, seed=1)
-    assert counts.counts == {"11100": 100}
-    assert counts.shots == 100
+    assert counts == {"11100": 100}
+    assert sum(counts.values()) == 100
 
 
 def test_sampling_uniform_single_qubit_within_4_sigma():
     counts = sample_counts(uniform_state(1), 10000, seed=2)
-    assert abs(counts.counts["0"] - 5000) <= 200
+    assert abs(counts["0"] - 5000) <= 200
 
 
 def test_sampling_requires_positive_shots():
@@ -212,13 +226,13 @@ def test_sampling_reproducible():
     a = sample_counts(state, 500, seed=9)
     b = sample_counts(state, 500, seed=9)
     c = sample_counts(state, 500, seed=10)
-    assert a.counts == b.counts
-    assert a.counts != c.counts
+    assert a == b
+    assert a != c
 
 
 def test_sampling_conserves_shots():
     counts = sample_counts(uniform_state(4), 1234, seed=3)
-    assert sum(counts.counts.values()) == 1234
+    assert sum(counts.values()) == 1234
 
 
 def full_range_counts(tally, n):
@@ -232,15 +246,15 @@ def test_counts_from_tally_matches_full_range_comprehension(n, density):
     gen = np.random.default_rng(n)
     tally = gen.integers(1, 5, size=1 << n) * (gen.random(1 << n) < density)
     tally[gen.integers(1 << n)] += 1
-    counts = counts_from_tally(tally, n)
+    counts = counts_from_tally(tally)
     reference = full_range_counts(tally, n)
-    assert list(counts.counts.items()) == list(reference.items())
-    assert counts.shots == int(tally.sum())
+    assert list(counts.items()) == list(reference.items())
+    assert sum(counts.values()) == int(tally.sum())
 
 
 def test_measure_rows_samples_each_row_as_if_alone():
     gen = np.random.default_rng(5)
-    amps = np.stack([random_state(4, seed).amplitudes for seed in range(64)])
+    amps = np.stack([random_state(4, seed) for seed in range(64)])
     amps[::3] *= 1.0 + gen.random((22, 1))  # unnormalized rows sample the same
     probs = np.abs(amps) ** 2
     u = gen.random(64)
@@ -248,18 +262,18 @@ def test_measure_rows_samples_each_row_as_if_alone():
     assert measure_rows(probs, u).tolist() == alone
 
 
-def sparse_state(n: int, seed: int, density: float) -> StateVector:
+def sparse_state(n: int, seed: int, density: float) -> np.ndarray:
     """A random state with most amplitudes zero; the last index always keeps mass."""
     gen = np.random.default_rng(seed)
-    amps = random_state(n, seed).amplitudes * (gen.random(1 << n) < density)
+    amps = random_state(n, seed) * (gen.random(1 << n) < density)
     amps[-1] += 0.1
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
-def shot_order_outcomes(state: StateVector, shots: int, seed: int) -> list[int]:
+def shot_order_outcomes(state: np.ndarray, shots: int, seed: int) -> list[int]:
     """Shot i's outcome, one searchsorted per draw in the order drawn."""
     u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
-    cum = np.cumsum(np.abs(state.amplitudes) ** 2)
+    cum = np.cumsum(np.abs(state) ** 2)
     return [min(int(np.searchsorted(cum, x * cum[-1], side="right")), cum.size - 1) for x in u]
 
 
@@ -277,19 +291,19 @@ def test_sample_tally_is_the_tally_of_shot_order_draws(make_state):
     state = make_state()
     for seed in (0, 7, 2**63):
         reference = shot_order_outcomes(state, 600, seed)
-        tally = sample_tally(state, 600, seed)
-        assert tally.tolist() == np.bincount(reference, minlength=1 << state.n).tolist()
+        tally = sample_tally(np.abs(state) ** 2, 600, seed)
+        assert tally.tolist() == np.bincount(reference, minlength=state.size).tolist()
         # the first k shots of a longer call are the shots of a k-shot call
         for k in (1, 17, 599):
-            prefix = np.bincount(reference[:k], minlength=1 << state.n)
-            assert sample_tally(state, k, seed).tolist() == prefix.tolist()
+            prefix = np.bincount(reference[:k], minlength=state.size)
+            assert sample_tally(np.abs(state) ** 2, k, seed).tolist() == prefix.tolist()
 
 
 def test_sample_counts_formats_sample_tally():
     state = simulate_ops(4, (GateOp("H", (0,)), GateOp("H", (2,)), GateOp("RX", (3,), 0.4)))
-    tally = sample_tally(state, 777, seed=21)
+    tally = sample_tally(np.abs(state) ** 2, 777, seed=21)
     assert tally.shape == (16,) and tally.sum() == 777
-    assert sample_counts(state, 777, seed=21).counts == full_range_counts(tally, 4)
+    assert sample_counts(state, 777, seed=21) == full_range_counts(tally, 4)
 
 
 def test_sampled_frequencies_match_exact_probabilities():
@@ -302,21 +316,21 @@ def test_sampled_frequencies_match_exact_probabilities():
     ))
     shots = 100000
     counts = sample_counts(state, shots, seed=12)
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state) ** 2
     for i, p in enumerate(probs):
-        observed = counts.counts.get(format(i, "03b"), 0)
+        observed = counts.get(format(i, "03b"), 0)
         sigma = math.sqrt(shots * p * (1 - p))
         assert abs(observed - shots * p) <= 4 * sigma + 1e-9
 
 
 def test_simulate_ops_runs_sequence():
     state = simulate_ops(2, (GateOp("X", (0,)), GateOp("CNOT", (0, 1))))
-    np.testing.assert_allclose(state.amplitudes, basis_state(2, "11").amplitudes, atol=1e-12)
+    np.testing.assert_allclose(state, basis_state(2, "11"), atol=1e-12)
 
 
 def test_probabilities_helper():
     counts = sample_counts(uniform_state(2), 1000, seed=4)
-    probs = counts.probabilities()
+    probs = {b: c / sum(counts.values()) for b, c in counts.items()}
     assert sum(probs.values()) == pytest.approx(1.0)
 
 
