@@ -50,7 +50,6 @@ from .optim import (
     METHODS,
     MinimizeProblem,
     MinimizeResult,
-    OptimizationTrace,
     minimize,
     random_qaoa_starts,
 )
@@ -70,8 +69,8 @@ __all__ = [
     "apply_readout_error", "apply_trajectory_noise", "insert_dd",
     "sample_noisy", "schedule_circuit", "twirl_circuit",
     "EnergySample", "energy_from_counts", "evaluate_qaoa", "make_objective",
-    "METHODS", "MinimizeProblem", "MinimizeResult", "OptimizationTrace",
-    "minimize", "random_qaoa_starts",
+    "METHODS", "MinimizeProblem", "MinimizeResult", "minimize",
+    "random_qaoa_starts",
     "plot_histogram", "plot_trace", "render_histogram", "render_trace",
     "GateOp", "expectation_cut", "sample_counts", "simulate_ops", "zero_state",
     "__version__",

@@ -1,4 +1,4 @@
-"""The input rules: an integer, a finite number, a seed, a flag and a choice, each written once.
+"""The input rules: an integer, a finite number, a seed, a flag, a choice and counts, each written once.
 
 A rule returns the value (an integer, number or flag as a plain int,
 float or bool), or raises a ValueError whose message starts with
@@ -40,6 +40,14 @@ def real(value, name: str, lo=None, hi=None) -> float:
             and (hi is None or number <= hi)):
         raise ValueError(f"{name} must be a finite number{_span(lo, hi)}, got {value!r}")
     return number
+
+
+def counts(value: dict, name: str) -> dict:
+    """``value``, a bitstring histogram, if each count is an integer >= 0; the message names its key."""
+    for key, count in value.items():
+        if type(count) is not int or count < 0:
+            integer(count, f"{name}[{key!r}]", 0)
+    return value
 
 
 def seed(value, name: str = "seed") -> int:

@@ -48,7 +48,6 @@ from .optim import (
     METHODS,
     MinimizeProblem,
     MinimizeResult,
-    OptimizationTrace,
     minimize_lockstep,
     random_qaoa_starts,
 )
@@ -305,12 +304,17 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_trace_csv(path: Path, trace: OptimizationTrace, p: int) -> None:
-    """Header: eval,energy,beta_1..beta_p,gamma_1..gamma_p; 9 significant digits."""
+def write_trace_csv(path: Path, thetas: np.ndarray, energies: np.ndarray) -> None:
+    """Header: eval,energy,beta_1..beta_p,gamma_1..gamma_p; 9 significant digits.
+
+    Row i is evaluation i: ``energies[i]`` and the 2p angles ``thetas[i]``.
+    """
+    p = thetas.shape[1] // 2
     header = ["eval", "energy"]
     header += [f"beta_{i + 1}" for i in range(p)]
     header += [f"gamma_{i + 1}" for i in range(p)]
-    _write_csv(path, header, ((r.index, r.energy, *r.theta) for r in trace.records))
+    _write_csv(path, header, ((i, f, *theta) for i, (f, theta)
+                              in enumerate(zip(energies.tolist(), thetas.tolist()))))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +341,7 @@ def _optimize(configs: list[ExperimentConfig]) -> list[tuple[Engine, MinimizeRes
     of a single ``minimize_lockstep`` call, which sends each round's rows
     of the searches on one engine to it in one call. Restart r searches
     under the seed ``child_seed(config.seed, STREAM_EVAL, r)`` (none in
-    exact mode), so it keeps the seeds, trace and status it gets when run
+    exact mode), so it keeps the seeds, log and status it gets when run
     alone. At p = 0 the one search is over zero angles: it scores the
     uniform state once and converges.
     """
@@ -410,7 +414,7 @@ def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
     trace_path = out / "trace.csv"
     summary_path = out / "summary.json"
     write_counts_json(counts_path, tally, config)
-    write_trace_csv(trace_path, result.trace, config.p)
+    write_trace_csv(trace_path, result.thetas, result.energies)
     summary_path.write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

@@ -51,11 +51,9 @@ def energy_from_counts(counts: dict[str, int], instance: MaxCutInstance) -> floa
     """-(sum of counts-weighted cut values) / shots, the shots being the counts' sum."""
     table = cut_value_table(instance)
     total, shots = 0.0, 0
-    for bits, c in counts.items():
+    for bits, c in _checks.counts(counts, "counts").items():
         if len(bits) != instance.n or set(bits) - {"0", "1"}:
             raise ValueError(f"bitstring {bits!r} does not fit a {instance.n}-node instance")
-        if c < 0:
-            raise ValueError(f"negative count for {bits!r}")
         total += c * table[int(bits, 2)]
         shots += c
     if shots < 1:

@@ -1,9 +1,9 @@
-"""Derivative-free minimizers with hard evaluation budgets and traces.
+"""Derivative-free minimizers with hard evaluation budgets and evaluation logs.
 
 ``minimize_lockstep(searches)`` is the one driver; ``minimize(method,
 problem)`` is its one-search case. Each search is an ask/tell generator
 of x0: it yields the points it wants evaluated, is sent their values,
-and returns its stopping status. It never sees the objective, the trace
+and returns its stopping status. It never sees the objective, the log
 or the budget.
   * powell - direction-set search with golden-section line minima
   * cg     - Polak-Ribiere conjugate gradient on central finite
@@ -31,29 +31,30 @@ The driver alone evaluates, records and budgets, for several searches
 in lockstep (the ask/tell pattern of Hansen, arXiv 1604.00772). Each
 round it collects the ask of every search still running, evaluates the
 rows of all searches on one objective in one call, and sends each
-search its own values. Evaluation j of a search, counted by its trace,
+search its own values. Evaluation j of a search, counted by its log,
 runs under the seed ``rng.eval_seeds`` gives it from the search's
-``seed``. Each search keeps its own trace, budget, status, seeds and
+``seed``. Each search keeps its own log, budget, status, seeds and
 ``f_best``, so its result is the one it gets run alone.
 
-Every point is recorded in order, so ``evals_used`` always equals the
-trace length and the budget is enforced exactly. A batch is cut where
+A search's log is two arrays, ``thetas`` (evals, d) and ``energies``
+(evals,): row i is evaluation i, in order, so ``evals_used`` is the log
+length and the budget is enforced exactly. A batch is cut where
 evaluating its points one by one would stop: at the budget, or before
 its first non-finite row (asked after a NaN value or an overflow, say),
 whichever comes first. The rows before the cut are evaluated and
 recorded, and the search ends ``budget_exhausted`` or ``stalled``.
-``f_best`` is the min over all recorded finite evaluations, not the
-last iterate; the trace, status and ``f_best`` are those of evaluating
-the same points one by one. An objective that never returns a finite
-value ends in a ValueError.
+``x_best`` and ``f_best`` are the first evaluation of least finite
+value, not the last iterate; the log, status and best are those of
+evaluating the same points one by one. An objective that never returns
+a finite value ends in a ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -69,35 +70,12 @@ _XTOL = 1e-6  # step length below which powell stops; line searches resolve 100 
 _FTOL = 1e-8  # relative decrease below which an iteration counts as no progress
 
 
-class TraceRecord(NamedTuple):
-    index: int
-    theta: tuple[float, ...]
-    energy: float
-
-
-@dataclass
-class OptimizationTrace:
-    """Append-only log of objective evaluations, in order."""
-
-    records: list[TraceRecord] = field(default_factory=list)
-
-    def append(self, theta, energy: float) -> None:
-        theta = tuple(map(float, theta))
-        self.records.append(TraceRecord(len(self.records), theta, float(energy)))
-
-    def energies(self) -> list[float]:
-        return [r.energy for r in self.records]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 @dataclass
 class MinimizeProblem:
     """Batch objective plus starting point, budget and seed.
 
     ``objective(points, seeds)`` maps a (k, d) array of points and k
-    seeds to k values. Evaluation j of the search (its trace index) is
+    seeds to k values. Evaluation j of the search (its log row) is
     sent the seed that ``rng.eval_seeds`` derives from ``seed`` and j, or
     None when ``seed`` is None, as an exact objective needs no seed.
     Searches may share one objective. x0 must be a finite 1-D vector,
@@ -134,11 +112,17 @@ class MinimizeProblem:
 
 @dataclass
 class MinimizeResult:
+    """The best row, the status and the log: ``thetas`` (evals, d) and ``energies`` (evals,)."""
+
     x_best: np.ndarray
     f_best: float
-    evals_used: int
     status: str
-    trace: OptimizationTrace
+    thetas: np.ndarray
+    energies: np.ndarray
+
+    @property
+    def evals_used(self) -> int:
+        return len(self.energies)
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +506,12 @@ METHODS = tuple(_SEARCHES)
 
 
 class _Search:
-    """One search in the driver: its generator, its trace and best, its budget and status."""
+    """One search in the driver: its generator, its log, its budget and status."""
 
     def __init__(self, method: str, problem: MinimizeProblem):
         self.problem = problem
         self.search = _SEARCHES[method](problem.x0)
-        self.trace = OptimizationTrace()
-        self.x_best, self.f_best = None, math.inf
+        self.thetas, self.energies = [], []  # the float rows evaluated, and their values
         self.status = None
         self.values = None
 
@@ -552,7 +535,7 @@ class _Search:
         if not all(map(math.isfinite, chain.from_iterable(rows))):
             end = next(i for i, row in enumerate(rows) if not all(map(math.isfinite, row)))
             self.stop = STATUS_STALLED
-        room = self.problem.max_evals - len(self.trace)
+        room = self.problem.max_evals - len(self.energies)
         if room < len(rows) and room <= end:
             end, self.stop = room, STATUS_BUDGET
         if end == 0:
@@ -561,15 +544,13 @@ class _Search:
         if end < len(rows):
             xs, rows = xs[:end], rows[:end]
         self.rows = rows
-        self.seeds = rng.eval_seeds(self.problem.seed, len(self.trace), end)
+        self.seeds = rng.eval_seeds(self.problem.seed, len(self.energies), end)
         return xs
 
     def tell(self, fs: list[float]) -> None:
         """Record the values of the rows last asked; a cut batch ends the search."""
-        for row, f in zip(self.rows, fs):
-            self.trace.append(row, f)
-            if f < self.f_best and math.isfinite(f):
-                self.f_best, self.x_best = f, np.array(row)
+        self.thetas += self.rows
+        self.energies += fs
         if self.stop is None:
             self.values = fs[0] if self.one else fs
         else:
@@ -577,10 +558,13 @@ class _Search:
 
     def result(self) -> MinimizeResult:
         self.search.close()
-        if self.x_best is None:
-            raise ValueError(
-                f"objective returned no finite value in {len(self.trace)} evaluations")
-        return MinimizeResult(self.x_best, self.f_best, len(self.trace), self.status, self.trace)
+        energies = np.array(self.energies, dtype=float)
+        thetas = np.array(self.thetas, dtype=float)  # (evals, d): x0 is always evaluated
+        # argmin keeps the first of equal values, as -0.0 and 0.0 are
+        best = int(np.argmin(np.where(np.isfinite(energies), energies, np.inf)))
+        if not math.isfinite(energies[best]):
+            raise ValueError(f"objective returned no finite value in {energies.size} evaluations")
+        return MinimizeResult(thetas[best].copy(), float(energies[best]), self.status, thetas, energies)
 
 
 def minimize_lockstep(searches) -> list[MinimizeResult]:
@@ -592,7 +576,7 @@ def minimize_lockstep(searches) -> list[MinimizeResult]:
     objective (and dimension) on the rows of all its searches, and sends
     each search its own values. Every search gets the result that
     ``minimize`` gives it alone, and that evaluating its points one by
-    one gives: the same trace, ``f_best``, ``x_best``, status and
+    one gives: the same log, ``f_best``, ``x_best``, status and
     evaluation seeds.
     """
     searches = list(searches)

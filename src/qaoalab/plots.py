@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import sys
 from pathlib import Path
 
 from . import _checks
@@ -46,7 +48,7 @@ def render_histogram(counts: dict[str, int], highlight: frozenset[str] | set[str
     """Probability bars (count over the counts' sum) per bitstring, lexicographic order, highlights flagged."""
     from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
 
-    shots = sum(counts.values())
+    shots = sum(_checks.counts(counts, "counts").values())
     if shots < 1:
         raise ValueError("counts carry no shots")
     probs = {b: c / shots for b, c in counts.items()}
@@ -109,11 +111,7 @@ def _read_counts(counts_path) -> tuple[dict[str, int], str | None]:
         raise ValueError(f"{counts_path}: counts must be an object of bitstring counts")
     tally = payload["counts"]
     shots = _checks.integer(payload.get("shots"), f"{counts_path}: shots", 1)
-    # a JSON integer is a plain int, so one scan finds the first count the rule
-    # refuses, and only its message is built: a file holds thousands of counts
-    bad = next((k for k, c in tally.items() if type(c) is not int or c < 0), None)
-    if bad is not None:
-        _checks.integer(tally[bad], f"{counts_path}: counts[{bad!r}]", 0)
+    _checks.counts(tally, f"{counts_path}: counts")
     total = sum(tally.values())
     if total != shots:
         raise ValueError(f"{counts_path}: shots is {shots}, but the counts sum to {total}")
@@ -168,8 +166,12 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     lo = min(min(vs) for vs in curves.values())
     hi = max(max(vs) for vs in curves.values())
+    # from 2**1020 up the padded span overflows: lay the axis out in values scaled
+    # by a power of two, which is exact, and label it in the values, clamped to floats
+    scale = 1.0 if max(-lo, hi) < 2.0**1020 else 2.0**-4
+    lo, hi = lo * scale, hi * scale
     if hi == lo:
-        hi = lo + 1.0
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))  # lo + 1.0 is lo from 2**53 up
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     n_pts = len(rows)
@@ -177,7 +179,7 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
 
     def to_xy(i: int, v: float) -> str:
         x = _MARGIN_L + (plot_w * i / max(n_pts - 1, 1))
-        y = base_y - (v - lo) / (hi - lo) * plot_h
+        y = base_y - (v * scale - lo) / (hi - lo) * plot_h
         return f"{_fmt(x)},{_fmt(y)}"
 
     body = [
@@ -186,7 +188,7 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 40}" text-anchor="middle">evaluation</text>',
     ]
     for tick in (0.0, 0.5, 1.0):
-        v = lo + tick * (hi - lo)
+        v = min(max((lo + tick * (hi - lo)) / scale, -sys.float_info.max), sys.float_info.max)
         y = base_y - tick * plot_h
         body.append(f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end">{v:.4g}</text>')
     for ci, (name, vs) in enumerate(curves.items()):

@@ -263,7 +263,7 @@ def test_criterion_12_optimizer_battery():
             worst_f = max(worst_f, result.f_best)
             contract_ok = contract_ok and (
                 result.f_best <= f0 + 1e-15
-                and len(result.trace) == result.evals_used
+                and len(result.energies) == result.evals_used
                 and result.evals_used <= 500 * d
             )
     ok = worst_f < 1e-6 and contract_ok

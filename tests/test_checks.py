@@ -24,7 +24,7 @@ from qaoalab.noise import (
 )
 from qaoalab.objective import Engine, evaluate_qaoa, make_objective
 from qaoalab.optim import MinimizeProblem, minimize, random_qaoa_starts
-from qaoalab.plots import render_trace
+from qaoalab.plots import render_histogram, render_trace
 from qaoalab.statevec import sample_counts, zero_state
 
 CANONICAL = canonical_instance()
@@ -99,6 +99,30 @@ def test_a_choice_comes_back_as_given():
 def test_a_choice_is_one_of_the_given_values(value):
     with pytest.raises(ValueError, match=r"^method must be one of \('powell', 'cg'\), got "):
         _checks.one_of(value, ("powell", "cg"), "method")
+
+
+# each taker of a bitstring histogram, scoring or drawing it
+HISTOGRAM_TAKERS = {
+    "energy-from-counts": lambda counts: objective.energy_from_counts(counts, CANONICAL),
+    "render-histogram": render_histogram,
+}
+
+
+@pytest.mark.parametrize("count", [1.5, 2.0, np.float64(2.0), True, np.bool_(True), -1,
+                                   np.int64(-1), "2", None])
+@pytest.mark.parametrize("taker", list(HISTOGRAM_TAKERS))
+def test_a_count_is_an_integer_at_least_zero_named_by_its_key(taker, count):
+    # a valid numpy count first: the scan goes on past it
+    counts = {"00011": np.int64(3), "11100": count}
+    with pytest.raises(ValueError, match=r"^counts\['11100'\] must be an integer >= 0, got "):
+        HISTOGRAM_TAKERS[taker](counts)
+
+
+@pytest.mark.parametrize("taker", list(HISTOGRAM_TAKERS))
+def test_numpy_counts_are_taken_as_ints(taker):
+    counts = {"00011": 3, "11100": 5}
+    assert HISTOGRAM_TAKERS[taker]({k: np.uint16(v) for k, v in counts.items()}) == (
+        HISTOGRAM_TAKERS[taker](counts))
 
 
 # each site that takes one of a few names, with a name it takes and the field its
@@ -198,7 +222,7 @@ def _minimized(i):
     problem = MinimizeProblem(Engine(CANONICAL, 1, "sampled", shots=8), np.array([0.3, 0.9]),
                               max_evals=i(10), seed=i(3))
     result = minimize("cobyla", problem)
-    return result.f_best, result.trace.energies()
+    return result.f_best, result.energies.tolist()
 
 
 # each call, given integer inputs as ``i(value)``, must give the same result for

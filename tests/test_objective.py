@@ -524,10 +524,8 @@ def test_objective_rejects_non_finite_angles(canonical, bad):
 
 def test_trace_records_are_ordered(canonical):
     problem = MinimizeProblem(Engine(canonical, 1), np.array([0.1, 1.0]), max_evals=7)
-    trace = minimize("cobyla", problem).trace
-    assert len(trace) == 7
-    assert [r.index for r in trace.records] == list(range(7))
-    assert all(len(r.theta) == 2 for r in trace.records)
-    assert trace.energies() == [r.energy for r in trace.records]
-    for r in trace.records:
-        assert r.energy == evaluate_qaoa(canonical, QaoaParams.from_vector(np.array(r.theta))).energy
+    result = minimize("cobyla", problem)
+    assert len(result.energies) == 7
+    assert result.thetas.shape == (7, 2)
+    for theta, energy in zip(result.thetas.tolist(), result.energies.tolist()):
+        assert energy == evaluate_qaoa(canonical, QaoaParams.from_vector(np.array(theta))).energy

@@ -1,4 +1,4 @@
-"""Derivative-free minimizers: correctness, budgets, trace contracts."""
+"""Derivative-free minimizers: correctness, budgets, evaluation-log contracts."""
 
 import math
 import struct
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qaoalab
 from conftest import batched
-from qaoalab import optim, rng
+from qaoalab import harness, optim, rng
 from qaoalab.ansatz import QaoaParams
 from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import (
@@ -42,9 +42,9 @@ def rosenbrock(x):
 def check_contract(result: MinimizeResult, problem: MinimizeProblem, f0: float):
     assert result.status in ALL_STATUSES
     assert result.evals_used <= problem.max_evals
-    assert len(result.trace) == result.evals_used
+    assert len(result.energies) == result.evals_used
     assert result.f_best <= f0 + 1e-15
-    assert result.f_best == pytest.approx(min(result.trace.energies()))
+    assert result.f_best == pytest.approx(min(result.energies.tolist()))
 
 
 # -- named examples -----------------------------------------------------------
@@ -184,7 +184,7 @@ def test_deterministic_given_fixed_objective():
     a = minimize("powell", MinimizeProblem(batched(rosenbrock), np.array([-1.2, 1.0])))
     b = minimize("powell", MinimizeProblem(batched(rosenbrock), np.array([-1.2, 1.0])))
     assert a.f_best == b.f_best
-    assert a.trace.energies() == b.trace.energies()
+    assert a.energies.tolist() == b.energies.tolist()
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -195,7 +195,7 @@ def test_stochastic_objective_terminates(method, canonical):
     result = minimize(method, problem)
     assert result.status in ALL_STATUSES
     assert result.evals_used <= 400
-    assert len(result.trace) == result.evals_used
+    assert len(result.energies) == result.evals_used
 
 
 # -- batches of points ----------------------------------------------------------
@@ -223,11 +223,11 @@ def test_budget_cut_inside_the_first_cobyla_simplex():
     objective = CallLog(padded_bowl)
     result = minimize("cobyla", MinimizeProblem(objective, x0, max_evals=4))
     assert result.status == STATUS_BUDGET
-    assert len(result.trace) == result.evals_used == 4
+    assert len(result.energies) == result.evals_used == 4
     # x0 with the simplex vertices x0 + (rho/4) e_i in one batch, cut after e_2
     vertices = x0 + np.diag(np.full(4, 0.125))
     expected = [x0, vertices[0], vertices[1], vertices[2]]
-    assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
+    assert [tuple(t) for t in result.thetas.tolist()] == [tuple(v.tolist()) for v in expected]
     assert objective.sizes == [4]
 
 
@@ -236,12 +236,12 @@ def test_budget_cut_inside_a_cg_gradient():
     objective = CallLog(padded_bowl)
     result = minimize("cg", MinimizeProblem(objective, x0, max_evals=4))
     assert result.status == STATUS_BUDGET
-    assert len(result.trace) == result.evals_used == 4
+    assert len(result.energies) == result.evals_used == 4
     # x0 with x0 + h0 e_0, x0 - h0 e_0, x0 + h1 e_1, ... at h_i = 1e-6 * max(1, |x_i|)
     # in one batch, cut after four
     steps = np.diag(1e-6 * np.maximum(1.0, np.abs(x0)))
     expected = [x0, x0 + steps[0], x0 - steps[0], x0 + steps[1]]
-    assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
+    assert [tuple(t) for t in result.thetas.tolist()] == [tuple(v.tolist()) for v in expected]
     assert objective.sizes == [4]
 
 
@@ -259,9 +259,9 @@ def test_each_search_asks_every_point_it_can_name_in_one_batch(d):
         objective = CallLog(f)
         result = minimize(method, MinimizeProblem(objective, x0, max_evals=60))
         asked[method] = objective.sizes[:2]
-        assert result.trace.records[0].theta == tuple(x0.tolist())
+        assert tuple(result.thetas.tolist()[0]) == tuple(x0.tolist())
         if method == "powell":
-            assert [r.theta for r in result.trace.records[1:3]] == [
+            assert [tuple(t) for t in result.thetas.tolist()[1:3]] == [
                 tuple(x0.tolist()), tuple((x0 + np.eye(d)[0]).tolist())]
     assert asked == {"powell": [1, 2], "cg": [2 * d + 1, 2], "cobyla": [d + 1, 1]}
 
@@ -277,7 +277,7 @@ def test_a_bracket_whose_second_point_overflows_records_the_first_and_stalls(mon
     objective = CallLog(lambda x: math.atan(x[0]))
     result = minimize("powell", MinimizeProblem(objective, np.array([0.5]), max_evals=10))
     assert result.status == STATUS_STALLED
-    assert [r.theta for r in result.trace.records] == [(0.5,)]
+    assert [tuple(t) for t in result.thetas.tolist()] == [(0.5,)]
     assert objective.sizes == [1]
 
 
@@ -293,7 +293,7 @@ def test_a_gradient_with_a_non_finite_point_is_cut_before_it(budget, status):
     result = minimize("cg", MinimizeProblem(objective, x0, max_evals=budget))
     h0 = 1e-6 * np.array([1.0, 0.0, 0.0])
     expected = [x0, x0 + h0, x0 - h0]
-    assert [r.theta for r in result.trace.records] == [tuple(v.tolist()) for v in expected]
+    assert [tuple(t) for t in result.thetas.tolist()] == [tuple(v.tolist()) for v in expected]
     assert result.status == status
     assert objective.sizes == [3]
 
@@ -305,11 +305,11 @@ def test_trace_and_best_are_those_of_point_by_point_evaluation(method):
 
     x0 = np.array([0.1, -0.4, 0.8])
     result = minimize(method, MinimizeProblem(batched(f), x0, max_evals=300))
-    energies = result.trace.energies()
-    assert energies == [f(np.array(r.theta)) for r in result.trace.records]
+    energies = result.energies.tolist()
+    assert energies == [f(np.array(t)) for t in result.thetas.tolist()]
     first_best = energies.index(min(energies))
     assert result.f_best == energies[first_best]
-    assert tuple(result.x_best.tolist()) == result.trace.records[first_best].theta
+    assert tuple(result.x_best.tolist()) == tuple(result.thetas.tolist()[first_best])
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -317,11 +317,12 @@ def test_sampled_batches_use_one_seed_per_evaluation(method, canonical):
     seed = 17
     problem = MinimizeProblem(Engine(canonical, 2, "sampled", shots=128),
                               np.array([0.4, 0.9, 1.2, 0.3]), max_evals=40, seed=seed)
-    for r in minimize(method, problem).trace.records:
-        eval_seed = rng.child_seed(seed, rng.STREAM_EVAL, r.index)
-        params = QaoaParams.from_vector(np.array(r.theta))
-        assert r.energy == evaluate_qaoa(canonical, params, "sampled", shots=128,
-                                         seed=eval_seed).energy
+    result = minimize(method, problem)
+    for i, (theta, energy) in enumerate(zip(result.thetas.tolist(), result.energies.tolist())):
+        eval_seed = rng.child_seed(seed, rng.STREAM_EVAL, i)
+        params = QaoaParams.from_vector(np.array(theta))
+        assert energy == evaluate_qaoa(canonical, params, "sampled", shots=128,
+                                       seed=eval_seed).energy
 
 
 def test_objective_must_return_one_value_per_point():
@@ -365,7 +366,7 @@ def test_non_finite_values_never_become_the_best(method):
 
     res = minimize(method, MinimizeProblem(batched(spiky), np.zeros(2), max_evals=60))
     assert math.isfinite(res.f_best)
-    assert res.f_best == min(e for e in res.trace.energies() if math.isfinite(e))
+    assert res.f_best == min(e for e in res.energies.tolist() if math.isfinite(e))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -391,11 +392,49 @@ def test_cobyla_fits_no_model_through_a_non_finite_vertex():
         return math.nan if x[0] > 0.2 else shifted_bowl(x)
 
     result = minimize("cobyla", MinimizeProblem(batched(f), np.zeros(2), max_evals=200))
-    energies = result.trace.energies()
+    energies = result.energies.tolist()
     first_nan = next(i for i, e in enumerate(energies) if math.isnan(e))
     assert result.status == STATUS_CONVERGED
     assert result.f_best < min(energies[:first_nan]) - 0.05
     assert result.x_best[0] <= 0.2
+
+
+# -- the evaluation log -------------------------------------------------------------
+
+
+def scripted_search(points):
+    """A search that asks ``points`` one at a time and converges."""
+    def search(x0):
+        for x in points:
+            yield np.array(x, dtype=float)
+        return STATUS_CONVERGED
+    return search
+
+
+@pytest.mark.parametrize("values, best", [
+    ([2.0, 1.0, 3.0, 1.0], 1),
+    ([1.0, -0.0, 0.0], 1),
+    ([0.0, -0.0], 0),
+    ([math.nan, -math.inf, 4.0, math.inf, 3.0, math.nan, 3.0], 4),
+], ids=["tie", "minus-zero-first", "zero-first", "non-finite"])
+def test_the_log_is_an_angle_array_and_an_energy_array(monkeypatch, tmp_path, values, best):
+    points = [(0.1 * i, -0.5 * i) for i in range(len(values))]
+    monkeypatch.setitem(optim._SEARCHES, "powell", scripted_search(points))
+    by_point = dict(zip(points, values))
+    objective = batched(lambda x: by_point[tuple(x.tolist())])
+    result = minimize("powell", MinimizeProblem(objective, np.array(points[0])))
+    assert result.thetas.dtype == result.energies.dtype == np.float64
+    assert result.thetas.shape == (len(values), 2) and result.energies.shape == (len(values),)
+    assert result.evals_used == len(result.energies)
+    assert records(result) == [(i, x, struct.pack("<d", f))
+                               for i, (x, f) in enumerate(zip(points, values))]
+    # the first row of least finite energy, its sign included
+    assert result.x_best.tolist() == list(points[best])
+    assert struct.pack("<d", result.f_best) == struct.pack("<d", values[best])
+    path = tmp_path / "trace.csv"
+    harness.write_trace_csv(path, result.thetas, result.energies)
+    assert path.read_text().splitlines() == ["eval,energy,beta_1,gamma_1"] + [
+        f"{i},{f:.9g},{x[0]:.9g},{x[1]:.9g}" for i, (x, f) in enumerate(zip(points, values))]
 
 
 # -- the budget loop --------------------------------------------------------------
@@ -413,9 +452,9 @@ def test_a_budget_cuts_the_unbudgeted_trace(method, d):
     for budget in sorted({1, d, d + 1, 17, 60} - set(range(d))):
         objective = CallLog(f)
         result = minimize(method, MinimizeProblem(objective, x0, max_evals=budget))
-        assert result.trace.records == full.trace.records[:budget]
-        assert sum(objective.sizes) == result.evals_used == len(result.trace)
-        if len(full.trace) > budget:
+        assert records(result) == records(full)[:budget]
+        assert sum(objective.sizes) == result.evals_used == len(result.energies)
+        if len(full.energies) > budget:
             assert result.status == STATUS_BUDGET
             assert result.evals_used == budget
         else:
@@ -469,9 +508,9 @@ def lockstep_problems(specs, engines: dict):
 
 
 def seeded_rows(result, seed):
-    """The (row, seed) pairs of a search's trace: its j-th row at child_seed(seed, STREAM_EVAL, j)."""
-    return [(r.theta, None if seed is None else rng.child_seed(seed, rng.STREAM_EVAL, r.index))
-            for r in result.trace.records]
+    """The (row, seed) pairs of a search's log: its j-th row at child_seed(seed, STREAM_EVAL, j)."""
+    return [(tuple(t), None if seed is None else rng.child_seed(seed, rng.STREAM_EVAL, j))
+            for j, t in enumerate(result.thetas.tolist())]
 
 
 def run_alone_and_in_lockstep(specs):
@@ -499,8 +538,9 @@ def run_alone_and_in_lockstep(specs):
 
 
 def records(result):
-    """The trace as comparable tuples: a NaN energy equals a NaN of the same bits."""
-    return [(r.index, r.theta, struct.pack("<d", r.energy)) for r in result.trace.records]
+    """The log as comparable tuples: a NaN energy equals a NaN of the same bits."""
+    return [(i, tuple(t), struct.pack("<d", e))
+            for i, (t, e) in enumerate(zip(result.thetas.tolist(), result.energies.tolist()))]
 
 
 def assert_same_search(ra, rb):
@@ -546,7 +586,7 @@ def test_lockstep_cuts_budgets_inside_batches_and_stalls_one_search():
     assert [r.status for r in results[:2]] == [STATUS_BUDGET, STATUS_BUDGET]
     assert [r.evals_used for r in results[:2]] == [4, 10]
     assert results[3].status == STATUS_STALLED
-    assert math.isnan(results[3].trace.energies()[-1]) and results[3].evals_used < 200
+    assert math.isnan(results[3].energies.tolist()[-1]) and results[3].evals_used < 200
     assert results[4].status == STATUS_CONVERGED
     # the stalled and the converged searches stop while the others run on
     assert max(results[3].evals_used, results[4].evals_used) < min(
@@ -573,7 +613,7 @@ def test_searches_on_one_objective_share_its_calls():
                                  for m in ("powell", "cg")])
     alone = [minimize(m, MinimizeProblem(batched(shifted_bowl), np.zeros(2), max_evals=30))
              for m in ("powell", "cg")]
-    assert [r.trace.records for r in results] == [r.trace.records for r in alone]
+    assert list(map(records, results)) == list(map(records, alone))
     assert sum(objective.sizes) == sum(r.evals_used for r in results)
     assert len(objective.sizes) < sum(r.evals_used for r in results)
     assert max(objective.sizes) == 6  # cg's x0 and gradient joined with powell's x0
@@ -586,7 +626,7 @@ def test_searches_of_two_dimensions_on_one_objective_run_as_alone():
                                  for x0 in starts])
     alone = [minimize("cg", MinimizeProblem(batched(padded_bowl), x0, max_evals=40))
              for x0 in starts]
-    assert [r.trace.records for r in results] == [r.trace.records for r in alone]
+    assert list(map(records, results)) == list(map(records, alone))
 
 
 # -- zero-dimensional searches ------------------------------------------------------
@@ -601,7 +641,8 @@ def test_a_zero_dimensional_search_scores_x0_once_and_converges(method):
     assert objective.sizes == [1]
     assert (result.status, result.evals_used, result.f_best) == (STATUS_CONVERGED, 1, 2.5)
     assert result.x_best.shape == (0,)
-    assert result.trace.records == [(0, (), 2.5)]
+    assert (result.thetas.shape, result.energies.tolist()) == ((1, 0), [2.5])
+    assert result.thetas.dtype == np.float64
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -612,7 +653,7 @@ def test_a_zero_dimensional_search_in_lockstep_runs_as_alone(method):
     alone = minimize(method, MinimizeProblem(batched(shifted_bowl), np.zeros(2), max_evals=30))
     assert flat.sizes == [1]
     assert (results[0].status, results[0].evals_used, results[0].f_best) == (STATUS_CONVERGED, 1, 2.5)
-    assert results[1].trace.records == alone.trace.records
+    assert records(results[1]) == records(alone)
     assert results[1].status == alone.status
 
 

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import re
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -186,6 +188,51 @@ def test_flat_trace_still_renders():
     rows = [{"eval": i, "energy": -2.0} for i in range(4)]
     root = parse_svg(render_trace(rows, "energy"))
     assert len(polylines(root)) == 1
+    # a flat trace at v spans [v, v + 1] before the 5% pads
+    assert axis_labels(root) == ["-2.05", "-1.5", "-0.95"]
+
+
+def axis_labels(root):
+    return [el.text for el in root.iter(f"{SVG_NS}text") if el.get("text-anchor") == "end"]
+
+
+def coordinates(root):
+    """Every number of every element's position, size and polyline points."""
+    found = []
+    for el in root.iter():
+        for key, value in el.attrib.items():
+            if key == "points":
+                found += [float(v) for point in value.split() for v in point.split(",")]
+            elif key in ("x", "y", "x1", "y1", "x2", "y2", "width", "height"):
+                found.append(float(value))
+    return found
+
+
+@pytest.mark.parametrize("energies", [
+    [-5e307] * 20, [1e16, 1e16], [-2.0**53] * 3, [-1.7e308, 1.7e308],
+    [sys.float_info.max] * 2, [-sys.float_info.max, sys.float_info.max],
+], ids=["flat-5e307", "flat-1e16", "flat-2**53", "span-overflows", "flat-at-max", "full-range"])
+def test_a_trace_far_from_zero_has_finite_coordinates_and_labels(energies):
+    # lo + 1.0 is lo from 2**53 up, and the span of +-1.7e308 overflows
+    root = parse_svg(render_trace([{"eval": i, "energy": e} for i, e in enumerate(energies)]))
+    values = coordinates(root)
+    assert len(values) > 2 * len(energies)
+    assert all(map(math.isfinite, values))
+    # the labels are 4-digit text, so the largest float prints as 1.798e+308
+    assert not any(re.search("inf|nan", label) for label in axis_labels(root))
+
+
+def test_cli_plots_the_flat_trace_of_a_huge_weight(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "instance": {"inline": {"n": 2, "edges": [[0, 1]], "weights": [1e308]}},
+        "p": 1, "init": [0.5, 0.0], "method": "powell", "max_evals": 20}))
+    with pytest.warns(RuntimeWarning):  # the final energy's sum overflows
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
+    trace = tmp_path / "trace.csv"
+    assert {line.split(",")[1] for line in trace.read_text().splitlines()[1:]} == {"-5e+307"}
+    assert main(["plot", "--in", str(trace), "--out", str(tmp_path / "trace.svg")]) == 0
+    assert all(map(math.isfinite, coordinates(parse_svg((tmp_path / "trace.svg").read_text()))))
 
 
 def test_plot_trace_file_round_trip(tmp_path):
