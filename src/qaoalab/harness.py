@@ -5,8 +5,9 @@ checks its own fields, naming the field it rejects, and derives its
 ``config_hash`` from them. A run optimizes the layer angles on one
 ``objective.Engine`` in the configured mode, takes the final counts and
 energy from that engine's ``tallies`` at the winning angles, and writes
-three artifacts to the output directory: counts.json, trace.csv (the
-winning restart's evaluation log), and summary.json. A sweep runs one
+three artifacts to the output directory: counts.json (written straight
+from the final tally), trace.csv (the winning restart's evaluation
+log), and summary.json (strict JSON). A sweep runs one
 ``replace`` copy of the config per cell of its axes. Every restart of
 every cell of a run or sweep is one search of a single
 ``optim.minimize_lockstep`` call (``_optimize``); cells whose engine
@@ -52,7 +53,7 @@ from .optim import (
     random_qaoa_starts,
 )
 from .plots import plot_histogram, plot_trace
-from .statevec import MAX_QUBITS, counts_from_tally
+from .statevec import MAX_QUBITS, _tally_qubits, bitstrings
 
 SCHEMA_VERSION = 1
 
@@ -275,15 +276,25 @@ def load_config(path) -> ExperimentConfig:
 
 
 def write_counts_json(path: Path, tally: np.ndarray, config: ExperimentConfig) -> None:
-    """The tally's nonzero entries as bitstring counts, with the run's hash, seed and instance."""
-    payload = {
-        "shots": int(tally.sum()),
-        "counts": counts_from_tally(tally),
-        "config_hash": config.config_hash,
-        "seed": config.seed,
-        "instance": serialize_edge_list(config.instance),
-    }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """The tally's nonzero entries as bitstring counts, with the run's hash, seed and instance.
+
+    The text is ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``
+    of the payload {config_hash, counts, instance, seed, shots}, written
+    straight from the tally (checked by the tally rule): the fields in
+    sorted order, then one ``"<key>": <count>`` line per nonzero entry.
+    Fixed-width keys of ascending indices are already in sorted order,
+    so no dict is built and nothing is sorted.
+    """
+    n = _tally_qubits(tally)
+    hit = np.flatnonzero(tally)
+    lines = ",\n".join([f'    "{key}": {count}' for key, count
+                         in zip(bitstrings(hit, n).tolist(), tally[hit].tolist())])
+    counts = "{\n" + lines + "\n  }" if lines else "{}"
+    path.write_text(f'{{\n  "config_hash": {json.dumps(config.config_hash)},\n'
+                    f'  "counts": {counts},\n'
+                    f'  "instance": {json.dumps(serialize_edge_list(config.instance))},\n'
+                    f'  "seed": {json.dumps(config.seed)},\n'
+                    f'  "shots": {int(tally.sum())}\n}}\n', encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -391,7 +402,7 @@ def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
     hit = np.flatnonzero(tally)
     cuts = cut_value_table(instance)[hit]
     best_cut = float(cuts.max())
-    best_bitstrings = [format(int(i), f"0{instance.n}b") for i in hit[cuts == best_cut]]
+    best_bitstrings = bitstrings(hit[cuts == best_cut], instance.n).tolist()
     summary = {
         "config_hash": config.config_hash,
         "seed": config.seed,
@@ -416,7 +427,7 @@ def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
     write_counts_json(counts_path, tally, config)
     write_trace_csv(trace_path, result.thetas, result.energies)
     summary_path.write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )
     return RunArtifacts(counts_path, trace_path, summary_path, summary)
 

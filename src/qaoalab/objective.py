@@ -15,6 +15,7 @@ or as a bitstring counts dict, whose sum is its shots (``energy_from_counts``).
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Callable
 
@@ -49,16 +50,16 @@ class EnergySample:
 
 def energy_from_counts(counts: dict[str, int], instance: MaxCutInstance) -> float:
     """-(sum of counts-weighted cut values) / shots, the shots being the counts' sum."""
-    table = cut_value_table(instance)
-    total, shots = 0.0, 0
-    for bits, c in _checks.counts(counts, "counts").items():
+    shots = sum(_checks.counts(counts, "counts").values())
+    table, scale = _scaled(cut_value_table(instance), shots)
+    total = 0.0
+    for bits, c in counts.items():
         if len(bits) != instance.n or set(bits) - {"0", "1"}:
             raise ValueError(f"bitstring {bits!r} does not fit a {instance.n}-node instance")
         total += c * table[int(bits, 2)]
-        shots += c
     if shots < 1:
         raise ValueError("counts carry no shots")
-    return -total / shots
+    return -total / shots / scale
 
 
 def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
@@ -66,29 +67,56 @@ def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
 
     The products are added one by one in ascending index order, as
     ``energy_from_counts`` adds them over the histogram of the same
-    tally, so the two agree bit for bit.
+    tally, so the two agree bit for bit. Both score a sum that can
+    overflow in values scaled by a power of two (``_scaled``), so a
+    finite mean comes out finite.
     """
     table = cut_value_table(instance)
     if tally.shape != table.shape:
         raise ValueError(f"tally of length {tally.size} does not fit a {instance.n}-node instance")
-    hit = np.flatnonzero(tally)
-    if hit.size == 0:
+    if not tally.any():
         raise ValueError("tally has no shots")
-    return _energy(hit, tally[hit], table)
+    return _tally_energy(tally, *_scaled(table, int(tally.sum())))
 
 
-def _energy(hit: np.ndarray, count: np.ndarray, table: np.ndarray) -> float:
-    """-(sum of count * table[hit], added one by one in ascending hit order) / shots."""
-    return float(-np.cumsum(count * table[hit])[-1] / count.sum())
+def _scaled(table: np.ndarray, shots: int) -> tuple[np.ndarray, float]:
+    """(table * scale, scale), scale being 1.0 unless a sum over ``shots`` shots of ``table`` can overflow.
+
+    Such a sum is at most shots * max|table| in size. From 2**1022 up
+    (a margin for rounding) it is scored in values scaled by a power of
+    two, 2**-e, which is exact, and the mean is divided by the scale
+    again; so every energy keeps the bits it has in unbounded range, and
+    every sum that cannot overflow is not scaled. Decided once per
+    engine or public call, not per row.
+    """
+    peak = float(np.abs(table).max())
+    if shots * peak < 2.0**1022 or peak == math.inf:
+        return table, 1.0
+    scale = 2.0 ** (1021 - math.frexp(peak)[1] - int(shots).bit_length())
+    return table * scale, scale
 
 
-def _sorted_energy(outcomes: np.ndarray, table: np.ndarray) -> float:
+def _energy(hit: np.ndarray, count: np.ndarray, table: np.ndarray, scale: float) -> float:
+    """-(sum of count * table[hit], added one by one in ascending hit order) / shots / scale.
+
+    ``table`` and ``scale`` come from ``_scaled``.
+    """
+    return float(-np.cumsum(count * table[hit])[-1] / count.sum() / scale)
+
+
+def _tally_energy(tally: np.ndarray, table: np.ndarray, scale: float) -> float:
+    """``_energy`` of a tally's nonzero entries."""
+    hit = np.flatnonzero(tally)
+    return _energy(hit, tally[hit], table, scale)
+
+
+def _sorted_energy(outcomes: np.ndarray, table: np.ndarray, scale: float) -> float:
     """``energy_from_tally`` of the tally of ascending outcomes, read from their runs."""
     edge = np.empty(outcomes.size + 1, dtype=bool)
     edge[0] = edge[-1] = True
     np.not_equal(outcomes[1:], outcomes[:-1], out=edge[1:-1])
     bounds = np.flatnonzero(edge)  # each run's first outcome, then the end
-    return _energy(outcomes[bounds[:-1]], bounds[1:] - bounds[:-1], table)
+    return _energy(outcomes[bounds[:-1]], bounds[1:] - bounds[:-1], table, scale)
 
 
 def evaluate_qaoa(
@@ -162,7 +190,8 @@ class Engine:
     (``qaoa_probabilities``), never on a state: exact mode scores each
     row as ``-(probs @ table)``, as ``expectation_cut`` does, and ignores
     the seeds; sampled mode scores each row's sorted outcomes by the
-    summation rule of ``energy_from_tally``. An exact engine's
+    summation rule of ``energy_from_tally``, on the cut table that
+    ``_scaled`` gives for its shots once, when the engine is built. An exact engine's
     ``tallies`` sample the exact state as a sampled engine's do. A noisy
     engine holds one ``trajectories.Plan`` of its circuit, built from
     zero angles with its noise config's DD pulses in it: each row's RX
@@ -176,13 +205,15 @@ class Engine:
         shots = check_run_mode(mode, shots, noise)
         self.instance, self.p, self.mode = instance, p, mode
         self.shots, self.noise = shots, noise
+        table = cut_value_table(instance)
+        self._shot_table, self._scale = _scaled(table, shots or 1)  # what shots are scored on
         if mode == "noisy":
             from . import trajectories  # loaded on first use
 
             circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
             self._plan = trajectories.Plan(circuit, noise)
         else:
-            self._plan, self._table = half_plan(instance), cut_value_table(instance)
+            self._plan, self._table = half_plan(instance), table
 
     def _rows(self, thetas, seeds) -> np.ndarray:
         """The batch as a float array, checked: (k, 2p) finite angles, one seed per row."""
@@ -196,13 +227,14 @@ class Engine:
         return thetas
 
     def __call__(self, thetas, seeds) -> np.ndarray:
+        table, scale = self._shot_table, self._scale
         if self.mode == "noisy":
-            return np.array([energy_from_tally(tally, self.instance)
+            return np.array([_tally_energy(tally, table, scale)
                              for tally in self.tallies(thetas, seeds)])
-        thetas, table = self._rows(thetas, seeds), self._table
+        thetas = self._rows(thetas, seeds)
         if self.mode == "exact":
-            return np.array([-float(q @ table) for q in qaoa_probabilities(self._plan, thetas)])
-        return np.array([_sorted_energy(sample_outcomes(q, self.shots, seed), table)
+            return np.array([-float(q @ self._table) for q in qaoa_probabilities(self._plan, thetas)])
+        return np.array([_sorted_energy(sample_outcomes(q, self.shots, seed), table, scale)
                          for q, seed in self._draws(thetas, seeds)])
 
     def _draws(self, thetas: np.ndarray, seeds) -> zip:

@@ -31,6 +31,11 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _bits_only(keys) -> bool:
+    """True when every key holds only "0" and "1" characters."""
+    return not "".join(keys).encode().translate(None, b"01")
+
+
 def _svg(body: list[str]) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -45,18 +50,32 @@ def _svg(body: list[str]) -> str:
 
 
 def render_histogram(counts: dict[str, int], highlight: frozenset[str] | set[str] = frozenset(), title: str = "") -> str:
-    """Probability bars (count over the counts' sum) per bitstring, lexicographic order, highlights flagged."""
-    from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
+    """Probability bars (count over the counts' sum) per bitstring, lexicographic order, highlights flagged.
 
+    The counts are checked by the count rule (``_checks.counts``) and
+    must carry a shot.
+    """
     shots = sum(_checks.counts(counts, "counts").values())
     if shots < 1:
         raise ValueError("counts carry no shots")
-    probs = {b: c / shots for b, c in counts.items()}
-    keys = sorted(probs)
+    return _histogram(counts, shots, highlight, title)
+
+
+def _histogram(counts: dict[str, int], shots: int, highlight, title: str) -> str:
+    """The SVG of checked counts that sum to ``shots`` >= 1.
+
+    A histogram can carry thousands of bars but few distinct counts, so
+    a bar's y and height are formatted once per count and each bar is
+    one format of its class, x, label x and key. Keys are XML-escaped
+    only when some key is not a plain 0/1 string.
+    """
+    from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
+
+    items = sorted(counts.items())
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
-    y_max = max(probs.values()) * 1.1
-    slot = plot_w / len(keys)
+    y_max = max(counts.values()) / shots * 1.1  # division keeps order: the largest probability
+    slot = plot_w / len(items)
     bar_w = slot * 0.8
     body = []
     if title:
@@ -73,29 +92,27 @@ def render_histogram(counts: dict[str, int], highlight: frozenset[str] | set[str
         y = base_y - tick * plot_h
         body.append(f'<line class="axis" x1="{_MARGIN_L - 4}" y1="{_fmt(y)}" x2="{_MARGIN_L}" y2="{_fmt(y)}"/>')
         body.append(f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end">{v:.3f}</text>')
-    # one histogram can carry thousands of bars: format what they share once
-    width = _fmt(bar_w)
+    heights = {}  # count -> the bar's y, width and height attributes
+    for c in set(counts.values()):
+        h = c / shots / y_max * plot_h
+        heights[c] = f'{base_y - h:.2f}" width="{_fmt(bar_w)}" height="{h:.2f}'
     label_y = _fmt(base_y + 12)
-    for i, key in enumerate(keys):
-        h = probs[key] / y_max * plot_h
-        x = _MARGIN_L + i * slot + (slot - bar_w) / 2
-        cls = "bar solution" if key in highlight else "bar"
-        lx = f"{x + bar_w / 2:.2f}"
-        body.append(
-            f'<rect class="{cls}" x="{x:.2f}" y="{base_y - h:.2f}" width="{width}" height="{h:.2f}"/>'
-        )
-        body.append(
-            f'<text x="{lx}" y="{label_y}" text-anchor="end" '
-            f'transform="rotate(-60 {lx} {label_y})">{escape(key)}</text>'
-        )
+    bar = ('<rect class="%s" x="%.2f" y="%s"/>\n'
+           f'<text x="%.2f" y="{label_y}" text-anchor="end" transform="rotate(-60 %.2f {label_y})">%s</text>')
+    plain = _bits_only(counts)
+    gap, half = (slot - bar_w) / 2, bar_w / 2
+    for i, (key, c) in enumerate(items):
+        x = _MARGIN_L + i * slot + gap
+        body.append(bar % ("bar solution" if key in highlight else "bar", x, heights[c],
+                           x + half, x + half, key if plain else escape(key)))
     body.append(
         f'<text x="{_MARGIN_L - 48}" y="{_MARGIN_T - 12}">probability</text>'
     )
     return _svg(body)
 
 
-def _read_counts(counts_path) -> tuple[dict[str, int], str | None]:
-    """The bitstring counts of a counts JSON file, and its instance's edge-list text if it carries one.
+def _read_counts(counts_path) -> tuple[dict[str, int], int, str | None]:
+    """The bitstring counts of a counts JSON file, its shots, and its instance's edge-list text if any.
 
     ``shots`` is an integer >= 1 and each count an integer >= 0 (the
     ``_checks`` rules, so no bool or float), the counts sum to ``shots``,
@@ -116,24 +133,24 @@ def _read_counts(counts_path) -> tuple[dict[str, int], str | None]:
     if total != shots:
         raise ValueError(f"{counts_path}: shots is {shots}, but the counts sum to {total}")
     width = len(next(iter(tally)))  # there is a key: the counts sum to shots >= 1
-    if not width or set(map(len, tally)) != {width} or "".join(tally).encode().translate(None, b"01"):
+    if not width or set(map(len, tally)) != {width} or not _bits_only(tally):
         key = next(k for k in tally if len(k) != width or not k or set(k) - {"0", "1"})
         raise ValueError(f"{counts_path}: counts[{key!r}]: keys must be bitstrings of 0 and 1, "
                          f"all as wide as the first ({width})")
     instance = payload.get("instance")
     if instance is not None and not isinstance(instance, str):
         raise ValueError(f"{counts_path}: instance must be edge-list text, got {instance!r}")
-    return tally, instance
+    return tally, shots, instance
 
 
 def plot_histogram(counts_path) -> str:
-    """Render the histogram for a counts JSON file (checked by ``_read_counts``).
+    """Render the histogram for a counts JSON file, checked once, by ``_read_counts``.
 
     When the file carries its instance, the brute-force optima are
     highlighted. The title is the file's directory name and its own
     name, so a run's SVG does not depend on where its output went.
     """
-    counts, instance = _read_counts(counts_path)
+    counts, shots, instance = _read_counts(counts_path)
     highlight: frozenset[str] = frozenset()
     if instance is not None:
         try:
@@ -142,7 +159,7 @@ def plot_histogram(counts_path) -> str:
             raise ValueError(f"{counts_path}: instance: {exc}") from None
         highlight = frozenset(optima)
     path = Path(counts_path)
-    return render_histogram(counts, highlight, title=Path(path.parent.name, path.name).as_posix())
+    return _histogram(counts, shots, highlight, Path(path.parent.name, path.name).as_posix())
 
 
 _SERIES_KINDS = ("energy", "params")

@@ -7,8 +7,10 @@ therefore node 0 of the graph module. Qubit q's bit of index ``i`` is
 
 A state is its (2^n,) complex amplitude array: a function that takes
 one checks once that it is 1-D with 2^n entries, n in 1..MAX_QUBITS. A
-histogram is a ``dict[str, int]`` of n-character bitstring counts, and
-its shots are their sum.
+tally is a (2^n,) integer array of basis-index counts >= 0, checked by
+the tally rule where it is formatted. A histogram is a ``dict[str, int]``
+of n-character bitstring counts, and its shots are their sum; its keys
+come from ``bitstrings``, one array operation for all of them.
 
 Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` runs it on
@@ -71,6 +73,20 @@ def _qubits(state) -> int:
         raise ValueError(f"state must be a 1-D array of 2^n amplitudes, n in 1..{MAX_QUBITS}, "
                          f"got {shape}")
     return size.bit_length() - 1
+
+
+def _tally_qubits(tally) -> int:
+    """n of a tally: a 1-D integer array of 2^n counts >= 0, n in 1..MAX_QUBITS."""
+    size = tally.shape[0] if isinstance(tally, np.ndarray) and tally.ndim == 1 else 0
+    if size < 2 or size & (size - 1) or size > 1 << MAX_QUBITS or tally.dtype.kind not in "iu":
+        got = (f"an array of {tally.dtype} and shape {tally.shape}" if isinstance(tally, np.ndarray)
+               else type(tally).__name__)
+    elif tally.min() < 0:
+        got = f"a count of {tally.min()} at index {tally.argmin()}"
+    else:
+        return size.bit_length() - 1
+    raise ValueError(f"tally must be a 1-D integer array of 2^n counts >= 0, n in 1..{MAX_QUBITS}, "
+                     f"got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +281,28 @@ def sample_tally(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.bincount(sample_outcomes(probs, shots, seed), minlength=probs.size)
 
 
+def bitstrings(indices: np.ndarray, n: int) -> np.ndarray:
+    """The n-character keys of basis indices, ``format(i, f"0{n}b")`` of each, as a U{n} array.
+
+    Row r of a (k, n) array of code points holds index r's bits, qubit 0
+    first, as "0" or "1"; viewed as U{n}, each row is its key, so no
+    index is formatted one by one. Ascending indices give ascending keys.
+    """
+    bits = np.right_shift.outer(indices, np.arange(n - 1, -1, -1)).astype(np.uint32)
+    bits &= 1
+    bits |= ord("0")
+    return bits.view(f"U{n}").reshape(-1)
+
+
 def counts_from_tally(tally: np.ndarray) -> dict[str, int]:
-    """The histogram of a (2^n,) basis-index tally: keys only for the nonzero entries, in index order."""
-    spec = f"0{tally.size.bit_length() - 1}b"
-    return {format(int(i), spec): int(tally[i]) for i in np.flatnonzero(tally)}
+    """The histogram of a (2^n,) basis-index tally: keys only for the nonzero entries, in index order.
+
+    The tally is checked by the tally rule (a 1-D integer array of 2^n
+    counts >= 0), and its keys come from ``bitstrings`` in one pass.
+    """
+    n = _tally_qubits(tally)
+    hit = np.flatnonzero(tally)
+    return dict(zip(bitstrings(hit, n).tolist(), tally[hit].tolist()))
 
 
 def sample_counts(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:

@@ -32,6 +32,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, reported at the first difference: a long text's full diff takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ from character {at}: "
+                    f"{got[near]!r} != {want[near]!r}")
+
+
 def batched(f):
     """Lift a one-point objective to the batch contract: (k, d) points and k seeds in, k values out."""
     return lambda xs, seeds: np.array([f(x) for x in xs], dtype=float)

@@ -35,7 +35,7 @@ from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import STATUS_BUDGET, STATUS_CONVERGED, STATUS_STALLED
 from qaoalab.statevec import MAX_QUBITS
 
-from conftest import GROUND_PAIR
+from conftest import GROUND_PAIR, assert_same_text
 
 
 def small_raw(**overrides):
@@ -439,6 +439,65 @@ def test_csv_text_covers_every_special_value_and_status(tmp_path):
     header = [f"h{i}" for i in range(13)]
     harness._write_csv(tmp_path / "out.csv", header, rows)
     assert (tmp_path / "out.csv").read_bytes() == csv_writer_text(header, rows).encode()
+
+
+# -- counts.json bytes --------------------------------------------------------
+
+
+def dumped_counts_json(tally, config, instance_text) -> str:
+    """counts.json as a dict of formatted keys passed through ``json.dumps``."""
+    n = tally.size.bit_length() - 1
+    payload = {
+        "shots": int(tally.sum()),
+        "counts": {format(i, f"0{n}b"): int(c) for i, c in enumerate(tally.tolist()) if c},
+        "config_hash": config.config_hash,
+        "seed": config.seed,
+        "instance": instance_text,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def seeded_tally(n: int, kind: str, gen) -> np.ndarray:
+    if kind == "sampled":
+        return gen.multinomial(4096, gen.dirichlet(np.full(1 << n, 0.3)))
+    if kind == "one-hit":
+        return np.bincount([gen.integers(1 << n)], minlength=1 << n) * 4096
+    return gen.integers(1, 10**6, 1 << n)  # every index hit
+
+
+@pytest.mark.parametrize("kind", ["sampled", "one-hit", "every-index"])
+@pytest.mark.parametrize("n", [1, 2, 5, 14, 16])
+def test_counts_json_is_the_dumped_payload_byte_for_byte(tmp_path, n, kind):
+    gen = np.random.default_rng([n, len(kind)])
+    edges = [[u, v] for u in range(n) for v in range(u + 1, n) if gen.random() < 3 / n]
+    weights = [float(w) for w in gen.choice([1.0, 0.5, 2.25, 1e-3], len(edges))]
+    config = parse_config({"instance": {"inline": {"n": n, "edges": edges, "weights": weights}},
+                           "seed": int(gen.integers(2**63)) * 2 + 1})
+    tally = seeded_tally(n, kind, gen)
+    path = tmp_path / "counts.json"
+    harness.write_counts_json(path, tally, config)
+    text = path.read_text(encoding="utf-8")
+    assert_same_text(text, dumped_counts_json(tally, config,
+                                              harness.serialize_edge_list(config.instance)))
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("instance_text", ['5\n0 1 "w"\n', "tab\there\\ \u00e9 \u2028 \x00\x1f", ""])
+def test_counts_json_escapes_the_instance_text_as_json_does(tmp_path, monkeypatch, instance_text):
+    monkeypatch.setattr(harness, "serialize_edge_list", lambda instance: instance_text)
+    config = parse_config({"seed": 2**64 - 1})
+    tally = np.array([0, 7, 0, 0, 1, 0, 0, 2])
+    harness.write_counts_json(tmp_path / "counts.json", tally, config)
+    assert_same_text((tmp_path / "counts.json").read_text(encoding="utf-8"),
+                     dumped_counts_json(tally, config, instance_text))
+
+
+def test_counts_json_refuses_a_malformed_tally_by_the_tally_rule(tmp_path):
+    config = parse_config({})
+    for tally in (np.array([1, 2, 3]), np.array([1, -2, 3, 0]), np.array([1.5, 2, 0, 0])):
+        with pytest.raises(ValueError, match="^tally must be a 1-D integer array"):
+            harness.write_counts_json(tmp_path / "counts.json", tally, config)
+    assert not (tmp_path / "counts.json").exists()
 
 
 # -- run_sweep --------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,32 @@ def test_tally_energy_rejects_a_tally_of_another_size(canonical):
         energy_from_tally(np.ones(16, dtype=np.int64), canonical)
     with pytest.raises(ValueError, match="no shots"):
         energy_from_tally(np.zeros(32, dtype=np.int64), canonical)
+
+
+# the same edge at a weight whose shot sums overflow, and at that weight times 2**-64
+HUGE = MaxCutInstance(2, ((0, 1),), (1e308,))
+HUGE_DOWN = MaxCutInstance(2, ((0, 1),), (1e308 * 2.0**-64,))
+
+
+def test_a_sum_beyond_the_float_range_is_scored_in_scaled_values():
+    tally = np.array([300, 200, 250, 250])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning, too
+        energy = energy_from_tally(tally, HUGE)
+        assert energy_from_counts(statevec.counts_from_tally(tally), HUGE) == energy
+    # scaling by a power of two is exact: the bits are those of the scaled-down weights
+    assert energy == energy_from_tally(tally, HUGE_DOWN) * 2.0**64 == -0.45e308
+
+
+@pytest.mark.parametrize("mode, noise", [("sampled", None), ("noisy", NoiseConfig()),
+                                         ("noisy", NoiseConfig(p_readout=0.1))])
+def test_an_engine_scores_shots_beyond_the_float_range_in_scaled_values(mode, noise):
+    # at p = 0 the state does not depend on the weights, so both engines draw the same shots
+    seeds = [3, 4, 5]
+    energies = Engine(HUGE, 0, mode, shots=1000, noise=noise)(np.zeros((3, 0)), seeds)
+    down = Engine(HUGE_DOWN, 0, mode, shots=1000, noise=noise)(np.zeros((3, 0)), seeds)
+    assert np.isfinite(energies).all()
+    assert energies.tolist() == (down * 2.0**64).tolist()
 
 
 @st.composite

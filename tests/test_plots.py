@@ -5,12 +5,17 @@ import json
 import math
 import re
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from qaoalab import plots
 from qaoalab.harness import main
 from qaoalab.plots import plot_histogram, plot_trace, render_histogram, render_trace
+
+from conftest import assert_same_text
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -61,6 +66,79 @@ def test_histogram_bytes_are_pinned():
     assert len(counts) == 1013 and len(svg) == 175478
     assert hashlib.sha256(svg.encode()).hexdigest() == (
         "598a3433d4387452d7a537dd8233b8ff237de55692c64df48d0b4c5672ae4036")
+
+
+def per_bar_histogram(counts, highlight=frozenset(), title=""):
+    """The histogram as rendered before per-count formatting: each bar formatted and escaped alone."""
+    from xml.sax.saxutils import escape
+
+    shots = sum(counts.values())
+    probs = {b: c / shots for b, c in counts.items()}
+    keys = sorted(probs)
+    plot_w = plots._WIDTH - plots._MARGIN_L - plots._MARGIN_R
+    plot_h = plots._HEIGHT - plots._MARGIN_T - plots._MARGIN_B
+    y_max = max(probs.values()) * 1.1
+    slot = plot_w / len(keys)
+    bar_w = slot * 0.8
+    body = []
+    if title:
+        body.append(f'<text x="{plots._WIDTH / 2:.1f}" y="20" text-anchor="middle">{escape(title)}</text>')
+    base_y = plots._MARGIN_T + plot_h
+    left = plots._MARGIN_L
+    body.append(f'<line class="axis" x1="{left}" y1="{base_y:.2f}" '
+                f'x2="{plots._WIDTH - plots._MARGIN_R}" y2="{base_y:.2f}"/>')
+    body.append(f'<line class="axis" x1="{left}" y1="{plots._MARGIN_T}" x2="{left}" y2="{base_y:.2f}"/>')
+    for tick in (0.25, 0.5, 0.75, 1.0):
+        v = tick * y_max
+        y = base_y - tick * plot_h
+        body.append(f'<line class="axis" x1="{left - 4}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}"/>')
+        body.append(f'<text x="{left - 8}" y="{y + 4:.2f}" text-anchor="end">{v:.3f}</text>')
+    label_y = f"{base_y + 12:.2f}"
+    for i, key in enumerate(keys):
+        h = probs[key] / y_max * plot_h
+        x = left + i * slot + (slot - bar_w) / 2
+        cls = "bar solution" if key in highlight else "bar"
+        lx = f"{x + bar_w / 2:.2f}"
+        body.append(f'<rect class="{cls}" x="{x:.2f}" y="{base_y - h:.2f}" width="{bar_w:.2f}" '
+                    f'height="{h:.2f}"/>')
+        body.append(f'<text x="{lx}" y="{label_y}" text-anchor="end" '
+                    f'transform="rotate(-60 {lx} {label_y})">{escape(key)}</text>')
+    body.append(f'<text x="{left - 48}" y="{plots._MARGIN_T - 12}">probability</text>')
+    return plots._svg(body)
+
+
+def seeded_counts(n: int, keys: int, seed: int) -> dict[str, int]:
+    gen = np.random.default_rng(seed)
+    hit = np.sort(gen.choice(1 << n, keys, replace=False))
+    return {format(int(i), f"0{n}b"): int(c) for i, c in zip(hit, gen.integers(1, 7, keys))}
+
+
+@pytest.mark.parametrize("n, keys, seed", [(12, 3634, 1), (14, 2000, 2), (14, 1, 3), (3, 8, 4)])
+def test_histogram_equals_the_per_bar_rendering(tmp_path, n, keys, seed):
+    counts = seeded_counts(n, keys, seed)
+    highlight = set(list(counts)[::997]) | {"0" * n}
+    title = "runs/a&b<1>/counts.json"
+    assert_same_text(render_histogram(counts, highlight, title),
+                     per_bar_histogram(counts, highlight, title))
+    # the file reader's path: counts checked once, titled by the file's place
+    path = tmp_path / "run" / "counts.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"shots": sum(counts.values()), "counts": counts}))
+    assert_same_text(plot_histogram(path), per_bar_histogram(counts, frozenset(), "run/counts.json"))
+
+
+@pytest.mark.parametrize("marked", ["<", "&", '"', "all"])
+def test_histogram_escapes_keys_as_the_per_bar_rendering(marked):
+    counts = seeded_counts(12, 3000, 5)
+    if marked == "all":
+        counts = {f"<{key}&>": c for key, c in counts.items()}
+    else:
+        for j, key in enumerate(list(counts)[1::500]):
+            counts[key[:j] + marked + key[j:]] = counts.pop(key) + 1
+    highlight = {next(k for k in counts if "<" in k or "&" in k or '"' in k)}
+    svg = render_histogram(counts, highlight, "t")
+    assert_same_text(svg, per_bar_histogram(counts, highlight, "t"))
+    parse_svg(svg)
 
 
 def test_histogram_rejects_empty():
@@ -227,8 +305,10 @@ def test_cli_plots_the_flat_trace_of_a_huge_weight(tmp_path, capsys):
     config.write_text(json.dumps({
         "instance": {"inline": {"n": 2, "edges": [[0, 1]], "weights": [1e308]}},
         "p": 1, "init": [0.5, 0.0], "method": "powell", "max_evals": 20}))
-    with pytest.warns(RuntimeWarning):  # the final energy's sum overflows
+    with warnings.catch_warnings():  # the final energy's sum is scored in scaled values
+        warnings.simplefilter("error")
         assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert math.isfinite(json.loads((tmp_path / "summary.json").read_text())["final_energy"])
     trace = tmp_path / "trace.csv"
     assert {line.split(",")[1] for line in trace.read_text().splitlines()[1:]} == {"-5e+307"}
     assert main(["plot", "--in", str(trace), "--out", str(tmp_path / "trace.svg")]) == 0

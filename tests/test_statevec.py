@@ -1,6 +1,7 @@
 """Dense simulator kernels: gate semantics, sampling, validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qaoalab.statevec import (
     MAX_QUBITS,
     GateOp,
     apply_rows,
+    bitstrings,
     counts_from_tally,
     expectation_cut,
     measure_rows,
@@ -250,6 +252,40 @@ def test_counts_from_tally_matches_full_range_comprehension(n, density):
     reference = full_range_counts(tally, n)
     assert list(counts.items()) == list(reference.items())
     assert sum(counts.values()) == int(tally.sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 14, MAX_QUBITS])
+def test_bitstrings_are_the_formatted_indices(n):
+    gen = np.random.default_rng(n)
+    idx = np.unique(np.concatenate([[0, 1, (1 << n) - 1], gen.integers(0, 1 << n, 4000)]))
+    keys = bitstrings(idx, n)
+    assert keys.tolist() == [format(int(i), f"0{n}b") for i in idx]
+    assert keys.tolist() == sorted(keys.tolist())  # ascending indices, ascending keys
+    assert bitstrings(idx[:0], n).tolist() == []
+
+
+@pytest.mark.parametrize("tally, got", [
+    (np.array([1, 2, 3]), "an array of int64 and shape (3,)"),
+    (np.array([5]), "an array of int64 and shape (1,)"),
+    (np.array([1, -2, 3, 0]), "a count of -2 at index 1"),
+    (np.array([1.5, 2, 0, 0]), "an array of float64 and shape (4,)"),
+    (np.array([True, False]), "an array of bool and shape (2,)"),
+    (np.ones((2, 2), dtype=np.int64), "an array of int64 and shape (2, 2)"),
+    (np.broadcast_to(np.int8(0), (2 << MAX_QUBITS,)), f"an array of int8 and shape ({2 << MAX_QUBITS},)"),
+    ([1, 2], "list"),
+])
+def test_counts_from_tally_refuses_a_malformed_tally(tally, got):
+    message = (f"tally must be a 1-D integer array of 2^n counts >= 0, n in 1..{MAX_QUBITS}, "
+               f"got {got}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        counts_from_tally(tally)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64])
+def test_counts_from_tally_takes_any_integer_counts_as_ints(dtype):
+    counts = counts_from_tally(np.array([0, 3, 0, 1], dtype=dtype))
+    assert counts == {"01": 3, "11": 1} and {type(c) for c in counts.values()} == {int}
+    assert counts_from_tally(np.zeros(8, dtype=dtype)) == {}
 
 
 def test_measure_rows_samples_each_row_as_if_alone():
