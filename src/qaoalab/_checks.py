@@ -1,4 +1,4 @@
-"""The input rules: an integer, a finite number, a seed, a flag, a choice and counts, each written once.
+"""The input rules: an integer, a finite number, a seed, a flag, a choice, a bitstring and counts, each written once.
 
 A rule returns the value (an integer, number or flag as a plain int,
 float or bool), or raises a ValueError whose message starts with
@@ -42,12 +42,45 @@ def real(value, name: str, lo=None, hi=None) -> float:
     return number
 
 
-def counts(value: dict, name: str) -> dict:
-    """``value``, a bitstring histogram, if each count is an integer >= 0; the message names its key."""
+def is_bits(text: str) -> bool:
+    """True when ``text`` holds only "0" and "1" characters; one scan of a joined string checks many keys."""
+    return not text.encode().translate(None, b"01")
+
+
+def bitstring(value, name: str, width: int | None = None) -> str:
+    """``value`` if it is a non-empty string of "0" and "1", exactly ``width`` characters when given."""
+    if not (isinstance(value, str) and value and (width is None or len(value) == width)
+            and is_bits(value)):
+        wide = "" if width is None else f" {width}-character"
+        raise ValueError(f"{name} must be a{wide} bitstring of 0 and 1, got {value!r}")
+    return value
+
+
+def counts(value: dict, name: str, width: int | None = None) -> int:
+    """The shots of ``value``, a bitstring histogram: the sum, as an int, of its counts.
+
+    Each count is an integer >= 0; numpy counts are summed as Python
+    ints, so no dtype wraps. When ``width`` is given, each key is a
+    bitstring of that width. There must be a shot. A message names the
+    key it refuses. Each scan but the counts' runs in C.
+    """
+    exact = True
     for key, count in value.items():
         if type(count) is not int or count < 0:
             integer(count, f"{name}[{key!r}]", 0)
-    return value
+            exact = False  # a numpy integer
+    shots = sum(value.values()) if exact else sum(map(int, value.values()))
+    if width is not None:
+        try:
+            fit = width > 0 and set(map(len, value)) <= {width} and is_bits("".join(value))
+        except TypeError:  # a key that is no string
+            fit = False
+        if not fit:
+            for key in value:
+                bitstring(key, f"{name}[{key!r}]", width)
+    if shots < 1:
+        raise ValueError(f"{name} carry no shots")
+    return shots
 
 
 def seed(value, name: str = "seed") -> int:

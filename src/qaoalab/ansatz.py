@@ -112,12 +112,14 @@ def qaoa_angles(instance: MaxCutInstance, thetas) -> np.ndarray:
     """The RZ and RX angles of ``build_qaoa_circuit``, in op order, for a (k, 2p) batch.
 
     Row r of the (k, p * (|E| + n)) result holds, layer by layer, each
-    edge's 2*w*gamma and then each qubit's 2*beta for the angles of row
-    r of ``thetas``: the products the circuit itself carries.
+    edge's 2*(w*gamma) and then each qubit's 2*beta for the angles of
+    row r of ``thetas``: the products the circuit itself carries. w*gamma
+    comes first, so a weight near the float range overflows only where
+    the angle itself does.
     """
     thetas = np.asarray(thetas, dtype=float)
     k, p = thetas.shape[0], thetas.shape[1] // 2
-    rz = 2.0 * np.asarray(instance.weights, dtype=float) * thetas[:, p:, None]
+    rz = 2.0 * (np.asarray(instance.weights, dtype=float) * thetas[:, p:, None])
     rx = np.repeat(2.0 * thetas[:, :p, None], instance.n, axis=2)
     return np.concatenate([rz, rx], axis=2).reshape(k, p * (len(instance.edges) + instance.n))
 
@@ -237,15 +239,17 @@ def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
     exp(-i*gamma*W) per layer, W the total weight. Every row gets the
     same floating-point operations whatever the batch around it, so its
     bits depend neither on k nor on its position. The angles are not
-    checked here.
+    checked here; a row whose phase 2*gamma*C overflows comes out NaN,
+    with no numpy warning.
     """
     thetas = np.asarray(thetas, dtype=float)
     plan = half_plan(instance)
     # one output array, written pass by pass (joining the passes' results
     # made a 10-row batch at n=14 about 2x slower per row)
     states = np.empty((len(thetas), 2 * plan.half), dtype=complex)
-    for i, h in _passes(plan, thetas):
-        np.concatenate([h, h[:, ::-1]], axis=1, out=states[i:i + len(h)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, h in _passes(plan, thetas):
+            np.concatenate([h, h[:, ::-1]], axis=1, out=states[i:i + len(h)])
     return states
 
 

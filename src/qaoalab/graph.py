@@ -7,6 +7,7 @@ can be consumed directly as a diagonal observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +61,8 @@ class MaxCutInstance:
 
     Edges are stored as (min, max) pairs and must be unique after that
     normalization; weights align with edges and default to 1.0 each.
+    Each weight is a finite number, and so is the sum of their absolute
+    values (``math.fsum``), so no cut value overflows.
     """
 
     n: int
@@ -74,6 +77,11 @@ class MaxCutInstance:
         seen: set[tuple[int, int]] = set()
         edges = tuple(_check_edge(self.n, e, w, seen) for e, w in zip(self.edges, weights))
         weights = tuple(float(w) for w in weights)
+        try:
+            math.fsum(map(abs, weights))  # raises where the exact sum passes the float range
+        except OverflowError:
+            raise ValueError("weights must have a finite total |weight|, so that no cut "
+                             "overflows; theirs passes the float range") from None
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", weights)
 
@@ -82,16 +90,9 @@ class MaxCutInstance:
         return float(sum(self.weights))
 
 
-def _validate_assignment(n: int, assignment: str) -> None:
-    if not isinstance(assignment, str) or len(assignment) != n:
-        raise ValueError(f"assignment must be a {n}-character bitstring, got {assignment!r}")
-    if set(assignment) - {"0", "1"}:
-        raise ValueError(f"assignment {assignment!r} contains characters other than 0/1")
-
-
 def cut_value(instance: MaxCutInstance, assignment: str) -> float:
     """Total weight of edges whose endpoints land on opposite sides."""
-    _validate_assignment(instance.n, assignment)
+    _checks.bitstring(assignment, "assignment", instance.n)
     total = 0.0
     for (u, v), w in zip(instance.edges, instance.weights):
         if assignment[u] != assignment[v]:

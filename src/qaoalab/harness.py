@@ -216,7 +216,7 @@ def _read_graph(path, name: str) -> MaxCutInstance:
         raise ConfigError(f"{name}: no such file: {path}")
     try:
         return parse_edge_list(path.read_text(encoding="utf-8"))
-    except ParseError as exc:
+    except ValueError as exc:  # a ParseError, or a rule of the whole graph
         raise ConfigError(f"{name}: {path}: {exc}") from None
 
 

@@ -241,8 +241,7 @@ def apply_trajectory_noise(
 
 def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int) -> str:
     """Flip each measured bit independently with probability p_readout."""
-    if not isinstance(bits, str) or set(bits) - {"0", "1"}:
-        raise ValueError(f"bits must be a string of '0' and '1', got {bits!r}")
+    _checks.bitstring(bits, "bits")
     _checks.real(p_readout, "p_readout", 0, 1)
     shot_index, seed = _checks.integer(shot_index, "shot_index", 0), _checks.seed(seed)
     if p_readout == 0.0:

@@ -16,7 +16,6 @@ or as a bitstring counts dict, whose sum is its shots (``energy_from_counts``).
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -25,17 +24,17 @@ from . import _checks, rng
 from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
 from .graph import MaxCutInstance, cut_value_table
 from .noise import NoiseConfig
-from .statevec import counts_from_tally, sample_outcomes, sample_tally
+from .statevec import _tally_qubits, sample_outcomes, sample_tally
 
 RUN_MODES = ("exact", "sampled", "noisy")
 
 
 class EnergySample:
-    """One objective evaluation; counts is None for exact evaluations.
+    """One objective evaluation: its energy, its shots (0 for exact) and the tally it was scored from.
 
-    A sampled or noisy evaluation keeps the basis-index tally it was
-    scored from and formats it as a bitstring counts dict only when
-    ``counts`` is first read.
+    The tally is the basis-index tally of a sampled or noisy evaluation,
+    None for an exact one; ``statevec.counts_from_tally`` makes it a
+    bitstring histogram.
     """
 
     def __init__(self, energy: float, shots: int, *, tally: np.ndarray | None = None):
@@ -43,40 +42,37 @@ class EnergySample:
         self.shots = shots
         self.tally = tally
 
-    @cached_property
-    def counts(self) -> dict[str, int] | None:
-        return None if self.tally is None else counts_from_tally(self.tally)
-
 
 def energy_from_counts(counts: dict[str, int], instance: MaxCutInstance) -> float:
-    """-(sum of counts-weighted cut values) / shots, the shots being the counts' sum."""
-    shots = sum(_checks.counts(counts, "counts").values())
+    """-(sum of counts-weighted cut values) / shots, the shots being the counts' sum.
+
+    The counts are checked by the histogram rule (``_checks.counts``):
+    keys are n-character bitstrings, counts integers >= 0, and there is
+    a shot.
+    """
+    shots = _checks.counts(counts, "counts", instance.n)
     table, scale = _scaled(cut_value_table(instance), shots)
     total = 0.0
     for bits, c in counts.items():
-        if len(bits) != instance.n or set(bits) - {"0", "1"}:
-            raise ValueError(f"bitstring {bits!r} does not fit a {instance.n}-node instance")
         total += c * table[int(bits, 2)]
-    if shots < 1:
-        raise ValueError("counts carry no shots")
     return -total / shots / scale
 
 
 def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
     """-(sum of tally-weighted cut values) / shots for a basis-index tally.
 
+    The tally is checked by the tally rule (``statevec._tally_qubits``).
     The products are added one by one in ascending index order, as
     ``energy_from_counts`` adds them over the histogram of the same
     tally, so the two agree bit for bit. Both score a sum that can
     overflow in values scaled by a power of two (``_scaled``), so a
     finite mean comes out finite.
     """
-    table = cut_value_table(instance)
-    if tally.shape != table.shape:
+    if _tally_qubits(tally) != instance.n:
         raise ValueError(f"tally of length {tally.size} does not fit a {instance.n}-node instance")
     if not tally.any():
         raise ValueError("tally has no shots")
-    return _tally_energy(tally, *_scaled(table, int(tally.sum())))
+    return _tally_energy(tally, *_scaled(cut_value_table(instance), int(tally.sum())))
 
 
 def _scaled(table: np.ndarray, shots: int) -> tuple[np.ndarray, float]:
@@ -133,8 +129,8 @@ def evaluate_qaoa(
     Exact mode returns the exact expectation (shots reported as 0);
     sampled and noisy modes estimate it from measured shots. Both score
     the basis-index tally of ``Engine.tallies`` directly and format no
-    bitstring unless ``counts`` is read. ``check_run_mode`` and
-    ``check_seed`` check the inputs in every mode.
+    bitstring. ``check_run_mode`` and ``check_seed`` check the inputs in
+    every mode.
     """
     engine = Engine(instance, params.p, mode, shots=shots, noise=noise)
     seed = check_seed(mode, seed, mode != "exact")
@@ -196,7 +192,9 @@ class Engine:
     engine holds one ``trajectories.Plan`` of its circuit, built from
     zero angles with its noise config's DD pulses in it: each row's RX
     and RZ angles come from ``qaoa_angles``, and it scores its
-    ``tallies``.
+    ``tallies``. A row whose cost products (2 * gamma times a cut value,
+    or an RZ angle) overflow the float range scores NaN, which a search
+    takes as any non-finite value; ``tallies`` refuses it.
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
@@ -214,33 +212,56 @@ class Engine:
             self._plan = trajectories.Plan(circuit, noise)
         else:
             self._plan, self._table = half_plan(instance), table
+            self._peak = float(np.abs(table).max())  # the largest |cut value|, for ``_fits``
 
     def _rows(self, thetas, seeds) -> np.ndarray:
         """The batch as a float array, checked: (k, 2p) finite angles, one seed per row."""
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != 2 * self.p:
             raise ValueError(f"expected thetas of shape (k, {2 * self.p}), got {thetas.shape}")
-        if not np.isfinite(thetas).all():
+        # a sum of squares (one BLAS call, which sets no numpy warning) is finite
+        # only if every angle is; a huge angle makes it inf, so look again
+        if not math.isfinite(np.vdot(thetas, thetas)) and not np.isfinite(thetas).all():
             raise ValueError("thetas: angles must be finite")
         if len(seeds) != len(thetas):
             raise ValueError(f"seeds: expected one per row, got {len(seeds)} for {len(thetas)} rows")
         return thetas
 
     def __call__(self, thetas, seeds) -> np.ndarray:
-        table, scale = self._shot_table, self._scale
-        if self.mode == "noisy":
-            return np.array([_tally_energy(tally, table, scale)
-                             for tally in self.tallies(thetas, seeds)])
         thetas = self._rows(thetas, seeds)
-        if self.mode == "exact":
-            return np.array([-float(q @ self._table) for q in qaoa_probabilities(self._plan, thetas)])
-        return np.array([_sorted_energy(sample_outcomes(q, self.shots, seed), table, scale)
-                         for q, seed in self._draws(thetas, seeds)])
-
-    def _draws(self, thetas: np.ndarray, seeds) -> zip:
-        """(exact probabilities, checked seed) of each checked row."""
+        # a row whose cost products overflow scores NaN, with no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.mode == "exact":
+                return np.array([-float(q @ self._table) for q in qaoa_probabilities(self._plan, thetas)])
+            fits = self._fits(thetas)
         seeds = [check_seed(self.mode, seed) for seed in seeds]
-        return zip(qaoa_probabilities(self._plan, thetas), seeds)
+        thetas, seeds = thetas[fits], [seed for seed, fit in zip(seeds, fits) if fit]
+        table, scale = self._shot_table, self._scale
+        energies = np.full(len(fits), math.nan)
+        if self.mode == "noisy":
+            energies[fits] = [_tally_energy(tally, table, scale) for tally in self._noisy(thetas, seeds)]
+        else:
+            energies[fits] = [_sorted_energy(sample_outcomes(q, self.shots, seed), table, scale)
+                              for q, seed in zip(qaoa_probabilities(self._plan, thetas), seeds)]
+        return energies
+
+    def _fits(self, thetas: np.ndarray) -> np.ndarray:
+        """Which rows' cost products are finite; called under ``np.errstate``.
+
+        An exact or sampled row multiplies 2 * gamma by each cut value,
+        and its product at the largest |cut value| rounds no smaller than
+        any other, so it alone decides. A noisy row's products are its
+        RZ angles from ``qaoa_angles``.
+        """
+        if self.mode == "noisy":
+            return np.isfinite(qaoa_angles(self.instance, thetas)).all(axis=1)
+        return np.isfinite(2.0 * thetas[:, self.p:] * self._peak).all(axis=1)
+
+    def _noisy(self, thetas: np.ndarray, seeds: list) -> np.ndarray:
+        """The tallies of checked rows whose products fit, in one ``trajectories.sample`` call."""
+        from . import trajectories
+
+        return trajectories.sample(self._plan, self.shots, seeds, qaoa_angles(self.instance, thetas))
 
     def tallies(self, thetas, seeds) -> np.ndarray:
         """The (k, 2^n) basis-index tallies of the batch, row j under ``seeds[j]``.
@@ -249,20 +270,22 @@ class Engine:
         its exact probabilities; an exact engine built without shots
         refuses a row. Noisy mode samples the batch in one
         ``trajectories.sample`` call on the engine's plan, with each
-        row's RX and RZ angles.
+        row's RX and RZ angles. A row whose cost products overflow has
+        no state to sample and is refused.
         """
-        instance, n = self.instance, self.instance.n
         thetas = self._rows(thetas, seeds)
         if self.shots is None and len(thetas):
             raise ValueError("shots: an exact engine built without shots draws no tallies")
+        seeds = [check_seed(self.mode, seed) for seed in seeds]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = self._fits(thetas)
+        if not fits.all():
+            raise ValueError(f"thetas: row {int(np.argmin(fits))}'s cost products overflow the float range")
         if self.mode == "noisy":
-            from . import trajectories
-
-            return trajectories.sample(self._plan, self.shots,
-                                       [check_seed(self.mode, seed) for seed in seeds],
-                                       qaoa_angles(instance, thetas))
-        return np.array([sample_tally(q, self.shots, seed) for q, seed in self._draws(thetas, seeds)],
-                        dtype=np.int64).reshape(len(thetas), 1 << n)
+            return self._noisy(thetas, seeds)
+        return np.array([sample_tally(q, self.shots, seed)
+                         for q, seed in zip(qaoa_probabilities(self._plan, thetas), seeds)],
+                        dtype=np.int64).reshape(len(thetas), 1 << self.instance.n)
 
 
 def make_objective(

@@ -31,11 +31,6 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _bits_only(keys) -> bool:
-    """True when every key holds only "0" and "1" characters."""
-    return not "".join(keys).encode().translate(None, b"01")
-
-
 def _svg(body: list[str]) -> str:
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -52,13 +47,10 @@ def _svg(body: list[str]) -> str:
 def render_histogram(counts: dict[str, int], highlight: frozenset[str] | set[str] = frozenset(), title: str = "") -> str:
     """Probability bars (count over the counts' sum) per bitstring, lexicographic order, highlights flagged.
 
-    The counts are checked by the count rule (``_checks.counts``) and
-    must carry a shot.
+    The counts are checked by the histogram rule (``_checks.counts``),
+    which sums them and refuses a histogram with no shots.
     """
-    shots = sum(_checks.counts(counts, "counts").values())
-    if shots < 1:
-        raise ValueError("counts carry no shots")
-    return _histogram(counts, shots, highlight, title)
+    return _histogram(counts, _checks.counts(counts, "counts"), highlight, title)
 
 
 def _histogram(counts: dict[str, int], shots: int, highlight, title: str) -> str:
@@ -99,7 +91,7 @@ def _histogram(counts: dict[str, int], shots: int, highlight, title: str) -> str
     label_y = _fmt(base_y + 12)
     bar = ('<rect class="%s" x="%.2f" y="%s"/>\n'
            f'<text x="%.2f" y="{label_y}" text-anchor="end" transform="rotate(-60 %.2f {label_y})">%s</text>')
-    plain = _bits_only(counts)
+    plain = _checks.is_bits("".join(counts))
     gap, half = (slot - bar_w) / 2, bar_w / 2
     for i, (key, c) in enumerate(items):
         x = _MARGIN_L + i * slot + gap
@@ -114,9 +106,9 @@ def _histogram(counts: dict[str, int], shots: int, highlight, title: str) -> str
 def _read_counts(counts_path) -> tuple[dict[str, int], int, str | None]:
     """The bitstring counts of a counts JSON file, its shots, and its instance's edge-list text if any.
 
-    ``shots`` is an integer >= 1 and each count an integer >= 0 (the
-    ``_checks`` rules, so no bool or float), the counts sum to ``shots``,
-    and the keys are bitstrings of one width. A ValueError names the
+    ``shots`` is an integer >= 1, and the counts pass the histogram rule
+    (``_checks.counts``: integers >= 0, no bool or float, keys bitstrings
+    as wide as the first) and sum to ``shots``. A ValueError names the
     file and the field it refuses.
     """
     with open(counts_path, encoding="utf-8") as fh:
@@ -128,15 +120,9 @@ def _read_counts(counts_path) -> tuple[dict[str, int], int, str | None]:
         raise ValueError(f"{counts_path}: counts must be an object of bitstring counts")
     tally = payload["counts"]
     shots = _checks.integer(payload.get("shots"), f"{counts_path}: shots", 1)
-    _checks.counts(tally, f"{counts_path}: counts")
-    total = sum(tally.values())
+    total = _checks.counts(tally, f"{counts_path}: counts", len(next(iter(tally), "")))
     if total != shots:
         raise ValueError(f"{counts_path}: shots is {shots}, but the counts sum to {total}")
-    width = len(next(iter(tally)))  # there is a key: the counts sum to shots >= 1
-    if not width or set(map(len, tally)) != {width} or not _bits_only(tally):
-        key = next(k for k in tally if len(k) != width or not k or set(k) - {"0", "1"})
-        raise ValueError(f"{counts_path}: counts[{key!r}]: keys must be bitstrings of 0 and 1, "
-                         f"all as wide as the first ({width})")
     instance = payload.get("instance")
     if instance is not None and not isinstance(instance, str):
         raise ValueError(f"{counts_path}: instance must be edge-list text, got {instance!r}")

@@ -23,7 +23,7 @@ from qaoalab.ansatz import (
 )
 from qaoalab.graph import MaxCutInstance
 from qaoalab.objective import evaluate_qaoa
-from qaoalab.statevec import GateOp, expectation_cut, simulate_ops
+from qaoalab.statevec import GateOp, counts_from_tally, expectation_cut, simulate_ops
 
 
 def gate_count(n: int, m: int, p: int) -> int:
@@ -125,8 +125,8 @@ def test_weighted_edge_scales_phase():
 
 
 def test_batch_angles_are_the_products_the_circuit_carries():
-    # a weighted graph: the RZ angle is 2 * w * gamma, evaluated as Python
-    # evaluates it, left to right
+    # a weighted graph: the RZ angle is 2 * (w * gamma), the weight times gamma
+    # first; doubling is exact, so these are the bits of 2 * w * gamma too
     instance = MaxCutInstance(4, ((0, 1), (1, 2), (0, 3)), (0.3, 1.7, 2.25))
     thetas = np.random.default_rng(5).uniform(-4.0, 4.0, size=(6, 6))
     angles = qaoa_angles(instance, thetas)
@@ -134,10 +134,19 @@ def test_batch_angles_are_the_products_the_circuit_carries():
         betas, gammas = theta[:3].tolist(), theta[3:].tolist()
         expected = []
         for beta, gamma in zip(betas, gammas):
-            expected += [2.0 * w * gamma for w in instance.weights] + [2.0 * beta] * 4
+            expected += [2.0 * (w * gamma) for w in instance.weights] + [2.0 * beta] * 4
+            assert expected[-7:-4] == [2.0 * w * gamma for w in instance.weights]
         assert row == expected
         circuit = build_qaoa_circuit(instance, QaoaParams.from_vector(theta))
         assert [op.angle for op in circuit.ops if op.kind in ("RX", "RZ")] == expected
+
+
+def test_an_angle_overflows_only_where_the_angle_itself_does():
+    # 2.0 * w would overflow first: inf at every gamma, and NaN at gamma = 0
+    huge = MaxCutInstance(2, ((0, 1),), (1e308,))
+    assert qaoa_angles(huge, np.array([[0.5, 0.25]])).tolist() == [[5e307, 1.0, 1.0]]
+    assert qaoa_angles(huge, np.array([[0.5, 0.0]])).tolist() == [[0.0, 1.0, 1.0]]
+    assert qaoa_angles(huge, np.zeros((3, 0))).shape == (3, 0)
 
 
 def test_circuit_is_hashable(canonical):
@@ -361,7 +370,7 @@ def test_noiseless_evaluation_builds_no_gate_list(monkeypatch, canonical):
     forbid_gate_list(monkeypatch)
     assert evaluate_qaoa(canonical, params, "exact").energy == exact
     again = evaluate_qaoa(canonical, params, "sampled", shots=64, seed=3)
-    assert again.counts == sampled.counts
+    assert counts_from_tally(again.tally) == counts_from_tally(sampled.tally)
 
 
 def test_noiseless_runs_build_no_gate_list(monkeypatch, tmp_path):

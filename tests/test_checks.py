@@ -25,7 +25,7 @@ from qaoalab.noise import (
 from qaoalab.objective import Engine, evaluate_qaoa, make_objective
 from qaoalab.optim import MinimizeProblem, minimize, random_qaoa_starts
 from qaoalab.plots import render_histogram, render_trace
-from qaoalab.statevec import sample_counts, zero_state
+from qaoalab.statevec import counts_from_tally, sample_counts, zero_state
 
 CANONICAL = canonical_instance()
 PARAMS = QaoaParams((0.3,), (0.9,))
@@ -101,8 +101,9 @@ def test_a_choice_is_one_of_the_given_values(value):
         _checks.one_of(value, ("powell", "cg"), "method")
 
 
-# each taker of a bitstring histogram, scoring or drawing it
+# the histogram rule, and each taker of a bitstring histogram, scoring or drawing it
 HISTOGRAM_TAKERS = {
+    "rule": lambda counts: _checks.counts(counts, "counts", 5),
     "energy-from-counts": lambda counts: objective.energy_from_counts(counts, CANONICAL),
     "render-histogram": render_histogram,
 }
@@ -123,6 +124,46 @@ def test_numpy_counts_are_taken_as_ints(taker):
     counts = {"00011": 3, "11100": 5}
     assert HISTOGRAM_TAKERS[taker]({k: np.uint16(v) for k, v in counts.items()}) == (
         HISTOGRAM_TAKERS[taker](counts))
+
+
+def test_numpy_counts_are_summed_as_python_ints():
+    # uint16 counts summed in their own dtype wrap to 14464
+    counts = {"00011": np.uint16(40000), "11100": np.uint16(40000)}
+    shots = _checks.counts(counts, "counts", 5)
+    assert shots == 80000 and type(shots) is int
+    assert objective.energy_from_counts(counts, CANONICAL) == -6.0
+    assert render_histogram(counts) == render_histogram({"00011": 40000, "11100": 40000})
+
+
+@pytest.mark.parametrize("key", ["0001", "000111", "0001x", "00 11", "", 3, b"00011"])
+@pytest.mark.parametrize("taker", ["rule", "energy-from-counts"])
+def test_a_key_is_a_bitstring_of_the_width_named_by_itself(taker, key):
+    with pytest.raises(ValueError, match=rf"^counts\[{re.escape(repr(key))}\] must be a "
+                                         rf"5-character bitstring of 0 and 1, got "):
+        HISTOGRAM_TAKERS[taker]({"00011": 3, key: 2})
+
+
+@pytest.mark.parametrize("counts", [{}, {"00011": 0}, {"00011": 0, "11100": np.int64(0)}])
+@pytest.mark.parametrize("taker", list(HISTOGRAM_TAKERS))
+def test_a_histogram_without_shots_is_refused(taker, counts):
+    with pytest.raises(ValueError, match="^counts carry no shots$"):
+        HISTOGRAM_TAKERS[taker](counts)
+
+
+@pytest.mark.parametrize("value, width", [("0", None), ("0110", None), ("0110", 4),
+                                          (np.str_("10"), 2)])
+def test_a_bitstring_is_a_nonempty_string_of_0_and_1(value, width):
+    assert _checks.bitstring(value, "bits", width) is value
+
+
+@pytest.mark.parametrize("value, width", [("", None), ("012", None), ("0 1", None), ("０1", None),
+                                          ("011", 2), ("01", 3), (b"01", None), (11, None),
+                                          (["0", "1"], None), (None, None)])
+def test_a_bitstring_names_its_field(value, width):
+    wide = "" if width is None else f" {width}-character"
+    with pytest.raises(ValueError, match=rf"^bits must be a{wide} bitstring of 0 and 1, got "
+                                         rf"{re.escape(repr(value))}$"):
+        _checks.bitstring(value, "bits", width)
 
 
 # each site that takes one of a few names, with a name it takes and the field its
@@ -228,10 +269,10 @@ def _minimized(i):
 # each call, given integer inputs as ``i(value)``, must give the same result for
 # Python and numpy integers
 NUMPY_INPUTS = {
-    "evaluate-sampled": lambda i: evaluate_qaoa(CANONICAL, PARAMS, "sampled", shots=i(8),
-                                                seed=i(1)).counts,
-    "evaluate-noisy": lambda i: evaluate_qaoa(CANONICAL, PARAMS, "noisy", shots=i(8),
-                                              seed=i(1), noise=NOISE).counts,
+    "evaluate-sampled": lambda i: counts_from_tally(
+        evaluate_qaoa(CANONICAL, PARAMS, "sampled", shots=i(8), seed=i(1)).tally),
+    "evaluate-noisy": lambda i: counts_from_tally(
+        evaluate_qaoa(CANONICAL, PARAMS, "noisy", shots=i(8), seed=i(1), noise=NOISE).tally),
     "make-objective": lambda i: make_objective(CANONICAL, i(1), "sampled", shots=i(8),
                                                seed=i(3))(THETAS).tolist(),
     "engine-tallies": lambda i: Engine(CANONICAL, i(1), "noisy", shots=i(8), noise=NOISE).tallies(

@@ -1,6 +1,7 @@
 """Graph representation, cut evaluation, and the brute-force oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -95,10 +96,23 @@ def test_weight_count_must_match():
 
 
 def test_assignment_must_fit(canonical):
-    with pytest.raises(ValueError):
-        cut_value(canonical, "0001")
-    with pytest.raises(ValueError):
-        cut_value(canonical, "0001x")
+    for assignment in ["0001", "0001x", "000111", "", "00 11", 11, b"00011", ["0", "0", "0", "1", "1"]]:
+        with pytest.raises(ValueError, match=rf"^assignment must be a 5-character bitstring of "
+                                             rf"0 and 1, got {re.escape(repr(assignment))}$"):
+            cut_value(canonical, assignment)
+
+
+def test_weights_whose_cut_sums_overflow_are_refused():
+    # each weight alone is finite, their absolute values sum past the float range
+    for weights in [(1e308, 1e308), (1e308, -1e308), (1.7976931348623157e308, 1e300)]:
+        with pytest.raises(ValueError, match=r"^weights must have a finite total \|weight\|"):
+            MaxCutInstance(3, ((0, 1), (0, 2)), weights)
+    with pytest.raises(ValueError, match=r"^weights must have a finite total \|weight\|"):
+        parse_edge_list("3\n0 1 1e308\n0 2 1e308\n")
+    # up to the float range a cut table is finite
+    for instance in [MaxCutInstance(2, ((0, 1),), (1.7976931348623157e308,)),
+                     MaxCutInstance(3, ((0, 1), (0, 2)), (8e307, 8e307))]:
+        assert np.isfinite(cut_value_table(instance)).all()
 
 
 def test_enumeration_capacity_guard():

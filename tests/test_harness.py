@@ -33,7 +33,7 @@ from qaoalab.harness import (
 )
 from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import STATUS_BUDGET, STATUS_CONVERGED, STATUS_STALLED
-from qaoalab.statevec import MAX_QUBITS
+from qaoalab.statevec import MAX_QUBITS, counts_from_tally
 
 from conftest import GROUND_PAIR, assert_same_text
 
@@ -301,7 +301,8 @@ def test_final_counts_and_energy_are_evaluate_qaoa_at_the_final_seed(tmp_path, r
                           "sampled" if config.mode == "exact" else config.mode,
                           shots=config.shots, noise=config.noise,
                           seed=rng.child_seed(config.seed, rng.STREAM_FINAL))
-    assert json.loads((tmp_path / "counts.json").read_text())["counts"] == final.counts
+    assert json.loads((tmp_path / "counts.json").read_text())["counts"] == (
+        counts_from_tally(final.tally))
     assert summary["final_energy"] == final.energy
 
 
@@ -738,6 +739,29 @@ def test_cli_brute_force_names_a_bad_graph_file(tmp_path, capsys):
     assert str(refused.value) == f"instance.file: {path}: line 3: endpoints '1' 'x' must be integers"
     assert main(["brute-force", "--graph", str(path)]) == 1
     assert capsys.readouterr().err == f"error: --graph: {path}: line 3: endpoints '1' 'x' must be integers\n"
+
+
+def test_a_graph_whose_cut_sums_overflow_is_refused_by_name(tmp_path, capsys):
+    message = "weights must have a finite total |weight|"
+    inline = {"n": 3, "edges": [[0, 1], [0, 2]], "weights": [1e308, 1e308]}
+    with pytest.raises(ConfigError, match=re.escape(f"instance.inline: {message}")):
+        parse_config({"instance": {"inline": inline}})
+    path = tmp_path / "g.txt"
+    path.write_text("3\n0 1 1e308\n0 2 1e308\n")
+    with pytest.raises(ConfigError, match=re.escape(f"instance.file: {path}: {message}")):
+        parse_config({"instance": {"file": str(path)}})
+    assert main(["brute-force", "--graph", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --graph: {path}: {message}")
+
+
+def test_a_search_whose_angle_products_overflow_prints_no_numpy_warning(tmp_path, capsys):
+    # 2 * gamma * 1e308 overflows from gamma = 0.9: those rows score NaN, silently
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "instance": {"inline": {"n": 2, "edges": [[0, 1]], "weights": [1e308]}},
+        "p": 1, "init": "random", "method": "powell", "seed": 3, "max_evals": 20}))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: objective returned no finite value in 7 evaluations\n"
 
 
 def test_cli_solve_and_plot(tmp_path, capsys):

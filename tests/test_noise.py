@@ -1,6 +1,7 @@
 """Noise channels, twirling, scheduling, decoupling, readout."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -449,10 +450,11 @@ def test_readout_edge_rates():
     assert apply_readout_error("01101", 1.0, 0, 1) == "10010"
 
 
-@pytest.mark.parametrize("bits", ["2a", "01x", b"01", ["0", "1"]])
+@pytest.mark.parametrize("bits", ["2a", "01x", b"01", ["0", "1"], "", "0 1", 101, None])
 @pytest.mark.parametrize("rate", [0.0, 1.0])
 def test_readout_rejects_bits_that_are_not_a_bitstring(bits, rate):
-    with pytest.raises(ValueError, match="bits"):
+    with pytest.raises(ValueError, match=rf"^bits must be a bitstring of 0 and 1, "
+                                         rf"got {re.escape(repr(bits))}$"):
         apply_readout_error(bits, rate, 0, 1)
 
 

@@ -23,7 +23,7 @@ from qaoalab.objective import (
     make_objective,
 )
 from qaoalab.optim import MinimizeProblem, minimize
-from qaoalab.statevec import expectation_cut, sample_counts, sample_tally, simulate_ops
+from qaoalab.statevec import counts_from_tally, expectation_cut, sample_counts, sample_tally, simulate_ops
 
 from test_noise import BATCH_CONFIGS
 
@@ -128,7 +128,7 @@ def test_energy_complement_invariance(canonical):
 
 def test_exact_evaluation_reports_no_shots(canonical):
     sample = evaluate_qaoa(canonical, QaoaParams((0.3,), (0.9,)))
-    assert sample.shots == 0 and sample.counts is None
+    assert sample.shots == 0 and sample.tally is None
     assert -6.0 <= sample.energy <= 0.0
 
 
@@ -137,16 +137,15 @@ def test_sampled_evaluation_carries_counts(canonical):
         canonical, QaoaParams((0.3,), (0.9,)), "sampled", shots=256, seed=4
     )
     assert sample.shots == 256
-    assert sum(sample.counts.values()) == 256
+    assert sum(counts_from_tally(sample.tally).values()) == 256
 
 
-def test_sampled_counts_are_built_on_first_read(canonical):
+def test_sampled_counts_are_the_histogram_of_the_tally(canonical):
     params = QaoaParams((0.3,), (0.9,))
     sample = evaluate_qaoa(canonical, params, "sampled", shots=300, seed=8)
     amps = qaoa_states(canonical, params.to_vector()[None])[0]
     expected = sample_counts(amps, 300, 8)
-    assert sample.counts == expected
-    assert sample.counts is sample.counts
+    assert counts_from_tally(sample.tally) == expected
     assert sample.energy == energy_from_counts(expected, canonical)
 
 
@@ -175,7 +174,7 @@ def test_noisy_evaluation_scores_the_noisy_counts(canonical, noise):
         sample = evaluate_qaoa(canonical, params, "noisy", shots=200, seed=seed, noise=noise)
         counts = sample_noisy(circuit, noise, 200, seed)
         assert sample.shots == 200
-        assert sample.counts == counts
+        assert counts_from_tally(sample.tally) == counts
         assert sample.energy == energy_from_counts(counts, canonical)
 
 
@@ -187,7 +186,6 @@ def test_sampled_objective_formats_no_bitstring(monkeypatch, canonical):
     def refuse(*args, **kwargs):
         raise AssertionError("a sampled evaluation formatted bitstrings")
 
-    monkeypatch.setattr(objective, "counts_from_tally", refuse)
     monkeypatch.setattr(statevec, "counts_from_tally", refuse)
     f = make_objective(canonical, 2, "sampled", shots=512, seed=5)
     assert [f(t[None])[0] for t in thetas] == want
@@ -479,6 +477,44 @@ def assert_histogram(counts, n: int, shots: int):
     assert all(type(b) is str and len(b) == n and not set(b) - {"0", "1"} for b in counts)
 
 
+@pytest.mark.parametrize("value, dtype", [(1.5, float), (-2, np.int64), (True, bool)])
+def test_energy_from_tally_refuses_a_tally_by_the_tally_rule(canonical, value, dtype):
+    tally = np.zeros(32, dtype=dtype)
+    tally[3] = value  # each scored -6.0 before it was checked
+    with pytest.raises(ValueError, match="^tally must be a 1-D integer array of 2\\^n counts >= 0"):
+        energy_from_tally(tally, canonical)
+    with pytest.raises(ValueError, match="^tally must be a 1-D integer array"):
+        energy_from_tally(tally.tolist(), canonical)
+
+
+@pytest.mark.parametrize("mode, noise", [("exact", None), ("sampled", None), ("noisy", NoiseConfig()),
+                                         ("noisy", NoiseConfig(p_readout=0.1))])
+def test_a_row_whose_cost_products_overflow_scores_nan(mode, noise):
+    # 2 * gamma * 1e308 overflows at gamma = 3, and noisy 1e308 * gamma too
+    thetas = np.array([[0.5, 0.0], [0.5, 3.0], [0.5, 0.25]])
+    engine = Engine(HUGE, 1, mode, shots=64, noise=noise)
+    energies = engine(thetas, [1, 2, 3])
+    assert np.isfinite(energies[[0, 2]]).all() and math.isnan(energies[1])
+    assert energies[[0, 2]].tolist() == engine(thetas[[0, 2]], [1, 3]).tolist()
+    with pytest.raises(ValueError, match="^thetas: row 1's cost products overflow"):
+        engine.tallies(thetas, [1, 2, 3])
+    assert engine.tallies(thetas[[0, 2]], [1, 3]).sum(axis=1).tolist() == [64, 64]
+
+
+def test_the_largest_cut_value_decides_which_rows_overflow():
+    # gammas a few ulps either side of where 2 * gamma * 1e308 overflows: the
+    # sampled engine skips exactly the rows whose exact phases come out NaN
+    edge = float(np.finfo(float).max) / 2.0 / 1e308
+    gammas = [edge]
+    for _ in range(3):
+        gammas = [np.nextafter(gammas[0], 0.0)] + gammas + [np.nextafter(gammas[-1], 1.0)]
+    thetas = np.array([[0.5, g] for g in gammas])
+    exact = Engine(HUGE, 1)(thetas, [None] * len(thetas))
+    sampled = Engine(HUGE, 1, "sampled", shots=8)(thetas, list(range(len(thetas))))
+    assert 0 < np.isnan(exact).sum() < len(thetas)
+    assert np.isnan(sampled).tolist() == np.isnan(exact).tolist()
+
+
 def test_states_are_amplitude_arrays_and_histograms_bitstring_dicts(canonical):
     circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.9,)))
     noise = NoiseConfig(p2q=0.05, p_readout=0.02)
@@ -491,7 +527,7 @@ def test_states_are_amplitude_arrays_and_histograms_bitstring_dicts(canonical):
     for mode in ("sampled", "noisy"):
         sample = evaluate_qaoa(canonical, QaoaParams((0.3,), (0.9,)), mode, shots=36, seed=4,
                                noise=noise if mode == "noisy" else None)
-        assert_histogram(sample.counts, 5, 36)
+        assert_histogram(counts_from_tally(sample.tally), 5, 36)
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
