@@ -60,9 +60,9 @@ def counts(value: dict, name: str, width: int | None = None) -> int:
     """The shots of ``value``, a bitstring histogram: the sum, as an int, of its counts.
 
     Each count is an integer >= 0; numpy counts are summed as Python
-    ints, so no dtype wraps. When ``width`` is given, each key is a
-    bitstring of that width. There must be a shot. A message names the
-    key it refuses. Each scan but the counts' runs in C.
+    ints, so no dtype wraps. Each key is a string, and when ``width`` is
+    given, a bitstring of that width. There must be a shot. A message
+    names the key it refuses. Each scan but the counts' runs in C.
     """
     exact = True
     for key, count in value.items():
@@ -78,6 +78,10 @@ def counts(value: dict, name: str, width: int | None = None) -> int:
         if not fit:
             for key in value:
                 bitstring(key, f"{name}[{key!r}]", width)
+    elif not set(map(type, value)) <= {str}:
+        for key in value:
+            if not isinstance(key, str):
+                raise ValueError(f"{name}[{key!r}] must be keyed by a string, got {key!r}")
     if shots < 1:
         raise ValueError(f"{name} carry no shots")
     return shots

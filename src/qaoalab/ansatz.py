@@ -125,8 +125,13 @@ def qaoa_angles(instance: MaxCutInstance, thetas) -> np.ndarray:
 
 
 def build_qaoa_circuit(instance: MaxCutInstance, params: QaoaParams) -> Circuit:
-    """Construct the depth-p circuit for ``instance`` at ``params``."""
-    angles = iter(qaoa_angles(instance, params.to_vector()[None]).ravel().tolist())
+    """Construct the depth-p circuit for ``instance`` at ``params``.
+
+    An angle beyond the float range is refused by name, as ``Circuit``
+    refuses any angle that is not a finite number.
+    """
+    with np.errstate(over="ignore"):
+        angles = iter(qaoa_angles(instance, params.to_vector()[None]).ravel().tolist())
     ops: list[GateOp] = []
     for q in range(instance.n):
         ops.append(GateOp("H", (q,), None, ONE_QUBIT_DURATION))

@@ -3,8 +3,9 @@
 Noise is simulated as per-shot pure-state trajectories: each shot draws
 its own twirl, stochastic Pauli insertions, quasi-static dephasing
 rates, and readout flips, all from substreams keyed by (seed, stream,
-shot). Inserted error ops carry zero duration so they never perturb
-timing. This module makes no random draw: qaoalab.trajectories makes
+shot) and read together for all shots by one vectorized Philox.
+Inserted error ops carry zero duration so they never perturb timing.
+This module makes no random draw: qaoalab.trajectories makes
 them all, from one trajectories.Plan of a circuit and a config (DD
 inserted once), and runs the shots of k points together, each point
 its own seed and RX/RZ angles; sample_noisy samples one point that way,
@@ -227,11 +228,20 @@ def apply_trajectory_noise(
 ) -> Circuit:
     """One shot's stochastic error realization as an expanded circuit.
 
-    Draw order is fixed: per-qubit dephasing rates first, then one draw
-    per gate in op order, so the result is a pure function of
-    (circuit, config, shot_index, seed). Inserted ops carry duration 0.
-    DELAY ops receive dephasing (they are idle time) but no gate noise.
-    The config's twirling, dd and p_readout play no part here.
+    The draws are a pure function of (circuit, config, shot_index,
+    seed). Each qubit's dephasing rate is a normal(0, sigma_dephase)
+    draw, by Box-Muller, from the shot's dephasing substream. Every gate
+    but DELAY is an error site, of rate p2q after a CNOT and p1q after
+    any other gate; the sites race on the shot's trajectory substream:
+    each word w gives E = -log(U), U = ((w >> 11) + 1) * 2**-53, and the
+    next hit is the first site whose cumulative -log(1 - p) exceeds the
+    rate reached so far plus E (a p = 1 site is always hit). The word
+    after a hit picks its Pauli uniformly, ((w >> 11) * b) >> 53 below
+    b = 3 (X, Y, Z) or b = 15 (the non-identity pairs). So each site is
+    hit independently with its own probability. Inserted ops carry
+    duration 0. DELAY ops receive dephasing (they are idle time) but no
+    gate noise. The config's twirling, dd and p_readout play no part
+    here.
     """
     from . import trajectories  # loaded on first use
 
@@ -249,7 +259,7 @@ def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int)
     from . import trajectories  # loaded on first use
 
     key = rng.derive_keys(seed, rng.STREAM_READOUT, [shot_index])
-    flips = trajectories._readout_flips(trajectories._Substreams(), key, len(bits), p_readout)[0]
+    flips = trajectories._readout_flips(key, len(bits), p_readout)[0]
     return "".join(("1" if b == "0" else "0") if f else b for b, f in zip(bits, flips))
 
 
@@ -267,9 +277,12 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     ``trajectories.sample`` makes every draw, from one ``Plan``, and runs
     the shots together as one (shots, 2^n) array. The histogram, a
     ``dict[str, int]`` summing to ``shots``, equals that of running each
-    shot's circuit from ``twirl_circuit`` (at the shot's twirl seed) and
-    ``apply_trajectory_noise`` through ``simulate_ops``, then
-    ``apply_readout_error``.
+    shot's circuit from ``trajectories.realize`` (at the shot's twirl
+    seed) through ``simulate_ops``, then ``apply_readout_error``. With
+    twirling, each of a CNOT's four twirl slots is an error site of rate
+    p1q whether its draw fills it or not, and a hit on an empty slot
+    inserts nothing; so with gate errors, ``apply_trajectory_noise`` of
+    a ``twirl_circuit`` draws the same distribution but other bits.
     """
     from . import trajectories  # loaded on first use
 

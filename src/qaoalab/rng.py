@@ -6,7 +6,8 @@ generator from ``(seed, path...)`` where the path encodes a stream tag
 and, usually, a shot or restart index. A shot's randomness is therefore
 a pure function of ``(seed, stream, shot)``: results never depend on
 evaluation order, and re-running any prefix of the work reproduces the
-same numbers.
+same numbers. ``philox_raw`` reads the words of many such streams at
+once, so a per-shot stream costs no generator of its own.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ STREAM_INIT = 5
 STREAM_EVAL = 6
 STREAM_FINAL = 7
 STREAM_CELL = 8
+STREAM_DEPHASE = 9
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -72,6 +74,49 @@ def derive_keys(seed, *path) -> np.ndarray:
     for part in path:
         h = _mix64_words(h ^ _mix64_words(words(part)))
     return h
+
+
+# Philox4x64-10 (Salmon et al., SC 2011): the round multipliers and the
+# Weyl increments of the key
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple:
+    """The high and low 64-bit words of each a * m, the high one from 32-bit limbs."""
+    al, ah = a & _LOW32, a >> _32
+    ml, mh = m & _LOW32, m >> _32
+    mid = ah * ml + ((al * ml) >> _32)  # below 2**64: (2**32 - 1)**2 + 2**32 - 1
+    return ah * mh + (mid >> _32) + ((al * mh + (mid & _LOW32)) >> _32), a * m
+
+
+def philox_raw(keys, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit words of each key's stream, a (len(keys), count) uint64 array.
+
+    Row r equals ``np.random.Philox(key=keys[r]).random_raw(count)`` bit
+    for bit: word 4b + j is word j of Philox4x64-10 at counter
+    (b + 1, 0, 0, 0) under key (keys[r], 0). Every row and block is
+    computed at once, so the cost grows with ``count`` and not with a
+    generator per key. ``keys`` holds integers in [0, 2**64).
+    """
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
+    blocks = -(-count // 4)
+    # the counter words stay (1, blocks) or (1, 1) until a key mixes in
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None]
+    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+            hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+            k0 = keys + np.uint64(r * _PHILOX_W[0] & _MASK64)
+            k1 = np.uint64(r * _PHILOX_W[1] & _MASK64)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.empty((len(keys), blocks, 4), dtype=np.uint64)
+    for j, x in enumerate((x0, x1, x2, x3)):
+        words[:, :, j] = x
+    return words.reshape(len(keys), 4 * blocks)[:, :count]
 
 
 def generator(seed: int, *path: int) -> np.random.Generator:

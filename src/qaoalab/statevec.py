@@ -208,6 +208,7 @@ def check_gate(n: int, op: GateOp) -> None:
     if op.kind in ROTATION_KINDS:
         if op.angle is None:
             raise ValueError(f"{op.kind} requires an angle")
+        _checks.real(op.angle, "angle")
     elif op.kind != "DELAY" and op.angle is not None:
         raise ValueError(f"{op.kind} takes no angle")
     _checks.real(op.duration, "duration", 0)

@@ -4,14 +4,17 @@ This module is the one place that turns (seed, stream, shot) into twirl
 Paulis, gate errors, dephasing kicks and readout flips. A ``Plan`` lays
 out a circuit, with its DD pulses, once. ``_chunk_steps`` walks that
 layout and draws, for each row (one per shot), its twirl from the twirl
-substream and its dephasing rates and gate errors from the trajectory
-substream. Each row's stream is read in one numpy Philox call, and
-``_decode_errors`` replays the gate-error draws of all rows at once
-from those words, over one list of error sites that every row shares
-but for the twirl slots it leaves empty.
-The result is one ordered step list: gates every row shares, Paulis
-per row (a twirl Pauli on every row, an error Pauli on the rows that
-drew one) and a dephasing kick per row.
+substream, its gate errors from the trajectory substream and its
+dephasing rates from the dephasing substream. Every row's words come
+from one vectorized Philox (``rng.philox_raw``). Gate errors cost per
+error, not per site: ``_gate_errors`` runs an exponential race over the
+cumulative rates of the error sites, which every row shares, one word
+to reach the next hit and one for its Pauli (Gidney, arXiv 2103.02202,
+draws the gap to the next error the same way), and drops a hit on a
+twirl slot that the row leaves empty. ``_dephasing`` takes the rates
+by Box-Muller. The result is one ordered step list: gates every row
+shares, Paulis per row (a twirl Pauli on every row, an error Pauli on
+the rows that drew one) and a dephasing kick per row.
 
 ``sample`` is the noisy engine, on one plan per ``objective.Engine``.
 It takes k points at once, each a seed and a row of RX and RZ angles
@@ -50,6 +53,7 @@ so work that never samples with noise does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -96,6 +100,9 @@ def _twirl_image() -> np.ndarray:
 
 
 _TWIRL_IMAGE = _twirl_image()
+# the Paulis of twirl draw v, in slot order: v >> 2, v & 3 and its image's
+_TWIRL_SLOTS = np.stack([np.arange(16) >> 2, np.arange(16) & 3,
+                         _TWIRL_IMAGE >> 2, _TWIRL_IMAGE & 3], axis=-1)
 
 
 @lru_cache(maxsize=512)
@@ -171,162 +178,82 @@ def _zz_diags(n: int, control: int, target: int, epsilon: float) -> np.ndarray:
     return diags
 
 
-class _Substreams:
-    """One Philox, re-keyed for each shot's substream.
+# A word w gives U = ((w >> 11) + 1) * 2**-53 in (0, 1], so E = -log(U) is at
+# most 53 log 2 < 37: a site of rate 64 is never passed by a race.
+_SURE = 64.0
+_11, _53 = np.uint64(11), np.uint64(53)
 
-    Re-keying resets the counter and buffers to those of a fresh
-    ``Philox(key=k)``, so the draws equal ``rng.generator``'s at a
-    fraction of the cost of building a generator per shot. The state
-    holds plain ints, which the state setter takes without converting
-    numpy scalars.
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """U = ((w >> 11) + 1) * 2**-53 in (0, 1] of each word: never 0, so log(U) is finite."""
+    return ((words >> _11) + np.uint64(1)) * 2.0**-53
+
+
+def _reach(p: np.ndarray) -> np.ndarray:
+    """The cumulative rates of sites hit with probabilities ``p``, in order.
+
+    Site i has rate -log(1 - p_i), so an Exp(1) draw passes it with
+    probability 1 - p_i; a site with p = 1 gets ``_SURE``, which no draw
+    passes.
     """
-
-    def __init__(self):
-        self.bitgen = np.random.Philox(key=0)
-        self.gen = np.random.Generator(self.bitgen)
-        state = self.bitgen.state
-        self._state = {**state, "buffer": state["buffer"].tolist(),
-                       "state": {name: words.tolist() for name, words in state["state"].items()}}
-        self._key = self._state["state"]["key"]
-
-    def seek(self, key: int) -> None:
-        self._key[0] = key
-        self.bitgen.state = self._state
-
-    @staticmethod
-    def keys(keys) -> list:
-        """uint64 keys, an array or a list, as the plain ints that ``seek`` takes."""
-        return np.asarray(keys, dtype=np.uint64).tolist()
-
-    def raw(self, keys, count: int) -> np.ndarray:
-        """The first ``count`` 64-bit words of each key's stream."""
-        keys = self.keys(keys)
-        words = np.empty((len(keys), count), dtype=np.uint64)
-        for r, key in enumerate(keys):
-            self.seek(key)
-            words[r] = self.bitgen.random_raw(count)
-        return words
+    rate = -np.log1p(-np.where(p < 1.0, p, 0.0))
+    rate[p == 1.0] = _SURE
+    return np.cumsum(rate)
 
 
-def _limit(p):
-    """The largest raw word whose ``Generator.random()`` is below p, for rates 0 < p <= 1.
+def _gate_errors(plan, keys: np.ndarray, twirl) -> tuple:
+    """Each row's gate errors, by an exponential race over the plan's sites.
 
-    ``random()`` is the word's top 53 bits times 2**-53, so it is below p
-    exactly when those bits are below c = ceil(p * 2**53), that is, when
-    the word is at most (c - 1) << 11 with its low 11 bits set. The
-    bound c << 11 itself is 2**64 at p = 1, which no uint64 holds.
+    A row reads the words of its trajectory key in turn. A word gives
+    E = -log(U) (``_unit``), and the row's next hit is the first site
+    whose cumulative rate (``plan.reach``) exceeds the row's position
+    plus E; the position moves to that site's cumulative rate. The next
+    word w picks the hit's Pauli, ((w >> 11) * bound) >> 53, below the
+    site's ``plan.bound``. The race ends when E passes the last site. An
+    exponential clock forgets how long it ran, so each site is hit with
+    its own probability, independently of the others. A hit on a twirl
+    slot that the row's ``twirl`` ids (rows, slots) leave empty is
+    dropped. Every live row hits once a step, so all read the same word;
+    those still racing when the words run out read again, wider.
+    Returns (row, entry index, value) arrays of the hits, sorted by entry.
     """
-    c = np.ceil(np.asarray(p) * 2.0**53).astype(np.uint64)
-    return (c - np.uint64(1)) << np.uint64(11) | np.uint64(0x7FF)
-
-
-def _decode_errors(read, limit: np.ndarray, bound: np.ndarray, columns, absent) -> tuple:
-    """Replay the gate-error draws of every row at once, from the raw words of its stream.
-
-    Row r has the sites of ``limit`` and ``bound``, in order, but site
-    ``columns[j]`` where ``absent[r, j]`` (a (rows, len(columns)) mask).
-    A site draws ``random() < p``, which takes one word and hits when
-    the word is at most ``limit`` (``_limit(p)``). A hit then draws
-    ``integers(0, bound)`` by Lemire's method from a 32-bit half word:
-    the low half of a fresh word, or the high half left over from the
-    row's previous such draw. ``read(width)`` gives the first ``width``
-    words of every row's stream as a (rows, width) array; it is read
-    again, wider, if some row's draws run past the words read. Returns
-    (row, site, value) arrays of the hits, sorted by site and then row.
-    """
-    rows, sites = len(absent), len(limit)
-    # before[r, j]: the sites that row r skips among columns[:j]
-    before = np.zeros((rows, len(columns) + 1), dtype=np.int64)
-    np.cumsum(absent, axis=1, out=before[:, 1:])
-    # the ordinal that column j would have in row r never falls along the
-    # row, so rows offset by r * span make one sorted array
-    span = sites + 1
-    ordinals = (columns - before[:, :-1] + np.arange(rows)[:, None] * span).ravel()
-
-    def site_of(r, ordinal):
-        # row r skips, before its ordinal-th site, the columns whose own
-        # ordinal is at most that one
-        j = np.searchsorted(ordinals, r * span + ordinal, side="right") - r * len(columns)
-        return ordinal + before[r, j]
-
-    count = sites - before[:, -1]
-    width = int(count.max(initial=0)) + 8
-    while True:
-        hits = _decode_words(read(width), limit, bound, count, site_of)
-        if hits is not None:
-            return hits
-        width *= 2
-
-
-def _decode_words(words: np.ndarray, limit, bound, count, site_of):
-    """``_decode_errors`` on one read; None when a row needs more words.
-
-    Hits are rare, so the walk visits only the candidate words, those
-    below the largest limit, one per row per step: the ordinal-th site
-    of row r, ``site_of(r, ordinal)``, reads word ordinal + shift[r],
-    where shift counts the words the row's integers() draws took so far.
-    """
-    rows, width = words.shape
-    flat_words = words.ravel()
-    # flat word positions r * width + w, and one past the last word
-    candidates = np.append(np.flatnonzero(flat_words <= limit.max()), flat_words.size)
-    shift = np.zeros(rows, dtype=np.int64)
-    half = np.full(rows, -1, dtype=np.int64)  # the carried high half word, or -1
-    live = np.flatnonzero(count)
-    at = np.searchsorted(candidates, live * width)
-    found: list[tuple] = []
+    rows, reach = len(keys), plan.reach
+    words = rng.philox_raw(keys, plan.width)
+    live, at, pos = np.arange(rows), np.zeros(rows), 0
+    found = []
     while live.size:
-        flat = candidates[at]
-        w = flat - live * width
-        ordinal = w - shift[live]
-        ok = (w < width) & (ordinal < count[live])
-        ended = live[~ok]
-        # a row ends with no hit left among its words; they must reach its last site
-        if np.any(count[ended] + shift[ended] > width):
-            return None
-        live, at, flat, w, ordinal = live[ok], at[ok], flat[ok], w[ok], ordinal[ok]
-        site = site_of(live, ordinal)
-        hit = flat_words[flat] <= limit[site]
-        at[~hit] += 1
-        r, pos, s = live[hit], w[hit] + 1, site[hit]
-        if r.size:
-            values = _lemire(words, r, pos, half, bound[s])
-            if values is None:
-                return None
-            shift[r] = pos - ordinal[hit] - 1
-            at[hit] = np.searchsorted(candidates, r * width + pos)
-            found.append((r, s, values))
+        if pos + 2 > words.shape[1]:
+            words = np.empty((rows, 2 * words.shape[1]), dtype=np.uint64)
+            words[live] = rng.philox_raw(keys[live], words.shape[1])
+        site = np.searchsorted(reach, at - np.log(_unit(words[live, pos])), side="right")
+        hit = site < len(reach)
+        live, site = live[hit], site[hit]
+        found.append((live, site, ((words[live, pos + 1] >> _11) * plan.bound[site]) >> _53))
+        at, pos = reach[site], pos + 2
     if not found:
         return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
-    r, s, values = (np.concatenate(column) for column in zip(*found))
-    order = np.lexsort((r, s))
-    return r[order], s[order], values[order]
+    row, site, value = (np.concatenate(column) for column in zip(*found))
+    if twirl is not None:
+        slot = plan.site_slot[site]
+        keep = (slot < 0) | (twirl[row, slot] != 0)
+        row, site, value = row[keep], site[keep], value[keep]
+    order = np.argsort(site, kind="stable")
+    return row[order], plan.sites[site[order]], value[order].astype(np.int64)
 
 
-def _lemire(words: np.ndarray, r, pos, half, b):
-    """One ``integers(0, b)`` draw for each row in ``r``, its next unread word at ``pos``.
+def _dephasing(keys: np.ndarray, n: int, sigma: float) -> np.ndarray:
+    """Each row's quasi-static dephasing rates, normal(0, sigma) per qubit: (rows, n).
 
-    Takes the carried half word if the row has one, else the low half of
-    a fresh word, whose high half it carries; redraws when Lemire's
-    method rejects. Updates ``pos`` and ``half`` in place; None when a
-    row runs out of words.
+    Box-Muller on the words of each row's dephasing key: words 2j and
+    2j + 1 give U1 (``_unit``) and U2 = (w >> 11) * 2**-53, and with
+    R = sqrt(-2 log U1) the normals R cos(2 pi U2) and R sin(2 pi U2) of
+    qubits 2j and 2j + 1, each times sigma.
     """
-    values = np.empty(r.size, dtype=np.int64)
-    todo = np.arange(r.size)
-    while todo.size:
-        rows = r[todo]
-        fresh = half[rows] < 0
-        if np.any(pos[todo[fresh]] >= words.shape[1]):
-            return None
-        word = words[rows, np.where(fresh, pos[todo], 0)]
-        x = np.where(fresh, (word & np.uint64(0xFFFFFFFF)).astype(np.int64), half[rows])
-        half[rows] = np.where(fresh, (word >> np.uint64(32)).astype(np.int64), -1)
-        pos[todo] += fresh
-        m = x * b[todo]
-        accept = m & 0xFFFFFFFF >= (1 << 32) % b[todo]
-        values[todo[accept]] = m[accept] >> 32
-        todo = todo[~accept]
-    return values
+    words = rng.philox_raw(keys, n + n % 2)
+    radius = np.sqrt(-2.0 * np.log(_unit(words[:, 0::2])))
+    angle = 2.0 * np.pi * ((words[:, 1::2] >> _11) * 2.0**-53)
+    normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return sigma * normals.reshape(len(keys), -1)[:, :n]
 
 
 def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None) -> list:
@@ -380,15 +307,17 @@ class Plan:
     RX ones), ``columns`` the
     angle column of each in the given circuit's op order (the pulses put
     the ops in start order), and ``slots`` its twirl slots. ``sites``
-    are the entries that draw a gate error, with the ``limit`` of each
-    rate and the ``bound`` of each Pauli draw, and ``slot_sites`` those
-    that are twirl slots. ``kicks`` is every shot's idle time when the
-    config dephases and no twirl moves it, else None; ``per_shot`` says
-    whether the shots of a point differ at all.
+    are the entries that may draw a gate error, with the cumulative rate
+    (``reach``) that ``_gate_errors`` races over, the ``bound`` of each
+    Pauli value and the twirl slot of each (``site_slot``, -1 for none);
+    ``width`` is the words a race reads at first. ``kicks`` is every
+    shot's idle time when the config dephases and no twirl moves it,
+    else None; ``per_shot`` says whether the shots of a point differ at
+    all.
     """
 
-    __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots",
-                 "sites", "limit", "bound", "slot_sites", "kicks", "per_shot")
+    __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots", "sites",
+                 "reach", "bound", "site_slot", "width", "kicks", "per_shot")
 
     def __init__(self, circuit: Circuit, config: NoiseConfig):
         rotation = [op.kind in ROTATION_KINDS for op in circuit.ops]
@@ -403,24 +332,28 @@ class Plan:
                           if e.op is not None and e.op.kind in ROTATION_KINDS]
         self.rx = np.array([entries[k].op.kind == "RX" for k in self.rotations], dtype=bool)
         self.slots = [k for k, e in enumerate(entries) if e.slot is not None]
-        # one random() per gate, in op order: p2q after a CNOT, p1q after any
-        # other gate but DELAY; a hit is followed by the Pauli's integers()
+        # an error site per gate: p2q after a CNOT, p1q after any other gate
+        # but DELAY and after every twirl slot, filled or not
         site_p = np.zeros(len(entries))
-        bound = np.zeros(len(entries), dtype=np.int64)
+        bound = np.zeros(len(entries), dtype=np.uint64)
         for k, entry in enumerate(entries):
             if entry.op is not None and entry.op.kind == "CNOT":
                 site_p[k], bound[k] = config.p2q, 15
             elif entry.op is None or entry.op.kind != "DELAY":
                 site_p[k], bound[k] = config.p1q, 3
         self.sites = sites = np.flatnonzero(site_p > 0)
-        self.limit, self.bound = _limit(site_p[sites]), bound[sites]
-        self.slot_sites = np.flatnonzero([entries[k].slot is not None for k in sites])
+        self.reach, self.bound = _reach(site_p[sites]), bound[sites]
+        self.site_slot = np.array([-1 if entries[k].slot is None else entries[k].slot
+                                   for k in sites], dtype=np.intp)
+        # words for a race of mean + 4 sd hits, two a hit and one to end it
+        mean = site_p.sum()
+        self.width = 2 * (math.ceil(mean + 4.0 * math.sqrt(mean)) + 1)
         dephasing = config.sigma_dephase > 0
         self.kicks = _idle_kicks(entries, self.n) if dephasing and not self.slots else None
         self.per_shot = bool(self.slots) or config.p1q > 0 or config.p2q > 0 or dephasing
 
 
-def _twirl_ids(streams: _Substreams, keys: np.ndarray, n_cnots: int) -> np.ndarray:
+def _twirl_ids(keys: np.ndarray, n_cnots: int) -> np.ndarray:
     """Each shot's twirl Paulis as ids of shape (shots, 4 * CNOTs).
 
     CNOT j's four columns hold the Paulis before its control, before its
@@ -428,61 +361,19 @@ def _twirl_ids(streams: _Substreams, keys: np.ndarray, n_cnots: int) -> np.ndarr
     """
     # integers(0, 16, size) takes 32-bit half words, the low half first,
     # keeps their top four bits, and never rejects.
-    words = streams.raw(keys, (n_cnots + 1) // 2)
-    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=-1)
-    draws = (halves.reshape(len(keys), -1)[:, :n_cnots] >> np.uint64(28)).astype(np.int8)
-    image = _TWIRL_IMAGE[draws]
-    ids = np.stack([draws >> 2, draws & 3, image >> 2, image & 3], axis=-1)
-    return ids.reshape(len(keys), -1)
+    words = np.asarray(rng.philox_raw(keys, (n_cnots + 1) // 2), dtype="<u8")
+    draws = words.view("<u4")[:, :n_cnots] >> np.uint32(28)
+    return np.take(_TWIRL_SLOTS, draws, axis=0).reshape(len(keys), -1)
 
 
-def _trajectory_draws(plan: Plan, streams: _Substreams, keys: np.ndarray, twirl):
-    """Each row's dephasing rates and gate errors, from its trajectory key.
-
-    A row draws ``normal(0, sigma_dephase, size=n)`` when dephasing, then
-    one ``random()`` per gate error site of its own circuit, in op order;
-    a hit is followed by the ``integers()`` draw of its Pauli. The sites
-    are the plan's but for the twirl slots that the row's ``twirl``
-    ids (rows, slots) leave empty. Each key's words are read in one
-    call, and ``_decode_errors`` replays the draws of all rows together.
-    Returns deltas (rows, n) and the hits as (row, entry index, value)
-    arrays, sorted by entry and then row, where value is the result of
-    the error's integers() draw.
-    """
-    rows, n, config, sites = len(keys), plan.n, plan.config, plan.sites
-    dephasing = config.sigma_dephase > 0
-    deltas = np.zeros((rows, n))
-    keys = streams.keys(keys)
-
-    def read(width: int) -> np.ndarray:
-        words = np.empty((rows, width), dtype=np.uint64)
-        for r, key in enumerate(keys):
-            streams.seek(key)
-            if dephasing:
-                deltas[r] = streams.gen.normal(0.0, config.sigma_dephase, size=n)
-            if width:
-                words[r] = streams.bitgen.random_raw(width)
-        return words
-
-    if sites.size == 0:
-        if dephasing:
-            read(0)
-        empty = np.zeros(0, dtype=np.int64)
-        return deltas, (empty, empty, empty)
-    # the twirl slots are sites all together or not at all, in slot order
-    absent = twirl == 0 if plan.slot_sites.size else np.zeros((rows, 0), dtype=bool)
-    row, site, value = _decode_errors(read, plan.limit, plan.bound, plan.slot_sites, absent)
-    return deltas, (row, sites[site], value)
-
-
-def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys,
-                 streams: _Substreams) -> list:
+def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_keys) -> list:
     """Draw each row's twirl and noise and lay out what the rows run, in order.
 
-    Row r draws its twirl from ``twirl_keys[r]`` (needed only when the
-    plan has twirl slots) and its dephasing and gate errors from
-    ``trajectory_keys[r]``. Steps are ("op", op, table) for a gate
-    every row shares, with the entry's table in ``tables`` (from
+    Row r draws its twirl from ``twirl_keys[r]``, its gate errors from
+    ``trajectory_keys[r]`` and its dephasing rates from
+    ``dephase_keys[r]``; each is needed only when the plan has twirl
+    slots, error sites or dephasing. Steps are ("op", op, table) for a
+    gate every row shares, with the entry's table in ``tables`` (from
     ``_point_angles``), else None; ("pauli", rows, ids, qubit,
     duration) for one-qubit Paulis, an id for each listed row, or for
     every row when rows is None, 0 for none: a twirl Pauli on every row,
@@ -493,14 +384,17 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys,
     """
     n, entries, slots = plan.n, plan.entries, plan.slots
     # slots are numbered in layout order
-    twirl = _twirl_ids(streams, twirl_keys, len(slots) // 4) if slots else None
-    dephasing = plan.config.sigma_dephase > 0
-    deltas, (hit_row, hit_entry, hit_value) = _trajectory_draws(
-        plan, streams, trajectory_keys, twirl)
+    twirl = _twirl_ids(twirl_keys, len(slots) // 4) if slots else None
+    if plan.sites.size:
+        hit_row, hit_entry, hit_value = _gate_errors(plan, trajectory_keys, twirl)
+    else:
+        hit_row = hit_entry = hit_value = np.zeros(0, dtype=np.int64)
     hit_bounds = np.searchsorted(hit_entry, np.arange(len(entries) + 1)).tolist()
 
     kicks_at: dict[int, list] = {}
+    dephasing = plan.config.sigma_dephase > 0
     if dephasing:
+        deltas = _dephasing(dephase_keys, n, plan.config.sigma_dephase)
         kicks = plan.kicks
         if kicks is None:  # each row idles where its own twirl leaves it
             kicks = _idle_kicks(entries, n, twirl)
@@ -519,8 +413,8 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys,
                 steps.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
         lo, hi = hit_bounds[k], hit_bounds[k + 1]
         if hi > lo:
-            # both draws pick a non-identity Pauli: 1 + integers(0, 3) on a
-            # one-qubit op, divmod(1 + integers(0, 15), 4) on a CNOT
+            # a hit's value picks a non-identity Pauli: 1 + value (below 3)
+            # on a one-qubit op, divmod(1 + value (below 15), 4) on a CNOT
             pick = hit_value[lo:hi] + 1
             ids = (pick >> 2, pick & 3) if len(entry.qubits) == 2 else (pick,)
             for q, pid in zip(entry.qubits, ids):
@@ -542,10 +436,11 @@ def realize(circuit: Circuit, config: NoiseConfig, shot: int, seed: int,
     """
     plan = Plan(circuit, replace(config, dd=False, twirling=twirl_seed is not None))
     twirl_keys = None if twirl_seed is None else [rng.derive_key(twirl_seed, rng.STREAM_TWIRL)]
-    trajectory_keys = [rng.derive_key(seed, rng.STREAM_TRAJECTORY, shot)]
+    keys = [rng.derive_keys(seed, stream, [shot])
+            for stream in (rng.STREAM_TRAJECTORY, rng.STREAM_DEPHASE)]
     eps = config.epsilon_coherent
     ops: list[GateOp] = []
-    for step in _chunk_steps(plan, {}, twirl_keys, trajectory_keys, _Substreams()):
+    for step in _chunk_steps(plan, {}, twirl_keys, *keys):
         kind = step[0]
         if kind == "op":
             op = step[1]
@@ -699,10 +594,17 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
     return amps
 
 
-def _readout_flips(streams: _Substreams, keys, width: int, p: float) -> np.ndarray:
-    """(shots, width) readout flips: bit j of shot i flips when the j-th
-    ``random()`` of ``keys[i]``, shot i's readout substream, is below ``p`` > 0."""
-    return streams.raw(keys, width) <= _limit(p)
+def _readout_flips(keys, width: int, p: float) -> np.ndarray:
+    """(shots, width) readout flips: bit j of shot i flips when word j of
+    ``keys[i]``, shot i's readout substream, gives a ``random()`` below ``p`` > 0.
+
+    ``random()`` is the word's top 53 bits times 2**-53, so it is below p
+    exactly when those bits are below c = ceil(p * 2**53), that is, when
+    the word is at most (c - 1) << 11 with its low 11 bits set. The bound
+    c << 11 itself is 2**64 at p = 1, which no uint64 holds.
+    """
+    c = np.uint64(math.ceil(p * 2.0**53))
+    return rng.philox_raw(keys, width) <= (c - np.uint64(1)) << _11 | np.uint64(0x7FF)
 
 
 def _point_angles(plan: Plan, angles: np.ndarray) -> dict:
@@ -750,22 +652,22 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     if k == 0:
         return np.zeros((0, 1 << n), dtype=np.int64)
     total = k * shots
-    index = np.arange(shots)
+    point_seeds, index = np.array(seeds, dtype=np.uint64)[:, None], np.arange(shots)
 
     def keys(stream: int) -> np.ndarray:
-        return np.concatenate([rng.derive_keys(seed, stream, index) for seed in seeds])
+        return rng.derive_keys(point_seeds, stream, index).ravel()
 
     twirl_keys = rng.derive_keys(keys(rng.STREAM_TWIRL), rng.STREAM_TWIRL) if config.twirling else None
-    trajectory_keys = keys(rng.STREAM_TRAJECTORY)
+    trajectory_keys = keys(rng.STREAM_TRAJECTORY) if plan.sites.size else None
+    dephase_keys = keys(rng.STREAM_DEPHASE) if config.sigma_dephase > 0 else None
     u = np.concatenate([rng.generator(seed, rng.STREAM_SAMPLE).random(shots) for seed in seeds])
     point = np.repeat(np.arange(k), shots)
     chunk = max(1, _CHUNK_BYTES // (16 << n)) if plan.per_shot else total
     outcomes = np.empty(total, dtype=np.int64)
-    streams = _Substreams()
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        steps = _chunk_steps(plan, tables, None if twirl_keys is None else twirl_keys[lo:hi],
-                             trajectory_keys[lo:hi], streams)
+        steps = _chunk_steps(plan, tables, *(None if part is None else part[lo:hi] for part in
+                                             (twirl_keys, trajectory_keys, dephase_keys)))
         if any(step[0] != "op" for step in steps):
             amps = _run_rows(n, steps, point[lo:hi], config.epsilon_coherent)
             outcomes[lo:hi] = measure_rows(np.abs(amps) ** 2, u[lo:hi])
@@ -777,6 +679,6 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
             a, b = max(lo, j * shots), min(hi, (j + 1) * shots)
             outcomes[a:b] = measure_rows(probs[row:row + 1], u[a:b])
     if config.p_readout > 0:
-        flips = _readout_flips(streams, keys(rng.STREAM_READOUT), n, config.p_readout)
+        flips = _readout_flips(keys(rng.STREAM_READOUT), n, config.p_readout)
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))
     return np.bincount(point * (1 << n) + outcomes, minlength=k << n).reshape(k, 1 << n)

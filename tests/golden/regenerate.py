@@ -8,10 +8,12 @@ golden set that ``tests/test_golden.py`` compares byte for byte.
 them: exact-mode energies can differ in the last bits on another CPU or
 BLAS build.
 
-Run from the repository root, then say in CHANGES.md which files moved
-and why (``git status tests/golden``)::
+Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+It prints each file it moved, added or removed, from the bytes before
+and after the rewrite; say in CHANGES.md which files moved and why.
 """
 
 from __future__ import annotations
@@ -57,14 +59,24 @@ def environment() -> dict:
     }
 
 
+def changes(before: dict[str, bytes], after: dict[str, bytes]) -> list[str]:
+    """'moved', 'added' or 'removed' and the relative path of each file whose bytes changed."""
+    return [f"{'added' if rel not in before else 'removed' if rel not in after else 'moved'} {rel}"
+            for rel in sorted(before.keys() | after.keys()) if before.get(rel) != after.get(rel)]
+
+
 def main() -> int:
+    before = {rel: (GOLDEN / rel).read_bytes() for rel in artifact_files(GOLDEN)}
     for name in matrix():
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
     run_matrix(GOLDEN)
     (GOLDEN / "environment.json").write_text(
         json.dumps(environment(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    print(f"wrote {len(artifact_files(GOLDEN))} files under {GOLDEN}")
+    after = {rel: (GOLDEN / rel).read_bytes() for rel in artifact_files(GOLDEN)}
+    for line in changes(before, after):
+        print(line)
+    print(f"wrote {len(after)} files under {GOLDEN}, {len(changes(before, after))} changed")
     return 0
 
 

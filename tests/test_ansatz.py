@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ def test_an_angle_overflows_only_where_the_angle_itself_does():
     assert qaoa_angles(huge, np.array([[0.5, 0.25]])).tolist() == [[5e307, 1.0, 1.0]]
     assert qaoa_angles(huge, np.array([[0.5, 0.0]])).tolist() == [[0.0, 1.0, 1.0]]
     assert qaoa_angles(huge, np.zeros((3, 0))).shape == (3, 0)
+
+
+def test_an_angle_beyond_the_float_range_is_refused_by_name():
+    # 2 * (1e308 * 3.0) is no float: the circuit refuses it before any
+    # simulation, and numpy warns of no overflow on the way
+    huge = MaxCutInstance(2, ((0, 1),), (1e308,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^angle must be a finite number, got inf$"):
+            build_qaoa_circuit(huge, QaoaParams((0.5,), (3.0,)))
+        for angle in (math.inf, -math.inf, math.nan, True, "0.5"):
+            with pytest.raises(ValueError, match="^angle must be a finite number"):
+                simulate_ops(1, [GateOp("RZ", (0,), angle)])
 
 
 def test_circuit_is_hashable(canonical):

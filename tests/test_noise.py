@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,10 +50,9 @@ def with_dd(circuit: Circuit, config: NoiseConfig) -> Circuit:
 
 
 def shot_circuit(base: Circuit, config: NoiseConfig, shot: int, seed: int) -> Circuit:
-    """One shot's circuit from the reference: a fresh twirl, then its trajectory realization."""
-    if config.twirling:
-        base = noise_reference.twirl_circuit(base, rng.child_seed(seed, rng.STREAM_TWIRL, shot))
-    return noise_reference.apply_trajectory_noise(base, config, shot, seed)
+    """One shot's circuit from the reference: a fresh twirl and its trajectory realization."""
+    twirl_seed = rng.child_seed(seed, rng.STREAM_TWIRL, shot) if config.twirling else None
+    return noise_reference.apply_trajectory_noise(base, config, shot, seed, twirl_seed)
 
 
 def reference_sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -> dict[str, int]:
@@ -410,7 +410,7 @@ def test_dephasing_kick_precedes_the_next_op_whatever_its_duration(cnot_duration
     assert [(op.kind, op.qubits) for op in noisy.ops] == [
         ("H", (0,)), ("RZ", (1,)), ("CNOT", (0, 1)), ("H", (1,)), ("RZ", (0,)),
     ]
-    delta = rng.generator(9, rng.STREAM_TRAJECTORY, 0).normal(0.0, 0.5, size=2)
+    delta = noise_reference.dephasing_rates(2, 0.5, 0, 9)
     assert noisy.ops[1].angle == 2.0 * delta[1] * 2.0
     assert noisy.ops[4].angle == 2.0 * delta[0] * 1.0
 
@@ -573,12 +573,15 @@ def test_sample_noisy_matches_reference_on_qaoa_circuits(canonical, grid_p1):
         assert sample_noisy(circuit, config, 64, seed=3) == expected
 
 
-def row_keys(seeds, shots: int, twirling: bool):
-    """The twirl and trajectory keys of every row of a batch, point by point."""
+def row_keys(seeds, shots: int, twirling: bool) -> list:
+    """The twirl, trajectory and dephasing keys of every row of a batch, point by point."""
     index = np.arange(shots)
-    trajectory = np.concatenate([rng.derive_keys(s, rng.STREAM_TRAJECTORY, index) for s in seeds])
-    twirl = np.concatenate([rng.derive_keys(s, rng.STREAM_TWIRL, index) for s in seeds])
-    return (rng.derive_keys(twirl, rng.STREAM_TWIRL) if twirling else None), trajectory
+
+    def keys(stream):
+        return np.concatenate([rng.derive_keys(s, stream, index) for s in seeds])
+
+    twirl = rng.derive_keys(keys(rng.STREAM_TWIRL), rng.STREAM_TWIRL) if twirling else None
+    return [twirl, keys(rng.STREAM_TRAJECTORY), keys(rng.STREAM_DEPHASE)]
 
 
 def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds, shots: int) -> np.ndarray:
@@ -588,9 +591,8 @@ def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds, shots: int) 
     plan dresses with the config's DD pulses.
     """
     plan = trajectories.Plan(circuit, config)
-    twirl_keys, trajectory_keys = row_keys(seeds, shots, config.twirling)
-    steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, angles), twirl_keys,
-                                      trajectory_keys, trajectories._Substreams())
+    steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, angles),
+                                      *row_keys(seeds, shots, config.twirling))
     row_point = np.repeat(np.arange(len(seeds)), shots)
     return trajectories._run_rows(plan.n, steps, row_point, config.epsilon_coherent)
 
@@ -902,111 +904,163 @@ def test_batch_angles_must_fit_the_rotations():
             trajectories.sample(plan, 4, [1, 2], np.zeros((3, count)))
 
 
-class Words:
-    """A stand-in stream: ``random_raw`` returns the first words of a fixed list."""
+# -- the draws, checked against the NoiseConfig docstring ---------------------------
+# Seeds, row counts and bounds were fixed before the first run. Each
+# binomial or mean bound is 4.5 standard deviations; each chi-square
+# bound is the 0.9999 quantile for its degrees of freedom.
 
-    def __init__(self, words):
-        self.words = np.array(words, dtype=np.uint64)
-
-    def random_raw(self, size):
-        out = np.zeros(size, dtype=np.uint64)
-        out[:min(size, self.words.size)] = self.words[:size]
-        return out
+DRAW_ROWS = 20000
+KEYS = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
 
 
-def read_fixed(streams):
-    """A ``read(width)`` for ``_decode_errors`` over fixed word lists, one per row."""
-    return lambda width: np.stack([w.random_raw(width) for w in streams])
-
-
-def decode_rows(read, p_rows, bound_rows):
-    """``_decode_errors`` over ragged per-row site lists, as (site, value) lists per row.
-
-    The rows share one list of sites, all rows' lists end to end, and
-    each row skips every site but its own.
-    """
-    count = np.array([len(p) for p in p_rows])
-    start = np.cumsum(count) - count
-    sites = np.arange(count.sum())
-    absent = (sites < start[:, None]) | (sites >= (start + count)[:, None])
-    row, site, value = trajectories._decode_errors(
-        read, trajectories._limit(np.concatenate(p_rows)),
-        np.concatenate(bound_rows).astype(np.int64), sites, absent)
-    hits = [[] for _ in p_rows]
-    for r, s, v in zip(row.tolist(), site.tolist(), value.tolist()):
-        hits[r].append((s - start[r], v))
-    return hits
-
-
-def test_replay_takes_the_next_half_word_when_lemire_rejects():
-    # integers(0, 3) rejects a zero 32-bit half (leftover 0 < 2**32 % 3),
-    # so the hit's pick comes from the high half: 3 * 0xFFFFFFFF >> 32 == 2.
-    words = [Words([0, 0xFFFFFFFF << 32])]
-    assert decode_rows(read_fixed(words), [np.array([1.0])], [np.array([3])]) == [[(0, 2)]]
-    assert list(noise_reference.replay_errors(words[0], np.array([1.0]), np.array([3]))) == [(0, 2)]
-
-
-def test_decode_carries_the_high_half_word_across_a_miss():
-    # site 0 hits on word 0 and picks from word 1's low half; site 1 misses
-    # on word 2; site 2 hits on word 3 and picks from word 1's high half;
-    # site 3 reads word 4, so no word went to site 2's pick.
-    low, high = 0x40000000, 0xC0000000  # integers(0, 4): 1 and 3
-    words = [0, low | high << 32, 0xFFFFFFFFFFFFFFFF, 0, 0, 0x80000000]
-    p, bound = np.full(4, 0.5), np.full(4, 4)
-    expected = list(noise_reference.replay_errors(Words(words), p, bound))
-    assert expected == [(0, 1), (2, 3), (3, 2)]
-    assert decode_rows(read_fixed([Words(words)]), [p], [bound]) == [expected]
-
-
-def philox_rows(keys):
-    """``read(width)`` from real streams, and the reference's bit generator per row."""
-    def read(width):
-        return np.stack([np.random.Philox(key=k).random_raw(width) for k in keys])
-    return read, [np.random.Philox(key=k) for k in keys]
+@pytest.mark.parametrize("as_list", [False, True])
+@pytest.mark.parametrize("count", [*range(41), 130])
+def test_substreams_read_each_key_as_a_fresh_philox(count, as_list):
+    # every shot's substream is read by one vectorized Philox: each row,
+    # in a call of many keys or of one, is the key's own numpy Philox
+    keys = KEYS + np.random.default_rng(count).integers(0, 2**64, 20, dtype=np.uint64).tolist()
+    words = rng.philox_raw(keys if as_list else np.array(keys, dtype=np.uint64), count)
+    assert words.shape == (len(keys), count) and words.dtype == np.uint64
+    for key, row in zip(keys, words):
+        expected = np.random.Philox(key=key).random_raw(count)
+        assert np.array_equal(row, expected)
+        assert np.array_equal(rng.philox_raw([key], count), expected[None])
 
 
 @pytest.mark.parametrize("rate", [0.005, 0.1, 0.6, 1.0])
 @pytest.mark.parametrize("bound", [3, 15])
 def test_decode_matches_the_scalar_replay(rate, bound):
+    # the batched race over 60 sites, with rates that vary around the
+    # given one, hits what the one-row scalar replay hits, row by row; a
+    # race that reads 2 words at first must read again, wider
     gen = np.random.default_rng([int(rate * 1000), bound])
-    keys = gen.integers(0, 2**63, size=40)
-    # rows of 0 to 60 sites, with rates that vary around the given one
-    p_rows = [np.minimum(1.0, rate * gen.choice([0.5, 1.0, 1.0], size=gen.integers(0, 61)))
-              for _ in keys]
-    bound_rows = [np.where(gen.random(len(p)) < 0.5, bound, 3) for p in p_rows]
-    read, bitgens = philox_rows(keys)
-    calls = []
-    hits = decode_rows(lambda width: calls.append(width) or read(width), p_rows, bound_rows)
-    for bitgen, p, b, got in zip(bitgens, p_rows, bound_rows, hits):
-        assert got == list(noise_reference.replay_errors(bitgen, p, b))
-    if rate == 1.0:
-        # every site hits, so the picks use up the first read and it is read again
-        assert len(calls) > 1
+    keys = gen.integers(0, 2**64, size=40, dtype=np.uint64)
+    p = np.minimum(1.0, rate * gen.choice([0.5, 1.0, 1.0], size=60))
+    bounds = np.where(gen.random(60) < 0.5, bound, 3).astype(np.uint64)
+    sites = np.arange(60)
+    expected = [list(noise_reference.replay_errors(np.random.Philox(key=int(k)), p, bounds))
+                for k in keys]
+    for width in (2, 2 * (60 + 1)):
+        plan = SimpleNamespace(sites=sites, reach=trajectories._reach(p), bound=bounds,
+                               site_slot=np.full(60, -1), width=width)
+        row, site, value = trajectories._gate_errors(plan, keys, None)
+        assert np.all(np.diff(site) >= 0)
+        got = [[] for _ in keys]
+        for r, s, v in zip(row.tolist(), site.tolist(), value.tolist()):
+            got[r].append((s, v))
+        assert got == expected
 
 
-KEYS = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+def error_hits(circuit: Circuit, config: NoiseConfig, seed: int):
+    """The error Paulis of ``DRAW_ROWS`` shots: per gate, the rows hit and their Pauli picks.
+
+    A hit on a one-qubit gate picks a Pauli id 1..3 (X, Y, Z); a hit on
+    a CNOT picks 4a + b in 1..15 for Paulis a on its control and b on its
+    target. Returns the steps and {entry: (rows, picks)}.
+    """
+    plan = trajectories.Plan(circuit, config)
+    steps = trajectories._chunk_steps(plan, {}, *row_keys([seed], DRAW_ROWS, config.twirling))
+    hits, entry, k = {}, -1, -1
+    for step in steps:
+        if step[0] == "op" or (step[0] == "pauli" and step[1] is None):
+            k += 1
+            continue
+        if step[0] != "pauli":
+            continue
+        rows, ids = step[1], np.broadcast_to(step[2], len(step[1]))
+        if k != entry:
+            hits[k], entry = (rows, ids.copy()), k
+        else:  # the target half of a CNOT's pair
+            hits[k] = (rows, 4 * hits[k][1] + ids)
+    return steps, hits
 
 
-@pytest.mark.parametrize("as_list", [False, True])
-@pytest.mark.parametrize("count", [0, 1, 5, 130])
-def test_substreams_read_each_key_as_a_fresh_philox(count, as_list):
-    keys = KEYS if as_list else np.array(KEYS, dtype=np.uint64)
-    words = trajectories._Substreams().raw(keys, count)
-    assert words.shape == (len(KEYS), count) and words.dtype == np.uint64
-    for key, row in zip(KEYS, words):
-        assert np.array_equal(row, np.random.Philox(key=key).random_raw(count))
+def binomial_ok(count: int, trials: int, p: float) -> bool:
+    return abs(count - trials * p) <= 4.5 * math.sqrt(trials * p * (1 - p))
 
 
-def test_substreams_draw_normals_as_a_fresh_generator():
-    streams = trajectories._Substreams()
-    for shot in range(4):
-        # an odd count of 32-bit draws leaves a half word and a partial
-        # buffer behind, which re-keying must clear
-        streams.gen.integers(0, 16, size=3)
-        streams.gen.random(3)
-        streams.seek(rng.derive_key(11, rng.STREAM_TRAJECTORY, shot))
-        expected = rng.generator(11, rng.STREAM_TRAJECTORY, shot).normal(0.0, 0.3, size=5)
-        assert np.array_equal(streams.gen.normal(0.0, 0.3, size=5), expected)
+def chi_square(picks: np.ndarray, values: int) -> float:
+    observed = np.bincount(picks - 1, minlength=values)
+    expected = len(picks) / values
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+DRAW_CIRCUIT = Circuit(3, (
+    GateOp("H", (0,), None, 1.0), GateOp("H", (1,), None, 1.0), GateOp("CNOT", (0, 1), None, 2.0),
+    GateOp("RX", (2,), 0.3, 1.0), GateOp("DELAY", (2,), None, 2.0), GateOp("CNOT", (1, 2), None, 2.0),
+    GateOp("Z", (1,), None, 1.0), GateOp("RZ", (0,), -0.7, 1.0), GateOp("CNOT", (2, 0), None, 2.0),
+))
+
+
+def test_each_gate_is_hit_at_its_own_rate_and_adjacent_gates_independently():
+    p1q, p2q = 0.05, 0.2
+    _, hits = error_hits(DRAW_CIRCUIT, NoiseConfig(p1q=p1q, p2q=p2q), seed=2027)
+    rate = {"CNOT": p2q, "DELAY": 0.0}
+    for k, op in enumerate(DRAW_CIRCUIT.ops):
+        rows = hits.get(k, (np.zeros(0, dtype=int),))[0]
+        p = rate.get(op.kind, p1q)
+        assert len(set(rows.tolist())) == len(rows)
+        assert binomial_ok(len(rows), DRAW_ROWS, p) if p else len(rows) == 0, (k, op, len(rows))
+    # each pair of neighbouring gates with an error rate: both hit at p_i p_j
+    ops = [k for k, op in enumerate(DRAW_CIRCUIT.ops) if op.kind != "DELAY"]
+    for a, b in zip(ops, ops[1:]):
+        both = np.intersect1d(hits[a][0], hits[b][0]).size
+        p = rate.get(DRAW_CIRCUIT.ops[a].kind, p1q) * rate.get(DRAW_CIRCUIT.ops[b].kind, p1q)
+        assert binomial_ok(both, DRAW_ROWS, p), (a, b, both)
+
+
+def test_error_paulis_are_uniform_over_3_and_15():
+    _, hits = error_hits(DRAW_CIRCUIT, NoiseConfig(p1q=0.3, p2q=0.6), seed=2028)
+    one = np.concatenate([hits[k][1] for k, op in enumerate(DRAW_CIRCUIT.ops)
+                          if op.kind not in ("CNOT", "DELAY")])
+    two = np.concatenate([hits[k][1] for k, op in enumerate(DRAW_CIRCUIT.ops) if op.kind == "CNOT"])
+    assert one.min() >= 1 and one.max() <= 3 and two.min() >= 1 and two.max() <= 15
+    assert chi_square(one, 3) <= 18.42
+    assert chi_square(two, 15) <= 42.58
+
+
+def test_a_rate_of_one_hits_every_gate_of_every_shot():
+    _, hits = error_hits(DRAW_CIRCUIT, NoiseConfig(p1q=1.0, p2q=1.0), seed=2029)
+    for k, op in enumerate(DRAW_CIRCUIT.ops):
+        if op.kind == "DELAY":
+            assert k not in hits
+        else:
+            assert np.array_equal(np.sort(hits[k][0]), np.arange(DRAW_ROWS))
+
+
+@pytest.mark.parametrize("p1q", [0.3, 1.0])
+def test_an_empty_twirl_slot_is_never_hit(p1q):
+    # a twirl slot is a one-qubit gate when its draw fills it, and nothing,
+    # so no gate error, when its draw leaves it empty
+    circuit = Circuit(2, (GateOp("H", (0,), None, 1.0), GateOp("CNOT", (0, 1), None, 2.0)))
+    steps, hits = error_hits(circuit, NoiseConfig(p1q=p1q, twirling=True), seed=2030)
+    entry = -1
+    for step in steps:
+        if step[0] == "op" or (step[0] == "pauli" and step[1] is None):
+            entry += 1
+        if step[0] == "pauli" and step[1] is None:  # a twirl slot: ids per row
+            filled = np.flatnonzero(step[2])
+            rows = hits.get(entry, (np.zeros(0, dtype=int),))[0]
+            assert np.isin(rows, filled).all()
+            if p1q == 1.0:
+                assert np.array_equal(np.sort(rows), filled)
+            else:
+                assert binomial_ok(len(rows), len(filled), p1q)
+
+
+def test_dephasing_rates_have_mean_0_and_standard_deviation_sigma():
+    # a DELAY of duration d on qubit q is kicked by RZ(2 delta_q d), so each
+    # kick gives one shot's delta_q; the rates of two qubits are independent
+    n, sigma, d = 5, 0.3, 1.5
+    circuit = Circuit(n, tuple(GateOp("DELAY", (q,), None, d) for q in range(n)))
+    steps, _ = error_hits(circuit, NoiseConfig(sigma_dephase=sigma), seed=2031)
+    kicks = {step[1]: step[2] / (2.0 * d) for step in steps if step[0] == "kick"}
+    assert sorted(kicks) == list(range(n))
+    for q, delta in kicks.items():
+        assert abs(delta.mean()) <= 4.5 * sigma / math.sqrt(DRAW_ROWS)
+        assert abs(delta.std() / sigma - 1.0) <= 4.5 / math.sqrt(2 * DRAW_ROWS)
+    for a, b in ((0, 1), (1, 2), (3, 4)):
+        assert abs(np.corrcoef(kicks[a], kicks[b])[0, 1]) <= 4.5 / math.sqrt(DRAW_ROWS)
 
 
 def test_ground_mass_degrades_monotonically_in_p2q(canonical, grid_p1):

@@ -141,6 +141,12 @@ def test_histogram_escapes_keys_as_the_per_bar_rendering(marked):
     parse_svg(svg)
 
 
+@pytest.mark.parametrize("key", [5, b"01", None, ("0", "1")])
+def test_histogram_refuses_a_key_that_is_no_string_by_name(key):
+    with pytest.raises(ValueError, match=rf"^counts\[{re.escape(repr(key))}\] must be keyed by a string"):
+        render_histogram({"01": 2, key: 3})
+
+
 def test_histogram_rejects_empty():
     with pytest.raises(ValueError):
         render_histogram({})
