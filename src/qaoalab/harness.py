@@ -28,7 +28,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +108,7 @@ class ExperimentConfig:
     out_dir: str | None
     sweep: dict | None
     config_hash: str = field(init=False)
+    cells: tuple | None = field(init=False, repr=False, compare=False)  # of a sweep, by sweep_cells
 
     def __post_init__(self):
         try:
@@ -115,7 +116,7 @@ class ExperimentConfig:
         except ValueError as exc:  # a rule's message starts with "field: " too
             raise ConfigError(str(exc)) from None
         normalized = {f.name: getattr(self, f.name) for f in fields(self)
-                      if f.name not in ("out_dir", "config_hash")}
+                      if f.name not in ("out_dir", "config_hash", "cells")}
         normalized.update(version=SCHEMA_VERSION, instance=serialize_edge_list(self.instance),
                           noise=asdict(self.noise))
         digest = hashlib.sha256(
@@ -166,6 +167,7 @@ class ExperimentConfig:
                     f"sweep.noise: mode {self.mode!r} never samples noise; "
                     "sweep noise in mode 'noisy'"
                 )
+        object.__setattr__(self, "cells", None if self.sweep is None else tuple(sweep_cells(self)))
 
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig) if f.init} | {"version"}
@@ -442,27 +444,37 @@ def _axis_label(key: str, j: int, value) -> str:
 def sweep_cells(config: ExperimentConfig) -> list[tuple[str, dict, ExperimentConfig]]:
     """(directory name, axis labels, config) of each sweep cell, in cell order.
 
-    Each cell is a ``replace`` copy of ``config``, so every cell is
-    checked here, before the first one runs. A cell names its noise by
-    preset, ``custom<j>`` for the inline object at entry j of the noise
-    axis, or ``custom`` when there is no noise axis.
+    Each cell is a checked ``replace`` copy of ``config``, built when a
+    config with sweep axes is (``config.cells``). A refusal starts with
+    the entry at fault, ``sweep.<axis>[j]: ``, then the rule's message.
+    A cell names its noise by preset, ``custom<j>`` for the inline object
+    at entry j of the noise axis, or ``custom`` when there is no noise
+    axis.
     """
     axes = config.sweep or {}
-    levels = [(key, axes[key]) for key in _SWEEP_AXES if key in axes]
-    cells: list[dict] = [{}]  # axis -> entry index
-    for key, values in levels:
-        cells = [dict(cell, **{key: j}) for cell in cells for j in range(len(values))]
+    keys = [key for key in _SWEEP_AXES if key in axes]
+
+    def changes(cell) -> dict:  # the fields of (axis, entry index) pairs, noise resolved
+        return {k: _resolve_noise(axes[k][j]) if k == "noise" else axes[k][j] for k, j in cell}
+
     out = []
-    for idx, cell in enumerate(cells):
-        changes = {key: axes[key][j] for key, j in cell.items()}
-        if "noise" in changes:
-            changes["noise"] = _resolve_noise(changes["noise"])
+    for idx, cell in enumerate(product(*([(k, j) for j in range(len(axes[k]))] for k in keys))):
         # an empty sweep is the base experiment itself, same seed included
-        seed = rng.child_seed(config.seed, rng.STREAM_CELL, idx) if levels else config.seed
-        labels = {key: _axis_label(key, j, axes[key][j]) for key, j in cell.items()}
+        seed = rng.child_seed(config.seed, rng.STREAM_CELL, idx) if keys else config.seed
+        try:
+            cell_config = replace(config, **changes(cell), seed=seed, sweep=None, out_dir=None)
+        except ConfigError:
+            # no rule joins two fields a sweep varies, so an entry of the cell fails alone
+            for key, j in cell:
+                try:
+                    replace(config, **changes([(key, j)]), sweep=None, out_dir=None)
+                except ConfigError as exc:
+                    raise ConfigError(f"sweep.{key}[{j}]: {exc}") from None
+            raise
+        labels = {key: _axis_label(key, j, axes[key][j]) for key, j in cell}
         name_bits = [f"{key}{label}" for key, label in labels.items()] or ["single"]
         name = "cell_%03d_%s" % (idx, "_".join(name_bits))
-        out.append((name, labels, replace(config, **changes, seed=seed, sweep=None, out_dir=None)))
+        out.append((name, labels, cell_config))
     return out
 
 
@@ -475,7 +487,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     cells' artifacts and sweep.csv are written in cell order, with the
     bytes each cell writes when run alone through ``run_experiment``.
     """
-    cells = sweep_cells(config)
+    cells = config.cells or sweep_cells(config)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     outcomes = _optimize([cell_config for _, _, cell_config in cells])

@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import _checks, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .statevec import ROTATION_KINDS, GateOp, counts_from_tally
@@ -275,7 +277,7 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     trajectory noise realization, statevector run, one measurement draw,
     optional readout flips. Shot i uses only draw i of each substream.
     ``trajectories.sample`` makes every draw, from one ``Plan``, and runs
-    the shots together as one (shots, 2^n) array. The histogram, a
+    the shots together; the histogram of its shots, a
     ``dict[str, int]`` summing to ``shots``, equals that of running each
     shot's circuit from ``trajectories.realize`` (at the shot's twirl
     seed) through ``simulate_ops``, then ``apply_readout_error``. With
@@ -288,5 +290,5 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
 
     shots, seed = _checks.integer(shots, "shots", 1), _checks.seed(seed)
     angles = [[op.angle for op in circuit.ops if op.kind in ROTATION_KINDS]]
-    tally = trajectories.sample(trajectories.Plan(circuit, config), shots, [seed], angles)[0]
-    return counts_from_tally(tally)
+    outcomes = trajectories.sample(trajectories.Plan(circuit, config), shots, [seed], angles)[0]
+    return counts_from_tally(np.bincount(outcomes, minlength=1 << circuit.n))

@@ -24,7 +24,7 @@ from . import _checks, rng
 from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
 from .graph import MaxCutInstance, cut_value_table
 from .noise import NoiseConfig
-from .statevec import _tally_qubits, sample_outcomes, sample_tally
+from .statevec import _tally_qubits, sample_outcomes
 
 RUN_MODES = ("exact", "sampled", "noisy")
 
@@ -72,7 +72,8 @@ def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
         raise ValueError(f"tally of length {tally.size} does not fit a {instance.n}-node instance")
     if not tally.any():
         raise ValueError("tally has no shots")
-    return _tally_energy(tally, *_scaled(cut_value_table(instance), int(tally.sum())))
+    hit = np.flatnonzero(tally)
+    return _energy(hit, tally[hit], *_scaled(cut_value_table(instance), int(tally.sum())))
 
 
 def _scaled(table: np.ndarray, shots: int) -> tuple[np.ndarray, float]:
@@ -98,12 +99,6 @@ def _energy(hit: np.ndarray, count: np.ndarray, table: np.ndarray, scale: float)
     ``table`` and ``scale`` come from ``_scaled``.
     """
     return float(-np.cumsum(count * table[hit])[-1] / count.sum() / scale)
-
-
-def _tally_energy(tally: np.ndarray, table: np.ndarray, scale: float) -> float:
-    """``_energy`` of a tally's nonzero entries."""
-    hit = np.flatnonzero(tally)
-    return _energy(hit, tally[hit], table, scale)
 
 
 def _sorted_energy(outcomes: np.ndarray, table: np.ndarray, scale: float) -> float:
@@ -177,24 +172,19 @@ class Engine:
 
     An engine fixes the instance, the depth, the run mode and, for the
     stochastic modes, the shots and the noise; the seed of each row comes
-    with the row. It is the one place that maps a run mode to a sampler;
-    it checks p and ``check_run_mode`` when built, and per call only the
-    rows and their seeds (``check_seed``). ``engine(thetas, seeds)``
-    evaluates a whole batch in one call, and each row is scored alone,
-    so rows of different searches can share a call. Exact and sampled
-    engines hold the instance's ``half_plan`` and work on probabilities
-    (``qaoa_probabilities``), never on a state: exact mode scores each
-    row as ``-(probs @ table)``, as ``expectation_cut`` does, and ignores
-    the seeds; sampled mode scores each row's sorted outcomes by the
-    summation rule of ``energy_from_tally``, on the cut table that
-    ``_scaled`` gives for its shots once, when the engine is built. An exact engine's
-    ``tallies`` sample the exact state as a sampled engine's do. A noisy
-    engine holds one ``trajectories.Plan`` of its circuit, built from
-    zero angles with its noise config's DD pulses in it: each row's RX
-    and RZ angles come from ``qaoa_angles``, and it scores its
-    ``tallies``. A row whose cost products (2 * gamma times a cut value,
-    or an RZ angle) overflow the float range scores NaN, which a search
-    takes as any non-finite value; ``tallies`` refuses it.
+    with the row. It checks p and ``check_run_mode`` when built, and per
+    call only the rows and their seeds (``check_seed``). Each row is
+    scored alone, so rows of different searches can share a call. Exact
+    and sampled engines hold the instance's ``half_plan`` and work on
+    probabilities, never on a state: an exact row scores as
+    ``-(probs @ table)``, as ``expectation_cut`` does, and ignores its
+    seed. A noisy engine holds one ``trajectories.Plan`` of its circuit,
+    built from zero angles with its DD pulses in it. ``_draw`` is the one
+    place that maps a run mode to a sampler: every other row becomes
+    ascending shots, which ``__call__`` scores by the summation rule of
+    ``energy_from_tally`` and ``tallies`` bincounts. A row whose cost
+    products overflow the float range scores NaN, which a search takes
+    as any non-finite value; ``tallies`` refuses it.
     """
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
@@ -212,7 +202,7 @@ class Engine:
             self._plan = trajectories.Plan(circuit, noise)
         else:
             self._plan, self._table = half_plan(instance), table
-            self._peak = float(np.abs(table).max())  # the largest |cut value|, for ``_fits``
+            self._peak = float(np.abs(table).max())  # the largest |cut value|, for ``_draw``
 
     def _rows(self, thetas, seeds) -> np.ndarray:
         """The batch as a float array, checked: (k, 2p) finite angles, one seed per row."""
@@ -229,63 +219,54 @@ class Engine:
 
     def __call__(self, thetas, seeds) -> np.ndarray:
         thetas = self._rows(thetas, seeds)
-        # a row whose cost products overflow scores NaN, with no numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.mode == "exact":
+        if self.mode == "exact":
+            # a row whose cost products overflow scores NaN, with no numpy warning
+            with np.errstate(over="ignore", invalid="ignore"):
                 return np.array([-float(q @ self._table) for q in qaoa_probabilities(self._plan, thetas)])
-            fits = self._fits(thetas)
-        seeds = [check_seed(self.mode, seed) for seed in seeds]
-        thetas, seeds = thetas[fits], [seed for seed, fit in zip(seeds, fits) if fit]
-        table, scale = self._shot_table, self._scale
+        fits, shots = self._draw(thetas, seeds)
         energies = np.full(len(fits), math.nan)
-        if self.mode == "noisy":
-            energies[fits] = [_tally_energy(tally, table, scale) for tally in self._noisy(thetas, seeds)]
-        else:
-            energies[fits] = [_sorted_energy(sample_outcomes(q, self.shots, seed), table, scale)
-                              for q, seed in zip(qaoa_probabilities(self._plan, thetas), seeds)]
+        energies[fits] = [_sorted_energy(row, self._shot_table, self._scale) for row in shots]
         return energies
 
-    def _fits(self, thetas: np.ndarray) -> np.ndarray:
-        """Which rows' cost products are finite; called under ``np.errstate``.
+    def _draw(self, thetas: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """(fits, shots): which checked rows' cost products fit, and their ascending shots.
 
-        An exact or sampled row multiplies 2 * gamma by each cut value,
-        and its product at the largest |cut value| rounds no smaller than
-        any other, so it alone decides. A noisy row's products are its
-        RZ angles from ``qaoa_angles``.
+        Checks the seeds. An exact or sampled row's products are 2 * gamma
+        times each cut value, and the one at the largest |cut value|
+        decides; a noisy row's are its RX and RZ angles (``qaoa_angles``).
+        Each fitting row's shots are its ``sample_outcomes``, or for a
+        noisy engine one ``trajectories.sample`` call's rows.
         """
+        seeds = [check_seed(self.mode, seed) for seed in seeds]
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = (qaoa_angles(self.instance, thetas) if self.mode == "noisy"
+                        else 2.0 * thetas[:, self.p:] * self._peak)
+        fits = np.isfinite(products).all(axis=1)
+        seeds = [seed for seed, fit in zip(seeds, fits) if fit]
         if self.mode == "noisy":
-            return np.isfinite(qaoa_angles(self.instance, thetas)).all(axis=1)
-        return np.isfinite(2.0 * thetas[:, self.p:] * self._peak).all(axis=1)
+            from . import trajectories
 
-    def _noisy(self, thetas: np.ndarray, seeds: list) -> np.ndarray:
-        """The tallies of checked rows whose products fit, in one ``trajectories.sample`` call."""
-        from . import trajectories
-
-        return trajectories.sample(self._plan, self.shots, seeds, qaoa_angles(self.instance, thetas))
+            return fits, trajectories.sample(self._plan, self.shots, seeds, products[fits])
+        shots = [sample_outcomes(q, self.shots, seed)
+                 for q, seed in zip(qaoa_probabilities(self._plan, thetas[fits]), seeds)]
+        return fits, np.array(shots, dtype=np.int64).reshape(len(seeds), self.shots or 0)
 
     def tallies(self, thetas, seeds) -> np.ndarray:
         """The (k, 2^n) basis-index tallies of the batch, row j under ``seeds[j]``.
 
-        Exact and sampled engines take each row's ``sample_tally`` of
-        its exact probabilities; an exact engine built without shots
-        refuses a row. Noisy mode samples the batch in one
-        ``trajectories.sample`` call on the engine's plan, with each
-        row's RX and RZ angles. A row whose cost products overflow has
-        no state to sample and is refused.
+        Each is the ``np.bincount`` of the row's shots from ``_draw``,
+        the shots ``__call__`` scores; an exact engine built without
+        shots refuses a row. A row whose cost products overflow has no
+        state to sample and is refused.
         """
         thetas = self._rows(thetas, seeds)
         if self.shots is None and len(thetas):
             raise ValueError("shots: an exact engine built without shots draws no tallies")
-        seeds = [check_seed(self.mode, seed) for seed in seeds]
-        with np.errstate(over="ignore", invalid="ignore"):
-            fits = self._fits(thetas)
+        fits, shots = self._draw(thetas, seeds)
         if not fits.all():
             raise ValueError(f"thetas: row {int(np.argmin(fits))}'s cost products overflow the float range")
-        if self.mode == "noisy":
-            return self._noisy(thetas, seeds)
-        return np.array([sample_tally(q, self.shots, seed)
-                         for q, seed in zip(qaoa_probabilities(self._plan, thetas), seeds)],
-                        dtype=np.int64).reshape(len(thetas), 1 << self.instance.n)
+        size = 1 << self.instance.n
+        return np.array([np.bincount(row, minlength=size) for row in shots]).reshape(-1, size)
 
 
 def make_objective(

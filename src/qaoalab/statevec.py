@@ -274,10 +274,9 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
 def sample_tally(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Multinomial measurement of one (2^n,) probability row as a basis-index histogram.
 
-    Returns ``np.bincount`` of its ``sample_outcomes``, of length 2^n.
-    Exact and sampled ``objective.Engine.tallies`` and ``sample_counts``
-    all draw their tallies here. Its callers check ``shots`` and
-    ``seed``.
+    Returns ``np.bincount`` of its ``sample_outcomes``, of length 2^n,
+    as exact and sampled ``objective.Engine.tallies`` do; ``sample_counts``
+    draws its tally here. Its callers check ``shots`` and ``seed``.
     """
     return np.bincount(sample_outcomes(probs, shots, seed), minlength=probs.size)
 

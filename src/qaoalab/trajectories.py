@@ -32,10 +32,12 @@ next H or RX and at the end. H and CNOT pass the frames exactly. A
 rotation, a dephasing kick or the coherent ZZ error folded into a CNOT
 runs on each row with its point's scalars from ``_point_angles``, or
 with their conjugates on the rows whose frame anticommutes with it.
-Each row's final frame is applied once, before measurement. When no
-shot differs from another but by its point's angles, the array has a
-single row per point. A point's draws depend only on its seed, so a
-point's tally does not depend on the batch around it.
+Each row's final frame is applied once, before measurement. ``sample``
+returns each point's shots as ascending basis indices. ``plan.per_shot``
+alone decides how rows are shared: when no shot differs from another
+but by its point's angles, the array has a single row per point. A
+point's draws depend only on its seed, so its shots do not depend on
+the batch around it.
 
 ``realize`` renders one row of the same step list as a ``Circuit``,
 which is what ``noise.twirl_circuit`` and ``noise.apply_trajectory_noise``
@@ -313,7 +315,7 @@ class Plan:
     ``width`` is the words a race reads at first. ``kicks`` is every
     shot's idle time when the config dephases and no twirl moves it,
     else None; ``per_shot`` says whether the shots of a point differ at
-    all.
+    all, which alone decides how ``sample`` shares rows.
     """
 
     __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots", "sites",
@@ -633,15 +635,17 @@ def _point_angles(plan: Plan, angles: np.ndarray) -> dict:
 
 
 def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
-    """Basis-index tallies, a (k, 2^n) array, of ``shots`` trajectories for each of k points.
+    """Ascending basis-index shots, (k, shots), of ``shots`` trajectories for each of k points.
 
     Point j runs the plan's circuit under ``seeds[j]``, with the RX and
     RZ angles of the circuit it was built from, in op order, replaced by
-    ``angles[j]`` of the (k, R) array ``angles``. The k points' shots are
-    the rows of one chunked array, point j's at j * shots onwards, and
-    shot i of point j draws its twirl, noise, measurement and readout
-    flips from ``seeds[j]`` exactly as shot i of a one-point call does:
-    each tally equals that call's. No seeds give a (0, 2^n) array.
+    ``angles[j]`` of the (k, R) array ``angles``. Shot i of point j draws
+    its twirl, noise, measurement and readout flips from ``seeds[j]``
+    exactly as shot i of a one-point call does, and row j is sorted after
+    the readout flips: each row equals that call's. A ``plan.per_shot``
+    plan runs the points' shots as the rows of one chunked array, point
+    j's at j * shots onwards; any other runs one row per point. No seeds
+    give a (0, shots) array.
     """
     n, config = plan.n, plan.config
     k = len(seeds)
@@ -650,7 +654,7 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
         raise ValueError(f"{len(angles)} rows of angles for {k} seeds")
     tables = _point_angles(plan, angles)
     if k == 0:
-        return np.zeros((0, 1 << n), dtype=np.int64)
+        return np.zeros((0, shots), dtype=np.int64)
     total = k * shots
     point_seeds, index = np.array(seeds, dtype=np.uint64)[:, None], np.arange(shots)
 
@@ -661,24 +665,23 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     trajectory_keys = keys(rng.STREAM_TRAJECTORY) if plan.sites.size else None
     dephase_keys = keys(rng.STREAM_DEPHASE) if config.sigma_dephase > 0 else None
     u = np.concatenate([rng.generator(seed, rng.STREAM_SAMPLE).random(shots) for seed in seeds])
-    point = np.repeat(np.arange(k), shots)
-    chunk = max(1, _CHUNK_BYTES // (16 << n)) if plan.per_shot else total
-    outcomes = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        steps = _chunk_steps(plan, tables, *(None if part is None else part[lo:hi] for part in
-                                             (twirl_keys, trajectory_keys, dephase_keys)))
-        if any(step[0] != "op" for step in steps):
+    if plan.per_shot:
+        point = np.repeat(np.arange(k), shots)
+        chunk = max(1, _CHUNK_BYTES // (16 << n))
+        outcomes = np.empty(total, dtype=np.int64)
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
+            steps = _chunk_steps(plan, tables, *(None if part is None else part[lo:hi] for part in
+                                                 (twirl_keys, trajectory_keys, dephase_keys)))
             amps = _run_rows(n, steps, point[lo:hi], config.epsilon_coherent)
             outcomes[lo:hi] = measure_rows(np.abs(amps) ** 2, u[lo:hi])
-            continue
+    else:
         # no shot differs from another but by its point's angles: one row per point
-        row_point = np.unique(point[lo:hi])
-        probs = np.abs(_run_rows(n, steps, row_point, config.epsilon_coherent)) ** 2
-        for row, j in enumerate(row_point.tolist()):
-            a, b = max(lo, j * shots), min(hi, (j + 1) * shots)
-            outcomes[a:b] = measure_rows(probs[row:row + 1], u[a:b])
+        steps = _chunk_steps(plan, tables, None, None, None)
+        probs = np.abs(_run_rows(n, steps, np.arange(k), config.epsilon_coherent)) ** 2
+        outcomes = np.concatenate([measure_rows(q[None], draws)
+                                   for q, draws in zip(probs, u.reshape(k, shots))])
     if config.p_readout > 0:
         flips = _readout_flips(keys(rng.STREAM_READOUT), n, config.p_readout)
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))
-    return np.bincount(point * (1 << n) + outcomes, minlength=k << n).reshape(k, 1 << n)
+    return np.sort(outcomes.reshape(k, shots), axis=1)

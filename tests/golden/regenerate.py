@@ -5,8 +5,10 @@ into a directory of its own name; the files it writes (counts.json,
 trace.csv and summary.json per cell, sweep.csv per entry) are the
 golden set that ``tests/test_golden.py`` compares byte for byte.
 ``environment.json`` records the interpreter, numpy and BLAS that wrote
-them: exact-mode energies can differ in the last bits on another CPU or
-BLAS build.
+them, and the kernels they ran (``KERNELS``): the OpenBLAS core and
+numpy's dispatched SIMD set. Exact-mode energies can differ in the last
+bits on another CPU, BLAS build or kernel, so a golden failure names
+the kernels when they differ from the recorded ones.
 
 Run from the repository root::
 
@@ -18,6 +20,7 @@ and after the rewrite; say in CHANGES.md which files moved and why.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import platform
 import shutil
@@ -26,6 +29,7 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
 MATRIX = GOLDEN / "matrix.json"
+KERNELS = ("openblas_core", "simd")  # the entries of environment.json a failure names
 
 
 def matrix() -> dict[str, dict]:
@@ -46,17 +50,44 @@ def run_matrix(dest: Path) -> None:
         run_sweep(parse_config(raw), dest / name)
 
 
+def openblas_core() -> str | None:
+    """The core whose kernels numpy's bundled OpenBLAS runs, or None when no such library is found."""
+    import numpy as np
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def environment() -> dict:
     import numpy as np
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "machine": platform.machine(),
         "system": platform.system(),
+        "openblas_core": openblas_core(),
+        "simd": config["SIMD Extensions"].get("found", []),
     }
+
+
+def kernel_difference(recorded: dict) -> str:
+    """'' when the ``KERNELS`` entries of ``recorded`` are the current ones, else both sets."""
+    now = environment()
+    if all(recorded.get(key) == now[key] for key in KERNELS):
+        return ""
+    written = ", ".join(f"{key} {recorded.get(key)!r}" for key in KERNELS)
+    running = ", ".join(f"{key} {now[key]!r}" for key in KERNELS)
+    return f"; the golden files were written with {written}, this run has {running}"
 
 
 def changes(before: dict[str, bytes], after: dict[str, bytes]) -> list[str]:

@@ -6,10 +6,12 @@ sampled and noisy runs, every method, restarts, the paper-p5 start, p=0,
 every noise preset with twirling and DD, a weighted 7-node graph).
 Rerunning the matrix must write the same files, byte for byte. After a
 deliberate change, rewrite them with ``tests/golden/regenerate.py`` and
-name the moved files in CHANGES.md.
+name the moved files in CHANGES.md. A failure names the OpenBLAS core
+and numpy SIMD set that wrote the files, and this run's, when they differ.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -41,10 +43,27 @@ def test_matrix_rewrites_the_golden_artifacts(tmp_path):
         detail = first_difference((GOLDEN / first).read_bytes(), (tmp_path / first).read_bytes())
         raise AssertionError(
             f"{len(moved)} of {len(expected)} golden files differ, first {first}: {detail}; "
-            f"all: {', '.join(moved)}"
+            f"all: {', '.join(moved)}{regenerate.kernel_difference(recorded_environment())}"
         )
+
+
+def recorded_environment() -> dict:
+    return json.loads((GOLDEN / "environment.json").read_text(encoding="utf-8"))
 
 
 def test_first_difference_names_the_line():
     assert first_difference(b"a\nb\nc\n", b"a\nB\nc\n") == "line 2: expected 'b', got 'B'"
     assert first_difference(b"a\nb\n", b"a\n") == "line 2: expected 2 lines, got 1"
+
+
+def test_a_kernel_difference_names_both_kernel_sets():
+    now = regenerate.environment()
+    assert regenerate.kernel_difference(now) == ""
+    other = dict(now, openblas_core="Haswell", simd=[])
+    message = regenerate.kernel_difference(other)
+    assert message.startswith("; the golden files were written with openblas_core 'Haswell', simd []")
+    assert message.endswith(f"this run has openblas_core {now['openblas_core']!r}, simd {now['simd']!r}")
+
+
+def test_the_golden_files_record_their_kernels():
+    assert set(regenerate.KERNELS) <= set(recorded_environment())

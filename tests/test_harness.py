@@ -646,10 +646,28 @@ def test_sweep_cell_limit():
     ],
 )
 def test_sweep_rejects_a_bad_cell_before_running_any(tmp_path, raw, needle):
-    config = parse_config(raw)
-    with pytest.raises(ConfigError, match=needle):
-        run_sweep(config, out_dir=tmp_path / "out")
+    # the config is refused when it is built, by the entry and then the rule's message
+    with pytest.raises(ConfigError, match=r"^sweep\.\w+\[1\]: " + needle[1:]):
+        run_sweep(parse_config(raw), out_dir=tmp_path / "out")
     assert not list(tmp_path.rglob("cell_*"))
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"p": 1, "sweep": {"p": [1, "x"]}}, "sweep.p[1]: p: must be an integer >= 0, got 'x'"),
+    ({"mode": "noisy", "shots": 16, "sweep": {"noise": ["none", {"p1q": 2}]}},
+     "sweep.noise[1]: noise: p1q must be a finite number in [0, 1], got 2"),
+    ({"p": 5, "init": "paper-p5", "sweep": {"p": [1, 5]}},
+     "sweep.p[0]: init: preset 'paper-p5' requires p = 5, got p = 1"),
+])
+def test_parse_config_refuses_a_sweep_entry_by_its_name(raw, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(raw)
+
+
+def test_a_sweep_reuses_the_cells_its_config_built(tmp_path, monkeypatch):
+    config = parse_config({"p": 0, "seed": 3, "shots": 16, "sweep": {"shots": [8, 16]}})
+    monkeypatch.setattr(harness, "sweep_cells", lambda config: pytest.fail("cells built twice"))
+    assert [row["shots"] for row in run_sweep(config, out_dir=tmp_path)] == [8, 16]
 
 
 def test_cli_sweep_labels_inline_noise_objects(tmp_path, capsys):

@@ -25,7 +25,7 @@ from qaoalab.noise import (
     schedule_circuit,
     twirl_circuit,
 )
-from qaoalab.objective import evaluate_qaoa, make_objective
+from qaoalab.objective import energy_from_tally, evaluate_qaoa, make_objective
 from qaoalab.statevec import (GateOp, counts_from_tally, measure_rows, sample_counts, sample_tally,
                               simulate_ops)
 
@@ -738,13 +738,13 @@ def test_every_tally_row_sums_to_its_shots(circuit, config, seed, k, shots, data
                        for _ in range(k)])
     seeds = [seed + j for j in range(k)]
     plan = trajectories.Plan(circuit, config)
-    whole = trajectories.sample(plan, shots, seeds, angles)
+    whole = tallies_of(trajectories.sample(plan, shots, seeds, angles), circuit.n)
     # chunks of one row end between every two points and inside each; of
     # shots + 1 rows, inside a point
     for rows in (1, shots + 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trajectories, "_CHUNK_BYTES", rows * (16 << circuit.n))
-            chunked = trajectories.sample(plan, shots, seeds, angles)
+            chunked = tallies_of(trajectories.sample(plan, shots, seeds, angles), circuit.n)
         assert np.array_equal(chunked, whole)
     assert whole.shape == (k, 1 << circuit.n)
     assert whole.min() >= 0 and whole.sum(axis=1).tolist() == [shots] * k
@@ -806,14 +806,20 @@ NOISY_P5_SETTINGS = {
 BATCH_CONFIGS = {**ORACLE_CONFIGS, **NOISY_P5_SETTINGS}
 
 
+def tallies_of(shots: np.ndarray, n: int) -> np.ndarray:
+    """The (k, 2^n) basis-index tallies of the (k, shots) rows of ``trajectories.sample``."""
+    return np.array([np.bincount(row, minlength=1 << n) for row in shots]).reshape(len(shots), 1 << n)
+
+
 def spy_tallies(monkeypatch):
     """Record the tallies ``make_objective`` scores, one array per engine call."""
     calls = []
     sample = trajectories.sample
 
     def spy(*args):
-        calls.append(sample(*args))
-        return calls[-1]
+        shots = sample(*args)
+        calls.append(tallies_of(shots, args[0].n))
+        return shots
 
     monkeypatch.setattr(trajectories, "sample", spy)
     return calls
@@ -887,7 +893,8 @@ def test_dd_plan_gives_each_point_its_own_angles(name):
     count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
     angles = np.random.default_rng(11).uniform(-3.0, 3.0, size=(3, count))
     seeds, shots = [2, 9, 4], 16
-    tallies = trajectories.sample(trajectories.Plan(circuit, config), shots, seeds, angles)
+    tallies = tallies_of(trajectories.sample(trajectories.Plan(circuit, config), shots, seeds,
+                                             angles), circuit.n)
     for j, seed in enumerate(seeds):
         expected = reference_sample_noisy(with_angles(circuit, angles[j]), config, shots, seed)
         assert counts_from_tally(tallies[j]) == expected
@@ -902,6 +909,63 @@ def test_batch_angles_must_fit_the_rotations():
             trajectories.sample(plan, 4, [1, 2], np.zeros((2, count + 1)))
         with pytest.raises(ValueError, match="rows of angles"):
             trajectories.sample(plan, 4, [1, 2], np.zeros((3, count)))
+
+
+# configs whose shots differ only by their point's angles: the plan runs one row per point
+ONE_ROW_CONFIGS = {
+    "none": NoiseConfig(),
+    "coherent-only": NoiseConfig(epsilon_coherent=0.3),
+    "readout-only": NoiseConfig(p_readout=0.2),
+    "dd-without-dephasing": NoiseConfig(dd=True, dd_sequence="XY4", epsilon_coherent=0.2,
+                                        p_readout=0.1),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 5, 64])
+@pytest.mark.parametrize("name", sorted(ONE_ROW_CONFIGS))
+def test_one_row_per_point_gives_the_shots_of_one_row_per_shot(monkeypatch, name, rows):
+    circuit = mixed_circuit(5, 40, seed=3)
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    angles = np.random.default_rng(5).uniform(-3.0, 3.0, size=(4, count))
+    seeds, shots = [3, 8, 1, 6], 12
+    plan = trajectories.Plan(circuit, ONE_ROW_CONFIGS[name])
+    assert not plan.per_shot
+    one_row = trajectories.sample(plan, shots, seeds, angles)
+    assert one_row.shape == (4, shots) and (np.diff(one_row, axis=1) >= 0).all()
+    # the same plan, run as the rows of one array per chunk, one row per shot
+    monkeypatch.setattr(trajectories, "_CHUNK_BYTES", rows * (16 << circuit.n))
+    plan.per_shot = True
+    assert np.array_equal(trajectories.sample(plan, shots, seeds, angles), one_row)
+
+
+@pytest.mark.parametrize("name, per_point", [("none", True), ("readout-only", True),
+                                             ("dd-without-dephasing", True), ("p1q", False),
+                                             ("twirling", False), ("dephasing", False)])
+def test_per_shot_decides_the_rows_a_batch_runs(monkeypatch, name, per_point):
+    rows = []
+    run = trajectories._run_rows
+
+    def spy(n, steps, row_point, epsilon):
+        rows.append(len(row_point))
+        return run(n, steps, row_point, epsilon)
+
+    monkeypatch.setattr(trajectories, "_run_rows", spy)
+    circuit = mixed_circuit(4, 30, seed=2)
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    plan = trajectories.Plan(circuit, {**ORACLE_CONFIGS, **ONE_ROW_CONFIGS}[name])
+    assert plan.per_shot is not per_point
+    trajectories.sample(plan, 64, [4, 5, 6], np.zeros((3, count)))
+    assert rows == [3] if per_point else sum(rows) == 3 * 64
+
+
+@pytest.mark.parametrize("name", ["none", "readout-only", "dd-without-dephasing", "all",
+                                  *NOISY_P5_SETTINGS])
+def test_a_noisy_engine_scores_its_own_tallies(canonical, name):
+    config = {**BATCH_CONFIGS, **ONE_ROW_CONFIGS}[name]
+    engine = objective.Engine(canonical, 2, "noisy", shots=40, noise=config)
+    thetas = np.random.default_rng(4).uniform(0.0, 3.0, size=(3, 4))
+    tallies = engine.tallies(thetas, [7, 8, 9])
+    assert engine(thetas, [7, 8, 9]).tolist() == [energy_from_tally(t, canonical) for t in tallies]
 
 
 # -- the draws, checked against the NoiseConfig docstring ---------------------------

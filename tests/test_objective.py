@@ -377,7 +377,7 @@ def test_an_empty_batch_gives_an_empty_result(canonical, mode, kwargs):
     if mode == "noisy":
         circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.9,)))
         plan = trajectories.Plan(circuit, kwargs["noise"])
-        assert trajectories.sample(plan, 16, [], np.zeros((0, len(plan.columns)))).shape == (0, 32)
+        assert trajectories.sample(plan, 16, [], np.zeros((0, len(plan.columns)))).shape == (0, 16)
 
 
 @pytest.mark.parametrize("mode, kwargs", [
