@@ -201,21 +201,26 @@ def _resolve_instance(spec) -> MaxCutInstance:
         return _read_graph(spec["file"], "instance.file")
     inline = spec["inline"]
     _reject_unknown("instance.inline", inline, _INLINE_FIELDS)
+    lists = {key: inline.get(key, []) for key in ("edges", "weights")}
+    for key, value in lists.items():
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"instance.inline.{key}: must be a list, got {value!r}")
     try:
-        return MaxCutInstance(
-            n=inline.get("n"),
-            edges=tuple(tuple(e) for e in inline.get("edges", ())),
-            weights=tuple(inline.get("weights", ())),
-        )
+        return MaxCutInstance(n=inline.get("n"), edges=tuple(lists["edges"]),
+                              weights=tuple(lists["weights"]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"instance.inline: {exc}") from None
 
 
 def _read_graph(path, name: str) -> MaxCutInstance:
     """The edge-list file at ``path``; a ConfigError starts with ``name`` and names the file."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{name}: must be a string path, got {path!r}")
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{name}: no such file: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{name}: not a file: {path}")
     try:
         return parse_edge_list(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # a ParseError, or a rule of the whole graph
@@ -240,7 +245,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Turn a raw config dict into an ``ExperimentConfig``; unknown fields anywhere are errors."""
     _reject_unknown("config", raw, _CONFIG_FIELDS)
     version = raw.get("version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not (_checks.is_integer(version) and version == SCHEMA_VERSION):
         raise ConfigError(f"version: unsupported schema version {version!r}")
     init = raw.get("init", "random")
     return ExperimentConfig(

@@ -103,13 +103,14 @@ def _histogram(counts: dict[str, int], shots: int, highlight, title: str) -> str
     return _svg(body)
 
 
-def _read_counts(counts_path) -> tuple[dict[str, int], int, str | None]:
-    """The bitstring counts of a counts JSON file, its shots, and its instance's edge-list text if any.
+def _read_counts(counts_path) -> tuple[dict[str, int], int, frozenset[str]]:
+    """The bitstring counts of a counts JSON file, its shots, and its instance's optima if any.
 
     ``shots`` is an integer >= 1, and the counts pass the histogram rule
     (``_checks.counts``: integers >= 0, no bool or float, keys bitstrings
-    as wide as the first) and sum to ``shots``. A ValueError names the
-    file and the field it refuses.
+    as wide as the first) and sum to ``shots``. The instance, when given,
+    is edge-list text of a graph with a node per bit of a key. A
+    ValueError names the file and the field it refuses.
     """
     with open(counts_path, encoding="utf-8") as fh:
         try:
@@ -120,13 +121,22 @@ def _read_counts(counts_path) -> tuple[dict[str, int], int, str | None]:
         raise ValueError(f"{counts_path}: counts must be an object of bitstring counts")
     tally = payload["counts"]
     shots = _checks.integer(payload.get("shots"), f"{counts_path}: shots", 1)
-    total = _checks.counts(tally, f"{counts_path}: counts", len(next(iter(tally), "")))
+    width = len(next(iter(tally), ""))
+    total = _checks.counts(tally, f"{counts_path}: counts", width)
     if total != shots:
         raise ValueError(f"{counts_path}: shots is {shots}, but the counts sum to {total}")
     instance = payload.get("instance")
-    if instance is not None and not isinstance(instance, str):
+    if instance is None:
+        return tally, shots, frozenset()
+    if not isinstance(instance, str):
         raise ValueError(f"{counts_path}: instance must be edge-list text, got {instance!r}")
-    return tally, shots, instance
+    try:
+        graph = parse_edge_list(instance)
+        if graph.n != width:
+            raise ValueError(f"{graph.n} nodes, but the counts are keyed by {width} bits")
+        return tally, shots, frozenset(brute_force_maxcut(graph)[1])
+    except ValueError as exc:
+        raise ValueError(f"{counts_path}: instance: {exc}") from None
 
 
 def plot_histogram(counts_path) -> str:
@@ -136,14 +146,7 @@ def plot_histogram(counts_path) -> str:
     highlighted. The title is the file's directory name and its own
     name, so a run's SVG does not depend on where its output went.
     """
-    counts, shots, instance = _read_counts(counts_path)
-    highlight: frozenset[str] = frozenset()
-    if instance is not None:
-        try:
-            _, optima = brute_force_maxcut(parse_edge_list(instance))
-        except ValueError as exc:
-            raise ValueError(f"{counts_path}: instance: {exc}") from None
-        highlight = frozenset(optima)
+    counts, shots, highlight = _read_counts(counts_path)
     path = Path(counts_path)
     return _histogram(counts, shots, highlight, Path(path.parent.name, path.name).as_posix())
 

@@ -12,26 +12,25 @@ cumulative rates of the error sites, which every row shares, one word
 to reach the next hit and one for its Pauli (Gidney, arXiv 2103.02202,
 draws the gap to the next error the same way), and drops a hit on a
 twirl slot that the row leaves empty. ``_dephasing`` takes the rates
-by Box-Muller. The result is one ordered step list: gates every row
-shares, Paulis per row (a twirl Pauli on every row, an error Pauli on
-the rows that drew one) and a dephasing kick per row.
+by Box-Muller. The result is one ordered step list, one step kind per
+effect (a shared gate, a Pauli, a dephasing kick, a coherent ZZ), and
+it is all that ``_run_rows`` and ``realize`` read.
 
 ``sample`` is the noisy engine, on one plan per ``objective.Engine``.
 It takes k points at once, each a seed and a row of RX and RZ angles
 for the circuit, and runs their k * shots trajectories as the rows of
-one (rows, 2^n) complex array, in chunks. ``_run_rows`` keeps a Pauli frame
-per row (Knill, Nature 434, 2005; Gidney, arXiv 2103.02202): every
-Pauli, be it a twirl Pauli, a DD pulse or a gate error, only updates
-the frames and never touches the array. The rows share one array row
+one (rows, 2^n) complex array, in chunks. ``_run_rows`` keeps a Pauli
+frame per row (Knill, Nature 434, 2005; Gidney, arXiv 2103.02202): a
+Pauli step only updates the frames. The rows share one array row
 until the first step that treats them apart, so the H layer and the
 CNOTs before it run once. An H runs through ``statevec.apply_rows``,
 the kernel ``simulate_ops`` runs too. A CNOT moves no amplitude: it
 goes into a pending index permutation, which every diagonal reads
 through its inverse, and the columns return to basis order before the
 next H or RX and at the end. H and CNOT pass the frames exactly. A
-rotation, a dephasing kick or the coherent ZZ error folded into a CNOT
-runs on each row with its point's scalars from ``_point_angles``, or
-with their conjugates on the rows whose frame anticommutes with it.
+rotation, a dephasing kick or a coherent ZZ runs on every row, with its
+point's scalars from ``_point_angles`` or its row's angle, or with
+their conjugates on the rows whose frame anticommutes with it.
 Each row's final frame is applied once, before measurement. ``sample``
 returns each point's shots as ascending basis indices. ``plan.per_shot``
 alone decides how rows are shared: when no shot differs from another
@@ -217,7 +216,8 @@ def _gate_errors(plan, keys: np.ndarray, twirl) -> tuple:
     slot that the row's ``twirl`` ids (rows, slots) leave empty is
     dropped. Every live row hits once a step, so all read the same word;
     those still racing when the words run out read again, wider.
-    Returns (row, entry index, value) arrays of the hits, sorted by entry.
+    Returns (row, entry index, value) arrays of the hits, sorted by entry,
+    of the one or more rows of ``keys``.
     """
     rows, reach = len(keys), plan.reach
     words = rng.philox_raw(keys, plan.width)
@@ -232,8 +232,6 @@ def _gate_errors(plan, keys: np.ndarray, twirl) -> tuple:
         live, site = live[hit], site[hit]
         found.append((live, site, ((words[live, pos + 1] >> _11) * plan.bound[site]) >> _53))
         at, pos = reach[site], pos + 2
-    if not found:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     row, site, value = (np.concatenate(column) for column in zip(*found))
     if twirl is not None:
         slot = plan.site_slot[site]
@@ -264,11 +262,12 @@ def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None) -> list:
     Walks the ASAP schedule of each row's own twirled circuit: every row
     holds every entry but the twirl slots, and row r holds slot j when
     ``twirl[r, j]`` is not 0; with no ``twirl``, there is one row. An
-    entry needs ``qubits``, ``duration`` and ``slot``. Returns (entry
-    index, qubit, duration per row) in application order, with entry
-    index ``len(entries)`` for trailing idle time. As ``NoiseConfig``
-    states, idle time goes to the next op on its qubit, whatever that
-    op's duration, and idle time after a qubit's last op is trailing. A
+    entry needs ``qubits``, ``duration``, ``slot`` and ``op``. Returns
+    (entry index, qubit, duration per row) in application order, a kick
+    going just before its entry, with entry index ``len(entries)`` for
+    trailing idle time. As ``NoiseConfig`` states, idle time goes to the
+    next op on its qubit, whatever that op's duration, idle time after a
+    qubit's last op is trailing, and DELAY k is kicked at k + 1. A
     one-qubit op starts when its qubit is ready, so only a two-qubit op
     (never a twirl slot) leaves one of its qubits idle.
     """
@@ -281,6 +280,8 @@ def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None) -> list:
             q = entry.qubits[0]
             if entry.slot is None:
                 ready[q] = ready[q] + entry.duration
+                if entry.op.kind == "DELAY" and entry.duration > 0:
+                    kicks.append((k + 1, q, np.full(rows, entry.duration)))
             else:
                 ready[q] = ready[q] + entry.duration * (twirl[:, entry.slot] != 0)
             np.maximum(makespan, ready[q], out=makespan)
@@ -313,9 +314,10 @@ class Plan:
     (``reach``) that ``_gate_errors`` races over, the ``bound`` of each
     Pauli value and the twirl slot of each (``site_slot``, -1 for none);
     ``width`` is the words a race reads at first. ``kicks`` is every
-    shot's idle time when the config dephases and no twirl moves it,
-    else None; ``per_shot`` says whether the shots of a point differ at
-    all, which alone decides how ``sample`` shares rows.
+    shot's ``_idle_kicks`` when the config dephases and no twirl moves
+    them, else None; ``per_shot``, whether the plan has twirl slots,
+    error sites or dephasing, says whether the shots of a point differ
+    at all, which alone decides how ``sample`` shares rows.
     """
 
     __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots", "sites",
@@ -352,7 +354,7 @@ class Plan:
         self.width = 2 * (math.ceil(mean + 4.0 * math.sqrt(mean)) + 1)
         dephasing = config.sigma_dephase > 0
         self.kicks = _idle_kicks(entries, self.n) if dephasing and not self.slots else None
-        self.per_shot = bool(self.slots) or config.p1q > 0 or config.p2q > 0 or dephasing
+        self.per_shot = bool(self.slots) or bool(sites.size) or dephasing
 
 
 def _twirl_ids(keys: np.ndarray, n_cnots: int) -> np.ndarray:
@@ -374,15 +376,17 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
     Row r draws its twirl from ``twirl_keys[r]``, its gate errors from
     ``trajectory_keys[r]`` and its dephasing rates from
     ``dephase_keys[r]``; each is needed only when the plan has twirl
-    slots, error sites or dephasing. Steps are ("op", op, table) for a
-    gate every row shares, with the entry's table in ``tables`` (from
-    ``_point_angles``), else None; ("pauli", rows, ids, qubit,
-    duration) for one-qubit Paulis, an id for each listed row, or for
-    every row when rows is None, 0 for none: a twirl Pauli on every row,
-    lasting ``ONE_QUBIT_DURATION``, or the error Paulis of the rows that
-    drew one, which last 0; and ("kick", qubit, angle per row) for
-    dephasing, which a single row gets only where it has idle time. A
-    coherent ZZ error is left to whoever runs a CNOT.
+    slots, error sites or dephasing. There is one step kind per effect:
+    ("op", op, table) for a shared gate other than a Pauli, with the
+    entry's table in ``tables`` (from ``_point_angles``) or None;
+    ("pauli", rows, ids, qubit, duration) for every Pauli, with an id
+    per listed row, or for all rows when rows is None, and 0 for none;
+    ("kick", qubit, angle per row) for each of ``_idle_kicks``, 0 on a
+    row without idle time there; and ("zz", cnot, epsilon) after each
+    CNOT when the config has a coherent ZZ error. A Pauli gate or DD
+    pulse is one id for all rows, with its own duration; a twirl slot
+    holds an id per row and lasts ``ONE_QUBIT_DURATION``; a drawn error
+    lists its rows and lasts 0.
     """
     n, entries, slots = plan.n, plan.entries, plan.slots
     # slots are numbered in layout order
@@ -394,8 +398,7 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
     hit_bounds = np.searchsorted(hit_entry, np.arange(len(entries) + 1)).tolist()
 
     kicks_at: dict[int, list] = {}
-    dephasing = plan.config.sigma_dephase > 0
-    if dephasing:
+    if plan.config.sigma_dephase > 0:
         deltas = _dephasing(dephase_keys, n, plan.config.sigma_dephase)
         kicks = plan.kicks
         if kicks is None:  # each row idles where its own twirl leaves it
@@ -403,16 +406,19 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
         for k, q, dur in kicks:
             kicks_at.setdefault(k, []).append(("kick", q, 2.0 * deltas[:, q] * dur))
 
+    epsilon = plan.config.epsilon_coherent
     steps: list = []
     for k, entry in enumerate(entries):
         steps += kicks_at.get(k, ())
-        if entry.op is None:
+        op = entry.op
+        if op is None:
             steps.append(("pauli", None, twirl[:, entry.slot], entry.qubits[0], entry.duration))
+        elif op.kind in PAULI_KINDS:
+            steps.append(("pauli", None, PAULI_KINDS.index(op.kind) + 1, op.qubits[0], op.duration))
         else:
-            steps.append(("op", entry.op, tables.get(k)))
-            if entry.op.kind == "DELAY" and dephasing and entry.duration > 0:
-                q = entry.qubits[0]
-                steps.append(("kick", q, 2.0 * deltas[:, q] * entry.duration))
+            steps.append(("op", op, tables.get(k)))
+            if op.kind == "CNOT" and epsilon != 0.0:
+                steps.append(("zz", op, epsilon))
         lo, hi = hit_bounds[k], hit_bounds[k + 1]
         if hi > lo:
             # a hit's value picks a non-identity Pauli: 1 + value (below 3)
@@ -431,30 +437,29 @@ def realize(circuit: Circuit, config: NoiseConfig, shot: int, seed: int,
 
     The row's dephasing and gate errors follow ``config``'s rates, drawn
     for ``shot`` under ``seed``; it is twirled, from ``twirl_seed``, only
-    when that is given. Inserted ops have duration 0, but for twirl
-    Paulis, and the coherent ZZ error is written after each CNOT as
-    CNOT, RZ(2 epsilon) on the target, CNOT. ``circuit`` itself is
-    returned when nothing is inserted.
+    when that is given. A "kick" renders as an RZ of its angle and a
+    "zz" as CNOT, RZ(2 epsilon) on the target, CNOT. Inserted ops have
+    duration 0, but for twirl Paulis. ``circuit`` itself is returned
+    when nothing is inserted.
     """
     plan = Plan(circuit, replace(config, dd=False, twirling=twirl_seed is not None))
     twirl_keys = None if twirl_seed is None else [rng.derive_key(twirl_seed, rng.STREAM_TWIRL)]
     keys = [rng.derive_keys(seed, stream, [shot])
             for stream in (rng.STREAM_TRAJECTORY, rng.STREAM_DEPHASE)]
-    eps = config.epsilon_coherent
     ops: list[GateOp] = []
     for step in _chunk_steps(plan, {}, twirl_keys, *keys):
         kind = step[0]
         if kind == "op":
-            op = step[1]
-            ops.append(op)
-            if op.kind == "CNOT" and eps != 0.0:
-                u, v = op.qubits
-                ops += [GateOp("CNOT", (u, v), None, 0.0), GateOp("RZ", (v,), 2.0 * eps, 0.0),
-                        GateOp("CNOT", (u, v), None, 0.0)]
+            ops.append(step[1])
         elif kind == "pauli":
             _, _, ids, q, duration = step
-            if ids[0]:
-                ops.append(GateOp(PAULI_KINDS[ids[0] - 1], (q,), None, duration))
+            pid = np.ravel(ids)[0]
+            if pid:
+                ops.append(GateOp(PAULI_KINDS[pid - 1], (q,), None, duration))
+        elif kind == "zz":
+            (u, v), epsilon = step[1].qubits, step[2]
+            ops += [GateOp("CNOT", (u, v), None, 0.0), GateOp("RZ", (v,), 2.0 * epsilon, 0.0),
+                    GateOp("CNOT", (u, v), None, 0.0)]
         else:
             ops.append(GateOp("RZ", (step[1],), float(step[2][0]), 0.0))
     if len(ops) == len(circuit.ops):
@@ -477,23 +482,24 @@ def _settle(amps: np.ndarray, frame: np.ndarray, n: int) -> None:
     frame -= odd << 2 * n
 
 
-def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.ndarray:
+def _run_rows(n: int, steps: list, row_point: np.ndarray) -> np.ndarray:
     """Run ``steps`` on a copy of |0...0> per entry of ``row_point``; returns the amplitudes.
 
-    Row r belongs to point ``row_point[r]``. The rows share one array row
-    until the first step that treats them apart, a rotation, a kick or a
-    coherent ZZ, so an H or CNOT before it runs once. A CNOT only
-    permutes amplitudes, so it leaves the array alone and goes into a
-    pending permutation: basis index i of every row sits in column
-    ``perm[i]``. A diagonal multiplies column j by its entry ``inv[j]``,
-    with ``inv`` the inverse of ``perm``, so every amplitude meets the
-    factor it meets in basis order, in the same operand order. The
-    columns are put back in basis order before an H or RX, which mix
-    them, and at the end. Every RX and RZ step carries its table of
-    ``_point_angles``; each row takes its point's pair of scalars, or
-    their conjugates, so every row gets the arithmetic of ``apply_rows``
-    at its own point's angle. The Paulis of the steps go into each row's
-    frame, which is applied at the end.
+    Row r belongs to point ``row_point[r]``. It reads nothing but the
+    steps of ``_chunk_steps``. The rows share one array row until the
+    first step that treats them apart, a rotation, a kick or a "zz", so
+    an H or CNOT before it runs once. A CNOT only permutes amplitudes, so
+    it leaves the array alone and goes into a pending permutation: basis
+    index i of every row sits in column ``perm[i]``. A diagonal
+    multiplies column j by its entry ``inv[j]``, with ``inv`` the
+    inverse of ``perm``, so every amplitude meets the factor it meets in
+    basis order, in the same operand order. The columns are put back in
+    basis order before an H or RX, which mix them, and at the end. Every
+    RX and RZ step carries its table of ``_point_angles``; each row takes
+    its point's pair of scalars, or their conjugates, so every row gets
+    the arithmetic of ``apply_rows`` at its own point's angle. A kick or
+    a "zz" multiplies every row. A "pauli" step goes into its rows'
+    frames, applied at the end.
     """
     rows = len(row_point)
     amps = zero_state(n)[None]  # the one row all rows share, until they split
@@ -505,7 +511,9 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
         moved = perm is not identity and (perm != identity).any()
         return np.take(amps, perm, axis=1) if moved else amps
 
-    odd = False  # whether a frame may hold an odd power of 1j
+    # whether a frame may hold an odd power of 1j: set by every Pauli, as
+    # _settle changes no bit of a row whose frame is even
+    odd = False
     for step in steps:
         kind = step[0]
         if kind == "pauli":
@@ -516,8 +524,8 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
                 frame[sel] = _compose(frame[sel], ids, n, q)
             odd = True
             continue
-        what = "kick" if kind == "kick" else step[1].kind
-        diagonal = what in ("kick", "RZ") or (what == "CNOT" and epsilon != 0.0)
+        what = step[1].kind if kind == "op" else kind
+        diagonal = what in ("kick", "zz", "RZ")
         if len(amps) < rows and (diagonal or what == "RX"):
             amps = np.repeat(amps, rows, axis=0)
         if odd and diagonal:
@@ -528,37 +536,24 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
             perm = inv = identity
         if kind == "kick":
             q, angle = step[1], step[2]
-            # a kick leaves the rows without idle time alone, unless they are few
-            sel = np.flatnonzero(angle)
-            every = 2 * sel.size > rows
-            if every:
-                sel = slice(None)
-            w = np.exp(0.5j * angle[sel])
+            w = np.exp(0.5j * angle)
             # RZ(angle) on q: w where q's bit is 1, its conjugate where 0; an
             # X or Y of the frame on q turns it into RZ(-angle)
-            w = np.where((frame[sel] >> (n - 1 - q)) & 1, w.conjugate(), w)
-            diag = np.take(np.stack([w.conjugate(), w], axis=1), _bit_values(n, q)[inv], axis=1)
-            if every:
-                amps *= diag
-            else:
-                amps[sel] *= diag
+            w = np.where((frame >> (n - 1 - q)) & 1, w.conjugate(), w)
+            amps *= np.take(np.stack([w.conjugate(), w], axis=1), _bit_values(n, q)[inv], axis=1)
             continue
-        op, table = step[1], step[2]
-        s = n - 1 - op.qubits[0]
-        if what in PAULI_KINDS:
-            frame = _compose(frame, PAULI_KINDS.index(what) + 1, n, op.qubits[0])
-            odd = odd or what == "Y"
+        op = step[1]
+        s, t = n - 1 - op.qubits[0], n - 1 - op.qubits[-1]
+        if what == "zz":
+            # the ZZ rotation turns into its inverse, the conjugate diagonal,
+            # past an X on just one of its qubits
+            flip = ((frame >> s) ^ (frame >> t)) & 1
+            amps *= np.take(_zz_diags(n, *op.qubits, step[2])[:, inv], flip, axis=0)
         elif what == "CNOT":
             cnot = _cnot_perm(n, *op.qubits)
             perm, inv = perm[cnot], cnot[inv]
             # X on the control spreads to the target, Z on the target to the control
-            t = n - 1 - op.qubits[1]
             frame ^= (((frame >> s) & 1) << t) | (((frame >> (n + t)) & 1) << (n + s))
-            if epsilon != 0.0:
-                # the ZZ rotation turns into its inverse, the conjugate
-                # diagonal, past an X on just one of its qubits
-                flip = ((frame >> s) ^ (frame >> t)) & 1
-                amps *= np.take(_zz_diags(n, *op.qubits, epsilon)[:, inv], flip, axis=0)
         elif what == "H":
             amps = apply_rows(amps, n, op)
             # H swaps the X and Z of its qubit, and H Y H = -Y
@@ -567,6 +562,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray, epsilon: float) -> np.
         elif what in ROTATION_KINDS:
             # RZ(angle) past an X or Y of its qubit is RZ(-angle), RX past a
             # Z or Y is RX(-angle): the conjugate pair
+            table = step[2]
             flip = (frame >> (s if what == "RZ" else n + s)) & 1
             pick = flip * (len(table) // 2) + row_point
             if what == "RZ":
@@ -661,7 +657,7 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     def keys(stream: int) -> np.ndarray:
         return rng.derive_keys(point_seeds, stream, index).ravel()
 
-    twirl_keys = rng.derive_keys(keys(rng.STREAM_TWIRL), rng.STREAM_TWIRL) if config.twirling else None
+    twirl_keys = rng.derive_keys(keys(rng.STREAM_TWIRL), rng.STREAM_TWIRL) if plan.slots else None
     trajectory_keys = keys(rng.STREAM_TRAJECTORY) if plan.sites.size else None
     dephase_keys = keys(rng.STREAM_DEPHASE) if config.sigma_dephase > 0 else None
     u = np.concatenate([rng.generator(seed, rng.STREAM_SAMPLE).random(shots) for seed in seeds])
@@ -673,12 +669,12 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
             hi = min(lo + chunk, total)
             steps = _chunk_steps(plan, tables, *(None if part is None else part[lo:hi] for part in
                                                  (twirl_keys, trajectory_keys, dephase_keys)))
-            amps = _run_rows(n, steps, point[lo:hi], config.epsilon_coherent)
+            amps = _run_rows(n, steps, point[lo:hi])
             outcomes[lo:hi] = measure_rows(np.abs(amps) ** 2, u[lo:hi])
     else:
         # no shot differs from another but by its point's angles: one row per point
         steps = _chunk_steps(plan, tables, None, None, None)
-        probs = np.abs(_run_rows(n, steps, np.arange(k), config.epsilon_coherent)) ** 2
+        probs = np.abs(_run_rows(n, steps, np.arange(k))) ** 2
         outcomes = np.concatenate([measure_rows(q[None], draws)
                                    for q, draws in zip(probs, u.reshape(k, shots))])
     if config.p_readout > 0:

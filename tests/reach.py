@@ -1,0 +1,122 @@
+"""List the lines of ``src/qaoalab`` that no test and no benchmark workload reach.
+
+It runs tier-1 in this process under a ``sys.settrace`` line tracer
+that records only the package's own files, then, traced the same way,
+parses the configs of each benchmark workload at seed 1 and runs one
+pass of it, and prints two lists per module: the lines inside functions that no test reaches, and the
+lines that tests reach but no workload pass does. A line counts as
+inside a function when it belongs to the code of a function, a lambda
+or a comprehension; module and class bodies run on import and are not
+listed. The workloads come from ``perfbench/workloads.py`` and
+``perfbench/oracle.py``, executed from their source as
+``tests/test_bench_targets.py`` does, so nothing is written under
+``perfbench/``; a pass writes its artifacts into a temporary directory.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/reach.py
+
+Tracing makes tier-1 about 2.5 times slower. The script exits with
+pytest's status when a test fails, and with 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import inspect
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qaoalab"
+WORKLOADS = ("paper-p5", "sampled-n14", "noisy-p5")
+
+
+class LineTracer:
+    """Records (file, line) of every line run in the package while it is on."""
+
+    def __init__(self):
+        self.hits: set[tuple[str, int]] = set()
+        self.prefix = str(PACKAGE) + "/"
+
+    def _global(self, frame, event, arg):
+        return self._local if frame.f_code.co_filename.startswith(self.prefix) else None
+
+    def _local(self, frame, event, arg):
+        if event == "line":
+            self.hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return self._local
+
+    def __enter__(self):
+        sys.settrace(self._global)
+        return self
+
+    def __exit__(self, *exc):
+        sys.settrace(None)
+
+
+def function_lines(path: Path) -> set[int]:
+    """The lines of ``path`` that belong to the code of a function, minus each ``def`` line."""
+    found: set[int] = set()
+    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        if code.co_flags & inspect.CO_OPTIMIZED:
+            found |= {line for _, _, line in code.co_lines()
+                      if line is not None and line != code.co_firstlineno}
+    return found
+
+
+def spans(lines) -> str:
+    """Sorted line numbers, with each run of consecutive ones as ``a-b``."""
+    runs: list[list[int]] = []
+    for line in sorted(lines):
+        if runs and line == runs[-1][1] + 1:
+            runs[-1][1] = line
+        else:
+            runs.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, executed from source with the ``oracle`` it imports."""
+    for name in ("oracle", "workloads"):
+        path = ROOT / "perfbench" / f"{name}.py"
+        module = types.ModuleType(name)
+        module.__file__ = str(path)
+        sys.modules[name] = module  # before it runs: a dataclass looks its module up
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return sys.modules["workloads"]
+
+
+def main() -> int:
+    import pytest
+
+    with LineTracer() as tests:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    import qaoalab
+
+    workloads = load_workloads()
+    with tempfile.TemporaryDirectory() as scratch, LineTracer() as passes:
+        for workload in WORKLOADS:
+            inputs = workloads.make_inputs(workload, 1)
+            configs = {name: qaoalab.harness.parse_config(raw)
+                       for name, raw in inputs.configs.items()}
+            workloads.run_pass(qaoalab, inputs, configs, Path(scratch, workload),
+                               lambda name, fn, *args: fn(*args))
+    print(f"\nlines that tier-1 does not reach, and lines that only tests reach "
+          f"(one pass of each of {', '.join(WORKLOADS)} at seed 1)")
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = function_lines(path)
+        tested = {line for file, line in tests.hits if file == str(path)}
+        run = {line for file, line in passes.hits if file == str(path)}
+        print(f"{path.relative_to(ROOT)}")
+        for label, missed in (("no test", lines - tested), ("tests only", (lines & tested) - run)):
+            print(f"  {label}: {spans(missed) if missed else '-'}")
+    return 0 if status == 0 else int(status)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

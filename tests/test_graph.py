@@ -191,6 +191,17 @@ def test_parse_error_cases():
         assert err.value.line_no == line_no
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 4\n", "line 1: expected a single node count, got '3 4'"),
+    ("0\n", "line 1: node count must be positive, got 0"),
+    ("3\n0 1 x\n", "line 2: weight 'x' is not a number"),
+])
+def test_parse_refusals_name_the_line_and_the_rule(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
 def test_serialize_round_trip():
     gen = np.random.default_rng(3)
     for _ in range(20):

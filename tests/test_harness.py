@@ -759,6 +759,57 @@ def test_cli_brute_force_names_a_bad_graph_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: --graph: {path}: line 3: endpoints '1' 'x' must be integers\n"
 
 
+CONFIG_REFUSALS = [
+    ({"version": True}, "version: unsupported schema version True"),
+    ({"version": 1.0}, "version: unsupported schema version 1.0"),
+    ({"instance": {"file": 5}}, "instance.file: must be a string path, got 5"),
+    ({"instance": {"file": [1]}}, "instance.file: must be a string path, got [1]"),
+    ({"instance": {"file": None}}, "instance.file: must be a string path, got None"),
+    ({"instance": {"inline": {"n": 3, "edges": None}}},
+     "instance.inline.edges: must be a list, got None"),
+    ({"instance": {"inline": {"n": 3, "edges": 5}}}, "instance.inline.edges: must be a list, got 5"),
+    ({"instance": {"inline": {"n": 3, "edges": [[0, 1]], "weights": None}}},
+     "instance.inline.weights: must be a list, got None"),
+    ({"instance": {"inline": {"n": 3, "edges": [[0, 1]], "weights": 5}}},
+     "instance.inline.weights: must be a list, got 5"),
+    ({"instance": {"inline": {"n": 3, "edges": [5]}}}, "instance.inline: edge 5 is not a pair"),
+    ({"out_dir": 5}, "out_dir: must be a string path, got 5"),
+    ({"noise": 5}, "noise must be a JSON object, got int"),
+    ({"instance": "foo"}, "instance: unknown named instance 'foo'"),
+    ({"instance": {}}, "instance: give exactly one of 'file' or 'inline'"),
+    ({"instance": {"file": "g.txt", "inline": {"n": 2}}},
+     "instance: give exactly one of 'file' or 'inline'"),
+]
+
+
+@pytest.mark.parametrize("raw, message", CONFIG_REFUSALS)
+def test_a_refused_config_names_its_field_first(tmp_path, capsys, raw, message):
+    with pytest.raises(ConfigError) as refused:
+        parse_config(raw)
+    assert str(refused.value).startswith(message)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_a_graph_path_that_is_no_file_is_refused_by_name(tmp_path, capsys):
+    with pytest.raises(ConfigError) as refused:
+        parse_config({"instance": {"file": str(tmp_path)}})
+    assert str(refused.value) == f"instance.file: not a file: {tmp_path}"
+    assert main(["brute-force", "--graph", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: --graph: not a file: {tmp_path}\n"
+
+
+def test_cli_reports_an_os_error_as_an_io_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(small_raw(max_evals=10)))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["solve", "--config", str(config), "--out", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
+
+
 def test_a_graph_whose_cut_sums_overflow_is_refused_by_name(tmp_path, capsys):
     message = "weights must have a finite total |weight|"
     inline = {"n": 3, "edges": [[0, 1], [0, 2]], "weights": [1e308, 1e308]}

@@ -594,7 +594,7 @@ def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds, shots: int) 
     steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, angles),
                                       *row_keys(seeds, shots, config.twirling))
     row_point = np.repeat(np.arange(len(seeds)), shots)
-    return trajectories._run_rows(plan.n, steps, row_point, config.epsilon_coherent)
+    return trajectories._run_rows(plan.n, steps, row_point)
 
 
 def own_angles(circuit: Circuit) -> np.ndarray:
@@ -945,9 +945,9 @@ def test_per_shot_decides_the_rows_a_batch_runs(monkeypatch, name, per_point):
     rows = []
     run = trajectories._run_rows
 
-    def spy(n, steps, row_point, epsilon):
+    def spy(n, steps, row_point):
         rows.append(len(row_point))
-        return run(n, steps, row_point, epsilon)
+        return run(n, steps, row_point)
 
     monkeypatch.setattr(trajectories, "_run_rows", spy)
     circuit = mixed_circuit(4, 30, seed=2)
@@ -956,6 +956,53 @@ def test_per_shot_decides_the_rows_a_batch_runs(monkeypatch, name, per_point):
     assert plan.per_shot is not per_point
     trajectories.sample(plan, 64, [4, 5, 6], np.zeros((3, count)))
     assert rows == [3] if per_point else sum(rows) == 3 * 64
+
+
+@pytest.mark.parametrize("config", [NoiseConfig(twirling=True, p2q=0.3, p_readout=0.1),
+                                    NoiseConfig(twirling=True, p1q=0.2, dd=True)])
+def test_a_plan_with_nothing_to_draw_runs_one_row_per_point(config):
+    # twirling with no CNOT has no slot, and p2q with no CNOT, or p1q on
+    # a circuit of DELAYs, has no error site: no shot differs from another
+    circuit = Circuit(2, (GateOp("DELAY", (0,), None, 2.0), GateOp("DELAY", (1,), None, 1.0)))
+    if config.p2q:
+        circuit = Circuit(2, (GateOp("H", (0,), None, 1.0), GateOp("RZ", (1,), 0.4, 1.0)))
+    plan = trajectories.Plan(circuit, config)
+    assert not plan.slots and not plan.sites.size and not plan.per_shot
+    angles = [[op.angle for op in circuit.ops if op.kind == "RZ"]] * 2
+    expected = trajectories.Plan(circuit, NoiseConfig(p_readout=config.p_readout))
+    assert np.array_equal(trajectories.sample(plan, 50, [3, 4], angles),
+                          trajectories.sample(expected, 50, [3, 4], angles))
+
+
+@pytest.mark.parametrize("twirling", [False, True])
+def test_steps_carry_every_pauli_and_every_kick_by_one_kind(twirling):
+    # every Pauli, a DD pulse or a Pauli gate of the circuit included, is a
+    # "pauli" step; every kick, a DELAY's included, is one of _idle_kicks';
+    # and a coherent ZZ follows each CNOT as a "zz" step
+    config = NoiseConfig(p1q=0.1, p2q=0.2, epsilon_coherent=0.3, sigma_dephase=0.4,
+                         twirling=twirling, dd=True, dd_sequence="XY4")
+    circuit = mixed_circuit(4, 30, seed=9)
+    plan = trajectories.Plan(circuit, config)
+    keys = row_keys([5], 16, twirling)
+    steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, own_angles(circuit)),
+                                      *keys)
+    entries = [e for e in plan.entries if e.op is not None]
+    assert {"X", "Y", "DELAY"} <= {e.op.kind for e in entries}
+    paulis = [e for e in plan.entries if e.op is None or e.op.kind in PAULI_KINDS]
+    shared = [s for s in steps if s[0] == "pauli" and s[1] is None]
+    assert [(s[3], s[4]) for s in shared] == [(e.qubits[0], e.duration) for e in paulis]
+    assert all(s[1].kind not in PAULI_KINDS for s in steps if s[0] == "op")
+    for before, after in zip(steps, steps[1:] + [None]):
+        if before[0] == "op" and before[1].kind == "CNOT":
+            assert after == ("zz", before[1], 0.3)
+    twirl = trajectories._twirl_ids(keys[0], len(plan.slots) // 4) if twirling else None
+    kicks = plan.kicks if plan.kicks is not None else trajectories._idle_kicks(plan.entries, 4,
+                                                                              twirl)
+    assert (plan.kicks is None) is twirling
+    assert [s[1] for s in steps if s[0] == "kick"] == [q for _, q, _ in kicks]
+    delays = {(k + 1, e.qubits[0], e.duration) for k, e in enumerate(plan.entries)
+              if e.op is not None and e.op.kind == "DELAY"}
+    assert delays <= {(k, q, float(d[0])) for k, q, d in kicks if (d == d[0]).all()}
 
 
 @pytest.mark.parametrize("name", ["none", "readout-only", "dd-without-dephasing", "all",
@@ -1013,6 +1060,18 @@ def test_decode_matches_the_scalar_replay(rate, bound):
         for r, s, v in zip(row.tolist(), site.tolist(), value.tolist()):
             got[r].append((s, v))
         assert got == expected
+
+
+def test_a_race_that_hits_no_site_draws_no_error():
+    # at p1q 1e-12 no row of 64 hits the one H: no error step, and the
+    # shots of a noise-free plan
+    circuit = Circuit(1, (GateOp("H", (0,), None, 1.0),))
+    plan = trajectories.Plan(circuit, NoiseConfig(p1q=1e-12))
+    keys = row_keys([3], 64, False)[1]
+    assert all(part.size == 0 for part in trajectories._gate_errors(plan, keys, None))
+    shots = trajectories.sample(plan, 64, [3], np.zeros((1, 0)))
+    assert np.array_equal(shots, trajectories.sample(trajectories.Plan(circuit, NoiseConfig()),
+                                                     64, [3], np.zeros((1, 0))))
 
 
 def error_hits(circuit: Circuit, config: NoiseConfig, seed: int):

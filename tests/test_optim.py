@@ -71,6 +71,15 @@ def test_powell_constant_objective_converges_quickly():
     assert result.evals_used <= 200
 
 
+def test_powell_stops_where_a_line_has_no_bracket():
+    # f = -x0 falls without end: the first line search expands 50 times,
+    # finds no bracket and ends the search
+    problem = MinimizeProblem(batched(lambda x: -x[0]), np.zeros(1))
+    result = minimize("powell", problem)
+    assert result.evals_used == 54
+    assert result.f_best == result.energies.min() < -1e10
+
+
 def test_cg_rosenbrock():
     problem = MinimizeProblem(batched(rosenbrock), np.array([-1.2, 1.0]))
     result = minimize("cg", problem)

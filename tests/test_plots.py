@@ -212,8 +212,11 @@ GOOD_COUNTS = {"shots": 10, "counts": {"01": 7, "10": 3}, "config_hash": "x", "s
     ({"counts": {"01": 7, "1x": 3}}, "counts['1x']"),
     ({"counts": {"": 10}}, "counts['']"),
     ({"instance": 5}, "instance"),
+    ({"instance": "x"}, "instance: line 1: node count 'x'"),
+    ({"instance": "3\n0 1\n"}, "instance: 3 nodes, but the counts are keyed by 2 bits"),
 ], ids=["negative", "bool", "float", "string", "bool-shots", "shots-not-the-sum",
-        "mixed-width", "not-binary", "empty-key", "instance-not-text"])
+        "mixed-width", "not-binary", "empty-key", "instance-not-text", "instance-not-a-graph",
+        "instance-of-other-width"])
 def test_plot_histogram_names_the_file_and_field_it_refuses(tmp_path, change, field):
     path = tmp_path / "counts.json"
     path.write_text(json.dumps(dict(GOOD_COUNTS, **change)))
@@ -266,6 +269,11 @@ def test_trace_rejects_bad_series_and_empty():
         render_trace(trace_rows(5, 1), "momentum")
     with pytest.raises(ValueError):
         render_trace([], "energy")
+
+
+def test_a_params_trace_without_parameter_columns_is_refused():
+    with pytest.raises(ValueError, match="^trace has no parameter columns$"):
+        render_trace(trace_rows(4, 0), "params")
 
 
 def test_flat_trace_still_renders():

@@ -380,6 +380,11 @@ def test_sampling_rejects_bool_shots():
         sample_counts(uniform_state(2), True, seed=1)
 
 
+def test_apply_rows_refuses_an_unknown_gate_kind():
+    with pytest.raises(ValueError, match="^unknown gate kind 'T'$"):
+        apply_rows(np.ones((2, 2), dtype=complex), 1, GateOp("T", (0,), None, 1.0))
+
+
 @pytest.mark.parametrize("kind", GATE_KINDS)
 def test_apply_rows_matches_apply_bit_for_bit(kind):
     """The kernel on a (rows, 2^n) batch gives each row what it gives that row alone."""
