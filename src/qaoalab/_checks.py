@@ -1,14 +1,15 @@
-"""The input rules: an integer, a finite number, a seed, a flag, a choice, a bitstring and counts, each written once.
+"""The input rules: an integer, a finite number, a seed, a flag, a choice, a bitstring, counts and a text file, each written once.
 
 A rule returns the value (an integer, number or flag as a plain int,
-float or bool), or raises a ValueError whose message starts with
-``name``. A bool is never an integer or a number. This module imports
-nothing from the package.
+float or bool, a file as its text), or raises a ValueError whose
+message starts with ``name``. A bool is never an integer or a number.
+This module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from numbers import Integral, Real
 
 
@@ -110,3 +111,23 @@ def one_of(value, choices, name: str):
     if not found:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     return value
+
+
+def text_file(path, name: str) -> str:
+    """The UTF-8 text of the regular file that ``path``, a str or os.PathLike, names.
+
+    The one rule for a file that enters: a config, a graph, counts or a
+    trace. The text keeps its line ends as written. A message names the
+    path it refuses: one that is missing, one that is no regular file
+    (a directory, a pipe), or bytes that are not UTF-8. Any other OS
+    error, such as a file that may not be read, is raised as it is.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a string path, got {path!r}")
+    if not os.path.isfile(path):
+        raise ValueError(f"{name} {'not a file' if os.path.exists(path) else 'not found'}: {path}")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{name} not UTF-8 text: {path} ({exc.reason})") from None

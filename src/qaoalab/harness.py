@@ -213,16 +213,13 @@ def _resolve_instance(spec) -> MaxCutInstance:
 
 
 def _read_graph(path, name: str) -> MaxCutInstance:
-    """The edge-list file at ``path``; a ConfigError starts with ``name`` and names the file."""
-    if not isinstance(path, str):
-        raise ConfigError(f"{name}: must be a string path, got {path!r}")
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{name}: no such file: {path}")
-    if not path.is_file():
-        raise ConfigError(f"{name}: not a file: {path}")
+    """The edge-list file at ``path``, read by the file rule; a ConfigError starts with ``name``."""
     try:
-        return parse_edge_list(path.read_text(encoding="utf-8"))
+        text = _checks.text_file(path, f"{name}:")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        return parse_edge_list(text)
     except ValueError as exc:  # a ParseError, or a rule of the whole graph
         raise ConfigError(f"{name}: {path}: {exc}") from None
 
@@ -265,15 +262,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    """The config file at ``path``, read by the file rule and parsed by ``parse_config``."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(_checks.text_file(path, "config file:"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+    except ValueError as exc:  # the file rule's refusal
+        raise ConfigError(str(exc)) from None
     return parse_config(raw)
 
 
@@ -553,7 +548,7 @@ def _build_parser() -> _Parser:
     plot.add_argument("--in", dest="infile", required=True,
                       help="counts .json or trace .csv")
     plot.add_argument("--out", required=True)
-    plot.add_argument("--series", choices=("energy", "params"), default="energy")
+    plot.add_argument("--series", choices=("energy", "params"), help="trace only; default energy")
     return parser
 
 
@@ -593,14 +588,12 @@ def main(argv=None) -> int:
             print(f"{best:g} " + " ".join(sorted(optima)))
             return 0
         if args.command == "plot":
-            infile = Path(args.infile)
-            if not infile.exists():
-                print(f"error: no such input file: {infile}", file=sys.stderr)
-                return 1
-            if infile.suffix == ".csv":
-                svg = plot_trace(infile, series=args.series)
+            if Path(args.infile).suffix == ".csv":
+                svg = plot_trace(args.infile, series=args.series or "energy")
+            elif args.series is not None:
+                raise ValueError(f"--series: a counts file has no series, got {args.series!r}")
             else:
-                svg = plot_histogram(infile)
+                svg = plot_histogram(args.infile)
             Path(args.out).write_text(svg, encoding="utf-8")
             print(f"wrote {args.out}")
             return 0

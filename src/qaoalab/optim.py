@@ -134,9 +134,10 @@ def _bracket(line, xa: float, xb: float):
     """Expand downhill along ``line(alpha) -> point`` until f(xb) < min(f(xa), f(xc)).
 
     line(xa) and line(xb) are asked as one batch. Returns (xa, xb, xc,
-    fa, fb, fc) with xb strictly between xa and xc.
-    Returns None if no downhill bracket emerges within 50 expansions
-    (flat or pathological).
+    fa, fb, fc) with xb strictly between xa and xc and fb <= fc. When f
+    still falls after 50 expansions, the last triple comes back with
+    fc < fb: there is no bracket. Returns None after a value that is no
+    number.
     """
     fa, fb = yield np.array([line(xa), line(xb)])
     if fb > fa:
@@ -147,7 +148,7 @@ def _bracket(line, xa: float, xb: float):
     it = 0
     while fc < fb:
         if it >= 50:
-            return None
+            return (xa, xb, xc, fa, fb, fc)
         it += 1
         # parabolic extrapolation through (xa, xb, xc)
         tmp1 = (xb - xa) * (fb - fc)
@@ -241,7 +242,10 @@ def _brent_1d(line, xa: float, xb: float, xc: float, fb: float, tol: float):
 
 def _line_minimize(x: np.ndarray, direction: np.ndarray, f0: float, tol: float,
                    step: float = 1.0):
-    """Minimize f(x + alpha * direction) from alpha=0; returns (alpha, f) with f <= f0."""
+    """Minimize f(x + alpha * direction) from alpha=0; returns (alpha, f) with f <= f0.
+
+    alpha is None when no bracket emerges: f keeps falling along the line.
+    """
 
     def line(alpha):
         return x + alpha * direction
@@ -250,6 +254,8 @@ def _line_minimize(x: np.ndarray, direction: np.ndarray, f0: float, tol: float,
     if bracket is None:
         return 0.0, f0
     xa, xb, xc, fa, fb, fc = bracket
+    if fc < fb:
+        return None, f0
     alpha, fmin = yield from _brent_1d(line, xa, xb, xc, fb, tol)
     if fmin > f0:
         return 0.0, f0
@@ -267,7 +273,8 @@ def _powell(x0: np.ndarray):
     Each outer iteration line-minimizes along every direction in turn,
     then replaces the direction of largest single decrease with the net
     displacement when the standard acceptance test favors it. Converges
-    when an outer iteration's total improvement falls below _FTOL.
+    when an outer iteration's total improvement falls below _FTOL; stalls
+    when a line search finds no bracket, as f keeps falling along it.
     """
     d = x0.size
     directions = np.eye(d)
@@ -282,6 +289,8 @@ def _powell(x0: np.ndarray):
         for i in range(d):
             direction = directions[i]
             alpha, f_new = yield from _line_minimize(x, direction, fx, line_tol)
+            if alpha is None:
+                return STATUS_STALLED
             if fx - f_new > biggest_drop:
                 biggest_drop = fx - f_new
                 drop_index = i
@@ -301,6 +310,8 @@ def _powell(x0: np.ndarray):
             if t < 0.0:
                 # adopt the displacement: minimize along it, then keep it
                 alpha, f_new = yield from _line_minimize(x, displacement, fx, line_tol)
+                if alpha is None:
+                    return STATUS_STALLED
                 x = x + alpha * displacement
                 fx = f_new
                 norm = np.linalg.norm(displacement)
@@ -364,8 +375,8 @@ def _cg(x0: np.ndarray):
         else:
             step0 = max(alpha_prev, 1e-8)
         alpha, f_new = yield from _line_minimize(x, direction, fx, line_tol, step=step0)
-        if alpha == 0.0:
-            # no downhill movement along a descent direction: noise floor
+        if not alpha:
+            # no downhill movement (or no bracket) along a descent direction: noise floor
             stall += 1
             if stall >= 2:
                 return STATUS_STALLED

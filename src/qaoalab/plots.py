@@ -11,6 +11,7 @@ XML-escaped, so every rendering parses as XML.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -112,11 +113,10 @@ def _read_counts(counts_path) -> tuple[dict[str, int], int, frozenset[str]]:
     is edge-list text of a graph with a node per bit of a key. A
     ValueError names the file and the field it refuses.
     """
-    with open(counts_path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{counts_path}: not valid JSON ({exc})") from None
+    try:
+        payload = json.loads(_checks.text_file(counts_path, "counts file:"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{counts_path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("counts"), dict):
         raise ValueError(f"{counts_path}: counts must be an object of bitstring counts")
     tally = payload["counts"]
@@ -218,22 +218,21 @@ def _field(text, parse, rule, name: str, *bounds):
 
 
 def plot_trace(trace_path, series: str = "energy") -> str:
-    """Render a trace CSV file written by the experiment harness.
+    """Render a trace CSV file written by the experiment harness, read by ``_checks.text_file``.
 
     Each ``eval`` is an integer >= 0 and every other field a finite
     number (the ``_checks`` rules); a ValueError names the file, the
     line and the field it refuses.
     """
-    with open(trace_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[:2] != ["eval", "energy"]:
-            raise ValueError(f"{trace_path}: expected header starting 'eval,energy'")
-        rows = []
-        for line, raw in enumerate(reader, start=2):
-            where = f"{trace_path}: line {line},"
-            rows.append({k: _field(v, int, _checks.integer, f"{where} eval", 0) if k == "eval"
-                         else _field(v, float, _checks.real, f"{where} {k}")
-                         for k, v in raw.items()})
+    reader = csv.DictReader(io.StringIO(_checks.text_file(trace_path, "trace file:"), newline=""))
+    if reader.fieldnames is None or reader.fieldnames[:2] != ["eval", "energy"]:
+        raise ValueError(f"{trace_path}: expected header starting 'eval,energy'")
+    rows = []
+    for line, raw in enumerate(reader, start=2):
+        where = f"{trace_path}: line {line},"
+        rows.append({k: _field(v, int, _checks.integer, f"{where} eval", 0) if k == "eval"
+                     else _field(v, float, _checks.real, f"{where} {k}")
+                     for k, v in raw.items()})
     if not rows:
         raise ValueError(f"{trace_path}: no evaluation rows after the header")
     return render_trace(rows, series)

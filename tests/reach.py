@@ -3,8 +3,9 @@
 It runs tier-1 in this process under a ``sys.settrace`` line tracer
 that records only the package's own files, then, traced the same way,
 parses the configs of each benchmark workload at seed 1 and runs one
-pass of it, and prints two lists per module: the lines inside functions that no test reaches, and the
-lines that tests reach but no workload pass does. A line counts as
+pass of it, and prints three lists per module: the lines inside
+functions that no test reaches, those of them a guard below covers,
+and the lines that tests reach but no workload pass does. A line counts as
 inside a function when it belongs to the code of a function, a lambda
 or a comprehension; module and class bodies run on import and are not
 listed. The workloads come from ``perfbench/workloads.py`` and
@@ -16,12 +17,18 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/reach.py
 
-Tracing makes tier-1 about 2.5 times slower. The script exits with
-pytest's status when a test fails, and with 0 otherwise.
+Tracing makes tier-1 about 2.5 times slower. The script is a gate: it
+exits with pytest's status when a test fails, with 1 when a line inside
+a function is reached by no test, and with 0 otherwise. The guards in
+``GUARDS`` are the exception: each is named by its module, its function
+and the source line it starts with, covers the statement or handler
+that line starts, and gives the reason no test reaches it. A guard that
+names no line also fails the gate.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import sys
 import tempfile
@@ -31,6 +38,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qaoalab"
 WORKLOADS = ("paper-p5", "sampled-n14", "noisy-p5")
+GUARDS = {
+    ("harness.py", "main", 'raise AssertionError(f"unhandled command {args.command!r}")'):
+        "argparse admits only the commands main handles",
+    ("harness.py", "main", "except Exception as exc:  # pragma: no cover - last-resort guard"):
+        "a fault of the program itself, which no input is known to cause",
+    ("harness.py", "sweep_cells", "raise"):
+        "a refused cell has an entry refused alone, as no rule joins two swept fields",
+}
 
 
 class LineTracer:
@@ -67,6 +82,22 @@ def function_lines(path: Path) -> set[int]:
             found |= {line for _, _, line in code.co_lines()
                       if line is not None and line != code.co_firstlineno}
     return found
+
+
+def guarded_lines(path: Path) -> tuple[set[int], list[tuple]]:
+    """The lines of ``path`` that a guard covers, and the guards of ``path`` that name no line."""
+    source = path.read_text(encoding="utf-8")
+    text = source.splitlines()
+    covered, named = set(), set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            key = (path.name, function.name, text[getattr(node, "lineno", 1) - 1].strip())
+            if isinstance(node, (ast.stmt, ast.excepthandler)) and key in GUARDS:
+                covered |= set(range(node.lineno, node.end_lineno + 1))
+                named.add(key)
+    return covered, [key for key in GUARDS if key[0] == path.name and key not in named]
 
 
 def spans(lines) -> str:
@@ -108,14 +139,25 @@ def main() -> int:
                                lambda name, fn, *args: fn(*args))
     print(f"\nlines that tier-1 does not reach, and lines that only tests reach "
           f"(one pass of each of {', '.join(WORKLOADS)} at seed 1)")
+    failed = []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = function_lines(path)
         tested = {line for file, line in tests.hits if file == str(path)}
         run = {line for file, line in passes.hits if file == str(path)}
+        guarded, stale = guarded_lines(path)
+        untested = lines - tested - guarded
         print(f"{path.relative_to(ROOT)}")
-        for label, missed in (("no test", lines - tested), ("tests only", (lines & tested) - run)):
+        for label, missed in (("no test", untested), ("guarded", (lines - tested) & guarded),
+                              ("tests only", (lines & tested) - run)):
             print(f"  {label}: {spans(missed) if missed else '-'}")
-    return 0 if status == 0 else int(status)
+        failed += [f"{path.name}: no test reaches line {spans(untested)}"] if untested else []
+        failed += [f"{module}: guard in {function} names no line: {line!r}"
+                   for module, function, line in stale]
+    for reason in failed:
+        print(f"FAIL {reason}")
+    if status != 0:
+        return int(status)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

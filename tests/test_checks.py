@@ -166,6 +166,33 @@ def test_a_bitstring_names_its_field(value, width):
         _checks.bitstring(value, "bits", width)
 
 
+def test_a_text_file_comes_back_as_its_text_with_its_line_ends(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"2\r\n0 1 \xc3\xa9\n")
+    assert _checks.text_file(path, "graph:") == "2\r\n0 1 \u00e9\n"
+    assert _checks.text_file(str(path), "graph:") == "2\r\n0 1 \u00e9\n"
+
+
+@pytest.mark.parametrize("value", [5, None, ["g.txt"], b"g.txt"])
+def test_a_text_file_is_named_by_a_string_path(value):
+    with pytest.raises(ValueError,
+                       match=rf"^graph: must be a string path, got {re.escape(repr(value))}$"):
+        _checks.text_file(value, "graph:")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "not found: {}"), ("directory", "not a file: {}"),
+    ("not-utf8", "not UTF-8 text: {} (invalid start byte)")])
+def test_a_text_file_refusal_names_the_path(tmp_path, kind, message):
+    path = tmp_path / "g.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"3\n\xff\xfe")
+    with pytest.raises(ValueError, match=f"^graph: {re.escape(message.format(path))}$"):
+        _checks.text_file(path, "graph:")
+
+
 # each site that takes one of a few names, with a name it takes and the field its
 # message starts with
 CHOICE_SITES = {
@@ -327,6 +354,17 @@ def test_the_choice_rule_is_written_only_in_the_rules_module():
     package = Path(qaoalab.__path__[0])
     found = [path.name for path in sorted(package.glob("*.py"))
              if path.name != "_checks.py" and "must be one of" in path.read_text(encoding="utf-8")]
+    assert found == []
+
+
+def test_the_file_rule_is_written_only_in_the_rules_module():
+    # every file that enters is read by _checks.text_file; a path check or a
+    # read of its own elsewhere fails here
+    package = Path(qaoalab.__path__[0])
+    found = [f"{path.name}:{number}" for path in sorted(package.glob("*.py"))
+             if path.name != "_checks.py"
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\.exists\(\)|\.is_file\(\)|\bopen\(|read_text", line)]
     assert found == []
 
 

@@ -33,6 +33,7 @@ from qaoalab.harness import (
 )
 from qaoalab.objective import Engine, evaluate_qaoa
 from qaoalab.optim import STATUS_BUDGET, STATUS_CONVERGED, STATUS_STALLED
+from qaoalab.plots import plot_histogram, plot_trace
 from qaoalab.statevec import MAX_QUBITS, counts_from_tally
 
 from conftest import GROUND_PAIR, assert_same_text
@@ -801,6 +802,32 @@ def test_a_graph_path_that_is_no_file_is_refused_by_name(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: --graph: not a file: {tmp_path}\n"
 
 
+FILE_REFUSALS = {"directory": "not a file", "missing": "not found", "not-utf8": "not UTF-8 text"}
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@pytest.mark.parametrize("kind", list(FILE_REFUSALS))
+def test_every_file_a_command_reads_is_refused_by_the_one_rule(tmp_path, capsys, kind, suffix):
+    path = tmp_path / f"input{suffix}"  # plot reads a .csv as a trace, else as counts
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    svg = tmp_path / "x.svg"
+    for argv in (["solve", "--config", str(path)], ["sweep", "--config", str(path)],
+                 ["plot", "--in", str(path), "--out", str(svg)],
+                 ["brute-force", "--graph", str(path)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert f"{FILE_REFUSALS[kind]}: {path}" in err, argv
+    assert not svg.exists()
+    for read, error in ((load_config, ConfigError), (plot_histogram, ValueError),
+                        (plot_trace, ValueError)):
+        with pytest.raises(error, match=re.escape(f"{FILE_REFUSALS[kind]}: {path}")):
+            read(path)
+
+
 def test_cli_reports_an_os_error_as_an_io_error(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(small_raw(max_evals=10)))
@@ -847,6 +874,15 @@ def test_cli_solve_and_plot(tmp_path, capsys):
         "plot", "--in", str(out / "trace.csv"), "--out", str(svg2), "--series", "params",
     ]) == 0
     assert "polyline" in svg2.read_text()
+    # a trace's series defaults to energy; a counts file has none to choose
+    assert main(["plot", "--in", str(out / "trace.csv"), "--out", str(svg2)]) == 0
+    assert svg2.read_text() == plot_trace(out / "trace.csv", "energy")
+    capsys.readouterr()
+    svg3 = tmp_path / "refused.svg"
+    assert main(["plot", "--in", str(out / "counts.json"), "--out", str(svg3),
+                 "--series", "params"]) == 1
+    assert capsys.readouterr().err == "error: --series: a counts file has no series, got 'params'\n"
+    assert not svg3.exists()
 
 
 def test_cli_seed_and_out_override_the_config_file(tmp_path, monkeypatch, capsys):

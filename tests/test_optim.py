@@ -73,11 +73,39 @@ def test_powell_constant_objective_converges_quickly():
 
 def test_powell_stops_where_a_line_has_no_bracket():
     # f = -x0 falls without end: the first line search expands 50 times,
-    # finds no bracket and ends the search
+    # finds no bracket and ends the search, stalled rather than converged
     problem = MinimizeProblem(batched(lambda x: -x[0]), np.zeros(1))
     result = minimize("powell", problem)
     assert result.evals_used == 54
     assert result.f_best == result.energies.min() < -1e10
+    assert result.status == STATUS_STALLED
+
+
+def test_powell_stops_where_its_displacement_has_no_bracket():
+    # f is bounded along each axis, and its first iteration moves to
+    # (0.5, 1.25); f falls without end along that displacement, where the
+    # curvature is -1/16
+    problem = MinimizeProblem(
+        batched(lambda x: x[0] ** 2 + x[1] ** 2 - 3 * x[0] * x[1] - x[0] - x[1]), np.zeros(2))
+    result = minimize("powell", problem)
+    assert result.status == STATUS_STALLED
+    assert result.evals_used == 71
+    assert result.f_best == result.energies.min() < -1e20
+
+
+def test_cobyla_rebuilds_a_simplex_whose_vertices_fall_on_a_line():
+    # On f = x0 from the origin each accepted step along -x0 drops the vertex
+    # farthest from it. After two steps all three vertices lie on the x0 axis,
+    # where no plane fits them (cond is inf): the simplex is rebuilt around the
+    # best vertex, whose two new vertices are the next evaluations, and again
+    # two steps later.
+    problem = MinimizeProblem(batched(lambda x: x[0]), np.zeros(2), max_evals=12)
+    result = minimize("cobyla", problem)
+    np.testing.assert_allclose(result.thetas, [
+        [0, 0], [0.125, 0], [0, 0.125], [-0.5, 0], [-1, 0], [-0.875, 0], [-1, 0.125],
+        [-1.5, 0], [-2, 0], [-1.875, 0], [-2, 0.125], [-2.5, 0]], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(result.energies, result.thetas[:, 0])
+    assert result.status == STATUS_BUDGET
 
 
 def test_cg_rosenbrock():
