@@ -9,8 +9,10 @@ in one call, each row scored alone, so the rows of several searches
 noise) can share a call while each search keeps its own seeds.
 ``evaluate_qaoa`` scores one angle set as a one-row call of an engine,
 and ``make_objective`` is one search on an engine, a function of the
-angle rows alone. Shots score as a basis-index tally (``energy_from_tally``)
-or as a bitstring counts dict, whose sum is its shots (``energy_from_counts``).
+angle rows alone. Every sampled or noisy shot is an outcome of
+``statevec.measure_rows``, and shots score as a basis-index tally
+(``energy_from_tally``) or as a bitstring counts dict, whose sum is its
+shots (``energy_from_counts``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import _checks, rng
 from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
 from .graph import MaxCutInstance, cut_value_table
 from .noise import NoiseConfig
-from .statevec import _tally_qubits, sample_outcomes
+from .statevec import _tally_qubits, measure_rows, sample_draws
 
 RUN_MODES = ("exact", "sampled", "noisy")
 
@@ -234,8 +236,9 @@ class Engine:
         Checks the seeds. An exact or sampled row's products are 2 * gamma
         times each cut value, and the one at the largest |cut value|
         decides; a noisy row's are its RX and RZ angles (``qaoa_angles``).
-        Each fitting row's shots are its ``sample_outcomes``, or for a
-        noisy engine one ``trajectories.sample`` call's rows.
+        The fitting rows' shots are one ``measure_rows`` call on their
+        ``qaoa_probabilities`` and their seeds' sorted ``sample_draws``,
+        or for a noisy engine one ``trajectories.sample`` call's rows.
         """
         seeds = [check_seed(self.mode, seed) for seed in seeds]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -247,15 +250,15 @@ class Engine:
             from . import trajectories
 
             return fits, trajectories.sample(self._plan, self.shots, seeds, products[fits])
-        shots = [sample_outcomes(q, self.shots, seed)
-                 for q, seed in zip(qaoa_probabilities(self._plan, thetas[fits]), seeds)]
-        return fits, np.array(shots, dtype=np.int64).reshape(len(seeds), self.shots or 0)
+        draws = np.sort(sample_draws(seeds, self.shots or 0))
+        return fits, measure_rows(qaoa_probabilities(self._plan, thetas[fits]), draws)
 
     def tallies(self, thetas, seeds) -> np.ndarray:
         """The (k, 2^n) basis-index tallies of the batch, row j under ``seeds[j]``.
 
-        Each is the ``np.bincount`` of the row's shots from ``_draw``,
-        the shots ``__call__`` scores; an exact engine built without
+        Each counts the row's shots from ``_draw``, the shots
+        ``__call__`` scores, in one ``np.bincount`` over the batch with
+        row j's indices offset by j * 2^n; an exact engine built without
         shots refuses a row. A row whose cost products overflow has no
         state to sample and is refused.
         """
@@ -266,7 +269,8 @@ class Engine:
         if not fits.all():
             raise ValueError(f"thetas: row {int(np.argmin(fits))}'s cost products overflow the float range")
         size = 1 << self.instance.n
-        return np.array([np.bincount(row, minlength=size) for row in shots]).reshape(-1, size)
+        offset = shots + size * np.arange(len(shots))[:, None]
+        return np.bincount(offset.ravel(), minlength=len(shots) * size).reshape(-1, size)
 
 
 def make_objective(

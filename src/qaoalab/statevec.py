@@ -20,9 +20,10 @@ one row. It applies an RZ, H or RX as the products of its
 per shot, from these index tables and its own per-row scalars
 (``qaoalab.trajectories``). Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
-``check_gate`` is the one op check, and ``measure_rows`` the one shot
-sampler, on (rows, 2^n) probability rows of the same layout;
-``sample_tally`` samples one row into a basis-index histogram.
+``check_gate`` is the one op check. ``measure_rows`` is the one
+locator of shots: it takes (rows, 2^n) probability rows of the same
+layout and (rows, m) draws from ``sample_draws``, and every exact,
+sampled or noisy shot is one of its outcomes.
 """
 
 from __future__ import annotations
@@ -238,47 +239,39 @@ def expectation_cut(state: np.ndarray, instance: MaxCutInstance) -> float:
 
 
 def measure_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One basis-index outcome per draw in ``u``: row r's, or the only row's for all.
+    """The (rows, m) basis-index outcomes of (rows, m) draws ``u``, row r's in row r's CDF.
 
     ``probs`` holds (rows, 2^n) basis probabilities, such as
-    ``np.abs(amps) ** 2``. Inverse-CDF sampling,
-    ``searchsorted(cum, u * cum[-1], "right")`` on each row, clipped to
-    the last index. Outcome i belongs to draw i, in the order given, so
-    sorted draws give sorted outcomes. For one row, sorted draws are
-    located fastest: each search then starts near where the previous one
-    ended in the CDF.
+    ``np.abs(amps) ** 2``. Inverse-CDF sampling: outcome [r, i] is
+    ``searchsorted(cum[r], u[r, i] * cum[r, -1], "right")``, clipped to
+    the last index, so each row samples as if alone and sorted draws
+    give sorted outcomes. One draw per row over several rows (a chunk of
+    per-shot trajectories) is located by one compare-and-count over the
+    array; any other shape row by row, where sorted draws are located
+    fastest, as each search starts near where the previous one ended.
     """
     cum = np.cumsum(probs, axis=1)
     total = cum[:, -1]
     if not np.all(np.isfinite(total)) or np.any(total <= 0):
         raise ValueError("state has no probability mass")
-    if probs.shape[0] == 1:
-        outcome = np.searchsorted(cum[0], u * total[0], side="right")
+    if u.shape[1] == 1 and len(u) > 1:
+        outcome = (cum <= u * total[:, None]).sum(axis=1, keepdims=True)
     else:
-        outcome = (cum <= (u * total)[:, None]).sum(axis=1)
+        outcome = np.empty(u.shape, dtype=np.int64)
+        for row, c, x, t in zip(outcome, cum, u, total):
+            row[:] = np.searchsorted(c, x * t, side="right")
     return np.minimum(outcome, probs.shape[1] - 1)
 
 
-def sample_outcomes(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """The ``shots`` outcomes of one probability row, in ascending order.
+def sample_draws(seeds, shots: int) -> np.ndarray:
+    """The (k, shots) measurement draws of k seeds: row j is ``seeds[j]``'s sample substream.
 
-    Shot i consumes draw i of the (seed, sample) substream, so any
-    prefix of the shots is reproducible independently; the draws are
-    located in sorted order, which their tally does not depend on. Its
-    callers check ``shots`` and ``seed``.
+    Shot i of a seed consumes draw i of its (seed, sample) substream, so
+    any prefix of the shots is reproducible independently. Its callers
+    check ``shots`` and the seeds.
     """
-    u = rng.generator(seed, rng.STREAM_SAMPLE).random(shots)
-    return measure_rows(probs[None], np.sort(u))
-
-
-def sample_tally(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Multinomial measurement of one (2^n,) probability row as a basis-index histogram.
-
-    Returns ``np.bincount`` of its ``sample_outcomes``, of length 2^n,
-    as exact and sampled ``objective.Engine.tallies`` do; ``sample_counts``
-    draws its tally here. Its callers check ``shots`` and ``seed``.
-    """
-    return np.bincount(sample_outcomes(probs, shots, seed), minlength=probs.size)
+    draws = [rng.generator(seed, rng.STREAM_SAMPLE).random(shots) for seed in seeds]
+    return np.array(draws).reshape(len(draws), shots)
 
 
 def bitstrings(indices: np.ndarray, n: int) -> np.ndarray:
@@ -308,11 +301,13 @@ def counts_from_tally(tally: np.ndarray) -> dict[str, int]:
 def sample_counts(state: np.ndarray, shots: int, seed: int) -> dict[str, int]:
     """Multinomial measurement of the state in the computational basis.
 
-    The ``sample_tally`` of the state's probabilities, formatted as
-    bitstrings by ``counts_from_tally``; use the tally where no
-    bitstring is needed.
+    The tally of ``measure_rows`` on the state's probabilities and the
+    seed's sorted ``sample_draws``, formatted as bitstrings by
+    ``counts_from_tally``; the draws are located in sorted order, which
+    their tally does not depend on.
     """
     _qubits(state)
     shots = _checks.integer(shots, "shots", 1)
     seed = _checks.seed(seed)
-    return counts_from_tally(sample_tally(np.abs(state) ** 2, shots, seed))
+    outcomes = measure_rows((np.abs(state) ** 2)[None], np.sort(sample_draws([seed], shots)))
+    return counts_from_tally(np.bincount(outcomes[0], minlength=state.size))

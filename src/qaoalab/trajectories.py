@@ -31,10 +31,13 @@ next H or RX and at the end. H and CNOT pass the frames exactly. A
 rotation, a dephasing kick or a coherent ZZ runs on every row, with its
 point's scalars from ``_point_angles`` or its row's angle, or with
 their conjugates on the rows whose frame anticommutes with it.
-Each row's final frame is applied once, before measurement. ``sample``
-returns each point's shots as ascending basis indices. ``plan.per_shot``
-alone decides how rows are shared: when no shot differs from another
-but by its point's angles, the array has a single row per point. A
+Each row's final frame is applied once, before measurement, and each
+chunk's shots are one ``statevec.measure_rows`` call on its rows and
+their ``sample_draws``. ``sample`` returns each point's shots as
+ascending basis indices. ``plan.per_shot`` alone decides how many rows
+a point has: one per shot, or, when no shot differs from another but
+by its point's angles, one row that takes all of the point's draws.
+Either way a chunk holds ``_CHUNK_BYTES`` of amplitudes, or one row. A
 point's draws depend only on its seed, so its shots do not depend on
 the batch around it.
 
@@ -65,11 +68,11 @@ from . import noise, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .noise import PAULI_KINDS, NoiseConfig
 from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _cnot_perm, _x_perm, apply_rows,
-                       measure_rows, zero_state)
+                       measure_rows, sample_draws, zero_state)
 
 # Bytes of amplitudes simulated at once: a chunk holds this many bytes'
-# worth of shots (2048 at n = 5, so a 16-point batch of 128 shots), and
-# at least one.
+# worth of rows (2048 at n = 5, so a 16-point batch of 128 per-shot
+# rows), and at least one.
 _CHUNK_BYTES = 1 << 20
 
 # Pauli ids 0..3 are I, X, Y, Z. A row's Pauli frame (m, z, e) says that
@@ -638,20 +641,21 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     ``angles[j]`` of the (k, R) array ``angles``. Shot i of point j draws
     its twirl, noise, measurement and readout flips from ``seeds[j]``
     exactly as shot i of a one-point call does, and row j is sorted after
-    the readout flips: each row equals that call's. A ``plan.per_shot``
-    plan runs the points' shots as the rows of one chunked array, point
-    j's at j * shots onwards; any other runs one row per point. No seeds
-    give a (0, shots) array.
+    the readout flips: each row equals that call's. The points' rows run
+    in chunks of one array, each measured by one ``measure_rows`` call: a
+    ``plan.per_shot`` plan has ``shots`` rows per point, point j's at
+    j * shots onwards, each with its one draw, and any other one row per
+    point with all of its ``shots`` draws. No seeds give a (0, shots)
+    array.
     """
     n, config = plan.n, plan.config
     k = len(seeds)
     angles = np.asarray(angles, dtype=float)
     if len(angles) != k:
         raise ValueError(f"{len(angles)} rows of angles for {k} seeds")
-    tables = _point_angles(plan, angles)
     if k == 0:
         return np.zeros((0, shots), dtype=np.int64)
-    total = k * shots
+    tables = _point_angles(plan, angles)
     point_seeds, index = np.array(seeds, dtype=np.uint64)[:, None], np.arange(shots)
 
     def keys(stream: int) -> np.ndarray:
@@ -660,23 +664,18 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     twirl_keys = rng.derive_keys(keys(rng.STREAM_TWIRL), rng.STREAM_TWIRL) if plan.slots else None
     trajectory_keys = keys(rng.STREAM_TRAJECTORY) if plan.sites.size else None
     dephase_keys = keys(rng.STREAM_DEPHASE) if config.sigma_dephase > 0 else None
-    u = np.concatenate([rng.generator(seed, rng.STREAM_SAMPLE).random(shots) for seed in seeds])
-    if plan.per_shot:
-        point = np.repeat(np.arange(k), shots)
-        chunk = max(1, _CHUNK_BYTES // (16 << n))
-        outcomes = np.empty(total, dtype=np.int64)
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            steps = _chunk_steps(plan, tables, *(None if part is None else part[lo:hi] for part in
-                                                 (twirl_keys, trajectory_keys, dephase_keys)))
-            amps = _run_rows(n, steps, point[lo:hi])
-            outcomes[lo:hi] = measure_rows(np.abs(amps) ** 2, u[lo:hi])
-    else:
-        # no shot differs from another but by its point's angles: one row per point
-        steps = _chunk_steps(plan, tables, None, None, None)
-        probs = np.abs(_run_rows(n, steps, np.arange(k))) ** 2
-        outcomes = np.concatenate([measure_rows(q[None], draws)
-                                   for q, draws in zip(probs, u.reshape(k, shots))])
+    per_point = shots if plan.per_shot else 1  # array rows per point
+    draws = sample_draws(seeds, shots).reshape(k * per_point, -1)
+    point = np.repeat(np.arange(k), per_point)
+    chunk = max(1, _CHUNK_BYTES // (16 << n))
+    outcomes = np.empty(draws.shape, dtype=np.int64)
+    for lo in range(0, len(draws), chunk):
+        hi = lo + chunk
+        steps = _chunk_steps(plan, tables, *(None if part is None else part[lo:hi] for part in
+                                             (twirl_keys, trajectory_keys, dephase_keys)))
+        amps = _run_rows(n, steps, point[lo:hi])
+        outcomes[lo:hi] = measure_rows(np.abs(amps) ** 2, draws[lo:hi])
+    outcomes = outcomes.ravel()  # shot i of point j at j * shots + i
     if config.p_readout > 0:
         flips = _readout_flips(keys(rng.STREAM_READOUT), n, config.p_readout)
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))

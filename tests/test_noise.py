@@ -26,8 +26,7 @@ from qaoalab.noise import (
     twirl_circuit,
 )
 from qaoalab.objective import energy_from_tally, evaluate_qaoa, make_objective
-from qaoalab.statevec import (GateOp, counts_from_tally, measure_rows, sample_counts, sample_tally,
-                              simulate_ops)
+from qaoalab.statevec import GateOp, counts_from_tally, measure_rows, sample_counts, simulate_ops
 
 import noise_reference
 from conftest import ground_mass
@@ -525,11 +524,12 @@ def test_noisy_evaluation_refuses_a_state_without_mass(canonical):
                       shots=16, seed=1, noise=NoiseConfig(p2q=0.1))
     # ... so the sampler's own guard is reached by a massless state, in one row or many
     with pytest.raises(ValueError, match="no probability mass"):
-        sample_tally(np.zeros(32), 16, 1)
+        sample_counts(np.zeros(32, dtype=complex), 16, 1)
     rows = np.ones((3, 32))
     rows[1] = np.nan
-    with pytest.raises(ValueError, match="no probability mass"):
-        measure_rows(rows, np.full(3, 0.5))
+    for draws in (1, 4):  # one draw per row, and many
+        with pytest.raises(ValueError, match="no probability mass"):
+            measure_rows(rows, np.full((3, draws), 0.5))
 
 
 # -- batched trajectories against the per-shot reference ----------------------------------
@@ -936,6 +936,26 @@ def test_one_row_per_point_gives_the_shots_of_one_row_per_shot(monkeypatch, name
     monkeypatch.setattr(trajectories, "_CHUNK_BYTES", rows * (16 << circuit.n))
     plan.per_shot = True
     assert np.array_equal(trajectories.sample(plan, shots, seeds, angles), one_row)
+
+
+def test_one_row_per_point_runs_in_chunks(monkeypatch):
+    rows = []
+    run = trajectories._run_rows
+
+    def spy(n, steps, row_point):
+        rows.append(len(row_point))
+        return run(n, steps, row_point)
+
+    circuit = mixed_circuit(5, 40, seed=3)
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    angles = np.random.default_rng(9).uniform(-3.0, 3.0, size=(5, count))
+    plan = trajectories.Plan(circuit, ONE_ROW_CONFIGS["dd-without-dephasing"])
+    assert not plan.per_shot
+    whole = trajectories.sample(plan, 24, [5, 1, 4, 2, 3], angles)
+    monkeypatch.setattr(trajectories, "_run_rows", spy)
+    monkeypatch.setattr(trajectories, "_CHUNK_BYTES", 2 * (16 << circuit.n))
+    assert np.array_equal(trajectories.sample(plan, 24, [5, 1, 4, 2, 3], angles), whole)
+    assert rows == [2, 2, 1]
 
 
 @pytest.mark.parametrize("name, per_point", [("none", True), ("readout-only", True),

@@ -23,7 +23,8 @@ from qaoalab.objective import (
     make_objective,
 )
 from qaoalab.optim import MinimizeProblem, minimize
-from qaoalab.statevec import counts_from_tally, expectation_cut, sample_counts, sample_tally, simulate_ops
+from qaoalab.statevec import (counts_from_tally, expectation_cut, measure_rows, sample_counts, sample_draws,
+                              simulate_ops)
 
 from test_noise import BATCH_CONFIGS
 
@@ -245,6 +246,11 @@ def states(draw, n):
     return amps
 
 
+def draw_tally(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The tally of one probability row's shots, its seed's draws located in the order drawn."""
+    return np.bincount(measure_rows(probs[None], sample_draws([seed], shots))[0], minlength=probs.size)
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_tally_energy_equals_counts_energy(data):
@@ -252,7 +258,7 @@ def test_tally_energy_equals_counts_energy(data):
     state = data.draw(states(instance.n))
     shots = data.draw(st.integers(1, 5000))
     seed = data.draw(st.integers(0, 2**64 - 1))
-    tally = sample_tally(np.abs(state) ** 2, shots, seed)
+    tally = draw_tally(np.abs(state) ** 2, shots, seed)
     counts = sample_counts(state, shots, seed)
     assert energy_from_tally(tally, instance) == energy_from_counts(counts, instance)
 
@@ -372,12 +378,17 @@ def test_noisy_batch_runs_each_point_at_its_own_seed(canonical):
 def test_an_empty_batch_gives_an_empty_result(canonical, mode, kwargs):
     f = make_objective(canonical, 2, mode, **kwargs)
     assert f(np.zeros((0, 4))).shape == (0,)
-    engine = Engine(canonical, 2, mode, shots=kwargs.get("shots"), noise=kwargs.get("noise"))
-    assert engine.tallies(np.zeros((0, 4)), []).shape == (0, 32)
+    for shots in {kwargs.get("shots"), 16}:
+        engine = Engine(canonical, 2, mode, shots=shots, noise=kwargs.get("noise"))
+        tallies = engine.tallies(np.zeros((0, 4)), [])
+        assert tallies.shape == (0, 32) and tallies.dtype.kind == "i"
     if mode == "noisy":
         circuit = build_qaoa_circuit(canonical, QaoaParams((0.3,), (0.9,)))
-        plan = trajectories.Plan(circuit, kwargs["noise"])
-        assert trajectories.sample(plan, 16, [], np.zeros((0, len(plan.columns)))).shape == (0, 16)
+        for noise in (kwargs["noise"], NoiseConfig(p_readout=0.1)):
+            plan = trajectories.Plan(circuit, noise)
+            for angles in (np.zeros((0, len(plan.columns))), []):
+                shots = trajectories.sample(plan, 16, [], angles)
+                assert shots.shape == (0, 16) and shots.dtype.kind == "i"
 
 
 @pytest.mark.parametrize("mode, kwargs", [
@@ -463,7 +474,7 @@ def test_engine_rows_equal_the_state_path_bit_for_bit(n, p):
         exact = Engine(instance, p)(thetas, seeds).tolist()
         assert exact == [-expectation_cut(state, instance) for state in states]
         sampled = Engine(instance, p, "sampled", shots=64)
-        tallies = [sample_tally(np.abs(state) ** 2, 64, seed) for state, seed in zip(states, seeds)]
+        tallies = [draw_tally(np.abs(state) ** 2, 64, seed) for state, seed in zip(states, seeds)]
         assert sampled(thetas, seeds).tolist() == [energy_from_tally(t, instance) for t in tallies]
         assert np.array_equal(sampled.tallies(thetas, seeds), np.array(tallies))
 
@@ -540,7 +551,7 @@ def test_sample_tally_is_the_engine_tally_row_bit_for_bit(mode, n):
     probs = ansatz.qaoa_probabilities(ansatz.half_plan(instance), thetas)
     tallies = Engine(instance, 2, mode, shots=96).tallies(thetas, seeds)
     for q, seed, tally in zip(probs, seeds, tallies):
-        assert tally.tolist() == sample_tally(q, 96, seed).tolist()
+        assert tally.tolist() == draw_tally(q, 96, seed).tolist()
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])

@@ -1,11 +1,14 @@
 """Dense simulator kernels: gate semantics, sampling, validation."""
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qaoalab
 from qaoalab import rng
 from qaoalab.ansatz import Circuit
 from qaoalab.graph import MaxCutInstance
@@ -19,7 +22,7 @@ from qaoalab.statevec import (
     expectation_cut,
     measure_rows,
     sample_counts,
-    sample_tally,
+    sample_draws,
     simulate_ops,
     zero_state,
 )
@@ -293,9 +296,25 @@ def test_measure_rows_samples_each_row_as_if_alone():
     amps = np.stack([random_state(4, seed) for seed in range(64)])
     amps[::3] *= 1.0 + gen.random((22, 1))  # unnormalized rows sample the same
     probs = np.abs(amps) ** 2
-    u = gen.random(64)
-    alone = [measure_rows(row[None], u[i:i + 1])[0] for i, row in enumerate(probs)]
-    assert measure_rows(probs, u).tolist() == alone
+    u = gen.random((64, 1))
+    alone = np.concatenate([measure_rows(row[None], u[i:i + 1]) for i, row in enumerate(probs)])
+    assert measure_rows(probs, u).tolist() == alone.tolist()
+
+
+@pytest.mark.parametrize("draws", [3, 50])
+def test_measure_rows_locates_many_draws_per_row_as_searchsorted(draws):
+    gen = np.random.default_rng([draws, 0x5E])
+    probs = np.abs(np.stack([random_state(5, seed) for seed in range(7)])) ** 2
+    probs[1] *= 1e-3  # unnormalized
+    probs[2, 20:] = 0.0  # trailing zeros: a draw near 1 is clipped to the last index
+    u = gen.random((7, draws))
+    u[:, 0] = np.nextafter(1.0, 0.0)
+    u[::2] = np.sort(u[::2])  # sorted and unsorted rows alike
+    cum = np.cumsum(probs, axis=1)
+    expected = [[min(int(np.searchsorted(c, x * c[-1], side="right")), c.size - 1) for x in row]
+                for c, row in zip(cum, u)]
+    got = measure_rows(probs, u)
+    assert got.shape == (7, draws) and got.tolist() == expected
 
 
 def sparse_state(n: int, seed: int, density: float) -> np.ndarray:
@@ -324,22 +343,46 @@ SAMPLER_STATES = [
 
 @pytest.mark.parametrize("make_state", SAMPLER_STATES)
 def test_sample_tally_is_the_tally_of_shot_order_draws(make_state):
+    # the draws and the shots of sample_draws, measure_rows and sample_counts
     state = make_state()
-    for seed in (0, 7, 2**63):
+    probs = (np.abs(state) ** 2)[None]
+    seeds = (0, 7, 2**63)
+    draws = sample_draws(seeds, 600)
+    for seed, row in zip(seeds, draws):
         reference = shot_order_outcomes(state, 600, seed)
-        tally = sample_tally(np.abs(state) ** 2, 600, seed)
-        assert tally.tolist() == np.bincount(reference, minlength=state.size).tolist()
+        # draw i is shot i's, in the order drawn; sorted draws give the sorted shots
+        assert measure_rows(probs, row[None])[0].tolist() == reference
+        assert measure_rows(probs, np.sort(row)[None])[0].tolist() == sorted(reference)
+        tally = np.bincount(reference, minlength=state.size)
+        assert sample_counts(state, 600, seed) == counts_from_tally(tally)
         # the first k shots of a longer call are the shots of a k-shot call
         for k in (1, 17, 599):
+            assert sample_draws([seed], k).tolist() == [row[:k].tolist()]
             prefix = np.bincount(reference[:k], minlength=state.size)
-            assert sample_tally(np.abs(state) ** 2, k, seed).tolist() == prefix.tolist()
+            assert sample_counts(state, k, seed) == counts_from_tally(prefix)
 
 
 def test_sample_counts_formats_sample_tally():
     state = simulate_ops(4, (GateOp("H", (0,)), GateOp("H", (2,)), GateOp("RX", (3,), 0.4)))
-    tally = sample_tally(np.abs(state) ** 2, 777, seed=21)
+    shots = measure_rows((np.abs(state) ** 2)[None], sample_draws([21], 777))
+    tally = np.bincount(shots[0], minlength=16)
     assert tally.shape == (16,) and tally.sum() == 777
     assert sample_counts(state, 777, seed=21) == full_range_counts(tally, 4)
+
+
+def test_the_sample_stream_is_read_only_by_the_draws_helper():
+    # every measurement draw comes from sample_draws; a read or import of
+    # the sample stream anywhere else in the package fails here
+    found = []
+    for path in sorted(Path(qaoalab.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if "STREAM_SAMPLE" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None)):
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{path.name}:{inside[-1] if inside else 'module'}")
+    assert found == ["rng.py:module", "statevec.py:sample_draws"]
 
 
 def test_sampled_frequencies_match_exact_probabilities():
