@@ -36,7 +36,6 @@ import numpy as np
 from . import _checks, rng
 from .graph import (
     MaxCutInstance,
-    ParseError,
     brute_force_maxcut,
     canonical_instance,
     cut_value_table,
@@ -598,7 +597,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (ConfigError, ParseError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError or a ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

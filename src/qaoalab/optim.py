@@ -343,6 +343,20 @@ def _fd_gradient(x: np.ndarray, with_x: bool = False):
     return (fs[0], g) if with_x else g
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b as a float, inf or nan where it overflows, without numpy's warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(a @ b)
+
+
+def _norm(g: np.ndarray, gg: float) -> float:
+    """|g| from gg = ``_dot(g, g)``: sqrt(gg), or, only where gg overflowed, scaled by max |g|."""
+    if gg < math.inf:
+        return math.sqrt(gg)
+    top = float(np.abs(g).max())
+    return top * math.sqrt(_dot(g / top, g / top))
+
+
 def _cg(x0: np.ndarray):
     """Polak-Ribiere conjugate gradient on central-difference gradients.
 
@@ -360,18 +374,19 @@ def _cg(x0: np.ndarray):
     tiny_drops = 0
     fx, g = yield from _fd_gradient(x, with_x=True)
     direction = -g
-    gg_prev = float(g @ g)
+    gg_prev = _dot(g, g)
     alpha_prev = None
     since_reset = 0
     while True:
-        if math.sqrt(gg_prev) <= 1e-7:
+        gnorm = _norm(g, gg_prev)
+        if gnorm <= 1e-7:
             return STATUS_CONVERGED
-        if float(g @ direction) >= 0.0:
+        if _dot(g, direction) >= 0.0:
             direction = -g
             since_reset = 0
         # initial bracket scale: previous step, or the gradient's scale
         if alpha_prev is None:
-            step0 = min(1.0, 1.0 / max(math.sqrt(gg_prev), 1e-12))
+            step0 = min(1.0, 1.0 / max(gnorm, 1e-12))
         else:
             step0 = max(alpha_prev, 1e-8)
         alpha, f_new = yield from _line_minimize(x, direction, fx, line_tol, step=step0)
@@ -396,13 +411,14 @@ def _cg(x0: np.ndarray):
         else:
             tiny_drops = 0
         g_new = yield from _fd_gradient(x)
-        gg_new = float(g_new @ g_new)
+        gg_new = _dot(g_new, g_new)
         since_reset += 1
         if since_reset >= d:
             beta = 0.0
             since_reset = 0
         else:
-            beta = max(0.0, float(g_new @ (g_new - g)) / max(gg_prev, 1e-300))
+            # max(0.0, nan) is 0.0: products that overflowed restart from steepest descent
+            beta = max(0.0, _dot(g_new, g_new - g) / max(gg_prev, 1e-300))
         direction = -g_new + beta * direction
         g, gg_prev = g_new, gg_new
 
@@ -468,14 +484,12 @@ def _cobyla(x0: np.ndarray):
             fresh = True
             continue
         g = np.linalg.solve(a_mat, b_vec)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g, _dot(g, g))
         if gnorm <= 1e-300 or rho * gnorm < _FTOL * max(1.0, abs(f_best)):
-            if not fresh:
-                xs, fs = yield from build_simplex(x_best, f_best)
-                fresh = True
-                continue
-            rho *= 0.5
+            if fresh:
+                rho *= 0.5
             xs, fs = yield from build_simplex(x_best, f_best)
+            fresh = True
             continue
         accepted = False
         x_new, f_new = x_best, f_best

@@ -14,10 +14,11 @@ come from ``bitstrings``, one array operation for all of them.
 
 Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` runs it on
-one row. It applies an RZ, H or RX as the products of its
-``gate_vectors``. The noisy trajectory engine runs H through
-``apply_rows`` too, and the other gates with the same products on a row
-per shot, from these index tables and its own per-row scalars
+one row. ``rotation_pairs`` is the one rule for a rotation's factors:
+the complex pair of an RZ or RX at each angle. ``apply_rows`` multiplies
+by it, and so does the noisy trajectory engine for every RZ, RX,
+dephasing kick and coherent ZZ, on a row per shot, with these index
+tables; it runs H through ``apply_rows`` itself
 (``qaoalab.trajectories``). Index tables are
 cached per (n, qubit), so repeated runs pay no setup cost.
 ``check_gate`` is the one op check. ``measure_rows`` is the one
@@ -134,6 +135,28 @@ def _y_phase(n: int, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def rotation_pairs(kind: str, angles) -> np.ndarray:
+    """The (..., 2) complex pair of an RZ or RX at each of ``angles``.
+
+    An RZ's pair is (conj w, w) with w = exp(0.5j * angle): its diagonal
+    where the qubit's bit is 0 and where it is 1. An RX's is (cos, -1j
+    sin) of half the angle: the diagonal and the off-diagonal entry of
+    its matrix. Either pair at -angle is its conjugate, and an RZ's
+    conjugate is its reversal. Every RZ, RX, dephasing kick and coherent
+    ZZ that ``apply_rows`` and the noisy engine multiply by is read from
+    here, so both see the same bits.
+    """
+    angles = np.asarray(angles, dtype=float)
+    pairs = np.empty(angles.shape + (2,), dtype=complex)
+    if kind == "RZ":
+        np.conjugate(np.exp(0.5j * angles, out=pairs[..., 1]), out=pairs[..., 0])
+    else:
+        half = 0.5 * angles
+        pairs[..., 0] = np.cos(half)
+        pairs[..., 1] = -1j * np.sin(half)
+    return pairs
+
+
 def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     """Apply one op to every row of a C-ordered (rows, 2^n) array.
 
@@ -144,19 +167,25 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     ``amps[:, perm]``, which returns Fortran order), so a multiply by a
     broadcast (2^n,) vector runs row by row: numpy's complex multiply can
     round the last bit differently when it instead runs along a column
-    against one broadcast scalar. An RZ, H or RX multiplies by its
-    ``gate_vectors``; every entry of an H or RX matrix is real or
+    against one broadcast scalar. An RZ multiplies by its
+    ``rotation_pairs`` entry at the qubit's bit of each index. An H or
+    RX adds to each amplitude times mat[b, b] its partner across the
+    qubit times mat[b, 1 - b], for b the qubit's bit: an RX's pair is
+    its two scalars. Every entry of an H or RX matrix is real or
     imaginary, so each product is one rounding per component however
     numpy multiplies complex numbers.
     """
     kind = op.kind
-    if kind in ("RZ", "H", "RX"):
-        vectors = gate_vectors(n, op)
-        out = amps * vectors[0]
-        if len(vectors) == 2:
-            flipped = np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
-            flipped *= vectors[1]
-            out += flipped
+    if kind == "RZ":
+        return amps * rotation_pairs(kind, op.angle)[_bit_values(n, op.qubits[0])]
+    if kind in ("H", "RX"):
+        bit = _bit_values(n, op.qubits[0])
+        diagonal, off = ((_H[bit, bit], _H[bit, 1 - bit]) if kind == "H"
+                         else rotation_pairs(kind, op.angle))
+        out = amps * diagonal
+        flipped = np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
+        flipped *= off
+        out += flipped
         return out
     if kind == "CNOT":
         c, t = op.qubits
@@ -171,28 +200,6 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     if kind == "DELAY":
         return amps
     raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def gate_vectors(n: int, op: GateOp) -> tuple[np.ndarray, ...]:
-    """The (2^n,) vectors that ``apply_rows`` multiplies by for an RZ, H or RX.
-
-    RZ is diagonal: (diagonal,). H and RX mix each amplitude with its
-    partner across the qubit: (diagonal, off-diagonal), where entry i
-    holds mat[b, b] and mat[b, 1 - b] for b the qubit's bit of i.
-    """
-    q = op.qubits[0]
-    bit = _bit_values(n, q)
-    if op.kind == "RZ":
-        w = np.exp(0.5j * op.angle)
-        return (np.where(bit == 1, w, w.conjugate()),)
-    if op.kind == "H":
-        mat = _H
-    else:
-        half = 0.5 * op.angle
-        mat = np.array(
-            [[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]]
-        )
-    return mat[bit, bit], mat[bit, 1 - bit]
 
 
 def check_gate(n: int, op: GateOp) -> None:

@@ -28,9 +28,11 @@ the kernel ``simulate_ops`` runs too. A CNOT moves no amplitude: it
 goes into a pending index permutation, which every diagonal reads
 through its inverse, and the columns return to basis order before the
 next H or RX and at the end. H and CNOT pass the frames exactly. A
-rotation, a dephasing kick or a coherent ZZ runs on every row, with its
-point's scalars from ``_point_angles`` or its row's angle, or with
-their conjugates on the rows whose frame anticommutes with it.
+rotation, a dephasing kick or a coherent ZZ runs on every row, and
+every factor it multiplies by is a ``statevec.rotation_pairs`` pair:
+its point's pair from ``_point_angles``, its row's pair of its own
+angle, or RZ(2 epsilon)'s at the parity of two qubits (``_zz_diags``),
+conjugated on the rows whose frame anticommutes with it.
 Each row's final frame is applied once, before measurement, and each
 chunk's shots are one ``statevec.measure_rows`` call on its rows and
 their ``sample_draws``. ``sample`` returns each point's shots as
@@ -68,7 +70,7 @@ from . import noise, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .noise import PAULI_KINDS, NoiseConfig
 from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _cnot_perm, _x_perm, apply_rows,
-                       measure_rows, sample_draws, zero_state)
+                       measure_rows, rotation_pairs, sample_draws, zero_state)
 
 # Bytes of amplitudes simulated at once: a chunk holds this many bytes'
 # worth of rows (2048 at n = 5, so a 16-point batch of 128 per-shot
@@ -172,12 +174,13 @@ def _parities(n: int) -> np.ndarray:
 def _zz_diags(n: int, control: int, target: int, epsilon: float) -> np.ndarray:
     """CNOT RZ(2 epsilon) CNOT as one diagonal, and its conjugate: shape (2, 2^n).
 
-    With a CNOT applied as ``a[perm]`` and perm an involution, the
-    sandwich maps a to ``a * d[perm]``: the same products, bit for bit.
+    The CNOTs put the target's RZ at the parity of the two qubits' bits,
+    so the diagonal is RZ(2 epsilon)'s ``rotation_pairs`` entry at each
+    index's parity: the products of the sandwich, bit for bit. Its
+    conjugate takes the reversed pair.
     """
-    w = np.exp(0.5j * (2.0 * epsilon))
-    d = np.where(_bit_values(n, target) == 1, w, w.conjugate())[_cnot_perm(n, control, target)]
-    diags = np.stack([d, d.conjugate()])
+    parity = _bit_values(n, control) ^ _bit_values(n, target)
+    diags = rotation_pairs("RZ", 2.0 * epsilon)[np.stack([parity, parity ^ 1])]
     diags.flags.writeable = False
     return diags
 
@@ -500,9 +503,11 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> np.ndarray:
     basis order before an H or RX, which mix them, and at the end. Every
     RX and RZ step carries its table of ``_point_angles``; each row takes
     its point's pair of scalars, or their conjugates, so every row gets
-    the arithmetic of ``apply_rows`` at its own point's angle. A kick or
-    a "zz" multiplies every row. A "pauli" step goes into its rows'
-    frames, applied at the end.
+    the arithmetic of ``apply_rows`` at its own point's angle. A kick
+    multiplies every row by the RZ pair of its row's angle, reversed on
+    a row whose frame holds an X or Y on the qubit, and a "zz" by its
+    ``_zz_diags`` row. A "pauli" step goes into its rows' frames,
+    applied at the end.
     """
     rows = len(row_point)
     amps = zero_state(n)[None]  # the one row all rows share, until they split
@@ -538,12 +543,12 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> np.ndarray:
             amps = in_basis(amps)
             perm = inv = identity
         if kind == "kick":
-            q, angle = step[1], step[2]
-            w = np.exp(0.5j * angle)
-            # RZ(angle) on q: w where q's bit is 1, its conjugate where 0; an
-            # X or Y of the frame on q turns it into RZ(-angle)
-            w = np.where((frame >> (n - 1 - q)) & 1, w.conjugate(), w)
-            amps *= np.take(np.stack([w.conjugate(), w], axis=1), _bit_values(n, q)[inv], axis=1)
+            q, pairs = step[1], rotation_pairs("RZ", step[2])
+            # RZ(angle) on q; an X or Y of the frame on q turns it into
+            # RZ(-angle), the reversed pair, which is the conjugate one:
+            # negating the imaginary parts costs less than reversing rows
+            pairs.imag *= (1 - 2 * ((frame >> (n - 1 - q)) & 1))[:, None]
+            amps *= np.take(pairs, _bit_values(n, q)[inv], axis=1)
             continue
         op = step[1]
         s, t = n - 1 - op.qubits[0], n - 1 - op.qubits[-1]
@@ -611,24 +616,18 @@ def _readout_flips(keys, width: int, p: float) -> np.ndarray:
 def _point_angles(plan: Plan, angles: np.ndarray) -> dict:
     """Each RX or RZ entry's scalars at every point, as a (2k, 2) table.
 
-    Row j of the table is point j's pair, and row k + j its conjugate.
-    An RX's pair is the one value of each of its ``gate_vectors``,
-    (cos, -1j sin) of half its angle; an RZ's holds the values of its
-    diagonal where the qubit's bit is 0 and 1. Each is computed as
-    ``gate_vectors`` computes it, bit for bit, for all entries and
-    points at once. Entry ``plan.rotations[c]`` takes column
-    ``plan.columns[c]`` of the (k, R) ``angles``.
+    Row j of the table is point j's ``rotation_pairs`` pair, and row
+    k + j its conjugate, read for all entries and points at once by one
+    call per kind, so ``apply_rows`` multiplies by the same bits. Entry
+    ``plan.rotations[c]`` takes column ``plan.columns[c]`` of the (k, R)
+    ``angles``.
     """
     if angles.shape != (len(angles), len(plan.columns)):
         raise ValueError(f"angles of shape {angles.shape} do not fit {len(plan.columns)} rotations")
     angles, rx = angles[:, plan.columns], plan.rx
     pairs = np.empty(angles.shape + (2,), dtype=complex)
-    half = 0.5 * angles[:, rx]
-    pairs[:, rx, 0] = np.cos(half)
-    pairs[:, rx, 1] = -1j * np.sin(half)
-    w = np.exp(0.5j * angles[:, ~rx])
-    pairs[:, ~rx, 0] = w.conjugate()
-    pairs[:, ~rx, 1] = w
+    pairs[:, rx] = rotation_pairs("RX", angles[:, rx])
+    pairs[:, ~rx] = rotation_pairs("RZ", angles[:, ~rx])
     tables = np.concatenate([pairs, pairs.conjugate()])
     return {k: tables[:, c] for c, k in enumerate(plan.rotations)}
 

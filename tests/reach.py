@@ -3,15 +3,17 @@
 It runs tier-1 in this process under a ``sys.settrace`` line tracer
 that records only the package's own files, then, traced the same way,
 parses the configs of each benchmark workload at seed 1 and runs one
-pass of it, and prints three lists per module: the lines inside
-functions that no test reaches, those of them a guard below covers,
-and the lines that tests reach but no workload pass does. A line counts as
-inside a function when it belongs to the code of a function, a lambda
-or a comprehension; module and class bodies run on import and are not
-listed. The workloads come from ``perfbench/workloads.py`` and
-``perfbench/oracle.py``, executed from their source as
-``tests/test_bench_targets.py`` does, so nothing is written under
-``perfbench/``; a pass writes its artifacts into a temporary directory.
+pass of it, with the package's cached tables emptied first so that the
+pass builds every table it reads, and prints three lists per module:
+the lines inside functions that no test reaches, those of them a guard
+below covers, and the lines that tests reach but no workload pass does.
+A line counts as inside a function when it belongs to the code of a
+function, a lambda or a comprehension; module and class bodies run on
+import and are not listed. The workloads come from
+``perfbench/workloads.py`` and ``perfbench/oracle.py``, executed from
+their source as ``tests/test_bench_targets.py`` does, so nothing is
+written under ``perfbench/``; a pass writes its artifacts into a
+temporary directory.
 
 Run from the repository root::
 
@@ -122,6 +124,15 @@ def load_workloads():
     return sys.modules["workloads"]
 
 
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` of the package, so a workload pass builds the tables it reads."""
+    for name, module in list(sys.modules.items()):
+        if name == "qaoalab" or name.startswith("qaoalab."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
 def main() -> int:
     import pytest
 
@@ -130,6 +141,7 @@ def main() -> int:
     import qaoalab
 
     workloads = load_workloads()
+    clear_caches()
     with tempfile.TemporaryDirectory() as scratch, LineTracer() as passes:
         for workload in WORKLOADS:
             inputs = workloads.make_inputs(workload, 1)

@@ -108,6 +108,27 @@ def test_cobyla_rebuilds_a_simplex_whose_vertices_fall_on_a_line():
     assert result.status == STATUS_BUDGET
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_a_valid_graph_of_huge_weight_overflows_no_norm(method, tmp_path):
+    # a 1e300 edge gives gradients whose squared norm exceeds the float
+    # range; cg and cobyla scale their norms by max |g| then, so no
+    # overflow warning (an error under this suite's settings) is raised
+    config = harness.parse_config({
+        "instance": {"inline": {"n": 2, "edges": [[0, 1]], "weights": [1e300]}}, "p": 1,
+        "mode": "exact", "method": method, "init": [0.3, 0.5], "max_evals": 200, "seed": 3})
+    summary = harness.run_experiment(config, tmp_path).summary
+    assert summary["status"] in ALL_STATUSES
+    assert -1e300 * (1 + 1e-12) <= summary["best_energy"] < -0.8e300
+
+
+def test_the_norm_of_an_overflowing_gradient_is_finite():
+    g = np.array([3e300, -4e300])
+    assert optim._dot(g, g) == math.inf
+    assert optim._norm(g, optim._dot(g, g)) == pytest.approx(5e300, rel=1e-15)
+    small = np.array([3.0, -4.0])
+    assert optim._norm(small, optim._dot(small, small)) == math.sqrt(float(small @ small))
+
+
 def test_cg_rosenbrock():
     problem = MinimizeProblem(batched(rosenbrock), np.array([-1.2, 1.0]))
     result = minimize("cg", problem)

@@ -21,6 +21,7 @@ from qaoalab.statevec import (
     counts_from_tally,
     expectation_cut,
     measure_rows,
+    rotation_pairs,
     sample_counts,
     sample_draws,
     simulate_ops,
@@ -383,6 +384,65 @@ def test_the_sample_stream_is_read_only_by_the_draws_helper():
                 inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
                 found.append(f"{path.name}:{inside[-1] if inside else 'module'}")
     assert found == ["rng.py:module", "statevec.py:sample_draws"]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_rotation_pairs_are_the_closed_forms(shape):
+    # the engine and its reference read the same pairs, so the pairs
+    # themselves are checked here against the gates' matrices
+    angles = np.random.default_rng(len(shape)).uniform(-4 * math.pi, 4 * math.pi, shape)
+    rz, rx = rotation_pairs("RZ", angles), rotation_pairs("RX", angles)
+    assert rz.shape == rx.shape == shape + (2,)
+    for theta, (z0, z1), (c, s) in zip(np.ravel(angles), rz.reshape(-1, 2), rx.reshape(-1, 2)):
+        half = theta / 2
+        np.testing.assert_allclose([z0, z1], [np.exp(-1j * half), np.exp(1j * half)], atol=1e-15)
+        np.testing.assert_allclose(
+            [[c, s], [s, c]],
+            [[math.cos(half), -1j * math.sin(half)], [-1j * math.sin(half), math.cos(half)]],
+            atol=1e-15)
+
+
+def test_the_rotation_scalars_are_written_only_by_rotation_pairs():
+    # an RZ's exp(0.5j * angle) and an RX's (cos, -1j sin) of half its angle
+    # are written once, in rotation_pairs, which apply_rows and the noisy
+    # engine both multiply by. The ansatz mixers are the one exception:
+    # they take math.cos and math.sin of each beta as Python scalars,
+    # cached per beta, and numpy's cos and sin need not round as math's do,
+    # so reading the pairs could move the exact mode's bits
+    def called(node, names):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and (getattr(func, "attr", None) in names
+                                               or getattr(func, "id", None) in names)
+
+    def imaginary(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Constant) and isinstance(node.value, complex)
+
+    def halved(node):
+        return getattr(node, "id", None) == "half" or (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and 0.5 in (getattr(node.left, "value", None), getattr(node.right, "value", None)))
+
+    def rotation_scalar(node):
+        if called(node, {"exp"}):  # exp of an imaginary multiple
+            return any(imaginary(sub) for arg in node.args for sub in ast.walk(arg))
+        if called(node, {"cos", "sin"}):  # cos or sin of half an angle
+            return any(halved(arg) for arg in node.args)
+        # -1j * sin(...)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(imaginary(a) and called(b, {"sin"})
+                        for a, b in ((node.left, node.right), (node.right, node.left))))
+
+    found = set()
+    for path in sorted(Path(qaoalab.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if rotation_scalar(node):
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.add(f"{path.name}:{inside[-1] if inside else 'module'}")
+    assert sorted(found) == ["ansatz.py:_evolve_half", "ansatz.py:_mixer_weights",
+                             "statevec.py:rotation_pairs"]
 
 
 def test_sampled_frequencies_match_exact_probabilities():
