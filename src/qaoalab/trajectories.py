@@ -32,26 +32,32 @@ rotation, a dephasing kick or a coherent ZZ runs on every row, and
 every factor it multiplies by is a ``statevec.rotation_pairs`` pair:
 its point's pair from ``_point_angles``, its row's pair of its own
 angle, or RZ(2 epsilon)'s at the parity of two qubits (``_zz_diags``),
-conjugated on the rows whose frame anticommutes with it.
-Each row's final frame is applied once, before measurement, and each
-chunk's shots are one ``statevec.measure_rows`` call on its rows and
-their ``sample_draws``. ``sample`` returns each point's shots as
-ascending basis indices. ``plan.per_shot`` alone decides how many rows
-a point has: one per shot, or, when no shot differs from another but
-by its point's angles, one row that takes all of the point's draws.
-Either way a chunk holds ``_CHUNK_BYTES`` of amplitudes, or one row. A
-point's draws depend only on its seed, so its shots do not depend on
-the batch around it.
+conjugated on the rows whose frame anticommutes with it. A chunk's
+kicks take their pairs from one call, one column per distinct qubit
+and idle time. Every row's products are written into one scratch
+array beside the amplitudes, so a step allocates no array of them.
+A row's final frame is never applied: only its X part moves a
+probability, so ``_frame_probs`` reads each row's probabilities at
+its flipped indices, and each chunk's shots are one
+``statevec.measure_rows`` call on those and the rows' ``sample_draws``.
+``sample`` returns each point's shots as ascending basis indices.
+``plan.per_shot`` alone decides how many rows a point has: one per
+shot, or, when no shot differs from another but by its point's angles,
+one row that takes all of the point's draws. Either way a chunk holds
+``_CHUNK_BYTES`` of amplitudes, or one row. A point's draws depend only
+on its seed, so its shots do not depend on the batch around it.
 
 ``realize`` renders one row of the same step list as a ``Circuit``,
 which is what ``noise.twirl_circuit`` and ``noise.apply_trajectory_noise``
 return, and ``_readout_flips`` gives ``noise.apply_readout_error`` its
-flips. Every row's amplitudes equal, bit for bit, those of
-``simulate_ops`` on that shot's rendered circuit: moving a Pauli past a
-gate only permutes, negates or conjugates the factors of each product,
-a pending permutation only moves where each product happens, and a
-Y's factor 1j reaches the amplitudes before the next diagonal product,
-as it does there (``_settle``).
+flips. Every row's amplitudes, with its final frame applied, equal,
+bit for bit, those of ``simulate_ops`` on that shot's rendered circuit:
+moving a Pauli past a gate only permutes, negates or conjugates the
+factors of each product, a pending permutation only moves where each
+product happens, and a Y's factor 1j reaches the amplitudes before the
+next diagonal product, as it does there (``_settle``). The frame's
+signs and power of 1j then change no bit of a squared modulus, so the
+probabilities a shot is drawn from are those of the rendered circuit.
 
 ``noise`` and ``objective`` import this module when they first need it,
 so work that never samples with noise does not load it.
@@ -87,7 +93,6 @@ _CHUNK_BYTES = 1 << 20
 _FRAME_M = np.array([0, 1, 1, 0], dtype=np.int64)
 _FRAME_Z = np.array([0, 0, 1, 1], dtype=np.int64)
 _FRAME_E = np.array([0, 0, 3, 0], dtype=np.int64)
-_UNITS = np.array([1, 1j, -1, -1j])
 # the Pauli id of bits (m, z): the inverse of _FRAME_M and _FRAME_Z
 _PAULI_ID = np.array([[0, 3], [1, 2]])
 
@@ -158,16 +163,6 @@ def _layout(circuit: Circuit, twirling: bool) -> list[_Entry]:
         entries += slots[:2] + [_Entry(op.qubits, op.duration, op, None)] + slots[2:]
         cnots += 1
     return entries
-
-
-@lru_cache(maxsize=64)
-def _parities(n: int) -> np.ndarray:
-    """popcount(i) & 1 for every basis index i."""
-    par = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        par = np.concatenate([par, par ^ 1])
-    par.flags.writeable = False
-    return par
 
 
 @lru_cache(maxsize=512)
@@ -387,12 +382,15 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
     entry's table in ``tables`` (from ``_point_angles``) or None;
     ("pauli", rows, ids, qubit, duration) for every Pauli, with an id
     per listed row, or for all rows when rows is None, and 0 for none;
-    ("kick", qubit, angle per row) for each of ``_idle_kicks``, 0 on a
-    row without idle time there; and ("zz", cnot, epsilon) after each
-    CNOT when the config has a coherent ZZ error. A Pauli gate or DD
-    pulse is one id for all rows, with its own duration; a twirl slot
-    holds an id per row and lasts ``ONE_QUBIT_DURATION``; a drawn error
-    lists its rows and lasts 0.
+    ("kick", qubit, angle per row, pairs) for each of ``_idle_kicks``, 0
+    on a row without idle time there, with the (rows, 2) RZ
+    ``rotation_pairs`` of those angles: kicks of one qubit and one idle
+    time share their angles and pairs, and one call makes the pairs of
+    the chunk; and ("zz", cnot, epsilon) after each CNOT when the config
+    has a coherent ZZ error. A Pauli gate or DD pulse is one id for all
+    rows, with its own duration; a twirl slot holds an id per row and
+    lasts ``ONE_QUBIT_DURATION``; a drawn error lists its rows and lasts
+    0.
     """
     n, entries, slots = plan.n, plan.entries, plan.slots
     # slots are numbered in layout order
@@ -409,8 +407,15 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
         kicks = plan.kicks
         if kicks is None:  # each row idles where its own twirl leaves it
             kicks = _idle_kicks(entries, n, twirl)
+        # one column of angles and pairs per distinct (qubit, duration)
+        angle = {}
+        for _, q, dur in kicks:
+            if (q, dur.tobytes()) not in angle:
+                angle[q, dur.tobytes()] = 2.0 * deltas[:, q] * dur
+        angles = np.reshape(list(angle.values()), (len(angle), len(deltas)))
+        columns = dict(zip(angle, zip(angles, rotation_pairs("RZ", angles))))
         for k, q, dur in kicks:
-            kicks_at.setdefault(k, []).append(("kick", q, 2.0 * deltas[:, q] * dur))
+            kicks_at.setdefault(k, []).append(("kick", q, *columns[q, dur.tobytes()]))
 
     epsilon = plan.config.epsilon_coherent
     steps: list = []
@@ -481,15 +486,19 @@ def _settle(amps: np.ndarray, frame: np.ndarray, n: int) -> None:
     either way, but for a product by a complex number with both parts
     nonzero, a diagonal: numpy may fuse one of its two products into the
     rounding of the sum, so the product must see the parts where
-    ``simulate_ops`` has them. Updates ``amps`` and ``frame`` in place.
+    ``simulate_ops`` has them. With no odd row it returns at once, and
+    with every row odd it multiplies the whole array: the same product
+    per amplitude as the masked one. Updates ``amps`` and ``frame`` in
+    place.
     """
-    odd = (frame >> 2 * n) & 1
-    np.multiply(amps, 1j, out=amps, where=odd[:, None].astype(bool))
-    frame -= odd << 2 * n
+    odd = frame & 1 << 2 * n
+    if odd.any():
+        np.multiply(amps, 1j, out=amps, where=True if odd.all() else odd[:, None] != 0)
+        frame -= odd
 
 
-def _run_rows(n: int, steps: list, row_point: np.ndarray) -> np.ndarray:
-    """Run ``steps`` on a copy of |0...0> per entry of ``row_point``; returns the amplitudes.
+def _run_rows(n: int, steps: list, row_point: np.ndarray) -> tuple:
+    """Run ``steps`` on a copy of |0...0> per entry of ``row_point``: (amplitudes, frames).
 
     Row r belongs to point ``row_point[r]``. It reads nothing but the
     steps of ``_chunk_steps``. The rows share one array row until the
@@ -504,20 +513,34 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> np.ndarray:
     RX and RZ step carries its table of ``_point_angles``; each row takes
     its point's pair of scalars, or their conjugates, so every row gets
     the arithmetic of ``apply_rows`` at its own point's angle. A kick
-    multiplies every row by the RZ pair of its row's angle, reversed on
-    a row whose frame holds an X or Y on the qubit, and a "zz" by its
-    ``_zz_diags`` row. A "pauli" step goes into its rows' frames,
-    applied at the end.
+    multiplies every row by its row's pair of the step's pairs, reversed
+    on a row whose frame holds an X or Y on the qubit, and a "zz" by its
+    ``_zz_diags`` row. A "pauli" step goes into its rows' frames. Every
+    diagonal, the partner operand of an RX and the columns put back in
+    basis order are written into one scratch array the shape of the
+    amplitudes, with the two arrays trading places after a move, so a
+    step allocates no array of amplitudes.
+
+    Returns the (rows, 2^n) amplitudes ``a`` in basis order and each
+    row's final frame, which are not applied: the row's state is
+    1j**e (-1)**popcount(i & z) a[i ^ m], and only m changes what a
+    measurement sees (``_frame_probs``).
     """
     rows = len(row_point)
-    amps = zero_state(n)[None]  # the one row all rows share, until they split
+    # the one row all rows share, until they split, and its scratch row
+    amps, buf = zero_state(n)[None], np.empty((1, 1 << n), dtype=complex)
     frame = np.zeros(rows, dtype=np.int64)
     identity = np.arange(1 << n)
     perm = inv = identity
 
+    def take(values, index, axis):
+        """``np.take`` into ``buf``: every index is in range, and mode "raise" buffers ``out``."""
+        return np.take(values, index, axis=axis, out=buf, mode="wrap")
+
     def in_basis(amps):
+        """(amplitudes in basis order, scratch): the two trade places after a move."""
         moved = perm is not identity and (perm != identity).any()
-        return np.take(amps, perm, axis=1) if moved else amps
+        return (take(amps, perm, 1), amps) if moved else (amps, buf)
 
     # whether a frame may hold an odd power of 1j: set by every Pauli, as
     # _settle changes no bit of a row whose frame is even
@@ -535,20 +558,20 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> np.ndarray:
         what = step[1].kind if kind == "op" else kind
         diagonal = what in ("kick", "zz", "RZ")
         if len(amps) < rows and (diagonal or what == "RX"):
-            amps = np.repeat(amps, rows, axis=0)
+            amps, buf = np.repeat(amps, rows, axis=0), np.empty((rows, 1 << n), dtype=complex)
         if odd and diagonal:
             _settle(amps, frame, n)  # amps is this function's own array
             odd = False
         if what in ("H", "RX"):
-            amps = in_basis(amps)
+            amps, buf = in_basis(amps)
             perm = inv = identity
         if kind == "kick":
-            q, pairs = step[1], rotation_pairs("RZ", step[2])
             # RZ(angle) on q; an X or Y of the frame on q turns it into
             # RZ(-angle), the reversed pair, which is the conjugate one:
             # negating the imaginary parts costs less than reversing rows
+            q, pairs = step[1], step[3].copy()
             pairs.imag *= (1 - 2 * ((frame >> (n - 1 - q)) & 1))[:, None]
-            amps *= np.take(pairs, _bit_values(n, q)[inv], axis=1)
+            amps *= take(pairs, _bit_values(n, q)[inv], 1)
             continue
         op = step[1]
         s, t = n - 1 - op.qubits[0], n - 1 - op.qubits[-1]
@@ -556,7 +579,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> np.ndarray:
             # the ZZ rotation turns into its inverse, the conjugate diagonal,
             # past an X on just one of its qubits
             flip = ((frame >> s) ^ (frame >> t)) & 1
-            amps *= np.take(_zz_diags(n, *op.qubits, step[2])[:, inv], flip, axis=0)
+            amps *= take(_zz_diags(n, *op.qubits, step[2])[:, inv], flip, 0)
         elif what == "CNOT":
             cnot = _cnot_perm(n, *op.qubits)
             perm, inv = perm[cnot], cnot[inv]
@@ -576,28 +599,32 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> np.ndarray:
             if what == "RZ":
                 # each point's diagonal, then each row's
                 diags = np.take(table, _bit_values(n, op.qubits[0])[inv], axis=1)
-                amps *= np.take(diags, pick, axis=0)
+                amps *= take(diags, pick, 0)
             else:
                 # apply_rows' RX products, in place, with each of an RX's
                 # two vectors held as its one value per row
                 pair = np.take(table, pick, axis=0)
-                flipped = np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
+                flipped = take(amps, _x_perm(n, op.qubits[0]), 1)
                 flipped *= pair[:, 1:]
                 amps *= pair[:, :1]
                 amps += flipped
-    amps = in_basis(amps)
-    if len(amps) < rows:
-        amps = np.repeat(amps, rows, axis=0)
-    # each row's frame, once: the row is 1j**e (-1)**popcount(i & z) a[i ^ m]
-    low = (1 << n) - 1
-    m, z, e = frame & low, (frame >> n) & low, (frame >> 2 * n) & 3
-    sel = np.flatnonzero(m | z | e)
-    if sel.size:
-        idx = np.arange(1 << n)
-        part = np.take(amps, (sel << n)[:, None] + (idx ^ m[sel, None]))
-        part *= _UNITS[(e[sel, None] + 2 * _parities(n)[idx & z[sel, None]]) & 3]
-        amps[sel] = part
-    return amps
+    amps, _ = in_basis(amps)
+    return np.repeat(amps, rows, axis=0) if len(amps) < rows else amps, frame
+
+
+def _frame_probs(amps: np.ndarray, frame: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, 2^n) basis probabilities of ``_run_rows``' amplitudes under their frames.
+
+    A frame's Z signs and power of 1j change no modulus, so row r's
+    probability of index i is |a[i ^ m]|^2, with m the X part of its
+    frame: the bits of ``np.abs`` of the framed amplitudes, squared.
+    """
+    probs = np.abs(amps) ** 2
+    m = frame & ((1 << n) - 1)
+    if not m.any():
+        return probs
+    index = (np.arange(len(m)) << n)[:, None] + (np.arange(1 << n) ^ m[:, None])
+    return np.take(probs, index)
 
 
 def _readout_flips(keys, width: int, p: float) -> np.ndarray:
@@ -672,8 +699,8 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
         hi = lo + chunk
         steps = _chunk_steps(plan, tables, *(None if part is None else part[lo:hi] for part in
                                              (twirl_keys, trajectory_keys, dephase_keys)))
-        amps = _run_rows(n, steps, point[lo:hi])
-        outcomes[lo:hi] = measure_rows(np.abs(amps) ** 2, draws[lo:hi])
+        probs = _frame_probs(*_run_rows(n, steps, point[lo:hi]), n)
+        outcomes[lo:hi] = measure_rows(probs, draws[lo:hi])
     outcomes = outcomes.ravel()  # shot i of point j at j * shots + i
     if config.p_readout > 0:
         flips = _readout_flips(keys(rng.STREAM_READOUT), n, config.p_readout)

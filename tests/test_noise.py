@@ -594,7 +594,29 @@ def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds, shots: int) 
     steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, angles),
                                       *row_keys(seeds, shots, config.twirling))
     row_point = np.repeat(np.arange(len(seeds)), shots)
-    return trajectories._run_rows(plan.n, steps, row_point)
+    return framed(*trajectories._run_rows(plan.n, steps, row_point), plan.n)
+
+
+UNITS = np.array([1, 1j, -1, -1j])
+
+
+def framed(amps: np.ndarray, frame: np.ndarray, n: int) -> np.ndarray:
+    """``_run_rows``' amplitudes with each row's frame applied: the rows' own states.
+
+    Row r is 1j**e (-1)**popcount(i & z) a[i ^ m] for its frame (m, z,
+    e), applied once to the rows whose frame is not the identity.
+    """
+    amps = amps.copy()
+    low = (1 << n) - 1
+    m, z, e = frame & low, (frame >> n) & low, (frame >> 2 * n) & 3
+    sel = np.flatnonzero(m | z | e)
+    if sel.size:
+        idx = np.arange(1 << n)
+        parity = np.array([bin(i).count("1") & 1 for i in range(1 << n)])
+        part = np.take(amps, (sel << n)[:, None] + (idx ^ m[sel, None]))
+        part *= UNITS[(e[sel, None] + 2 * parity[idx & z[sel, None]]) & 3]
+        amps[sel] = part
+    return amps
 
 
 def own_angles(circuit: Circuit) -> np.ndarray:
@@ -1023,6 +1045,84 @@ def test_steps_carry_every_pauli_and_every_kick_by_one_kind(twirling):
     delays = {(k + 1, e.qubits[0], e.duration) for k, e in enumerate(plan.entries)
               if e.op is not None and e.op.kind == "DELAY"}
     assert delays <= {(k, q, float(d[0])) for k, q, d in kicks if (d == d[0]).all()}
+
+
+@pytest.mark.parametrize("name", ["dephasing", "dd-xy4", "twirl-dephasing", "p5-dephase-xy4"])
+def test_kicks_of_one_qubit_and_duration_share_one_pairs_column(monkeypatch, name):
+    # a chunk's kicks take their pairs from one rotation_pairs call, one
+    # column per distinct (qubit, duration); with twirling, the durations
+    # differ per row (_idle_kicks' per-row walk), and the rows of this plan
+    # equal their rendered shots bit for bit in
+    # test_batched_rows_equal_per_shot_amplitudes_bit_for_bit[twirl-dephasing]
+    config = BATCH_CONFIGS[name]
+    circuit = mixed_circuit(4, 30, seed=9)
+    plan = trajectories.Plan(circuit, config)
+    tables = trajectories._point_angles(plan, own_angles(circuit))
+    keys = row_keys([5], 12, config.twirling)
+    calls = []
+    pairs_of = trajectories.rotation_pairs
+    monkeypatch.setattr(trajectories, "rotation_pairs",
+                        lambda kind, angles: calls.append(kind) or pairs_of(kind, angles))
+    steps = trajectories._chunk_steps(plan, tables, *keys)
+    assert calls == ["RZ"]
+    twirl = trajectories._twirl_ids(keys[0], len(plan.slots) // 4) if config.twirling else None
+    kicks = plan.kicks if plan.kicks is not None else trajectories._idle_kicks(plan.entries, 4,
+                                                                              twirl)
+    kick_steps = [s for s in steps if s[0] == "kick"]
+    assert len(kick_steps) == len(kicks) > len({(q, d.tobytes()) for _, q, d in kicks})
+    assert config.twirling == any((d != d[0]).any() for _, _, d in kicks)
+    for (_, q, dur), step in zip(kicks, kick_steps):
+        twins = [s for (_, p, d), s in zip(kicks, kick_steps) if p == q and np.array_equal(d, dur)]
+        assert all(s[2] is step[2] and s[3] is step[3] for s in twins)
+        assert step[3].tobytes() == pairs_of("RZ", step[2]).tobytes()
+
+
+def random_frames(gen, rows: int, n: int) -> np.ndarray:
+    """Frames (m, z, e) of every kind: identity rows, odd and even e, any m and z."""
+    m, z = gen.integers(0, 1 << n, rows), gen.integers(0, 1 << n, rows)
+    e = gen.integers(0, 4, rows)
+    m[::5] = z[::5] = e[::5] = 0
+    return m | z << n | e << 2 * n
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("frames", ["mixed", "identity", "all-odd", "z-and-phase-only"])
+def test_frame_probs_are_the_squared_moduli_of_the_framed_amplitudes_bit_for_bit(n, frames):
+    # only a frame's X part reaches a measurement: its Z signs and power of
+    # 1j change no modulus, bit for bit, signed zeros included
+    gen = np.random.default_rng(n)
+    rows = 40
+    amps = gen.normal(size=(rows, 1 << n)) + 1j * gen.normal(size=(rows, 1 << n))
+    amps[3, ::2] = 0.0
+    amps[4] = -0.0 - 0.0j
+    amps.imag[6] = -0.0
+    frame = random_frames(gen, rows, n)
+    low = (1 << n) - 1
+    if frames == "identity":
+        frame[:] = 0
+    elif frames == "all-odd":
+        frame = (frame & ~(3 << 2 * n)) | (gen.choice([1, 3], rows) << 2 * n)
+    elif frames == "z-and-phase-only":
+        frame &= ~low
+    probs = trajectories._frame_probs(amps, frame, n)
+    assert probs.tobytes() == (np.abs(framed(amps, frame, n)) ** 2).tobytes()
+
+
+@pytest.mark.parametrize("odd_rows", ["none", "all", "some"])
+def test_settle_gives_the_bits_of_the_masked_product(odd_rows):
+    n, rows = 4, 24
+    gen = np.random.default_rng(11)
+    amps = gen.normal(size=(rows, 1 << n)) + 1j * gen.normal(size=(rows, 1 << n))
+    amps[2, :3] = -0.0
+    frame = random_frames(gen, rows, n) & ~(1 << 2 * n)
+    odd = {"none": np.zeros(rows, dtype=np.int64), "all": np.ones(rows, dtype=np.int64),
+           "some": gen.integers(0, 2, rows)}[odd_rows]
+    frame |= odd << 2 * n
+    expected, expected_frame = amps.copy(), frame - (odd << 2 * n)
+    np.multiply(expected, 1j, out=expected, where=odd[:, None].astype(bool))
+    trajectories._settle(amps, frame, n)
+    assert amps.tobytes() == expected.tobytes()
+    assert np.array_equal(frame, expected_frame)
 
 
 @pytest.mark.parametrize("name", ["none", "readout-only", "dd-without-dephasing", "all",
