@@ -108,6 +108,13 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(ops))
 
 
+def check_circuit(value, name: str = "circuit") -> Circuit:
+    """The circuit rule: ``value`` if it is a ``Circuit``, whose ops were checked when it was built."""
+    if not isinstance(value, Circuit):
+        raise ValueError(f"{name} must be a Circuit, got {value!r}")
+    return value
+
+
 def qaoa_angles(instance: MaxCutInstance, thetas) -> np.ndarray:
     """The RZ and RX angles of ``build_qaoa_circuit``, in op order, for a (k, 2p) batch.
 
@@ -350,6 +357,7 @@ def run_circuit(
     """
     from . import noise as noise_mod, objective  # circular at import time only
 
+    check_circuit(circuit)
     shots = objective.check_run_mode(mode, shots, noise)
     seed = objective.check_seed(mode, seed, mode != "exact")
     if mode == "exact":

@@ -42,7 +42,7 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .noise import NoiseConfig
+from .noise import NoiseConfig, check_noise
 from .objective import Engine, check_run_mode, energy_from_tally
 from .optim import (
     METHODS,
@@ -87,7 +87,12 @@ class ExperimentConfig:
     Each field is checked by its rule in ``_checks`` (mode, shots and
     noise by ``objective.check_run_mode``) and refused by a ``ConfigError``
     that starts with the field's name, so ``dataclasses.replace`` yields a
-    checked config too. Integers are kept as ints, ``init`` as floats.
+    checked config too. Each sweep entry is checked alone, as a
+    ``replace`` copy with just its field set (a noise entry resolved),
+    and refused as ``sweep.<axis>[j]: `` and the rule's message; the
+    first bad entry, in axis order and then entry order, is named. A
+    config keeps no cells: ``sweep_cells`` builds them. Integers are
+    kept as ints, ``init`` as floats.
     ``config_hash`` is the SHA-256 of every field but ``out_dir``, in
     canonical JSON (the instance as its edge-list text, the noise as
     its rates), so equal experiments share a hash however they were
@@ -107,7 +112,6 @@ class ExperimentConfig:
     out_dir: str | None
     sweep: dict | None
     config_hash: str = field(init=False)
-    cells: tuple | None = field(init=False, repr=False, compare=False)  # of a sweep, by sweep_cells
 
     def __post_init__(self):
         try:
@@ -115,7 +119,7 @@ class ExperimentConfig:
         except ValueError as exc:  # a rule's message starts with "field: " too
             raise ConfigError(str(exc)) from None
         normalized = {f.name: getattr(self, f.name) for f in fields(self)
-                      if f.name not in ("out_dir", "config_hash", "cells")}
+                      if f.name not in ("out_dir", "config_hash")}
         normalized.update(version=SCHEMA_VERSION, instance=serialize_edge_list(self.instance),
                           noise=asdict(self.noise))
         digest = hashlib.sha256(
@@ -144,8 +148,7 @@ class ExperimentConfig:
         object.__setattr__(self, "restarts", _checks.integer(self.restarts, "restarts:", 1))
         # a run samples its final counts in every mode, so shots are never optional
         object.__setattr__(self, "shots", _checks.integer(self.shots, "shots:", 1))
-        if not isinstance(self.noise, NoiseConfig):  # hashed by its rates, so never None
-            raise ConfigError(f"noise: must be a NoiseConfig, got {self.noise!r}")
+        check_noise(self.noise, "noise:")  # hashed by its rates, so never None
         check_run_mode(self.mode, self.shots, self.noise, sep=":")
         object.__setattr__(self, "seed", _checks.seed(self.seed, "seed:"))
         if self.max_evals is not None:  # a budget covers one pass over the 2*p angles
@@ -166,7 +169,14 @@ class ExperimentConfig:
                     f"sweep.noise: mode {self.mode!r} never samples noise; "
                     "sweep noise in mode 'noisy'"
                 )
-        object.__setattr__(self, "cells", None if self.sweep is None else tuple(sweep_cells(self)))
+            # no rule joins two swept fields, so a cell of entries that pass alone passes
+            for key in _SWEEP_AXES:
+                for j, value in enumerate(self.sweep.get(key, ())):
+                    try:
+                        replace(self, **{key: _resolve_noise(value) if key == "noise" else value},
+                                sweep=None, out_dir=None)
+                    except ConfigError as exc:
+                        raise ConfigError(f"sweep.{key}[{j}]: {exc}") from None
 
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig) if f.init} | {"version"}
@@ -443,34 +453,24 @@ def _axis_label(key: str, j: int, value) -> str:
 def sweep_cells(config: ExperimentConfig) -> list[tuple[str, dict, ExperimentConfig]]:
     """(directory name, axis labels, config) of each sweep cell, in cell order.
 
-    Each cell is a checked ``replace`` copy of ``config``, built when a
-    config with sweep axes is (``config.cells``). A refusal starts with
-    the entry at fault, ``sweep.<axis>[j]: ``, then the rule's message.
-    A cell names its noise by preset, ``custom<j>`` for the inline object
-    at entry j of the noise axis, or ``custom`` when there is no noise
-    axis.
+    Each cell is a ``replace`` copy of ``config`` with its entries, its
+    own seed and no sweep. The config checked each entry alone when it
+    was built, and no rule joins two swept fields, so every cell passes
+    too. A cell names its noise by preset, ``custom<j>`` for the inline
+    object at entry j of the noise axis, or ``custom`` when there is no
+    noise axis.
     """
     axes = config.sweep or {}
     keys = [key for key in _SWEEP_AXES if key in axes]
-
-    def changes(cell) -> dict:  # the fields of (axis, entry index) pairs, noise resolved
-        return {k: _resolve_noise(axes[k][j]) if k == "noise" else axes[k][j] for k, j in cell}
-
+    values = {key: list(map(_resolve_noise, axes[key])) if key == "noise" else axes[key]
+              for key in keys}
     out = []
-    for idx, cell in enumerate(product(*([(k, j) for j in range(len(axes[k]))] for k in keys))):
+    for idx, cell in enumerate(product(*(range(len(axes[key])) for key in keys))):
         # an empty sweep is the base experiment itself, same seed included
         seed = rng.child_seed(config.seed, rng.STREAM_CELL, idx) if keys else config.seed
-        try:
-            cell_config = replace(config, **changes(cell), seed=seed, sweep=None, out_dir=None)
-        except ConfigError:
-            # no rule joins two fields a sweep varies, so an entry of the cell fails alone
-            for key, j in cell:
-                try:
-                    replace(config, **changes([(key, j)]), sweep=None, out_dir=None)
-                except ConfigError as exc:
-                    raise ConfigError(f"sweep.{key}[{j}]: {exc}") from None
-            raise
-        labels = {key: _axis_label(key, j, axes[key][j]) for key, j in cell}
+        cell_config = replace(config, **{key: values[key][j] for key, j in zip(keys, cell)},
+                              seed=seed, sweep=None, out_dir=None)
+        labels = {key: _axis_label(key, j, axes[key][j]) for key, j in zip(keys, cell)}
         name_bits = [f"{key}{label}" for key, label in labels.items()] or ["single"]
         name = "cell_%03d_%s" % (idx, "_".join(name_bits))
         out.append((name, labels, cell_config))
@@ -486,7 +486,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     cells' artifacts and sweep.csv are written in cell order, with the
     bytes each cell writes when run alone through ``run_experiment``.
     """
-    cells = config.cells or sweep_cells(config)
+    cells = sweep_cells(config)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     outcomes = _optimize([cell_config for _, _, cell_config in cells])
@@ -586,17 +586,16 @@ def main(argv=None) -> int:
             best, optima = brute_force_maxcut(instance)
             print(f"{best:g} " + " ".join(sorted(optima)))
             return 0
-        if args.command == "plot":
-            if Path(args.infile).suffix == ".csv":
-                svg = plot_trace(args.infile, series=args.series or "energy")
-            elif args.series is not None:
-                raise ValueError(f"--series: a counts file has no series, got {args.series!r}")
-            else:
-                svg = plot_histogram(args.infile)
-            Path(args.out).write_text(svg, encoding="utf-8")
-            print(f"wrote {args.out}")
-            return 0
-        raise AssertionError(f"unhandled command {args.command!r}")
+        # argparse admits only the four commands, so this one is "plot"
+        if Path(args.infile).suffix == ".csv":
+            svg = plot_trace(args.infile, series=args.series or "energy")
+        elif args.series is not None:
+            raise ValueError(f"--series: a counts file has no series, got {args.series!r}")
+        else:
+            svg = plot_histogram(args.infile)
+        Path(args.out).write_text(svg, encoding="utf-8")
+        print(f"wrote {args.out}")
+        return 0
     except ValueError as exc:  # a ConfigError or a ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 1

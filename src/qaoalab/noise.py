@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _checks, rng
-from .ansatz import ONE_QUBIT_DURATION, Circuit
+from .ansatz import ONE_QUBIT_DURATION, Circuit, check_circuit
 from .statevec import ROTATION_KINDS, GateOp, counts_from_tally
 
 PAULI_KINDS = ("X", "Y", "Z")
@@ -79,6 +79,13 @@ class NoiseConfig:
         _checks.one_of(self.dd_sequence, sorted(DD_SEQUENCES), "dd_sequence")
 
 
+def check_noise(value, name: str = "config") -> NoiseConfig:
+    """The noise config rule: ``value`` if it is a ``NoiseConfig``, whose fields were checked when it was built."""
+    if not isinstance(value, NoiseConfig):
+        raise ValueError(f"{name} must be a NoiseConfig, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Pauli twirling
 # ---------------------------------------------------------------------------
@@ -95,6 +102,7 @@ def twirl_circuit(circuit: Circuit, seed: int) -> Circuit:
     """
     from . import trajectories  # loaded on first use
 
+    check_circuit(circuit)
     return trajectories.realize(circuit, NoiseConfig(), 0, 0, twirl_seed=_checks.seed(seed))
 
 
@@ -135,7 +143,7 @@ def schedule_circuit(circuit: Circuit) -> Timeline:
     qubit count and each op's qubits and duration, so circuits that
     differ only in gate kinds or angles share one.
     """
-    n = circuit.n
+    n = check_circuit(circuit).n
     ready = [0.0] * n
     starts = []
     per_qubit: list[list[Interval]] = [[] for _ in range(n)]
@@ -174,15 +182,17 @@ def insert_dd(circuit: Circuit, sequence: str = "XpXm") -> Circuit:
     while a constant dephasing rate accumulated across the window is
     echoed to zero.
     """
+    check_circuit(circuit)
     _checks.one_of(sequence, sorted(DD_SEQUENCES), "sequence")
-    return _dressed(circuit, sequence)[0]
+    return Circuit(circuit.n, _dressed(circuit, sequence)[0])
 
 
-def _dressed(circuit: Circuit, sequence: str) -> tuple[Circuit, tuple[int, ...]]:
-    """``insert_dd``'s circuit, and the index in ``circuit.ops`` of each of its original ops, in order.
+def _dressed(circuit: Circuit, sequence: str) -> tuple[tuple[GateOp, ...], tuple[int, ...]]:
+    """``insert_dd``'s ops, and the index in ``circuit.ops`` of each of its original ops, in order.
 
     A ``trajectories.Plan`` dresses its circuit this way once, when it
-    is built.
+    is built, and reads the ops as they are: the circuit's were checked
+    when it was built, and the pulses and delays are made here.
     """
     n, timeline = circuit.n, schedule_circuit(circuit)
     pulses = DD_SEQUENCES[sequence]
@@ -217,7 +227,7 @@ def _dressed(circuit: Circuit, sequence: str) -> tuple[Circuit, tuple[int, ...]]
                 counter += 1
     entries.sort(key=lambda e: (e[0], e[1]))
     ops = tuple(circuit.ops[item] if type(item) is int else item for _, _, item in entries)
-    return Circuit(n, ops), tuple(item for _, _, item in entries if type(item) is int)
+    return ops, tuple(item for _, _, item in entries if type(item) is int)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +257,8 @@ def apply_trajectory_noise(
     """
     from . import trajectories  # loaded on first use
 
+    check_circuit(circuit)
+    check_noise(config)
     shot_index = _checks.integer(shot_index, "shot_index", 0)
     return trajectories.realize(circuit, config, shot_index, _checks.seed(seed))
 
@@ -288,6 +300,8 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     """
     from . import trajectories  # loaded on first use
 
+    check_circuit(circuit)
+    check_noise(config)
     shots, seed = _checks.integer(shots, "shots", 1), _checks.seed(seed)
     angles = [[op.angle for op in circuit.ops if op.kind in ROTATION_KINDS]]
     outcomes = trajectories.sample(trajectories.Plan(circuit, config), shots, [seed], angles)[0]

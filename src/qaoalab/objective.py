@@ -25,7 +25,7 @@ import numpy as np
 from . import _checks, rng
 from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
 from .graph import MaxCutInstance, cut_value_table
-from .noise import NoiseConfig
+from .noise import NoiseConfig, check_noise
 from .statevec import _tally_qubits, measure_rows, sample_draws
 
 RUN_MODES = ("exact", "sampled", "noisy")
@@ -154,8 +154,7 @@ def check_run_mode(mode: str, shots, noise, *, sep: str = "") -> int | None:
     if mode == "noisy":
         if noise is None:
             raise ValueError("mode 'noisy' requires a noise config")
-        if not isinstance(noise, NoiseConfig):
-            raise ValueError(f"noise{sep} must be a NoiseConfig, got {noise!r}")
+        check_noise(noise, f"noise{sep}")
     elif noise is not None and noise != NoiseConfig():
         raise ValueError(f"noise{sep} must be none in mode {mode!r}, which samples no noise; "
                          f"set noise in mode 'noisy', got {noise!r}")

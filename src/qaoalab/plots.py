@@ -26,6 +26,14 @@ _MARGIN_L = 64
 _MARGIN_R = 24
 _MARGIN_T = 40
 _MARGIN_B = 96
+_PLOT_W = _WIDTH - _MARGIN_L - _MARGIN_R
+_PLOT_H = _HEIGHT - _MARGIN_T - _MARGIN_B
+_BASE_Y = _MARGIN_T + _PLOT_H
+# the x and y axes of every chart
+_AXES = [
+    f'<line class="axis" x1="{_MARGIN_L}" y1="{_BASE_Y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{_BASE_Y:.2f}"/>',
+    f'<line class="axis" x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{_BASE_Y:.2f}"/>',
+]
 
 
 def _fmt(x: float) -> str:
@@ -65,31 +73,23 @@ def _histogram(counts: dict[str, int], shots: int, highlight, title: str) -> str
     from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
 
     items = sorted(counts.items())
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     y_max = max(counts.values()) / shots * 1.1  # division keeps order: the largest probability
-    slot = plot_w / len(items)
+    slot = _PLOT_W / len(items)
     bar_w = slot * 0.8
     body = []
     if title:
         body.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle">{escape(title)}</text>')
-    base_y = _MARGIN_T + plot_h
-    body.append(
-        f'<line class="axis" x1="{_MARGIN_L}" y1="{base_y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{base_y:.2f}"/>'
-    )
-    body.append(
-        f'<line class="axis" x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{base_y:.2f}"/>'
-    )
+    body += _AXES
     for tick in (0.25, 0.5, 0.75, 1.0):
         v = tick * y_max
-        y = base_y - tick * plot_h
+        y = _BASE_Y - tick * _PLOT_H
         body.append(f'<line class="axis" x1="{_MARGIN_L - 4}" y1="{_fmt(y)}" x2="{_MARGIN_L}" y2="{_fmt(y)}"/>')
         body.append(f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end">{v:.3f}</text>')
     heights = {}  # count -> the bar's y, width and height attributes
     for c in set(counts.values()):
-        h = c / shots / y_max * plot_h
-        heights[c] = f'{base_y - h:.2f}" width="{_fmt(bar_w)}" height="{h:.2f}'
-    label_y = _fmt(base_y + 12)
+        h = c / shots / y_max * _PLOT_H
+        heights[c] = f'{_BASE_Y - h:.2f}" width="{_fmt(bar_w)}" height="{h:.2f}'
+    label_y = _fmt(_BASE_Y + 12)
     bar = ('<rect class="%s" x="%.2f" y="%s"/>\n'
            f'<text x="%.2f" y="{label_y}" text-anchor="end" transform="rotate(-60 %.2f {label_y})">%s</text>')
     plain = _checks.is_bits("".join(counts))
@@ -155,12 +155,39 @@ _SERIES_KINDS = ("energy", "params")
 
 
 def render_trace(rows: list[dict], series: str = "energy") -> str:
-    """Line chart of a parsed trace: energy or all parameter curves."""
+    """Line chart of trace rows: energy or all parameter curves.
+
+    The first row's fields start ``eval``, ``energy``, and every row is
+    checked by the trace rule (``_trace_row``), as the ``trace.csv``
+    reader checks a file's rows; a message names the row, as
+    ``trace row 1, energy``.
+    """
+    if not rows:
+        raise ValueError("trace is empty")
+    fields = list(rows[0]) if isinstance(rows[0], dict) else []
+    if fields[:2] != ["eval", "energy"]:
+        raise ValueError(f"trace row 0 must start with the fields eval, energy, got {rows[0]!r}")
+    return _trace([_trace_row(row, fields, f"trace row {i},") for i, row in enumerate(rows)],
+                  series)
+
+
+def _trace_row(row, fields: list, name: str) -> dict:
+    """The trace rule: ``row`` has just ``fields``, ``eval`` an integer >= 0, every other a finite number.
+
+    Returns the row with each value as its rule returns it. A message
+    starts with ``name`` and then the field it refuses.
+    """
+    if not (isinstance(row, dict) and row.keys() == set(fields)):
+        raise ValueError(f"{name} fields must be {fields}, got {row!r}")
+    return {k: _checks.integer(v, f"{name} eval", 0) if k == "eval" else _checks.real(v, f"{name} {k}")
+            for k, v in row.items()}
+
+
+def _trace(rows: list[dict], series: str) -> str:
+    """The SVG of checked trace rows."""
     from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
 
     _checks.one_of(series, _SERIES_KINDS, "series")
-    if not rows:
-        raise ValueError("trace is empty")
     param_names = [k for k in rows[0] if k not in ("eval", "energy")]
     if series == "energy":
         curves = {"energy": [r["energy"] for r in rows]}
@@ -168,8 +195,6 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
         if not param_names:
             raise ValueError("trace has no parameter columns")
         curves = {name: [r[name] for r in rows] for name in param_names}
-    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
-    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     lo = min(min(vs) for vs in curves.values())
     hi = max(max(vs) for vs in curves.values())
     # from 2**1020 up the padded span overflows: lay the axis out in values scaled
@@ -181,21 +206,19 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     n_pts = len(rows)
-    base_y = _MARGIN_T + plot_h
 
     def to_xy(i: int, v: float) -> str:
-        x = _MARGIN_L + (plot_w * i / max(n_pts - 1, 1))
-        y = base_y - (v * scale - lo) / (hi - lo) * plot_h
+        x = _MARGIN_L + (_PLOT_W * i / max(n_pts - 1, 1))
+        y = _BASE_Y - (v * scale - lo) / (hi - lo) * _PLOT_H
         return f"{_fmt(x)},{_fmt(y)}"
 
     body = [
-        f'<line class="axis" x1="{_MARGIN_L}" y1="{base_y:.2f}" x2="{_WIDTH - _MARGIN_R}" y2="{base_y:.2f}"/>',
-        f'<line class="axis" x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" y2="{base_y:.2f}"/>',
+        *_AXES,
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 40}" text-anchor="middle">evaluation</text>',
     ]
     for tick in (0.0, 0.5, 1.0):
         v = min(max((lo + tick * (hi - lo)) / scale, -sys.float_info.max), sys.float_info.max)
-        y = base_y - tick * plot_h
+        y = _BASE_Y - tick * _PLOT_H
         body.append(f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end">{v:.4g}</text>')
     for ci, (name, vs) in enumerate(curves.items()):
         color = "#36414f" if series == "energy" else f"hsl({(ci * 137) % 360},65%,42%)"
@@ -208,31 +231,28 @@ def render_trace(rows: list[dict], series: str = "energy") -> str:
     return _svg(body)
 
 
-def _field(text, parse, rule, name: str, *bounds):
-    """``text`` parsed by ``parse`` and checked by ``rule``, which refuses text that does not parse."""
+def _parsed(text, parse):
+    """``text`` parsed by ``parse``, or ``text`` itself when it does not parse, for the rule to refuse."""
     try:
-        value = parse(text)
+        return parse(text)
     except (TypeError, ValueError):
-        value = text
-    return rule(value, name, *bounds)
+        return text
 
 
 def plot_trace(trace_path, series: str = "energy") -> str:
     """Render a trace CSV file written by the experiment harness, read by ``_checks.text_file``.
 
-    Each ``eval`` is an integer >= 0 and every other field a finite
-    number (the ``_checks`` rules); a ValueError names the file, the
-    line and the field it refuses.
+    Each row is checked once, by the trace rule (``_trace_row``), and
+    drawn without checking again; a ValueError names the file, the line
+    and the field it refuses.
     """
     reader = csv.DictReader(io.StringIO(_checks.text_file(trace_path, "trace file:"), newline=""))
-    if reader.fieldnames is None or reader.fieldnames[:2] != ["eval", "energy"]:
+    fields = reader.fieldnames
+    if fields is None or fields[:2] != ["eval", "energy"]:
         raise ValueError(f"{trace_path}: expected header starting 'eval,energy'")
-    rows = []
-    for line, raw in enumerate(reader, start=2):
-        where = f"{trace_path}: line {line},"
-        rows.append({k: _field(v, int, _checks.integer, f"{where} eval", 0) if k == "eval"
-                     else _field(v, float, _checks.real, f"{where} {k}")
-                     for k, v in raw.items()})
+    rows = [_trace_row({k: _parsed(v, int if k == "eval" else float) for k, v in raw.items()},
+                       fields, f"{trace_path}: line {line},")
+            for line, raw in enumerate(reader, start=2)]
     if not rows:
         raise ValueError(f"{trace_path}: no evaluation rows after the header")
-    return render_trace(rows, series)
+    return _trace(rows, series)

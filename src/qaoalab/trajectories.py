@@ -150,10 +150,10 @@ class _Entry(NamedTuple):
     slot: int | None
 
 
-def _layout(circuit: Circuit, twirling: bool) -> list[_Entry]:
+def _layout(ops, twirling: bool) -> list[_Entry]:
     entries: list[_Entry] = []
     cnots = 0
-    for op in circuit.ops:
+    for op in ops:
         if not (twirling and op.kind == "CNOT"):
             entries.append(_Entry(op.qubits, op.duration, op, None))
             continue
@@ -306,10 +306,11 @@ class Plan:
     """What ``sample`` needs of a circuit and a noise config, worked out once.
 
     The noisy twin of ``ansatz.HalfPlan``. ``entries`` lay out the
-    circuit with the config's DD pulses in it, twirled when the config
-    twirls; ``rotations`` are its RX and RZ entries (``rx`` marks the
-    RX ones), ``columns`` the
-    angle column of each in the given circuit's op order (the pulses put
+    circuit's ops with the config's DD pulses in it, twirled when the
+    config twirls; no op is checked again, as the circuit checked its
+    own and ``noise._dressed`` makes the pulses. ``rotations`` are its
+    RX and RZ entries (``rx`` marks the RX ones), ``columns`` the angle
+    column of each in the given circuit's op order (the pulses put
     the ops in start order), and ``slots`` its twirl slots. ``sites``
     are the entries that may draw a gate error, with the cumulative rate
     (``reach``) that ``_gate_errors`` races over, the ``bound`` of each
@@ -325,14 +326,14 @@ class Plan:
                  "reach", "bound", "site_slot", "width", "kicks", "per_shot")
 
     def __init__(self, circuit: Circuit, config: NoiseConfig):
-        rotation = [op.kind in ROTATION_KINDS for op in circuit.ops]
-        order = range(len(rotation))
+        ops, order = circuit.ops, range(len(circuit.ops))
+        rotation = [op.kind in ROTATION_KINDS for op in ops]
         if config.dd:
-            circuit, order = noise._dressed(circuit, config.dd_sequence)
+            ops, order = noise._dressed(circuit, config.dd_sequence)
         rank = np.cumsum(rotation) - 1
         self.columns = np.array([rank[i] for i in order if rotation[i]], dtype=np.intp)
         self.n, self.config = circuit.n, config
-        self.entries = entries = _layout(circuit, config.twirling)
+        self.entries = entries = _layout(ops, config.twirling)
         self.rotations = [k for k, e in enumerate(entries)
                           if e.op is not None and e.op.kind in ROTATION_KINDS]
         self.rx = np.array([entries[k].op.kind == "RX" for k in self.rotations], dtype=bool)

@@ -41,12 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qaoalab"
 WORKLOADS = ("paper-p5", "sampled-n14", "noisy-p5")
 GUARDS = {
-    ("harness.py", "main", 'raise AssertionError(f"unhandled command {args.command!r}")'):
-        "argparse admits only the commands main handles",
     ("harness.py", "main", "except Exception as exc:  # pragma: no cover - last-resort guard"):
         "a fault of the program itself, which no input is known to cause",
-    ("harness.py", "sweep_cells", "raise"):
-        "a refused cell has an entry refused alone, as no rule joins two swept fields",
 }
 
 

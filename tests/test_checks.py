@@ -20,6 +20,7 @@ from qaoalab.noise import (
     apply_trajectory_noise,
     insert_dd,
     sample_noisy,
+    schedule_circuit,
     twirl_circuit,
 )
 from qaoalab.objective import Engine, evaluate_qaoa, make_objective
@@ -255,6 +256,13 @@ BAD_INPUTS = {
     "config-exact-no-noise": (lambda: replace(parse_config({}), noise=None), "noise"),
     "config-noisy-no-noise": (lambda: replace(parse_config({"mode": "noisy"}), noise=None),
                               "noise"),
+    "run-circuit-list": (lambda: run_circuit([1], "exact"), "circuit"),
+    "schedule-list": (lambda: schedule_circuit([1]), "circuit"),
+    "insert-dd-none": (lambda: insert_dd(None), "circuit"),
+    "twirl-list": (lambda: twirl_circuit([1], 0), "circuit"),
+    "sample-noisy-dict-config": (lambda: sample_noisy(CIRCUIT, {"p1q": 0.1}, 10, 1), "config"),
+    "sample-noisy-list-circuit": (lambda: sample_noisy([1, 2], NoiseConfig(), 10, 1), "circuit"),
+    "trajectory-none-config": (lambda: apply_trajectory_noise(CIRCUIT, None, 0, 1), "config"),
 }
 
 

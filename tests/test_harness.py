@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -665,10 +666,23 @@ def test_parse_config_refuses_a_sweep_entry_by_its_name(raw, message):
         parse_config(raw)
 
 
-def test_a_sweep_reuses_the_cells_its_config_built(tmp_path, monkeypatch):
+def test_parse_config_of_a_sweep_builds_no_cell(tmp_path, monkeypatch):
+    # a config checks each sweep entry alone and keeps no cells: only a run builds them
+    built = []
+    cells = harness.sweep_cells
+    monkeypatch.setattr(harness, "sweep_cells", lambda config: built.append(config) or cells(config))
     config = parse_config({"p": 0, "seed": 3, "shots": 16, "sweep": {"shots": [8, 16]}})
-    monkeypatch.setattr(harness, "sweep_cells", lambda config: pytest.fail("cells built twice"))
+    config = replace(config, seed=4)  # as the CLI's --seed
+    assert built == []
     assert [row["shots"] for row in run_sweep(config, out_dir=tmp_path)] == [8, 16]
+    assert built == [config]
+
+
+def test_the_first_bad_sweep_entry_is_named_in_axis_order():
+    # shots is written first, but p comes first in the order of a sweep's axes
+    raw = {"sweep": {"shots": [0], "p": [1, -1, -2]}}
+    with pytest.raises(ConfigError, match=r"^sweep\.p\[1\]: p: must be an integer >= 0, got -1$"):
+        parse_config(raw)
 
 
 def test_cli_sweep_labels_inline_noise_objects(tmp_path, capsys):

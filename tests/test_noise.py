@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaoalab import noise, objective, rng, trajectories
+from qaoalab import ansatz, noise, objective, rng, statevec, trajectories
 from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit
 from qaoalab.noise import (
     DD_SEQUENCES,
@@ -904,6 +904,22 @@ def test_a_noisy_engine_plans_its_circuit_once(canonical, monkeypatch):
         assert engine(thetas[:k], list(range(k))).shape == (k,)
     assert engine.tallies(thetas, [4, 5, 6]).shape == (3, 32)
     assert calls == {"_layout": 1, "_dressed": 1}
+
+
+@pytest.mark.parametrize("sequence", sorted(DD_SEQUENCES))
+def test_a_dd_plan_checks_no_op_again(monkeypatch, sequence):
+    # the circuit checked its ops when it was built and the scheduler makes the
+    # pulses, so a plan reads the dressed ops as they are
+    circuit = mixed_circuit(4, 30, seed=9)
+    dressed = insert_dd(circuit, sequence)
+
+    def reached(n, op):
+        raise AssertionError(f"{op} checked again")
+
+    for module in (ansatz, statevec):
+        monkeypatch.setattr(module, "check_gate", reached)
+    plan = trajectories.Plan(circuit, NoiseConfig(sigma_dephase=0.1, dd=True, dd_sequence=sequence))
+    assert [entry.op for entry in plan.entries] == list(dressed.ops)
 
 
 @pytest.mark.parametrize("name", ["dd-xpxm", "dd-xy4", "all"])

@@ -271,6 +271,50 @@ def test_trace_rejects_bad_series_and_empty():
         render_trace([], "energy")
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"eval": 0, "energy": math.nan}, "trace row 0, energy must be a finite number, got nan"),
+    ({"eval": 0, "energy": "-1.5"}, "trace row 0, energy must be a finite number, got '-1.5'"),
+    ({"eval": -1, "energy": 1.0}, "trace row 0, eval must be an integer >= 0, got -1"),
+    ({"eval": 0.0, "energy": 1.0}, "trace row 0, eval must be an integer >= 0, got 0.0"),
+    ({"eval": 0, "energy": 1.0, "beta_1": None},
+     "trace row 0, beta_1 must be a finite number, got None"),
+])
+def test_render_trace_refuses_a_row_by_the_trace_rule(row, message):
+    # the rule of the trace.csv reader: eval an integer >= 0, every other field finite
+    rows = [row, {"eval": 1, "energy": 1.0, **({"beta_1": 0.5} if "beta_1" in row else {})}]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        render_trace(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [{"energy": 1.0, "eval": 0}], [(0, 1.0)],
+    [{"eval": 0, "energy": 1.0}, {"eval": 1, "energy": 1.0, "beta_1": 0.5}],
+    [{"eval": 0, "energy": 1.0}, {"eval": 1}],
+])
+def test_render_trace_refuses_rows_without_the_trace_fields(rows):
+    with pytest.raises(ValueError, match=r"^trace row \d( must start with the fields|, fields must be) "):
+        render_trace(rows)
+
+
+def test_a_trace_file_and_its_rows_draw_the_same_svg(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("eval,energy,beta_1,gamma_1\n0,-1.25,0.5,0.25\n1,-2,0.75,1e-3\n")
+    rows = [{"eval": 0, "energy": -1.25, "beta_1": 0.5, "gamma_1": 0.25},
+            {"eval": np.int64(1), "energy": np.float64(-2), "beta_1": 0.75, "gamma_1": 1e-3}]
+    for series in ("energy", "params"):
+        assert plot_trace(path, series) == render_trace(rows, series)
+
+
+def test_plot_trace_checks_each_row_once(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    path.write_text("eval,energy\n0,-1\n1,-2\n2,-3\n")
+    checked = []
+    rule = plots._trace_row
+    monkeypatch.setattr(plots, "_trace_row", lambda *args: checked.append(args[0]) or rule(*args))
+    plot_trace(path)
+    assert len(checked) == 3
+
+
 def test_a_params_trace_without_parameter_columns_is_refused():
     with pytest.raises(ValueError, match="^trace has no parameter columns$"):
         render_trace(trace_rows(4, 0), "params")
