@@ -1,4 +1,4 @@
-"""The input rules: an integer, a finite number, a seed, a flag, a choice, a bitstring, counts and a text file, each written once.
+"""The input rules: an integer, a finite number, a seed, a flag, a choice, a bitstring, counts, a type and a text file, each written once.
 
 A rule returns the value (an integer, number or flag as a plain int,
 float or bool, a file as its text), or raises a ValueError whose
@@ -110,6 +110,20 @@ def one_of(value, choices, name: str):
         found = False
     if not found:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
+def of_type(value, cls, name: str):
+    """``value`` if it is an instance of ``cls``, a class or a tuple of them.
+
+    The one rule for a package object that enters (a circuit, a noise
+    config, an instance, angles, an experiment config) and for a plain
+    ``str`` or set: the object checked its own fields when it was built.
+    """
+    if not isinstance(value, cls):
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        article = "an" if names[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {names}, got {value!r}")
     return value
 
 

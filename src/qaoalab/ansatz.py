@@ -108,13 +108,6 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(ops))
 
 
-def check_circuit(value, name: str = "circuit") -> Circuit:
-    """The circuit rule: ``value`` if it is a ``Circuit``, whose ops were checked when it was built."""
-    if not isinstance(value, Circuit):
-        raise ValueError(f"{name} must be a Circuit, got {value!r}")
-    return value
-
-
 def qaoa_angles(instance: MaxCutInstance, thetas) -> np.ndarray:
     """The RZ and RX angles of ``build_qaoa_circuit``, in op order, for a (k, 2p) batch.
 
@@ -137,6 +130,8 @@ def build_qaoa_circuit(instance: MaxCutInstance, params: QaoaParams) -> Circuit:
     An angle beyond the float range is refused by name, as ``Circuit``
     refuses any angle that is not a finite number.
     """
+    _checks.of_type(instance, MaxCutInstance, "instance")
+    _checks.of_type(params, QaoaParams, "params")
     with np.errstate(over="ignore"):
         angles = iter(qaoa_angles(instance, params.to_vector()[None]).ravel().tolist())
     ops: list[GateOp] = []
@@ -254,6 +249,7 @@ def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
     checked here; a row whose phase 2*gamma*C overflows comes out NaN,
     with no numpy warning.
     """
+    _checks.of_type(instance, MaxCutInstance, "instance")
     thetas = np.asarray(thetas, dtype=float)
     plan = half_plan(instance)
     # one output array, written pass by pass (joining the passes' results
@@ -357,7 +353,7 @@ def run_circuit(
     """
     from . import noise as noise_mod, objective  # circular at import time only
 
-    check_circuit(circuit)
+    _checks.of_type(circuit, Circuit, "circuit")
     shots = objective.check_run_mode(mode, shots, noise)
     seed = objective.check_seed(mode, seed, mode != "exact")
     if mode == "exact":

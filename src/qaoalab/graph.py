@@ -92,6 +92,7 @@ class MaxCutInstance:
 
 def cut_value(instance: MaxCutInstance, assignment: str) -> float:
     """Total weight of edges whose endpoints land on opposite sides."""
+    _checks.of_type(instance, MaxCutInstance, "instance")
     _checks.bitstring(assignment, "assignment", instance.n)
     total = 0.0
     for (u, v), w in zip(instance.edges, instance.weights):
@@ -141,6 +142,7 @@ def brute_force_maxcut(instance: MaxCutInstance) -> tuple[float, set[str]]:
     the enumeration limit. Ties are exact float ties, which is safe here
     because complements sum the same weights in the same order.
     """
+    _checks.of_type(instance, MaxCutInstance, "instance")
     table = cut_value_table(instance)
     best = float(table.max())
     width = instance.n
@@ -169,6 +171,7 @@ def canonical_instance() -> MaxCutInstance:
 
 def parse_edge_list(text: str) -> MaxCutInstance:
     """Parse edge-list text; raise ParseError with a line number on bad input."""
+    _checks.of_type(text, str, "text")
     n = None
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
@@ -212,6 +215,7 @@ def parse_edge_list(text: str) -> MaxCutInstance:
 
 def serialize_edge_list(instance: MaxCutInstance) -> str:
     """Inverse of parse_edge_list; unit weights are omitted."""
+    _checks.of_type(instance, MaxCutInstance, "instance")
     lines = [str(instance.n)]
     for (u, v), w in zip(instance.edges, instance.weights):
         if w == 1.0:

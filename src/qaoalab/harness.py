@@ -42,7 +42,7 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .noise import NoiseConfig, check_noise
+from .noise import NoiseConfig
 from .objective import Engine, check_run_mode, energy_from_tally
 from .optim import (
     METHODS,
@@ -148,7 +148,7 @@ class ExperimentConfig:
         object.__setattr__(self, "restarts", _checks.integer(self.restarts, "restarts:", 1))
         # a run samples its final counts in every mode, so shots are never optional
         object.__setattr__(self, "shots", _checks.integer(self.shots, "shots:", 1))
-        check_noise(self.noise, "noise:")  # hashed by its rates, so never None
+        _checks.of_type(self.noise, NoiseConfig, "noise:")  # hashed by its rates, so never None
         check_run_mode(self.mode, self.shots, self.noise, sep=":")
         object.__setattr__(self, "seed", _checks.seed(self.seed, "seed:"))
         if self.max_evals is not None:  # a budget covers one pass over the 2*p angles
@@ -394,6 +394,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
 
     A config with sweep axes is refused, before any directory is made.
     """
+    _checks.of_type(config, ExperimentConfig, "config")
     if config.sweep:
         raise ConfigError(f"sweep: the config sweeps {sorted(config.sweep)}, which one run does "
                           "not cover; run it with `qaoalab sweep` (run_sweep)")
@@ -486,7 +487,7 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     cells' artifacts and sweep.csv are written in cell order, with the
     bytes each cell writes when run alone through ``run_experiment``.
     """
-    cells = sweep_cells(config)
+    cells = sweep_cells(_checks.of_type(config, ExperimentConfig, "config"))
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     outcomes = _optimize([cell_config for _, _, cell_config in cells])
@@ -587,7 +588,7 @@ def main(argv=None) -> int:
             print(f"{best:g} " + " ".join(sorted(optima)))
             return 0
         # argparse admits only the four commands, so this one is "plot"
-        if Path(args.infile).suffix == ".csv":
+        if Path(args.infile).suffix.lower() == ".csv":
             svg = plot_trace(args.infile, series=args.series or "energy")
         elif args.series is not None:
             raise ValueError(f"--series: a counts file has no series, got {args.series!r}")

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _checks, rng
-from .ansatz import ONE_QUBIT_DURATION, Circuit, check_circuit
+from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .statevec import ROTATION_KINDS, GateOp, counts_from_tally
 
 PAULI_KINDS = ("X", "Y", "Z")
@@ -79,13 +79,6 @@ class NoiseConfig:
         _checks.one_of(self.dd_sequence, sorted(DD_SEQUENCES), "dd_sequence")
 
 
-def check_noise(value, name: str = "config") -> NoiseConfig:
-    """The noise config rule: ``value`` if it is a ``NoiseConfig``, whose fields were checked when it was built."""
-    if not isinstance(value, NoiseConfig):
-        raise ValueError(f"{name} must be a NoiseConfig, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Pauli twirling
 # ---------------------------------------------------------------------------
@@ -102,7 +95,7 @@ def twirl_circuit(circuit: Circuit, seed: int) -> Circuit:
     """
     from . import trajectories  # loaded on first use
 
-    check_circuit(circuit)
+    _checks.of_type(circuit, Circuit, "circuit")
     return trajectories.realize(circuit, NoiseConfig(), 0, 0, twirl_seed=_checks.seed(seed))
 
 
@@ -143,7 +136,7 @@ def schedule_circuit(circuit: Circuit) -> Timeline:
     qubit count and each op's qubits and duration, so circuits that
     differ only in gate kinds or angles share one.
     """
-    n = check_circuit(circuit).n
+    n = _checks.of_type(circuit, Circuit, "circuit").n
     ready = [0.0] * n
     starts = []
     per_qubit: list[list[Interval]] = [[] for _ in range(n)]
@@ -182,7 +175,7 @@ def insert_dd(circuit: Circuit, sequence: str = "XpXm") -> Circuit:
     while a constant dephasing rate accumulated across the window is
     echoed to zero.
     """
-    check_circuit(circuit)
+    _checks.of_type(circuit, Circuit, "circuit")
     _checks.one_of(sequence, sorted(DD_SEQUENCES), "sequence")
     return Circuit(circuit.n, _dressed(circuit, sequence)[0])
 
@@ -204,9 +197,7 @@ def _dressed(circuit: Circuit, sequence: str) -> tuple[tuple[GateOp, ...], tuple
     ]
     counter = len(entries)
     for q in range(n):
-        for iv in timeline.qubits[q]:
-            if iv.op_index is not None:
-                continue
+        for iv in timeline.idle_intervals(q):
             free = (iv.end - iv.start) - k * pulse_dur
             if free < 0:
                 continue
@@ -257,8 +248,8 @@ def apply_trajectory_noise(
     """
     from . import trajectories  # loaded on first use
 
-    check_circuit(circuit)
-    check_noise(config)
+    _checks.of_type(circuit, Circuit, "circuit")
+    _checks.of_type(config, NoiseConfig, "config")
     shot_index = _checks.integer(shot_index, "shot_index", 0)
     return trajectories.realize(circuit, config, shot_index, _checks.seed(seed))
 
@@ -300,8 +291,8 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     """
     from . import trajectories  # loaded on first use
 
-    check_circuit(circuit)
-    check_noise(config)
+    _checks.of_type(circuit, Circuit, "circuit")
+    _checks.of_type(config, NoiseConfig, "config")
     shots, seed = _checks.integer(shots, "shots", 1), _checks.seed(seed)
     angles = [[op.angle for op in circuit.ops if op.kind in ROTATION_KINDS]]
     outcomes = trajectories.sample(trajectories.Plan(circuit, config), shots, [seed], angles)[0]

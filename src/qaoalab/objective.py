@@ -25,7 +25,7 @@ import numpy as np
 from . import _checks, rng
 from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
 from .graph import MaxCutInstance, cut_value_table
-from .noise import NoiseConfig, check_noise
+from .noise import NoiseConfig
 from .statevec import _tally_qubits, measure_rows, sample_draws
 
 RUN_MODES = ("exact", "sampled", "noisy")
@@ -52,6 +52,7 @@ def energy_from_counts(counts: dict[str, int], instance: MaxCutInstance) -> floa
     keys are n-character bitstrings, counts integers >= 0, and there is
     a shot.
     """
+    _checks.of_type(instance, MaxCutInstance, "instance")
     shots = _checks.counts(counts, "counts", instance.n)
     table, scale = _scaled(cut_value_table(instance), shots)
     total = 0.0
@@ -127,8 +128,9 @@ def evaluate_qaoa(
     sampled and noisy modes estimate it from measured shots. Both score
     the basis-index tally of ``Engine.tallies`` directly and format no
     bitstring. ``check_run_mode`` and ``check_seed`` check the inputs in
-    every mode.
+    every mode; the engine checks the instance.
     """
+    _checks.of_type(params, QaoaParams, "params")
     engine = Engine(instance, params.p, mode, shots=shots, noise=noise)
     seed = check_seed(mode, seed, mode != "exact")
     row = params.to_vector()[None]
@@ -154,7 +156,7 @@ def check_run_mode(mode: str, shots, noise, *, sep: str = "") -> int | None:
     if mode == "noisy":
         if noise is None:
             raise ValueError("mode 'noisy' requires a noise config")
-        check_noise(noise, f"noise{sep}")
+        _checks.of_type(noise, NoiseConfig, f"noise{sep}")
     elif noise is not None and noise != NoiseConfig():
         raise ValueError(f"noise{sep} must be none in mode {mode!r}, which samples no noise; "
                          f"set noise in mode 'noisy', got {noise!r}")
@@ -190,6 +192,7 @@ class Engine:
 
     def __init__(self, instance: MaxCutInstance, p: int, mode: str = "exact", *,
                  shots: int | None = None, noise=None):
+        _checks.of_type(instance, MaxCutInstance, "instance")
         p = _checks.integer(p, "p", 0)
         shots = check_run_mode(mode, shots, noise)
         self.instance, self.p, self.mode = instance, p, mode

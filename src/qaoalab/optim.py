@@ -74,9 +74,9 @@ _FTOL = 1e-8  # relative decrease below which an iteration counts as no progress
 class MinimizeProblem:
     """Batch objective plus starting point, budget and seed.
 
-    ``objective(points, seeds)`` maps a (k, d) array of points and k
-    seeds to k values. Evaluation j of the search (its log row) is
-    sent the seed that ``rng.eval_seeds`` derives from ``seed`` and j, or
+    ``objective(points, seeds)``, a callable, maps a (k, d) array of
+    points and k seeds to k values. Evaluation j of the search (its log
+    row) is sent the seed that ``rng.eval_seeds`` derives from ``seed`` and j, or
     None when ``seed`` is None, as an exact objective needs no seed.
     Searches may share one objective. x0 must be a finite 1-D vector,
     possibly empty: a search over d = 0 scores x0 once and converges.
@@ -93,6 +93,8 @@ class MinimizeProblem:
     seed: int | None = None
 
     def __post_init__(self):
+        if not callable(self.objective):
+            raise ValueError(f"objective must be callable, got {self.objective!r}")
         self.x0 = np.asarray(self.x0, dtype=float).copy()
         if self.x0.ndim != 1:
             raise ValueError(f"x0 must be a 1-D vector, got shape {self.x0.shape}")

@@ -57,8 +57,11 @@ def render_histogram(counts: dict[str, int], highlight: frozenset[str] | set[str
     """Probability bars (count over the counts' sum) per bitstring, lexicographic order, highlights flagged.
 
     The counts are checked by the histogram rule (``_checks.counts``),
-    which sums them and refuses a histogram with no shots.
+    which sums them and refuses a histogram with no shots. ``highlight``
+    is a set of keys and ``title`` a string (``_checks.of_type``).
     """
+    _checks.of_type(highlight, (set, frozenset), "highlight")
+    _checks.of_type(title, str, "title")
     return _histogram(counts, _checks.counts(counts, "counts"), highlight, title)
 
 

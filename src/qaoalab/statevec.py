@@ -97,9 +97,10 @@ def _tally_qubits(tally) -> int:
 
 
 @lru_cache(maxsize=512)
-def _bit_values(n: int, q: int) -> np.ndarray:
+def _bit_values(n: int, *qubits: int) -> np.ndarray:
+    """Each basis index's bit of one qubit, or the parity of the bits of several."""
     idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx >> (n - 1 - q)) & 1
+    bits = np.bitwise_xor.reduce([(idx >> (n - 1 - q)) & 1 for q in qubits])
     bits.flags.writeable = False
     return bits
 
@@ -238,6 +239,7 @@ def simulate_ops(n: int, ops) -> np.ndarray:
 
 def expectation_cut(state: np.ndarray, instance: MaxCutInstance) -> float:
     """<state| C |state> for the diagonal cut observable of ``instance``."""
+    _checks.of_type(instance, MaxCutInstance, "instance")
     n = _qubits(state)
     if instance.n != n:
         raise ValueError(f"instance has {instance.n} nodes but state has {n} qubits")

@@ -29,13 +29,17 @@ goes into a pending index permutation, which every diagonal reads
 through its inverse, and the columns return to basis order before the
 next H or RX and at the end. H and CNOT pass the frames exactly. A
 rotation, a dephasing kick or a coherent ZZ runs on every row, and
-every factor it multiplies by is a ``statevec.rotation_pairs`` pair:
-its point's pair from ``_point_angles``, its row's pair of its own
-angle, or RZ(2 epsilon)'s at the parity of two qubits (``_zz_diags``),
-conjugated on the rows whose frame anticommutes with it. A chunk's
-kicks take their pairs from one call, one column per distinct qubit
-and idle time. Every row's products are written into one scratch
-array beside the amplitudes, so a step allocates no array of them.
+every factor it multiplies by is a ``statevec.rotation_pairs`` pair,
+read by one rule from a (2P, 2) table of P pairs over their
+conjugates: row r takes table row flip_r * P + base_r, where base_r
+is its point, or for a kick the row itself, and flip_r is 1 when its
+frame anticommutes with the rotation. RX, RZ and the coherent ZZ read
+per-point tables from ``_point_angles``; a chunk's kicks read per-row
+tables made by one call, one per distinct qubit and idle time. An RZ,
+a kick and a ZZ are one diagonal, a Z rotation on the parity of one
+or two qubits' bits. Every row's products are written into one
+scratch array beside the amplitudes, so a step allocates no array of
+them.
 A row's final frame is never applied: only its X part moves a
 probability, so ``_frame_probs`` reads each row's probabilities at
 its flipped indices, and each chunk's shots are one
@@ -163,21 +167,6 @@ def _layout(ops, twirling: bool) -> list[_Entry]:
         entries += slots[:2] + [_Entry(op.qubits, op.duration, op, None)] + slots[2:]
         cnots += 1
     return entries
-
-
-@lru_cache(maxsize=512)
-def _zz_diags(n: int, control: int, target: int, epsilon: float) -> np.ndarray:
-    """CNOT RZ(2 epsilon) CNOT as one diagonal, and its conjugate: shape (2, 2^n).
-
-    The CNOTs put the target's RZ at the parity of the two qubits' bits,
-    so the diagonal is RZ(2 epsilon)'s ``rotation_pairs`` entry at each
-    index's parity: the products of the sandwich, bit for bit. Its
-    conjugate takes the reversed pair.
-    """
-    parity = _bit_values(n, control) ^ _bit_values(n, target)
-    diags = rotation_pairs("RZ", 2.0 * epsilon)[np.stack([parity, parity ^ 1])]
-    diags.flags.writeable = False
-    return diags
 
 
 # A word w gives U = ((w >> 11) + 1) * 2**-53 in (0, 1], so E = -log(U) is at
@@ -383,15 +372,16 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
     entry's table in ``tables`` (from ``_point_angles``) or None;
     ("pauli", rows, ids, qubit, duration) for every Pauli, with an id
     per listed row, or for all rows when rows is None, and 0 for none;
-    ("kick", qubit, angle per row, pairs) for each of ``_idle_kicks``, 0
-    on a row without idle time there, with the (rows, 2) RZ
-    ``rotation_pairs`` of those angles: kicks of one qubit and one idle
-    time share their angles and pairs, and one call makes the pairs of
-    the chunk; and ("zz", cnot, epsilon) after each CNOT when the config
-    has a coherent ZZ error. A Pauli gate or DD pulse is one id for all
-    rows, with its own duration; a twirl slot holds an id per row and
-    lasts ``ONE_QUBIT_DURATION``; a drawn error lists its rows and lasts
-    0.
+    ("kick", qubit, angle per row, table) for each of ``_idle_kicks``, 0
+    on a row without idle time there, with the (2 * rows, 2) table of
+    the RZ ``rotation_pairs`` of those angles over their conjugates:
+    kicks of one qubit and one idle time share their angles and table,
+    and one call makes the pairs of the chunk; and ("zz", cnot, epsilon,
+    table) after each CNOT when the config has a coherent ZZ error, with
+    the ``"zz"`` table in ``tables``. A Pauli gate or DD pulse is one id
+    for all rows, with its own duration; a twirl slot holds an id per
+    row and lasts ``ONE_QUBIT_DURATION``; a drawn error lists its rows
+    and lasts 0.
     """
     n, entries, slots = plan.n, plan.entries, plan.slots
     # slots are numbered in layout order
@@ -408,13 +398,14 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
         kicks = plan.kicks
         if kicks is None:  # each row idles where its own twirl leaves it
             kicks = _idle_kicks(entries, n, twirl)
-        # one column of angles and pairs per distinct (qubit, duration)
+        # one column of angles and of [pairs; conjugates] per distinct (qubit, duration)
         angle = {}
         for _, q, dur in kicks:
             if (q, dur.tobytes()) not in angle:
                 angle[q, dur.tobytes()] = 2.0 * deltas[:, q] * dur
         angles = np.reshape(list(angle.values()), (len(angle), len(deltas)))
-        columns = dict(zip(angle, zip(angles, rotation_pairs("RZ", angles))))
+        pairs = rotation_pairs("RZ", angles)
+        columns = dict(zip(angle, zip(angles, np.concatenate([pairs, pairs.conjugate()], 1))))
         for k, q, dur in kicks:
             kicks_at.setdefault(k, []).append(("kick", q, *columns[q, dur.tobytes()]))
 
@@ -430,7 +421,7 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
         else:
             steps.append(("op", op, tables.get(k)))
             if op.kind == "CNOT" and epsilon != 0.0:
-                steps.append(("zz", op, epsilon))
+                steps.append(("zz", op, epsilon, tables.get("zz")))
         lo, hi = hit_bounds[k], hit_bounds[k + 1]
         if hi > lo:
             # a hit's value picks a non-identity Pauli: 1 + value (below 3)
@@ -511,12 +502,18 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> tuple:
     inverse of ``perm``, so every amplitude meets the factor it meets in
     basis order, in the same operand order. The columns are put back in
     basis order before an H or RX, which mix them, and at the end. Every
-    RX and RZ step carries its table of ``_point_angles``; each row takes
-    its point's pair of scalars, or their conjugates, so every row gets
-    the arithmetic of ``apply_rows`` at its own point's angle. A kick
-    multiplies every row by its row's pair of the step's pairs, reversed
-    on a row whose frame holds an X or Y on the qubit, and a "zz" by its
-    ``_zz_diags`` row. A "pauli" step goes into its rows' frames. Every
+    RX, RZ, kick and "zz" step carries a (2P, 2) table of P pairs over
+    their conjugates, and row r takes table row flip_r * P + base_r:
+    base_r is its point (``row_point[r]``), or r itself for a kick, and
+    flip_r is 1 when its frame anticommutes with the rotation, so every
+    row gets the arithmetic of ``apply_rows`` at its own angle. For an
+    RX, flip_r is the frame's Z bit on the qubit. An RZ, a kick and a
+    "zz" are one diagonal, a Z rotation on the parity of its qubits'
+    bits: flip_r is the parity of the frame's X bits on them, and one
+    statement multiplies every row by its pair at the parity of each
+    column's basis index. A per-point table is gathered over columns
+    first and a per-row one over rows first, which read the same
+    values. A "pauli" step goes into its rows' frames. Every
     diagonal, the partner operand of an RX and the columns put back in
     basis order are written into one scratch array the shape of the
     amplitudes, with the two arrays trading places after a move, so a
@@ -531,7 +528,7 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> tuple:
     # the one row all rows share, until they split, and its scratch row
     amps, buf = zero_state(n)[None], np.empty((1, 1 << n), dtype=complex)
     frame = np.zeros(rows, dtype=np.int64)
-    identity = np.arange(1 << n)
+    identity, own = np.arange(1 << n), np.arange(rows)  # own: a per-row table's rows
     perm = inv = identity
 
     def take(values, index, axis):
@@ -558,7 +555,8 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> tuple:
             continue
         what = step[1].kind if kind == "op" else kind
         diagonal = what in ("kick", "zz", "RZ")
-        if len(amps) < rows and (diagonal or what == "RX"):
+        rotation = diagonal or what == "RX"
+        if len(amps) < rows and rotation:
             amps, buf = np.repeat(amps, rows, axis=0), np.empty((rows, 1 << n), dtype=complex)
         if odd and diagonal:
             _settle(amps, frame, n)  # amps is this function's own array
@@ -566,49 +564,42 @@ def _run_rows(n: int, steps: list, row_point: np.ndarray) -> tuple:
         if what in ("H", "RX"):
             amps, buf = in_basis(amps)
             perm = inv = identity
-        if kind == "kick":
-            # RZ(angle) on q; an X or Y of the frame on q turns it into
-            # RZ(-angle), the reversed pair, which is the conjugate one:
-            # negating the imaginary parts costs less than reversing rows
-            q, pairs = step[1], step[3].copy()
-            pairs.imag *= (1 - 2 * ((frame >> (n - 1 - q)) & 1))[:, None]
-            amps *= take(pairs, _bit_values(n, q)[inv], 1)
-            continue
-        op = step[1]
-        s, t = n - 1 - op.qubits[0], n - 1 - op.qubits[-1]
-        if what == "zz":
-            # the ZZ rotation turns into its inverse, the conjugate diagonal,
-            # past an X on just one of its qubits
-            flip = ((frame >> s) ^ (frame >> t)) & 1
-            amps *= take(_zz_diags(n, *op.qubits, step[2])[:, inv], flip, 0)
-        elif what == "CNOT":
-            cnot = _cnot_perm(n, *op.qubits)
+        qubits = (step[1],) if kind == "kick" else step[1].qubits
+        s, t = n - 1 - qubits[0], n - 1 - qubits[-1]
+        if what == "CNOT":
+            cnot = _cnot_perm(n, *qubits)
             perm, inv = perm[cnot], cnot[inv]
             # X on the control spreads to the target, Z on the target to the control
             frame ^= (((frame >> s) & 1) << t) | (((frame >> (n + t)) & 1) << (n + s))
         elif what == "H":
-            amps = apply_rows(amps, n, op)
+            amps = apply_rows(amps, n, step[1])
             # H swaps the X and Z of its qubit, and H Y H = -Y
             mq, zq = (frame >> s) & 1, (frame >> (n + s)) & 1
             frame = (frame ^ (mq ^ zq) * (1 << s | 1 << (n + s))) + ((mq & zq) << (2 * n + 1))
-        elif what in ROTATION_KINDS:
-            # RZ(angle) past an X or Y of its qubit is RZ(-angle), RX past a
-            # Z or Y is RX(-angle): the conjugate pair
-            table = step[2]
-            flip = (frame >> (s if what == "RZ" else n + s)) & 1
-            pick = flip * (len(table) // 2) + row_point
-            if what == "RZ":
-                # each point's diagonal, then each row's
-                diags = np.take(table, _bit_values(n, op.qubits[0])[inv], axis=1)
-                amps *= take(diags, pick, 0)
-            else:
+        elif rotation:
+            # past a frame that anticommutes with it, a rotation is its
+            # inverse, the conjugate pair: an RX past a Z or Y on its qubit,
+            # a Z rotation on the parity of its qubits past an odd number of
+            # Xs and Ys on them
+            table = step[-1]
+            bits = frame >> n if what == "RX" else frame
+            flip = bits >> s if s == t else bits >> s ^ bits >> t
+            pick = (flip & 1) * (len(table) // 2) + (own if kind == "kick" else row_point)
+            if what == "RX":
                 # apply_rows' RX products, in place, with each of an RX's
                 # two vectors held as its one value per row
                 pair = np.take(table, pick, axis=0)
-                flipped = take(amps, _x_perm(n, op.qubits[0]), 1)
+                flipped = take(amps, _x_perm(n, qubits[0]), 1)
                 flipped *= pair[:, 1:]
                 amps *= pair[:, :1]
                 amps += flipped
+                continue
+            # the pair at the parity of each column's basis index, gathered over
+            # columns first from a per-point table and over rows first from a
+            # per-row one: the same values either way
+            index = (pick, _bit_values(n, *qubits)[inv])
+            axis = int(len(table) < 2 * rows)
+            amps *= take(np.take(table, index[axis], axis=axis), index[1 - axis], 1 - axis)
     amps, _ = in_basis(amps)
     return np.repeat(amps, rows, axis=0) if len(amps) < rows else amps, frame
 
@@ -642,22 +633,24 @@ def _readout_flips(keys, width: int, p: float) -> np.ndarray:
 
 
 def _point_angles(plan: Plan, angles: np.ndarray) -> dict:
-    """Each RX or RZ entry's scalars at every point, as a (2k, 2) table.
+    """Each RX or RZ entry's scalars at every point, as a (2k, 2) table, and the ZZ's.
 
     Row j of the table is point j's ``rotation_pairs`` pair, and row
     k + j its conjugate, read for all entries and points at once by one
     call per kind, so ``apply_rows`` multiplies by the same bits. Entry
     ``plan.rotations[c]`` takes column ``plan.columns[c]`` of the (k, R)
-    ``angles``.
+    ``angles``. Key ``"zz"`` holds RZ(2 epsilon)'s pair at every point,
+    the coherent ZZ of the plan's config, read in the same RZ call.
     """
     if angles.shape != (len(angles), len(plan.columns)):
         raise ValueError(f"angles of shape {angles.shape} do not fit {len(plan.columns)} rotations")
-    angles, rx = angles[:, plan.columns], plan.rx
+    zz = np.full(len(angles), 2.0 * plan.config.epsilon_coherent)
+    angles, rx = np.column_stack([angles[:, plan.columns], zz]), np.append(plan.rx, False)
     pairs = np.empty(angles.shape + (2,), dtype=complex)
     pairs[:, rx] = rotation_pairs("RX", angles[:, rx])
     pairs[:, ~rx] = rotation_pairs("RZ", angles[:, ~rx])
     tables = np.concatenate([pairs, pairs.conjugate()])
-    return {k: tables[:, c] for c, k in enumerate(plan.rotations)}
+    return {k: tables[:, c] for c, k in enumerate([*plan.rotations, "zz"])}
 
 
 def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:

@@ -9,14 +9,20 @@ from ``tokenize``, the docstrings from ``ast``.
 Run from the repository root::
 
     python tests/code_lines.py
+    python tests/code_lines.py --rev HEAD~1
 
-It prints the count of each module and then the total.
+It prints the count of each module and then the total: of the working
+tree, or with ``--rev`` of the modules committed at that revision, read
+with ``git ls-tree`` and ``git show``, so one command gives a change's
+counts and its parent's.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -47,12 +53,35 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main() -> int:
+def sources(rev: str | None) -> dict[str, str]:
+    """The text of each ``src/qaoalab/*.py`` module by name: of the working tree, or at ``rev``."""
+    if rev is None:
+        return {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    root = PACKAGE.parents[1]
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
+                              text=True, encoding="utf-8").stdout
+
+    names = git("ls-tree", "--name-only", rev, "src/qaoalab/").splitlines()
+    return {Path(name).name: git("show", f"{rev}:{name}") for name in names
+            if name.endswith(".py")}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Count the code lines of each src/qaoalab module.")
+    parser.add_argument("--rev", help="count the modules committed at this git revision")
+    args = parser.parse_args(argv)
+    try:
+        texts = sources(args.rev)
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {' '.join(exc.cmd)}: {exc.stderr.strip()}", file=sys.stderr)
+        return 1
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
+    for name, text in sorted(texts.items()):
+        count = code_lines(text)
         total += count
-        print(f"{path.name:16s} {count:5d}")
+        print(f"{name:16s} {count:5d}")
     print(f"{'total':16s} {total:5d}")
     return 0
 

@@ -13,8 +13,14 @@ import pytest
 import qaoalab
 from qaoalab import _checks, ansatz, objective, trajectories
 from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, run_circuit
-from qaoalab.graph import MaxCutInstance, canonical_instance
-from qaoalab.harness import parse_config, run_experiment
+from qaoalab.graph import (
+    MaxCutInstance,
+    brute_force_maxcut,
+    canonical_instance,
+    parse_edge_list,
+    serialize_edge_list,
+)
+from qaoalab.harness import parse_config, run_experiment, run_sweep
 from qaoalab.noise import (
     NoiseConfig,
     apply_trajectory_noise,
@@ -263,6 +269,19 @@ BAD_INPUTS = {
     "sample-noisy-dict-config": (lambda: sample_noisy(CIRCUIT, {"p1q": 0.1}, 10, 1), "config"),
     "sample-noisy-list-circuit": (lambda: sample_noisy([1, 2], NoiseConfig(), 10, 1), "circuit"),
     "trajectory-none-config": (lambda: apply_trajectory_noise(CIRCUIT, None, 0, 1), "config"),
+    "evaluate-none-instance": (lambda: evaluate_qaoa(None, PARAMS), "instance"),
+    "evaluate-list-params": (lambda: evaluate_qaoa(CANONICAL, [0.1, 0.2]), "params"),
+    "objective-string-instance": (lambda: make_objective("canonical", 1), "instance"),
+    "build-none-instance": (lambda: build_qaoa_circuit(None, PARAMS), "instance"),
+    "brute-force-none": (lambda: brute_force_maxcut(None), "instance"),
+    "serialize-none": (lambda: serialize_edge_list(None), "instance"),
+    "run-experiment-dict": (lambda: run_experiment({"p": 1}, "unused"), "config"),
+    "run-sweep-none": (lambda: run_sweep(None, "unused"), "config"),
+    "minimize-none-objective": (lambda: minimize("powell", MinimizeProblem(None, [0.0])),
+                                "objective"),
+    "histogram-int-highlight": (lambda: render_histogram({"01": 3}, highlight=5), "highlight"),
+    "histogram-int-title": (lambda: render_histogram({"01": 3}, title=5), "title"),
+    "parse-bytes": (lambda: parse_edge_list(b"2\n0 1\n"), "text"),
 }
 
 

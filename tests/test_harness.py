@@ -899,6 +899,21 @@ def test_cli_solve_and_plot(tmp_path, capsys):
     assert not svg3.exists()
 
 
+@pytest.mark.parametrize("suffix", [".CSV", ".Csv"])
+def test_cli_plot_reads_a_trace_by_its_suffix_in_any_case(tmp_path, capsys, suffix):
+    # a trace saved as T.CSV is a trace, not counts JSON
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(small_raw(max_evals=12)))
+    out = tmp_path / "run_out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    trace = tmp_path / f"T{suffix}"
+    trace.write_bytes((out / "trace.csv").read_bytes())
+    svg = tmp_path / "trace.svg"
+    assert main(["plot", "--in", str(trace), "--out", str(svg), "--series", "params"]) == 0
+    assert svg.read_text() == plot_trace(out / "trace.csv", "params")
+    capsys.readouterr()
+
+
 def test_cli_seed_and_out_override_the_config_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     raw = small_raw(seed=42, out_dir="from_file", max_evals=10)

@@ -1,8 +1,10 @@
 """Noise channels, twirling, scheduling, decoupling, readout."""
 
+import ast
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1036,14 +1038,15 @@ def test_a_plan_with_nothing_to_draw_runs_one_row_per_point(config):
 def test_steps_carry_every_pauli_and_every_kick_by_one_kind(twirling):
     # every Pauli, a DD pulse or a Pauli gate of the circuit included, is a
     # "pauli" step; every kick, a DELAY's included, is one of _idle_kicks';
-    # and a coherent ZZ follows each CNOT as a "zz" step
+    # and a coherent ZZ follows each CNOT as a "zz" step, which carries the
+    # plan's one ZZ table
     config = NoiseConfig(p1q=0.1, p2q=0.2, epsilon_coherent=0.3, sigma_dephase=0.4,
                          twirling=twirling, dd=True, dd_sequence="XY4")
     circuit = mixed_circuit(4, 30, seed=9)
     plan = trajectories.Plan(circuit, config)
     keys = row_keys([5], 16, twirling)
-    steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, own_angles(circuit)),
-                                      *keys)
+    tables = trajectories._point_angles(plan, own_angles(circuit))
+    steps = trajectories._chunk_steps(plan, tables, *keys)
     entries = [e for e in plan.entries if e.op is not None]
     assert {"X", "Y", "DELAY"} <= {e.op.kind for e in entries}
     paulis = [e for e in plan.entries if e.op is None or e.op.kind in PAULI_KINDS]
@@ -1052,7 +1055,7 @@ def test_steps_carry_every_pauli_and_every_kick_by_one_kind(twirling):
     assert all(s[1].kind not in PAULI_KINDS for s in steps if s[0] == "op")
     for before, after in zip(steps, steps[1:] + [None]):
         if before[0] == "op" and before[1].kind == "CNOT":
-            assert after == ("zz", before[1], 0.3)
+            assert after[:3] == ("zz", before[1], 0.3) and after[3] is tables["zz"]
     twirl = trajectories._twirl_ids(keys[0], len(plan.slots) // 4) if twirling else None
     kicks = plan.kicks if plan.kicks is not None else trajectories._idle_kicks(plan.entries, 4,
                                                                               twirl)
@@ -1066,7 +1069,8 @@ def test_steps_carry_every_pauli_and_every_kick_by_one_kind(twirling):
 @pytest.mark.parametrize("name", ["dephasing", "dd-xy4", "twirl-dephasing", "p5-dephase-xy4"])
 def test_kicks_of_one_qubit_and_duration_share_one_pairs_column(monkeypatch, name):
     # a chunk's kicks take their pairs from one rotation_pairs call, one
-    # column per distinct (qubit, duration); with twirling, the durations
+    # column per distinct (qubit, duration), each with its conjugates below
+    # it in the kick's table; with twirling, the durations
     # differ per row (_idle_kicks' per-row walk), and the rows of this plan
     # equal their rendered shots bit for bit in
     # test_batched_rows_equal_per_shot_amplitudes_bit_for_bit[twirl-dephasing]
@@ -1090,7 +1094,71 @@ def test_kicks_of_one_qubit_and_duration_share_one_pairs_column(monkeypatch, nam
     for (_, q, dur), step in zip(kicks, kick_steps):
         twins = [s for (_, p, d), s in zip(kicks, kick_steps) if p == q and np.array_equal(d, dur)]
         assert all(s[2] is step[2] and s[3] is step[3] for s in twins)
-        assert step[3].tobytes() == pairs_of("RZ", step[2]).tobytes()
+        pairs = pairs_of("RZ", step[2])
+        assert step[3].tobytes() == np.concatenate([pairs, pairs.conjugate()]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["all", "coherent-only", "twirl-dephasing", "p5-dephase-xy4"])
+def test_kick_and_zz_tables_are_rotation_pairs_over_their_conjugates(name):
+    # every diagonal a row takes is read from a (2P, 2) table of P pairs over
+    # their conjugates: a kick's P pairs are its rows' angles, a coherent
+    # ZZ's are RZ(2 epsilon) at each of the P points
+    config = BATCH_CONFIGS[name]
+    circuit = mixed_circuit(4, 30, seed=9)
+    plan = trajectories.Plan(circuit, config)
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    angles = np.random.default_rng(3).uniform(-3.0, 3.0, size=(3, count))
+    steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, angles),
+                                      *row_keys([5, 8, 2], 4, config.twirling))
+
+    def stacked(pairs):
+        return np.concatenate([pairs, pairs.conjugate()]).tobytes()
+
+    kicks = [step for step in steps if step[0] == "kick"]
+    zzs = [step for step in steps if step[0] == "zz"]
+    assert bool(kicks) == (config.sigma_dephase > 0)
+    assert bool(zzs) == (config.epsilon_coherent != 0)
+    for _, _, angle, table in kicks:
+        assert table.tobytes() == stacked(statevec.rotation_pairs("RZ", angle))
+    for _, _, epsilon, table in zzs:
+        assert table.tobytes() == stacked(statevec.rotation_pairs("RZ", np.full(3, 2.0 * epsilon)))
+
+
+@pytest.mark.parametrize("name", ["all", "coherent-only", "dd-xy4"])
+def test_per_point_and_per_row_gathers_give_the_same_bits(name):
+    # a diagonal is gathered over columns first from a table with fewer
+    # pairs than the chunk has rows, else over rows first: one shot of each
+    # of three points takes the second order for every RZ and ZZ, two shots
+    # of one point the first, and shot 0 of each point agrees bit for bit
+    config = ORACLE_CONFIGS[name]
+    circuit = mixed_circuit(4, 30, seed=9)
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    angles = np.random.default_rng(4).uniform(-3.0, 3.0, size=(3, count))
+    seeds = [5, 8, 2]
+    rows = plan_rows(circuit, config, angles, seeds, 1)
+    for j, seed in enumerate(seeds):
+        alone = plan_rows(circuit, config, angles[j:j + 1], [seed], 2)
+        assert np.array_equal(alone[0].view(np.float64), rows[j].view(np.float64))
+
+
+def test_run_rows_multiplies_by_a_diagonal_in_one_statement():
+    # an RZ, a dephasing kick and a coherent ZZ are one diagonal step of
+    # _run_rows, and no table of the package is cached per epsilon
+    package = Path(trajectories.__file__).parent
+    tree = ast.parse((package / "trajectories.py").read_text(encoding="utf-8"))
+    run_rows = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_run_rows")
+    products = [node.lineno for node in ast.walk(run_rows)
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+                and isinstance(node.target, ast.Name) and node.target.id == "amps"
+                and isinstance(node.value, ast.Call)]
+    assert len(products) == 1
+    cached = [f"{path.name}:{node.name}" for path in sorted(package.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef)
+              and any("cache" in ast.unparse(d) for d in node.decorator_list)
+              and any("epsilon" in arg.arg for arg in node.args.args)]
+    assert cached == []
 
 
 def random_frames(gen, rows: int, n: int) -> np.ndarray:
