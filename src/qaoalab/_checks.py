@@ -1,4 +1,4 @@
-"""The input rules: an integer, a finite number, a seed, a flag, a choice, a bitstring, counts, a type and a text file, each written once.
+"""The input rules: an integer, a finite number, a seed, a flag, a choice, a bitstring, counts, a type, a sequence and a text file, each written once.
 
 A rule returns the value (an integer, number or flag as a plain int,
 float or bool, a file as its text), or raises a ValueError whose
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from numbers import Integral, Real
 
 
@@ -65,6 +66,8 @@ def counts(value: dict, name: str, width: int | None = None) -> int:
     given, a bitstring of that width. There must be a shot. A message
     names the key it refuses. Each scan but the counts' runs in C.
     """
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a dict of bitstring counts, got {value!r}")
     exact = True
     for key, count in value.items():
         if type(count) is not int or count < 0:
@@ -116,14 +119,22 @@ def one_of(value, choices, name: str):
 def of_type(value, cls, name: str):
     """``value`` if it is an instance of ``cls``, a class or a tuple of them.
 
-    The one rule for a package object that enters (a circuit, a noise
-    config, an instance, angles, an experiment config) and for a plain
-    ``str`` or set: the object checked its own fields when it was built.
+    The one rule for a package object that enters (a circuit, an op, a
+    noise config, an instance, angles, an experiment config) and for a
+    plain ``str``, set, tuple or list: the object checked its own fields
+    when it was built.
     """
     if not isinstance(value, cls):
         names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
         article = "an" if names[0] in "AEIOU" else "a"
         raise ValueError(f"{name} must be {article} {names}, got {value!r}")
+    return value
+
+
+def sequence(value, name: str):
+    """``value`` if it is a list, tuple or other sequence, or an array of one or more dimensions; no string."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence) and getattr(value, "ndim", 0) < 1:
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
     return value
 
 

@@ -63,8 +63,8 @@ class QaoaParams:
     gammas: tuple[float, ...]
 
     def __post_init__(self):
-        betas = tuple(_checks.real(b, "betas: angle") for b in self.betas)
-        gammas = tuple(_checks.real(g, "gammas: angle") for g in self.gammas)
+        betas = tuple(_checks.real(b, "betas: angle") for b in _checks.sequence(self.betas, "betas"))
+        gammas = tuple(_checks.real(g, "gammas: angle") for g in _checks.sequence(self.gammas, "gammas"))
         if len(betas) != len(gammas):
             raise ValueError(
                 f"{len(betas)} betas vs {len(gammas)} gammas; layer counts must match"
@@ -102,7 +102,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "n", _checks.integer(self.n, "qubit count", 1, MAX_QUBITS))
         ops = []
-        for op in self.ops:
+        for op in _checks.sequence(self.ops, "ops"):
             check_gate(self.n, op)
             ops.append(op if type(op.qubits) is tuple else op._replace(qubits=tuple(op.qubits)))
         object.__setattr__(self, "ops", tuple(ops))
@@ -245,12 +245,14 @@ def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
     ``simulate_ops`` on ``build_qaoa_circuit`` up to the global phase
     exp(-i*gamma*W) per layer, W the total weight. Every row gets the
     same floating-point operations whatever the batch around it, so its
-    bits depend neither on k nor on its position. The angles are not
-    checked here; a row whose phase 2*gamma*C overflows comes out NaN,
-    with no numpy warning.
+    bits depend neither on k nor on its position. Only the shape of
+    ``thetas`` is checked here, not the angles; a row whose phase
+    2*gamma*C overflows comes out NaN, with no numpy warning.
     """
     _checks.of_type(instance, MaxCutInstance, "instance")
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] % 2:
+        raise ValueError(f"thetas must be a (k, 2p) array, got shape {thetas.shape}")
     plan = half_plan(instance)
     # one output array, written pass by pass (joining the passes' results
     # made a 10-row batch at n=14 about 2x slower per row)

@@ -71,7 +71,8 @@ class MaxCutInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _checks.integer(self.n, "node count", 1))
-        weights = self.weights or (1.0,) * len(self.edges)
+        _checks.sequence(self.edges, "edges")
+        weights = _checks.sequence(self.weights, "weights") or (1.0,) * len(self.edges)
         if len(weights) != len(self.edges):
             raise ValueError(f"{len(weights)} weights for {len(self.edges)} edges")
         seen: set[tuple[int, int]] = set()

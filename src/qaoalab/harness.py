@@ -362,7 +362,7 @@ def _optimize(configs: list[ExperimentConfig]) -> list[tuple[Engine, MinimizeRes
     noise) share one engine. Every restart of every config is one search
     of a single ``minimize_lockstep`` call, which sends each round's rows
     of the searches on one engine to it in one call. Restart r searches
-    under the seed ``child_seed(config.seed, STREAM_EVAL, r)`` (none in
+    under the seed ``derive_key(config.seed, STREAM_EVAL, r)`` (none in
     exact mode), so it keeps the seeds, log and status it gets when run
     alone. At p = 0 the one search is over zero angles: it scores the
     uniform state once and converges.
@@ -378,7 +378,7 @@ def _optimize(configs: list[ExperimentConfig]) -> list[tuple[Engine, MinimizeRes
     results = iter(minimize_lockstep(
         (config.method, MinimizeProblem(
             engine, x0, max_evals=config.max_evals,
-            seed=None if config.mode == "exact" else rng.child_seed(config.seed, rng.STREAM_EVAL, r)))
+            seed=None if config.mode == "exact" else rng.derive_key(config.seed, rng.STREAM_EVAL, r)))
         for config, engine, starts in plans for r, x0 in enumerate(starts)
     ))
     outcomes = []
@@ -409,7 +409,7 @@ def _write_run(config: ExperimentConfig, engine: Engine, result: MinimizeResult,
     """Take the final counts at the best restart's angles from ``engine``; write the artifacts."""
     theta = result.x_best
     instance = config.instance
-    tally = engine.tallies(theta[None], [rng.child_seed(config.seed, rng.STREAM_FINAL)])[0]
+    tally = engine.tallies(theta[None], [rng.derive_key(config.seed, rng.STREAM_FINAL)])[0]
     max_cut, optima = brute_force_maxcut(instance)
     hit = np.flatnonzero(tally)
     cuts = cut_value_table(instance)[hit]
@@ -468,7 +468,7 @@ def sweep_cells(config: ExperimentConfig) -> list[tuple[str, dict, ExperimentCon
     out = []
     for idx, cell in enumerate(product(*(range(len(axes[key])) for key in keys))):
         # an empty sweep is the base experiment itself, same seed included
-        seed = rng.child_seed(config.seed, rng.STREAM_CELL, idx) if keys else config.seed
+        seed = rng.derive_key(config.seed, rng.STREAM_CELL, idx) if keys else config.seed
         cell_config = replace(config, **{key: values[key][j] for key, j in zip(keys, cell)},
                               seed=seed, sweep=None, out_dir=None)
         labels = {key: _axis_label(key, j, axes[key][j]) for key, j in zip(keys, cell)}

@@ -5,14 +5,15 @@ its own twirl, stochastic Pauli insertions, quasi-static dephasing
 rates, and readout flips, all from substreams keyed by (seed, stream,
 shot) and read together for all shots by one vectorized Philox.
 Inserted error ops carry zero duration so they never perturb timing.
-This module makes no random draw: qaoalab.trajectories makes
-them all, from one trajectories.Plan of a circuit and a config (DD
-inserted once), and runs the shots of k points together, each point
-its own seed and RX/RZ angles; sample_noisy samples one point that way,
-into a bitstring histogram (a ``dict[str, int]``).
-twirl_circuit, apply_trajectory_noise and apply_readout_error render
-one shot of the same draws, as a circuit or as flipped bits; simulating
-each shot's circuit on its own gives the same amplitudes, bit for bit.
+qaoalab.trajectories makes every circuit draw, from one
+trajectories.Plan of a circuit and a config (DD inserted once), and
+runs the shots of k points together, each point its own seed and RX/RZ
+angles; sample_noisy samples one point that way, into a bitstring
+histogram (a ``dict[str, int]``). twirl_circuit and
+apply_trajectory_noise render one shot of the same draws as a circuit;
+simulating each shot's circuit on its own gives the same amplitudes,
+bit for bit. apply_readout_error flips one shot's bits by the same
+``rng`` rule as the engine, without loading it.
 
 Mitigation passes rewrite circuits:
   * twirl_circuit wraps every CNOT in a random Pauli pair and its
@@ -255,16 +256,17 @@ def apply_trajectory_noise(
 
 
 def apply_readout_error(bits: str, p_readout: float, shot_index: int, seed: int) -> str:
-    """Flip each measured bit independently with probability p_readout."""
+    """Flip each measured bit independently with probability p_readout.
+
+    Bit j flips when word j of the shot's (seed, readout, shot_index) key
+    is ``rng.below`` p_readout: the flips the noisy engine draws for
+    that shot.
+    """
     _checks.bitstring(bits, "bits")
     _checks.real(p_readout, "p_readout", 0, 1)
     shot_index, seed = _checks.integer(shot_index, "shot_index", 0), _checks.seed(seed)
-    if p_readout == 0.0:
-        return bits
-    from . import trajectories  # loaded on first use
-
-    key = rng.derive_keys(seed, rng.STREAM_READOUT, [shot_index])
-    flips = trajectories._readout_flips(key, len(bits), p_readout)[0]
+    flips = rng.below(rng.words(rng.derive_key(seed, rng.STREAM_READOUT, shot_index), len(bits)),
+                      p_readout)
     return "".join(("1" if b == "0" else "0") if f else b for b, f in zip(bits, flips))
 
 

@@ -644,12 +644,11 @@ def minimize(method: str, problem: MinimizeProblem) -> MinimizeResult:
 
 
 def random_qaoa_starts(p: int, k: int, seed: int) -> list[np.ndarray]:
-    """k random layer-angle vectors: betas in [0, pi), gammas in [0, 2*pi)."""
+    """k random layer-angle vectors: betas in [0, pi), gammas in [0, 2*pi).
+
+    Start j scales ``rng.doubles`` 2pj .. 2pj + 2p - 1 of the seed's init
+    key, its p betas by pi and then its p gammas by 2 pi.
+    """
     p, k = _checks.integer(p, "p", 1), _checks.integer(k, "k", 1)
-    gen = rng.generator(_checks.seed(seed), rng.STREAM_INIT)
-    starts = []
-    for _ in range(k):
-        betas = gen.uniform(0.0, math.pi, size=p)
-        gammas = gen.uniform(0.0, 2.0 * math.pi, size=p)
-        starts.append(np.concatenate([betas, gammas]))
-    return starts
+    u = rng.doubles(rng.words(rng.derive_key(_checks.seed(seed), rng.STREAM_INIT), 2 * p * k))
+    return list((u.reshape(k, 2, p) * np.array([[math.pi], [2.0 * math.pi]])).reshape(k, 2 * p))

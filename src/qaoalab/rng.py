@@ -2,12 +2,15 @@
 
 Every stochastic consumer (measurement sampling, trajectory noise,
 twirling draws, readout flips, restart initialization) derives its own
-generator from ``(seed, path...)`` where the path encodes a stream tag
+Philox key from ``(seed, path...)`` where the path encodes a stream tag
 and, usually, a shot or restart index. A shot's randomness is therefore
 a pure function of ``(seed, stream, shot)``: results never depend on
 evaluation order, and re-running any prefix of the work reproduces the
-same numbers. ``philox_raw`` reads the words of many such streams at
-once, so a per-shot stream costs no generator of its own.
+same numbers. Every draw is a raw 64-bit word of a key's stream, which
+numpy keeps stable across versions (NEP 19): ``words`` reads one key's
+words, ``philox_raw`` those of many keys at once, and this module's
+rules (``doubles``, ``below``) turn words into values, so no numpy
+``Generator`` method decides a drawn value.
 """
 
 from __future__ import annotations
@@ -119,23 +122,42 @@ def philox_raw(keys, count: int) -> np.ndarray:
     return words.reshape(len(keys), 4 * blocks)[:, :count]
 
 
+def words(key: int, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit words of one key's stream: row 0 of ``philox_raw([key], count)``.
+
+    Read by numpy's own C Philox, which is faster than ``philox_raw``
+    for a single key.
+    """
+    return np.random.Philox(key=key).random_raw(count)
+
+
+def doubles(words: np.ndarray) -> np.ndarray:
+    """Each word's top 53 bits times 2**-53, in [0, 1): ``Generator.random``'s rule."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def below(words: np.ndarray, p: float) -> np.ndarray:
+    """Whether each word's ``doubles`` value is below ``p``, so True with probability p."""
+    return doubles(words) < p
+
+
 def generator(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for the substream named by ``path``."""
+    """A numpy ``Generator`` on the substream named by ``path``.
+
+    No package path draws from it. It stays as the tracing target that
+    ``perfbench`` names and as the independent reference that the tests
+    compare ``words``, ``doubles`` and ``below`` with.
+    """
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *path)))
-
-
-def child_seed(seed: int, *path: int) -> int:
-    """A 64-bit seed for handing to APIs that take their own seed."""
-    return derive_key(seed, *path)
 
 
 def eval_seeds(seed: int | None, first: int, k: int) -> list:
     """The seeds of a search's evaluations first .. first + k - 1.
 
-    Evaluation j runs under ``child_seed(seed, STREAM_EVAL, j)``, so its
+    Evaluation j runs under ``derive_key(seed, STREAM_EVAL, j)``, so its
     draws depend on (seed, j) alone, however the evaluations are batched.
     A search without a seed (exact mode) gets None for each.
     """
     if seed is None:
         return [None] * k
-    return [child_seed(seed, STREAM_EVAL, j) for j in range(first, first + k)]
+    return [derive_key(seed, STREAM_EVAL, j) for j in range(first, first + k)]

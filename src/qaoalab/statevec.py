@@ -205,6 +205,8 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
 
 def check_gate(n: int, op: GateOp) -> None:
     """The op rules; ``Circuit`` and ``simulate_ops`` run them."""
+    _checks.of_type(op, GateOp, "op")
+    _checks.of_type(op.qubits, (tuple, list), "qubits")
     if op.kind not in GATE_KINDS:
         raise ValueError(f"unknown gate kind {op.kind!r}")
     arity = 2 if op.kind in TWO_QUBIT_KINDS else 1
@@ -275,11 +277,11 @@ def measure_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def sample_draws(seeds, shots: int) -> np.ndarray:
     """The (k, shots) measurement draws of k seeds: row j is ``seeds[j]``'s sample substream.
 
-    Shot i of a seed consumes draw i of its (seed, sample) substream, so
-    any prefix of the shots is reproducible independently. Its callers
-    check ``shots`` and the seeds.
+    Shot i of a seed takes ``rng.doubles`` of word i of its (seed,
+    sample) key's ``rng.words``, so any prefix of the shots is
+    reproducible independently. Its callers check ``shots`` and the seeds.
     """
-    draws = [rng.generator(seed, rng.STREAM_SAMPLE).random(shots) for seed in seeds]
+    draws = [rng.doubles(rng.words(rng.derive_key(seed, rng.STREAM_SAMPLE), shots)) for seed in seeds]
     return np.array(draws).reshape(len(draws), shots)
 
 

@@ -1,8 +1,9 @@
 """Per-shot noise: the draws of every shot, and the batched engine that runs them.
 
-This module is the one place that turns (seed, stream, shot) into twirl
-Paulis, gate errors, dephasing kicks and readout flips. A ``Plan`` lays
-out a circuit, with its DD pulses, once. ``_chunk_steps`` walks that
+This module turns (seed, stream, shot) into every shot's twirl Paulis,
+gate errors, dephasing kicks and readout flips, through the ``rng``
+rules that make words into values. A ``Plan`` lays out a circuit, with
+its DD pulses, once. ``_chunk_steps`` walks that
 layout and draws, for each row (one per shot), its twirl from the twirl
 substream, its gate errors from the trajectory substream and its
 dephasing rates from the dephasing substream. Every row's words come
@@ -53,9 +54,9 @@ on its seed, so its shots do not depend on the batch around it.
 
 ``realize`` renders one row of the same step list as a ``Circuit``,
 which is what ``noise.twirl_circuit`` and ``noise.apply_trajectory_noise``
-return, and ``_readout_flips`` gives ``noise.apply_readout_error`` its
-flips. Every row's amplitudes, with its final frame applied, equal,
-bit for bit, those of ``simulate_ops`` on that shot's rendered circuit:
+return. A shot's readout flips are ``rng.below`` of its readout words,
+as ``noise.apply_readout_error`` draws them. Every row's amplitudes,
+with its final frame applied, equal, bit for bit, those of ``simulate_ops`` on that shot's rendered circuit:
 moving a Pauli past a gate only permutes, negates or conjugates the
 factors of each product, a pending permutation only moves where each
 product happens, and a Y's factor 1j reaches the amplitudes before the
@@ -235,13 +236,13 @@ def _dephasing(keys: np.ndarray, n: int, sigma: float) -> np.ndarray:
     """Each row's quasi-static dephasing rates, normal(0, sigma) per qubit: (rows, n).
 
     Box-Muller on the words of each row's dephasing key: words 2j and
-    2j + 1 give U1 (``_unit``) and U2 = (w >> 11) * 2**-53, and with
+    2j + 1 give U1 (``_unit``) and U2 (``rng.doubles``), and with
     R = sqrt(-2 log U1) the normals R cos(2 pi U2) and R sin(2 pi U2) of
     qubits 2j and 2j + 1, each times sigma.
     """
     words = rng.philox_raw(keys, n + n % 2)
     radius = np.sqrt(-2.0 * np.log(_unit(words[:, 0::2])))
-    angle = 2.0 * np.pi * ((words[:, 1::2] >> _11) * 2.0**-53)
+    angle = 2.0 * np.pi * rng.doubles(words[:, 1::2])
     normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
     return sigma * normals.reshape(len(keys), -1)[:, :n]
 
@@ -619,19 +620,6 @@ def _frame_probs(amps: np.ndarray, frame: np.ndarray, n: int) -> np.ndarray:
     return np.take(probs, index)
 
 
-def _readout_flips(keys, width: int, p: float) -> np.ndarray:
-    """(shots, width) readout flips: bit j of shot i flips when word j of
-    ``keys[i]``, shot i's readout substream, gives a ``random()`` below ``p`` > 0.
-
-    ``random()`` is the word's top 53 bits times 2**-53, so it is below p
-    exactly when those bits are below c = ceil(p * 2**53), that is, when
-    the word is at most (c - 1) << 11 with its low 11 bits set. The bound
-    c << 11 itself is 2**64 at p = 1, which no uint64 holds.
-    """
-    c = np.uint64(math.ceil(p * 2.0**53))
-    return rng.philox_raw(keys, width) <= (c - np.uint64(1)) << _11 | np.uint64(0x7FF)
-
-
 def _point_angles(plan: Plan, angles: np.ndarray) -> dict:
     """Each RX or RZ entry's scalars at every point, as a (2k, 2) table, and the ZZ's.
 
@@ -697,6 +685,6 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
         outcomes[lo:hi] = measure_rows(probs, draws[lo:hi])
     outcomes = outcomes.ravel()  # shot i of point j at j * shots + i
     if config.p_readout > 0:
-        flips = _readout_flips(keys(rng.STREAM_READOUT), n, config.p_readout)
+        flips = rng.below(rng.philox_raw(keys(rng.STREAM_READOUT), n), config.p_readout)
         outcomes ^= flips @ (1 << np.arange(n - 1, -1, -1))
     return np.sort(outcomes.reshape(k, shots), axis=1)

@@ -10,11 +10,14 @@ Run from the repository root::
 
     python tests/code_lines.py
     python tests/code_lines.py --rev HEAD~1
+    python tests/code_lines.py --base HEAD~1
 
 It prints the count of each module and then the total: of the working
 tree, or with ``--rev`` of the modules committed at that revision, read
-with ``git ls-tree`` and ``git show``, so one command gives a change's
-counts and its parent's.
+with ``git ls-tree`` and ``git show``. With ``--base`` it prints, for
+each module and then the total, the count at that revision, the count
+of the working tree (or of ``--rev``) and the difference, so one command
+gives a change's counts against its parent's.
 """
 
 from __future__ import annotations
@@ -68,21 +71,29 @@ def sources(rev: str | None) -> dict[str, str]:
             if name.endswith(".py")}
 
 
+def module_counts(rev: str | None) -> dict[str, int]:
+    """The code lines of each module by name, of the working tree or at ``rev``, and their total."""
+    counts = {name: code_lines(text) for name, text in sorted(sources(rev).items())}
+    return {**counts, "total": sum(counts.values())}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Count the code lines of each src/qaoalab module.")
     parser.add_argument("--rev", help="count the modules committed at this git revision")
+    parser.add_argument("--base", help="also count at this git revision, and print the differences")
     args = parser.parse_args(argv)
     try:
-        texts = sources(args.rev)
+        new = module_counts(args.rev)
+        old = {} if args.base is None else module_counts(args.base)
     except subprocess.CalledProcessError as exc:
         print(f"error: {' '.join(exc.cmd)}: {exc.stderr.strip()}", file=sys.stderr)
         return 1
-    total = 0
-    for name, text in sorted(texts.items()):
-        count = code_lines(text)
-        total += count
-        print(f"{name:16s} {count:5d}")
-    print(f"{'total':16s} {total:5d}")
+    for name in [*sorted((new.keys() | old.keys()) - {"total"}), "total"]:
+        count = new.get(name, 0)
+        if args.base is None:
+            print(f"{name:16s} {count:5d}")
+        else:
+            print(f"{name:16s} {old.get(name, 0):5d} {count:5d} {count - old.get(name, 0):+5d}")
     return 0
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import qaoalab
 from qaoalab import _checks, ansatz, objective, trajectories
-from qaoalab.ansatz import QaoaParams, build_qaoa_circuit, run_circuit
+from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit, qaoa_states, run_circuit
 from qaoalab.graph import (
     MaxCutInstance,
     brute_force_maxcut,
@@ -29,10 +29,10 @@ from qaoalab.noise import (
     schedule_circuit,
     twirl_circuit,
 )
-from qaoalab.objective import Engine, evaluate_qaoa, make_objective
+from qaoalab.objective import Engine, energy_from_counts, evaluate_qaoa, make_objective
 from qaoalab.optim import MinimizeProblem, minimize, random_qaoa_starts
 from qaoalab.plots import render_histogram, render_trace
-from qaoalab.statevec import counts_from_tally, sample_counts, zero_state
+from qaoalab.statevec import GateOp, counts_from_tally, sample_counts, simulate_ops, zero_state
 
 CANONICAL = canonical_instance()
 PARAMS = QaoaParams((0.3,), (0.9,))
@@ -282,6 +282,20 @@ BAD_INPUTS = {
     "histogram-int-highlight": (lambda: render_histogram({"01": 3}, highlight=5), "highlight"),
     "histogram-int-title": (lambda: render_histogram({"01": 3}, title=5), "title"),
     "parse-bytes": (lambda: parse_edge_list(b"2\n0 1\n"), "text"),
+    "circuit-int-op": (lambda: Circuit(2, [1]), "op"),
+    "simulate-int-op": (lambda: simulate_ops(2, [1]), "op"),
+    "simulate-int-qubits": (lambda: simulate_ops(2, [GateOp("H", 0)]), "qubits"),
+    "circuit-none-ops": (lambda: Circuit(2, None), "ops"),
+    "circuit-string-ops": (lambda: Circuit(2, "H"), "ops"),
+    "params-none": (lambda: QaoaParams(None, None), "betas"),
+    "params-none-gammas": (lambda: QaoaParams((0.1,), None), "gammas"),
+    "instance-none-edges": (lambda: MaxCutInstance(3, None), "edges"),
+    "instance-int-weights": (lambda: MaxCutInstance(2, [(0, 1)], 1.0), "weights"),
+    "states-none-thetas": (lambda: qaoa_states(CANONICAL, None), "thetas"),
+    "states-flat-thetas": (lambda: qaoa_states(CANONICAL, [0.1, 0.2]), "thetas"),
+    "states-odd-thetas": (lambda: qaoa_states(CANONICAL, [[0.1, 0.2, 0.3]]), "thetas"),
+    "energy-none-counts": (lambda: energy_from_counts(None, CANONICAL), "counts"),
+    "histogram-list-counts": (lambda: render_histogram([("01", 3)]), "counts"),
 }
 
 

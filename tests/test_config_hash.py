@@ -101,7 +101,7 @@ def reference_cell_raw(config, cell: dict, idx: int, swept: bool) -> dict:
         "shots": cell.get("shots", config.shots),
         "mode": config.mode,
         "noise": cell.get("noise", "none"),
-        "seed": rng.child_seed(config.seed, rng.STREAM_CELL, idx) if swept else config.seed,
+        "seed": rng.derive_key(config.seed, rng.STREAM_CELL, idx) if swept else config.seed,
         "max_evals": config.max_evals,
     }
     if "noise" not in cell:

@@ -302,7 +302,7 @@ def test_final_counts_and_energy_are_evaluate_qaoa_at_the_final_seed(tmp_path, r
     final = evaluate_qaoa(config.instance, QaoaParams.from_vector(np.array(summary["theta"])),
                           "sampled" if config.mode == "exact" else config.mode,
                           shots=config.shots, noise=config.noise,
-                          seed=rng.child_seed(config.seed, rng.STREAM_FINAL))
+                          seed=rng.derive_key(config.seed, rng.STREAM_FINAL))
     assert json.loads((tmp_path / "counts.json").read_text())["counts"] == (
         counts_from_tally(final.tally))
     assert summary["final_energy"] == final.energy
@@ -346,7 +346,7 @@ def test_a_depth_zero_run_scores_its_one_entry_on_its_own_engine(tmp_path, monke
     assert engines.built == 1
     for (name, _, cell), row in zip(sweep_cells(config), rows):
         seed = (None if cell.mode == "exact" else
-                rng.eval_seeds(rng.child_seed(cell.seed, rng.STREAM_EVAL, 0), 0, 1)[0])
+                rng.eval_seeds(rng.derive_key(cell.seed, rng.STREAM_EVAL, 0), 0, 1)[0])
         energy = evaluate_qaoa(cell.instance, QaoaParams((), ()), cell.mode, shots=cell.shots,
                                seed=seed, noise=cell.noise).energy
         assert row["f_best"] == energy
@@ -397,7 +397,7 @@ def test_a_depth_zero_run_is_one_search_whatever_its_restarts(tmp_path):
     summary = run_experiment(config, out_dir=tmp_path).summary
     assert (summary["total_evals"], summary["evals_used"]) == (1, 1)
     assert summary["status"] == STATUS_CONVERGED
-    seed = rng.eval_seeds(rng.child_seed(config.seed, rng.STREAM_EVAL, 0), 0, 1)[0]
+    seed = rng.eval_seeds(rng.derive_key(config.seed, rng.STREAM_EVAL, 0), 0, 1)[0]
     energy = evaluate_qaoa(config.instance, QaoaParams((), ()), "sampled", shots=128,
                            seed=seed).energy
     assert summary["best_energy"] == energy

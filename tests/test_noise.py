@@ -52,7 +52,7 @@ def with_dd(circuit: Circuit, config: NoiseConfig) -> Circuit:
 
 def shot_circuit(base: Circuit, config: NoiseConfig, shot: int, seed: int) -> Circuit:
     """One shot's circuit from the reference: a fresh twirl and its trajectory realization."""
-    twirl_seed = rng.child_seed(seed, rng.STREAM_TWIRL, shot) if config.twirling else None
+    twirl_seed = rng.derive_key(seed, rng.STREAM_TWIRL, shot) if config.twirling else None
     return noise_reference.apply_trajectory_noise(base, config, shot, seed, twirl_seed)
 
 
@@ -783,7 +783,7 @@ def assert_views_equal_reference(circuit: Circuit, config: NoiseConfig, shot: in
         expected = noise_reference.apply_trajectory_noise(c, config, shot, seed)
         assert apply_trajectory_noise(c, config, shot, seed).ops == expected.ops
     # one row with both draws: the circuit sample_noisy runs for this shot
-    twirl_seed = rng.child_seed(seed, rng.STREAM_TWIRL, shot)
+    twirl_seed = rng.derive_key(seed, rng.STREAM_TWIRL, shot)
     row = trajectories.realize(base, config, shot, seed, twirl_seed=twirl_seed)
     assert row.ops == shot_circuit(base, replace(config, twirling=True), shot, seed).ops
     bits = format((seed + shot) % (1 << circuit.n), f"0{circuit.n}b")
@@ -857,7 +857,7 @@ def assert_batch_equals_points(canonical, config, thetas, shots, seed, monkeypat
     assert len(calls) == 1 and calls[0].shape == (len(thetas), 32)
     for j, theta in enumerate(thetas):
         point = evaluate_qaoa(canonical, QaoaParams.from_vector(theta), "noisy", shots=shots,
-                              seed=rng.child_seed(seed, rng.STREAM_EVAL, j), noise=config)
+                              seed=rng.derive_key(seed, rng.STREAM_EVAL, j), noise=config)
         assert energies[j] == point.energy
         assert np.array_equal(calls[0][j], point.tally)
 

@@ -364,7 +364,7 @@ def test_noisy_batch_runs_each_point_at_its_own_seed(canonical):
     thetas = np.array([[0.3, 0.9], [1.1, 0.2], [0.3, 0.9]])
     energies = make_objective(canonical, 1, "noisy", shots=64, seed=21, noise=noise)(thetas)
     for j, (theta, energy) in enumerate(zip(thetas, energies.tolist())):
-        seed = rng.child_seed(21, rng.STREAM_EVAL, j)
+        seed = rng.derive_key(21, rng.STREAM_EVAL, j)
         assert energy == evaluate_qaoa(canonical, QaoaParams.from_vector(theta), "noisy",
                                        shots=64, seed=seed, noise=noise).energy
 

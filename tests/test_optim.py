@@ -377,7 +377,7 @@ def test_sampled_batches_use_one_seed_per_evaluation(method, canonical):
                               np.array([0.4, 0.9, 1.2, 0.3]), max_evals=40, seed=seed)
     result = minimize(method, problem)
     for i, (theta, energy) in enumerate(zip(result.thetas.tolist(), result.energies.tolist())):
-        eval_seed = rng.child_seed(seed, rng.STREAM_EVAL, i)
+        eval_seed = rng.derive_key(seed, rng.STREAM_EVAL, i)
         params = QaoaParams.from_vector(np.array(theta))
         assert energy == evaluate_qaoa(canonical, params, "sampled", shots=128,
                                        seed=eval_seed).energy
@@ -566,8 +566,8 @@ def lockstep_problems(specs, engines: dict):
 
 
 def seeded_rows(result, seed):
-    """The (row, seed) pairs of a search's log: its j-th row at child_seed(seed, STREAM_EVAL, j)."""
-    return [(tuple(t), None if seed is None else rng.child_seed(seed, rng.STREAM_EVAL, j))
+    """The (row, seed) pairs of a search's log: its j-th row at derive_key(seed, STREAM_EVAL, j)."""
+    return [(tuple(t), None if seed is None else rng.derive_key(seed, rng.STREAM_EVAL, j))
             for j, t in enumerate(result.thetas.tolist())]
 
 
