@@ -355,26 +355,36 @@ def _starts(config: ExperimentConfig) -> list[np.ndarray]:
     return random_qaoa_starts(config.p, config.restarts, config.seed)
 
 
-def _optimize(configs: list[ExperimentConfig]) -> list[tuple[Engine, MinimizeResult, int]]:
-    """(engine, best restart, evaluations of all restarts) of each config, from one lockstep run.
+def _engines(configs: list[ExperimentConfig]) -> list[Engine]:
+    """Each config's engine, one shared by configs with equal engine arguments.
 
-    Configs with equal engine arguments (instance, p, mode, shots and
-    noise) share one engine. Every restart of every config is one search
-    of a single ``minimize_lockstep`` call, which sends each round's rows
-    of the searches on one engine to it in one call. Restart r searches
-    under the seed ``derive_key(config.seed, STREAM_EVAL, r)`` (none in
-    exact mode), so it keeps the seeds, log and status it gets when run
-    alone. At p = 0 the one search is over zero angles: it scores the
-    uniform state once and converges.
+    The engine arguments are the instance, p, mode, shots and noise. An
+    engine checks what only it can, such as a noisy plan's kick angles,
+    so a run builds its engines before it makes any directory.
     """
     engines: dict[tuple, Engine] = {}
-    plans = []
     for config in configs:
         args = (config.instance, config.p, config.mode, config.shots, config.noise)
         if args not in engines:
             engines[args] = Engine(config.instance, config.p, config.mode,
                                    shots=config.shots, noise=config.noise)
-        plans.append((config, engines[args], _starts(config)))
+    return [engines[config.instance, config.p, config.mode, config.shots, config.noise]
+            for config in configs]
+
+
+def _optimize(configs: list[ExperimentConfig],
+              engines: list[Engine]) -> list[tuple[Engine, MinimizeResult, int]]:
+    """(engine, best restart, evaluations of all restarts) of each config, from one lockstep run.
+
+    Config j runs on ``engines[j]`` (``_engines``). Every restart of
+    every config is one search of a single ``minimize_lockstep`` call,
+    which sends each round's rows of the searches on one engine to it in
+    one call. Restart r searches under the seed ``derive_key(config.seed,
+    STREAM_EVAL, r)`` (none in exact mode), so it keeps the seeds, log
+    and status it gets when run alone. At p = 0 the one search is over
+    zero angles: it scores the uniform state once and converges.
+    """
+    plans = [(config, engine, _starts(config)) for config, engine in zip(configs, engines)]
     results = iter(minimize_lockstep(
         (config.method, MinimizeProblem(
             engine, x0, max_evals=config.max_evals,
@@ -398,9 +408,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     if config.sweep:
         raise ConfigError(f"sweep: the config sweeps {sorted(config.sweep)}, which one run does "
                           "not cover; run it with `qaoalab sweep` (run_sweep)")
+    engines = _engines([config])
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    [outcome] = _optimize([config])
+    [outcome] = _optimize([config], engines)
     return _write_run(config, *outcome, out)
 
 
@@ -488,9 +499,11 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     bytes each cell writes when run alone through ``run_experiment``.
     """
     cells = sweep_cells(_checks.of_type(config, ExperimentConfig, "config"))
+    cell_configs = [cell_config for _, _, cell_config in cells]
+    engines = _engines(cell_configs)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
-    outcomes = _optimize([cell_config for _, _, cell_config in cells])
+    outcomes = _optimize(cell_configs, engines)
     rows = []
     for idx, ((name, labels, cell_config), outcome) in enumerate(zip(cells, outcomes)):
         cell_dir = out / name

@@ -28,6 +28,7 @@ Mitigation passes rewrite circuits:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,7 +52,8 @@ class NoiseConfig:
 
     p1q / p2q: probability of a uniform random Pauli (pair) after each
     one-/two-qubit gate. p_readout: independent per-bit flip probability.
-    epsilon_coherent: ZZ over-rotation angle appended after every CNOT.
+    epsilon_coherent: ZZ over-rotation angle appended after every CNOT;
+    the ZZ is an RZ(2 epsilon), so 2 epsilon must be finite too.
     sigma_dephase: std-dev of the per-shot, per-qubit quasi-static
     dephasing rate applied over idle time. In the ASAP schedule, a
     qubit's idle time is kicked as one RZ just before the next op on
@@ -75,6 +77,9 @@ class NoiseConfig:
         for name, lo, hi in (("p1q", 0, 1), ("p2q", 0, 1), ("p_readout", 0, 1),
                              ("epsilon_coherent", None, None), ("sigma_dephase", 0, None)):
             object.__setattr__(self, name, _checks.real(getattr(self, name), name, lo, hi))
+        if not math.isfinite(2.0 * self.epsilon_coherent):
+            raise ValueError(f"epsilon_coherent: the ZZ angle 2 * epsilon_coherent must be "
+                             f"finite, got epsilon_coherent {self.epsilon_coherent!r}")
         _checks.flag(self.twirling, "twirling")
         _checks.flag(self.dd, "dd")
         _checks.one_of(self.dd_sequence, sorted(DD_SEQUENCES), "dd_sequence")

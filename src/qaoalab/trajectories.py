@@ -2,48 +2,55 @@
 
 This module turns (seed, stream, shot) into every shot's twirl Paulis,
 gate errors, dephasing kicks and readout flips, through the ``rng``
-rules that make words into values. A ``Plan`` lays out a circuit, with
-its DD pulses, once. ``_chunk_steps`` walks that
-layout and draws, for each row (one per shot), its twirl from the twirl
-substream, its gate errors from the trajectory substream and its
-dephasing rates from the dephasing substream. Every row's words come
+rules that make words into values. A row (one per shot) draws its twirl
+from the twirl substream, its gate errors from the trajectory substream
+and its dephasing rates from the dephasing substream, every row's words
 from one vectorized Philox (``rng.philox_raw``). Gate errors cost per
 error, not per site: ``_gate_errors`` runs an exponential race over the
 cumulative rates of the error sites, which every row shares, one word
 to reach the next hit and one for its Pauli (Gidney, arXiv 2103.02202,
 draws the gap to the next error the same way), and drops a hit on a
-twirl slot that the row leaves empty. ``_dephasing`` takes the rates
-by Box-Muller. The result is one ordered step list, one step kind per
-effect (a shared gate, a Pauli, a dephasing kick, a coherent ZZ), and
-it is all that ``_run_rows`` and ``realize`` read.
+twirl slot that the row leaves empty. ``_dephasing`` takes the rates by
+Box-Muller.
+
+A ``Plan`` lays out a circuit, with its DD pulses, once, and compiles
+it (``_compile``). Its amplitude program is the H, RX and diagonal
+steps alone; an RZ, a dephasing kick and a coherent ZZ are one
+diagonal, a Z rotation on the parity of one or two qubits' bits. A
+Pauli, a CNOT or a DELAY touches no amplitude: each row keeps a Pauli
+frame (Knill, Nature 434, 2005), and every update of the frame's X and
+Z bits is an XOR, so everything the program reads of a frame is
+linear over GF(2) in the Paulis put in: an RX reads its qubit's Z bit,
+a diagonal reads whether the frame's power of 1j is odd (its settle
+bit, which toggles at each Y) and then the parity of its qubits' X
+bits, and a measurement reads the final X bits. These are a row's
+events. One backward pass over the layout tells, for every place a
+Pauli goes, which events its X, Z and Y flip, as a detector error model
+does (Gidney, arXiv 2103.02202); the plan folds that into a constant
+for the circuit's own Paulis and DD pulses, 16 entries per twirled CNOT
+and 3 or 15 per error site. A CNOT also goes into a pending index
+permutation, which every diagonal reads through its inverse, and the
+columns return to basis order before the next H or RX and at the end.
 
 ``sample`` is the noisy engine, on one plan per ``objective.Engine``.
 It takes k points at once, each a seed and a row of RX and RZ angles
 for the circuit, and runs their k * shots trajectories as the rows of
-one (rows, 2^n) complex array, in chunks. ``_run_rows`` keeps a Pauli
-frame per row (Knill, Nature 434, 2005; Gidney, arXiv 2103.02202): a
-Pauli step only updates the frames. The rows share one array row
-until the first step that treats them apart, so the H layer and the
-CNOTs before it run once. An H runs through ``statevec.apply_rows``,
-the kernel ``simulate_ops`` runs too. A CNOT moves no amplitude: it
-goes into a pending index permutation, which every diagonal reads
-through its inverse, and the columns return to basis order before the
-next H or RX and at the end. H and CNOT pass the frames exactly. A
-rotation, a dephasing kick or a coherent ZZ runs on every row, and
-every factor it multiplies by is a ``statevec.rotation_pairs`` pair,
-read by one rule from a (2P, 2) table of P pairs over their
-conjugates: row r takes table row flip_r * P + base_r, where base_r
-is its point, or for a kick the row itself, and flip_r is 1 when its
-frame anticommutes with the rotation. RX, RZ and the coherent ZZ read
-per-point tables from ``_point_angles``; a chunk's kicks read per-row
-tables made by one call, one per distinct qubit and idle time. An RZ,
-a kick and a ZZ are one diagonal, a Z rotation on the parity of one
-or two qubits' bits. Every row's products are written into one
-scratch array beside the amplitudes, so a step allocates no array of
-them.
-A row's final frame is never applied: only its X part moves a
-probability, so ``_frame_probs`` reads each row's probabilities at
-its flipped indices, and each chunk's shots are one
+one (rows, 2^n) complex array, in chunks (``_run_chunk``). A row's
+event bits are the constant XOR its CNOTs' entries at its twirl draws
+XOR its hits' entries, and the walk then runs the program only. The
+rows share one array row until the first RX or diagonal, so the H
+layer runs once. Every factor a rotation multiplies by is a
+``statevec.rotation_pairs`` pair, read by one rule from a (2P, 2)
+table of P pairs over their conjugates: row r takes table row flip_r *
+P + base_r, where base_r is its point, or for a kick the row itself,
+and flip_r is the event that says its frame anticommutes with the
+rotation. RX, RZ and the coherent ZZ read per-point tables from
+``_point_angles``; a chunk's kicks read per-row tables made by one
+call, one per distinct qubit and idle time. Every row's products are
+written into one scratch array beside the amplitudes, so a step
+allocates no array of them. A row's final frame is never applied: only
+its X part moves a probability, so ``_frame_probs`` reads each row's
+probabilities at its flipped indices, and each chunk's shots are one
 ``statevec.measure_rows`` call on those and the rows' ``sample_draws``.
 ``sample`` returns each point's shots as ascending basis indices.
 ``plan.per_shot`` alone decides how many rows a point has: one per
@@ -52,17 +59,22 @@ one row that takes all of the point's draws. Either way a chunk holds
 ``_CHUNK_BYTES`` of amplitudes, or one row. A point's draws depend only
 on its seed, so its shots do not depend on the batch around it.
 
-``realize`` renders one row of the same step list as a ``Circuit``,
-which is what ``noise.twirl_circuit`` and ``noise.apply_trajectory_noise``
-return. A shot's readout flips are ``rng.below`` of its readout words,
-as ``noise.apply_readout_error`` draws them. Every row's amplitudes,
-with its final frame applied, equal, bit for bit, those of ``simulate_ops`` on that shot's rendered circuit:
-moving a Pauli past a gate only permutes, negates or conjugates the
-factors of each product, a pending permutation only moves where each
-product happens, and a Y's factor 1j reaches the amplitudes before the
-next diagonal product, as it does there (``_settle``). The frame's
-signs and power of 1j then change no bit of a squared modulus, so the
-probabilities a shot is drawn from are those of the rendered circuit.
+``_chunk_steps`` lays the same draws out as one ordered step list, one
+step kind per effect (a shared gate, a Pauli, a dephasing kick, a
+coherent ZZ). It is the reference the engine is checked against: the
+tests walk it with a frame per row, and ``realize`` renders one row of
+it as a ``Circuit``, which is what ``noise.twirl_circuit`` and
+``noise.apply_trajectory_noise`` return. A shot's readout flips are
+``rng.below`` of its readout words, as ``noise.apply_readout_error``
+draws them. Every row's amplitudes, with its final frame applied,
+equal, bit for bit, those of ``simulate_ops`` on that shot's rendered
+circuit: moving a Pauli past a gate only permutes, negates or
+conjugates the factors of each product, a pending permutation only
+moves where each product happens, and a Y's factor 1j reaches the
+amplitudes before the next diagonal product, as it does there. The
+frame's signs and power of 1j then change no bit of a squared modulus,
+so the probabilities a shot is drawn from are those of the rendered
+circuit.
 
 ``noise`` and ``objective`` import this module when they first need it,
 so work that never samples with noise does not load it.
@@ -72,7 +84,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +94,7 @@ import numpy as np
 from . import noise, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .noise import PAULI_KINDS, NoiseConfig
-from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _cnot_perm, _x_perm, apply_rows,
+from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _x_perm, apply_rows,
                        measure_rows, rotation_pairs, sample_draws, zero_state)
 
 # Bytes of amplitudes simulated at once: a chunk holds this many bytes'
@@ -88,18 +102,14 @@ from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _cnot_perm, _x_perm,
 # rows), and at least one.
 _CHUNK_BYTES = 1 << 20
 
-# Pauli ids 0..3 are I, X, Y, Z. A row's Pauli frame (m, z, e) says that
-# the row's state is
-#   psi[i] = 1j**e * (-1)**popcount(i & z) * a[i ^ m],
-# the operator 1j**e Z^z X^m applied to the row ``a`` of the array, with
-# qubit q at bit n-1-q of m and z, as in a basis index. A frame is one
-# integer: m in bits 0..n-1, z in bits n..2n-1 and e from bit 2n up, of
-# which only the two low bits count (a sum that wraps keeps them).
+# Pauli ids 0..3 are I, X, Y, Z: the X bit (m) and Z bit (z) of each
 _FRAME_M = np.array([0, 1, 1, 0], dtype=np.int64)
 _FRAME_Z = np.array([0, 0, 1, 1], dtype=np.int64)
-_FRAME_E = np.array([0, 0, 3, 0], dtype=np.int64)
 # the Pauli id of bits (m, z): the inverse of _FRAME_M and _FRAME_Z
 _PAULI_ID = np.array([[0, 3], [1, 2]])
+# The largest |normal| of ``_dephasing``: sqrt(-2 log U1) with U1 >= 2**-53
+# is at most sqrt(106 log 2) = 8.57167..., rounded up.
+_MAX_NORMAL = 8.5718
 
 
 def _twirl_image() -> np.ndarray:
@@ -119,26 +129,6 @@ _TWIRL_IMAGE = _twirl_image()
 # the Paulis of twirl draw v, in slot order: v >> 2, v & 3 and its image's
 _TWIRL_SLOTS = np.stack([np.arange(16) >> 2, np.arange(16) & 3,
                          _TWIRL_IMAGE >> 2, _TWIRL_IMAGE & 3], axis=-1)
-
-
-@lru_cache(maxsize=512)
-def _pauli_tables(n: int, q: int) -> tuple:
-    """What a Pauli on qubit q, applied after a frame, does to it: (flip, phase).
-
-    P Z^z X^m = (-1)**(m_P & z_q) * Z^(z ^ z_P) X^(m ^ m_P) times P's own
-    phase, so id's bits are XORed in (``flip[id]``) and its phase is
-    added (``phase[id + 4 * z_q]``, with z_q the frame's z bit of q).
-    """
-    s = n - 1 - q
-    flip = _FRAME_M << s | _FRAME_Z << (n + s)
-    phase = np.concatenate([_FRAME_E, _FRAME_E + 2 * _FRAME_M]) << 2 * n
-    return flip, phase
-
-
-def _compose(frame, ids, n: int, q: int):
-    """The frames after Pauli ``ids`` on qubit q: one id per frame, or one for all."""
-    flip, phase = _pauli_tables(n, q)
-    return (frame ^ flip[ids]) + phase[ids + 4 * ((frame >> (2 * n - 1 - q)) & 1)]
 
 
 class _Entry(NamedTuple):
@@ -193,7 +183,7 @@ def _reach(p: np.ndarray) -> np.ndarray:
     return np.cumsum(rate)
 
 
-def _gate_errors(plan, keys: np.ndarray, twirl) -> tuple:
+def _gate_errors(plan, keys: np.ndarray, draws) -> tuple:
     """Each row's gate errors, by an exponential race over the plan's sites.
 
     A row reads the words of its trajectory key in turn. A word gives
@@ -204,11 +194,11 @@ def _gate_errors(plan, keys: np.ndarray, twirl) -> tuple:
     site's ``plan.bound``. The race ends when E passes the last site. An
     exponential clock forgets how long it ran, so each site is hit with
     its own probability, independently of the others. A hit on a twirl
-    slot that the row's ``twirl`` ids (rows, slots) leave empty is
-    dropped. Every live row hits once a step, so all read the same word;
+    slot that the row's twirl ``draws`` (rows, CNOTs; ``_twirl_draws``)
+    leave empty is dropped. Every live row hits once a step, so all read the same word;
     those still racing when the words run out read again, wider.
-    Returns (row, entry index, value) arrays of the hits, sorted by entry,
-    of the one or more rows of ``keys``.
+    Returns (row, site, value) arrays of the hits, sorted by site (an
+    index into ``plan.sites``), of the one or more rows of ``keys``.
     """
     rows, reach = len(keys), plan.reach
     words = rng.philox_raw(keys, plan.width)
@@ -224,12 +214,12 @@ def _gate_errors(plan, keys: np.ndarray, twirl) -> tuple:
         found.append((live, site, ((words[live, pos + 1] >> _11) * plan.bound[site]) >> _53))
         at, pos = reach[site], pos + 2
     row, site, value = (np.concatenate(column) for column in zip(*found))
-    if twirl is not None:
+    if draws is not None:
         slot = plan.site_slot[site]
-        keep = (slot < 0) | (twirl[row, slot] != 0)
+        keep = (slot < 0) | (_TWIRL_SLOTS[draws[row, slot >> 2], slot & 3] != 0)
         row, site, value = row[keep], site[keep], value[keep]
     order = np.argsort(site, kind="stable")
-    return row[order], plan.sites[site[order]], value[order].astype(np.int64)
+    return row[order], site[order], value[order].astype(np.int64)
 
 
 def _dephasing(keys: np.ndarray, n: int, sigma: float) -> np.ndarray:
@@ -247,7 +237,7 @@ def _dephasing(keys: np.ndarray, n: int, sigma: float) -> np.ndarray:
     return sigma * normals.reshape(len(keys), -1)[:, :n]
 
 
-def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None) -> list:
+def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None, every: bool = False) -> list:
     """Idle time that trajectory noise turns into dephasing kicks, per row.
 
     Walks the ASAP schedule of each row's own twirled circuit: every row
@@ -260,7 +250,9 @@ def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None) -> list:
     next op on its qubit, whatever that op's duration, idle time after a
     qubit's last op is trailing, and DELAY k is kicked at k + 1. A
     one-qubit op starts when its qubit is ready, so only a two-qubit op
-    (never a twirl slot) leaves one of its qubits idle.
+    (never a twirl slot) leaves one of its qubits idle. With ``every``,
+    a kick that no row idles for is kept too, so the list holds every
+    place a kick can go whatever the twirl, in the same order.
     """
     rows = 1 if twirl is None else len(twirl)
     ready = [np.zeros(rows) for _ in range(n)]
@@ -281,13 +273,13 @@ def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None) -> list:
         end = start + entry.duration
         for q in sorted(entry.qubits):
             dur = start - ready[q]
-            if dur.any():
+            if every or dur.any():
                 kicks.append((k, q, dur))
             ready[q] = end
         np.maximum(makespan, end, out=makespan)
     for q in range(n):
         dur = makespan - ready[q]
-        if dur.any():
+        if every or dur.any():
             kicks.append((len(entries), q, dur))
     return kicks
 
@@ -309,11 +301,18 @@ class Plan:
     shot's ``_idle_kicks`` when the config dephases and no twirl moves
     them, else None; ``per_shot``, whether the plan has twirl slots,
     error sites or dephasing, says whether the shots of a point differ
-    at all, which alone decides how ``sample`` shares rows.
+    at all, which alone decides how ``sample`` shares rows. The rest is
+    ``_compile``'s: the amplitude ``program`` and its ``final`` gather,
+    the count of ``events`` a row's frame bits hold, the tables that
+    give them (``const``, ``twirl_table``, ``site_table``), and the
+    events a chunk reads as flips and settles (``flips``, ``flip_kick``,
+    ``settles``). A dephasing config is refused when a kick's angle
+    could overflow (``_check_kick_angles``).
     """
 
     __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots", "sites",
-                 "reach", "bound", "site_slot", "width", "kicks", "per_shot")
+                 "reach", "bound", "site_slot", "width", "kicks", "per_shot", "program", "final",
+                 "events", "const", "twirl_table", "site_table", "flips", "flip_kick", "settles")
 
     def __init__(self, circuit: Circuit, config: NoiseConfig):
         ops, order = circuit.ops, range(len(circuit.ops))
@@ -347,25 +346,270 @@ class Plan:
         dephasing = config.sigma_dephase > 0
         self.kicks = _idle_kicks(entries, self.n) if dephasing and not self.slots else None
         self.per_shot = bool(self.slots) or bool(sites.size) or dephasing
+        kicks = []
+        if dephasing:
+            _check_kick_angles(entries, self.n, config.sigma_dephase)
+            # with a twirl, every place a kick can go; a chunk runs those its rows idle at
+            kicks = self.kicks if self.kicks is not None else _idle_kicks(
+                entries, self.n, np.zeros((1, len(self.slots))), every=True)
+        _compile(self, kicks)
 
 
-def _twirl_ids(keys: np.ndarray, n_cnots: int) -> np.ndarray:
-    """Each shot's twirl Paulis as ids of shape (shots, 4 * CNOTs).
+def _check_kick_angles(entries, n: int, sigma: float) -> None:
+    """Refuse a ``sigma`` whose dephasing kicks could turn an angle infinite.
+
+    A kick's angle is 2 delta d, with |delta| at most ``_MAX_NORMAL``
+    sigma and its idle time d at most the makespan of the layout with
+    every twirl slot filled, which no row's own schedule exceeds.
+    """
+    ready = [0.0] * n
+    for entry in entries:
+        end = max(ready[q] for q in entry.qubits) + entry.duration
+        for q in entry.qubits:
+            ready[q] = end
+    makespan = max(ready)
+    if not math.isfinite(2.0 * (_MAX_NORMAL * sigma) * makespan):
+        raise ValueError(f"noise.sigma_dephase: 2 * {_MAX_NORMAL} * sigma_dephase * makespan, "
+                         f"the largest kick angle, must be finite, got sigma_dephase {sigma!r} "
+                         f"and makespan {makespan!r}")
+
+
+@lru_cache(maxsize=512)
+def _parity_values(n: int, mask: int) -> np.ndarray:
+    """``_bit_values`` of the qubits whose index bits are set in ``mask``."""
+    return _bit_values(n, *(n - 1 - b for b in range(n) if mask >> b & 1))
+
+
+@lru_cache(maxsize=512)
+def _linear_perm(n: int, images: tuple) -> np.ndarray:
+    """The index map that is linear in the bits of an index and sends bit b to ``images[b]``."""
+    index = np.arange(1 << n)
+    perm = np.bitwise_xor.reduce([(index >> b & 1) * image for b, image in enumerate(images)])
+    perm.flags.writeable = False
+    return perm
+
+
+def _words(masks: list, width: int) -> np.ndarray:
+    """Python-int bit sets as rows of ``width`` uint64 words, bit i in word i // 64."""
+    data = b"".join(map(int.to_bytes, masks, repeat(8 * width), repeat("little")))
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), width)
+
+
+def _compile(plan: Plan, kicks: list) -> None:
+    """Lay out the amplitude program of ``plan`` and the tables of its frame reads.
+
+    The program is the H, RX and diagonal steps (RZ, coherent ZZ and
+    each of ``kicks``, a kick by its number there), in layout order,
+    each with its static data: an H or RX carries the gather that puts
+    the columns back in basis order (None when the pending CNOT
+    permutation is the identity), a diagonal its ``_bit_values`` read
+    through the permutation's inverse, and ``plan.final`` is the last
+    gather. A row's frame bits are events: bit j < n is the final X bit
+    of qubit n-1-j, an RX reads its qubit's Z bit, and a diagonal reads
+    its settle bit (whether the frame's power of 1j is odd, the parity
+    of the Ys since the last diagonal) and then the parity of its
+    qubits' X bits. Every frame update is an XOR, so each event is the
+    XOR of what each inserted Pauli flips; one backward pass gives, for
+    every place a Pauli goes, the events its X, Z and Y flip: a CNOT
+    maps them by the transpose of its frame update, an H swaps X and Z,
+    and a diagonal's settle bit takes the Ys before it. These fold into
+    ``const`` (the circuit's Paulis and DD pulses), ``twirl_table``
+    (CNOT c's 16 twirl draws, its four slots together) and
+    ``site_table`` (site s's 3 or 15 error values), each entry a row of
+    uint64 words. ``flips`` and ``settles`` are the events a chunk reads
+    as flip bits and settle bits, but for those no entry sets (a flip
+    that is always 0, a settle that never runs); ``flip_kick`` marks the
+    flips of kicks, which pick per-row tables.
+    """
+    n, entries = plan.n, plan.entries
+    kicks_at: dict[int, list] = {}
+    for j, (k, q, _) in enumerate(kicks):
+        kicks_at.setdefault(k, []).append((j, q))
+    sites = set(plan.sites.tolist())
+    zz = plan.config.epsilon_coherent != 0.0
+
+    # The backward pass. mx[q] and mz[q] are the events an X and a Z on
+    # qubit q flip from here on, and odd the settle event a Y flips (-1 for
+    # none). A Pauli goes after its entry and reads a snapshot of (mx, mz,
+    # odd) of its qubit, one shared until it changes. The program's steps
+    # are gathered last first, with their events.
+    mx, mz, odd, const = [1 << (n - 1 - q) for q in range(n)], [0] * n, -1, 0
+    xs, zs, odds, snap = [], [], [], [-1] * n
+    slot_snaps, site_snaps, steps = [], [], []
+    events = n
+
+    def diagonal(qubits, key, kick):
+        nonlocal events, odd, snap
+        for q in qubits:
+            mx[q] ^= 1 << (events + 1)
+        odd, snap = events, [-1] * n
+        steps.append(("D", qubits, key, events, kick))
+        events += 2
+
+    def snapshot(q) -> int:
+        if snap[q] < 0:
+            snap[q] = len(xs)
+            xs.append(mx[q])
+            zs.append(mz[q])
+            odds.append(odd)
+        return snap[q]
+
+    def kicks_before(k):
+        for j, q in reversed(kicks_at.get(k, ())):
+            diagonal((q,), None, j)
+
+    kicks_before(len(entries))
+    for k in range(len(entries) - 1, -1, -1):
+        entry = entries[k]
+        op, qubits = entry.op, entry.qubits
+        if op is None:  # a twirl slot, whose error site is the same place
+            slot_snaps.append(snapshot(qubits[0]))
+            if k in sites:
+                site_snaps += -1, slot_snaps[-1]
+            kicks_before(k)
+            continue
+        kind = op.kind
+        if k in sites:
+            site_snaps += ((snapshot(qubits[0]), snapshot(qubits[1])) if kind == "CNOT"
+                           else (-1, snapshot(qubits[0])))
+        if kind == "CNOT":
+            if zz:
+                diagonal(qubits, "zz", None)
+            c, t = qubits
+            mx[c] ^= mx[t]  # an X on the control reaches the target
+            mz[t] ^= mz[c]  # and a Z on the target the control
+            snap[c] = snap[t] = -1
+            steps.append(("C", c, t))
+        elif kind == "RZ":
+            diagonal(qubits, k, None)
+        elif kind == "H":
+            q = qubits[0]
+            mx[q], mz[q], snap[q] = mz[q], mx[q], -1
+            steps.append(("H", op))
+        elif kind == "RX":
+            q = qubits[0]
+            mz[q] ^= 1 << events
+            snap[q] = -1
+            steps.append(("RX", q, k, events))
+            events += 1
+        elif kind != "DELAY":  # a Pauli gate or DD pulse
+            q = qubits[0]
+            y = mx[q] ^ mz[q] ^ (0 if odd < 0 else 1 << odd)
+            const ^= (mx[q], y, mz[q])[PAULI_KINDS.index(kind)]
+        kicks_before(k)
+
+    # the forward pass: the program, under the pending CNOT permutation, which
+    # is linear in the bits of an index: basis index e_b sits in column
+    # images[b], and a diagonal on the parity mask M reads column j at the
+    # parity of j & (XOR of parities[b], b in M)
+    identity = [1 << b for b in range(n)]
+    images, parities, program = identity[:], identity[:], []
+
+    def gather():
+        """The columns of basis order under the pending permutation, or None for the identity."""
+        moved = None if images == identity else _linear_perm(n, tuple(images))
+        images[:], parities[:] = identity, identity
+        return moved
+
+    for step in reversed(steps):
+        kind = step[0]
+        if kind == "D":
+            _, qubits, key, settle, kick = step
+            mask = 0
+            for q in qubits:
+                mask ^= parities[n - 1 - q]
+            program.append(["D", _parity_values(n, mask), key, settle, settle + 1, kick])
+        elif kind == "C":
+            c, t = n - 1 - step[1], n - 1 - step[2]
+            images[c] ^= images[t]
+            parities[t] ^= parities[c]
+        elif kind == "H":
+            program.append(["H", step[1], gather()])
+        else:
+            program.append(["RX", step[1], gather(), step[2], step[3]])
+    plan.final = gather()
+
+    width = (events + 63) // 64
+    plan.events, plan.const = events, _words([const], width)[0]
+    # each snapshot's table over Pauli ids I, X, Y, Z, and a last one of none
+    x, z = _words(xs, width), _words(zs, width)
+    y = x ^ z
+    odd_at = np.array(odds, dtype=np.int64)
+    has = np.flatnonzero(odd_at >= 0)
+    y[has, odd_at[has] >> 6] ^= np.uint64(1) << (odd_at[has] & 63).astype(np.uint64)
+    table = np.zeros((len(xs) + 1, 4, width), dtype=np.uint64)
+    table[:-1, 1], table[:-1, 2], table[:-1, 3] = x, y, z
+    slots = table[slot_snaps[::-1]].reshape(-1, 4, 4, width)
+    plan.twirl_table = np.bitwise_xor.reduce(slots[:, np.arange(4), _TWIRL_SLOTS], axis=2)
+    # a hit's value u picks the Paulis (u + 1) >> 2 and (u + 1) & 3 of its
+    # two qubits, a one-qubit site's first being none (snapshot -1, the last)
+    pick = np.arange(1, 16)
+    pairs = np.array(site_snaps[::-1], dtype=np.intp).reshape(-1, 2)  # reversed: (second, first)
+    plan.site_table = table[pairs[:, 1]][:, pick >> 2] ^ table[pairs[:, 0]][:, pick & 3]
+
+    # the events some entry may set, a bit set of them all; any other reads
+    # 0 in every row
+    live = reduce(or_, xs, const) | reduce(or_, zs, 0) | sum(1 << odd for odd in set(odds) - {-1})
+    flips, flip_kick, settles = [], [], []
+    for step in program:
+        if step[0] == "H":
+            continue
+        flip, step[4] = step[4], None
+        if live >> flip & 1:
+            step[4] = len(flips)
+            flips.append(flip)
+            flip_kick.append(step[0] == "D" and step[5] is not None)
+        if step[0] == "D":
+            settle, step[3] = step[3], None
+            if live >> settle & 1:
+                step[3] = len(settles)
+                settles.append(settle)
+    plan.program = [tuple(step) for step in program]
+    plan.flips, plan.settles = np.array(flips, dtype=np.intp), np.array(settles, dtype=np.intp)
+    plan.flip_kick = np.array(flip_kick, dtype=bool)
+
+
+def _twirl_draws(keys: np.ndarray, n_cnots: int) -> np.ndarray:
+    """Each shot's twirl draw v = 4a + b (``_TWIRL_SLOTS``) per CNOT: (shots, CNOTs)."""
+    # integers(0, 16, size) takes 32-bit half words, the low half first,
+    # keeps their top four bits, and never rejects.
+    words = np.asarray(rng.philox_raw(keys, (n_cnots + 1) // 2), dtype="<u8")
+    return words.view("<u4")[:, :n_cnots] >> np.uint32(28)
+
+
+def _twirl_ids(draws: np.ndarray) -> np.ndarray:
+    """The twirl Paulis of ``_twirl_draws`` as ids of shape (shots, 4 * CNOTs).
 
     CNOT j's four columns hold the Paulis before its control, before its
     target, after its control and after its target.
     """
-    # integers(0, 16, size) takes 32-bit half words, the low half first,
-    # keeps their top four bits, and never rejects.
-    words = np.asarray(rng.philox_raw(keys, (n_cnots + 1) // 2), dtype="<u8")
-    draws = words.view("<u4")[:, :n_cnots] >> np.uint32(28)
-    return np.take(_TWIRL_SLOTS, draws, axis=0).reshape(len(keys), -1)
+    return np.take(_TWIRL_SLOTS, draws, axis=0).reshape(len(draws), -1)
+
+
+def _kick_tables(kicks: list, deltas: np.ndarray) -> list:
+    """Each kick's (angle per row, table): the RZ pairs of its angles over their conjugates.
+
+    A kick of qubit q and idle time d turns row r's dephasing rate
+    ``deltas[r, q]`` into the angle 2 delta d. Kicks of one qubit and one
+    idle time share their angles and table, and one ``rotation_pairs``
+    call makes the pairs of all.
+    """
+    angle = {}
+    for _, q, dur in kicks:
+        if (q, dur.tobytes()) not in angle:
+            angle[q, dur.tobytes()] = 2.0 * deltas[:, q] * dur
+    angles = np.reshape(list(angle.values()), (len(angle), len(deltas)))
+    pairs = rotation_pairs("RZ", angles)
+    columns = dict(zip(angle, zip(angles, np.concatenate([pairs, pairs.conjugate()], 1))))
+    return [columns[q, dur.tobytes()] for _, q, dur in kicks]
 
 
 def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_keys) -> list:
-    """Draw each row's twirl and noise and lay out what the rows run, in order.
+    """Draw each row's twirl and noise and lay out every gate and Pauli the rows meet, in order.
 
-    Row r draws its twirl from ``twirl_keys[r]``, its gate errors from
+    This is the reference step list: ``realize`` renders it, and the
+    tests walk it with a frame per row to check ``_run_chunk``, which
+    draws the same words. Row r draws its twirl from ``twirl_keys[r]``, its gate errors from
     ``trajectory_keys[r]`` and its dephasing rates from
     ``dephase_keys[r]``; each is needed only when the plan has twirl
     slots, error sites or dephasing. There is one step kind per effect:
@@ -386,9 +630,11 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
     """
     n, entries, slots = plan.n, plan.entries, plan.slots
     # slots are numbered in layout order
-    twirl = _twirl_ids(twirl_keys, len(slots) // 4) if slots else None
+    draws = _twirl_draws(twirl_keys, len(slots) // 4) if slots else None
+    twirl = None if draws is None else _twirl_ids(draws)
     if plan.sites.size:
-        hit_row, hit_entry, hit_value = _gate_errors(plan, trajectory_keys, twirl)
+        hit_row, hit_site, hit_value = _gate_errors(plan, trajectory_keys, draws)
+        hit_entry = plan.sites[hit_site]
     else:
         hit_row = hit_entry = hit_value = np.zeros(0, dtype=np.int64)
     hit_bounds = np.searchsorted(hit_entry, np.arange(len(entries) + 1)).tolist()
@@ -399,16 +645,8 @@ def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_
         kicks = plan.kicks
         if kicks is None:  # each row idles where its own twirl leaves it
             kicks = _idle_kicks(entries, n, twirl)
-        # one column of angles and of [pairs; conjugates] per distinct (qubit, duration)
-        angle = {}
-        for _, q, dur in kicks:
-            if (q, dur.tobytes()) not in angle:
-                angle[q, dur.tobytes()] = 2.0 * deltas[:, q] * dur
-        angles = np.reshape(list(angle.values()), (len(angle), len(deltas)))
-        pairs = rotation_pairs("RZ", angles)
-        columns = dict(zip(angle, zip(angles, np.concatenate([pairs, pairs.conjugate()], 1))))
-        for k, q, dur in kicks:
-            kicks_at.setdefault(k, []).append(("kick", q, *columns[q, dur.tobytes()]))
+        for (k, q, _), columns in zip(kicks, _kick_tables(kicks, deltas)):
+            kicks_at.setdefault(k, []).append(("kick", q, *columns))
 
     epsilon = plan.config.epsilon_coherent
     steps: list = []
@@ -471,146 +709,144 @@ def realize(circuit: Circuit, config: NoiseConfig, shot: int, seed: int,
     return Circuit(circuit.n, tuple(ops))
 
 
-def _settle(amps: np.ndarray, frame: np.ndarray, n: int) -> None:
-    """Move an odd power of 1j out of each frame that holds one and into its row.
+def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_keys,
+               row_point: np.ndarray) -> tuple:
+    """Draw a chunk's rows and run the plan's program on them: (amplitudes, final X frames).
 
-    ``simulate_ops`` applies a Y's 1j to the amplitudes, which trades
-    their real and imaginary parts. Every step here gives the same bits
-    either way, but for a product by a complex number with both parts
-    nonzero, a diagonal: numpy may fuse one of its two products into the
-    rounding of the sum, so the product must see the parts where
-    ``simulate_ops`` has them. With no odd row it returns at once, and
-    with every row odd it multiplies the whole array: the same product
-    per amplitude as the masked one. Updates ``amps`` and ``frame`` in
-    place.
-    """
-    odd = frame & 1 << 2 * n
-    if odd.any():
-        np.multiply(amps, 1j, out=amps, where=True if odd.all() else odd[:, None] != 0)
-        frame -= odd
-
-
-def _run_rows(n: int, steps: list, row_point: np.ndarray) -> tuple:
-    """Run ``steps`` on a copy of |0...0> per entry of ``row_point``: (amplitudes, frames).
-
-    Row r belongs to point ``row_point[r]``. It reads nothing but the
-    steps of ``_chunk_steps``. The rows share one array row until the
-    first step that treats them apart, a rotation, a kick or a "zz", so
-    an H or CNOT before it runs once. A CNOT only permutes amplitudes, so
-    it leaves the array alone and goes into a pending permutation: basis
-    index i of every row sits in column ``perm[i]``. A diagonal
-    multiplies column j by its entry ``inv[j]``, with ``inv`` the
-    inverse of ``perm``, so every amplitude meets the factor it meets in
-    basis order, in the same operand order. The columns are put back in
-    basis order before an H or RX, which mix them, and at the end. Every
-    RX, RZ, kick and "zz" step carries a (2P, 2) table of P pairs over
-    their conjugates, and row r takes table row flip_r * P + base_r:
-    base_r is its point (``row_point[r]``), or r itself for a kick, and
-    flip_r is 1 when its frame anticommutes with the rotation, so every
-    row gets the arithmetic of ``apply_rows`` at its own angle. For an
-    RX, flip_r is the frame's Z bit on the qubit. An RZ, a kick and a
-    "zz" are one diagonal, a Z rotation on the parity of its qubits'
-    bits: flip_r is the parity of the frame's X bits on them, and one
-    statement multiplies every row by its pair at the parity of each
-    column's basis index. A per-point table is gathered over columns
-    first and a per-row one over rows first, which read the same
-    values. A "pauli" step goes into its rows' frames. Every
-    diagonal, the partner operand of an RX and the columns put back in
-    basis order are written into one scratch array the shape of the
-    amplitudes, with the two arrays trading places after a move, so a
-    step allocates no array of amplitudes.
+    Row r belongs to point ``row_point[r]`` and draws from entry r of
+    each key array, as in ``_chunk_steps``. Its event bits are the
+    plan's ``const``, XOR its CNOTs' ``twirl_table`` entries at its twirl
+    draws, XOR its hits' ``site_table`` entries, so no step of the walk
+    touches a frame. The rows share one array row until the first RX or
+    diagonal, so the H layer runs once. A CNOT moves no amplitude: basis
+    index i of every row sits in column ``perm[i]`` of a pending
+    permutation, each diagonal reads its entries through the inverse,
+    and an H or RX first gathers the columns back in basis order. An H
+    runs through ``statevec.apply_rows``. Every RX and diagonal carries
+    a (2P, 2) table of P pairs over their conjugates, and row r takes
+    table row flip_r * P + base_r: base_r is its point, or r itself for
+    a kick, and flip_r its flip bit, so every row gets the arithmetic of
+    ``apply_rows`` at its own angle, its conjugate past a frame that
+    anticommutes. An RX reads the pair as its two scalars; a diagonal
+    multiplies every row by its pair at the parity of each column's
+    basis index, gathered over columns first from a per-point table and
+    over rows first from a per-row one, which read the same values.
+    Before a diagonal, the rows whose settle bit is set are multiplied
+    by 1j, as ``simulate_ops`` applies each Y's 1j to the amplitudes: a
+    product by a complex number with both parts nonzero may round
+    differently when its operand's parts are traded. A kick position
+    that no row of the chunk idles at is skipped, its settle bits
+    carried to the next diagonal that runs. Every diagonal, the partner
+    operand of an RX and the gathered columns are written into one
+    scratch array, the two trading places after a gather.
 
     Returns the (rows, 2^n) amplitudes ``a`` in basis order and each
-    row's final frame, which are not applied: the row's state is
-    1j**e (-1)**popcount(i & z) a[i ^ m], and only m changes what a
-    measurement sees (``_frame_probs``).
+    row's final X frame m: the row's state is a[i ^ m] up to signs and a
+    power of 1j per index, which no measurement sees (``_frame_probs``).
     """
-    rows = len(row_point)
-    # the one row all rows share, until they split, and its scratch row
+    n, rows, config = plan.n, len(row_point), plan.config
+    words = np.repeat(plan.const[None], rows, axis=0)
+    draws = None
+    if plan.slots:
+        cnots = len(plan.twirl_table)
+        draws = _twirl_draws(twirl_keys, cnots)
+        # entry 16 c + v of the flat table is CNOT c's at draw v
+        index = (draws + np.arange(0, 16 * cnots, 16, dtype=np.uint32)).T
+        words ^= np.bitwise_xor.reduce(np.take(plan.twirl_table.reshape(16 * cnots, -1), index,
+                                               axis=0), axis=0)
+    if plan.sites.size:
+        hit_row, hit_site, hit_value = _gate_errors(plan, trajectory_keys, draws)
+        np.bitwise_xor.at(words, hit_row, plan.site_table[hit_site, hit_value])
+    bits = np.unpackbits(words.view(np.uint8), axis=1, count=plan.events, bitorder="little")
+    own, points = np.arange(rows), len(tables["zz"]) // 2
+    # each flip's table rows: a kick's over its (2 * rows, 2) table, any
+    # other's over the points' (2 * points, 2) one
+    picks = np.ascontiguousarray(bits[:, plan.flips].T) * np.where(plan.flip_kick, rows,
+                                                                    points)[:, None]
+    picks += row_point
+    if plan.flip_kick.any():
+        picks[plan.flip_kick] += own - row_point
+    odd = np.ascontiguousarray(bits[:, plan.settles].T)
+    odd_rows = np.count_nonzero(odd, axis=1).tolist()
+
+    kick_tables = []  # each kick's (angles, table), or None where no row idles
+    if config.sigma_dephase > 0:
+        kicks = plan.kicks
+        if kicks is None:  # each row idles where its own twirl leaves it
+            kicks = _idle_kicks(plan.entries, n, _twirl_ids(draws), every=True)
+        idles = [dur.any() for _, _, dur in kicks]  # whether some row idles there
+        columns = iter(_kick_tables([kick for kick, idle in zip(kicks, idles) if idle],
+                                    _dephasing(dephase_keys, n, config.sigma_dephase)))
+        kick_tables = [next(columns) if idle else None for idle in idles]
+
     amps, buf = zero_state(n)[None], np.empty((1, 1 << n), dtype=complex)
-    frame = np.zeros(rows, dtype=np.int64)
-    identity, own = np.arange(1 << n), np.arange(rows)  # own: a per-row table's rows
-    perm = inv = identity
 
     def take(values, index, axis):
         """``np.take`` into ``buf``: every index is in range, and mode "raise" buffers ``out``."""
         return np.take(values, index, axis=axis, out=buf, mode="wrap")
 
-    def in_basis(amps):
-        """(amplitudes in basis order, scratch): the two trade places after a move."""
-        moved = perm is not identity and (perm != identity).any()
-        return (take(amps, perm, 1), amps) if moved else (amps, buf)
-
-    # whether a frame may hold an odd power of 1j: set by every Pauli, as
-    # _settle changes no bit of a row whose frame is even
-    odd = False
-    for step in steps:
+    carry = None  # the settle bits of skipped kicks
+    for step in plan.program:
         kind = step[0]
-        if kind == "pauli":
-            sel, ids, q = step[1:4]
-            if sel is None:
-                frame = _compose(frame, ids, n, q)
-            else:
-                frame[sel] = _compose(frame[sel], ids, n, q)
-            odd = True
-            continue
-        what = step[1].kind if kind == "op" else kind
-        diagonal = what in ("kick", "zz", "RZ")
-        rotation = diagonal or what == "RX"
-        if len(amps) < rows and rotation:
-            amps, buf = np.repeat(amps, rows, axis=0), np.empty((rows, 1 << n), dtype=complex)
-        if odd and diagonal:
-            _settle(amps, frame, n)  # amps is this function's own array
-            odd = False
-        if what in ("H", "RX"):
-            amps, buf = in_basis(amps)
-            perm = inv = identity
-        qubits = (step[1],) if kind == "kick" else step[1].qubits
-        s, t = n - 1 - qubits[0], n - 1 - qubits[-1]
-        if what == "CNOT":
-            cnot = _cnot_perm(n, *qubits)
-            perm, inv = perm[cnot], cnot[inv]
-            # X on the control spreads to the target, Z on the target to the control
-            frame ^= (((frame >> s) & 1) << t) | (((frame >> (n + t)) & 1) << (n + s))
-        elif what == "H":
+        if kind == "H":
+            if step[2] is not None:
+                amps, buf = take(amps, step[2], 1), amps
             amps = apply_rows(amps, n, step[1])
-            # H swaps the X and Z of its qubit, and H Y H = -Y
-            mq, zq = (frame >> s) & 1, (frame >> (n + s)) & 1
-            frame = (frame ^ (mq ^ zq) * (1 << s | 1 << (n + s))) + ((mq & zq) << (2 * n + 1))
-        elif rotation:
-            # past a frame that anticommutes with it, a rotation is its
-            # inverse, the conjugate pair: an RX past a Z or Y on its qubit,
-            # a Z rotation on the parity of its qubits past an odd number of
-            # Xs and Ys on them
-            table = step[-1]
-            bits = frame >> n if what == "RX" else frame
-            flip = bits >> s if s == t else bits >> s ^ bits >> t
-            pick = (flip & 1) * (len(table) // 2) + (own if kind == "kick" else row_point)
-            if what == "RX":
-                # apply_rows' RX products, in place, with each of an RX's
-                # two vectors held as its one value per row
-                pair = np.take(table, pick, axis=0)
-                flipped = take(amps, _x_perm(n, qubits[0]), 1)
-                flipped *= pair[:, 1:]
-                amps *= pair[:, :1]
-                amps += flipped
-                continue
-            # the pair at the parity of each column's basis index, gathered over
-            # columns first from a per-point table and over rows first from a
-            # per-row one: the same values either way
-            index = (pick, _bit_values(n, *qubits)[inv])
-            axis = int(len(table) < 2 * rows)
-            amps *= take(np.take(table, index[axis], axis=axis), index[1 - axis], 1 - axis)
-    amps, _ = in_basis(amps)
-    return np.repeat(amps, rows, axis=0) if len(amps) < rows else amps, frame
+            continue
+        if kind == "D" and step[5] is not None and kick_tables[step[5]] is None:
+            if step[3] is not None:
+                carry = odd[step[3]] if carry is None else carry ^ odd[step[3]]
+            continue
+        if len(amps) < rows:
+            amps, buf = np.repeat(amps, rows, axis=0), np.empty((rows, 1 << n), dtype=complex)
+        if kind == "RX":
+            _, q, moved, key, flip = step
+            if moved is not None:
+                amps, buf = take(amps, moved, 1), amps
+            # apply_rows' RX products, in place, with each of an RX's two
+            # vectors held as its one value per row
+            pair = np.take(tables[key], row_point if flip is None else picks[flip], axis=0)
+            flipped = take(amps, _x_perm(n, q), 1)
+            flipped *= pair[:, 1:]
+            amps *= pair[:, :1]
+            amps += flipped
+            continue
+        _, read, key, settle, flip, kick = step
+        settled = 0 if settle is None else odd_rows[settle]
+        if carry is not None:
+            odd_now = carry if settle is None else carry ^ odd[settle]
+            settled, carry = np.count_nonzero(odd_now), None
+        elif settled:
+            odd_now = odd[settle]
+        if settled == rows:
+            amps *= 1j
+        elif settled:
+            np.multiply(amps, 1j, out=amps, where=odd_now[:, None] != 0)
+        if kick is None:
+            table, base = tables[key], row_point
+        else:
+            table, base = kick_tables[kick][1], own
+        pick = base if flip is None else picks[flip]
+        # the pair at the parity of each column's basis index, gathered over
+        # columns first from a per-point table and over rows first from a
+        # per-row one: the same values either way
+        index = (pick, read)
+        axis = int(len(table) < 2 * rows)
+        amps *= take(np.take(table, index[axis], axis=axis), index[1 - axis], 1 - axis)
+    if plan.final is not None:
+        amps, buf = take(amps, plan.final, 1), amps
+    if len(amps) < rows:
+        amps = np.repeat(amps, rows, axis=0)
+    return amps, (words[:, 0] & ((1 << n) - 1)).astype(np.int64)
 
 
 def _frame_probs(amps: np.ndarray, frame: np.ndarray, n: int) -> np.ndarray:
-    """The (rows, 2^n) basis probabilities of ``_run_rows``' amplitudes under their frames.
+    """The (rows, 2^n) basis probabilities of ``_run_chunk``'s amplitudes under their frames.
 
     A frame's Z signs and power of 1j change no modulus, so row r's
     probability of index i is |a[i ^ m]|^2, with m the X part of its
-    frame: the bits of ``np.abs`` of the framed amplitudes, squared.
+    frame, the low n bits of ``frame[r]``: the bits of ``np.abs`` of the
+    framed amplitudes, squared.
     """
     probs = np.abs(amps) ** 2
     m = frame & ((1 << n) - 1)
@@ -654,7 +890,9 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     ``plan.per_shot`` plan has ``shots`` rows per point, point j's at
     j * shots onwards, each with its one draw, and any other one row per
     point with all of its ``shots`` draws. No seeds give a (0, shots)
-    array.
+    array. Each chunk draws its rows and runs the plan's program alone
+    (``_run_chunk``); ``_chunk_steps``' step list, which ``realize``
+    renders, is its reference.
     """
     n, config = plan.n, plan.config
     k = len(seeds)
@@ -679,9 +917,10 @@ def sample(plan: Plan, shots: int, seeds, angles) -> np.ndarray:
     outcomes = np.empty(draws.shape, dtype=np.int64)
     for lo in range(0, len(draws), chunk):
         hi = lo + chunk
-        steps = _chunk_steps(plan, tables, *(None if part is None else part[lo:hi] for part in
-                                             (twirl_keys, trajectory_keys, dephase_keys)))
-        probs = _frame_probs(*_run_rows(n, steps, point[lo:hi]), n)
+        amps, frame = _run_chunk(plan, tables, *(None if part is None else part[lo:hi] for part in
+                                                 (twirl_keys, trajectory_keys, dephase_keys)),
+                                 point[lo:hi])
+        probs = _frame_probs(amps, frame, n)
         outcomes[lo:hi] = measure_rows(probs, draws[lo:hi])
     outcomes = outcomes.ravel()  # shot i of point j at j * shots + i
     if config.p_readout > 0:

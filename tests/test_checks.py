@@ -296,6 +296,15 @@ BAD_INPUTS = {
     "states-odd-thetas": (lambda: qaoa_states(CANONICAL, [[0.1, 0.2, 0.3]]), "thetas"),
     "energy-none-counts": (lambda: energy_from_counts(None, CANONICAL), "counts"),
     "histogram-list-counts": (lambda: render_histogram([("01", 3)]), "counts"),
+    # an RZ(2 epsilon) and a kick of 2 * 8.5718 sigma times the makespan must be finite
+    "noise-epsilon-overflow": (lambda: NoiseConfig(epsilon_coherent=9e307), "epsilon_coherent"),
+    "config-epsilon-overflow": (lambda: parse_config({"mode": "noisy", "noise": {
+        "epsilon_coherent": -9e307}}), "noise: epsilon_coherent"),
+    "engine-sigma-overflow": (lambda: Engine(CANONICAL, 1, "noisy", shots=8,
+                                             noise=NoiseConfig(sigma_dephase=1e307)),
+                              r"noise\.sigma_dephase"),
+    "sample-noisy-sigma-overflow": (lambda: sample_noisy(CIRCUIT, NoiseConfig(
+        sigma_dephase=1e307, twirling=True), 8, 1), r"noise\.sigma_dephase"),
 }
 
 

@@ -232,8 +232,9 @@ def test_sweep_cells_equal_the_reparsed_inline_cells(raw):
     config = parse_config(raw)
     calls, ran = [], []
 
-    def optimize(configs):
+    def optimize(configs, engines):
         calls.append(configs)
+        assert len(engines) == len(configs)
         # each config stands in for its own engine and its own best restart
         return [(cell_config, cell_config, 1) for cell_config in configs]
 

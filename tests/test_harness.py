@@ -864,6 +864,24 @@ def test_a_graph_whose_cut_sums_overflow_is_refused_by_name(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: --graph: {path}: {message}")
 
 
+@pytest.mark.parametrize("noise, field", [({"epsilon_coherent": 9e307}, "noise: epsilon_coherent"),
+                                          ({"sigma_dephase": 1e307}, "noise.sigma_dephase")])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_a_noise_angle_that_overflows_is_refused_before_any_directory(tmp_path, capsys, noise,
+                                                                      field, command):
+    # 2 epsilon, or a kick angle of up to 2 * 8.5718 sigma times the makespan,
+    # would be infinite: refused by name, with no numpy warning and no directory
+    config = tmp_path / "config.json"
+    raw = small_raw(mode="noisy", shots=16, max_evals=4, noise=noise)
+    if command == "sweep":
+        raw["sweep"] = {"method": ["cobyla", "powell"]}
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+    assert not out.exists()
+
+
 def test_a_search_whose_angle_products_overflow_prints_no_numpy_warning(tmp_path, capsys):
     # 2 * gamma * 1e308 overflows from gamma = 0.9: those rows score NaN, silently
     config = tmp_path / "config.json"

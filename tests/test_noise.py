@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qaoalab import ansatz, noise, objective, rng, statevec, trajectories
 from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit
+from qaoalab.graph import MaxCutInstance
 from qaoalab.noise import (
     DD_SEQUENCES,
     PAULI_KINDS,
@@ -30,6 +31,7 @@ from qaoalab.noise import (
 from qaoalab.objective import energy_from_tally, evaluate_qaoa, make_objective
 from qaoalab.statevec import GateOp, counts_from_tally, measure_rows, sample_counts, simulate_ops
 
+import frame_reference
 import noise_reference
 from conftest import ground_mass
 
@@ -590,20 +592,28 @@ def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds, shots: int) 
     """The amplitudes of ``shots`` rows per point from one ``Plan``, point j's under ``seeds[j]``.
 
     ``angles`` is (points, R), in the op order of ``circuit``, which the
-    plan dresses with the config's DD pulses.
+    plan dresses with the config's DD pulses. The rows are those of the
+    framed reference, with its frames applied; the engine's chunk must
+    give the reference's unframed amplitudes and final X frames, bit for
+    bit, on the way.
     """
     plan = trajectories.Plan(circuit, config)
-    steps = trajectories._chunk_steps(plan, trajectories._point_angles(plan, angles),
-                                      *row_keys(seeds, shots, config.twirling))
+    tables = trajectories._point_angles(plan, angles)
+    keys = row_keys(seeds, shots, config.twirling)
     row_point = np.repeat(np.arange(len(seeds)), shots)
-    return framed(*trajectories._run_rows(plan.n, steps, row_point), plan.n)
+    amps, frame = frame_reference.run_rows(plan.n, trajectories._chunk_steps(plan, tables, *keys),
+                                           row_point)
+    engine_amps, x_frame = trajectories._run_chunk(plan, tables, *keys, row_point)
+    assert engine_amps.tobytes() == amps.tobytes()
+    assert np.array_equal(x_frame, frame & ((1 << plan.n) - 1))
+    return framed(amps, frame, plan.n)
 
 
 UNITS = np.array([1, 1j, -1, -1j])
 
 
 def framed(amps: np.ndarray, frame: np.ndarray, n: int) -> np.ndarray:
-    """``_run_rows``' amplitudes with each row's frame applied: the rows' own states.
+    """The reference's amplitudes with each row's frame applied: the rows' own states.
 
     Row r is 1j**e (-1)**popcount(i & z) a[i ^ m] for its frame (m, z,
     e), applied once to the rows whose frame is not the identity.
@@ -705,6 +715,29 @@ noise_configs = st.builds(
     dd=st.booleans(),
     dd_sequence=st.sampled_from(sorted(DD_SEQUENCES)),
 )
+
+
+def test_a_kick_place_no_row_idles_at_carries_its_settle_bit_on():
+    # Twirled and dephased, the trailing kick of qubit 0 is idle in every
+    # row, as its long H ends last, and the Y before it sets that kick's
+    # settle bit: the chunk skips the kick and settles at qubit 1's
+    # trailing kick instead, where the reference settles.
+    circuit = Circuit(2, (GateOp("H", (0,), None, 1.0), GateOp("H", (1,), None, 1.0),
+                          GateOp("CNOT", (0, 1), None, 2.0), GateOp("RZ", (1,), 0.3, 1.0),
+                          GateOp("CNOT", (0, 1), None, 2.0), GateOp("Y", (0,), None, 1.0),
+                          GateOp("H", (0,), None, 10.0)))
+    config = ORACLE_CONFIGS["twirl-dephasing"]
+    plan = trajectories.Plan(circuit, config)
+    keys = row_keys([5], 12, True)
+    twirl = trajectories._twirl_ids(trajectories._twirl_draws(keys[0], len(plan.slots) // 4))
+    kicks = trajectories._idle_kicks(plan.entries, 2, twirl, every=True)
+    idle = {j for j, (_, _, dur) in enumerate(kicks) if not dur.any()}
+    assert [step[5] for step in plan.program if step[0] == "D" and step[5] in idle
+            and step[3] is not None] == [len(kicks) - 2]
+    rows = plan_rows(circuit, config, own_angles(circuit), [5], 12)
+    for i in range(12):
+        single = simulate_ops(2, shot_circuit(circuit, config, i, 5).ops)
+        assert np.array_equal(single.view(np.float64), rows[i].view(np.float64))
 
 
 @settings(max_examples=40, deadline=None)
@@ -828,6 +861,50 @@ NOISY_P5_SETTINGS = {
                                    dd=True),
 }
 BATCH_CONFIGS = {**ORACLE_CONFIGS, **NOISY_P5_SETTINGS}
+
+
+def cube_instance() -> MaxCutInstance:
+    """The 3-cube: a 3-regular graph on 8 nodes, i joined to i ^ 1, i ^ 2 and i ^ 4."""
+    return MaxCutInstance(8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b])
+
+
+# the noisy-p5 settings and heavy mixes: every noise at once under either DD
+# sequence, a gate error at every site, and a coherent error alone
+QAOA_ENGINE_CONFIGS = {**NOISY_P5_SETTINGS, "all-xy4": ORACLE_CONFIGS["all"],
+                       "all-xpxm": replace(ORACLE_CONFIGS["all"], dd_sequence="XpXm"),
+                       "p1q-certain": NoiseConfig(p1q=1.0, p2q=0.5, twirling=True, dd=True),
+                       "coherent-only": ORACLE_CONFIGS["coherent-only"]}
+
+
+@pytest.mark.parametrize("graph, p", [("canonical", 1), ("canonical", 3), ("canonical", 5),
+                                      ("cube", 2)])
+@pytest.mark.parametrize("name", sorted(QAOA_ENGINE_CONFIGS))
+def test_the_engine_equals_the_framed_reference_on_qaoa_circuits(canonical, graph, p, name):
+    # plan_rows checks the engine's unframed amplitudes and final X frames
+    # against the reference's, bit for bit, on the circuits the benchmark runs
+    instance = canonical if graph == "canonical" else cube_instance()
+    circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
+    count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
+    angles = np.random.default_rng(p).uniform(-3.0, 3.0, size=(3, count))
+    shots = 32 if graph == "canonical" else 8
+    plan_rows(circuit, QAOA_ENGINE_CONFIGS[name], angles, [4, 9, 1], shots)
+
+
+# (amplitude steps of the plan, steps of a 1280-row chunk's step list at seed 0)
+NOISY_P5_STEPS = {"p5-ibm-bounds": (60, 300), "p5-coherent-twirl": (120, 420),
+                  "p5-dephase-xy4": (180, 402), "p5-ibm-twirl-dd": (60, 904)}
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_P5_STEPS))
+def test_a_noisy_p5_chunk_walks_only_its_amplitude_steps(canonical, name):
+    # the engine walks the program's H, RX and diagonal steps; the step list
+    # that realize renders, and the reference walks, holds every Pauli, CNOT
+    # and DELAY of the chunk too
+    config = NOISY_P5_SETTINGS[name]
+    plan = trajectories.Plan(build_qaoa_circuit(canonical, QaoaParams((0.0,) * 5, (0.0,) * 5)),
+                             config)
+    steps = trajectories._chunk_steps(plan, {}, *row_keys([0], 1280, config.twirling))
+    assert (len(plan.program), len(steps)) == NOISY_P5_STEPS[name]
 
 
 def tallies_of(shots: np.ndarray, n: int) -> np.ndarray:
@@ -980,11 +1057,11 @@ def test_one_row_per_point_gives_the_shots_of_one_row_per_shot(monkeypatch, name
 
 def test_one_row_per_point_runs_in_chunks(monkeypatch):
     rows = []
-    run = trajectories._run_rows
+    run = trajectories._run_chunk
 
-    def spy(n, steps, row_point):
-        rows.append(len(row_point))
-        return run(n, steps, row_point)
+    def spy(*args):
+        rows.append(len(args[-1]))
+        return run(*args)
 
     circuit = mixed_circuit(5, 40, seed=3)
     count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
@@ -992,7 +1069,7 @@ def test_one_row_per_point_runs_in_chunks(monkeypatch):
     plan = trajectories.Plan(circuit, ONE_ROW_CONFIGS["dd-without-dephasing"])
     assert not plan.per_shot
     whole = trajectories.sample(plan, 24, [5, 1, 4, 2, 3], angles)
-    monkeypatch.setattr(trajectories, "_run_rows", spy)
+    monkeypatch.setattr(trajectories, "_run_chunk", spy)
     monkeypatch.setattr(trajectories, "_CHUNK_BYTES", 2 * (16 << circuit.n))
     assert np.array_equal(trajectories.sample(plan, 24, [5, 1, 4, 2, 3], angles), whole)
     assert rows == [2, 2, 1]
@@ -1003,13 +1080,13 @@ def test_one_row_per_point_runs_in_chunks(monkeypatch):
                                              ("twirling", False), ("dephasing", False)])
 def test_per_shot_decides_the_rows_a_batch_runs(monkeypatch, name, per_point):
     rows = []
-    run = trajectories._run_rows
+    run = trajectories._run_chunk
 
-    def spy(n, steps, row_point):
-        rows.append(len(row_point))
-        return run(n, steps, row_point)
+    def spy(*args):
+        rows.append(len(args[-1]))
+        return run(*args)
 
-    monkeypatch.setattr(trajectories, "_run_rows", spy)
+    monkeypatch.setattr(trajectories, "_run_chunk", spy)
     circuit = mixed_circuit(4, 30, seed=2)
     count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
     plan = trajectories.Plan(circuit, {**ORACLE_CONFIGS, **ONE_ROW_CONFIGS}[name])
@@ -1056,7 +1133,9 @@ def test_steps_carry_every_pauli_and_every_kick_by_one_kind(twirling):
     for before, after in zip(steps, steps[1:] + [None]):
         if before[0] == "op" and before[1].kind == "CNOT":
             assert after[:3] == ("zz", before[1], 0.3) and after[3] is tables["zz"]
-    twirl = trajectories._twirl_ids(keys[0], len(plan.slots) // 4) if twirling else None
+    twirl = None
+    if twirling:
+        twirl = trajectories._twirl_ids(trajectories._twirl_draws(keys[0], len(plan.slots) // 4))
     kicks = plan.kicks if plan.kicks is not None else trajectories._idle_kicks(plan.entries, 4,
                                                                               twirl)
     assert (plan.kicks is None) is twirling
@@ -1085,7 +1164,9 @@ def test_kicks_of_one_qubit_and_duration_share_one_pairs_column(monkeypatch, nam
                         lambda kind, angles: calls.append(kind) or pairs_of(kind, angles))
     steps = trajectories._chunk_steps(plan, tables, *keys)
     assert calls == ["RZ"]
-    twirl = trajectories._twirl_ids(keys[0], len(plan.slots) // 4) if config.twirling else None
+    twirl = None
+    if config.twirling:
+        twirl = trajectories._twirl_ids(trajectories._twirl_draws(keys[0], len(plan.slots) // 4))
     kicks = plan.kicks if plan.kicks is not None else trajectories._idle_kicks(plan.entries, 4,
                                                                               twirl)
     kick_steps = [s for s in steps if s[0] == "kick"]
@@ -1141,14 +1222,14 @@ def test_per_point_and_per_row_gathers_give_the_same_bits(name):
         assert np.array_equal(alone[0].view(np.float64), rows[j].view(np.float64))
 
 
-def test_run_rows_multiplies_by_a_diagonal_in_one_statement():
+def test_run_chunk_multiplies_by_a_diagonal_in_one_statement():
     # an RZ, a dephasing kick and a coherent ZZ are one diagonal step of
-    # _run_rows, and no table of the package is cached per epsilon
+    # _run_chunk, and no table of the package is cached per epsilon
     package = Path(trajectories.__file__).parent
     tree = ast.parse((package / "trajectories.py").read_text(encoding="utf-8"))
-    run_rows = next(node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "_run_rows")
-    products = [node.lineno for node in ast.walk(run_rows)
+    run_chunk = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_run_chunk")
+    products = [node.lineno for node in ast.walk(run_chunk)
                 if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
                 and isinstance(node.target, ast.Name) and node.target.id == "amps"
                 and isinstance(node.value, ast.Call)]
@@ -1192,6 +1273,20 @@ def test_frame_probs_are_the_squared_moduli_of_the_framed_amplitudes_bit_for_bit
     assert probs.tobytes() == (np.abs(framed(amps, frame, n)) ** 2).tobytes()
 
 
+def test_the_engine_walks_no_frame_step():
+    # a chunk reads every frame bit from its plan's tables: the program
+    # holds only H, RX and diagonal steps, and no frame walk is left in src
+    circuit = mixed_circuit(4, 30, seed=9)
+    for config in BATCH_CONFIGS.values():
+        plan = trajectories.Plan(circuit, config)
+        assert {step[0] for step in plan.program} <= {"H", "RX", "D"}
+    package = Path(trajectories.__file__).parent
+    names = {node.name for path in package.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_run_rows", "_compose", "_pauli_tables", "_settle"}
+
+
 @pytest.mark.parametrize("odd_rows", ["none", "all", "some"])
 def test_settle_gives_the_bits_of_the_masked_product(odd_rows):
     n, rows = 4, 24
@@ -1204,7 +1299,7 @@ def test_settle_gives_the_bits_of_the_masked_product(odd_rows):
     frame |= odd << 2 * n
     expected, expected_frame = amps.copy(), frame - (odd << 2 * n)
     np.multiply(expected, 1j, out=expected, where=odd[:, None].astype(bool))
-    trajectories._settle(amps, frame, n)
+    frame_reference.settle(amps, frame, n)
     assert amps.tobytes() == expected.tobytes()
     assert np.array_equal(frame, expected_frame)
 
