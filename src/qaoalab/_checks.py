@@ -1,8 +1,9 @@
-"""The input rules: an integer, a finite number, a seed, a flag, a choice, a bitstring, counts, a type, a sequence and a text file, each written once.
+"""The input rules: an integer, a finite number, a real array, a seed, a flag, a choice, a bitstring, counts, a type, a sequence and a text file, each written once.
 
 A rule returns the value (an integer, number or flag as a plain int,
-float or bool, a file as its text), or raises a ValueError whose
-message starts with ``name``. A bool is never an integer or a number.
+float or bool, a real array as a float array, a file as its text), or
+raises a ValueError whose message starts with ``name``. A bool is never
+an integer or a number.
 This module imports nothing from the package.
 """
 
@@ -12,6 +13,8 @@ import math
 import os
 from collections.abc import Sequence
 from numbers import Integral, Real
+
+import numpy as np
 
 
 def _span(lo, hi) -> str:
@@ -42,6 +45,22 @@ def real(value, name: str, lo=None, hi=None) -> float:
             and (hi is None or number <= hi)):
         raise ValueError(f"{name} must be a finite number{_span(lo, hi)}, got {value!r}")
     return number
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array, if it is an array or nesting of integers and floats.
+
+    A complex, bool, string or object array is no real array: a float
+    conversion would drop an imaginary part or read "1.5" as a number.
+    Its shape and values are the caller's to check.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of real numbers, got {value!r}")
+    return array.astype(float, copy=False)
 
 
 def is_bits(text: str) -> bool:

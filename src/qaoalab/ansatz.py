@@ -82,7 +82,7 @@ class QaoaParams:
 
     @classmethod
     def from_vector(cls, theta) -> "QaoaParams":
-        theta = np.asarray(theta, dtype=float)
+        theta = _checks.real_array(theta, "parameter vector")
         if theta.ndim != 1 or theta.size % 2 != 0:
             raise ValueError(f"parameter vector must be flat with even length, got shape {theta.shape}")
         p = theta.size // 2
@@ -245,12 +245,12 @@ def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
     ``simulate_ops`` on ``build_qaoa_circuit`` up to the global phase
     exp(-i*gamma*W) per layer, W the total weight. Every row gets the
     same floating-point operations whatever the batch around it, so its
-    bits depend neither on k nor on its position. Only the shape of
-    ``thetas`` is checked here, not the angles; a row whose phase
-    2*gamma*C overflows comes out NaN, with no numpy warning.
+    bits depend neither on k nor on its position. Only that ``thetas``
+    is a real array of that shape is checked here, not the angles; a row
+    whose phase 2*gamma*C overflows comes out NaN, with no numpy warning.
     """
     _checks.of_type(instance, MaxCutInstance, "instance")
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = _checks.real_array(thetas, "thetas")
     if thetas.ndim != 2 or thetas.shape[1] % 2:
         raise ValueError(f"thetas must be a (k, 2p) array, got shape {thetas.shape}")
     plan = half_plan(instance)

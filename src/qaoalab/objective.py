@@ -209,8 +209,9 @@ class Engine:
             self._peak = float(np.abs(table).max())  # the largest |cut value|, for ``_draw``
 
     def _rows(self, thetas, seeds) -> np.ndarray:
-        """The batch as a float array, checked: (k, 2p) finite angles, one seed per row."""
-        thetas = np.asarray(thetas, dtype=float)
+        """The batch as a float array, checked: (k, 2p) finite real angles, a sequence of one seed per row."""
+        thetas = _checks.real_array(thetas, "thetas")
+        _checks.sequence(seeds, "seeds")
         if thetas.ndim != 2 or thetas.shape[1] != 2 * self.p:
             raise ValueError(f"expected thetas of shape (k, {2 * self.p}), got {thetas.shape}")
         # a sum of squares (one BLAS call, which sets no numpy warning) is finite

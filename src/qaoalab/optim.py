@@ -95,7 +95,7 @@ class MinimizeProblem:
     def __post_init__(self):
         if not callable(self.objective):
             raise ValueError(f"objective must be callable, got {self.objective!r}")
-        self.x0 = np.asarray(self.x0, dtype=float).copy()
+        self.x0 = _checks.real_array(self.x0, "x0").copy()
         if self.x0.ndim != 1:
             raise ValueError(f"x0 must be a 1-D vector, got shape {self.x0.shape}")
         if not np.isfinite(self.x0).all():

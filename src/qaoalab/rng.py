@@ -9,7 +9,7 @@ evaluation order, and re-running any prefix of the work reproduces the
 same numbers. Every draw is a raw 64-bit word of a key's stream, which
 numpy keeps stable across versions (NEP 19): ``words`` reads one key's
 words, ``philox_raw`` those of many keys at once, and this module's
-rules (``doubles``, ``below``) turn words into values, so no numpy
+rules (``doubles``, ``units``, ``below``) turn words into values, so no numpy
 ``Generator`` method decides a drawn value.
 """
 
@@ -134,6 +134,11 @@ def words(key: int, count: int) -> np.ndarray:
 def doubles(words: np.ndarray) -> np.ndarray:
     """Each word's top 53 bits times 2**-53, in [0, 1): ``Generator.random``'s rule."""
     return (words >> np.uint64(11)) * 2.0**-53
+
+
+def units(words: np.ndarray) -> np.ndarray:
+    """Each word's ((w >> 11) + 1) * 2**-53, in (0, 1]: never 0, so its log is finite."""
+    return ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
 
 
 def below(words: np.ndarray, p: float) -> np.ndarray:

@@ -11,7 +11,8 @@ cumulative rates of the error sites, which every row shares, one word
 to reach the next hit and one for its Pauli (Gidney, arXiv 2103.02202,
 draws the gap to the next error the same way), and drops a hit on a
 twirl slot that the row leaves empty. ``_dephasing`` takes the rates by
-Box-Muller.
+Box-Muller. ``_chunk_draws`` alone makes a chunk's draws, with the
+tables of its dephasing kicks, for the engine and its reference alike.
 
 A ``Plan`` lays out a circuit, with its DD pulses, once, and compiles
 it (``_compile``). Its amplitude program is the H, RX and diagonal
@@ -59,11 +60,11 @@ one row that takes all of the point's draws. Either way a chunk holds
 ``_CHUNK_BYTES`` of amplitudes, or one row. A point's draws depend only
 on its seed, so its shots do not depend on the batch around it.
 
-``_chunk_steps`` lays the same draws out as one ordered step list, one
-step kind per effect (a shared gate, a Pauli, a dephasing kick, a
-coherent ZZ). It is the reference the engine is checked against: the
-tests walk it with a frame per row, and ``realize`` renders one row of
-it as a ``Circuit``, which is what ``noise.twirl_circuit`` and
+``_chunk_steps`` lays the same ``_chunk_draws`` out as one ordered
+step list, one step kind per effect (a shared gate, a Pauli, a
+dephasing kick, a coherent ZZ). It is the reference the engine is
+checked against: the tests walk it with a frame per row, and
+``realize`` renders one row of it as a ``Circuit``, which is what ``noise.twirl_circuit`` and
 ``noise.apply_trajectory_noise`` return. A shot's readout flips are
 ``rng.below`` of its readout words, as ``noise.apply_readout_error``
 draws them. Every row's amplitudes, with its final frame applied,
@@ -160,15 +161,10 @@ def _layout(ops, twirling: bool) -> list[_Entry]:
     return entries
 
 
-# A word w gives U = ((w >> 11) + 1) * 2**-53 in (0, 1], so E = -log(U) is at
-# most 53 log 2 < 37: a site of rate 64 is never passed by a race.
+# A word gives U in (0, 1] (``rng.units``), so E = -log(U) is at most
+# 53 log 2 < 37: a site of rate 64 is never passed by a race.
 _SURE = 64.0
 _11, _53 = np.uint64(11), np.uint64(53)
-
-
-def _unit(words: np.ndarray) -> np.ndarray:
-    """U = ((w >> 11) + 1) * 2**-53 in (0, 1] of each word: never 0, so log(U) is finite."""
-    return ((words >> _11) + np.uint64(1)) * 2.0**-53
 
 
 def _reach(p: np.ndarray) -> np.ndarray:
@@ -187,7 +183,7 @@ def _gate_errors(plan, keys: np.ndarray, draws) -> tuple:
     """Each row's gate errors, by an exponential race over the plan's sites.
 
     A row reads the words of its trajectory key in turn. A word gives
-    E = -log(U) (``_unit``), and the row's next hit is the first site
+    E = -log(U) (``rng.units``), and the row's next hit is the first site
     whose cumulative rate (``plan.reach``) exceeds the row's position
     plus E; the position moves to that site's cumulative rate. The next
     word w picks the hit's Pauli, ((w >> 11) * bound) >> 53, below the
@@ -208,7 +204,7 @@ def _gate_errors(plan, keys: np.ndarray, draws) -> tuple:
         if pos + 2 > words.shape[1]:
             words = np.empty((rows, 2 * words.shape[1]), dtype=np.uint64)
             words[live] = rng.philox_raw(keys[live], words.shape[1])
-        site = np.searchsorted(reach, at - np.log(_unit(words[live, pos])), side="right")
+        site = np.searchsorted(reach, at - np.log(rng.units(words[live, pos])), side="right")
         hit = site < len(reach)
         live, site = live[hit], site[hit]
         found.append((live, site, ((words[live, pos + 1] >> _11) * plan.bound[site]) >> _53))
@@ -226,35 +222,34 @@ def _dephasing(keys: np.ndarray, n: int, sigma: float) -> np.ndarray:
     """Each row's quasi-static dephasing rates, normal(0, sigma) per qubit: (rows, n).
 
     Box-Muller on the words of each row's dephasing key: words 2j and
-    2j + 1 give U1 (``_unit``) and U2 (``rng.doubles``), and with
+    2j + 1 give U1 (``rng.units``) and U2 (``rng.doubles``), and with
     R = sqrt(-2 log U1) the normals R cos(2 pi U2) and R sin(2 pi U2) of
     qubits 2j and 2j + 1, each times sigma.
     """
     words = rng.philox_raw(keys, n + n % 2)
-    radius = np.sqrt(-2.0 * np.log(_unit(words[:, 0::2])))
+    radius = np.sqrt(-2.0 * np.log(rng.units(words[:, 0::2])))
     angle = 2.0 * np.pi * rng.doubles(words[:, 1::2])
     normals = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
     return sigma * normals.reshape(len(keys), -1)[:, :n]
 
 
-def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None, every: bool = False) -> list:
-    """Idle time that trajectory noise turns into dephasing kicks, per row.
+def _idle_kicks(entries, n: int, twirl: np.ndarray) -> tuple:
+    """Every place a dephasing kick can go, with each row's idle time there, and each row's makespan.
 
     Walks the ASAP schedule of each row's own twirled circuit: every row
     holds every entry but the twirl slots, and row r holds slot j when
-    ``twirl[r, j]`` is not 0; with no ``twirl``, there is one row. An
-    entry needs ``qubits``, ``duration``, ``slot`` and ``op``. Returns
+    ``twirl[r, j]`` is not 0. An entry needs ``qubits``, ``duration``,
+    ``slot`` and ``op``. Returns (kicks, makespan): ``kicks`` lists
     (entry index, qubit, duration per row) in application order, a kick
     going just before its entry, with entry index ``len(entries)`` for
-    trailing idle time. As ``NoiseConfig`` states, idle time goes to the
-    next op on its qubit, whatever that op's duration, idle time after a
-    qubit's last op is trailing, and DELAY k is kicked at k + 1. A
-    one-qubit op starts when its qubit is ready, so only a two-qubit op
-    (never a twirl slot) leaves one of its qubits idle. With ``every``,
-    a kick that no row idles for is kept too, so the list holds every
-    place a kick can go whatever the twirl, in the same order.
+    trailing idle time, and holds every place whatever the twirl, a row
+    that does not idle there taking 0. As ``NoiseConfig`` states, idle
+    time goes to the next op on its qubit, whatever that op's duration,
+    idle time after a qubit's last op is trailing, and DELAY k is kicked
+    at k + 1. A one-qubit op starts when its qubit is ready, so only a
+    two-qubit op (never a twirl slot) leaves one of its qubits idle.
     """
-    rows = 1 if twirl is None else len(twirl)
+    rows = len(twirl)
     ready = [np.zeros(rows) for _ in range(n)]
     makespan = np.zeros(rows)  # never below any qubit's ready time
     kicks = []
@@ -272,16 +267,11 @@ def _idle_kicks(entries, n: int, twirl: np.ndarray | None = None, every: bool = 
         start = np.maximum(*(ready[q] for q in entry.qubits))
         end = start + entry.duration
         for q in sorted(entry.qubits):
-            dur = start - ready[q]
-            if every or dur.any():
-                kicks.append((k, q, dur))
+            kicks.append((k, q, start - ready[q]))
             ready[q] = end
         np.maximum(makespan, end, out=makespan)
-    for q in range(n):
-        dur = makespan - ready[q]
-        if every or dur.any():
-            kicks.append((len(entries), q, dur))
-    return kicks
+    kicks += [(len(entries), q, makespan - ready[q]) for q in range(n)]
+    return kicks, makespan
 
 
 class Plan:
@@ -297,17 +287,21 @@ class Plan:
     are the entries that may draw a gate error, with the cumulative rate
     (``reach``) that ``_gate_errors`` races over, the ``bound`` of each
     Pauli value and the twirl slot of each (``site_slot``, -1 for none);
-    ``width`` is the words a race reads at first. ``kicks`` is every
-    shot's ``_idle_kicks`` when the config dephases and no twirl moves
-    them, else None; ``per_shot``, whether the plan has twirl slots,
-    error sites or dephasing, says whether the shots of a point differ
-    at all, which alone decides how ``sample`` shares rows. The rest is
-    ``_compile``'s: the amplitude ``program`` and its ``final`` gather,
-    the count of ``events`` a row's frame bits hold, the tables that
-    give them (``const``, ``twirl_table``, ``site_table``), and the
-    events a chunk reads as flips and settles (``flips``, ``flip_kick``,
-    ``settles``). A dephasing config is refused when a kick's angle
-    could overflow (``_check_kick_angles``).
+    ``width`` is the words a race reads at first. ``kicks`` lists the
+    places a dephasing kick goes (``_idle_kicks``), empty when the
+    config does not dephase: every place when the plan has twirl slots,
+    as each row idles where its own twirl leaves it, else only those
+    where the one schedule every row shares idles. ``per_shot``, whether
+    the plan has twirl slots, error sites or dephasing, says whether the
+    shots of a point differ at all, which alone decides how ``sample``
+    shares rows. The rest is ``_compile``'s: the amplitude ``program``
+    and its ``final`` gather, the count of ``events`` a row's frame bits
+    hold, the tables that give them (``const``, ``twirl_table``,
+    ``site_table``), and the events a chunk reads as flips and settles
+    (``flips``, ``flip_kick``, ``settles``). A dephasing config is refused when a kick's angle
+    could overflow: a kick's angle is 2 delta d, with |delta| at most
+    ``_MAX_NORMAL`` sigma and its idle time d at most the makespan with
+    every twirl slot filled, which no row's own schedule exceeds.
     """
 
     __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots", "sites",
@@ -343,35 +337,20 @@ class Plan:
         # words for a race of mean + 4 sd hits, two a hit and one to end it
         mean = site_p.sum()
         self.width = 2 * (math.ceil(mean + 4.0 * math.sqrt(mean)) + 1)
-        dephasing = config.sigma_dephase > 0
-        self.kicks = _idle_kicks(entries, self.n) if dephasing and not self.slots else None
-        self.per_shot = bool(self.slots) or bool(sites.size) or dephasing
-        kicks = []
-        if dephasing:
-            _check_kick_angles(entries, self.n, config.sigma_dephase)
-            # with a twirl, every place a kick can go; a chunk runs those its rows idle at
-            kicks = self.kicks if self.kicks is not None else _idle_kicks(
-                entries, self.n, np.zeros((1, len(self.slots))), every=True)
-        _compile(self, kicks)
-
-
-def _check_kick_angles(entries, n: int, sigma: float) -> None:
-    """Refuse a ``sigma`` whose dephasing kicks could turn an angle infinite.
-
-    A kick's angle is 2 delta d, with |delta| at most ``_MAX_NORMAL``
-    sigma and its idle time d at most the makespan of the layout with
-    every twirl slot filled, which no row's own schedule exceeds.
-    """
-    ready = [0.0] * n
-    for entry in entries:
-        end = max(ready[q] for q in entry.qubits) + entry.duration
-        for q in entry.qubits:
-            ready[q] = end
-    makespan = max(ready)
-    if not math.isfinite(2.0 * (_MAX_NORMAL * sigma) * makespan):
-        raise ValueError(f"noise.sigma_dephase: 2 * {_MAX_NORMAL} * sigma_dephase * makespan, "
-                         f"the largest kick angle, must be finite, got sigma_dephase {sigma!r} "
-                         f"and makespan {makespan!r}")
+        sigma = config.sigma_dephase
+        self.per_shot = bool(self.slots) or bool(sites.size) or sigma > 0
+        self.kicks = []
+        if sigma > 0:
+            # a schedule past the float range turns inf or NaN here, and is refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                kicks, makespan = _idle_kicks(entries, self.n, np.ones((1, len(self.slots))))
+            makespan = float(makespan[0])
+            if not math.isfinite(2.0 * (_MAX_NORMAL * sigma) * makespan):
+                raise ValueError(f"noise.sigma_dephase: 2 * {_MAX_NORMAL} * sigma_dephase * "
+                                 f"makespan, the largest kick angle, must be finite, got "
+                                 f"sigma_dephase {sigma!r} and makespan {makespan!r}")
+            self.kicks = kicks if self.slots else [kick for kick in kicks if kick[2].any()]
+        _compile(self)
 
 
 @lru_cache(maxsize=512)
@@ -395,11 +374,11 @@ def _words(masks: list, width: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), width)
 
 
-def _compile(plan: Plan, kicks: list) -> None:
+def _compile(plan: Plan) -> None:
     """Lay out the amplitude program of ``plan`` and the tables of its frame reads.
 
     The program is the H, RX and diagonal steps (RZ, coherent ZZ and
-    each of ``kicks``, a kick by its number there), in layout order,
+    each of ``plan.kicks``, a kick by its number there), in layout order,
     each with its static data: an H or RX carries the gather that puts
     the columns back in basis order (None when the pending CNOT
     permutation is the identity), a diagonal its ``_bit_values`` read
@@ -423,7 +402,7 @@ def _compile(plan: Plan, kicks: list) -> None:
     """
     n, entries = plan.n, plan.entries
     kicks_at: dict[int, list] = {}
-    for j, (k, q, _) in enumerate(kicks):
+    for j, (k, q, _) in enumerate(plan.kicks):
         kicks_at.setdefault(k, []).append((j, q))
     sites = set(plan.sites.tolist())
     zz = plan.config.epsilon_coherent != 0.0
@@ -498,6 +477,23 @@ def _compile(plan: Plan, kicks: list) -> None:
             const ^= (mx[q], y, mz[q])[PAULI_KINDS.index(kind)]
         kicks_before(k)
 
+    # the events some entry may set, a bit set of them all; any other reads
+    # 0 in every row, and a chunk reads no bit of it
+    live = reduce(or_, xs, const) | reduce(or_, zs, 0) | sum(1 << odd for odd in set(odds) - {-1})
+    flips, flip_kick, settles = [], [], []
+
+    def read(event: int, kept: list, kick: bool | None = None) -> int | None:
+        """The index in ``kept`` of ``event``, appended, or None when no entry sets it.
+
+        A flip comes with ``kick``, whether a kick reads it.
+        """
+        if not live >> event & 1:
+            return None
+        kept.append(event)
+        if kick is not None:
+            flip_kick.append(kick)
+        return len(kept) - 1
+
     # the forward pass: the program, under the pending CNOT permutation, which
     # is linear in the bits of an index: basis index e_b sits in column
     # images[b], and a diagonal on the parity mask M reads column j at the
@@ -518,16 +514,19 @@ def _compile(plan: Plan, kicks: list) -> None:
             mask = 0
             for q in qubits:
                 mask ^= parities[n - 1 - q]
-            program.append(["D", _parity_values(n, mask), key, settle, settle + 1, kick])
+            program.append(("D", _parity_values(n, mask), key, read(settle, settles),
+                            read(settle + 1, flips, kick is not None), kick))
         elif kind == "C":
             c, t = n - 1 - step[1], n - 1 - step[2]
             images[c] ^= images[t]
             parities[t] ^= parities[c]
         elif kind == "H":
-            program.append(["H", step[1], gather()])
+            program.append(("H", step[1], gather()))
         else:
-            program.append(["RX", step[1], gather(), step[2], step[3]])
-    plan.final = gather()
+            program.append(("RX", step[1], gather(), step[2], read(step[3], flips, False)))
+    plan.program, plan.final = program, gather()
+    plan.flips, plan.settles = np.array(flips, dtype=np.intp), np.array(settles, dtype=np.intp)
+    plan.flip_kick = np.array(flip_kick, dtype=bool)
 
     width = (events + 63) // 64
     plan.events, plan.const = events, _words([const], width)[0]
@@ -546,27 +545,6 @@ def _compile(plan: Plan, kicks: list) -> None:
     pick = np.arange(1, 16)
     pairs = np.array(site_snaps[::-1], dtype=np.intp).reshape(-1, 2)  # reversed: (second, first)
     plan.site_table = table[pairs[:, 1]][:, pick >> 2] ^ table[pairs[:, 0]][:, pick & 3]
-
-    # the events some entry may set, a bit set of them all; any other reads
-    # 0 in every row
-    live = reduce(or_, xs, const) | reduce(or_, zs, 0) | sum(1 << odd for odd in set(odds) - {-1})
-    flips, flip_kick, settles = [], [], []
-    for step in program:
-        if step[0] == "H":
-            continue
-        flip, step[4] = step[4], None
-        if live >> flip & 1:
-            step[4] = len(flips)
-            flips.append(flip)
-            flip_kick.append(step[0] == "D" and step[5] is not None)
-        if step[0] == "D":
-            settle, step[3] = step[3], None
-            if live >> settle & 1:
-                step[3] = len(settles)
-                settles.append(settle)
-    plan.program = [tuple(step) for step in program]
-    plan.flips, plan.settles = np.array(flips, dtype=np.intp), np.array(settles, dtype=np.intp)
-    plan.flip_kick = np.array(flip_kick, dtype=bool)
 
 
 def _twirl_draws(keys: np.ndarray, n_cnots: int) -> np.ndarray:
@@ -604,48 +582,60 @@ def _kick_tables(kicks: list, deltas: np.ndarray) -> list:
     return [columns[q, dur.tobytes()] for _, q, dur in kicks]
 
 
+_NO_HITS = (np.zeros(0, dtype=np.intp),) * 3
+
+
+def _chunk_draws(plan: Plan, twirl_keys, trajectory_keys, dephase_keys) -> tuple:
+    """A chunk's draws: (twirl draws, gate-error hits, each kick place's (angles, table) or None).
+
+    Row r draws its twirl from ``twirl_keys[r]`` (``_twirl_draws``, None
+    when the plan has no twirl slot), its gate errors from
+    ``trajectory_keys[r]`` (``_gate_errors``' (row, site, value) arrays,
+    empty when the plan has no error site) and its dephasing rates from
+    ``dephase_keys[r]``. Each of ``plan.kicks`` gets ``_kick_tables``'
+    (angle per row, table), with each row's idle time there from its own
+    twirled schedule (``_idle_kicks``), or None where no row of the chunk
+    idles; the list is empty when the config does not dephase. This is
+    the one place a chunk draws, for the engine and its reference alike.
+    """
+    draws = _twirl_draws(twirl_keys, len(plan.slots) // 4) if plan.slots else None
+    hits = _gate_errors(plan, trajectory_keys, draws) if plan.sites.size else _NO_HITS
+    if not plan.kicks:
+        return draws, hits, []
+    kicks = plan.kicks if draws is None else _idle_kicks(plan.entries, plan.n, _twirl_ids(draws))[0]
+    idles = [dur.any() for _, _, dur in kicks]  # whether some row idles there
+    columns = iter(_kick_tables([kick for kick, idle in zip(kicks, idles) if idle],
+                                _dephasing(dephase_keys, plan.n, plan.config.sigma_dephase)))
+    return draws, hits, [next(columns) if idle else None for idle in idles]
+
+
 def _chunk_steps(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_keys) -> list:
-    """Draw each row's twirl and noise and lay out every gate and Pauli the rows meet, in order.
+    """Lay out every gate and Pauli a chunk's rows meet, in order, from its ``_chunk_draws``.
 
     This is the reference step list: ``realize`` renders it, and the
     tests walk it with a frame per row to check ``_run_chunk``, which
-    draws the same words. Row r draws its twirl from ``twirl_keys[r]``, its gate errors from
-    ``trajectory_keys[r]`` and its dephasing rates from
-    ``dephase_keys[r]``; each is needed only when the plan has twirl
-    slots, error sites or dephasing. There is one step kind per effect:
-    ("op", op, table) for a shared gate other than a Pauli, with the
-    entry's table in ``tables`` (from ``_point_angles``) or None;
+    takes the same draws from the same call. There is one step kind per
+    effect: ("op", op, table) for a shared gate other than a Pauli, with
+    the entry's table in ``tables`` (from ``_point_angles``) or None;
     ("pauli", rows, ids, qubit, duration) for every Pauli, with an id
     per listed row, or for all rows when rows is None, and 0 for none;
-    ("kick", qubit, angle per row, table) for each of ``_idle_kicks``, 0
-    on a row without idle time there, with the (2 * rows, 2) table of
-    the RZ ``rotation_pairs`` of those angles over their conjugates:
-    kicks of one qubit and one idle time share their angles and table,
-    and one call makes the pairs of the chunk; and ("zz", cnot, epsilon,
-    table) after each CNOT when the config has a coherent ZZ error, with
-    the ``"zz"`` table in ``tables``. A Pauli gate or DD pulse is one id
-    for all rows, with its own duration; a twirl slot holds an id per
-    row and lasts ``ONE_QUBIT_DURATION``; a drawn error lists its rows
-    and lasts 0.
+    ("kick", qubit, angle per row, table) at each kick place some row
+    idles at, 0 on a row without idle time there, with the (2 * rows, 2)
+    table of the RZ ``rotation_pairs`` of those angles over their
+    conjugates; and ("zz", cnot, epsilon, table) after each CNOT when
+    the config has a coherent ZZ error, with the ``"zz"`` table in
+    ``tables``. A Pauli gate or DD pulse is one id for all rows, with its
+    own duration; a twirl slot holds an id per row and lasts
+    ``ONE_QUBIT_DURATION``; a drawn error lists its rows and lasts 0.
     """
-    n, entries, slots = plan.n, plan.entries, plan.slots
-    # slots are numbered in layout order
-    draws = _twirl_draws(twirl_keys, len(slots) // 4) if slots else None
+    entries = plan.entries
+    draws, (hit_row, hit_site, hit_value), kick_tables = _chunk_draws(
+        plan, twirl_keys, trajectory_keys, dephase_keys)
     twirl = None if draws is None else _twirl_ids(draws)
-    if plan.sites.size:
-        hit_row, hit_site, hit_value = _gate_errors(plan, trajectory_keys, draws)
-        hit_entry = plan.sites[hit_site]
-    else:
-        hit_row = hit_entry = hit_value = np.zeros(0, dtype=np.int64)
-    hit_bounds = np.searchsorted(hit_entry, np.arange(len(entries) + 1)).tolist()
-
+    hit_bounds = np.searchsorted(plan.sites[hit_site], np.arange(len(entries) + 1)).tolist()
     kicks_at: dict[int, list] = {}
-    if plan.config.sigma_dephase > 0:
-        deltas = _dephasing(dephase_keys, n, plan.config.sigma_dephase)
-        kicks = plan.kicks
-        if kicks is None:  # each row idles where its own twirl leaves it
-            kicks = _idle_kicks(entries, n, twirl)
-        for (k, q, _), columns in zip(kicks, _kick_tables(kicks, deltas)):
+    for (k, q, _), columns in zip(plan.kicks, kick_tables):
+        if columns is not None:
             kicks_at.setdefault(k, []).append(("kick", q, *columns))
 
     epsilon = plan.config.epsilon_coherent
@@ -714,10 +704,11 @@ def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_ke
     """Draw a chunk's rows and run the plan's program on them: (amplitudes, final X frames).
 
     Row r belongs to point ``row_point[r]`` and draws from entry r of
-    each key array, as in ``_chunk_steps``. Its event bits are the
-    plan's ``const``, XOR its CNOTs' ``twirl_table`` entries at its twirl
-    draws, XOR its hits' ``site_table`` entries, so no step of the walk
-    touches a frame. The rows share one array row until the first RX or
+    each key array, by one ``_chunk_draws`` call, the call
+    ``_chunk_steps`` makes too. Its event bits are the plan's ``const``,
+    XOR its CNOTs' ``twirl_table`` entries at its twirl draws, XOR its
+    hits' ``site_table`` entries, so no step of the walk touches a
+    frame. The rows share one array row until the first RX or
     diagonal, so the H layer runs once. A CNOT moves no amplitude: basis
     index i of every row sits in column ``perm[i]`` of a pending
     permutation, each diagonal reads its entries through the inverse,
@@ -734,29 +725,28 @@ def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_ke
     Before a diagonal, the rows whose settle bit is set are multiplied
     by 1j, as ``simulate_ops`` applies each Y's 1j to the amplitudes: a
     product by a complex number with both parts nonzero may round
-    differently when its operand's parts are traded. A kick position
-    that no row of the chunk idles at is skipped, its settle bits
-    carried to the next diagonal that runs. Every diagonal, the partner
-    operand of an RX and the gathered columns are written into one
-    scratch array, the two trading places after a gather.
+    differently when its operand's parts are traded. A kick place that
+    no row of the chunk idles at (its kick table is None) is skipped,
+    its settle bits carried to the next diagonal that runs. Every
+    diagonal, the partner operand of an RX and the gathered columns are
+    written into one scratch array, the two trading places after a
+    gather.
 
     Returns the (rows, 2^n) amplitudes ``a`` in basis order and each
     row's final X frame m: the row's state is a[i ^ m] up to signs and a
     power of 1j per index, which no measurement sees (``_frame_probs``).
     """
-    n, rows, config = plan.n, len(row_point), plan.config
+    n, rows = plan.n, len(row_point)
+    draws, (hit_row, hit_site, hit_value), kick_tables = _chunk_draws(
+        plan, twirl_keys, trajectory_keys, dephase_keys)
     words = np.repeat(plan.const[None], rows, axis=0)
-    draws = None
-    if plan.slots:
+    if draws is not None:
         cnots = len(plan.twirl_table)
-        draws = _twirl_draws(twirl_keys, cnots)
         # entry 16 c + v of the flat table is CNOT c's at draw v
         index = (draws + np.arange(0, 16 * cnots, 16, dtype=np.uint32)).T
         words ^= np.bitwise_xor.reduce(np.take(plan.twirl_table.reshape(16 * cnots, -1), index,
                                                axis=0), axis=0)
-    if plan.sites.size:
-        hit_row, hit_site, hit_value = _gate_errors(plan, trajectory_keys, draws)
-        np.bitwise_xor.at(words, hit_row, plan.site_table[hit_site, hit_value])
+    np.bitwise_xor.at(words, hit_row, plan.site_table[hit_site, hit_value])
     bits = np.unpackbits(words.view(np.uint8), axis=1, count=plan.events, bitorder="little")
     own, points = np.arange(rows), len(tables["zz"]) // 2
     # each flip's table rows: a kick's over its (2 * rows, 2) table, any
@@ -768,16 +758,6 @@ def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_ke
         picks[plan.flip_kick] += own - row_point
     odd = np.ascontiguousarray(bits[:, plan.settles].T)
     odd_rows = np.count_nonzero(odd, axis=1).tolist()
-
-    kick_tables = []  # each kick's (angles, table), or None where no row idles
-    if config.sigma_dephase > 0:
-        kicks = plan.kicks
-        if kicks is None:  # each row idles where its own twirl leaves it
-            kicks = _idle_kicks(plan.entries, n, _twirl_ids(draws), every=True)
-        idles = [dur.any() for _, _, dur in kicks]  # whether some row idles there
-        columns = iter(_kick_tables([kick for kick, idle in zip(kicks, idles) if idle],
-                                    _dephasing(dephase_keys, n, config.sigma_dephase)))
-        kick_tables = [next(columns) if idle else None for idle in idles]
 
     amps, buf = zero_state(n)[None], np.empty((1, 1 << n), dtype=complex)
 

@@ -39,6 +39,9 @@ PARAMS = QaoaParams((0.3,), (0.9,))
 CIRCUIT = build_qaoa_circuit(CANONICAL, PARAMS)
 NOISE = NoiseConfig(p1q=0.1, p_readout=0.1, twirling=True)
 THETAS = np.array([[0.3, 0.9], [1.1, 0.2]])
+# two 1e308-long H gates end past the float range, before a CNOT on both qubits
+LONG_CIRCUIT = Circuit(2, (GateOp("H", (0,), None, 1e308), GateOp("H", (0,), None, 1e308),
+                           GateOp("CNOT", (0, 1), None, 1.0)))
 
 
 # -- the rules ---------------------------------------------------------------
@@ -305,6 +308,27 @@ BAD_INPUTS = {
                               r"noise\.sigma_dephase"),
     "sample-noisy-sigma-overflow": (lambda: sample_noisy(CIRCUIT, NoiseConfig(
         sigma_dephase=1e307, twirling=True), 8, 1), r"noise\.sigma_dephase"),
+    # a makespan past the float range is refused without a numpy overflow warning
+    "sample-noisy-makespan-overflow": (lambda: sample_noisy(LONG_CIRCUIT, NoiseConfig(
+        sigma_dephase=1e-300), 8, 1), r"noise\.sigma_dephase"),
+    # angles are real: a float conversion would drop an imaginary part or
+    # read a string or a bool as a number
+    "objective-complex-thetas": (lambda: make_objective(CANONICAL, 1)(np.array([[0.1 + 2j, 0.2]])),
+                                 "thetas"),
+    "engine-string-thetas": (lambda: Engine(CANONICAL, 1)([["0.1", "0.2"]], [None]), "thetas"),
+    "engine-bool-thetas": (lambda: Engine(CANONICAL, 1, "sampled", shots=8).tallies(
+        np.array([[True, False]]), [1]), "thetas"),
+    "states-complex-thetas": (lambda: qaoa_states(CANONICAL, [[0.1 + 1j, 0.2]]), "thetas"),
+    "states-ragged-thetas": (lambda: qaoa_states(CANONICAL, [[0.1, 0.2], [0.3]]), "thetas"),
+    "problem-complex-x0": (lambda: MinimizeProblem(Engine(CANONICAL, 1), np.array([0.1 + 1j, 0.2])),
+                           "x0"),
+    "problem-string-x0": (lambda: MinimizeProblem(Engine(CANONICAL, 1), ["0.1", "0.2"]), "x0"),
+    "params-complex-vector": (lambda: QaoaParams.from_vector([0.1 + 1j, 0.2]), "parameter vector"),
+    "params-string-vector": (lambda: QaoaParams.from_vector(["0.1", "0.2"]), "parameter vector"),
+    # the seeds of a batch are a sequence, one per row
+    "engine-int-seeds": (lambda: Engine(CANONICAL, 1, "sampled", shots=8)(THETAS[:1], 5), "seeds"),
+    "tallies-none-seeds": (lambda: Engine(CANONICAL, 1, "sampled", shots=8).tallies(THETAS[:1], None),
+                           "seeds"),
 }
 
 

@@ -730,7 +730,7 @@ def test_a_kick_place_no_row_idles_at_carries_its_settle_bit_on():
     plan = trajectories.Plan(circuit, config)
     keys = row_keys([5], 12, True)
     twirl = trajectories._twirl_ids(trajectories._twirl_draws(keys[0], len(plan.slots) // 4))
-    kicks = trajectories._idle_kicks(plan.entries, 2, twirl, every=True)
+    kicks, _ = trajectories._idle_kicks(plan.entries, 2, twirl)
     idle = {j for j, (_, _, dur) in enumerate(kicks) if not dur.any()}
     assert [step[5] for step in plan.program if step[0] == "D" and step[5] in idle
             and step[3] is not None] == [len(kicks) - 2]
@@ -1111,6 +1111,13 @@ def test_a_plan_with_nothing_to_draw_runs_one_row_per_point(config):
                           trajectories.sample(expected, 50, [3, 4], angles))
 
 
+def idle_places(plan, twirl_keys) -> list:
+    """The kick places of a twirled plan at which some row of ``twirl_keys`` idles, in order."""
+    twirl = trajectories._twirl_ids(trajectories._twirl_draws(twirl_keys, len(plan.slots) // 4))
+    kicks, _ = trajectories._idle_kicks(plan.entries, plan.n, twirl)
+    return [kick for kick in kicks if kick[2].any()]
+
+
 @pytest.mark.parametrize("twirling", [False, True])
 def test_steps_carry_every_pauli_and_every_kick_by_one_kind(twirling):
     # every Pauli, a DD pulse or a Pauli gate of the circuit included, is a
@@ -1133,12 +1140,12 @@ def test_steps_carry_every_pauli_and_every_kick_by_one_kind(twirling):
     for before, after in zip(steps, steps[1:] + [None]):
         if before[0] == "op" and before[1].kind == "CNOT":
             assert after[:3] == ("zz", before[1], 0.3) and after[3] is tables["zz"]
-    twirl = None
+    kicks = plan.kicks
     if twirling:
-        twirl = trajectories._twirl_ids(trajectories._twirl_draws(keys[0], len(plan.slots) // 4))
-    kicks = plan.kicks if plan.kicks is not None else trajectories._idle_kicks(plan.entries, 4,
-                                                                              twirl)
-    assert (plan.kicks is None) is twirling
+        kicks = idle_places(plan, keys[0])
+    # a twirled plan lists every place a kick can go, an untwirled one only
+    # the places its one schedule idles at
+    assert (len(plan.kicks) > len(kicks)) is twirling
     assert [s[1] for s in steps if s[0] == "kick"] == [q for _, q, _ in kicks]
     delays = {(k + 1, e.qubits[0], e.duration) for k, e in enumerate(plan.entries)
               if e.op is not None and e.op.kind == "DELAY"}
@@ -1164,11 +1171,9 @@ def test_kicks_of_one_qubit_and_duration_share_one_pairs_column(monkeypatch, nam
                         lambda kind, angles: calls.append(kind) or pairs_of(kind, angles))
     steps = trajectories._chunk_steps(plan, tables, *keys)
     assert calls == ["RZ"]
-    twirl = None
+    kicks = plan.kicks
     if config.twirling:
-        twirl = trajectories._twirl_ids(trajectories._twirl_draws(keys[0], len(plan.slots) // 4))
-    kicks = plan.kicks if plan.kicks is not None else trajectories._idle_kicks(plan.entries, 4,
-                                                                              twirl)
+        kicks = idle_places(plan, keys[0])
     kick_steps = [s for s in steps if s[0] == "kick"]
     assert len(kick_steps) == len(kicks) > len({(q, d.tobytes()) for _, q, d in kicks})
     assert config.twirling == any((d != d[0]).any() for _, _, d in kicks)
@@ -1220,6 +1225,39 @@ def test_per_point_and_per_row_gathers_give_the_same_bits(name):
     for j, seed in enumerate(seeds):
         alone = plan_rows(circuit, config, angles[j:j + 1], [seed], 2)
         assert np.array_equal(alone[0].view(np.float64), rows[j].view(np.float64))
+
+
+@pytest.mark.parametrize("name", ["all", "twirl-dephasing", "p5-dephase-xy4"])
+def test_the_engine_and_its_reference_draw_a_chunk_by_one_call(monkeypatch, name):
+    config = BATCH_CONFIGS[name]
+    circuit = mixed_circuit(4, 30, seed=9)
+    plan = trajectories.Plan(circuit, config)
+    tables = trajectories._point_angles(plan, own_angles(circuit))
+    keys = row_keys([5], 12, config.twirling)
+    calls = []
+    draw = trajectories._chunk_draws
+    monkeypatch.setattr(trajectories, "_chunk_draws",
+                        lambda *args: calls.append(args[0]) or draw(*args))
+    trajectories._run_chunk(plan, tables, *keys, np.zeros(12, dtype=np.intp))
+    assert calls == [plan]
+    trajectories._chunk_steps(plan, tables, *keys)
+    assert calls == [plan, plan]
+
+
+def test_only_chunk_draws_calls_the_draw_rules():
+    # the twirl, gate-error and dephasing draws of a chunk are made in one
+    # place, which the engine and its reference share
+    callers = []
+    for path in sorted(Path(trajectories.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            callers += [f"{path.name}:{function.name}" for node in ast.walk(function)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("_gate_errors", "_twirl_draws", "_dephasing")]
+    assert sorted(set(callers)) == ["trajectories.py:_chunk_draws"]
+    assert len(callers) == 3
 
 
 def test_run_chunk_multiplies_by_a_diagonal_in_one_statement():

@@ -11,6 +11,8 @@ from qaoalab import rng
 from qaoalab.optim import random_qaoa_starts
 from qaoalab.statevec import sample_draws
 
+import noise_reference
+
 
 def test_derive_key_is_deterministic():
     assert rng.derive_key(7, rng.STREAM_SAMPLE) == rng.derive_key(7, rng.STREAM_SAMPLE)
@@ -111,6 +113,16 @@ def test_below_is_generator_random_below_p(p):
         key = rng.derive_key(j, rng.STREAM_READOUT, j)
         expected = np.random.Generator(np.random.Philox(key=key)).random(4096) < p
         assert rng.below(rng.words(key, 4096), p).tobytes() == expected.tobytes()
+
+
+def test_units_are_the_reference_unit_of_each_word():
+    # U = ((w >> 11) + 1) * 2**-53 lies in (0, 1]: the smallest and largest
+    # words give 2**-53 and 1
+    words = np.concatenate([np.array([0, 2**11 - 1, 2**11, 2**64 - 1], dtype=np.uint64),
+                            rng.words(rng.derive_key(3, rng.STREAM_DEPHASE), 256)])
+    units = rng.units(words)
+    assert units.tolist() == [noise_reference._unit(int(w)) for w in words]
+    assert units[:4].tolist() == [2.0**-53, 2.0**-53, 2.0**-52, 1.0]
 
 
 @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 130])
