@@ -106,11 +106,16 @@ def _bit_values(n: int, *qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _x_perm(n: int, q: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int64)
-    perm = idx ^ (1 << (n - 1 - q))
+def _xor_perm(n: int, mask: int) -> np.ndarray:
+    """Each basis index XOR ``mask``: its partner across the bits set in ``mask``."""
+    perm = np.arange(1 << n, dtype=np.int64) ^ mask
     perm.flags.writeable = False
     return perm
+
+
+@lru_cache(maxsize=512)
+def _x_perm(n: int, q: int) -> np.ndarray:
+    return _xor_perm(n, 1 << (n - 1 - q))
 
 
 @lru_cache(maxsize=512)

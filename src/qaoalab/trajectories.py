@@ -95,7 +95,7 @@ import numpy as np
 from . import noise, rng
 from .ansatz import ONE_QUBIT_DURATION, Circuit
 from .noise import PAULI_KINDS, NoiseConfig
-from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _x_perm, apply_rows,
+from .statevec import (ROTATION_KINDS, GateOp, _bit_values, _xor_perm, apply_rows,
                        measure_rows, rotation_pairs, sample_draws, zero_state)
 
 # Bytes of amplitudes simulated at once: a chunk holds this many bytes'
@@ -523,7 +523,8 @@ def _compile(plan: Plan) -> None:
         elif kind == "H":
             program.append(("H", step[1], gather()))
         else:
-            program.append(("RX", step[1], gather(), step[2], read(step[3], flips, False)))
+            program.append(("RX", _xor_perm(n, images[n - 1 - step[1]]), step[2],
+                            read(step[3], flips, False)))
     plan.program, plan.final = program, gather()
     plan.flips, plan.settles = np.array(flips, dtype=np.intp), np.array(settles, dtype=np.intp)
     plan.flip_kick = np.array(flip_kick, dtype=bool)
@@ -780,13 +781,11 @@ def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_ke
         if len(amps) < rows:
             amps, buf = np.repeat(amps, rows, axis=0), np.empty((rows, 1 << n), dtype=complex)
         if kind == "RX":
-            _, q, moved, key, flip = step
-            if moved is not None:
-                amps, buf = take(amps, moved, 1), amps
+            _, partner, key, flip = step
             # apply_rows' RX products, in place, with each of an RX's two
             # vectors held as its one value per row
             pair = np.take(tables[key], row_point if flip is None else picks[flip], axis=0)
-            flipped = take(amps, _x_perm(n, q), 1)
+            flipped = take(amps, partner, 1)
             flipped *= pair[:, 1:]
             amps *= pair[:, :1]
             amps += flipped
