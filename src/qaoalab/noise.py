@@ -11,8 +11,10 @@ runs the shots of k points together, each point its own seed and RX/RZ
 angles; sample_noisy samples one point that way, into a bitstring
 histogram (a ``dict[str, int]``). twirl_circuit and
 apply_trajectory_noise render one shot of the same draws as a circuit;
-simulating each shot's circuit on its own gives the same amplitudes,
-bit for bit. apply_readout_error flips one shot's bits by the same
+simulating each shot's circuit on its own gives the probabilities the
+engine draws that shot from, to within rounding (the engine multiplies
+the same factors in another order and leaves out a phase of the whole
+row). apply_readout_error flips one shot's bits by the same
 ``rng`` rule as the engine, without loading it.
 
 Mitigation passes rewrite circuits:
@@ -288,9 +290,12 @@ def sample_noisy(circuit: Circuit, config: NoiseConfig, shots: int, seed: int) -
     optional readout flips. Shot i uses only draw i of each substream.
     ``trajectories.sample`` makes every draw, from one ``Plan``, and runs
     the shots together; the histogram of its shots, a
-    ``dict[str, int]`` summing to ``shots``, equals that of running each
+    ``dict[str, int]`` summing to ``shots``, is that of running each
     shot's circuit from ``trajectories.realize`` (at the shot's twirl
-    seed) through ``simulate_ops``, then ``apply_readout_error``. With
+    seed) through ``simulate_ops``, then ``apply_readout_error``: each
+    shot is drawn from that circuit's probabilities to within rounding,
+    so it can differ only where its draw lies within rounding of a
+    boundary of the cumulative probabilities. With
     twirling, each of a CNOT's four twirl slots is an error site of rate
     p1q whether its draw fills it or not, and a hit on an empty slot
     inserts nothing; so with gate errors, ``apply_trajectory_noise`` of

@@ -208,16 +208,21 @@ class Engine:
             self._plan, self._table = half_plan(instance), table
             self._peak = float(np.abs(table).max())  # the largest |cut value|, for ``_draw``
 
-    def _rows(self, thetas, seeds) -> np.ndarray:
-        """The batch as a float array, checked: (k, 2p) finite real angles, a sequence of one seed per row."""
+    def _thetas(self, thetas) -> np.ndarray:
+        """The batch's angles as a float array, checked: (k, 2p) finite reals."""
         thetas = _checks.real_array(thetas, "thetas")
-        _checks.sequence(seeds, "seeds")
         if thetas.ndim != 2 or thetas.shape[1] != 2 * self.p:
-            raise ValueError(f"expected thetas of shape (k, {2 * self.p}), got {thetas.shape}")
+            raise ValueError(f"thetas: expected shape (k, {2 * self.p}), got {thetas.shape}")
         # a sum of squares (one BLAS call, which sets no numpy warning) is finite
         # only if every angle is; a huge angle makes it inf, so look again
         if not math.isfinite(np.vdot(thetas, thetas)) and not np.isfinite(thetas).all():
             raise ValueError("thetas: angles must be finite")
+        return thetas
+
+    def _rows(self, thetas, seeds) -> np.ndarray:
+        """The batch as a float array, checked (``_thetas``), and a sequence of one seed per row."""
+        thetas = self._thetas(thetas)
+        _checks.sequence(seeds, "seeds")
         if len(seeds) != len(thetas):
             raise ValueError(f"seeds: expected one per row, got {len(seeds)} for {len(thetas)} rows")
         return thetas
@@ -299,6 +304,7 @@ def make_objective(
 
     def objective(thetas) -> np.ndarray:
         nonlocal evals
+        thetas = engine._thetas(thetas)  # checked before its rows are counted
         energies = engine(thetas, rng.eval_seeds(seed, evals, len(thetas)))
         evals += len(energies)
         return energies

@@ -16,22 +16,25 @@ tables of its dephasing kicks, for the engine and its reference alike.
 
 A ``Plan`` lays out a circuit, with its DD pulses, once, and compiles
 it (``_compile``). Its amplitude program is the H, RX and diagonal
-steps alone; an RZ, a dephasing kick and a coherent ZZ are one
-diagonal, a Z rotation on the parity of one or two qubits' bits. A
-Pauli, a CNOT or a DELAY touches no amplitude: each row keeps a Pauli
+steps alone; an RZ, a dephasing kick and a coherent ZZ are each a
+diagonal term, a Z rotation on the parity of one or two qubits' bits.
+A Pauli, a CNOT or a DELAY touches no amplitude: each row keeps a Pauli
 frame (Knill, Nature 434, 2005), and every update of the frame's X and
 Z bits is an XOR, so everything the program reads of a frame is
 linear over GF(2) in the Paulis put in: an RX reads its qubit's Z bit,
-a diagonal reads whether the frame's power of 1j is odd (its settle
-bit, which toggles at each Y) and then the parity of its qubits' X
-bits, and a measurement reads the final X bits. These are a row's
-events. One backward pass over the layout tells, for every place a
-Pauli goes, which events its X, Z and Y flip, as a detector error model
-does (Gidney, arXiv 2103.02202); the plan folds that into a constant
-for the circuit's own Paulis and DD pulses, 16 entries per twirled CNOT
+a diagonal term the parity of its qubits' X bits, and a measurement
+the final X bits. These are a row's events. One backward pass over the
+layout tells, for every place a Pauli goes, which events its X and Z
+flip, a Y flipping those of both, as a detector error model does
+(Gidney, arXiv 2103.02202); the plan folds that into a constant for
+the circuit's own Paulis and DD pulses, 16 entries per twirled CNOT
 and 3 or 15 per error site. A CNOT also goes into a pending index
-permutation, which every diagonal reads through its inverse, and the
-columns return to basis order before the next H or RX and at the end.
+permutation, which every diagonal reads through its inverse and an RX
+reads its partner columns through; the columns return to basis order
+before the next H and at the end. The diagonal terms of a segment
+(those between two mixing steps, H or RX) commute, and those that read
+one parity mask are one diagonal step: the phase polynomial of the
+segment (Amy, Maslov & Mosca, arXiv 1303.2042).
 
 ``sample`` is the noisy engine, on one plan per ``objective.Engine``.
 It takes k points at once, each a seed and a row of RX and RZ angles
@@ -47,10 +50,11 @@ P + base_r, where base_r is its point, or for a kick the row itself,
 and flip_r is the event that says its frame anticommutes with the
 rotation. RX, RZ and the coherent ZZ read per-point tables from
 ``_point_angles``; a chunk's kicks read per-row tables made by one
-call, one per distinct qubit and idle time. Every row's products are
-written into one scratch array beside the amplitudes, so a step
-allocates no array of them. A row's final frame is never applied: only
-its X part moves a probability, so ``_frame_probs`` reads each row's
+call, one per distinct qubit and idle time. A diagonal step multiplies
+by the product of its terms' pairs, one multiply per step. Every
+step's gathered factors are written into one scratch array beside the
+amplitudes. A row's final frame is never applied: only its X part
+moves a probability, so ``_frame_probs`` reads each row's
 probabilities at its flipped indices, and each chunk's shots are one
 ``statevec.measure_rows`` call on those and the rows' ``sample_draws``.
 ``sample`` returns each point's shots as ascending basis indices.
@@ -64,18 +68,18 @@ on its seed, so its shots do not depend on the batch around it.
 step list, one step kind per effect (a shared gate, a Pauli, a
 dephasing kick, a coherent ZZ). It is the reference the engine is
 checked against: the tests walk it with a frame per row, and
-``realize`` renders one row of it as a ``Circuit``, which is what ``noise.twirl_circuit`` and
-``noise.apply_trajectory_noise`` return. A shot's readout flips are
-``rng.below`` of its readout words, as ``noise.apply_readout_error``
-draws them. Every row's amplitudes, with its final frame applied,
-equal, bit for bit, those of ``simulate_ops`` on that shot's rendered
-circuit: moving a Pauli past a gate only permutes, negates or
-conjugates the factors of each product, a pending permutation only
-moves where each product happens, and a Y's factor 1j reaches the
-amplitudes before the next diagonal product, as it does there. The
-frame's signs and power of 1j then change no bit of a squared modulus,
-so the probabilities a shot is drawn from are those of the rendered
-circuit.
+``realize`` renders one row of it as a ``Circuit``, which is what
+``noise.twirl_circuit`` and ``noise.apply_trajectory_noise`` return. A
+shot's readout flips are ``rng.below`` of its readout words, as
+``noise.apply_readout_error`` draws them. Every row's probabilities,
+under its final frame, equal those of ``simulate_ops`` on that shot's
+rendered circuit to within rounding: moving a Pauli past a gate only
+permutes, negates or conjugates the factors of each product, a pending
+permutation only moves where each product happens, fusing a mask's
+terms multiplies the same factors in another order, and a frame's
+signs and power of 1j, which the engine never applies, change no
+squared modulus. A shot can move only when its draw lies within that
+rounding of a boundary of the cumulative probabilities.
 
 ``noise`` and ``objective`` import this module when they first need it,
 so work that never samples with noise does not load it.
@@ -294,11 +298,12 @@ class Plan:
     where the one schedule every row shares idles. ``per_shot``, whether
     the plan has twirl slots, error sites or dephasing, says whether the
     shots of a point differ at all, which alone decides how ``sample``
-    shares rows. The rest is ``_compile``'s: the amplitude ``program``
-    and its ``final`` gather, the count of ``events`` a row's frame bits
-    hold, the tables that give them (``const``, ``twirl_table``,
-    ``site_table``), and the events a chunk reads as flips and settles
-    (``flips``, ``flip_kick``, ``settles``). A dephasing config is refused when a kick's angle
+    shares rows. The rest is ``_compile``'s: the amplitude ``program``,
+    one diagonal step per parity mask of each segment, and its ``final``
+    gather, the count of ``events`` a row's frame bits hold, the tables
+    that give them (``const``, ``twirl_table``, ``site_table``), and the
+    events a chunk reads as flips (``flips``, with ``flip_kick`` marking
+    a kick's). A dephasing config is refused when a kick's angle
     could overflow: a kick's angle is 2 delta d, with |delta| at most
     ``_MAX_NORMAL`` sigma and its idle time d at most the makespan with
     every twirl slot filled, which no row's own schedule exceeds.
@@ -306,7 +311,7 @@ class Plan:
 
     __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots", "sites",
                  "reach", "bound", "site_slot", "width", "kicks", "per_shot", "program", "final",
-                 "events", "const", "twirl_table", "site_table", "flips", "flip_kick", "settles")
+                 "events", "const", "twirl_table", "site_table", "flips", "flip_kick")
 
     def __init__(self, circuit: Circuit, config: NoiseConfig):
         ops, order = circuit.ops, range(len(circuit.ops))
@@ -377,28 +382,31 @@ def _words(masks: list, width: int) -> np.ndarray:
 def _compile(plan: Plan) -> None:
     """Lay out the amplitude program of ``plan`` and the tables of its frame reads.
 
-    The program is the H, RX and diagonal steps (RZ, coherent ZZ and
-    each of ``plan.kicks``, a kick by its number there), in layout order,
-    each with its static data: an H or RX carries the gather that puts
-    the columns back in basis order (None when the pending CNOT
-    permutation is the identity), a diagonal its ``_bit_values`` read
-    through the permutation's inverse, and ``plan.final`` is the last
-    gather. A row's frame bits are events: bit j < n is the final X bit
-    of qubit n-1-j, an RX reads its qubit's Z bit, and a diagonal reads
-    its settle bit (whether the frame's power of 1j is odd, the parity
-    of the Ys since the last diagonal) and then the parity of its
-    qubits' X bits. Every frame update is an XOR, so each event is the
-    XOR of what each inserted Pauli flips; one backward pass gives, for
-    every place a Pauli goes, the events its X, Z and Y flip: a CNOT
-    maps them by the transpose of its frame update, an H swaps X and Z,
-    and a diagonal's settle bit takes the Ys before it. These fold into
-    ``const`` (the circuit's Paulis and DD pulses), ``twirl_table``
-    (CNOT c's 16 twirl draws, its four slots together) and
-    ``site_table`` (site s's 3 or 15 error values), each entry a row of
-    uint64 words. ``flips`` and ``settles`` are the events a chunk reads
-    as flip bits and settle bits, but for those no entry sets (a flip
-    that is always 0, a settle that never runs); ``flip_kick`` marks the
-    flips of kicks, which pick per-row tables.
+    The program is the H, RX and diagonal steps, in layout order. An H
+    carries the gather that puts the columns back in basis order (None
+    when the pending CNOT permutation is the identity), an RX the index
+    of each column's partner under that permutation, and ``plan.final``
+    is the last gather. The diagonal terms (RZ, coherent ZZ and each of
+    ``plan.kicks``, a kick by its number there) of a segment, between
+    two mixing steps, commute; those that read one parity mask through
+    the permutation's inverse are one step, at the first one's place,
+    with that mask's ``_bit_values``, its terms (rotation key or None,
+    flip, kick number or None), and whether every term is a per-point
+    rotation that no frame flips. A row's frame bits are events: bit
+    j < n is the final X bit of qubit n-1-j, an RX reads its qubit's Z
+    bit, and a diagonal term the parity of its qubits' X bits. Every
+    frame update is an XOR, so each event is the XOR of what each
+    inserted Pauli flips; one backward pass gives, for every place a
+    Pauli goes, the events its X and Z flip (a Y flips both): a CNOT maps
+    them by the transpose of its frame update, and an H swaps X and Z.
+    A frame's power of 1j is a phase of the whole row, which no
+    probability reads, and no event holds it. These fold into ``const``
+    (the circuit's Paulis and DD pulses), ``twirl_table`` (CNOT c's 16
+    twirl draws, its four slots together) and ``site_table`` (site s's 3
+    or 15 error values), each entry a row of uint64 words. ``flips`` are
+    the events a chunk reads as flip bits, but for those no entry sets
+    (a flip that is always 0); ``flip_kick`` marks the flips of kicks,
+    which pick per-row tables.
     """
     n, entries = plan.n, plan.entries
     kicks_at: dict[int, list] = {}
@@ -408,29 +416,28 @@ def _compile(plan: Plan) -> None:
     zz = plan.config.epsilon_coherent != 0.0
 
     # The backward pass. mx[q] and mz[q] are the events an X and a Z on
-    # qubit q flip from here on, and odd the settle event a Y flips (-1 for
-    # none). A Pauli goes after its entry and reads a snapshot of (mx, mz,
-    # odd) of its qubit, one shared until it changes. The program's steps
-    # are gathered last first, with their events.
-    mx, mz, odd, const = [1 << (n - 1 - q) for q in range(n)], [0] * n, -1, 0
-    xs, zs, odds, snap = [], [], [], [-1] * n
+    # qubit q flip from here on, and a Y flips both. A Pauli goes after its
+    # entry and reads a snapshot of (mx, mz) of its qubit, one shared until
+    # it changes. The program's steps are gathered last first, with their
+    # events.
+    mx, mz, const = [1 << (n - 1 - q) for q in range(n)], [0] * n, 0
+    xs, zs, snap = [], [], [-1] * n
     slot_snaps, site_snaps, steps = [], [], []
     events = n
 
     def diagonal(qubits, key, kick):
-        nonlocal events, odd, snap
+        nonlocal events
         for q in qubits:
-            mx[q] ^= 1 << (events + 1)
-        odd, snap = events, [-1] * n
+            mx[q] ^= 1 << events
+            snap[q] = -1
         steps.append(("D", qubits, key, events, kick))
-        events += 2
+        events += 1
 
     def snapshot(q) -> int:
         if snap[q] < 0:
             snap[q] = len(xs)
             xs.append(mx[q])
             zs.append(mz[q])
-            odds.append(odd)
         return snap[q]
 
     def kicks_before(k):
@@ -473,33 +480,30 @@ def _compile(plan: Plan) -> None:
             events += 1
         elif kind != "DELAY":  # a Pauli gate or DD pulse
             q = qubits[0]
-            y = mx[q] ^ mz[q] ^ (0 if odd < 0 else 1 << odd)
-            const ^= (mx[q], y, mz[q])[PAULI_KINDS.index(kind)]
+            const ^= (mx[q], mx[q] ^ mz[q], mz[q])[PAULI_KINDS.index(kind)]
         kicks_before(k)
 
     # the events some entry may set, a bit set of them all; any other reads
     # 0 in every row, and a chunk reads no bit of it
-    live = reduce(or_, xs, const) | reduce(or_, zs, 0) | sum(1 << odd for odd in set(odds) - {-1})
-    flips, flip_kick, settles = [], [], []
+    live = reduce(or_, xs, const) | reduce(or_, zs, 0)
+    flips, flip_kick = [], []
 
-    def read(event: int, kept: list, kick: bool | None = None) -> int | None:
-        """The index in ``kept`` of ``event``, appended, or None when no entry sets it.
-
-        A flip comes with ``kick``, whether a kick reads it.
-        """
+    def read(event: int, kick: bool) -> int | None:
+        """The index in ``flips`` of ``event``, appended, or None when no entry sets it."""
         if not live >> event & 1:
             return None
-        kept.append(event)
-        if kick is not None:
-            flip_kick.append(kick)
-        return len(kept) - 1
+        flips.append(event)
+        flip_kick.append(kick)
+        return len(flips) - 1
 
     # the forward pass: the program, under the pending CNOT permutation, which
     # is linear in the bits of an index: basis index e_b sits in column
     # images[b], and a diagonal on the parity mask M reads column j at the
-    # parity of j & (XOR of parities[b], b in M)
+    # parity of j & (XOR of parities[b], b in M). The diagonals of a segment
+    # (those between two mixing steps) commute, and each mask's go into one
+    # step, in the segment's first place, as its terms.
     identity = [1 << b for b in range(n)]
-    images, parities, program = identity[:], identity[:], []
+    images, parities, program, segment = identity[:], identity[:], [], {}
 
     def gather():
         """The columns of basis order under the pending permutation, or None for the identity."""
@@ -510,35 +514,36 @@ def _compile(plan: Plan) -> None:
     for step in reversed(steps):
         kind = step[0]
         if kind == "D":
-            _, qubits, key, settle, kick = step
+            _, qubits, key, event, kick = step
             mask = 0
             for q in qubits:
                 mask ^= parities[n - 1 - q]
-            program.append(("D", _parity_values(n, mask), key, read(settle, settles),
-                            read(settle + 1, flips, kick is not None), kick))
+            if mask not in segment:
+                segment[mask] = []
+                program.append(("D", _parity_values(n, mask), segment[mask]))
+            segment[mask].append((key, read(event, kick is not None), kick))
         elif kind == "C":
             c, t = n - 1 - step[1], n - 1 - step[2]
             images[c] ^= images[t]
             parities[t] ^= parities[c]
-        elif kind == "H":
-            program.append(("H", step[1], gather()))
         else:
-            program.append(("RX", _xor_perm(n, images[n - 1 - step[1]]), step[2],
-                            read(step[3], flips, False)))
-    plan.program, plan.final = program, gather()
-    plan.flips, plan.settles = np.array(flips, dtype=np.intp), np.array(settles, dtype=np.intp)
-    plan.flip_kick = np.array(flip_kick, dtype=bool)
+            segment = {}
+            program.append(("H", step[1], gather()) if kind == "H" else
+                           ("RX", _xor_perm(n, images[n - 1 - step[1]]), step[2],
+                            read(step[3], False)))
+    # a step of per-point rotations that no frame flips multiplies per point
+    plan.program = [step if step[0] != "D" else
+                    (*step, all(flip is None and kick is None for _, flip, kick in step[2]))
+                    for step in program]
+    plan.final = gather()
+    plan.flips, plan.flip_kick = np.array(flips, dtype=np.intp), np.array(flip_kick, dtype=bool)
 
     width = (events + 63) // 64
     plan.events, plan.const = events, _words([const], width)[0]
     # each snapshot's table over Pauli ids I, X, Y, Z, and a last one of none
     x, z = _words(xs, width), _words(zs, width)
-    y = x ^ z
-    odd_at = np.array(odds, dtype=np.int64)
-    has = np.flatnonzero(odd_at >= 0)
-    y[has, odd_at[has] >> 6] ^= np.uint64(1) << (odd_at[has] & 63).astype(np.uint64)
     table = np.zeros((len(xs) + 1, 4, width), dtype=np.uint64)
-    table[:-1, 1], table[:-1, 2], table[:-1, 3] = x, y, z
+    table[:-1, 1], table[:-1, 2], table[:-1, 3] = x, x ^ z, z
     slots = table[slot_snaps[::-1]].reshape(-1, 4, 4, width)
     plan.twirl_table = np.bitwise_xor.reduce(slots[:, np.arange(4), _TWIRL_SLOTS], axis=2)
     # a hit's value u picks the Paulis (u + 1) >> 2 and (u + 1) & 3 of its
@@ -713,25 +718,24 @@ def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_ke
     diagonal, so the H layer runs once. A CNOT moves no amplitude: basis
     index i of every row sits in column ``perm[i]`` of a pending
     permutation, each diagonal reads its entries through the inverse,
-    and an H or RX first gathers the columns back in basis order. An H
-    runs through ``statevec.apply_rows``. Every RX and diagonal carries
-    a (2P, 2) table of P pairs over their conjugates, and row r takes
-    table row flip_r * P + base_r: base_r is its point, or r itself for
-    a kick, and flip_r its flip bit, so every row gets the arithmetic of
-    ``apply_rows`` at its own angle, its conjugate past a frame that
-    anticommutes. An RX reads the pair as its two scalars; a diagonal
-    multiplies every row by its pair at the parity of each column's
-    basis index, gathered over columns first from a per-point table and
-    over rows first from a per-row one, which read the same values.
-    Before a diagonal, the rows whose settle bit is set are multiplied
-    by 1j, as ``simulate_ops`` applies each Y's 1j to the amplitudes: a
-    product by a complex number with both parts nonzero may round
-    differently when its operand's parts are traded. A kick place that
-    no row of the chunk idles at (its kick table is None) is skipped,
-    its settle bits carried to the next diagonal that runs. Every
-    diagonal, the partner operand of an RX and the gathered columns are
-    written into one scratch array, the two trading places after a
-    gather.
+    an RX reads each column's partner through it, and an H first
+    gathers the columns back in basis order. An H runs through
+    ``statevec.apply_rows``. Every RX and diagonal term carries a (2P,
+    2) table of P pairs over their conjugates, and row r takes table row
+    flip_r * P + base_r: base_r is its point, or r itself for a kick,
+    and flip_r its flip bit, so every row gets its own angle, its
+    conjugate past a frame that anticommutes. An RX reads the pair as
+    its two scalars, with ``apply_rows``' arithmetic. A diagonal step
+    multiplies every row by the product of its terms' pairs at the
+    parity of each column's basis index, once: a step of per-point
+    rotations that no frame flips takes the product per point and
+    gathers it over columns first when the chunk has fewer points than
+    rows, and any other step takes it per row, (rows, 2), and gathers
+    that; the same values either way. A kick place that no row of the
+    chunk idles at (its kick table is None) is left out of the product.
+    The factors of a step, the partner operand of an RX and the gathered
+    columns are written into one scratch array, the two trading places
+    after a gather.
 
     Returns the (rows, 2^n) amplitudes ``a`` in basis order and each
     row's final X frame m: the row's state is a[i ^ m] up to signs and a
@@ -757,8 +761,6 @@ def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_ke
     picks += row_point
     if plan.flip_kick.any():
         picks[plan.flip_kick] += own - row_point
-    odd = np.ascontiguousarray(bits[:, plan.settles].T)
-    odd_rows = np.count_nonzero(odd, axis=1).tolist()
 
     amps, buf = zero_state(n)[None], np.empty((1, 1 << n), dtype=complex)
 
@@ -766,7 +768,11 @@ def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_ke
         """``np.take`` into ``buf``: every index is in range, and mode "raise" buffers ``out``."""
         return np.take(values, index, axis=axis, out=buf, mode="wrap")
 
-    carry = None  # the settle bits of skipped kicks
+    def pairs(key, flip, kick):
+        """A diagonal term's pair in each row: (rows, 2)."""
+        table, base = (tables[key], row_point) if kick is None else (kick_tables[kick][1], own)
+        return np.take(table, base if flip is None else picks[flip], axis=0)
+
     for step in plan.program:
         kind = step[0]
         if kind == "H":
@@ -774,44 +780,33 @@ def _run_chunk(plan: Plan, tables: dict, twirl_keys, trajectory_keys, dephase_ke
                 amps, buf = take(amps, step[2], 1), amps
             amps = apply_rows(amps, n, step[1])
             continue
-        if kind == "D" and step[5] is not None and kick_tables[step[5]] is None:
-            if step[3] is not None:
-                carry = odd[step[3]] if carry is None else carry ^ odd[step[3]]
-            continue
+        if kind == "D":
+            # a kick place that no row of the chunk idles at has no table
+            _, read, terms, per_point = step
+            terms = [term for term in terms if term[2] is None or kick_tables[term[2]] is not None]
+            if not terms:
+                continue
         if len(amps) < rows:
             amps, buf = np.repeat(amps, rows, axis=0), np.empty((rows, 1 << n), dtype=complex)
         if kind == "RX":
             _, partner, key, flip = step
             # apply_rows' RX products, in place, with each of an RX's two
             # vectors held as its one value per row
-            pair = np.take(tables[key], row_point if flip is None else picks[flip], axis=0)
+            pair = pairs(key, flip, None)
             flipped = take(amps, partner, 1)
             flipped *= pair[:, 1:]
             amps *= pair[:, :1]
             amps += flipped
             continue
-        _, read, key, settle, flip, kick = step
-        settled = 0 if settle is None else odd_rows[settle]
-        if carry is not None:
-            odd_now = carry if settle is None else carry ^ odd[settle]
-            settled, carry = np.count_nonzero(odd_now), None
-        elif settled:
-            odd_now = odd[settle]
-        if settled == rows:
-            amps *= 1j
-        elif settled:
-            np.multiply(amps, 1j, out=amps, where=odd_now[:, None] != 0)
-        if kick is None:
-            table, base = tables[key], row_point
+        # the product of the terms' pairs at the parity of each column's basis
+        # index: per point and gathered over columns first when the points are
+        # fewer than the rows, else per row; the same values either way
+        if per_point and points < rows:
+            table = reduce(np.multiply, [tables[key][:points] for key, _, _ in terms])
+            factor = take(np.take(table, read, axis=1), row_point, 0)
         else:
-            table, base = kick_tables[kick][1], own
-        pick = base if flip is None else picks[flip]
-        # the pair at the parity of each column's basis index, gathered over
-        # columns first from a per-point table and over rows first from a
-        # per-row one: the same values either way
-        index = (pick, read)
-        axis = int(len(table) < 2 * rows)
-        amps *= take(np.take(table, index[axis], axis=axis), index[1 - axis], 1 - axis)
+            factor = take(reduce(np.multiply, [pairs(*term) for term in terms]), read, 1)
+        amps *= factor
     if plan.final is not None:
         amps, buf = take(amps, plan.final, 1), amps
     if len(amps) < rows:

@@ -315,6 +315,11 @@ BAD_INPUTS = {
     # read a string or a bool as a number
     "objective-complex-thetas": (lambda: make_objective(CANONICAL, 1)(np.array([[0.1 + 2j, 0.2]])),
                                  "thetas"),
+    # a batch is checked before its rows are counted or scored
+    "objective-none-thetas": (lambda: make_objective(CANONICAL, 1)(None), "thetas"),
+    "engine-wide-thetas": (lambda: Engine(CANONICAL, 1)(np.zeros((1, 3)), [None]), "thetas"),
+    "tallies-wide-thetas": (lambda: Engine(CANONICAL, 1, "sampled", shots=8).tallies(
+        np.zeros((1, 3)), [1]), "thetas"),
     "engine-string-thetas": (lambda: Engine(CANONICAL, 1)([["0.1", "0.2"]], [None]), "thetas"),
     "engine-bool-thetas": (lambda: Engine(CANONICAL, 1, "sampled", shots=8).tallies(
         np.array([[True, False]]), [1]), "thetas"),

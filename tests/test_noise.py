@@ -588,14 +588,17 @@ def row_keys(seeds, shots: int, twirling: bool) -> list:
     return [twirl, keys(rng.STREAM_TRAJECTORY), keys(rng.STREAM_DEPHASE)]
 
 
-def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds, shots: int) -> np.ndarray:
-    """The amplitudes of ``shots`` rows per point from one ``Plan``, point j's under ``seeds[j]``.
+def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds,
+              shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """``shots`` rows per point from one ``Plan``, point j's under ``seeds[j]``: (amplitudes, probabilities).
 
     ``angles`` is (points, R), in the op order of ``circuit``, which the
-    plan dresses with the config's DD pulses. The rows are those of the
-    framed reference, with its frames applied; the engine's chunk must
-    give the reference's unframed amplitudes and final X frames, bit for
-    bit, on the way.
+    plan dresses with the config's DD pulses. The amplitudes are those of
+    the framed reference, with its frames applied, and the probabilities
+    the engine's, under its frames (``_frame_probs``). The engine's chunk
+    must give the reference's final X frames exactly and its framed
+    probabilities to within 1e-13 on the way: it leaves each row's power
+    of 1j out and fuses the diagonals of a mask, which moves the last bits.
     """
     plan = trajectories.Plan(circuit, config)
     tables = trajectories._point_angles(plan, angles)
@@ -604,9 +607,21 @@ def plan_rows(circuit: Circuit, config: NoiseConfig, angles, seeds, shots: int) 
     amps, frame = frame_reference.run_rows(plan.n, trajectories._chunk_steps(plan, tables, *keys),
                                            row_point)
     engine_amps, x_frame = trajectories._run_chunk(plan, tables, *keys, row_point)
-    assert engine_amps.tobytes() == amps.tobytes()
     assert np.array_equal(x_frame, frame & ((1 << plan.n) - 1))
-    return framed(amps, frame, plan.n)
+    rows, probs = framed(amps, frame, plan.n), trajectories._frame_probs(engine_amps, x_frame, plan.n)
+    np.testing.assert_allclose(probs, np.abs(rows) ** 2, rtol=0, atol=1e-13)
+    return rows, probs
+
+
+def assert_row_is_the_shot(rows: np.ndarray, probs: np.ndarray, r: int, single: np.ndarray):
+    """Row r of ``plan_rows`` against the gate path's amplitudes ``single`` of its shot.
+
+    The reference's amplitudes must equal them bit for bit (equal as
+    floats: equal bits, up to the sign of a zero), and the engine's
+    probabilities their squared moduli to within 1e-13.
+    """
+    assert np.array_equal(single.view(np.float64), rows[r].view(np.float64))
+    np.testing.assert_allclose(probs[r], np.abs(single) ** 2, rtol=0, atol=1e-13)
 
 
 UNITS = np.array([1, 1j, -1, -1j])
@@ -653,23 +668,22 @@ def also(names: list, case: str) -> list:
                                              "cnot-runs"))
 def test_batched_rows_equal_per_shot_amplitudes_bit_for_bit(name, shape):
     # Equal counts could hide last-bit differences that rarely move an
-    # outcome; the amplitudes themselves must agree exactly. The CNOT runs
-    # leave the engine's columns permuted under the RZs, kicks and ZZs.
+    # outcome; the reference's amplitudes must agree exactly, and the
+    # engine's probabilities to within rounding. The CNOT runs leave the
+    # engine's columns permuted under the RZs, kicks, ZZs and RXs.
     config = ORACLE_CONFIGS[name]
     circuit = mixed_circuit(4, 30, seed=9) if shape is None else cnot_runs_circuit(4, seed=9)
     base = with_dd(circuit, config)
-    rows = plan_rows(circuit, config, own_angles(circuit), [5], 12)
+    rows, probs = plan_rows(circuit, config, own_angles(circuit), [5], 12)
     for i in range(12):
-        single = simulate_ops(base.n, shot_circuit(base, config, i, 5).ops)
-        # equal as floats: equal bits, up to the sign of a zero
-        assert np.array_equal(single.view(np.float64), rows[i].view(np.float64))
+        assert_row_is_the_shot(rows, probs, i, simulate_ops(base.n, shot_circuit(base, config, i, 5).ops))
 
 
 @pytest.mark.parametrize("name, zeros", also(["all", "twirl-dephasing", "dd-xy4", "coherent-only",
                                               "p1q"], "signed-zeros"))
 def test_two_point_rows_equal_per_shot_amplitudes_bit_for_bit(name, zeros):
     # Two points with different angles share one array: each row must hold
-    # the amplitudes of its own point's shot circuit, bit for bit. With
+    # the state of its own point's shot circuit. With
     # ``zeros``, the points differ only in the sign of their zero angles,
     # whose sines differ in sign.
     config = ORACLE_CONFIGS[name]
@@ -680,11 +694,11 @@ def test_two_point_rows_equal_per_shot_amplitudes_bit_for_bit(name, zeros):
         angles[:, ::2] = 0.0
         angles[1] = np.where(angles[0] == 0.0, -0.0, angles[0])
     seeds, shots = [5, 8], 6
-    rows = plan_rows(circuit, config, angles, seeds, shots)
+    rows, probs = plan_rows(circuit, config, angles, seeds, shots)
     for r, j in enumerate(np.repeat([0, 1], shots)):
         base = with_dd(with_angles(circuit, angles[j]), config)
         single = simulate_ops(base.n, shot_circuit(base, config, r % shots, seeds[j]).ops)
-        assert np.array_equal(single.view(np.float64), rows[r].view(np.float64))
+        assert_row_is_the_shot(rows, probs, r, single)
 
 
 @st.composite
@@ -717,11 +731,10 @@ noise_configs = st.builds(
 )
 
 
-def test_a_kick_place_no_row_idles_at_carries_its_settle_bit_on():
+def test_a_kick_place_no_row_idles_at_is_left_out_of_its_product():
     # Twirled and dephased, the trailing kick of qubit 0 is idle in every
-    # row, as its long H ends last, and the Y before it sets that kick's
-    # settle bit: the chunk skips the kick and settles at qubit 1's
-    # trailing kick instead, where the reference settles.
+    # row, as its long H ends last: the chunk leaves that kick out of its
+    # diagonal step's product, and the Y before it changes no probability.
     circuit = Circuit(2, (GateOp("H", (0,), None, 1.0), GateOp("H", (1,), None, 1.0),
                           GateOp("CNOT", (0, 1), None, 2.0), GateOp("RZ", (1,), 0.3, 1.0),
                           GateOp("CNOT", (0, 1), None, 2.0), GateOp("Y", (0,), None, 1.0),
@@ -732,12 +745,12 @@ def test_a_kick_place_no_row_idles_at_carries_its_settle_bit_on():
     twirl = trajectories._twirl_ids(trajectories._twirl_draws(keys[0], len(plan.slots) // 4))
     kicks, _ = trajectories._idle_kicks(plan.entries, 2, twirl)
     idle = {j for j, (_, _, dur) in enumerate(kicks) if not dur.any()}
-    assert [step[5] for step in plan.program if step[0] == "D" and step[5] in idle
-            and step[3] is not None] == [len(kicks) - 2]
-    rows = plan_rows(circuit, config, own_angles(circuit), [5], 12)
+    assert len(kicks) - 2 in idle
+    assert len(kicks) - 2 in {kick for step in plan.program if step[0] == "D"
+                              for _, _, kick in step[2]}
+    rows, probs = plan_rows(circuit, config, own_angles(circuit), [5], 12)
     for i in range(12):
-        single = simulate_ops(2, shot_circuit(circuit, config, i, 5).ops)
-        assert np.array_equal(single.view(np.float64), rows[i].view(np.float64))
+        assert_row_is_the_shot(rows, probs, i, simulate_ops(2, shot_circuit(circuit, config, i, 5).ops))
 
 
 @settings(max_examples=40, deadline=None)
@@ -762,11 +775,11 @@ def test_rows_equal_per_shot_amplitudes_bit_for_bit_on_random_circuits(circuit, 
         angles = np.array([[data.draw(angle) for _ in range(count)] for _ in range(2)])
         circuits = [with_angles(circuit, row) for row in angles]
     seeds, shots = [seed, seed ^ 1], 3
-    rows = plan_rows(circuit, config, angles, seeds[:points], shots)
+    rows, probs = plan_rows(circuit, config, angles, seeds[:points], shots)
     for r, j in enumerate(np.repeat(np.arange(points), shots)):
         base = with_dd(circuits[j], config)
         single = simulate_ops(base.n, shot_circuit(base, config, r % shots, seeds[j]).ops)
-        assert np.array_equal(single.view(np.float64), rows[r].view(np.float64))
+        assert_row_is_the_shot(rows, probs, r, single)
 
 
 @settings(max_examples=60, deadline=None)
@@ -781,9 +794,8 @@ def test_twirl_and_dd_keep_the_output_distribution_of_random_circuits(circuit, s
     for dressed in (twirl_circuit(circuit, seed), padded, twirl_circuit(padded, seed)):
         np.testing.assert_allclose(probs_of(dressed), ideal, rtol=0, atol=1e-12)
     config = NoiseConfig(twirling=True, dd=True, dd_sequence=sequence)
-    rows = plan_rows(circuit, config, own_angles(circuit), [seed], 8)
-    np.testing.assert_allclose(np.abs(rows) ** 2, np.broadcast_to(ideal, rows.shape),
-                               rtol=0, atol=1e-12)
+    _, probs = plan_rows(circuit, config, own_angles(circuit), [seed], 8)
+    np.testing.assert_allclose(probs, np.broadcast_to(ideal, probs.shape), rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -880,8 +892,9 @@ QAOA_ENGINE_CONFIGS = {**NOISY_P5_SETTINGS, "all-xy4": ORACLE_CONFIGS["all"],
                                       ("cube", 2)])
 @pytest.mark.parametrize("name", sorted(QAOA_ENGINE_CONFIGS))
 def test_the_engine_equals_the_framed_reference_on_qaoa_circuits(canonical, graph, p, name):
-    # plan_rows checks the engine's unframed amplitudes and final X frames
-    # against the reference's, bit for bit, on the circuits the benchmark runs
+    # plan_rows checks the engine's final X frames against the reference's
+    # exactly, and its framed probabilities to within 1e-13, on the circuits
+    # the benchmark runs
     instance = canonical if graph == "canonical" else cube_instance()
     circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
     count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
@@ -891,15 +904,16 @@ def test_the_engine_equals_the_framed_reference_on_qaoa_circuits(canonical, grap
 
 
 # (amplitude steps of the plan, steps of a 1280-row chunk's step list at seed 0)
-NOISY_P5_STEPS = {"p5-ibm-bounds": (60, 300), "p5-coherent-twirl": (120, 420),
-                  "p5-dephase-xy4": (180, 402), "p5-ibm-twirl-dd": (60, 904)}
+NOISY_P5_STEPS = {"p5-ibm-bounds": (60, 300), "p5-coherent-twirl": (70, 420),
+                  "p5-dephase-xy4": (109, 402), "p5-ibm-twirl-dd": (60, 904)}
 
 
 @pytest.mark.parametrize("name", sorted(NOISY_P5_STEPS))
 def test_a_noisy_p5_chunk_walks_only_its_amplitude_steps(canonical, name):
-    # the engine walks the program's H, RX and diagonal steps; the step list
-    # that realize renders, and the reference walks, holds every Pauli, CNOT
-    # and DELAY of the chunk too
+    # the engine walks the program's H, RX and diagonal steps, one diagonal
+    # step per parity mask of a segment; the step list that realize renders,
+    # and the reference walks, holds every Pauli, CNOT, DELAY, RZ, kick and
+    # coherent ZZ of the chunk
     config = NOISY_P5_SETTINGS[name]
     plan = trajectories.Plan(build_qaoa_circuit(canonical, QaoaParams((0.0,) * 5, (0.0,) * 5)),
                              config)
@@ -1158,7 +1172,7 @@ def test_kicks_of_one_qubit_and_duration_share_one_pairs_column(monkeypatch, nam
     # column per distinct (qubit, duration), each with its conjugates below
     # it in the kick's table; with twirling, the durations
     # differ per row (_idle_kicks' per-row walk), and the rows of this plan
-    # equal their rendered shots bit for bit in
+    # give the probabilities of their rendered shots in
     # test_batched_rows_equal_per_shot_amplitudes_bit_for_bit[twirl-dephasing]
     config = BATCH_CONFIGS[name]
     circuit = mixed_circuit(4, 30, seed=9)
@@ -1212,19 +1226,29 @@ def test_kick_and_zz_tables_are_rotation_pairs_over_their_conjugates(name):
 
 @pytest.mark.parametrize("name", ["all", "coherent-only", "dd-xy4"])
 def test_per_point_and_per_row_gathers_give_the_same_bits(name):
-    # a diagonal is gathered over columns first from a table with fewer
-    # pairs than the chunk has rows, else over rows first: one shot of each
-    # of three points takes the second order for every RZ and ZZ, two shots
-    # of one point the first, and shot 0 of each point agrees bit for bit
+    # a diagonal step of per-point rotations that no frame flips multiplies
+    # its terms' pairs per point and gathers over columns first when the
+    # chunk has fewer points than rows, else per row: one shot of each of
+    # three points takes the second way, two shots of one point the first,
+    # and shot 0 of each point agrees bit for bit; under gate errors every
+    # term may be flipped, and every step goes per row
     config = ORACLE_CONFIGS[name]
     circuit = mixed_circuit(4, 30, seed=9)
+    plan = trajectories.Plan(circuit, config)
+    assert any(step[0] == "D" and step[3] for step in plan.program) == (config.p1q == 0)
     count = sum(op.kind in ("RX", "RZ") for op in circuit.ops)
     angles = np.random.default_rng(4).uniform(-3.0, 3.0, size=(3, count))
     seeds = [5, 8, 2]
-    rows = plan_rows(circuit, config, angles, seeds, 1)
-    for j, seed in enumerate(seeds):
-        alone = plan_rows(circuit, config, angles[j:j + 1], [seed], 2)
-        assert np.array_equal(alone[0].view(np.float64), rows[j].view(np.float64))
+
+    def engine_rows(points, shots):
+        tables = trajectories._point_angles(plan, angles[points])
+        row_point = np.repeat(np.arange(len(points)), shots)
+        keys = row_keys([seeds[j] for j in points], shots, config.twirling)
+        return trajectories._run_chunk(plan, tables, *keys, row_point)[0]
+
+    rows = engine_rows([0, 1, 2], 1)
+    for j in range(3):
+        assert np.array_equal(engine_rows([j], 2)[0].view(np.float64), rows[j].view(np.float64))
 
 
 @pytest.mark.parametrize("name", ["all", "twirl-dephasing", "p5-dephase-xy4"])
@@ -1261,8 +1285,10 @@ def test_only_chunk_draws_calls_the_draw_rules():
 
 
 def test_run_chunk_multiplies_by_a_diagonal_in_one_statement():
-    # an RZ, a dephasing kick and a coherent ZZ are one diagonal step of
-    # _run_chunk, and no table of the package is cached per epsilon
+    # an RZ, a dephasing kick and a coherent ZZ are terms of one diagonal
+    # step of _run_chunk, which multiplies the amplitudes once (an RX's
+    # other product takes a column of its pair), and no table of the
+    # package is cached per epsilon
     package = Path(trajectories.__file__).parent
     tree = ast.parse((package / "trajectories.py").read_text(encoding="utf-8"))
     run_chunk = next(node for node in tree.body
@@ -1270,7 +1296,7 @@ def test_run_chunk_multiplies_by_a_diagonal_in_one_statement():
     products = [node.lineno for node in ast.walk(run_chunk)
                 if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
                 and isinstance(node.target, ast.Name) and node.target.id == "amps"
-                and isinstance(node.value, ast.Call)]
+                and not isinstance(node.value, ast.Subscript)]
     assert len(products) == 1
     cached = [f"{path.name}:{node.name}" for path in sorted(package.glob("*.py"))
               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -1313,16 +1339,50 @@ def test_frame_probs_are_the_squared_moduli_of_the_framed_amplitudes_bit_for_bit
 
 def test_the_engine_walks_no_frame_step():
     # a chunk reads every frame bit from its plan's tables: the program
-    # holds only H, RX and diagonal steps, and no frame walk is left in src
+    # holds only H, RX and diagonal steps, a diagonal step lists its terms
+    # (a rotation key or a kick number, and a flip), and no frame walk is
+    # left in src
     circuit = mixed_circuit(4, 30, seed=9)
     for config in BATCH_CONFIGS.values():
         plan = trajectories.Plan(circuit, config)
         assert {step[0] for step in plan.program} <= {"H", "RX", "D"}
+        for step in plan.program:
+            if step[0] == "D":
+                assert step[2] and all((key is None) != (kick is None) for key, _, kick in step[2])
     package = Path(trajectories.__file__).parent
     names = {node.name for path in package.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.FunctionDef)}
     assert not names & {"_run_rows", "_compose", "_pauli_tables", "_settle"}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_a_segment_has_one_diagonal_step_per_parity_mask(canonical, name):
+    # the diagonals between two mixing steps (H or RX) commute, so a segment
+    # multiplies once per parity mask: its RZs, coherent ZZs and kicks are
+    # the terms of those steps, each once, and nothing settles a row's
+    # power of 1j
+    config = BATCH_CONFIGS[name]
+    qaoa = build_qaoa_circuit(canonical, QaoaParams((0.0,) * 3, (0.0,) * 3))
+    for circuit in (mixed_circuit(4, 30, seed=9), cnot_runs_circuit(4, seed=9), qaoa):
+        plan = trajectories.Plan(circuit, config)
+        masks: list = []
+        for step in plan.program:
+            if step[0] != "D":
+                masks = []
+                continue
+            assert step[1].tobytes() not in masks
+            masks.append(step[1].tobytes())
+        terms = [term for step in plan.program if step[0] == "D" for term in step[2]]
+        kinds = [e.op.kind for e in plan.entries if e.op is not None]
+        zz = kinds.count("CNOT") if config.epsilon_coherent else 0
+        assert len(terms) == kinds.count("RZ") + zz + len(plan.kicks)
+        assert sorted(kick for _, _, kick in terms if kick is not None) == list(range(len(plan.kicks)))
+    tree = ast.parse(Path(trajectories.__file__).read_text(encoding="utf-8"))
+    names = {getattr(node, field) for node in ast.walk(tree) for field in ("id", "attr", "arg", "name")
+             if isinstance(getattr(node, field, None), str)}
+    assert not [name for name in names | set(trajectories.Plan.__slots__) if "settle" in name]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == 1j]
 
 
 @pytest.mark.parametrize("odd_rows", ["none", "all", "some"])
