@@ -526,11 +526,13 @@ def _compile(plan: Plan) -> None:
             c, t = n - 1 - step[1], n - 1 - step[2]
             images[c] ^= images[t]
             parities[t] ^= parities[c]
-        else:
+        else:  # a mixing step, which ends the segment
             segment = {}
-            program.append(("H", step[1], gather()) if kind == "H" else
-                           ("RX", _xor_perm(n, images[n - 1 - step[1]]), step[2],
-                            read(step[3], False)))
+            if kind == "H":
+                program.append(("H", step[1], gather()))
+            else:
+                program.append(("RX", _xor_perm(n, images[n - 1 - step[1]]), step[2],
+                                read(step[3], False)))
     # a step of per-point rotations that no frame flips multiplies per point
     plan.program = [step if step[0] != "D" else
                     (*step, all(flip is None and kick is None for _, flip, kick in step[2]))
