@@ -24,8 +24,8 @@ import os
 import re
 import subprocess
 import sys
-import tarfile
 import tempfile
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,12 +49,12 @@ def run_criteria(root: Path) -> list[str]:
 
 
 def export(rev: str, into: Path) -> None:
-    """Write the files committed at ``rev`` into the directory ``into``."""
-    archive = into / "rev.tar"
-    subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), rev], cwd=ROOT,
+    """Write the files committed at ``rev`` into ``into / "tree"``."""
+    archive = into / "rev.zip"
+    subprocess.run(["git", "archive", "--format=zip", "-o", str(archive), rev], cwd=ROOT,
                    check=True, capture_output=True, text=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(into / "tree", filter="data")
+    with zipfile.ZipFile(archive) as files:
+        files.extractall(into / "tree")
 
 
 def complete(lines: list[str], name: str) -> bool:
