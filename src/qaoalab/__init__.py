@@ -6,7 +6,7 @@ scheduling / dynamical-decoupling mitigation passes, in-house
 derivative-free optimizers, and a reproducible experiment harness.
 """
 
-from .ansatz import Circuit, QaoaParams, build_qaoa_circuit, qaoa_states, run_circuit
+from .ansatz import Circuit, QaoaParams, build_qaoa_circuit, run_circuit
 from .graph import (
     MaxCutInstance,
     ParseError,
@@ -53,13 +53,13 @@ from .optim import (
     minimize,
     random_qaoa_starts,
 )
-from .plots import plot_histogram, plot_trace, render_histogram, render_trace
+from .plots import plot_histogram, plot_trace, render_histogram
 from .statevec import GateOp, expectation_cut, sample_counts, simulate_ops, zero_state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit", "QaoaParams", "build_qaoa_circuit", "qaoa_states", "run_circuit",
+    "Circuit", "QaoaParams", "build_qaoa_circuit", "run_circuit",
     "MaxCutInstance", "ParseError", "brute_force_maxcut",
     "canonical_instance", "cut_value", "parse_edge_list", "serialize_edge_list",
     "ExperimentConfig", "NOISE_PRESETS", "PAPER_P5_THETA", "ConfigError",
@@ -71,7 +71,7 @@ __all__ = [
     "EnergySample", "energy_from_counts", "evaluate_qaoa", "make_objective",
     "METHODS", "MinimizeProblem", "MinimizeResult", "minimize",
     "random_qaoa_starts",
-    "plot_histogram", "plot_trace", "render_histogram", "render_trace",
+    "plot_histogram", "plot_trace", "render_histogram",
     "GateOp", "expectation_cut", "sample_counts", "simulate_ops", "zero_state",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""The input rules: an integer, a finite number, a real array, a seed, a flag, a choice, a bitstring, counts, a type, a sequence and a text file, each written once.
+"""The input rules: an integer, a finite number, a real array, a seed, a flag, a choice, a bitstring, counts, a type, a sequence, a path and a text file, each written once.
 
 A rule returns the value (an integer, number or flag as a plain int,
 float or bool, a real array as a float array, a file as its text), or
@@ -157,8 +157,15 @@ def sequence(value, name: str):
     return value
 
 
-def text_file(path, name: str) -> str:
-    """The UTF-8 text of the regular file that ``path``, a str or os.PathLike, names.
+def path(value, name: str):
+    """``value``, a str or an os.PathLike, as it was given."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a string path, got {value!r}")
+    return value
+
+
+def text_file(file, name: str) -> str:
+    """The UTF-8 text of the regular file that ``file`` names, a path by the ``path`` rule.
 
     The one rule for a file that enters: a config, a graph, counts or a
     trace. The text keeps its line ends as written. A message names the
@@ -166,12 +173,10 @@ def text_file(path, name: str) -> str:
     (a directory, a pipe), or bytes that are not UTF-8. Any other OS
     error, such as a file that may not be read, is raised as it is.
     """
-    if not isinstance(path, (str, os.PathLike)):
-        raise ValueError(f"{name} must be a string path, got {path!r}")
-    if not os.path.isfile(path):
-        raise ValueError(f"{name} {'not a file' if os.path.exists(path) else 'not found'}: {path}")
+    if not os.path.isfile(path(file, name)):
+        raise ValueError(f"{name} {'not a file' if os.path.exists(file) else 'not found'}: {file}")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(file, encoding="utf-8", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{name} not UTF-8 text: {path} ({exc.reason})") from None
+        raise ValueError(f"{name} not UTF-8 text: {file} ({exc.reason})") from None

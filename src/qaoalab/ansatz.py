@@ -23,8 +23,8 @@ as X on nodes 1..n-1, which reverses h, so node 0's RX is
 cos(beta)*h - i*sin(beta)*h reversed; for n <= 6, where nodes 1..n-1
 fit in one block, that step is folded into the block, and each row
 stays (1, 2^(n-1)) so that a layer is one multiply and one matmul.
-``qaoa_states`` returns h followed by its reverse; ``qaoa_probabilities``
-returns |h|^2 followed by its reverse, the same bits as the states'
+The state is h followed by its reverse; ``qaoa_probabilities`` returns
+|h|^2 followed by its reverse, the same bits as that state's
 probabilities, and is what the exact and sampled engines score. The
 gate list from ``build_qaoa_circuit`` is what noisy sampling runs, and
 it is the reference the gate-free state is tested against;
@@ -47,11 +47,11 @@ from .statevec import MAX_QUBITS, GateOp, check_gate, sample_counts, simulate_op
 ONE_QUBIT_DURATION = 1.0
 TWO_QUBIT_DURATION = 4.0
 
-# qubits per mixer block in ``qaoa_states``: a (2^5 x 2^5) block per pass over
+# qubits per mixer block in ``_evolve_half``: a (2^5 x 2^5) block per pass over
 # nodes 1..n-1; for n <= 6 the one block also carries node 0's RX
 MIXER_BLOCK = 5
-# half-state amplitudes ``qaoa_states`` evolves per pass: 512 rows at n=5, one at
-# n=14. A pass also holds p mixer blocks per row, at most 4 MB a layer (n=6)
+# half-state amplitudes ``qaoa_probabilities`` evolves per pass: 512 rows at n=5,
+# one at n=14. A pass also holds p mixer blocks per row, at most 4 MB a layer (n=6)
 BATCH_AMPLITUDES = 1 << 13
 
 
@@ -237,60 +237,32 @@ def _mixer_weights(beta: float, b: int, fold: bool) -> tuple[complex, ...]:
     return f0, f1, f2, f3, f4, f5
 
 
-def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
-    """Final states of the depth-p circuit for a (k, 2p) batch of angle rows.
-
-    Row r of ``thetas`` is [betas..., gammas...]; row r of the (k, 2^n)
-    result is its state, computed without a gate list. It equals
-    ``simulate_ops`` on ``build_qaoa_circuit`` up to the global phase
-    exp(-i*gamma*W) per layer, W the total weight. Every row gets the
-    same floating-point operations whatever the batch around it, so its
-    bits depend neither on k nor on its position. Only that ``thetas``
-    is a real array of that shape is checked here, not the angles; a row
-    whose phase 2*gamma*C overflows comes out NaN, with no numpy warning.
-    """
-    _checks.of_type(instance, MaxCutInstance, "instance")
-    thetas = _checks.real_array(thetas, "thetas")
-    if thetas.ndim != 2 or thetas.shape[1] % 2:
-        raise ValueError(f"thetas must be a (k, 2p) array, got shape {thetas.shape}")
-    plan = half_plan(instance)
-    # one output array, written pass by pass (joining the passes' results
-    # made a 10-row batch at n=14 about 2x slower per row)
-    states = np.empty((len(thetas), 2 * plan.half), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, h in _passes(plan, thetas):
-            np.concatenate([h, h[:, ::-1]], axis=1, out=states[i:i + len(h)])
-    return states
-
-
 def qaoa_probabilities(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
-    """The (k, 2^n) basis probabilities of ``qaoa_states``' rows, bit for bit.
+    """The (k, 2^n) basis probabilities of the depth-p states of a (k, 2p) batch of angle rows.
 
-    ``plan`` is ``half_plan(instance)``. Each pass's |h|^2 is taken on
-    the contiguous half and mirrored, so no complex full state is built:
-    numpy's complex abs rounds as on the state's own row only on a
-    forward-strided input, and a mirrored float is the same float.
+    ``plan`` is ``half_plan(instance)`` and row r of ``thetas`` is
+    [betas..., gammas...]. The rows are evolved in passes of
+    BATCH_AMPLITUDES half-state amplitudes: many rows per pass at small
+    n, where per-call overhead dominates, and one row per pass at large
+    n, where a wider pass only spills the working set out of cache.
+    Every row gets the same floating-point operations whatever the batch
+    around it, so its bits depend neither on k nor on its position. Each
+    pass's |h|^2 is taken on the contiguous half and mirrored, so no
+    complex full state is built; the bits are those of |psi|^2 of the
+    state h followed by its reverse, as numpy's complex abs rounds as on
+    that state's row on a forward-strided input, and a mirrored float is
+    the same float.
     """
     half = plan.half
+    rows = max(1, BATCH_AMPLITUDES // half)
     probs = np.empty((len(thetas), 2 * half))
-    for i, h in _passes(plan, thetas):
+    for i in range(0, len(thetas), rows):
+        h = _evolve_half(plan, thetas[i:i + rows])
         q = probs[i:i + len(h)]
         np.abs(h, out=q[:, :half])
         np.square(q[:, :half], out=q[:, :half])
         q[:, half:] = q[:, half - 1::-1]
     return probs
-
-
-def _passes(plan: HalfPlan, thetas: np.ndarray):
-    """(first row, halves) per pass of BATCH_AMPLITUDES half-state amplitudes.
-
-    Many rows per pass at small n, where per-call overhead dominates,
-    and one row per pass at large n, where a wider pass only spills the
-    working set out of cache.
-    """
-    rows = max(1, BATCH_AMPLITUDES // plan.half)
-    for i in range(0, len(thetas), rows):
-        yield i, _evolve_half(plan, thetas[i:i + rows])
 
 
 def _evolve_half(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:

@@ -86,10 +86,6 @@ class MaxCutInstance:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def total_weight(self) -> float:
-        return float(sum(self.weights))
-
 
 def cut_value(instance: MaxCutInstance, assignment: str) -> float:
     """Total weight of edges whose endpoints land on opposite sides."""

@@ -399,17 +399,23 @@ def _optimize(configs: list[ExperimentConfig],
     return outcomes
 
 
+def _out(config: ExperimentConfig, out_dir) -> Path:
+    """The output directory: ``out_dir``, a path by ``_checks.path``, else the config's, else "."."""
+    return Path(_checks.path(out_dir, "out_dir")) if out_dir is not None else Path(config.out_dir or ".")
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     """Optimize, run the final circuit, and write the three artifacts.
 
-    A config with sweep axes is refused, before any directory is made.
+    A config with sweep axes, or an ``out_dir`` that is no path, is
+    refused before any engine is built or any directory is made.
     """
     _checks.of_type(config, ExperimentConfig, "config")
     if config.sweep:
         raise ConfigError(f"sweep: the config sweeps {sorted(config.sweep)}, which one run does "
                           "not cover; run it with `qaoalab sweep` (run_sweep)")
+    out = _out(config, out_dir)
     engines = _engines([config])
-    out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     [outcome] = _optimize([config], engines)
     return _write_run(config, *outcome, out)
@@ -499,9 +505,9 @@ def run_sweep(config: ExperimentConfig, out_dir=None) -> list[dict]:
     bytes each cell writes when run alone through ``run_experiment``.
     """
     cells = sweep_cells(_checks.of_type(config, ExperimentConfig, "config"))
+    out = _out(config, out_dir)
     cell_configs = [cell_config for _, _, cell_config in cells]
     engines = _engines(cell_configs)
-    out = Path(out_dir) if out_dir is not None else Path(config.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     outcomes = _optimize(cell_configs, engines)
     rows = []

@@ -157,30 +157,15 @@ def plot_histogram(counts_path) -> str:
 _SERIES_KINDS = ("energy", "params")
 
 
-def render_trace(rows: list[dict], series: str = "energy") -> str:
-    """Line chart of trace rows: energy or all parameter curves.
-
-    The first row's fields start ``eval``, ``energy``, and every row is
-    checked by the trace rule (``_trace_row``), as the ``trace.csv``
-    reader checks a file's rows; a message names the row, as
-    ``trace row 1, energy``.
-    """
-    if not rows:
-        raise ValueError("trace is empty")
-    fields = list(rows[0]) if isinstance(rows[0], dict) else []
-    if fields[:2] != ["eval", "energy"]:
-        raise ValueError(f"trace row 0 must start with the fields eval, energy, got {rows[0]!r}")
-    return _trace([_trace_row(row, fields, f"trace row {i},") for i, row in enumerate(rows)],
-                  series)
-
-
-def _trace_row(row, fields: list, name: str) -> dict:
+def _trace_row(row: dict, fields: list, name: str) -> dict:
     """The trace rule: ``row`` has just ``fields``, ``eval`` an integer >= 0, every other a finite number.
 
+    ``row`` is a line of a trace file as ``plot_trace`` parses it: a
+    missing column reads None and an extra one sits under the key None.
     Returns the row with each value as its rule returns it. A message
     starts with ``name`` and then the field it refuses.
     """
-    if not (isinstance(row, dict) and row.keys() == set(fields)):
+    if row.keys() != set(fields):
         raise ValueError(f"{name} fields must be {fields}, got {row!r}")
     return {k: _checks.integer(v, f"{name} eval", 0) if k == "eval" else _checks.real(v, f"{name} {k}")
             for k, v in row.items()}

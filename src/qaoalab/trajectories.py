@@ -417,11 +417,11 @@ def _compile(plan: Plan) -> None:
 
     # The backward pass. mx[q] and mz[q] are the events an X and a Z on
     # qubit q flip from here on, and a Y flips both. A Pauli goes after its
-    # entry and reads a snapshot of (mx, mz) of its qubit, one shared until
-    # it changes. The program's steps are gathered last first, with their
-    # events.
+    # entry, and each place a Pauli goes appends its own snapshot of its
+    # qubit's (mx, mz). The program's steps are gathered last first, with
+    # their events.
     mx, mz, const = [1 << (n - 1 - q) for q in range(n)], [0] * n, 0
-    xs, zs, snap = [], [], [-1] * n
+    xs, zs = [], []
     slot_snaps, site_snaps, steps = [], [], []
     events = n
 
@@ -429,16 +429,13 @@ def _compile(plan: Plan) -> None:
         nonlocal events
         for q in qubits:
             mx[q] ^= 1 << events
-            snap[q] = -1
         steps.append(("D", qubits, key, events, kick))
         events += 1
 
     def snapshot(q) -> int:
-        if snap[q] < 0:
-            snap[q] = len(xs)
-            xs.append(mx[q])
-            zs.append(mz[q])
-        return snap[q]
+        xs.append(mx[q])
+        zs.append(mz[q])
+        return len(xs) - 1
 
     def kicks_before(k):
         for j, q in reversed(kicks_at.get(k, ())):
@@ -464,18 +461,16 @@ def _compile(plan: Plan) -> None:
             c, t = qubits
             mx[c] ^= mx[t]  # an X on the control reaches the target
             mz[t] ^= mz[c]  # and a Z on the target the control
-            snap[c] = snap[t] = -1
             steps.append(("C", c, t))
         elif kind == "RZ":
             diagonal(qubits, k, None)
         elif kind == "H":
             q = qubits[0]
-            mx[q], mz[q], snap[q] = mz[q], mx[q], -1
+            mx[q], mz[q] = mz[q], mx[q]
             steps.append(("H", op))
         elif kind == "RX":
             q = qubits[0]
             mz[q] ^= 1 << events
-            snap[q] = -1
             steps.append(("RX", q, k, events))
             events += 1
         elif kind != "DELAY":  # a Pauli gate or DD pulse

@@ -1,19 +1,26 @@
-"""List the lines of ``src/qaoalab`` that no test and no benchmark workload reach.
+"""List the lines of ``src/qaoalab`` that no test and no pipeline reach.
 
 It runs tier-1 in this process under a ``sys.settrace`` line tracer
-that records only the package's own files, then, traced the same way,
-parses the configs of each benchmark workload at seed 1 and runs one
-pass of it, with the package's cached tables emptied first so that the
-pass builds every table it reads, and prints three lists per module:
-the lines inside functions that no test reaches, those of them a guard
-below covers, and the lines that tests reach but no workload pass does.
-A line counts as inside a function when it belongs to the code of a
-function, a lambda or a comprehension; module and class bodies run on
-import and are not listed. The workloads come from
-``perfbench/workloads.py`` and ``perfbench/oracle.py``, executed from
-their source as ``tests/test_bench_targets.py`` does, so nothing is
-written under ``perfbench/``; a pass writes its artifacts into a
-temporary directory.
+that records only the package's own files. Then, traced the same way,
+it runs the pipelines: it parses the configs of each benchmark workload
+at seed 1 and runs one pass of it, with the package's cached tables
+emptied first so that the pass builds every table it reads, and it runs
+each CLI command once (``brute-force``, ``solve``, ``sweep``, and
+``plot`` of the solve's counts and trace) on a p = 1 config of the
+canonical graph. It prints three lists per module: the lines inside
+functions that no test reaches, those of them a guard below covers, and
+the lines that tests reach but no pipeline does; and then each function
+whose every line only tests reach, marked ``(TARGETS)`` when
+``perfbench/tracing.py`` wraps it, as those must stay while the
+benchmark names them. A line counts as inside a function when it
+belongs to the code of a function, a lambda or a comprehension; module
+and class bodies run on import and are not listed. A function's lines
+include those of the lambdas, comprehensions and functions inside it.
+The workloads come from ``perfbench/workloads.py`` and
+``perfbench/oracle.py`` and the targets from ``perfbench/tracing.py``,
+executed from their source as ``tests/test_bench_targets.py`` does, so
+nothing is written under ``perfbench/``; the passes and the CLI write
+their artifacts into a temporary directory.
 
 Run from the repository root::
 
@@ -25,13 +32,17 @@ a function is reached by no test, and with 0 otherwise. The guards in
 ``GUARDS`` are the exception: each is named by its module, its function
 and the source line it starts with, covers the statement or handler
 that line starts, and gives the reason no test reaches it. A guard that
-names no line also fails the gate.
+names no line also fails the gate. The lines and functions that only
+tests reach are listed for reading, and do not change the status.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import inspect
+import io
+import json
 import sys
 import tempfile
 import types
@@ -69,10 +80,10 @@ class LineTracer:
         sys.settrace(None)
 
 
-def function_lines(path: Path) -> set[int]:
-    """The lines of ``path`` that belong to the code of a function, minus each ``def`` line."""
+def code_lines(code: types.CodeType) -> set[int]:
+    """The lines of ``code`` and the code inside it that belong to a function, minus each ``def``."""
     found: set[int] = set()
-    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    todo = [code]
     while todo:
         code = todo.pop()
         todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
@@ -80,6 +91,34 @@ def function_lines(path: Path) -> set[int]:
             found |= {line for _, _, line in code.co_lines()
                       if line is not None and line != code.co_firstlineno}
     return found
+
+
+def function_lines(path: Path) -> set[int]:
+    """The lines of ``path`` that belong to the code of a function, minus each ``def`` line."""
+    return code_lines(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+
+
+def functions(path: Path) -> dict[str, set[int]]:
+    """Each named function of ``path``, as ``Class.method`` or ``outer.inner``, with its lines."""
+    found = {}
+    todo = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), "")]
+    while todo:
+        code, prefix = todo.pop()
+        for child in code.co_consts:
+            if isinstance(child, types.CodeType) and not child.co_name.startswith("<"):
+                name = prefix + child.co_name
+                if child.co_flags & inspect.CO_OPTIMIZED:
+                    found[name] = code_lines(child)
+                todo.append((child, name + "."))
+    return found
+
+
+def traced_targets() -> set[tuple[str, str]]:
+    """The (module file, function) of each ``TARGETS`` entry of ``perfbench/tracing.py``."""
+    path = ROOT / "perfbench" / "tracing.py"
+    namespace = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return {(f"{module}.py", function) for module, function, _ in namespace["TARGETS"]}
 
 
 def guarded_lines(path: Path) -> tuple[set[int], list[tuple]]:
@@ -129,6 +168,24 @@ def clear_caches() -> None:
                     value.cache_clear()
 
 
+def run_cli(qaoalab, scratch: Path) -> None:
+    """Each CLI command once, on a p = 1 config of the canonical graph, with its output dropped."""
+    config = {"p": 1, "max_evals": 10}
+    solve, sweep, out = scratch / "solve.json", scratch / "sweep.json", scratch / "solve"
+    solve.write_text(json.dumps(config), encoding="utf-8")
+    sweep.write_text(json.dumps({**config, "sweep": {"method": ["powell", "cobyla"]}}),
+                     encoding="utf-8")
+    commands = [["brute-force", "--graph", "canonical"],
+                ["solve", "--config", str(solve), "--out", str(out)],
+                ["sweep", "--config", str(sweep), "--out", str(scratch / "sweep")],
+                ["plot", "--in", str(out / "counts.json"), "--out", str(scratch / "h.svg")],
+                ["plot", "--in", str(out / "trace.csv"), "--out", str(scratch / "t.svg")]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in commands:
+            if qaoalab.main(command) != 0:
+                raise RuntimeError(f"qaoalab {' '.join(command)} failed")
+
+
 def main() -> int:
     import pytest
 
@@ -145,9 +202,11 @@ def main() -> int:
                        for name, raw in inputs.configs.items()}
             workloads.run_pass(qaoalab, inputs, configs, Path(scratch, workload),
                                lambda name, fn, *args: fn(*args))
+        run_cli(qaoalab, Path(scratch))
+    targets = traced_targets()
     print(f"\nlines that tier-1 does not reach, and lines that only tests reach "
-          f"(one pass of each of {', '.join(WORKLOADS)} at seed 1)")
-    failed = []
+          f"(one pass of each of {', '.join(WORKLOADS)} at seed 1, and each CLI command)")
+    failed, only_tested = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = function_lines(path)
         tested = {line for file, line in tests.hits if file == str(path)}
@@ -158,9 +217,16 @@ def main() -> int:
         for label, missed in (("no test", untested), ("guarded", (lines - tested) & guarded),
                               ("tests only", (lines & tested) - run)):
             print(f"  {label}: {spans(missed) if missed else '-'}")
+        only_tested += [f"{path.relative_to(ROOT)}: {name}"
+                        + (" (TARGETS)" if (path.name, name) in targets else "")
+                        for name, own in sorted(functions(path).items())
+                        if own and own <= tested and not own & run]
         failed += [f"{path.name}: no test reaches line {spans(untested)}"] if untested else []
         failed += [f"{module}: guard in {function} names no line: {line!r}"
                    for module, function, line in stale]
+    print("\nfunctions whose every line only tests reach")
+    for entry in only_tested or ["-"]:
+        print(f"  {entry}")
     for reason in failed:
         print(f"FAIL {reason}")
     if status != 0:

@@ -18,13 +18,16 @@ from qaoalab.ansatz import (
     QaoaParams,
     _mixer_weights,
     build_qaoa_circuit,
+    half_plan,
     qaoa_angles,
-    qaoa_states,
+    qaoa_probabilities,
     run_circuit,
 )
 from qaoalab.graph import MaxCutInstance
 from qaoalab.objective import evaluate_qaoa
 from qaoalab.statevec import GateOp, counts_from_tally, expectation_cut, simulate_ops
+
+from exact_reference import qaoa_states
 
 
 def gate_count(n: int, m: int, p: int) -> int:
@@ -326,22 +329,29 @@ def test_batched_rows_equal_single_rows_bit_for_bit(n, p):
         # equal betas in one batch, and both signs of zero
         thetas[1:4, 0] = (0.0, -0.0, 0.0)
         thetas[5, :p] = thetas[4, :p]
+    plan = half_plan(instance)
     alone = [qaoa_states(instance, row[None])[0].tobytes() for row in thetas]
+    alone_probs = [qaoa_probabilities(plan, row[None])[0].tobytes() for row in thetas]
     # every batch size, each row at several positions (n = 11 packs 8 rows per pass)
     for k in (2, 4, 9):
         for shift in range(0, 9, 3):
             order = np.roll(np.arange(9), shift)[:k]
             states = qaoa_states(instance, thetas[order])
-            assert states.shape == (k, 1 << n)
+            probs = qaoa_probabilities(plan, thetas[order])
+            assert states.shape == probs.shape == (k, 1 << n)
             assert [row.tobytes() for row in states] == [alone[i] for i in order]
+            assert [row.tobytes() for row in probs] == [alone_probs[i] for i in order]
 
 
 def test_batched_rows_equal_single_rows_across_passes(canonical):
     # 1100 rows of a 5-node instance take three passes of BATCH_AMPLITUDES
     thetas = np.random.default_rng(3).uniform(-math.pi, math.pi, (1100, 4))
+    plan = half_plan(canonical)
     states = qaoa_states(canonical, thetas)
-    for row, amps in zip(thetas, states):
+    probs = qaoa_probabilities(plan, thetas)
+    for row, amps, q in zip(thetas, states, probs):
         assert qaoa_states(canonical, row[None])[0].tobytes() == amps.tobytes()
+        assert qaoa_probabilities(plan, row[None])[0].tobytes() == q.tobytes()
 
 
 def list_form_weights(beta, b, fold):

@@ -12,7 +12,7 @@ import pytest
 
 import qaoalab
 from qaoalab import _checks, ansatz, objective, trajectories
-from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit, qaoa_states, run_circuit
+from qaoalab.ansatz import Circuit, QaoaParams, build_qaoa_circuit, run_circuit
 from qaoalab.graph import (
     MaxCutInstance,
     brute_force_maxcut,
@@ -20,7 +20,7 @@ from qaoalab.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from qaoalab.harness import parse_config, run_experiment, run_sweep
+from qaoalab.harness import parse_config, run_experiment, run_sweep, write_trace_csv
 from qaoalab.noise import (
     NoiseConfig,
     apply_trajectory_noise,
@@ -31,7 +31,7 @@ from qaoalab.noise import (
 )
 from qaoalab.objective import Engine, energy_from_counts, evaluate_qaoa, make_objective
 from qaoalab.optim import MinimizeProblem, minimize, random_qaoa_starts
-from qaoalab.plots import render_histogram, render_trace
+from qaoalab.plots import plot_trace, render_histogram
 from qaoalab.statevec import GateOp, counts_from_tally, sample_counts, simulate_ops, zero_state
 
 CANONICAL = canonical_instance()
@@ -203,6 +203,14 @@ def test_a_text_file_refusal_names_the_path(tmp_path, kind, message):
         _checks.text_file(path, "graph:")
 
 
+def plot_a_trace(series):
+    """``plot_trace`` of a one-row trace.csv that ``write_trace_csv`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "trace.csv")
+        write_trace_csv(path, np.zeros((1, 0)), np.array([-1.0]))
+        return plot_trace(path, series)
+
+
 # each site that takes one of a few names, with a name it takes and the field its
 # message starts with
 CHOICE_SITES = {
@@ -212,8 +220,7 @@ CHOICE_SITES = {
                                                               np.zeros(2))), "cg", "method"),
     "dd-sequence": (lambda v: NoiseConfig(dd_sequence=v), "XY4", "dd_sequence"),
     "insert-dd": (lambda v: insert_dd(CIRCUIT, v), "XY4", "sequence"),
-    "trace-series": (lambda v: render_trace([{"eval": 0, "energy": -1.0}], v), "energy",
-                     "series"),
+    "trace-series": (plot_a_trace, "energy", "series"),
 }
 
 
@@ -280,6 +287,8 @@ BAD_INPUTS = {
     "serialize-none": (lambda: serialize_edge_list(None), "instance"),
     "run-experiment-dict": (lambda: run_experiment({"p": 1}, "unused"), "config"),
     "run-sweep-none": (lambda: run_sweep(None, "unused"), "config"),
+    "run-int-out-dir": (lambda: run_experiment(parse_config({}), 5), "out_dir"),
+    "sweep-bytes-out-dir": (lambda: run_sweep(parse_config({}), b"/tmp/x"), "out_dir"),
     "minimize-none-objective": (lambda: minimize("powell", MinimizeProblem(None, [0.0])),
                                 "objective"),
     "histogram-int-highlight": (lambda: render_histogram({"01": 3}, highlight=5), "highlight"),
@@ -294,9 +303,6 @@ BAD_INPUTS = {
     "params-none-gammas": (lambda: QaoaParams((0.1,), None), "gammas"),
     "instance-none-edges": (lambda: MaxCutInstance(3, None), "edges"),
     "instance-int-weights": (lambda: MaxCutInstance(2, [(0, 1)], 1.0), "weights"),
-    "states-none-thetas": (lambda: qaoa_states(CANONICAL, None), "thetas"),
-    "states-flat-thetas": (lambda: qaoa_states(CANONICAL, [0.1, 0.2]), "thetas"),
-    "states-odd-thetas": (lambda: qaoa_states(CANONICAL, [[0.1, 0.2, 0.3]]), "thetas"),
     "energy-none-counts": (lambda: energy_from_counts(None, CANONICAL), "counts"),
     "histogram-list-counts": (lambda: render_histogram([("01", 3)]), "counts"),
     # an RZ(2 epsilon) and a kick of 2 * 8.5718 sigma times the makespan must be finite
@@ -323,8 +329,9 @@ BAD_INPUTS = {
     "engine-string-thetas": (lambda: Engine(CANONICAL, 1)([["0.1", "0.2"]], [None]), "thetas"),
     "engine-bool-thetas": (lambda: Engine(CANONICAL, 1, "sampled", shots=8).tallies(
         np.array([[True, False]]), [1]), "thetas"),
-    "states-complex-thetas": (lambda: qaoa_states(CANONICAL, [[0.1 + 1j, 0.2]]), "thetas"),
-    "states-ragged-thetas": (lambda: qaoa_states(CANONICAL, [[0.1, 0.2], [0.3]]), "thetas"),
+    "engine-ragged-thetas": (lambda: Engine(CANONICAL, 1)([[0.1, 0.2], [0.3]], [None, None]),
+                             "thetas"),
+    "engine-flat-thetas": (lambda: Engine(CANONICAL, 1)([0.1, 0.2], [None]), "thetas"),
     "problem-complex-x0": (lambda: MinimizeProblem(Engine(CANONICAL, 1), np.array([0.1 + 1j, 0.2])),
                            "x0"),
     "problem-string-x0": (lambda: MinimizeProblem(Engine(CANONICAL, 1), ["0.1", "0.2"]), "x0"),
@@ -342,7 +349,7 @@ def no_engine_work(monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for module, name in [(objective, "qaoa_probabilities"), (ansatz, "qaoa_states"),
+    for module, name in [(objective, "qaoa_probabilities"), (ansatz, "_evolve_half"),
                          (ansatz, "simulate_ops"), (trajectories, "sample")]:
         monkeypatch.setattr(module, name, reached)
 

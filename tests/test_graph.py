@@ -42,7 +42,7 @@ def test_canonical_shape(canonical):
     assert len(canonical.edges) == 6
     assert (0, 3) in canonical.edges
     assert canonical.weights == (1.0,) * 6
-    assert canonical.total_weight == 6.0
+    assert sum(canonical.weights) == 6.0
 
 
 def test_cut_value_examples(canonical):
@@ -133,7 +133,7 @@ def test_cut_value_table_cached_and_readonly(canonical):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("integer_weights", [True, False])
 def test_gathered_phase_is_bit_identical(seed, integer_weights):
-    # qaoa_states' cost phase: exp at the distinct levels, gathered over the basis
+    # the exact engine's cost phase: exp at the distinct levels, gathered over the basis
     gen = np.random.default_rng(seed)
     instance = random_instance(gen)
     if integer_weights:
@@ -239,7 +239,7 @@ def test_cut_bounded_by_total_weight():
         instance = random_instance(gen)
         table = cut_value_table(instance)
         assert table.min() >= 0.0
-        assert table.max() <= instance.total_weight + 1e-12
+        assert table.max() <= sum(instance.weights) + 1e-12
 
 
 def test_brute_force_matches_direct_enumeration():

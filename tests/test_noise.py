@@ -1,6 +1,7 @@
 """Noise channels, twirling, scheduling, decoupling, readout."""
 
 import ast
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -919,6 +920,43 @@ def test_a_noisy_p5_chunk_walks_only_its_amplitude_steps(canonical, name):
                              config)
     steps = trajectories._chunk_steps(plan, {}, *row_keys([0], 1280, config.twirling))
     assert (len(plan.program), len(steps)) == NOISY_P5_STEPS[name]
+
+
+# the noisy-p5 settings, twirl with dephasing, every noise at once, a gate error
+# at every site, a coherent error alone and no noise
+TABLE_CONFIGS = {**NOISY_P5_SETTINGS, "twirl-dephasing": ORACLE_CONFIGS["twirl-dephasing"],
+                 "all-xy4": ORACLE_CONFIGS["all"], "p1q-certain": QAOA_ENGINE_CONFIGS["p1q-certain"],
+                 "coherent-only": ORACLE_CONFIGS["coherent-only"],
+                 "noise-free": ORACLE_CONFIGS["noise-free"]}
+PLAN_TABLES_SHA256 = "24e9c804b923d8acb4ca53c1fefaebbdff0eac00273c838357b981587d232b19"
+
+
+def test_the_compiled_program_and_tables_are_pinned(canonical):
+    # _compile's program, final gather, events, flips and frame tables of 54
+    # plans (the configs x two graphs x p = 1, 3, 5), hashed in field order:
+    # a rewrite of how _compile builds them must leave every entry as it was
+    digest = hashlib.sha256()
+
+    def feed(value):
+        if isinstance(value, np.ndarray):
+            digest.update(f"array {value.dtype.str} {value.shape}".encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
+        elif isinstance(value, (tuple, list)):
+            digest.update(f"{type(value).__name__} {len(value)}".encode())
+            for item in value:
+                feed(item)
+        else:
+            digest.update(repr(value).encode())
+
+    for config in TABLE_CONFIGS.values():
+        for instance in (canonical, cube_instance()):
+            for p in (1, 3, 5):
+                plan = trajectories.Plan(
+                    build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p)), config)
+                for field in ("program", "final", "events", "const", "twirl_table", "site_table",
+                              "flips", "flip_kick"):
+                    feed(getattr(plan, field))
+    assert digest.hexdigest() == PLAN_TABLES_SHA256
 
 
 def tallies_of(shots: np.ndarray, n: int) -> np.ndarray:

@@ -7,13 +7,14 @@ import re
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qaoalab import plots
-from qaoalab.harness import main
-from qaoalab.plots import plot_histogram, plot_trace, render_histogram, render_trace
+from qaoalab.harness import main, write_trace_csv
+from qaoalab.plots import plot_histogram, plot_trace, render_histogram
 
 from conftest import assert_same_text
 
@@ -237,26 +238,28 @@ def test_cli_plot_names_the_file_and_field_of_a_bad_count(tmp_path, capsys):
 # -- traces ------------------------------------------------------------------
 
 
-def trace_rows(n_evals: int, p: int):
-    rows = []
-    for i in range(n_evals):
-        row = {"eval": i, "energy": -1.0 - 0.1 * i}
-        for j in range(p):
-            row[f"beta_{j + 1}"] = 0.1 * i + j
-            row[f"gamma_{j + 1}"] = 0.2 * i + j
-        rows.append(row)
-    return rows
+def trace_file(tmp_path, n_evals: int, p: int, energies=None) -> Path:
+    """A trace.csv that ``write_trace_csv`` writes: ``n_evals`` rows of 2p angle columns.
+
+    Row i's energy is ``energies[i]``, by default -1 - 0.1 i; its beta_j
+    is 0.1 i + j - 1 and its gamma_j 0.2 i + j - 1.
+    """
+    i = np.arange(n_evals)[:, None]
+    thetas = np.hstack([0.1 * i + np.arange(p), 0.2 * i + np.arange(p)])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, thetas, np.array(energies if energies is not None else -1.0 - 0.1 * i[:, 0]))
+    return path
 
 
-def test_energy_trace_polyline_has_one_vertex_per_evaluation():
-    root = parse_svg(render_trace(trace_rows(10, 1), "energy"))
+def test_energy_trace_polyline_has_one_vertex_per_evaluation(tmp_path):
+    root = parse_svg(plot_trace(trace_file(tmp_path, 10, 1), "energy"))
     lines = polylines(root)
     assert len(lines) == 1
     assert len(lines[0].get("points").split()) == 10
 
 
-def test_params_trace_has_labeled_series_per_parameter():
-    root = parse_svg(render_trace(trace_rows(6, 5), "params"))
+def test_params_trace_has_labeled_series_per_parameter(tmp_path):
+    root = parse_svg(plot_trace(trace_file(tmp_path, 6, 5), "params"))
     assert len(polylines(root)) == 10
     labels = [el.text for el in root.iter(f"{SVG_NS}text") if el.get("class") == "label"]
     assert sorted(labels) == sorted(
@@ -264,45 +267,26 @@ def test_params_trace_has_labeled_series_per_parameter():
     )
 
 
-def test_trace_rejects_bad_series_and_empty():
+def test_trace_rejects_bad_series_and_empty(tmp_path):
     with pytest.raises(ValueError):
-        render_trace(trace_rows(5, 1), "momentum")
+        plot_trace(trace_file(tmp_path, 5, 1), "momentum")
     with pytest.raises(ValueError):
-        render_trace([], "energy")
+        plot_trace(trace_file(tmp_path, 0, 1), "energy")
 
 
-@pytest.mark.parametrize("row, message", [
-    ({"eval": 0, "energy": math.nan}, "trace row 0, energy must be a finite number, got nan"),
-    ({"eval": 0, "energy": "-1.5"}, "trace row 0, energy must be a finite number, got '-1.5'"),
-    ({"eval": -1, "energy": 1.0}, "trace row 0, eval must be an integer >= 0, got -1"),
-    ({"eval": 0.0, "energy": 1.0}, "trace row 0, eval must be an integer >= 0, got 0.0"),
-    ({"eval": 0, "energy": 1.0, "beta_1": None},
-     "trace row 0, beta_1 must be a finite number, got None"),
-])
-def test_render_trace_refuses_a_row_by_the_trace_rule(row, message):
-    # the rule of the trace.csv reader: eval an integer >= 0, every other field finite
-    rows = [row, {"eval": 1, "energy": 1.0, **({"beta_1": 0.5} if "beta_1" in row else {})}]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        render_trace(rows)
-
-
-@pytest.mark.parametrize("rows", [
-    [{"energy": 1.0, "eval": 0}], [(0, 1.0)],
-    [{"eval": 0, "energy": 1.0}, {"eval": 1, "energy": 1.0, "beta_1": 0.5}],
-    [{"eval": 0, "energy": 1.0}, {"eval": 1}],
-])
-def test_render_trace_refuses_rows_without_the_trace_fields(rows):
-    with pytest.raises(ValueError, match=r"^trace row \d( must start with the fields|, fields must be) "):
-        render_trace(rows)
-
-
-def test_a_trace_file_and_its_rows_draw_the_same_svg(tmp_path):
+@pytest.mark.parametrize("line, message", [
+    ("0.0,1,0.5", "eval must be an integer >= 0, got '0.0'"),
+    ("0,nan,0.5", "energy must be a finite number, got nan"),
+    ("0,1", "beta_1 must be a finite number, got None"),
+    ("0,1,0.5,7", "fields must be ['eval', 'energy', 'beta_1'], got "),
+], ids=["non-integer-eval", "non-finite-value", "missing-column", "extra-column"])
+def test_plot_trace_refuses_a_row_by_the_trace_rule(tmp_path, line, message):
+    # eval an integer >= 0, every other field a finite number, and just the
+    # header's fields: a missing column reads None, an extra one is no field
     path = tmp_path / "trace.csv"
-    path.write_text("eval,energy,beta_1,gamma_1\n0,-1.25,0.5,0.25\n1,-2,0.75,1e-3\n")
-    rows = [{"eval": 0, "energy": -1.25, "beta_1": 0.5, "gamma_1": 0.25},
-            {"eval": np.int64(1), "energy": np.float64(-2), "beta_1": 0.75, "gamma_1": 1e-3}]
-    for series in ("energy", "params"):
-        assert plot_trace(path, series) == render_trace(rows, series)
+    path.write_text(f"eval,energy,beta_1\n{line}\n1,1,0.5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 2, {message}')}"):
+        plot_trace(path)
 
 
 def test_plot_trace_checks_each_row_once(tmp_path, monkeypatch):
@@ -315,14 +299,13 @@ def test_plot_trace_checks_each_row_once(tmp_path, monkeypatch):
     assert len(checked) == 3
 
 
-def test_a_params_trace_without_parameter_columns_is_refused():
+def test_a_params_trace_without_parameter_columns_is_refused(tmp_path):
     with pytest.raises(ValueError, match="^trace has no parameter columns$"):
-        render_trace(trace_rows(4, 0), "params")
+        plot_trace(trace_file(tmp_path, 4, 0), "params")
 
 
-def test_flat_trace_still_renders():
-    rows = [{"eval": i, "energy": -2.0} for i in range(4)]
-    root = parse_svg(render_trace(rows, "energy"))
+def test_flat_trace_still_renders(tmp_path):
+    root = parse_svg(plot_trace(trace_file(tmp_path, 4, 0, [-2.0] * 4), "energy"))
     assert len(polylines(root)) == 1
     # a flat trace at v spans [v, v + 1] before the 5% pads
     assert axis_labels(root) == ["-2.05", "-1.5", "-0.95"]
@@ -348,9 +331,13 @@ def coordinates(root):
     [-5e307] * 20, [1e16, 1e16], [-2.0**53] * 3, [-1.7e308, 1.7e308],
     [sys.float_info.max] * 2, [-sys.float_info.max, sys.float_info.max],
 ], ids=["flat-5e307", "flat-1e16", "flat-2**53", "span-overflows", "flat-at-max", "full-range"])
-def test_a_trace_far_from_zero_has_finite_coordinates_and_labels(energies):
-    # lo + 1.0 is lo from 2**53 up, and the span of +-1.7e308 overflows
-    root = parse_svg(render_trace([{"eval": i, "energy": e} for i, e in enumerate(energies)]))
+def test_a_trace_far_from_zero_has_finite_coordinates_and_labels(tmp_path, energies):
+    # lo + 1.0 is lo from 2**53 up, and the span of +-1.7e308 overflows. The
+    # energies are written in full: 9 digits, as write_trace_csv writes them,
+    # cannot carry the largest float
+    path = tmp_path / "trace.csv"
+    path.write_text("eval,energy\n" + "".join(f"{i},{e!r}\n" for i, e in enumerate(energies)))
+    root = parse_svg(plot_trace(path))
     values = coordinates(root)
     assert len(values) > 2 * len(energies)
     assert all(map(math.isfinite, values))
@@ -420,8 +407,8 @@ def test_plot_trace_refuses_an_eval_that_is_no_count(tmp_path, value):
         plot_trace(path)
 
 
-def test_svg_is_well_formed_xml():
+def test_svg_is_well_formed_xml(tmp_path):
     counts = {"0": 3, "1": 5}
     parse_svg(render_histogram(counts, title="demo"))
     parse_svg(render_histogram(counts, title="runs/a&b<1>/counts.json"))
-    parse_svg(render_trace(trace_rows(3, 2), "params"))
+    parse_svg(plot_trace(trace_file(tmp_path, 3, 2), "params"))
