@@ -202,35 +202,39 @@ def _mixer_weights(beta: float, b: int, fold: bool) -> tuple[complex, ...]:
 
     f(d) = c ** (b - d) * s ** d, with c = cos(beta) and s = -i*sin(beta),
     written out per b in 1..MIXER_BLOCK with no list: each s ** d is the
-    product chain CPython's complex power takes (squaring, from 1+0j,
-    whose products fix the signs of zeros), and each c ** k a float pow,
-    so every weight has the bits of that expression.
+    product chain CPython's complex power takes (squaring), each c ** k a
+    float pow, so every weight has the bits of that expression. A branch
+    computes only the powers of s it uses and drops the chain's products
+    with 1+0j, which change no bit (the tests check every b and fold);
+    f(b)'s factor c ** 0 stays as 1+0j, as it fixes the signs of zeros at
+    beta = 0. f(0) = c ** b stays a float for even b; for odd b it is
+    made complex, as the folded c * f(0) then carries the sign of its
+    imaginary zero.
     """
     c, s = math.cos(beta), -1j * math.sin(beta)
-    s1, s2 = _ONE * s, s * s
-    s4 = s2 * s2
-    p0, p1, p2, p3, p4, p5 = _ONE, s1, _ONE * s2, s1 * s2, _ONE * s4, s1 * s4
+    s2 = s * s
     # fold: c*B + s*(B, then h reversed): reversing flips all b bits of x,
     # so d becomes b - d; exact, as the reversal commutes with B
     if b == 1:
-        f0, f1 = c ** 1 * p0, c ** 0 * p1
+        f0, f1 = complex(c), _ONE * s
         return (c * f0 + s * f1, c * f1 + s * f0) if fold else (f0, f1)
     if b == 2:
-        f0, f1, f2 = c ** 2 * p0, c ** 1 * p1, c ** 0 * p2
+        f0, f1, f2 = c ** 2, c * s, _ONE * s2
         return (c * f0 + s * f2, c * f1 + s * f1, c * f2 + s * f0) if fold else (f0, f1, f2)
     if b == 3:
-        f0, f1, f2, f3 = c ** 3 * p0, c ** 2 * p1, c ** 1 * p2, c ** 0 * p3
+        f0, f1, f2, f3 = complex(c ** 3), c ** 2 * s, c * s2, _ONE * (s * s2)
         if fold:
             return (c * f0 + s * f3, c * f1 + s * f2, c * f2 + s * f1, c * f3 + s * f0)
         return f0, f1, f2, f3
+    s4 = s2 * s2
     if b == 4:
-        f0, f1, f2, f3, f4 = c ** 4 * p0, c ** 3 * p1, c ** 2 * p2, c ** 1 * p3, c ** 0 * p4
+        f0, f1, f2, f3, f4 = c ** 4, c ** 3 * s, c ** 2 * s2, c * (s * s2), _ONE * s4
         if fold:
             return (c * f0 + s * f4, c * f1 + s * f3, c * f2 + s * f2, c * f3 + s * f1,
                     c * f4 + s * f0)
         return f0, f1, f2, f3, f4
-    f0, f1, f2, f3, f4, f5 = (c ** 5 * p0, c ** 4 * p1, c ** 3 * p2, c ** 2 * p3, c ** 1 * p4,
-                              c ** 0 * p5)
+    f0, f1, f2, f3, f4, f5 = (complex(c ** 5), c ** 4 * s, c ** 3 * s2, c ** 2 * (s * s2), c * s4,
+                              _ONE * (s * s4))
     if fold:
         return (c * f0 + s * f5, c * f1 + s * f4, c * f2 + s * f3, c * f3 + s * f2,
                 c * f4 + s * f1, c * f5 + s * f0)
@@ -251,10 +255,15 @@ def qaoa_probabilities(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
     complex full state is built; the bits are those of |psi|^2 of the
     state h followed by its reverse, as numpy's complex abs rounds as on
     that state's row on a forward-strided input, and a mirrored float is
-    the same float.
+    the same float. A batch that fits one pass is squared in place and
+    joined to its mirror by one concatenate; a larger one is written
+    pass by pass into one output array.
     """
     half = plan.half
     rows = max(1, BATCH_AMPLITUDES // half)
+    if len(thetas) <= rows:  # one pass: no output array to write the passes into
+        q = np.abs(_evolve_half(plan, thetas))
+        return np.concatenate([np.square(q, out=q), q[:, ::-1]], axis=1)
     probs = np.empty((len(thetas), 2 * half))
     for i in range(0, len(thetas), rows):
         h = _evolve_half(plan, thetas[i:i + rows])
@@ -266,9 +275,16 @@ def qaoa_probabilities(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
 
 
 def _evolve_half(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
-    """The (k, 2^(n-1)) halves with node 0 = 0 of the states of one pass's rows."""
+    """The (k, 2^(n-1)) halves with node 0 = 0 of the states of one pass's rows.
+
+    At p = 0 each half is the amplitude of |+>^n. Otherwise the first
+    layer starts from its cost phase times that amplitude, the product
+    the uniform half times the phase gives, with no uniform array built.
+    """
     half, fold = plan.half, plan.fold
     k, p = thetas.shape[0], thetas.shape[1] // 2
+    if not p:
+        return np.full((k, half), plan.start, dtype=complex)
     angles = thetas.T
     betas = angles[:p].tolist()
     # per layer and row: the cost phase exp(2i*gamma*C), evaluated at the
@@ -286,9 +302,10 @@ def _evolve_half(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
                 weights.extend(_mixer_weights(beta, b, fold) if beta
                                else _mixer_weights.__wrapped__(beta, b, fold))
         mixers[b] = np.array(weights, dtype=complex).reshape(p, k, b + 1).take(distances, axis=2)
-    h = np.full((k, *plan.shape), plan.start, dtype=complex)
+    h = phases[0] * plan.start
     for layer in range(p):
-        h *= phases[layer]
+        if layer:
+            h *= phases[layer]
         if fold:
             # one symmetric block on each (1, half) row: right-multiplying
             # applies it to nodes 1..n-1, node 0's RX folded in

@@ -230,9 +230,10 @@ class Engine:
     def __call__(self, thetas, seeds) -> np.ndarray:
         thetas = self._rows(thetas, seeds)
         if self.mode == "exact":
-            # a row whose cost products overflow scores NaN, with no numpy warning
+            # a row whose cost products overflow scores NaN, with no numpy warning;
+            # each (1, 2^n) @ (2^n,) product is one dot, as a lone row's is
             with np.errstate(over="ignore", invalid="ignore"):
-                return np.array([-float(q @ self._table) for q in qaoa_probabilities(self._plan, thetas)])
+                return -(qaoa_probabilities(self._plan, thetas)[:, None] @ self._table)[:, 0]
         fits, shots = self._draw(thetas, seeds)
         energies = np.full(len(fits), math.nan)
         energies[fits] = [_sorted_energy(row, self._shot_table, self._scale) for row in shots]

@@ -594,6 +594,14 @@ class _Search:
         return MinimizeResult(thetas[best].copy(), float(energies[best]), self.status, thetas, energies)
 
 
+def _values(objective, rows: np.ndarray, seeds: list) -> list[float]:
+    """``objective(rows, seeds)`` as a list of floats, one per row."""
+    fs = np.asarray(objective(rows, seeds), dtype=float)
+    if fs.shape != (len(rows),):
+        raise ValueError(f"objective returned shape {fs.shape} for {len(rows)} points")
+    return fs.tolist()
+
+
 def minimize_lockstep(searches) -> list[MinimizeResult]:
     """Run (method, problem) searches in lockstep; one result per search, in order.
 
@@ -612,25 +620,21 @@ def minimize_lockstep(searches) -> list[MinimizeResult]:
     runs = [_Search(method, problem) for method, problem in searches]
     live = runs
     while live:
-        calls = {}  # (id of an objective, d) -> (objective, its runs, their rows)
-        for run in live:
-            xs = run.ask()
-            if xs is not None:
-                objective = run.problem.objective
-                group = calls.setdefault((id(objective), xs.shape[1]), (objective, [], []))
-                group[1].append(run)
-                group[2].append(xs)
-        for objective, group, blocks in calls.values():
-            rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            fs = np.asarray(objective(rows, [s for run in group for s in run.seeds]), dtype=float)
-            k = sum(map(len, blocks))
-            if fs.shape != (k,):
-                raise ValueError(f"objective returned shape {fs.shape} for {k} points")
-            fs = fs.tolist()
-            start = 0
-            for run, xs in zip(group, blocks):
-                run.tell(fs[start:start + len(xs)])
-                start += len(xs)
+        asks = [(run, xs) for run in live if (xs := run.ask()) is not None]
+        if len(asks) == 1:  # one run: its rows and seeds go to its objective as asked
+            run, xs = asks[0]
+            run.tell(_values(run.problem.objective, xs, run.seeds))
+        else:
+            calls = {}  # (id of an objective, d) -> its runs and their rows
+            for run, xs in asks:
+                calls.setdefault((id(run.problem.objective), xs.shape[1]), []).append((run, xs))
+            for group in calls.values():
+                fs = _values(group[0][0].problem.objective, np.concatenate([xs for _, xs in group]),
+                             [s for run, _ in group for s in run.seeds])
+                start = 0
+                for run, xs in group:
+                    run.tell(fs[start:start + len(xs)])
+                    start += len(xs)
         live = [run for run in live if run.status is None]
     return [run.result() for run in runs]
 

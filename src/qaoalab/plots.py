@@ -238,6 +238,9 @@ def plot_trace(trace_path, series: str = "energy") -> str:
     fields = reader.fieldnames
     if fields is None or fields[:2] != ["eval", "energy"]:
         raise ValueError(f"{trace_path}: expected header starting 'eval,energy'")
+    for i, name in enumerate(fields):  # a reader keeps only the last column of a name
+        if name in fields[:i]:
+            raise ValueError(f"{trace_path}: header repeats column {name!r}")
     rows = [_trace_row({k: _parsed(v, int if k == "eval" else float) for k, v in raw.items()},
                        fields, f"{trace_path}: line {line},")
             for line, raw in enumerate(reader, start=2)]

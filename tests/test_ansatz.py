@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qaoalab import harness, objective
 from qaoalab.ansatz import (
+    BATCH_AMPLITUDES,
     MIXER_BLOCK,
     ONE_QUBIT_DURATION,
     TWO_QUBIT_DURATION,
@@ -352,6 +353,22 @@ def test_batched_rows_equal_single_rows_across_passes(canonical):
     for row, amps, q in zip(thetas, states, probs):
         assert qaoa_states(canonical, row[None])[0].tobytes() == amps.tobytes()
         assert qaoa_probabilities(plan, row[None])[0].tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("p", range(6))
+def test_one_pass_probabilities_equal_the_pass_loop_bit_for_bit(n, p):
+    # a batch that fits one pass is squared and mirrored in one go; a batch one
+    # row past BATCH_AMPLITUDES // half is written pass by pass, as the state is
+    instance = engine_instance(n)
+    plan = half_plan(instance)
+    gen = np.random.default_rng([n, p, 0x1A])
+    for k in (1, 2, 3, 12, BATCH_AMPLITUDES // plan.half + 1):
+        thetas = gen.uniform(-2.0 * math.pi, 2.0 * math.pi, (k, 2 * p))
+        thetas[::2, :p] = 0.0  # both signs of a zero beta
+        thetas[1::3, :p] = -0.0
+        expected = np.abs(qaoa_states(instance, thetas)) ** 2
+        assert qaoa_probabilities(plan, thetas).tobytes() == expected.tobytes()
 
 
 def list_form_weights(beta, b, fold):

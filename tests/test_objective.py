@@ -512,6 +512,17 @@ def test_a_row_whose_cost_products_overflow_scores_nan(mode, noise):
     assert engine.tallies(thetas[[0, 2]], [1, 3]).sum(axis=1).tolist() == [64, 64]
 
 
+def test_an_overflowing_row_scores_nan_in_one_pass_and_across_passes():
+    # a lone row and a batch one row past a pass: NaN, finite neighbours, no warning
+    for k in (1, 3, BATCH_AMPLITUDES // ansatz.half_plan(HUGE).half + 1):
+        thetas = np.tile([0.5, 0.25], (k, 1))
+        thetas[-1, 1] = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = Engine(HUGE, 1)(thetas, [None] * k)
+        assert math.isnan(energies[-1]) and np.isfinite(energies[:-1]).all()
+
+
 def test_the_largest_cut_value_decides_which_rows_overflow():
     # gammas a few ulps either side of where 2 * gamma * 1e308 overflows: the
     # sampled engine skips exactly the rows whose exact phases come out NaN

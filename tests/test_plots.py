@@ -289,6 +289,18 @@ def test_plot_trace_refuses_a_row_by_the_trace_rule(tmp_path, line, message):
         plot_trace(path)
 
 
+@pytest.mark.parametrize("header", ["eval,energy,beta_1,beta_1", "eval,energy,eval"])
+def test_plot_trace_refuses_a_header_that_repeats_a_column(tmp_path, header):
+    # csv.DictReader keeps the last value of a repeated name, so each row
+    # would pass the fields check and draw that column once
+    path = tmp_path / "trace.csv"
+    width = header.count(",") + 1
+    path.write_text(f"{header}\n" + "".join(f"{i},{','.join(['-1'] * (width - 1))}\n" for i in range(2)))
+    column = header.rsplit(",", 1)[1]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: header repeats column {column!r}')}$"):
+        plot_trace(path, "params")
+
+
 def test_plot_trace_checks_each_row_once(tmp_path, monkeypatch):
     path = tmp_path / "trace.csv"
     path.write_text("eval,energy\n0,-1\n1,-2\n2,-3\n")
