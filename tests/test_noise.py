@@ -959,6 +959,47 @@ def test_the_compiled_program_and_tables_are_pinned(canonical):
     assert digest.hexdigest() == PLAN_TABLES_SHA256
 
 
+# TABLE_CONFIGS, twirling with dephasing, a coherent ZZ and gate errors, and
+# XY4 pulses with dephasing and a coherent ZZ
+LAYOUT_CONFIGS = [*TABLE_CONFIGS.values(),
+                  NoiseConfig(p1q=0.1, p2q=0.2, epsilon_coherent=0.2, sigma_dephase=0.3,
+                              twirling=True),
+                  NoiseConfig(dd=True, dd_sequence="XY4", sigma_dephase=0.3, epsilon_coherent=0.2)]
+LAYOUT_TABLES_SHA256 = "68f8950f1daa4483a3443932ae2cc37ac9e9fb2ceea867a8d0313fd2d2e1f264"
+
+
+def test_the_compiled_tables_of_random_layouts_are_pinned():
+    # a QAOA circuit's CNOTs come in pairs that cancel, so the pin above never
+    # meets a pending permutation at an H, at an RX or at the end, nor a fixed
+    # Pauli between CNOTs; these circuits do. Each array is hashed with its
+    # dtype and shape, each other value by its repr, in field order.
+    circuits = [mixed_circuit(n, 30, seed) for n in range(1, 6) for seed in range(4)]
+    circuits += [cnot_runs_circuit(n, seed) for n in range(2, 6) for seed in range(2)]
+    digest = hashlib.sha256()
+    for config in LAYOUT_CONFIGS:
+        for circuit in circuits:
+            plan = trajectories.Plan(circuit, config)
+            for field in ("program", "final", "events", "const", "twirl_table", "site_table",
+                          "flips", "flip_kick"):
+                digest.update(field.encode())
+                for value in plan_values(getattr(plan, field)):
+                    digest.update(value)
+    assert digest.hexdigest() == LAYOUT_TABLES_SHA256
+
+
+def plan_values(value):
+    """The bytes of a compiled field, item by item: an array's dtype, shape and data, else its repr."""
+    if isinstance(value, np.ndarray):
+        yield f"array {value.dtype.str} {value.shape}".encode()
+        yield np.ascontiguousarray(value).tobytes()
+    elif isinstance(value, (tuple, list)):
+        yield f"{type(value).__name__} {len(value)}".encode()
+        for item in value:
+            yield from plan_values(item)
+    else:
+        yield repr(value).encode()
+
+
 def tallies_of(shots: np.ndarray, n: int) -> np.ndarray:
     """The (k, 2^n) basis-index tallies of the (k, shots) rows of ``trajectories.sample``."""
     return np.array([np.bincount(row, minlength=1 << n) for row in shots]).reshape(len(shots), 1 << n)
