@@ -160,31 +160,39 @@ _SERIES_KINDS = ("energy", "params")
 def _trace_row(row: dict, fields: list, name: str) -> dict:
     """The trace rule: ``row`` has just ``fields``, ``eval`` an integer >= 0, every other a finite number.
 
-    ``row`` is a line of a trace file as ``plot_trace`` parses it: a
-    missing column reads None and an extra one sits under the key None.
-    Returns the row with each value as its rule returns it. A message
-    starts with ``name`` and then the field it refuses.
+    ``energy`` may also be NaN: the engine scores NaN a point whose cost
+    products overflow, and the optimizer logs it. ``row`` is a line of a
+    trace file as ``plot_trace`` parses it: a missing column reads None
+    and an extra one sits under the key None. Returns the row with each
+    value as its rule returns it. A message starts with ``name`` and
+    then the field it refuses.
     """
     if row.keys() != set(fields):
         raise ValueError(f"{name} fields must be {fields}, got {row!r}")
-    return {k: _checks.integer(v, f"{name} eval", 0) if k == "eval" else _checks.real(v, f"{name} {k}")
+    return {k: _checks.integer(v, f"{name} eval", 0) if k == "eval" else
+            v if k == "energy" and type(v) is float and math.isnan(v) else
+            _checks.real(v, f"{name} {k}")
             for k, v in row.items()}
 
 
 def _trace(rows: list[dict], series: str) -> str:
-    """The SVG of checked trace rows."""
+    """The SVG of checked trace rows; a point of NaN energy is left out of the energy curve."""
     from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
 
     _checks.one_of(series, _SERIES_KINDS, "series")
     param_names = [k for k in rows[0] if k not in ("eval", "energy")]
+    # each curve's (row index, value) points: the x of a point is its row's
     if series == "energy":
-        curves = {"energy": [r["energy"] for r in rows]}
+        curves = {"energy": [(i, r["energy"]) for i, r in enumerate(rows)
+                             if not math.isnan(r["energy"])]}
+        if not curves["energy"]:
+            raise ValueError("trace has no finite energy")
     else:
         if not param_names:
             raise ValueError("trace has no parameter columns")
-        curves = {name: [r[name] for r in rows] for name in param_names}
-    lo = min(min(vs) for vs in curves.values())
-    hi = max(max(vs) for vs in curves.values())
+        curves = {name: list(enumerate(r[name] for r in rows)) for name in param_names}
+    lo = min(v for vs in curves.values() for _, v in vs)
+    hi = max(v for vs in curves.values() for _, v in vs)
     # from 2**1020 up the padded span overflows: lay the axis out in values scaled
     # by a power of two, which is exact, and label it in the values, clamped to floats
     scale = 1.0 if max(-lo, hi) < 2.0**1020 else 2.0**-4
@@ -210,7 +218,7 @@ def _trace(rows: list[dict], series: str) -> str:
         body.append(f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end">{v:.4g}</text>')
     for ci, (name, vs) in enumerate(curves.items()):
         color = "#36414f" if series == "energy" else f"hsl({(ci * 137) % 360},65%,42%)"
-        pts = " ".join(to_xy(i, v) for i, v in enumerate(vs))
+        pts = " ".join(to_xy(i, v) for i, v in vs)
         body.append(f'<polyline class="series" stroke="{color}" points="{pts}"/>')
         lx = _WIDTH - _MARGIN_R - 80
         ly = _MARGIN_T + 14 * ci

@@ -23,12 +23,15 @@ frame (Knill, Nature 434, 2005), and every update of the frame's X and
 Z bits is an XOR, so everything the program reads of a frame is
 linear over GF(2) in the Paulis put in: an RX reads its qubit's Z bit,
 a diagonal term the parity of its qubits' X bits, and a measurement
-the final X bits. These are a row's events. One backward pass over the
-layout tells, for every place a Pauli goes, which events its X and Z
-flip, a Y flipping those of both, as a detector error model does
-(Gidney, arXiv 2103.02202); the plan folds that into a constant for
-the circuit's own Paulis and DD pulses, 16 entries per twirled CNOT
-and 3 or 15 per error site. A CNOT also goes into a pending index
+the final X bits. These are a row's events. One forward walk over the
+layout keeps each frame bit as the set of inputs that flip it: the
+circuit's own Paulis and DD pulses, and the X and the Z of every place
+a Pauli goes. Each event reads one such set, and the transpose of the
+reads tells, for every place, which events its X and Z flip, a Y
+flipping those of both, as a detector error model does (Gidney, arXiv
+2103.02202); the plan folds that into a constant for the circuit's own
+Paulis and DD pulses, 16 entries per twirled CNOT and 3 or 15 per error
+site. A CNOT also goes into a pending index
 permutation, which every diagonal reads through its inverse and an RX
 reads its partner columns through; the columns return to basis order
 before the next H and at the end. The diagonal terms of a segment
@@ -91,7 +94,6 @@ import math
 from dataclasses import replace
 from functools import lru_cache, reduce
 from itertools import repeat
-from operator import or_
 from typing import NamedTuple
 
 import numpy as np
@@ -298,15 +300,17 @@ class Plan:
     where the one schedule every row shares idles. ``per_shot``, whether
     the plan has twirl slots, error sites or dephasing, says whether the
     shots of a point differ at all, which alone decides how ``sample``
-    shares rows. The rest is ``_compile``'s: the amplitude ``program``,
-    one diagonal step per parity mask of each segment, and its ``final``
-    gather, the count of ``events`` a row's frame bits hold, the tables
-    that give them (``const``, ``twirl_table``, ``site_table``), and the
-    events a chunk reads as flips (``flips``, with ``flip_kick`` marking
-    a kick's). A dephasing config is refused when a kick's angle
-    could overflow: a kick's angle is 2 delta d, with |delta| at most
-    ``_MAX_NORMAL`` sigma and its idle time d at most the makespan with
-    every twirl slot filled, which no row's own schedule exceeds.
+    shares rows. The rest is ``_compile``'s, from one forward walk over
+    ``entries``: the amplitude ``program``, one diagonal step per parity
+    mask of each segment, and its ``final`` gather, the count of
+    ``events`` a row's frame bits hold, the tables that give them, the
+    transpose of what each event reads (``const``, ``twirl_table``,
+    ``site_table``), and the events a chunk reads as flips (``flips``,
+    with ``flip_kick`` marking a kick's). A dephasing config is refused
+    when a kick's angle could overflow: a kick's angle is 2 delta d,
+    with |delta| at most ``_MAX_NORMAL`` sigma and its idle time d at
+    most the makespan with every twirl slot filled, which no row's own
+    schedule exceeds.
     """
 
     __slots__ = ("n", "config", "entries", "rotations", "rx", "columns", "slots", "sites",
@@ -382,31 +386,37 @@ def _words(masks: list, width: int) -> np.ndarray:
 def _compile(plan: Plan) -> None:
     """Lay out the amplitude program of ``plan`` and the tables of its frame reads.
 
-    The program is the H, RX and diagonal steps, in layout order. An H
-    carries the gather that puts the columns back in basis order (None
-    when the pending CNOT permutation is the identity), an RX the index
-    of each column's partner under that permutation, and ``plan.final``
-    is the last gather. The diagonal terms (RZ, coherent ZZ and each of
+    One forward walk over ``plan.entries``. The program is the H, RX and
+    diagonal steps, in layout order. An H carries the gather that puts
+    the columns back in basis order (None when the pending CNOT
+    permutation is the identity), an RX the index of each column's
+    partner under that permutation, and ``plan.final`` is the last
+    gather. The diagonal terms (RZ, coherent ZZ and each of
     ``plan.kicks``, a kick by its number there) of a segment, between
     two mixing steps, commute; those that read one parity mask through
     the permutation's inverse are one step, at the first one's place,
     with that mask's ``_bit_values``, its terms (rotation key or None,
     flip, kick number or None), and whether every term is a per-point
-    rotation that no frame flips. A row's frame bits are events: bit
-    j < n is the final X bit of qubit n-1-j, an RX reads its qubit's Z
-    bit, and a diagonal term the parity of its qubits' X bits. Every
-    frame update is an XOR, so each event is the XOR of what each
-    inserted Pauli flips; one backward pass gives, for every place a
-    Pauli goes, the events its X and Z flip (a Y flips both): a CNOT maps
-    them by the transpose of its frame update, and an H swaps X and Z.
-    A frame's power of 1j is a phase of the whole row, which no
-    probability reads, and no event holds it. These fold into ``const``
-    (the circuit's Paulis and DD pulses), ``twirl_table`` (CNOT c's 16
-    twirl draws, its four slots together) and ``site_table`` (site s's 3
-    or 15 error values), each entry a row of uint64 words. ``flips`` are
-    the events a chunk reads as flip bits, but for those no entry sets
-    (a flip that is always 0); ``flip_kick`` marks the flips of kicks,
-    which pick per-row tables.
+    rotation that no frame flips.
+
+    A row's frame bits are events: bit j < n is the final X bit of qubit
+    n-1-j, an RX reads its qubit's Z bit, and a diagonal term the parity
+    of its qubits' X bits; read i of the walk's R reads is event
+    n + R - 1 - i. Every frame update is an XOR, so the walk keeps
+    each frame bit as the set of inputs that flip it: input 0 for the
+    circuit's Paulis and DD pulses, then an X and a Z for each place a
+    Pauli goes (a twirl slot, or an error site's qubits after its gate).
+    A CNOT sets the target's X bit ^= the control's and the control's Z
+    bit ^= the target's, and an H swaps its qubit's two. Each event
+    reads one such set, and the tables are the transpose of those reads:
+    ``const`` (input 0), ``twirl_table`` (CNOT c's 16 twirl draws, its
+    four slots together) and ``site_table`` (site s's 3 or 15 error
+    values), each entry a row of uint64 words, a Y flipping what its X
+    and Z flip. A frame's power of 1j is a phase of the whole row, which
+    no probability reads, and no event holds it. ``flips`` are the events
+    a chunk reads as flip bits, but for those no input sets (a flip that
+    is always 0); ``flip_kick`` marks the flips of kicks, which pick
+    per-row tables.
     """
     n, entries = plan.n, plan.entries
     kicks_at: dict[int, list] = {}
@@ -415,90 +425,43 @@ def _compile(plan: Plan) -> None:
     sites = set(plan.sites.tolist())
     zz = plan.config.epsilon_coherent != 0.0
 
-    # The backward pass. mx[q] and mz[q] are the events an X and a Z on
-    # qubit q flip from here on, and a Y flips both. A Pauli goes after its
-    # entry, and each place a Pauli goes appends its own snapshot of its
-    # qubit's (mx, mz). The program's steps are gathered last first, with
-    # their events.
-    mx, mz, const = [1 << (n - 1 - q) for q in range(n)], [0] * n, 0
-    xs, zs = [], []
-    slot_snaps, site_snaps, steps = [], [], []
-    events = n
+    # fx[q] and fz[q] are the inputs that flip qubit q's X and Z frame bits
+    # here, as bit sets; reads are the inputs of each event read, in order.
+    # The pending CNOT permutation is linear in the bits of an index: basis
+    # index e_b sits in column images[b], and a diagonal on the parity mask
+    # M reads column j at the parity of j & (XOR of parities[b], b in M).
+    fx, fz, reads, flips, flip_kick = [0] * n, [0] * n, [], [], []
+    places, slot_places, site_places = 0, [], []
+    identity = [1 << b for b in range(n)]
+    images, parities, program, segment = identity[:], identity[:], [], {}
 
-    def diagonal(qubits, key, kick):
-        nonlocal events
-        for q in qubits:
-            mx[q] ^= 1 << events
-        steps.append(("D", qubits, key, events, kick))
-        events += 1
+    def place(q) -> int:
+        """A new place a Pauli goes on qubit q, whose X and Z are inputs 2p + 1 and 2p + 2."""
+        nonlocal places
+        places += 1
+        fx[q] ^= 1 << 2 * places - 1
+        fz[q] ^= 1 << 2 * places
+        return places - 1
 
-    def snapshot(q) -> int:
-        xs.append(mx[q])
-        zs.append(mz[q])
-        return len(xs) - 1
-
-    def kicks_before(k):
-        for j, q in reversed(kicks_at.get(k, ())):
-            diagonal((q,), None, j)
-
-    kicks_before(len(entries))
-    for k in range(len(entries) - 1, -1, -1):
-        entry = entries[k]
-        op, qubits = entry.op, entry.qubits
-        if op is None:  # a twirl slot, whose error site is the same place
-            slot_snaps.append(snapshot(qubits[0]))
-            if k in sites:
-                site_snaps += -1, slot_snaps[-1]
-            kicks_before(k)
-            continue
-        kind = op.kind
-        if k in sites:
-            site_snaps += ((snapshot(qubits[0]), snapshot(qubits[1])) if kind == "CNOT"
-                           else (-1, snapshot(qubits[0])))
-        if kind == "CNOT":
-            if zz:
-                diagonal(qubits, "zz", None)
-            c, t = qubits
-            mx[c] ^= mx[t]  # an X on the control reaches the target
-            mz[t] ^= mz[c]  # and a Z on the target the control
-            steps.append(("C", c, t))
-        elif kind == "RZ":
-            diagonal(qubits, k, None)
-        elif kind == "H":
-            q = qubits[0]
-            mx[q], mz[q] = mz[q], mx[q]
-            steps.append(("H", op))
-        elif kind == "RX":
-            q = qubits[0]
-            mz[q] ^= 1 << events
-            steps.append(("RX", q, k, events))
-            events += 1
-        elif kind != "DELAY":  # a Pauli gate or DD pulse
-            q = qubits[0]
-            const ^= (mx[q], mx[q] ^ mz[q], mz[q])[PAULI_KINDS.index(kind)]
-        kicks_before(k)
-
-    # the events some entry may set, a bit set of them all; any other reads
-    # 0 in every row, and a chunk reads no bit of it
-    live = reduce(or_, xs, const) | reduce(or_, zs, 0)
-    flips, flip_kick = [], []
-
-    def read(event: int, kick: bool) -> int | None:
-        """The index in ``flips`` of ``event``, appended, or None when no entry sets it."""
-        if not live >> event & 1:
+    def read(inputs: int, kick: bool) -> int | None:
+        """The index in ``flips`` of a new event, which ``inputs`` flip, or None when none does."""
+        reads.append(inputs)
+        if not inputs:
             return None
-        flips.append(event)
+        flips.append(len(reads) - 1)
         flip_kick.append(kick)
         return len(flips) - 1
 
-    # the forward pass: the program, under the pending CNOT permutation, which
-    # is linear in the bits of an index: basis index e_b sits in column
-    # images[b], and a diagonal on the parity mask M reads column j at the
-    # parity of j & (XOR of parities[b], b in M). The diagonals of a segment
-    # (those between two mixing steps) commute, and each mask's go into one
-    # step, in the segment's first place, as its terms.
-    identity = [1 << b for b in range(n)]
-    images, parities, program, segment = identity[:], identity[:], [], {}
+    def diagonal(qubits, key, kick):
+        """Add a term to the segment's step of its mask, opening the step at its first term."""
+        mask, inputs = 0, 0
+        for q in qubits:
+            mask ^= parities[n - 1 - q]
+            inputs ^= fx[q]
+        if mask not in segment:
+            segment[mask] = []
+            program.append(("D", _parity_values(n, mask), segment[mask]))
+        segment[mask].append((key, read(inputs, kick is not None), kick))
 
     def gather():
         """The columns of basis order under the pending permutation, or None for the identity."""
@@ -506,48 +469,70 @@ def _compile(plan: Plan) -> None:
         images[:], parities[:] = identity, identity
         return moved
 
-    for step in reversed(steps):
-        kind = step[0]
-        if kind == "D":
-            _, qubits, key, event, kick = step
-            mask = 0
-            for q in qubits:
-                mask ^= parities[n - 1 - q]
-            if mask not in segment:
-                segment[mask] = []
-                program.append(("D", _parity_values(n, mask), segment[mask]))
-            segment[mask].append((key, read(event, kick is not None), kick))
-        elif kind == "C":
-            c, t = n - 1 - step[1], n - 1 - step[2]
-            images[c] ^= images[t]
-            parities[t] ^= parities[c]
-        else:  # a mixing step, which ends the segment
+    # the kicks before each entry, the entry, then its error site's places
+    for k, entry in enumerate([*entries, None]):
+        for j, q in kicks_at.get(k, ()):
+            diagonal((q,), None, j)
+        if entry is None:  # the trailing kicks
+            break
+        op, q = entry.op, entry.qubits[0]
+        if op is None:  # a twirl slot, whose error site is the same place
+            slot_places.append(place(q))
+            if k in sites:
+                site_places += -1, slot_places[-1]
+            continue
+        kind = op.kind
+        if kind == "CNOT":
+            c, t = op.qubits
+            fx[t] ^= fx[c]  # an X on the control reaches the target
+            fz[c] ^= fz[t]  # and a Z on the target the control
+            images[n - 1 - c] ^= images[n - 1 - t]
+            parities[n - 1 - t] ^= parities[n - 1 - c]
+            if zz:
+                diagonal(op.qubits, "zz", None)
+        elif kind == "RZ":
+            diagonal(op.qubits, k, None)
+        elif kind in ("H", "RX"):  # a mixing step, which ends the segment
             segment = {}
             if kind == "H":
-                program.append(("H", step[1], gather()))
+                program.append(("H", op, gather()))
+                fx[q], fz[q] = fz[q], fx[q]
             else:
-                program.append(("RX", _xor_perm(n, images[n - 1 - step[1]]), step[2],
-                                read(step[3], False)))
+                program.append(("RX", _xor_perm(n, images[n - 1 - q]), k, read(fz[q], False)))
+        elif kind != "DELAY":  # a Pauli gate or DD pulse: X, Y or Z
+            fx[q] ^= kind != "Z"
+            fz[q] ^= kind != "X"
+        if k in sites:
+            site_places += (place(q), place(op.qubits[1])) if kind == "CNOT" else (-1, place(q))
     # a step of per-point rotations that no frame flips multiplies per point
     plan.program = [step if step[0] != "D" else
                     (*step, all(flip is None and kick is None for _, flip, kick in step[2]))
                     for step in program]
     plan.final = gather()
-    plan.flips, plan.flip_kick = np.array(flips, dtype=np.intp), np.array(flip_kick, dtype=bool)
+    plan.events = events = n + len(reads)
+    plan.flips = np.array([events - 1 - i for i in flips], dtype=np.intp)
+    plan.flip_kick = np.array(flip_kick, dtype=bool)
 
-    width = (events + 63) // 64
-    plan.events, plan.const = events, _words([const], width)[0]
-    # each snapshot's table over Pauli ids I, X, Y, Z, and a last one of none
-    x, z = _words(xs, width), _words(zs, width)
-    table = np.zeros((len(xs) + 1, 4, width), dtype=np.uint64)
+    # each input's events, a row of uint64 words: the transpose of the events'
+    # inputs, with event j's inputs in row j (the final X bits, then the reads
+    # last first)
+    inputs, width = 2 * places + 1, (events + 63) // 64
+    bits = np.zeros((inputs, 64 * width), dtype=np.uint8)
+    bits[:, :events] = np.unpackbits(_words(fx[::-1] + reads[::-1], (inputs + 63) // 64).view(
+        np.uint8), axis=1, count=inputs, bitorder="little").T
+    words = np.packbits(bits, bitorder="little").view("<u8").reshape(inputs, width)
+    plan.const = words[0]
+    # each place's table over Pauli ids I, X, Y, Z, and a last one of none
+    x, z = words[1::2], words[2::2]
+    table = np.zeros((places + 1, 4, width), dtype=np.uint64)
     table[:-1, 1], table[:-1, 2], table[:-1, 3] = x, x ^ z, z
-    slots = table[slot_snaps[::-1]].reshape(-1, 4, 4, width)
+    slots = table[slot_places].reshape(-1, 4, 4, width)
     plan.twirl_table = np.bitwise_xor.reduce(slots[:, np.arange(4), _TWIRL_SLOTS], axis=2)
     # a hit's value u picks the Paulis (u + 1) >> 2 and (u + 1) & 3 of its
-    # two qubits, a one-qubit site's first being none (snapshot -1, the last)
+    # two qubits, a one-qubit site's first being none (place -1, the last)
     pick = np.arange(1, 16)
-    pairs = np.array(site_snaps[::-1], dtype=np.intp).reshape(-1, 2)  # reversed: (second, first)
-    plan.site_table = table[pairs[:, 1]][:, pick >> 2] ^ table[pairs[:, 0]][:, pick & 3]
+    pairs = np.array(site_places, dtype=np.intp).reshape(-1, 2)
+    plan.site_table = table[pairs[:, 0]][:, pick >> 2] ^ table[pairs[:, 1]][:, pick & 3]
 
 
 def _twirl_draws(keys: np.ndarray, n_cnots: int) -> np.ndarray:

@@ -276,13 +276,14 @@ def test_trace_rejects_bad_series_and_empty(tmp_path):
 
 @pytest.mark.parametrize("line, message", [
     ("0.0,1,0.5", "eval must be an integer >= 0, got '0.0'"),
-    ("0,nan,0.5", "energy must be a finite number, got nan"),
+    ("0,inf,0.5", "energy must be a finite number, got inf"),
     ("0,1", "beta_1 must be a finite number, got None"),
     ("0,1,0.5,7", "fields must be ['eval', 'energy', 'beta_1'], got "),
 ], ids=["non-integer-eval", "non-finite-value", "missing-column", "extra-column"])
 def test_plot_trace_refuses_a_row_by_the_trace_rule(tmp_path, line, message):
-    # eval an integer >= 0, every other field a finite number, and just the
-    # header's fields: a missing column reads None, an extra one is no field
+    # eval an integer >= 0, every other field a finite number (an energy may
+    # be NaN), and just the header's fields: a missing column reads None, an
+    # extra one is no field
     path = tmp_path / "trace.csv"
     path.write_text(f"eval,energy,beta_1\n{line}\n1,1,0.5\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: line 2, {message}')}"):
@@ -372,6 +373,35 @@ def test_cli_plots_the_flat_trace_of_a_huge_weight(tmp_path, capsys):
     assert all(map(math.isfinite, coordinates(parse_svg((tmp_path / "trace.svg").read_text()))))
 
 
+def test_plot_trace_draws_a_solved_trace_that_logs_nan_energies(tmp_path):
+    # the cost products of weights 1e300 overflow: the engine scores those
+    # points NaN and cg logs them. The energy curve leaves them out, and every
+    # other point keeps the x of its row
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "instance": {"inline": {"n": 5, "edges": [[0, 3], [0, 4], [1, 3], [1, 4], [2, 3], [2, 4]],
+                                "weights": [1e300] * 6}},
+        "p": 1, "method": "cg", "mode": "exact", "seed": 3, "max_evals": 400}))
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
+    energies = [float(line.split(",")[1])
+                for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+    finite = [i for i, e in enumerate(energies) if not math.isnan(e)]
+    assert 0 < len(finite) < len(energies)
+    root = parse_svg(plot_trace(tmp_path / "trace.csv"))
+    assert all(map(math.isfinite, coordinates(root)))
+    xs = [float(point.split(",")[0]) for point in polylines(root)[0].get("points").split()]
+    step = plots._PLOT_W / (len(energies) - 1)
+    assert xs == pytest.approx([plots._MARGIN_L + step * i for i in finite], abs=0.005)
+
+
+def test_a_trace_without_a_finite_energy_draws_only_its_parameters(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("eval,energy,beta_1\n0,nan,0.5\n1,nan,0.25\n")
+    with pytest.raises(ValueError, match="^trace has no finite energy$"):
+        plot_trace(path)
+    assert len(polylines(parse_svg(plot_trace(path, "params")))) == 1
+
+
 def test_plot_trace_file_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     lines = ["eval,energy,beta_1,gamma_1"]
@@ -393,8 +423,9 @@ def test_plot_trace_rejects_wrong_header(tmp_path):
         plot_trace(path)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x", ""])
-@pytest.mark.parametrize("column", ["energy", "beta_1"])
+@pytest.mark.parametrize("column, value", [
+    (column, value) for column in ("energy", "beta_1") for value in ("nan", "inf", "-inf", "x", "")
+    if (column, value) != ("energy", "nan")])  # a NaN energy is a point the engine scored NaN
 def test_plot_trace_names_the_file_line_and_field_it_refuses(tmp_path, column, value):
     path = tmp_path / "trace.csv"
     row = {"eval": "1", "energy": "-1.5", "beta_1": "0.5", "gamma_1": "0.25", column: value}
