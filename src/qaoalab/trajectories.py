@@ -503,7 +503,7 @@ def _compile(plan: Plan) -> None:
             fx[q] ^= kind != "Z"
             fz[q] ^= kind != "X"
         if k in sites:
-            site_places += (place(q), place(op.qubits[1])) if kind == "CNOT" else (-1, place(q))
+            site_places += (place(c), place(t)) if kind == "CNOT" else (-1, place(q))
     # a step of per-point rotations that no frame flips multiplies per point
     plan.program = [step if step[0] != "D" else
                     (*step, all(flip is None and kick is None for _, flip, kick in step[2]))
