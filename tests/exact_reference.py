@@ -1,4 +1,4 @@
-"""The full final states of the gate-free exact engine, for tests to check it against.
+"""The full final states of the gate-free exact engine, and its slow mixer, for tests.
 
 The exact and sampled engines score ``ansatz.qaoa_probabilities``,
 which never builds a complex state. ``qaoa_states`` builds it from the
@@ -7,13 +7,20 @@ same halves: it evolves a batch in the same passes of
 ``ansatz._evolve_half`` and writes each row as h followed by its
 reverse, so that its states can be held against the gate path and
 their probabilities against the engine's, bit for bit.
+
+``evolve_half`` is the slow path ``ansatz._evolve_half`` replaced: for
+n > 6 it right-multiplies every mixer block and then rotates the state
+through a full transposed copy, so that the next block's qubits come
+last. The engine's halves are held against it byte for byte.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from qaoalab.ansatz import BATCH_AMPLITUDES, _evolve_half, half_plan
+from qaoalab.ansatz import BATCH_AMPLITUDES, HalfPlan, _evolve_half, _mixer_weights, half_plan
 from qaoalab.graph import MaxCutInstance
 
 
@@ -38,3 +45,45 @@ def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:
             h = _evolve_half(plan, thetas[i:i + rows])
             np.concatenate([h, h[:, ::-1]], axis=1, out=states[i:i + len(h)])
     return states
+
+
+def evolve_half(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
+    """``ansatz._evolve_half`` with a transposed copy of the state after every mixer block.
+
+    The same (k, 2^(n-1)) halves, from the same phases and mixer blocks;
+    only the blocks of n > 6 are applied the slow way.
+    """
+    half, fold = plan.half, plan.fold
+    k, p = thetas.shape[0], thetas.shape[1] // 2
+    if not p:
+        return np.full((k, half), plan.start, dtype=complex)
+    angles = thetas.T
+    betas = angles[:p].tolist()
+    phases = np.exp(2j * angles[p:, :, None] * plan.levels).take(plan.index, axis=2).reshape(
+        p, k, *plan.shape)
+    mixers = {}
+    for b, distances in plan.mixers:
+        weights = []
+        for layer in betas:
+            for beta in layer:
+                weights.extend(_mixer_weights.__wrapped__(beta, b, fold))
+        mixers[b] = np.array(weights, dtype=complex).reshape(p, k, b + 1).take(distances, axis=2)
+    h = phases[0] * plan.start
+    for layer in range(p):
+        if layer:
+            h *= phases[layer]
+        if fold:
+            h = h @ mixers[plan.blocks[0]][layer]
+            continue
+        # the block is symmetric, so right-multiplying applies it to the last
+        # b qubits; the transpose then rotates those to the front, and blocks
+        # summing to n-1 restore the original order
+        for b in plan.blocks:
+            h = (h.reshape(k, -1, 1 << b) @ mixers[b][layer]).transpose(0, 2, 1).reshape(k, half)
+        # RX on node 0: X_0 on a symmetric state reverses h
+        c = np.array([[math.cos(beta)] for beta in betas[layer]], dtype=complex)
+        s = np.array([[-1j * math.sin(beta)] for beta in betas[layer]])
+        flipped = s * h[:, ::-1]
+        h *= c
+        h += flipped
+    return h.reshape(k, half)

@@ -17,6 +17,7 @@ from qaoalab.ansatz import (
     TWO_QUBIT_DURATION,
     Circuit,
     QaoaParams,
+    _evolve_half,
     _mixer_weights,
     build_qaoa_circuit,
     half_plan,
@@ -28,7 +29,8 @@ from qaoalab.graph import MaxCutInstance
 from qaoalab.objective import evaluate_qaoa
 from qaoalab.statevec import GateOp, counts_from_tally, expectation_cut, simulate_ops
 
-from exact_reference import qaoa_states
+from exact_reference import evolve_half, qaoa_states
+from test_golden import recorded_environment, regenerate
 
 
 def gate_count(n: int, m: int, p: int) -> int:
@@ -369,6 +371,45 @@ def test_one_pass_probabilities_equal_the_pass_loop_bit_for_bit(n, p):
         thetas[1::3, :p] = -0.0
         expected = np.abs(qaoa_states(instance, thetas)) ** 2
         assert qaoa_probabilities(plan, thetas).tobytes() == expected.tobytes()
+
+
+def assert_same_halves(plan, thetas):
+    """``_evolve_half`` and ``qaoa_probabilities`` give the slow mixer path's bytes, signed zeros too.
+
+    Like the golden files, the bytes hold under the kernels
+    ``tests/golden/environment.json`` records; a failure names both sets
+    when they differ.
+    """
+    want = evolve_half(plan, thetas)
+    q = np.abs(want) ** 2
+    kernels = regenerate.kernel_difference(recorded_environment())
+    got = _evolve_half(plan, thetas)
+    assert got.view(float).tobytes() == want.view(float).tobytes(), (
+        f"halves differ by up to {np.abs(got - want).max():.3g}{kernels}")
+    probs = qaoa_probabilities(plan, thetas)
+    assert probs.tobytes() == np.concatenate([q, q[:, ::-1]], axis=1).tobytes(), (
+        f"probabilities differ{kernels}")
+
+
+# n = 2..6 fold node 0's RX into the one block; n = 7..17 run the block layouts
+# (5, 1), (5, 2), (5, 3), (5, 4), (5, 5), (5, 5, 1) .. (5, 5, 5, 1)
+@pytest.mark.parametrize("n", range(2, 18))
+@pytest.mark.parametrize("p", range(4))
+def test_the_halves_equal_the_slow_mixer_path_byte_for_byte(n, p):
+    plan = half_plan(engine_instance(n))
+    gen = np.random.default_rng([n, p, 0x5E])
+    for k in (1, 3):
+        thetas = gen.uniform(-2.0 * math.pi, 2.0 * math.pi, (k, 2 * p))
+        if p:  # both signs of a zero beta
+            thetas[-1, 0] = -0.0
+            thetas[1:-1, :p] = 0.0
+        assert_same_halves(plan, thetas)
+
+
+def test_a_batch_past_one_pass_equals_the_slow_mixer_path_byte_for_byte():
+    plan = half_plan(engine_instance(10))  # blocks (5, 4), 16 rows a pass
+    thetas = np.random.default_rng(0x5F).uniform(-math.pi, math.pi, (BATCH_AMPLITUDES // plan.half + 1, 4))
+    assert_same_halves(plan, thetas)
 
 
 def list_form_weights(beta, b, fold):
