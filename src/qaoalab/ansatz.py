@@ -18,7 +18,8 @@ half h with node 0 = 0, 2^(n-1) amplitudes over nodes 1..n-1, from one
 It applies each cost layer as one diagonal phase exp(2i*gamma*C),
 evaluated at the distinct cut values and gathered over that half, and
 each mixer layer as RX(2*beta) on nodes 1..n-1, MIXER_BLOCK qubits at a
-time, one dense block per pass. On a symmetric state X on node 0 acts
+time, each dense block multiplied along its own qubits' axis of h, with
+no transposed copy of h in between. On a symmetric state X on node 0 acts
 as X on nodes 1..n-1, which reverses h, so node 0's RX is
 cos(beta)*h - i*sin(beta)*h reversed; for n <= 6, where nodes 1..n-1
 fit in one block, that step is folded into the block, and each row
@@ -47,8 +48,9 @@ from .statevec import MAX_QUBITS, GateOp, check_gate, sample_counts, simulate_op
 ONE_QUBIT_DURATION = 1.0
 TWO_QUBIT_DURATION = 4.0
 
-# qubits per mixer block in ``_evolve_half``: a (2^5 x 2^5) block per pass over
-# nodes 1..n-1; for n <= 6 the one block also carries node 0's RX
+# qubits per mixer block in ``_evolve_half``: nodes 1..n-1 in (2^5 x 2^5) blocks
+# and one smaller remainder, each on its own axis; for n <= 6 the one block
+# also carries node 0's RX
 MIXER_BLOCK = 5
 # half-state amplitudes ``qaoa_probabilities`` evolves per pass: 512 rows at n=5,
 # one at n=14. A pass also holds p mixer blocks per row, at most 4 MB a layer (n=6)
@@ -280,6 +282,18 @@ def _evolve_half(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
     At p = 0 each half is the amplitude of |+>^n. Otherwise the first
     layer starts from its cost phase times that amplitude, the product
     the uniform half times the phase gives, with no uniform array built.
+
+    For n > 6 a mixer layer applies its blocks in turn to qubits
+    lo..lo+b-1 of h, lowest first, each on a (k, hi, 2^b, 2^lo) view:
+    the lowest block by right-multiplying the last axis, each later one
+    as M @ x on its own axis, valid as every block is symmetric. So no
+    transposed copy of the state is made, and under the OpenBLAS kernels
+    ``tests/golden/environment.json`` records, each amplitude keeps the
+    bits of the form that right-multiplied every block. A lone-qubit
+    block (the remainder at n = 7, 12, 17, 22) is the exception: as
+    M @ x it moves the last bit of some amplitudes, so it keeps the
+    right-multiply, on a transposed view, and one copy of the state.
+    Every reshape names its shape, so a batch of no rows passes.
     """
     half, fold = plan.half, plan.fold
     k, p = thetas.shape[0], thetas.shape[1] // 2
@@ -311,17 +325,24 @@ def _evolve_half(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
             # applies it to nodes 1..n-1, node 0's RX folded in
             h = h @ mixers[plan.blocks[0]][layer]
             continue
-        # the block is symmetric, so right-multiplying applies it to the last
-        # b qubits; the transpose then rotates those to the front, and blocks
-        # summing to n-1 restore the original order
+        # each block on its own axis; a lone qubit right-multiplied, transposed
+        lo = 0
         for b in plan.blocks:
-            h = (h.reshape(k, -1, 1 << b) @ mixers[b][layer]).transpose(0, 2, 1).reshape(k, half)
+            m, hi = mixers[b][layer], half >> (lo + b)
+            if not lo:
+                h = h.reshape(k, hi, 1 << b) @ m
+            elif b == 1:
+                h = (h.reshape(k, 2, 1 << lo).transpose(0, 2, 1) @ m).transpose(0, 2, 1)
+            else:
+                h = m[:, None] @ h.reshape(k, hi, 1 << b, 1 << lo)
+            lo += b
+        h = h.reshape(k, half)
         # RX on node 0: on a symmetric state X_0 acts as X on nodes 1..n-1,
         # which complements the index into h, i.e. reverses h. c is made
         # complex: a real column against complex rows takes numpy's slow
         # buffered cast, for the same products
-        c = np.array([[math.cos(beta)] for beta in betas[layer]], dtype=complex)
-        s = np.array([[-1j * math.sin(beta)] for beta in betas[layer]])
+        c = np.array([math.cos(beta) for beta in betas[layer]], dtype=complex)[:, None]
+        s = np.array([-1j * math.sin(beta) for beta in betas[layer]])[:, None]
         flipped = s * h[:, ::-1]
         h *= c
         h += flipped

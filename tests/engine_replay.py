@@ -1,15 +1,20 @@
-"""Record the exact engine calls of a paper-p5 sweep and replay them, timed and checked.
+"""Record the engine calls of two benchmark sweeps and replay them, timed and checked.
 
-The sweep is the ``paper-p5`` benchmark's shape, inlined: the canonical
-graph, p = 5 from the paper's published start, exact mode, one cell
-per method (powell, cobyla, cg), at ``--seed``. It runs once through
-``harness.run_sweep`` into a temporary directory, with
-``objective.Engine.__call__`` wrapped to record every batch of angle
-rows, its seeds and the energies it returned. The recorded calls are
-then replayed ``--repeat`` times on a fresh exact engine, each time
-with ``ansatz._mixer_weights`` emptied first, and the best time is
-kept. Replaying isolates the engine from the optimizers and the
-artifact writing, so it reads steadier than whole-pass timing.
+The sweeps are those of the ``paper-p5`` and ``sampled-n14`` benchmark
+workloads at ``--seed``, their configs from ``make_inputs`` in
+``perfbench/workloads.py``, executed from source as ``tests/reach.py``
+does, so nothing is written under ``perfbench/``. ``paper-p5`` runs the
+canonical graph at p = 5 in exact mode, where the mixer is one folded
+block; ``sampled-n14`` runs a seeded 3-regular graph on 14 nodes,
+sampled, at p = 1 and 2, where the mixer runs in blocks. Each sweep
+runs once through ``harness.run_sweep`` into a temporary directory,
+with ``objective.Engine.__call__`` wrapped to record every batch of
+angle rows, its seeds, its engine and the energies it returned. The
+recorded calls are then replayed ``--repeat`` times, with their seeds,
+on fresh engines built like the recorded ones, each time with
+``ansatz._mixer_weights`` emptied first, and the best time is kept.
+Replaying isolates the engine from the optimizers and the artifact
+writing, so it reads steadier than whole-pass timing.
 
 Run from the repository root, with one BLAS thread (the script sets
 the thread variables itself)::
@@ -19,10 +24,10 @@ the thread variables itself)::
     python tests/engine_replay.py --src /path/to/other/checkout/src
 
 ``--src`` replays the package at another source tree, so one command
-gives a change's replay time beside its parent's. It prints the calls,
-the rows, the mixer-weight misses of one replay and the best replay
-time, and exits with 1 when any replayed energy differs from the
-recorded one in its bytes, and with 0 otherwise.
+gives a change's replay times beside its parent's. It prints, for each
+sweep, the calls, the rows, the mixer-weight misses of one replay and
+the best replay time, and exits with 1 when any replayed energy
+differs from the recorded one in its bytes, and with 0 otherwise.
 """
 
 from __future__ import annotations
@@ -41,63 +46,71 @@ from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from reach import load_workloads  # noqa: E402
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+SWEEPS = ("paper-p5", "sampled-n14")
 
 
-def sweep_config(seed: int) -> dict:
-    """The paper-p5 sweep at ``seed``: exact, p = 5 from the published start, one cell per method."""
-    return {"p": 5, "init": "paper-p5", "mode": "exact", "seed": seed,
-            "sweep": {"method": ["powell", "cobyla", "cg"]}}
-
-
-def record(harness, objective, seed: int) -> list[tuple[np.ndarray, list, np.ndarray]]:
-    """(rows, seeds, energies) of every engine call of one sweep, in call order."""
+def record(harness, objective, config: dict) -> list[tuple]:
+    """(engine, rows, seeds, energies) of every engine call of one sweep, in call order."""
     calls = []
     call = objective.Engine.__call__
 
     def recording(engine, thetas, seeds):
         energies = call(engine, thetas, seeds)
-        calls.append((np.array(thetas, dtype=float), list(seeds), energies.copy()))
+        calls.append((engine, np.array(thetas, dtype=float), list(seeds), energies.copy()))
         return energies
 
     objective.Engine.__call__ = recording
     try:
         with tempfile.TemporaryDirectory() as out:
-            harness.run_sweep(harness.parse_config(sweep_config(seed)), out)
+            harness.run_sweep(harness.parse_config(config), out)
     finally:
         objective.Engine.__call__ = call
     return calls
 
 
-def replay(engine, mixer_weights, calls) -> tuple[float, int, bool]:
-    """(seconds, mixer-weight misses, every energy byte-equal) of one replay of ``calls``."""
+def replay(mixer_weights, calls) -> tuple[float, int, bool]:
+    """(seconds, mixer-weight misses, every energy byte-equal) of one replay of ``calls``.
+
+    Each call runs on a fresh engine built like the one it was recorded
+    on; the engines are built before the clock starts.
+    """
+    fresh = {}
+    for engine, _, _, _ in calls:
+        key = (engine.instance, engine.p, engine.mode, engine.shots, engine.noise)
+        if key not in fresh:
+            fresh[key] = type(engine)(*key[:3], shots=engine.shots, noise=engine.noise)
+    engines = [fresh[(e.instance, e.p, e.mode, e.shots, e.noise)] for e, _, _, _ in calls]
     mixer_weights.cache_clear()
-    same = True
     start = perf_counter()
-    results = [engine(thetas, seeds) for thetas, seeds, _ in calls]
+    results = [engine(thetas, seeds) for engine, (_, thetas, seeds, _) in zip(engines, calls)]
     seconds = perf_counter() - start
-    for (_, _, energies), got in zip(calls, results):
-        same = same and got.tobytes() == energies.tobytes()
+    same = all(got.tobytes() == energies.tobytes()
+               for (_, _, _, energies), got in zip(calls, results))
     return seconds, mixer_weights.cache_info().misses, same
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Replay a paper-p5 sweep's exact engine calls.")
-    parser.add_argument("--seed", type=int, default=1, help="the sweep's seed (default 1)")
+    parser = argparse.ArgumentParser(
+        description="Replay the exact and sampled engine calls of the paper-p5 and sampled-n14 sweeps.")
+    parser.add_argument("--seed", type=int, default=1, help="the sweeps' seed (default 1)")
     parser.add_argument("--repeat", type=int, default=5, help="replays, best kept (default 5)")
     parser.add_argument("--src", default=str(SRC), help="the source tree to import qaoalab from")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from qaoalab import ansatz, harness, objective
 
-    calls = record(harness, objective, args.seed)
-    engine = objective.Engine(harness.parse_config(sweep_config(args.seed)).instance, 5, "exact")
-    runs = [replay(engine, ansatz._mixer_weights, calls) for _ in range(max(1, args.repeat))]
-    best = min(seconds for seconds, _, _ in runs)
-    same = all(ok for _, _, ok in runs)
-    print(f"calls {len(calls)}  rows {sum(len(thetas) for thetas, _, _ in calls)}  "
-          f"mixer-weight misses {runs[0][1]}")
-    print(f"replay best of {len(runs)}: {best * 1e3:.1f} ms")
+    workloads = load_workloads()
+    same = True
+    for workload in SWEEPS:
+        calls = record(harness, objective, workloads.make_inputs(workload, args.seed).configs["sweep"])
+        runs = [replay(ansatz._mixer_weights, calls) for _ in range(max(1, args.repeat))]
+        same = same and all(ok for _, _, ok in runs)
+        print(f"{workload}: calls {len(calls)}  rows {sum(len(c[1]) for c in calls)}  "
+              f"mixer-weight misses {runs[0][1]}  "
+              f"replay best of {len(runs)}: {min(s for s, _, _ in runs) * 1e3:.1f} ms")
     print("every replayed energy equals the recorded one" if same
           else "a replayed energy differs from the recorded one")
     return 0 if same else 1

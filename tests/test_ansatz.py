@@ -287,6 +287,44 @@ def test_gate_free_state_matches_gate_path_by_block_size(n, integer_weights):
     assert_matches_gate_path(instance, params)
 
 
+def closed_form_p1_energy(instance, beta, gamma):
+    """-<cut> at p = 1 from the closed form of <Z_u Z_v> for weighted graphs.
+
+    Ozaeta, van Dam & McMahon, arXiv 2004.14666, in the engine's
+    conventions: cost phase exp(2i*gamma*cut(x)), RX(2*beta) on every
+    qubit. The products run over every other vertex k, with w = 0 for a
+    non-edge. Nothing here is shared with the engine.
+    """
+    n = instance.n
+    w = np.zeros((n, n))
+    for (u, v), weight in zip(instance.edges, instance.weights):
+        w[u, v] = w[v, u] = weight
+    energy = 0.0
+    for (u, v), weight in zip(instance.edges, instance.weights):
+        others = [k for k in range(n) if k not in (u, v)]
+        wu, wv = w[u, others], w[v, others]
+        zz = (0.5 * math.sin(4 * beta) * math.sin(2 * gamma * weight)
+              * (np.prod(np.cos(2 * gamma * wu)) + np.prod(np.cos(2 * gamma * wv)))
+              - 0.5 * math.sin(2 * beta) ** 2
+              * (np.prod(np.cos(2 * gamma * (wu + wv))) - np.prod(np.cos(2 * gamma * (wu - wv)))))
+        energy -= weight * (1 - zz) / 2
+    return energy
+
+
+# the folded block (n <= 6), two blocks (n = 7..11) and three (n = 12..14)
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 9, 11, 12, 14])
+def test_p1_energy_equals_the_closed_form(n):
+    gen = np.random.default_rng([n, 0x34])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:int(gen.integers(1, len(pairs) + 1))])
+    instance = MaxCutInstance(n, edges, tuple(gen.uniform(-2.0, 2.0, len(edges))))
+    thetas = gen.uniform(-math.pi, math.pi, (4, 2))
+    energies = objective.make_objective(instance, 1)(thetas)
+    bound = 1e-12 * sum(abs(w) for w in instance.weights)
+    for (beta, gamma), energy in zip(thetas, energies):
+        assert abs(energy - closed_form_p1_energy(instance, beta, gamma)) <= bound
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_gate_path_state_is_complement_symmetric(seed):
     # the premise of qaoa_states' half state: psi(x) = psi(not x), negative weights too

@@ -6,21 +6,23 @@ from qaoalab import ansatz
 from qaoalab.graph import canonical_instance
 from qaoalab.objective import Engine
 
-from engine_replay import main, replay
+from engine_replay import SWEEPS, main, replay
 
 
-def test_a_sweep_replays_to_the_bytes_it_recorded(capsys):
+def test_both_sweeps_replay_to_the_bytes_they_recorded(capsys):
     assert main(["--repeat", "1"]) == 0
-    counts, _, verdict = capsys.readouterr().out.splitlines()
-    assert counts.startswith("calls ") and int(counts.split()[-1]) > 0
+    *counts, verdict = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in counts] == list(SWEEPS)
+    assert all(int(line.split()[2]) > 0 for line in counts)
     assert verdict == "every replayed energy equals the recorded one"
 
 
 def test_a_replayed_energy_that_differs_in_its_bytes_is_caught():
-    engine = Engine(canonical_instance(), 1)
     thetas = np.array([[0.3, 0.7], [1.1, -0.4]])
-    energies = engine(thetas, [None, None])
-    assert replay(engine, ansatz._mixer_weights, [(thetas, [None, None], energies)])[2]
-    moved = energies.copy()
-    moved[1] = np.nextafter(moved[1], 0.0)
-    assert not replay(engine, ansatz._mixer_weights, [(thetas, [None, None], moved)])[2]
+    for engine, seeds in [(Engine(canonical_instance(), 1), [None, None]),
+                          (Engine(canonical_instance(), 1, "sampled", shots=64), [5, 6])]:
+        energies = engine(thetas, seeds)
+        assert replay(ansatz._mixer_weights, [(engine, thetas, seeds, energies)])[2]
+        moved = energies.copy()
+        moved[1] = np.nextafter(moved[1], 0.0)
+        assert not replay(ansatz._mixer_weights, [(engine, thetas, seeds, moved)])[2]

@@ -391,6 +391,20 @@ def test_an_empty_batch_gives_an_empty_result(canonical, mode, kwargs):
                 assert shots.shape == (0, 16) and shots.dtype.kind == "i"
 
 
+@pytest.mark.parametrize("n", [7, 14])
+def test_an_empty_batch_gives_an_empty_result_with_the_mixer_in_blocks(n):
+    # from n = 7 the mixer runs in several blocks, each reshaped to the batch's rows
+    instance = MaxCutInstance(n, tuple((u, u + 1) for u in range(n - 1)))
+    assert make_objective(instance, 2)(np.zeros((0, 4))).shape == (0,)
+    assert Engine(instance, 2)(np.zeros((0, 4)), []).shape == (0,)
+    sampled = Engine(instance, 2, "sampled", shots=16)
+    assert sampled(np.zeros((0, 4)), []).shape == (0,)
+    tallies = sampled.tallies(np.zeros((0, 4)), [])
+    assert tallies.shape == (0, 1 << n) and tallies.dtype.kind == "i"
+    # a batch whose every row overflows leaves no row to sample
+    assert np.isnan(sampled(np.array([[0.3, 0.1, 1e308, 1e308]]), [1])).all()
+
+
 @pytest.mark.parametrize("mode, kwargs", [
     ("exact", {}),
     ("sampled", {"shots": 8}),
