@@ -75,17 +75,13 @@ def replay(mixer_weights, calls) -> tuple[float, int, bool]:
     """(seconds, mixer-weight misses, every energy byte-equal) of one replay of ``calls``.
 
     Each call runs on a fresh engine built like the one it was recorded
-    on; the engines are built before the clock starts.
+    on, one per recorded engine, built before the clock starts.
     """
-    fresh = {}
-    for engine, _, _, _ in calls:
-        key = (engine.instance, engine.p, engine.mode, engine.shots, engine.noise)
-        if key not in fresh:
-            fresh[key] = type(engine)(*key[:3], shots=engine.shots, noise=engine.noise)
-    engines = [fresh[(e.instance, e.p, e.mode, e.shots, e.noise)] for e, _, _, _ in calls]
+    fresh = {id(e): type(e)(e.instance, e.p, e.mode, shots=e.shots, noise=e.noise)
+             for e, _, _, _ in calls}
     mixer_weights.cache_clear()
     start = perf_counter()
-    results = [engine(thetas, seeds) for engine, (_, thetas, seeds, _) in zip(engines, calls)]
+    results = [fresh[id(engine)](thetas, seeds) for engine, thetas, seeds, _ in calls]
     seconds = perf_counter() - start
     same = all(got.tobytes() == energies.tobytes()
                for (_, _, _, energies), got in zip(calls, results))

@@ -418,15 +418,13 @@ def assert_same_halves(plan, thetas):
     ``tests/golden/environment.json`` records; a failure names both sets
     when they differ.
     """
-    want = evolve_half(plan, thetas)
-    q = np.abs(want) ** 2
-    kernels = regenerate.kernel_difference(recorded_environment())
-    got = _evolve_half(plan, thetas)
+    want, got = evolve_half(plan, thetas), _evolve_half(plan, thetas)
     assert got.view(float).tobytes() == want.view(float).tobytes(), (
-        f"halves differ by up to {np.abs(got - want).max():.3g}{kernels}")
-    probs = qaoa_probabilities(plan, thetas)
-    assert probs.tobytes() == np.concatenate([q, q[:, ::-1]], axis=1).tobytes(), (
-        f"probabilities differ{kernels}")
+        f"halves differ by up to {np.abs(got - want).max():.3g}"
+        f"{regenerate.kernel_difference(recorded_environment())}")
+    q = np.abs(want) ** 2
+    assert qaoa_probabilities(plan, thetas).tobytes() == np.concatenate([q, q[:, ::-1]], axis=1).tobytes(), (
+        f"probabilities differ{regenerate.kernel_difference(recorded_environment())}")
 
 
 # n = 2..6 fold node 0's RX into the one block; n = 7..17 run the block layouts
