@@ -9,7 +9,7 @@ from qaoalab.objective import Engine
 from engine_replay import SWEEPS, main, replay
 
 
-def test_both_sweeps_replay_to_the_bytes_they_recorded(capsys):
+def test_a_sweep_replays_to_the_bytes_it_recorded(capsys):
     assert main(["--repeat", "1"]) == 0
     *counts, verdict = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in counts] == list(SWEEPS)
