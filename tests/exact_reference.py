@@ -12,6 +12,11 @@ their probabilities against the engine's, bit for bit.
 n > 6 it right-multiplies every mixer block and then rotates the state
 through a full transposed copy, so that the next block's qubits come
 last. The engine's halves are held against it byte for byte.
+
+``cut_value_table`` is the per-edge form ``graph.cut_value_table``
+replaced: each edge adds w times the XOR of its endpoints' bits, taken
+from an int64 basis index. The package's table is held against it byte
+for byte.
 """
 
 from __future__ import annotations
@@ -22,6 +27,21 @@ import numpy as np
 
 from qaoalab.ansatz import BATCH_AMPLITUDES, HalfPlan, _evolve_half, _mixer_weights, half_plan
 from qaoalab.graph import MaxCutInstance
+
+
+def cut_value_table(instance: MaxCutInstance) -> np.ndarray:
+    """Cut value for every basis index 0..2^n-1, leftmost bit = node 0, one edge at a time.
+
+    Each edge adds ``w * (bu ^ bv)`` to every entry, in edge order: w
+    where the edge is cut, and w * 0 (+0.0 or -0.0) where it is not.
+    """
+    idx = np.arange(1 << instance.n, dtype=np.int64)
+    table = np.zeros(idx.size)
+    for (u, v), w in zip(instance.edges, instance.weights):
+        bu = (idx >> (instance.n - 1 - u)) & 1
+        bv = (idx >> (instance.n - 1 - v)) & 1
+        table += w * (bu ^ bv)
+    return table
 
 
 def qaoa_states(instance: MaxCutInstance, thetas: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import exact_reference
 from qaoalab.graph import (
     ENUMERATION_LIMIT,
     CapacityError,
@@ -128,6 +129,29 @@ def test_cut_value_table_cached_and_readonly(canonical):
     assert table is cut_value_table(canonical)
     assert not table.flags.writeable
     assert table[0b00011] == 6.0
+
+
+def signed_instance(n: int) -> MaxCutInstance:
+    # up to 3n edges in random order and orientation, uniform(-2, 3) weights
+    # (negative and non-dyadic), and a -0.0 weight where there are 3 edges or more
+    gen = np.random.default_rng([n, 0x36])
+    pairs = list(itertools.combinations(range(n), 2))
+    m = int(gen.integers(min(1, len(pairs)), min(len(pairs), 3 * n) + 1))
+    edges = [pairs[i][::int(gen.choice((1, -1)))] for i in gen.permutation(len(pairs))[:m]]
+    weights = gen.uniform(-2.0, 3.0, m)
+    if m >= 3:
+        weights[1] = -0.0
+    return MaxCutInstance(n, tuple(edges), tuple(weights.tolist()))
+
+
+# every n from 1 to 16, and one n past the north star's n ~ 20
+SIGNED_NS = [*range(1, 17), 20]
+
+
+@pytest.mark.parametrize("n", SIGNED_NS)
+def test_the_table_equals_the_per_edge_reference_byte_for_byte(n):
+    instance = signed_instance(n)
+    assert cut_value_table(instance).tobytes() == exact_reference.cut_value_table(instance).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))
