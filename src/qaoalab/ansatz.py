@@ -162,10 +162,11 @@ def _hamming_distances(k: int) -> np.ndarray:
 class HalfPlan:
     """What ``_evolve_half`` needs of an instance; ``half_plan`` builds one per instance.
 
-    ``cut_levels`` with the index cut to the half; the mixer block sizes
-    over nodes 1..n-1, and ``fold`` when one block also carries node 0's
-    RX; a Hamming table per distinct block size; the amplitude of |+>^n;
-    and one row's shape during evolution, (1, half) when folded.
+    ``cut_levels``, the cut levels and the index of the half h over them,
+    an array of its own; the mixer block sizes over nodes 1..n-1, and
+    ``fold`` when one block also carries node 0's RX; a Hamming table per
+    distinct block size; the amplitude of |+>^n; and one row's shape
+    during evolution, (1, half) when folded.
     """
 
     __slots__ = ("half", "levels", "index", "blocks", "fold", "mixers", "start", "shape")
@@ -173,8 +174,7 @@ class HalfPlan:
     def __init__(self, instance: MaxCutInstance):
         n = instance.n
         self.half = half = 1 << (n - 1)
-        self.levels, index = cut_levels(instance)
-        self.index = index[:half]
+        self.levels, self.index = cut_levels(instance)
         blocks = (MIXER_BLOCK,) * ((n - 1) // MIXER_BLOCK)
         if (n - 1) % MIXER_BLOCK:
             blocks += ((n - 1) % MIXER_BLOCK,)
@@ -184,10 +184,8 @@ class HalfPlan:
         self.shape = (1, half) if self.fold else (half,)
 
 
-@lru_cache(maxsize=128)
-def half_plan(instance: MaxCutInstance) -> HalfPlan:
-    """The instance's ``HalfPlan``, cached per instance."""
-    return HalfPlan(instance)
+# the instance's ``HalfPlan``, cached per instance
+half_plan = lru_cache(maxsize=128)(HalfPlan)
 
 
 _ONE = 1 + 0j

@@ -102,34 +102,54 @@ def cut_value(instance: MaxCutInstance, assignment: str) -> float:
 def cut_value_table(instance: MaxCutInstance) -> np.ndarray:
     """Cut value for every basis index 0..2^n-1, leftmost bit = node 0.
 
-    Cached per instance; the returned array is read-only.
+    Each edge (u, v), u < v, adds its weight in place to the two
+    quarters of the table where bits u and v differ, read on its
+    (2^u, 2, 2^(v-u-1), 2, 2^(n-1-v)) view, so no index array or
+    per-edge temporary is made. Every entry sums its cut edges' weights
+    in edge order, each a plain float add. Cached per instance; the
+    returned array is read-only.
     """
-    if instance.n > ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"n={instance.n} exceeds the enumeration limit of {ENUMERATION_LIMIT}"
-        )
-    idx = np.arange(1 << instance.n, dtype=np.int64)
-    table = np.zeros(idx.size)
+    n = instance.n
+    if n > ENUMERATION_LIMIT:
+        raise CapacityError(f"n={n} exceeds the enumeration limit of {ENUMERATION_LIMIT}")
+    table = np.zeros(1 << n)
     for (u, v), w in zip(instance.edges, instance.weights):
-        bu = (idx >> (instance.n - 1 - u)) & 1
-        bv = (idx >> (instance.n - 1 - v)) & 1
-        table += w * (bu ^ bv)
+        view = table.reshape(1 << u, 2, 1 << (v - u - 1), 2, 1 << (n - 1 - v))
+        view[:, 0, :, 1] += w
+        view[:, 1, :, 0] += w
     table.flags.writeable = False
     return table
 
 
 def cut_levels(instance: MaxCutInstance) -> tuple[np.ndarray, np.ndarray]:
-    """``cut_value_table`` as (levels, index): its distinct values, and each entry's position.
+    """The first half of ``cut_value_table`` as (levels, index): its distinct values, and each entry's position.
 
-    ``levels[index]`` equals the table. A function of the cut value
-    needs evaluating only at the levels, which are few for small integer
-    weights (17 on a 3-regular 14-node graph). The arrays are read-only,
-    so a caller may cache and share them.
+    The half is the 2^(n-1) entries with node 0 = 0. A complement has the
+    same cut value, so the levels are every distinct value of the whole
+    table, and the half reversed is the second half: ``levels[index]``
+    is the first half. A function of the cut value needs evaluating only
+    at the levels, which are few for small integer weights (17 on a
+    3-regular 14-node graph). The pair is ``np.unique(half,
+    return_inverse=True)``, taken from one argsort with no inverse
+    temporaries, so its peak memory is about three int64 copies of the
+    half. The arrays are read-only, so a caller may cache and share them.
     """
-    levels, index = np.unique(cut_value_table(instance), return_inverse=True)
-    levels.flags.writeable = False
-    index.flags.writeable = False
+    half = cut_value_table(instance)[:1 << (instance.n - 1)]
+    order = np.argsort(half)
+    ordered = half[order]
+    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])  # where each level's run starts
+    levels, index = ordered[first], np.empty_like(order)
+    del ordered  # freed before the ranks are made
+    index[order] = np.cumsum(first)
+    index -= 1
+    levels.flags.writeable = index.flags.writeable = False
     return levels, index
+
+
+@lru_cache(maxsize=128)
+def cut_peak(instance: MaxCutInstance) -> float:
+    """The largest |cut value| of ``instance``, found once per instance (cached)."""
+    return float(np.abs(cut_value_table(instance)).max())
 
 
 def brute_force_maxcut(instance: MaxCutInstance) -> tuple[float, set[str]]:
@@ -142,9 +162,7 @@ def brute_force_maxcut(instance: MaxCutInstance) -> tuple[float, set[str]]:
     _checks.of_type(instance, MaxCutInstance, "instance")
     table = cut_value_table(instance)
     best = float(table.max())
-    width = instance.n
-    optima = {format(i, f"0{width}b") for i in np.flatnonzero(table == best)}
-    return best, optima
+    return best, {format(i, f"0{instance.n}b") for i in np.flatnonzero(table == best)}
 
 
 def canonical_instance() -> MaxCutInstance:

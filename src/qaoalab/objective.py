@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _checks, rng
 from .ansatz import QaoaParams, build_qaoa_circuit, half_plan, qaoa_angles, qaoa_probabilities
-from .graph import MaxCutInstance, cut_value_table
+from .graph import MaxCutInstance, cut_peak, cut_value_table
 from .noise import NoiseConfig
 from .statevec import _tally_qubits, measure_rows, sample_draws
 
@@ -54,7 +54,7 @@ def energy_from_counts(counts: dict[str, int], instance: MaxCutInstance) -> floa
     """
     _checks.of_type(instance, MaxCutInstance, "instance")
     shots = _checks.counts(counts, "counts", instance.n)
-    table, scale = _scaled(cut_value_table(instance), shots)
+    table, scale = _scaled(instance, shots)
     total = 0.0
     for bits, c in counts.items():
         total += c * table[int(bits, 2)]
@@ -76,20 +76,20 @@ def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
     if not tally.any():
         raise ValueError("tally has no shots")
     hit = np.flatnonzero(tally)
-    return _energy(hit, tally[hit], *_scaled(cut_value_table(instance), int(tally.sum())))
+    return _energy(hit, tally[hit], *_scaled(instance, int(tally.sum())))
 
 
-def _scaled(table: np.ndarray, shots: int) -> tuple[np.ndarray, float]:
-    """(table * scale, scale), scale being 1.0 unless a sum over ``shots`` shots of ``table`` can overflow.
+def _scaled(instance: MaxCutInstance, shots: int) -> tuple[np.ndarray, float]:
+    """(table * scale, scale) for the cut table, scale being 1.0 unless a sum over ``shots`` shots of it can overflow.
 
-    Such a sum is at most shots * max|table| in size. From 2**1022 up
-    (a margin for rounding) it is scored in values scaled by a power of
-    two, 2**-e, which is exact, and the mean is divided by the scale
-    again; so every energy keeps the bits it has in unbounded range, and
-    every sum that cannot overflow is not scaled. Decided once per
-    engine or public call, not per row.
+    Such a sum is at most shots * ``cut_peak(instance)`` in size. From
+    2**1022 up (a margin for rounding) it is scored in values scaled by a
+    power of two, 2**-e, which is exact, and the mean is divided by the
+    scale again; so every energy keeps the bits it has in unbounded
+    range, and every sum that cannot overflow is not scaled. Decided
+    once per engine or public call, not per row.
     """
-    peak = float(np.abs(table).max())
+    table, peak = cut_value_table(instance), cut_peak(instance)
     if shots * peak < 2.0**1022 or peak == math.inf:
         return table, 1.0
     scale = 2.0 ** (1021 - math.frexp(peak)[1] - int(shots).bit_length())
@@ -195,18 +195,16 @@ class Engine:
         _checks.of_type(instance, MaxCutInstance, "instance")
         p = _checks.integer(p, "p", 0)
         shots = check_run_mode(mode, shots, noise)
-        self.instance, self.p, self.mode = instance, p, mode
-        self.shots, self.noise = shots, noise
-        table = cut_value_table(instance)
-        self._shot_table, self._scale = _scaled(table, shots or 1)  # what shots are scored on
+        self.instance, self.p, self.mode, self.shots, self.noise = instance, p, mode, shots, noise
+        self._shot_table, self._scale = _scaled(instance, shots or 1)  # what shots are scored on
         if mode == "noisy":
             from . import trajectories  # loaded on first use
 
             circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
             self._plan = trajectories.Plan(circuit, noise)
         else:
-            self._plan, self._table = half_plan(instance), table
-            self._peak = float(np.abs(table).max())  # the largest |cut value|, for ``_draw``
+            # the largest |cut value| bounds ``_draw``'s cost products
+            self._plan, self._table, self._peak = half_plan(instance), cut_value_table(instance), cut_peak(instance)
 
     def _thetas(self, thetas) -> np.ndarray:
         """The batch's angles as a float array, checked: (k, 2p) finite reals."""

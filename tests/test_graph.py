@@ -154,6 +154,18 @@ def test_the_table_equals_the_per_edge_reference_byte_for_byte(n):
     assert cut_value_table(instance).tobytes() == exact_reference.cut_value_table(instance).tobytes()
 
 
+@pytest.mark.parametrize("n", SIGNED_NS)
+def test_the_half_levels_and_index_equal_unique_of_the_full_table(n):
+    instance = signed_instance(n)
+    levels, index = cut_levels(instance)
+    full_levels, full_index = np.unique(exact_reference.cut_value_table(instance), return_inverse=True)
+    assert levels.dtype == full_levels.dtype and index.dtype == full_index.dtype
+    assert levels.tobytes() == full_levels.tobytes()
+    assert index.tobytes() == full_index[:1 << (n - 1)].tobytes()
+    # the index is an array of its own, not a view that keeps a full-length one alive
+    assert index.base is None or index.base.size == index.size
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("integer_weights", [True, False])
 def test_gathered_phase_is_bit_identical(seed, integer_weights):
@@ -163,15 +175,18 @@ def test_gathered_phase_is_bit_identical(seed, integer_weights):
     if integer_weights:
         weights = tuple(float(w) for w in gen.integers(1, 4, size=len(instance.edges)))
         instance = MaxCutInstance(instance.n, instance.edges, weights)
+    # over the half with node 0 = 0, whose reverse is the second half
     table = cut_value_table(instance)
+    half = table.size // 2
     levels, index = cut_levels(instance)
     assert not levels.flags.writeable and not index.flags.writeable
-    assert np.array_equal(levels[index], table)
+    assert np.array_equal(levels[index], table[:half])
+    assert np.array_equal(table[:half][::-1], table[half:])
     assert np.array_equal(levels, np.unique(table))
     for gamma in (*gen.uniform(-7.0, 7.0, size=8), 0.0, -0.0, 1e-300, 1e6):
         gathered = np.exp(2j * gamma * levels)[index]
         direct = np.exp(2j * gamma * table)
-        assert gathered.tobytes() == direct.tobytes()
+        assert np.concatenate([gathered, gathered[::-1]]).tobytes() == direct.tobytes()
 
 
 # -- edge-list text format ----------------------------------------------------
