@@ -311,14 +311,15 @@ def closed_form_p1_energy(instance, beta, gamma):
     return energy
 
 
-# the folded block (n <= 6), two blocks (n = 7..11) and three (n = 12..14)
-@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 9, 11, 12, 14])
+# the folded block (n <= 6), two blocks (n = 7..11), three (n = 12..14), a
+# lone-qubit remainder (n = 17, 22) and the north star's scale (n = 20, 22)
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 9, 11, 12, 14, 17, 20, 22])
 def test_p1_energy_equals_the_closed_form(n):
     gen = np.random.default_rng([n, 0x34])
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:int(gen.integers(1, len(pairs) + 1))])
     instance = MaxCutInstance(n, edges, tuple(gen.uniform(-2.0, 2.0, len(edges))))
-    thetas = gen.uniform(-math.pi, math.pi, (4, 2))
+    thetas = gen.uniform(-math.pi, math.pi, (4 if n < 20 else 2, 2))
     energies = objective.make_objective(instance, 1)(thetas)
     bound = 1e-12 * sum(abs(w) for w in instance.weights)
     for (beta, gamma), energy in zip(thetas, energies):
