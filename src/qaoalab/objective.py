@@ -80,7 +80,7 @@ def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
 
 
 def _scaled(instance: MaxCutInstance, shots: int) -> tuple[np.ndarray, float]:
-    """(table * scale, scale) for the cut table, scale being 1.0 unless a sum over ``shots`` shots of it can overflow.
+    """(table * scale, scale) for the cut table, scale being 1.0 unless a ``shots``-shot sum can overflow.
 
     Such a sum is at most shots * ``cut_peak(instance)`` in size. From
     2**1022 up (a margin for rounding) it is scored in values scaled by a
@@ -195,7 +195,8 @@ class Engine:
         _checks.of_type(instance, MaxCutInstance, "instance")
         p = _checks.integer(p, "p", 0)
         shots = check_run_mode(mode, shots, noise)
-        self.instance, self.p, self.mode, self.shots, self.noise = instance, p, mode, shots, noise
+        self.instance, self.p, self.mode = instance, p, mode
+        self.shots, self.noise = shots, noise
         self._shot_table, self._scale = _scaled(instance, shots or 1)  # what shots are scored on
         if mode == "noisy":
             from . import trajectories  # loaded on first use
@@ -203,8 +204,8 @@ class Engine:
             circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
             self._plan = trajectories.Plan(circuit, noise)
         else:
-            # the largest |cut value| bounds ``_draw``'s cost products
-            self._plan, self._table, self._peak = half_plan(instance), cut_value_table(instance), cut_peak(instance)
+            self._plan, self._table = half_plan(instance), cut_value_table(instance)
+            self._peak = cut_peak(instance)  # the largest |cut value|, for ``_draw``
 
     def _thetas(self, thetas) -> np.ndarray:
         """The batch's angles as a float array, checked: (k, 2p) finite reals."""

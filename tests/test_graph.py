@@ -15,6 +15,7 @@ from qaoalab.graph import (
     brute_force_maxcut,
     canonical_instance,
     cut_levels,
+    cut_peak,
     cut_value,
     cut_value_table,
     parse_edge_list,
@@ -164,6 +165,13 @@ def test_the_half_levels_and_index_equal_unique_of_the_full_table(n):
     assert index.tobytes() == full_index[:1 << (n - 1)].tobytes()
     # the index is an array of its own, not a view that keeps a full-length one alive
     assert index.base is None or index.base.size == index.size
+
+
+def test_the_peak_is_the_largest_absolute_cut_value():
+    # a negative cut larger in size than every positive one, then the signed graphs
+    assert cut_peak(MaxCutInstance(3, ((0, 1), (1, 2)), (-5.0, 2.0))) == 5.0
+    for instance in map(signed_instance, SIGNED_NS):
+        assert cut_peak(instance) == float(np.abs(exact_reference.cut_value_table(instance)).max())
 
 
 @pytest.mark.parametrize("seed", range(6))
