@@ -137,7 +137,9 @@ def cut_levels(instance: MaxCutInstance) -> tuple[np.ndarray, np.ndarray]:
     read-only, so a caller may cache and share them.
     """
     half = cut_value_table(instance)[:1 << (instance.n - 1)]
-    levels = np.unique(half)
+    # the counts keep np.unique on its sorting path: its hash path imports
+    # numpy.ma on first use, about 10 ms of a process's first engine build
+    levels = np.unique(half, return_counts=True)[0]
     # searched in ascending order, each entry's level is found next to the last one's
     order = np.argsort(half)
     index = np.empty_like(order)

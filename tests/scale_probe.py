@@ -1,8 +1,10 @@
 """Time and memory of the engine at large n, one process per figure.
 
 For each ``--n`` and for two weightings of one seeded random 3-regular
-graph (``unit`` weights, and ``random`` uniform(-2, 3) weights), it runs
-each figure in a fresh Python process of the package at ``--src``:
+graph (``random_regular_graph`` of ``perfbench/workloads.py``, executed
+from source as ``tests/reach.py`` does; ``unit`` weights, and
+``random`` uniform(-2, 3) weights), it runs each figure in a fresh
+Python process of the package at ``--src``:
 
 - ``build``: ``Engine(instance, 1, "exact")``, built once;
 - ``exact-p1`` and ``exact-p5``: that engine's build, then one exact
@@ -44,6 +46,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+from reach import load_workloads
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIGURES = ("build", "exact-p1", "exact-p5", "sampled-p1", "plot")
 WEIGHTS = ("unit", "random")
@@ -55,25 +59,13 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def regular_graph(n: int, seed: int) -> list[tuple[int, int]]:
-    """A random simple 3-regular graph on n nodes (n even), by the pairing model with rejection."""
-    import numpy as np
-
-    gen = np.random.default_rng([seed, n, 3])
-    while True:
-        stubs = gen.permutation(np.repeat(np.arange(n), 3))
-        edges = {(int(min(a, b)), int(max(a, b))) for a, b in stubs.reshape(-1, 2)}
-        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-            return sorted(edges)
-
-
 def measure(figure: str, n: int, weights: str, seed: int) -> dict:
     """Run one figure in this process, the package already on the path; its JSON fields."""
     import numpy as np
 
     from qaoalab import graph, harness, objective
 
-    edges = regular_graph(n, seed)
+    edges = load_workloads().random_regular_graph(n, 3, seed)
     gen = np.random.default_rng([seed, n])
     w = gen.uniform(-2.0, 3.0, len(edges)).tolist() if weights == "random" else [1.0] * len(edges)
     instance = graph.MaxCutInstance(n, tuple(edges), tuple(w))
