@@ -96,10 +96,9 @@ def measure(figure: str, n: int, weights: str, seed: int) -> dict:
         start = time.perf_counter()
         engine(thetas, [seed])
         row["row_s"] = time.perf_counter() - start
-        tracemalloc.start()
-        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.start()  # traces only what is allocated from here on
         engine(thetas, [seed])
-        row["row_mb"] = (tracemalloc.get_traced_memory()[1] - held) / 2**20
+        row["row_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
     row["peak_mb"] = peak_mb() - before
     return row
