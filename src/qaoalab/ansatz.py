@@ -184,8 +184,10 @@ class HalfPlan:
         self.shape = (1, half) if self.fold else (half,)
 
 
-# the instance's ``HalfPlan``, cached per instance
-half_plan = lru_cache(maxsize=128)(HalfPlan)
+@lru_cache(maxsize=128)
+def half_plan(instance: MaxCutInstance) -> HalfPlan:
+    """The instance's ``HalfPlan``, cached per instance."""
+    return HalfPlan(instance)
 
 
 _ONE = 1 + 0j

@@ -111,7 +111,9 @@ def cut_value_table(instance: MaxCutInstance) -> np.ndarray:
     """
     n = instance.n
     if n > ENUMERATION_LIMIT:
-        raise CapacityError(f"n={n} exceeds the enumeration limit of {ENUMERATION_LIMIT}")
+        raise CapacityError(
+            f"n={n} exceeds the enumeration limit of {ENUMERATION_LIMIT}"
+        )
     table = np.zeros(1 << n)
     for (u, v), w in zip(instance.edges, instance.weights):
         view = table.reshape(1 << u, 2, 1 << (v - u - 1), 2, 1 << (n - 1 - v))
@@ -130,20 +132,18 @@ def cut_levels(instance: MaxCutInstance) -> tuple[np.ndarray, np.ndarray]:
     is the first half. A function of the cut value needs evaluating only
     at the levels, which are few for small integer weights (17 on a
     3-regular 14-node graph). The pair is ``np.unique(half,
-    return_inverse=True)``, found with at most four int64 arrays of the
-    half's size alive at once, against about six in ``np.unique``; a
-    search of the levels in the half's order would take seconds at
-    n = 24 when nearly every cut value is distinct. The arrays are
-    read-only, so a caller may cache and share them.
+    return_inverse=True)``, found from one argsort of the half: its
+    sorted values give the levels, where a value differs from the one
+    before it, and each value's place among them, searched in ascending
+    order. The arrays are read-only, so a caller may cache and share
+    them.
     """
     half = cut_value_table(instance)[:1 << (instance.n - 1)]
-    # the counts keep np.unique on its sorting path: its hash path imports
-    # numpy.ma on first use, about 10 ms of a process's first engine build
-    levels = np.unique(half, return_counts=True)[0]
-    # searched in ascending order, each entry's level is found next to the last one's
     order = np.argsort(half)
+    ordered = half[order]
+    levels = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     index = np.empty_like(order)
-    index[order] = np.searchsorted(levels, half[order])
+    index[order] = np.searchsorted(levels, ordered)
     levels.flags.writeable = False
     index.flags.writeable = False
     return levels, index
@@ -165,7 +165,9 @@ def brute_force_maxcut(instance: MaxCutInstance) -> tuple[float, set[str]]:
     _checks.of_type(instance, MaxCutInstance, "instance")
     table = cut_value_table(instance)
     best = float(table.max())
-    return best, {format(i, f"0{instance.n}b") for i in np.flatnonzero(table == best)}
+    width = instance.n
+    optima = {format(i, f"0{width}b") for i in np.flatnonzero(table == best)}
+    return best, optima
 
 
 def canonical_instance() -> MaxCutInstance:

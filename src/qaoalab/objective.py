@@ -54,7 +54,7 @@ def energy_from_counts(counts: dict[str, int], instance: MaxCutInstance) -> floa
     """
     _checks.of_type(instance, MaxCutInstance, "instance")
     shots = _checks.counts(counts, "counts", instance.n)
-    table, scale = _scaled(instance, shots)
+    table, scale = _scaled(cut_value_table(instance), cut_peak(instance), shots)
     total = 0.0
     for bits, c in counts.items():
         total += c * table[int(bits, 2)]
@@ -76,20 +76,21 @@ def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
     if not tally.any():
         raise ValueError("tally has no shots")
     hit = np.flatnonzero(tally)
-    return _energy(hit, tally[hit], *_scaled(instance, int(tally.sum())))
+    table = cut_value_table(instance)
+    return _energy(hit, tally[hit], *_scaled(table, cut_peak(instance), int(tally.sum())))
 
 
-def _scaled(instance: MaxCutInstance, shots: int) -> tuple[np.ndarray, float]:
-    """(table * scale, scale) for the cut table, scale being 1.0 unless a ``shots``-shot sum can overflow.
+def _scaled(table: np.ndarray, peak: float, shots: int) -> tuple[np.ndarray, float]:
+    """(table * scale, scale), scale being 1.0 unless a sum over ``shots`` shots of ``table`` can overflow.
 
-    Such a sum is at most shots * ``cut_peak(instance)`` in size. From
-    2**1022 up (a margin for rounding) it is scored in values scaled by a
-    power of two, 2**-e, which is exact, and the mean is divided by the
-    scale again; so every energy keeps the bits it has in unbounded
-    range, and every sum that cannot overflow is not scaled. Decided
-    once per engine or public call, not per row.
+    Such a sum is at most shots * peak in size, ``peak`` being
+    max|table| (``cut_peak``). From 2**1022 up (a margin for rounding)
+    it is scored in values scaled by a power of two, 2**-e, which is
+    exact, and the mean is divided by the scale again; so every energy
+    keeps the bits it has in unbounded range, and every sum that cannot
+    overflow is not scaled. Decided once per engine or public call, not
+    per row.
     """
-    table, peak = cut_value_table(instance), cut_peak(instance)
     if shots * peak < 2.0**1022 or peak == math.inf:
         return table, 1.0
     scale = 2.0 ** (1021 - math.frexp(peak)[1] - int(shots).bit_length())
@@ -197,15 +198,16 @@ class Engine:
         shots = check_run_mode(mode, shots, noise)
         self.instance, self.p, self.mode = instance, p, mode
         self.shots, self.noise = shots, noise
-        self._shot_table, self._scale = _scaled(instance, shots or 1)  # what shots are scored on
+        table, peak = cut_value_table(instance), cut_peak(instance)
+        self._shot_table, self._scale = _scaled(table, peak, shots or 1)  # what shots are scored on
         if mode == "noisy":
             from . import trajectories  # loaded on first use
 
             circuit = build_qaoa_circuit(instance, QaoaParams((0.0,) * p, (0.0,) * p))
             self._plan = trajectories.Plan(circuit, noise)
         else:
-            self._plan, self._table = half_plan(instance), cut_value_table(instance)
-            self._peak = cut_peak(instance)  # the largest |cut value|, for ``_draw``
+            self._plan, self._table = half_plan(instance), table
+            self._peak = peak  # the largest |cut value|, for ``_draw``
 
     def _thetas(self, thetas) -> np.ndarray:
         """The batch's angles as a float array, checked: (k, 2p) finite reals."""

@@ -52,6 +52,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 FIGURES = ("build", "exact-p1", "exact-p5", "sampled-p1", "plot")
 WEIGHTS = ("unit", "random")
 SHOTS = 4096
+SEED = 1  # of the graph, its random weights and the rows' angles
 
 
 def peak_mb() -> float:
@@ -59,14 +60,14 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def measure(figure: str, n: int, weights: str, seed: int) -> dict:
+def measure(figure: str, n: int, weights: str) -> dict:
     """Run one figure in this process, the package already on the path; its JSON fields."""
     import numpy as np
 
     from qaoalab import graph, harness, objective
 
-    edges = load_workloads().random_regular_graph(n, 3, seed)
-    gen = np.random.default_rng([seed, n])
+    edges = load_workloads().random_regular_graph(n, 3, SEED)
+    gen = np.random.default_rng([SEED, n])
     w = gen.uniform(-2.0, 3.0, len(edges)).tolist() if weights == "random" else [1.0] * len(edges)
     instance = graph.MaxCutInstance(n, tuple(edges), tuple(w))
     row = {"figure": figure, "n": n, "weights": weights, "edges": len(edges)}
@@ -94,25 +95,25 @@ def measure(figure: str, n: int, weights: str, seed: int) -> dict:
     if figure != "build":
         thetas = gen.uniform(-np.pi, np.pi, (1, 2 * p))
         start = time.perf_counter()
-        engine(thetas, [seed])
+        engine(thetas, [SEED])
         row["row_s"] = time.perf_counter() - start
         tracemalloc.start()  # traces only what is allocated from here on
-        engine(thetas, [seed])
+        engine(thetas, [SEED])
         row["row_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
     row["peak_mb"] = peak_mb() - before
     return row
 
 
-def probe(src: Path, ns: list[int], seed: int) -> int:
+def probe(src: Path, ns: list[int]) -> int:
     """Print every figure's JSON line, each from its own process; 1 if any failed."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     failed = 0
     for n in ns:
         for weights in WEIGHTS:
             for figure in FIGURES:
-                args = [sys.executable, "-B", __file__, "--src", str(src), "--seed", str(seed),
-                        "--n", str(n), "--weights", weights, "--figure", figure]
+                args = [sys.executable, "-B", __file__, "--src", str(src), "--n", str(n),
+                        "--weights", weights, "--figure", figure]
                 with tempfile.TemporaryDirectory() as cwd:  # anything stray lands here
                     result = subprocess.run(args, env=env, cwd=cwd, capture_output=True, text=True)
                 if result.returncode:
@@ -130,17 +131,16 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=SRC, help="the package's source tree")
     parser.add_argument("--n", type=int, nargs="+", default=[20, 22, 24],
                         help="node counts, each even (default 20 22 24)")
-    parser.add_argument("--seed", type=int, default=1, help="graph, weight and angle seed")
     parser.add_argument("--weights", choices=WEIGHTS, help=argparse.SUPPRESS)
     parser.add_argument("--figure", choices=FIGURES, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if any(n < 4 or n % 2 for n in args.n):
         parser.error(f"--n: a 3-regular graph needs an even n >= 4, got {args.n}")
     if args.figure is None:
-        return probe(args.src.resolve(), args.n, args.seed)
+        return probe(args.src.resolve(), args.n)
     # one figure, in this process: the probe's child
     sys.path.insert(0, str(args.src.resolve()))
-    row = measure(args.figure, args.n[0], args.weights, args.seed)
+    row = measure(args.figure, args.n[0], args.weights)
     print(json.dumps({k: round(v, 1 if k.endswith("_mb") else 5) if type(v) is float else v
                       for k, v in row.items()}))
     return 0
