@@ -135,15 +135,18 @@ def cut_levels(instance: MaxCutInstance) -> tuple[np.ndarray, np.ndarray]:
     return_inverse=True)``, found from one argsort of the half: its
     sorted values give the levels, where a value differs from the one
     before it, and each value's place among them, searched in ascending
-    order. The arrays are read-only, so a caller may cache and share
-    them.
+    order. At most three arrays of the half's size are alive at once,
+    besides the table and the levels. The arrays are read-only, so a
+    caller may cache and share them.
     """
     half = cut_value_table(instance)[:1 << (instance.n - 1)]
     order = np.argsort(half)
     ordered = half[order]
     levels = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    places = np.searchsorted(levels, ordered)
+    del ordered  # freed before the index is made
     index = np.empty_like(order)
-    index[order] = np.searchsorted(levels, ordered)
+    index[order] = places
     levels.flags.writeable = False
     index.flags.writeable = False
     return levels, index
