@@ -263,6 +263,22 @@ def test_tally_energy_equals_counts_energy(data):
     assert energy_from_tally(tally, instance) == energy_from_counts(counts, instance)
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_counts_score_as_their_tally_bit_for_bit_in_any_key_order(order):
+    # on non-integer weights a sum's last bits depend on the order of its terms
+    gen = np.random.default_rng(52)
+    n = 10
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(20):
+        edges = tuple(pairs[i] for i in np.sort(gen.choice(len(pairs), 20, replace=False)))
+        instance = MaxCutInstance(n, edges, tuple(gen.uniform(-2, 3, len(edges)).tolist()))
+        tally = gen.integers(0, 6, 1 << n)  # about a sixth of the keys count 0
+        keys = statevec.bitstrings(np.arange(1 << n), n).tolist()
+        keys = keys[::-1] if order == "reversed" else gen.permutation(keys).tolist()
+        counts = {key: int(tally[int(key, 2)]) for key in keys}
+        assert energy_from_counts(counts, instance) == energy_from_tally(tally, instance)
+
+
 def test_sampled_energy_approaches_exact(canonical):
     params = QaoaParams((1.1,), (5.2,))
     exact = evaluate_qaoa(canonical, params).energy
