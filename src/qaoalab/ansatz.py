@@ -53,7 +53,9 @@ TWO_QUBIT_DURATION = 4.0
 # also carries node 0's RX
 MIXER_BLOCK = 5
 # half-state amplitudes ``qaoa_probabilities`` evolves per pass: 512 rows at n=5,
-# one at n=14. A pass also holds p mixer blocks per row, at most 4 MB a layer (n=6)
+# one at n=14. A pass also holds p mixer blocks per row, at most 4 MB a layer (n=6).
+# At n=14, 4 rows a pass (1 << 15) gives the same bytes; on a shared x86-64 host it
+# made p=2 calls of 2-4 rows 3-6 % faster and some calls of 10-20 rows 25-60 % slower
 BATCH_AMPLITUDES = 1 << 13
 
 
@@ -250,7 +252,9 @@ def qaoa_probabilities(plan: HalfPlan, thetas: np.ndarray) -> np.ndarray:
     [betas..., gammas...]. The rows are evolved in passes of
     BATCH_AMPLITUDES half-state amplitudes: many rows per pass at small
     n, where per-call overhead dominates, and one row per pass at large
-    n, where a wider pass only spills the working set out of cache.
+    n. There a wider pass gives the same bytes, and at n = 14 it helps
+    calls of a few rows a little but slows calls of 10-20 rows, whose
+    working set leaves the cache.
     Every row gets the same floating-point operations whatever the batch
     around it, so its bits depend neither on k nor on its position. Each
     pass's |h|^2 is taken on the contiguous half and mirrored, so no

@@ -2,7 +2,8 @@
 
 Assignments are bitstrings whose leftmost character is node 0. The same
 ordering is used for statevector basis indices, so ``cut_value_table``
-can be consumed directly as a diagonal observable.
+can be consumed directly as a diagonal observable, and ``bitstrings``
+is the one rule that names an index by its assignment.
 """
 
 from __future__ import annotations
@@ -87,6 +88,19 @@ class MaxCutInstance:
         object.__setattr__(self, "weights", weights)
 
 
+def bitstrings(indices: np.ndarray, n: int) -> np.ndarray:
+    """The n-character keys of basis indices, ``format(i, f"0{n}b")`` of each, as a U{n} array.
+
+    Row r of a (k, n) array of code points holds index r's bits, node 0
+    first, as "0" or "1"; viewed as U{n}, each row is its key, so no
+    index is formatted one by one. Ascending indices give ascending keys.
+    """
+    bits = np.right_shift.outer(indices, np.arange(n - 1, -1, -1)).astype(np.uint32)
+    bits &= 1
+    bits |= ord("0")
+    return bits.view(f"U{n}").reshape(-1)
+
+
 def cut_value(instance: MaxCutInstance, assignment: str) -> float:
     """Total weight of edges whose endpoints land on opposite sides."""
     _checks.of_type(instance, MaxCutInstance, "instance")
@@ -168,9 +182,7 @@ def brute_force_maxcut(instance: MaxCutInstance) -> tuple[float, set[str]]:
     _checks.of_type(instance, MaxCutInstance, "instance")
     table = cut_value_table(instance)
     best = float(table.max())
-    width = instance.n
-    optima = {format(i, f"0{width}b") for i in np.flatnonzero(table == best)}
-    return best, optima
+    return best, set(bitstrings(np.flatnonzero(table == best), instance.n).tolist())
 
 
 def canonical_instance() -> MaxCutInstance:

@@ -50,26 +50,34 @@ def energy_from_counts(counts: dict[str, int], instance: MaxCutInstance) -> floa
 
     The counts are checked by the histogram rule (``_checks.counts``):
     keys are n-character bitstrings, counts integers >= 0, and there is
-    a shot.
+    a shot. Each key's index is read from its characters' code points,
+    as ``bitstrings`` writes them, and the nonzero counts score as
+    ``energy_from_tally`` scores the histogram's tally, in ascending
+    index order, so every key order gives the tally's bits. The counts
+    are taken as floats, which hold every count below 2**53 exactly and
+    wrap none.
     """
     _checks.of_type(instance, MaxCutInstance, "instance")
     shots = _checks.counts(counts, "counts", instance.n)
-    table, scale = _scaled(cut_value_table(instance), cut_peak(instance), shots)
-    total = 0.0
-    for bits, c in counts.items():
-        total += c * table[int(bits, 2)]
-    return -total / shots / scale
+    n = instance.n
+    bits = np.array(list(counts), dtype=f"U{n}").view(np.uint32).reshape(-1, n) & 1
+    index = bits @ (1 << np.arange(n - 1, -1, -1))
+    count = np.fromiter(counts.values(), dtype=float, count=len(counts))
+    order = np.argsort(index)
+    order = order[count[order] > 0]
+    table = cut_value_table(instance)
+    return _energy(index[order], count[order], *_scaled(table, cut_peak(instance), shots))
 
 
 def energy_from_tally(tally: np.ndarray, instance: MaxCutInstance) -> float:
     """-(sum of tally-weighted cut values) / shots for a basis-index tally.
 
     The tally is checked by the tally rule (``statevec._tally_qubits``).
-    The products are added one by one in ascending index order, as
-    ``energy_from_counts`` adds them over the histogram of the same
-    tally, so the two agree bit for bit. Both score a sum that can
-    overflow in values scaled by a power of two (``_scaled``), so a
-    finite mean comes out finite.
+    The products are added one by one in ascending index order
+    (``_energy``), and ``energy_from_counts`` scores a histogram by the
+    same rule, so a histogram and its tally agree bit for bit. Both
+    score a sum that can overflow in values scaled by a power of two
+    (``_scaled``), so a finite mean comes out finite.
     """
     if _tally_qubits(tally) != instance.n:
         raise ValueError(f"tally of length {tally.size} does not fit a {instance.n}-node instance")

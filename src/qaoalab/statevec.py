@@ -10,7 +10,7 @@ one checks once that it is 1-D with 2^n entries, n in 1..MAX_QUBITS. A
 tally is a (2^n,) integer array of basis-index counts >= 0, checked by
 the tally rule where it is formatted. A histogram is a ``dict[str, int]``
 of n-character bitstring counts, and its shots are their sum; its keys
-come from ``bitstrings``, one array operation for all of them.
+come from ``graph.bitstrings``, one array operation for all of them.
 
 Gates are value objects (GateOp). One kernel, ``apply_rows``, applies a
 gate to every row of a (rows, 2^n) array; ``simulate_ops`` runs it on
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _checks, rng
-from .graph import ENUMERATION_LIMIT, MaxCutInstance, cut_value_table
+from .graph import ENUMERATION_LIMIT, MaxCutInstance, bitstrings, cut_value_table
 
 MAX_QUBITS = ENUMERATION_LIMIT
 
@@ -114,11 +114,6 @@ def _xor_perm(n: int, mask: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _x_perm(n: int, q: int) -> np.ndarray:
-    return _xor_perm(n, 1 << (n - 1 - q))
-
-
-@lru_cache(maxsize=512)
 def _cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     cbit = _bit_values(n, control)
     idx = np.arange(1 << n, dtype=np.int64)
@@ -189,17 +184,16 @@ def apply_rows(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
         diagonal, off = ((_H[bit, bit], _H[bit, 1 - bit]) if kind == "H"
                          else rotation_pairs(kind, op.angle))
         out = amps * diagonal
-        flipped = np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
+        flipped = np.take(amps, _xor_perm(n, 1 << (n - 1 - op.qubits[0])), axis=1)
         flipped *= off
         out += flipped
         return out
     if kind == "CNOT":
         c, t = op.qubits
         return np.take(amps, _cnot_perm(n, c, t), axis=1)
-    if kind == "X":
-        return np.take(amps, _x_perm(n, op.qubits[0]), axis=1)
-    if kind == "Y":
-        return np.take(amps, _x_perm(n, op.qubits[0]), axis=1) * _y_phase(n, op.qubits[0])
+    if kind in ("X", "Y"):
+        flipped = np.take(amps, _xor_perm(n, 1 << (n - 1 - op.qubits[0])), axis=1)
+        return flipped if kind == "X" else flipped * _y_phase(n, op.qubits[0])
     if kind == "Z":
         sign = np.where(_bit_values(n, op.qubits[0]) == 1, -1.0, 1.0)
         return amps * sign
@@ -290,24 +284,11 @@ def sample_draws(seeds, shots: int) -> np.ndarray:
     return np.array(draws).reshape(len(draws), shots)
 
 
-def bitstrings(indices: np.ndarray, n: int) -> np.ndarray:
-    """The n-character keys of basis indices, ``format(i, f"0{n}b")`` of each, as a U{n} array.
-
-    Row r of a (k, n) array of code points holds index r's bits, qubit 0
-    first, as "0" or "1"; viewed as U{n}, each row is its key, so no
-    index is formatted one by one. Ascending indices give ascending keys.
-    """
-    bits = np.right_shift.outer(indices, np.arange(n - 1, -1, -1)).astype(np.uint32)
-    bits &= 1
-    bits |= ord("0")
-    return bits.view(f"U{n}").reshape(-1)
-
-
 def counts_from_tally(tally: np.ndarray) -> dict[str, int]:
     """The histogram of a (2^n,) basis-index tally: keys only for the nonzero entries, in index order.
 
     The tally is checked by the tally rule (a 1-D integer array of 2^n
-    counts >= 0), and its keys come from ``bitstrings`` in one pass.
+    counts >= 0), and its keys come from ``graph.bitstrings`` in one pass.
     """
     n = _tally_qubits(tally)
     hit = np.flatnonzero(tally)

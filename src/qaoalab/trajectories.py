@@ -363,12 +363,6 @@ class Plan:
 
 
 @lru_cache(maxsize=512)
-def _parity_values(n: int, mask: int) -> np.ndarray:
-    """``_bit_values`` of the qubits whose index bits are set in ``mask``."""
-    return _bit_values(n, *(n - 1 - b for b in range(n) if mask >> b & 1))
-
-
-@lru_cache(maxsize=512)
 def _linear_perm(n: int, images: tuple) -> np.ndarray:
     """The index map that is linear in the bits of an index and sends bit b to ``images[b]``."""
     index = np.arange(1 << n)
@@ -460,7 +454,8 @@ def _compile(plan: Plan) -> None:
             inputs ^= fx[q]
         if mask not in segment:
             segment[mask] = []
-            program.append(("D", _parity_values(n, mask), segment[mask]))
+            parity = _bit_values(n, *(n - 1 - b for b in range(n) if mask >> b & 1))
+            program.append(("D", parity, segment[mask]))
         segment[mask].append((key, read(inputs, kick is not None), kick))
 
     def gather():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qaoalab.statevec import _bit_values, _cnot_perm, _x_perm, apply_rows, zero_state
+from qaoalab.statevec import _bit_values, _cnot_perm, _xor_perm, apply_rows, zero_state
 
 # Pauli ids 0..3 are I, X, Y, Z. A row's Pauli frame (m, z, e) says that
 # the row's state is
@@ -134,7 +134,7 @@ def run_rows(n: int, steps: list, row_point: np.ndarray) -> tuple:
             pick = (flip & 1) * (len(table) // 2) + (own if kind == "kick" else row_point)
             if what == "RX":
                 pair = np.take(table, pick, axis=0)
-                flipped = take(amps, _x_perm(n, qubits[0]), 1)
+                flipped = take(amps, _xor_perm(n, 1 << s), 1)
                 flipped *= pair[:, 1:]
                 amps *= pair[:, :1]
                 amps += flipped
