@@ -57,13 +57,12 @@ from reach import load_workloads  # noqa: E402
 SRC = Path(__file__).resolve().parents[1] / "src"
 SWEEPS = ("paper-p5", "sampled-n14")
 NOISY = "noisy-p5"
-RECORDED = ("__call__", "tallies")  # the engine methods a run's calls are recorded from
 
 
 def record(objective, run, config) -> list[tuple]:
     """(engine, method, rows, seeds, result) of every engine call of ``run(config, out)``, in call order."""
     calls = []
-    methods = {name: getattr(objective.Engine, name) for name in RECORDED}
+    methods = {name: getattr(objective.Engine, name) for name in ("__call__", "tallies")}
 
     def recorder(name, method):
         def recording(engine, thetas, seeds):
