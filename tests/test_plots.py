@@ -142,6 +142,16 @@ def test_histogram_escapes_keys_as_the_per_bar_rendering(marked):
     parse_svg(svg)
 
 
+@pytest.mark.parametrize("counts, key", [({"01": 1, "0x": 2}, "0x"), ({"a<b": 1}, "a<b"),
+                                         ({"01": 1, "011": 2}, "011")])
+def test_histogram_refuses_a_key_that_is_no_bitstring_of_the_first_keys_width(counts, key):
+    # the counts.json reader's rule and message: keys as wide as the first
+    width = len(next(iter(counts)))
+    message = f"counts[{key!r}] must be a {width}-character bitstring of 0 and 1, got {key!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        render_histogram(counts)
+
+
 @pytest.mark.parametrize("key", [5, b"01", None, ("0", "1")])
 def test_histogram_refuses_a_key_that_is_no_string_by_name(key):
     with pytest.raises(ValueError, match=rf"^counts\[{re.escape(repr(key))}\] must be keyed by a string"):
