@@ -81,9 +81,9 @@ def counts(value: dict, name: str, width: int | None = None) -> int:
     """The shots of ``value``, a bitstring histogram: the sum, as an int, of its counts.
 
     Each count is an integer >= 0; numpy counts are summed as Python
-    ints, so no dtype wraps. Each key is a string, and when ``width`` is
-    given, a bitstring of that width. There must be a shot. A message
-    names the key it refuses. Each scan but the counts' runs in C.
+    ints, so no dtype wraps. Each key is a bitstring of ``width``
+    characters, by default the first key's. There must be a shot. A
+    message names the key it refuses. Each scan but the counts' runs in C.
     """
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a dict of bitstring counts, got {value!r}")
@@ -93,18 +93,15 @@ def counts(value: dict, name: str, width: int | None = None) -> int:
             integer(count, f"{name}[{key!r}]", 0)
             exact = False  # a numpy integer
     shots = sum(value.values()) if exact else sum(map(int, value.values()))
-    if width is not None:
-        try:
-            fit = width > 0 and set(map(len, value)) <= {width} and is_bits("".join(value))
-        except TypeError:  # a key that is no string
-            fit = False
-        if not fit:
-            for key in value:
-                bitstring(key, f"{name}[{key!r}]", width)
-    elif not set(map(type, value)) <= {str}:
+    try:
+        if width is None:
+            width = len(next(iter(value), ""))
+        fit = width > 0 and set(map(len, value)) <= {width} and is_bits("".join(value))
+    except TypeError:  # a key that is no string
+        fit = False
+    if not fit:
         for key in value:
-            if not isinstance(key, str):
-                raise ValueError(f"{name}[{key!r}] must be keyed by a string, got {key!r}")
+            bitstring(key, f"{name}[{key!r}]", width)
     if shots < 1:
         raise ValueError(f"{name} carry no shots")
     return shots

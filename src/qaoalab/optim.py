@@ -22,7 +22,7 @@ to the objective serves them all. The batches are
   * cg's start: x0 with its first 2d central-difference points (x +
     h0*e0, x - h0*e0, x + h1*e1, ...), and the 2d points of every later
     gradient;
-  * a line bracket's first two points, line(xa) and line(xb), in every
+  * a line bracket's first two points, line(0) and line(xb), in every
     powell and cg line search.
 The line searches, the gradient and the simplex are generators too,
 joined with ``yield from``.
@@ -66,7 +66,8 @@ STATUS_STALLED = "stalled"
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _RHO_START, _RHO_END = 0.5, 1e-4  # cobyla's initial and final trust radius
-_XTOL = 1e-6  # step length below which powell stops; line searches resolve 100 * _XTOL
+_XTOL = 1e-6  # step length below which powell stops
+_LINE_TOL = 100.0 * _XTOL  # per-line precision beyond this is wasted budget
 _FTOL = 1e-8  # relative decrease below which an iteration counts as no progress
 
 
@@ -132,15 +133,16 @@ class MinimizeResult:
 # ---------------------------------------------------------------------------
 
 
-def _bracket(line, xa: float, xb: float):
-    """Expand downhill along ``line(alpha) -> point`` until f(xb) < min(f(xa), f(xc)).
+def _bracket(line, xb: float):
+    """Expand downhill along ``line(alpha) -> point`` from xa = 0 until f(xb) < min(f(xa), f(xc)).
 
-    line(xa) and line(xb) are asked as one batch. Returns (xa, xb, xc,
+    line(0) and line(xb) are asked as one batch. Returns (xa, xb, xc,
     fa, fb, fc) with xb strictly between xa and xc and fb <= fc. When f
     still falls after 50 expansions, the last triple comes back with
     fc < fb: there is no bracket. Returns None after a value that is no
     number.
     """
+    xa = 0.0
     fa, fb = yield np.array([line(xa), line(xb)])
     if fb > fa:
         xa, xb = xb, xa
@@ -182,13 +184,14 @@ def _bracket(line, xa: float, xb: float):
     return None
 
 
-def _brent_1d(line, xa: float, xb: float, xc: float, fb: float, tol: float):
+def _brent_1d(line, xa: float, xb: float, xc: float, fb: float):
     """Refine a bracket by golden-section steps with parabolic acceleration.
 
     Classic Brent minimization, at most 100 probes: a parabola through
     the three best points proposes the next probe, and golden sections
-    guarantee progress when the parabola misbehaves. ``line(alpha)`` maps
-    a step to the point it asks for. Returns (alpha, f) of the best probe.
+    guarantee progress when the parabola misbehaves, to a relative
+    precision of _LINE_TOL. ``line(alpha)`` maps a step to the point it
+    asks for. Returns (alpha, f) of the best probe.
     """
     a, b = (xa, xc) if xa < xc else (xc, xa)
     x = w = v = xb
@@ -196,7 +199,7 @@ def _brent_1d(line, xa: float, xb: float, xc: float, fb: float, tol: float):
     d = e = 0.0
     for _ in range(100):
         m = 0.5 * (a + b)
-        tol1 = tol * abs(x) + 1e-11
+        tol1 = _LINE_TOL * abs(x) + 1e-11
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             break
@@ -242,8 +245,7 @@ def _brent_1d(line, xa: float, xb: float, xc: float, fb: float, tol: float):
     return x, fx
 
 
-def _line_minimize(x: np.ndarray, direction: np.ndarray, f0: float, tol: float,
-                   step: float = 1.0):
+def _line_minimize(x: np.ndarray, direction: np.ndarray, f0: float, step: float = 1.0):
     """Minimize f(x + alpha * direction) from alpha=0; returns (alpha, f) with f <= f0.
 
     alpha is None when no bracket emerges: f keeps falling along the line.
@@ -252,13 +254,13 @@ def _line_minimize(x: np.ndarray, direction: np.ndarray, f0: float, tol: float,
     def line(alpha):
         return x + alpha * direction
 
-    bracket = yield from _bracket(line, 0.0, step)
+    bracket = yield from _bracket(line, step)
     if bracket is None:
         return 0.0, f0
     xa, xb, xc, fa, fb, fc = bracket
     if fc < fb:
         return None, f0
-    alpha, fmin = yield from _brent_1d(line, xa, xb, xc, fb, tol)
+    alpha, fmin = yield from _brent_1d(line, xa, xb, xc, fb)
     if fmin > f0:
         return 0.0, f0
     return alpha, fmin
@@ -281,7 +283,6 @@ def _powell(x0: np.ndarray):
     d = x0.size
     directions = np.eye(d)
     x = x0.copy()
-    line_tol = 100.0 * _XTOL  # per-line precision beyond this is wasted budget
     fx = yield x
     while True:
         f_start = fx
@@ -290,7 +291,7 @@ def _powell(x0: np.ndarray):
         drop_index = 0
         for i in range(d):
             direction = directions[i]
-            alpha, f_new = yield from _line_minimize(x, direction, fx, line_tol)
+            alpha, f_new = yield from _line_minimize(x, direction, fx)
             if alpha is None:
                 return STATUS_STALLED
             if fx - f_new > biggest_drop:
@@ -311,7 +312,7 @@ def _powell(x0: np.ndarray):
             t -= biggest_drop * (f_start - f_ext) ** 2
             if t < 0.0:
                 # adopt the displacement: minimize along it, then keep it
-                alpha, f_new = yield from _line_minimize(x, displacement, fx, line_tol)
+                alpha, f_new = yield from _line_minimize(x, displacement, fx)
                 if alpha is None:
                     return STATUS_STALLED
                 x = x + alpha * displacement
@@ -371,7 +372,6 @@ def _cg(x0: np.ndarray):
     """
     d = x0.size
     x = x0.copy()
-    line_tol = 100.0 * _XTOL
     stall = 0
     tiny_drops = 0
     fx, g = yield from _fd_gradient(x, with_x=True)
@@ -391,7 +391,7 @@ def _cg(x0: np.ndarray):
             step0 = min(1.0, 1.0 / max(gnorm, 1e-12))
         else:
             step0 = max(alpha_prev, 1e-8)
-        alpha, f_new = yield from _line_minimize(x, direction, fx, line_tol, step=step0)
+        alpha, f_new = yield from _line_minimize(x, direction, fx, step=step0)
         if not alpha:
             # no downhill movement (or no bracket) along a descent direction: noise floor
             stall += 1

@@ -4,8 +4,8 @@ Output is plain hand-assembled SVG so results can be checked
 structurally: probability bars are <rect class="bar"> (solution
 bitstrings get class="bar solution"), trace curves are
 <polyline class="series"> with one <text class="label"> per series.
-Text that comes from outside (titles, bitstrings, series names) is
-XML-escaped, so every rendering parses as XML.
+Titles and series names are XML-escaped, and bars are keyed by
+bitstrings, so every rendering parses as XML.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ def _svg(body: list[str]) -> str:
 def render_histogram(counts: dict[str, int], highlight: frozenset[str] | set[str] = frozenset(), title: str = "") -> str:
     """Probability bars (count over the counts' sum) per bitstring, lexicographic order, highlights flagged.
 
-    The counts are checked by the histogram rule (``_checks.counts``),
-    which sums them and refuses a histogram with no shots. ``highlight``
-    is a set of keys and ``title`` a string (``_checks.of_type``).
+    The counts are checked by the histogram rule (``_checks.counts``) as
+    a counts file's are: keys are bitstrings as wide as the first, and a
+    histogram with no shots is refused. ``highlight`` is a set of keys
+    and ``title`` a string (``_checks.of_type``).
     """
     _checks.of_type(highlight, (set, frozenset), "highlight")
     _checks.of_type(title, str, "title")
@@ -70,8 +71,7 @@ def _histogram(counts: dict[str, int], shots: int, highlight, title: str) -> str
 
     A histogram can carry thousands of bars but few distinct counts, so
     a bar's y and height are formatted once per count and each bar is
-    one format of its class, x, label x and key. Keys are XML-escaped
-    only when some key is not a plain 0/1 string.
+    one format of its class, x, label x and key.
     """
     from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
 
@@ -95,12 +95,11 @@ def _histogram(counts: dict[str, int], shots: int, highlight, title: str) -> str
     label_y = _fmt(_BASE_Y + 12)
     bar = ('<rect class="%s" x="%.2f" y="%s"/>\n'
            f'<text x="%.2f" y="{label_y}" text-anchor="end" transform="rotate(-60 %.2f {label_y})">%s</text>')
-    plain = _checks.is_bits("".join(counts))
     gap, half = (slot - bar_w) / 2, bar_w / 2
     for i, (key, c) in enumerate(items):
         x = _MARGIN_L + i * slot + gap
         body.append(bar % ("bar solution" if key in highlight else "bar", x, heights[c],
-                           x + half, x + half, key if plain else escape(key)))
+                           x + half, x + half, key))
     body.append(
         f'<text x="{_MARGIN_L - 48}" y="{_MARGIN_T - 12}">probability</text>'
     )
@@ -124,8 +123,7 @@ def _read_counts(counts_path) -> tuple[dict[str, int], int, frozenset[str]]:
         raise ValueError(f"{counts_path}: counts must be an object of bitstring counts")
     tally = payload["counts"]
     shots = _checks.integer(payload.get("shots"), f"{counts_path}: shots", 1)
-    width = len(next(iter(tally), ""))
-    total = _checks.counts(tally, f"{counts_path}: counts", width)
+    total = _checks.counts(tally, f"{counts_path}: counts")
     if total != shots:
         raise ValueError(f"{counts_path}: shots is {shots}, but the counts sum to {total}")
     instance = payload.get("instance")
@@ -135,6 +133,7 @@ def _read_counts(counts_path) -> tuple[dict[str, int], int, frozenset[str]]:
         raise ValueError(f"{counts_path}: instance must be edge-list text, got {instance!r}")
     try:
         graph = parse_edge_list(instance)
+        width = len(next(iter(tally)))
         if graph.n != width:
             raise ValueError(f"{graph.n} nodes, but the counts are keyed by {width} bits")
         return tally, shots, frozenset(brute_force_maxcut(graph)[1])

@@ -25,10 +25,13 @@ the thread variables itself)::
 
     python tests/engine_replay.py
     python tests/engine_replay.py --seed 3 --repeat 9
+    python tests/engine_replay.py --only sampled-n14 --only noisy-p5/dephase-xy4
     python tests/engine_replay.py --src /path/to/other/checkout/src
 
-``--src`` replays the package at another source tree, so one command
-gives a change's replay times beside its parent's. It prints, for each
+``--only LABEL``, which may be repeated, records and replays just the
+named sweeps and noisy settings, so an A/B pair of one workload takes
+seconds. ``--src`` replays the package at another source tree, so one
+command gives a change's replay times beside its parent's. It prints, for each
 sweep and each noisy setting (``noisy-p5/<setting>``), the calls, the
 rows, the mixer-weight misses of one replay (0 for a noisy engine,
 which has no mixer weights) and the best replay time, and exits with 1
@@ -115,12 +118,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="the runs' seed (default 1)")
     parser.add_argument("--repeat", type=int, default=5, help="replays, best kept (default 5)")
     parser.add_argument("--src", default=str(SRC), help="the source tree to import qaoalab from")
+    parser.add_argument("--only", action="append", metavar="LABEL",
+                        help=f"replay just this sweep or {NOISY}/<setting>; may be repeated")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     from qaoalab import ansatz, harness, objective
 
+    selected = runs(harness, load_workloads(), args.seed)
+    labels = [label for label, _, _ in selected]
+    for label in args.only or ():
+        if label not in labels:
+            parser.error(f"--only: unknown label {label!r}; the labels are {', '.join(labels)}")
     same = True
-    for label, run, config in runs(harness, load_workloads(), args.seed):
+    for label, run, config in selected:
+        if args.only and label not in args.only:
+            continue
         calls = record(objective, run, config)
         replays = [replay(ansatz._mixer_weights, calls) for _ in range(max(1, args.repeat))]
         same = same and all(ok for _, _, ok in replays)

@@ -146,7 +146,7 @@ def test_numpy_counts_are_summed_as_python_ints():
 
 
 @pytest.mark.parametrize("key", ["0001", "000111", "0001x", "00 11", "", 3, b"00011"])
-@pytest.mark.parametrize("taker", ["rule", "energy-from-counts"])
+@pytest.mark.parametrize("taker", list(HISTOGRAM_TAKERS))
 def test_a_key_is_a_bitstring_of_the_width_named_by_itself(taker, key):
     with pytest.raises(ValueError, match=rf"^counts\[{re.escape(repr(key))}\] must be a "
                                          rf"5-character bitstring of 0 and 1, got "):

@@ -1,6 +1,7 @@
 """The record and replay of ``tests/engine_replay.py``."""
 
 import numpy as np
+import pytest
 
 from qaoalab import ansatz
 from qaoalab.graph import canonical_instance
@@ -22,6 +23,16 @@ def test_a_sweep_replays_to_the_bytes_it_recorded(capsys):
     misses = [int(line.split("misses ")[1].split()[0]) for line in counts]
     assert all(m > 0 for m in misses[:len(SWEEPS)]) and not any(misses[len(SWEEPS):])
     assert verdict == "every replayed result equals the recorded one"
+
+
+def test_only_replays_the_named_setting(capsys):
+    label = f"{NOISY}/{next(iter(load_workloads().NOISE_SETTINGS))}"
+    assert main(["--repeat", "1", "--only", label]) == 0
+    line, verdict = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"{label}: calls ") and int(line.split()[2]) > 0
+    assert verdict == "every replayed result equals the recorded one"
+    with pytest.raises(SystemExit):
+        main(["--only", "noisy-p5"])
 
 
 def test_a_replayed_energy_that_differs_in_its_bytes_is_caught():

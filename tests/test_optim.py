@@ -328,7 +328,7 @@ def test_a_bracket_whose_second_point_overflows_records_the_first_and_stalls(mon
     # line(10) = 0.5 + 10 * 1e308 is inf: the batch [line(0), line(10)] is cut
     # before it, as asking line(0) and then line(10) one by one would stop
     def one_line(x0):
-        yield from optim._bracket(lambda alpha: x0 + alpha * 1e308, 0.0, 10.0)
+        yield from optim._bracket(lambda alpha: x0 + alpha * 1e308, 10.0)
         return STATUS_CONVERGED
 
     monkeypatch.setitem(optim._SEARCHES, "powell", one_line)
