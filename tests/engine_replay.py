@@ -31,12 +31,12 @@ the thread variables itself)::
 ``--only LABEL``, which may be repeated, records and replays just the
 named sweeps and noisy settings, so an A/B pair of one workload takes
 seconds. ``--src`` replays the package at another source tree, so one
-command gives a change's replay times beside its parent's. It prints, for each
-sweep and each noisy setting (``noisy-p5/<setting>``), the calls, the
-rows, the mixer-weight misses of one replay (0 for a noisy engine,
-which has no mixer weights) and the best replay time, and exits with 1
-when any replayed result differs from the recorded one in its bytes,
-and with 0 otherwise.
+command gives a change's replay times beside its parent's. It prints,
+for each sweep and each noisy setting (``noisy-p5/<setting>``), the
+calls, the rows, the mixer-weight misses of one replay (0 for a noisy
+engine, which has no mixer weights) and the best replay time, and
+exits with 1 when any replayed result differs from the recorded one in
+its bytes, and with 0 otherwise.
 """
 
 from __future__ import annotations
