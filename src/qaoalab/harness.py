@@ -36,6 +36,7 @@ import numpy as np
 from . import _checks, rng
 from .graph import (
     MaxCutInstance,
+    bitstrings,
     brute_force_maxcut,
     canonical_instance,
     cut_value_table,
@@ -52,7 +53,7 @@ from .optim import (
     random_qaoa_starts,
 )
 from .plots import plot_histogram, plot_trace
-from .statevec import MAX_QUBITS, _tally_qubits, bitstrings
+from .statevec import MAX_QUBITS, _tally_qubits
 
 SCHEMA_VERSION = 1
 

@@ -136,12 +136,13 @@ def evaluate_qaoa(
     Exact mode returns the exact expectation (shots reported as 0);
     sampled and noisy modes estimate it from measured shots. Both score
     the basis-index tally of ``Engine.tallies`` directly and format no
-    bitstring. ``check_run_mode`` and ``check_seed`` check the inputs in
-    every mode; the engine checks the instance.
+    bitstring. ``check_seed`` checks the seed before the engine is built,
+    so a bad seed costs no noisy ``trajectories.Plan``; the engine checks
+    the instance and ``check_run_mode`` the rest.
     """
     _checks.of_type(params, QaoaParams, "params")
+    seed = check_seed(mode, seed, mode in ("sampled", "noisy"))
     engine = Engine(instance, params.p, mode, shots=shots, noise=noise)
-    seed = check_seed(mode, seed, mode != "exact")
     row = params.to_vector()[None]
     if mode == "exact":
         return EnergySample(float(engine(row, [None])[0]), 0)
@@ -308,8 +309,8 @@ def make_objective(
     optimizer takes the engine and the seed instead:
     ``MinimizeProblem(engine, x0, seed=seed)``.
     """
+    seed = check_seed(mode, seed, mode in ("sampled", "noisy"))
     engine = Engine(instance, p, mode, shots=shots, noise=noise)
-    seed = check_seed(mode, seed, mode != "exact")
     evals = 0
 
     def objective(thetas) -> np.ndarray:

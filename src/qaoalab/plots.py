@@ -175,10 +175,9 @@ def _trace_row(row: dict, fields: list, name: str) -> dict:
 
 
 def _trace(rows: list[dict], series: str) -> str:
-    """The SVG of checked trace rows; a point of NaN energy is left out of the energy curve."""
+    """The SVG of checked trace rows and series; a NaN energy is left out of the energy curve."""
     from xml.sax.saxutils import escape  # loaded on first use: it imports urllib.request
 
-    _checks.one_of(series, _SERIES_KINDS, "series")
     param_names = [k for k in rows[0] if k not in ("eval", "energy")]
     # each curve's (row index, value) points: the x of a point is its row's
     if series == "energy":
@@ -239,8 +238,9 @@ def plot_trace(trace_path, series: str = "energy") -> str:
 
     Each row is checked once, by the trace rule (``_trace_row``), and
     drawn without checking again; a ValueError names the file, the line
-    and the field it refuses.
+    and the field it refuses. ``series`` is checked before the file is read.
     """
+    _checks.one_of(series, _SERIES_KINDS, "series")
     reader = csv.DictReader(io.StringIO(_checks.text_file(trace_path, "trace file:"), newline=""))
     fields = reader.fieldnames
     if fields is None or fields[:2] != ["eval", "energy"]:

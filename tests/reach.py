@@ -182,7 +182,7 @@ def run_cli(qaoalab, scratch: Path) -> None:
                 ["plot", "--in", str(out / "trace.csv"), "--out", str(scratch / "t.svg")]]
     with contextlib.redirect_stdout(io.StringIO()):
         for command in commands:
-            if qaoalab.main(command) != 0:
+            if qaoalab.harness.main(command) != 0:
                 raise RuntimeError(f"qaoalab {' '.join(command)} failed")
 
 

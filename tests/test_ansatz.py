@@ -326,6 +326,20 @@ def test_p1_energy_equals_the_closed_form(n):
         assert abs(energy - closed_form_p1_energy(instance, beta, gamma)) <= bound
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 9, 12, 14])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_exact_energy_is_even_in_theta_byte_for_byte(n, p):
+    # time reversal: theta -> -theta conjugates the real-cost state, so every
+    # probability, and so the energy, is unchanged to the last bit
+    gen = np.random.default_rng([n, p, 0x37])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = tuple(pairs[i] for i in gen.permutation(len(pairs))[:int(gen.integers(1, len(pairs) + 1))])
+    instance = MaxCutInstance(n, edges, tuple(gen.uniform(-2.0, 3.0, len(edges))))
+    thetas = gen.uniform(-math.pi, math.pi, (5, 2 * p))
+    engine = objective.Engine(instance, p)
+    assert engine(-thetas, [None] * 5).tobytes() == engine(thetas, [None] * 5).tobytes()
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_gate_path_state_is_complement_symmetric(seed):
     # the premise of qaoa_states' half state: psi(x) = psi(not x), negative weights too

@@ -474,6 +474,36 @@ def test_a_sampled_search_without_a_seed_is_refused(canonical):
         minimize("cobyla", problem)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (None, "mode 'noisy' requires shots and seed"),
+    (-1, "seed must be an integer in [0, 2**64), got -1"),
+], ids=["no-seed", "negative-seed"])
+@pytest.mark.parametrize("entry", ["evaluate_qaoa", "make_objective"])
+def test_a_noisy_entry_refuses_a_bad_seed_before_it_builds_a_plan(canonical, monkeypatch,
+                                                                  entry, seed, message):
+    def no_plan(*args):
+        raise AssertionError("a trajectories.Plan was built before the seed was checked")
+
+    monkeypatch.setattr(trajectories, "Plan", no_plan)
+    kwargs = {"shots": 8, "seed": seed, "noise": NoiseConfig(p1q=0.1)}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        if entry == "evaluate_qaoa":
+            evaluate_qaoa(canonical, QaoaParams((0.3,), (0.9,)), "noisy", **kwargs)
+        else:
+            make_objective(canonical, 1, "noisy", **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["bogus", ["noisy"]])
+def test_an_entry_without_a_seed_refuses_a_bad_mode_by_the_mode_rule(canonical, mode):
+    # the seed is checked first, and a mode that is no run mode draws nothing,
+    # so the engine refuses the mode itself
+    message = f"mode must be one of ('exact', 'sampled', 'noisy'), got {mode!r}"
+    for call in (lambda: evaluate_qaoa(canonical, QaoaParams((0.3,), (0.9,)), mode, shots=8),
+                 lambda: make_objective(canonical, 1, mode, shots=8)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 @pytest.mark.parametrize("n", [5, 7, 14])
 @pytest.mark.parametrize("k", [1, 3])
 def test_exact_tallies_equal_sampled_tallies(n, k):

@@ -4,6 +4,7 @@ import math
 import struct
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import numpy as np
@@ -728,6 +729,48 @@ def test_package_exports_resolve_once():
     assert len(qaoalab.__all__) == len(set(qaoalab.__all__))
     missing = [name for name in qaoalab.__all__ if not hasattr(qaoalab, name)]
     assert missing == []
+
+
+# the names the package root once re-exported, under the module that defines each
+FORMER_ROOT_NAMES = {
+    "ansatz": ["Circuit", "QaoaParams", "build_qaoa_circuit", "run_circuit"],
+    "graph": ["MaxCutInstance", "ParseError", "brute_force_maxcut", "canonical_instance",
+              "cut_value", "parse_edge_list", "serialize_edge_list"],
+    "harness": ["ExperimentConfig", "NOISE_PRESETS", "PAPER_P5_THETA", "ConfigError",
+                "RunArtifacts", "load_config", "main", "parse_config", "run_experiment",
+                "run_sweep"],
+    "noise": ["DD_SEQUENCES", "Interval", "NoiseConfig", "Timeline", "apply_readout_error",
+              "apply_trajectory_noise", "insert_dd", "sample_noisy", "schedule_circuit",
+              "twirl_circuit"],
+    "objective": ["EnergySample", "energy_from_counts", "evaluate_qaoa", "make_objective"],
+    "optim": ["METHODS", "MinimizeProblem", "MinimizeResult", "minimize", "random_qaoa_starts"],
+    "plots": ["plot_histogram", "plot_trace", "render_histogram"],
+    "statevec": ["GateOp", "expectation_cut", "sample_counts", "simulate_ops", "zero_state"],
+}
+
+
+def test_package_root_binds_only_its_modules():
+    # each public name has one home, its module; the root re-exports none of them
+    modules = ["ansatz", "graph", "harness", "noise", "objective", "optim", "plots", "rng",
+               "statevec"]
+    assert qaoalab.__all__ == [*modules, "__version__"]
+    assert all(type(getattr(qaoalab, name)) is types.ModuleType for name in modules)
+    for name in ("run_sweep", "NoiseConfig"):
+        with pytest.raises(AttributeError):
+            getattr(qaoalab, name)
+    rebound = [name for names in FORMER_ROOT_NAMES.values() for name in names
+               if hasattr(qaoalab, name)]
+    assert rebound == []
+
+
+def test_each_former_root_name_resolves_from_its_module():
+    assert sum(map(len, FORMER_ROOT_NAMES.values())) == 48
+    for module, names in FORMER_ROOT_NAMES.items():
+        home = getattr(qaoalab, module)
+        for name in names:
+            value = getattr(home, name)
+            # a function or class is defined where it is imported from
+            assert not callable(value) or value.__module__ == home.__name__, name
 
 
 def test_optim_imports_only_rng_and_the_rules_from_the_package():

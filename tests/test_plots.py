@@ -287,6 +287,16 @@ def test_trace_rejects_bad_series_and_empty(tmp_path):
         plot_trace(trace_file(tmp_path, 0, 1), "energy")
 
 
+@pytest.mark.parametrize("text", [None, "eval,energy,beta_1\n0.0,1,0.5\n"],
+                         ids=["missing-file", "malformed-row"])
+def test_plot_trace_refuses_a_bad_series_before_it_reads_the_file(tmp_path, text):
+    path = tmp_path / "trace.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=r"^series must be one of .*, got 'bogus'$"):
+        plot_trace(path, series="bogus")
+
+
 @pytest.mark.parametrize("line, message", [
     ("0.0,1,0.5", "eval must be an integer >= 0, got '0.0'"),
     ("0,inf,0.5", "energy must be a finite number, got inf"),
